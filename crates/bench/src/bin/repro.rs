@@ -384,13 +384,16 @@ fn run_load(args: &[String]) {
     }
 }
 
-/// The `repro streaming` subcommand: the streaming ablation plus the
-/// incremental delta ablation (ingest-latency quantiles and the
-/// splice-vs-cold head-to-head), optionally gated against the checked-in
+/// The `repro streaming` subcommand: the streaming ablation, the publish
+/// cost of a long stream (ingest-latency quantiles, and step costs at a
+/// short vs a long stream length) and the incremental delta ablation
+/// (splice-vs-cold head-to-head), optionally gated against the checked-in
 /// `BENCH_streaming.json` with the suffix-typed columns: `(us)` ingest and
-/// solve latencies under the SLO band, `(=)` windows-resolved/spliced
-/// counts and the result digest byte-exact (the determinism tripwire —
-/// a digest drift means the solver changed its *answer*).
+/// solve latencies under the SLO band, `(=)` shared-interval and
+/// windows-resolved/spliced counts and the result digest byte-exact (the
+/// determinism tripwire — a digest drift means the solver changed its
+/// *answer*, a shared-interval drift that a publish copied what it should
+/// have shared).
 fn run_streaming(args: &[String]) {
     let mut json_path: Option<String> = None;
     let mut gate_flag = false;

@@ -1112,14 +1112,110 @@ fn paths_digest(paths: &[ClusterPath]) -> String {
     format!("{hash:016x}")
 }
 
-/// Incremental epoch-delta ablation (ISSUE 10): per-interval ingest latency
-/// quantiles, plus a head-to-head of a cold windowed re-solve against the
-/// delta solve that re-solves only the windows the newest interval touches
-/// and splices the rest forward from the prior epoch's window results
-/// (`bsc_core::delta`). Self-verifying: the spliced solution must be
-/// byte-identical to the cold one before any timing is reported. The
-/// `(us)` cells are latency-SLO gated, the `(=)` cells are the
-/// determinism tripwire (windows resolved/spliced and the result digest
+/// What publishing one streamed interval costs, and whether that depends
+/// on how long the stream already is (ISSUE 12). One stream of
+/// `PUBLISH_STREAM_INTERVALS` intervals goes through the three steps a
+/// `push_interval` request pays — `OnlineStableClusters::push_interval`,
+/// `snapshot`, `SnapshotCell::install_incremental` — and every step of every
+/// push is timed. Two tables: the quantiles of the whole publish over all
+/// pushes (one sample per interval — enough of them that p50, p95 and p99
+/// are different samples, each with ten beyond it), and the median step
+/// costs of the `PUBLISH_BAND` pushes ending at a short and at the full
+/// stream length. `shared_intervals(=)` counts the intervals whose in-edge
+/// segment the published graph shares with the epoch it displaced: all but
+/// the pushed one, or the publish was not O(delta).
+fn streaming_publish(scale: Scale) -> Vec<Table> {
+    use bsc_core::snapshot::SnapshotCell;
+    use bsc_core::streaming::OnlineStableClusters;
+    const PUBLISH_STREAM_INTERVALS: usize = 1_000;
+    const PUBLISH_BAND: usize = 10;
+    let n = scale.pick(200, 1_000);
+    let short_m = scale.pick(12, 25);
+    let graph = cluster_graph(PUBLISH_STREAM_INTERVALS, n, 5, 1, SEED);
+    let mut online = OnlineStableClusters::new(KlStableParams::new(5, 3), graph.gap());
+    let cell = SnapshotCell::empty();
+
+    // Per push: [push, snapshot, install, all three] in microseconds.
+    let mut steps: Vec<[u64; 4]> = Vec::with_capacity(PUBLISH_STREAM_INTERVALS);
+    let mut shared: Vec<usize> = Vec::with_capacity(PUBLISH_STREAM_INTERVALS);
+    for interval in 0..PUBLISH_STREAM_INTERVALS as u32 {
+        let parent_edges = graph.interval_parent_edges(interval);
+        let displaced = cell.load();
+        let (_, push) = timed(|| online.push_interval(parent_edges));
+        let (snapshot, snap) = timed(|| online.snapshot());
+        let (installed, install) = timed(|| cell.install_incremental(snapshot));
+        steps
+            .push([push, snap, install, push + snap + install].map(|step| step.as_micros() as u64));
+        shared.push(
+            (0..=interval)
+                .filter(|&i| installed.shares_in_edges(&displaced, i))
+                .count(),
+        );
+    }
+    let shape = format!("n = {n}, d = 5, g = 1, k = 5, l = 3");
+
+    // Nearest-rank quantiles over the exact samples: the fixed-bucket
+    // histogram reports a bucket bound, which a flat cost puts all three
+    // quantiles on.
+    let mut publish: Vec<u64> = steps.iter().map(|step| step[3]).collect();
+    publish.sort_unstable();
+    let quantile = |q: f64| publish[((q * publish.len() as f64).ceil() as usize).max(1) - 1];
+    let mut latency = Table::new(
+        "Streaming ingest latency per interval",
+        &["quantile", "latency(us)"],
+    );
+    for (name, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+        latency.push_row(vec![name.into(), quantile(q).to_string()]);
+    }
+    latency.push_note(format!(
+        "push_interval + snapshot + install_incremental, one sample per interval of a \
+         {PUBLISH_STREAM_INTERVALS}-interval stream ({shape}); nearest-rank quantiles, \
+         {} samples beyond p99",
+        publish.len() - (0.99 * publish.len() as f64).ceil() as usize
+    ));
+
+    let band_median = |end: usize, step: usize| -> u64 {
+        let mut band: Vec<u64> = steps[end - PUBLISH_BAND..end]
+            .iter()
+            .map(|s| s[step])
+            .collect();
+        band.sort_unstable();
+        band[band.len() / 2]
+    };
+    let mut cost = Table::new(
+        "Publish cost vs stream length",
+        &[
+            "stream length",
+            "shared_intervals(=)",
+            "push_interval(us)",
+            "snapshot(us)",
+            "install_incremental(us)",
+            "publish(us)",
+        ],
+    );
+    for m in [short_m, PUBLISH_STREAM_INTERVALS] {
+        let mut row = vec![format!("{m} intervals"), shared[m - 1].to_string()];
+        row.extend((0..4).map(|step| band_median(m, step).to_string()));
+        cost.push_row(row);
+    }
+    cost.push_note(format!(
+        "{shape}; each (us) cell is the median of the {PUBLISH_BAND} pushes ending at that \
+         stream length; publish at {PUBLISH_STREAM_INTERVALS} intervals costs {:.2}x publish at \
+         {short_m} — the appended graph shares every older interval with the epoch it displaces \
+         (shared_intervals = m - 1), so snapshot and install do not grow with the stream",
+        band_median(PUBLISH_STREAM_INTERVALS, 3) as f64 / band_median(short_m, 3).max(1) as f64
+    ));
+    vec![latency, cost]
+}
+
+/// Incremental epoch-delta ablation (ISSUE 10), after the publish-cost
+/// tables of `streaming_publish`: a head-to-head of a cold windowed
+/// re-solve against the delta solve that re-solves only the windows the
+/// newest interval touches and splices the rest forward from the prior
+/// epoch's window results (`bsc_core::delta`). Self-verifying: the spliced
+/// solution must be byte-identical to the cold one before any timing is
+/// reported. The `(us)` cells are latency-SLO gated, the `(=)` cells are
+/// the determinism tripwire (windows resolved/spliced and the result digest
 /// are pure functions of the scale).
 pub fn streaming_delta(scale: Scale) -> Vec<Table> {
     use bsc_core::delta::{solve_windows, GraphDelta};
@@ -1132,12 +1228,9 @@ pub fn streaming_delta(scale: Scale) -> Vec<Table> {
     let spec = StableClusterSpec::ExactLength(params.l);
     let options = SolverOptions::default();
 
-    let mut ingest = bsc_util::LatencyHistogram::new();
     let mut online = OnlineStableClusters::new(params, graph.gap());
     for interval in 0..m as u32 {
-        let parent_edges = graph.interval_parent_edges(interval);
-        let (_, push_time) = timed(|| online.push_interval(parent_edges));
-        ingest.record(push_time);
+        online.push_interval(graph.interval_parent_edges(interval));
     }
     let prior_snapshot = online.snapshot();
     let prior = solve_windows(
@@ -1150,9 +1243,7 @@ pub fn streaming_delta(scale: Scale) -> Vec<Table> {
     )
     .expect("prior windowed solve");
 
-    let parent_edges = graph.interval_parent_edges(m as u32);
-    let (_, push_time) = timed(|| online.push_interval(parent_edges));
-    ingest.record(push_time);
+    online.push_interval(graph.interval_parent_edges(m as u32));
     let new_snapshot = online.snapshot();
     let delta = GraphDelta::between(prior_snapshot.graph(), new_snapshot.graph());
 
@@ -1201,18 +1292,6 @@ pub fn streaming_delta(scale: Scale) -> Vec<Table> {
         "the delta solve re-solved every window — the splice never engaged"
     );
 
-    let mut latency = Table::new(
-        "Streaming ingest latency per interval",
-        &["quantile", "latency(us)"],
-    );
-    latency.push_row(vec!["p50".into(), ingest.p50_micros().to_string()]);
-    latency.push_row(vec!["p95".into(), ingest.p95_micros().to_string()]);
-    latency.push_row(vec!["p99".into(), ingest.p99_micros().to_string()]);
-    latency.push_note(format!(
-        "m = {} intervals ingested online, n = {n}, d = 5, g = 1, k = 5, l = 3",
-        m + 1
-    ));
-
     let mut table = Table::new(
         "Incremental delta solve vs cold windowed re-solve (1 new interval)",
         &[
@@ -1243,7 +1322,9 @@ pub fn streaming_delta(scale: Scale) -> Vec<Table> {
         spliced.solution.stats.windows_resolved,
         spliced.solution.stats.windows_resolved + spliced.solution.stats.windows_spliced,
     ));
-    vec![latency, table]
+    let mut tables = streaming_publish(scale);
+    tables.push(table);
+    tables
 }
 
 /// All experiments in paper order.

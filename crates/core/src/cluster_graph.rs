@@ -12,6 +12,8 @@
 //! `[i − g − 1, i − 1]` and children in `[i + 1, i + g + 1]` — the property
 //! all three stable-cluster algorithms exploit.
 
+use std::sync::Arc;
+
 use bsc_graph::cluster::KeywordCluster;
 use bsc_graph::csr::prefix_offsets;
 
@@ -63,34 +65,122 @@ pub struct ClusterEdge {
     pub weight: f64,
 }
 
-/// The cluster graph over `m` temporal intervals, stored in compressed
-/// sparse-row (CSR) form: both adjacency directions are flat edge arrays
-/// indexed by an offset table over dense node ids, built in a single pass
-/// over the edge list. Neighbour access is a contiguous slice — no
-/// triple-nested `Vec` pointer chasing on the solver hot paths.
+/// One direction of one interval's adjacency in compressed sparse-row (CSR)
+/// form: row `j` is the contiguous edge slice of the interval's `j`-th node.
+///
+/// Never mutated once it sits behind an `Arc`. Graphs of consecutive epochs
+/// share these, so two graphs holding the *same* allocation hold equal
+/// content — the fact [`ClusterGraph::shares_in_edges`] rests on.
+#[derive(Debug)]
+struct Adjacency {
+    /// `offsets[j]..offsets[j + 1]` spans node `j`'s slice of `edges`: one
+    /// entry per node plus one, so the interval's node count lives here.
+    offsets: Vec<usize>,
+    edges: Vec<ClusterEdge>,
+}
+
+impl Adjacency {
+    /// `nodes` rows without a single edge.
+    fn empty(nodes: usize) -> Adjacency {
+        Adjacency {
+            offsets: vec![0; nodes + 1],
+            edges: Vec::new(),
+        }
+    }
+
+    fn num_nodes(&self) -> u32 {
+        (self.offsets.len() - 1) as u32
+    }
+
+    fn row(&self, index: u32) -> &[ClusterEdge] {
+        let index = index as usize;
+        &self.edges[self.offsets[index]..self.offsets[index + 1]]
+    }
+}
+
+/// Counting-sort fill of one [`Adjacency`]: rows are sized up front from
+/// per-node degrees, then every [`AdjacencyFill::push`] drops an edge into
+/// its row's next free slot — each row keeps the order its edges arrived in.
+struct AdjacencyFill {
+    adjacency: Adjacency,
+    /// Next free slot of each row.
+    cursor: Vec<usize>,
+}
+
+impl AdjacencyFill {
+    fn new(degrees: &[usize]) -> Self {
+        let offsets = prefix_offsets(degrees);
+        let placeholder = ClusterEdge {
+            to: ClusterNodeId::new(0, 0),
+            weight: 0.0,
+        };
+        AdjacencyFill {
+            cursor: offsets.clone(),
+            adjacency: Adjacency {
+                edges: vec![placeholder; offsets.last().copied().unwrap_or(0)],
+                offsets,
+            },
+        }
+    }
+
+    fn push(&mut self, row: u32, edge: ClusterEdge) {
+        let slot = &mut self.cursor[row as usize];
+        self.adjacency.edges[*slot] = edge;
+        *slot += 1;
+    }
+
+    /// Rows in arrival order (the parent direction).
+    fn finish(self) -> Arc<Adjacency> {
+        Arc::new(self.adjacency)
+    }
+
+    /// Rows sorted by descending weight (the child direction): the DFS
+    /// algorithm's heuristic "children connected with edges of high weight
+    /// are considered first". The sort is stable, so equal-weight children
+    /// keep their arrival order. That also makes it incremental: a sorted
+    /// row with later arrivals behind it sorts to exactly the row that
+    /// sorting all its arrivals at once gives, which is what lets
+    /// [`ClusterGraph::append`] match a from-scratch build.
+    fn finish_sorted(mut self) -> Arc<Adjacency> {
+        let Adjacency { offsets, edges } = &mut self.adjacency;
+        for row in offsets.windows(2) {
+            edges[row[0]..row[1]].sort_by(|a, b| b.weight.total_cmp(&a.weight));
+        }
+        Arc::new(self.adjacency)
+    }
+}
+
+/// One interval of a [`ClusterGraph`]: its nodes' incoming and outgoing
+/// edges, shareable separately — appending an interval gives up to `g + 1`
+/// earlier intervals new children but never a new parent.
+#[derive(Debug, Clone)]
+struct IntervalSegment {
+    /// Edges to earlier intervals, in edge insertion order.
+    parents: Arc<Adjacency>,
+    /// Edges to later intervals, each node's slice sorted by descending
+    /// weight.
+    children: Arc<Adjacency>,
+}
+
+/// The cluster graph over `m` temporal intervals, stored as one immutable
+/// segment per interval: the interval's in-edges and its out-edges, each a
+/// compressed sparse-row (CSR) table behind an `Arc`. Neighbour access is a
+/// contiguous slice, one pointer hop past the interval — no per-node `Vec`s
+/// on the solver hot paths. Cloning a graph copies `2m` pointers, and
+/// [`ClusterGraph::append`] yields the next epoch's graph sharing every
+/// segment the new interval does not touch.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterGraph {
     gap: u32,
-    nodes_per_interval: Vec<u32>,
-    /// `interval_offsets[i]` — flat node index of node `(i, 0)`; the last
-    /// entry is the total node count.
-    interval_offsets: Vec<usize>,
-    /// CSR offsets into `children_edges`, one entry per flat node plus one.
-    children_offsets: Vec<usize>,
-    /// Flattened child adjacency (edges to later intervals), each node's
-    /// slice sorted by descending weight (the DFS heuristic).
-    children_edges: Vec<ClusterEdge>,
-    /// CSR offsets into `parents_edges`.
-    parents_offsets: Vec<usize>,
-    /// Flattened parent adjacency (edges to earlier intervals), in edge
-    /// insertion order.
-    parents_edges: Vec<ClusterEdge>,
+    segments: Vec<IntervalSegment>,
+    num_nodes: usize,
+    num_edges: usize,
 }
 
 impl ClusterGraph {
     /// Number of temporal intervals `m`.
     pub fn num_intervals(&self) -> usize {
-        self.nodes_per_interval.len()
+        self.segments.len()
     }
 
     /// Maximum allowed gap `g`.
@@ -100,47 +190,48 @@ impl ClusterGraph {
 
     /// Number of nodes in interval `i`.
     pub fn nodes_in_interval(&self, interval: u32) -> u32 {
-        self.nodes_per_interval
+        self.segments
             .get(interval as usize)
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |segment| segment.parents.num_nodes())
     }
 
     /// Total number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.interval_offsets.last().copied().unwrap_or(0)
+        self.num_nodes
     }
 
     /// Total number of edges.
     pub fn num_edges(&self) -> usize {
-        self.children_edges.len()
+        self.num_edges
     }
 
-    /// The dense (flat) index of a node: intervals laid out consecutively.
+    /// The segment holding `node`.
     ///
     /// # Panics
-    /// Panics if the node is out of range (in release builds too — an
-    /// unchecked out-of-range index would silently alias another node's
-    /// adjacency slot).
-    pub fn flat_index(&self, node: ClusterNodeId) -> usize {
+    /// Panics if the node is out of range.
+    fn segment(&self, node: ClusterNodeId) -> &IntervalSegment {
         assert!(
             node.index < self.nodes_in_interval(node.interval),
             "node {node} out of range"
         );
-        self.interval_offsets[node.interval as usize] + node.index as usize
+        &self.segments[node.interval as usize]
     }
 
     /// Children (edges to later intervals) of `node`, sorted by descending
     /// weight.
+    ///
+    /// # Panics
+    /// Panics if the node is out of range.
     pub fn children(&self, node: ClusterNodeId) -> &[ClusterEdge] {
-        let flat = self.flat_index(node);
-        &self.children_edges[self.children_offsets[flat]..self.children_offsets[flat + 1]]
+        self.segment(node).children.row(node.index)
     }
 
     /// Parents (edges to earlier intervals) of `node`.
+    ///
+    /// # Panics
+    /// Panics if the node is out of range.
     pub fn parents(&self, node: ClusterNodeId) -> &[ClusterEdge] {
-        let flat = self.flat_index(node);
-        &self.parents_edges[self.parents_offsets[flat]..self.parents_offsets[flat + 1]]
+        self.segment(node).parents.row(node.index)
     }
 
     /// The length of the edge between two nodes: their interval difference.
@@ -150,10 +241,7 @@ impl ClusterGraph {
 
     /// Iterate over every node id, interval by interval.
     pub fn node_ids(&self) -> impl Iterator<Item = ClusterNodeId> + '_ {
-        self.nodes_per_interval
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &count)| (0..count).map(move |j| ClusterNodeId::new(i as u32, j)))
+        (0..self.num_intervals() as u32).flat_map(|i| self.interval_node_ids(i))
     }
 
     /// Node ids of one interval.
@@ -184,14 +272,9 @@ impl ClusterGraph {
     /// uses these as partition weights: the work of solving a temporal
     /// window is roughly proportional to the edges inside it.
     pub fn interval_out_edge_counts(&self) -> Vec<u64> {
-        self.nodes_per_interval
+        self.segments
             .iter()
-            .enumerate()
-            .map(|(i, &count)| {
-                let first = self.interval_offsets[i];
-                let last = first + count as usize;
-                (self.children_offsets[last] - self.children_offsets[first]) as u64
-            })
+            .map(|segment| segment.children.edges.len() as u64)
             .collect()
     }
 
@@ -212,6 +295,132 @@ impl ClusterGraph {
                     .collect()
             })
             .collect()
+    }
+
+    /// The graph with one more interval: `parent_edges[j]` lists the
+    /// incoming edges of the new interval's `j`-th node as
+    /// `(earlier node, weight)` pairs — the shape
+    /// [`ClusterGraph::interval_parent_edges`] returns.
+    ///
+    /// The result shares every segment of `self` the new interval leaves
+    /// alone. Built fresh are only the new interval's in-edges and the
+    /// out-edge tables of those of the `g + 1` preceding intervals that
+    /// gained children: `O(m)` pointer copies plus the edges among the last
+    /// `g + 2` intervals, whatever the length of the graph. `self` is not
+    /// changed; whoever holds it keeps seeing its old out-edge lists.
+    ///
+    /// A chain of appends equals one [`ClusterGraphBuilder::build`] over
+    /// the same edges in append order (interval by interval, node by node,
+    /// each node's parents as listed) in every accessor, child order
+    /// included. Weights are taken as they are and never renormalized:
+    /// only `(0, 1]` is admitted.
+    ///
+    /// # Panics
+    /// Panics if an edge names a parent that does not exist, that is not in
+    /// one of the `g + 1` preceding intervals, or a weight outside `(0, 1]`
+    /// — before anything is built, so a rejected interval costs nothing.
+    pub fn append(&self, parent_edges: &[Vec<(ClusterNodeId, f64)>]) -> ClusterGraph {
+        assert!(
+            u32::try_from(parent_edges.len()).is_ok(),
+            "an interval holds at most u32::MAX nodes"
+        );
+        let interval = self.num_intervals() as u32;
+        // Only these earlier intervals can gain children.
+        let first_parent = interval.saturating_sub(self.gap.saturating_add(1));
+        let mut gained: Vec<Vec<usize>> = (first_parent..interval)
+            .map(|p| vec![0; self.nodes_in_interval(p) as usize])
+            .collect();
+        for (index, parents) in parent_edges.iter().enumerate() {
+            let node = ClusterNodeId::new(interval, index as u32);
+            for &(parent, weight) in parents {
+                assert!(
+                    parent.interval < interval,
+                    "parent {parent} must belong to an earlier interval"
+                );
+                assert!(
+                    parent.interval >= first_parent,
+                    "edge from {parent} to {node} exceeds the gap {}",
+                    self.gap
+                );
+                assert!(
+                    parent.index < self.nodes_in_interval(parent.interval),
+                    "parent {parent} does not exist"
+                );
+                assert!(
+                    weight > 0.0 && weight <= 1.0,
+                    "edge weights must lie in (0, 1] (cluster-graph affinities are normalized)"
+                );
+                gained[(parent.interval - first_parent) as usize][parent.index as usize] += 1;
+            }
+        }
+
+        // An earlier interval that gained children gets a new out-edge
+        // table: its old rows first, the new interval's edges behind them.
+        let mut regrown: Vec<Option<AdjacencyFill>> = gained
+            .iter_mut()
+            .zip(&self.segments[first_parent as usize..])
+            .map(|(degrees, segment)| {
+                if degrees.iter().all(|&gain| gain == 0) {
+                    return None;
+                }
+                let old = &segment.children;
+                for (row, degree) in degrees.iter_mut().enumerate() {
+                    *degree += old.row(row as u32).len();
+                }
+                let mut fill = AdjacencyFill::new(degrees);
+                for row in 0..old.num_nodes() {
+                    for &edge in old.row(row) {
+                        fill.push(row, edge);
+                    }
+                }
+                Some(fill)
+            })
+            .collect();
+        let in_degrees: Vec<usize> = parent_edges.iter().map(Vec::len).collect();
+        let mut incoming = AdjacencyFill::new(&in_degrees);
+        for (index, parents) in parent_edges.iter().enumerate() {
+            let node = ClusterNodeId::new(interval, index as u32);
+            for &(parent, weight) in parents {
+                incoming.push(node.index, ClusterEdge { to: parent, weight });
+                if let Some(fill) = &mut regrown[(parent.interval - first_parent) as usize] {
+                    fill.push(parent.index, ClusterEdge { to: node, weight });
+                }
+            }
+        }
+
+        let mut segments = Vec::with_capacity(self.segments.len() + 1);
+        segments.extend_from_slice(&self.segments);
+        for (segment, fill) in segments[first_parent as usize..].iter_mut().zip(regrown) {
+            if let Some(fill) = fill {
+                segment.children = fill.finish_sorted();
+            }
+        }
+        segments.push(IntervalSegment {
+            parents: incoming.finish(),
+            children: Arc::new(Adjacency::empty(parent_edges.len())),
+        });
+        ClusterGraph {
+            gap: self.gap,
+            segments,
+            num_nodes: self.num_nodes + parent_edges.len(),
+            num_edges: self.num_edges + in_degrees.iter().sum::<usize>(),
+        }
+    }
+
+    /// Whether `self` and `other` hold the *same* in-edge segment for
+    /// `interval` — one allocation, not merely equal content. Segments are
+    /// immutable, so `true` proves the interval's node count and in-edges
+    /// are equal in both graphs; `false` says nothing either way (two
+    /// separately built graphs share no segment however equal they are).
+    /// [`ClusterGraph::append`] shares all but the new interval.
+    pub fn shares_in_edges(&self, other: &ClusterGraph, interval: u32) -> bool {
+        match (
+            self.segments.get(interval as usize),
+            other.segments.get(interval as usize),
+        ) {
+            (Some(mine), Some(theirs)) => Arc::ptr_eq(&mine.parents, &theirs.parents),
+            _ => false,
+        }
     }
 
     /// Extract the temporal window `[start, end]` (inclusive) as a
@@ -322,13 +531,16 @@ impl ClusterGraphBuilder {
     /// maximum weight so that all weights end up in `(0, 1]`, as the paper
     /// prescribes for unbounded affinity functions.
     ///
-    /// Both CSR adjacency directions (children *and* parents) are filled in
-    /// the same counting-sort pass over the edge list — no intermediate
-    /// per-node `Vec`s and no cloning of one direction to seed the other.
+    /// Both adjacency directions (children *and* parents) of every
+    /// interval's segment are filled in the same counting-sort pass over the
+    /// edge list — no intermediate per-node `Vec`s and no cloning of one
+    /// direction to seed the other.
     pub fn build(self) -> ClusterGraph {
         let max_weight = self.edges.iter().map(|&(_, _, w)| w).fold(0.0f64, f64::max);
         let scale = if max_weight > 1.0 { max_weight } else { 1.0 };
 
+        // Degrees are counted over flat node indices (intervals laid out
+        // consecutively), then cut into one table per interval.
         let interval_offsets = prefix_offsets(
             &self
                 .nodes_per_interval
@@ -338,49 +550,38 @@ impl ClusterGraphBuilder {
         );
         let num_nodes = interval_offsets.last().copied().unwrap_or(0);
         let flat = |n: ClusterNodeId| interval_offsets[n.interval as usize] + n.index as usize;
-
         let mut child_degree = vec![0usize; num_nodes];
         let mut parent_degree = vec![0usize; num_nodes];
         for &(from, to, _) in &self.edges {
             child_degree[flat(from)] += 1;
             parent_degree[flat(to)] += 1;
         }
-        let children_offsets = prefix_offsets(&child_degree);
-        let parents_offsets = prefix_offsets(&parent_degree);
-
-        let placeholder = ClusterEdge {
-            to: ClusterNodeId::new(0, 0),
-            weight: 0.0,
+        let fills = |degrees: &[usize]| -> Vec<AdjacencyFill> {
+            interval_offsets
+                .windows(2)
+                .map(|interval| AdjacencyFill::new(&degrees[interval[0]..interval[1]]))
+                .collect()
         };
-        let mut children_edges = vec![placeholder; self.edges.len()];
-        let mut parents_edges = vec![placeholder; self.edges.len()];
-        let mut child_cursor = children_offsets.clone();
-        let mut parent_cursor = parents_offsets.clone();
+        let mut children = fills(&child_degree);
+        let mut parents = fills(&parent_degree);
+        let num_edges = self.edges.len();
         for (from, to, weight) in self.edges {
             let weight = weight / scale;
-            let f = flat(from);
-            let t = flat(to);
-            children_edges[child_cursor[f]] = ClusterEdge { to, weight };
-            child_cursor[f] += 1;
-            parents_edges[parent_cursor[t]] = ClusterEdge { to: from, weight };
-            parent_cursor[t] += 1;
-        }
-        // Sort each node's child slice by descending weight: the DFS
-        // algorithm's heuristic "children connected with edges of high
-        // weight are considered first". The sort is stable, so equal-weight
-        // children keep their insertion order.
-        for node in 0..num_nodes {
-            children_edges[children_offsets[node]..children_offsets[node + 1]]
-                .sort_by(|a, b| b.weight.total_cmp(&a.weight));
+            children[from.interval as usize].push(from.index, ClusterEdge { to, weight });
+            parents[to.interval as usize].push(to.index, ClusterEdge { to: from, weight });
         }
         ClusterGraph {
             gap: self.gap,
-            nodes_per_interval: self.nodes_per_interval,
-            interval_offsets,
-            children_offsets,
-            children_edges,
-            parents_offsets,
-            parents_edges,
+            num_nodes,
+            num_edges,
+            segments: parents
+                .into_iter()
+                .zip(children)
+                .map(|(parents, children)| IntervalSegment {
+                    parents: parents.finish(),
+                    children: children.finish_sorted(),
+                })
+                .collect(),
         }
     }
 
@@ -668,6 +869,13 @@ mod tests {
         builder.add_interval(1);
         let graph = builder.build();
         let _ = graph.window(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must belong to an earlier interval")]
+    fn append_rejects_a_parent_in_the_appended_interval() {
+        let graph = ClusterGraphBuilder::new(0).build().append(&[vec![]]);
+        graph.append(&[vec![], vec![(node(1, 0), 0.5)]]);
     }
 
     #[test]

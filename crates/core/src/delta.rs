@@ -90,18 +90,26 @@ fn interval_in_edge_signature(graph: &ClusterGraph, interval: u32) -> Vec<(u32, 
 impl GraphDelta {
     /// Compare two graph generations interval by interval.
     ///
-    /// Cost is `O(V + E log deg)` over the two graphs — the same order as
-    /// the CSR rebuild the streaming layer just performed to produce the
-    /// new snapshot.
+    /// An interval whose in-edge segment both graphs *share*
+    /// ([`ClusterGraph::shares_in_edges`]) is clean in O(1): a segment is
+    /// immutable, so one allocation reachable from both graphs is a proof
+    /// of equal node count and equal in-edges, not a hint. Consecutive
+    /// epochs of a stream ([`ClusterGraph::append`]) share every interval
+    /// but the appended one, which makes the whole comparison `O(m)`.
+    /// Intervals held in separate segments — graphs built independently —
+    /// fall back to comparing content, `O(V + E log deg)` over those
+    /// intervals.
     pub fn between(old: &ClusterGraph, new: &ClusterGraph) -> GraphDelta {
         let old_intervals = old.num_intervals() as u32;
         let new_intervals = new.num_intervals() as u32;
         let mut dirty = Vec::with_capacity(new_intervals as usize);
-        // bsc:allow(missing-cancel-checkpoint) -- one bounded O(V + E) comparison pass per install, same order as the CSR rebuild that produced the snapshot; no token in scope
+        // bsc:allow(missing-cancel-checkpoint) -- one bounded comparison pass per install: O(1) per shared interval, O(V + E log deg) over unshared ones; no token in scope
         for i in 0..new_intervals {
             let is_dirty = i >= old_intervals
-                || old.nodes_in_interval(i) != new.nodes_in_interval(i)
-                || interval_in_edge_signature(old, i) != interval_in_edge_signature(new, i);
+                || !old.shares_in_edges(new, i)
+                    && (old.nodes_in_interval(i) != new.nodes_in_interval(i)
+                        || interval_in_edge_signature(old, i)
+                            != interval_in_edge_signature(new, i));
             dirty.push(is_dirty);
         }
         GraphDelta {

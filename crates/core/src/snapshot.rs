@@ -211,8 +211,10 @@ impl SnapshotCell {
     /// `install` (a `load` op replacing the graph mid-stream) can only
     /// *drop* the chain, never corrupt it.
     pub fn install_incremental(&self, snapshot: GraphSnapshot) -> GraphSnapshot {
-        // The O(E log deg) comparison runs against a pinned snapshot
-        // outside the write lock so readers are never blocked by it.
+        // The comparison runs against a pinned snapshot outside the write
+        // lock so readers are never blocked by it. It is O(m) when the
+        // resident graph is the one `snapshot` was appended to (shared
+        // segments are clean by identity) and compares content otherwise.
         let prior = self.load();
         let delta = Arc::new(GraphDelta::between(prior.graph(), snapshot.graph()));
         let mut guard = self.current.write().unwrap_or_else(|p| p.into_inner());

@@ -9,13 +9,17 @@
 //! top-k heap and exposes [`OnlineStableClusters::push_interval`].
 //!
 //! For the long-lived query engine the stream is also the **graph source**:
-//! every ingested edge is retained, and [`OnlineStableClusters::snapshot`]
-//! materializes the graph-so-far as an epoch-tagged [`GraphSnapshot`]
-//! (epoch = intervals ingested). [`OnlineStableClusters::publish_to`] swaps
-//! it into a [`SnapshotCell`] atomically, so in-flight queries keep solving
-//! against the epoch they pinned while new intervals arrive.
+//! every push extends the graph-so-far by one interval through the
+//! persistent [`ClusterGraph::append`] — the new graph shares all but the
+//! last `g + 2` intervals' segments with the one before — and
+//! [`OnlineStableClusters::snapshot`] hands it out as an epoch-tagged
+//! [`GraphSnapshot`] (epoch = intervals ingested).
+//! [`OnlineStableClusters::publish_to`] swaps it into a [`SnapshotCell`]
+//! atomically, so in-flight queries keep solving against the epoch they
+//! pinned while new intervals arrive.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bsc_graph::cluster::KeywordCluster;
 
@@ -30,23 +34,15 @@ use crate::topk::SharedTopK;
 /// Incremental solver for kl-stable clusters over a growing timeline.
 pub struct OnlineStableClusters {
     params: KlStableParams,
-    gap: u32,
-    /// Number of intervals ingested so far.
-    intervals: u32,
-    /// Number of nodes per ingested interval.
-    nodes_per_interval: Vec<u32>,
+    /// The graph of every interval ingested so far — also the record of the
+    /// gap, the interval count and each interval's node count that the next
+    /// push is validated against.
+    graph: Arc<ClusterGraph>,
     /// Sliding window: per-node heaps `h^x` for the last `g + 1` intervals,
     /// holding zero-copy [`SharedPath`] chains.
     window: HashMap<ClusterNodeId, Vec<SharedTopK>>,
     /// Global top-k heap of length-`l` paths.
     global: SharedTopK,
-    /// Total edges ingested (for reporting).
-    edges_ingested: u64,
-    /// Every accepted edge, retained so the graph-so-far can be
-    /// materialized as a [`GraphSnapshot`] at any epoch.
-    edges: Vec<(ClusterNodeId, ClusterNodeId, f64)>,
-    /// Cached snapshot of the current epoch (invalidated by ingest).
-    cached_snapshot: Option<GraphSnapshot>,
     /// Memoized [`OnlineStableClusters::current_top_k`] answer (invalidated
     /// by ingest): between ingests nothing structural changes, so the
     /// global heap need not be re-cloned and re-sorted per call.
@@ -57,9 +53,9 @@ impl std::fmt::Debug for OnlineStableClusters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OnlineStableClusters")
             .field("params", &self.params)
-            .field("gap", &self.gap)
-            .field("intervals", &self.intervals)
-            .field("edges_ingested", &self.edges_ingested)
+            .field("gap", &self.graph.gap())
+            .field("intervals", &self.num_intervals())
+            .field("edges_ingested", &self.edges_ingested())
             .finish()
     }
 }
@@ -70,26 +66,27 @@ impl OnlineStableClusters {
     pub fn new(params: KlStableParams, gap: u32) -> Self {
         OnlineStableClusters {
             params,
-            gap,
-            intervals: 0,
-            nodes_per_interval: Vec::new(),
+            graph: Arc::new(ClusterGraphBuilder::new(gap).build()),
             window: HashMap::new(),
             global: SharedTopK::new(params.k),
-            edges_ingested: 0,
-            edges: Vec::new(),
-            cached_snapshot: None,
             cached_top_k: None,
         }
     }
 
     /// Number of intervals ingested so far.
     pub fn num_intervals(&self) -> usize {
-        self.intervals as usize
+        self.graph.num_intervals()
     }
 
     /// Total number of edges ingested.
     pub fn edges_ingested(&self) -> u64 {
-        self.edges_ingested
+        self.graph.num_edges() as u64
+    }
+
+    /// The graph of every interval ingested so far (what
+    /// [`OnlineStableClusters::snapshot`] publishes).
+    pub fn graph(&self) -> &ClusterGraph {
+        &self.graph
     }
 
     /// Ingest the next temporal interval.
@@ -98,18 +95,20 @@ impl OnlineStableClusters {
     /// cluster node as `(earlier node, weight)` pairs. Edges pointing to
     /// intervals earlier than `current − g − 1` or with weight outside
     /// `(0, 1]` are rejected — cluster-graph affinities are normalized into
-    /// `(0, 1]`, and admitting larger weights would let
-    /// [`OnlineStableClusters::snapshot`]'s builder renormalize them,
-    /// silently diverging from the online heaps.
+    /// `(0, 1]`, and the graph takes the weights exactly as the online heaps
+    /// score them. The interval is appended to the graph first
+    /// ([`ClusterGraph::append`], which does the rejecting), so a rejected
+    /// interval leaves the solver as it was.
     ///
     /// # Panics
     /// Panics if an edge references a node that does not exist or violates
     /// the gap or weight constraints.
     pub fn push_interval(&mut self, parent_edges: Vec<Vec<(ClusterNodeId, f64)>>) {
-        let interval = self.intervals;
+        let interval = self.graph.num_intervals() as u32;
+        let gap = self.graph.gap();
         let l = self.params.l;
         let k = self.params.k;
-        let num_nodes = parent_edges.len() as u32;
+        self.graph = Arc::new(self.graph.append(&parent_edges));
 
         let mut new_heaps: Vec<(ClusterNodeId, Vec<SharedTopK>)> = Vec::new();
         for (index, parents) in parent_edges.into_iter().enumerate() {
@@ -117,27 +116,6 @@ impl OnlineStableClusters {
             let max_len = l.min(interval) as usize;
             let mut heaps: Vec<SharedTopK> = (0..max_len).map(|_| SharedTopK::new(k)).collect();
             for (parent, weight) in parents {
-                assert!(
-                    parent.interval < interval,
-                    "parent {parent} must belong to an earlier interval"
-                );
-                assert!(
-                    interval - parent.interval <= self.gap + 1,
-                    "edge from {parent} to {node} exceeds the gap {}",
-                    self.gap
-                );
-                // bsc:allow(panic-in-lib) -- documented ingest contract: malformed events panic; bound check short-circuits the index
-                assert!(
-                    (parent.interval as usize) < self.nodes_per_interval.len()
-                        && parent.index < self.nodes_per_interval[parent.interval as usize],
-                    "parent {parent} does not exist"
-                );
-                assert!(
-                    weight > 0.0 && weight <= 1.0,
-                    "edge weights must lie in (0, 1] (cluster-graph affinities are normalized)"
-                );
-                self.edges_ingested += 1;
-                self.edges.push((parent, node, weight));
                 let len = interval - parent.interval;
                 if len > l {
                     continue;
@@ -177,19 +155,15 @@ impl OnlineStableClusters {
             new_heaps.push((node, heaps));
         }
 
-        self.nodes_per_interval.push(num_nodes);
-        self.intervals += 1;
-        self.cached_snapshot = None;
         self.cached_top_k = None;
         for (node, heaps) in new_heaps {
             self.window.insert(node, heaps);
         }
         // Evict intervals that can no longer be parents of future intervals.
-        if self.intervals > self.gap + 1 {
-            let evict = self.intervals - self.gap - 2;
-            let count = self.nodes_per_interval[evict as usize];
-            for index in 0..count {
-                self.window.remove(&ClusterNodeId::new(evict, index));
+        if interval > gap {
+            let evict = interval - gap - 1;
+            for node in self.graph.interval_node_ids(evict) {
+                self.window.remove(&node);
             }
         }
     }
@@ -215,30 +189,15 @@ impl OnlineStableClusters {
         top
     }
 
-    /// Materialize the graph-so-far as an epoch-tagged [`GraphSnapshot`]
-    /// (epoch = intervals ingested so far). Every accepted edge is present
-    /// with its exact weight — `push_interval` admits only weights in
-    /// `(0, 1]`, so the builder's normalization pass is the identity and
-    /// any path inside the snapshot scores bit-identically to the online
-    /// heaps. The built graph is cached per epoch; repeated calls between
-    /// ingests are `Arc`-cheap, but the *first* call after an ingest
-    /// rebuilds the CSR graph from every retained edge — O(edges so far).
-    /// Publishing after every interval therefore costs O(E) per epoch;
-    /// batch several intervals per publication when that matters.
+    /// The graph-so-far as an epoch-tagged [`GraphSnapshot`] (epoch =
+    /// intervals ingested so far). Every accepted edge is present with its
+    /// exact weight, so any path inside the snapshot scores bit-identically
+    /// to the online heaps. Nothing is built here: `push_interval` already
+    /// appended the interval, and this hands out another handle to that
+    /// graph — O(1) whatever the length of the stream, so publishing after
+    /// every interval costs no more than publishing in batches.
     pub fn snapshot(&mut self) -> GraphSnapshot {
-        if let Some(snapshot) = &self.cached_snapshot {
-            return snapshot.clone();
-        }
-        let mut builder = ClusterGraphBuilder::new(self.gap);
-        for &count in &self.nodes_per_interval {
-            builder.add_interval(count);
-        }
-        for &(from, to, weight) in &self.edges {
-            builder.add_edge(from, to, weight);
-        }
-        let snapshot = GraphSnapshot::new(builder.build()).with_epoch(u64::from(self.intervals));
-        self.cached_snapshot = Some(snapshot.clone());
-        snapshot
+        GraphSnapshot::from_arc(Arc::clone(&self.graph), self.graph.num_intervals() as u64)
     }
 
     /// Publish the graph-so-far into `cell` — the streamed-ingest half of
@@ -250,6 +209,8 @@ impl OnlineStableClusters {
         // Incremental install: the cell records the interval delta between
         // the previously resident graph and this one, so resident
         // per-window results can be spliced forward (see [`crate::delta`]).
+        // When the resident graph is this stream's previous epoch, every
+        // older interval is proven clean by segment identity.
         cell.install_incremental(self.snapshot())
     }
 
@@ -299,10 +260,10 @@ impl OnlineClusterFeed {
 
     /// Ingest the clusters of the next interval.
     pub fn push_clusters(&mut self, clusters: Vec<KeywordCluster>) {
-        let interval = self.solver.intervals;
+        let interval = self.solver.num_intervals() as u32;
         let mut parent_edges: Vec<Vec<(ClusterNodeId, f64)>> = vec![Vec::new(); clusters.len()];
         for (old_interval, old_clusters) in &self.recent {
-            if interval - old_interval > self.solver.gap + 1 {
+            if interval - old_interval > self.solver.graph().gap() + 1 {
                 continue;
             }
             for (new_index, new_cluster) in clusters.iter().enumerate() {
@@ -319,7 +280,7 @@ impl OnlineClusterFeed {
         }
         self.solver.push_interval(parent_edges);
         self.recent.push((interval, clusters));
-        let keep_from = interval.saturating_sub(self.solver.gap);
+        let keep_from = interval.saturating_sub(self.solver.graph().gap());
         self.recent.retain(|(i, _)| *i >= keep_from);
     }
 
@@ -393,7 +354,7 @@ mod tests {
                 "{from} -> {to}"
             );
         }
-        // The per-epoch cache makes repeated calls share the same graph.
+        // Repeated calls between ingests hand out the same graph.
         assert!(std::sync::Arc::ptr_eq(
             snapshot.graph(),
             online.snapshot().graph()
@@ -450,8 +411,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "(0, 1]")]
     fn rejects_weights_above_one() {
-        // Admitting a weight above 1 would let snapshot()'s builder
-        // renormalize every edge, silently diverging from the heaps.
+        // A batch build would renormalize every edge by a weight above 1;
+        // the append never renormalizes, so it must not admit one.
         let mut online = OnlineStableClusters::new(KlStableParams::new(2, 1), 0);
         online.push_interval(vec![Vec::new()]);
         online.push_interval(vec![vec![(ClusterNodeId::new(0, 0), 1.5)]]);

@@ -489,7 +489,10 @@ impl QueryEngine {
     /// window-set entries are carried forward as splice sources instead of
     /// dropped, so the next solve of a cached key re-solves only the
     /// windows the delta touches. Byte-identical answers either way; see
-    /// [`bsc_core::delta`]. Returns the installed snapshot.
+    /// [`bsc_core::delta`]. The delta is computed here, against the graph
+    /// the cell holds: O(intervals) when `snapshot` was appended to that
+    /// graph (shared segments are clean by identity), a content comparison
+    /// of whatever is not shared otherwise. Returns the installed snapshot.
     pub fn install_incremental(&self, snapshot: GraphSnapshot) -> GraphSnapshot {
         let installed = self.cell.install_incremental(snapshot);
         self.shared

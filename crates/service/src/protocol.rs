@@ -23,7 +23,8 @@
 //! `algorithm`, `spec` and `storage` use the same textual forms as the CLI
 //! (`AlgorithmKind::parse`, `StableClusterSpec::parse`,
 //! `StorageSpec::parse`). Edges are `[parent_interval, parent_index,
-//! node_index, weight]` quadruples. Responses to deterministic ops carry
+//! node_index, weight]` quadruples; `nodes` is at most
+//! [`MAX_INTERVAL_NODES`]. Responses to deterministic ops carry
 //! result data only (no timings, no cache flags), so a transcript can be
 //! diffed byte-for-byte against the `bsc oracle` reference executor —
 //! timings live in the `stats` response. Path weights are reported both
@@ -44,6 +45,14 @@ use crate::engine::QueryRequest;
 /// distributed fan-out wire protocol uses, so one number gates every
 /// cross-process conversation in the system.
 pub const PROTOCOL_VERSION: u64 = bsc_cluster::PROTOCOL_VERSION;
+
+/// The most nodes one `push_interval` may declare (2^20 — three orders of
+/// magnitude above the paper's largest interval). The count is a bare number
+/// on the wire, not backed by that many bytes of input the way an edge list
+/// is, so without a ceiling one short line could ask the server to allocate
+/// per-node state for 2^32 − 1 nodes. Larger requests are answered with an
+/// error line.
+pub const MAX_INTERVAL_NODES: u32 = 1 << 20;
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -228,6 +237,14 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }),
         "push_interval" => {
             let nodes = field_u32(&doc, "nodes", 0)?;
+            // Checked where the number enters, before anything is sized by
+            // it: the session allocates one edge list per declared node.
+            if nodes > MAX_INTERVAL_NODES {
+                return Err(format!(
+                    "field 'nodes' exceeds the protocol maximum of {MAX_INTERVAL_NODES} nodes per \
+                     interval"
+                ));
+            }
             let mut edges = Vec::new();
             if let Some(list) = doc.get("edges") {
                 let list = list
@@ -477,6 +494,16 @@ mod tests {
             (
                 "{\"op\":\"push_interval\",\"nodes\":1,\"edges\":[[4294967296,0,0,0.5]]}",
                 "edge 0: bad parent interval",
+            ),
+            // One past the ceiling, and the value that used to reach a
+            // 100 GB allocation.
+            (
+                "{\"op\":\"push_interval\",\"nodes\":1048577}",
+                "protocol maximum",
+            ),
+            (
+                "{\"op\":\"push_interval\",\"nodes\":4294967295}",
+                "protocol maximum",
             ),
             (
                 "{\"op\":\"load\",\"nodes_per_interval\":4294967296}",

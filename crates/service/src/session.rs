@@ -37,20 +37,14 @@ use crate::protocol::{
     error_response, ok_response, parse_request, paths_to_json, Request, PROTOCOL_VERSION,
 };
 
-struct StreamState {
-    online: OnlineStableClusters,
-    gap: u32,
-    /// Mirror of the per-interval node counts, for validating edges before
-    /// they reach `push_interval` (which treats violations as panics).
-    nodes_per_interval: Vec<u32>,
-}
-
 /// One protocol session. Feed it lines; it produces response lines.
 pub struct Session {
     /// `Some` in engine mode, `None` in oracle mode.
     engine: Option<QueryEngine>,
     cell: Arc<SnapshotCell>,
-    stream: Option<StreamState>,
+    /// The online ingest stream, once `open_stream` started one. Its graph
+    /// is what `push_interval` requests are validated against.
+    stream: Option<OnlineStableClusters>,
     /// Coordinator mode: fan queries out to this worker set by default.
     /// Injected only into queries that decompose (not Problem 2) and that
     /// don't name their own `workers`; because distributed answers are
@@ -171,11 +165,7 @@ impl Session {
                 if k == 0 || l == 0 {
                     return error_response("open_stream requires k >= 1 and l >= 1");
                 }
-                self.stream = Some(StreamState {
-                    online: OnlineStableClusters::new(KlStableParams::new(k, l), gap),
-                    gap,
-                    nodes_per_interval: Vec::new(),
-                });
+                self.stream = Some(OnlineStableClusters::new(KlStableParams::new(k, l), gap));
                 ok_response(
                     "open_stream",
                     vec![
@@ -189,7 +179,8 @@ impl Session {
                 let Some(stream) = &mut self.stream else {
                     return error_response("no open stream (send open_stream first)");
                 };
-                let interval = stream.nodes_per_interval.len() as u32;
+                let graph = stream.graph();
+                let interval = graph.num_intervals() as u32;
                 // Validate up front: push_interval treats violations as
                 // panics (programming errors), but over the wire they are
                 // just bad requests.
@@ -204,17 +195,13 @@ impl Session {
                             "parent {parent} must belong to an earlier interval"
                         ));
                     }
-                    if interval - parent.interval > stream.gap + 1 {
+                    if interval - parent.interval > graph.gap().saturating_add(1) {
                         return error_response(&format!(
                             "edge from {parent} exceeds the gap {}",
-                            stream.gap
+                            graph.gap()
                         ));
                     }
-                    if stream
-                        .nodes_per_interval
-                        .get(parent.interval as usize)
-                        .map_or(true, |&count| parent.index >= count)
-                    {
+                    if parent.index >= graph.nodes_in_interval(parent.interval) {
                         return error_response(&format!("parent {parent} does not exist"));
                     }
                     if !(weight > 0.0 && weight <= 1.0) {
@@ -226,15 +213,16 @@ impl Session {
                 for (parent, node, weight) in edges {
                     parent_edges[node as usize].push((parent, weight));
                 }
-                stream.online.push_interval(parent_edges);
-                stream.nodes_per_interval.push(nodes);
-                let snapshot = stream.online.snapshot();
+                stream.push_interval(parent_edges);
+                let snapshot = stream.snapshot();
                 // Incremental install: the cell records the interval delta
                 // so resident window results splice forward instead of
                 // re-solving (byte-identical answers — the response and all
-                // later query responses render the same either way).
-                let intervals = stream.online.num_intervals();
-                let edges_ingested = stream.online.edges_ingested();
+                // later query responses render the same either way). The
+                // snapshot shares every older interval with the resident
+                // epoch, so the delta costs O(intervals), not O(edges).
+                let intervals = stream.num_intervals();
+                let edges_ingested = stream.edges_ingested();
                 let installed = match &self.engine {
                     Some(engine) => engine.install_incremental(snapshot),
                     None => self.cell.install_incremental(snapshot),
@@ -253,7 +241,7 @@ impl Session {
                 let Some(stream) = &mut self.stream else {
                     return error_response("no open stream (send open_stream first)");
                 };
-                let paths = stream.online.current_top_k();
+                let paths = stream.current_top_k();
                 ok_response("stream_top_k", vec![("paths", paths_to_json(&paths))])
             }
             Request::Query(mut query) => {
@@ -517,6 +505,9 @@ mod tests {
             "{\"op\":\"push_interval\",\"nodes\":1,\"edges\":[[0,9,0,0.5]]}",
             // weight out of range
             "{\"op\":\"push_interval\",\"nodes\":1,\"edges\":[[0,0,0,1.5]]}",
+            // more nodes than the protocol admits: an error line, not a
+            // 100 GB allocation
+            "{\"op\":\"push_interval\",\"nodes\":4294967295}",
         ] {
             let response = drive(&mut session, bad);
             assert!(!ok(&response), "{bad} should fail: {response}");

@@ -1,0 +1,384 @@
+//! The interval-segmented `ClusterGraph` (ISSUE 12): a graph grown by
+//! `ClusterGraph::append` must be indistinguishable from one
+//! `ClusterGraphBuilder::build` made from the same edges — through every
+//! accessor, `window()` and all five solvers — while sharing its older
+//! segments with the epochs before it. Sharing has to be *sound*: a delta
+//! proven by segment identity equals the delta computed from content, a
+//! snapshot pinned before an append never sees the append, and a plain
+//! `load` in the middle of a stream still severs the delta chain.
+
+use blogstable::core::cluster_graph::ClusterEdge;
+use blogstable::core::delta::GraphDelta;
+use blogstable::core::problem::StableClusterSpec;
+use blogstable::core::solver::AlgorithmKind;
+use blogstable::prelude::*;
+use blogstable::service::Session;
+use bsc_util::DetRng;
+
+type ParentEdges = Vec<Vec<(ClusterNodeId, f64)>>;
+
+/// One randomly shaped interval to append to `graph`: 0–5 nodes (empty
+/// intervals included), one time in five no edges at all, otherwise each
+/// in-gap predecessor wired with probability ½ and a weight drawn from
+/// four values — so equal-weight ties, whose order DFS depends on, are
+/// the rule rather than the exception.
+fn random_interval(graph: &ClusterGraph, rng: &mut DetRng) -> ParentEdges {
+    let interval = graph.num_intervals() as u32;
+    let nodes = rng.below(6) as usize;
+    let mut parent_edges: ParentEdges = vec![Vec::new(); nodes];
+    if rng.chance(0.2) {
+        return parent_edges;
+    }
+    for edges in &mut parent_edges {
+        for parent_interval in interval.saturating_sub(graph.gap() + 1)..interval {
+            for parent in 0..graph.nodes_in_interval(parent_interval) {
+                if rng.chance(0.5) {
+                    let weight = (rng.below(4) + 1) as f64 / 4.0;
+                    edges.push((ClusterNodeId::new(parent_interval, parent), weight));
+                }
+            }
+        }
+    }
+    parent_edges
+}
+
+fn empty_graph(gap: u32) -> ClusterGraph {
+    ClusterGraphBuilder::new(gap).build()
+}
+
+/// The same graph from one `build()` over its edge list in append order
+/// (interval by interval, node by node, parents as listed): shares no
+/// segment with `graph`.
+fn rebuilt(graph: &ClusterGraph) -> ClusterGraph {
+    let mut builder = ClusterGraphBuilder::new(graph.gap());
+    for interval in 0..graph.num_intervals() as u32 {
+        builder.add_interval(graph.nodes_in_interval(interval));
+    }
+    for node in graph.node_ids() {
+        for edge in graph.parents(node) {
+            builder.add_edge(edge.to, node, edge.weight);
+        }
+    }
+    builder.build()
+}
+
+/// Equality through every accessor, order and weight bits included.
+fn assert_same_graph(a: &ClusterGraph, b: &ClusterGraph, context: &str) {
+    let bits = |edges: &[ClusterEdge]| -> Vec<(ClusterNodeId, u64)> {
+        edges.iter().map(|e| (e.to, e.weight.to_bits())).collect()
+    };
+    assert_eq!(a.num_intervals(), b.num_intervals(), "{context}");
+    assert_eq!(a.gap(), b.gap(), "{context}");
+    assert_eq!(a.num_nodes(), b.num_nodes(), "{context}");
+    assert_eq!(a.num_edges(), b.num_edges(), "{context}");
+    assert_eq!(
+        a.interval_out_edge_counts(),
+        b.interval_out_edge_counts(),
+        "{context}"
+    );
+    assert_eq!(
+        a.node_ids().collect::<Vec<_>>(),
+        b.node_ids().collect::<Vec<_>>(),
+        "{context}"
+    );
+    for interval in 0..a.num_intervals() as u32 + 1 {
+        assert_eq!(
+            a.nodes_in_interval(interval),
+            b.nodes_in_interval(interval),
+            "{context}"
+        );
+        assert_eq!(
+            a.interval_node_ids(interval).collect::<Vec<_>>(),
+            b.interval_node_ids(interval).collect::<Vec<_>>(),
+            "{context}"
+        );
+    }
+    for interval in 0..a.num_intervals() as u32 {
+        let flatten = |graph: &ClusterGraph| -> Vec<Vec<(ClusterNodeId, u64)>> {
+            graph
+                .interval_parent_edges(interval)
+                .into_iter()
+                .map(|edges| edges.into_iter().map(|(n, w)| (n, w.to_bits())).collect())
+                .collect()
+        };
+        assert_eq!(flatten(a), flatten(b), "{context} interval {interval}");
+    }
+    for node in a.node_ids() {
+        assert_eq!(
+            bits(a.children(node)),
+            bits(b.children(node)),
+            "{context}: children of {node}"
+        );
+        assert_eq!(
+            bits(a.parents(node)),
+            bits(b.parents(node)),
+            "{context}: parents of {node}"
+        );
+        for edge in a.children(node) {
+            assert_eq!(
+                a.edge_weight(node, edge.to).map(f64::to_bits),
+                b.edge_weight(node, edge.to).map(f64::to_bits),
+                "{context}"
+            );
+        }
+    }
+    let edge_bits = |graph: &ClusterGraph| -> Vec<(ClusterNodeId, ClusterNodeId, u64)> {
+        graph.edges().map(|(f, t, w)| (f, t, w.to_bits())).collect()
+    };
+    assert_eq!(edge_bits(a), edge_bits(b), "{context}");
+}
+
+fn assert_identical(expected: &[ClusterPath], got: &[ClusterPath], context: &str) {
+    assert_eq!(expected.len(), got.len(), "{context}: result counts differ");
+    for (a, b) in expected.iter().zip(got.iter()) {
+        assert_eq!(a.nodes(), b.nodes(), "{context}: node sequences differ");
+        assert_eq!(
+            a.weight().to_bits(),
+            b.weight().to_bits(),
+            "{context}: weights must be byte-identical"
+        );
+    }
+}
+
+fn solve(graph: &ClusterGraph, kind: AlgorithmKind, spec: StableClusterSpec) -> Vec<ClusterPath> {
+    kind.build_with_options(spec, 4, graph.num_intervals(), SolverOptions::default())
+        .expect("build solver")
+        .solve(graph)
+        .expect("solve")
+        .paths
+}
+
+/// All five solvers, each with a spec it serves.
+const SOLVERS: [(AlgorithmKind, StableClusterSpec); 5] = [
+    (AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2)),
+    (AlgorithmKind::Dfs, StableClusterSpec::ExactLength(2)),
+    (AlgorithmKind::Ta, StableClusterSpec::FullPaths),
+    (
+        AlgorithmKind::Normalized,
+        StableClusterSpec::Normalized { l_min: 2 },
+    ),
+    (
+        AlgorithmKind::Auto { budget_bytes: None },
+        StableClusterSpec::ExactLength(3),
+    ),
+];
+
+#[test]
+fn a_chain_of_appends_equals_one_build_over_the_same_edges() {
+    for gap in 0..=2u32 {
+        for seed in [1u64, 2, 3] {
+            let mut rng = DetRng::seed_from_u64(seed * 100 + u64::from(gap));
+            let mut epochs = vec![empty_graph(gap)];
+            for step in 0..9 {
+                let context = format!("gap={gap} seed={seed} step={step}");
+                let last = epochs.last().expect("an epoch");
+                let next = last.append(&random_interval(last, &mut rng));
+                assert_same_graph(&next, &rebuilt(&next), &context);
+                epochs.push(next);
+            }
+            // Appending never touched an epoch it started from.
+            for (epoch, graph) in epochs.iter().enumerate() {
+                assert_eq!(graph.num_intervals(), epoch);
+                assert_same_graph(graph, &rebuilt(graph), &format!("gap={gap} epoch={epoch}"));
+            }
+            let appended = epochs.last().expect("an epoch");
+            let built = rebuilt(appended);
+            let m = appended.num_intervals() as u32;
+            for start in 0..m {
+                for end in start..m {
+                    assert_same_graph(
+                        &appended.window(start, end),
+                        &built.window(start, end),
+                        &format!("gap={gap} seed={seed} window [{start}, {end}]"),
+                    );
+                }
+            }
+            for (kind, spec) in SOLVERS {
+                assert_identical(
+                    &solve(&built, kind, spec),
+                    &solve(appended, kind, spec),
+                    &format!("gap={gap} seed={seed} {kind} {spec}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_delta_proven_by_identity_equals_the_delta_computed_from_content() {
+    for seed in [21u64, 22, 23] {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut epochs = vec![empty_graph(1)];
+        for _ in 0..8 {
+            let last = epochs.last().expect("an epoch");
+            let next = last.append(&random_interval(last, &mut rng));
+            epochs.push(next);
+        }
+        for from in 0..epochs.len() {
+            for to in from..epochs.len() {
+                let (old, new) = (&epochs[from], &epochs[to]);
+                // The chain really shares: every interval of the older
+                // epoch is the newer epoch's own segment.
+                for interval in 0..from as u32 {
+                    assert!(new.shares_in_edges(old, interval), "{from}->{to}");
+                    assert!(!new.shares_in_edges(&rebuilt(old), interval));
+                }
+                let shared = GraphDelta::between(old, new);
+                assert_eq!(shared, GraphDelta::between(old, &rebuilt(new)));
+                assert_eq!(shared, GraphDelta::between(&rebuilt(old), new));
+                assert_eq!(shared.dirty_count(), to - from, "{from}->{to}");
+            }
+        }
+    }
+}
+
+#[test]
+fn same_shape_graphs_with_different_weight_bits_are_still_dirty() {
+    let node = ClusterNodeId::new;
+    let prefix = empty_graph(0)
+        .append(&[vec![], vec![]])
+        .append(&[vec![(node(0, 0), 0.5)], vec![(node(0, 1), 0.25)]]);
+    let tail: ParentEdges = vec![vec![(node(2, 0), 0.75)]];
+    let half = 0.5f64;
+    let next_up = f64::from_bits(half.to_bits() + 1);
+    let a = prefix
+        .append(&[vec![(node(1, 0), half), (node(1, 1), 0.5)]])
+        .append(&tail);
+    let b = prefix
+        .append(&[vec![(node(1, 0), next_up), (node(1, 1), 0.5)]])
+        .append(&tail);
+    let delta = GraphDelta::between(&a, &b);
+    // Intervals 0 and 1 are one segment in both graphs; interval 2 differs
+    // in the last bit of one weight; interval 3 was appended twice from
+    // equal input — separate segments, equal content.
+    assert!(a.shares_in_edges(&b, 0) && a.shares_in_edges(&b, 1));
+    assert!(!a.shares_in_edges(&b, 2) && !a.shares_in_edges(&b, 3));
+    assert_eq!(
+        (0..4).map(|i| delta.is_dirty(i)).collect::<Vec<_>>(),
+        [false, false, true, false]
+    );
+    assert_eq!(delta, GraphDelta::between(&rebuilt(&a), &rebuilt(&b)));
+}
+
+#[test]
+fn a_snapshot_pinned_before_an_append_never_sees_it() {
+    let mut rng = DetRng::seed_from_u64(77);
+    let mut online = OnlineStableClusters::new(KlStableParams::new(4, 2), 1);
+    let engine = QueryEngine::new(EngineConfig::default().workers(1)).expect("engine starts");
+    let push = |online: &mut OnlineStableClusters, rng: &mut DetRng| {
+        let edges = random_interval(online.graph(), rng);
+        online.push_interval(edges);
+    };
+    for _ in 0..5 {
+        push(&mut online, &mut rng);
+        engine.install_incremental(online.snapshot());
+    }
+    let pinned = engine.snapshot_cell().load();
+    let before = rebuilt(&pinned);
+    let request = || QueryRequest::new(AlgorithmKind::Dfs, StableClusterSpec::ExactLength(2), 4);
+    let expected = solve(
+        &before,
+        AlgorithmKind::Dfs,
+        StableClusterSpec::ExactLength(2),
+    );
+    // Admission pins the epoch; the three pushes land while the query is
+    // queued or solving.
+    let in_flight = engine.submit(request()).expect("admitted");
+    for _ in 0..3 {
+        push(&mut online, &mut rng);
+        engine.install_incremental(online.snapshot());
+    }
+    let response = in_flight.wait().expect("in-flight query");
+    assert_eq!(response.epoch, pinned.epoch());
+    assert_identical(&expected, &response.solution.paths, "in-flight query");
+
+    // The pinned graph still ends where it ended: with gap 1 its last two
+    // intervals gained children in the newer epochs, not here.
+    assert_eq!(engine.snapshot_cell().load().num_intervals(), 8);
+    assert_same_graph(&pinned, &before, "pinned epoch");
+    for (_, to, _) in pinned.edges() {
+        assert!((to.interval as usize) < pinned.num_intervals());
+    }
+    assert!(engine
+        .snapshot_cell()
+        .load()
+        .edges()
+        .any(|(from, to, _)| from.interval <= 4 && to.interval >= 5));
+    // And it is not a copy: the newest epoch holds the very same segments.
+    for interval in 0..5 {
+        assert!(engine
+            .snapshot_cell()
+            .load()
+            .shares_in_edges(&pinned, interval));
+    }
+}
+
+#[test]
+fn a_plain_load_mid_stream_severs_the_chain_and_replies_still_match_the_oracle() {
+    let query = "{\"op\":\"query\",\"algorithm\":\"bfs\",\"spec\":\"exact:2\",\"k\":4}";
+    let lines = [
+        "{\"op\":\"open_stream\",\"k\":4,\"l\":2,\"gap\":1}",
+        "{\"op\":\"push_interval\",\"nodes\":3}",
+        "{\"op\":\"push_interval\",\"nodes\":2,\"edges\":[[0,0,0,0.8],[0,1,0,0.5],[0,2,1,0.9]]}",
+        "{\"op\":\"push_interval\",\"nodes\":2,\"edges\":[[1,0,0,0.7],[1,1,1,0.6],[0,0,1,0.3]]}",
+        query,
+        "{\"op\":\"push_interval\",\"nodes\":2,\"edges\":[[2,0,0,0.4],[2,1,1,0.6]]}",
+        query,
+        // A different graph altogether takes the cell over …
+        "{\"op\":\"load\",\"num_intervals\":5,\"nodes_per_interval\":4,\"avg_out_degree\":2,\"gap\":1,\"seed\":3}",
+        query,
+        // … and the stream, which knows nothing of it, publishes over it.
+        "{\"op\":\"push_interval\",\"nodes\":1,\"edges\":[[3,0,0,0.95],[2,1,0,0.2]]}",
+        query,
+        "{\"op\":\"push_interval\",\"nodes\":2,\"edges\":[[4,0,0,0.5],[4,0,1,0.5]]}",
+        query,
+        "{\"op\":\"stream_top_k\"}",
+    ];
+    let mut engine = Session::engine(EngineConfig::default().workers(2)).expect("engine session");
+    let mut oracle = Session::oracle();
+    for line in lines {
+        let (from_engine, _) = engine.handle_line(line);
+        let (from_oracle, _) = oracle.handle_line(line);
+        assert_eq!(from_engine, from_oracle, "diverged on {line}");
+        assert!(
+            from_engine.expect("a reply").contains("\"ok\":true"),
+            "{line}"
+        );
+    }
+
+    // The same interleaving against a bare cell: the load drops every
+    // link, and the stream's next install starts a new chain from the
+    // loaded graph — all of it dirty, nothing shared, nothing assumed.
+    let cell = SnapshotCell::empty();
+    let mut online = OnlineStableClusters::new(KlStableParams::new(4, 2), 1);
+    online.push_interval(vec![Vec::new(); 3]);
+    online.publish_to(&cell);
+    online.push_interval(vec![vec![(ClusterNodeId::new(0, 0), 0.8)]]);
+    let streamed = online.publish_to(&cell);
+    assert!(cell
+        .delta_between(streamed.epoch() - 1, streamed.epoch())
+        .is_some());
+    let loaded = cell.publish(
+        ClusterGraphGenerator::new(SyntheticGraphParams {
+            num_intervals: 5,
+            nodes_per_interval: 4,
+            avg_out_degree: 2,
+            gap: 1,
+            seed: 3,
+        })
+        .generate(),
+    );
+    assert!(!cell.has_deltas());
+    assert!(cell
+        .delta_between(streamed.epoch() - 1, streamed.epoch())
+        .is_none());
+    online.push_interval(vec![vec![(ClusterNodeId::new(1, 0), 0.5)]]);
+    let resumed = online.publish_to(&cell);
+    assert!(cell
+        .delta_between(streamed.epoch(), resumed.epoch())
+        .is_none());
+    let over_load = cell
+        .delta_between(loaded.epoch(), resumed.epoch())
+        .expect("a new chain starts at the loaded graph");
+    assert_eq!(over_load.dirty_count(), 3);
+}
