@@ -33,15 +33,17 @@ const PANIC_EXEMPT_CRATES: [&str; 1] = ["bsc-bench"];
 /// tripped [`CancelToken`](bsc_util::cancel::CancelToken). `batch.rs` is
 /// the engine's coalesced fan-out loop — not a solver, but it replays a
 /// solve's result to arbitrarily many followers and must notice shutdown
-/// mid-fan-out just like a solver notices it mid-scan. `delta.rs` is the
-/// incremental window loop: each re-solved window checkpoints internally,
-/// but the loop over windows is itself a hot path.
+/// mid-fan-out just like a solver notices it mid-scan. `windowed.rs` is the
+/// one loop over start windows (sharded, distributed and delta solves are
+/// configurations of it): each solved window checkpoints internally, but
+/// the loop over windows is itself a hot path. `delta.rs` holds the
+/// per-install interval comparison.
 const HOT_PATH_FILES: [&str; 8] = [
     "bfs.rs",
     "dfs.rs",
     "ta.rs",
     "normalized.rs",
-    "sharded.rs",
+    "windowed.rs",
     "exhaustive.rs",
     "batch.rs",
     "delta.rs",

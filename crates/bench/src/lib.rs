@@ -15,7 +15,6 @@
 pub mod experiments;
 pub mod gate;
 pub mod harness;
-pub mod json;
 pub mod load;
 pub mod reference;
 pub mod report;

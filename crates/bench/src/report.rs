@@ -141,8 +141,8 @@ pub struct BenchDoc {
 
 /// Parse a bench JSON document (e.g. the checked-in `BENCH_table3.json`).
 pub fn parse_bench_doc(text: &str) -> Result<BenchDoc, String> {
-    let value = crate::json::parse(text)?;
-    let string_list = |value: Option<&crate::json::JsonValue>, what: &str| {
+    let value = bsc_util::json::parse(text)?;
+    let string_list = |value: Option<&JsonValue>, what: &str| {
         value
             .and_then(|v| v.as_array())
             .map(|items| {
@@ -283,8 +283,26 @@ mod tests {
         assert_eq!(doc.lines().count(), 1, "canonical JSON is a single line");
         assert!(doc.ends_with("}\n"));
         // parse(render(x)) is the identity on the value.
-        let value = crate::json::parse(&doc).expect("canonical output parses");
+        let value = bsc_util::json::parse(&doc).expect("canonical output parses");
         assert_eq!(value.render(), doc.trim_end());
+    }
+
+    #[test]
+    fn round_trips_the_report_serializer() {
+        let mut table = Table::new("T \"quoted\"", &["a", "b(s)"]);
+        table.push_row(vec!["x".into(), "0.123".into()]);
+        table.push_note("a note\nwith newline");
+        let text = tables_to_json("quick", &["table3"], &[table]);
+        let doc = bsc_util::json::parse(&text).unwrap();
+        assert_eq!(doc.get("scale").unwrap().as_str(), Some("quick"));
+        let tables = doc.get("tables").unwrap().as_array().unwrap();
+        assert_eq!(tables.len(), 1);
+        assert_eq!(
+            tables[0].get("title").unwrap().as_str(),
+            Some("T \"quoted\"")
+        );
+        let rows = tables[0].get("rows").unwrap().as_array().unwrap();
+        assert_eq!(rows[0].as_array().unwrap()[1].as_str(), Some("0.123"));
     }
 
     #[test]

@@ -201,8 +201,10 @@ pub fn choose_algorithm(
 /// the graph, so the choice happens at [`StableClusterSolver::solve`] time:
 /// read the [`GraphShape`], run [`choose_algorithm`], build the chosen
 /// solver with the same [`SolverOptions`] and delegate. Inside a sharded
-/// solve each shard resolves independently, so a wide shard can pick BFS
-/// while a memory-heavy one falls back to DFS. The solver only borrows the
+/// solve each window resolves independently, so a wide window can pick BFS
+/// while a memory-heavy one falls back to DFS; an unsharded windowed solve
+/// (the engine's delta path) resolves once against the whole graph, as
+/// this solver does. The solver only borrows the
 /// graph it resolves against, so under a long-lived engine `Auto` re-reads
 /// the shape of whatever epoch-tagged
 /// [`GraphSnapshot`](crate::snapshot::GraphSnapshot) each query pinned —
@@ -230,7 +232,7 @@ impl AutoSolver {
             spec,
             k,
             budget_bytes,
-            options: options.shards(1).fanout(None),
+            options,
             last_choice: None,
         }
     }
@@ -258,12 +260,8 @@ impl StableClusterSolver for AutoSolver {
         let shape = GraphShape::of(graph);
         let choice = choose_algorithm(&shape, self.spec, self.k, self.budget_bytes)?;
         self.last_choice = Some(choice);
-        let mut inner = choice.build_with_options(
-            self.spec,
-            self.k,
-            graph.num_intervals(),
-            self.options.clone(),
-        )?;
+        let mut inner =
+            choice.build_leaf(self.spec, self.k, graph.num_intervals(), &self.options)?;
         inner.solve(graph)
     }
 }

@@ -1,17 +1,16 @@
 //! Incremental epoch-delta solving: re-solve only the windows a new
 //! interval touches, splice the rest forward.
 //!
-//! The sharded decomposition (see [`crate::sharded`]) already proves that
-//! the global top-k of a kl-stable-cluster query is the strict
-//! `(score, content)` merge of per-start-window top-k's: every length-`l`
-//! path starting at interval `a` lives entirely inside the window
-//! `[a, a + l]`, and each path belongs to exactly one start. This module
-//! adds the *temporal* consequence: when one epoch's graph differs from the
-//! previous one only in some intervals — the streamed-ingest case, where a
-//! pushed interval appends one column and possibly evicts an old one — any
-//! window whose intervals are all unchanged has a byte-identical subgraph,
-//! so its per-window top-k from the prior epoch can be **spliced forward**
-//! without re-solving.
+//! The start-window decomposition (`docs/sharding.md`) makes the global
+//! top-k the strict `(score, content)` merge of per-start-window top-k's.
+//! This module adds the *temporal* consequence: when one epoch's graph
+//! differs from the previous one only in some intervals — the
+//! streamed-ingest case, where a pushed interval appends one column and
+//! possibly evicts an old one — any window whose intervals are all
+//! unchanged has a byte-identical subgraph, so its per-window top-k from the
+//! prior epoch can be **spliced forward** without re-solving.
+//! [`solve_windows`] is the "local placement, `options.shards` ranges, memo
+//! on" configuration of the crate's one windowed executor (`windowed.rs`).
 //!
 //! ## Why the splice is byte-identical to a cold re-solve
 //!
@@ -28,9 +27,9 @@
 //! 3. a deterministic solver on a byte-identical subgraph produces the
 //!    identical per-window top-k — the top-k set is unique under the total
 //!    `(score desc, content asc)` order;
-//! 4. the merge of per-window top-k's is order-independent (same argument
-//!    as the sharded merge), so replacing a re-solve by the prior result
-//!    cannot change a byte of the merged [`Solution`].
+//! 4. the merge of per-window top-k's is order-independent, so replacing a
+//!    re-solve by the prior result cannot change a byte of the merged
+//!    [`Solution`].
 //!
 //! Deltas compose transitively ([`GraphDelta::compose`]): a union of dirty
 //! sets is conservative — it can only mark *more* windows touched, never
@@ -39,20 +38,16 @@
 //! keeps such a chain).
 //!
 //! Problem 2 (normalized) does **not** decompose across start windows and
-//! is rejected, exactly as [`crate::sharded`] rejects it. `FullPaths`
-//! degrades gracefully: its single window spans the whole graph, so any
-//! change re-solves it — correct, just never faster.
-
-use bsc_storage::io_stats::IoScope;
+//! is rejected. `FullPaths` degrades gracefully: its single window spans
+//! the whole graph, so any change re-solves it — correct, just never
+//! faster.
 
 use crate::cluster_graph::ClusterGraph;
-use crate::distributed::{solve_window_locally, WindowResult};
-use crate::error::{BscError, BscResult};
+use crate::distributed::WindowResult;
+use crate::error::BscResult;
 use crate::problem::StableClusterSpec;
-use crate::solver::{
-    check_not_expired, deadline_error, AlgorithmKind, Solution, SolverOptions, SolverStats,
-};
-use crate::topk::TopKPaths;
+use crate::solver::{AlgorithmKind, Solution, SolverOptions};
+use crate::windowed::{PathLength, Placement, Windowed};
 
 /// The interval-range difference between two [`ClusterGraph`] generations.
 ///
@@ -203,13 +198,6 @@ pub struct WindowSet {
     pub windows: Vec<WindowResult>,
 }
 
-impl WindowSet {
-    /// Number of start windows held.
-    pub fn total_windows(&self) -> usize {
-        self.windows.len()
-    }
-}
-
 /// What a windowed solve produces: the merged solution plus the per-window
 /// results a future epoch can splice from.
 #[derive(Debug)]
@@ -225,14 +213,16 @@ pub struct DeltaSolveOutcome {
 /// prior-epoch window the delta proves untouched.
 ///
 /// With `prior == None` (or a prior whose shape does not match) this is a
-/// cold windowed solve: every window runs through
-/// [`solve_window_locally`], `stats.windows_resolved` counts them all, and
+/// cold windowed solve: `stats.windows_resolved` counts every window, and
 /// the outcome seeds future splices. With a matching prior, untouched
-/// windows are cloned forward (`stats.windows_spliced`) and only touched
-/// ones re-solve — post-ingest latency proportional to the delta, result
-/// byte-identical by the argument in the module docs. A spliced window
-/// contributes its paths but not its historical counters; the returned
-/// stats describe the work *this* solve performed.
+/// windows are cloned forward
+/// (`stats.windows_spliced`) and only touched ones re-solve — post-ingest
+/// latency proportional to the delta, result byte-identical by the argument
+/// in the module docs. A spliced window contributes its paths but not its
+/// historical counters; the returned stats describe the work *this* solve
+/// performed. `options.shards` ranges run on shard threads exactly as in a
+/// [`ShardedSolver`](crate::sharded::ShardedSolver); an unsharded `Auto`
+/// resolves once against `graph`, as the direct solve would.
 pub fn solve_windows(
     graph: &ClusterGraph,
     spec: StableClusterSpec,
@@ -241,83 +231,25 @@ pub fn solve_windows(
     options: &SolverOptions,
     prior: Option<(&WindowSet, &GraphDelta)>,
 ) -> BscResult<DeltaSolveOutcome> {
-    check_not_expired(options.cancel.as_ref())?;
-    let scope = IoScope::start();
-    let m = graph.num_intervals() as u32;
-    let l = match spec {
-        StableClusterSpec::FullPaths => m.saturating_sub(1),
-        StableClusterSpec::ExactLength(l) => l,
-        StableClusterSpec::Normalized { .. } => {
-            return Err(BscError::Unsupported {
-                algorithm: "delta",
-                reason: "Problem 2 (normalized) does not decompose across start windows".into(),
-            })
-        }
-    };
-    let mut merged = TopKPaths::new(k);
-    let mut stats = SolverStats::default();
-    let mut windows = Vec::new();
-    if k > 0 && l >= 1 && m >= 2 && l < m {
-        let num_starts = (m - l) as usize;
-        windows.reserve(num_starts);
-        // Window solves are leaves: never re-sharded or re-distributed.
-        let window_options = options.clone().shards(1).fanout(None);
-        // A prior only splices when it answers the same question (same l
-        // and k) and its delta lands on this graph generation.
-        let prior =
-            prior.filter(|(set, delta)| set.l == l && set.k == k && delta.new_intervals() == m);
-        // bsc:allow(missing-cancel-checkpoint) -- re-solved windows checkpoint internally; spliced windows are O(k) clones bounded by the deadline check below
-        for start in 0..num_starts {
-            if let Some(token) = options.cancel.as_ref() {
-                if token.expired() {
-                    return Err(deadline_error(token));
-                }
-            }
-            let spliced = prior.and_then(|(set, delta)| {
-                if delta.touches_window(start as u32, l) {
-                    None
-                } else {
-                    set.windows.get(start)
-                }
-            });
-            let result = match spliced {
-                Some(prev) => {
-                    stats.windows_spliced += 1;
-                    prev.clone()
-                }
-                None => {
-                    let result = solve_window_locally(
-                        graph,
-                        start as u32,
-                        l,
-                        k,
-                        algorithm,
-                        &window_options,
-                    )?;
-                    stats.merge(&result.stats);
-                    result
-                }
-            };
-            for path in &result.paths {
-                merged.offer_by_weight(path.clone());
-            }
-            windows.push(result);
-        }
+    Windowed {
+        graph,
+        length: PathLength::of(spec, "delta")?,
+        k,
+        algorithm,
+        options,
+        ranges: options.shards,
+        placement: Placement::Local,
+        prior,
+        keep_windows: true,
     }
-    Ok(DeltaSolveOutcome {
-        solution: Solution {
-            paths: merged.into_sorted(),
-            stats,
-            io: scope.finish(),
-        },
-        windows: WindowSet { l, k, windows },
-    })
+    .run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster_graph::ClusterGraphBuilder;
+    use crate::error::BscError;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
     use bsc_util::rng::DetRng;
     use std::time::Duration;
@@ -499,21 +431,6 @@ mod tests {
         .unwrap();
         assert_eq!(warm.solution.stats.windows_spliced, 0);
         assert_eq!(cold.solution.paths, warm.solution.paths);
-    }
-
-    #[test]
-    fn normalized_spec_is_rejected() {
-        let graph = gen_graph(5, 4);
-        let err = solve_windows(
-            &graph,
-            StableClusterSpec::Normalized { l_min: 2 },
-            3,
-            AlgorithmKind::Bfs,
-            &SolverOptions::default(),
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, BscError::Unsupported { .. }));
     }
 
     #[test]

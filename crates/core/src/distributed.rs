@@ -1,18 +1,14 @@
 //! Distributed shard fan-out: the coordinator half of multi-process solving.
 //!
-//! [`ShardedSolver`](crate::sharded::ShardedSolver) proved that the
-//! kl-stable-cluster search decomposes exactly across path *start
-//! intervals*: each start's `(l + 1)`-interval window is a self-contained
-//! solve, and the global top-k is the order-independent strict
-//! `(score, content)` merge of the per-window top-k's. This module promotes
-//! the shard workers from threads to **processes**: a [`DistributedSolver`]
-//! partitions the start intervals with the same
-//! [`bsc_graph::partition::balanced_ranges`], fans
-//! [`ClusterGraph::window`] solve requests out to remote workers through an
-//! object-safe [`ShardTransport`], and merges the results through the same
-//! strict top-k — so the merged [`Solution`] is **byte-identical** to the
-//! in-process [`ShardedSolver`](crate::sharded::ShardedSolver) (and hence to
-//! the unsharded solve) for every worker count.
+//! A [`DistributedSolver`] is the "transport placement, one range per
+//! worker, no memo" configuration of the crate's one windowed executor
+//! (`windowed.rs`; `docs/sharding.md` states the start-interval
+//! decomposition and its byte-identity argument): it fans
+//! [`ClusterGraph::window`] solve requests out to remote workers
+//! through an object-safe [`ShardTransport`] and merges the results, so the
+//! merged [`Solution`] is **byte-identical** to the in-process
+//! [`ShardedSolver`](crate::sharded::ShardedSolver) (and hence to the
+//! unsharded solve) for every worker count.
 //!
 //! The networking itself lives outside this crate: `bsc-cluster` implements
 //! [`ShardTransport`] over a line-delimited JSON TCP protocol and registers
@@ -21,7 +17,7 @@
 //! distributed solving like any other backend — through
 //! [`AlgorithmKind::build_with_options`] — without `bsc-core` linking a
 //! transport. Worker processes call [`solve_window_locally`], the same code
-//! path the in-process sharded solver uses, which is what makes the
+//! path the in-process placement uses, which is what makes the
 //! byte-identity guarantee structural rather than coincidental.
 //!
 //! Failure semantics are the transport's contract: a
@@ -34,21 +30,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bsc_graph::partition::balanced_ranges;
 use bsc_storage::backend::StorageSpec;
-use bsc_storage::io_stats::IoScope;
-use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterGraph, ClusterNodeId};
 use crate::error::{BscError, BscResult};
 use crate::path::ClusterPath;
 use crate::problem::StableClusterSpec;
 use crate::snapshot::GraphSnapshot;
-use crate::solver::{
-    check_not_expired, deadline_error, AlgorithmKind, Solution, SolverOptions, SolverStats,
-    StableClusterSolver,
-};
-use crate::topk::TopKPaths;
+use crate::solver::{AlgorithmKind, Solution, SolverOptions, SolverStats, StableClusterSolver};
+use crate::windowed::{PathLength, Placement, Windowed};
 
 /// The worker set of a distributed fan-out: a non-empty list of
 /// `host:port` addresses, in dispatch-affinity order (shard range `i` is
@@ -123,8 +113,9 @@ pub struct WindowRequest {
     pub preferred: usize,
     /// Remaining deadline budget (milliseconds) at dispatch time, when the
     /// coordinator's query carries one. The worker reconstructs a local
-    /// [`CancelToken`] from it so a window solve observing the budget stops
-    /// burning worker CPU after the coordinator has already given up.
+    /// [`CancelToken`](crate::solver::CancelToken) from it so a window solve
+    /// observing the budget stops burning worker CPU after the coordinator
+    /// has already given up.
     pub deadline_ms: Option<u64>,
 }
 
@@ -199,10 +190,9 @@ pub fn solve_window_locally(
     options: &SolverOptions,
 ) -> BscResult<WindowResult> {
     let window = graph.window(start, start + l);
-    // Window solves are the leaves of any fan-out: never sharded or
-    // re-distributed, whatever the caller's options said.
-    let options = options.clone().shards(1).fanout(None);
-    let mut solver = algorithm.build_with_options(
+    // Window solves are the leaves of any fan-out: `build_leaf` never
+    // shards or re-distributes, whatever the caller's options said.
+    let mut solver = algorithm.build_leaf(
         StableClusterSpec::ExactLength(l),
         k,
         window.num_intervals(),
@@ -243,7 +233,7 @@ pub fn solve_window_locally(
 pub struct DistributedSolver {
     transport: Arc<dyn ShardTransport>,
     inner: AlgorithmKind,
-    spec: StableClusterSpec,
+    length: PathLength,
     k: usize,
     options: SolverOptions,
 }
@@ -261,14 +251,7 @@ impl DistributedSolver {
         k: usize,
         options: SolverOptions,
     ) -> BscResult<DistributedSolver> {
-        if let StableClusterSpec::Normalized { .. } = spec {
-            return Err(BscError::Unsupported {
-                algorithm: "distributed",
-                reason: "Problem 2 (normalized stability) does not decompose across start \
-                         intervals; run the normalized solver locally"
-                    .to_string(),
-            });
-        }
+        let length = PathLength::of(spec, "distributed")?;
         if transport.worker_count() == 0 {
             return Err(BscError::Cluster(
                 "distributed fan-out requires at least one worker".to_string(),
@@ -278,7 +261,7 @@ impl DistributedSolver {
         Ok(DistributedSolver {
             transport,
             inner,
-            spec,
+            length,
             k,
             options,
         })
@@ -289,137 +272,24 @@ impl DistributedSolver {
         self.transport.worker_count()
     }
 
+    /// One dispatcher per worker: worker `i` preferentially answers range
+    /// `i`, and the transport reroutes individual windows when it fails.
     fn solve_with_epoch(&mut self, graph: &ClusterGraph, epoch: u64) -> BscResult<Solution> {
-        check_not_expired(self.options.cancel.as_ref())?;
-        // Share one token across the dispatcher threads: the first range to
-        // fail trips it, and the siblings abandon their remaining windows
-        // instead of keeping the cluster busy on a doomed query.
-        let cancel = self
-            .options
-            .cancel
-            .get_or_insert_with(CancelToken::new)
-            .clone();
-        let scope = IoScope::start();
-        let m = graph.num_intervals() as u32;
-        let l = match self.spec {
-            StableClusterSpec::FullPaths => m.saturating_sub(1),
-            StableClusterSpec::ExactLength(l) => l,
-            // Rejected by the constructor; keep the rejection an error
-            // instead of an abort in case that ever regresses.
-            StableClusterSpec::Normalized { .. } => {
-                return Err(BscError::Unsupported {
-                    algorithm: "distributed",
-                    reason: "Problem 2 (normalized) is rejected by the constructor".into(),
-                })
-            }
+        let windowed = Windowed {
+            graph,
+            length: self.length,
+            k: self.k,
+            algorithm: self.inner,
+            options: &self.options,
+            ranges: self.worker_count(),
+            placement: Placement::Transport {
+                transport: self.transport.as_ref(),
+                epoch,
+            },
+            prior: None,
+            keep_windows: false,
         };
-        let mut merged = TopKPaths::new(self.k);
-        let mut stats = SolverStats::default();
-        let mut range_count = 0usize;
-        if self.k > 0 && l >= 1 && m >= 2 && l < m {
-            // Same partition the in-process sharded solver computes: valid
-            // starts weighted by the edges in their window's leading
-            // intervals, split into one contiguous range per worker.
-            let num_starts = (m - l) as usize;
-            let edge_counts = graph.interval_out_edge_counts();
-            let weights: Vec<u64> = (0..num_starts)
-                .map(|a| edge_counts[a..a + l as usize].iter().sum::<u64>().max(1))
-                .collect();
-            let partition = balanced_ranges(&weights, self.worker_count());
-            let ranges: Vec<std::ops::Range<usize>> = partition.iter().collect();
-            range_count = ranges.len();
-            // One dispatcher thread per range: worker `i` preferentially
-            // answers range `i`, so the fan-out runs all workers in
-            // parallel; the transport reroutes individual windows when a
-            // worker fails. Merge order cannot affect the result — the
-            // top-k set under the strict (score, content) order is unique.
-            let results: Vec<BscResult<(TopKPaths, SolverStats)>> = std::thread::scope(|scope| {
-                let this = &*self;
-                let cancel = &cancel;
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .enumerate()
-                    .map(|(index, range)| {
-                        let range = range.clone();
-                        scope.spawn(move || {
-                            let mut local = TopKPaths::new(this.k);
-                            let mut local_stats = SolverStats::default();
-                            for start in range {
-                                // Window RPCs are coarse units; check the
-                                // full token (no amortization) before each.
-                                if cancel.expired() {
-                                    return Err(deadline_error(cancel));
-                                }
-                                let request = WindowRequest {
-                                    epoch,
-                                    start: start as u32,
-                                    l,
-                                    k: this.k,
-                                    algorithm: this.inner,
-                                    storage: this.options.storage,
-                                    preferred: index,
-                                    // Ship the budget *remaining now*, so the
-                                    // worker's local token expires in step
-                                    // with the coordinator's.
-                                    deadline_ms: cancel
-                                        .remaining()
-                                        .map(|left| left.as_millis() as u64),
-                                };
-                                let result = match this.transport.solve_window(graph, &request) {
-                                    Ok(result) => result,
-                                    Err(e) => {
-                                        // Trip the sibling dispatchers.
-                                        cancel.cancel();
-                                        return Err(e);
-                                    }
-                                };
-                                local_stats.merge(&result.stats);
-                                for path in result.paths {
-                                    local.offer_by_weight(path);
-                                }
-                            }
-                            Ok((local, local_stats))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            });
-            // Prefer a root-cause error over the DeadlineExceeded the
-            // sibling dispatchers report after being tripped by it.
-            let mut failure: Option<BscError> = None;
-            let mut oks: Vec<(TopKPaths, SolverStats)> = Vec::new();
-            for result in results {
-                match result {
-                    Ok(ok) => oks.push(ok),
-                    Err(e) => match &failure {
-                        None => failure = Some(e),
-                        Some(BscError::DeadlineExceeded { .. })
-                            if !matches!(e, BscError::DeadlineExceeded { .. }) =>
-                        {
-                            failure = Some(e)
-                        }
-                        Some(_) => {}
-                    },
-                }
-            }
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            for (local, local_stats) in oks {
-                merged.absorb(local);
-                stats.merge(&local_stats);
-            }
-            stats.threads = range_count;
-        }
-        stats.shards = range_count;
-        Ok(Solution {
-            paths: merged.into_sorted(),
-            stats,
-            io: scope.finish(),
-        })
+        Ok(windowed.run()?.solution)
     }
 }
 
@@ -482,9 +352,7 @@ pub fn transport_for(spec: &FanoutSpec) -> BscResult<Arc<dyn ShardTransport>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharded::ShardedSolver;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
-    use std::sync::Mutex;
 
     fn graph(m: usize, n: u32, d: u32, g: u32, seed: u64) -> ClusterGraph {
         ClusterGraphGenerator::new(SyntheticGraphParams {
@@ -497,47 +365,8 @@ mod tests {
         .generate()
     }
 
-    /// An in-process transport that answers every window locally — the
-    /// smallest exact implementation of the trait contract.
-    #[derive(Debug)]
-    struct LoopbackTransport {
-        workers: usize,
-        solves: Mutex<Vec<usize>>,
-    }
-
-    impl LoopbackTransport {
-        fn new(workers: usize) -> Self {
-            LoopbackTransport {
-                workers,
-                solves: Mutex::new(vec![0; workers]),
-            }
-        }
-    }
-
-    impl ShardTransport for LoopbackTransport {
-        fn worker_count(&self) -> usize {
-            self.workers
-        }
-
-        fn solve_window(
-            &self,
-            graph: &ClusterGraph,
-            request: &WindowRequest,
-        ) -> BscResult<WindowResult> {
-            self.solves.lock().unwrap()[request.preferred % self.workers] += 1;
-            solve_window_locally(
-                graph,
-                request.start,
-                request.l,
-                request.k,
-                request.algorithm,
-                &SolverOptions::default().storage(request.storage),
-            )
-        }
-    }
-
-    /// A transport whose first worker always fails, exercising the error
-    /// path without any networking.
+    /// A transport whose every worker is down, exercising the error path
+    /// without any networking.
     #[derive(Debug)]
     struct FailingTransport;
 
@@ -548,14 +377,6 @@ mod tests {
 
         fn solve_window(&self, _: &ClusterGraph, _: &WindowRequest) -> BscResult<WindowResult> {
             Err(BscError::Cluster("every worker is down".to_string()))
-        }
-    }
-
-    fn assert_identical(a: &[ClusterPath], b: &[ClusterPath], context: &str) {
-        assert_eq!(a.len(), b.len(), "{context}: lengths differ");
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.nodes(), y.nodes(), "{context}");
-            assert_eq!(x.weight().to_bits(), y.weight().to_bits(), "{context}");
         }
     }
 
@@ -571,69 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn loopback_fanout_matches_the_sharded_solver() {
-        let graph = graph(8, 20, 3, 1, 42);
-        for l in [1u32, 3, 5] {
-            let spec = StableClusterSpec::ExactLength(l);
-            let mut sharded = ShardedSolver::new(
-                AlgorithmKind::Bfs,
-                spec,
-                5,
-                SolverOptions::default().shards(3),
-            )
-            .unwrap();
-            let expected = sharded.solve(&graph).unwrap().paths;
-            for workers in [1usize, 2, 3, 8] {
-                let transport = Arc::new(LoopbackTransport::new(workers));
-                let mut distributed = DistributedSolver::new(
-                    Arc::clone(&transport) as Arc<dyn ShardTransport>,
-                    AlgorithmKind::Bfs,
-                    spec,
-                    5,
-                    SolverOptions::default(),
-                )
-                .unwrap();
-                let solution = distributed.solve(&graph).unwrap();
-                assert_identical(
-                    &expected,
-                    &solution.paths,
-                    &format!("l={l} workers={workers}"),
-                );
-                let starts = graph.num_intervals() - l as usize;
-                assert_eq!(solution.stats.shards, workers.min(starts));
-                let solves: usize = transport.solves.lock().unwrap().iter().sum();
-                assert_eq!(solves, starts, "every start solved exactly once");
-            }
-        }
-    }
-
-    #[test]
-    fn full_paths_and_stats_counters_match_sharded() {
-        let graph = graph(6, 15, 3, 0, 7);
-        let spec = StableClusterSpec::FullPaths;
-        let mut sharded = ShardedSolver::new(
-            AlgorithmKind::Bfs,
-            spec,
-            4,
-            SolverOptions::default().shards(2),
-        )
-        .unwrap();
-        let base = sharded.solve(&graph).unwrap();
-        let mut distributed = DistributedSolver::new(
-            Arc::new(LoopbackTransport::new(2)),
-            AlgorithmKind::Bfs,
-            spec,
-            4,
-            SolverOptions::default(),
-        )
-        .unwrap();
-        let solution = distributed.solve(&graph).unwrap();
-        assert_identical(&base.paths, &solution.paths, "full paths");
-        assert_eq!(solution.stats.paths_generated, base.stats.paths_generated);
-        assert_eq!(solution.stats.nodes_processed, base.stats.nodes_processed);
-    }
-
-    #[test]
     fn transport_errors_surface_not_hang() {
         let graph = graph(6, 10, 2, 0, 3);
         let mut distributed = DistributedSolver::new(
@@ -646,25 +404,6 @@ mod tests {
         .unwrap();
         let err = distributed.solve(&graph).unwrap_err();
         assert!(matches!(err, BscError::Cluster(_)), "{err}");
-    }
-
-    #[test]
-    fn normalized_spec_is_rejected_up_front() {
-        let err = DistributedSolver::new(
-            Arc::new(LoopbackTransport::new(2)),
-            AlgorithmKind::Normalized,
-            StableClusterSpec::Normalized { l_min: 2 },
-            5,
-            SolverOptions::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            BscError::Unsupported {
-                algorithm: "distributed",
-                ..
-            }
-        ));
     }
 
     #[test]
@@ -692,9 +431,11 @@ mod tests {
 
     #[test]
     fn degenerate_graphs_yield_empty_solutions() {
+        // No valid start, so nothing is dispatched: even a transport whose
+        // every worker is down answers.
         let empty = crate::cluster_graph::ClusterGraphBuilder::new(0).build();
         let mut solver = DistributedSolver::new(
-            Arc::new(LoopbackTransport::new(3)),
+            Arc::new(FailingTransport),
             AlgorithmKind::Bfs,
             StableClusterSpec::ExactLength(2),
             5,

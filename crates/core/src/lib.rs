@@ -80,6 +80,7 @@ pub mod streaming;
 pub mod synthetic;
 pub mod ta;
 pub mod topk;
+mod windowed;
 
 pub use affinity::{Affinity, AffinityKind, JaccardAffinity};
 pub use auto::{choose_algorithm, AutoSolver, GraphShape};

@@ -36,6 +36,7 @@ use crate::error::{BscError, BscResult};
 use crate::path::ClusterPath;
 use crate::snapshot::GraphSnapshot;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions, SolverStats};
+use crate::windowed::PathLength;
 
 pub use crate::problem::StableClusterSpec;
 
@@ -253,24 +254,10 @@ impl PipelineParams {
             ));
         }
         if self.shards > 1 {
-            if let StableClusterSpec::Normalized { .. } = self.spec {
-                return Err(BscError::Unsupported {
-                    algorithm: "sharded",
-                    reason: "Problem 2 (normalized stability) does not decompose across start \
-                             intervals; set shards to 1"
-                        .to_string(),
-                });
-            }
+            PathLength::of(self.spec, "sharded")?;
         }
         if self.fanout.is_some() {
-            if let StableClusterSpec::Normalized { .. } = self.spec {
-                return Err(BscError::Unsupported {
-                    algorithm: "distributed",
-                    reason: "Problem 2 (normalized stability) does not decompose across start \
-                             intervals; clear the fan-out worker set"
-                        .to_string(),
-                });
-            }
+            PathLength::of(self.spec, "distributed")?;
         }
         match self.spec {
             StableClusterSpec::ExactLength(0) => {

@@ -1,55 +1,25 @@
-//! Sharded interval solving: partition-then-merge across temporal windows.
+//! Sharded interval solving: the windowed executor on local threads.
 //!
-//! The kl-stable-cluster search decomposes exactly across path *start
-//! intervals*: every length-`l` path starts at one interval `a` and lives
-//! entirely inside the temporal window `[a, a + l]`, so the global top-k is
-//! the strict-order merge of per-start top-k's. [`ShardedSolver`] exploits
-//! that: it partitions the valid start intervals into `N` contiguous shards
-//! balanced by edge count ([`bsc_graph::partition::balanced_ranges`]),
-//! extracts each start's window as a self-contained subgraph
-//! ([`ClusterGraph::window`]), runs any inner [`StableClusterSolver`] on it,
-//! and merges the per-shard results through the same strict
-//! `(score, content)` top-k order every solver uses — so the merged
-//! [`Solution`] is **byte-identical** to the unsharded solve for every shard
-//! count (the disk-based keyword-search literature calls this shape
-//! partition-then-merge; EMBANKS applies it when graphs exceed memory).
-//!
-//! Two properties fall out of the window trick:
+//! [`ShardedSolver`] is the "local placement, `shards` ranges, no memo"
+//! configuration of the crate's one windowed executor (`windowed.rs`).
+//! `docs/sharding.md` states the start-interval decomposition, why the
+//! merged [`Solution`] is **byte-identical** to the unsharded solve for
+//! every shard count, and how threads, cancellation and stats behave. Two
+//! properties are worth repeating for callers of this type:
 //!
 //! * each window spans exactly `l + 1` intervals, so *every* exact-length
-//!   query becomes a full-path query inside its window — which means even
-//!   the TA adaptation (full paths only) can serve subpath queries when
-//!   sharded;
-//! * each inner solver provisions its own [`StorageSpec`]-selected backend
-//!   (its `NodeStore::temp`), so shards never share mutable storage and the
-//!   working set per shard shrinks with the shard count.
-//!
-//! Shards run on scoped worker threads (capped by the machine's available
-//! parallelism, each worker owning a contiguous run of shards); the merge
-//! order cannot affect the result because the top-k set under the total
-//! order is unique.
-//!
-//! Like every solver, [`ShardedSolver`] only ever *borrows* its graph —
-//! through `solve(&graph)` or
-//! [`solve_snapshot`](crate::solver::StableClusterSolver::solve_snapshot)
-//! against a shared epoch-tagged [`GraphSnapshot`](crate::snapshot) — so a
-//! long-lived query engine can run sharded queries concurrently against one
-//! resident snapshot while newer epochs are published.
-
-use bsc_graph::partition::balanced_ranges;
-use bsc_storage::io_stats::IoScope;
-use bsc_util::cancel::CancelToken;
+//!   query becomes a full-path query inside its window — even the TA
+//!   adaptation (full paths only) serves subpath queries when sharded;
+//! * each inner solver provisions its own
+//!   [`StorageSpec`](bsc_storage::backend::StorageSpec)-selected backend, so
+//!   shards never share mutable storage and the working set per shard
+//!   shrinks with the shard count.
 
 use crate::cluster_graph::ClusterGraph;
-use crate::error::{BscError, BscResult};
+use crate::error::BscResult;
 use crate::problem::StableClusterSpec;
-use crate::solver::{
-    check_not_expired, AlgorithmKind, Solution, SolverOptions, SolverStats, StableClusterSolver,
-};
-use crate::topk::TopKPaths;
-
-#[cfg(doc)]
-use bsc_storage::backend::StorageSpec;
+use crate::solver::{AlgorithmKind, Solution, SolverOptions, StableClusterSolver};
+use crate::windowed::{PathLength, Placement, Windowed};
 
 /// A solver that partitions the interval axis into shards, delegates each
 /// shard to an inner algorithm, and merges the per-shard solutions.
@@ -60,7 +30,7 @@ use bsc_storage::backend::StorageSpec;
 #[derive(Debug, Clone)]
 pub struct ShardedSolver {
     inner: AlgorithmKind,
-    spec: StableClusterSpec,
+    length: PathLength,
     k: usize,
     options: SolverOptions,
 }
@@ -70,26 +40,20 @@ impl ShardedSolver {
     ///
     /// Problem 2 ([`StableClusterSpec::Normalized`]) does not decompose by
     /// start interval (a normalized path's window is unbounded), so it is
-    /// rejected as [`BscError::Unsupported`]; the algorithm/spec pairing
-    /// rules of the inner algorithm are enforced as well.
+    /// rejected as [`BscError::Unsupported`](crate::error::BscError); the
+    /// algorithm/spec pairing rules of the inner algorithm are enforced as
+    /// well.
     pub fn new(
         inner: AlgorithmKind,
         spec: StableClusterSpec,
         k: usize,
         options: SolverOptions,
     ) -> BscResult<ShardedSolver> {
-        if let StableClusterSpec::Normalized { .. } = spec {
-            return Err(BscError::Unsupported {
-                algorithm: "sharded",
-                reason: "Problem 2 (normalized stability) does not decompose across start \
-                         intervals; run the normalized solver unsharded"
-                    .to_string(),
-            });
-        }
+        let length = PathLength::of(spec, "sharded")?;
         inner.check_spec(spec)?;
         Ok(ShardedSolver {
             inner,
-            spec,
+            length,
             k,
             options,
         })
@@ -98,42 +62,6 @@ impl ShardedSolver {
     /// The configured shard count (at least 1).
     pub fn shards(&self) -> usize {
         self.options.shards.max(1)
-    }
-
-    /// Solve all start intervals in `range` sequentially, merging into a
-    /// local top-k heap. Each start's window is extracted and solved by a
-    /// freshly built inner solver with its own storage backend.
-    fn solve_shard(
-        &self,
-        graph: &ClusterGraph,
-        l: u32,
-        starts: std::ops::Range<usize>,
-        inner_threads: usize,
-    ) -> BscResult<(TopKPaths, SolverStats)> {
-        let inner_options = self.options.clone().threads(inner_threads);
-        let mut local = TopKPaths::new(self.k);
-        let mut stats = SolverStats::default();
-        // bsc:allow(missing-cancel-checkpoint) -- each window solve checkpoints internally and propagates DeadlineExceeded out
-        for start in starts {
-            // The shared window solve — the identical code path a remote
-            // `bsc-cluster` worker runs, which is what makes distributed
-            // results byte-identical to sharded ones (inside the
-            // (l + 1)-interval window, ExactLength(l) *is* the full-path
-            // query, so every inner algorithm, TA included, accepts it).
-            let result = crate::distributed::solve_window_locally(
-                graph,
-                start as u32,
-                l,
-                self.k,
-                self.inner,
-                &inner_options,
-            )?;
-            stats.merge(&result.stats);
-            for path in result.paths {
-                local.offer_by_weight(path);
-            }
-        }
-        Ok((local, stats))
     }
 }
 
@@ -147,152 +75,18 @@ impl StableClusterSolver for ShardedSolver {
     }
 
     fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution> {
-        check_not_expired(self.options.cancel.as_ref())?;
-        // Ensure the shards share one token even when the caller set none:
-        // the first shard to fail (deadline, storage fault) trips it, and the
-        // sibling workers abandon their remaining windows at the next
-        // checkpoint instead of running to completion.
-        let cancel = self
-            .options
-            .cancel
-            .get_or_insert_with(CancelToken::new)
-            .clone();
-        let scope = IoScope::start();
-        let m = graph.num_intervals() as u32;
-        let l = match self.spec {
-            StableClusterSpec::FullPaths => m.saturating_sub(1),
-            StableClusterSpec::ExactLength(l) => l,
-            // Rejected by the constructor; keep the rejection an error
-            // instead of an abort in case that ever regresses.
-            StableClusterSpec::Normalized { .. } => {
-                return Err(BscError::Unsupported {
-                    algorithm: "sharded",
-                    reason: "Problem 2 (normalized) is rejected by the constructor".into(),
-                })
-            }
+        let windowed = Windowed {
+            graph,
+            length: self.length,
+            k: self.k,
+            algorithm: self.inner,
+            options: &self.options,
+            ranges: self.shards(),
+            placement: Placement::Local,
+            prior: None,
+            keep_windows: false,
         };
-        let mut merged = TopKPaths::new(self.k);
-        let mut stats = SolverStats::default();
-        let mut shard_count = 0usize;
-        if self.k > 0 && l >= 1 && m >= 2 && l < m {
-            // Valid starts: a path of length l starting at a spans [a, a+l],
-            // so a <= m - 1 - l. Weight each start by the edges inside its
-            // window's leading intervals — the work a shard actually does.
-            let num_starts = (m - l) as usize;
-            let edge_counts = graph.interval_out_edge_counts();
-            let weights: Vec<u64> = (0..num_starts)
-                .map(|a| edge_counts[a..a + l as usize].iter().sum::<u64>().max(1))
-                .collect();
-            let partition = balanced_ranges(&weights, self.shards());
-            shard_count = partition.len();
-            if partition.len() <= 1 {
-                // A single shard keeps the caller's thread budget for the
-                // inner solver's own parallel stage.
-                // bsc:allow(missing-cancel-checkpoint) -- solve_shard's window solves checkpoint internally and propagate errors
-                for range in partition.iter() {
-                    let (local, local_stats) =
-                        self.solve_shard(graph, l, range, self.options.threads)?;
-                    merged.absorb(local);
-                    stats.merge(&local_stats);
-                }
-            } else {
-                // Shard workers *are* the parallelism: the inner solvers run
-                // sequentially (threads = 1) so shards x threads cannot
-                // multiply into oversubscription, and the per-window thread
-                // pool churn is avoided. Worker threads are capped by the
-                // machine's parallelism — a huge shard count distributes
-                // shards across a few workers instead of asking the OS for
-                // one thread each. Results are byte-identical for every
-                // worker and thread count, so both caps only affect wall
-                // clock.
-                let ranges: Vec<std::ops::Range<usize>> = partition.iter().collect();
-                let max_workers = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                let workers = ranges.len().min(max_workers).max(1);
-                let chunk = ranges.len().div_ceil(workers);
-                // The shard workers are the solve's actual concurrency;
-                // report them (inner solvers run sequentially, so their
-                // merged threads field would otherwise claim 1).
-                stats.threads = workers;
-                let results: Vec<BscResult<(TopKPaths, SolverStats)>> =
-                    std::thread::scope(|scope| {
-                        let this = &*self;
-                        let cancel = &cancel;
-                        let handles: Vec<_> = ranges
-                            .chunks(chunk)
-                            .map(|owned| {
-                                scope.spawn(move || {
-                                    let mut local = TopKPaths::new(this.k);
-                                    let mut local_stats = SolverStats::default();
-                                    // bsc:allow(missing-cancel-checkpoint) -- solve_shard checkpoints internally; a tripped sibling cancels via the shared token
-                                    for range in owned {
-                                        match this.solve_shard(graph, l, range.clone(), 1) {
-                                            Ok((top, shard_stats)) => {
-                                                local.absorb(top);
-                                                local_stats.merge(&shard_stats);
-                                            }
-                                            Err(e) => {
-                                                // Trip the siblings: their next
-                                                // checkpoint abandons the solve.
-                                                cancel.cancel();
-                                                return Err(e);
-                                            }
-                                        }
-                                    }
-                                    Ok((local, local_stats))
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                            .collect()
-                    });
-                let mut concurrent_resident_paths = 0usize;
-                let mut concurrent_stack_depth = 0usize;
-                // Prefer a root-cause error over the DeadlineExceeded the
-                // sibling shards report after being tripped by it.
-                let mut failure: Option<BscError> = None;
-                let mut oks: Vec<(TopKPaths, SolverStats)> = Vec::new();
-                // bsc:allow(missing-cancel-checkpoint) -- bounded by the worker count; pure result folding
-                for result in results {
-                    match result {
-                        Ok(ok) => oks.push(ok),
-                        Err(e) => match &failure {
-                            None => failure = Some(e),
-                            Some(BscError::DeadlineExceeded { .. })
-                                if !matches!(e, BscError::DeadlineExceeded { .. }) =>
-                            {
-                                failure = Some(e)
-                            }
-                            Some(_) => {}
-                        },
-                    }
-                }
-                if let Some(e) = failure {
-                    return Err(e);
-                }
-                // bsc:allow(missing-cancel-checkpoint) -- bounded by the worker count; pure result folding
-                for (local, local_stats) in oks {
-                    merged.absorb(local);
-                    concurrent_resident_paths += local_stats.peak_resident_paths;
-                    concurrent_stack_depth += local_stats.peak_stack_depth;
-                    stats.merge(&local_stats);
-                }
-                // Workers run concurrently, so the process-wide peak is
-                // bounded by the *sum* of per-worker peaks, not their max
-                // (merge()'s max is only right for sequential composition).
-                stats.peak_resident_paths = concurrent_resident_paths;
-                stats.peak_stack_depth = concurrent_stack_depth;
-            }
-        }
-        stats.shards = shard_count;
-        Ok(Solution {
-            paths: merged.into_sorted(),
-            stats,
-            io: scope.finish(),
-        })
+        Ok(windowed.run()?.solution)
     }
 }
 
@@ -318,33 +112,6 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.nodes(), y.nodes(), "{context}");
             assert_eq!(x.weight().to_bits(), y.weight().to_bits(), "{context}");
-        }
-    }
-
-    #[test]
-    fn every_shard_count_matches_the_unsharded_bfs() {
-        let graph = graph(8, 20, 3, 1, 42);
-        for l in [1u32, 3, 5, 7] {
-            let spec = StableClusterSpec::ExactLength(l);
-            let mut reference = AlgorithmKind::Bfs
-                .build(spec, 5, graph.num_intervals())
-                .unwrap();
-            let expected = reference.solve(&graph).unwrap().paths;
-            for shards in [1usize, 2, 3, 8, 16] {
-                let mut sharded = ShardedSolver::new(
-                    AlgorithmKind::Bfs,
-                    spec,
-                    5,
-                    SolverOptions::default().shards(shards),
-                )
-                .unwrap();
-                let solution = sharded.solve(&graph).unwrap();
-                assert_identical(
-                    &expected,
-                    &solution.paths,
-                    &format!("l={l} shards={shards}"),
-                );
-            }
         }
     }
 
@@ -417,24 +184,6 @@ mod tests {
         let solution = sharded.solve(&graph).unwrap();
         assert_identical(&expected, &solution.paths, "shards=10000");
         assert_eq!(solution.stats.shards, 39);
-    }
-
-    #[test]
-    fn normalized_spec_is_rejected_up_front() {
-        let err = ShardedSolver::new(
-            AlgorithmKind::Bfs,
-            StableClusterSpec::Normalized { l_min: 2 },
-            5,
-            SolverOptions::default().shards(2),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            BscError::Unsupported {
-                algorithm: "sharded",
-                ..
-            }
-        ));
     }
 
     #[test]

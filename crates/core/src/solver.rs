@@ -92,14 +92,11 @@ pub struct SolverOptions {
     /// sequential — `threads` is ignored. Other algorithms are unaffected.
     pub bfs_store_backed: bool,
     /// Number of interval shards (`> 1` wraps the solver in a
-    /// [`ShardedSolver`](crate::sharded::ShardedSolver): valid path start
-    /// intervals are partitioned into this many contiguous ranges, each
-    /// solved over its own windows with its own storage backend, and the
-    /// per-shard solutions merged). `1` (the default) solves unsharded.
-    /// When several shards actually form, the shard workers are the
-    /// parallelism — the inner solvers run with `threads = 1` so the two
-    /// knobs cannot multiply into oversubscription. Every shard count
-    /// produces the identical `Solution`.
+    /// [`ShardedSolver`](crate::sharded::ShardedSolver); `1`, the default,
+    /// solves unsharded). When several shards actually form, the shard
+    /// workers are the parallelism — the inner solvers run with
+    /// `threads = 1`. Every shard count produces the identical `Solution`;
+    /// see `docs/sharding.md`.
     pub shards: usize,
     /// Fan the per-window solves out to remote worker processes instead of
     /// local shard threads (`Some` wraps the solver in a
@@ -114,10 +111,10 @@ pub struct SolverOptions {
     /// Cooperative cancellation for the solve: every solver's hot loop
     /// polls this token at amortized checkpoints and aborts with
     /// [`BscError::DeadlineExceeded`] once it trips — by an explicit
-    /// [`CancelToken::cancel`] or by its deadline passing. A sharded solve
-    /// shares the token across shards (the first shard to fail cancels its
-    /// siblings) and a distributed solve forwards the remaining budget to
-    /// workers over the wire. `None` (the default) solves to completion;
+    /// [`CancelToken::cancel`] or by its deadline passing. A windowed solve
+    /// shares the token across its range workers (the first to fail cancels
+    /// its siblings) and forwards the remaining budget to remote workers
+    /// over the wire. `None` (the default) solves to completion;
     /// the answer is byte-identical either way — a token never changes
     /// *what* is computed, only whether the solve is allowed to finish.
     pub cancel: Option<CancelToken>,
@@ -286,11 +283,11 @@ pub struct SolverStats {
 
 impl SolverStats {
     /// Componentwise aggregation for *sequentially* composed runs: counters
-    /// sum, peaks take the maximum, `early_termination` ORs. Used by the
-    /// sharded solver to combine per-shard statistics into one report; for
-    /// runs that executed concurrently the caller must adjust the peak
-    /// fields itself (the simultaneous peak is bounded by the sum of the
-    /// parts, not their max — see `ShardedSolver::solve`).
+    /// sum, peaks take the maximum, `early_termination` ORs. The windowed
+    /// executor combines per-window statistics with it; for runs that
+    /// executed concurrently the caller must adjust the peak fields itself
+    /// (the simultaneous peak is bounded by the sum of the parts, not their
+    /// max — see the stats rule in `docs/sharding.md`).
     pub fn merge(&mut self, other: &SolverStats) {
         self.paths_generated += other.paths_generated;
         self.nodes_processed += other.nodes_processed;
@@ -372,7 +369,7 @@ pub enum AlgorithmKind {
     /// (m, n, d, g) and an optional memory budget in bytes, using the
     /// Table 3 crossovers (see [`crate::auto`]). Resolution happens at
     /// solve time, when the graph is known; inside a sharded solve each
-    /// shard resolves independently.
+    /// window resolves independently.
     Auto {
         /// Resident-memory budget in bytes; `None` means unlimited (the
         /// fastest algorithm, BFS, is always picked).
@@ -463,31 +460,13 @@ impl AlgorithmKind {
         self.build_with_options(spec, k, num_intervals, SolverOptions::default())
     }
 
-    /// Like [`AlgorithmKind::build`], with a worker-thread budget. Only the
-    /// BFS solver's per-interval sweep is parallel today; the other
-    /// algorithms accept and ignore the budget (every thread count produces
-    /// the identical `Solution`, so the choice is purely about wall-clock).
-    pub fn build_with_threads(
-        self,
-        spec: StableClusterSpec,
-        k: usize,
-        num_intervals: usize,
-        threads: usize,
-    ) -> BscResult<Box<dyn StableClusterSolver>> {
-        self.build_with_options(
-            spec,
-            k,
-            num_intervals,
-            SolverOptions::default().threads(threads),
-        )
-    }
-
     /// Like [`AlgorithmKind::build`], with deployment-level
-    /// [`SolverOptions`]: a worker-thread budget (BFS's per-interval sweep),
+    /// [`SolverOptions`]: a worker-thread budget (only BFS's per-interval
+    /// sweep is parallel today; the other algorithms accept and ignore it),
     /// the [`StorageSpec`] backend the disk-resident solvers keep their
     /// per-node state in (DFS always; BFS with
-    /// [`SolverOptions::bfs_store_backed`]). No option changes the computed
-    /// `Solution`.
+    /// [`SolverOptions::bfs_store_backed`]), sharding and fan-out. No option
+    /// changes the computed `Solution`.
     pub fn build_with_options(
         self,
         spec: StableClusterSpec,
@@ -517,12 +496,27 @@ impl AlgorithmKind {
                 self, spec, k, options,
             )?));
         }
+        self.build_leaf(spec, k, num_intervals, &options)
+    }
+
+    /// The solver itself, below the sharding and fan-out layers:
+    /// [`SolverOptions::shards`] and [`SolverOptions::fanout`] are not
+    /// consulted, so a window solve can hand its caller's options straight
+    /// down without recursing into another decomposition.
+    pub(crate) fn build_leaf(
+        self,
+        spec: StableClusterSpec,
+        k: usize,
+        num_intervals: usize,
+        options: &SolverOptions,
+    ) -> BscResult<Box<dyn StableClusterSolver>> {
+        self.check_spec(spec)?;
         if let AlgorithmKind::Auto { budget_bytes } = self {
             return Ok(Box::new(crate::auto::AutoSolver::new(
                 spec,
                 k,
                 budget_bytes,
-                options,
+                options.clone(),
             )));
         }
         let full_l = num_intervals.saturating_sub(1) as u32;

@@ -1,0 +1,298 @@
+//! The one windowed executor: [`ShardedSolver`](crate::sharded::ShardedSolver),
+//! [`DistributedSolver`](crate::distributed::DistributedSolver) and
+//! [`solve_windows`](crate::delta::solve_windows) are three configurations
+//! of [`Windowed::run`]. `docs/sharding.md` carries the same statement for
+//! readers of the rendered docs.
+//!
+//! ## The decomposition and why it is byte-identical
+//!
+//! Every length-`l` path starts at exactly one interval `a` and lives
+//! entirely inside the temporal window `[a, a + l]`. So the global top-k is
+//! the merge of per-start top-k's, and a per-start top-k needs only the
+//! window — an `(l + 1)`-interval subgraph ([`ClusterGraph::window`]) in
+//! which the query *is* the full-path query (which is why even TA, full
+//! paths only, serves subpath queries here). The merge keeps the `k` best
+//! under the strict total order `(score desc, content asc)`; the top-k set
+//! under a total order is unique, so none of the following can change a
+//! byte of the merged [`Solution`]: how the starts are partitioned into
+//! ranges, which thread or process solved a window, the order results
+//! arrive in, or whether a window's result was computed now or spliced from
+//! an earlier epoch at which [`GraphDelta`] proves the window's subgraph was
+//! byte-identical (see [`crate::delta`] for that proof). Problem 2
+//! (normalized stability) has unbounded windows and does not decompose;
+//! [`PathLength::of`] is the one place it is rejected.
+//!
+//! ## The two seams, each crossed once per window
+//!
+//! * [`Placement`] — how one `(range index, start)` becomes a
+//!   [`WindowResult`], and how many ranges may run at once: local leaves
+//!   cap at the machine's parallelism, transport dispatchers run one per
+//!   range because they block on sockets, not cores.
+//! * **Memo** ([`Windowed::prior`], [`Windowed::keep_windows`]) — whether a
+//!   prior epoch's [`WindowSet`] may stand in for windows its [`GraphDelta`]
+//!   leaves untouched, and whether this solve's per-window results are kept
+//!   for the next epoch.
+//!
+//! ## What every configuration shares
+//!
+//! Starts are weighted by the edges in their window's leading intervals and
+//! split into contiguous ranges by `balanced_ranges`. All workers share one
+//! [`CancelToken`], checked in full before every window: the first worker
+//! to fail trips it, its siblings stop at their next window, and the
+//! root-cause error wins over the `DeadlineExceeded` they report. `Auto`
+//! resolves once against the whole graph when one range was asked for — the
+//! graph the unsharded solve would read — and per window otherwise.
+//!
+//! **Stats.** `shards` is the number of ranges formed; `threads` the range
+//! workers that ran concurrently (inner solvers run with `threads = 1`
+//! whenever more than one range formed, the caller's budget otherwise);
+//! peaks are max-merged within a worker and summed across concurrent
+//! workers; `windows_resolved` / `windows_spliced` count windows solved /
+//! reused, and a spliced window's historical counters are not re-counted.
+
+use std::ops::Range;
+
+use bsc_graph::partition::balanced_ranges;
+use bsc_storage::io_stats::IoScope;
+use bsc_util::cancel::CancelToken;
+
+use crate::auto::{choose_algorithm, GraphShape};
+use crate::cluster_graph::ClusterGraph;
+use crate::delta::{DeltaSolveOutcome, GraphDelta, WindowSet};
+use crate::distributed::{solve_window_locally, ShardTransport, WindowRequest, WindowResult};
+use crate::error::{BscError, BscResult};
+use crate::problem::StableClusterSpec;
+use crate::solver::{
+    check_not_expired, deadline_error, AlgorithmKind, Solution, SolverOptions, SolverStats,
+};
+use crate::topk::TopKPaths;
+
+/// The path length of a Problem 1 query (`None` = full paths): proof that
+/// the query decomposes by start interval.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PathLength(Option<u32>);
+
+impl PathLength {
+    /// Admit `spec` to windowed solving on behalf of `solver` (the name the
+    /// rejection is reported under).
+    pub(crate) fn of(spec: StableClusterSpec, solver: &'static str) -> BscResult<PathLength> {
+        match spec {
+            StableClusterSpec::FullPaths => Ok(PathLength(None)),
+            StableClusterSpec::ExactLength(l) => Ok(PathLength(Some(l))),
+            StableClusterSpec::Normalized { .. } => Err(BscError::Unsupported {
+                algorithm: solver,
+                reason: "Problem 2 (normalized stability) does not decompose across start \
+                         intervals; run the normalized solver unsharded and in-process"
+                    .to_string(),
+            }),
+        }
+    }
+
+    fn over(self, num_intervals: u32) -> u32 {
+        self.0.unwrap_or(num_intervals.saturating_sub(1))
+    }
+}
+
+/// Where a window runs.
+pub(crate) enum Placement<'a> {
+    /// On this machine, through [`solve_window_locally`].
+    Local,
+    /// On a remote worker; `epoch` identifies the graph to the transport.
+    Transport {
+        transport: &'a dyn ShardTransport,
+        epoch: u64,
+    },
+}
+
+/// One windowed solve, fully configured.
+pub(crate) struct Windowed<'a> {
+    pub(crate) graph: &'a ClusterGraph,
+    pub(crate) length: PathLength,
+    pub(crate) k: usize,
+    pub(crate) algorithm: AlgorithmKind,
+    pub(crate) options: &'a SolverOptions,
+    /// Ranges to split the valid starts into (at least 1).
+    pub(crate) ranges: usize,
+    pub(crate) placement: Placement<'a>,
+    /// A prior epoch's per-window results and the delta from that epoch to
+    /// `graph`: windows the delta proves untouched are spliced, not solved.
+    pub(crate) prior: Option<(&'a WindowSet, &'a GraphDelta)>,
+    /// Keep every window's result in the outcome, for the next epoch.
+    pub(crate) keep_windows: bool,
+}
+
+/// What one range worker hands back.
+struct Partial {
+    top: TopKPaths,
+    stats: SolverStats,
+    kept: Vec<WindowResult>,
+}
+
+impl Windowed<'_> {
+    /// Run the solve.
+    pub(crate) fn run(mut self) -> BscResult<DeltaSolveOutcome> {
+        check_not_expired(self.options.cancel.as_ref())?;
+        let scope = IoScope::start();
+        let (graph, k) = (self.graph, self.k);
+        let m = graph.num_intervals() as u32;
+        let l = self.length.over(m);
+        self.algorithm = match self.algorithm {
+            AlgorithmKind::Auto { budget_bytes } if self.ranges <= 1 => {
+                let spec = StableClusterSpec::ExactLength(l);
+                choose_algorithm(&GraphShape::of(graph), spec, k, budget_bytes)?
+            }
+            concrete_or_per_window => concrete_or_per_window,
+        };
+        // A prior only splices when it answers the same question (same l
+        // and k) and its delta lands on this graph generation.
+        self.prior = self
+            .prior
+            .filter(|(set, delta)| set.l == l && set.k == k && delta.new_intervals() == m);
+        let mut merged = TopKPaths::new(k);
+        let mut stats = SolverStats::default();
+        let mut windows = Vec::new();
+        // A path of length l starting at a spans [a, a + l]: a <= m - 1 - l.
+        if k > 0 && l >= 1 && l < m {
+            let edge_counts = graph.interval_out_edge_counts();
+            let weights: Vec<u64> = (0..(m - l) as usize)
+                .map(|a| edge_counts[a..a + l as usize].iter().sum::<u64>().max(1))
+                .collect();
+            let partition = balanced_ranges(&weights, self.ranges.max(1));
+            let ranges: Vec<Range<usize>> = partition.iter().collect();
+            let workers = match self.placement {
+                Placement::Local => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                Placement::Transport { .. } => ranges.len(),
+            };
+            // Each worker owns a contiguous run of ranges, so concatenating
+            // the workers' kept windows in order yields start order.
+            let chunk = ranges.len().div_ceil(workers.min(ranges.len()).max(1));
+            let cancel = self.options.cancel.clone().unwrap_or_default();
+            let mut leaf = self.options.clone().cancel_token(Some(cancel.clone()));
+            if ranges.len() > 1 {
+                leaf.threads = 1; // the range workers are the parallelism
+            }
+            let results: Vec<BscResult<Partial>> = if ranges.len() <= chunk {
+                vec![self.run_ranges(l, 0, &ranges, &leaf, &cancel)]
+            } else {
+                let (this, leaf, cancel) = (&self, &leaf, &cancel);
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = ranges
+                        .chunks(chunk)
+                        .enumerate()
+                        .map(|(i, owned)| {
+                            scope.spawn(move || this.run_ranges(l, i * chunk, owned, leaf, cancel))
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
+                })
+            };
+            stats.shards = ranges.len();
+            stats.threads = results.len();
+            // Root cause first; `min_by_key` keeps the first of equals.
+            let (parts, errors): (Vec<_>, Vec<_>) = results.into_iter().partition(Result::is_ok);
+            let root_cause = errors
+                .into_iter()
+                .filter_map(Result::err)
+                .min_by_key(|e| matches!(e, BscError::DeadlineExceeded { .. }));
+            if let Some(error) = root_cause {
+                return Err(error);
+            }
+            let (mut peak_paths, mut peak_depth) = (0, 0);
+            parts.into_iter().filter_map(Result::ok).for_each(|part| {
+                merged.absorb(part.top);
+                peak_paths += part.stats.peak_resident_paths;
+                peak_depth += part.stats.peak_stack_depth;
+                stats.merge(&part.stats);
+                windows.extend(part.kept);
+            });
+            stats.peak_resident_paths = peak_paths;
+            stats.peak_stack_depth = peak_depth;
+        }
+        Ok(DeltaSolveOutcome {
+            solution: Solution {
+                paths: merged.into_sorted(),
+                stats,
+                io: scope.finish(),
+            },
+            windows: WindowSet { l, k, windows },
+        })
+    }
+
+    /// One worker: obtain every window of `owned` (range indices start at
+    /// `first`) in start order, merging into a local top-k.
+    fn run_ranges(
+        &self,
+        l: u32,
+        first: usize,
+        owned: &[Range<usize>],
+        leaf: &SolverOptions,
+        cancel: &CancelToken,
+    ) -> BscResult<Partial> {
+        let (graph, k, algorithm) = (self.graph, self.k, self.algorithm);
+        // Sized once: a kept set regrown window by window churns the
+        // allocator enough to slow the *next* ingest (measured on
+        // `stream-delta`).
+        let kept = match self.keep_windows {
+            true => owned.iter().map(Range::len).sum(),
+            false => 0,
+        };
+        let mut part = Partial {
+            top: TopKPaths::new(k),
+            stats: SolverStats::default(),
+            kept: Vec::with_capacity(kept),
+        };
+        // bsc:allow(missing-cancel-checkpoint) -- every window is preceded by the full (unamortized) token check, and window solves checkpoint internally
+        for (index, range) in owned.iter().enumerate() {
+            for start in range.clone() {
+                if cancel.expired() {
+                    return Err(deadline_error(cancel));
+                }
+                let start = start as u32;
+                let spliced = self
+                    .prior
+                    .filter(|(_, delta)| !delta.touches_window(start, l))
+                    .and_then(|(set, _)| set.windows.get(start as usize));
+                let result = match (spliced, &self.placement) {
+                    (Some(previous), _) => {
+                        part.stats.windows_spliced += 1;
+                        Ok(previous.clone())
+                    }
+                    (None, Placement::Local) => {
+                        solve_window_locally(graph, start, l, k, algorithm, leaf)
+                    }
+                    (None, Placement::Transport { transport, epoch }) => transport.solve_window(
+                        graph,
+                        &WindowRequest {
+                            epoch: *epoch,
+                            start,
+                            l,
+                            k,
+                            algorithm,
+                            storage: leaf.storage,
+                            preferred: first + index,
+                            // The budget remaining *now*, so the worker's
+                            // local token expires in step with ours.
+                            deadline_ms: cancel.remaining().map(|left| left.as_millis() as u64),
+                        },
+                    ),
+                };
+                let result = result.inspect_err(|_| cancel.cancel())?;
+                if spliced.is_none() {
+                    part.stats.merge(&result.stats);
+                }
+                for path in &result.paths {
+                    if part.top.would_admit(path.weight()) {
+                        part.top.offer_by_weight(path.clone());
+                    }
+                }
+                if self.keep_windows {
+                    part.kept.push(result);
+                }
+            }
+        }
+        Ok(part)
+    }
+}

@@ -913,11 +913,12 @@ pub(crate) fn process_job(mut job: Job, shared: &Shared) -> JobOutcome {
 
 /// Whether a query can run through the windowed (delta) solve path with an
 /// answer — including errors — indistinguishable from the direct solve.
-/// Exact-length, local (no fan-out) queries qualify: sharded ones are
-/// already a windowed merge, and unsharded ones must pass the same
-/// algorithm/spec support check the direct build would apply (TA's
-/// full-paths-only rule), so an unsupported combination still surfaces the
-/// identical error from the direct path.
+/// Exact-length, local queries qualify (fan-out ones keep the coordinator's
+/// per-window cache): sharded ones run the partition and shard threads the
+/// direct `ShardedSolver` would, plus the splice; unsharded ones must pass
+/// the support check the direct build would apply (TA's full-paths-only
+/// rule), so an unsupported combination still surfaces the identical error
+/// from the direct path, and `Auto` resolves against the whole snapshot.
 fn delta_eligible(request: &QueryRequest, num_intervals: usize) -> bool {
     if !matches!(request.spec, StableClusterSpec::ExactLength(_))
         || request.k == 0
@@ -982,39 +983,34 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .push(token.clone());
-    let result: BscResult<(Solution, Option<Arc<WindowSet>>)> = (|| {
-        if delta_mode {
-            let start = Instant::now();
-            let outcome = bsc_core::delta::solve_windows(
-                &job.snapshot,
-                job.request.spec,
-                job.request.k,
-                job.request.algorithm,
-                &job.request.options,
-                prior.as_ref().map(|(set, delta)| (set.as_ref(), delta)),
-            )?;
-            let mut solution = outcome.solution;
-            solution.stats.solve_micros = duration_micros(start.elapsed());
-            Ok((solution, Some(Arc::new(outcome.windows))))
-        } else {
-            let mut solver = job.request.algorithm.build_with_options(
-                job.request.spec,
-                job.request.k,
-                job.snapshot.num_intervals(),
-                job.request.options.clone(),
-            )?;
-            let start = Instant::now();
-            let mut solution = solver.solve_snapshot(&job.snapshot)?;
-            solution.stats.solve_micros = duration_micros(start.elapsed());
-            Ok((solution, None))
-        }
-    })();
+    let request = &job.request;
+    let start = Instant::now();
+    let result: BscResult<(Solution, Option<Arc<WindowSet>>)> = if delta_mode {
+        bsc_core::delta::solve_windows(
+            &job.snapshot,
+            request.spec,
+            request.k,
+            request.algorithm,
+            &request.options,
+            prior.as_ref().map(|(set, delta)| (set.as_ref(), delta)),
+        )
+        .map(|outcome| (outcome.solution, Some(Arc::new(outcome.windows))))
+    } else {
+        let m = job.snapshot.num_intervals();
+        request
+            .algorithm
+            .build_with_options(request.spec, request.k, m, request.options.clone())
+            .and_then(|mut solver| solver.solve_snapshot(&job.snapshot))
+            .map(|solution| (solution, None))
+    };
+    let solve_micros = duration_micros(start.elapsed());
     shared
         .solving
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .retain(|t| t != &token);
     let (mut solution, windows) = result?;
+    solution.stats.solve_micros = solve_micros;
     // Cache the canonical form (no queue wait — that belongs to one query,
     // not to the answer), with the window set when the solve was windowed
     // so the next epoch can splice from it.

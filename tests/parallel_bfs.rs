@@ -6,7 +6,7 @@
 use blogstable::core::bfs::{BfsConfig, BfsStableClusters};
 use blogstable::core::pipeline::{Pipeline, PipelineParams};
 use blogstable::core::problem::{KlStableParams, StableClusterSpec};
-use blogstable::core::solver::AlgorithmKind;
+use blogstable::core::solver::{AlgorithmKind, SolverOptions};
 use blogstable::core::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 use blogstable::core::ClusterGraph;
 
@@ -119,7 +119,12 @@ fn threads_flow_through_the_solver_trait_and_pipeline() {
         .build(spec, 4, graph.num_intervals())
         .expect("sequential build");
     let mut par = AlgorithmKind::Bfs
-        .build_with_threads(spec, 4, graph.num_intervals(), 8)
+        .build_with_options(
+            spec,
+            4,
+            graph.num_intervals(),
+            SolverOptions::default().threads(8),
+        )
         .expect("parallel build");
     let seq_solution = seq.solve(&graph).expect("sequential solve");
     let par_solution = par.solve(&graph).expect("parallel solve");

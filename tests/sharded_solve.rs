@@ -1,10 +1,14 @@
-//! Sharded-solve conformance: partitioning the interval axis must never
-//! change a single bit of the answer.
+//! Windowed-solve conformance: partitioning the interval axis must never
+//! change a single bit of the answer — whichever configuration of the one
+//! windowed executor does the partitioning.
 //!
 //! The acceptance bar is byte-identical [`Solution`] paths (node sequences
-//! *and* `f64` weight bits) for shards ∈ {1, 2, 3, 8} × every storage
-//! backend × every inner algorithm that supports the query, compared against
-//! the unsharded solve of the same algorithm.
+//! *and* `f64` weight bits) for shards ∈ {1, 2, 3, 8, `BSC_SHARDS`} × every
+//! storage backend × every inner algorithm that supports the query, compared
+//! against the unsharded solve of the same algorithm, through all three
+//! configurations: [`ShardedSolver`], [`DistributedSolver`] over an
+//! in-process loopback transport, and [`solve_windows`] cold and warm — with
+//! identical deterministic counters and one stats rule.
 //!
 //! Env pins, mirroring the `BSC_STORAGE_BACKEND` loop CI already runs:
 //! `BSC_SHARDS` and `BSC_THREADS` select the configuration exercised by the
@@ -12,9 +16,13 @@
 //! threads ∈ {1, 2, 4} × shards ∈ {1, 3} so determinism cannot regress
 //! behind the single-thread, single-shard default.
 
-use blogstable::core::solver::AlgorithmKind;
-use blogstable::core::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
-use blogstable::core::ClusterGraph;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use blogstable::core::delta::{solve_windows, GraphDelta};
+use blogstable::core::distributed::{
+    solve_window_locally, DistributedSolver, ShardTransport, WindowRequest, WindowResult,
+};
 use blogstable::prelude::*;
 
 /// The shard count under test: `BSC_SHARDS` when set (CI runs the matrix),
@@ -61,41 +69,359 @@ fn assert_identical(expected: &[ClusterPath], got: &[ClusterPath], context: &str
     }
 }
 
-/// The acceptance matrix: shards ∈ {1, 2, 3, 8} × all three storage
-/// backends, BFS and DFS inner solvers, subpath and full-path specs — all
-/// byte-identical to the unsharded solve.
+/// `graph` re-grown interval by interval through [`ClusterGraph::append`]:
+/// the epoch before the last append, and the last epoch (equal to `graph`
+/// in every accessor, sharing all but the appended segment with the former).
+fn append_chain(graph: &ClusterGraph) -> (ClusterGraph, ClusterGraph) {
+    let mut previous = ClusterGraphBuilder::new(graph.gap()).build();
+    let mut last = previous.clone();
+    for interval in 0..graph.num_intervals() as u32 {
+        previous = last;
+        last = previous.append(&graph.interval_parent_edges(interval));
+    }
+    (previous, last)
+}
+
+/// What a test transport does besides answering windows.
+#[derive(Debug)]
+enum Misbehaviour {
+    None,
+    /// Trip `token` while answering window number `on_call` (1-based).
+    CancelDuring {
+        on_call: usize,
+        token: CancelToken,
+    },
+    /// Fail range 0's first window once a sibling's request is in flight;
+    /// hold that sibling's window until the failure has tripped `token`,
+    /// then answer it.
+    FailRangeZero {
+        token: CancelToken,
+    },
+}
+
+/// An in-process [`ShardTransport`]: every window through
+/// [`solve_window_locally`], exactly as a `bsc-cluster` worker answers it.
+#[derive(Debug)]
+struct Loopback {
+    workers: usize,
+    calls: AtomicUsize,
+    misbehaviour: Misbehaviour,
+}
+
+impl Loopback {
+    fn new(workers: usize, misbehaviour: Misbehaviour) -> Arc<Loopback> {
+        Arc::new(Loopback {
+            workers,
+            calls: AtomicUsize::new(0),
+            misbehaviour,
+        })
+    }
+}
+
+impl ShardTransport for Loopback {
+    fn worker_count(&self) -> usize {
+        self.workers
+    }
+
+    fn solve_window(
+        &self,
+        graph: &ClusterGraph,
+        request: &WindowRequest,
+    ) -> BscResult<WindowResult> {
+        let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+        match &self.misbehaviour {
+            Misbehaviour::None => {}
+            Misbehaviour::CancelDuring { on_call, token } => {
+                if call == *on_call {
+                    token.cancel();
+                }
+            }
+            Misbehaviour::FailRangeZero { token } => {
+                if request.preferred == 0 {
+                    while self.calls.load(Ordering::SeqCst) < 2 {
+                        std::thread::yield_now();
+                    }
+                    return Err(BscError::Cluster("worker 0 is down".to_string()));
+                }
+                while !token.is_cancelled() {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        solve_window_locally(
+            graph,
+            request.start,
+            request.l,
+            request.k,
+            request.algorithm,
+            &SolverOptions::default().storage(request.storage),
+        )
+    }
+}
+
+/// One row of the table: `(kind, spec, k)` over the last epoch of an append
+/// chain, at one `(storage, shards)` cell, through all three configurations.
+/// Paths must equal `expected`; the cold configurations must agree on the
+/// deterministic counters and on the stats rule; every start window must be
+/// accounted for exactly once.
+fn assert_configurations_conform(
+    (previous, graph): (&ClusterGraph, &ClusterGraph),
+    (kind, spec, k): (AlgorithmKind, StableClusterSpec, usize),
+    options: &SolverOptions,
+    expected: &[ClusterPath],
+    context: &str,
+) {
+    let m = graph.num_intervals() as u64;
+    let starts = match spec {
+        StableClusterSpec::ExactLength(l) => m.saturating_sub(u64::from(l)),
+        _ => 1,
+    };
+    let shards = options.shards;
+
+    let sharded = ShardedSolver::new(kind, spec, k, options.clone())
+        .and_then(|mut solver| solver.solve(graph))
+        .unwrap_or_else(|e| panic!("{context} sharded: {e}"));
+    let transport = Loopback::new(shards, Misbehaviour::None);
+    let distributed = DistributedSolver::new(
+        Arc::clone(&transport) as Arc<dyn ShardTransport>,
+        kind,
+        spec,
+        k,
+        options.clone(),
+    )
+    .and_then(|mut solver| solver.solve(graph))
+    .unwrap_or_else(|e| panic!("{context} distributed: {e}"));
+    let cold = solve_windows(graph, spec, k, kind, options, None)
+        .unwrap_or_else(|e| panic!("{context} cold: {e}"));
+    let prior = solve_windows(previous, spec, k, kind, options, None)
+        .unwrap_or_else(|e| panic!("{context} prior epoch: {e}"))
+        .windows;
+    let delta = GraphDelta::between(previous, graph);
+    let warm = solve_windows(graph, spec, k, kind, options, Some((&prior, &delta)))
+        .unwrap_or_else(|e| panic!("{context} warm: {e}"));
+
+    for (name, solution) in [
+        ("sharded", &sharded),
+        ("distributed", &distributed),
+        ("cold", &cold.solution),
+        ("warm", &warm.solution),
+    ] {
+        assert_identical(expected, &solution.paths, &format!("{context} {name}"));
+        let stats = &solution.stats;
+        assert_eq!(
+            stats.windows_resolved + stats.windows_spliced,
+            starts,
+            "{context} {name}: every start window exactly once"
+        );
+        assert_eq!(
+            stats.shards as u64,
+            starts.min(shards as u64),
+            "{context} {name}: shards = ranges formed"
+        );
+    }
+    for (name, solution) in [("distributed", &distributed), ("cold", &cold.solution)] {
+        let (a, b) = (&sharded.stats, &solution.stats);
+        assert_eq!(a.paths_generated, b.paths_generated, "{context} {name}");
+        assert_eq!(a.nodes_processed, b.nodes_processed, "{context} {name}");
+        assert_eq!(b.windows_spliced, 0, "{context} {name}");
+    }
+    assert_eq!(
+        transport.calls.load(Ordering::SeqCst) as u64,
+        starts,
+        "{context}: one dispatch per start"
+    );
+    // One stats rule: the two local configurations report the same worker
+    // count; transport dispatchers run one per range.
+    assert_eq!(
+        sharded.stats.threads, cold.solution.stats.threads,
+        "{context}"
+    );
+    assert_eq!(
+        distributed.stats.threads, distributed.stats.shards,
+        "{context}"
+    );
+    // An append dirties only the new interval, so with an exact length
+    // every window but the last is spliced and its counters not re-counted.
+    if let StableClusterSpec::ExactLength(_) = spec {
+        assert_eq!(warm.solution.stats.windows_resolved, 1, "{context} warm");
+        assert!(
+            warm.solution.stats.paths_generated <= cold.solution.stats.paths_generated,
+            "{context} warm re-counted spliced windows"
+        );
+    }
+    assert_eq!(warm.windows.windows.len() as u64, starts, "{context} warm");
+}
+
+/// The acceptance matrix: shards ∈ {1, 2, 3, 8, `BSC_SHARDS`} × all three
+/// storage backends, BFS, DFS and unbudgeted Auto inner solvers, subpath and
+/// full-path specs — all three configurations byte-identical to the
+/// unsharded solve, with conforming counters.
 #[test]
 fn sharded_solutions_are_byte_identical_across_shards_and_backends() {
-    let graph = generate(9, 14, 3, 1, 4242);
+    let (previous, graph) = append_chain(&generate(9, 14, 3, 1, 4242));
     let m = graph.num_intervals();
+    let mut shard_counts = vec![1usize, 2, 3, 8];
+    if !shard_counts.contains(&shards_from_env()) {
+        shard_counts.push(shards_from_env());
+    }
     for (kind, spec) in [
         (AlgorithmKind::Bfs, StableClusterSpec::ExactLength(3)),
         (AlgorithmKind::Bfs, StableClusterSpec::FullPaths),
         (AlgorithmKind::Dfs, StableClusterSpec::ExactLength(4)),
+        (
+            AlgorithmKind::Auto { budget_bytes: None },
+            StableClusterSpec::ExactLength(2),
+        ),
     ] {
         let mut reference = kind.build(spec, 5, m).expect("unsharded build");
         let expected = reference.solve(&graph).expect("unsharded solve").paths;
         assert!(!expected.is_empty(), "{kind} {spec:?}: trivial workload");
         for storage in StorageSpec::ALL {
-            for shards in [1usize, 2, 3, 8] {
+            for &shards in &shard_counts {
                 let options = SolverOptions::default().storage(storage).shards(shards);
-                let mut solver: Box<dyn StableClusterSolver> = if shards > 1 {
-                    kind.build_with_options(spec, 5, m, options)
-                        .expect("sharded build")
-                } else {
-                    // shards = 1 through the explicit solver, so the
-                    // decomposition itself (not just the wrapping) is
-                    // exercised against the plain solve.
-                    Box::new(ShardedSolver::new(kind, spec, 5, options).expect("sharded solver"))
-                };
-                let solution = solver.solve(&graph).expect("sharded solve");
-                assert_identical(
+                if shards > 1 {
+                    // The options seam wraps in the same ShardedSolver.
+                    let solution = kind
+                        .build_with_options(spec, 5, m, options.clone())
+                        .and_then(|mut solver| solver.solve(&graph))
+                        .expect("sharded build + solve");
+                    assert_identical(&expected, &solution.paths, "build_with_options");
+                }
+                assert_configurations_conform(
+                    (&previous, &graph),
+                    (kind, spec, 5),
+                    &options,
                     &expected,
-                    &solution.paths,
                     &format!("{kind} {spec:?} {storage} shards={shards}"),
                 );
             }
         }
+    }
+}
+
+/// Problem 2 does not decompose by start interval: one rejection, reported
+/// under the name of whichever configuration was asked.
+#[test]
+fn every_configuration_rejects_the_normalized_spec() {
+    let spec = StableClusterSpec::Normalized { l_min: 2 };
+    let options = SolverOptions::default().shards(2);
+    let rejected_as = |result: BscResult<()>| match result {
+        Err(BscError::Unsupported { algorithm, .. }) => algorithm,
+        other => panic!("expected Unsupported, got {other:?}"),
+    };
+    let sharded = ShardedSolver::new(AlgorithmKind::Bfs, spec, 5, options.clone()).map(|_| ());
+    assert_eq!(rejected_as(sharded), "sharded");
+    let transport = Loopback::new(2, Misbehaviour::None) as Arc<dyn ShardTransport>;
+    let distributed = DistributedSolver::new(
+        transport,
+        AlgorithmKind::Normalized,
+        spec,
+        5,
+        options.clone(),
+    )
+    .map(|_| ());
+    assert_eq!(rejected_as(distributed), "distributed");
+    let graph = generate(5, 6, 3, 0, 4);
+    let windows = solve_windows(&graph, spec, 5, AlgorithmKind::Bfs, &options, None).map(|_| ());
+    assert_eq!(rejected_as(windows), "delta");
+}
+
+/// The failure paths of the one loop. The transport seam is the only place
+/// a test can stand *between* two windows, so the exact claims — the window
+/// after a cancellation is never requested, a tripped sibling stops at its
+/// next window — are made there; the local configurations run the same
+/// loop, and are checked for the same outcomes.
+#[test]
+fn cancellation_and_root_cause_errors_behave_the_same_in_every_configuration() {
+    let graph = generate(9, 14, 3, 1, 4242);
+    let spec = StableClusterSpec::ExactLength(2); // 7 start windows
+    let deadline_exceeded = |result: BscResult<Solution>, context: &str| match result {
+        Err(BscError::DeadlineExceeded { .. }) => {}
+        other => panic!("{context}: expected DeadlineExceeded, got {other:?}"),
+    };
+
+    // A token cancelled while window 2 is being answered: window 3 is never
+    // requested, and the solve reports DeadlineExceeded.
+    let token = CancelToken::new();
+    let transport = Loopback::new(
+        1,
+        Misbehaviour::CancelDuring {
+            on_call: 2,
+            token: token.clone(),
+        },
+    );
+    let result = DistributedSolver::new(
+        Arc::clone(&transport) as Arc<dyn ShardTransport>,
+        AlgorithmKind::Bfs,
+        spec,
+        5,
+        SolverOptions::default().cancel_token(Some(token)),
+    )
+    .and_then(|mut solver| solver.solve(&graph));
+    deadline_exceeded(result, "cancelled between windows");
+    assert_eq!(transport.calls.load(Ordering::SeqCst), 2, "rest not solved");
+
+    // A token already cancelled stops the local configurations the same way.
+    for shards in [1, shards_from_env()] {
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let options = SolverOptions::default()
+            .shards(shards)
+            .cancel_token(Some(cancelled));
+        let sharded = ShardedSolver::new(AlgorithmKind::Bfs, spec, 5, options.clone())
+            .and_then(|mut solver| solver.solve(&graph));
+        deadline_exceeded(sharded, "sharded");
+        let windows = solve_windows(&graph, spec, 5, AlgorithmKind::Bfs, &options, None)
+            .map(|outcome| outcome.solution);
+        deadline_exceeded(windows, "solve_windows");
+    }
+
+    // Range 0 fails for a reason; range 1 is held until that failure has
+    // tripped the shared token, answers the window it was on, and stops at
+    // the next one with DeadlineExceeded. The reason wins.
+    let token = CancelToken::new();
+    let transport = Loopback::new(
+        2,
+        Misbehaviour::FailRangeZero {
+            token: token.clone(),
+        },
+    );
+    let error = DistributedSolver::new(
+        Arc::clone(&transport) as Arc<dyn ShardTransport>,
+        AlgorithmKind::Bfs,
+        spec,
+        5,
+        SolverOptions::default().cancel_token(Some(token)),
+    )
+    .and_then(|mut solver| solver.solve(&graph))
+    .expect_err("range 0 failed");
+    assert!(matches!(error, BscError::Cluster(_)), "root cause: {error}");
+    assert_eq!(
+        transport.calls.load(Ordering::SeqCst),
+        2,
+        "one failed window, one sibling window, nothing after the trip"
+    );
+
+    // Locally the root cause is an injected storage fault: every window's
+    // backend replays the same schedule, so whichever range trips the token
+    // first, no sibling's DeadlineExceeded may mask the fault.
+    let faulty = SolverOptions::default()
+        .shards(shards_from_env().max(2))
+        .storage(StorageSpec::Fault {
+            seed: 42,
+            every: 3,
+            inner: FaultInner::LogFile,
+        });
+    let sharded = ShardedSolver::new(AlgorithmKind::Dfs, spec, 5, faulty.clone())
+        .and_then(|mut solver| solver.solve(&graph))
+        .expect_err("every window faults");
+    let windows = solve_windows(&graph, spec, 5, AlgorithmKind::Dfs, &faulty, None)
+        .expect_err("every window faults");
+    for error in [sharded, windows] {
+        assert!(
+            error.to_string().contains("injected storage fault"),
+            "root cause masked: {error}"
+        );
     }
 }
 
