@@ -30,7 +30,9 @@ const OUTPUT_FEEDING_CRATES: [&str; 5] = [
 const PANIC_EXEMPT_CRATES: [&str; 1] = ["bsc-bench"];
 
 /// Solver hot-path files: every loop nest here must be able to observe a
-/// tripped [`CancelToken`](bsc_util::cancel::CancelToken). `batch.rs` is
+/// tripped [`CancelToken`](bsc_util::cancel::CancelToken). `bfs.rs` holds the
+/// one BFS interval sweep (its batch, store-backed and online drivers all run
+/// that loop). `batch.rs` is
 /// the engine's coalesced fan-out loop — not a solver, but it replays a
 /// solve's result to arbitrarily many followers and must notice shutdown
 /// mid-fan-out just like a solver notices it mid-scan. `windowed.rs` is the

@@ -179,27 +179,17 @@ pub fn table3(scale: Scale) -> Table {
 }
 
 /// Table 3 ablation: the BFS hot-path rework measured on the Table 3
-/// workload shape at bench scale. Three implementations on identical
-/// graphs — the seed-style clone-based BFS (`ClusterPath` vectors +
-/// `HashMap` window), the zero-copy path-tree/CSR solver on one thread, and
-/// the same solver with an 8-worker parallel interval sweep — all verified
-/// to return identical top-k paths before timing.
+/// workload shape at bench scale. Two implementations on identical graphs —
+/// the seed-style clone-based BFS (`ClusterPath` vectors + `HashMap`
+/// window) and the zero-copy path-tree/CSR solver — verified to return
+/// identical top-k paths before timing.
 pub fn table3_ablation(scale: Scale) -> Table {
     let n = scale.pick(2_000, 4_000);
     let (m, d, g) = (12usize, 5u32, 1u32);
     let k = 5;
-    let threads = 8;
     let mut table = Table::new(
-        "Table 3 ablation: seed-style BFS vs path-tree/CSR vs parallel sweep",
-        &[
-            "workload",
-            "seed-BFS(s)",
-            "BFS(s)",
-            &format!("BFS@{threads}(s)"),
-            "speedup(path-tree)",
-            &format!("speedup({threads}t)"),
-            "speedup(total)",
-        ],
+        "Table 3 ablation: seed-style BFS vs path-tree/CSR",
+        &["workload", "seed-BFS(s)", "BFS(s)", "speedup(path-tree)"],
     );
     let graph = cluster_graph(m, n, d, g, SEED);
     let specs: Vec<(String, u32)> = vec![
@@ -209,36 +199,19 @@ pub fn table3_ablation(scale: Scale) -> Table {
     for (label, l) in specs {
         let params = KlStableParams::new(k, l);
         let (seed_paths, seed_time) = timed(|| crate::reference::seed_style_bfs(params, &graph));
-        let (one_paths, one_time) =
-            timed(|| BfsStableClusters::new(params).run(&graph).expect("bfs"));
-        let (par_paths, par_time) = timed(|| {
-            BfsStableClusters::with_config(params, BfsConfig::default().with_threads(threads))
-                .run(&graph)
-                .expect("parallel bfs")
-        });
-        assert_paths_equal(&seed_paths, &one_paths, "seed vs path-tree");
-        assert_paths_equal(&one_paths, &par_paths, "sequential vs parallel");
-        let best = one_time.min(par_time);
+        let (paths, time) = timed(|| BfsStableClusters::new(params).run(&graph).expect("bfs"));
+        assert_paths_equal(&seed_paths, &paths, "seed vs path-tree");
         table.push_row(vec![
             label,
             seconds(seed_time),
-            seconds(one_time),
-            seconds(par_time),
-            format!("{:.2}x", seed_time.as_secs_f64() / one_time.as_secs_f64()),
-            format!("{:.2}x", one_time.as_secs_f64() / par_time.as_secs_f64()),
-            format!("{:.2}x", seed_time.as_secs_f64() / best.as_secs_f64()),
+            seconds(time),
+            format!("{:.2}x", seed_time.as_secs_f64() / time.as_secs_f64()),
         ]);
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     table.push_note(format!(
-        "m = {m}, n = {n}, d = {d}, g = {g}, k = {k}; identical top-k verified across all three"
+        "m = {m}, n = {n}, d = {d}, g = {g}, k = {k}; identical top-k verified across both"
     ));
-    table.push_note("speedup(path-tree) = clone-based seed / single-thread rework; speedup(8t) = single-thread / 8 workers; speedup(total) = seed / best");
-    table.push_note(format!(
-        "available cores on this machine: {cores} — the {threads}-thread column only shows real scaling when cores > 1"
-    ));
+    table.push_note("speedup(path-tree) = clone-based seed / path-tree rework");
     table
 }
 

@@ -26,7 +26,10 @@
 //! a worker tripping its *own* deadline can still answer), and once the
 //! budget is gone the client stops failing over and returns
 //! [`BscError::DeadlineExceeded`] — an exhausted deadline is a property of
-//! the query, not of any worker, so retrying elsewhere cannot help. See
+//! the query, not of any worker, so retrying elsewhere cannot help. The
+//! same holds for a request the worker's solver rejects (`invalid
+//! configuration: …`, `unsupported request …`): the reply is returned at
+//! once, with no fail-over, cooldown or failure count. See
 //! `docs/robustness.md`.
 //!
 //! The client also keeps a coordinator-side **window-result cache**:
@@ -51,6 +54,7 @@ use bsc_core::distributed::{
     FanoutSpec, ShardTransport, WindowRequest, WindowResult, ANONYMOUS_EPOCH_BIT,
 };
 use bsc_core::error::{BscError, BscResult};
+use bsc_core::solver::AlgorithmKind;
 use bsc_util::histogram::LatencyHistogram;
 use bsc_util::json::JsonValue;
 
@@ -496,6 +500,23 @@ impl ClusterClient {
 /// before the client abandons the socket.
 const DEADLINE_GRACE: Duration = Duration::from_millis(100);
 
+/// A worker reply that is a property of the query — the worker's solver
+/// rejected the request as [`BscError::InvalidConfig`] or
+/// [`BscError::Unsupported`] — rebuilt from its `Display` text so the
+/// coordinator reports it byte-identically to a single-process solve.
+fn query_rejection(reply: &str) -> Option<BscError> {
+    if let Some(message) = reply.strip_prefix("invalid configuration: ") {
+        return Some(BscError::InvalidConfig(message.to_string()));
+    }
+    let (algorithm, reason) = reply
+        .strip_prefix("unsupported request for ")?
+        .split_once(": ")?;
+    Some(BscError::Unsupported {
+        algorithm: AlgorithmKind::parse(algorithm)?.name(),
+        reason: reason.to_string(),
+    })
+}
+
 impl ShardTransport for ClusterClient {
     fn worker_count(&self) -> usize {
         self.workers.len()
@@ -582,6 +603,12 @@ impl ShardTransport for ClusterClient {
                         return Err(deadline_exceeded());
                     }
                     Err(e) => {
+                        // Likewise a request the worker's solver rejects:
+                        // every worker runs the same deterministic check,
+                        // so the reply is the query's answer.
+                        if let Some(rejection) = query_rejection(&e) {
+                            return Err(rejection);
+                        }
                         slot.failures
                             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         slot.start_cooldown(self.config.cooldown);
@@ -602,7 +629,6 @@ impl ShardTransport for ClusterClient {
 mod tests {
     use super::*;
     use crate::worker::{WorkerConfig, WorkerServer};
-    use bsc_core::solver::AlgorithmKind;
     use bsc_core::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
     use bsc_storage::backend::StorageSpec;
 
@@ -785,6 +811,48 @@ mod tests {
         assert!(slots[1].get("rpc_count").unwrap().as_u64().unwrap() >= 1);
         dead.kill();
         alive.kill();
+    }
+
+    #[test]
+    fn a_rejected_query_is_answered_once_and_blames_no_worker() {
+        let mut workers: Vec<_> = (0..3)
+            .map(|_| {
+                WorkerServer::bind("127.0.0.1:0", WorkerConfig::default())
+                    .unwrap()
+                    .spawn()
+            })
+            .collect();
+        let addrs = workers.iter().map(|w| w.addr().to_string()).collect();
+        let client = ClusterClient::new(FanoutSpec::new(addrs).unwrap(), quick_config());
+        let mut bad = request(2, 1, 1);
+        bad.algorithm = AlgorithmKind::Auto {
+            budget_bytes: Some(1),
+        };
+        let err = client.solve_window(&graph(), &bad).unwrap_err();
+        // The worker's own words, as the single-process solve reports them.
+        assert!(matches!(err, BscError::InvalidConfig(_)), "{err}");
+        let local = bsc_core::distributed::solve_window_locally(
+            &graph(),
+            1,
+            2,
+            4,
+            bad.algorithm,
+            &Default::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err.to_string(), local.to_string());
+        // One RPC, no fail-over; nobody cools down or is blamed.
+        assert!(client.health().iter().all(|w| w.healthy));
+        assert!(client.workers.iter().all(|slot| !slot.in_cooldown()));
+        let relaxed = std::sync::atomic::Ordering::Relaxed;
+        let rpcs: u64 = client.workers.iter().map(|s| s.rpcs.load(relaxed)).sum();
+        let failures: u64 = client
+            .workers
+            .iter()
+            .map(|s| s.failures.load(relaxed))
+            .sum();
+        assert_eq!((rpcs, failures), (1, 0));
+        workers.iter_mut().for_each(|w| w.kill());
     }
 
     #[test]

@@ -9,30 +9,36 @@
 //! over the intervals computes the global top-k heap `H` of paths of length
 //! exactly `l`.
 //!
-//! The in-memory hot path is built for throughput:
+//! That pass is written once, as the crate-private `IntervalSweep`: its
+//! state is the heaps of the intervals already swept, the global heap and
+//! the counters, and its one step, `advance`, computes the next interval's
+//! heaps from [`ClusterGraph::parents`]. Everything that runs Algorithm 2
+//! is a driver of that step:
 //!
-//! * heaps hold zero-copy [`SharedPath`] chains — extending a prefix by one
-//!   edge is one `Arc` allocation, never a `Vec` clone;
-//! * the sliding window is a ring of `g + 2` interval slots indexed by
-//!   `interval % (g + 2)` and node index — no hashing on parent lookups;
-//! * within one interval the per-node heap computations are independent
-//!   (they read only the window of *previous* intervals), so
-//!   [`BfsConfig::threads`] > 1 chunks the interval's nodes across
-//!   `std::thread::scope` workers. Each worker accumulates a local top-k
-//!   heap of global candidates; the merge is deterministic because the
-//!   top-k set under the total (score, tie-break) order is unique, so every
-//!   thread count produces the identical `Solution`.
+//! * batch BFS ([`BfsStableClusters`]) advances over `0..m`;
+//! * the online solver of Section 4.6
+//!   ([`OnlineStableClusters`](crate::streaming::OnlineStableClusters))
+//!   appends an interval to its graph and advances over it;
+//! * the secondary-storage variant ([`BfsConfig::on_disk`]) is the same
+//!   step behind the `HeapWindow` seam, which answers "where do a parent's
+//!   heaps live, and what does a prefix held there look like". In memory
+//!   that is a ring of `g + 2` interval slots indexed by
+//!   `interval % (g + 2)` and node index — no hashing on parent lookups —
+//!   holding zero-copy [`SharedPath`] chains, so extending a prefix by one
+//!   edge is one `Arc` allocation, never a `Vec` clone. Store-backed it is
+//!   a [`bsc_storage::NodeStore`] over the [`StorageSpec`] backend picked
+//!   by [`BfsConfig::store_backed`], holding `(weight, node ids)` records
+//!   that are materialized only once a candidate is admitted — the
+//!   pseudocode's "save `c_ij` along with `h^x_ij` to disk", read back with
+//!   random I/O.
 //!
-//! Two storage modes are provided: the default keeps the sliding window of
-//! parent heaps in memory (the paper's main configuration — fast, but the
-//! memory footprint grows with `n`, `g`, `k` and `l`), while
-//! [`BfsConfig::on_disk`] persists every node's heaps to a
-//! [`bsc_storage::NodeStore`] and reads parents back with random I/O,
-//! mirroring the pseudocode's "save `c_ij` along with `h^x_ij` to disk".
-//! The store-backed variant is sequential (the store is a single mutable
-//! resource), and [`BfsConfig::store_backed`] selects *which*
-//! [`StorageSpec`] backend holds the heaps — log file, memory, or a
-//! budget-bounded block cache.
+//! The sweep is sequential. A solve uses more than one core through shard
+//! ranges (`docs/sharding.md`, "How a solve uses cores"), never inside one
+//! sweep: the top-k under the strict `(score, content)` order does not
+//! depend on who offered a path or in which order, so every driver and
+//! every placement produces the identical `Solution`.
+
+use std::borrow::Cow;
 
 use bsc_storage::backend::StorageSpec;
 use bsc_storage::io_stats::IoScope;
@@ -40,7 +46,7 @@ use bsc_storage::node_store::NodeStore;
 use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterGraph, ClusterNodeId};
-use crate::error::{BscError, BscResult};
+use crate::error::BscResult;
 use crate::path::ClusterPath;
 use crate::path_tree::SharedPath;
 use crate::problem::KlStableParams;
@@ -50,25 +56,12 @@ use crate::solver::{
 use crate::topk::SharedTopK;
 
 /// Configuration of the BFS algorithm.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BfsConfig {
     /// `Some(spec)` persists every node's heaps to a [`NodeStore`] over the
     /// selected backend instead of keeping the sliding window in memory;
     /// `None` (the default) is the paper's in-memory configuration.
     pub storage: Option<StorageSpec>,
-    /// Number of worker threads for the per-interval node sweep (in-memory
-    /// mode only; the store-backed variant is sequential). `0` and `1` both
-    /// mean sequential. Results are identical for every thread count.
-    pub threads: usize,
-}
-
-impl Default for BfsConfig {
-    fn default() -> Self {
-        BfsConfig {
-            storage: None,
-            threads: 1,
-        }
-    }
 }
 
 impl BfsConfig {
@@ -81,14 +74,7 @@ impl BfsConfig {
     pub fn store_backed(spec: StorageSpec) -> Self {
         BfsConfig {
             storage: Some(spec),
-            ..BfsConfig::default()
         }
-    }
-
-    /// Use `threads` workers for the per-interval sweep.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 }
 
@@ -96,16 +82,305 @@ impl BfsConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BfsStats {
     /// Number of candidate paths generated (heap offers considered). The
-    /// count is taken *before* the worst-score admission fast path, so it is
-    /// identical for every thread count.
+    /// count is taken *before* the worst-score admission fast path, so it
+    /// depends only on the graph and the query — not on where the heaps
+    /// live.
     pub paths_generated: u64,
     /// Peak number of paths held across all node heaps simultaneously
-    /// (a proxy for the algorithm's memory footprint).
+    /// (a proxy for the algorithm's memory footprint; 0 store-backed, where
+    /// no heap outlives its node's step in memory).
     pub peak_resident_paths: usize,
     /// Number of nodes processed.
     pub nodes_processed: u64,
-    /// Worker threads used by the per-interval sweep (1 = sequential).
-    pub threads_used: usize,
+}
+
+/// Where the heaps of already-swept intervals live and what a prefix held
+/// there looks like — the one seam between the in-memory and the
+/// store-backed sweep (what `StateStore` is to `dfs.rs`), monomorphised
+/// into [`IntervalSweep::advance`].
+pub(crate) trait HeapWindow {
+    /// One heap `h^x` of an already-swept node.
+    type Heap: Clone;
+    /// One subpath held in such a heap.
+    type Prefix: 'static;
+
+    /// Make room for `interval`, about to be swept with `num_nodes` nodes.
+    fn open(&mut self, interval: u32, num_nodes: usize);
+    /// Take over a swept node's heaps (the pseudocode's "save `c_ij` along
+    /// with `h^x_ij`").
+    fn keep(&mut self, node: ClusterNodeId, heaps: Vec<SharedTopK>) -> BscResult<()>;
+    /// The heaps of `parent`, indexed by length − 1; `None` when nothing is
+    /// held for it.
+    fn parent_heaps(&mut self, parent: ClusterNodeId) -> BscResult<Option<Cow<'_, [Self::Heap]>>>;
+    /// The subpaths held in `heap`, in arbitrary order.
+    fn prefixes(heap: &Self::Heap) -> impl Iterator<Item = &Self::Prefix>;
+    /// A held subpath's weight — all the admission check needs.
+    fn weight(prefix: &Self::Prefix) -> f64;
+    /// `prefix` extended by the edge to `node`; called only for candidates
+    /// some heap admits.
+    fn extend(prefix: &Self::Prefix, node: ClusterNodeId, weight: f64) -> SharedPath;
+    /// Paths currently held in memory.
+    fn resident_paths(&self) -> usize;
+}
+
+/// The in-memory window: a ring of `g + 2` interval slots, each the
+/// interval it holds (`u32::MAX` when empty) and that interval's per-node
+/// heaps. A parent of interval `i` lies in `[i − g − 1, i − 1]`, which never
+/// collides with the slot `i` itself overwrites (that of `i − g − 2`).
+pub(crate) struct Ring {
+    slots: Vec<(u32, Vec<Vec<SharedTopK>>)>,
+    resident: usize,
+}
+
+impl Ring {
+    pub(crate) fn new(gap: u32) -> Self {
+        Ring {
+            slots: (0..gap as usize + 2)
+                .map(|_| (u32::MAX, Vec::new()))
+                .collect(),
+            resident: 0,
+        }
+    }
+
+    fn slot(&mut self, interval: u32) -> &mut (u32, Vec<Vec<SharedTopK>>) {
+        let slots = self.slots.len();
+        &mut self.slots[interval as usize % slots]
+    }
+}
+
+fn held_paths(heaps: &[SharedTopK]) -> usize {
+    heaps.iter().map(SharedTopK::len).sum()
+}
+
+impl HeapWindow for Ring {
+    type Heap = SharedTopK;
+    type Prefix = SharedPath;
+
+    fn open(&mut self, interval: u32, num_nodes: usize) {
+        let evicted = std::mem::replace(
+            self.slot(interval),
+            (interval, Vec::with_capacity(num_nodes)),
+        );
+        self.resident -= evicted.1.iter().map(|h| held_paths(h)).sum::<usize>();
+    }
+
+    fn keep(&mut self, node: ClusterNodeId, heaps: Vec<SharedTopK>) -> BscResult<()> {
+        self.resident += held_paths(&heaps);
+        self.slot(node.interval).1.push(heaps);
+        Ok(())
+    }
+
+    fn parent_heaps(&mut self, parent: ClusterNodeId) -> BscResult<Option<Cow<'_, [SharedTopK]>>> {
+        let (held_interval, heaps) = &self.slots[parent.interval as usize % self.slots.len()];
+        if *held_interval != parent.interval {
+            return Ok(None);
+        }
+        let heaps = heaps.get(parent.index as usize);
+        Ok(heaps.map(|heaps| Cow::Borrowed(heaps.as_slice())))
+    }
+
+    fn prefixes(heap: &SharedTopK) -> impl Iterator<Item = &SharedPath> {
+        heap.iter()
+    }
+
+    fn weight(prefix: &SharedPath) -> f64 {
+        prefix.weight()
+    }
+
+    fn extend(prefix: &SharedPath, node: ClusterNodeId, weight: f64) -> SharedPath {
+        prefix.extend(node, weight)
+    }
+
+    fn resident_paths(&self) -> usize {
+        self.resident
+    }
+}
+
+/// Serialized form of one held subpath: `(weight, node ids)`.
+type StoredPrefix = (f64, Vec<u64>);
+
+/// The secondary-storage window: every node's heaps in a [`NodeStore`],
+/// for each length `x` (1-based) the subpaths as [`StoredPrefix`] records.
+struct Stored(NodeStore<u64, Vec<Vec<StoredPrefix>>>);
+
+impl HeapWindow for Stored {
+    type Heap = Vec<StoredPrefix>;
+    type Prefix = StoredPrefix;
+
+    fn open(&mut self, _interval: u32, _num_nodes: usize) {}
+
+    fn keep(&mut self, node: ClusterNodeId, heaps: Vec<SharedTopK>) -> BscResult<()> {
+        let stored: Vec<Vec<StoredPrefix>> = heaps
+            .iter()
+            .map(|heap| {
+                heap.iter()
+                    .map(|p| (p.weight(), p.nodes().iter().map(|n| n.to_u64()).collect()))
+                    .collect()
+            })
+            .collect();
+        Ok(self.0.put(&node.to_u64(), &stored)?)
+    }
+
+    fn parent_heaps(
+        &mut self,
+        parent: ClusterNodeId,
+    ) -> BscResult<Option<Cow<'_, [Vec<StoredPrefix>]>>> {
+        Ok(self.0.get(&parent.to_u64())?.map(Cow::Owned))
+    }
+
+    fn prefixes(heap: &Vec<StoredPrefix>) -> impl Iterator<Item = &StoredPrefix> {
+        heap.iter()
+    }
+
+    fn weight(prefix: &StoredPrefix) -> f64 {
+        prefix.0
+    }
+
+    fn extend(prefix: &StoredPrefix, node: ClusterNodeId, weight: f64) -> SharedPath {
+        let nodes: Vec<ClusterNodeId> = prefix
+            .1
+            .iter()
+            .map(|&id| ClusterNodeId::from_u64(id))
+            .collect();
+        SharedPath::from_stored_nodes(&nodes, prefix.0).extend(node, weight)
+    }
+
+    fn resident_paths(&self) -> usize {
+        0
+    }
+}
+
+/// Algorithm 2 as a resumable pass: the heaps of the intervals swept so far
+/// (in `W`), the global top-k of length-`l` paths, and the counters.
+/// [`IntervalSweep::advance`] is the only place the algorithm's inner loop
+/// exists; see the module docs for its drivers.
+pub(crate) struct IntervalSweep<W = Ring> {
+    k: usize,
+    l: u32,
+    /// Keep only subpaths that start at interval 0 — all a full-path query
+    /// (`l = m − 1`) can use. Needs `m` up front, so only batch solves set
+    /// it; it changes the work done, never the answer.
+    anchored: bool,
+    window: W,
+    global: SharedTopK,
+    stats: BfsStats,
+    /// Amortization counter of the cancellation checkpoints.
+    tick: u32,
+}
+
+impl<W: HeapWindow> IntervalSweep<W> {
+    pub(crate) fn new(params: KlStableParams, anchored: bool, window: W) -> Self {
+        IntervalSweep {
+            k: params.k,
+            l: params.l,
+            anchored,
+            window,
+            global: SharedTopK::new(params.k),
+            stats: BfsStats::default(),
+            tick: 0,
+        }
+    }
+
+    /// Sweep `interval` of `graph`: compute the heaps `h^x` of each of its
+    /// nodes from its parents' heaps and offer every length-`l` path to the
+    /// global heap. Intervals must be swept in order, each once; a failed
+    /// sweep (`cancel` tripped, storage error) is not resumable.
+    pub(crate) fn advance(
+        &mut self,
+        graph: &ClusterGraph,
+        interval: u32,
+        cancel: Option<&CancelToken>,
+    ) -> BscResult<()> {
+        let (k, l) = (self.k, self.l);
+        let num_nodes = graph.nodes_in_interval(interval);
+        self.stats.nodes_processed += u64::from(num_nodes);
+        self.window.open(interval, num_nodes as usize);
+        for index in 0..num_nodes {
+            if let Some(token) = cancel {
+                if token.checkpoint(&mut self.tick) {
+                    return Err(deadline_error(token));
+                }
+            }
+            let node = ClusterNodeId::new(interval, index);
+            // Heaps h^x for x = 1..=min(l, interval): a path ending at
+            // interval `i` cannot be longer than `i`.
+            let max_len = l.min(interval) as usize;
+            let mut heaps: Vec<SharedTopK> = (0..max_len).map(|_| SharedTopK::new(k)).collect();
+            for parent_edge in graph.parents(node) {
+                let parent = parent_edge.to;
+                let weight = parent_edge.weight;
+                let len = ClusterGraph::edge_length(parent, node);
+                if len > l {
+                    continue;
+                }
+                // Base case: the edge itself is a path of length `len`.
+                if !self.anchored || len == interval {
+                    let edge_path = SharedPath::singleton(parent).extend(node, weight);
+                    self.stats.paths_generated += 1;
+                    if len == l {
+                        self.global.offer_by_weight(edge_path.clone());
+                    }
+                    heaps[len as usize - 1].offer_by_weight(edge_path);
+                }
+
+                // Extensions of subpaths ending at the parent.
+                let Some(parent_heaps) = self.window.parent_heaps(parent)? else {
+                    continue;
+                };
+                for (x_minus_1, heap) in parent_heaps.iter().enumerate() {
+                    let total = x_minus_1 as u32 + 1 + len;
+                    if total > l {
+                        break;
+                    }
+                    if self.anchored && total != interval {
+                        continue;
+                    }
+                    let bucket = &mut heaps[total as usize - 1];
+                    for prefix in W::prefixes(heap) {
+                        self.stats.paths_generated += 1;
+                        let extended_weight = W::weight(prefix) + weight;
+                        // Worst-score fast path: skip the extension (and
+                        // the heap churn) when no heap could admit it.
+                        let admit_bucket = bucket.would_admit(extended_weight);
+                        let admit_global = total == l && self.global.would_admit(extended_weight);
+                        if !admit_bucket && !admit_global {
+                            continue;
+                        }
+                        let extended = W::extend(prefix, node, weight);
+                        if admit_global {
+                            self.global.offer_by_weight(extended.clone());
+                        }
+                        if admit_bucket {
+                            bucket.offer_by_weight(extended);
+                        }
+                    }
+                }
+            }
+            self.window.keep(node, heaps)?;
+        }
+        let resident = self.window.resident_paths();
+        self.stats.peak_resident_paths = self.stats.peak_resident_paths.max(resident);
+        Ok(())
+    }
+
+    /// The top-k paths of length exactly `l` over the intervals swept so
+    /// far, in descending weight order.
+    pub(crate) fn top_k(&self) -> Vec<ClusterPath> {
+        let sorted = self.global.clone().into_sorted();
+        sorted.iter().map(SharedPath::to_cluster_path).collect()
+    }
+
+    /// Batch BFS: sweep every interval of `graph`.
+    fn run(
+        mut self,
+        graph: &ClusterGraph,
+        cancel: Option<&CancelToken>,
+    ) -> BscResult<(Vec<ClusterPath>, BfsStats)> {
+        for interval in 0..graph.num_intervals() as u32 {
+            self.advance(graph, interval, cancel)?;
+        }
+        Ok((self.top_k(), self.stats))
+    }
 }
 
 /// The BFS-based kl-stable-clusters solver.
@@ -116,25 +391,10 @@ pub struct BfsStableClusters {
     cancel: Option<CancelToken>,
 }
 
-/// Serialized form of one node's heaps: for each length `x` (1-based), the
-/// paths as `(weight, node ids)` pairs.
-type StoredHeaps = Vec<Vec<(f64, Vec<u64>)>>;
-
-/// Per-node heaps of one interval, indexed by node index then length − 1.
-type IntervalHeaps = Vec<Vec<SharedTopK>>;
-
-/// One slot of the sliding-window ring: the interval it currently holds
-/// (`u32::MAX` when empty) and that interval's per-node heaps.
-type WindowSlot = (u32, IntervalHeaps);
-
 impl BfsStableClusters {
     /// Create a solver for the given parameters.
     pub fn new(params: KlStableParams) -> Self {
-        BfsStableClusters {
-            params,
-            config: BfsConfig::default(),
-            cancel: None,
-        }
+        BfsStableClusters::with_config(params, BfsConfig::default())
     }
 
     /// Create a solver with an explicit storage configuration.
@@ -149,7 +409,7 @@ impl BfsStableClusters {
     /// Attach a cooperative-cancellation token. The sweep observes it at
     /// amortized checkpoints (roughly one real check per
     /// [`CancelToken::CHECK_INTERVAL`] nodes) and aborts with
-    /// [`BscError::DeadlineExceeded`] once it trips.
+    /// [`BscError::DeadlineExceeded`](crate::error::BscError) once it trips.
     pub fn with_cancel(mut self, cancel: Option<CancelToken>) -> Self {
         self.cancel = cancel;
         self
@@ -173,337 +433,24 @@ impl BfsStableClusters {
 
     /// Run the algorithm and also report execution statistics.
     pub fn run_with_stats(&self, graph: &ClusterGraph) -> BscResult<(Vec<ClusterPath>, BfsStats)> {
-        let k = self.params.k;
-        let l = self.params.l;
-        let mut stats = BfsStats {
-            threads_used: 1,
-            ..BfsStats::default()
-        };
-        check_not_expired(self.cancel.as_ref())?;
-        if k == 0 || l == 0 || graph.num_intervals() < 2 {
-            return Ok((Vec::new(), stats));
-        }
-        let mut global = SharedTopK::new(k);
-        if let Some(spec) = self.config.storage {
-            self.run_store_backed(spec, graph, &mut global, &mut stats)?;
-        } else {
-            self.run_in_memory(graph, &mut global, &mut stats)?;
-        }
-        let paths = global
-            .into_sorted()
-            .iter()
-            .map(SharedPath::to_cluster_path)
-            .collect();
-        Ok((paths, stats))
-    }
-
-    fn run_in_memory(
-        &self,
-        graph: &ClusterGraph,
-        global: &mut SharedTopK,
-        stats: &mut BfsStats,
-    ) -> BscResult<()> {
-        let k = self.params.k;
-        let l = self.params.l;
-        let gap = graph.gap();
-        let m = graph.num_intervals() as u32;
-        let full_mode = l == m - 1;
-        let slots = gap as usize + 2;
-        // Ring of interval slots; a parent of the current interval lies in
-        // [interval − g − 1, interval − 1], which never collides with the
-        // slot the current interval will overwrite (interval − g − 2).
-        let mut window: Vec<WindowSlot> = (0..slots).map(|_| (u32::MAX, Vec::new())).collect();
-        let mut resident_paths = 0usize;
-        let threads = self.config.threads.max(1);
-        stats.threads_used = threads;
+        let KlStableParams { k, l } = self.params;
         let cancel = self.cancel.as_ref();
-        let mut tick = 0u32;
-
-        for interval in 0..m {
-            let num_nodes = graph.nodes_in_interval(interval) as usize;
-            stats.nodes_processed += num_nodes as u64;
-            let workers = threads.min(num_nodes.max(1));
-            let interval_heaps: IntervalHeaps = if workers > 1 {
-                let window_ref: &[WindowSlot] = &window;
-                let chunk = num_nodes.div_ceil(workers);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let range = (w * chunk)..((w + 1) * chunk).min(num_nodes);
-                            scope.spawn(move || {
-                                let mut local_global = SharedTopK::new(k);
-                                let mut generated = 0u64;
-                                let mut worker_tick = 0u32;
-                                let mut heaps: IntervalHeaps = Vec::with_capacity(range.len());
-                                for j in range {
-                                    if let Some(token) = cancel {
-                                        if token.checkpoint(&mut worker_tick) {
-                                            return Err(deadline_error(token));
-                                        }
-                                    }
-                                    heaps.push(compute_node_heaps(
-                                        graph,
-                                        ClusterNodeId::new(interval, j as u32),
-                                        interval,
-                                        k,
-                                        l,
-                                        full_mode,
-                                        window_ref,
-                                        &mut local_global,
-                                        &mut generated,
-                                    ));
-                                }
-                                Ok((heaps, local_global, generated))
-                            })
-                        })
-                        .collect();
-                    let mut out: IntervalHeaps = Vec::with_capacity(num_nodes);
-                    let mut failure: Option<BscError> = None;
-                    for handle in handles {
-                        let joined = handle
-                            .join()
-                            // A worker panic is forwarded, not replaced.
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                        match joined {
-                            Ok((heaps, local_global, generated)) => {
-                                out.extend(heaps);
-                                global.absorb(local_global);
-                                stats.paths_generated += generated;
-                            }
-                            // Keep joining the siblings; report the first trip.
-                            Err(e) => failure = failure.or(Some(e)),
-                        }
-                    }
-                    match failure {
-                        Some(e) => Err(e),
-                        None => Ok(out),
-                    }
-                })?
-            } else {
-                let mut generated = 0u64;
-                let mut out: IntervalHeaps = Vec::with_capacity(num_nodes);
-                for j in 0..num_nodes {
-                    if let Some(token) = cancel {
-                        if token.checkpoint(&mut tick) {
-                            return Err(deadline_error(token));
-                        }
-                    }
-                    out.push(compute_node_heaps(
-                        graph,
-                        ClusterNodeId::new(interval, j as u32),
-                        interval,
-                        k,
-                        l,
-                        full_mode,
-                        &window,
-                        global,
-                        &mut generated,
-                    ));
-                }
-                stats.paths_generated += generated;
-                out
-            };
-
-            // Publish this interval's heaps into its ring slot, implicitly
-            // evicting the interval that fell out of the parent range.
-            let slot = &mut window[interval as usize % slots];
-            resident_paths -= slot
-                .1
-                .iter()
-                .flat_map(|heaps| heaps.iter().map(SharedTopK::len))
-                .sum::<usize>();
-            resident_paths += interval_heaps
-                .iter()
-                .flat_map(|heaps| heaps.iter().map(SharedTopK::len))
-                .sum::<usize>();
-            *slot = (interval, interval_heaps);
-            stats.peak_resident_paths = stats.peak_resident_paths.max(resident_paths);
-        }
-        Ok(())
-    }
-
-    fn run_store_backed(
-        &self,
-        spec: StorageSpec,
-        graph: &ClusterGraph,
-        global: &mut SharedTopK,
-        stats: &mut BfsStats,
-    ) -> BscResult<()> {
-        let k = self.params.k;
-        let l = self.params.l;
+        check_not_expired(cancel)?;
         let m = graph.num_intervals() as u32;
-        let full_mode = l == m - 1;
-        let mut store: NodeStore<u64, StoredHeaps> = NodeStore::temp(spec, "bsc-bfs")?;
-        let cancel = self.cancel.as_ref();
-        let mut tick = 0u32;
-
-        for interval in 0..m {
-            let mut interval_heaps: Vec<(ClusterNodeId, Vec<SharedTopK>)> = Vec::new();
-            for node in graph.interval_node_ids(interval) {
-                if let Some(token) = cancel {
-                    if token.checkpoint(&mut tick) {
-                        return Err(deadline_error(token));
-                    }
-                }
-                stats.nodes_processed += 1;
-                let max_len = l.min(interval) as usize;
-                let mut heaps: Vec<SharedTopK> = (0..max_len).map(|_| SharedTopK::new(k)).collect();
-
-                for parent_edge in graph.parents(node) {
-                    let parent = parent_edge.to;
-                    let weight = parent_edge.weight;
-                    let len = ClusterGraph::edge_length(parent, node);
-                    if len > l {
-                        continue;
-                    }
-                    if !full_mode || len == interval {
-                        let edge_path = SharedPath::singleton(parent).extend(node, weight);
-                        stats.paths_generated += 1;
-                        if len == l {
-                            global.offer_by_weight(edge_path.clone());
-                        }
-                        heaps[len as usize - 1].offer_by_weight(edge_path);
-                    }
-
-                    let Some(parent_heaps) = store.get(&parent.to_u64())? else {
-                        continue;
-                    };
-                    for (x_minus_1, paths) in parent_heaps.iter().enumerate() {
-                        let total = x_minus_1 as u32 + 1 + len;
-                        if total > l {
-                            break;
-                        }
-                        if full_mode && total != interval {
-                            continue;
-                        }
-                        let bucket = total as usize - 1;
-                        for (weight_prefix, node_ids) in paths {
-                            stats.paths_generated += 1;
-                            let extended_weight = weight_prefix + weight;
-                            let admit_bucket = heaps[bucket].would_admit(extended_weight);
-                            let admit_global = total == l && global.would_admit(extended_weight);
-                            if !admit_bucket && !admit_global {
-                                continue;
-                            }
-                            let nodes: Vec<ClusterNodeId> = node_ids
-                                .iter()
-                                .map(|&id| ClusterNodeId::from_u64(id))
-                                .collect();
-                            let extended = SharedPath::from_stored_nodes(&nodes, *weight_prefix)
-                                .extend(node, weight);
-                            if admit_global {
-                                global.offer_by_weight(extended.clone());
-                            }
-                            if admit_bucket {
-                                heaps[bucket].offer_by_weight(extended);
-                            }
-                        }
-                    }
-                }
-                interval_heaps.push((node, heaps));
-            }
-
-            for (node, heaps) in interval_heaps {
-                let stored: StoredHeaps = heaps
-                    .iter()
-                    .map(|heap| {
-                        heap.iter()
-                            .map(|p| (p.weight(), p.nodes().iter().map(|n| n.to_u64()).collect()))
-                            .collect()
-                    })
-                    .collect();
-                store.put(&node.to_u64(), &stored)?;
-            }
+        if k == 0 || l == 0 || m < 2 {
+            return Ok((Vec::new(), BfsStats::default()));
         }
-        Ok(())
-    }
-}
-
-/// Look up a parent's heaps in the window ring, if its interval is resident.
-fn window_heaps(window: &[WindowSlot], parent: ClusterNodeId) -> Option<&[SharedTopK]> {
-    let (held_interval, heaps) = &window[parent.interval as usize % window.len()];
-    if *held_interval != parent.interval {
-        return None;
-    }
-    heaps.get(parent.index as usize).map(Vec::as_slice)
-}
-
-/// Compute the heaps `h^x` of one node from the window of previous
-/// intervals, offering length-`l` candidates to `global`. Reads only shared
-/// state — this is the unit the parallel sweep distributes across workers.
-/// `generated` counts every candidate *considered* (before the admission
-/// fast path), so stats are identical for every thread count.
-#[allow(clippy::too_many_arguments)]
-fn compute_node_heaps(
-    graph: &ClusterGraph,
-    node: ClusterNodeId,
-    interval: u32,
-    k: usize,
-    l: u32,
-    full_mode: bool,
-    window: &[WindowSlot],
-    global: &mut SharedTopK,
-    generated: &mut u64,
-) -> Vec<SharedTopK> {
-    // Heaps h^x for x = 1..=min(l, interval): a path ending at interval `i`
-    // cannot be longer than `i`.
-    let max_len = l.min(interval) as usize;
-    let mut heaps: Vec<SharedTopK> = (0..max_len).map(|_| SharedTopK::new(k)).collect();
-
-    // bsc:allow(missing-cancel-checkpoint) -- bounded by one node's in-degree; the per-node caller loop checkpoints
-    for parent_edge in graph.parents(node) {
-        let parent = parent_edge.to;
-        let weight = parent_edge.weight;
-        let len = ClusterGraph::edge_length(parent, node);
-        if len > l {
-            continue;
-        }
-        // Base case: the edge itself is a path of length `len`. (In full
-        // mode only a prefix covering intervals 0..=i can be part of a full
-        // path.)
-        if !full_mode || len == interval {
-            let edge_path = SharedPath::singleton(parent).extend(node, weight);
-            *generated += 1;
-            if len == l {
-                global.offer_by_weight(edge_path.clone());
+        let anchored = l == m - 1;
+        match self.config.storage {
+            Some(spec) => {
+                let window = Stored(NodeStore::temp(spec, "bsc-bfs")?);
+                IntervalSweep::new(self.params, anchored, window).run(graph, cancel)
             }
-            heaps[len as usize - 1].offer_by_weight(edge_path);
-        }
-
-        // Extensions of subpaths ending at the parent.
-        let Some(parent_heaps) = window_heaps(window, parent) else {
-            continue;
-        };
-        for (x_minus_1, heap) in parent_heaps.iter().enumerate() {
-            let total = x_minus_1 as u32 + 1 + len;
-            if total > l {
-                break;
-            }
-            if full_mode && total != interval {
-                continue;
-            }
-            let bucket = total as usize - 1;
-            for prefix in heap.iter() {
-                *generated += 1;
-                let extended_weight = prefix.weight() + weight;
-                // Worst-score fast path: skip the O(1) extension (and the
-                // heap churn) when no heap could admit the candidate.
-                let admit_bucket = heaps[bucket].would_admit(extended_weight);
-                let admit_global = total == l && global.would_admit(extended_weight);
-                if !admit_bucket && !admit_global {
-                    continue;
-                }
-                let extended = prefix.extend(node, weight);
-                if admit_global {
-                    global.offer_by_weight(extended.clone());
-                }
-                if admit_bucket {
-                    heaps[bucket].offer_by_weight(extended);
-                }
+            None => {
+                IntervalSweep::new(self.params, anchored, Ring::new(graph.gap())).run(graph, cancel)
             }
         }
     }
-    heaps
 }
 
 impl From<BfsStats> for SolverStats {
@@ -512,7 +459,6 @@ impl From<BfsStats> for SolverStats {
             paths_generated: stats.paths_generated,
             nodes_processed: stats.nodes_processed,
             peak_resident_paths: stats.peak_resident_paths,
-            threads: stats.threads_used,
             ..SolverStats::default()
         }
     }
@@ -662,48 +608,22 @@ mod tests {
         .generate();
         for l in [1, 2, 3, 4] {
             let params = KlStableParams::new(4, l);
-            let in_memory = BfsStableClusters::new(params).run(&graph).unwrap();
+            let (in_memory, stats) = BfsStableClusters::new(params)
+                .run_with_stats(&graph)
+                .unwrap();
             for spec in StorageSpec::ALL {
-                let stored = BfsStableClusters::with_config(params, BfsConfig::store_backed(spec))
-                    .run(&graph)
-                    .unwrap();
+                let (stored, stored_stats) =
+                    BfsStableClusters::with_config(params, BfsConfig::store_backed(spec))
+                        .run_with_stats(&graph)
+                        .unwrap();
+                // One step, two windows: the same candidates are considered.
+                assert_eq!(stats.paths_generated, stored_stats.paths_generated);
+                assert_eq!(stats.nodes_processed, stored_stats.nodes_processed);
                 assert_eq!(in_memory.len(), stored.len(), "l = {l} {spec}");
                 for (a, b) in in_memory.iter().zip(stored.iter()) {
                     assert_eq!(a.nodes(), b.nodes(), "l = {l} {spec}");
                     assert_eq!(a.weight().to_bits(), b.weight().to_bits(), "l = {l} {spec}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_exactly() {
-        let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
-            num_intervals: 6,
-            nodes_per_interval: 25,
-            avg_out_degree: 4,
-            gap: 1,
-            seed: 31,
-        })
-        .generate();
-        for l in [2, 3, 5] {
-            let params = KlStableParams::new(5, l);
-            let (seq, seq_stats) = BfsStableClusters::new(params)
-                .run_with_stats(&graph)
-                .unwrap();
-            for threads in [2, 4, 8] {
-                let (par, par_stats) = BfsStableClusters::with_config(
-                    params,
-                    BfsConfig::default().with_threads(threads),
-                )
-                .run_with_stats(&graph)
-                .unwrap();
-                assert_eq!(seq, par, "l={l} threads={threads}");
-                assert_eq!(
-                    seq_stats.paths_generated, par_stats.paths_generated,
-                    "l={l} threads={threads}"
-                );
-                assert_eq!(par_stats.threads_used, threads);
             }
         }
     }
@@ -717,7 +637,6 @@ mod tests {
         assert_eq!(stats.nodes_processed, 9);
         assert!(stats.paths_generated > 0);
         assert!(stats.peak_resident_paths > 0);
-        assert_eq!(stats.threads_used, 1);
     }
 
     #[test]

@@ -85,10 +85,6 @@ pub struct PipelineParams {
     /// order. An explicit choice is never overridden; an explicit mismatch
     /// (e.g. the normalized solver for a Problem 1 spec) fails validation.
     pub algorithm: Option<AlgorithmKind>,
-    /// Worker threads for the solver stage (the BFS per-interval sweep;
-    /// other algorithms run sequentially regardless). Must be ≥ 1. Every
-    /// thread count produces the identical result.
-    pub threads: usize,
     /// Storage backend for the solver stage's disk-resident per-node state
     /// (used by DFS; the in-memory solvers ignore it). Every backend
     /// produces the identical result — the choice trades memory footprint
@@ -126,7 +122,6 @@ impl Default for PipelineParams {
             k: 10,
             spec: StableClusterSpec::ExactLength(3),
             algorithm: None,
-            threads: 1,
             storage: StorageSpec::LogFile,
             shards: 1,
             fanout: None,
@@ -191,12 +186,6 @@ impl PipelineParams {
         self
     }
 
-    /// Set the solver-stage worker-thread budget (BFS per-interval sweep).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Set the storage backend for the solver stage's disk-resident state.
     pub fn storage(mut self, storage: StorageSpec) -> Self {
         self.storage = storage;
@@ -241,11 +230,6 @@ impl PipelineParams {
         if self.k == 0 {
             return Err(BscError::InvalidConfig(
                 "k must be positive: a top-0 query returns nothing".into(),
-            ));
-        }
-        if self.threads == 0 {
-            return Err(BscError::InvalidConfig(
-                "threads must be >= 1 (1 = sequential)".into(),
             ));
         }
         if self.shards == 0 {
@@ -426,7 +410,6 @@ impl Pipeline {
             params.k,
             snapshot.num_intervals(),
             SolverOptions::default()
-                .threads(params.threads)
                 .storage(params.storage)
                 .shards(params.shards)
                 .fanout(params.fanout.clone())

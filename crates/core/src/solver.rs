@@ -27,6 +27,7 @@ use crate::error::{BscError, BscResult};
 use crate::path::ClusterPath;
 use crate::problem::{KlStableParams, NormalizedParams, StableClusterSpec};
 use crate::snapshot::GraphSnapshot;
+use crate::windowed::PathLength;
 
 /// The admission lane a query rides in a multi-tenant query engine.
 ///
@@ -71,16 +72,13 @@ impl std::fmt::Display for QueryPriority {
 }
 
 /// Deployment-level knobs shared by every [`AlgorithmKind::build_with_options`]
-/// construction: the worker-thread budget and which [`StorageSpec`] backend
-/// the disk-resident solvers keep their per-node state in. Problem-level
-/// parameters (spec, `k`) stay separate — these options never change *what*
-/// is computed, only how.
+/// construction: which [`StorageSpec`] backend the disk-resident solvers
+/// keep their per-node state in, how the solve is split across cores
+/// (`shards`) or processes (`fanout`), its deadline, and who it is billed
+/// to. Problem-level parameters (spec, `k`) stay separate — these options
+/// never change *what* is computed, only how.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolverOptions {
-    /// Worker threads for solvers with a parallel stage (the BFS
-    /// per-interval sweep). `1` means sequential; every thread count
-    /// produces the identical `Solution`.
-    pub threads: usize,
     /// Storage backend for solvers that keep per-node state in secondary
     /// storage: DFS always, BFS when [`SolverOptions::bfs_store_backed`] is
     /// set. Every backend produces the identical `Solution`.
@@ -88,15 +86,15 @@ pub struct SolverOptions {
     /// Run BFS in its secondary-storage variant (every node's heaps
     /// persisted to [`SolverOptions::storage`], the pseudocode's "save
     /// `c_ij` along with `h^x_ij` to disk") instead of the default
-    /// sliding-window in-memory configuration. The store-backed variant is
-    /// sequential — `threads` is ignored. Other algorithms are unaffected.
+    /// sliding-window in-memory configuration. Other algorithms are
+    /// unaffected.
     pub bfs_store_backed: bool,
     /// Number of interval shards (`> 1` wraps the solver in a
     /// [`ShardedSolver`](crate::sharded::ShardedSolver); `1`, the default,
-    /// solves unsharded). When several shards actually form, the shard
-    /// workers are the parallelism — the inner solvers run with
-    /// `threads = 1`. Every shard count produces the identical `Solution`;
-    /// see `docs/sharding.md`.
+    /// solves unsharded). Shard ranges are the one way a single solve uses
+    /// more than one core — every solver is sequential inside its window.
+    /// Every shard count produces the identical `Solution`; see
+    /// `docs/sharding.md`.
     pub shards: usize,
     /// Fan the per-window solves out to remote worker processes instead of
     /// local shard threads (`Some` wraps the solver in a
@@ -133,7 +131,6 @@ pub struct SolverOptions {
 impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
-            threads: 1,
             storage: StorageSpec::LogFile,
             bfs_store_backed: false,
             shards: 1,
@@ -146,12 +143,6 @@ impl Default for SolverOptions {
 }
 
 impl SolverOptions {
-    /// Set the worker-thread budget.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Set the storage backend for disk-resident solvers.
     pub fn storage(mut self, storage: StorageSpec) -> Self {
         self.storage = storage;
@@ -254,8 +245,9 @@ pub struct SolverStats {
     /// True when the solver stopped before exhausting its input (TA's
     /// threshold condition).
     pub early_termination: bool,
-    /// Worker threads used by the solver (0 = not reported; BFS reports the
-    /// per-interval sweep's thread count, 1 meaning sequential).
+    /// Range workers of a windowed (sharded, distributed or delta) solve
+    /// that ran concurrently (0 = not a windowed solve: every solver is
+    /// sequential on its own). Written only by the windowed executor.
     pub threads: usize,
     /// Interval shards the solve was split across (0 = not a sharded
     /// solve; the sharded solver reports the number of shard ranges
@@ -287,7 +279,8 @@ impl SolverStats {
     /// executor combines per-window statistics with it; for runs that
     /// executed concurrently the caller must adjust the peak fields itself
     /// (the simultaneous peak is bounded by the sum of the parts, not their
-    /// max — see the stats rule in `docs/sharding.md`).
+    /// max — see the stats rule in `docs/sharding.md`). `threads` is left
+    /// alone: it describes the executor doing the merging, not its parts.
     pub fn merge(&mut self, other: &SolverStats) {
         self.paths_generated += other.paths_generated;
         self.nodes_processed += other.nodes_processed;
@@ -299,7 +292,6 @@ impl SolverStats {
         self.peak_resident_paths = self.peak_resident_paths.max(other.peak_resident_paths);
         self.peak_stack_depth = self.peak_stack_depth.max(other.peak_stack_depth);
         self.early_termination |= other.early_termination;
-        self.threads = self.threads.max(other.threads);
         self.shards = self.shards.max(other.shards);
         self.queue_wait_micros += other.queue_wait_micros;
         self.solve_micros += other.solve_micros;
@@ -461,10 +453,8 @@ impl AlgorithmKind {
     }
 
     /// Like [`AlgorithmKind::build`], with deployment-level
-    /// [`SolverOptions`]: a worker-thread budget (only BFS's per-interval
-    /// sweep is parallel today; the other algorithms accept and ignore it),
-    /// the [`StorageSpec`] backend the disk-resident solvers keep their
-    /// per-node state in (DFS always; BFS with
+    /// [`SolverOptions`]: the [`StorageSpec`] backend the disk-resident
+    /// solvers keep their per-node state in (DFS always; BFS with
     /// [`SolverOptions::bfs_store_backed`]), sharding and fan-out. No option
     /// changes the computed `Solution`.
     pub fn build_with_options(
@@ -520,49 +510,50 @@ impl AlgorithmKind {
             )));
         }
         let full_l = num_intervals.saturating_sub(1) as u32;
-        let kl = |l: u32| KlStableParams::new(k, l);
-        let bfs_config = if options.bfs_store_backed {
-            crate::bfs::BfsConfig::store_backed(options.storage)
-        } else {
-            crate::bfs::BfsConfig::default().with_threads(options.threads.max(1))
-        };
-        let dfs_config = crate::dfs::DfsConfig::default().with_storage(options.storage);
         let cancel = options.cancel.clone();
-        match (self, spec) {
-            (AlgorithmKind::Bfs, StableClusterSpec::FullPaths) => Ok(Box::new(
-                crate::bfs::BfsStableClusters::with_config(kl(full_l), bfs_config)
-                    .with_cancel(cancel),
-            )),
-            (AlgorithmKind::Bfs, StableClusterSpec::ExactLength(l)) => Ok(Box::new(
-                crate::bfs::BfsStableClusters::with_config(kl(l), bfs_config).with_cancel(cancel),
-            )),
-            (AlgorithmKind::Dfs, StableClusterSpec::FullPaths) => Ok(Box::new(
-                crate::dfs::DfsStableClusters::with_config(kl(full_l), dfs_config)
-                    .with_cancel(cancel),
-            )),
-            (AlgorithmKind::Dfs, StableClusterSpec::ExactLength(l)) => Ok(Box::new(
-                crate::dfs::DfsStableClusters::with_config(kl(l), dfs_config).with_cancel(cancel),
-            )),
-            (AlgorithmKind::Ta, StableClusterSpec::FullPaths) => Ok(Box::new(
+        // Problem 1 specs normalise to their path length; Problem 2 has
+        // none and falls through to the normalized arm.
+        let length = PathLength::of(spec, self.name()).ok();
+        let length = length.map(|length| length.over(num_intervals as u32));
+        match (self, length, spec) {
+            (AlgorithmKind::Bfs, Some(l), _) => {
+                let config = match options.bfs_store_backed {
+                    true => crate::bfs::BfsConfig::store_backed(options.storage),
+                    false => crate::bfs::BfsConfig::default(),
+                };
+                let params = KlStableParams::new(k, l);
+                Ok(Box::new(
+                    crate::bfs::BfsStableClusters::with_config(params, config).with_cancel(cancel),
+                ))
+            }
+            (AlgorithmKind::Dfs, Some(l), _) => {
+                let config = crate::dfs::DfsConfig::default().with_storage(options.storage);
+                let params = KlStableParams::new(k, l);
+                Ok(Box::new(
+                    crate::dfs::DfsStableClusters::with_config(params, config).with_cancel(cancel),
+                ))
+            }
+            (AlgorithmKind::Ta, Some(l), _) if l == full_l => Ok(Box::new(
                 crate::ta::TaStableClusters::new(k).with_cancel(cancel),
             )),
-            (AlgorithmKind::Ta, StableClusterSpec::ExactLength(l)) if l == full_l => Ok(Box::new(
-                crate::ta::TaStableClusters::new(k).with_cancel(cancel),
-            )),
-            (AlgorithmKind::Ta, other) => Err(BscError::Unsupported {
+            (AlgorithmKind::Ta, _, other) => Err(BscError::Unsupported {
                 algorithm: "ta",
                 reason: format!(
                     "the Threshold-Algorithm adaptation only materializes full paths \
                      (length {full_l} here), not {other:?}"
                 ),
             }),
-            (AlgorithmKind::Normalized, StableClusterSpec::Normalized { l_min }) => Ok(Box::new(
-                crate::normalized::NormalizedStableClusters::new(NormalizedParams::new(k, l_min))
+            (AlgorithmKind::Normalized, _, StableClusterSpec::Normalized { l_min }) => {
+                Ok(Box::new(
+                    crate::normalized::NormalizedStableClusters::new(NormalizedParams::new(
+                        k, l_min,
+                    ))
                     .with_cancel(cancel),
-            )),
+                ))
+            }
             // check_spec rejected every cross pairing above; report the
             // mismatch as an error rather than aborting the process.
-            (kind, other) => Err(BscError::Unsupported {
+            (kind, _, other) => Err(BscError::Unsupported {
                 algorithm: "build",
                 reason: format!("check_spec admitted {kind} with {other:?}"),
             }),

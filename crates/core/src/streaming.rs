@@ -5,8 +5,11 @@
 //! of an interval only depend on the heaps of the preceding `g + 1`
 //! intervals, so when the clusters of interval `m + 1` arrive their heaps —
 //! and any new top-k paths — can be computed without touching older state.
-//! [`OnlineStableClusters`] keeps exactly that sliding window plus the global
-//! top-k heap and exposes [`OnlineStableClusters::push_interval`].
+//! [`OnlineStableClusters`] is therefore the batch sweep of [`crate::bfs`]
+//! fed one interval at a time: [`OnlineStableClusters::push_interval`]
+//! appends the interval to the graph-so-far and advances the same sweep —
+//! same window, same global heap, same inner loop — over it, so after every
+//! push the answer is bit-identical to batch BFS on the graph-so-far.
 //!
 //! For the long-lived query engine the stream is also the **graph source**:
 //! every push extends the graph-so-far by one interval through the
@@ -18,18 +21,16 @@
 //! atomically, so in-flight queries keep solving against the epoch they
 //! pinned while new intervals arrive.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bsc_graph::cluster::KeywordCluster;
 
 use crate::affinity::Affinity;
+use crate::bfs::{IntervalSweep, Ring};
 use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
 use crate::path::ClusterPath;
-use crate::path_tree::SharedPath;
 use crate::problem::KlStableParams;
 use crate::snapshot::{GraphSnapshot, SnapshotCell};
-use crate::topk::SharedTopK;
 
 /// Incremental solver for kl-stable clusters over a growing timeline.
 pub struct OnlineStableClusters {
@@ -38,11 +39,9 @@ pub struct OnlineStableClusters {
     /// gap, the interval count and each interval's node count that the next
     /// push is validated against.
     graph: Arc<ClusterGraph>,
-    /// Sliding window: per-node heaps `h^x` for the last `g + 1` intervals,
-    /// holding zero-copy [`SharedPath`] chains.
-    window: HashMap<ClusterNodeId, Vec<SharedTopK>>,
-    /// Global top-k heap of length-`l` paths.
-    global: SharedTopK,
+    /// Algorithm 2 paused after the last ingested interval: the sliding
+    /// window of per-node heaps and the global top-k of length-`l` paths.
+    sweep: IntervalSweep,
     /// Memoized [`OnlineStableClusters::current_top_k`] answer (invalidated
     /// by ingest): between ingests nothing structural changes, so the
     /// global heap need not be re-cloned and re-sorted per call.
@@ -67,8 +66,8 @@ impl OnlineStableClusters {
         OnlineStableClusters {
             params,
             graph: Arc::new(ClusterGraphBuilder::new(gap).build()),
-            window: HashMap::new(),
-            global: SharedTopK::new(params.k),
+            // Not anchored: the stream has no last interval to anchor to.
+            sweep: IntervalSweep::new(params, false, Ring::new(gap)),
             cached_top_k: None,
         }
     }
@@ -105,67 +104,11 @@ impl OnlineStableClusters {
     /// the gap or weight constraints.
     pub fn push_interval(&mut self, parent_edges: Vec<Vec<(ClusterNodeId, f64)>>) {
         let interval = self.graph.num_intervals() as u32;
-        let gap = self.graph.gap();
-        let l = self.params.l;
-        let k = self.params.k;
         self.graph = Arc::new(self.graph.append(&parent_edges));
-
-        let mut new_heaps: Vec<(ClusterNodeId, Vec<SharedTopK>)> = Vec::new();
-        for (index, parents) in parent_edges.into_iter().enumerate() {
-            let node = ClusterNodeId::new(interval, index as u32);
-            let max_len = l.min(interval) as usize;
-            let mut heaps: Vec<SharedTopK> = (0..max_len).map(|_| SharedTopK::new(k)).collect();
-            for (parent, weight) in parents {
-                let len = interval - parent.interval;
-                if len > l {
-                    continue;
-                }
-                let edge_path = SharedPath::singleton(parent).extend(node, weight);
-                if len == l {
-                    self.global.offer_by_weight(edge_path.clone());
-                }
-                heaps[len as usize - 1].offer_by_weight(edge_path);
-
-                if let Some(parent_heaps) = self.window.get(&parent) {
-                    for (x_index, heap) in parent_heaps.iter().enumerate() {
-                        let total = x_index as u32 + 1 + len;
-                        if total > l {
-                            break;
-                        }
-                        let bucket = total as usize - 1;
-                        for prefix in heap.iter() {
-                            let extended_weight = prefix.weight() + weight;
-                            let admit_bucket = heaps[bucket].would_admit(extended_weight);
-                            let admit_global =
-                                total == l && self.global.would_admit(extended_weight);
-                            if !admit_bucket && !admit_global {
-                                continue;
-                            }
-                            let extended = prefix.extend(node, weight);
-                            if admit_global {
-                                self.global.offer_by_weight(extended.clone());
-                            }
-                            if admit_bucket {
-                                heaps[bucket].offer_by_weight(extended);
-                            }
-                        }
-                    }
-                }
-            }
-            new_heaps.push((node, heaps));
-        }
-
+        // Neither way a sweep can fail exists here: no token, no storage.
+        let swept = self.sweep.advance(&self.graph, interval, None);
+        assert!(swept.is_ok(), "in-memory sweep failed: {swept:?}");
         self.cached_top_k = None;
-        for (node, heaps) in new_heaps {
-            self.window.insert(node, heaps);
-        }
-        // Evict intervals that can no longer be parents of future intervals.
-        if interval > gap {
-            let evict = interval - gap - 1;
-            for node in self.graph.interval_node_ids(evict) {
-                self.window.remove(&node);
-            }
-        }
     }
 
     /// The current top-k paths of length exactly `l`, in descending weight
@@ -178,13 +121,7 @@ impl OnlineStableClusters {
         if let Some(cached) = &self.cached_top_k {
             return cached.clone();
         }
-        let top: Vec<ClusterPath> = self
-            .global
-            .clone()
-            .into_sorted()
-            .iter()
-            .map(SharedPath::to_cluster_path)
-            .collect();
+        let top = self.sweep.top_k();
         self.cached_top_k = Some(top.clone());
         top
     }

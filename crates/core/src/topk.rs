@@ -168,7 +168,7 @@ impl<P: PathEntry> TopK<P> {
     /// Admission follows the strict total order (score descending, then
     /// [`PathEntry::tie_cmp`] ascending): the held set is always the unique
     /// top-k under that order, so it never depends on the order offers
-    /// arrive in — the property that makes the parallel BFS merge exact.
+    /// arrive in — the property that makes the windowed merge exact.
     pub fn offer_scored(&mut self, path: P, score: f64) -> bool {
         if self.k == 0 {
             return false;
@@ -210,8 +210,8 @@ impl<P: PathEntry> TopK<P> {
         self.offer_scored(path, score)
     }
 
-    /// Merge another heap into this one (used to combine the per-worker
-    /// heaps of the parallel BFS sweep). The top-k set under the total
+    /// Merge another heap into this one (used to combine the per-range
+    /// heaps of a windowed solve). The top-k set under the total
     /// (score, content) order is unique, so the merge order never affects
     /// the result.
     pub fn absorb(&mut self, other: TopK<P>) {

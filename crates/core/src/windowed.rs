@@ -39,16 +39,21 @@
 //! split into contiguous ranges by `balanced_ranges`. All workers share one
 //! [`CancelToken`], checked in full before every window: the first worker
 //! to fail trips it, its siblings stop at their next window, and the
-//! root-cause error wins over the `DeadlineExceeded` they report. `Auto`
-//! resolves once against the whole graph when one range was asked for — the
-//! graph the unsharded solve would read — and per window otherwise.
+//! root-cause error wins over the `DeadlineExceeded` they report.
+//!
+//! **`Auto`** resolves per window only when the *query* asked for
+//! `shards > 1` — what the oracle's `build_with_options` does when it wraps
+//! the query in a `ShardedSolver`. Otherwise it resolves once, against the
+//! whole graph the unsharded solve would read, however many ranges the
+//! placement forms on its own (a coordinator's default fan-out forms one per
+//! worker): a budget is a property of the query, not of where it runs.
 //!
 //! **Stats.** `shards` is the number of ranges formed; `threads` the range
-//! workers that ran concurrently (inner solvers run with `threads = 1`
-//! whenever more than one range formed, the caller's budget otherwise);
-//! peaks are max-merged within a worker and summed across concurrent
-//! workers; `windows_resolved` / `windows_spliced` count windows solved /
-//! reused, and a spliced window's historical counters are not re-counted.
+//! workers that ran concurrently — the one writer of that field, since
+//! every solver is sequential inside its window; peaks are max-merged
+//! within a worker and summed across concurrent workers;
+//! `windows_resolved` / `windows_spliced` count windows solved / reused,
+//! and a spliced window's historical counters are not re-counted.
 
 use std::ops::Range;
 
@@ -88,7 +93,8 @@ impl PathLength {
         }
     }
 
-    fn over(self, num_intervals: u32) -> u32 {
+    /// The length in a graph of `num_intervals` intervals.
+    pub(crate) fn over(self, num_intervals: u32) -> u32 {
         self.0.unwrap_or(num_intervals.saturating_sub(1))
     }
 }
@@ -137,7 +143,7 @@ impl Windowed<'_> {
         let m = graph.num_intervals() as u32;
         let l = self.length.over(m);
         self.algorithm = match self.algorithm {
-            AlgorithmKind::Auto { budget_bytes } if self.ranges <= 1 => {
+            AlgorithmKind::Auto { budget_bytes } if self.options.shards <= 1 => {
                 let spec = StableClusterSpec::ExactLength(l);
                 choose_algorithm(&GraphShape::of(graph), spec, k, budget_bytes)?
             }
@@ -167,10 +173,7 @@ impl Windowed<'_> {
             // the workers' kept windows in order yields start order.
             let chunk = ranges.len().div_ceil(workers.min(ranges.len()).max(1));
             let cancel = self.options.cancel.clone().unwrap_or_default();
-            let mut leaf = self.options.clone().cancel_token(Some(cancel.clone()));
-            if ranges.len() > 1 {
-                leaf.threads = 1; // the range workers are the parallelism
-            }
+            let leaf = self.options.clone().cancel_token(Some(cancel.clone()));
             let results: Vec<BscResult<Partial>> = if ranges.len() <= chunk {
                 vec![self.run_ranges(l, 0, &ranges, &leaf, &cancel)]
             } else {

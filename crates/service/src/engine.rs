@@ -81,7 +81,7 @@ impl TenantQuota {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads in the fixed pool. Must be ≥ 1. See
-    /// `docs/service.md` for sizing guidance (workers × per-query threads
+    /// `docs/service.md` for sizing guidance (workers × per-query shards
     /// should not exceed the machine's cores).
     pub workers: usize,
     /// Capacity of the bounded two-lane admission queue (shared across both
@@ -172,7 +172,7 @@ pub struct QueryRequest {
     pub spec: StableClusterSpec,
     /// Number of result paths.
     pub k: usize,
-    /// Per-query deployment options (threads, storage backend, shards).
+    /// Per-query deployment options (storage backend, shards, fan-out).
     pub options: SolverOptions,
 }
 
@@ -202,7 +202,6 @@ impl QueryRequest {
         // is billed and a priority changes how long the query waits — never
         // what the answer is — so such queries share cache entries.
         let SolverOptions {
-            threads,
             storage,
             bfs_store_backed,
             shards,
@@ -215,7 +214,7 @@ impl QueryRequest {
             .as_ref()
             .map_or_else(|| "none".to_string(), |f| f.to_string());
         format!(
-            "alg={}|spec={}|k={}|threads={threads}|storage={storage}|store_backed={bfs_store_backed}|shards={shards}|fanout={fanout}",
+            "alg={}|spec={}|k={}|storage={storage}|store_backed={bfs_store_backed}|shards={shards}|fanout={fanout}",
             self.algorithm, self.spec, self.k
         )
     }
@@ -224,11 +223,6 @@ impl QueryRequest {
         if self.k == 0 {
             return Err(BscError::InvalidConfig(
                 "k must be positive: a top-0 query returns nothing".into(),
-            ));
-        }
-        if self.options.threads == 0 {
-            return Err(BscError::InvalidConfig(
-                "threads must be >= 1 (1 = sequential)".into(),
             ));
         }
         if self.options.shards == 0 {

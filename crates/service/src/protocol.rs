@@ -11,7 +11,7 @@
 //! | op | fields | effect |
 //! |----|--------|--------|
 //! | `hello` | `version` | protocol handshake: echoes the server version and current epoch; a version mismatch fails fast (error response, session ends) |
-//! | `query` | `algorithm`, `spec`, `k`, `threads`, `storage`, `shards`, `workers`, `store_backed`, `deadline_ms`, `tenant`, `priority` | solve against the current epoch |
+//! | `query` | `algorithm`, `spec`, `k`, `storage`, `shards`, `workers`, `store_backed`, `deadline_ms`, `tenant`, `priority` | solve against the current epoch |
 //! | `load` | `num_intervals`, `nodes_per_interval`, `avg_out_degree`, `gap`, `seed` | install a synthetic graph as a new epoch |
 //! | `open_stream` | `k`, `l`, `gap` | start online ingest |
 //! | `push_interval` | `nodes`, `edges` | ingest one interval, publish a new epoch |
@@ -211,7 +211,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let priority = QueryPriority::parse(priority_name)
                 .ok_or_else(|| format!("unknown priority '{priority_name}' (high|normal)"))?;
             let options = SolverOptions::default()
-                .threads(field_usize(&doc, "threads", 1)?)
                 .storage(storage)
                 .bfs_store_backed(field_bool(&doc, "store_backed", false)?)
                 .shards(field_usize(&doc, "shards", 1)?)
@@ -345,11 +344,13 @@ mod tests {
 
     #[test]
     fn parses_a_full_query_request() {
-        let request = parse_request(
-            "{\"op\":\"query\",\"algorithm\":\"auto:4096\",\"spec\":\"exact:3\",\"k\":5,\
-             \"threads\":2,\"storage\":\"blockcache:8192\",\"shards\":3,\"store_backed\":true}",
-        )
-        .unwrap();
+        let line = "{\"op\":\"query\",\"algorithm\":\"auto:4096\",\"spec\":\"exact:3\",\"k\":5,\
+                    \"storage\":\"blockcache:8192\",\"shards\":3,\"store_backed\":true}";
+        let request = parse_request(line).unwrap();
+        // Unknown fields are ignored, so a client still sending the retired
+        // per-query `threads` knob gets the same request.
+        let with_threads = line.replace("\"k\":5,", "\"k\":5,\"threads\":2,");
+        assert_eq!(parse_request(&with_threads).unwrap(), request);
         let Request::Query(query) = request else {
             panic!("expected a query");
         };
@@ -361,7 +362,6 @@ mod tests {
         );
         assert_eq!(query.spec, StableClusterSpec::ExactLength(3));
         assert_eq!(query.k, 5);
-        assert_eq!(query.options.threads, 2);
         assert_eq!(
             query.options.storage,
             StorageSpec::BlockCache { budget_bytes: 8192 }

@@ -169,12 +169,28 @@ fn a_chain_of_appends_equals_one_build_over_the_same_edges() {
         for seed in [1u64, 2, 3] {
             let mut rng = DetRng::seed_from_u64(seed * 100 + u64::from(gap));
             let mut epochs = vec![empty_graph(gap)];
+            // The online solver is the batch sweep fed one interval at a
+            // time, so it must agree with batch BFS after *every* push —
+            // short paths, and an `l` no epoch here is long enough for.
+            let mut streams: Vec<(KlStableParams, OnlineStableClusters)> = [1, 2, 3, 12]
+                .map(|l| KlStableParams::new(4, l))
+                .map(|params| (params, OnlineStableClusters::new(params, gap)))
+                .into();
             for step in 0..9 {
                 let context = format!("gap={gap} seed={seed} step={step}");
                 let last = epochs.last().expect("an epoch");
-                let next = last.append(&random_interval(last, &mut rng));
+                let interval = random_interval(last, &mut rng);
+                let next = last.append(&interval);
                 assert_same_graph(&next, &rebuilt(&next), &context);
                 epochs.push(next);
+                for (params, stream) in &mut streams {
+                    stream.push_interval(interval.clone());
+                    let batch = BfsStableClusters::new(*params)
+                        .run(stream.graph())
+                        .expect("batch bfs");
+                    let context = format!("{context} online l={}", params.l);
+                    assert_identical(&batch, &stream.current_top_k(), &context);
+                }
             }
             // Appending never touched an epoch it started from.
             for (epoch, graph) in epochs.iter().enumerate() {

@@ -10,11 +10,12 @@
 //! in-process loopback transport, and [`solve_windows`] cold and warm — with
 //! identical deterministic counters and one stats rule.
 //!
-//! Env pins, mirroring the `BSC_STORAGE_BACKEND` loop CI already runs:
-//! `BSC_SHARDS` and `BSC_THREADS` select the configuration exercised by the
-//! env-pinned tests, and CI runs this binary across
-//! threads ∈ {1, 2, 4} × shards ∈ {1, 3} so determinism cannot regress
-//! behind the single-thread, single-shard default.
+//! Env pin, mirroring the `BSC_STORAGE_BACKEND` loop CI already runs:
+//! `BSC_SHARDS` selects the configuration exercised by the env-pinned
+//! tests, and CI runs this binary across shards ∈ {1, 2, 3, 8} so
+//! determinism cannot regress behind the single-shard default. Shard ranges
+//! are the only way one solve uses more than one core, so there is no
+//! thread count to pin beside them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -33,16 +34,6 @@ fn shards_from_env() -> usize {
             .parse()
             .unwrap_or_else(|_| panic!("unparseable BSC_SHARDS: {value:?}")),
         Err(_) => 3,
-    }
-}
-
-/// The thread count under test: `BSC_THREADS` when set, 2 otherwise.
-fn threads_from_env() -> usize {
-    match std::env::var("BSC_THREADS") {
-        Ok(value) => value
-            .parse()
-            .unwrap_or_else(|_| panic!("unparseable BSC_THREADS: {value:?}")),
-        Err(_) => 2,
     }
 }
 
@@ -458,30 +449,25 @@ fn sharded_ta_serves_subpath_queries() {
     }
 }
 
-/// The env-pinned configuration (threads × shards from the CI matrix) must
-/// reproduce the single-thread single-shard pipeline output bit for bit.
+/// The env-pinned configuration (the shard count from the CI matrix, run on
+/// that many shard threads) must reproduce the single-shard pipeline output
+/// bit for bit.
 #[test]
 fn env_pinned_threads_and_shards_match_the_default_pipeline() {
     let shards = shards_from_env();
-    let threads = threads_from_env();
     let corpus = SyntheticBlogosphere::new(SyntheticConfig::small()).generate();
     let baseline = Pipeline::new(PipelineParams::default().exact_length(2))
         .expect("valid baseline params")
         .run(&corpus)
         .expect("baseline pipeline");
-    let pinned = Pipeline::new(
-        PipelineParams::default()
-            .exact_length(2)
-            .threads(threads)
-            .shards(shards),
-    )
-    .unwrap_or_else(|e| panic!("threads={threads} shards={shards}: {e}"))
-    .run(&corpus)
-    .expect("pinned pipeline");
+    let pinned = Pipeline::new(PipelineParams::default().exact_length(2).shards(shards))
+        .unwrap_or_else(|e| panic!("shards={shards}: {e}"))
+        .run(&corpus)
+        .expect("pinned pipeline");
     assert_identical(
         &baseline.stable_paths,
         &pinned.stable_paths,
-        &format!("pipeline threads={threads} shards={shards}"),
+        &format!("pipeline shards={shards}"),
     );
     if shards > 1 {
         assert!(pinned.solver_stats.shards > 0, "sharded stats not reported");
