@@ -181,15 +181,15 @@ pub fn table3(scale: Scale) -> Table {
 /// Table 3 ablation: the BFS hot-path rework measured on the Table 3
 /// workload shape at bench scale. Two implementations on identical graphs —
 /// the seed-style clone-based BFS (`ClusterPath` vectors + `HashMap`
-/// window) and the zero-copy path-tree/CSR solver — verified to return
+/// window) and the flat-table/CSR solver — verified to return
 /// identical top-k paths before timing.
 pub fn table3_ablation(scale: Scale) -> Table {
     let n = scale.pick(2_000, 4_000);
     let (m, d, g) = (12usize, 5u32, 1u32);
     let k = 5;
     let mut table = Table::new(
-        "Table 3 ablation: seed-style BFS vs path-tree/CSR",
-        &["workload", "seed-BFS(s)", "BFS(s)", "speedup(path-tree)"],
+        "Table 3 ablation: seed-style BFS vs flat-table/CSR",
+        &["workload", "seed-BFS(s)", "BFS(s)", "speedup(flat-table)"],
     );
     let graph = cluster_graph(m, n, d, g, SEED);
     let specs: Vec<(String, u32)> = vec![
@@ -200,7 +200,7 @@ pub fn table3_ablation(scale: Scale) -> Table {
         let params = KlStableParams::new(k, l);
         let (seed_paths, seed_time) = timed(|| crate::reference::seed_style_bfs(params, &graph));
         let (paths, time) = timed(|| BfsStableClusters::new(params).run(&graph).expect("bfs"));
-        assert_paths_equal(&seed_paths, &paths, "seed vs path-tree");
+        assert_paths_equal(&seed_paths, &paths, "seed vs flat-table");
         table.push_row(vec![
             label,
             seconds(seed_time),
@@ -211,7 +211,7 @@ pub fn table3_ablation(scale: Scale) -> Table {
     table.push_note(format!(
         "m = {m}, n = {n}, d = {d}, g = {g}, k = {k}; identical top-k verified across both"
     ));
-    table.push_note("speedup(path-tree) = clone-based seed / path-tree rework");
+    table.push_note("speedup(flat-table) = clone-based seed / flat heap tables + link arena");
     table
 }
 

@@ -3,7 +3,7 @@
 //! This is the pre-optimization hot loop of Algorithm 2 — `ClusterPath`
 //! vectors cloned on every heap offer and a `HashMap` sliding window —
 //! preserved verbatim so the `repro table3` ablation can measure what the
-//! zero-copy path tree, the ring-buffer window and the worst-score fast path
+//! flat heap tables, the per-interval window and the worst-score fast path
 //! buy on identical inputs. It is *not* part of the production API: use
 //! [`bsc_core::bfs::BfsStableClusters`] for real work.
 

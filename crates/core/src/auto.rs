@@ -40,6 +40,13 @@ const PATH_LINK_BYTES: u64 = 56;
 /// Estimated bytes per heap entry holding a scored path handle.
 const HEAP_ENTRY_BYTES: u64 = 24;
 
+/// Bytes per slot of a BFS row: an `f64` weight and a `u32` cell index,
+/// padded (see [`crate::bfs`]).
+const BFS_SLOT_BYTES: u64 = 16;
+
+/// Bytes per cell of a BFS link arena: a `ClusterNodeId` and a `u32`.
+const BFS_LINK_BYTES: u64 = 12;
+
 /// The shape parameters of a cluster graph that drive algorithm selection —
 /// the paper's (m, n, d, g) axes, read off a built [`ClusterGraph`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,16 +99,24 @@ impl GraphShape {
     }
 }
 
-/// Estimated resident footprint of the in-memory BFS (Algorithm 2): a
-/// sliding window of `g + 2` intervals, each holding up to `n_max` nodes
-/// with `l` bounded heaps of `k` shared-path chains.
+/// Estimated resident footprint of the in-memory BFS (Algorithm 2): every
+/// interval holds up to `n_max` nodes with `l` rows of `k` subpaths, each a
+/// slot and a link cell in flat arrays; the slots stay for a sliding window
+/// of `g + 2` intervals, the link cells for the `l + g + 1` intervals a
+/// held chain can reach back through.
 pub fn bfs_resident_bytes(shape: &GraphShape, k: usize, l: u64) -> u64 {
+    let l = l.max(1);
     let window = u64::from(shape.gap) + 2;
-    window
-        .saturating_mul(shape.max_interval_nodes)
-        .saturating_mul(l.max(1))
+    let per_path = window.saturating_mul(BFS_SLOT_BYTES).saturating_add(
+        (window - 1)
+            .saturating_add(l)
+            .saturating_mul(BFS_LINK_BYTES),
+    );
+    shape
+        .max_interval_nodes
+        .saturating_mul(l)
         .saturating_mul(k as u64)
-        .saturating_mul(PATH_LINK_BYTES + HEAP_ENTRY_BYTES)
+        .saturating_mul(per_path)
 }
 
 /// Estimated resident footprint of the TA adaptation: both sorted edge-list
@@ -131,9 +146,15 @@ pub fn dfs_resident_bytes(shape: &GraphShape, k: usize, l: u64) -> u64 {
 }
 
 /// Estimated resident footprint of the normalized solver (Problem 2): the
-/// BFS framework with heaps for *every* length up to `m − 1`.
+/// BFS framework — a sliding window of `g + 2` intervals of up to `n_max`
+/// nodes — with heaps of `k` shared-path chains for *every* length up to
+/// `m − 1`.
 pub fn normalized_resident_bytes(shape: &GraphShape, k: usize) -> u64 {
-    bfs_resident_bytes(shape, k, shape.num_intervals.saturating_sub(1) as u64)
+    (u64::from(shape.gap) + 2)
+        .saturating_mul(shape.max_interval_nodes)
+        .saturating_mul((shape.num_intervals.saturating_sub(1) as u64).max(1))
+        .saturating_mul(k as u64)
+        .saturating_mul(PATH_LINK_BYTES + HEAP_ENTRY_BYTES)
 }
 
 /// Pick the concrete algorithm for `spec` over a graph of this shape under
@@ -295,8 +316,10 @@ mod tests {
     #[test]
     fn ta_is_picked_below_the_table3_crossover_when_bfs_does_not_fit() {
         // A budget strictly between the TA and BFS estimates: BFS is ruled
-        // out, TA fits, and the m <= 6 crossover decides TA vs DFS.
-        for m in [3, TA_CROSSOVER_INTERVALS] {
+        // out, TA fits, and the m <= 6 crossover decides TA vs DFS. (Such a
+        // budget exists from m = 4 on: at m = 3 the flat BFS tables are
+        // estimated below TA's edge lists.)
+        for m in [4, TA_CROSSOVER_INTERVALS] {
             let shape = table3_shape(m);
             let l = (m - 1) as u64;
             let budget = ta_resident_bytes(&shape, 5).max(dfs_resident_bytes(&shape, 5, l)) + 1;
@@ -327,11 +350,13 @@ mod tests {
     #[test]
     fn subpath_queries_never_pick_ta() {
         // TA only materializes full paths; below the crossover a subpath
-        // query under BFS-excluding pressure must go to DFS.
+        // query under BFS-excluding pressure must go to DFS. (k = 20: at
+        // k = 5 no budget admits TA's edge lists and excludes BFS.)
         let shape = table3_shape(4);
-        let budget = ta_resident_bytes(&shape, 5).max(dfs_resident_bytes(&shape, 5, 2)) + 1;
+        let budget = ta_resident_bytes(&shape, 20).max(dfs_resident_bytes(&shape, 20, 2)) + 1;
+        assert!(budget < bfs_resident_bytes(&shape, 20, 2));
         let choice =
-            choose_algorithm(&shape, StableClusterSpec::ExactLength(2), 5, Some(budget)).unwrap();
+            choose_algorithm(&shape, StableClusterSpec::ExactLength(2), 20, Some(budget)).unwrap();
         assert_eq!(choice, AlgorithmKind::Dfs);
     }
 

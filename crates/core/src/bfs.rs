@@ -20,17 +20,32 @@
 //!   ([`OnlineStableClusters`](crate::streaming::OnlineStableClusters))
 //!   appends an interval to its graph and advances over it;
 //! * the secondary-storage variant ([`BfsConfig::on_disk`]) is the same
-//!   step behind the `HeapWindow` seam, which answers "where do a parent's
-//!   heaps live, and what does a prefix held there look like". In memory
-//!   that is a ring of `g + 2` interval slots indexed by
-//!   `interval % (g + 2)` and node index — no hashing on parent lookups —
-//!   holding zero-copy [`SharedPath`] chains, so extending a prefix by one
-//!   edge is one `Arc` allocation, never a `Vec` clone. Store-backed it is
-//!   a [`bsc_storage::NodeStore`] over the [`StorageSpec`] backend picked
-//!   by [`BfsConfig::store_backed`], holding `(weight, node ids)` records
-//!   that are materialized only once a candidate is admitted — the
-//!   pseudocode's "save `c_ij` along with `h^x_ij` to disk", read back with
-//!   random I/O.
+//!   step behind the `HeapWindow` seam, which answers "where do the rows of
+//!   a parent live". In memory that is one flat table per swept interval;
+//!   store-backed it is a [`bsc_storage::NodeStore`] over the
+//!   [`StorageSpec`] backend picked by [`BfsConfig::store_backed`], holding
+//!   `(weight, node ids)` records — the pseudocode's "save `c_ij` along with
+//!   `h^x_ij` to disk", read back with random I/O and decoded into the same
+//!   table form.
+//!
+//! A heap `h^x_ij` is a row of a table: a binary min-heap over a slice of
+//! 16-byte `(weight, link)` slots, addressed by node index and length — no
+//! hashing, no pointer per heap. The subpath behind a slot is a chain of
+//! 12-byte `(node, previous link)` cells in the table's link arena, so
+//! extending a prefix by one edge writes one cell and shares the prefix's
+//! cells with every sibling extension; the cell is written only once a row
+//! admits the candidate, and a candidate that evicts a row's worst subpath
+//! takes over that subpath's cell, so an arena holds exactly the links of
+//! the slots that survive. Nothing in the sweep is allocated per candidate,
+//! per heap or per node: a row is sized before it is filled, to
+//! `min(k, candidates it will be offered)`; an interval's table is three
+//! vectors, recycled from the table that has just fallen out of reach. The
+//! rows of an interval are kept for `g + 1` further intervals (its possible
+//! children), its link cells for `l + g` (the reach of a chain held by those
+//! children), so what a sweep retains is bounded by `l` and `g` however long
+//! the online driver keeps it alive. Only the global heap `H` holds
+//! materialized [`ClusterPath`]s — built behind its `would_admit` check —
+//! so an answer never points into a table.
 //!
 //! The sweep is sequential. A solve uses more than one core through shard
 //! ranges (`docs/sharding.md`, "How a solve uses cores"), never inside one
@@ -38,7 +53,9 @@
 //! depend on who offered a path or in which order, so every driver and
 //! every placement produces the identical `Solution`.
 
-use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::VecDeque;
+use std::ops::Range;
 
 use bsc_storage::backend::StorageSpec;
 use bsc_storage::io_stats::IoScope;
@@ -46,14 +63,13 @@ use bsc_storage::node_store::NodeStore;
 use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterGraph, ClusterNodeId};
-use crate::error::BscResult;
+use crate::error::{BscError, BscResult};
 use crate::path::ClusterPath;
-use crate::path_tree::SharedPath;
 use crate::problem::KlStableParams;
 use crate::solver::{
     check_not_expired, deadline_error, AlgorithmKind, Solution, SolverStats, StableClusterSolver,
 };
-use crate::topk::SharedTopK;
+use crate::topk::TopKPaths;
 
 /// Configuration of the BFS algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -94,155 +110,429 @@ pub struct BfsStats {
     pub nodes_processed: u64,
 }
 
-/// Where the heaps of already-swept intervals live and what a prefix held
-/// there looks like — the one seam between the in-memory and the
-/// store-backed sweep (what `StateStore` is to `dfs.rs`), monomorphised
-/// into [`IntervalSweep::advance`].
-pub(crate) trait HeapWindow {
-    /// One heap `h^x` of an already-swept node.
-    type Heap: Clone;
-    /// One subpath held in such a heap.
-    type Prefix: 'static;
+/// "No cell": a [`Link`] with this `prev` starts its subpath at its own node.
+const NO_LINK: u32 = u32::MAX;
 
-    /// Make room for `interval`, about to be swept with `num_nodes` nodes.
-    fn open(&mut self, interval: u32, num_nodes: usize);
-    /// Take over a swept node's heaps (the pseudocode's "save `c_ij` along
-    /// with `h^x_ij`").
-    fn keep(&mut self, node: ClusterNodeId, heaps: Vec<SharedTopK>) -> BscResult<()>;
-    /// The heaps of `parent`, indexed by length − 1; `None` when nothing is
-    /// held for it.
-    fn parent_heaps(&mut self, parent: ClusterNodeId) -> BscResult<Option<Cow<'_, [Self::Heap]>>>;
-    /// The subpaths held in `heap`, in arbitrary order.
-    fn prefixes(heap: &Self::Heap) -> impl Iterator<Item = &Self::Prefix>;
-    /// A held subpath's weight — all the admission check needs.
-    fn weight(prefix: &Self::Prefix) -> f64;
-    /// `prefix` extended by the edge to `node`; called only for candidates
-    /// some heap admits.
-    fn extend(prefix: &Self::Prefix, node: ClusterNodeId, weight: f64) -> SharedPath;
+/// One subpath held in a row: its weight and the cell of the table's link
+/// arena that says how it reaches the row's node.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    weight: f64,
+    link: u32,
+}
+
+/// How a held subpath reaches its last node: over an edge from `node`,
+/// after the subpath in cell `prev` of the table that holds `node`'s rows
+/// ([`NO_LINK`]: the subpath starts at `node`). A subpath is the chain of
+/// its links, latest edge first; subpaths extending one prefix share the
+/// prefix's cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Link {
+    node: ClusterNodeId,
+    prev: u32,
+}
+
+/// The empty prefix every node offers its children: extending it by an edge
+/// is the base case, the edge itself as a path.
+static BARE_EDGE: [Slot; 1] = [Slot {
+    weight: 0.0,
+    link: NO_LINK,
+}];
+
+/// The heaps `h^x` of some nodes as one flat table. Row `r` is
+/// `slots[starts[r]..starts[r + 1]]`, a binary min-heap under the
+/// `(weight, content)` order whose root is the subpath the next admission
+/// evicts; a node's rows are adjacent, indexed by length − 1. `links` is the
+/// arena the slots point into, one cell per slot: a candidate that evicts a
+/// row's root takes over the root's cell, so the arena never holds a link no
+/// slot owns.
+#[derive(Debug)]
+pub(crate) struct Table {
+    starts: Vec<u32>,
+    slots: Vec<Slot>,
+    links: Vec<Link>,
+    /// Slots in use per row while the rows are being filled (only in the
+    /// sweep's table of the node in progress; a finished row is full).
+    filled: Vec<u32>,
+}
+
+/// More held subpaths than a `u32` cell index can address.
+fn table_overflow() -> BscError {
+    BscError::InvalidConfig(
+        "the BFS heaps of one interval would hold more than 2^32 subpaths; lower k".to_string(),
+    )
+}
+
+impl Table {
+    fn new() -> Table {
+        Table {
+            starts: vec![0],
+            slots: Vec::new(),
+            links: Vec::new(),
+            filled: Vec::new(),
+        }
+    }
+
+    /// Empty the table, keeping its buffers.
+    fn reset(&mut self) {
+        self.starts.clear();
+        self.starts.push(0);
+        self.slots.clear();
+        self.links.clear();
+        self.filled.clear();
+    }
+
+    /// Start over with one empty row per entry of `room`, each with that
+    /// many slots.
+    fn lay_out(&mut self, room: &[usize]) -> BscResult<()> {
+        self.reset();
+        let total = room.iter().fold(0usize, |sum, &r| sum.saturating_add(r));
+        if u32::try_from(total).map_or(true, |t| t == NO_LINK) {
+            return Err(table_overflow());
+        }
+        let mut end = 0u32;
+        self.starts.extend(room.iter().map(|&r| {
+            end += r as u32;
+            end
+        }));
+        let blank = Link {
+            node: ClusterNodeId::new(0, 0),
+            prev: NO_LINK,
+        };
+        self.slots.resize(total, BARE_EDGE[0]);
+        self.links.resize(total, blank);
+        self.filled.resize(room.len(), 0);
+        Ok(())
+    }
+
+    fn row(&self, row: usize) -> &[Slot] {
+        &self.slots[self.starts[row] as usize..self.starts[row + 1] as usize]
+    }
+
+    /// The subpaths of length `x` a parent whose rows are `rows` offers its
+    /// children: its row `h^x`, or for `x = 0` the empty prefix.
+    fn prefixes(&self, rows: &Range<usize>, x: usize) -> &[Slot] {
+        match x {
+            0 => &BARE_EDGE,
+            _ => self.row(rows.start + x - 1),
+        }
+    }
+
+    /// Could row `row` admit a candidate of this weight right now? As
+    /// [`TopK::would_admit`](crate::topk::TopK::would_admit): `true` means
+    /// it enters unless it ties the root and loses the content tie-break.
+    fn would_admit(&self, row: usize, weight: f64) -> bool {
+        let (start, end) = (self.starts[row], self.starts[row + 1]);
+        start + self.filled[row] < end
+            || (start < end && weight >= self.slots[start as usize].weight)
+    }
+
+    /// Offer row `row` the subpath `link` of weight `weight`; the row keeps
+    /// the unique top subpaths under the `(weight, content)` order, whatever
+    /// the order of offers.
+    fn offer<W: HeapWindow>(&mut self, window: &W, row: usize, weight: f64, link: Link) {
+        let start = self.starts[row] as usize;
+        let end = self.starts[row + 1] as usize;
+        let cell = start + self.filled[row] as usize;
+        if cell < end {
+            self.links[cell] = link;
+            self.slots[cell] = Slot {
+                weight,
+                link: cell as u32,
+            };
+            self.filled[row] += 1;
+            sift_up(
+                window,
+                &self.links,
+                &mut self.slots[start..=cell],
+                cell - start,
+            );
+            return;
+        }
+        let root = self.slots[start];
+        let admitted = match weight.total_cmp(&root.weight) {
+            Ordering::Less => false,
+            Ordering::Equal => {
+                chain_cmp(window, Some(link), Some(self.links[root.link as usize]))
+                    == Ordering::Less
+            }
+            Ordering::Greater => true,
+        };
+        if admitted {
+            self.links[root.link as usize] = link;
+            self.slots[start].weight = weight;
+            sift_down(window, &self.links, &mut self.slots[start..end], 0);
+        }
+    }
+}
+
+/// The link before `link` on its chain, `None` at the chain's first node.
+fn prev_link<W: HeapWindow>(window: &W, link: Link) -> Option<Link> {
+    (link.prev != NO_LINK).then(|| window.table(link.node.interval).links[link.prev as usize])
+}
+
+/// Order two subpaths that end at the same node by content, exactly as
+/// [`ClusterPath::tie_break_key`] orders the materialized node sequences —
+/// front to back by `(interval, index)` — without materializing either.
+/// The chains are walked latest node first, in step by interval, and the
+/// recursion lets the earliest difference decide: a node in an interval the
+/// other path skips sorts its path first (the other's node at that position
+/// is later), a shared cell ends the walk. Depth is bounded by the two
+/// paths' node counts.
+fn chain_cmp<W: HeapWindow>(window: &W, a: Option<Link>, b: Option<Link>) -> Ordering {
+    match (a, b) {
+        (None, None) => Ordering::Equal,
+        (Some(a), None) => chain_cmp(window, prev_link(window, a), None).then(Ordering::Less),
+        (None, Some(b)) => chain_cmp(window, None, prev_link(window, b)).then(Ordering::Greater),
+        (Some(x), Some(y)) if x == y => Ordering::Equal,
+        (Some(x), Some(y)) => match x.node.interval.cmp(&y.node.interval) {
+            Ordering::Greater => chain_cmp(window, prev_link(window, x), b).then(Ordering::Less),
+            Ordering::Less => chain_cmp(window, a, prev_link(window, y)).then(Ordering::Greater),
+            Ordering::Equal => chain_cmp(window, prev_link(window, x), prev_link(window, y))
+                .then(x.node.index.cmp(&y.node.index)),
+        },
+    }
+}
+
+/// Is `a` evicted before `b`: lower weight, or equal weight and later
+/// content? `links` is the arena both slots point into.
+fn evicted_first<W: HeapWindow>(window: &W, links: &[Link], a: Slot, b: Slot) -> bool {
+    let order = a.weight.total_cmp(&b.weight).then_with(|| {
+        let (a, b) = (links[a.link as usize], links[b.link as usize]);
+        chain_cmp(window, Some(b), Some(a))
+    });
+    order == Ordering::Less
+}
+
+/// Restore the heap order of `row` after its slot `at` was appended.
+/// Recursion depth is `log2` of the row.
+fn sift_up<W: HeapWindow>(window: &W, links: &[Link], row: &mut [Slot], at: usize) {
+    if at == 0 {
+        return;
+    }
+    let parent = (at - 1) / 2;
+    if evicted_first(window, links, row[at], row[parent]) {
+        row.swap(at, parent);
+        sift_up(window, links, row, parent);
+    }
+}
+
+/// Restore the heap order of `row` after its slot `at` was replaced.
+fn sift_down<W: HeapWindow>(window: &W, links: &[Link], row: &mut [Slot], at: usize) {
+    let left = 2 * at + 1;
+    if left >= row.len() {
+        return;
+    }
+    let right = left + 1;
+    let child = if right < row.len() && evicted_first(window, links, row[right], row[left]) {
+        right
+    } else {
+        left
+    };
+    if evicted_first(window, links, row[child], row[at]) {
+        row.swap(at, child);
+        sift_down(window, links, row, child);
+    }
+}
+
+/// The nodes of the subpath `link` extended to `last`, in temporal order.
+fn chain_nodes<W: HeapWindow>(window: &W, link: Link, last: ClusterNodeId) -> Vec<ClusterNodeId> {
+    let chain = std::iter::successors(Some(link), |&at| prev_link(window, at));
+    let mut nodes: Vec<ClusterNodeId> = std::iter::once(last)
+        .chain(chain.map(|at| at.node))
+        .collect();
+    nodes.reverse();
+    nodes
+}
+
+/// Where the rows of already-swept nodes live — the one seam between the
+/// in-memory and the store-backed sweep (what `StateStore` is to `dfs.rs`),
+/// monomorphised into [`IntervalSweep::advance`]. Either way a held subpath
+/// reads as a [`Slot`] of a [`Table`] and a chain of [`Link`]s.
+pub(crate) trait HeapWindow {
+    /// Make room for `interval`, about to be swept with `num_nodes` nodes,
+    /// and let go of what no later interval can reach.
+    fn open(&mut self, interval: u32, num_nodes: u32);
+    /// Make the rows of `parent` readable: their row numbers in
+    /// `self.table(parent.interval)`, by length − 1 (empty when nothing is
+    /// held for it). They stay readable until `parent`'s child is kept.
+    fn load(&mut self, parent: ClusterNodeId) -> BscResult<Range<usize>>;
+    /// The table holding the rows and the link cells of `interval`'s nodes.
+    fn table(&self, interval: u32) -> &Table;
+    /// Take over a swept node's rows (the pseudocode's "save `c_ij` along
+    /// with `h^x_ij`"); `rows` is reused for the next node.
+    fn keep(&mut self, node: ClusterNodeId, rows: &Table) -> BscResult<()>;
     /// Paths currently held in memory.
     fn resident_paths(&self) -> usize;
 }
 
-/// The in-memory window: a ring of `g + 2` interval slots, each the
-/// interval it holds (`u32::MAX` when empty) and that interval's per-node
-/// heaps. A parent of interval `i` lies in `[i − g − 1, i − 1]`, which never
-/// collides with the slot `i` itself overwrites (that of `i − g − 2`).
+/// The in-memory window: one [`Table`] per swept interval, consecutive
+/// intervals from `oldest` on; a node of interval `i` has `min(l, i)` rows.
+/// A parent of interval `i` lies in `[i − g − 1, i − 1]`, so only the last
+/// `g + 2` tables keep their rows; a subpath held there has length at most
+/// `l`, so its chain reaches back at most `l` intervals further, and a table
+/// is dropped whole once the sweep is `l + g + 1` intervals past it. What a
+/// sweep retains is therefore bounded by `l` and `g`, not by how long it
+/// has run.
 pub(crate) struct Ring {
-    slots: Vec<(u32, Vec<Vec<SharedTopK>>)>,
-    resident: usize,
+    gap: u32,
+    l: u32,
+    oldest: u32,
+    tables: VecDeque<Table>,
 }
 
 impl Ring {
-    pub(crate) fn new(gap: u32) -> Self {
+    pub(crate) fn new(gap: u32, l: u32) -> Self {
         Ring {
-            slots: (0..gap as usize + 2)
-                .map(|_| (u32::MAX, Vec::new()))
-                .collect(),
-            resident: 0,
+            gap,
+            l,
+            oldest: 0,
+            tables: VecDeque::new(),
         }
     }
-
-    fn slot(&mut self, interval: u32) -> &mut (u32, Vec<Vec<SharedTopK>>) {
-        let slots = self.slots.len();
-        &mut self.slots[interval as usize % slots]
-    }
-}
-
-fn held_paths(heaps: &[SharedTopK]) -> usize {
-    heaps.iter().map(SharedTopK::len).sum()
 }
 
 impl HeapWindow for Ring {
-    type Heap = SharedTopK;
-    type Prefix = SharedPath;
-
-    fn open(&mut self, interval: u32, num_nodes: usize) {
-        let evicted = std::mem::replace(
-            self.slot(interval),
-            (interval, Vec::with_capacity(num_nodes)),
-        );
-        self.resident -= evicted.1.iter().map(|h| held_paths(h)).sum::<usize>();
+    fn open(&mut self, interval: u32, num_nodes: u32) {
+        // The table `age` intervals back sits `age` places from the end.
+        let reach = (self.gap as usize).saturating_add(1);
+        if self.tables.is_empty() {
+            self.oldest = interval;
+        }
+        // A table out of every chain's reach donates its buffers to the
+        // new one; so does the row part of the table that just lost its
+        // last possible child.
+        let expired = self.tables.len() >= reach.saturating_add(self.l as usize);
+        let mut table = expired
+            .then(|| self.tables.pop_front())
+            .flatten()
+            .unwrap_or_else(Table::new);
+        self.oldest += u32::from(expired);
+        let childless = self.tables.len().checked_sub(reach.saturating_add(1));
+        if let Some(childless) = childless.and_then(|at| self.tables.get_mut(at)) {
+            table.starts = std::mem::take(&mut childless.starts);
+            table.slots = std::mem::take(&mut childless.slots);
+        }
+        table.reset();
+        let likely = self.tables.back().map_or(0, |t| t.links.len());
+        table
+            .starts
+            .reserve(num_nodes as usize * self.l.min(interval) as usize);
+        table.slots.reserve(likely);
+        table.links.reserve(likely);
+        self.tables.push_back(table);
     }
 
-    fn keep(&mut self, node: ClusterNodeId, heaps: Vec<SharedTopK>) -> BscResult<()> {
-        self.resident += held_paths(&heaps);
-        self.slot(node.interval).1.push(heaps);
+    fn load(&mut self, parent: ClusterNodeId) -> BscResult<Range<usize>> {
+        let held = parent.interval.checked_sub(self.oldest);
+        let Some(table) = held.and_then(|at| self.tables.get(at as usize)) else {
+            return Ok(0..0);
+        };
+        let rows_per_node = self.l.min(parent.interval) as usize;
+        let first = parent.index as usize * rows_per_node;
+        let end = first + rows_per_node;
+        Ok(if end < table.starts.len() {
+            first..end
+        } else {
+            0..0
+        })
+    }
+
+    fn table(&self, interval: u32) -> &Table {
+        &self.tables[(interval - self.oldest) as usize]
+    }
+
+    fn keep(&mut self, _node: ClusterNodeId, rows: &Table) -> BscResult<()> {
+        let Some(table) = self.tables.back_mut() else {
+            return Ok(());
+        };
+        // The node's cells go behind the interval's: shift what points at them.
+        let base = table.links.len();
+        let shift = match u32::try_from(base + rows.links.len()) {
+            Ok(end) if end != NO_LINK => base as u32,
+            _ => return Err(table_overflow()),
+        };
+        table
+            .starts
+            .extend(rows.starts[1..].iter().map(|&s| s + shift));
+        table.slots.extend(rows.slots.iter().map(|s| Slot {
+            weight: s.weight,
+            link: s.link + shift,
+        }));
+        table.links.extend_from_slice(&rows.links);
         Ok(())
     }
 
-    fn parent_heaps(&mut self, parent: ClusterNodeId) -> BscResult<Option<Cow<'_, [SharedTopK]>>> {
-        let (held_interval, heaps) = &self.slots[parent.interval as usize % self.slots.len()];
-        if *held_interval != parent.interval {
-            return Ok(None);
-        }
-        let heaps = heaps.get(parent.index as usize);
-        Ok(heaps.map(|heaps| Cow::Borrowed(heaps.as_slice())))
-    }
-
-    fn prefixes(heap: &SharedTopK) -> impl Iterator<Item = &SharedPath> {
-        heap.iter()
-    }
-
-    fn weight(prefix: &SharedPath) -> f64 {
-        prefix.weight()
-    }
-
-    fn extend(prefix: &SharedPath, node: ClusterNodeId, weight: f64) -> SharedPath {
-        prefix.extend(node, weight)
-    }
-
     fn resident_paths(&self) -> usize {
-        self.resident
+        self.tables.iter().map(|t| t.slots.len()).sum()
     }
 }
 
 /// Serialized form of one held subpath: `(weight, node ids)`.
 type StoredPrefix = (f64, Vec<u64>);
 
-/// The secondary-storage window: every node's heaps in a [`NodeStore`],
-/// for each length `x` (1-based) the subpaths as [`StoredPrefix`] records.
-struct Stored(NodeStore<u64, Vec<Vec<StoredPrefix>>>);
+/// The secondary-storage window: every node's rows in a [`NodeStore`], for
+/// each length `x` (1-based) the subpaths as [`StoredPrefix`] records.
+/// `parents` holds the records of the node in progress's parents, decoded
+/// into slots and link chains; whatever the interval, it is the one table.
+struct Stored {
+    store: NodeStore<u64, Vec<Vec<StoredPrefix>>>,
+    parents: Table,
+}
 
 impl HeapWindow for Stored {
-    type Heap = Vec<StoredPrefix>;
-    type Prefix = StoredPrefix;
+    fn open(&mut self, _interval: u32, _num_nodes: u32) {}
 
-    fn open(&mut self, _interval: u32, _num_nodes: usize) {}
+    fn load(&mut self, parent: ClusterNodeId) -> BscResult<Range<usize>> {
+        let Some(record) = self.store.get(&parent.to_u64())? else {
+            return Ok(0..0);
+        };
+        let Table {
+            starts,
+            slots,
+            links,
+            ..
+        } = &mut self.parents;
+        let first = starts.len() - 1;
+        record.iter().try_for_each(|row| {
+            slots.extend(row.iter().map(|(weight, ids)| {
+                // The record spells the subpath out, `parent` last; the
+                // sweep wants the chain of the nodes before it.
+                let before = &ids[..ids.len().saturating_sub(1)];
+                let link = before.iter().fold(NO_LINK, |prev, &id| {
+                    links.push(Link {
+                        node: ClusterNodeId::from_u64(id),
+                        prev,
+                    });
+                    (links.len() - 1) as u32
+                });
+                Slot {
+                    weight: *weight,
+                    link,
+                }
+            }));
+            starts.push(u32::try_from(slots.len()).map_err(|_| table_overflow())?);
+            Ok::<(), BscError>(())
+        })?;
+        Ok(first..first + record.len())
+    }
 
-    fn keep(&mut self, node: ClusterNodeId, heaps: Vec<SharedTopK>) -> BscResult<()> {
-        let stored: Vec<Vec<StoredPrefix>> = heaps
-            .iter()
-            .map(|heap| {
-                heap.iter()
-                    .map(|p| (p.weight(), p.nodes().iter().map(|n| n.to_u64()).collect()))
-                    .collect()
+    fn table(&self, _interval: u32) -> &Table {
+        &self.parents
+    }
+
+    fn keep(&mut self, node: ClusterNodeId, rows: &Table) -> BscResult<()> {
+        let record: Vec<Vec<StoredPrefix>> = (0..rows.filled.len())
+            .map(|row| {
+                let encode = |slot: &Slot| {
+                    let nodes = chain_nodes(self, rows.links[slot.link as usize], node);
+                    (slot.weight, nodes.iter().map(|n| n.to_u64()).collect())
+                };
+                rows.row(row).iter().map(encode).collect()
             })
             .collect();
-        Ok(self.0.put(&node.to_u64(), &stored)?)
-    }
-
-    fn parent_heaps(
-        &mut self,
-        parent: ClusterNodeId,
-    ) -> BscResult<Option<Cow<'_, [Vec<StoredPrefix>]>>> {
-        Ok(self.0.get(&parent.to_u64())?.map(Cow::Owned))
-    }
-
-    fn prefixes(heap: &Vec<StoredPrefix>) -> impl Iterator<Item = &StoredPrefix> {
-        heap.iter()
-    }
-
-    fn weight(prefix: &StoredPrefix) -> f64 {
-        prefix.0
-    }
-
-    fn extend(prefix: &StoredPrefix, node: ClusterNodeId, weight: f64) -> SharedPath {
-        let nodes: Vec<ClusterNodeId> = prefix
-            .1
-            .iter()
-            .map(|&id| ClusterNodeId::from_u64(id))
-            .collect();
-        SharedPath::from_stored_nodes(&nodes, prefix.0).extend(node, weight)
+        self.parents.reset();
+        Ok(self.store.put(&node.to_u64(), &record)?)
     }
 
     fn resident_paths(&self) -> usize {
@@ -250,7 +540,7 @@ impl HeapWindow for Stored {
     }
 }
 
-/// Algorithm 2 as a resumable pass: the heaps of the intervals swept so far
+/// Algorithm 2 as a resumable pass: the rows of the intervals swept so far
 /// (in `W`), the global top-k of length-`l` paths, and the counters.
 /// [`IntervalSweep::advance`] is the only place the algorithm's inner loop
 /// exists; see the module docs for its drivers.
@@ -262,10 +552,29 @@ pub(crate) struct IntervalSweep<W = Ring> {
     /// it; it changes the work done, never the answer.
     anchored: bool,
     window: W,
-    global: SharedTopK,
+    /// The rows of the node in progress.
+    rows: Table,
+    /// Per parent edge of the node in progress, what [`HeapWindow::load`]
+    /// answered.
+    loaded: Vec<Range<usize>>,
+    /// Per row of the node in progress, the candidates it will be offered.
+    room: Vec<usize>,
+    /// Materialized, so the answer never points into a table.
+    global: TopKPaths,
     stats: BfsStats,
     /// Amortization counter of the cancellation checkpoints.
     tick: u32,
+}
+
+#[cfg(test)]
+impl IntervalSweep<Ring> {
+    /// Slots and link cells the window retains.
+    pub(crate) fn retained(&self) -> (usize, usize) {
+        let tables = &self.window.tables;
+        let slots = tables.iter().map(|t| t.slots.len()).sum();
+        let links = tables.iter().map(|t| t.links.len()).sum();
+        (slots, links)
+    }
 }
 
 impl<W: HeapWindow> IntervalSweep<W> {
@@ -275,7 +584,10 @@ impl<W: HeapWindow> IntervalSweep<W> {
             l: params.l,
             anchored,
             window,
-            global: SharedTopK::new(params.k),
+            rows: Table::new(),
+            loaded: Vec::new(),
+            room: Vec::new(),
+            global: TopKPaths::new(params.k),
             stats: BfsStats::default(),
             tick: 0,
         }
@@ -294,7 +606,19 @@ impl<W: HeapWindow> IntervalSweep<W> {
         let (k, l) = (self.k, self.l);
         let num_nodes = graph.nodes_in_interval(interval);
         self.stats.nodes_processed += u64::from(num_nodes);
-        self.window.open(interval, num_nodes as usize);
+        // Heaps h^x for x = 1..=min(l, interval): a path ending at
+        // interval `i` cannot be longer than `i`.
+        let max_len = l.min(interval) as usize;
+        self.window.open(interval, num_nodes);
+        // The lengths `total` a parent `len` intervals back extends its
+        // held lengths `x` to (`x = 0`: the edge itself), as `(x, total)`.
+        let anchored = self.anchored;
+        let extended_lengths = move |len: u32, rows: &Range<usize>| {
+            (0..=rows.len())
+                .map(move |x| (x, x as u32 + len))
+                .take_while(move |&(_, total)| total <= l)
+                .filter(move |&(_, total)| !anchored || total == interval)
+        };
         for index in 0..num_nodes {
             if let Some(token) = cancel {
                 if token.checkpoint(&mut self.tick) {
@@ -302,61 +626,66 @@ impl<W: HeapWindow> IntervalSweep<W> {
                 }
             }
             let node = ClusterNodeId::new(interval, index);
-            // Heaps h^x for x = 1..=min(l, interval): a path ending at
-            // interval `i` cannot be longer than `i`.
-            let max_len = l.min(interval) as usize;
-            let mut heaps: Vec<SharedTopK> = (0..max_len).map(|_| SharedTopK::new(k)).collect();
-            for parent_edge in graph.parents(node) {
+            let parents = graph.parents(node);
+
+            // Size the rows: a row is offered one candidate per prefix its
+            // parents hold for it, and never needs more than k slots.
+            self.loaded.clear();
+            self.room.clear();
+            self.room.resize(max_len, 0);
+            for parent_edge in parents {
+                let parent = parent_edge.to;
+                let len = ClusterGraph::edge_length(parent, node);
+                // An edge longer than l extends nothing.
+                let rows = if len > l {
+                    0..0
+                } else {
+                    self.window.load(parent)?
+                };
+                let held = self.window.table(parent.interval);
+                for (x, total) in extended_lengths(len, &rows) {
+                    let room = &mut self.room[total as usize - 1];
+                    *room = room.saturating_add(held.prefixes(&rows, x).len());
+                }
+                self.loaded.push(rows);
+            }
+            self.room.iter_mut().for_each(|room| *room = k.min(*room));
+            self.rows.lay_out(&self.room)?;
+
+            for (parent_edge, rows) in parents.iter().zip(&self.loaded) {
                 let parent = parent_edge.to;
                 let weight = parent_edge.weight;
                 let len = ClusterGraph::edge_length(parent, node);
-                if len > l {
-                    continue;
-                }
-                // Base case: the edge itself is a path of length `len`.
-                if !self.anchored || len == interval {
-                    let edge_path = SharedPath::singleton(parent).extend(node, weight);
-                    self.stats.paths_generated += 1;
-                    if len == l {
-                        self.global.offer_by_weight(edge_path.clone());
-                    }
-                    heaps[len as usize - 1].offer_by_weight(edge_path);
-                }
-
-                // Extensions of subpaths ending at the parent.
-                let Some(parent_heaps) = self.window.parent_heaps(parent)? else {
-                    continue;
-                };
-                for (x_minus_1, heap) in parent_heaps.iter().enumerate() {
-                    let total = x_minus_1 as u32 + 1 + len;
-                    if total > l {
-                        break;
-                    }
-                    if self.anchored && total != interval {
-                        continue;
-                    }
-                    let bucket = &mut heaps[total as usize - 1];
-                    for prefix in W::prefixes(heap) {
+                let held = self.window.table(parent.interval);
+                for (x, total) in extended_lengths(len, rows) {
+                    let bucket = total as usize - 1;
+                    for prefix in held.prefixes(rows, x) {
                         self.stats.paths_generated += 1;
-                        let extended_weight = W::weight(prefix) + weight;
+                        let extended_weight = prefix.weight + weight;
                         // Worst-score fast path: skip the extension (and
                         // the heap churn) when no heap could admit it.
-                        let admit_bucket = bucket.would_admit(extended_weight);
+                        let admit_bucket = self.rows.would_admit(bucket, extended_weight);
                         let admit_global = total == l && self.global.would_admit(extended_weight);
                         if !admit_bucket && !admit_global {
                             continue;
                         }
-                        let extended = W::extend(prefix, node, weight);
+                        let extended = Link {
+                            node: parent,
+                            prev: prefix.link,
+                        };
                         if admit_global {
-                            self.global.offer_by_weight(extended.clone());
+                            let nodes = chain_nodes(&self.window, extended, node);
+                            self.global
+                                .offer_by_weight(ClusterPath::new(nodes, extended_weight));
                         }
                         if admit_bucket {
-                            bucket.offer_by_weight(extended);
+                            self.rows
+                                .offer(&self.window, bucket, extended_weight, extended);
                         }
                     }
                 }
             }
-            self.window.keep(node, heaps)?;
+            self.window.keep(node, &self.rows)?;
         }
         let resident = self.window.resident_paths();
         self.stats.peak_resident_paths = self.stats.peak_resident_paths.max(resident);
@@ -366,8 +695,7 @@ impl<W: HeapWindow> IntervalSweep<W> {
     /// The top-k paths of length exactly `l` over the intervals swept so
     /// far, in descending weight order.
     pub(crate) fn top_k(&self) -> Vec<ClusterPath> {
-        let sorted = self.global.clone().into_sorted();
-        sorted.iter().map(SharedPath::to_cluster_path).collect()
+        self.global.clone().into_sorted()
     }
 
     /// Batch BFS: sweep every interval of `graph`.
@@ -379,7 +707,7 @@ impl<W: HeapWindow> IntervalSweep<W> {
         for interval in 0..graph.num_intervals() as u32 {
             self.advance(graph, interval, cancel)?;
         }
-        Ok((self.top_k(), self.stats))
+        Ok((self.global.into_sorted(), self.stats))
     }
 }
 
@@ -443,12 +771,14 @@ impl BfsStableClusters {
         let anchored = l == m - 1;
         match self.config.storage {
             Some(spec) => {
-                let window = Stored(NodeStore::temp(spec, "bsc-bfs")?);
+                let window = Stored {
+                    store: NodeStore::temp(spec, "bsc-bfs")?,
+                    parents: Table::new(),
+                };
                 IntervalSweep::new(self.params, anchored, window).run(graph, cancel)
             }
-            None => {
-                IntervalSweep::new(self.params, anchored, Ring::new(graph.gap())).run(graph, cancel)
-            }
+            None => IntervalSweep::new(self.params, anchored, Ring::new(graph.gap(), l))
+                .run(graph, cancel),
         }
     }
 }

@@ -11,11 +11,12 @@
 //! to a `Vec`-backed [`ClusterPath`] only when it leaves a solver inside a
 //! `Solution`.
 //!
-//! Two growth directions cover all solvers:
+//! Two growth directions cover the solvers that hold paths this way:
 //!
 //! * [`SharedPath`] grows **forward** (append a *later* node in O(1)) — the
-//!   BFS/streaming heaps, the TA prefix enumeration and the normalized
-//!   solver's candidates, which all build paths from earliest to latest;
+//!   TA prefix enumeration and the normalized solver's candidates, which
+//!   build paths from earliest to latest (the BFS sweep keeps the same
+//!   shape in flat arrays instead, see [`crate::bfs`]);
 //! * [`SharedTail`] grows **backward** (prepend an *earlier* node in O(1)) —
 //!   the DFS `bestpaths` (paths *starting* at a node, discovered while
 //!   backtracking) and the TA suffix enumeration.
@@ -187,19 +188,6 @@ impl SharedPath {
         }
     }
 
-    /// Rebuild a chain from materialized nodes and a total weight (used when
-    /// loading BFS heaps back from disk). Per-edge weights are not recorded
-    /// in the stored form and are set to zero; only the total matters to the
-    /// consumers of reloaded paths.
-    pub fn from_stored_nodes(nodes: &[ClusterNodeId], weight: f64) -> SharedPath {
-        assert!(!nodes.is_empty(), "a path needs at least one node");
-        let mut path = SharedPath::singleton(nodes[0]);
-        for &node in &nodes[1..] {
-            path = path.extend(node, 0.0);
-        }
-        SharedPath { weight, ..path }
-    }
-
     /// Rebuild a chain from nodes and the per-edge weights between them
     /// (`edge_weights.len() == nodes.len() - 1`).
     pub fn from_parts(nodes: &[ClusterNodeId], edge_weights: &[f64]) -> SharedPath {
@@ -255,8 +243,7 @@ impl SharedPath {
     }
 
     /// Materialize the per-edge weights in temporal order (empty for
-    /// singletons; meaningless for paths rebuilt via
-    /// [`SharedPath::from_stored_nodes`]).
+    /// singletons).
     pub fn edge_weights(&self) -> Vec<f64> {
         let mut weights = Vec::with_capacity(self.num_nodes as usize - 1);
         let mut link = &self.head;
@@ -335,9 +322,10 @@ impl SharedTail {
         }
     }
 
-    /// Rebuild from materialized nodes (temporal order) and a total weight;
-    /// per-edge weights are not preserved (see
-    /// [`SharedPath::from_stored_nodes`]).
+    /// Rebuild from materialized nodes (temporal order) and a total weight
+    /// (used when loading DFS `bestpaths` back from disk). Per-edge weights
+    /// are not recorded in the stored form and are set to zero; only the
+    /// total matters to the consumers of reloaded paths.
     pub fn from_stored_nodes(nodes: &[ClusterNodeId], weight: f64) -> SharedTail {
         assert!(!nodes.is_empty(), "a path needs at least one node");
         let last = nodes[nodes.len() - 1];
@@ -452,9 +440,6 @@ mod tests {
     #[test]
     fn stored_round_trips_preserve_nodes_and_weight() {
         let nodes = vec![node(0, 3), node(1, 1), node(2, 4)];
-        let path = SharedPath::from_stored_nodes(&nodes, 1.25);
-        assert_eq!(path.nodes(), nodes);
-        assert!((path.weight() - 1.25).abs() < 1e-12);
         let tail = SharedTail::from_stored_nodes(&nodes, 1.25);
         assert_eq!(tail.nodes(), nodes);
         assert!((tail.weight() - 1.25).abs() < 1e-12);

@@ -67,7 +67,7 @@ impl OnlineStableClusters {
             params,
             graph: Arc::new(ClusterGraphBuilder::new(gap).build()),
             // Not anchored: the stream has no last interval to anchor to.
-            sweep: IntervalSweep::new(params, false, Ring::new(gap)),
+            sweep: IntervalSweep::new(params, false, Ring::new(gap, params.l)),
             cached_top_k: None,
         }
     }
@@ -240,6 +240,7 @@ mod tests {
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
     use bsc_corpus::timeline::IntervalId;
     use bsc_corpus::vocabulary::KeywordId;
+    use bsc_util::DetRng;
 
     #[test]
     fn streaming_matches_batch_bfs() {
@@ -343,6 +344,50 @@ mod tests {
         }
         assert_eq!(online.num_intervals(), 6);
         assert!(online.edges_ingested() > 0);
+    }
+
+    #[test]
+    fn what_the_sweep_retains_does_not_grow_with_the_stream() {
+        // One sweep lives as long as the stream: it may keep the rows of the
+        // last g + 2 intervals and the links of the last l + g + 1, never
+        // the stream's.
+        let (l, gap, nodes, parents) = (3u32, 1u32, 50u32, 4u32);
+        let mut online = OnlineStableClusters::new(KlStableParams::new(5, l), gap);
+        let mut rng = DetRng::seed_from_u64(77);
+        let mut steady = None;
+        for interval in 0..300u32 {
+            let edges = (0..nodes)
+                .map(|_| {
+                    let mut edges: Vec<(ClusterNodeId, f64)> = Vec::new();
+                    while edges.len() < parents.min(interval * nodes) as usize {
+                        let back = rng.range_inclusive(1, u64::from(interval.min(gap + 1))) as u32;
+                        let parent =
+                            ClusterNodeId::new(interval - back, rng.index(nodes as usize) as u32);
+                        if edges.iter().all(|(held, _)| *held != parent) {
+                            edges.push((parent, 0.05 + 0.95 * rng.next_f64()));
+                        }
+                    }
+                    edges
+                })
+                .collect();
+            online.push_interval(edges);
+            let retained = online.sweep.retained();
+            let pushes = interval + 1;
+            if pushes == l + gap + 2 {
+                steady = Some(retained);
+            }
+            if let Some((slots, links)) = steady {
+                // One interval holds at most nodes * l * k subpaths.
+                let one_interval = (nodes * l * 5) as usize;
+                assert!(
+                    retained.0 <= slots + one_interval && retained.1 <= links + one_interval,
+                    "push {pushes}: retains {retained:?}, was {:?} at push {}",
+                    (slots, links),
+                    l + gap + 2
+                );
+            }
+        }
+        assert!(steady.is_some_and(|(slots, links)| slots > 0 && links > slots));
     }
 
     #[test]

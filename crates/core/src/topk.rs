@@ -8,9 +8,10 @@
 //!
 //! The heap is generic over the path representation: [`TopKPaths`] holds
 //! materialized [`ClusterPath`]s (result heaps, oracles), while
-//! [`SharedTopK`] holds zero-copy [`SharedPath`] chains — the representation
-//! the BFS/streaming hot loops use, where admitting a path is an `Arc` bump
-//! instead of a `Vec` clone. Call [`TopK::would_admit`] with a candidate's
+//! [`SharedTopK`] holds zero-copy [`SharedPath`] chains, where admitting a
+//! path is an `Arc` bump instead of a `Vec` clone. (The per-node heaps of the
+//! BFS sweep are flat tables of their own, see [`crate::bfs`]; only its
+//! global heap is a [`TopKPaths`].) Call [`TopK::would_admit`] with a candidate's
 //! score *before* constructing or cloning it: when the score cannot beat the
 //! current worst held score the construction, the clone and the heap churn
 //! are all skipped.
@@ -105,11 +106,17 @@ pub type TopKPaths = TopK<ClusterPath>;
 pub type SharedTopK = TopK<SharedPath>;
 
 impl<P: PathEntry> TopK<P> {
-    /// Create an empty heap of capacity `k`.
+    /// The most slots [`TopK::new`] reserves before any path is held.
+    const RESERVED_SLOTS: usize = 64;
+
+    /// Create an empty heap of capacity `k`. Only a small `k` is reserved
+    /// for up front (one allocation, as the per-node heaps of the solvers
+    /// want); beyond 64 slots (`RESERVED_SLOTS`) storage grows with the paths
+    /// actually held, so `k` — a number a client sends — sizes nothing.
     pub fn new(k: usize) -> Self {
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.saturating_add(1).min(Self::RESERVED_SLOTS)),
         }
     }
 
@@ -342,6 +349,20 @@ mod tests {
         assert!(!topk.would_admit(f64::INFINITY));
         assert!(!topk.offer_by_weight(path(1.0, 0)));
         assert!(topk.is_empty());
+    }
+
+    #[test]
+    fn a_huge_k_reserves_nothing_and_keeps_every_offer() {
+        // `k + 1` slots up front used to abort the process on this line.
+        let mut topk = TopKPaths::new(usize::MAX);
+        assert_eq!(topk.k(), usize::MAX);
+        for (i, w) in [0.3, 0.9, 0.6].iter().enumerate() {
+            assert!(topk.would_admit(*w));
+            assert!(topk.offer_by_weight(path(*w, i as u32)));
+        }
+        assert!(!topk.is_full());
+        let weights: Vec<f64> = topk.into_sorted().iter().map(|p| p.weight()).collect();
+        assert_eq!(weights, vec![0.9, 0.6, 0.3]);
     }
 
     #[test]

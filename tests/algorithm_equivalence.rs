@@ -10,7 +10,7 @@ use blogstable::core::problem::{KlStableParams, StableClusterSpec};
 use blogstable::core::solver::{AlgorithmKind, SolverOptions, StableClusterSolver};
 use blogstable::core::streaming::OnlineStableClusters;
 use blogstable::core::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
-use blogstable::core::ClusterGraph;
+use blogstable::core::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
 use blogstable::storage::StorageSpec;
 
 use bsc_util::DetRng;
@@ -204,6 +204,110 @@ fn streaming_agrees_with_oracle() {
                 e.weight(),
                 g.weight()
             );
+        }
+    }
+}
+
+/// A graph whose every weight is 0.25, 0.5 or 1.0: sums are exact, so
+/// equal-weight paths abound and the top-k is decided by the content order.
+fn tie_heavy(m: u32, n: u32, gap: u32, seed: u64) -> ClusterGraph {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut builder = ClusterGraphBuilder::new(gap);
+    for _ in 0..m {
+        builder.add_interval(n);
+    }
+    for interval in 1..m {
+        for index in 0..n {
+            // Distinct parents, up to three, each within the gap's reach.
+            let mut parents: Vec<ClusterNodeId> = (0..3)
+                .map(|_| {
+                    let back = rng.range_inclusive(1, u64::from(interval.min(gap + 1))) as u32;
+                    ClusterNodeId::new(interval - back, rng.index(n as usize) as u32)
+                })
+                .collect();
+            parents.sort_by_key(|p| (p.interval, p.index));
+            parents.dedup();
+            for parent in parents {
+                let weight = [0.25, 0.5, 1.0][rng.index(3)];
+                builder.add_edge(parent, ClusterNodeId::new(interval, index), weight);
+            }
+        }
+    }
+    builder.build()
+}
+
+/// Two nodes per interval, every pair within reach joined, an edge over one
+/// interval weighing 0.25 and over two 0.5: a path that hops and a path that
+/// skips tie, so the order between a node and a skipped interval decides.
+/// Odd intervals list their farthest parents first, so both arrive first
+/// somewhere.
+fn tie_ladder(m: u32, gap: u32) -> ClusterGraph {
+    let mut builder = ClusterGraphBuilder::new(gap);
+    for _ in 0..m {
+        builder.add_interval(2);
+    }
+    for interval in 1..m {
+        let mut backs: Vec<u32> = (1..=interval.min(gap + 1)).collect();
+        if interval % 2 == 1 {
+            backs.reverse();
+        }
+        for back in backs {
+            for (from, to) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                builder.add_edge(
+                    ClusterNodeId::new(interval - back, from),
+                    ClusterNodeId::new(interval, to),
+                    [0.25, 0.5, 1.0][back as usize - 1],
+                );
+            }
+        }
+    }
+    builder.build()
+}
+
+/// Where weights tie, the heaps fall back on the content order for every
+/// admission and every sift: in-memory BFS, store-backed BFS over every
+/// backend and the sharded solve must still report the oracle's paths —
+/// same nodes in the same order, same weight bits — for every length and a
+/// `k` below, at and above the size of a tie group.
+#[test]
+fn tie_heavy_graphs_match_the_oracle_node_for_node() {
+    let mut configurations = vec![
+        ("bfs".to_string(), SolverOptions::default()),
+        ("sharded".to_string(), SolverOptions::default().shards(2)),
+    ];
+    for backend in StorageSpec::ALL {
+        let options = SolverOptions::default()
+            .storage(backend)
+            .bfs_store_backed(true);
+        configurations.push((format!("bfs over {backend}"), options));
+    }
+    let m = 6;
+    for gap in [0, 1, 2] {
+        let mut graphs = vec![("ladder".to_string(), tie_ladder(m, gap))];
+        for seed in 0..4 {
+            graphs.push((format!("seed={seed}"), tie_heavy(m, 8, gap, 15_000 + seed)));
+        }
+        for (graph_name, graph) in &graphs {
+            for l in 1..m {
+                let spec = StableClusterSpec::ExactLength(l);
+                for k in [1, 2, 5, 10] {
+                    let expected = oracle(spec, k, graph);
+                    for (name, options) in &configurations {
+                        let got = AlgorithmKind::Bfs
+                            .build_with_options(spec, k, graph.num_intervals(), options.clone())
+                            .expect("supported combination")
+                            .solve(graph)
+                            .expect("solver run")
+                            .paths;
+                        let context = format!("gap={gap} {graph_name} l={l} k={k} {name}");
+                        assert_eq!(expected.len(), got.len(), "{context}");
+                        for (e, g) in expected.iter().zip(&got) {
+                            assert_eq!(e.nodes(), g.nodes(), "{context}");
+                            assert_eq!(e.weight().to_bits(), g.weight().to_bits(), "{context}");
+                        }
+                    }
+                }
+            }
         }
     }
 }
