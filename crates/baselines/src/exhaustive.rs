@@ -7,7 +7,7 @@
 //! graphs. Complexity is exponential in the number of intervals; only use it
 //! on small graphs.
 
-use bsc_core::cluster_graph::{ClusterGraph, ClusterNodeId};
+use bsc_core::cluster_graph::{ClusterGraph, ClusterNodeId, GraphView};
 use bsc_core::error::BscResult;
 use bsc_core::path::ClusterPath;
 use bsc_core::problem::StableClusterSpec;
@@ -60,7 +60,7 @@ impl StableClusterSolver for ExhaustiveSolver {
         }
     }
 
-    fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution> {
+    fn solve_view(&mut self, graph: GraphView<'_>) -> BscResult<Solution> {
         check_not_expired(self.cancel.as_ref())?;
         let mut stats = SolverStats::default();
         let cancel = self.cancel.as_ref();
@@ -91,20 +91,22 @@ pub fn exhaustive_top_k(graph: &ClusterGraph, k: usize, l: u32) -> Vec<ClusterPa
     exhaustive_top_k_cancellable(graph, k, l, None).expect("infallible without a cancel token")
 }
 
-/// [`exhaustive_top_k`] with an optional cancellation token, observed once
-/// per visited path at amortized checkpoints.
-pub fn exhaustive_top_k_cancellable(
-    graph: &ClusterGraph,
+/// [`exhaustive_top_k`] over a graph or a view of one, with an optional
+/// cancellation token, observed once per visited path at amortized
+/// checkpoints.
+pub fn exhaustive_top_k_cancellable<'a>(
+    graph: impl Into<GraphView<'a>>,
     k: usize,
     l: u32,
     cancel: Option<&CancelToken>,
 ) -> BscResult<Vec<ClusterPath>> {
+    let graph = graph.into();
     let mut heap = TopKPaths::new(k);
     if k == 0 || l == 0 {
         return Ok(Vec::new());
     }
     let mut tick = 0u32;
-    for start in graph.node_ids() {
+    for start in graph.intervals().flat_map(|i| graph.interval_node_ids(i)) {
         extend(
             graph,
             vec![start],
@@ -128,21 +130,23 @@ pub fn exhaustive_normalized_top_k(graph: &ClusterGraph, k: usize, l_min: u32) -
         .expect("infallible without a cancel token") // bsc:allow(panic-in-lib) -- with cancel = None the only error source (deadline) cannot fire
 }
 
-/// [`exhaustive_normalized_top_k`] with an optional cancellation token,
-/// observed once per visited path at amortized checkpoints.
-pub fn exhaustive_normalized_top_k_cancellable(
-    graph: &ClusterGraph,
+/// [`exhaustive_normalized_top_k`] over a graph or a view of one, with an
+/// optional cancellation token, observed once per visited path at amortized
+/// checkpoints.
+pub fn exhaustive_normalized_top_k_cancellable<'a>(
+    graph: impl Into<GraphView<'a>>,
     k: usize,
     l_min: u32,
     cancel: Option<&CancelToken>,
 ) -> BscResult<Vec<ClusterPath>> {
+    let graph = graph.into();
     let mut results: Vec<ClusterPath> = Vec::new();
     if k == 0 || l_min == 0 {
         return Ok(results);
     }
     let max_len = graph.num_intervals().saturating_sub(1) as u32;
     let mut tick = 0u32;
-    for start in graph.node_ids() {
+    for start in graph.intervals().flat_map(|i| graph.interval_node_ids(i)) {
         extend(
             graph,
             vec![start],
@@ -170,7 +174,7 @@ pub fn exhaustive_normalized_top_k_cancellable(
 /// callback on each path with at least one edge and length at most `max_len`.
 /// The cancel token (when present) is observed once per recursion step.
 fn extend(
-    graph: &ClusterGraph,
+    graph: GraphView<'_>,
     nodes: Vec<ClusterNodeId>,
     weight: f64,
     max_len: u32,

@@ -26,7 +26,8 @@ use bsc_core::distributed::FanoutSpec;
 use bsc_core::path::ClusterPath;
 use bsc_core::pipeline::{Pipeline, PipelineParams, StableClusterSpec};
 use bsc_core::problem::KlStableParams;
-use bsc_core::solver::{AlgorithmKind, Solution, SolverOptions};
+use bsc_core::sharded::ShardedSolver;
+use bsc_core::solver::{AlgorithmKind, Solution, SolverOptions, StableClusterSolver};
 use bsc_corpus::pairs::PairCounter;
 use bsc_corpus::timeline::IntervalId;
 use bsc_graph::cluster::ClusterExtractor;
@@ -223,6 +224,11 @@ pub fn table3_ablation(scale: Scale) -> Table {
 /// running concurrently when cores allow, and (c) the per-shard working set
 /// shrinking with the shard count (the EMBANKS-style reason to shard at
 /// all). `shards` comes from `repro --shards <n>` (default 3).
+///
+/// `sharded@1` is the decomposition alone — every window, one range, the
+/// calling thread — and `sharded@1/BFS(x)` its cost relative to the BFS
+/// solve timed in the same run: a ratio of two neighbouring measurements,
+/// which is what lets `repro gate` hold it where absolute seconds flap.
 pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
     let n = scale.pick(800, 2_000);
     let (m, d, g, k) = (12usize, 5u32, 1u32, 5usize);
@@ -232,39 +238,44 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
         &[
             "workload",
             "BFS(s)",
+            "sharded@1(s)",
+            "sharded@1/BFS(x)",
             &format!("sharded@{shards}(s)"),
             "ratio",
             "shard ranges",
         ],
     );
+    let ratio = |time: Duration, base: Duration| {
+        format!("{:.2}x", time.as_secs_f64() / base.as_secs_f64().max(1e-9))
+    };
     for l in [3u32, 6] {
         let spec = StableClusterSpec::ExactLength(l);
         let mut unsharded = AlgorithmKind::Bfs
             .build(spec, k, graph.num_intervals())
             .expect("bfs supports exact lengths");
         let (base, base_time) = timed(|| unsharded.solve(&graph).expect("unsharded solve"));
-        let mut sharded = AlgorithmKind::Bfs
-            .build_with_options(
-                spec,
-                k,
-                graph.num_intervals(),
-                SolverOptions::default().shards(shards),
-            )
-            .expect("sharded build");
-        let (merged, sharded_time) = timed(|| sharded.solve(&graph).expect("sharded solve"));
-        assert_paths_identical(
-            &base.paths,
-            &merged.paths,
-            &format!("shards={shards} l={l}"),
-        );
+        // Built directly: `build_with_options` only wraps for shards > 1.
+        let sharded = |shards: usize| {
+            let options = SolverOptions::default().shards(shards);
+            let mut solver =
+                ShardedSolver::new(AlgorithmKind::Bfs, spec, k, options).expect("sharded build");
+            let (merged, time) = timed(|| solver.solve(&graph).expect("sharded solve"));
+            assert_paths_identical(
+                &base.paths,
+                &merged.paths,
+                &format!("shards={shards} l={l}"),
+            );
+            (merged, time)
+        };
+        let (_, serial_time) = sharded(1);
+        let (merged, sharded_time) = sharded(shards);
         table.push_row(vec![
             format!("subpaths l={l}"),
             seconds(base_time),
+            seconds(serial_time),
+            ratio(serial_time, base_time),
             seconds(sharded_time),
-            format!(
-                "{:.2}x",
-                sharded_time.as_secs_f64() / base_time.as_secs_f64().max(1e-9)
-            ),
+            ratio(sharded_time, base_time),
             merged.stats.shards.to_string(),
         ]);
     }
@@ -1391,6 +1402,8 @@ mod tests {
         let table = table3_sharded(Scale::Quick, 2);
         assert_eq!(table.num_rows(), 2);
         assert!(table.cell(0, "sharded@2(s)").is_some());
+        assert!(table.cell(0, "sharded@1(s)").is_some());
+        assert!(table.cell(0, "sharded@1/BFS(x)").unwrap().ends_with('x'));
         assert_eq!(table.cell(0, "shard ranges"), Some("2"));
     }
 

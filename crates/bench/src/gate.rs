@@ -23,10 +23,14 @@
 //!   improvements, not regressions);
 //! * `(=)` — byte-exact cells (offered counts, quota sheds, schedule
 //!   hashes): *any* difference fails. This is the determinism tripwire —
-//!   a load run that stops replaying its seed shows up here first.
+//!   a load run that stops replaying its seed shows up here first;
+//! * `(x)` — a ratio of two timings taken in the same run (`"1.08x"`):
+//!   fails when `fresh > baseline * (1 + tolerance)`. Machine speed
+//!   cancels out of such a cell, so it needs no absolute floor and holds
+//!   on a runner where the `(s)` cells around it flap.
 //!
-//! Everything else (non-numeric cells like `"> skipped"`, derived speedup
-//! ratios, plain columns) is ignored. A baseline table, row, or gated
+//! Everything else (non-numeric cells like `"> skipped"`, other derived
+//! speedup ratios, plain columns) is ignored. A baseline table, row, or gated
 //! column that disappeared from the fresh run also fails the gate — a
 //! deleted benchmark must be removed from the baseline explicitly, never
 //! silently.
@@ -194,6 +198,8 @@ enum ColumnKind {
     Percent,
     /// `(=)` — byte-exact.
     Exact,
+    /// `(x)` — in-run ratio, relative tolerance only.
+    Ratio,
     /// Anything else: not compared.
     Ignored,
 }
@@ -210,6 +216,8 @@ fn column_kind(header: &str) -> ColumnKind {
         ColumnKind::Percent
     } else if header.ends_with("(=)") {
         ColumnKind::Exact
+    } else if header.ends_with("(x)") {
+        ColumnKind::Ratio
     } else {
         ColumnKind::Ignored
     }
@@ -279,11 +287,15 @@ pub fn compare(baseline: &[Table], fresh: &[Table], config: GateConfig) -> GateR
                     }
                     continue;
                 }
-                let parsed = base_cell
-                    .trim()
-                    .parse::<f64>()
-                    .ok()
-                    .zip(fresh_cell.trim().parse::<f64>().ok());
+                let number = |cell: &String| {
+                    let text = cell.trim();
+                    let text = match kind {
+                        ColumnKind::Ratio => text.strip_suffix('x')?,
+                        _ => text,
+                    };
+                    text.parse::<f64>().ok()
+                };
+                let parsed = number(base_cell).zip(number(fresh_cell));
                 let Some((baseline_value, fresh_value)) = parsed else {
                     report.skipped_cells += 1;
                     continue;
@@ -315,23 +327,18 @@ pub fn compare(baseline: &[Table], fresh: &[Table], config: GateConfig) -> GateR
                             });
                         }
                     }
-                    ColumnKind::Micros => {
-                        // One formula covers zero baselines too: the
-                        // absolute floor alone bounds them.
-                        let ceiling =
-                            baseline_value * (1.0 + config.slo_tolerance) + config.slo_floor_micros;
+                    ColumnKind::Micros | ColumnKind::Percent | ColumnKind::Ratio => {
+                        let ceiling = match kind {
+                            // One formula covers zero baselines too: the
+                            // absolute floor alone bounds them.
+                            ColumnKind::Micros => {
+                                baseline_value * (1.0 + config.slo_tolerance)
+                                    + config.slo_floor_micros
+                            }
+                            ColumnKind::Ratio => baseline_value * (1.0 + config.tolerance),
+                            _ => baseline_value + config.percent_slack,
+                        };
                         if fresh_value > ceiling {
-                            report.slo_violations.push(GatedCell {
-                                table: base_table.title.clone(),
-                                row: row_key.clone(),
-                                column: header.clone(),
-                                baseline: base_cell.clone(),
-                                fresh: fresh_cell.clone(),
-                            });
-                        }
-                    }
-                    ColumnKind::Percent => {
-                        if fresh_value > baseline_value + config.percent_slack {
                             report.slo_violations.push(GatedCell {
                                 table: base_table.title.clone(),
                                 row: row_key.clone(),
@@ -560,6 +567,34 @@ mod tests {
         );
         assert!(!report.passed());
         assert_eq!(report.slo_violations.len(), 1);
+    }
+
+    #[test]
+    fn ratio_columns_hold_the_relative_tolerance_with_no_floor() {
+        let ratios = |cell: &str| {
+            let mut t = Table::new("S", &["workload", "BFS(s)", "sharded@1/BFS(x)", "ratio"]);
+            t.push_row(vec![
+                "l=3".into(),
+                "0.010".into(),
+                cell.into(),
+                "9.99x".into(),
+            ]);
+            vec![t]
+        };
+        // 25% over 1.08 is 1.35: at it and under pass, over fails — on a
+        // 10 ms cell no `(s)` floor would ever let fail. The plain `ratio`
+        // column stays ungated.
+        for fresh in ["0.90x", "1.08x", "1.35x"] {
+            let report = compare(&ratios("1.08x"), &ratios(fresh), GateConfig::default());
+            assert!(report.passed(), "{fresh}: {}", report.render());
+            assert_eq!(report.compared_cells, 2);
+        }
+        let report = compare(&ratios("1.08x"), &ratios("1.52x"), GateConfig::default());
+        assert_eq!(report.slo_violations.len(), 1, "{}", report.render());
+        assert_eq!(report.slo_violations[0].column, "sharded@1/BFS(x)");
+        // A cell that is not a ratio is skipped, not misread as one.
+        let report = compare(&ratios("1.08x"), &ratios("1.08"), GateConfig::default());
+        assert!(report.passed() && report.skipped_cells == 1);
     }
 
     #[test]

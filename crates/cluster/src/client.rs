@@ -387,10 +387,10 @@ impl ClusterClient {
     /// must describe the interval-range difference between the two epochs'
     /// graphs (the caller obtains it from the snapshot cell's composable
     /// chain — see `bsc_core::snapshot::SnapshotCell::delta_between`). A
-    /// window no dirty interval touches extracts the byte-identical
-    /// subgraph at either epoch, so its cached result is the new epoch's
-    /// result verbatim — the cross-epoch analogue of the splice in
-    /// `bsc_core::delta::solve_windows`. Anonymous epochs never
+    /// window no dirty interval touches holds the same nodes and edges
+    /// (weight bits included) at either epoch, so its cached result is the
+    /// new epoch's result verbatim — the cross-epoch analogue of the splice
+    /// in `bsc_core::delta::solve_windows`. Anonymous epochs never
     /// participate.
     pub fn carry_forward(&self, from_epoch: u64, to_epoch: u64, delta: &GraphDelta) -> u64 {
         if from_epoch & ANONYMOUS_EPOCH_BIT != 0

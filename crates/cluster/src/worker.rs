@@ -11,7 +11,9 @@
 //!
 //! The actual solve is [`bsc_core::distributed::solve_window_locally`] —
 //! the identical code path the in-process `ShardedSolver` runs, so a
-//! worker's answer is byte-identical to the shard thread it replaces.
+//! worker's answer is byte-identical to the shard thread it replaces. The
+//! window is a borrowed view of the installed epoch graph: nothing is
+//! extracted or copied per request.
 //!
 //! Solves are *supervised*: each `solve_window` runs on a scoped thread
 //! under a per-request [`CancelToken`] (seeded from the request's

@@ -22,7 +22,7 @@
 //! budget (even DFS's stack would not fit) is a configuration error,
 //! reported as [`BscError::InvalidConfig`], never a panic.
 
-use crate::cluster_graph::ClusterGraph;
+use crate::cluster_graph::GraphView;
 use crate::error::{BscError, BscResult};
 use crate::problem::StableClusterSpec;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions, StableClusterSolver};
@@ -48,7 +48,7 @@ const BFS_SLOT_BYTES: u64 = 16;
 const BFS_LINK_BYTES: u64 = 12;
 
 /// The shape parameters of a cluster graph that drive algorithm selection —
-/// the paper's (m, n, d, g) axes, read off a built [`ClusterGraph`].
+/// the paper's (m, n, d, g) axes, read off a [`GraphView`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphShape {
     /// Number of temporal intervals `m`.
@@ -67,11 +67,15 @@ pub struct GraphShape {
 }
 
 impl GraphShape {
-    /// Read the shape off a built graph.
-    pub fn of(graph: &ClusterGraph) -> GraphShape {
+    /// Read the shape off a graph or a view of one: a window's shape counts
+    /// the nodes and edges inside the window, as a graph built from the
+    /// window alone would.
+    pub fn of<'a>(graph: impl Into<GraphView<'a>>) -> GraphShape {
+        let graph = graph.into();
         let num_nodes = graph.num_nodes() as u64;
         let num_edges = graph.num_edges() as u64;
-        let max_interval_nodes = (0..graph.num_intervals() as u32)
+        let max_interval_nodes = graph
+            .intervals()
             .map(|i| u64::from(graph.nodes_in_interval(i)))
             .max()
             .unwrap_or(0);
@@ -276,14 +280,14 @@ impl StableClusterSolver for AutoSolver {
         }
     }
 
-    fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution> {
+    fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
         crate::solver::check_not_expired(self.options.cancel.as_ref())?;
-        let shape = GraphShape::of(graph);
+        let shape = GraphShape::of(view);
         let choice = choose_algorithm(&shape, self.spec, self.k, self.budget_bytes)?;
         self.last_choice = Some(choice);
         let mut inner =
-            choice.build_leaf(self.spec, self.k, graph.num_intervals(), &self.options)?;
-        inner.solve(graph)
+            choice.build_leaf(self.spec, self.k, view.num_intervals(), &self.options)?;
+        inner.solve_view(view)
     }
 }
 
@@ -387,6 +391,54 @@ mod tests {
         )
         .unwrap();
         assert_eq!(choice, AlgorithmKind::Normalized);
+    }
+
+    /// A per-window `Auto` reads the shape of a view; it must pick what it
+    /// picked when the window was a graph of its own (edges leaving the
+    /// window not counted). Every window of the benchmark's 12×300 graph.
+    #[test]
+    fn a_window_view_has_the_shape_of_the_rebuilt_window() {
+        let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
+            num_intervals: 12,
+            nodes_per_interval: 300,
+            avg_out_degree: 5,
+            gap: 1,
+            seed: 20_240_607,
+        })
+        .generate();
+        for start in 0..12u32 {
+            for end in start..12 {
+                let mut builder = crate::cluster_graph::ClusterGraphBuilder::new(graph.gap());
+                for interval in start..=end {
+                    builder.add_interval(graph.nodes_in_interval(interval));
+                }
+                let shift = |n: crate::cluster_graph::ClusterNodeId| {
+                    crate::cluster_graph::ClusterNodeId::new(n.interval - start, n.index)
+                };
+                for (from, to, weight) in graph.edges() {
+                    if from.interval >= start && to.interval <= end {
+                        builder.add_edge(shift(from), shift(to), weight);
+                    }
+                }
+                let rebuilt = GraphShape::of(&builder.build());
+                let shape = GraphShape::of(graph.window(start, end));
+                assert_eq!(shape, rebuilt, "[{start}, {end}]");
+                // Same shape, same choice — at budgets on both sides of
+                // every crossover of this window.
+                let l = u64::from(end - start);
+                let spec = StableClusterSpec::ExactLength(end - start);
+                for budget in [
+                    bfs_resident_bytes(&shape, 5, l),
+                    bfs_resident_bytes(&shape, 5, l).saturating_sub(1),
+                    ta_resident_bytes(&shape, 5),
+                    dfs_resident_bytes(&shape, 5, l),
+                ] {
+                    let on_view = choose_algorithm(&shape, spec, 5, Some(budget));
+                    let on_rebuild = choose_algorithm(&rebuilt, spec, 5, Some(budget));
+                    assert_eq!(on_view.ok(), on_rebuild.ok(), "[{start}, {end}] {budget}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! That pass is written once, as the crate-private `IntervalSweep`: its
 //! state is the heaps of the intervals already swept, the global heap and
 //! the counters, and its one step, `advance`, computes the next interval's
-//! heaps from [`ClusterGraph::parents`]. Everything that runs Algorithm 2
+//! heaps from [`GraphView::parents`]. Everything that runs Algorithm 2
 //! is a driver of that step:
 //!
-//! * batch BFS ([`BfsStableClusters`]) advances over `0..m`;
+//! * batch BFS ([`BfsStableClusters`]) advances over the intervals of its
+//!   view — a window is swept in place, lengths counted from its first;
 //! * the online solver of Section 4.6
 //!   ([`OnlineStableClusters`](crate::streaming::OnlineStableClusters))
 //!   appends an interval to its graph and advances over it;
@@ -58,11 +59,10 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use bsc_storage::backend::StorageSpec;
-use bsc_storage::io_stats::IoScope;
 use bsc_storage::node_store::NodeStore;
 use bsc_util::cancel::CancelToken;
 
-use crate::cluster_graph::{ClusterGraph, ClusterNodeId};
+use crate::cluster_graph::{ClusterGraph, ClusterNodeId, GraphView};
 use crate::error::{BscError, BscResult};
 use crate::path::ClusterPath;
 use crate::problem::KlStableParams;
@@ -367,7 +367,8 @@ pub(crate) trait HeapWindow {
 }
 
 /// The in-memory window: one [`Table`] per swept interval, consecutive
-/// intervals from `oldest` on; a node of interval `i` has `min(l, i)` rows.
+/// intervals from `oldest` on; a node `i` intervals past the `first` swept
+/// has `min(l, i)` rows.
 /// A parent of interval `i` lies in `[i − g − 1, i − 1]`, so only the last
 /// `g + 2` tables keep their rows; a subpath held there has length at most
 /// `l`, so its chain reaches back at most `l` intervals further, and a table
@@ -377,6 +378,7 @@ pub(crate) trait HeapWindow {
 pub(crate) struct Ring {
     gap: u32,
     l: u32,
+    first: u32,
     oldest: u32,
     tables: VecDeque<Table>,
 }
@@ -386,6 +388,7 @@ impl Ring {
         Ring {
             gap,
             l,
+            first: 0,
             oldest: 0,
             tables: VecDeque::new(),
         }
@@ -397,7 +400,7 @@ impl HeapWindow for Ring {
         // The table `age` intervals back sits `age` places from the end.
         let reach = (self.gap as usize).saturating_add(1);
         if self.tables.is_empty() {
-            self.oldest = interval;
+            (self.first, self.oldest) = (interval, interval);
         }
         // A table out of every chain's reach donates its buffers to the
         // new one; so does the row part of the table that just lost its
@@ -417,7 +420,7 @@ impl HeapWindow for Ring {
         let likely = self.tables.back().map_or(0, |t| t.links.len());
         table
             .starts
-            .reserve(num_nodes as usize * self.l.min(interval) as usize);
+            .reserve(num_nodes as usize * self.l.min(interval - self.first) as usize);
         table.slots.reserve(likely);
         table.links.reserve(likely);
         self.tables.push_back(table);
@@ -428,7 +431,7 @@ impl HeapWindow for Ring {
         let Some(table) = held.and_then(|at| self.tables.get(at as usize)) else {
             return Ok(0..0);
         };
-        let rows_per_node = self.l.min(parent.interval) as usize;
+        let rows_per_node = self.l.min(parent.interval - self.first) as usize;
         let first = parent.index as usize * rows_per_node;
         let end = first + rows_per_node;
         Ok(if end < table.starts.len() {
@@ -547,9 +550,9 @@ impl HeapWindow for Stored {
 pub(crate) struct IntervalSweep<W = Ring> {
     k: usize,
     l: u32,
-    /// Keep only subpaths that start at interval 0 — all a full-path query
-    /// (`l = m − 1`) can use. Needs `m` up front, so only batch solves set
-    /// it; it changes the work done, never the answer.
+    /// Keep only subpaths that start at the view's first interval — all a
+    /// full-path query (`l = m − 1`) can use. Needs `m` up front, so only
+    /// batch solves set it; it changes the work done, never the answer.
     anchored: bool,
     window: W,
     /// The rows of the node in progress.
@@ -593,22 +596,23 @@ impl<W: HeapWindow> IntervalSweep<W> {
         }
     }
 
-    /// Sweep `interval` of `graph`: compute the heaps `h^x` of each of its
+    /// Sweep `interval` of `view`: compute the heaps `h^x` of each of its
     /// nodes from its parents' heaps and offer every length-`l` path to the
     /// global heap. Intervals must be swept in order, each once; a failed
     /// sweep (`cancel` tripped, storage error) is not resumable.
     pub(crate) fn advance(
         &mut self,
-        graph: &ClusterGraph,
+        view: GraphView<'_>,
         interval: u32,
         cancel: Option<&CancelToken>,
     ) -> BscResult<()> {
         let (k, l) = (self.k, self.l);
-        let num_nodes = graph.nodes_in_interval(interval);
+        let num_nodes = view.nodes_in_interval(interval);
         self.stats.nodes_processed += u64::from(num_nodes);
-        // Heaps h^x for x = 1..=min(l, interval): a path ending at
-        // interval `i` cannot be longer than `i`.
-        let max_len = l.min(interval) as usize;
+        // Heaps h^x for x = 1..=min(l, i): a path ending `i` intervals
+        // into the view cannot be longer than `i`.
+        let depth = interval - view.first_interval();
+        let max_len = l.min(depth) as usize;
         self.window.open(interval, num_nodes);
         // The lengths `total` a parent `len` intervals back extends its
         // held lengths `x` to (`x = 0`: the edge itself), as `(x, total)`.
@@ -617,7 +621,7 @@ impl<W: HeapWindow> IntervalSweep<W> {
             (0..=rows.len())
                 .map(move |x| (x, x as u32 + len))
                 .take_while(move |&(_, total)| total <= l)
-                .filter(move |&(_, total)| !anchored || total == interval)
+                .filter(move |&(_, total)| !anchored || total == depth)
         };
         for index in 0..num_nodes {
             if let Some(token) = cancel {
@@ -626,14 +630,14 @@ impl<W: HeapWindow> IntervalSweep<W> {
                 }
             }
             let node = ClusterNodeId::new(interval, index);
-            let parents = graph.parents(node);
+            let parents = view.parents(node);
 
             // Size the rows: a row is offered one candidate per prefix its
             // parents hold for it, and never needs more than k slots.
             self.loaded.clear();
             self.room.clear();
             self.room.resize(max_len, 0);
-            for parent_edge in parents {
+            for parent_edge in parents.clone() {
                 let parent = parent_edge.to;
                 let len = ClusterGraph::edge_length(parent, node);
                 // An edge longer than l extends nothing.
@@ -652,7 +656,7 @@ impl<W: HeapWindow> IntervalSweep<W> {
             self.room.iter_mut().for_each(|room| *room = k.min(*room));
             self.rows.lay_out(&self.room)?;
 
-            for (parent_edge, rows) in parents.iter().zip(&self.loaded) {
+            for (parent_edge, rows) in parents.zip(&self.loaded) {
                 let parent = parent_edge.to;
                 let weight = parent_edge.weight;
                 let len = ClusterGraph::edge_length(parent, node);
@@ -698,14 +702,14 @@ impl<W: HeapWindow> IntervalSweep<W> {
         self.global.clone().into_sorted()
     }
 
-    /// Batch BFS: sweep every interval of `graph`.
+    /// Batch BFS: sweep every interval of `view`.
     fn run(
         mut self,
-        graph: &ClusterGraph,
+        view: GraphView<'_>,
         cancel: Option<&CancelToken>,
     ) -> BscResult<(Vec<ClusterPath>, BfsStats)> {
-        for interval in 0..graph.num_intervals() as u32 {
-            self.advance(graph, interval, cancel)?;
+        for interval in view.intervals() {
+            self.advance(view, interval, cancel)?;
         }
         Ok((self.global.into_sorted(), self.stats))
     }
@@ -753,14 +757,18 @@ impl BfsStableClusters {
         self.params
     }
 
-    /// Run the algorithm, returning the top-k paths of length exactly `l` in
-    /// descending weight order.
-    pub fn run(&self, graph: &ClusterGraph) -> BscResult<Vec<ClusterPath>> {
+    /// Run the algorithm over a graph or a view of one, returning the top-k
+    /// paths of length exactly `l` in descending weight order.
+    pub fn run<'a>(&self, graph: impl Into<GraphView<'a>>) -> BscResult<Vec<ClusterPath>> {
         self.run_with_stats(graph).map(|(paths, _)| paths)
     }
 
     /// Run the algorithm and also report execution statistics.
-    pub fn run_with_stats(&self, graph: &ClusterGraph) -> BscResult<(Vec<ClusterPath>, BfsStats)> {
+    pub fn run_with_stats<'a>(
+        &self,
+        graph: impl Into<GraphView<'a>>,
+    ) -> BscResult<(Vec<ClusterPath>, BfsStats)> {
+        let graph = graph.into();
         let KlStableParams { k, l } = self.params;
         let cancel = self.cancel.as_ref();
         check_not_expired(cancel)?;
@@ -803,14 +811,8 @@ impl StableClusterSolver for BfsStableClusters {
         AlgorithmKind::Bfs
     }
 
-    fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution> {
-        let scope = IoScope::start();
-        let (paths, stats) = self.run_with_stats(graph)?;
-        Ok(Solution {
-            paths,
-            stats: stats.into(),
-            io: scope.finish(),
-        })
+    fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
+        Solution::of(|| self.run_with_stats(view))
     }
 }
 

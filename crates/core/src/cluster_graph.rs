@@ -11,7 +11,13 @@
 //! a node of interval `i` can only have parents in intervals
 //! `[i − g − 1, i − 1]` and children in `[i + 1, i + g + 1]` — the property
 //! all three stable-cluster algorithms exploit.
+//!
+//! It also makes a temporal window nothing more than an interval range over
+//! the graph: a borrowed [`GraphView`], which is what every solver reads. A
+//! windowed solve copies no edge, so a path inside a window weighs bit for
+//! bit what it weighs in the graph.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use bsc_graph::cluster::KeywordCluster;
@@ -423,45 +429,136 @@ impl ClusterGraph {
         }
     }
 
-    /// Extract the temporal window `[start, end]` (inclusive) as a
-    /// self-contained [`ClusterGraph`] whose interval `t` is the original
-    /// interval `start + t`.
-    ///
-    /// Nodes keep their per-interval indices and edges keep their exact
-    /// weights (weights are already normalized into `(0, 1]`, so the
-    /// builder's normalization pass is the identity); edges with an endpoint
-    /// outside the window are dropped. Any path that stays inside the window
-    /// therefore exists in the extracted graph with a bit-identical weight —
-    /// the property the sharded solver's byte-identical merge relies on.
+    /// The whole graph as a [`GraphView`].
+    pub fn view(&self) -> GraphView<'_> {
+        GraphView {
+            graph: self,
+            first: 0,
+            end: self.num_intervals() as u32,
+        }
+    }
+
+    /// The temporal window `[start, end]` (inclusive) as a [`GraphView`]:
+    /// nothing is copied, node ids stay those of this graph.
     ///
     /// # Panics
     /// Panics if `start > end` or `end` is outside the graph.
-    pub fn window(&self, start: u32, end: u32) -> ClusterGraph {
+    pub fn window(&self, start: u32, end: u32) -> GraphView<'_> {
         assert!(start <= end, "window start {start} beyond end {end}");
         assert!(
             (end as usize) < self.num_intervals(),
             "window end {end} outside the graph ({} intervals)",
             self.num_intervals()
         );
-        let mut builder = ClusterGraphBuilder::new(self.gap);
-        for interval in start..=end {
-            builder.add_interval(self.nodes_in_interval(interval));
+        GraphView {
+            graph: self,
+            first: start,
+            end: end + 1,
         }
-        for interval in start..=end {
-            for from in self.interval_node_ids(interval) {
-                for edge in self.children(from) {
-                    if edge.to.interval > end {
-                        continue;
-                    }
-                    builder.add_edge(
-                        ClusterNodeId::new(from.interval - start, from.index),
-                        ClusterNodeId::new(edge.to.interval - start, edge.to.index),
-                        edge.weight,
-                    );
-                }
+    }
+}
+
+impl<'a> From<&'a ClusterGraph> for GraphView<'a> {
+    fn from(graph: &'a ClusterGraph) -> Self {
+        graph.view()
+    }
+}
+
+/// A run of consecutive intervals of a [`ClusterGraph`], read in place: what
+/// every solver takes for "the graph". Node ids are the graph's own and "the
+/// first interval" is [`GraphView::first_interval`], not 0.
+///
+/// [`GraphView::parents`] and [`GraphView::children`] pass over the edges
+/// whose other endpoint lies outside the view and keep the rest in the
+/// graph's row order. (A window rebuilt as a graph of its own would list a
+/// node's parents by source interval instead of as inserted; no `Solution`
+/// can tell, the top-k under the strict `(score, content)` order being
+/// independent of the order of offers.)
+#[derive(Debug, Clone, Copy)]
+pub struct GraphView<'a> {
+    graph: &'a ClusterGraph,
+    first: u32,
+    /// One past the last interval.
+    end: u32,
+}
+
+impl<'a> GraphView<'a> {
+    /// The graph the view reads.
+    pub fn graph(self) -> &'a ClusterGraph {
+        self.graph
+    }
+
+    /// The view's first interval, in the graph's numbering.
+    pub fn first_interval(self) -> u32 {
+        self.first
+    }
+
+    /// The view's intervals, in the graph's numbering.
+    pub fn intervals(self) -> Range<u32> {
+        self.first..self.end
+    }
+
+    /// Number of temporal intervals `m` in the view.
+    pub fn num_intervals(self) -> usize {
+        self.intervals().len()
+    }
+
+    /// Maximum allowed gap `g`.
+    pub fn gap(self) -> u32 {
+        self.graph.gap
+    }
+
+    /// Number of nodes in interval `interval` (0 outside the view).
+    pub fn nodes_in_interval(self, interval: u32) -> u32 {
+        match self.intervals().contains(&interval) {
+            true => self.graph.nodes_in_interval(interval),
+            false => 0,
+        }
+    }
+
+    /// Node ids of one interval (none outside the view).
+    pub fn interval_node_ids(self, interval: u32) -> impl Iterator<Item = ClusterNodeId> {
+        (0..self.nodes_in_interval(interval)).map(move |j| ClusterNodeId::new(interval, j))
+    }
+
+    /// Total number of nodes.
+    pub fn num_nodes(self) -> usize {
+        let nodes = |i| self.nodes_in_interval(i) as usize;
+        self.intervals().map(nodes).sum()
+    }
+
+    /// Number of edges with both endpoints inside the view.
+    pub fn num_edges(self) -> usize {
+        let inside = |i: u32| {
+            let parents = &self.graph.segments[i as usize].parents.edges;
+            // Past the view's first g + 1 intervals no parent is outside.
+            match i - self.first > self.graph.gap {
+                true => parents.len(),
+                false => self.edges_within(parents).count(),
             }
-        }
-        builder.build()
+        };
+        self.intervals().map(inside).sum()
+    }
+
+    /// The edges of `row` whose other endpoint is inside the view.
+    pub(crate) fn edges_within(
+        self,
+        row: &'a [ClusterEdge],
+    ) -> impl Iterator<Item = &'a ClusterEdge> + Clone + 'a {
+        let within = self.intervals();
+        row.iter().filter(move |e| within.contains(&e.to.interval))
+    }
+
+    /// Children of `node` inside the view, by descending weight. Panics if
+    /// the node is outside the graph.
+    pub fn children(self, node: ClusterNodeId) -> impl Iterator<Item = &'a ClusterEdge> + Clone {
+        self.edges_within(self.graph.children(node))
+    }
+
+    /// Parents of `node` inside the view, in insertion order. Panics if the
+    /// node is outside the graph.
+    pub fn parents(self, node: ClusterNodeId) -> impl Iterator<Item = &'a ClusterEdge> + Clone {
+        self.edges_within(self.graph.parents(node))
     }
 }
 
@@ -604,8 +701,6 @@ impl ClusterGraphBuilder {
             builder.add_interval(clusters.len() as u32);
         }
         let m = interval_clusters.len();
-        let mut raw_edges: Vec<(ClusterNodeId, ClusterNodeId, f64)> = Vec::new();
-        let mut max_affinity = 0.0f64;
         for i in 0..m {
             let reach = (i + gap as usize + 2).min(m);
             for j in (i + 1)..reach {
@@ -639,27 +734,18 @@ impl ClusterGraphBuilder {
                         let cluster_j = &interval_clusters[j][cj as usize];
                         let value = affinity.affinity(cluster_i, cluster_j);
                         if value > theta {
-                            max_affinity = max_affinity.max(value);
-                            raw_edges.push((
+                            builder.add_edge(
                                 ClusterNodeId::new(i as u32, ci as u32),
                                 ClusterNodeId::new(j as u32, cj),
                                 value,
-                            ));
+                            );
                         }
                     }
                 }
             }
         }
-        // Normalize unbounded affinities into (0, 1] by the maximum observed
-        // value (paper, footnote 1).
-        let scale = if affinity.bounded_by_one() || max_affinity <= 1.0 {
-            1.0
-        } else {
-            max_affinity
-        };
-        for (from, to, weight) in raw_edges {
-            builder.add_edge(from, to, weight / scale);
-        }
+        // `build` normalizes unbounded affinities into (0, 1] by the maximum
+        // observed value (paper, footnote 1).
         builder.build()
     }
 }
@@ -827,7 +913,7 @@ mod tests {
     }
 
     #[test]
-    fn window_preserves_inner_edges_and_drops_crossing_ones() {
+    fn a_window_view_keeps_inner_edges_in_place_and_passes_over_crossing_ones() {
         let mut builder = ClusterGraphBuilder::new(1);
         for n in [2, 2, 1, 2] {
             builder.add_interval(n);
@@ -839,26 +925,64 @@ mod tests {
         let graph = builder.build();
 
         let window = graph.window(1, 2);
+        assert_eq!(window.first_interval(), 1);
+        assert_eq!(window.intervals(), 1..3);
         assert_eq!(window.num_intervals(), 2);
-        assert_eq!(window.nodes_in_interval(0), 2);
-        assert_eq!(window.nodes_in_interval(1), 1);
+        assert_eq!(window.nodes_in_interval(1), 2);
+        assert_eq!(window.nodes_in_interval(2), 1);
+        assert_eq!(window.nodes_in_interval(0), 0, "outside the view");
+        assert_eq!(window.nodes_in_interval(3), 0, "outside the view");
+        assert_eq!(window.num_nodes(), 3);
         assert_eq!(window.num_edges(), 1);
-        // The surviving edge is remapped and keeps its exact weight bits.
-        let weight = window
-            .edge_weight(node(0, 0), node(1, 0))
-            .expect("inner edge survives");
-        assert_eq!(weight.to_bits(), 0.25f64.to_bits());
         assert_eq!(window.gap(), graph.gap());
+        // The surviving edge keeps its node ids and is the graph's own edge.
+        let inner: Vec<&ClusterEdge> = window.children(node(1, 0)).collect();
+        assert_eq!(inner.len(), 1);
+        assert!(std::ptr::eq(inner[0], &graph.children(node(1, 0))[0]));
+        // Edges reaching outside the window are passed over, both ways.
+        assert_eq!(window.children(node(1, 1)).count(), 0);
+        assert_eq!(window.children(node(2, 0)).count(), 0);
+        assert_eq!(window.parents(node(1, 1)).count(), 0);
 
-        // The whole-graph window is a faithful copy.
-        let copy = graph.window(0, 3);
-        assert_eq!(copy.num_nodes(), graph.num_nodes());
-        assert_eq!(copy.num_edges(), graph.num_edges());
-        for (from, to, w) in graph.edges() {
-            assert_eq!(
-                copy.edge_weight(from, to).map(f64::to_bits),
-                Some(w.to_bits())
-            );
+        // The whole-graph view (and window) read as the graph does.
+        for whole in [graph.view(), graph.window(0, 3), GraphView::from(&graph)] {
+            assert_eq!(whole.num_nodes(), graph.num_nodes());
+            assert_eq!(whole.num_edges(), graph.num_edges());
+            assert_eq!(whole.intervals(), 0..4);
+            for (from, to, w) in graph.edges() {
+                assert!(whole.children(from).any(|e| e.to == to && e.weight == w));
+                assert!(whole.parents(to).any(|e| e.to == from && e.weight == w));
+            }
+        }
+    }
+
+    #[test]
+    fn a_view_counts_its_edges_without_reading_past_the_gap() {
+        // gap 1: only the view's first two intervals can have parents
+        // outside it; every count must still equal the brute-force one.
+        let mut builder = ClusterGraphBuilder::new(1);
+        for _ in 0..5 {
+            builder.add_interval(2);
+        }
+        for i in 0..4 {
+            builder.add_edge(node(i, 0), node(i + 1, 1), 0.5);
+            builder.add_edge(node(i, 1), node(i + 1, 0), 0.25);
+        }
+        for i in 0..3 {
+            builder.add_edge(node(i, 0), node(i + 2, 0), 0.75);
+        }
+        let graph = builder.build();
+        for start in 0..5 {
+            for end in start..5 {
+                let inside = |&(from, to, _): &(ClusterNodeId, ClusterNodeId, f64)| {
+                    from.interval >= start && to.interval <= end
+                };
+                assert_eq!(
+                    graph.window(start, end).num_edges(),
+                    graph.edges().filter(inside).count(),
+                    "[{start}, {end}]"
+                );
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! differs from the previous one only in some intervals — the
 //! streamed-ingest case, where a pushed interval appends one column and
 //! possibly evicts an old one — any window whose intervals are all
-//! unchanged has a byte-identical subgraph, so its per-window top-k from the
+//! unchanged holds the same subgraph, so its per-window top-k from the
 //! prior epoch can be **spliced forward** without re-solving.
 //! [`solve_windows`] is the "local placement, `options.shards` ranges, memo
 //! on" configuration of the crate's one windowed executor (`windowed.rs`).
@@ -21,12 +21,15 @@
 //!
 //! 1. every in-window edge targets an interval in `[a + 1, a + l]`, so the
 //!    window's edge multiset is covered by the compared in-edge sets;
-//! 2. equal node counts and equal edge multisets mean
-//!    [`ClusterGraph::window`] extracts byte-identical subgraphs (weights
-//!    are compared by bit pattern, never by float tolerance);
-//! 3. a deterministic solver on a byte-identical subgraph produces the
+//! 2. equal node counts and equal edge multisets mean the two epochs'
+//!    [`ClusterGraph::window`] views hold the same nodes and the same edges,
+//!    weight bits included (weights are compared by bit pattern, never by
+//!    float tolerance) — at most a node's parents are listed in a different
+//!    order;
+//! 3. a deterministic solver on the same window content produces the
 //!    identical per-window top-k — the top-k set is unique under the total
-//!    `(score desc, content asc)` order;
+//!    `(score desc, content asc)` order, whatever order candidates are
+//!    offered in;
 //! 4. the merge of per-window top-k's is order-independent, so replacing a
 //!    re-solve by the prior result cannot change a byte of the merged
 //!    [`Solution`].
@@ -232,7 +235,7 @@ pub fn solve_windows(
     prior: Option<(&WindowSet, &GraphDelta)>,
 ) -> BscResult<DeltaSolveOutcome> {
     Windowed {
-        graph,
+        view: graph.view(),
         length: PathLength::of(spec, "delta")?,
         k,
         algorithm,

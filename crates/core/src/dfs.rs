@@ -27,11 +27,10 @@
 use std::collections::HashMap;
 
 use bsc_storage::backend::StorageSpec;
-use bsc_storage::io_stats::IoScope;
 use bsc_storage::node_store::NodeStore;
 use bsc_util::cancel::CancelToken;
 
-use crate::cluster_graph::{ClusterEdge, ClusterGraph, ClusterNodeId};
+use crate::cluster_graph::{ClusterEdge, ClusterGraph, ClusterNodeId, GraphView};
 use crate::error::BscResult;
 use crate::path::ClusterPath;
 use crate::path_tree::SharedTail;
@@ -201,11 +200,11 @@ impl StateStore {
 }
 
 /// A stack frame: a node (or the virtual source) with its in-memory state and
-/// a cursor into its children list.
-struct Frame {
+/// the children not yet considered.
+struct Frame<I> {
     /// `None` for the virtual source.
     node: Option<ClusterNodeId>,
-    cursor: usize,
+    children: I,
     state: NodeState,
 }
 
@@ -255,14 +254,18 @@ impl DfsStableClusters {
         self.params
     }
 
-    /// Run the traversal and return the top-k paths of length exactly `l`,
-    /// in descending weight order.
-    pub fn run(&self, graph: &ClusterGraph) -> BscResult<Vec<ClusterPath>> {
+    /// Run the traversal over a graph or a view of one and return the top-k
+    /// paths of length exactly `l`, in descending weight order.
+    pub fn run<'a>(&self, graph: impl Into<GraphView<'a>>) -> BscResult<Vec<ClusterPath>> {
         self.run_with_stats(graph).map(|(paths, _)| paths)
     }
 
     /// Run the traversal, also reporting execution statistics.
-    pub fn run_with_stats(&self, graph: &ClusterGraph) -> BscResult<(Vec<ClusterPath>, DfsStats)> {
+    pub fn run_with_stats<'a>(
+        &self,
+        graph: impl Into<GraphView<'a>>,
+    ) -> BscResult<(Vec<ClusterPath>, DfsStats)> {
+        let graph = graph.into();
         let k = self.params.k;
         let l = self.params.l;
         let mut stats = DfsStats::default();
@@ -283,22 +286,17 @@ impl DfsStableClusters {
         let mut global = TopKPaths::new(k);
 
         // Children of the virtual source: every node at which a path of
-        // length l can start (interval + l <= m - 1), ordered by interval.
-        let source_children: Vec<ClusterEdge> = (0..=(m - 1 - l))
-            .flat_map(|interval| {
-                graph
-                    .interval_node_ids(interval)
-                    .map(|node| ClusterEdge {
-                        to: node,
-                        weight: 0.0,
-                    })
-                    .collect::<Vec<_>>()
-            })
+        // length l can start (`l` intervals before the view's end at the
+        // latest), ordered by interval.
+        let (first, end) = (graph.first_interval(), graph.intervals().end);
+        let source_children: Vec<ClusterEdge> = (first..end - l)
+            .flat_map(|interval| graph.interval_node_ids(interval))
+            .map(|to| ClusterEdge { to, weight: 0.0 })
             .collect();
 
-        let mut stack: Vec<Frame> = vec![Frame {
+        let mut stack = vec![Frame {
             node: None,
-            cursor: 0,
+            children: graph.edges_within(&source_children),
             state: NodeState::empty(l),
         }];
 
@@ -311,20 +309,8 @@ impl DfsStableClusters {
                 }
             }
             stats.peak_stack_depth = stats.peak_stack_depth.max(stack.len());
-            let (child_edge, parent_node) = {
-                let frame = &mut stack[top_index];
-                let children: &[ClusterEdge] = match frame.node {
-                    None => &source_children,
-                    Some(node) => graph.children(node),
-                };
-                if frame.cursor < children.len() {
-                    let edge = children[frame.cursor];
-                    frame.cursor += 1;
-                    (Some(edge), frame.node)
-                } else {
-                    (None, frame.node)
-                }
-            };
+            let frame = &mut stack[top_index];
+            let (child_edge, parent_node) = (frame.children.next().copied(), frame.node);
 
             match child_edge {
                 Some(edge) => {
@@ -368,12 +354,13 @@ impl DfsStableClusters {
                             child,
                             edge.weight,
                             l,
-                            m,
+                            end,
                         );
                     }
 
+                    let depth = child.interval - first;
                     if self.config.enable_pruning
-                        && can_prune(&child_state, child, l, m, global.admission_threshold())
+                        && can_prune(&child_state, depth, l, m, global.admission_threshold())
                     {
                         stats.prunes += 1;
                         // Postpone the child: clear visited flags of every
@@ -390,7 +377,7 @@ impl DfsStableClusters {
 
                     stack.push(Frame {
                         node: Some(child),
-                        cursor: 0,
+                        children: graph.edges_within(graph.graph().children(child)),
                         state: child_state,
                     });
                 }
@@ -403,6 +390,7 @@ impl DfsStableClusters {
                         if let Some(parent_frame) = stack.last_mut() {
                             if let Some(parent) = parent_frame.node {
                                 let weight = graph
+                                    .graph()
                                     .edge_weight(parent, node)
                                     // bsc:allow(panic-in-lib) -- (parent, node) came off the DFS stack, which only holds graph edges
                                     .expect("tree edge exists in the graph");
@@ -436,15 +424,16 @@ fn update_maxweight(
     child: ClusterNodeId,
     edge_weight: f64,
     l: u32,
-    m: u32,
+    end: u32,
 ) {
     let len = ClusterGraph::edge_length(parent, child);
     if len > l {
         return;
     }
     // Prefix of length 0 ending at the parent exists iff a path may start at
-    // the parent (enough room for a full suffix of length l).
-    let parent_start_feasible = parent.interval + l < m;
+    // the parent (enough room before `end`, one past the view's last
+    // interval, for a full suffix of length l).
+    let parent_start_feasible = parent.interval + l < end;
     // bsc:allow(missing-cancel-checkpoint) -- bounded by l <= interval count; the DFS driver checkpoints per edge
     for x in len..=l {
         let prefix_len = x - len;
@@ -477,9 +466,9 @@ fn update_maxweight(
 /// remaining unit of length contributes at most weight one. If every feasible
 /// role is provably below the current k-th best weight, the node can be
 /// postponed; it stays unvisited, so a later arrival with a better prefix
-/// re-explores it.
-fn can_prune(state: &NodeState, node: ClusterNodeId, l: u32, m: u32, min_k: f64) -> bool {
-    let i = node.interval;
+/// re-explores it. `i` is the node's interval counted from the view's first,
+/// `m` the view's interval count.
+fn can_prune(state: &NodeState, i: u32, l: u32, m: u32, min_k: f64) -> bool {
     let x_cap = l.min(i);
     // bsc:allow(missing-cancel-checkpoint) -- bounded by l <= interval count; the DFS driver checkpoints per edge
     for x in 0..=x_cap {
@@ -597,14 +586,8 @@ impl StableClusterSolver for DfsStableClusters {
         AlgorithmKind::Dfs
     }
 
-    fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution> {
-        let scope = IoScope::start();
-        let (paths, stats) = self.run_with_stats(graph)?;
-        Ok(Solution {
-            paths,
-            stats: stats.into(),
-            io: scope.finish(),
-        })
+    fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
+        Solution::of(|| self.run_with_stats(view))
     }
 }
 

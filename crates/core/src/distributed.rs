@@ -3,12 +3,12 @@
 //! A [`DistributedSolver`] is the "transport placement, one range per
 //! worker, no memo" configuration of the crate's one windowed executor
 //! (`windowed.rs`; `docs/sharding.md` states the start-interval
-//! decomposition and its byte-identity argument): it fans
-//! [`ClusterGraph::window`] solve requests out to remote workers
-//! through an object-safe [`ShardTransport`] and merges the results, so the
-//! merged [`Solution`] is **byte-identical** to the in-process
-//! [`ShardedSolver`](crate::sharded::ShardedSolver) (and hence to the
-//! unsharded solve) for every worker count.
+//! decomposition and its byte-identity argument): it fans per-window solve
+//! requests — a start interval and a length, never a subgraph — out to
+//! remote workers through an object-safe [`ShardTransport`] and merges the
+//! results, so the merged [`Solution`] is **byte-identical** to the
+//! in-process [`ShardedSolver`](crate::sharded::ShardedSolver) (and hence to
+//! the unsharded solve) for every worker count.
 //!
 //! The networking itself lives outside this crate: `bsc-cluster` implements
 //! [`ShardTransport`] over a line-delimited JSON TCP protocol and registers
@@ -17,8 +17,10 @@
 //! distributed solving like any other backend — through
 //! [`AlgorithmKind::build_with_options`] — without `bsc-core` linking a
 //! transport. Worker processes call [`solve_window_locally`], the same code
-//! path the in-process placement uses, which is what makes the
-//! byte-identity guarantee structural rather than coincidental.
+//! path the in-process placement uses — a [`ClusterGraph::window`] view of
+//! the epoch graph the worker already holds, solved in place — which is
+//! what makes the byte-identity guarantee structural rather than
+//! coincidental.
 //!
 //! Failure semantics are the transport's contract: a
 //! [`ShardTransport::solve_window`] call either returns the window's full
@@ -32,7 +34,7 @@ use std::sync::{Arc, OnceLock};
 
 use bsc_storage::backend::StorageSpec;
 
-use crate::cluster_graph::{ClusterGraph, ClusterNodeId};
+use crate::cluster_graph::{ClusterGraph, GraphView};
 use crate::error::{BscError, BscResult};
 use crate::path::ClusterPath;
 use crate::problem::StableClusterSpec;
@@ -119,12 +121,11 @@ pub struct WindowRequest {
     pub deadline_ms: Option<u64>,
 }
 
-/// A solved window: result paths in **global** (unshifted) coordinates plus
-/// the solver counters, ready to merge.
+/// A solved window: result paths in the graph's own node ids plus the
+/// solver counters, ready to merge.
 #[derive(Debug, Clone)]
 pub struct WindowResult {
-    /// The window's top-k paths, node intervals already shifted back into
-    /// the full graph's coordinates.
+    /// The window's top-k paths.
     pub paths: Vec<ClusterPath>,
     /// The window solver's execution counters.
     pub stats: SolverStats,
@@ -176,11 +177,11 @@ pub fn anonymous_epoch() -> u64 {
 /// of `bsc-cluster`, which is what makes distributed results structurally
 /// byte-identical to sharded ones.
 ///
-/// Extracts the `(l + 1)`-interval window at `start`, builds `algorithm`
-/// for the window's full-path query (`ExactLength(l)` *is* full-length
-/// inside the window, so every algorithm — TA included — accepts it),
-/// solves sequentially with its own `storage`-provisioned backend, and
-/// shifts the result paths back into global coordinates.
+/// Takes the `(l + 1)`-interval view at `start`, builds `algorithm` for the
+/// window's full-path query (`ExactLength(l)` *is* full-length inside the
+/// window, so every algorithm — TA included — accepts it) and solves
+/// sequentially, in place, with its own `storage`-provisioned backend. A
+/// window the graph does not contain is a [`BscError::InvalidConfig`].
 pub fn solve_window_locally(
     graph: &ClusterGraph,
     start: u32,
@@ -189,29 +190,24 @@ pub fn solve_window_locally(
     algorithm: AlgorithmKind,
     options: &SolverOptions,
 ) -> BscResult<WindowResult> {
-    let window = graph.window(start, start + l);
+    let m = graph.num_intervals();
+    let end = start.checked_add(l).filter(|&end| (end as usize) < m);
+    let end = end.ok_or_else(|| {
+        BscError::InvalidConfig(format!(
+            "window of length {l} at interval {start} is outside the graph ({m} intervals)"
+        ))
+    })?;
     // Window solves are the leaves of any fan-out: `build_leaf` never
     // shards or re-distributes, whatever the caller's options said.
     let mut solver = algorithm.build_leaf(
         StableClusterSpec::ExactLength(l),
         k,
-        window.num_intervals(),
+        l as usize + 1,
         options,
     )?;
-    let solution = solver.solve(&window)?;
-    let paths = solution
-        .paths
-        .into_iter()
-        .map(|path| {
-            let nodes: Vec<ClusterNodeId> = path
-                .nodes()
-                .iter()
-                .map(|n| ClusterNodeId::new(n.interval + start, n.index))
-                .collect();
-            ClusterPath::new(nodes, path.weight())
-        })
-        .collect();
-    let mut stats = solution.stats;
+    let Solution {
+        paths, mut stats, ..
+    } = solver.solve_view(graph.window(start, end))?;
     // One window actually solved: sharded, distributed and delta solves all
     // merge these, so the aggregate's `windows_resolved` counts the windows
     // that ran regardless of how they were partitioned.
@@ -274,9 +270,9 @@ impl DistributedSolver {
 
     /// One dispatcher per worker: worker `i` preferentially answers range
     /// `i`, and the transport reroutes individual windows when it fails.
-    fn solve_with_epoch(&mut self, graph: &ClusterGraph, epoch: u64) -> BscResult<Solution> {
+    fn solve_with_epoch(&mut self, view: GraphView<'_>, epoch: u64) -> BscResult<Solution> {
         let windowed = Windowed {
-            graph,
+            view,
             length: self.length,
             k: self.k,
             algorithm: self.inner,
@@ -302,10 +298,10 @@ impl StableClusterSolver for DistributedSolver {
         self.inner
     }
 
-    fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution> {
+    fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
         // No snapshot, no epoch: mint a graph identity so workers neither
         // collide on unrelated graphs nor re-use a stale one.
-        self.solve_with_epoch(graph, anonymous_epoch())
+        self.solve_with_epoch(view, anonymous_epoch())
     }
 
     fn solve_snapshot(&mut self, snapshot: &GraphSnapshot) -> BscResult<Solution> {
@@ -314,7 +310,7 @@ impl StableClusterSolver for DistributedSolver {
             0 => anonymous_epoch(),
             epoch => epoch,
         };
-        self.solve_with_epoch(snapshot.graph(), epoch)
+        self.solve_with_epoch(snapshot.graph().view(), epoch)
     }
 }
 
@@ -427,6 +423,27 @@ mod tests {
             Ok(_) => { /* another test registered a factory first — fine */ }
             Err(other) => panic!("unexpected error {other}"),
         }
+    }
+
+    #[test]
+    fn a_window_the_graph_does_not_contain_is_an_error_not_a_panic() {
+        let solve = |graph: &ClusterGraph, start: u32, l: u32| {
+            let options = SolverOptions::default();
+            solve_window_locally(graph, start, l, 3, AlgorithmKind::Bfs, &options)
+        };
+        let graph = graph(6, 10, 2, 0, 3);
+        let empty = crate::cluster_graph::ClusterGraphBuilder::new(0).build();
+        // `start + l` overflows; ends one past the last interval; no graph.
+        for (graph, start, l) in [(&graph, u32::MAX, 2), (&graph, 4, 2), (&empty, 0, 0)] {
+            let error = solve(graph, start, l).expect_err("outside the graph");
+            assert!(matches!(error, BscError::InvalidConfig(_)), "{error}");
+            assert!(error.to_string().contains("outside the graph"), "{error}");
+        }
+        // The last window the graph does contain still solves.
+        let last = solve(&graph, 3, 2).expect("window [3, 5]");
+        assert_eq!(last.stats.windows_resolved, 1);
+        assert!(last.paths.iter().all(|p| p.nodes()[0].interval == 3));
+        assert!(!last.paths.is_empty());
     }
 
     #[test]

@@ -22,10 +22,9 @@
 
 use std::collections::HashMap;
 
-use bsc_storage::io_stats::IoScope;
 use bsc_util::cancel::CancelToken;
 
-use crate::cluster_graph::{ClusterGraph, ClusterNodeId};
+use crate::cluster_graph::{ClusterGraph, ClusterNodeId, GraphView};
 use crate::error::BscResult;
 use crate::path::ClusterPath;
 use crate::path_tree::SharedPath;
@@ -112,17 +111,18 @@ impl NormalizedStableClusters {
         self.params
     }
 
-    /// Run the solver: the top-k paths of length ≥ `l_min` by stability,
-    /// in descending stability order.
-    pub fn run(&self, graph: &ClusterGraph) -> BscResult<Vec<ClusterPath>> {
+    /// Run the solver over a graph or a view of one: the top-k paths of
+    /// length ≥ `l_min` by stability, in descending stability order.
+    pub fn run<'a>(&self, graph: impl Into<GraphView<'a>>) -> BscResult<Vec<ClusterPath>> {
         self.run_with_stats(graph).map(|(paths, _)| paths)
     }
 
     /// Run and report execution statistics.
-    pub fn run_with_stats(
+    pub fn run_with_stats<'a>(
         &self,
-        graph: &ClusterGraph,
+        graph: impl Into<GraphView<'a>>,
     ) -> BscResult<(Vec<ClusterPath>, NormalizedStats)> {
+        let graph = graph.into();
         let k = self.params.k;
         let l_min = self.params.l_min;
         let mut stats = NormalizedStats::default();
@@ -130,7 +130,6 @@ impl NormalizedStableClusters {
         if k == 0 || l_min == 0 || graph.num_intervals() < 2 {
             return Ok((Vec::new(), stats));
         }
-        let m = graph.num_intervals() as u32;
         let gap = graph.gap();
         let mut global = TopKPaths::new(k);
         let mut window: HashMap<ClusterNodeId, NodeState> = HashMap::new();
@@ -140,7 +139,7 @@ impl NormalizedStableClusters {
 
         let cap = self.config.max_paths_per_node.unwrap_or(usize::MAX);
 
-        for interval in 0..m {
+        for interval in graph.intervals() {
             let mut interval_states: Vec<(ClusterNodeId, NodeState)> = Vec::new();
             for node in graph.interval_node_ids(interval) {
                 if let Some(token) = cancel {
@@ -164,7 +163,6 @@ impl NormalizedStableClusters {
                         &mut state,
                         &mut global,
                         &mut stats,
-                        graph,
                         cap,
                     );
 
@@ -184,15 +182,7 @@ impl NormalizedStableClusters {
                     }
                     for (total, candidate) in extensions {
                         stats.paths_generated += 1;
-                        self.place(
-                            candidate,
-                            total,
-                            &mut state,
-                            &mut global,
-                            &mut stats,
-                            graph,
-                            cap,
-                        );
+                        self.place(candidate, total, &mut state, &mut global, &mut stats, cap);
                     }
                 }
                 interval_states.push((node, state));
@@ -218,7 +208,6 @@ impl NormalizedStableClusters {
 
     /// Route a freshly generated candidate of temporal length `total` into
     /// the node state, offering it to the global heap when long enough.
-    #[allow(clippy::too_many_arguments)]
     fn place(
         &self,
         candidate: Candidate,
@@ -226,11 +215,9 @@ impl NormalizedStableClusters {
         state: &mut NodeState,
         global: &mut TopKPaths,
         stats: &mut NormalizedStats,
-        graph: &ClusterGraph,
         cap: usize,
     ) {
         let l_min = self.params.l_min;
-        let _ = graph;
         if total < l_min {
             let bucket = &mut state.smallpaths[total as usize - 1];
             if !bucket.iter().any(|c| c.same_nodes(&candidate)) && bucket.len() < cap {
@@ -335,14 +322,8 @@ impl StableClusterSolver for NormalizedStableClusters {
         AlgorithmKind::Normalized
     }
 
-    fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution> {
-        let scope = IoScope::start();
-        let (paths, stats) = self.run_with_stats(graph)?;
-        Ok(Solution {
-            paths,
-            stats: stats.into(),
-            io: scope.finish(),
-        })
+    fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
+        Solution::of(|| self.run_with_stats(view))
     }
 }
 

@@ -7,15 +7,16 @@
 //! every shard count, and how threads, cancellation and stats behave. Two
 //! properties are worth repeating for callers of this type:
 //!
-//! * each window spans exactly `l + 1` intervals, so *every* exact-length
-//!   query becomes a full-path query inside its window — even the TA
-//!   adaptation (full paths only) serves subpath queries when sharded;
+//! * each window is an `(l + 1)`-interval view of the graph, read in place,
+//!   so *every* exact-length query becomes a full-path query inside its
+//!   window — even the TA adaptation (full paths only) serves subpath
+//!   queries when sharded;
 //! * each inner solver provisions its own
 //!   [`StorageSpec`](bsc_storage::backend::StorageSpec)-selected backend, so
 //!   shards never share mutable storage and the working set per shard
 //!   shrinks with the shard count.
 
-use crate::cluster_graph::ClusterGraph;
+use crate::cluster_graph::GraphView;
 use crate::error::BscResult;
 use crate::problem::StableClusterSpec;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions, StableClusterSolver};
@@ -74,9 +75,9 @@ impl StableClusterSolver for ShardedSolver {
         self.inner
     }
 
-    fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution> {
+    fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
         let windowed = Windowed {
-            graph,
+            view,
             length: self.length,
             k: self.k,
             algorithm: self.inner,
@@ -93,6 +94,7 @@ impl StableClusterSolver for ShardedSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster_graph::ClusterGraph;
     use crate::path::ClusterPath;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 

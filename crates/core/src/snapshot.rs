@@ -24,7 +24,7 @@ use std::sync::{Arc, RwLock};
 
 use bsc_corpus::vocabulary::Vocabulary;
 
-use crate::cluster_graph::ClusterGraph;
+use crate::cluster_graph::{ClusterGraph, GraphView};
 use crate::delta::GraphDelta;
 
 /// An immutable, shareable view of a cluster graph at one point in time.
@@ -94,6 +94,13 @@ impl Deref for GraphSnapshot {
 
     fn deref(&self) -> &ClusterGraph {
         &self.graph
+    }
+}
+
+/// So `solver.run(&snapshot)` keeps working where a `&ClusterGraph` did.
+impl<'a> From<&'a GraphSnapshot> for GraphView<'a> {
+    fn from(snapshot: &'a GraphSnapshot) -> Self {
+        snapshot.graph.view()
     }
 }
 

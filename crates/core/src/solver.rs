@@ -5,10 +5,10 @@
 //! Threshold-Algorithm adaptation, the normalized-stability solver of
 //! Problem 2 — run over the same cluster graph. [`StableClusterSolver`] is
 //! the seam that makes them interchangeable in code as well: every solver
-//! takes a [`ClusterGraph`] and produces a [`Solution`] carrying the result
-//! paths, unified execution statistics and the logical I/O performed, behind
-//! one object-safe trait suitable for `Box<dyn StableClusterSolver>`
-//! collections.
+//! takes a [`GraphView`] (a whole [`ClusterGraph`], or a temporal window of
+//! one read in place) and produces a [`Solution`] carrying the result paths,
+//! unified execution statistics and the logical I/O performed, behind one
+//! object-safe trait suitable for `Box<dyn StableClusterSolver>` collections.
 //!
 //! [`AlgorithmKind`] names the available algorithms; [`AlgorithmKind::build`]
 //! is the one place that knows how to construct each solver for a
@@ -19,10 +19,10 @@
 use std::time::Duration;
 
 use bsc_storage::backend::StorageSpec;
-use bsc_storage::io_stats::IoSnapshot;
+use bsc_storage::io_stats::{IoScope, IoSnapshot};
 pub use bsc_util::cancel::CancelToken;
 
-use crate::cluster_graph::ClusterGraph;
+use crate::cluster_graph::{ClusterGraph, GraphView};
 use crate::error::{BscError, BscResult};
 use crate::path::ClusterPath;
 use crate::problem::{KlStableParams, NormalizedParams, StableClusterSpec};
@@ -317,6 +317,21 @@ pub struct Solution {
     pub io: IoSnapshot,
 }
 
+impl Solution {
+    /// The [`Solution`] of one solver `run`, with the logical I/O it did.
+    pub(crate) fn of<S: Into<SolverStats>>(
+        run: impl FnOnce() -> BscResult<(Vec<ClusterPath>, S)>,
+    ) -> BscResult<Solution> {
+        let scope = IoScope::start();
+        let (paths, stats) = run()?;
+        Ok(Solution {
+            paths,
+            stats: stats.into(),
+            io: scope.finish(),
+        })
+    }
+}
+
 /// An object-safe solver for stable-cluster problems over a cluster graph.
 ///
 /// Implementations are constructed with their problem parameters (via
@@ -333,8 +348,15 @@ pub trait StableClusterSolver: std::fmt::Debug {
     /// [`StableClusterSolver::name`].
     fn algorithm(&self) -> AlgorithmKind;
 
-    /// Solve the configured problem over `graph`.
-    fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution>;
+    /// Solve the configured problem over the intervals of `view`: "the
+    /// first interval" is [`GraphView::first_interval`], "a full path"
+    /// spans the view, and result paths carry the graph's own node ids.
+    fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution>;
+
+    /// Solve the configured problem over the whole of `graph`.
+    fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution> {
+        self.solve_view(graph.view())
+    }
 
     /// Solve against a shared [`GraphSnapshot`] — the long-lived-engine
     /// entry point. Solvers *borrow* the snapshot's graph (they never own

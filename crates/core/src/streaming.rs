@@ -106,7 +106,7 @@ impl OnlineStableClusters {
         let interval = self.graph.num_intervals() as u32;
         self.graph = Arc::new(self.graph.append(&parent_edges));
         // Neither way a sweep can fail exists here: no token, no storage.
-        let swept = self.sweep.advance(&self.graph, interval, None);
+        let swept = self.sweep.advance(self.graph.view(), interval, None);
         assert!(swept.is_ok(), "in-memory sweep failed: {swept:?}");
         self.cached_top_k = None;
     }

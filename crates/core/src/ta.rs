@@ -18,10 +18,9 @@
 
 use std::collections::HashMap;
 
-use bsc_storage::io_stats::IoScope;
 use bsc_util::cancel::CancelToken;
 
-use crate::cluster_graph::{ClusterGraph, ClusterNodeId};
+use crate::cluster_graph::{ClusterNodeId, GraphView};
 use crate::error::BscResult;
 use crate::path::ClusterPath;
 use crate::path_tree::{SharedPath, SharedTail};
@@ -68,13 +67,18 @@ impl TaStableClusters {
         self
     }
 
-    /// Run the algorithm.
-    pub fn run(&self, graph: &ClusterGraph) -> BscResult<Vec<ClusterPath>> {
+    /// Run the algorithm over a graph or a view of one (full paths span
+    /// the view).
+    pub fn run<'a>(&self, graph: impl Into<GraphView<'a>>) -> BscResult<Vec<ClusterPath>> {
         self.run_with_stats(graph).map(|(paths, _)| paths)
     }
 
     /// Run the algorithm and report execution statistics.
-    pub fn run_with_stats(&self, graph: &ClusterGraph) -> BscResult<(Vec<ClusterPath>, TaStats)> {
+    pub fn run_with_stats<'a>(
+        &self,
+        graph: impl Into<GraphView<'a>>,
+    ) -> BscResult<(Vec<ClusterPath>, TaStats)> {
+        let graph = graph.into();
         let mut stats = TaStats::default();
         check_not_expired(self.cancel.as_ref())?;
         let m = graph.num_intervals() as u32;
@@ -82,6 +86,7 @@ impl TaStableClusters {
             return Ok((Vec::new(), stats));
         }
         let gap = graph.gap();
+        let (first, last) = (graph.first_interval(), graph.intervals().end - 1);
 
         // One sorted edge list per interval pair (i, j), j - i <= g + 1.
         struct EdgeList {
@@ -90,18 +95,12 @@ impl TaStableClusters {
         }
         let mut lists: Vec<EdgeList> = Vec::new();
         // bsc:allow(missing-cancel-checkpoint) -- one-time setup linear in the edge count; the TA round loop checkpoints
-        for i in 0..m {
-            for j in (i + 1)..=(i + gap + 1).min(m - 1) {
+        for i in graph.intervals() {
+            for j in (i + 1)..=(i + gap + 1).min(last) {
                 let mut edges: Vec<(f64, ClusterNodeId, ClusterNodeId)> = graph
                     .interval_node_ids(i)
-                    .flat_map(|from| {
-                        graph
-                            .children(from)
-                            .iter()
-                            .filter(|e| e.to.interval == j)
-                            .map(move |e| (e.weight, from, e.to))
-                            .collect::<Vec<_>>()
-                    })
+                    .flat_map(|from| graph.children(from).map(move |e| (e.weight, from, e.to)))
+                    .filter(|&(_, _, to)| to.interval == j)
                     .collect();
                 edges.sort_by(|a, b| b.0.total_cmp(&a.0));
                 if !edges.is_empty() {
@@ -114,8 +113,8 @@ impl TaStableClusters {
         }
 
         let mut global = TopKPaths::new(self.k);
-        // Best known prefix weight (interval 0 .. node) and suffix weight
-        // (node .. interval m-1); NEG_INFINITY = no such path exists,
+        // Best known prefix weight (first interval .. node) and suffix weight
+        // (node .. last interval); NEG_INFINITY = no such path exists,
         // absent = not yet computed.
         let mut endwts: HashMap<ClusterNodeId, f64> = HashMap::new();
         let mut startwts: HashMap<ClusterNodeId, f64> = HashMap::new();
@@ -163,7 +162,7 @@ impl TaStableClusters {
                 if prefixes.is_empty() {
                     continue;
                 }
-                let suffixes = enumerate_suffixes(graph, to, m, &mut stats);
+                let suffixes = enumerate_suffixes(graph, to, &mut stats);
                 let best_suffix = suffixes
                     .iter()
                     .map(|p| p.weight())
@@ -196,8 +195,8 @@ impl TaStableClusters {
                         .iter()
                         .map(|list| {
                             (
-                                list.edges[0].1.interval,
-                                list.edges[0].2.interval,
+                                list.edges[0].1.interval - first,
+                                list.edges[0].2.interval - first,
                                 list.edges.get(list.cursor).map(|e| e.0),
                             )
                         })
@@ -222,15 +221,16 @@ impl TaStableClusters {
     }
 }
 
-/// All paths from an interval-0 node to `node` (exclusive of `node` itself in
-/// the weight, inclusive in the node list), as forward-growing shared chains
-/// — sibling prefixes share their common ancestry instead of cloning it.
+/// All paths from a node of the view's first interval to `node` (exclusive
+/// of `node` itself in the weight, inclusive in the node list), as
+/// forward-growing shared chains — sibling prefixes share their common
+/// ancestry instead of cloning it.
 fn enumerate_prefixes(
-    graph: &ClusterGraph,
+    graph: GraphView<'_>,
     node: ClusterNodeId,
     stats: &mut TaStats,
 ) -> Vec<SharedPath> {
-    if node.interval == 0 {
+    if node.interval == graph.first_interval() {
         return vec![SharedPath::singleton(node)];
     }
     stats.random_seeks += 1;
@@ -244,22 +244,22 @@ fn enumerate_prefixes(
     result
 }
 
-/// All paths from `node` to an interval-(m−1) node, as backward-growing
-/// shared chains (prepending while the recursion unwinds is O(1)).
+/// All paths from `node` to a node of the view's last interval, as
+/// backward-growing shared chains (prepending while the recursion unwinds is
+/// O(1)).
 fn enumerate_suffixes(
-    graph: &ClusterGraph,
+    graph: GraphView<'_>,
     node: ClusterNodeId,
-    m: u32,
     stats: &mut TaStats,
 ) -> Vec<SharedTail> {
-    if node.interval == m - 1 {
+    if node.interval + 1 == graph.intervals().end {
         return vec![SharedTail::singleton(node)];
     }
     stats.random_seeks += 1;
     let mut result = Vec::new();
     // bsc:allow(missing-cancel-checkpoint) -- bounded by the path multiplicity of one node; the TA round loop checkpoints between seeks
     for edge in graph.children(node) {
-        for suffix in enumerate_suffixes(graph, edge.to, m, stats) {
+        for suffix in enumerate_suffixes(graph, edge.to, stats) {
             result.push(suffix.prepend(node, edge.weight));
         }
     }
@@ -269,50 +269,25 @@ fn enumerate_suffixes(
 /// The weight of the "virtual path": an optimistic full path assembled from
 /// the highest *unseen* edge weight of each list, combined over a dynamic
 /// program on intervals. Any path consisting solely of unseen edges weighs at
-/// most this much.
-struct ListRef {
-    from_interval: u32,
-    to_interval: u32,
-    head: f64,
-}
-
-fn virtual_path_bound<L: ListHead>(lists: &[L], m: u32) -> f64 {
-    let refs: Vec<ListRef> = lists.iter().filter_map(ListHead::head).collect();
+/// most this much. `heads` gives each list's `(from interval, to interval,
+/// highest unseen weight)`, intervals counted from the view's first.
+fn virtual_path_bound(heads: &[(u32, u32, Option<f64>)], m: u32) -> f64 {
     // best[i] = best achievable weight of an unseen-edge path from interval i
     // to interval m-1.
     let mut best = vec![f64::NEG_INFINITY; m as usize];
     best[(m - 1) as usize] = 0.0;
     // bsc:allow(missing-cancel-checkpoint) -- O(m * lists) dynamic program per TA round; the round loop checkpoints
     for i in (0..m - 1).rev() {
-        for list in &refs {
-            if list.from_interval == i {
-                let next = best[list.to_interval as usize];
-                if next != f64::NEG_INFINITY {
-                    let candidate = list.head + next;
-                    if candidate > best[i as usize] {
-                        best[i as usize] = candidate;
-                    }
-                }
+        for &(from, to, head) in heads {
+            let (Some(head), next) = (head, best[to as usize]) else {
+                continue;
+            };
+            if from == i && next != f64::NEG_INFINITY {
+                best[i as usize] = best[i as usize].max(head + next);
             }
         }
     }
     best[0]
-}
-
-/// Access to a list's highest unseen edge, abstracted so the DP above can be
-/// unit tested without building full graphs.
-trait ListHead {
-    fn head(&self) -> Option<ListRef>;
-}
-
-impl ListHead for (u32, u32, Option<f64>) {
-    fn head(&self) -> Option<ListRef> {
-        self.2.map(|head| ListRef {
-            from_interval: self.0,
-            to_interval: self.1,
-            head,
-        })
-    }
 }
 
 impl From<TaStats> for SolverStats {
@@ -337,14 +312,8 @@ impl StableClusterSolver for TaStableClusters {
         AlgorithmKind::Ta
     }
 
-    fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution> {
-        let scope = IoScope::start();
-        let (paths, stats) = self.run_with_stats(graph)?;
-        Ok(Solution {
-            paths,
-            stats: stats.into(),
-            io: scope.finish(),
-        })
+    fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
+        Solution::of(|| self.run_with_stats(view))
     }
 }
 
@@ -352,7 +321,7 @@ impl StableClusterSolver for TaStableClusters {
 mod tests {
     use super::*;
     use crate::bfs::BfsStableClusters;
-    use crate::cluster_graph::ClusterGraphBuilder;
+    use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder};
     use crate::problem::KlStableParams;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 

@@ -9,18 +9,21 @@
 //! Every length-`l` path starts at exactly one interval `a` and lives
 //! entirely inside the temporal window `[a, a + l]`. So the global top-k is
 //! the merge of per-start top-k's, and a per-start top-k needs only the
-//! window — an `(l + 1)`-interval subgraph ([`ClusterGraph::window`]) in
-//! which the query *is* the full-path query (which is why even TA, full
-//! paths only, serves subpath queries here). The merge keeps the `k` best
-//! under the strict total order `(score desc, content asc)`; the top-k set
-//! under a total order is unique, so none of the following can change a
-//! byte of the merged [`Solution`]: how the starts are partitioned into
-//! ranges, which thread or process solved a window, the order results
-//! arrive in, or whether a window's result was computed now or spliced from
-//! an earlier epoch at which [`GraphDelta`] proves the window's subgraph was
-//! byte-identical (see [`crate::delta`] for that proof). Problem 2
-//! (normalized stability) has unbounded windows and does not decompose;
-//! [`PathLength::of`] is the one place it is rejected.
+//! window: an `(l + 1)`-interval [`GraphView`], read in place, in which the
+//! query *is* the full-path query (which is why even TA, full paths only,
+//! serves subpath queries here). Nothing is copied and no node id is
+//! translated — a window's paths are paths of the graph, weighed over the
+//! very edges the unsharded solve reads. The merge keeps the `k` best under
+//! the strict total order `(score desc, content asc)`; the top-k set under a
+//! total order is unique, so none of the following can change a byte of the
+//! merged [`Solution`]: how the starts are partitioned into ranges, which
+//! thread or process solved a window, the order results arrive in or a
+//! node's parents are listed in, or whether a window's result was computed
+//! now or spliced from an earlier epoch at which [`GraphDelta`] proves the
+//! window held the same edges (see [`crate::delta`] for that proof). Problem
+//! 2 (normalized stability) has unbounded windows and does not decompose;
+//! [`PathLength::of`] is the one place it is rejected. The graph solved is
+//! itself a view: handed a proper sub-view, the executor decomposes that.
 //!
 //! ## The two seams, each crossed once per window
 //!
@@ -36,7 +39,8 @@
 //! ## What every configuration shares
 //!
 //! Starts are weighted by the edges in their window's leading intervals and
-//! split into contiguous ranges by `balanced_ranges`. All workers share one
+//! split into contiguous ranges by `balanced_ranges`; the last range worker
+//! is the calling thread, the others scoped threads. All share one
 //! [`CancelToken`], checked in full before every window: the first worker
 //! to fail trips it, its siblings stop at their next window, and the
 //! root-cause error wins over the `DeadlineExceeded` they report.
@@ -62,7 +66,7 @@ use bsc_storage::io_stats::IoScope;
 use bsc_util::cancel::CancelToken;
 
 use crate::auto::{choose_algorithm, GraphShape};
-use crate::cluster_graph::ClusterGraph;
+use crate::cluster_graph::GraphView;
 use crate::delta::{DeltaSolveOutcome, GraphDelta, WindowSet};
 use crate::distributed::{solve_window_locally, ShardTransport, WindowRequest, WindowResult};
 use crate::error::{BscError, BscResult};
@@ -112,7 +116,7 @@ pub(crate) enum Placement<'a> {
 
 /// One windowed solve, fully configured.
 pub(crate) struct Windowed<'a> {
-    pub(crate) graph: &'a ClusterGraph,
+    pub(crate) view: GraphView<'a>,
     pub(crate) length: PathLength,
     pub(crate) k: usize,
     pub(crate) algorithm: AlgorithmKind,
@@ -121,7 +125,8 @@ pub(crate) struct Windowed<'a> {
     pub(crate) ranges: usize,
     pub(crate) placement: Placement<'a>,
     /// A prior epoch's per-window results and the delta from that epoch to
-    /// `graph`: windows the delta proves untouched are spliced, not solved.
+    /// `view`'s graph: windows the delta proves untouched are spliced, not
+    /// solved (whole-graph views only).
     pub(crate) prior: Option<(&'a WindowSet, &'a GraphDelta)>,
     /// Keep every window's result in the outcome, for the next epoch.
     pub(crate) keep_windows: bool,
@@ -139,13 +144,13 @@ impl Windowed<'_> {
     pub(crate) fn run(mut self) -> BscResult<DeltaSolveOutcome> {
         check_not_expired(self.options.cancel.as_ref())?;
         let scope = IoScope::start();
-        let (graph, k) = (self.graph, self.k);
-        let m = graph.num_intervals() as u32;
+        let (view, k) = (self.view, self.k);
+        let m = view.num_intervals() as u32;
         let l = self.length.over(m);
         self.algorithm = match self.algorithm {
             AlgorithmKind::Auto { budget_bytes } if self.options.shards <= 1 => {
                 let spec = StableClusterSpec::ExactLength(l);
-                choose_algorithm(&GraphShape::of(graph), spec, k, budget_bytes)?
+                choose_algorithm(&GraphShape::of(view), spec, k, budget_bytes)?
             }
             concrete_or_per_window => concrete_or_per_window,
         };
@@ -157,9 +162,11 @@ impl Windowed<'_> {
         let mut merged = TopKPaths::new(k);
         let mut stats = SolverStats::default();
         let mut windows = Vec::new();
-        // A path of length l starting at a spans [a, a + l]: a <= m - 1 - l.
+        // A path of length l starting `a` intervals into the view spans
+        // [a, a + l]: a <= m - 1 - l.
         if k > 0 && l >= 1 && l < m {
-            let edge_counts = graph.interval_out_edge_counts();
+            let edge_counts = view.graph().interval_out_edge_counts();
+            let edge_counts = &edge_counts[view.first_interval() as usize..];
             let weights: Vec<u64> = (0..(m - l) as usize)
                 .map(|a| edge_counts[a..a + l as usize].iter().sum::<u64>().max(1))
                 .collect();
@@ -174,24 +181,21 @@ impl Windowed<'_> {
             let chunk = ranges.len().div_ceil(workers.min(ranges.len()).max(1));
             let cancel = self.options.cancel.clone().unwrap_or_default();
             let leaf = self.options.clone().cancel_token(Some(cancel.clone()));
-            let results: Vec<BscResult<Partial>> = if ranges.len() <= chunk {
-                vec![self.run_ranges(l, 0, &ranges, &leaf, &cancel)]
-            } else {
-                let (this, leaf, cancel) = (&self, &leaf, &cancel);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = ranges
-                        .chunks(chunk)
-                        .enumerate()
-                        .map(|(i, owned)| {
-                            scope.spawn(move || this.run_ranges(l, i * chunk, owned, leaf, cancel))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        .collect()
-                })
-            };
+            let (this, leaf, cancel) = (&self, &leaf, &cancel);
+            let work = move |(i, owned)| this.run_ranges(l, i * chunk, owned, leaf, cancel);
+            // One worker per chunk: the last on this thread, the others each
+            // on a scoped thread of their own.
+            let results: Vec<BscResult<Partial>> = std::thread::scope(|scope| {
+                let mut chunks = ranges.chunks(chunk).enumerate();
+                let here = chunks.next_back();
+                let spawned: Vec<_> = chunks.map(|c| scope.spawn(move || work(c))).collect();
+                let here = here.map(work);
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .chain(here)
+                    .collect()
+            });
             stats.shards = ranges.len();
             stats.threads = results.len();
             // Root cause first; `min_by_key` keeps the first of equals.
@@ -225,7 +229,8 @@ impl Windowed<'_> {
     }
 
     /// One worker: obtain every window of `owned` (range indices start at
-    /// `first`) in start order, merging into a local top-k.
+    /// `first`, starts at the view's first interval) in start order, merging
+    /// into a local top-k.
     fn run_ranges(
         &self,
         l: u32,
@@ -234,7 +239,7 @@ impl Windowed<'_> {
         leaf: &SolverOptions,
         cancel: &CancelToken,
     ) -> BscResult<Partial> {
-        let (graph, k, algorithm) = (self.graph, self.k, self.algorithm);
+        let (graph, k, algorithm) = (self.view.graph(), self.k, self.algorithm);
         // Sized once: a kept set regrown window by window churns the
         // allocator enough to slow the *next* ingest (measured on
         // `stream-delta`).
@@ -253,7 +258,7 @@ impl Windowed<'_> {
                 if cancel.expired() {
                     return Err(deadline_error(cancel));
                 }
-                let start = start as u32;
+                let start = self.view.first_interval() + start as u32;
                 let spliced = self
                     .prior
                     .filter(|(_, delta)| !delta.touches_window(start, l))

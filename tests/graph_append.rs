@@ -1,13 +1,15 @@
 //! The interval-segmented `ClusterGraph` (ISSUE 12): a graph grown by
 //! `ClusterGraph::append` must be indistinguishable from one
 //! `ClusterGraphBuilder::build` made from the same edges — through every
-//! accessor, `window()` and all five solvers — while sharing its older
-//! segments with the epochs before it. Sharing has to be *sound*: a delta
+//! accessor and all five solvers — while sharing its older segments with
+//! the epochs before it. A `window()` of either is a borrowed `GraphView`,
+//! and must read, and solve, exactly as the window rebuilt as a graph of
+//! its own would (ISSUE 16). Sharing has to be *sound*: a delta
 //! proven by segment identity equals the delta computed from content, a
 //! snapshot pinned before an append never sees the append, and a plain
 //! `load` in the middle of a stream still severs the delta chain.
 
-use blogstable::core::cluster_graph::ClusterEdge;
+use blogstable::core::cluster_graph::{ClusterEdge, GraphView};
 use blogstable::core::delta::GraphDelta;
 use blogstable::core::problem::StableClusterSpec;
 use blogstable::core::solver::AlgorithmKind;
@@ -199,16 +201,6 @@ fn a_chain_of_appends_equals_one_build_over_the_same_edges() {
             }
             let appended = epochs.last().expect("an epoch");
             let built = rebuilt(appended);
-            let m = appended.num_intervals() as u32;
-            for start in 0..m {
-                for end in start..m {
-                    assert_same_graph(
-                        &appended.window(start, end),
-                        &built.window(start, end),
-                        &format!("gap={gap} seed={seed} window [{start}, {end}]"),
-                    );
-                }
-            }
             for (kind, spec) in SOLVERS {
                 assert_identical(
                     &solve(&built, kind, spec),
@@ -216,6 +208,149 @@ fn a_chain_of_appends_equals_one_build_over_the_same_edges() {
                     &format!("gap={gap} seed={seed} {kind} {spec}"),
                 );
             }
+        }
+    }
+}
+
+/// What `ClusterGraph::window` did before it returned a view, kept as the
+/// oracle views are held to: the window `[start, end]` as a graph of its
+/// own, interval `t` standing for interval `start + t`, every inner edge
+/// re-inserted through the builder.
+fn rebuilt_window(graph: &ClusterGraph, start: u32, end: u32) -> ClusterGraph {
+    let mut builder = ClusterGraphBuilder::new(graph.gap());
+    for interval in start..=end {
+        builder.add_interval(graph.nodes_in_interval(interval));
+    }
+    for interval in start..=end {
+        for from in graph.interval_node_ids(interval) {
+            for edge in graph.children(from).iter().filter(|e| e.to.interval <= end) {
+                builder.add_edge(
+                    ClusterNodeId::new(from.interval - start, from.index),
+                    ClusterNodeId::new(edge.to.interval - start, edge.to.index),
+                    edge.weight,
+                );
+            }
+        }
+    }
+    builder.build()
+}
+
+/// A view's accessors against the rebuilt window: counts, child rows order
+/// included, parent rows as multisets (a view keeps the graph's insertion
+/// order, a rebuild lists parents by source interval).
+fn assert_view_reads_as(view: GraphView<'_>, oracle: &ClusterGraph, context: &str) {
+    let start = view.first_interval();
+    let shifted = |edges: &mut dyn Iterator<Item = &ClusterEdge>, by: u32| {
+        edges
+            .map(|e| (e.to.interval - by, e.to.index, e.weight.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(view.num_intervals(), oracle.num_intervals(), "{context}");
+    assert_eq!(view.gap(), oracle.gap(), "{context}");
+    assert_eq!(view.num_nodes(), oracle.num_nodes(), "{context}");
+    assert_eq!(view.num_edges(), oracle.num_edges(), "{context}");
+    for interval in view.intervals() {
+        assert_eq!(
+            view.nodes_in_interval(interval),
+            oracle.nodes_in_interval(interval - start),
+            "{context}"
+        );
+        for node in view.interval_node_ids(interval) {
+            let local = ClusterNodeId::new(interval - start, node.index);
+            assert_eq!(
+                shifted(&mut view.children(node), start),
+                shifted(&mut oracle.children(local).iter(), 0),
+                "{context}: children of {node}"
+            );
+            let mut parents = shifted(&mut view.parents(node), start);
+            let mut expected = shifted(&mut oracle.parents(local).iter(), 0);
+            parents.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(parents, expected, "{context}: parents of {node}");
+        }
+    }
+    // Outside the view there is nothing, whatever the graph holds there.
+    assert_eq!(
+        view.nodes_in_interval(start.wrapping_sub(1)),
+        0,
+        "{context}"
+    );
+    assert_eq!(view.nodes_in_interval(view.intervals().end), 0, "{context}");
+}
+
+/// `SOLVERS`, each once per way it can be told to keep its state: BFS in
+/// memory and store-backed over every backend, DFS over every backend, the
+/// rest as they are.
+fn solver_configurations() -> Vec<(AlgorithmKind, StableClusterSpec, SolverOptions)> {
+    let mut configurations = Vec::new();
+    for (kind, spec) in SOLVERS {
+        configurations.push((kind, spec, SolverOptions::default()));
+        for storage in StorageSpec::ALL {
+            let options = SolverOptions::default().storage(storage);
+            match kind {
+                AlgorithmKind::Bfs => {
+                    configurations.push((kind, spec, options.bfs_store_backed(true)))
+                }
+                AlgorithmKind::Dfs => configurations.push((kind, spec, options)),
+                _ => {}
+            }
+        }
+    }
+    configurations
+}
+
+/// Every deterministic counter of a solve (the two wall-clock fields are
+/// the only ones left out).
+fn counters(stats: &SolverStats) -> SolverStats {
+    SolverStats {
+        queue_wait_micros: 0,
+        solve_micros: 0,
+        ..*stats
+    }
+}
+
+#[test]
+fn a_window_view_reads_and_solves_as_the_rebuilt_window() {
+    for gap in 0..=2u32 {
+        let mut rng = DetRng::seed_from_u64(1600 + u64::from(gap));
+        let mut appended = empty_graph(gap);
+        for _ in 0..8 {
+            appended = appended.append(&random_interval(&appended, &mut rng));
+        }
+        let built = rebuilt(&appended);
+        let m = appended.num_intervals() as u32;
+        for (name, graph) in [("appended", &appended), ("built", &built)] {
+            for start in 0..m {
+                for end in start..m {
+                    let context = format!("gap={gap} {name} window [{start}, {end}]");
+                    let view = graph.window(start, end);
+                    let oracle = rebuilt_window(graph, start, end);
+                    assert_view_reads_as(view, &oracle, &context);
+                    for (kind, spec, options) in solver_configurations() {
+                        let context = format!("{context} {kind} {spec} {options:?}");
+                        let build = || {
+                            kind.build_with_options(spec, 4, view.num_intervals(), options.clone())
+                                .expect("build solver")
+                        };
+                        let expected = build().solve(&oracle).expect("solve the rebuild");
+                        let got = build().solve_view(view).expect("solve the view");
+                        let shifted_back: Vec<ClusterPath> = expected
+                            .paths
+                            .iter()
+                            .map(|path| {
+                                let nodes = path.nodes().iter();
+                                let nodes =
+                                    nodes.map(|n| ClusterNodeId::new(n.interval + start, n.index));
+                                ClusterPath::new(nodes.collect(), path.weight())
+                            })
+                            .collect();
+                        assert_identical(&shifted_back, &got.paths, &context);
+                        assert_eq!(counters(&expected.stats), counters(&got.stats), "{context}");
+                    }
+                }
+            }
+            // The whole-graph view is the graph.
+            assert_view_reads_as(graph.view(), graph, &format!("gap={gap} {name} view()"));
         }
     }
 }

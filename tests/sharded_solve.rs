@@ -8,7 +8,9 @@
 //! against the unsharded solve of the same algorithm, through all three
 //! configurations: [`ShardedSolver`], [`DistributedSolver`] over an
 //! in-process loopback transport, and [`solve_windows`] cold and warm — with
-//! identical deterministic counters and one stats rule.
+//! identical deterministic counters and one stats rule. The same holds when
+//! the graph handed over is a proper sub-view of a larger one: the executor
+//! decomposes the view, and equals the unsharded leaf on that view.
 //!
 //! Env pin, mirroring the `BSC_STORAGE_BACKEND` loop CI already runs:
 //! `BSC_SHARDS` selects the configuration exercised by the env-pinned
@@ -20,6 +22,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use blogstable::core::cluster_graph::GraphView;
 use blogstable::core::delta::{solve_windows, GraphDelta};
 use blogstable::core::distributed::{
     solve_window_locally, DistributedSolver, ShardTransport, WindowRequest, WindowResult,
@@ -243,6 +246,61 @@ fn assert_configurations_conform(
     assert_eq!(warm.windows.windows.len() as u64, starts, "{context} warm");
 }
 
+/// The sub-view rows of the table: the two configurations that take a view
+/// (a delta solve is about whole epochs), handed `view`, against the
+/// unsharded leaf on the same view — paths, and every start window of the
+/// view exactly once, none from outside it.
+fn assert_sub_view_conforms(
+    view: GraphView<'_>,
+    (kind, spec, k): (AlgorithmKind, StableClusterSpec, usize),
+    options: &SolverOptions,
+    context: &str,
+) {
+    let m = view.num_intervals();
+    let expected = kind
+        .build_with_options(spec, k, m, options.clone().shards(1))
+        .and_then(|mut leaf| leaf.solve_view(view))
+        .unwrap_or_else(|e| panic!("{context} leaf: {e}"));
+    assert!(!expected.paths.is_empty(), "{context}: trivial sub-view");
+    let starts = match spec {
+        StableClusterSpec::ExactLength(l) => (m as u64).saturating_sub(u64::from(l)),
+        _ => 1,
+    };
+    let sharded = ShardedSolver::new(kind, spec, k, options.clone())
+        .and_then(|mut solver| solver.solve_view(view))
+        .unwrap_or_else(|e| panic!("{context} sharded: {e}"));
+    let transport = Loopback::new(options.shards, Misbehaviour::None);
+    let distributed = DistributedSolver::new(
+        Arc::clone(&transport) as Arc<dyn ShardTransport>,
+        kind,
+        spec,
+        k,
+        options.clone(),
+    )
+    .and_then(|mut solver| solver.solve_view(view))
+    .unwrap_or_else(|e| panic!("{context} distributed: {e}"));
+    for (name, solution) in [("sharded", &sharded), ("distributed", &distributed)] {
+        assert_identical(
+            &expected.paths,
+            &solution.paths,
+            &format!("{context} {name}"),
+        );
+        assert_eq!(solution.stats.windows_resolved, starts, "{context} {name}");
+        for path in &solution.paths {
+            let inside = |n: &ClusterNodeId| view.intervals().contains(&n.interval);
+            assert!(
+                path.nodes().iter().all(inside),
+                "{context} {name}: {path:?}"
+            );
+        }
+    }
+    assert_eq!(
+        transport.calls.load(Ordering::SeqCst) as u64,
+        starts,
+        "{context}"
+    );
+}
+
 /// The acceptance matrix: shards ∈ {1, 2, 3, 8, `BSC_SHARDS`} × all three
 /// storage backends, BFS, DFS and unbudgeted Auto inner solvers, subpath and
 /// full-path specs — all three configurations byte-identical to the
@@ -278,12 +336,19 @@ fn sharded_solutions_are_byte_identical_across_shards_and_backends() {
                         .expect("sharded build + solve");
                     assert_identical(&expected, &solution.paths, "build_with_options");
                 }
+                let context = format!("{kind} {spec:?} {storage} shards={shards}");
                 assert_configurations_conform(
                     (&previous, &graph),
                     (kind, spec, 5),
                     &options,
                     &expected,
-                    &format!("{kind} {spec:?} {storage} shards={shards}"),
+                    &context,
+                );
+                assert_sub_view_conforms(
+                    graph.window(2, 7),
+                    (kind, spec, 5),
+                    &options,
+                    &format!("{context} view [2, 7]"),
                 );
             }
         }
