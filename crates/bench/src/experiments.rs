@@ -1100,7 +1100,7 @@ fn paths_digest(paths: &[ClusterPath]) -> String {
 /// on how long the stream already is (ISSUE 12). One stream of
 /// `PUBLISH_STREAM_INTERVALS` intervals goes through the three steps a
 /// `push_interval` request pays — `OnlineStableClusters::push_interval`,
-/// `snapshot`, `SnapshotCell::install_incremental` — and every step of every
+/// `snapshot`, `SnapshotCell::install` — and every step of every
 /// push is timed. Two tables: the quantiles of the whole publish over all
 /// pushes (one sample per interval — enough of them that p50, p95 and p99
 /// are different samples, each with ten beyond it), and the median step
@@ -1127,7 +1127,7 @@ fn streaming_publish(scale: Scale) -> Vec<Table> {
         let displaced = cell.load();
         let (_, push) = timed(|| online.push_interval(parent_edges));
         let (snapshot, snap) = timed(|| online.snapshot());
-        let (installed, install) = timed(|| cell.install_incremental(snapshot));
+        let (installed, install) = timed(|| cell.install(snapshot));
         steps
             .push([push, snap, install, push + snap + install].map(|step| step.as_micros() as u64));
         shared.push(
@@ -1152,7 +1152,7 @@ fn streaming_publish(scale: Scale) -> Vec<Table> {
         latency.push_row(vec![name.into(), quantile(q).to_string()]);
     }
     latency.push_note(format!(
-        "push_interval + snapshot + install_incremental, one sample per interval of a \
+        "push_interval + snapshot + install, one sample per interval of a \
          {PUBLISH_STREAM_INTERVALS}-interval stream ({shape}); nearest-rank quantiles, \
          {} samples beyond p99",
         publish.len() - (0.99 * publish.len() as f64).ceil() as usize
@@ -1173,7 +1173,7 @@ fn streaming_publish(scale: Scale) -> Vec<Table> {
             "shared_intervals(=)",
             "push_interval(us)",
             "snapshot(us)",
-            "install_incremental(us)",
+            "install(us)",
             "publish(us)",
         ],
     );

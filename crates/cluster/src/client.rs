@@ -32,27 +32,20 @@
 //! once, with no fail-over, cooldown or failure count. See
 //! `docs/robustness.md`.
 //!
-//! The client also keeps a coordinator-side **window-result cache**:
-//! workers are deterministic, so a `(epoch, start, l, k, algorithm,
-//! storage)` key fully determines a [`WindowResult`] and a repeat dispatch
-//! can answer without touching the network. Across epochs,
-//! [`ClusterClient::carry_forward`] re-keys the windows an epoch delta
-//! doesn't touch (see [`GraphDelta::touches_window`]) — the distributed
-//! analogue of the in-process splice in `bsc_core::delta`. Anonymous
-//! epochs (bit 63 set) never enter the cache; their numbering carries no
-//! cross-process meaning.
+//! The client holds connections, cooldowns and histograms — no results. A
+//! [`WindowResult`] belongs to the call that asked for it; whether a window
+//! needs asking for at all is decided upstream, by the windowed executor's
+//! memo seam (`bsc_core::delta`, fed from the engine's solution cache), so
+//! a window that reaches [`ShardTransport::solve_window`] is always
+//! dispatched.
 
-use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use bsc_core::cluster_graph::ClusterGraph;
-use bsc_core::delta::GraphDelta;
-use bsc_core::distributed::{
-    FanoutSpec, ShardTransport, WindowRequest, WindowResult, ANONYMOUS_EPOCH_BIT,
-};
+use bsc_core::distributed::{FanoutSpec, ShardTransport, WindowRequest, WindowResult};
 use bsc_core::error::{BscError, BscResult};
 use bsc_core::solver::AlgorithmKind;
 use bsc_util::histogram::LatencyHistogram;
@@ -195,75 +188,6 @@ impl WorkerSlot {
     }
 }
 
-/// Everything that determines a window result, and nothing that doesn't
-/// (`preferred` and `deadline_ms` affect routing and abandonment, never
-/// result bytes). Epoch-first ordering lets the cache address one epoch's
-/// entries as a contiguous `BTreeMap` range.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct WindowKey {
-    epoch: u64,
-    start: u32,
-    l: u32,
-    k: usize,
-    algorithm: String,
-    storage: String,
-}
-
-impl WindowKey {
-    fn for_request(request: &WindowRequest) -> WindowKey {
-        WindowKey {
-            epoch: request.epoch,
-            start: request.start,
-            l: request.l,
-            k: request.k,
-            algorithm: request.algorithm.to_string(),
-            storage: request.storage.to_string(),
-        }
-    }
-
-    /// The smallest key of `epoch`: `range(floor(e)..floor(e + 1))` spans
-    /// exactly epoch `e`'s entries.
-    fn epoch_floor(epoch: u64) -> WindowKey {
-        WindowKey {
-            epoch,
-            start: 0,
-            l: 0,
-            k: 0,
-            algorithm: String::new(),
-            storage: String::new(),
-        }
-    }
-}
-
-/// Resident window results across all named epochs, bounded by
-/// [`WINDOW_CACHE_CAP`].
-#[derive(Debug, Default)]
-struct WindowCache {
-    map: BTreeMap<WindowKey, WindowResult>,
-    hits: u64,
-    carried: u64,
-}
-
-/// Upper bound on resident window results. When exceeded, the oldest
-/// epoch's entries are evicted wholesale — never the newest epoch's, so
-/// an in-flight fan-out can't evict its own windows.
-const WINDOW_CACHE_CAP: usize = 4096;
-
-impl WindowCache {
-    fn bound(&mut self) {
-        while self.map.len() > WINDOW_CACHE_CAP {
-            let (oldest, newest) = match (self.map.keys().next(), self.map.keys().next_back()) {
-                (Some(first), Some(last)) => (first.epoch, last.epoch),
-                _ => return,
-            };
-            if oldest == newest {
-                return;
-            }
-            self.map = self.map.split_off(&WindowKey::epoch_floor(oldest + 1));
-        }
-    }
-}
-
 /// One worker's health probe result.
 #[derive(Debug, Clone)]
 pub struct WorkerHealth {
@@ -285,9 +209,6 @@ pub struct ClusterClient {
     spec: FanoutSpec,
     config: ClientConfig,
     workers: Vec<WorkerSlot>,
-    /// Coordinator-side window results keyed by everything that determines
-    /// them; `carry_forward` re-keys delta-untouched windows to new epochs.
-    window_cache: Mutex<WindowCache>,
 }
 
 impl ClusterClient {
@@ -299,7 +220,6 @@ impl ClusterClient {
             spec,
             config,
             workers,
-            window_cache: Mutex::new(WindowCache::default()),
         }
     }
 
@@ -380,58 +300,6 @@ impl ClusterClient {
                 })
                 .collect(),
         )
-    }
-
-    /// Re-key the cached windows of `from_epoch` that `delta` leaves
-    /// untouched to `to_epoch`, returning how many were carried. `delta`
-    /// must describe the interval-range difference between the two epochs'
-    /// graphs (the caller obtains it from the snapshot cell's composable
-    /// chain — see `bsc_core::snapshot::SnapshotCell::delta_between`). A
-    /// window no dirty interval touches holds the same nodes and edges
-    /// (weight bits included) at either epoch, so its cached result is the
-    /// new epoch's result verbatim — the cross-epoch analogue of the splice
-    /// in `bsc_core::delta::solve_windows`. Anonymous epochs never
-    /// participate.
-    pub fn carry_forward(&self, from_epoch: u64, to_epoch: u64, delta: &GraphDelta) -> u64 {
-        if from_epoch & ANONYMOUS_EPOCH_BIT != 0
-            || to_epoch & ANONYMOUS_EPOCH_BIT != 0
-            || to_epoch <= from_epoch
-        {
-            return 0;
-        }
-        let mut cache = self.window_cache.lock().unwrap_or_else(|p| p.into_inner());
-        let carried: Vec<(WindowKey, WindowResult)> = cache
-            .map
-            .range(WindowKey::epoch_floor(from_epoch)..WindowKey::epoch_floor(from_epoch + 1))
-            .filter(|(key, _)| !delta.touches_window(key.start, key.l))
-            .map(|(key, result)| {
-                let mut key = key.clone();
-                key.epoch = to_epoch;
-                (key, result.clone())
-            })
-            .collect();
-        let count = carried.len() as u64;
-        for (key, result) in carried {
-            cache.map.insert(key, result);
-        }
-        cache.carried += count;
-        cache.bound();
-        count
-    }
-
-    /// Window-cache counters for the `stats` response: resident entries,
-    /// network dispatches answered from the cache, and windows carried
-    /// across epochs by `carry_forward`.
-    pub fn window_cache_json(&self) -> JsonValue {
-        let cache = self.window_cache.lock().unwrap_or_else(|p| p.into_inner());
-        JsonValue::object([
-            (
-                "entries".to_string(),
-                JsonValue::from(cache.map.len() as u64),
-            ),
-            ("hits".to_string(), JsonValue::from(cache.hits)),
-            ("carried".to_string(), JsonValue::from(cache.carried)),
-        ])
     }
 
     /// Run `operation` on the slot's pooled connection, opening one (with
@@ -527,19 +395,6 @@ impl ShardTransport for ClusterClient {
         graph: &ClusterGraph,
         request: &WindowRequest,
     ) -> BscResult<WindowResult> {
-        // Workers are deterministic, so a named-epoch window the cache
-        // holds (solved earlier, or carried across an epoch delta) is the
-        // answer — no dispatch. Anonymous epochs are process-local
-        // numbering and never cached.
-        let key =
-            (request.epoch & ANONYMOUS_EPOCH_BIT == 0).then(|| WindowKey::for_request(request));
-        if let Some(key) = &key {
-            let mut cache = self.window_cache.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(result) = cache.map.get(key).cloned() {
-                cache.hits += 1;
-                return Ok(result);
-            }
-        }
         let n = self.workers.len();
         let begun = Instant::now();
         let deadline = request
@@ -587,12 +442,6 @@ impl ShardTransport for ClusterClient {
                             .unwrap_or_else(|p| p.into_inner())
                             .record(attempt.elapsed());
                         slot.clear_cooldown();
-                        if let Some(key) = key {
-                            let mut cache =
-                                self.window_cache.lock().unwrap_or_else(|p| p.into_inner());
-                            cache.map.insert(key, result.clone());
-                            cache.bound();
-                        }
                         return Ok(result);
                     }
                     // The worker's own token tripped: the deadline is just
@@ -695,86 +544,6 @@ mod tests {
         // One graph shipment serves both solves of the epoch.
         assert_eq!(worker.installs(), 1);
         assert_eq!(worker.solves(), 2);
-        worker.kill();
-    }
-
-    #[test]
-    fn repeat_windows_answer_from_the_coordinator_cache() {
-        let mut worker = WorkerServer::bind("127.0.0.1:0", WorkerConfig::default())
-            .unwrap()
-            .spawn();
-        let spec = FanoutSpec::parse(&worker.addr().to_string()).unwrap();
-        let client = ClusterClient::new(spec, quick_config());
-        let g = graph();
-        let first = client.solve_window(&g, &request(9, 2, 0)).unwrap();
-        let again = client.solve_window(&g, &request(9, 2, 0)).unwrap();
-        assert_eq!(first.paths.len(), again.paths.len());
-        for (a, b) in first.paths.iter().zip(again.paths.iter()) {
-            assert_eq!(a.nodes(), b.nodes());
-            assert_eq!(a.weight().to_bits(), b.weight().to_bits());
-        }
-        // The repeat never reached the worker.
-        assert_eq!(worker.solves(), 1);
-        let stats = client.window_cache_json();
-        assert_eq!(stats.get("hits").unwrap().as_u64(), Some(1));
-        assert_eq!(stats.get("entries").unwrap().as_u64(), Some(1));
-        // A different k is a different result — dispatched, not served.
-        let mut deeper = request(9, 2, 0);
-        deeper.k = 8;
-        client.solve_window(&g, &deeper).unwrap();
-        assert_eq!(worker.solves(), 2);
-        worker.kill();
-    }
-
-    #[test]
-    fn anonymous_epochs_bypass_the_window_cache() {
-        let mut worker = WorkerServer::bind("127.0.0.1:0", WorkerConfig::default())
-            .unwrap()
-            .spawn();
-        let spec = FanoutSpec::parse(&worker.addr().to_string()).unwrap();
-        let client = ClusterClient::new(spec, quick_config());
-        let g = graph();
-        let anonymous = bsc_core::distributed::ANONYMOUS_EPOCH_BIT | 7;
-        client.solve_window(&g, &request(anonymous, 2, 0)).unwrap();
-        client.solve_window(&g, &request(anonymous, 2, 0)).unwrap();
-        assert_eq!(worker.solves(), 2);
-        assert_eq!(
-            client.window_cache_json().get("entries").unwrap().as_u64(),
-            Some(0)
-        );
-        worker.kill();
-    }
-
-    #[test]
-    fn carry_forward_rekeys_clean_windows_to_the_new_epoch() {
-        let mut worker = WorkerServer::bind("127.0.0.1:0", WorkerConfig::default())
-            .unwrap()
-            .spawn();
-        let spec = FanoutSpec::parse(&worker.addr().to_string()).unwrap();
-        let client = ClusterClient::new(spec, quick_config());
-        let g = graph();
-        let at_old = client.solve_window(&g, &request(3, 2, 0)).unwrap();
-        // A clean delta (identical graphs) touches nothing: the window is
-        // carried and the new epoch's solve never dispatches.
-        let clean = bsc_core::delta::GraphDelta::between(&g, &g);
-        assert_eq!(client.carry_forward(3, 4, &clean), 1);
-        let at_new = client.solve_window(&g, &request(4, 2, 0)).unwrap();
-        assert_eq!(worker.solves(), 1);
-        assert_eq!(at_old.paths.len(), at_new.paths.len());
-        for (a, b) in at_old.paths.iter().zip(at_new.paths.iter()) {
-            assert_eq!(a.nodes(), b.nodes());
-            assert_eq!(a.weight().to_bits(), b.weight().to_bits());
-        }
-        // A full delta touches every window: nothing carries, the next
-        // epoch re-dispatches.
-        let m = g.num_intervals() as u32;
-        let full = bsc_core::delta::GraphDelta::full(m, m);
-        assert_eq!(client.carry_forward(4, 5, &full), 0);
-        client.solve_window(&g, &request(5, 2, 0)).unwrap();
-        assert_eq!(worker.solves(), 2);
-        let stats = client.window_cache_json();
-        assert_eq!(stats.get("carried").unwrap().as_u64(), Some(1));
-        assert_eq!(stats.get("hits").unwrap().as_u64(), Some(1));
         worker.kill();
     }
 

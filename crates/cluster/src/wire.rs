@@ -213,7 +213,7 @@ pub fn graph_from_json(doc: &JsonValue) -> Result<ClusterGraph, String> {
         if !in_range(from) || !in_range(to) {
             return Err(format!("graph: edge {i}: endpoint out of range"));
         }
-        if from.interval >= to.interval || to.interval - from.interval > gap + 1 {
+        if from.interval >= to.interval || to.interval - from.interval > builder.max_edge_length() {
             return Err(format!("graph: edge {i}: bad temporal span"));
         }
         // NaN must fail too, so compare in the accepting direction.
@@ -523,19 +523,29 @@ mod tests {
 
     #[test]
     fn graphs_round_trip_bit_exactly() {
-        let original = graph();
-        let rendered = graph_to_json(&original).render();
-        let rebuilt = graph_from_json(&json::parse(&rendered).unwrap()).unwrap();
-        assert_eq!(original.num_intervals(), rebuilt.num_intervals());
-        assert_eq!(original.gap(), rebuilt.gap());
-        assert_eq!(original.num_nodes(), rebuilt.num_nodes());
-        let a: Vec<_> = original.edges().collect();
-        let b: Vec<_> = rebuilt.edges().collect();
-        assert_eq!(a.len(), b.len());
-        for ((f1, t1, w1), (f2, t2, w2)) in a.iter().zip(b.iter()) {
-            assert_eq!(f1, f2);
-            assert_eq!(t1, t2);
-            assert_eq!(w1.to_bits(), w2.to_bits());
+        // The widest gap too: `gap + 1` used to wrap to 0 and refuse every
+        // edge of such a graph as a "bad temporal span".
+        let mut widest = bsc_core::cluster_graph::ClusterGraphBuilder::new(u32::MAX);
+        for _ in 0..3 {
+            widest.add_interval(2);
+        }
+        widest.add_edge(ClusterNodeId::new(0, 1), ClusterNodeId::new(2, 0), 0.375);
+        widest.add_edge(ClusterNodeId::new(1, 0), ClusterNodeId::new(2, 1), 0.5);
+        for original in [graph(), widest.build()] {
+            let rendered = graph_to_json(&original).render();
+            let rebuilt = graph_from_json(&json::parse(&rendered).unwrap()).unwrap();
+            assert_eq!(original.num_intervals(), rebuilt.num_intervals());
+            assert_eq!(original.gap(), rebuilt.gap());
+            assert_eq!(original.num_nodes(), rebuilt.num_nodes());
+            let a: Vec<_> = original.edges().collect();
+            let b: Vec<_> = rebuilt.edges().collect();
+            assert!(!a.is_empty());
+            assert_eq!(a.len(), b.len());
+            for ((f1, t1, w1), (f2, t2, w2)) in a.iter().zip(b.iter()) {
+                assert_eq!(f1, f2);
+                assert_eq!(t1, t2);
+                assert_eq!(w1.to_bits(), w2.to_bits());
+            }
         }
     }
 

@@ -219,8 +219,8 @@ impl Table {
     }
 
     /// Could row `row` admit a candidate of this weight right now? As
-    /// [`TopK::would_admit`](crate::topk::TopK::would_admit): `true` means
-    /// it enters unless it ties the root and loses the content tie-break.
+    /// [`TopKPaths::would_admit`]: `true` means it enters unless it ties the
+    /// root and loses the content tie-break.
     fn would_admit(&self, row: usize, weight: f64) -> bool {
         let (start, end) = (self.starts[row], self.starts[row + 1]);
         start + self.filled[row] < end

@@ -71,6 +71,15 @@ pub struct ClusterEdge {
     pub weight: f64,
 }
 
+/// The longest edge a gap of `g` admits: `g + 1` intervals, saturating — a
+/// gap of `u32::MAX` admits every edge the interval numbering can express.
+/// Everything that bounds an edge's span reads it here (through
+/// [`ClusterGraph::max_edge_length`], [`GraphView::max_edge_length`] or
+/// [`ClusterGraphBuilder::max_edge_length`]), never as `gap + 1`.
+fn max_edge_length(gap: u32) -> u32 {
+    gap.saturating_add(1)
+}
+
 /// One direction of one interval's adjacency in compressed sparse-row (CSR)
 /// form: row `j` is the contiguous edge slice of the interval's `j`-th node.
 ///
@@ -192,6 +201,11 @@ impl ClusterGraph {
     /// Maximum allowed gap `g`.
     pub fn gap(&self) -> u32 {
         self.gap
+    }
+
+    /// The longest admissible edge, `g + 1` intervals.
+    pub fn max_edge_length(&self) -> u32 {
+        max_edge_length(self.gap)
     }
 
     /// Number of nodes in interval `i`.
@@ -332,7 +346,7 @@ impl ClusterGraph {
         );
         let interval = self.num_intervals() as u32;
         // Only these earlier intervals can gain children.
-        let first_parent = interval.saturating_sub(self.gap.saturating_add(1));
+        let first_parent = interval.saturating_sub(self.max_edge_length());
         let mut gained: Vec<Vec<usize>> = (first_parent..interval)
             .map(|p| vec![0; self.nodes_in_interval(p) as usize])
             .collect();
@@ -508,6 +522,11 @@ impl<'a> GraphView<'a> {
         self.graph.gap
     }
 
+    /// The longest admissible edge, `g + 1` intervals.
+    pub fn max_edge_length(self) -> u32 {
+        max_edge_length(self.graph.gap)
+    }
+
     /// Number of nodes in interval `interval` (0 outside the view).
     pub fn nodes_in_interval(self, interval: u32) -> u32 {
         match self.intervals().contains(&interval) {
@@ -582,6 +601,11 @@ impl ClusterGraphBuilder {
         }
     }
 
+    /// The longest admissible edge, `g + 1` intervals.
+    pub fn max_edge_length(&self) -> u32 {
+        max_edge_length(self.gap)
+    }
+
     /// Append an interval with `num_nodes` cluster nodes; returns its index.
     pub fn add_interval(&mut self, num_nodes: u32) -> u32 {
         self.nodes_per_interval.push(num_nodes);
@@ -604,7 +628,7 @@ impl ClusterGraphBuilder {
             "cluster-graph edges connect different intervals"
         );
         assert!(
-            to.interval - from.interval <= self.gap + 1,
+            to.interval - from.interval <= self.max_edge_length(),
             "edge from {} to {} exceeds the maximum gap {}",
             from,
             to,
@@ -814,6 +838,22 @@ mod tests {
         builder.add_interval(1);
         builder.add_interval(1);
         builder.add_edge(node(0, 0), node(2, 0), 0.5);
+    }
+
+    #[test]
+    fn the_widest_gap_admits_every_span() {
+        // `gap + 1` used to wrap to 0 here and reject every edge.
+        let mut builder = ClusterGraphBuilder::new(u32::MAX);
+        for _ in 0..3 {
+            builder.add_interval(1);
+        }
+        assert_eq!(builder.max_edge_length(), u32::MAX);
+        builder.add_edge(node(0, 0), node(2, 0), 0.5);
+        let graph = builder.build().append(&[vec![(node(0, 0), 0.25)]]);
+        assert_eq!(graph.max_edge_length(), u32::MAX);
+        assert_eq!(graph.view().max_edge_length(), u32::MAX);
+        assert_eq!(graph.children(node(0, 0)).len(), 2);
+        assert_eq!(ClusterGraphBuilder::new(1).max_edge_length(), 2);
     }
 
     #[test]

@@ -4,13 +4,18 @@
 //! The start-window decomposition (`docs/sharding.md`) makes the global
 //! top-k the strict `(score, content)` merge of per-start-window top-k's.
 //! This module adds the *temporal* consequence: when one epoch's graph
-//! differs from the previous one only in some intervals — the
-//! streamed-ingest case, where a pushed interval appends one column and
-//! possibly evicts an old one — any window whose intervals are all
-//! unchanged holds the same subgraph, so its per-window top-k from the
-//! prior epoch can be **spliced forward** without re-solving.
-//! [`solve_windows`] is the "local placement, `options.shards` ranges, memo
-//! on" configuration of the crate's one windowed executor (`windowed.rs`).
+//! differs from an earlier one only in some intervals — the streamed-ingest
+//! case, where every pushed interval appends one column — any window whose
+//! intervals are all unchanged holds the same subgraph, so its per-window
+//! top-k from the earlier epoch can be **spliced forward** without
+//! re-solving. The whole rule, in one sentence: *a window is reused iff the
+//! graph it was solved on and the graph being queried hold identical
+//! in-edges over it, checked when it is used.* The check is
+//! [`GraphDelta::between`] on those two graphs — nothing records, caps or
+//! composes per-epoch deltas in between — and [`solve_windows`] is the
+//! "memo on" configuration of the crate's one windowed executor
+//! (`windowed.rs`), placed locally or on a fan-out's workers as the query's
+//! options say.
 //!
 //! ## Why the splice is byte-identical to a cold re-solve
 //!
@@ -34,11 +39,11 @@
 //!    re-solve by the prior result cannot change a byte of the merged
 //!    [`Solution`].
 //!
-//! Deltas compose transitively ([`GraphDelta::compose`]): a union of dirty
-//! sets is conservative — it can only mark *more* windows touched, never
-//! fewer — so a chain of per-epoch deltas supports splicing across several
-//! ingests at once (the [`SnapshotCell`](crate::snapshot::SnapshotCell)
-//! keeps such a chain).
+//! The two graphs need not be consecutive epochs, nor related at all: a
+//! stream's epochs share every segment an append left alone, so across any
+//! number of ingests the comparison is `O(m)` pointer tests, and for
+//! segments the two graphs do not share (a `load` replaced the graph
+//! mid-stream) it falls back to comparing content — slower, never wrong.
 //!
 //! Problem 2 (normalized) does **not** decompose across start windows and
 //! is rejected. `FullPaths` degrades gracefully: its single window spans
@@ -46,11 +51,12 @@
 //! faster.
 
 use crate::cluster_graph::ClusterGraph;
-use crate::distributed::WindowResult;
+use crate::distributed::{transport_for, WindowResult};
 use crate::error::BscResult;
 use crate::problem::StableClusterSpec;
+use crate::snapshot::GraphSnapshot;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions};
-use crate::windowed::{PathLength, Placement, Windowed};
+use crate::windowed::{PathLength, Windowed};
 
 /// The interval-range difference between two [`ClusterGraph`] generations.
 ///
@@ -161,31 +167,6 @@ impl GraphDelta {
         }
         (start..=end).any(|i| self.dirty[i as usize])
     }
-
-    /// Compose this delta (epoch A → B) with the next one (epoch B → C)
-    /// into an A → C delta by unioning the dirty sets. Returns `None` when
-    /// the generations do not chain (`self.new_intervals` must equal
-    /// `next.old_intervals`).
-    ///
-    /// The union is conservative: it can only mark more windows touched
-    /// than either step alone, never fewer, so splicing through a composed
-    /// delta stays byte-identical by transitivity of subgraph equality.
-    pub fn compose(&self, next: &GraphDelta) -> Option<GraphDelta> {
-        if self.new_intervals != next.old_intervals {
-            return None;
-        }
-        let dirty = next
-            .dirty
-            .iter()
-            .enumerate()
-            .map(|(i, d)| *d || self.dirty.get(i).copied().unwrap_or(true))
-            .collect();
-        Some(GraphDelta {
-            old_intervals: self.old_intervals,
-            new_intervals: next.new_intervals,
-            dirty,
-        })
-    }
 }
 
 /// The per-start-window results of one windowed solve, kept so the next
@@ -213,19 +194,23 @@ pub struct DeltaSolveOutcome {
 }
 
 /// Solve a kl-stable-cluster query window by window, splicing forward any
-/// prior-epoch window the delta proves untouched.
+/// earlier window the delta proves untouched.
 ///
 /// With `prior == None` (or a prior whose shape does not match) this is a
 /// cold windowed solve: `stats.windows_resolved` counts every window, and
-/// the outcome seeds future splices. With a matching prior, untouched
-/// windows are cloned forward
-/// (`stats.windows_spliced`) and only touched ones re-solve — post-ingest
-/// latency proportional to the delta, result byte-identical by the argument
-/// in the module docs. A spliced window contributes its paths but not its
-/// historical counters; the returned stats describe the work *this* solve
-/// performed. `options.shards` ranges run on shard threads exactly as in a
-/// [`ShardedSolver`](crate::sharded::ShardedSolver); an unsharded `Auto`
-/// resolves once against `graph`, as the direct solve would.
+/// the outcome seeds future splices. With a matching prior — a [`WindowSet`]
+/// solved on some other graph and the [`GraphDelta`] from that graph to this
+/// one — untouched windows are cloned forward (`stats.windows_spliced`) and
+/// only touched ones re-solve: post-ingest latency proportional to the
+/// delta, result byte-identical by the argument in the module docs. A
+/// spliced window contributes its paths but not its historical counters; the
+/// returned stats describe the work *this* solve performed. Windows that do
+/// run are placed as the direct solve places them: on `options.shards` shard
+/// threads exactly as in a [`ShardedSolver`](crate::sharded::ShardedSolver),
+/// or, with `options.fanout`, on the registered transport's workers exactly
+/// as in a [`DistributedSolver`](crate::distributed::DistributedSolver) — so
+/// a coordinator dispatches only the windows the delta touches. An unsharded
+/// `Auto` resolves once against `graph`, as the direct solve would.
 pub fn solve_windows(
     graph: &ClusterGraph,
     spec: StableClusterSpec,
@@ -234,18 +219,41 @@ pub fn solve_windows(
     options: &SolverOptions,
     prior: Option<(&WindowSet, &GraphDelta)>,
 ) -> BscResult<DeltaSolveOutcome> {
-    Windowed {
-        view: graph.view(),
-        length: PathLength::of(spec, "delta")?,
-        k,
-        algorithm,
-        options,
-        ranges: options.shards,
-        placement: Placement::Local,
-        prior,
-        keep_windows: true,
-    }
-    .run()
+    solve_at(graph, 0, spec, k, algorithm, options, prior)
+}
+
+/// [`solve_windows`] over a published snapshot: a fan-out names the graph to
+/// its workers by the snapshot's epoch, so they keep the graph they
+/// installed from one query of the epoch to the next.
+pub fn solve_snapshot_windows(
+    snapshot: &GraphSnapshot,
+    spec: StableClusterSpec,
+    k: usize,
+    algorithm: AlgorithmKind,
+    options: &SolverOptions,
+    prior: Option<(&WindowSet, &GraphDelta)>,
+) -> BscResult<DeltaSolveOutcome> {
+    let epoch = snapshot.epoch();
+    solve_at(snapshot.graph(), epoch, spec, k, algorithm, options, prior)
+}
+
+/// The windowed executor with the memo seam on; `epoch` 0 = never published.
+fn solve_at(
+    graph: &ClusterGraph,
+    epoch: u64,
+    spec: StableClusterSpec,
+    k: usize,
+    algorithm: AlgorithmKind,
+    options: &SolverOptions,
+    prior: Option<(&WindowSet, &GraphDelta)>,
+) -> BscResult<DeltaSolveOutcome> {
+    let length = PathLength::of(spec, "delta")?;
+    let transport = options.fanout.as_ref().map(transport_for).transpose()?;
+    let transport = transport.as_deref().map(|transport| (transport, epoch));
+    let mut windowed = Windowed::new(graph.view(), length, k, algorithm, options, transport);
+    windowed.prior = prior;
+    windowed.keep_windows = true;
+    windowed.run()
 }
 
 #[cfg(test)]
@@ -350,22 +358,6 @@ mod tests {
         let delta = GraphDelta::between(&old, &new);
         assert!(!delta.is_dirty(0));
         assert!(delta.is_dirty(1));
-    }
-
-    #[test]
-    fn compose_unions_dirty_sets_and_rejects_broken_chains() {
-        let g0 = gen_graph(5, 3);
-        let mut rng = DetRng::seed_from_u64(2);
-        let g1 = extend_graph(&g0, 1, 6, &mut rng);
-        let g2 = extend_graph(&g1, 1, 6, &mut rng);
-        let d01 = GraphDelta::between(&g0, &g1);
-        let d12 = GraphDelta::between(&g1, &g2);
-        let d02 = d01.compose(&d12).expect("chained generations compose");
-        assert_eq!(d02, GraphDelta::between(&g0, &g2));
-        assert!(
-            d12.compose(&d01).is_none(),
-            "reversed chain must not compose"
-        );
     }
 
     #[test]

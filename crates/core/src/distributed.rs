@@ -40,7 +40,7 @@ use crate::path::ClusterPath;
 use crate::problem::StableClusterSpec;
 use crate::snapshot::GraphSnapshot;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions, SolverStats, StableClusterSolver};
-use crate::windowed::{PathLength, Placement, Windowed};
+use crate::windowed::{PathLength, Windowed};
 
 /// The worker set of a distributed fan-out: a non-empty list of
 /// `host:port` addresses, in dispatch-affinity order (shard range `i` is
@@ -270,21 +270,17 @@ impl DistributedSolver {
 
     /// One dispatcher per worker: worker `i` preferentially answers range
     /// `i`, and the transport reroutes individual windows when it fails.
+    /// `epoch` 0 means the graph was never published.
     fn solve_with_epoch(&mut self, view: GraphView<'_>, epoch: u64) -> BscResult<Solution> {
-        let windowed = Windowed {
+        let transport = Some((self.transport.as_ref(), epoch));
+        let windowed = Windowed::new(
             view,
-            length: self.length,
-            k: self.k,
-            algorithm: self.inner,
-            options: &self.options,
-            ranges: self.worker_count(),
-            placement: Placement::Transport {
-                transport: self.transport.as_ref(),
-                epoch,
-            },
-            prior: None,
-            keep_windows: false,
-        };
+            self.length,
+            self.k,
+            self.inner,
+            &self.options,
+            transport,
+        );
         Ok(windowed.run()?.solution)
     }
 }
@@ -299,18 +295,12 @@ impl StableClusterSolver for DistributedSolver {
     }
 
     fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
-        // No snapshot, no epoch: mint a graph identity so workers neither
-        // collide on unrelated graphs nor re-use a stale one.
-        self.solve_with_epoch(view, anonymous_epoch())
+        self.solve_with_epoch(view, 0)
     }
 
     fn solve_snapshot(&mut self, snapshot: &GraphSnapshot) -> BscResult<Solution> {
         // Real epochs let workers cache the shipped graph across queries.
-        let epoch = match snapshot.epoch() {
-            0 => anonymous_epoch(),
-            epoch => epoch,
-        };
-        self.solve_with_epoch(snapshot.graph().view(), epoch)
+        self.solve_with_epoch(snapshot.graph().view(), snapshot.epoch())
     }
 }
 

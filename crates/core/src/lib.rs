@@ -107,4 +107,4 @@ pub use solver::{
 pub use streaming::{OnlineClusterFeed, OnlineStableClusters};
 pub use synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 pub use ta::{TaStableClusters, TaStats};
-pub use topk::{PathEntry, SharedTopK, TopK, TopKPaths};
+pub use topk::TopKPaths;

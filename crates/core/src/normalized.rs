@@ -127,7 +127,10 @@ impl NormalizedStableClusters {
         let l_min = self.params.l_min;
         let mut stats = NormalizedStats::default();
         check_not_expired(self.cancel.as_ref())?;
-        if k == 0 || l_min == 0 || graph.num_intervals() < 2 {
+        // A path of length >= l_min spans l_min + 1 intervals; when the view
+        // has fewer, none exists — answered before `l_min`, a number a
+        // client sends, sizes anything.
+        if k == 0 || l_min == 0 || l_min as usize >= graph.num_intervals() {
             return Ok((Vec::new(), stats));
         }
         let gap = graph.gap();
@@ -514,6 +517,20 @@ mod tests {
         let empty = ClusterGraphBuilder::new(0).build();
         assert!(NormalizedStableClusters::new(NormalizedParams::new(3, 2))
             .run(&empty)
+            .unwrap()
+            .is_empty());
+        // No path of 3 intervals is 3 long; `l_min - 1` buckets per node
+        // used to be allocated before finding that out (96 GB for the
+        // second one). The longest length there is still answers.
+        for l_min in [3, u32::MAX] {
+            let (paths, stats) = NormalizedStableClusters::new(NormalizedParams::new(3, l_min))
+                .run_with_stats(&graph)
+                .unwrap();
+            assert!(paths.is_empty());
+            assert_eq!(stats.paths_generated, 0);
+        }
+        assert!(!NormalizedStableClusters::new(NormalizedParams::new(3, 2))
+            .run(&graph)
             .unwrap()
             .is_empty());
     }

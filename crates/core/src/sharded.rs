@@ -20,7 +20,7 @@ use crate::cluster_graph::GraphView;
 use crate::error::BscResult;
 use crate::problem::StableClusterSpec;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions, StableClusterSolver};
-use crate::windowed::{PathLength, Placement, Windowed};
+use crate::windowed::{PathLength, Windowed};
 
 /// A solver that partitions the interval axis into shards, delegates each
 /// shard to an inner algorithm, and merges the per-shard solutions.
@@ -59,11 +59,6 @@ impl ShardedSolver {
             options,
         })
     }
-
-    /// The configured shard count (at least 1).
-    pub fn shards(&self) -> usize {
-        self.options.shards.max(1)
-    }
 }
 
 impl StableClusterSolver for ShardedSolver {
@@ -76,17 +71,7 @@ impl StableClusterSolver for ShardedSolver {
     }
 
     fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
-        let windowed = Windowed {
-            view,
-            length: self.length,
-            k: self.k,
-            algorithm: self.inner,
-            options: &self.options,
-            ranges: self.shards(),
-            placement: Placement::Local,
-            prior: None,
-            keep_windows: false,
-        };
+        let windowed = Windowed::new(view, self.length, self.k, self.inner, &self.options, None);
         Ok(windowed.run()?.solution)
     }
 }

@@ -15,9 +15,13 @@
 //! blocks them, and the monotonically increasing epoch gives caches an
 //! exact invalidation signal ([`SnapshotCell::epoch`] is lock-free). This
 //! is the resident-engine architecture of disk-based keyword search
-//! (EMBANKS): build once, serve many queries, refresh by swapping.
+//! (EMBANKS): build once, serve many queries, refresh by swapping. The cell
+//! holds the resident snapshot and its epoch and nothing else: how two
+//! epochs' graphs relate is read off the graphs themselves
+//! ([`GraphDelta::between`](crate::delta::GraphDelta::between) — consecutive
+//! epochs of a stream share their untouched segments), never remembered
+//! here.
 
-use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -25,7 +29,6 @@ use std::sync::{Arc, RwLock};
 use bsc_corpus::vocabulary::Vocabulary;
 
 use crate::cluster_graph::{ClusterGraph, GraphView};
-use crate::delta::GraphDelta;
 
 /// An immutable, shareable view of a cluster graph at one point in time.
 ///
@@ -115,41 +118,16 @@ impl<'a> From<&'a GraphSnapshot> for GraphView<'a> {
 /// staleness checks.
 #[derive(Debug)]
 pub struct SnapshotCell {
-    current: RwLock<CellState>,
+    current: RwLock<GraphSnapshot>,
     /// Mirrors `current`'s epoch so staleness checks need no lock.
     epoch: AtomicU64,
-}
-
-/// Cap on the stored delta chain: splices across more than this many
-/// consecutive ingests fall back to a cold solve (the chain's oldest links
-/// are forgotten, so [`SnapshotCell::delta_between`] returns `None`).
-const MAX_DELTA_CHAIN: usize = 16;
-
-/// One link of the cell's delta chain: the interval delta between two
-/// consecutively published epochs.
-#[derive(Debug, Clone)]
-struct EpochDelta {
-    from_epoch: u64,
-    to_epoch: u64,
-    delta: Arc<GraphDelta>,
-}
-
-/// The cell's guarded state: the resident snapshot plus the chain of
-/// deltas linking recent epochs, kept consistent under one lock.
-#[derive(Debug)]
-struct CellState {
-    snapshot: GraphSnapshot,
-    deltas: VecDeque<EpochDelta>,
 }
 
 impl SnapshotCell {
     /// A cell holding the given snapshot, re-tagged as epoch 0.
     pub fn new(snapshot: GraphSnapshot) -> Self {
         SnapshotCell {
-            current: RwLock::new(CellState {
-                snapshot: snapshot.with_epoch(0),
-                deltas: VecDeque::new(),
-            }),
+            current: RwLock::new(snapshot.with_epoch(0)),
             epoch: AtomicU64::new(0),
         }
     }
@@ -169,7 +147,6 @@ impl SnapshotCell {
         self.current
             .read()
             .unwrap_or_else(|p| p.into_inner())
-            .snapshot
             .clone()
     }
 
@@ -193,99 +170,14 @@ impl SnapshotCell {
     /// [`OnlineStableClusters::snapshot`]: crate::streaming::OnlineStableClusters::snapshot
     pub fn install(&self, snapshot: GraphSnapshot) -> GraphSnapshot {
         let mut guard = self.current.write().unwrap_or_else(|p| p.into_inner());
-        let next_epoch = guard.snapshot.epoch() + 1;
+        let next_epoch = guard.epoch() + 1;
         let installed = snapshot.with_epoch(next_epoch);
-        guard.snapshot = installed.clone();
-        // A plain install states nothing about how the new graph relates to
-        // the old one, so prior-epoch window results must never splice past
-        // it: drop the chain.
-        guard.deltas.clear();
+        *guard = installed.clone();
         // Readers that observe the new epoch are guaranteed to load() the
         // new snapshot or a later one: the store happens while the write
         // lock is still held.
         self.epoch.store(next_epoch, Ordering::Release);
         installed
-    }
-
-    /// Install a snapshot **and** record the interval delta between it and
-    /// the previously resident graph, extending the cell's delta chain so
-    /// prior-epoch per-window results can be spliced forward (see
-    /// [`crate::delta`]). Epoch assignment is identical to
-    /// [`SnapshotCell::install`].
-    ///
-    /// The delta is always computed here, against the graph the cell
-    /// actually holds — never accepted from the caller — so an interleaved
-    /// `install` (a `load` op replacing the graph mid-stream) can only
-    /// *drop* the chain, never corrupt it.
-    pub fn install_incremental(&self, snapshot: GraphSnapshot) -> GraphSnapshot {
-        // The comparison runs against a pinned snapshot outside the write
-        // lock so readers are never blocked by it. It is O(m) when the
-        // resident graph is the one `snapshot` was appended to (shared
-        // segments are clean by identity) and compares content otherwise.
-        let prior = self.load();
-        let delta = Arc::new(GraphDelta::between(prior.graph(), snapshot.graph()));
-        let mut guard = self.current.write().unwrap_or_else(|p| p.into_inner());
-        let next_epoch = guard.snapshot.epoch() + 1;
-        let installed = snapshot.with_epoch(next_epoch);
-        if guard.snapshot.epoch() == prior.epoch() {
-            guard.deltas.push_back(EpochDelta {
-                from_epoch: prior.epoch(),
-                to_epoch: next_epoch,
-                delta,
-            });
-            while guard.deltas.len() > MAX_DELTA_CHAIN {
-                guard.deltas.pop_front();
-            }
-        } else {
-            // Another install won the race between our load() and this
-            // lock: the delta describes the wrong pair of generations.
-            guard.deltas.clear();
-        }
-        guard.snapshot = installed.clone();
-        self.epoch.store(next_epoch, Ordering::Release);
-        installed
-    }
-
-    /// Whether the cell currently holds any delta links — i.e. the graph is
-    /// being fed incrementally and windowed solves are worth seeding.
-    pub fn has_deltas(&self) -> bool {
-        !self
-            .current
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .deltas
-            .is_empty()
-    }
-
-    /// Compose the stored chain into a single delta covering
-    /// `from_epoch → to_epoch`. Returns `None` when the chain does not span
-    /// the range (pruned, cleared by a plain install, or the epochs were
-    /// never published here) — callers must then solve cold.
-    pub fn delta_between(&self, from_epoch: u64, to_epoch: u64) -> Option<GraphDelta> {
-        if from_epoch >= to_epoch {
-            return None;
-        }
-        let guard = self.current.read().unwrap_or_else(|p| p.into_inner());
-        let mut links = guard
-            .deltas
-            .iter()
-            .skip_while(|link| link.from_epoch != from_epoch);
-        let first = links.next()?;
-        let mut acc = (*first.delta).clone();
-        let mut at = first.to_epoch;
-        while at < to_epoch {
-            let next = links.next()?;
-            if next.from_epoch != at {
-                return None;
-            }
-            acc = acc.compose(&next.delta)?;
-            at = next.to_epoch;
-        }
-        if at == to_epoch {
-            Some(acc)
-        } else {
-            None
-        }
     }
 }
 
@@ -347,31 +239,6 @@ mod tests {
                 .edge_weight(ClusterNodeId::new(0, 0), ClusterNodeId::new(1, 0)),
             Some(0.25)
         );
-    }
-
-    #[test]
-    fn incremental_installs_build_a_composable_delta_chain() {
-        let cell = SnapshotCell::empty();
-        assert!(!cell.has_deltas());
-        let first = cell.install_incremental(GraphSnapshot::new(two_interval_graph(0.5)));
-        let second = cell.install_incremental(GraphSnapshot::new(two_interval_graph(0.25)));
-        assert!(cell.has_deltas());
-        let link = cell
-            .delta_between(first.epoch(), second.epoch())
-            .expect("adjacent epochs are linked");
-        // Only the edge-receiving interval changed between the two graphs.
-        assert!(!link.is_dirty(0));
-        assert!(link.is_dirty(1));
-        let composed = cell
-            .delta_between(0, second.epoch())
-            .expect("chain composes");
-        // The epoch-0 graph was empty, so everything is dirty end to end.
-        assert_eq!(composed.dirty_count(), 2);
-        assert!(cell.delta_between(second.epoch(), first.epoch()).is_none());
-        // A plain install severs the chain.
-        cell.install(GraphSnapshot::new(two_interval_graph(0.5)));
-        assert!(!cell.has_deltas());
-        assert!(cell.delta_between(first.epoch(), second.epoch()).is_none());
     }
 
     #[test]

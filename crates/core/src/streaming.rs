@@ -143,12 +143,7 @@ impl OnlineStableClusters {
     /// blocked or retargeted. Returns the installed snapshot (re-tagged
     /// with the cell's next epoch).
     pub fn publish_to(&mut self, cell: &SnapshotCell) -> GraphSnapshot {
-        // Incremental install: the cell records the interval delta between
-        // the previously resident graph and this one, so resident
-        // per-window results can be spliced forward (see [`crate::delta`]).
-        // When the resident graph is this stream's previous epoch, every
-        // older interval is proven clean by segment identity.
-        cell.install_incremental(self.snapshot())
+        cell.install(self.snapshot())
     }
 
     /// Replay an existing cluster graph interval by interval (mainly for
@@ -200,7 +195,7 @@ impl OnlineClusterFeed {
         let interval = self.solver.num_intervals() as u32;
         let mut parent_edges: Vec<Vec<(ClusterNodeId, f64)>> = vec![Vec::new(); clusters.len()];
         for (old_interval, old_clusters) in &self.recent {
-            if interval - old_interval > self.solver.graph().gap() + 1 {
+            if interval - old_interval > self.solver.graph().max_edge_length() {
                 continue;
             }
             for (new_index, new_cluster) in clusters.iter().enumerate() {
@@ -440,6 +435,22 @@ mod tests {
         assert_eq!(top[0].nodes()[0], ClusterNodeId::new(0, 0));
         assert!(top[0].weight() > 1.0);
         assert_eq!(feed.solver().num_intervals(), 3);
+    }
+
+    #[test]
+    fn cluster_feed_with_the_widest_gap_reaches_every_earlier_interval() {
+        // `gap + 1` used to wrap to 0 and skip every earlier interval.
+        let params = KlStableParams::new(2, 2);
+        let mut feed = OnlineClusterFeed::new(params, u32::MAX, Box::new(JaccardAffinity), 0.1);
+        feed.push_clusters(vec![cluster(0, 0, &[1, 2, 3])]);
+        feed.push_clusters(vec![cluster(1, 0, &[70, 71])]);
+        feed.push_clusters(vec![cluster(2, 0, &[1, 2, 3, 4])]);
+        let top = feed.current_top_k();
+        assert_eq!(top.len(), 1);
+        assert_eq!(
+            top[0].nodes(),
+            [ClusterNodeId::new(0, 0), ClusterNodeId::new(2, 0)]
+        );
     }
 
     #[test]

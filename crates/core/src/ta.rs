@@ -85,7 +85,6 @@ impl TaStableClusters {
         if self.k == 0 || m < 2 {
             return Ok((Vec::new(), stats));
         }
-        let gap = graph.gap();
         let (first, last) = (graph.first_interval(), graph.intervals().end - 1);
 
         // One sorted edge list per interval pair (i, j), j - i <= g + 1.
@@ -96,7 +95,7 @@ impl TaStableClusters {
         let mut lists: Vec<EdgeList> = Vec::new();
         // bsc:allow(missing-cancel-checkpoint) -- one-time setup linear in the edge count; the TA round loop checkpoints
         for i in graph.intervals() {
-            for j in (i + 1)..=(i + gap + 1).min(last) {
+            for j in (i + 1)..=i.saturating_add(graph.max_edge_length()).min(last) {
                 let mut edges: Vec<(f64, ClusterNodeId, ClusterNodeId)> = graph
                     .interval_node_ids(i)
                     .flat_map(|from| graph.children(from).map(move |e| (e.weight, from, e.to)))
@@ -390,22 +389,27 @@ mod tests {
 
     #[test]
     fn matches_bfs_with_gaps() {
-        let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
-            num_intervals: 4,
-            nodes_per_interval: 6,
-            avg_out_degree: 2,
-            gap: 1,
-            seed: 77,
-        })
-        .generate();
-        let k = 4;
-        let bfs = BfsStableClusters::new(KlStableParams::full_paths(k, 4))
-            .run(&graph)
-            .unwrap();
-        let ta = TaStableClusters::new(k).run(&graph).unwrap();
-        assert_eq!(bfs.len(), ta.len());
-        for (a, b) in bfs.iter().zip(ta.iter()) {
-            assert!((a.weight() - b.weight()).abs() < 1e-9);
+        // The widest gap too: `i + gap + 1` used to wrap, list no interval
+        // pair and answer nothing.
+        for gap in [1, u32::MAX] {
+            let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
+                num_intervals: 4,
+                nodes_per_interval: 6,
+                avg_out_degree: 2,
+                gap,
+                seed: 77,
+            })
+            .generate();
+            let k = 4;
+            let bfs = BfsStableClusters::new(KlStableParams::full_paths(k, 4))
+                .run(&graph)
+                .unwrap();
+            let ta = TaStableClusters::new(k).run(&graph).unwrap();
+            assert_eq!(bfs.len(), k, "gap={gap}");
+            assert_eq!(bfs.len(), ta.len(), "gap={gap}");
+            for (a, b) in bfs.iter().zip(ta.iter()) {
+                assert!((a.weight() - b.weight()).abs() < 1e-9, "gap={gap}");
+            }
         }
     }
 

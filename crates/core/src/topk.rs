@@ -2,17 +2,14 @@
 //!
 //! Every algorithm of Section 4 maintains fixed-size heaps: the per-node
 //! heaps `h^x_ij` of the BFS algorithm, the `bestpaths` heaps of the DFS
-//! algorithm and the global result heap `H`. [`TopK`] is that structure:
-//! it keeps the `k` highest-scoring paths, evicting the minimum when a better
-//! candidate arrives ("check π against the heap" in the paper's pseudocode).
-//!
-//! The heap is generic over the path representation: [`TopKPaths`] holds
-//! materialized [`ClusterPath`]s (result heaps, oracles), while
-//! [`SharedTopK`] holds zero-copy [`SharedPath`] chains, where admitting a
-//! path is an `Arc` bump instead of a `Vec` clone. (The per-node heaps of the
-//! BFS sweep are flat tables of their own, see [`crate::bfs`]; only its
-//! global heap is a [`TopKPaths`].) Call [`TopK::would_admit`] with a candidate's
-//! score *before* constructing or cloning it: when the score cannot beat the
+//! algorithm and the global result heap `H`. [`TopKPaths`] is that
+//! structure over materialized [`ClusterPath`]s (result heaps, the windowed
+//! merge, oracles): it keeps the `k` highest-scoring paths, evicting the
+//! minimum when a better candidate arrives ("check π against the heap" in
+//! the paper's pseudocode). (The per-node heaps of the BFS sweep are flat
+//! tables of their own, see [`crate::bfs`]; only its global heap is a
+//! [`TopKPaths`].) Call [`TopKPaths::would_admit`] with a candidate's score
+//! *before* constructing or cloning it: when the score cannot beat the
 //! current worst held score the construction, the clone and the heap churn
 //! are all skipped.
 
@@ -20,93 +17,57 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::path::ClusterPath;
-use crate::path_tree::SharedPath;
 
-/// A path representation a [`TopK`] heap can hold: scored by weight or
-/// stability, with a deterministic content order for breaking exact score
-/// ties (so heap contents never depend on insertion order).
-pub trait PathEntry: Clone + std::fmt::Debug {
-    /// The aggregate weight (the Problem 1 score).
-    fn entry_weight(&self) -> f64;
-    /// The stability `weight / length` (the Problem 2 score).
-    fn entry_stability(&self) -> f64;
-    /// Deterministic total order on path *content*, independent of scores.
-    fn tie_cmp(&self, other: &Self) -> Ordering;
-}
-
-impl PathEntry for ClusterPath {
-    fn entry_weight(&self) -> f64 {
-        self.weight()
-    }
-    fn entry_stability(&self) -> f64 {
-        self.stability()
-    }
-    fn tie_cmp(&self, other: &Self) -> Ordering {
-        self.tie_break_key().cmp(&other.tie_break_key())
-    }
-}
-
-impl PathEntry for SharedPath {
-    fn entry_weight(&self) -> f64 {
-        self.weight()
-    }
-    fn entry_stability(&self) -> f64 {
-        self.stability()
-    }
-    fn tie_cmp(&self, other: &Self) -> Ordering {
-        SharedPath::tie_cmp(self, other)
-    }
+/// Deterministic total order on path *content*, independent of scores, for
+/// breaking exact score ties (so heap contents never depend on insertion
+/// order).
+fn tie_cmp(a: &ClusterPath, b: &ClusterPath) -> Ordering {
+    a.tie_break_key().cmp(&b.tie_break_key())
 }
 
 /// A path together with the score the heap orders by.
 #[derive(Debug, Clone)]
-struct Scored<P> {
+struct Scored {
     score: f64,
-    path: P,
+    path: ClusterPath,
 }
 
-impl<P: PathEntry> PartialEq for Scored<P> {
+impl PartialEq for Scored {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl<P: PathEntry> Eq for Scored<P> {}
+impl Eq for Scored {}
 
-impl<P: PathEntry> PartialOrd for Scored<P> {
+impl PartialOrd for Scored {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<P: PathEntry> Ord for Scored<P> {
+impl Ord for Scored {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse the score: BinaryHeap is a max-heap, we want the *minimum*
         // score at the top so it can be evicted cheaply. The content order
         // is NOT reversed: among equal scores the top is the entry sorting
         // *latest* in the output order — exactly the one
-        // [`TopK::offer_scored`] must evict on a tie.
+        // [`TopKPaths::offer_scored`] must evict on a tie.
         other
             .score
             .total_cmp(&self.score)
-            .then_with(|| self.path.tie_cmp(&other.path))
+            .then_with(|| tie_cmp(&self.path, &other.path))
     }
 }
 
 /// A bounded collection of the `k` highest-scoring paths.
 #[derive(Debug, Clone)]
-pub struct TopK<P: PathEntry> {
+pub struct TopKPaths {
     k: usize,
-    heap: BinaryHeap<Scored<P>>,
+    heap: BinaryHeap<Scored>,
 }
 
-/// Top-k heap over materialized [`ClusterPath`]s.
-pub type TopKPaths = TopK<ClusterPath>;
-
-/// Top-k heap over zero-copy [`SharedPath`] chains.
-pub type SharedTopK = TopK<SharedPath>;
-
-impl<P: PathEntry> TopK<P> {
-    /// The most slots [`TopK::new`] reserves before any path is held.
+impl TopKPaths {
+    /// The most slots [`TopKPaths::new`] reserves before any path is held.
     const RESERVED_SLOTS: usize = 64;
 
     /// Create an empty heap of capacity `k`. Only a small `k` is reserved
@@ -114,7 +75,7 @@ impl<P: PathEntry> TopK<P> {
     /// want); beyond 64 slots (`RESERVED_SLOTS`) storage grows with the paths
     /// actually held, so `k` — a number a client sends — sizes nothing.
     pub fn new(k: usize) -> Self {
-        TopK {
+        TopKPaths {
             k,
             heap: BinaryHeap::with_capacity(k.saturating_add(1).min(Self::RESERVED_SLOTS)),
         }
@@ -165,7 +126,7 @@ impl<P: PathEntry> TopK<P> {
     /// Could a candidate with this score be admitted right now? `false`
     /// means it certainly cannot enter, so callers can skip constructing or
     /// cloning it; `true` means it enters unless it ties the worst score and
-    /// loses the content tie-break inside [`TopK::offer_scored`].
+    /// loses the content tie-break inside [`TopKPaths::offer_scored`].
     pub fn would_admit(&self, score: f64) -> bool {
         self.k > 0 && (!self.is_full() || score >= self.worst_score())
     }
@@ -173,10 +134,10 @@ impl<P: PathEntry> TopK<P> {
     /// Offer a path with an explicit score. Returns true if it was admitted.
     ///
     /// Admission follows the strict total order (score descending, then
-    /// [`PathEntry::tie_cmp`] ascending): the held set is always the unique
+    /// path content ascending): the held set is always the unique
     /// top-k under that order, so it never depends on the order offers
     /// arrive in — the property that makes the windowed merge exact.
-    pub fn offer_scored(&mut self, path: P, score: f64) -> bool {
+    pub fn offer_scored(&mut self, path: ClusterPath, score: f64) -> bool {
         if self.k == 0 {
             return false;
         }
@@ -192,7 +153,7 @@ impl<P: PathEntry> TopK<P> {
             Ordering::Equal => {
                 // The heap top is the worst under (score desc, tie asc);
                 // replace it only when the candidate sorts strictly earlier.
-                if path.tie_cmp(&worst.path) != Ordering::Less {
+                if tie_cmp(&path, &worst.path) != Ordering::Less {
                     return false;
                 }
             }
@@ -206,14 +167,14 @@ impl<P: PathEntry> TopK<P> {
     /// Offer a path scored by its aggregate weight (Problem 1). The
     /// `worst_score` fast path rejects a hopeless candidate before any heap
     /// operation runs.
-    pub fn offer_by_weight(&mut self, path: P) -> bool {
-        let score = path.entry_weight();
+    pub fn offer_by_weight(&mut self, path: ClusterPath) -> bool {
+        let score = path.weight();
         self.offer_scored(path, score)
     }
 
     /// Offer a path scored by its stability = weight / length (Problem 2).
-    pub fn offer_by_stability(&mut self, path: P) -> bool {
-        let score = path.entry_stability();
+    pub fn offer_by_stability(&mut self, path: ClusterPath) -> bool {
+        let score = path.stability();
         self.offer_scored(path, score)
     }
 
@@ -221,37 +182,37 @@ impl<P: PathEntry> TopK<P> {
     /// heaps of a windowed solve). The top-k set under the total
     /// (score, content) order is unique, so the merge order never affects
     /// the result.
-    pub fn absorb(&mut self, other: TopK<P>) {
+    pub fn absorb(&mut self, other: TopKPaths) {
         for entry in other.heap {
             self.offer_scored(entry.path, entry.score);
         }
     }
 
     /// The held paths in descending score order.
-    pub fn into_sorted(self) -> Vec<P> {
-        let mut entries: Vec<Scored<P>> = self.heap.into_vec();
+    pub fn into_sorted(self) -> Vec<ClusterPath> {
+        let mut entries: Vec<Scored> = self.heap.into_vec();
         entries.sort_by(|a, b| {
             b.score
                 .total_cmp(&a.score)
-                .then_with(|| a.path.tie_cmp(&b.path))
+                .then_with(|| tie_cmp(&a.path, &b.path))
         });
         entries.into_iter().map(|s| s.path).collect()
     }
 
     /// The held paths (with scores) in descending score order, without
     /// consuming the heap.
-    pub fn sorted_entries(&self) -> Vec<(f64, P)> {
-        let mut entries: Vec<(f64, P)> = self
+    pub fn sorted_entries(&self) -> Vec<(f64, ClusterPath)> {
+        let mut entries: Vec<(f64, ClusterPath)> = self
             .heap
             .iter()
             .map(|s| (s.score, s.path.clone()))
             .collect();
-        entries.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.tie_cmp(&b.1)));
+        entries.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| tie_cmp(&a.1, &b.1)));
         entries
     }
 
     /// Iterate over the held paths in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = &P> {
+    pub fn iter(&self) -> impl Iterator<Item = &ClusterPath> {
         self.heap.iter().map(|s| &s.path)
     }
 }
@@ -387,27 +348,6 @@ mod tests {
         let entries = topk.sorted_entries();
         assert!((entries[0].0 - 0.9).abs() < 1e-12);
         assert!((entries[1].0 - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shared_heap_matches_materialized_heap() {
-        let mut rng = DetRng::seed_from_u64(41);
-        let mut shared = SharedTopK::new(4);
-        let mut plain = TopKPaths::new(4);
-        for i in 0..64u32 {
-            let w = rng.next_f64();
-            let start = ClusterNodeId::new(0, i % 7);
-            let end = ClusterNodeId::new(1, i % 5);
-            shared.offer_by_weight(crate::path_tree::SharedPath::singleton(start).extend(end, w));
-            plain.offer_by_weight(ClusterPath::singleton(start).extend(end, w));
-        }
-        let a: Vec<ClusterPath> = shared
-            .into_sorted()
-            .iter()
-            .map(|p| p.to_cluster_path())
-            .collect();
-        let b = plain.into_sorted();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -68,7 +68,9 @@ use bsc_util::cancel::CancelToken;
 use crate::auto::{choose_algorithm, GraphShape};
 use crate::cluster_graph::GraphView;
 use crate::delta::{DeltaSolveOutcome, GraphDelta, WindowSet};
-use crate::distributed::{solve_window_locally, ShardTransport, WindowRequest, WindowResult};
+use crate::distributed::{
+    anonymous_epoch, solve_window_locally, ShardTransport, WindowRequest, WindowResult,
+};
 use crate::error::{BscError, BscResult};
 use crate::problem::StableClusterSpec;
 use crate::solver::{
@@ -104,7 +106,7 @@ impl PathLength {
 }
 
 /// Where a window runs.
-pub(crate) enum Placement<'a> {
+enum Placement<'a> {
     /// On this machine, through [`solve_window_locally`].
     Local,
     /// On a remote worker; `epoch` identifies the graph to the transport.
@@ -116,14 +118,14 @@ pub(crate) enum Placement<'a> {
 
 /// One windowed solve, fully configured.
 pub(crate) struct Windowed<'a> {
-    pub(crate) view: GraphView<'a>,
-    pub(crate) length: PathLength,
-    pub(crate) k: usize,
-    pub(crate) algorithm: AlgorithmKind,
-    pub(crate) options: &'a SolverOptions,
-    /// Ranges to split the valid starts into (at least 1).
-    pub(crate) ranges: usize,
-    pub(crate) placement: Placement<'a>,
+    view: GraphView<'a>,
+    length: PathLength,
+    k: usize,
+    algorithm: AlgorithmKind,
+    options: &'a SolverOptions,
+    /// Ranges to split the valid starts into (0 counts as 1).
+    ranges: usize,
+    placement: Placement<'a>,
     /// A prior epoch's per-window results and the delta from that epoch to
     /// `view`'s graph: windows the delta proves untouched are spliced, not
     /// solved (whole-graph views only).
@@ -139,7 +141,48 @@ struct Partial {
     kept: Vec<WindowResult>,
 }
 
-impl Windowed<'_> {
+impl<'a> Windowed<'a> {
+    /// A cold solve of `view` that keeps nothing, placed by `transport` —
+    /// the one place a placement is decided. `None` solves the windows on
+    /// this machine over `options.shards` ranges; `Some((transport, epoch))`
+    /// dispatches them through `transport`, one range per worker, naming the
+    /// graph by `epoch`: a published snapshot's own, so a worker keeps the
+    /// graph it installed from one query of the epoch to the next; 0 stands
+    /// for a graph that was never published and becomes a fresh
+    /// [`anonymous_epoch`], so workers neither collide on unrelated graphs
+    /// nor reuse a stale one.
+    pub(crate) fn new(
+        view: GraphView<'a>,
+        length: PathLength,
+        k: usize,
+        algorithm: AlgorithmKind,
+        options: &'a SolverOptions,
+        transport: Option<(&'a dyn ShardTransport, u64)>,
+    ) -> Windowed<'a> {
+        let (ranges, placement) = match transport {
+            None => (options.shards, Placement::Local),
+            Some((transport, epoch)) => {
+                let epoch = match epoch {
+                    0 => anonymous_epoch(),
+                    published => published,
+                };
+                let placement = Placement::Transport { transport, epoch };
+                (transport.worker_count(), placement)
+            }
+        };
+        Windowed {
+            view,
+            length,
+            k,
+            algorithm,
+            options,
+            ranges,
+            placement,
+            prior: None,
+            keep_windows: false,
+        }
+    }
+
     /// Run the solve.
     pub(crate) fn run(mut self) -> BscResult<DeltaSolveOutcome> {
         check_not_expired(self.options.cancel.as_ref())?;

@@ -1,4 +1,5 @@
-//! The epoch-tagged LRU solution cache with delta-aware carry-forward.
+//! The epoch-tagged LRU solution cache, and the one memo of per-window
+//! results.
 //!
 //! Stable-cluster queries are pure functions of `(snapshot epoch, query
 //! parameters)`: the same algorithm, spec, `k` and options against the same
@@ -8,26 +9,29 @@
 //! epoch it was computed at, and [`SolutionCache::get`] only ever answers
 //! for an exact epoch match, so a stale answer can never be served.
 //!
-//! What changed with incremental solving (see [`bsc_core::delta`]): an
-//! epoch advance no longer has to drop everything. Entries produced by a
-//! windowed solve also hold their per-start [`WindowSet`]; on an
-//! *incremental* advance ([`SolutionCache::advance_epoch_incremental`])
-//! those entries are **carried forward** — their untouched windows are the
-//! splice source that makes the next solve of the same key proportional to
-//! the delta, found via [`SolutionCache::spliceable`]. Solution-only
-//! entries are dropped as before (every global answer depends on the whole
-//! graph, so any delta invalidates them); the `carried_forward` /
-//! `delta_dropped` counters report the split. A plain (non-incremental)
-//! advance still drops everything — without a delta chain in the
-//! [`SnapshotCell`](bsc_core::snapshot::SnapshotCell) nothing could splice
-//! anyway, and that chain (not the cache) is the correctness gate: a
-//! carried entry is only ever used when the cell proves a composable delta
-//! connects its epoch to the query's.
+//! Entries produced by a windowed solve (see [`bsc_core::delta`]) also hold
+//! a window memo: the per-start [`WindowSet`] **and the [`GraphSnapshot`] it
+//! was solved on**. This is the only place a per-window result outlives the
+//! solve that produced it, and an entry proves its own reuse: the engine
+//! compares the memo's graph with the graph a later query pinned
+//! (`GraphDelta::between`, at the point of use) and splices exactly the
+//! windows over which the two hold identical in-edges. Nothing here — or
+//! anywhere else — has to vouch for what happened between the two epochs,
+//! so an entry stays useful however many ingests it sleeps through. On an
+//! *incremental* advance ([`SolutionCache::advance_epoch_incremental`]) such
+//! entries are therefore **carried forward**, found by the next solve of the
+//! same key via [`SolutionCache::spliceable`]; solution-only entries are
+//! dropped as before (every global answer depends on the whole graph, so any
+//! delta invalidates them), and the `carried_forward` / `delta_dropped`
+//! counters report the split. A plain (non-incremental) advance drops
+//! everything: the new graph shares nothing with the old, so a carried memo
+//! would cost a content comparison to learn it cannot splice.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use bsc_core::delta::WindowSet;
+use bsc_core::snapshot::GraphSnapshot;
 use bsc_core::solver::Solution;
 
 /// Counters describing cache behaviour since engine start.
@@ -58,9 +62,11 @@ struct Entry {
     /// The epoch the solution was computed at.
     epoch: u64,
     solution: Solution,
-    /// Per-start-window results when the solution came from a windowed
-    /// solve; the splice source for later epochs.
-    windows: Option<Arc<WindowSet>>,
+    /// The snapshot a windowed solve ran on (an `Arc` handle; a stream's
+    /// epochs share their segments, so holding one pins little) and its
+    /// per-start-window results: the splice source for later solves, and
+    /// the graph a later solve proves the splice against.
+    windows: Option<(GraphSnapshot, Arc<WindowSet>)>,
     last_used: u64,
 }
 
@@ -99,8 +105,8 @@ impl SolutionCache {
         }
     }
 
-    /// Drop every entry. Called on a plain snapshot swap: no delta links
-    /// the generations, so nothing resident can ever be reused.
+    /// Drop every entry. Called on a plain snapshot swap: the generations
+    /// share no segment, so nothing resident is worth comparing against.
     pub fn advance_epoch(&mut self, epoch: u64) {
         if epoch > self.epoch {
             self.invalidations += self.map.len() as u64;
@@ -146,34 +152,30 @@ impl SolutionCache {
         }
     }
 
-    /// The window set a delta solve at `epoch` could splice from: a
-    /// carried-forward entry for `key` computed at an **earlier** epoch.
-    /// Returns that epoch and the shared window set; the caller must still
-    /// obtain a composable delta covering `entry epoch → epoch` from the
-    /// snapshot cell before splicing. Does not touch the hit/miss counters
-    /// (the subsequent put records the outcome).
-    pub fn spliceable(&mut self, epoch: u64, key: &str) -> Option<(u64, Arc<WindowSet>)> {
+    /// The memo a windowed solve of `key` could splice from — the snapshot
+    /// the entry was solved on and its window set — whatever epoch that
+    /// was. The caller derives the proof from that graph and the one it is
+    /// solving. Does not touch the
+    /// hit/miss counters (the subsequent put records the outcome).
+    pub fn spliceable(&mut self, key: &str) -> Option<(GraphSnapshot, Arc<WindowSet>)> {
         self.tick += 1;
         let entry = self.map.get_mut(key)?;
-        if entry.epoch >= epoch {
-            return None;
-        }
-        let windows = entry.windows.as_ref()?;
+        let memo = entry.windows.clone()?;
         entry.last_used = self.tick;
-        Some((entry.epoch, Arc::clone(windows)))
+        Some(memo)
     }
 
-    /// Store a solution computed at `epoch`, with its window set when the
-    /// solve was windowed. A put for a newer epoch first advances the
-    /// cache (incrementally — the snapshot cell's delta chain is the
-    /// correctness gate for any later splice); a put for an *older* epoch
-    /// (a query that pinned its snapshot before a swap) is dropped.
+    /// Store a solution computed at `epoch`, with the snapshot it ran on and
+    /// its window set when the solve was windowed. A put for a newer epoch first advances the cache
+    /// (incrementally — a carried memo is checked against the graph of
+    /// whichever solve uses it); a put for an *older* epoch (a query that
+    /// pinned its snapshot before a swap) is dropped.
     pub fn put(
         &mut self,
         epoch: u64,
         key: String,
         solution: Solution,
-        windows: Option<Arc<WindowSet>>,
+        windows: Option<(GraphSnapshot, Arc<WindowSet>)>,
     ) {
         if self.capacity == 0 {
             return;
@@ -240,12 +242,13 @@ mod tests {
         }
     }
 
-    fn window_set() -> Arc<WindowSet> {
-        Arc::new(WindowSet {
+    fn window_set() -> (GraphSnapshot, Arc<WindowSet>) {
+        let set = WindowSet {
             l: 1,
             k: 1,
             windows: Vec::new(),
-        })
+        };
+        (GraphSnapshot::new(Default::default()), Arc::new(set))
     }
 
     #[test]
@@ -268,7 +271,7 @@ mod tests {
         assert!(cache.get(2, "a").is_none());
         assert_eq!(cache.stats().invalidations, 2);
         assert_eq!(cache.stats().entries, 0);
-        assert!(cache.spliceable(2, "b").is_none());
+        assert!(cache.spliceable("b").is_none());
     }
 
     #[test]
@@ -284,11 +287,9 @@ mod tests {
         assert_eq!(stats.entries, 1);
         // The carried entry is a splice source, never a direct answer.
         assert!(cache.get(2, "windowed").is_none());
-        let (from_epoch, windows) = cache.spliceable(2, "windowed").expect("carried");
-        assert_eq!(from_epoch, 1);
+        let (_, windows) = cache.spliceable("windowed").expect("carried");
         assert_eq!(windows.k, 1);
-        // It is not spliceable at its own epoch.
-        assert!(cache.spliceable(1, "windowed").is_none());
+        assert!(cache.spliceable("solution-only").is_none());
     }
 
     #[test]
@@ -299,8 +300,7 @@ mod tests {
         cache.put(2, "q".into(), solution(0.3), Some(window_set()));
         let hit = cache.get(2, "q").expect("fresh entry answers");
         assert_eq!(hit.paths[0].weight(), 0.3);
-        assert!(cache.spliceable(2, "q").is_none());
-        assert!(cache.spliceable(3, "q").is_some());
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

@@ -24,7 +24,17 @@
 //!   solution, so they are byte-identical to what a serial execution of each
 //!   query would produce.
 //!
-//! Execution goes through the same object-safe
+//! While the engine is fed incrementally ([`QueryEngine::install_incremental`]
+//! — one flag, cleared by a plain [`QueryEngine::install`]) exact-length
+//! queries, local and fanned-out alike, run through the windowed solve of
+//! [`bsc_core::delta`] and leave their per-window results in the solution
+//! cache, beside the snapshot they were solved on. A later miss on the same
+//! key compares that snapshot's graph with the one it pinned and re-solves —
+//! or, on a coordinator, dispatches — only the windows the two disagree
+//! over. That comparison, in `execute`, is the only place a splice is
+//! decided; `docs/streaming.md` has the rule and the byte-identity argument.
+//!
+//! Otherwise execution goes through the same object-safe
 //! [`StableClusterSolver`](bsc_core::solver::StableClusterSolver) seam as
 //! everything else: any [`AlgorithmKind`] (including `Auto` resolution and
 //! sharded solving via [`SolverOptions::shards`]) with per-query
@@ -42,7 +52,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bsc_core::cluster_graph::ClusterGraph;
-use bsc_core::delta::WindowSet;
+use bsc_core::delta::{solve_snapshot_windows, GraphDelta};
 use bsc_core::error::{BscError, BscResult};
 use bsc_core::problem::StableClusterSpec;
 use bsc_core::snapshot::{GraphSnapshot, SnapshotCell};
@@ -232,6 +242,17 @@ impl QueryRequest {
         }
         self.algorithm.check_spec(self.spec)
     }
+
+    /// Whether building this query's solver the direct way succeeds on a
+    /// graph of `num_intervals` intervals: sharded, every window is
+    /// full-length for its inner algorithm; unsharded, the algorithm must
+    /// support the spec as asked (TA's full-paths-only rule). Moving a
+    /// query's windows elsewhere — the delta path, a coordinator's default
+    /// fan-out — is only allowed when this holds, so the direct build stays
+    /// the one author of "unsupported request" errors.
+    pub(crate) fn passes_the_direct_build(&self, num_intervals: usize) -> bool {
+        self.options.shards > 1 || self.algorithm.supports(self.spec, num_intervals)
+    }
 }
 
 /// A finished query: the [`Solution`] plus where and how it was computed.
@@ -358,10 +379,11 @@ pub(crate) struct Metrics {
 }
 
 pub(crate) struct Shared {
-    /// The snapshot cell, shared with the engine front: workers consult its
-    /// delta chain to decide whether a windowed (delta) solve can splice a
-    /// carried-forward window set — see [`bsc_core::delta`].
-    pub(crate) cell: Arc<SnapshotCell>,
+    /// Whether the newest snapshot was installed incrementally: while it
+    /// is, windowed solves seed and splice the cache's window memos. A
+    /// batch-loaded engine keeps the direct path. It picks between two
+    /// paths that answer identically and publishes nothing, so `Relaxed`.
+    incremental: AtomicBool,
     pub(crate) cache: Mutex<SolutionCache>,
     pub(crate) metrics: Mutex<Metrics>,
     /// Per-tenant counters and token buckets, keyed by tenant name.
@@ -415,7 +437,7 @@ impl QueryEngine {
         config.validate()?;
         let queue = Arc::new(AdmissionQueue::new(config.queue_capacity));
         let shared = Arc::new(Shared {
-            cell: Arc::clone(&cell),
+            incremental: AtomicBool::new(false),
             cache: Mutex::new(SolutionCache::new(config.cache_capacity)),
             metrics: Mutex::new(Metrics::default()),
             tenants: Mutex::new(HashMap::new()),
@@ -463,13 +485,7 @@ impl QueryEngine {
     /// keep the snapshot they pinned at admission. Returns the installed
     /// snapshot.
     pub fn install(&self, snapshot: GraphSnapshot) -> GraphSnapshot {
-        let installed = self.cell.install(snapshot);
-        self.shared
-            .cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .advance_epoch(installed.epoch());
-        installed
+        self.swap_in(snapshot, false)
     }
 
     /// Convenience wrapper over [`QueryEngine::install`] for a bare graph.
@@ -478,22 +494,28 @@ impl QueryEngine {
     }
 
     /// Install a snapshot produced incrementally from the previous one (the
-    /// streamed-ingest path): the cell records the interval delta between
-    /// the generations and the solution cache advances *selectively* —
-    /// window-set entries are carried forward as splice sources instead of
-    /// dropped, so the next solve of a cached key re-solves only the
-    /// windows the delta touches. Byte-identical answers either way; see
-    /// [`bsc_core::delta`]. The delta is computed here, against the graph
-    /// the cell holds: O(intervals) when `snapshot` was appended to that
-    /// graph (shared segments are clean by identity), a content comparison
-    /// of whatever is not shared otherwise. Returns the installed snapshot.
+    /// streamed-ingest path): the same swap, but the solution cache advances
+    /// *selectively* — entries holding per-window results are carried
+    /// forward as splice sources instead of dropped, so the next solve of a
+    /// cached key re-solves only the windows over which the graph it was
+    /// solved on and the graph now pinned differ. Nothing is compared here:
+    /// each carried entry holds its own graph, and the solve that uses it
+    /// checks it then. Byte-identical answers either way; see
+    /// [`bsc_core::delta`]. Returns the installed snapshot.
     pub fn install_incremental(&self, snapshot: GraphSnapshot) -> GraphSnapshot {
-        let installed = self.cell.install_incremental(snapshot);
+        self.swap_in(snapshot, true)
+    }
+
+    fn swap_in(&self, snapshot: GraphSnapshot, incremental: bool) -> GraphSnapshot {
+        let installed = self.cell.install(snapshot);
         self.shared
-            .cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .advance_epoch_incremental(installed.epoch());
+            .incremental
+            .store(incremental, Ordering::Relaxed);
+        let mut cache = self.shared.cache.lock().unwrap_or_else(|p| p.into_inner());
+        match incremental {
+            true => cache.advance_epoch_incremental(installed.epoch()),
+            false => cache.advance_epoch(installed.epoch()),
+        }
         installed
     }
 
@@ -907,20 +929,17 @@ pub(crate) fn process_job(mut job: Job, shared: &Shared) -> JobOutcome {
 
 /// Whether a query can run through the windowed (delta) solve path with an
 /// answer — including errors — indistinguishable from the direct solve.
-/// Exact-length, local queries qualify (fan-out ones keep the coordinator's
-/// per-window cache): sharded ones run the partition and shard threads the
-/// direct `ShardedSolver` would, plus the splice; unsharded ones must pass
-/// the support check the direct build would apply (TA's full-paths-only
-/// rule), so an unsupported combination still surfaces the identical error
-/// from the direct path, and `Auto` resolves against the whole snapshot.
+/// Exact-length queries qualify, wherever their windows run: sharded ones
+/// form the partition and shard threads the direct `ShardedSolver` would,
+/// fanned-out ones the ranges and dispatchers of the direct
+/// `DistributedSolver`, plus the splice; unsharded ones must pass the
+/// support check the direct build would apply (TA's full-paths-only rule),
+/// so an unsupported combination still surfaces the identical error from the
+/// direct path, and `Auto` resolves against the whole snapshot.
 fn delta_eligible(request: &QueryRequest, num_intervals: usize) -> bool {
-    if !matches!(request.spec, StableClusterSpec::ExactLength(_))
-        || request.k == 0
-        || request.options.fanout.is_some()
-    {
-        return false;
-    }
-    request.options.shards > 1 || request.algorithm.supports(request.spec, num_intervals)
+    matches!(request.spec, StableClusterSpec::ExactLength(_))
+        && request.k > 0
+        && request.passes_the_direct_build(num_intervals)
 }
 
 fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<QueryResponse> {
@@ -940,28 +959,22 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
             cached: true,
         });
     }
-    // Windowed (delta) solving engages only while the cell is being fed
-    // incrementally — a batch-loaded engine keeps the direct path. When a
-    // carried-forward window set for this key exists *and* the cell can
-    // prove a composable delta from its epoch to ours, the solve splices
-    // untouched windows instead of re-solving them.
-    let delta_mode =
-        delta_eligible(&job.request, job.snapshot.num_intervals()) && shared.cell.has_deltas();
-    let prior = if delta_mode {
-        shared
+    // Windowed (delta) solving engages only while the engine is being fed
+    // incrementally — a batch-loaded engine keeps the direct path. When the
+    // cache holds this key's windows from another epoch, the proof of what
+    // may be spliced is derived here, from the two graphs actually involved:
+    // the one those windows were solved on and the one this query pinned.
+    let delta_mode = delta_eligible(&job.request, job.snapshot.num_intervals())
+        && shared.incremental.load(Ordering::Relaxed);
+    let memo = match delta_mode {
+        true => shared
             .cache
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .spliceable(epoch, &key)
-            .and_then(|(from_epoch, set)| {
-                shared
-                    .cell
-                    .delta_between(from_epoch, epoch)
-                    .map(|delta| (set, delta))
-            })
-    } else {
-        None
+            .spliceable(&key),
+        false => None,
     };
+    let prior = memo.map(|(solved_on, set)| (GraphDelta::between(&solved_on, &job.snapshot), set));
     // Every solve runs under a cancel token — installing one on demand is
     // what lets shutdown reach queries submitted without a deadline. The
     // token is registered for the duration of the solve and deregistered
@@ -979,16 +992,19 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
         .push(token.clone());
     let request = &job.request;
     let start = Instant::now();
-    let result: BscResult<(Solution, Option<Arc<WindowSet>>)> = if delta_mode {
-        bsc_core::delta::solve_windows(
+    let result = if delta_mode {
+        solve_snapshot_windows(
             &job.snapshot,
             request.spec,
             request.k,
             request.algorithm,
             &request.options,
-            prior.as_ref().map(|(set, delta)| (set.as_ref(), delta)),
+            prior.as_ref().map(|(delta, set)| (set.as_ref(), delta)),
         )
-        .map(|outcome| (outcome.solution, Some(Arc::new(outcome.windows))))
+        .map(|outcome| {
+            let memo = (job.snapshot.clone(), Arc::new(outcome.windows));
+            (outcome.solution, Some(memo))
+        })
     } else {
         let m = job.snapshot.num_intervals();
         request
@@ -1006,8 +1022,8 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
     let (mut solution, windows) = result?;
     solution.stats.solve_micros = solve_micros;
     // Cache the canonical form (no queue wait — that belongs to one query,
-    // not to the answer), with the window set when the solve was windowed
-    // so the next epoch can splice from it.
+    // not to the answer), with the window set and the snapshot it holds for
+    // when the solve was windowed, so a later epoch can splice from it.
     shared.cache.lock().unwrap_or_else(|p| p.into_inner()).put(
         epoch,
         key,
@@ -1248,6 +1264,58 @@ mod tests {
                 Err(other) => panic!("unexpected error: {other}"),
             }
         }
+    }
+
+    #[test]
+    fn a_query_pinned_before_later_installs_splices_against_its_own_graph() {
+        use bsc_core::problem::KlStableParams;
+        use bsc_core::streaming::OnlineStableClusters;
+        let source = graph(5);
+        let m = source.num_intervals() as u32;
+        let engine = engine();
+        let mut online = OnlineStableClusters::new(KlStableParams::new(4, 2), source.gap());
+        let mut push = |upto: u32| {
+            for t in online.num_intervals() as u32..upto {
+                online.push_interval(source.interval_parent_edges(t));
+                engine.install_incremental(online.snapshot());
+            }
+        };
+        let request = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 4);
+        // A resident entry solved on intervals 0..=2; the query pins one
+        // interval more; the rest of the stream lands before it runs.
+        push(3);
+        engine.query(request.clone()).unwrap();
+        push(4);
+        let pinned = engine.snapshot_cell().load();
+        push(m);
+        assert_eq!(engine.epoch(), u64::from(m));
+        let (reply, receiver) = mpsc::channel();
+        engine.shared.in_flight.fetch_add(1, Ordering::Relaxed);
+        process_job(
+            Job {
+                key: request.cache_key(),
+                request: request.clone(),
+                snapshot: pinned.clone(),
+                enqueued: Instant::now(),
+                reply,
+            },
+            &engine.shared,
+        );
+        let response = receiver.recv().unwrap().unwrap();
+        assert_eq!(response.epoch, pinned.epoch());
+        // Window [0, 2] came from the entry, [1, 3] was solved: the proof
+        // ran against the four intervals pinned, not the five resident.
+        let stats = response.solution.stats;
+        assert_eq!((stats.windows_resolved, stats.windows_spliced), (1, 1));
+        let mut direct = AlgorithmKind::Bfs
+            .build(StableClusterSpec::ExactLength(2), 4, 4)
+            .unwrap();
+        let expected = direct.solve(&pinned).unwrap();
+        assert_eq!(expected.paths, response.solution.paths);
+        // The late answer does not displace what the cache holds for newer
+        // epochs, and the newest epoch still splices from the old entry.
+        let newest = engine.query(request).unwrap().solution.stats;
+        assert_eq!((newest.windows_resolved, newest.windows_spliced), (2, 1));
     }
 
     #[test]

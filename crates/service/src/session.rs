@@ -23,7 +23,7 @@ use std::sync::Arc;
 use bsc_core::cluster_graph::ClusterNodeId;
 use bsc_core::error::BscResult;
 use bsc_core::problem::KlStableParams;
-use bsc_core::snapshot::{GraphSnapshot, SnapshotCell};
+use bsc_core::snapshot::SnapshotCell;
 use bsc_core::streaming::OnlineStableClusters;
 use bsc_core::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 use bsc_util::json::JsonValue;
@@ -46,9 +46,10 @@ pub struct Session {
     /// is what `push_interval` requests are validated against.
     stream: Option<OnlineStableClusters>,
     /// Coordinator mode: fan queries out to this worker set by default.
-    /// Injected only into queries that decompose (not Problem 2) and that
-    /// don't name their own `workers`; because distributed answers are
-    /// byte-identical to local ones, the transcript is unchanged.
+    /// Injected only into queries that decompose (not Problem 2), that the
+    /// direct build accepts and that don't name their own `workers`;
+    /// because distributed answers are byte-identical to local ones, the
+    /// transcript is unchanged.
     default_fanout: Option<FanoutSpec>,
 }
 
@@ -195,7 +196,7 @@ impl Session {
                             "parent {parent} must belong to an earlier interval"
                         ));
                     }
-                    if interval - parent.interval > graph.gap().saturating_add(1) {
+                    if interval - parent.interval > graph.max_edge_length() {
                         return error_response(&format!(
                             "edge from {parent} exceeds the gap {}",
                             graph.gap()
@@ -215,19 +216,16 @@ impl Session {
                 }
                 stream.push_interval(parent_edges);
                 let snapshot = stream.snapshot();
-                // Incremental install: the cell records the interval delta
-                // so resident window results splice forward instead of
-                // re-solving (byte-identical answers — the response and all
-                // later query responses render the same either way). The
-                // snapshot shares every older interval with the resident
-                // epoch, so the delta costs O(intervals), not O(edges).
+                // Incremental install: the engine keeps resident window
+                // results as splice sources instead of dropping them
+                // (byte-identical answers — the response and all later
+                // query responses render the same either way).
                 let intervals = stream.num_intervals();
                 let edges_ingested = stream.edges_ingested();
                 let installed = match &self.engine {
                     Some(engine) => engine.install_incremental(snapshot),
-                    None => self.cell.install_incremental(snapshot),
+                    None => self.cell.install(snapshot),
                 };
-                self.carry_cluster_windows(&installed);
                 ok_response(
                     "push_interval",
                     vec![
@@ -246,10 +244,14 @@ impl Session {
             }
             Request::Query(mut query) => {
                 // Coordinator default: fan out queries that decompose and
-                // don't bring their own worker set.
+                // don't bring their own worker set. The default changes
+                // where a query runs, never whether it is valid: a query the
+                // direct build rejects stays local and is rejected there, in
+                // the words `serve` and `oracle` use.
                 if query.options.fanout.is_none()
                     && self.default_fanout.is_some()
                     && !matches!(query.spec, StableClusterSpec::Normalized { .. })
+                    && query.passes_the_direct_build(self.cell.load().num_intervals())
                 {
                     query.options = query.options.fanout(self.default_fanout.clone());
                 }
@@ -292,25 +294,6 @@ impl Session {
                 let solution = solver.solve_snapshot(&snapshot)?;
                 Ok((solution.paths, snapshot.epoch()))
             }
-        }
-    }
-
-    /// Coordinator mode: after an incremental install, re-key the fan-out
-    /// client's window cache so the windows the epoch delta doesn't touch
-    /// answer the new epoch without a worker dispatch. A no-op without a
-    /// default fan-out, and when the cell holds no composable delta for
-    /// the step (first install, or a plain swap severed the chain) the
-    /// cache simply misses and windows re-solve — never a wrong answer.
-    fn carry_cluster_windows(&self, installed: &GraphSnapshot) {
-        let Some(fanout) = &self.default_fanout else {
-            return;
-        };
-        let to = installed.epoch();
-        let Some(from) = to.checked_sub(1) else {
-            return;
-        };
-        if let Some(delta) = self.cell.delta_between(from, to) {
-            bsc_cluster::client_for(fanout).carry_forward(from, to, &delta);
         }
     }
 
@@ -389,13 +372,6 @@ impl Session {
                 ];
                 if let Some(cluster) = cluster {
                     fields.push(("cluster", cluster));
-                }
-                if let Some(windows) = self
-                    .default_fanout
-                    .as_ref()
-                    .map(|fanout| bsc_cluster::client_for(fanout).window_cache_json())
-                {
-                    fields.push(("cluster_windows", windows));
                 }
                 ok_response("stats", fields)
             }
@@ -517,6 +493,44 @@ mod tests {
             &mut session,
             "{\"op\":\"push_interval\",\"nodes\":1,\"edges\":[[0,0,0,0.5]]}"
         )));
+    }
+
+    #[test]
+    fn the_widest_gap_loads_streams_and_answers_like_any_other() {
+        let paths = |response: String| {
+            assert!(ok(&response), "{response}");
+            let at = response.find("\"paths\"").expect("a paths field");
+            response[at..].to_string()
+        };
+        for mut session in [
+            Session::engine(EngineConfig::default().workers(1)).unwrap(),
+            Session::oracle(),
+        ] {
+            // `load` used to die in the graph builder's `gap + 1`.
+            assert!(ok(&drive(
+                &mut session,
+                "{\"op\":\"load\",\"num_intervals\":4,\"nodes_per_interval\":3,\"avg_out_degree\":2,\"gap\":4294967295,\"seed\":5}",
+            )));
+            for line in [
+                "{\"op\":\"open_stream\",\"k\":2,\"l\":2,\"gap\":4294967295}",
+                "{\"op\":\"push_interval\",\"nodes\":2}",
+                "{\"op\":\"push_interval\",\"nodes\":1,\"edges\":[[0,0,0,0.5]]}",
+                // Spans two intervals: inside any gap >= 1.
+                "{\"op\":\"push_interval\",\"nodes\":2,\"edges\":[[0,1,0,0.875],[1,0,0,0.25],[1,0,1,0.5]]}",
+            ] {
+                assert!(ok(&drive(&mut session, line)), "{line}");
+            }
+            // TA used to answer no path at all on such a stream.
+            let query = |algorithm: &str| {
+                format!(
+                    "{{\"op\":\"query\",\"algorithm\":\"{algorithm}\",\"spec\":\"full\",\"k\":2}}"
+                )
+            };
+            let bfs = paths(drive(&mut session, &query("bfs")));
+            assert!(bfs.contains("[[0,1],[2,0]]"), "{bfs}");
+            assert_eq!(bfs, paths(drive(&mut session, &query("ta"))));
+            assert_eq!(bfs, paths(drive(&mut session, &query("dfs"))));
+        }
     }
 
     #[test]

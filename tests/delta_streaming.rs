@@ -11,9 +11,20 @@
 //! deadline expires mid-ingest (clean `DeadlineExceeded`, no poisoned
 //! state), and fault-injected backends (byte-identical when the fault
 //! schedule is dodged, the injected error otherwise).
+//!
+//! Since ISSUE 17 a resident window result carries the graph it was solved
+//! on and the splice is proven from that graph and the queried one, when it
+//! is used. Three rows hold what follows from that: a fanned-out query
+//! splices on the coordinator and dispatches only the windows it re-solves;
+//! a result sleeps through any number of ingests and still splices; and a
+//! graph installed incrementally that shares no segment with its
+//! predecessor is compared by content — equal windows splice, changed ones
+//! do not.
 
 use std::time::Duration;
 
+use blogstable::cluster::{WorkerConfig, WorkerHandle, WorkerServer};
+use blogstable::core::distributed::FanoutSpec;
 use blogstable::core::problem::StableClusterSpec;
 use blogstable::core::solver::AlgorithmKind;
 use blogstable::prelude::*;
@@ -172,6 +183,167 @@ fn incremental_engine_matches_cold_solves_across_random_ingest() {
             "seed={seed}: no query ever spliced — the delta path never engaged"
         );
     }
+}
+
+#[test]
+fn a_fanned_out_query_splices_on_the_coordinator_and_dispatches_only_what_it_resolves() {
+    blogstable::cluster::install_transport();
+    let workers: Vec<WorkerHandle> = (0..2)
+        .map(|_| {
+            WorkerServer::bind("127.0.0.1:0", WorkerConfig::default())
+                .expect("bind worker")
+                .spawn()
+        })
+        .collect();
+    let fanout = FanoutSpec::new(workers.iter().map(|w| w.addr().to_string()).collect());
+    let options = SolverOptions::default().fanout(fanout);
+    let window_rpcs = || workers.iter().map(WorkerHandle::solves).sum::<u64>();
+
+    let mut rng = DetRng::seed_from_u64(23);
+    let gap = 1;
+    let mut online = OnlineStableClusters::new(KlStableParams::new(5, 2), gap);
+    let mut nodes_per_interval = Vec::new();
+    let engine = QueryEngine::new(EngineConfig::default().workers(2)).expect("engine starts");
+    for round in 0..9 {
+        push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
+        let snapshot = engine.install_incremental(online.snapshot());
+        let expected = cold_solve(
+            snapshot.graph(),
+            AlgorithmKind::Bfs,
+            StableClusterSpec::ExactLength(2),
+            StorageSpec::LogFile,
+            1,
+        );
+        let before = window_rpcs();
+        let request = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 5);
+        let response = engine
+            .query(request.options(options.clone()))
+            .expect("fanned-out query");
+        assert_identical(
+            &expected,
+            &response.solution.paths,
+            &format!("round {round}"),
+        );
+        let stats = response.solution.stats;
+        // Every window the query did not splice went over the wire, and no
+        // other did.
+        assert_eq!(
+            window_rpcs() - before,
+            stats.windows_resolved,
+            "round {round}"
+        );
+        let starts = (round as u64 + 1).saturating_sub(2);
+        assert_eq!(
+            stats.windows_resolved + stats.windows_spliced,
+            starts,
+            "round {round}"
+        );
+        // With l = 2 the pushed interval ends exactly one window; once an
+        // earlier answer is resident, every other window splices.
+        if round >= 3 {
+            assert_eq!(stats.windows_resolved, 1, "round {round}");
+        }
+    }
+}
+
+#[test]
+fn a_resident_window_result_still_splices_after_twenty_unqueried_ingests() {
+    let mut rng = DetRng::seed_from_u64(29);
+    let gap = 1;
+    let mut online = OnlineStableClusters::new(KlStableParams::new(5, 2), gap);
+    let mut nodes_per_interval = Vec::new();
+    let engine = QueryEngine::new(EngineConfig::default().workers(1)).expect("engine starts");
+    let query = || {
+        engine
+            .query(request(
+                AlgorithmKind::Bfs,
+                StableClusterSpec::ExactLength(2),
+                StorageSpec::Memory,
+                1,
+            ))
+            .expect("query")
+    };
+    for _ in 0..6 {
+        push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
+        engine.install_incremental(online.snapshot());
+    }
+    let seeded = query().solution.stats;
+    assert_eq!((seeded.windows_resolved, seeded.windows_spliced), (4, 0));
+    let mut snapshot = None;
+    for _ in 0..20 {
+        push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
+        snapshot = Some(engine.install_incremental(online.snapshot()));
+    }
+    let snapshot = snapshot.expect("installed");
+    let response = query();
+    let expected = cold_solve(
+        snapshot.graph(),
+        AlgorithmKind::Bfs,
+        StableClusterSpec::ExactLength(2),
+        StorageSpec::Memory,
+        1,
+    );
+    assert_identical(&expected, &response.solution.paths, "20 ingests later");
+    // The four windows solved 20 epochs ago are still the graph's windows:
+    // what the entry was solved on and what is queried share their
+    // segments, however many installs lie between.
+    let stats = response.solution.stats;
+    assert_eq!((stats.windows_resolved, stats.windows_spliced), (20, 4));
+}
+
+#[test]
+fn a_graph_that_shares_no_segment_is_compared_by_content() {
+    let graph = |last_weight: f64, intervals: u32| {
+        let mut builder = ClusterGraphBuilder::new(0);
+        for _ in 0..intervals {
+            builder.add_interval(2);
+        }
+        for t in 1..intervals {
+            for (from, to, weight) in [(0, 0, 0.5), (1, 0, 0.25), (1, 1, 0.75)] {
+                let weight = if t == 5 { last_weight } else { weight };
+                builder.add_edge(
+                    ClusterNodeId::new(t - 1, from),
+                    ClusterNodeId::new(t, to),
+                    weight,
+                );
+            }
+        }
+        builder.build()
+    };
+    let engine = QueryEngine::new(EngineConfig::default().workers(1)).expect("engine starts");
+    let query = |installed: &ClusterGraph, context: &str| {
+        let response = engine
+            .query(request(
+                AlgorithmKind::Bfs,
+                StableClusterSpec::ExactLength(2),
+                StorageSpec::Memory,
+                1,
+            ))
+            .expect("query");
+        let expected = cold_solve(
+            installed,
+            AlgorithmKind::Bfs,
+            StableClusterSpec::ExactLength(2),
+            StorageSpec::Memory,
+            1,
+        );
+        assert_identical(&expected, &response.solution.paths, context);
+        let stats = response.solution.stats;
+        (stats.windows_resolved, stats.windows_spliced)
+    };
+    // Three builds of their own, one allocation never in two of them.
+    let first = graph(0.5, 6);
+    engine.install_incremental(GraphSnapshot::new(first.clone()));
+    assert_eq!(query(&first, "first"), (4, 0));
+    // Equal content, one interval more: only the window ending there runs.
+    let longer = graph(0.5, 7);
+    assert!((0..6).all(|i| !first.shares_in_edges(&longer, i)));
+    engine.install_incremental(GraphSnapshot::new(longer.clone()));
+    assert_eq!(query(&longer, "longer"), (1, 4));
+    // Interval 5's weights changed: the two windows over it run again.
+    let changed = graph(0.625, 7);
+    engine.install_incremental(GraphSnapshot::new(changed.clone()));
+    assert_eq!(query(&changed, "changed"), (2, 3));
 }
 
 #[test]
