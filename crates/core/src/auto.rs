@@ -18,7 +18,10 @@
 //!
 //! Footprint estimates are deliberately coarse — deterministic arithmetic
 //! over the shape, not measurements — because the policy must be cheap,
-//! reproducible, and unit-testable at the crossover points. An unsatisfiable
+//! reproducible, and unit-testable at the crossover points. They price the
+//! two layouts paths are held in: BFS's slot tables and link arena, and one
+//! `RESIDENT_PATH_BYTES` per path DFS or the normalized solver holds (a
+//! `ClusterPath`, or a candidate and its hop). An unsatisfiable
 //! budget (even DFS's stack would not fit) is a configuration error,
 //! reported as [`BscError::InvalidConfig`], never a panic.
 
@@ -32,13 +35,15 @@ use crate::solver::{AlgorithmKind, Solution, SolverOptions, StableClusterSolver}
 /// after). Measured crossover, see `BENCH_table3.json`.
 pub const TA_CROSSOVER_INTERVALS: usize = 6;
 
-/// Estimated bytes per resident shared-path link: a `ClusterNodeId` (8), an
-/// `f64` weight (8), an `Arc` parent pointer (8), the refcounts (16) and
-/// allocator slack (16).
-const PATH_LINK_BYTES: u64 = 56;
-
-/// Estimated bytes per heap entry holding a scored path handle.
-const HEAP_ENTRY_BYTES: u64 = 24;
+/// Estimated bytes per path a solver other than BFS holds resident. A
+/// [`ClusterPath`](crate::path::ClusterPath) (DFS's `bestpaths`) is 32 bytes
+/// inline — its node vector's pointer, length and capacity, and the weight —
+/// plus 8 per node on the heap: 64 at `l = 3` (four nodes), 80 with the
+/// allocator's header and rounding. A normalized candidate is 24 bytes
+/// inline plus the one hop it adds to the shared chain: a node (8), an edge
+/// weight (8), the pointer to the hop before (8) and the `Rc` counts (16),
+/// 40 in a 48-byte allocation — 72, priced the same.
+const RESIDENT_PATH_BYTES: u64 = 80;
 
 /// Bytes per slot of a BFS row: an `f64` weight and a `u32` cell index,
 /// padded (see [`crate::bfs`]).
@@ -136,14 +141,13 @@ pub fn ta_resident_bytes(shape: &GraphShape, k: usize) -> u64 {
 
 /// Estimated resident footprint of DFS (Algorithm 3): per-node state lives
 /// on disk, memory holds only the traversal stack — at most one frame per
-/// interval, each with `l` buckets of `k` shared tails plus the `maxweight`
-/// array.
+/// interval, each with `l` buckets of `k` paths plus the `maxweight` array.
 pub fn dfs_resident_bytes(shape: &GraphShape, k: usize, l: u64) -> u64 {
     let frames = shape.num_intervals as u64 + 1;
     let per_frame = l
         .max(1)
         .saturating_mul(k as u64)
-        .saturating_mul(PATH_LINK_BYTES + HEAP_ENTRY_BYTES)
+        .saturating_mul(RESIDENT_PATH_BYTES)
         .saturating_add(l.saturating_mul(8))
         .saturating_add(64);
     frames.saturating_mul(per_frame)
@@ -151,14 +155,13 @@ pub fn dfs_resident_bytes(shape: &GraphShape, k: usize, l: u64) -> u64 {
 
 /// Estimated resident footprint of the normalized solver (Problem 2): the
 /// BFS framework — a sliding window of `g + 2` intervals of up to `n_max`
-/// nodes — with heaps of `k` shared-path chains for *every* length up to
-/// `m − 1`.
+/// nodes — priced as `k` candidates for *every* length up to `m − 1`.
 pub fn normalized_resident_bytes(shape: &GraphShape, k: usize) -> u64 {
     (u64::from(shape.gap) + 2)
         .saturating_mul(shape.max_interval_nodes)
         .saturating_mul((shape.num_intervals.saturating_sub(1) as u64).max(1))
         .saturating_mul(k as u64)
-        .saturating_mul(PATH_LINK_BYTES + HEAP_ENTRY_BYTES)
+        .saturating_mul(RESIDENT_PATH_BYTES)
 }
 
 /// Pick the concrete algorithm for `spec` over a graph of this shape under

@@ -94,22 +94,6 @@ impl BfsConfig {
     }
 }
 
-/// Statistics of one BFS run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BfsStats {
-    /// Number of candidate paths generated (heap offers considered). The
-    /// count is taken *before* the worst-score admission fast path, so it
-    /// depends only on the graph and the query — not on where the heaps
-    /// live.
-    pub paths_generated: u64,
-    /// Peak number of paths held across all node heaps simultaneously
-    /// (a proxy for the algorithm's memory footprint; 0 store-backed, where
-    /// no heap outlives its node's step in memory).
-    pub peak_resident_paths: usize,
-    /// Number of nodes processed.
-    pub nodes_processed: u64,
-}
-
 /// "No cell": a [`Link`] with this `prev` starts its subpath at its own node.
 const NO_LINK: u32 = u32::MAX;
 
@@ -346,9 +330,9 @@ fn chain_nodes<W: HeapWindow>(window: &W, link: Link, last: ClusterNodeId) -> Ve
 }
 
 /// Where the rows of already-swept nodes live — the one seam between the
-/// in-memory and the store-backed sweep (what `StateStore` is to `dfs.rs`),
-/// monomorphised into [`IntervalSweep::advance`]. Either way a held subpath
-/// reads as a [`Slot`] of a [`Table`] and a chain of [`Link`]s.
+/// in-memory and the store-backed sweep, monomorphised into
+/// [`IntervalSweep::advance`]. Either way a held subpath reads as a [`Slot`]
+/// of a [`Table`] and a chain of [`Link`]s.
 pub(crate) trait HeapWindow {
     /// Make room for `interval`, about to be swept with `num_nodes` nodes,
     /// and let go of what no later interval can reach.
@@ -564,7 +548,7 @@ pub(crate) struct IntervalSweep<W = Ring> {
     room: Vec<usize>,
     /// Materialized, so the answer never points into a table.
     global: TopKPaths,
-    stats: BfsStats,
+    stats: SolverStats,
     /// Amortization counter of the cancellation checkpoints.
     tick: u32,
 }
@@ -591,7 +575,7 @@ impl<W: HeapWindow> IntervalSweep<W> {
             loaded: Vec::new(),
             room: Vec::new(),
             global: TopKPaths::new(params.k),
-            stats: BfsStats::default(),
+            stats: SolverStats::default(),
             tick: 0,
         }
     }
@@ -707,7 +691,7 @@ impl<W: HeapWindow> IntervalSweep<W> {
         mut self,
         view: GraphView<'_>,
         cancel: Option<&CancelToken>,
-    ) -> BscResult<(Vec<ClusterPath>, BfsStats)> {
+    ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
         for interval in view.intervals() {
             self.advance(view, interval, cancel)?;
         }
@@ -763,18 +747,24 @@ impl BfsStableClusters {
         self.run_with_stats(graph).map(|(paths, _)| paths)
     }
 
-    /// Run the algorithm and also report execution statistics.
+    /// Run the algorithm and also report execution statistics. Of
+    /// [`SolverStats`] it fills `nodes_processed`, `paths_generated` (heap
+    /// offers considered, counted *before* the worst-score admission fast
+    /// path, so it depends only on the graph and the query — not on where
+    /// the heaps live) and `peak_resident_paths` (paths held across all node
+    /// heaps simultaneously, a proxy for the memory footprint; 0
+    /// store-backed, where no heap outlives its node's step in memory).
     pub fn run_with_stats<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
-    ) -> BscResult<(Vec<ClusterPath>, BfsStats)> {
+    ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
         let graph = graph.into();
         let KlStableParams { k, l } = self.params;
         let cancel = self.cancel.as_ref();
         check_not_expired(cancel)?;
         let m = graph.num_intervals() as u32;
         if k == 0 || l == 0 || m < 2 {
-            return Ok((Vec::new(), BfsStats::default()));
+            return Ok((Vec::new(), SolverStats::default()));
         }
         let anchored = l == m - 1;
         match self.config.storage {
@@ -787,17 +777,6 @@ impl BfsStableClusters {
             }
             None => IntervalSweep::new(self.params, anchored, Ring::new(graph.gap(), l))
                 .run(graph, cancel),
-        }
-    }
-}
-
-impl From<BfsStats> for SolverStats {
-    fn from(stats: BfsStats) -> Self {
-        SolverStats {
-            paths_generated: stats.paths_generated,
-            nodes_processed: stats.nodes_processed,
-            peak_resident_paths: stats.peak_resident_paths,
-            ..SolverStats::default()
         }
     }
 }

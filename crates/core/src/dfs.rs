@@ -1,11 +1,14 @@
 //! The DFS-based algorithm for kl-stable clusters (Algorithm 3).
 //!
 //! A depth-first traversal of the cluster graph from a virtual source.
-//! Per-node state lives **on disk** and is touched with random I/O: one read
-//! when a node is pushed on the stack, one write when it is popped — only the
-//! stack (at most one frame per temporal interval on any root-to-leaf path)
-//! stays in memory, which is why the paper recommends DFS for
-//! memory-constrained environments even though it is much slower than BFS.
+//! Per-node state lives **on disk** — in a [`NodeStore`] over whichever
+//! [`StorageSpec`] backend the configuration names — and is touched with
+//! random I/O: one read when a node is pushed on the stack, one write when it
+//! is popped — only the stack (at most one frame per temporal interval on any
+//! root-to-leaf path) stays in memory, which is why the paper recommends DFS
+//! for memory-constrained environments even though it is much slower than
+//! BFS. The paths of a node's state are plain [`ClusterPath`]s, in memory as
+//! on disk: the stored form is their node list and weight.
 //!
 //! Per node `c` the algorithm maintains:
 //!
@@ -24,8 +27,6 @@
 //! and every node on the stack has its visited flag cleared (their subtrees
 //! are no longer guaranteed to have been fully considered).
 
-use std::collections::HashMap;
-
 use bsc_storage::backend::StorageSpec;
 use bsc_storage::node_store::NodeStore;
 use bsc_util::cancel::CancelToken;
@@ -33,47 +34,41 @@ use bsc_util::cancel::CancelToken;
 use crate::cluster_graph::{ClusterEdge, ClusterGraph, ClusterNodeId, GraphView};
 use crate::error::BscResult;
 use crate::path::ClusterPath;
-use crate::path_tree::SharedTail;
 use crate::problem::KlStableParams;
 use crate::solver::{
     check_not_expired, deadline_error, AlgorithmKind, Solution, SolverStats, StableClusterSolver,
 };
-use crate::topk::TopKPaths;
+use crate::topk::{tie_cmp, TopKPaths};
 
 /// Configuration of the DFS algorithm.
 #[derive(Debug, Clone, Copy)]
 pub struct DfsConfig {
     /// Apply the `CanPrune` optimistic-bound pruning rule.
     pub enable_pruning: bool,
-    /// Where per-node state lives. `Some(spec)` routes it through a
-    /// [`NodeStore`] over the selected [`StorageSpec`] backend (the paper's
-    /// setting is the log file); `None` keeps the node states directly
-    /// in a map — faster (no codec round trips) but it loses both the low
-    /// memory footprint that motivates DFS and the storage accounting.
-    pub storage: Option<StorageSpec>,
+    /// The backend of the [`NodeStore`] per-node state lives in (the
+    /// paper's setting, and the default, is the log file).
+    pub storage: StorageSpec,
 }
 
 impl Default for DfsConfig {
     fn default() -> Self {
         DfsConfig {
             enable_pruning: true,
-            storage: Some(StorageSpec::LogFile),
+            storage: StorageSpec::LogFile,
         }
     }
 }
 
 impl DfsConfig {
-    /// Native in-memory node state (for tests and small graphs).
+    /// Node state in the [`StorageSpec::Memory`] backend (for tests and
+    /// small graphs).
     pub fn in_memory() -> Self {
-        DfsConfig {
-            enable_pruning: true,
-            storage: None,
-        }
+        DfsConfig::default().with_storage(StorageSpec::Memory)
     }
 
     /// Keep per-node state in the backend described by `spec`.
     pub fn with_storage(mut self, spec: StorageSpec) -> Self {
-        self.storage = Some(spec);
+        self.storage = spec;
         self
     }
 
@@ -84,34 +79,16 @@ impl DfsConfig {
     }
 }
 
-/// Execution statistics of a DFS run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DfsStats {
-    /// Candidate paths generated while merging children into `bestpaths`.
-    pub paths_generated: u64,
-    /// Node-state reads (random I/O when `on_disk`).
-    pub node_reads: u64,
-    /// Node-state writes (random I/O when `on_disk`).
-    pub node_writes: u64,
-    /// Edges traversed (children considered).
-    pub edges_traversed: u64,
-    /// Times the pruning rule fired.
-    pub prunes: u64,
-    /// Maximum stack depth reached (the DFS memory footprint).
-    pub peak_stack_depth: usize,
-}
-
 /// Per-node state, in memory while the node sits on the stack.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct NodeState {
     visited: bool,
     /// `maxweight[x − 1]` for path length `x ∈ [1, l]`; `NEG_INFINITY` when
     /// no prefix of that length has been seen yet.
     maxweight: Vec<f64>,
     /// `bestpaths[x − 1]`: top-k paths of length `x` *starting* at this
-    /// node, as backward-growing shared chains — prepending the parent while
-    /// backtracking is O(1) and sibling candidates share their suffixes.
-    bestpaths: Vec<Vec<SharedTail>>,
+    /// node, best first.
+    bestpaths: Vec<Vec<ClusterPath>>,
 }
 
 impl NodeState {
@@ -137,10 +114,10 @@ fn to_stored(state: &NodeState) -> StoredNodeState {
             .map(|paths| {
                 paths
                     .iter()
-                    .map(|tail| {
+                    .map(|path| {
                         (
-                            tail.weight(),
-                            tail.nodes().iter().map(|n| n.to_u64()).collect(),
+                            path.weight(),
+                            path.nodes().iter().map(|n| n.to_u64()).collect(),
                         )
                     })
                     .collect()
@@ -160,42 +137,12 @@ fn from_stored(stored: StoredNodeState) -> NodeState {
                 paths
                     .into_iter()
                     .map(|(w, nodes)| {
-                        let nodes: Vec<ClusterNodeId> =
-                            nodes.into_iter().map(ClusterNodeId::from_u64).collect();
-                        SharedTail::from_stored_nodes(&nodes, w)
+                        let nodes = nodes.into_iter().map(ClusterNodeId::from_u64).collect();
+                        ClusterPath::new(nodes, w)
                     })
                     .collect()
             })
             .collect(),
-    }
-}
-
-/// Where per-node state lives during the traversal. The `Store` variant
-/// round-trips [`NodeState`] through the codec into whichever
-/// [`StorageSpec`] backend was selected (the backend owns its temp files);
-/// the `Native` variant keeps [`NodeState`] values directly — a get/put is a
-/// handful of `Arc` bumps instead of a full materialize/rebuild round trip.
-enum StateStore {
-    Store(NodeStore<u64, StoredNodeState>),
-    Native(HashMap<u64, NodeState>),
-}
-
-impl StateStore {
-    fn get(&mut self, key: u64) -> BscResult<Option<NodeState>> {
-        match self {
-            StateStore::Store(store) => Ok(store.get(&key)?.map(from_stored)),
-            StateStore::Native(map) => Ok(map.get(&key).cloned()),
-        }
-    }
-
-    fn put(&mut self, key: u64, state: &NodeState) -> BscResult<()> {
-        match self {
-            StateStore::Store(store) => Ok(store.put(&key, &to_stored(state))?),
-            StateStore::Native(map) => {
-                map.insert(key, state.clone());
-                Ok(())
-            }
-        }
     }
 }
 
@@ -260,15 +207,19 @@ impl DfsStableClusters {
         self.run_with_stats(graph).map(|(paths, _)| paths)
     }
 
-    /// Run the traversal, also reporting execution statistics.
+    /// Run the traversal, also reporting execution statistics. Of
+    /// [`SolverStats`] it fills `paths_generated` (candidates merged into
+    /// `bestpaths`), `edges_traversed` (children considered), `node_reads` /
+    /// `node_writes` (node states fetched from / persisted to the store),
+    /// `prunes` (times `CanPrune` fired) and `peak_stack_depth`.
     pub fn run_with_stats<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
-    ) -> BscResult<(Vec<ClusterPath>, DfsStats)> {
+    ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
         let graph = graph.into();
         let k = self.params.k;
         let l = self.params.l;
-        let mut stats = DfsStats::default();
+        let mut stats = SolverStats::default();
         check_not_expired(self.cancel.as_ref())?;
         if k == 0 || l == 0 || graph.num_intervals() < 2 {
             return Ok((Vec::new(), stats));
@@ -278,10 +229,8 @@ impl DfsStableClusters {
             return Ok((Vec::new(), stats));
         }
 
-        let mut store = match self.config.storage {
-            Some(spec) => StateStore::Store(NodeStore::temp(spec, "bsc-dfs")?),
-            None => StateStore::Native(HashMap::new()),
-        };
+        let mut store: NodeStore<u64, StoredNodeState> =
+            NodeStore::temp(self.config.storage, "bsc-dfs")?;
 
         let mut global = TopKPaths::new(k);
 
@@ -316,10 +265,10 @@ impl DfsStableClusters {
                 Some(edge) => {
                     stats.edges_traversed += 1;
                     let child = edge.to;
-                    let mut child_state = match store.get(child.to_u64())? {
-                        Some(state) => {
+                    let mut child_state = match store.get(&child.to_u64())? {
+                        Some(stored) => {
                             stats.node_reads += 1;
-                            state
+                            from_stored(stored)
                         }
                         None => NodeState::empty(l),
                     };
@@ -370,7 +319,7 @@ impl DfsStableClusters {
                         for frame in stack.iter_mut() {
                             frame.state.visited = false;
                         }
-                        store.put(child.to_u64(), &child_state)?;
+                        store.put(&child.to_u64(), &to_stored(&child_state))?;
                         stats.node_writes += 1;
                         continue;
                     }
@@ -385,7 +334,7 @@ impl DfsStableClusters {
                     // Node finished: pop, persist, back-track into the parent.
                     let Some(finished) = stack.pop() else { break };
                     if let Some(node) = finished.node {
-                        store.put(node.to_u64(), &finished.state)?;
+                        store.put(&node.to_u64(), &to_stored(&finished.state))?;
                         stats.node_writes += 1;
                         if let Some(parent_frame) = stack.last_mut() {
                             if let Some(parent) = parent_frame.node {
@@ -508,17 +457,15 @@ fn update_parent_bestpaths(
     l: u32,
     k: usize,
     global: &mut TopKPaths,
-    stats: &mut DfsStats,
+    stats: &mut SolverStats,
 ) {
     let len = ClusterGraph::edge_length(parent, child);
     if len > l {
         return;
     }
-    // Prepending the parent is O(1) per candidate: every candidate shares
-    // the child's chain instead of cloning its node vector.
-    let mut candidates: Vec<(u32, SharedTail)> = vec![(
+    let mut candidates: Vec<(u32, ClusterPath)> = vec![(
         len,
-        SharedTail::singleton(child).prepend(parent, edge_weight),
+        ClusterPath::singleton(child).prepend(parent, edge_weight),
     )];
     // bsc:allow(missing-cancel-checkpoint) -- bounded by l buckets of at most k paths each; the DFS driver checkpoints per edge
     for (x_index, paths) in child_state.bestpaths.iter().enumerate() {
@@ -527,52 +474,36 @@ fn update_parent_bestpaths(
         if total > l {
             break;
         }
-        for tail in paths {
-            candidates.push((total, tail.prepend(parent, edge_weight)));
+        for path in paths {
+            candidates.push((total, path.prepend(parent, edge_weight)));
         }
     }
     stats.paths_generated += candidates.len() as u64;
     // bsc:allow(missing-cancel-checkpoint) -- at most l*k + 1 candidates; the DFS driver checkpoints per edge
     for (length, candidate) in candidates {
         let bucket = &mut parent_state.bestpaths[length as usize - 1];
-        if bucket
-            .iter()
-            .any(|existing| existing.same_nodes(&candidate))
-        {
+        if bucket.iter().any(|held| held.nodes() == candidate.nodes()) {
             continue;
         }
         bucket.push(candidate.clone());
         // Weight descending, exact ties broken by content — the same strict
-        // order the `TopK` heaps use, so equal-weight survivors never depend
-        // on discovery order and DFS agrees with BFS on tied inputs.
-        bucket.sort_by(|a, b| b.weight().total_cmp(&a.weight()).then_with(|| a.tie_cmp(b)));
+        // order the `TopKPaths` heaps use, so equal-weight survivors never
+        // depend on discovery order and DFS agrees with BFS on tied inputs.
+        bucket.sort_by(|a, b| {
+            b.weight()
+                .total_cmp(&a.weight())
+                .then_with(|| tie_cmp(a, b))
+        });
         let inserted = bucket
             .iter()
             .take(k)
-            .any(|tail| tail.same_nodes(&candidate));
+            .any(|held| held.nodes() == candidate.nodes());
         bucket.truncate(k);
         if !inserted {
             continue;
         }
-        if length == l {
-            let nodes = candidate.nodes();
-            if !global.iter().any(|p| p.nodes() == nodes.as_slice()) {
-                global.offer_by_weight(ClusterPath::new(nodes, candidate.weight()));
-            }
-        }
-    }
-}
-
-impl From<DfsStats> for SolverStats {
-    fn from(stats: DfsStats) -> Self {
-        SolverStats {
-            paths_generated: stats.paths_generated,
-            node_reads: stats.node_reads,
-            node_writes: stats.node_writes,
-            edges_traversed: stats.edges_traversed,
-            prunes: stats.prunes,
-            peak_stack_depth: stats.peak_stack_depth,
-            ..SolverStats::default()
+        if length == l && !global.iter().any(|p| p.nodes() == candidate.nodes()) {
+            global.offer_by_weight(candidate);
         }
     }
 }
@@ -671,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn every_storage_backend_matches_native_in_memory() {
+    fn every_storage_backend_matches_the_memory_backend() {
         let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
             num_intervals: 4,
             nodes_per_interval: 10,
@@ -681,7 +612,7 @@ mod tests {
         })
         .generate();
         let params = KlStableParams::new(3, 3);
-        let native = DfsStableClusters::with_config(params, DfsConfig::in_memory())
+        let in_memory = DfsStableClusters::with_config(params, DfsConfig::in_memory())
             .run(&graph)
             .unwrap();
         for spec in StorageSpec::ALL {
@@ -689,8 +620,8 @@ mod tests {
                 DfsStableClusters::with_config(params, DfsConfig::default().with_storage(spec))
                     .run(&graph)
                     .unwrap();
-            assert_eq!(stored.len(), native.len(), "{spec}");
-            for (a, b) in stored.iter().zip(native.iter()) {
+            assert_eq!(stored.len(), in_memory.len(), "{spec}");
+            for (a, b) in stored.iter().zip(in_memory.iter()) {
                 assert_eq!(a.nodes(), b.nodes(), "{spec}");
                 assert_eq!(a.weight().to_bits(), b.weight().to_bits(), "{spec}");
             }

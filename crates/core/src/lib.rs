@@ -70,7 +70,6 @@ pub mod distributed;
 pub mod error;
 pub mod normalized;
 pub mod path;
-pub mod path_tree;
 pub mod pipeline;
 pub mod problem;
 pub mod sharded;
@@ -84,19 +83,18 @@ mod windowed;
 
 pub use affinity::{Affinity, AffinityKind, JaccardAffinity};
 pub use auto::{choose_algorithm, AutoSolver, GraphShape};
-pub use bfs::{BfsConfig, BfsStableClusters, BfsStats};
+pub use bfs::{BfsConfig, BfsStableClusters};
 pub use bsc_storage::backend::StorageSpec;
 pub use cluster_graph::{ClusterEdge, ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
 pub use delta::{solve_windows, DeltaSolveOutcome, GraphDelta, WindowSet};
-pub use dfs::{DfsConfig, DfsStableClusters, DfsStats};
+pub use dfs::{DfsConfig, DfsStableClusters};
 pub use distributed::{
     register_transport_factory, solve_window_locally, transport_for, DistributedSolver, FanoutSpec,
     ShardTransport, WindowRequest, WindowResult,
 };
 pub use error::{BscError, BscResult};
-pub use normalized::{NormalizedConfig, NormalizedStableClusters, NormalizedStats};
+pub use normalized::NormalizedStableClusters;
 pub use path::ClusterPath;
-pub use path_tree::{SharedPath, SharedTail};
 pub use pipeline::{GraphBuild, Pipeline, PipelineOutcome, PipelineParams};
 pub use problem::{KlStableParams, NormalizedParams, StableClusterSpec};
 pub use sharded::ShardedSolver;
@@ -106,5 +104,5 @@ pub use solver::{
 };
 pub use streaming::{OnlineClusterFeed, OnlineStableClusters};
 pub use synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
-pub use ta::{TaStableClusters, TaStats};
+pub use ta::TaStableClusters;
 pub use topk::TopKPaths;

@@ -106,8 +106,8 @@ impl ClusterPath {
         }
     }
 
-    /// Prepend a node at the front (used when building paths backwards, e.g.
-    /// by the TA adaptation).
+    /// Prepend a node at the front (building paths backwards: DFS while it
+    /// backtracks, the TA adaptation's suffix enumeration).
     ///
     /// # Panics
     /// Panics if `node` is not strictly earlier than the current first node.
@@ -125,16 +125,9 @@ impl ClusterPath {
         }
     }
 
-    /// Is `other` a suffix of `self` (both ending at the same node)?
-    pub fn has_suffix(&self, other: &ClusterPath) -> bool {
-        if other.nodes.len() > self.nodes.len() {
-            return false;
-        }
-        let offset = self.nodes.len() - other.nodes.len();
-        self.nodes[offset..] == other.nodes[..]
-    }
-
-    /// A deterministic total order used to break weight ties in heaps.
+    /// The key of the deterministic content order that breaks score ties:
+    /// comparing two paths' keys is comparing their [`ClusterPath::nodes`]
+    /// (which the heaps do, in place); the exhaustive oracle sorts by it.
     pub fn tie_break_key(&self) -> Vec<(u32, u32)> {
         self.nodes.iter().map(|n| (n.interval, n.index)).collect()
     }
@@ -196,19 +189,6 @@ mod tests {
     #[should_panic(expected = "increasing interval order")]
     fn new_rejects_unordered_nodes() {
         let _ = ClusterPath::new(vec![node(2, 0), node(1, 0)], 1.0);
-    }
-
-    #[test]
-    fn suffix_detection() {
-        let long = ClusterPath::singleton(node(0, 0))
-            .extend(node(1, 1), 0.5)
-            .extend(node(2, 2), 0.5);
-        let suffix = ClusterPath::new(vec![node(1, 1), node(2, 2)], 0.5);
-        let not_suffix = ClusterPath::new(vec![node(0, 1), node(2, 2)], 0.5);
-        assert!(long.has_suffix(&suffix));
-        assert!(long.has_suffix(&long.clone()));
-        assert!(!long.has_suffix(&not_suffix));
-        assert!(!suffix.has_suffix(&long));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! consumed round-robin; for each newly seen edge all **full paths** (length
 //! `m − 1`) containing it are materialized by expanding prefixes back to the
 //! first interval and suffixes forward to the last interval (random seeks in
-//! the edge lists), and offered to the top-k heap `H`. Two memo tables,
+//! the edge lists; both come back as [`ClusterPath`]s), and offered to the
+//! top-k heap `H`. Two memo tables,
 //! `startwts` and `endwts`, cache the best suffix / prefix weight per node so
 //! that hopeless edges can be discarded without enumeration. The scan stops
 //! when the k-th best complete path outweighs the *virtual path* assembled
@@ -23,27 +24,10 @@ use bsc_util::cancel::CancelToken;
 use crate::cluster_graph::{ClusterNodeId, GraphView};
 use crate::error::BscResult;
 use crate::path::ClusterPath;
-use crate::path_tree::{SharedPath, SharedTail};
 use crate::solver::{
     check_not_expired, deadline_error, AlgorithmKind, Solution, SolverStats, StableClusterSolver,
 };
 use crate::topk::TopKPaths;
-
-/// Execution statistics of a TA run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TaStats {
-    /// Edges read from the sorted lists.
-    pub edges_scanned: u64,
-    /// Random seeks performed while expanding prefixes and suffixes
-    /// (adjacency-list accesses).
-    pub random_seeks: u64,
-    /// Full paths materialized and offered to the heap.
-    pub paths_enumerated: u64,
-    /// Edges discarded thanks to the `startwts` / `endwts` bound.
-    pub bound_skips: u64,
-    /// True when the scan stopped early thanks to the threshold condition.
-    pub early_termination: bool,
-}
 
 /// The TA-based solver for top-k *full* stable-cluster paths.
 #[derive(Debug, Clone)]
@@ -73,13 +57,19 @@ impl TaStableClusters {
         self.run_with_stats(graph).map(|(paths, _)| paths)
     }
 
-    /// Run the algorithm and report execution statistics.
+    /// Run the algorithm and report execution statistics. Of
+    /// [`SolverStats`] it fills `edges_traversed` (edges read from the
+    /// sorted lists), `random_seeks` (adjacency-list accesses while
+    /// expanding prefixes and suffixes), `paths_generated` (full paths
+    /// enumerated), `prunes` (edges discarded on the `startwts` / `endwts`
+    /// bound) and `early_termination` (the threshold condition stopped the
+    /// scan).
     pub fn run_with_stats<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
-    ) -> BscResult<(Vec<ClusterPath>, TaStats)> {
+    ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
         let graph = graph.into();
-        let mut stats = TaStats::default();
+        let mut stats = SolverStats::default();
         check_not_expired(self.cancel.as_ref())?;
         let m = graph.num_intervals() as u32;
         if self.k == 0 || m < 2 {
@@ -138,7 +128,7 @@ impl TaStableClusters {
                     edge
                 };
                 progressed = true;
-                stats.edges_scanned += 1;
+                stats.edges_traversed += 1;
 
                 // Upper bound from the memo tables when available.
                 if let (Some(&prefix_bound), Some(&suffix_bound)) =
@@ -146,7 +136,7 @@ impl TaStableClusters {
                 {
                     let bound = prefix_bound + weight + suffix_bound;
                     if bound < global.admission_threshold() {
-                        stats.bound_skips += 1;
+                        stats.prunes += 1;
                         continue;
                     }
                 }
@@ -173,14 +163,13 @@ impl TaStableClusters {
                 for prefix in &prefixes {
                     for suffix in &suffixes {
                         let total = prefix.weight() + weight + suffix.weight();
-                        stats.paths_enumerated += 1;
+                        stats.paths_generated += 1;
                         // Worst-score fast path: materialize the combined
                         // node vector only when the heap could admit it.
                         if !global.would_admit(total) {
                             continue;
                         }
-                        let mut nodes = prefix.nodes();
-                        nodes.extend(suffix.nodes());
+                        let nodes = [prefix.nodes(), suffix.nodes()].concat();
                         if global.iter().any(|p| p.nodes() == nodes.as_slice()) {
                             continue;
                         }
@@ -221,16 +210,14 @@ impl TaStableClusters {
 }
 
 /// All paths from a node of the view's first interval to `node` (exclusive
-/// of `node` itself in the weight, inclusive in the node list), as
-/// forward-growing shared chains — sibling prefixes share their common
-/// ancestry instead of cloning it.
+/// of `node` itself in the weight, inclusive in the node list).
 fn enumerate_prefixes(
     graph: GraphView<'_>,
     node: ClusterNodeId,
-    stats: &mut TaStats,
-) -> Vec<SharedPath> {
+    stats: &mut SolverStats,
+) -> Vec<ClusterPath> {
     if node.interval == graph.first_interval() {
-        return vec![SharedPath::singleton(node)];
+        return vec![ClusterPath::singleton(node)];
     }
     stats.random_seeks += 1;
     let mut result = Vec::new();
@@ -243,16 +230,14 @@ fn enumerate_prefixes(
     result
 }
 
-/// All paths from `node` to a node of the view's last interval, as
-/// backward-growing shared chains (prepending while the recursion unwinds is
-/// O(1)).
+/// All paths from `node` to a node of the view's last interval.
 fn enumerate_suffixes(
     graph: GraphView<'_>,
     node: ClusterNodeId,
-    stats: &mut TaStats,
-) -> Vec<SharedTail> {
+    stats: &mut SolverStats,
+) -> Vec<ClusterPath> {
     if node.interval + 1 == graph.intervals().end {
-        return vec![SharedTail::singleton(node)];
+        return vec![ClusterPath::singleton(node)];
     }
     stats.random_seeks += 1;
     let mut result = Vec::new();
@@ -287,19 +272,6 @@ fn virtual_path_bound(heads: &[(u32, u32, Option<f64>)], m: u32) -> f64 {
         }
     }
     best[0]
-}
-
-impl From<TaStats> for SolverStats {
-    fn from(stats: TaStats) -> Self {
-        SolverStats {
-            paths_generated: stats.paths_enumerated,
-            edges_traversed: stats.edges_scanned,
-            random_seeks: stats.random_seeks,
-            prunes: stats.bound_skips,
-            early_termination: stats.early_termination,
-            ..SolverStats::default()
-        }
-    }
 }
 
 impl StableClusterSolver for TaStableClusters {
@@ -433,7 +405,7 @@ mod tests {
         assert_eq!(paths.len(), 1);
         assert!((paths[0].weight() - 2.0).abs() < 1e-12);
         assert!(stats.early_termination, "{stats:?}");
-        assert!(stats.edges_scanned < 900 * 2, "{stats:?}");
+        assert!(stats.edges_traversed < 900 * 2, "{stats:?}");
     }
 
     #[test]
@@ -470,8 +442,8 @@ mod tests {
     fn stats_are_populated() {
         let graph = figure5_graph();
         let (_, stats) = TaStableClusters::new(2).run_with_stats(&graph).unwrap();
-        assert!(stats.edges_scanned > 0);
-        assert!(stats.paths_enumerated > 0);
+        assert!(stats.edges_traversed > 0);
+        assert!(stats.paths_generated > 0);
         assert!(stats.random_seeks > 0);
     }
 }

@@ -11,7 +11,10 @@
 //! [`TopKPaths`].) Call [`TopKPaths::would_admit`] with a candidate's score
 //! *before* constructing or cloning it: when the score cannot beat the
 //! current worst held score the construction, the clone and the heap churn
-//! are all skipped.
+//! are all skipped. Exact score ties are broken by path content — the two
+//! node sequences compared in place, front to back — so what a heap holds
+//! never depends on the order offers arrive in, and a tie costs no
+//! allocation.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -20,9 +23,11 @@ use crate::path::ClusterPath;
 
 /// Deterministic total order on path *content*, independent of scores, for
 /// breaking exact score ties (so heap contents never depend on insertion
-/// order).
-fn tie_cmp(a: &ClusterPath, b: &ClusterPath) -> Ordering {
-    a.tie_break_key().cmp(&b.tie_break_key())
+/// order): the node sequences front to back, a node by `(interval, index)` —
+/// the order of [`ClusterPath::tie_break_key`], read off the paths in place
+/// (this runs inside heap sifts). DFS sorts its `bestpaths` buckets by it too.
+pub(crate) fn tie_cmp(a: &ClusterPath, b: &ClusterPath) -> Ordering {
+    a.nodes().cmp(b.nodes())
 }
 
 /// A path together with the score the heap orders by.
@@ -117,18 +122,12 @@ impl TopKPaths {
         }
     }
 
-    /// The worst held score when the heap is full, −∞ otherwise — the cheap
-    /// guard the hot loops read before building a candidate.
-    pub fn worst_score(&self) -> f64 {
-        self.admission_threshold()
-    }
-
     /// Could a candidate with this score be admitted right now? `false`
     /// means it certainly cannot enter, so callers can skip constructing or
     /// cloning it; `true` means it enters unless it ties the worst score and
     /// loses the content tie-break inside [`TopKPaths::offer_scored`].
     pub fn would_admit(&self, score: f64) -> bool {
-        self.k > 0 && (!self.is_full() || score >= self.worst_score())
+        self.k > 0 && (!self.is_full() || score >= self.admission_threshold())
     }
 
     /// Offer a path with an explicit score. Returns true if it was admitted.
@@ -164,9 +163,7 @@ impl TopKPaths {
         true
     }
 
-    /// Offer a path scored by its aggregate weight (Problem 1). The
-    /// `worst_score` fast path rejects a hopeless candidate before any heap
-    /// operation runs.
+    /// Offer a path scored by its aggregate weight (Problem 1).
     pub fn offer_by_weight(&mut self, path: ClusterPath) -> bool {
         let score = path.weight();
         self.offer_scored(path, score)
@@ -197,18 +194,6 @@ impl TopKPaths {
                 .then_with(|| tie_cmp(&a.path, &b.path))
         });
         entries.into_iter().map(|s| s.path).collect()
-    }
-
-    /// The held paths (with scores) in descending score order, without
-    /// consuming the heap.
-    pub fn sorted_entries(&self) -> Vec<(f64, ClusterPath)> {
-        let mut entries: Vec<(f64, ClusterPath)> = self
-            .heap
-            .iter()
-            .map(|s| (s.score, s.path.clone()))
-            .collect();
-        entries.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| tie_cmp(&a.1, &b.1)));
-        entries
     }
 
     /// Iterate over the held paths in arbitrary order.
@@ -275,7 +260,7 @@ mod tests {
         assert!(topk.would_admit(0.1));
         topk.offer_by_weight(path(0.5, 5));
         topk.offer_by_weight(path(0.8, 1));
-        assert!((topk.worst_score() - 0.5).abs() < 1e-12);
+        assert!((topk.admission_threshold() - 0.5).abs() < 1e-12);
         assert!(!topk.would_admit(0.4999999));
         // A tying score *may* enter (content tie-break decides inside).
         assert!(topk.would_admit(0.5));
@@ -302,6 +287,25 @@ mod tests {
         assert_eq!(a, b);
         let starts: Vec<u32> = a.iter().map(|p| p.nodes()[0].index).collect();
         assert_eq!(starts, vec![0, 1]);
+
+        // The content order is `tie_break_key`'s (which the exhaustive
+        // oracle sorts by) — also between paths of different node counts
+        // and where one path skips an interval the other visits.
+        let node = |interval, index| ClusterNodeId { interval, index };
+        let paths = [
+            ClusterPath::singleton(node(0, 1)),
+            ClusterPath::new(vec![node(0, 1), node(1, 0)], 0.5),
+            ClusterPath::new(vec![node(0, 1), node(1, 0), node(2, 0)], 0.5),
+            ClusterPath::new(vec![node(0, 1), node(2, 0)], 0.5),
+            ClusterPath::new(vec![node(0, 0), node(2, 3)], 0.5),
+            ClusterPath::new(vec![node(0, 0), node(1, 7), node(2, 3)], 0.5),
+        ];
+        for a in &paths {
+            for b in &paths {
+                let by_key = a.tie_break_key().cmp(&b.tie_break_key());
+                assert_eq!(tie_cmp(a, b), by_key, "{a} vs {b}");
+            }
+        }
     }
 
     #[test]
@@ -345,9 +349,7 @@ mod tests {
         );
         topk.offer_by_stability(long.clone());
         topk.offer_by_stability(short.clone());
-        let entries = topk.sorted_entries();
-        assert!((entries[0].0 - 0.9).abs() < 1e-12);
-        assert!((entries[1].0 - 0.5).abs() < 1e-12);
+        assert_eq!(topk.into_sorted(), vec![short, long]);
     }
 
     #[test]

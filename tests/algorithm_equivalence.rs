@@ -268,19 +268,23 @@ fn tie_ladder(m: u32, gap: u32) -> ClusterGraph {
 /// admission and every sift: in-memory BFS, store-backed BFS over every
 /// backend and the sharded solve must still report the oracle's paths —
 /// same nodes in the same order, same weight bits — for every length and a
-/// `k` below, at and above the size of a tie group.
+/// `k` below, at and above the size of a tie group. DFS (whose `bestpaths`
+/// buckets sort by the same order, over every backend) and TA (wherever it
+/// answers: full length unsharded, every length in `l + 1`-interval
+/// windows) take the same table.
 #[test]
 fn tie_heavy_graphs_match_the_oracle_node_for_node() {
     let mut configurations = vec![
-        ("bfs".to_string(), SolverOptions::default()),
+        ("in memory".to_string(), SolverOptions::default()),
         ("sharded".to_string(), SolverOptions::default().shards(2)),
     ];
     for backend in StorageSpec::ALL {
         let options = SolverOptions::default()
             .storage(backend)
             .bfs_store_backed(true);
-        configurations.push((format!("bfs over {backend}"), options));
+        configurations.push((format!("over {backend}"), options));
     }
+    let kinds = [AlgorithmKind::Bfs, AlgorithmKind::Dfs, AlgorithmKind::Ta];
     let m = 6;
     for gap in [0, 1, 2] {
         let mut graphs = vec![("ladder".to_string(), tie_ladder(m, gap))];
@@ -293,17 +297,23 @@ fn tie_heavy_graphs_match_the_oracle_node_for_node() {
                 for k in [1, 2, 5, 10] {
                     let expected = oracle(spec, k, graph);
                     for (name, options) in &configurations {
-                        let got = AlgorithmKind::Bfs
-                            .build_with_options(spec, k, graph.num_intervals(), options.clone())
-                            .expect("supported combination")
-                            .solve(graph)
-                            .expect("solver run")
-                            .paths;
-                        let context = format!("gap={gap} {graph_name} l={l} k={k} {name}");
-                        assert_eq!(expected.len(), got.len(), "{context}");
-                        for (e, g) in expected.iter().zip(&got) {
-                            assert_eq!(e.nodes(), g.nodes(), "{context}");
-                            assert_eq!(e.weight().to_bits(), g.weight().to_bits(), "{context}");
+                        for kind in kinds {
+                            if options.shards == 1 && !kind.supports(spec, graph.num_intervals()) {
+                                continue;
+                            }
+                            let got = kind
+                                .build_with_options(spec, k, graph.num_intervals(), options.clone())
+                                .expect("supported combination")
+                                .solve(graph)
+                                .expect("solver run")
+                                .paths;
+                            let context =
+                                format!("gap={gap} {graph_name} l={l} k={k} {kind} {name}");
+                            assert_eq!(expected.len(), got.len(), "{context}");
+                            for (e, g) in expected.iter().zip(&got) {
+                                assert_eq!(e.nodes(), g.nodes(), "{context}");
+                                assert_eq!(e.weight().to_bits(), g.weight().to_bits(), "{context}");
+                            }
                         }
                     }
                 }
