@@ -212,7 +212,9 @@ pub fn table3_ablation(scale: Scale) -> Table {
     table.push_note(format!(
         "m = {m}, n = {n}, d = {d}, g = {g}, k = {k}; identical top-k verified across both"
     ));
-    table.push_note("speedup(flat-table) = clone-based seed / flat heap tables + link arena");
+    table.push_note(
+        "speedup(flat-table) = clone-based seed (l heaps per node, every candidate kept) / flat heap tables + link arena holding only subpaths that can still become an answer; the subpath row read 9-10x while the tables kept l rows and no bound",
+    );
     table
 }
 
@@ -229,6 +231,13 @@ pub fn table3_ablation(scale: Scale) -> Table {
 /// calling thread — and `sharded@1/BFS(x)` its cost relative to the BFS
 /// solve timed in the same run: a ratio of two neighbouring measurements,
 /// which is what lets `repro gate` hold it where absolute seconds flap.
+/// Since the sweep holds only subpaths that can still become an answer
+/// (docs/performance.md, "Rows nobody reads") that ratio reads what a window
+/// cannot prune: a window learns its threshold at its last interval, the
+/// whole-graph sweep carries one from the first answer on. The two
+/// `generated(=)` columns are the candidates each side considered
+/// (`paths_generated`): byte-exact, so a lost prune or a floor that stopped
+/// cutting trips the gate whatever the runner's clock does.
 pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
     let n = scale.pick(800, 2_000);
     let (m, d, g, k) = (12usize, 5u32, 1u32, 5usize);
@@ -243,6 +252,8 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
             &format!("sharded@{shards}(s)"),
             "ratio",
             "shard ranges",
+            "BFS generated(=)",
+            "windows generated(=)",
         ],
     );
     let ratio = |time: Duration, base: Duration| {
@@ -267,8 +278,15 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
             );
             (merged, time)
         };
-        let (_, serial_time) = sharded(1);
+        let (serial, serial_time) = sharded(1);
         let (merged, sharded_time) = sharded(shards);
+        let generated = (base.stats.paths_generated, serial.stats.paths_generated);
+        assert!(
+            generated.0 <= generated.1,
+            "l={l}: the whole-graph sweep considered {} candidates, its windows {}",
+            generated.0,
+            generated.1
+        );
         table.push_row(vec![
             format!("subpaths l={l}"),
             seconds(base_time),
@@ -277,13 +295,15 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
             seconds(sharded_time),
             ratio(sharded_time, base_time),
             merged.stats.shards.to_string(),
+            generated.0.to_string(),
+            generated.1.to_string(),
         ]);
     }
     table.push_note(format!(
         "m = {m}, n = {n}, d = {d}, g = {g}, k = {k}; byte-identical top-k verified before timing"
     ));
     table.push_note(
-        "sharding trades duplicated window scans for independent shards (own threads, own storage backends); the win is memory locality and multi-core, not single-core speed",
+        "sharded@1/BFS(x) reads what a window cannot prune: the whole-graph sweep drops a subpath whose optimistic completion cannot reach its k-th answer, a window fills its heap only at its last interval (generated(=): candidates considered by each); sharding buys independent shards (own threads, own storage backends), not single-core speed",
     );
     table
 }
@@ -1405,6 +1425,9 @@ mod tests {
         assert!(table.cell(0, "sharded@1(s)").is_some());
         assert!(table.cell(0, "sharded@1/BFS(x)").unwrap().ends_with('x'));
         assert_eq!(table.cell(0, "shard ranges"), Some("2"));
+        // Exact cells (the experiment asserts unsharded <= windows itself).
+        let generated = |column| table.cell(0, column).and_then(|c| c.parse::<u64>().ok());
+        assert!(generated("BFS generated(=)") < generated("windows generated(=)"));
     }
 
     #[test]

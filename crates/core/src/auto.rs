@@ -112,7 +112,11 @@ impl GraphShape {
 /// interval holds up to `n_max` nodes with `l` rows of `k` subpaths, each a
 /// slot and a link cell in flat arrays; the slots stay for a sliding window
 /// of `g + 2` intervals, the link cells for the `l + g + 1` intervals a
-/// held chain can reach back through.
+/// held chain can reach back through. An upper bound, left there on purpose:
+/// the sweep holds at most `l − 1` rows per node (see [`crate::bfs`]) and
+/// fewer once its bounds cut, but what they cut depends on the weights, which
+/// a [`GraphShape`] does not see, and re-pricing the row alone would move
+/// budgeted `auto` choices.
 pub fn bfs_resident_bytes(shape: &GraphShape, k: usize, l: u64) -> u64 {
     let l = l.max(1);
     let window = u64::from(shape.gap) + 2;

@@ -1,13 +1,37 @@
 //! The BFS-based algorithm for kl-stable clusters (Algorithm 2).
 //!
 //! The cluster graph is processed interval by interval. Every node `c_ij`
-//! is annotated with up to `l` bounded heaps `h^x_ij` (1 ≤ x ≤ l), each
-//! holding the top-k highest-weight subpaths of length exactly `x` that end
-//! at `c_ij`. Because a node of interval `i` can only have parents in
-//! intervals `[i − g − 1, i − 1]`, the heaps of the last `g + 1` intervals
-//! suffice to compute the heaps of the current interval, and a single pass
-//! over the intervals computes the global top-k heap `H` of paths of length
-//! exactly `l`.
+//! is annotated with bounded heaps `h^x_ij`, each holding the top-k
+//! highest-weight subpaths of length exactly `x` that end at `c_ij`. Because
+//! a node of interval `i` can only have parents in intervals
+//! `[i − g − 1, i − 1]`, the heaps of the last `g + 1` intervals suffice to
+//! compute the heaps of the current interval, and a single pass over the
+//! intervals computes the global top-k heap `H` of paths of length exactly
+//! `l`.
+//!
+//! Which heaps exist and what enters them is one policy of that pass, where
+//! the paper gives every node `l` heaps: **a subpath is held only if it can
+//! still become an answer.** Three rules follow; none can change an answer,
+//! only `paths_generated` (candidates considered) and `peak_resident_paths`.
+//!
+//! * *Nobody reads `h^l`.* A child extends a prefix by an edge at least one
+//!   interval long, so a node `depth` intervals into the sweep keeps rows for
+//!   lengths `1..=min(l − 1, depth)` (`rows_per_node`; none for `l = 1`) and
+//!   a length-`l` path is offered to `H` alone.
+//! * *The suffix must fit.* A driver that knows how deep the last interval
+//!   lies says so, and a subpath too short to reach length `l` by then
+//!   (`problem::shortest_feasible`) is not considered: a full-path query
+//!   keeps only subpaths from the view's first interval. A stream has no
+//!   last interval, so the online driver keeps every length.
+//! * *The optimistic completion must reach `H`.* Edge weights lie in
+//!   `(0, 1]`, so a subpath of length `x` and weight `w` completes to at most
+//!   `w + (l − x)`; below `H`'s admission threshold it is considered but not
+//!   held (`problem::can_still_reach`, the `CanPrune` bound of the paper's
+//!   DFS). The threshold only rises, so what it rules out could not have
+//!   entered later — online as in batch. It is read once per node, before
+//!   the rows are sized, so sizing and filling agree and the work done does
+//!   not depend on the order of a node's parents. While `H` has room — all
+//!   of a start window, whose answers end at its last interval — it is inert.
 //!
 //! That pass is written once, as the crate-private `IntervalSweep`: its
 //! state is the heaps of the intervals already swept, the global heap and
@@ -65,7 +89,7 @@ use bsc_util::cancel::CancelToken;
 use crate::cluster_graph::{ClusterGraph, ClusterNodeId, GraphView};
 use crate::error::{BscError, BscResult};
 use crate::path::ClusterPath;
-use crate::problem::KlStableParams;
+use crate::problem::{can_still_reach, shortest_feasible, KlStableParams};
 use crate::solver::{
     check_not_expired, deadline_error, AlgorithmKind, Solution, SolverStats, StableClusterSolver,
 };
@@ -350,15 +374,21 @@ pub(crate) trait HeapWindow {
     fn resident_paths(&self) -> usize;
 }
 
+/// The rows of a node `depth` intervals into a sweep for length `l`. The sweep
+/// lays rows out by it and [`Ring`] finds them by it, or neighbours' rows alias.
+fn rows_per_node(l: u32, depth: u32) -> usize {
+    l.saturating_sub(1).min(depth) as usize
+}
+
 /// The in-memory window: one [`Table`] per swept interval, consecutive
 /// intervals from `oldest` on; a node `i` intervals past the `first` swept
-/// has `min(l, i)` rows.
+/// has [`rows_per_node`]`(l, i)` rows.
 /// A parent of interval `i` lies in `[i − g − 1, i − 1]`, so only the last
-/// `g + 2` tables keep their rows; a subpath held there has length at most
-/// `l`, so its chain reaches back at most `l` intervals further, and a table
-/// is dropped whole once the sweep is `l + g + 1` intervals past it. What a
-/// sweep retains is therefore bounded by `l` and `g`, not by how long it
-/// has run.
+/// `g + 2` tables keep their rows; a subpath held there is shorter than
+/// `l`, so its chain reaches back fewer than `l` intervals further, and a
+/// table is dropped whole once the sweep is `l + g + 1` intervals past it.
+/// What a sweep retains is therefore bounded by `l` and `g`, not by how long
+/// it has run.
 pub(crate) struct Ring {
     gap: u32,
     l: u32,
@@ -404,7 +434,7 @@ impl HeapWindow for Ring {
         let likely = self.tables.back().map_or(0, |t| t.links.len());
         table
             .starts
-            .reserve(num_nodes as usize * self.l.min(interval - self.first) as usize);
+            .reserve(num_nodes as usize * rows_per_node(self.l, interval - self.first));
         table.slots.reserve(likely);
         table.links.reserve(likely);
         self.tables.push_back(table);
@@ -415,9 +445,9 @@ impl HeapWindow for Ring {
         let Some(table) = held.and_then(|at| self.tables.get(at as usize)) else {
             return Ok(0..0);
         };
-        let rows_per_node = self.l.min(parent.interval - self.first) as usize;
-        let first = parent.index as usize * rows_per_node;
-        let end = first + rows_per_node;
+        let rows = rows_per_node(self.l, parent.interval - self.first);
+        let first = parent.index as usize * rows;
+        let end = first + rows;
         Ok(if end < table.starts.len() {
             first..end
         } else {
@@ -509,6 +539,11 @@ impl HeapWindow for Stored {
     }
 
     fn keep(&mut self, node: ClusterNodeId, rows: &Table) -> BscResult<()> {
+        // Nothing held: no record, which `load` reads as the same nothing.
+        if rows.slots.is_empty() {
+            self.parents.reset();
+            return Ok(());
+        }
         let record: Vec<Vec<StoredPrefix>> = (0..rows.filled.len())
             .map(|row| {
                 let encode = |slot: &Slot| {
@@ -534,10 +569,10 @@ impl HeapWindow for Stored {
 pub(crate) struct IntervalSweep<W = Ring> {
     k: usize,
     l: u32,
-    /// Keep only subpaths that start at the view's first interval — all a
-    /// full-path query (`l = m − 1`) can use. Needs `m` up front, so only
-    /// batch solves set it; it changes the work done, never the answer.
-    anchored: bool,
+    /// How many intervals into the view the last one it will sweep lies;
+    /// `None` when nobody knows (a stream has no last interval). It decides
+    /// the work done, never the answer.
+    last: Option<u32>,
     window: W,
     /// The rows of the node in progress.
     rows: Table,
@@ -562,14 +597,123 @@ impl IntervalSweep<Ring> {
         let links = tables.iter().map(|t| t.links.len()).sum();
         (slots, links)
     }
+
+    /// The subpaths held for `node` as paths, by length − 1 (no rows once
+    /// they are out of a child's reach).
+    pub(crate) fn held(&mut self, node: ClusterNodeId) -> Vec<Vec<ClusterPath>> {
+        let rows = self.window.load(node).expect("the ring cannot fail");
+        if rows.is_empty() {
+            return Vec::new();
+        }
+        let table = self.window.table(node.interval);
+        rows.map(|row| {
+            let path = |slot: &Slot| {
+                assert_ne!(slot.link, NO_LINK, "{node} keeps a blank slot");
+                let link = table.links[slot.link as usize];
+                ClusterPath::new(chain_nodes(&self.window, link, node), slot.weight)
+            };
+            table.row(row).iter().map(path).collect()
+        })
+        .collect()
+    }
+
+    /// Audit what the window holds once `swept` has been advanced over:
+    /// every held slot is a path of `view` that ends at its node, has its
+    /// row's length and weighs, summed left to right, exactly what the slot
+    /// says; no row below the feasibility floor holds anything. Returns
+    /// every held path.
+    pub(crate) fn audit(&mut self, view: GraphView<'_>, swept: u32) -> Vec<ClusterPath> {
+        let (l, last, first) = (self.l, self.last, view.first_interval());
+        let mut held = Vec::new();
+        for interval in first..=swept {
+            let depth = interval - first;
+            let floor = last.map_or(0, |last| shortest_feasible(l, depth, last));
+            for node in view.interval_node_ids(interval) {
+                let rows = self.held(node);
+                assert!(
+                    rows.is_empty() || rows.len() == rows_per_node(l, depth),
+                    "{node} keeps {} rows",
+                    rows.len()
+                );
+                for (row, paths) in rows.into_iter().enumerate() {
+                    let length = row as u32 + 1;
+                    assert!(
+                        paths.is_empty() || length >= floor,
+                        "{node} holds length {length} below the floor {floor}"
+                    );
+                    for path in &paths {
+                        assert_eq!(path.last(), node);
+                        assert_eq!(path.length(), length, "{path:?} in row {row} of {node}");
+                        assert!(path.first().interval >= first, "{path:?} leaves the view");
+                        let sum = path.nodes().windows(2).fold(0.0, |sum, edge| {
+                            let weight = view.graph().edge_weight(edge[0], edge[1]);
+                            sum + weight.expect("a held subpath follows edges of the graph")
+                        });
+                        assert_eq!(sum.to_bits(), path.weight().to_bits(), "{path:?}");
+                    }
+                    held.extend(paths);
+                }
+            }
+        }
+        held
+    }
+}
+
+/// One representable step of [`threshold_scenario`]'s weights.
+#[cfg(test)]
+const STEP: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// A six-interval graph (gap 0) for `k = 1`, `l = 3`, its first interval
+/// numbered `offset`, with dyadic weights so every sum is exact:
+///
+/// ```text
+/// v0    v1    v2    v3    v4    v5
+/// a ─1─ a ─1─ a ─¾─ a                  fills H at v3: θ = 2.75
+///             b ─¾+STEP─ b ─1─ b ─1─ b   bound θ + STEP: the answer, 2.75 + STEP
+///             c ─¾−STEP─ c ─1─ c ─1─ c   bound θ − STEP: dropped at v3
+/// ```
+///
+/// With `offset > 0` the earlier intervals hold a chain of weight-1 edges
+/// into `a` at v0 that beats everything — unless the view starts at
+/// `offset`. Swept as a whole (`last = 5`), the candidates considered are:
+/// v1 1 (the edge); v2 2 (edge, a-a-a); v3 `a` 3 (lengths 1, 2 and the
+/// answer-to-be of length 3), `b` 1, `c` 1 (considered, not held); v4 `b` 1
+/// (length 2; the bare edge can no longer fit), `c` 0 (its parent holds
+/// nothing); v5 `b` 1 (into `H`), `c` 0: 10 in all. Without the bound `c`
+/// would add one at v4 and one at v5. Returned with the answer, lane `b`.
+#[cfg(test)]
+pub(crate) fn threshold_scenario(offset: u32) -> (ClusterGraph, ClusterPath) {
+    use crate::cluster_graph::ClusterGraphBuilder;
+    let mut builder = ClusterGraphBuilder::new(0);
+    let node = |v: u32, index: u32| ClusterNodeId::new(offset + v, index);
+    for _ in 0..offset {
+        builder.add_interval(1);
+    }
+    for nodes in [1, 1, 3, 3, 2, 2] {
+        builder.add_interval(nodes);
+    }
+    for before in 0..offset {
+        let to = ClusterNodeId::new(before + 1, 0);
+        builder.add_edge(ClusterNodeId::new(before, 0), to, 1.0);
+    }
+    builder.add_edge(node(0, 0), node(1, 0), 1.0);
+    builder.add_edge(node(1, 0), node(2, 0), 1.0);
+    builder.add_edge(node(2, 0), node(3, 0), 0.75);
+    for (lane, weight) in [(1, 0.75 + STEP), (2, 0.75 - STEP)] {
+        builder.add_edge(node(2, lane), node(3, lane), weight);
+        builder.add_edge(node(3, lane), node(4, lane - 1), 1.0);
+        builder.add_edge(node(4, lane - 1), node(5, lane - 1), 1.0);
+    }
+    let answer = vec![node(2, 1), node(3, 1), node(4, 0), node(5, 0)];
+    (builder.build(), ClusterPath::new(answer, 2.75 + STEP))
 }
 
 impl<W: HeapWindow> IntervalSweep<W> {
-    pub(crate) fn new(params: KlStableParams, anchored: bool, window: W) -> Self {
+    pub(crate) fn new(params: KlStableParams, last: Option<u32>, window: W) -> Self {
         IntervalSweep {
             k: params.k,
             l: params.l,
-            anchored,
+            last,
             window,
             rows: Table::new(),
             loaded: Vec::new(),
@@ -582,8 +726,11 @@ impl<W: HeapWindow> IntervalSweep<W> {
 
     /// Sweep `interval` of `view`: compute the heaps `h^x` of each of its
     /// nodes from its parents' heaps and offer every length-`l` path to the
-    /// global heap. Intervals must be swept in order, each once; a failed
-    /// sweep (`cancel` tripped, storage error) is not resumable.
+    /// global heap. A shorter subpath is held only if it can still become an
+    /// answer (module docs): it fits before the last interval, and its
+    /// optimistic completion reaches the global heap's threshold. Intervals
+    /// must be swept in order, each once; a failed sweep (`cancel` tripped,
+    /// storage error) is not resumable.
     pub(crate) fn advance(
         &mut self,
         view: GraphView<'_>,
@@ -593,19 +740,18 @@ impl<W: HeapWindow> IntervalSweep<W> {
         let (k, l) = (self.k, self.l);
         let num_nodes = view.nodes_in_interval(interval);
         self.stats.nodes_processed += u64::from(num_nodes);
-        // Heaps h^x for x = 1..=min(l, i): a path ending `i` intervals
-        // into the view cannot be longer than `i`.
         let depth = interval - view.first_interval();
-        let max_len = l.min(depth) as usize;
         self.window.open(interval, num_nodes);
         // The lengths `total` a parent `len` intervals back extends its
-        // held lengths `x` to (`x = 0`: the edge itself), as `(x, total)`.
-        let anchored = self.anchored;
+        // held lengths `x` to (`x = 0`: the edge itself), as `(x, total)`:
+        // up to `l`, and from the shortest that still fits before `last`.
+        let floor = self
+            .last
+            .map_or(0, |last| shortest_feasible(l, depth, last));
         let extended_lengths = move |len: u32, rows: &Range<usize>| {
-            (0..=rows.len())
+            (floor.saturating_sub(len) as usize..=rows.len())
                 .map(move |x| (x, x as u32 + len))
                 .take_while(move |&(_, total)| total <= l)
-                .filter(move |&(_, total)| !anchored || total == depth)
         };
         for index in 0..num_nodes {
             if let Some(token) = cancel {
@@ -615,14 +761,21 @@ impl<W: HeapWindow> IntervalSweep<W> {
             }
             let node = ClusterNodeId::new(interval, index);
             let parents = view.parents(node);
+            // Read once per node: both passes below decide by the same
+            // threshold whatever this node adds to `H` in between, so rows
+            // come out full and the count does not depend on parent order.
+            // The threshold only rises, so what it rules out stays out.
+            let min_k = self.global.admission_threshold();
+            let reaches = move |total: u32, weight: f64| can_still_reach(l, total, weight, min_k);
 
             // Size the rows: a row is offered one candidate per prefix its
             // parents hold for it, and never needs more than k slots.
             self.loaded.clear();
             self.room.clear();
-            self.room.resize(max_len, 0);
+            self.room.resize(rows_per_node(l, depth), 0);
             for parent_edge in parents.clone() {
                 let parent = parent_edge.to;
+                let weight = parent_edge.weight;
                 let len = ClusterGraph::edge_length(parent, node);
                 // An edge longer than l extends nothing.
                 let rows = if len > l {
@@ -631,9 +784,17 @@ impl<W: HeapWindow> IntervalSweep<W> {
                     self.window.load(parent)?
                 };
                 let held = self.window.table(parent.interval);
-                for (x, total) in extended_lengths(len, &rows) {
+                for (x, total) in extended_lengths(len, &rows).take_while(|&(_, total)| total < l) {
+                    let prefixes = held.prefixes(&rows, x);
+                    // While `H` has room every candidate reaches its −∞.
+                    let reaching = if min_k == f64::NEG_INFINITY {
+                        prefixes.len()
+                    } else {
+                        let extended = prefixes.iter().map(|prefix| prefix.weight + weight);
+                        extended.filter(|&weight| reaches(total, weight)).count()
+                    };
                     let room = &mut self.room[total as usize - 1];
-                    *room = room.saturating_add(held.prefixes(&rows, x).len());
+                    *room = room.saturating_add(reaching);
                 }
                 self.loaded.push(rows);
             }
@@ -646,33 +807,34 @@ impl<W: HeapWindow> IntervalSweep<W> {
                 let len = ClusterGraph::edge_length(parent, node);
                 let held = self.window.table(parent.interval);
                 for (x, total) in extended_lengths(len, rows) {
-                    let bucket = total as usize - 1;
                     for prefix in held.prefixes(rows, x) {
                         self.stats.paths_generated += 1;
                         let extended_weight = prefix.weight + weight;
-                        // Worst-score fast path: skip the extension (and
-                        // the heap churn) when no heap could admit it.
-                        let admit_bucket = self.rows.would_admit(bucket, extended_weight);
-                        let admit_global = total == l && self.global.would_admit(extended_weight);
-                        if !admit_bucket && !admit_global {
-                            continue;
-                        }
                         let extended = Link {
                             node: parent,
                             prev: prefix.link,
                         };
-                        if admit_global {
-                            let nodes = chain_nodes(&self.window, extended, node);
-                            self.global
-                                .offer_by_weight(ClusterPath::new(nodes, extended_weight));
-                        }
-                        if admit_bucket {
-                            self.rows
-                                .offer(&self.window, bucket, extended_weight, extended);
+                        // Worst-score fast path: skip the extension (and
+                        // the heap churn) when the heap could not admit it.
+                        if total == l {
+                            if self.global.would_admit(extended_weight) {
+                                let nodes = chain_nodes(&self.window, extended, node);
+                                self.global
+                                    .offer_by_weight(ClusterPath::new(nodes, extended_weight));
+                            }
+                        } else if reaches(total, extended_weight) {
+                            let row = total as usize - 1;
+                            if self.rows.would_admit(row, extended_weight) {
+                                self.rows
+                                    .offer(&self.window, row, extended_weight, extended);
+                            }
                         }
                     }
                 }
             }
+            // A finished row is full: a blank slot would read as a prefix.
+            let filled = self.rows.filled.iter().map(|&filled| filled as usize);
+            debug_assert!(filled.eq(self.room.iter().copied()));
             self.window.keep(node, &self.rows)?;
         }
         let resident = self.window.resident_paths();
@@ -748,12 +910,14 @@ impl BfsStableClusters {
     }
 
     /// Run the algorithm and also report execution statistics. Of
-    /// [`SolverStats`] it fills `nodes_processed`, `paths_generated` (heap
-    /// offers considered, counted *before* the worst-score admission fast
-    /// path, so it depends only on the graph and the query — not on where
-    /// the heaps live) and `peak_resident_paths` (paths held across all node
-    /// heaps simultaneously, a proxy for the memory footprint; 0
-    /// store-backed, where no heap outlives its node's step in memory).
+    /// [`SolverStats`] it fills `nodes_processed`, `paths_generated`
+    /// (candidates considered: every extension that still fits before the
+    /// last interval, counted *before* the bound and the worst-score
+    /// admission fast path, so it depends only on the graph and the query —
+    /// not on where the heaps live) and `peak_resident_paths` (paths held
+    /// across all node heaps simultaneously, a proxy for the memory
+    /// footprint; 0 store-backed, where no heap outlives its node's step in
+    /// memory).
     pub fn run_with_stats<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
@@ -766,17 +930,18 @@ impl BfsStableClusters {
         if k == 0 || l == 0 || m < 2 {
             return Ok((Vec::new(), SolverStats::default()));
         }
-        let anchored = l == m - 1;
+        let last = Some(m - 1);
         match self.config.storage {
             Some(spec) => {
                 let window = Stored {
                     store: NodeStore::temp(spec, "bsc-bfs")?,
                     parents: Table::new(),
                 };
-                IntervalSweep::new(self.params, anchored, window).run(graph, cancel)
+                IntervalSweep::new(self.params, last, window).run(graph, cancel)
             }
-            None => IntervalSweep::new(self.params, anchored, Ring::new(graph.gap(), l))
-                .run(graph, cancel),
+            None => {
+                IntervalSweep::new(self.params, last, Ring::new(graph.gap(), l)).run(graph, cancel)
+            }
         }
     }
 }
@@ -937,6 +1102,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_held_subpath_is_a_path_that_can_still_become_an_answer() {
+        // Small k and l < m − 1 fill H early, so the bound is at work; the
+        // audit runs after every interval, with the last interval known
+        // (batch) and unknown (online).
+        for gap in [0, 1, 2] {
+            let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
+                num_intervals: 7,
+                nodes_per_interval: 9,
+                avg_out_degree: 3,
+                gap,
+                seed: 31 + u64::from(gap),
+            })
+            .generate();
+            let last = graph.num_intervals() as u32 - 1;
+            for l in 1..=last {
+                for k in [1, 3] {
+                    let params = KlStableParams::new(k, l);
+                    let mut answers = Vec::new();
+                    for last in [Some(last), None] {
+                        let mut sweep = IntervalSweep::new(params, last, Ring::new(gap, l));
+                        let mut held = 0;
+                        for interval in graph.view().intervals() {
+                            sweep.advance(graph.view(), interval, None).unwrap();
+                            held += sweep.audit(graph.view(), interval).len();
+                        }
+                        assert_eq!(held == 0, l == 1, "gap={gap} l={l} k={k} {last:?}");
+                        answers.push(sweep.top_k());
+                    }
+                    assert!(!answers[0].is_empty(), "gap={gap} l={l} k={k}");
+                    assert_eq!(answers[0], answers[1], "gap={gap} l={l} k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_bound_keeps_what_beats_the_threshold_by_one_step_and_drops_its_twin() {
+        let params = KlStableParams::new(1, 3);
+        let (graph, answer) = threshold_scenario(0);
+        let (shifted, shifted_answer) = threshold_scenario(2);
+        let solves = [
+            (graph.view(), BfsConfig::default(), &answer),
+            (shifted.window(2, 7), BfsConfig::default(), &shifted_answer),
+        ];
+        let stored = StorageSpec::ALL.map(|spec| {
+            let config = BfsConfig::store_backed(spec);
+            (graph.view(), config, &answer)
+        });
+        for (view, config, answer) in solves.into_iter().chain(stored) {
+            let (paths, stats) = BfsStableClusters::with_config(params, config)
+                .run_with_stats(view)
+                .unwrap();
+            assert_eq!(paths, std::slice::from_ref(answer), "{config:?}");
+            // Hand-counted in `threshold_scenario`'s docs.
+            assert_eq!(stats.paths_generated, 10, "{config:?}");
+            assert_eq!(stats.nodes_processed, 12, "{config:?}");
+        }
+        // The whole shifted graph sees the chain its window does not.
+        let whole = BfsStableClusters::new(params).run(&shifted).unwrap();
+        assert_eq!(whole[0].weight(), 3.0);
+
+        // The twin is considered once, at v3, and never held.
+        let mut sweep = IntervalSweep::new(params, Some(5), Ring::new(0, 3));
+        for interval in graph.view().intervals() {
+            sweep.advance(graph.view(), interval, None).unwrap();
+            let held = sweep.audit(graph.view(), interval);
+            assert!(held.iter().all(|path| path.first() != node(2, 2)));
+            if interval == 3 {
+                let kept = ClusterPath::new(vec![node(2, 1), node(3, 1)], 0.75 + STEP);
+                assert_eq!(sweep.held(node(3, 1)), [vec![kept], vec![]]);
+                assert_eq!(sweep.held(node(3, 2)), [vec![], vec![]]);
+            }
+        }
+        assert_eq!(sweep.top_k(), [answer]);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use bsc_util::cancel::CancelToken;
 use crate::cluster_graph::{ClusterEdge, ClusterGraph, ClusterNodeId, GraphView};
 use crate::error::BscResult;
 use crate::path::ClusterPath;
-use crate::problem::KlStableParams;
+use crate::problem::{can_still_reach, shortest_feasible, KlStableParams};
 use crate::solver::{
     check_not_expired, deadline_error, AlgorithmKind, Solution, SolverStats, StableClusterSolver,
 };
@@ -418,13 +418,10 @@ fn update_maxweight(
 /// re-explores it. `i` is the node's interval counted from the view's first,
 /// `m` the view's interval count.
 fn can_prune(state: &NodeState, i: u32, l: u32, m: u32, min_k: f64) -> bool {
-    let x_cap = l.min(i);
+    // A suffix of length l − x must still fit after interval i.
+    let x_floor = shortest_feasible(l, i, m - 1);
     // bsc:allow(missing-cancel-checkpoint) -- bounded by l <= interval count; the DFS driver checkpoints per edge
-    for x in 0..=x_cap {
-        // For x < l a suffix of length l − x must still fit after interval i.
-        if x < l && (l - x) > (m - 1 - i) {
-            continue;
-        }
+    for x in x_floor..=l.min(i) {
         let prefix_weight = if x == 0 {
             // The empty prefix: a path may start at this node.
             0.0
@@ -436,8 +433,7 @@ fn can_prune(state: &NodeState, i: u32, l: u32, m: u32, min_k: f64) -> bool {
             // node (still unvisited) will be re-explored then.
             continue;
         }
-        let optimistic = prefix_weight + f64::from(l - x);
-        if optimistic >= min_k {
+        if can_still_reach(l, x, prefix_weight, min_k) {
             return false;
         }
     }

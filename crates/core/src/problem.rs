@@ -77,6 +77,27 @@ impl KlStableParams {
     }
 }
 
+/// "The suffix must fit" (Section 4.3): the shortest subpath ending `depth`
+/// intervals in that can still grow to length `l` when the last interval
+/// lies `last` intervals in — an edge spans at least one interval.
+pub(crate) fn shortest_feasible(l: u32, depth: u32, last: u32) -> u32 {
+    l.saturating_sub(last.saturating_sub(depth))
+}
+
+/// "Optimistic completion" (Section 4.3): can a subpath of length `held` and
+/// weight `weight` still grow into a length-`l` path that a top-k heap with
+/// admission threshold `min_k` would take? Edge weights lie in `(0, 1]`
+/// (`ClusterGraphBuilder::build`, `ClusterGraph::append`), so over the reals
+/// it weighs at most `weight + (l − held)`. The solvers add those weights one
+/// rounded addition at a time (`u = ε/2` each, partial sums at most
+/// `l (1 + u)^l`), which can exceed the real bound by about `l² u`, and the
+/// two additions below round down by at most `2 l u`: together under `l² ε`.
+/// The slack is twice that, so a path that reaches as summed is never cut.
+pub(crate) fn can_still_reach(l: u32, held: u32, weight: f64, min_k: f64) -> bool {
+    let slack = 2.0 * f64::from(l) * f64::from(l) * f64::EPSILON;
+    weight + (f64::from(l - held) + slack) >= min_k
+}
+
 /// Parameters of Problem 2 (normalized stable clusters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NormalizedParams {

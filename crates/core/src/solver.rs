@@ -793,7 +793,7 @@ mod tests {
                 AlgorithmKind::Bfs => SolverStats {
                     paths_generated: 78,
                     nodes_processed: 24,
-                    peak_resident_paths: 29,
+                    peak_resident_paths: 27,
                     ..SolverStats::default()
                 },
                 AlgorithmKind::Dfs => SolverStats {

@@ -9,7 +9,11 @@
 //! fed one interval at a time: [`OnlineStableClusters::push_interval`]
 //! appends the interval to the graph-so-far and advances the same sweep —
 //! same window, same global heap, same inner loop — over it, so after every
-//! push the answer is bit-identical to batch BFS on the graph-so-far.
+//! push the answer is bit-identical to batch BFS on the graph-so-far. The
+//! sweep holds a subpath only while its optimistic completion can reach the
+//! current k-th answer (see [`crate::bfs`]); that threshold never falls, so
+//! a push holds fewer subpaths the longer the stream has run. "The suffix
+//! must fit before the last interval" it cannot use: a stream has none.
 //!
 //! For the long-lived query engine the stream is also the **graph source**:
 //! every push extends the graph-so-far by one interval through the
@@ -66,8 +70,8 @@ impl OnlineStableClusters {
         OnlineStableClusters {
             params,
             graph: Arc::new(ClusterGraphBuilder::new(gap).build()),
-            // Not anchored: the stream has no last interval to anchor to.
-            sweep: IntervalSweep::new(params, false, Ring::new(gap, params.l)),
+            // A stream has no last interval: every length may yet fit.
+            sweep: IntervalSweep::new(params, None, Ring::new(gap, params.l)),
             cached_top_k: None,
         }
     }
@@ -231,7 +235,7 @@ impl OnlineClusterFeed {
 mod tests {
     use super::*;
     use crate::affinity::JaccardAffinity;
-    use crate::bfs::BfsStableClusters;
+    use crate::bfs::{threshold_scenario, BfsStableClusters};
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
     use bsc_corpus::timeline::IntervalId;
     use bsc_corpus::vocabulary::KeywordId;
@@ -383,6 +387,29 @@ mod tests {
             }
         }
         assert!(steady.is_some_and(|(slots, links)| slots > 0 && links > slots));
+    }
+
+    #[test]
+    fn the_online_sweep_prunes_by_the_threshold_and_audits_clean_after_every_push() {
+        // `bfs::threshold_scenario`: H fills at the fourth push; of the two
+        // prefixes that arrive with it, the one whose optimistic completion
+        // beats the threshold by one step is the answer two pushes later,
+        // its twin one step below is never held.
+        let (graph, late) = threshold_scenario(0);
+        let early = ClusterPath::new((0..4).map(|v| ClusterNodeId::new(v, 0)).collect(), 2.75);
+        let mut online = OnlineStableClusters::new(KlStableParams::new(1, 3), 0);
+        for interval in 0..6 {
+            online.push_interval(graph.interval_parent_edges(interval));
+            let held = online.sweep.audit(online.graph.view(), interval);
+            let twin = ClusterNodeId::new(2, 2);
+            assert!(held.iter().all(|path| path.first() != twin), "{held:?}");
+            let expected = match interval {
+                0..=2 => vec![],
+                3 | 4 => vec![early.clone()],
+                _ => vec![late.clone()],
+            };
+            assert_eq!(online.current_top_k(), expected, "push {interval}");
+        }
     }
 
     #[test]
