@@ -213,7 +213,7 @@ pub fn table3_ablation(scale: Scale) -> Table {
         "m = {m}, n = {n}, d = {d}, g = {g}, k = {k}; identical top-k verified across both"
     ));
     table.push_note(
-        "speedup(flat-table) = clone-based seed (l heaps per node, every candidate kept) / flat heap tables + link arena holding only subpaths that can still become an answer; the subpath row read 9-10x while the tables kept l rows and no bound",
+        "speedup(flat-table) = clone-based seed (l heaps per node, every candidate kept) / flat heap tables + link arena holding only subpaths that can still become an answer; the subpath row read 9-10x while the tables kept l rows and no bound, 25x once they charged 1 per interval to come, and reads what it does since a batch sweep knows every completion in advance",
     );
     table
 }
@@ -231,13 +231,16 @@ pub fn table3_ablation(scale: Scale) -> Table {
 /// calling thread — and `sharded@1/BFS(x)` its cost relative to the BFS
 /// solve timed in the same run: a ratio of two neighbouring measurements,
 /// which is what lets `repro gate` hold it where absolute seconds flap.
-/// Since the sweep holds only subpaths that can still become an answer
-/// (docs/performance.md, "Rows nobody reads") that ratio reads what a window
-/// cannot prune: a window learns its threshold at its last interval, the
-/// whole-graph sweep carries one from the first answer on. The two
-/// `generated(=)` columns are the candidates each side considered
-/// (`paths_generated`): byte-exact, so a lost prune or a floor that stopped
-/// cutting trips the gate whatever the runner's clock does.
+/// Since every batch sweep knows how its subpaths can end (docs/performance.md,
+/// "Completions known in advance") a window prunes from its first interval
+/// like the whole graph does, and that ratio reads what is left: set-up — the
+/// backward pass and the rows of a node, paid once per window the node
+/// appears in, `l + 1` times in all. The `generated(=)` columns are the
+/// candidates each side considered (`paths_generated`), the `held(=)` columns
+/// the subpaths it held at its peak (`peak_resident_paths`; a handful, where
+/// the optimistic bound held thousands): byte-exact, so a loosened bound or a
+/// floor that stopped cutting trips the gate as a count, whatever the
+/// runner's clock does.
 pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
     let n = scale.pick(800, 2_000);
     let (m, d, g, k) = (12usize, 5u32, 1u32, 5usize);
@@ -254,6 +257,8 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
             "shard ranges",
             "BFS generated(=)",
             "windows generated(=)",
+            "BFS held(=)",
+            "windows held(=)",
         ],
     );
     let ratio = |time: Duration, base: Duration| {
@@ -297,13 +302,15 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
             merged.stats.shards.to_string(),
             generated.0.to_string(),
             generated.1.to_string(),
+            base.stats.peak_resident_paths.to_string(),
+            serial.stats.peak_resident_paths.to_string(),
         ]);
     }
     table.push_note(format!(
         "m = {m}, n = {n}, d = {d}, g = {g}, k = {k}; byte-identical top-k verified before timing"
     ));
     table.push_note(
-        "sharded@1/BFS(x) reads what a window cannot prune: the whole-graph sweep drops a subpath whose optimistic completion cannot reach its k-th answer, a window fills its heap only at its last interval (generated(=): candidates considered by each); sharding buys independent shards (own threads, own storage backends), not single-core speed",
+        "sharded@1/BFS(x) reads set-up paid per window: every batch sweep, whole graph or window, knows the best completion of each subpath and its k-th answer's floor before its first interval, so both sides consider little more than their edges (generated(=)) and hold the prefixes of near-answers (held(=), peak_resident_paths: the largest window's); what the ratio has left is the backward pass and row set-up of the l + 1 windows a node appears in; sharding buys independent shards (own threads, own storage backends), not single-core speed",
     );
     table
 }
@@ -1031,7 +1038,10 @@ pub fn baselines(scale: Scale) -> Table {
 
 /// Streaming ablation (Section 4.6): batch BFS recomputation from scratch at
 /// every new interval vs the online algorithm that only processes the new
-/// interval.
+/// interval. The two no longer prune alike: a batch run has every edge of its
+/// prefix graph and bounds a subpath by its best completion, the online sweep
+/// has no edge ahead and charges 1 per interval to come (`bfs.rs` module
+/// docs, rule 3) — the second note prints what each considered and held.
 pub fn streaming_ablation(scale: Scale) -> Table {
     use bsc_core::streaming::OnlineStableClusters;
     let n = scale.pick(200, 1_000);
@@ -1045,8 +1055,8 @@ pub fn streaming_ablation(scale: Scale) -> Table {
     );
 
     // Batch: rebuild the prefix graph and re-run BFS after every interval.
-    let (batch_paths, batch_time) = timed(|| {
-        let mut last = Vec::new();
+    let ((batch_paths, batch_stats), batch_time) = timed(|| {
+        let mut last = Default::default();
         for upto in 2..=m {
             let mut builder = ClusterGraphBuilder::new(graph.gap());
             for interval in 0..upto {
@@ -1058,7 +1068,9 @@ pub fn streaming_ablation(scale: Scale) -> Table {
                 }
             }
             let prefix = builder.build();
-            last = BfsStableClusters::new(params).run(&prefix).unwrap();
+            last = BfsStableClusters::new(params)
+                .run_with_stats(&prefix)
+                .unwrap();
         }
         last
     });
@@ -1072,14 +1084,14 @@ pub fn streaming_ablation(scale: Scale) -> Table {
     // distribution recorded in the shared fixed-bucket histogram (the same
     // helper the query engine's stats endpoint reports from).
     let mut ingest = bsc_util::LatencyHistogram::new();
-    let (online_paths, online_time) = timed(|| {
+    let ((online_paths, online_stats), online_time) = timed(|| {
         let mut online = OnlineStableClusters::new(params, graph.gap());
         for interval in 0..graph.num_intervals() as u32 {
             let parent_edges = graph.interval_parent_edges(interval);
             let (_, push_time) = timed(|| online.push_interval(parent_edges));
             ingest.record(push_time);
         }
-        online.current_top_k()
+        (online.current_top_k(), online.stats())
     });
     table.push_row(vec![
         "online incremental".into(),
@@ -1087,6 +1099,14 @@ pub fn streaming_ablation(scale: Scale) -> Table {
         online_paths.len().to_string(),
     ]);
     table.push_note(format!("m = {m}, n = {n}, d = 5, g = 1, k = 5, l = 3; identical results, incremental avoids re-processing old intervals"));
+    table.push_note(format!(
+        "a batch run knows how every subpath of its graph can end, a stream has no edge ahead: the last batch run considered {} candidates and held {} at its peak, the online sweep {} and {} over the same {m} intervals; batch / online = {:.1}x here — online still wins by not re-reading old intervals, by less at this scale than when both charged 1 per interval to come (the batch side is mostly rebuilding its prefix graphs now), and by more the longer the stream",
+        batch_stats.paths_generated,
+        batch_stats.peak_resident_paths,
+        online_stats.paths_generated,
+        online_stats.peak_resident_paths,
+        batch_time.as_secs_f64() / online_time.as_secs_f64().max(1e-9),
+    ));
     table.push_note(format!(
         "online per-interval ingest latency: {}",
         ingest.summary()

@@ -19,9 +19,10 @@
 //! Footprint estimates are deliberately coarse — deterministic arithmetic
 //! over the shape, not measurements — because the policy must be cheap,
 //! reproducible, and unit-testable at the crossover points. They price the
-//! two layouts paths are held in: BFS's slot tables and link arena, and one
+//! two layouts paths are held in — BFS's slot tables and link arena, and one
 //! `RESIDENT_PATH_BYTES` per path DFS or the normalized solver holds (a
-//! `ClusterPath`, or a candidate and its hop). An unsatisfiable
+//! `ClusterPath`, or a candidate and its hop) — and the completion table a
+//! batch BFS solve holds beside its heaps. An unsatisfiable
 //! budget (even DFS's stack would not fit) is a configuration error,
 //! reported as [`BscError::InvalidConfig`], never a panic.
 
@@ -51,6 +52,9 @@ const BFS_SLOT_BYTES: u64 = 16;
 
 /// Bytes per cell of a BFS link arena: a `ClusterNodeId` and a `u32`.
 const BFS_LINK_BYTES: u64 = 12;
+
+/// Bytes per weight of a BFS completion table: an `f64`.
+const BFS_COMPLETION_BYTES: u64 = 8;
 
 /// The shape parameters of a cluster graph that drive algorithm selection —
 /// the paper's (m, n, d, g) axes, read off a [`GraphView`].
@@ -112,11 +116,15 @@ impl GraphShape {
 /// interval holds up to `n_max` nodes with `l` rows of `k` subpaths, each a
 /// slot and a link cell in flat arrays; the slots stay for a sliding window
 /// of `g + 2` intervals, the link cells for the `l + g + 1` intervals a
-/// held chain can reach back through. An upper bound, left there on purpose:
-/// the sweep holds at most `l − 1` rows per node (see [`crate::bfs`]) and
-/// fewer once its bounds cut, but what they cut depends on the weights, which
-/// a [`GraphShape`] does not see, and re-pricing the row alone would move
-/// budgeted `auto` choices.
+/// held chain can reach back through. An upper bound on the heaps, left there
+/// on purpose: the sweep holds at most `l − 1` rows per node (see
+/// [`crate::bfs`]) and, knowing how every subpath can end, a handful of slots
+/// in all, but what its bounds cut depends on the weights, which a
+/// [`GraphShape`] does not see, and re-pricing the row alone would move
+/// budgeted `auto` choices. Beside the heaps a batch solve holds its
+/// completion table, the one part that grows with the whole view: every node
+/// has a weight for each length it can be asked for, at most
+/// `min(l, m − l)` — one for full paths and inside a start window.
 pub fn bfs_resident_bytes(shape: &GraphShape, k: usize, l: u64) -> u64 {
     let l = l.max(1);
     let window = u64::from(shape.gap) + 2;
@@ -125,11 +133,17 @@ pub fn bfs_resident_bytes(shape: &GraphShape, k: usize, l: u64) -> u64 {
             .saturating_add(l)
             .saturating_mul(BFS_LINK_BYTES),
     );
-    shape
+    let heaps = shape
         .max_interval_nodes
         .saturating_mul(l)
         .saturating_mul(k as u64)
-        .saturating_mul(per_path)
+        .saturating_mul(per_path);
+    let asked = l.min((shape.num_intervals as u64).saturating_sub(l));
+    let completions = shape
+        .num_nodes
+        .saturating_mul(asked)
+        .saturating_mul(BFS_COMPLETION_BYTES);
+    heaps.saturating_add(completions)
 }
 
 /// Estimated resident footprint of the TA adaptation: both sorted edge-list
@@ -369,6 +383,31 @@ mod tests {
         let choice =
             choose_algorithm(&shape, StableClusterSpec::ExactLength(2), 20, Some(budget)).unwrap();
         assert_eq!(choice, AlgorithmKind::Dfs);
+    }
+
+    #[test]
+    fn the_completion_table_is_priced_beside_the_heaps() {
+        // The one term that grows with the whole view: a weight per node and
+        // length it can be asked for — one for full paths, `min(l, m − l)`
+        // at most, none for a length the view cannot hold.
+        let shape = table3_shape(1000);
+        let heaps = |l| {
+            bfs_resident_bytes(
+                &GraphShape {
+                    num_nodes: 0,
+                    ..shape
+                },
+                5,
+                l,
+            )
+        };
+        let table = |l| bfs_resident_bytes(&shape, 5, l) - heaps(l);
+        assert_eq!(table(999), 150_000 * 8);
+        assert_eq!(table(10), 150_000 * 8 * 10);
+        assert_eq!(table(600), 150_000 * 8 * 400);
+        assert_eq!(table(1000), 0);
+        // It is what a budget meets first on a long stream.
+        assert!(table(10) > heaps(10));
     }
 
     #[test]

@@ -23,15 +23,30 @@
 //!   (`problem::shortest_feasible`) is not considered: a full-path query
 //!   keeps only subpaths from the view's first interval. A stream has no
 //!   last interval, so the online driver keeps every length.
-//! * *The optimistic completion must reach `H`.* Edge weights lie in
-//!   `(0, 1]`, so a subpath of length `x` and weight `w` completes to at most
-//!   `w + (l − x)`; below `H`'s admission threshold it is considered but not
-//!   held (`problem::can_still_reach`, the `CanPrune` bound of the paper's
-//!   DFS). The threshold only rises, so what it rules out could not have
-//!   entered later — online as in batch. It is read once per node, before
-//!   the rows are sized, so sizing and filling agree and the work done does
-//!   not depend on the order of a node's parents. While `H` has room — all
-//!   of a start window, whose answers end at its last interval — it is inert.
+//! * *The best completion must reach `H`.* A subpath of length `x` and
+//!   weight `w` that ends at `c` grows into nothing heavier than `w` plus the
+//!   best path of length `l − x` leaving `c`; below the k-th answer it is
+//!   considered but not held (`problem::can_still_reach`). Who knows that
+//!   best path depends on who has seen the edges ahead. A batch driver has
+//!   them all: before it sweeps, one backward relaxation over
+//!   [`GraphView::parents`] (`Completions`, private to this module) gives
+//!   every node `c` of the view `C[c][r]`, the heaviest path of length
+//!   exactly `r` leaving `c` inside the view, for each `r` a prefix ending at
+//!   `c` can ask for — the `startwts` of the paper's TA adaptation, per
+//!   length — and `θ₀`, the k-th largest `C[c][l]`: `k` distinct starts are
+//!   `k` distinct paths, so the k-th answer weighs at least `θ₀` and the
+//!   threshold `max(θ₀, H's)` stands before the first interval is swept —
+//!   in a start window as in a whole graph. What such a
+//!   sweep holds is the prefixes of near-answers: a handful of slots where
+//!   the paper's heaps hold `k` per node and length. A stream has no edge
+//!   ahead, so the online driver charges 1.0 per interval still to span
+//!   (weights lie in `(0, 1]`; the `CanPrune` bound of the paper's DFS)
+//!   against `H`'s threshold alone, and holds far more. Either threshold only
+//!   rises, so what it rules out could not have entered later. It is read
+//!   once per node, so the work done does not depend on the order of a node's
+//!   parents. With all weights equal every completion ties the k-th answer,
+//!   nothing is cut, and a batch solve costs the optimistic one plus the
+//!   backward pass.
 //!
 //! That pass is written once, as the crate-private `IntervalSweep`: its
 //! state is the heaps of the intervals already swept, the global heap and
@@ -39,8 +54,9 @@
 //! heaps from [`GraphView::parents`]. Everything that runs Algorithm 2
 //! is a driver of that step:
 //!
-//! * batch BFS ([`BfsStableClusters`]) advances over the intervals of its
-//!   view — a window is swept in place, lengths counted from its first;
+//! * batch BFS ([`BfsStableClusters`]) looks ahead, then advances over the
+//!   intervals of its view — a window is swept in place, lengths counted
+//!   from its first;
 //! * the online solver of Section 4.6
 //!   ([`OnlineStableClusters`](crate::streaming::OnlineStableClusters))
 //!   appends an interval to its graph and advances over it;
@@ -62,15 +78,23 @@
 //! admits the candidate, and a candidate that evicts a row's worst subpath
 //! takes over that subpath's cell, so an arena holds exactly the links of
 //! the slots that survive. Nothing in the sweep is allocated per candidate,
-//! per heap or per node: a row is sized before it is filled, to
-//! `min(k, candidates it will be offered)`; an interval's table is three
-//! vectors, recycled from the table that has just fallen out of reach. The
+//! per heap or per node: a node's parents are walked once, the candidates
+//! that pass the rules above wait in one reused buffer, and a row is sized
+//! before it is filled, to `min(k, candidates waiting for it)`; an interval's
+//! table is three vectors, recycled from the table that has just fallen out
+//! of reach. The
 //! rows of an interval are kept for `g + 1` further intervals (its possible
 //! children), its link cells for `l + g` (the reach of a chain held by those
-//! children), so what a sweep retains is bounded by `l` and `g` however long
-//! the online driver keeps it alive. Only the global heap `H` holds
-//! materialized [`ClusterPath`]s — built behind its `would_admit` check —
-//! so an answer never points into a table.
+//! children), so what a sweep retains in heaps is bounded by `l` and `g`
+//! however long the online driver keeps it alive. A batch solve holds its
+//! completion table beside them, and that is sized by the view: a node has a
+//! weight for each length it can be asked for, at most `min(l, last − l + 1)`
+//! of them — one for full paths and inside a start window, 86 KB for
+//! 12 × 300 nodes at `l = 6`, a fraction of the view's own adjacency — and
+//! none is sized by `k`. It is allocated once (a table the allocator refuses
+//! is the query's error, not an abort) and dropped with the sweep. Only the
+//! global heap `H` holds materialized [`ClusterPath`]s — built behind its
+//! `would_admit` check — so an answer never points into a table.
 //!
 //! The sweep is sequential. A solve uses more than one core through shard
 //! ranges (`docs/sharding.md`, "How a solve uses cores"), never inside one
@@ -82,6 +106,7 @@ use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::ops::Range;
 
+use bsc_graph::csr::prefix_offsets;
 use bsc_storage::backend::StorageSpec;
 use bsc_storage::node_store::NodeStore;
 use bsc_util::cancel::CancelToken;
@@ -448,10 +473,11 @@ impl HeapWindow for Ring {
         let rows = rows_per_node(self.l, parent.interval - self.first);
         let first = parent.index as usize * rows;
         let end = first + rows;
-        Ok(if end < table.starts.len() {
-            first..end
-        } else {
-            0..0
+        // Rows that hold no slot read as no rows: the sweep then tests the
+        // parent's bare edge and visits none of its empty rows.
+        Ok(match table.starts.get(end) {
+            Some(&stop) if stop > table.starts[first] => first..end,
+            _ => 0..0,
         })
     }
 
@@ -562,6 +588,165 @@ impl HeapWindow for Stored {
     }
 }
 
+/// What a batch driver knows of the intervals its sweep has yet to reach
+/// (module docs, rule 3): how deep the last one lies, and how every subpath
+/// can end. `best` is the table `C[c][r]` — the largest weight of a path of
+/// length exactly `r` that leaves `c` inside the view, `−∞` where there is
+/// none — filled by one backward relaxation over [`GraphView::parents`], each
+/// sum built right to left. A node has a weight only for the `r` it can be
+/// asked for ([`Completions::lengths`]): at most `min(l, last − l + 1)` of
+/// them, one for full paths and inside a start window. Dropped with the
+/// sweep.
+pub(crate) struct Completions {
+    first: u32,
+    /// How many intervals into the view its last one lies.
+    last: u32,
+    /// Per interval of the view, where its nodes' weights lie in `best`.
+    asked: Vec<Asked>,
+    /// `C[c][r]`, a node's weights adjacent, by `r − shortest`.
+    best: Vec<f64>,
+    /// `θ₀`: the k-th largest `C[c][l]` over the view's nodes, `−∞` when
+    /// fewer than `k` of them start a length-`l` path. `k` distinct starts
+    /// are `k` distinct paths, so the final k-th answer weighs at least this
+    /// (within [`can_still_reach`]'s slack) before anything is swept.
+    floor: f64,
+}
+
+/// The weights of one interval's nodes in [`Completions::best`]: node
+/// `index` has `width` of them from `at + index · width` on, for the lengths
+/// `shortest..shortest + width`.
+#[derive(Clone, Copy)]
+struct Asked {
+    at: usize,
+    shortest: u32,
+    width: u32,
+}
+
+/// A completion table the allocator will not give.
+fn completions_overflow(weights: usize) -> BscError {
+    BscError::InvalidConfig(format!(
+        "the BFS completion table of this query would hold {weights} weights; ask for shards \
+         (a window's table holds one weight per node) or a length nearer full paths"
+    ))
+}
+
+impl Completions {
+    /// The lengths `r` asked of a node `depth` intervals into a view whose
+    /// last interval lies `last` in. A prefix that ends there started inside
+    /// the view, so it is at most `depth` long and asks for `r ≥ l − depth`;
+    /// what it asks for must fit before the last interval, `r ≤ last − depth`;
+    /// and `θ₀` reads `r = l`. None where no subpath is ever held (`l = 1`) or
+    /// none fits (`l > last`), so such an `l` sizes nothing.
+    fn lengths(l: u32, depth: u32, last: u32) -> Range<u32> {
+        if l < 2 {
+            return 0..0;
+        }
+        let shortest = l.saturating_sub(depth).max(1);
+        shortest..(l.min(last - depth) + 1).max(shortest)
+    }
+
+    /// Relax every edge of `view` once, last interval first, for the lengths
+    /// asked of its parent that it can be the first edge of: one `r` per
+    /// edge for full paths and start windows, at most `l` otherwise. The
+    /// checkpoints count on `tick`, the sweep's own.
+    fn of(
+        view: GraphView<'_>,
+        params: KlStableParams,
+        cancel: Option<&CancelToken>,
+        tick: &mut u32,
+    ) -> BscResult<Completions> {
+        let KlStableParams { k, l } = params;
+        let first = view.first_interval();
+        let last = (view.num_intervals() as u32).saturating_sub(1);
+        let lengths = |interval: u32| Completions::lengths(l, interval - first, last);
+        let weights =
+            |interval| view.nodes_in_interval(interval) as usize * lengths(interval).len();
+        let offsets = prefix_offsets(&view.intervals().map(weights).collect::<Vec<_>>());
+        let layout = |(interval, &at)| Asked {
+            at,
+            shortest: lengths(interval).start,
+            width: lengths(interval).len() as u32,
+        };
+        let total = offsets.last().copied().unwrap_or(0);
+        let mut ahead = Completions {
+            first,
+            last,
+            asked: view.intervals().zip(&offsets).map(layout).collect(),
+            best: Completions::blank(total)?,
+            floor: f64::NEG_INFINITY,
+        };
+        if total == 0 {
+            return Ok(ahead);
+        }
+        // `C[c][l]` of every node that starts a length-`l` path: one value
+        // per node at most, whatever `k` is.
+        let mut whole = Vec::new();
+        for interval in view.intervals().rev() {
+            let depth = interval - first;
+            let mine = ahead.asked[depth as usize];
+            for index in 0..view.nodes_in_interval(interval) {
+                if let Some(token) = cancel {
+                    if token.checkpoint(tick) {
+                        return Err(deadline_error(token));
+                    }
+                }
+                // Every edge leaving `child` has been relaxed: its weights
+                // are final, `C[child][l]` the last of them if it is asked.
+                let child = ClusterNodeId::new(interval, index);
+                let child_row = mine.row(index);
+                if mine.shortest + mine.width > l {
+                    let weight = ahead.best[child_row + mine.width as usize - 1];
+                    if weight > f64::NEG_INFINITY {
+                        whole.push(weight);
+                    }
+                }
+                for edge in view.parents(child) {
+                    let len = ClusterGraph::edge_length(edge.to, child);
+                    let theirs = ahead.asked[(depth - len) as usize];
+                    let parent_row = theirs.row(edge.to.index);
+                    for r in theirs.shortest.max(len)..theirs.shortest + theirs.width {
+                        // `r − len ≥ l − depth` and fits behind `child`: asked.
+                        let rest = match r - len {
+                            0 => 0.0,
+                            rest => ahead.best[child_row + (rest - mine.shortest) as usize],
+                        };
+                        let through = &mut ahead.best[parent_row + (r - theirs.shortest) as usize];
+                        *through = through.max(edge.weight + rest);
+                    }
+                }
+            }
+        }
+        if let Some(kth) = k.checked_sub(1).filter(|&kth| kth < whole.len()) {
+            ahead.floor = *whole.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1;
+        }
+        Ok(ahead)
+    }
+
+    /// `total` weights of `−∞`, or an error — not an abort — where the
+    /// allocator will not give them.
+    fn blank(total: usize) -> BscResult<Vec<f64>> {
+        let mut best = Vec::new();
+        let room = best.try_reserve_exact(total);
+        room.map_err(|_| completions_overflow(total))?;
+        best.resize(total, f64::NEG_INFINITY);
+        Ok(best)
+    }
+
+    /// The shortest length asked of `node`, and `C[node][r]` from it on.
+    fn leaving(&self, node: ClusterNodeId) -> (u32, &[f64]) {
+        let asked = self.asked[(node.interval - self.first) as usize];
+        let row = asked.row(node.index);
+        (asked.shortest, &self.best[row..row + asked.width as usize])
+    }
+}
+
+impl Asked {
+    /// Where the weights of the interval's node `index` start.
+    fn row(self, index: u32) -> usize {
+        self.at + index as usize * self.width as usize
+    }
+}
+
 /// Algorithm 2 as a resumable pass: the rows of the intervals swept so far
 /// (in `W`), the global top-k of length-`l` paths, and the counters.
 /// [`IntervalSweep::advance`] is the only place the algorithm's inner loop
@@ -569,17 +754,17 @@ impl HeapWindow for Stored {
 pub(crate) struct IntervalSweep<W = Ring> {
     k: usize,
     l: u32,
-    /// How many intervals into the view the last one it will sweep lies;
-    /// `None` when nobody knows (a stream has no last interval). It decides
+    /// What the driver knows of the intervals to come; `None` when nobody
+    /// does (a stream has no last interval, and no edge ahead). It decides
     /// the work done, never the answer.
-    last: Option<u32>,
+    ahead: Option<Completions>,
     window: W,
     /// The rows of the node in progress.
     rows: Table,
-    /// Per parent edge of the node in progress, what [`HeapWindow::load`]
-    /// answered.
-    loaded: Vec<Range<usize>>,
-    /// Per row of the node in progress, the candidates it will be offered.
+    /// The candidates of the node in progress that its rows will be
+    /// offered, as `(row, weight, link)`.
+    pending: Vec<(usize, f64, Link)>,
+    /// Per row of the node in progress, how many of them.
     room: Vec<usize>,
     /// Materialized, so the answer never points into a table.
     global: TopKPaths,
@@ -623,7 +808,8 @@ impl IntervalSweep<Ring> {
     /// says; no row below the feasibility floor holds anything. Returns
     /// every held path.
     pub(crate) fn audit(&mut self, view: GraphView<'_>, swept: u32) -> Vec<ClusterPath> {
-        let (l, last, first) = (self.l, self.last, view.first_interval());
+        let (l, first) = (self.l, view.first_interval());
+        let last = self.ahead.as_ref().map(|ahead| ahead.last);
         let mut held = Vec::new();
         for interval in first..=swept {
             let depth = interval - first;
@@ -668,19 +854,27 @@ const STEP: f64 = 1.0 / (1u64 << 40) as f64;
 ///
 /// ```text
 /// v0    v1    v2    v3    v4    v5
-/// a ─1─ a ─1─ a ─¾─ a                  fills H at v3: θ = 2.75
-///             b ─¾+STEP─ b ─1─ b ─1─ b   bound θ + STEP: the answer, 2.75 + STEP
-///             c ─¾−STEP─ c ─1─ c ─1─ c   bound θ − STEP: dropped at v3
+/// a ─1─ a ─1─ a ─¾─ a                      2.75, complete at v3
+///             b ─¾+STEP─ b ─1─ b ─1─ b   2.75 + STEP: the answer
+///             c ─¾−STEP─ c ─1─ c ─1─ c   2.75 − STEP
 /// ```
+///
+/// A driver that cannot see ahead (`streaming.rs`) fills `H` with lane `a` at
+/// v3, θ = 2.75, and charges 1 per interval to come: `b`'s edge at v3 may
+/// reach θ + STEP and is held, `c`'s θ − STEP and is not. A batch driver
+/// knows θ₀ = 2.75 + STEP before v0 and how every lane ends: `b` meets θ₀
+/// exactly and is held all the way, `a` misses it by one step, `c` by two,
+/// and neither is ever held.
 ///
 /// With `offset > 0` the earlier intervals hold a chain of weight-1 edges
 /// into `a` at v0 that beats everything — unless the view starts at
-/// `offset`. Swept as a whole (`last = 5`), the candidates considered are:
-/// v1 1 (the edge); v2 2 (edge, a-a-a); v3 `a` 3 (lengths 1, 2 and the
-/// answer-to-be of length 3), `b` 1, `c` 1 (considered, not held); v4 `b` 1
-/// (length 2; the bare edge can no longer fit), `c` 0 (its parent holds
-/// nothing); v5 `b` 1 (into `H`), `c` 0: 10 in all. Without the bound `c`
-/// would add one at v4 and one at v5. Returned with the answer, lane `b`.
+/// `offset`. Swept as a whole by the batch driver, the candidates considered
+/// are: v1 1 (the edge; it ends at 2.75 at best); v2 1 (the edge, which ends
+/// nowhere — no a-a-a, its parent holds nothing); v3 `a` 1, `b` 1 (held),
+/// `c` 1; v4 `b` 1 (length 2; the bare edge can no longer fit), `c` 0 (its
+/// parent holds nothing); v5 `b` 1 (into `H`), `c` 0: 7 in all. Charging 1
+/// per interval to come considered 10: a-a-a at v2, lengths 2 and 3 at `a`
+/// of v3. Returned with the answer, lane `b`.
 #[cfg(test)]
 pub(crate) fn threshold_scenario(offset: u32) -> (ClusterGraph, ClusterPath) {
     use crate::cluster_graph::ClusterGraphBuilder;
@@ -709,14 +903,16 @@ pub(crate) fn threshold_scenario(offset: u32) -> (ClusterGraph, ClusterPath) {
 }
 
 impl<W: HeapWindow> IntervalSweep<W> {
-    pub(crate) fn new(params: KlStableParams, last: Option<u32>, window: W) -> Self {
+    /// A sweep that knows nothing of the intervals to come; a driver that
+    /// does says so before it advances ([`IntervalSweep::run`]).
+    pub(crate) fn new(params: KlStableParams, window: W) -> Self {
         IntervalSweep {
             k: params.k,
             l: params.l,
-            last,
+            ahead: None,
             window,
             rows: Table::new(),
-            loaded: Vec::new(),
+            pending: Vec::new(),
             room: Vec::new(),
             global: TopKPaths::new(params.k),
             stats: SolverStats::default(),
@@ -727,10 +923,11 @@ impl<W: HeapWindow> IntervalSweep<W> {
     /// Sweep `interval` of `view`: compute the heaps `h^x` of each of its
     /// nodes from its parents' heaps and offer every length-`l` path to the
     /// global heap. A shorter subpath is held only if it can still become an
-    /// answer (module docs): it fits before the last interval, and its
-    /// optimistic completion reaches the global heap's threshold. Intervals
-    /// must be swept in order, each once; a failed sweep (`cancel` tripped,
-    /// storage error) is not resumable.
+    /// answer (module docs): it fits before the last interval, and its best
+    /// completion — the best that exists, for a driver that has seen the
+    /// edges ahead — reaches the k-th answer. Intervals must be swept in
+    /// order, each once; a failed sweep (`cancel` tripped, storage error) is
+    /// not resumable.
     pub(crate) fn advance(
         &mut self,
         view: GraphView<'_>,
@@ -745,9 +942,9 @@ impl<W: HeapWindow> IntervalSweep<W> {
         // The lengths `total` a parent `len` intervals back extends its
         // held lengths `x` to (`x = 0`: the edge itself), as `(x, total)`:
         // up to `l`, and from the shortest that still fits before `last`.
-        let floor = self
-            .last
-            .map_or(0, |last| shortest_feasible(l, depth, last));
+        let ahead = self.ahead.as_ref();
+        let floor = ahead.map_or(0, |ahead| shortest_feasible(l, depth, ahead.last));
+        let known = ahead.map_or(f64::NEG_INFINITY, |ahead| ahead.floor);
         let extended_lengths = move |len: u32, rows: &Range<usize>| {
             (floor.saturating_sub(len) as usize..=rows.len())
                 .map(move |x| (x, x as u32 + len))
@@ -761,19 +958,29 @@ impl<W: HeapWindow> IntervalSweep<W> {
             }
             let node = ClusterNodeId::new(interval, index);
             let parents = view.parents(node);
-            // Read once per node: both passes below decide by the same
-            // threshold whatever this node adds to `H` in between, so rows
-            // come out full and the count does not depend on parent order.
-            // The threshold only rises, so what it rules out stays out.
-            let min_k = self.global.admission_threshold();
-            let reaches = move |total: u32, weight: f64| can_still_reach(l, total, weight, min_k);
+            // Read once per node: every parent is judged by the same
+            // threshold whatever this node adds to `H` meanwhile, so the
+            // count does not depend on parent order. The threshold only
+            // rises, so what it rules out stays out.
+            let min_k = self.global.admission_threshold().max(known);
+            // The rest of a subpath `total` long: the best that leaves this
+            // node, or for want of a table 1.0 per interval still to span.
+            let leaving = ahead.map(|ahead| ahead.leaving(node));
+            let reaches = move |total: u32, weight: f64| {
+                let rest = l - total;
+                let completion = leaving.map_or(f64::from(rest), |(shortest, best)| {
+                    best[(rest - shortest) as usize]
+                });
+                can_still_reach(l, weight, completion, min_k)
+            };
 
-            // Size the rows: a row is offered one candidate per prefix its
-            // parents hold for it, and never needs more than k slots.
-            self.loaded.clear();
+            // One pass over the parents: count every candidate, offer the
+            // length-`l` ones to `H`, and set the shorter ones that reach
+            // aside — few, with the completions known — to size the rows by.
+            self.pending.clear();
             self.room.clear();
             self.room.resize(rows_per_node(l, depth), 0);
-            for parent_edge in parents.clone() {
+            for parent_edge in parents {
                 let parent = parent_edge.to;
                 let weight = parent_edge.weight;
                 let len = ClusterGraph::edge_length(parent, node);
@@ -784,30 +991,8 @@ impl<W: HeapWindow> IntervalSweep<W> {
                     self.window.load(parent)?
                 };
                 let held = self.window.table(parent.interval);
-                for (x, total) in extended_lengths(len, &rows).take_while(|&(_, total)| total < l) {
-                    let prefixes = held.prefixes(&rows, x);
-                    // While `H` has room every candidate reaches its −∞.
-                    let reaching = if min_k == f64::NEG_INFINITY {
-                        prefixes.len()
-                    } else {
-                        let extended = prefixes.iter().map(|prefix| prefix.weight + weight);
-                        extended.filter(|&weight| reaches(total, weight)).count()
-                    };
-                    let room = &mut self.room[total as usize - 1];
-                    *room = room.saturating_add(reaching);
-                }
-                self.loaded.push(rows);
-            }
-            self.room.iter_mut().for_each(|room| *room = k.min(*room));
-            self.rows.lay_out(&self.room)?;
-
-            for (parent_edge, rows) in parents.zip(&self.loaded) {
-                let parent = parent_edge.to;
-                let weight = parent_edge.weight;
-                let len = ClusterGraph::edge_length(parent, node);
-                let held = self.window.table(parent.interval);
-                for (x, total) in extended_lengths(len, rows) {
-                    for prefix in held.prefixes(rows, x) {
+                for (x, total) in extended_lengths(len, &rows) {
+                    for prefix in held.prefixes(&rows, x) {
                         self.stats.paths_generated += 1;
                         let extended_weight = prefix.weight + weight;
                         let extended = Link {
@@ -824,12 +1009,18 @@ impl<W: HeapWindow> IntervalSweep<W> {
                             }
                         } else if reaches(total, extended_weight) {
                             let row = total as usize - 1;
-                            if self.rows.would_admit(row, extended_weight) {
-                                self.rows
-                                    .offer(&self.window, row, extended_weight, extended);
-                            }
+                            self.room[row] += 1;
+                            self.pending.push((row, extended_weight, extended));
                         }
                     }
+                }
+            }
+            // A row never needs more than k slots.
+            self.room.iter_mut().for_each(|room| *room = k.min(*room));
+            self.rows.lay_out(&self.room)?;
+            for &(row, weight, link) in &self.pending {
+                if self.rows.would_admit(row, weight) {
+                    self.rows.offer(&self.window, row, weight, link);
                 }
             }
             // A finished row is full: a blank slot would read as a prefix.
@@ -848,16 +1039,25 @@ impl<W: HeapWindow> IntervalSweep<W> {
         self.global.clone().into_sorted()
     }
 
-    /// Batch BFS: sweep every interval of `view`.
+    /// What the sweep has counted so far (as [`BfsStableClusters::run_with_stats`]).
+    pub(crate) fn stats(&self) -> SolverStats {
+        self.stats
+    }
+
+    /// Batch BFS: learn how every subpath of `view` can end, then sweep its
+    /// intervals.
     fn run(
-        mut self,
+        params: KlStableParams,
         view: GraphView<'_>,
+        window: W,
         cancel: Option<&CancelToken>,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
+        let mut sweep = IntervalSweep::new(params, window);
+        sweep.ahead = Some(Completions::of(view, params, cancel, &mut sweep.tick)?);
         for interval in view.intervals() {
-            self.advance(view, interval, cancel)?;
+            sweep.advance(view, interval, cancel)?;
         }
-        Ok((self.global.into_sorted(), self.stats))
+        Ok((sweep.global.into_sorted(), sweep.stats))
     }
 }
 
@@ -930,18 +1130,15 @@ impl BfsStableClusters {
         if k == 0 || l == 0 || m < 2 {
             return Ok((Vec::new(), SolverStats::default()));
         }
-        let last = Some(m - 1);
         match self.config.storage {
             Some(spec) => {
                 let window = Stored {
                     store: NodeStore::temp(spec, "bsc-bfs")?,
                     parents: Table::new(),
                 };
-                IntervalSweep::new(self.params, last, window).run(graph, cancel)
+                IntervalSweep::run(self.params, graph, window, cancel)
             }
-            None => {
-                IntervalSweep::new(self.params, last, Ring::new(graph.gap(), l)).run(graph, cancel)
-            }
+            None => IntervalSweep::run(self.params, graph, Ring::new(graph.gap(), l), cancel),
         }
     }
 }
@@ -964,6 +1161,7 @@ impl StableClusterSolver for BfsStableClusters {
 mod tests {
     use super::*;
     use crate::cluster_graph::ClusterGraphBuilder;
+    use crate::problem::summation_slack;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 
     fn node(interval: u32, index: u32) -> ClusterNodeId {
@@ -1104,37 +1302,136 @@ mod tests {
         }
     }
 
+    /// What a batch driver learns before it sweeps.
+    fn ahead_of(view: GraphView<'_>, params: KlStableParams) -> Completions {
+        Completions::of(view, params, None, &mut 0).unwrap()
+    }
+
+    /// `C[node][r]`, for an `r` asked of `node`.
+    fn completion(ahead: &Completions, node: ClusterNodeId, r: u32) -> f64 {
+        let (shortest, best) = ahead.leaving(node);
+        best[(r - shortest) as usize]
+    }
+
+    /// Every path of `view`, each summed left to right as the sweep sums it.
+    fn every_path(view: GraphView<'_>) -> Vec<ClusterPath> {
+        let nodes = view.intervals().flat_map(|i| view.interval_node_ids(i));
+        let mut paths: Vec<ClusterPath> = nodes.map(ClusterPath::singleton).collect();
+        let mut grown = 0;
+        while grown < paths.len() {
+            let path = paths[grown].clone();
+            let longer = view.children(path.last());
+            paths.extend(longer.map(|edge| path.extend(edge.to, edge.weight)));
+            grown += 1;
+        }
+        paths
+    }
+
     #[test]
     fn every_held_subpath_is_a_path_that_can_still_become_an_answer() {
-        // Small k and l < m − 1 fill H early, so the bound is at work; the
-        // audit runs after every interval, with the last interval known
-        // (batch) and unknown (online).
+        // The audit runs after every interval, with the intervals ahead known
+        // (batch) and unknown (online), over whole graphs and a window that
+        // has edges crossing both of its ends; every path of the view,
+        // enumerated, is what the table, θ₀ and the answers are held against.
         for gap in [0, 1, 2] {
             let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
-                num_intervals: 7,
+                num_intervals: 8,
                 nodes_per_interval: 9,
                 avg_out_degree: 3,
                 gap,
                 seed: 31 + u64::from(gap),
             })
             .generate();
-            let last = graph.num_intervals() as u32 - 1;
-            for l in 1..=last {
-                for k in [1, 3] {
-                    let params = KlStableParams::new(k, l);
-                    let mut answers = Vec::new();
-                    for last in [Some(last), None] {
-                        let mut sweep = IntervalSweep::new(params, last, Ring::new(gap, l));
-                        let mut held = 0;
-                        for interval in graph.view().intervals() {
-                            sweep.advance(graph.view(), interval, None).unwrap();
-                            held += sweep.audit(graph.view(), interval).len();
+            for view in [graph.view(), graph.window(2, 6)] {
+                let paths = every_path(view);
+                // The heaviest path of each length leaving each node.
+                let mut heaviest = std::collections::HashMap::new();
+                for path in &paths {
+                    let best = heaviest
+                        .entry((path.first(), path.length()))
+                        .or_insert(f64::NEG_INFINITY);
+                    *best = path.weight().max(*best);
+                }
+                let first = view.first_interval();
+                let last = view.num_intervals() as u32 - 1;
+                for l in 1..=last.min(6) {
+                    let slack = summation_slack(l);
+                    for k in [1, 3] {
+                        let params = KlStableParams::new(k, l);
+                        let case = format!("gap={gap} first={first} l={l} k={k}");
+                        let mut exhaustive = TopKPaths::new(k);
+                        for path in paths.iter().filter(|path| path.length() == l) {
+                            exhaustive.offer_by_weight(path.clone());
                         }
-                        assert_eq!(held == 0, l == 1, "gap={gap} l={l} k={k} {last:?}");
-                        answers.push(sweep.top_k());
+                        let exhaustive = exhaustive.into_sorted();
+                        assert!(!exhaustive.is_empty(), "{case}");
+
+                        // The table against the enumeration: the best path of
+                        // each length asked of each node, −∞ exactly where
+                        // there is none, and no weight for a length nobody
+                        // asks — shorter than `l − depth`, or too long to fit.
+                        // No table for `l = 1`, where no prefix is held to ask.
+                        let ahead = ahead_of(view, params);
+                        for node in view.intervals().flat_map(|i| view.interval_node_ids(i)) {
+                            let depth = node.interval - first;
+                            let fits = l.saturating_sub(depth).max(1)..=l.min(last - depth);
+                            let expected = (1..=l).filter(|r| l > 1 && fits.contains(r));
+                            let (shortest, weights) = ahead.leaving(node);
+                            let asked = shortest..shortest + weights.len() as u32;
+                            assert!(
+                                asked.is_empty() || asked.clone().eq(expected.clone()),
+                                "{case}: {node} is asked {asked:?}"
+                            );
+                            assert_eq!(asked.len(), expected.count(), "{case}: {node}");
+                            assert!(asked.len() as u32 <= l.min(last - l + 1), "{case}");
+                            for r in asked {
+                                let none = f64::NEG_INFINITY;
+                                let leaving = heaviest.get(&(node, r)).copied().unwrap_or(none);
+                                let table = completion(&ahead, node, r);
+                                assert!(
+                                    table == leaving || (table - leaving).abs() <= slack,
+                                    "{case}: C[{node}][{r}] = {table}, enumerated {leaving}"
+                                );
+                            }
+                        }
+                        match exhaustive.get(k - 1) {
+                            Some(kth) => assert!(ahead.floor <= kth.weight() + slack, "{case}"),
+                            None => assert_eq!(ahead.floor, f64::NEG_INFINITY, "{case}"),
+                        }
+                        assert_eq!(ahead.floor.is_finite(), l > 1, "{case}");
+
+                        for ahead in [Some(ahead), None] {
+                            let batch = ahead.is_some();
+                            let mut sweep = IntervalSweep::new(params, Ring::new(gap, l));
+                            sweep.ahead = ahead;
+                            let mut held = 0;
+                            for interval in view.intervals() {
+                                let before = sweep.global.admission_threshold();
+                                sweep.advance(view, interval, None).unwrap();
+                                held += sweep.audit(view, interval).len();
+                                // What the interval holds passed the rule as
+                                // it stood when the interval was opened.
+                                for node in view.interval_node_ids(interval) {
+                                    for path in sweep.held(node).into_iter().flatten() {
+                                        let rest = l - path.length();
+                                        let (completion, min_k) = match &sweep.ahead {
+                                            Some(ahead) => (
+                                                completion(ahead, node, rest),
+                                                before.max(ahead.floor),
+                                            ),
+                                            None => (f64::from(rest), before),
+                                        };
+                                        assert!(
+                                            can_still_reach(l, path.weight(), completion, min_k),
+                                            "{case} batch={batch}: {path:?} is held"
+                                        );
+                                    }
+                                }
+                            }
+                            assert_eq!(held == 0, l == 1, "{case} batch={batch}");
+                            assert_eq!(sweep.top_k(), exhaustive, "{case} batch={batch}");
+                        }
                     }
-                    assert!(!answers[0].is_empty(), "gap={gap} l={l} k={k}");
-                    assert_eq!(answers[0], answers[1], "gap={gap} l={l} k={k}");
                 }
             }
         }
@@ -1159,26 +1456,91 @@ mod tests {
                 .unwrap();
             assert_eq!(paths, std::slice::from_ref(answer), "{config:?}");
             // Hand-counted in `threshold_scenario`'s docs.
-            assert_eq!(stats.paths_generated, 10, "{config:?}");
+            assert_eq!(stats.paths_generated, 7, "{config:?}");
             assert_eq!(stats.nodes_processed, 12, "{config:?}");
         }
         // The whole shifted graph sees the chain its window does not.
         let whole = BfsStableClusters::new(params).run(&shifted).unwrap();
         assert_eq!(whole[0].weight(), 3.0);
 
-        // The twin is considered once, at v3, and never held.
-        let mut sweep = IntervalSweep::new(params, Some(5), Ring::new(0, 3));
+        // Lane `a`, one step short of θ₀, and the twin are never held.
+        let ahead = ahead_of(graph.view(), params);
+        assert_eq!(ahead.floor, 2.75 + STEP);
+        let mut sweep = IntervalSweep::new(params, Ring::new(0, 3));
+        sweep.ahead = Some(ahead);
         for interval in graph.view().intervals() {
             sweep.advance(graph.view(), interval, None).unwrap();
             let held = sweep.audit(graph.view(), interval);
-            assert!(held.iter().all(|path| path.first() != node(2, 2)));
+            assert!(held.iter().all(|path| path.first() == node(2, 1)));
             if interval == 3 {
                 let kept = ClusterPath::new(vec![node(2, 1), node(3, 1)], 0.75 + STEP);
                 assert_eq!(sweep.held(node(3, 1)), [vec![kept], vec![]]);
-                assert_eq!(sweep.held(node(3, 2)), [vec![], vec![]]);
+                assert!(sweep.held(node(3, 0)).is_empty() && sweep.held(node(3, 2)).is_empty());
             }
         }
         assert_eq!(sweep.top_k(), [answer]);
+    }
+
+    #[test]
+    fn a_k_beyond_every_count_sizes_nothing() {
+        // θ₀ is selected among at most one weight per node: a `k` no graph
+        // can fill answers −∞ (and every path there is), whatever it is.
+        let mut builder = ClusterGraphBuilder::new(0);
+        for _ in 0..3 {
+            builder.add_interval(1);
+        }
+        builder.add_edge(node(0, 0), node(1, 0), 0.5);
+        builder.add_edge(node(1, 0), node(2, 0), 0.25);
+        let graph = builder.build();
+        let configs = std::iter::once(BfsConfig::default())
+            .chain(StorageSpec::ALL.map(BfsConfig::store_backed));
+        for config in configs {
+            for (view, l, weights) in [
+                (graph.view(), 1, vec![0.5, 0.25]),
+                (graph.view(), 2, vec![0.75]),
+                (graph.window(1, 2), 1, vec![0.25]),
+            ] {
+                let params = KlStableParams::new(usize::MAX, l);
+                assert_eq!(ahead_of(view, params).floor, f64::NEG_INFINITY);
+                let paths = BfsStableClusters::with_config(params, config)
+                    .run(view)
+                    .unwrap();
+                let found: Vec<f64> = paths.iter().map(ClusterPath::weight).collect();
+                assert_eq!(found, weights, "{config:?} l={l}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_completion_table_grows_with_the_view_not_with_its_square() {
+        // 2 000 intervals of one node each. A full-path query asks one
+        // length of every node, so its table is one weight per node where
+        // `l` per node would be 32 MB here and quadratic in the stream.
+        let m = 2_000;
+        let mut builder = ClusterGraphBuilder::new(0);
+        for _ in 0..m {
+            builder.add_interval(1);
+        }
+        for i in 1..m {
+            builder.add_edge(node(i - 1, 0), node(i, 0), 0.5);
+        }
+        let graph = builder.build();
+        let last = m - 1;
+        for l in [last, last - 9, 10, 2] {
+            let ahead = ahead_of(graph.view(), KlStableParams::new(1, l));
+            let per_node = l.min(last - l + 1) as usize;
+            assert!(ahead.best.len() <= graph.num_nodes() * per_node, "l={l}");
+            assert_eq!(ahead.floor, f64::from(l) * 0.5, "l={l}");
+        }
+        let full = ahead_of(graph.view(), KlStableParams::new(1, last));
+        assert_eq!(full.best.len(), graph.num_nodes() - 1);
+        let paths = BfsStableClusters::full_paths(1, &graph).unwrap();
+        assert_eq!(paths.len(), 1);
+        assert_eq!(paths[0].weight(), f64::from(last) * 0.5);
+
+        // A table the allocator will not give is the query's error.
+        let refused = Completions::blank(usize::MAX / 8).unwrap_err();
+        assert!(matches!(refused, BscError::InvalidConfig(_)), "{refused}");
     }
 
     #[test]

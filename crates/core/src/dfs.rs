@@ -433,7 +433,7 @@ fn can_prune(state: &NodeState, i: u32, l: u32, m: u32, min_k: f64) -> bool {
             // node (still unvisited) will be re-explored then.
             continue;
         }
-        if can_still_reach(l, x, prefix_weight, min_k) {
+        if can_still_reach(l, prefix_weight, f64::from(l - x), min_k) {
             return false;
         }
     }

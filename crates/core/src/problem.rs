@@ -84,18 +84,40 @@ pub(crate) fn shortest_feasible(l: u32, depth: u32, last: u32) -> u32 {
     l.saturating_sub(last.saturating_sub(depth))
 }
 
-/// "Optimistic completion" (Section 4.3): can a subpath of length `held` and
-/// weight `weight` still grow into a length-`l` path that a top-k heap with
-/// admission threshold `min_k` would take? Edge weights lie in `(0, 1]`
-/// (`ClusterGraphBuilder::build`, `ClusterGraph::append`), so over the reals
-/// it weighs at most `weight + (l − held)`. The solvers add those weights one
-/// rounded addition at a time (`u = ε/2` each, partial sums at most
-/// `l (1 + u)^l`), which can exceed the real bound by about `l² u`, and the
-/// two additions below round down by at most `2 l u`: together under `l² ε`.
-/// The slack is twice that, so a path that reaches as summed is never cut.
-pub(crate) fn can_still_reach(l: u32, held: u32, weight: f64, min_k: f64) -> bool {
-    let slack = 2.0 * f64::from(l) * f64::from(l) * f64::EPSILON;
-    weight + (f64::from(l - held) + slack) >= min_k
+/// "What can this subpath still gain" (Sections 4.3 and 4.4): can a subpath
+/// of weight `weight` whose remaining edges weigh at most `completion` still
+/// grow into a length-`l` path that a top-k heap with admission threshold
+/// `min_k` would take? The caller says how it can end. Who has seen the edges
+/// ahead passes the best suffix that exists (`bfs.rs`'s completion table, the
+/// `startwts` of the TA adaptation); who has not passes the remaining length
+/// `(l − held) as f64`, edge weights lying in `(0, 1]`
+/// (`ClusterGraphBuilder::build`, `ClusterGraph::append`) — the `CanPrune`
+/// bound of the paper's DFS. `min_k` may be any weight the final k-th answer
+/// is known to reach, as some solver sums it.
+///
+/// Over the reals a path that reaches `min_k` passes with no slack: its
+/// prefix weighs `weight`, its suffix at most `completion`. The three are
+/// floating-point sums of at most `l` weights of at most 1 each, added in
+/// different orders — the sweep sums a path left to right, a completion table
+/// its suffix right to left, and a `min_k` read off such a table is the
+/// right-to-left sum of another path. A sum of `n ≤ l` such terms is off its
+/// real value by at most `(n − 1) u · l` (`u = ε/2` per rounded addition), so
+/// the prefix and the suffix together, the whole path as the sweep weighs it,
+/// and each of the two ways `min_k`'s path may have been summed are off by
+/// under `l² u` apiece: `4 l² u = 2 l² ε` between the two sides of the
+/// comparison. The two additions below round down by at most `2 l u = l ε`
+/// more. That is under `2 l² ε + l ε`; the slack is `4 l² ε`
+/// ([`summation_slack`]), so a path that reaches as summed is never cut,
+/// whoever supplied the bound.
+pub(crate) fn can_still_reach(l: u32, weight: f64, completion: f64, min_k: f64) -> bool {
+    weight + (completion + summation_slack(l)) >= min_k
+}
+
+/// `4 l² ε`: how far apart two ways of summing and comparing the weights of
+/// length-`l` paths may come out, with room to spare (derived at
+/// [`can_still_reach`]).
+pub(crate) fn summation_slack(l: u32) -> f64 {
+    4.0 * f64::from(l) * f64::from(l) * f64::EPSILON
 }
 
 /// Parameters of Problem 2 (normalized stable clusters).

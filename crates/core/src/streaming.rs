@@ -10,10 +10,12 @@
 //! appends the interval to the graph-so-far and advances the same sweep —
 //! same window, same global heap, same inner loop — over it, so after every
 //! push the answer is bit-identical to batch BFS on the graph-so-far. The
-//! sweep holds a subpath only while its optimistic completion can reach the
-//! current k-th answer (see [`crate::bfs`]); that threshold never falls, so
-//! a push holds fewer subpaths the longer the stream has run. "The suffix
-//! must fit before the last interval" it cannot use: a stream has none.
+//! sweep holds a subpath only while its optimistic completion — 1.0 per
+//! interval still to span — can reach the current k-th answer (see
+//! [`crate::bfs`]); that threshold never falls, so a push holds fewer
+//! subpaths the longer the stream has run. What batch solves prune by it
+//! cannot use: "the suffix must fit before the last interval" (a stream has
+//! none) and the best completion that exists (its edges have not arrived).
 //!
 //! For the long-lived query engine the stream is also the **graph source**:
 //! every push extends the graph-so-far by one interval through the
@@ -35,6 +37,7 @@ use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
 use crate::path::ClusterPath;
 use crate::problem::KlStableParams;
 use crate::snapshot::{GraphSnapshot, SnapshotCell};
+use crate::solver::SolverStats;
 
 /// Incremental solver for kl-stable clusters over a growing timeline.
 pub struct OnlineStableClusters {
@@ -70,8 +73,9 @@ impl OnlineStableClusters {
         OnlineStableClusters {
             params,
             graph: Arc::new(ClusterGraphBuilder::new(gap).build()),
-            // A stream has no last interval: every length may yet fit.
-            sweep: IntervalSweep::new(params, None, Ring::new(gap, params.l)),
+            // A stream has no last interval and no edge ahead: the sweep is
+            // told nothing of what is to come, and every length may yet fit.
+            sweep: IntervalSweep::new(params, Ring::new(gap, params.l)),
             cached_top_k: None,
         }
     }
@@ -128,6 +132,14 @@ impl OnlineStableClusters {
         let top = self.sweep.top_k();
         self.cached_top_k = Some(top.clone());
         top
+    }
+
+    /// What the sweep has counted since the stream opened — the fields
+    /// [`BfsStableClusters::run_with_stats`](crate::bfs::BfsStableClusters::run_with_stats)
+    /// fills for a batch solve. A batch solve of the same graph considers and
+    /// holds far less: it has seen the edges a stream has yet to receive.
+    pub fn stats(&self) -> SolverStats {
+        self.sweep.stats()
     }
 
     /// The graph-so-far as an epoch-tagged [`GraphSnapshot`] (epoch =
