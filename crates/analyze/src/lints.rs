@@ -32,7 +32,8 @@ const PANIC_EXEMPT_CRATES: [&str; 1] = ["bsc-bench"];
 /// Solver hot-path files: every loop nest here must be able to observe a
 /// tripped [`CancelToken`](bsc_util::cancel::CancelToken). `bfs.rs` holds the
 /// one BFS interval sweep (its batch, store-backed and online drivers all run
-/// that loop). `batch.rs` is
+/// that loop), `lookahead.rs` the two passes a batch solve makes over its
+/// view before it searches. `batch.rs` is
 /// the engine's coalesced fan-out loop — not a solver, but it replays a
 /// solve's result to arbitrarily many followers and must notice shutdown
 /// mid-fan-out just like a solver notices it mid-scan. `windowed.rs` is the
@@ -40,8 +41,9 @@ const PANIC_EXEMPT_CRATES: [&str; 1] = ["bsc-bench"];
 /// configurations of it): each solved window checkpoints internally, but
 /// the loop over windows is itself a hot path. `delta.rs` holds the
 /// per-install interval comparison.
-const HOT_PATH_FILES: [&str; 8] = [
+const HOT_PATH_FILES: [&str; 9] = [
     "bfs.rs",
+    "lookahead.rs",
     "dfs.rs",
     "ta.rs",
     "normalized.rs",

@@ -140,9 +140,9 @@ pub fn fig6(scale: Scale) -> Table {
 pub fn table3(scale: Scale) -> Table {
     let n = scale.pick(150, 400);
     let ms: Vec<usize> = scale.pick(vec![3, 6, 9], vec![3, 6, 9, 12, 15]);
-    // TA explodes exponentially and DFS quadratically with m; cap them.
+    // DFS charges 1.0 per interval to come and grows quadratically with m;
+    // cap it. (TA reads its bounds off two look-ahead tables: no cap.)
     let max_m = |kind: AlgorithmKind| match kind {
-        AlgorithmKind::Ta => scale.pick(6, 9),
         AlgorithmKind::Dfs => scale.pick(9, 12),
         _ => usize::MAX,
     };
@@ -160,6 +160,7 @@ pub fn table3(scale: Scale) -> Table {
         "Table 3: BFS vs DFS vs TA, top-5 full paths (n per interval, d=5, g=0)",
         &header_refs,
     );
+    let mut counted = Vec::new();
     for &m in &ms {
         let graph = cluster_graph(m, n, 5, 0, SEED);
         let mut row = vec![m.to_string()];
@@ -168,13 +169,29 @@ pub fn table3(scale: Scale) -> Table {
                 row.push("> skipped".to_string());
                 continue;
             }
-            let (_, t) = timed_solve(kind, StableClusterSpec::FullPaths, k, &graph);
+            let (solution, t) = timed_solve(kind, StableClusterSpec::FullPaths, k, &graph);
             row.push(seconds(t));
+            if kind == AlgorithmKind::Ta {
+                let stats = solution.stats;
+                counted.push(format!(
+                    "m = {m}: {} of {} edges discarded on the bound, {} popped, {} rows read, \
+                     {} full paths weighed",
+                    stats.prunes,
+                    graph.num_edges(),
+                    stats.edges_traversed,
+                    stats.random_seeks,
+                    stats.paths_generated,
+                ));
+            }
         }
         table.push_row(row);
     }
     table.push_note(format!(
-        "n = {n} nodes per interval; paper shape: BFS << DFS, TA explodes beyond small m"
+        "n = {n} nodes per interval; paper shape: BFS << DFS, and its TA explodes beyond small m \
+         because it learns startwts / endwts by enumerating every prefix and suffix of a popped \
+         edge. This TA reads them off two look-ahead tables (one pass each); its counters say \
+         what is left to do — {}",
+        counted.join("; ")
     ));
     table
 }

@@ -3,26 +3,30 @@
 //! The paper's evaluation (Table 3, Figures 7–13) establishes a clear
 //! hierarchy: BFS is the fastest algorithm whenever its sliding window of
 //! per-node heaps fits in memory, the TA adaptation is competitive only for
-//! *full-path* queries over few intervals (its candidate space explodes
-//! beyond small `m`), and DFS — slowest, but needing only a stack in memory
-//! with per-node state on disk — is the algorithm of last resort for
-//! memory-constrained deployments. [`choose_algorithm`] encodes exactly that
-//! ranking: given the graph shape (`m`, `n`, `d`, `g`), the query and an
-//! optional memory budget, it picks the fastest algorithm whose estimated
-//! resident footprint fits.
+//! *full-path* queries over few intervals (the published one enumerates
+//! every prefix and suffix of an edge to bound it, `d^(m−1)` paths), and DFS
+//! — slowest, but needing only a stack in memory with per-node state on disk
+//! — is the algorithm of last resort for memory-constrained deployments.
+//! [`choose_algorithm`] encodes exactly that ranking: given the graph shape
+//! (`m`, `n`, `d`, `g`), the query and an optional memory budget, it picks
+//! the fastest algorithm whose estimated resident footprint fits.
 //!
-//! The crossover constants come from the measured `repro table3` trajectory
-//! checked in as `BENCH_table3.json`: at quick scale TA beats DFS up to
-//! m = 6 (0.033 s vs 0.070 s) and is skipped beyond (DFS 0.534 s at m = 9
-//! while TA explodes), so [`TA_CROSSOVER_INTERVALS`] is 6.
+//! [`TA_CROSSOVER_INTERVALS`] is 6 because that is where `repro table3`
+//! measured TA losing to DFS while TA still enumerated (quick scale: 0.033 s
+//! vs 0.070 s at m = 6, skipped beyond). [`crate::ta`] reads its bounds off
+//! two look-ahead tables now and answers m = 9 in under a millisecond
+//! (`BENCH_table3.json`), so the constant no longer marks a crossover; it
+//! stays until the ranking is redone together with an `explain` surface
+//! (ROADMAP item 2), where a budgeted choice that flips is a visible diff
+//! rather than a silent transcript change.
 //!
 //! Footprint estimates are deliberately coarse — deterministic arithmetic
 //! over the shape, not measurements — because the policy must be cheap,
 //! reproducible, and unit-testable at the crossover points. They price the
 //! two layouts paths are held in — BFS's slot tables and link arena, and one
 //! `RESIDENT_PATH_BYTES` per path DFS or the normalized solver holds (a
-//! `ClusterPath`, or a candidate and its hop) — and the completion table a
-//! batch BFS solve holds beside its heaps. An unsatisfiable
+//! `ClusterPath`, or a candidate and its hop) — and the look-ahead tables a
+//! batch BFS or a TA solve holds beside them. An unsatisfiable
 //! budget (even DFS's stack would not fit) is a configuration error,
 //! reported as [`BscError::InvalidConfig`], never a panic.
 
@@ -32,8 +36,8 @@ use crate::problem::StableClusterSpec;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions, StableClusterSolver};
 
 /// Beyond this many temporal intervals the TA adaptation is never picked:
-/// the Table 3 measurements show it losing to DFS (and exploding soon
-/// after). Measured crossover, see `BENCH_table3.json`.
+/// where Table 3 measured the enumerating TA losing to DFS (module docs —
+/// not a crossover of the TA that exists, kept until `Auto` is re-ranked).
 pub const TA_CROSSOVER_INTERVALS: usize = 6;
 
 /// Estimated bytes per path a solver other than BFS holds resident. A
@@ -53,8 +57,9 @@ const BFS_SLOT_BYTES: u64 = 16;
 /// Bytes per cell of a BFS link arena: a `ClusterNodeId` and a `u32`.
 const BFS_LINK_BYTES: u64 = 12;
 
-/// Bytes per weight of a BFS completion table: an `f64`.
-const BFS_COMPLETION_BYTES: u64 = 8;
+/// Bytes per weight of a look-ahead table (BFS's completions, TA's
+/// `startwts` and `endwts`): an `f64`.
+const LOOKAHEAD_WEIGHT_BYTES: u64 = 8;
 
 /// The shape parameters of a cluster graph that drive algorithm selection —
 /// the paper's (m, n, d, g) axes, read off a [`GraphView`].
@@ -142,19 +147,23 @@ pub fn bfs_resident_bytes(shape: &GraphShape, k: usize, l: u64) -> u64 {
     let completions = shape
         .num_nodes
         .saturating_mul(asked)
-        .saturating_mul(BFS_COMPLETION_BYTES);
+        .saturating_mul(LOOKAHEAD_WEIGHT_BYTES);
     heaps.saturating_add(completions)
 }
 
 /// Estimated resident footprint of the TA adaptation: both sorted edge-list
-/// directions plus the seek index (~48 bytes per edge) and the candidate
-/// heap of `k` full paths.
+/// directions plus the seek index (~48 bytes per edge — an upper bound, left
+/// there as [`bfs_resident_bytes`] leaves its heaps: a list holds only the
+/// edges whose best full path reaches the k-th start, which the shape does
+/// not say), its two look-ahead tables (`startwts` and `endwts`, a weight
+/// each per node of the view) and the candidate heap of `k` full paths.
 pub fn ta_resident_bytes(shape: &GraphShape, k: usize) -> u64 {
-    shape.num_edges.saturating_mul(48).saturating_add(
-        (k as u64)
-            .saturating_mul(shape.num_intervals as u64)
-            .saturating_mul(32),
-    )
+    let lists = shape.num_edges.saturating_mul(48);
+    let tables = shape.num_nodes.saturating_mul(2 * LOOKAHEAD_WEIGHT_BYTES);
+    let heap = (k as u64)
+        .saturating_mul(shape.num_intervals as u64)
+        .saturating_mul(32);
+    lists.saturating_add(tables).saturating_add(heap)
 }
 
 /// Estimated resident footprint of DFS (Algorithm 3): per-node state lives
@@ -191,8 +200,7 @@ pub fn normalized_resident_bytes(shape: &GraphShape, k: usize) -> u64 {
 /// 2. **BFS** whenever its window estimate fits — it is the fastest
 ///    algorithm at every measured shape.
 /// 3. **TA** for full-path queries over at most [`TA_CROSSOVER_INTERVALS`]
-///    intervals when its edge lists fit — faster than DFS below the
-///    crossover, useless above it.
+///    intervals when its edge lists and look-ahead tables fit.
 /// 4. **DFS** when its stack fits — the slowest option, but the only one
 ///    whose footprint does not grow with `n`.
 ///
@@ -408,6 +416,22 @@ mod tests {
         assert_eq!(table(1000), 0);
         // It is what a budget meets first on a long stream.
         assert!(table(10) > heaps(10));
+    }
+
+    #[test]
+    fn ta_prices_its_two_look_ahead_tables() {
+        // `startwts` and `endwts`: a weight each per node of the view,
+        // whatever `k` — beside edge lists that outweigh them 15 to 1 here.
+        let shape = table3_shape(6);
+        let unpriced = GraphShape {
+            num_nodes: 0,
+            ..shape
+        };
+        for k in [1, 50] {
+            let tables = ta_resident_bytes(&shape, k) - ta_resident_bytes(&unpriced, k);
+            assert_eq!(tables, 900 * 16);
+        }
+        assert_eq!(ta_resident_bytes(&unpriced, 0), 4500 * 48);
     }
 
     #[test]

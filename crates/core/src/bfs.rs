@@ -29,7 +29,8 @@
 //!   considered but not held (`problem::can_still_reach`). Who knows that
 //!   best path depends on who has seen the edges ahead. A batch driver has
 //!   them all: before it sweeps, one backward relaxation over
-//!   [`GraphView::parents`] (`Completions`, private to this module) gives
+//!   [`GraphView::parents`] (`Completions`, in the crate-private `lookahead`
+//!   module, where the TA adaptation reads it too) gives
 //!   every node `c` of the view `C[c][r]`, the heaviest path of length
 //!   exactly `r` leaving `c` inside the view, for each `r` a prefix ending at
 //!   `c` can ask for — the `startwts` of the paper's TA adaptation, per
@@ -106,13 +107,13 @@ use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use bsc_graph::csr::prefix_offsets;
 use bsc_storage::backend::StorageSpec;
 use bsc_storage::node_store::NodeStore;
 use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterGraph, ClusterNodeId, GraphView};
 use crate::error::{BscError, BscResult};
+use crate::lookahead::Completions;
 use crate::path::ClusterPath;
 use crate::problem::{can_still_reach, shortest_feasible, KlStableParams};
 use crate::solver::{
@@ -588,165 +589,6 @@ impl HeapWindow for Stored {
     }
 }
 
-/// What a batch driver knows of the intervals its sweep has yet to reach
-/// (module docs, rule 3): how deep the last one lies, and how every subpath
-/// can end. `best` is the table `C[c][r]` — the largest weight of a path of
-/// length exactly `r` that leaves `c` inside the view, `−∞` where there is
-/// none — filled by one backward relaxation over [`GraphView::parents`], each
-/// sum built right to left. A node has a weight only for the `r` it can be
-/// asked for ([`Completions::lengths`]): at most `min(l, last − l + 1)` of
-/// them, one for full paths and inside a start window. Dropped with the
-/// sweep.
-pub(crate) struct Completions {
-    first: u32,
-    /// How many intervals into the view its last one lies.
-    last: u32,
-    /// Per interval of the view, where its nodes' weights lie in `best`.
-    asked: Vec<Asked>,
-    /// `C[c][r]`, a node's weights adjacent, by `r − shortest`.
-    best: Vec<f64>,
-    /// `θ₀`: the k-th largest `C[c][l]` over the view's nodes, `−∞` when
-    /// fewer than `k` of them start a length-`l` path. `k` distinct starts
-    /// are `k` distinct paths, so the final k-th answer weighs at least this
-    /// (within [`can_still_reach`]'s slack) before anything is swept.
-    floor: f64,
-}
-
-/// The weights of one interval's nodes in [`Completions::best`]: node
-/// `index` has `width` of them from `at + index · width` on, for the lengths
-/// `shortest..shortest + width`.
-#[derive(Clone, Copy)]
-struct Asked {
-    at: usize,
-    shortest: u32,
-    width: u32,
-}
-
-/// A completion table the allocator will not give.
-fn completions_overflow(weights: usize) -> BscError {
-    BscError::InvalidConfig(format!(
-        "the BFS completion table of this query would hold {weights} weights; ask for shards \
-         (a window's table holds one weight per node) or a length nearer full paths"
-    ))
-}
-
-impl Completions {
-    /// The lengths `r` asked of a node `depth` intervals into a view whose
-    /// last interval lies `last` in. A prefix that ends there started inside
-    /// the view, so it is at most `depth` long and asks for `r ≥ l − depth`;
-    /// what it asks for must fit before the last interval, `r ≤ last − depth`;
-    /// and `θ₀` reads `r = l`. None where no subpath is ever held (`l = 1`) or
-    /// none fits (`l > last`), so such an `l` sizes nothing.
-    fn lengths(l: u32, depth: u32, last: u32) -> Range<u32> {
-        if l < 2 {
-            return 0..0;
-        }
-        let shortest = l.saturating_sub(depth).max(1);
-        shortest..(l.min(last - depth) + 1).max(shortest)
-    }
-
-    /// Relax every edge of `view` once, last interval first, for the lengths
-    /// asked of its parent that it can be the first edge of: one `r` per
-    /// edge for full paths and start windows, at most `l` otherwise. The
-    /// checkpoints count on `tick`, the sweep's own.
-    fn of(
-        view: GraphView<'_>,
-        params: KlStableParams,
-        cancel: Option<&CancelToken>,
-        tick: &mut u32,
-    ) -> BscResult<Completions> {
-        let KlStableParams { k, l } = params;
-        let first = view.first_interval();
-        let last = (view.num_intervals() as u32).saturating_sub(1);
-        let lengths = |interval: u32| Completions::lengths(l, interval - first, last);
-        let weights =
-            |interval| view.nodes_in_interval(interval) as usize * lengths(interval).len();
-        let offsets = prefix_offsets(&view.intervals().map(weights).collect::<Vec<_>>());
-        let layout = |(interval, &at)| Asked {
-            at,
-            shortest: lengths(interval).start,
-            width: lengths(interval).len() as u32,
-        };
-        let total = offsets.last().copied().unwrap_or(0);
-        let mut ahead = Completions {
-            first,
-            last,
-            asked: view.intervals().zip(&offsets).map(layout).collect(),
-            best: Completions::blank(total)?,
-            floor: f64::NEG_INFINITY,
-        };
-        if total == 0 {
-            return Ok(ahead);
-        }
-        // `C[c][l]` of every node that starts a length-`l` path: one value
-        // per node at most, whatever `k` is.
-        let mut whole = Vec::new();
-        for interval in view.intervals().rev() {
-            let depth = interval - first;
-            let mine = ahead.asked[depth as usize];
-            for index in 0..view.nodes_in_interval(interval) {
-                if let Some(token) = cancel {
-                    if token.checkpoint(tick) {
-                        return Err(deadline_error(token));
-                    }
-                }
-                // Every edge leaving `child` has been relaxed: its weights
-                // are final, `C[child][l]` the last of them if it is asked.
-                let child = ClusterNodeId::new(interval, index);
-                let child_row = mine.row(index);
-                if mine.shortest + mine.width > l {
-                    let weight = ahead.best[child_row + mine.width as usize - 1];
-                    if weight > f64::NEG_INFINITY {
-                        whole.push(weight);
-                    }
-                }
-                for edge in view.parents(child) {
-                    let len = ClusterGraph::edge_length(edge.to, child);
-                    let theirs = ahead.asked[(depth - len) as usize];
-                    let parent_row = theirs.row(edge.to.index);
-                    for r in theirs.shortest.max(len)..theirs.shortest + theirs.width {
-                        // `r − len ≥ l − depth` and fits behind `child`: asked.
-                        let rest = match r - len {
-                            0 => 0.0,
-                            rest => ahead.best[child_row + (rest - mine.shortest) as usize],
-                        };
-                        let through = &mut ahead.best[parent_row + (r - theirs.shortest) as usize];
-                        *through = through.max(edge.weight + rest);
-                    }
-                }
-            }
-        }
-        if let Some(kth) = k.checked_sub(1).filter(|&kth| kth < whole.len()) {
-            ahead.floor = *whole.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1;
-        }
-        Ok(ahead)
-    }
-
-    /// `total` weights of `−∞`, or an error — not an abort — where the
-    /// allocator will not give them.
-    fn blank(total: usize) -> BscResult<Vec<f64>> {
-        let mut best = Vec::new();
-        let room = best.try_reserve_exact(total);
-        room.map_err(|_| completions_overflow(total))?;
-        best.resize(total, f64::NEG_INFINITY);
-        Ok(best)
-    }
-
-    /// The shortest length asked of `node`, and `C[node][r]` from it on.
-    fn leaving(&self, node: ClusterNodeId) -> (u32, &[f64]) {
-        let asked = self.asked[(node.interval - self.first) as usize];
-        let row = asked.row(node.index);
-        (asked.shortest, &self.best[row..row + asked.width as usize])
-    }
-}
-
-impl Asked {
-    /// Where the weights of the interval's node `index` start.
-    fn row(self, index: u32) -> usize {
-        self.at + index as usize * self.width as usize
-    }
-}
-
 /// Algorithm 2 as a resumable pass: the rows of the intervals swept so far
 /// (in `W`), the global top-k of length-`l` paths, and the counters.
 /// [`IntervalSweep::advance`] is the only place the algorithm's inner loop
@@ -809,7 +651,7 @@ impl IntervalSweep<Ring> {
     /// every held path.
     pub(crate) fn audit(&mut self, view: GraphView<'_>, swept: u32) -> Vec<ClusterPath> {
         let (l, first) = (self.l, view.first_interval());
-        let last = self.ahead.as_ref().map(|ahead| ahead.last);
+        let last = self.ahead.as_ref().map(Completions::last);
         let mut held = Vec::new();
         for interval in first..=swept {
             let depth = interval - first;
@@ -943,8 +785,8 @@ impl<W: HeapWindow> IntervalSweep<W> {
         // held lengths `x` to (`x = 0`: the edge itself), as `(x, total)`:
         // up to `l`, and from the shortest that still fits before `last`.
         let ahead = self.ahead.as_ref();
-        let floor = ahead.map_or(0, |ahead| shortest_feasible(l, depth, ahead.last));
-        let known = ahead.map_or(f64::NEG_INFINITY, |ahead| ahead.floor);
+        let floor = ahead.map_or(0, |ahead| shortest_feasible(l, depth, ahead.last()));
+        let known = ahead.map_or(f64::NEG_INFINITY, Completions::floor);
         let extended_lengths = move |len: u32, rows: &Range<usize>| {
             (floor.saturating_sub(len) as usize..=rows.len())
                 .map(move |x| (x, x as u32 + len))
@@ -1161,7 +1003,7 @@ impl StableClusterSolver for BfsStableClusters {
 mod tests {
     use super::*;
     use crate::cluster_graph::ClusterGraphBuilder;
-    use crate::problem::summation_slack;
+    use crate::lookahead::every_path;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 
     fn node(interval: u32, index: u32) -> ClusterNodeId {
@@ -1313,26 +1155,13 @@ mod tests {
         best[(r - shortest) as usize]
     }
 
-    /// Every path of `view`, each summed left to right as the sweep sums it.
-    fn every_path(view: GraphView<'_>) -> Vec<ClusterPath> {
-        let nodes = view.intervals().flat_map(|i| view.interval_node_ids(i));
-        let mut paths: Vec<ClusterPath> = nodes.map(ClusterPath::singleton).collect();
-        let mut grown = 0;
-        while grown < paths.len() {
-            let path = paths[grown].clone();
-            let longer = view.children(path.last());
-            paths.extend(longer.map(|edge| path.extend(edge.to, edge.weight)));
-            grown += 1;
-        }
-        paths
-    }
-
     #[test]
     fn every_held_subpath_is_a_path_that_can_still_become_an_answer() {
         // The audit runs after every interval, with the intervals ahead known
         // (batch) and unknown (online), over whole graphs and a window that
         // has edges crossing both of its ends; every path of the view,
-        // enumerated, is what the table, θ₀ and the answers are held against.
+        // enumerated, is what the answers are held against (and, in
+        // `lookahead.rs`, the table and θ₀).
         for gap in [0, 1, 2] {
             let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
                 num_intervals: 8,
@@ -1344,18 +1173,9 @@ mod tests {
             .generate();
             for view in [graph.view(), graph.window(2, 6)] {
                 let paths = every_path(view);
-                // The heaviest path of each length leaving each node.
-                let mut heaviest = std::collections::HashMap::new();
-                for path in &paths {
-                    let best = heaviest
-                        .entry((path.first(), path.length()))
-                        .or_insert(f64::NEG_INFINITY);
-                    *best = path.weight().max(*best);
-                }
                 let first = view.first_interval();
                 let last = view.num_intervals() as u32 - 1;
                 for l in 1..=last.min(6) {
-                    let slack = summation_slack(l);
                     for k in [1, 3] {
                         let params = KlStableParams::new(k, l);
                         let case = format!("gap={gap} first={first} l={l} k={k}");
@@ -1366,40 +1186,7 @@ mod tests {
                         let exhaustive = exhaustive.into_sorted();
                         assert!(!exhaustive.is_empty(), "{case}");
 
-                        // The table against the enumeration: the best path of
-                        // each length asked of each node, −∞ exactly where
-                        // there is none, and no weight for a length nobody
-                        // asks — shorter than `l − depth`, or too long to fit.
-                        // No table for `l = 1`, where no prefix is held to ask.
                         let ahead = ahead_of(view, params);
-                        for node in view.intervals().flat_map(|i| view.interval_node_ids(i)) {
-                            let depth = node.interval - first;
-                            let fits = l.saturating_sub(depth).max(1)..=l.min(last - depth);
-                            let expected = (1..=l).filter(|r| l > 1 && fits.contains(r));
-                            let (shortest, weights) = ahead.leaving(node);
-                            let asked = shortest..shortest + weights.len() as u32;
-                            assert!(
-                                asked.is_empty() || asked.clone().eq(expected.clone()),
-                                "{case}: {node} is asked {asked:?}"
-                            );
-                            assert_eq!(asked.len(), expected.count(), "{case}: {node}");
-                            assert!(asked.len() as u32 <= l.min(last - l + 1), "{case}");
-                            for r in asked {
-                                let none = f64::NEG_INFINITY;
-                                let leaving = heaviest.get(&(node, r)).copied().unwrap_or(none);
-                                let table = completion(&ahead, node, r);
-                                assert!(
-                                    table == leaving || (table - leaving).abs() <= slack,
-                                    "{case}: C[{node}][{r}] = {table}, enumerated {leaving}"
-                                );
-                            }
-                        }
-                        match exhaustive.get(k - 1) {
-                            Some(kth) => assert!(ahead.floor <= kth.weight() + slack, "{case}"),
-                            None => assert_eq!(ahead.floor, f64::NEG_INFINITY, "{case}"),
-                        }
-                        assert_eq!(ahead.floor.is_finite(), l > 1, "{case}");
-
                         for ahead in [Some(ahead), None] {
                             let batch = ahead.is_some();
                             let mut sweep = IntervalSweep::new(params, Ring::new(gap, l));
@@ -1417,7 +1204,7 @@ mod tests {
                                         let (completion, min_k) = match &sweep.ahead {
                                             Some(ahead) => (
                                                 completion(ahead, node, rest),
-                                                before.max(ahead.floor),
+                                                before.max(ahead.floor()),
                                             ),
                                             None => (f64::from(rest), before),
                                         };
@@ -1465,7 +1252,7 @@ mod tests {
 
         // Lane `a`, one step short of θ₀, and the twin are never held.
         let ahead = ahead_of(graph.view(), params);
-        assert_eq!(ahead.floor, 2.75 + STEP);
+        assert_eq!(ahead.floor(), 2.75 + STEP);
         let mut sweep = IntervalSweep::new(params, Ring::new(0, 3));
         sweep.ahead = Some(ahead);
         for interval in graph.view().intervals() {
@@ -1501,7 +1288,7 @@ mod tests {
                 (graph.window(1, 2), 1, vec![0.25]),
             ] {
                 let params = KlStableParams::new(usize::MAX, l);
-                assert_eq!(ahead_of(view, params).floor, f64::NEG_INFINITY);
+                assert_eq!(ahead_of(view, params).floor(), f64::NEG_INFINITY);
                 let paths = BfsStableClusters::with_config(params, config)
                     .run(view)
                     .unwrap();
@@ -1509,38 +1296,6 @@ mod tests {
                 assert_eq!(found, weights, "{config:?} l={l}");
             }
         }
-    }
-
-    #[test]
-    fn the_completion_table_grows_with_the_view_not_with_its_square() {
-        // 2 000 intervals of one node each. A full-path query asks one
-        // length of every node, so its table is one weight per node where
-        // `l` per node would be 32 MB here and quadratic in the stream.
-        let m = 2_000;
-        let mut builder = ClusterGraphBuilder::new(0);
-        for _ in 0..m {
-            builder.add_interval(1);
-        }
-        for i in 1..m {
-            builder.add_edge(node(i - 1, 0), node(i, 0), 0.5);
-        }
-        let graph = builder.build();
-        let last = m - 1;
-        for l in [last, last - 9, 10, 2] {
-            let ahead = ahead_of(graph.view(), KlStableParams::new(1, l));
-            let per_node = l.min(last - l + 1) as usize;
-            assert!(ahead.best.len() <= graph.num_nodes() * per_node, "l={l}");
-            assert_eq!(ahead.floor, f64::from(l) * 0.5, "l={l}");
-        }
-        let full = ahead_of(graph.view(), KlStableParams::new(1, last));
-        assert_eq!(full.best.len(), graph.num_nodes() - 1);
-        let paths = BfsStableClusters::full_paths(1, &graph).unwrap();
-        assert_eq!(paths.len(), 1);
-        assert_eq!(paths[0].weight(), f64::from(last) * 0.5);
-
-        // A table the allocator will not give is the query's error.
-        let refused = Completions::blank(usize::MAX / 8).unwrap_err();
-        assert!(matches!(refused, BscError::InvalidConfig(_)), "{refused}");
     }
 
     #[test]

@@ -68,6 +68,7 @@ pub mod delta;
 pub mod dfs;
 pub mod distributed;
 pub mod error;
+mod lookahead;
 pub mod normalized;
 pub mod path;
 pub mod pipeline;

@@ -88,18 +88,20 @@ pub(crate) fn shortest_feasible(l: u32, depth: u32, last: u32) -> u32 {
 /// of weight `weight` whose remaining edges weigh at most `completion` still
 /// grow into a length-`l` path that a top-k heap with admission threshold
 /// `min_k` would take? The caller says how it can end. Who has seen the edges
-/// ahead passes the best suffix that exists (`bfs.rs`'s completion table, the
-/// `startwts` of the TA adaptation); who has not passes the remaining length
-/// `(l − held) as f64`, edge weights lying in `(0, 1]`
-/// (`ClusterGraphBuilder::build`, `ClusterGraph::append`) — the `CanPrune`
-/// bound of the paper's DFS. `min_k` may be any weight the final k-th answer
+/// ahead passes the best suffix that exists (the `lookahead` module's
+/// completion table, which BFS reads per length and the TA adaptation as its
+/// `startwts`, the prefix before an edge read off `endwts` the same way); who
+/// has not passes the remaining length `(l − held) as f64`, edge weights
+/// lying in `(0, 1]` (`ClusterGraphBuilder::build`, `ClusterGraph::append`) —
+/// the `CanPrune` bound of the paper's DFS. `min_k` may be any weight the final k-th answer
 /// is known to reach, as some solver sums it.
 ///
 /// Over the reals a path that reaches `min_k` passes with no slack: its
 /// prefix weighs `weight`, its suffix at most `completion`. The three are
 /// floating-point sums of at most `l` weights of at most 1 each, added in
 /// different orders — the sweep sums a path left to right, a completion table
-/// its suffix right to left, and a `min_k` read off such a table is the
+/// its suffix right to left (TA joins up to three such pieces around an edge,
+/// still one addition per edge), and a `min_k` read off such a table is the
 /// right-to-left sum of another path. A sum of `n ≤ l` such terms is off its
 /// real value by at most `(n − 1) u · l` (`u = ε/2` per rounded addition), so
 /// the prefix and the suffix together, the whole path as the sweep weighs it,

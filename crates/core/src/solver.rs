@@ -206,6 +206,17 @@ pub fn check_not_expired(cancel: Option<&CancelToken>) -> BscResult<()> {
     }
 }
 
+/// The amortized form of [`check_not_expired`] for a solver's inner loops:
+/// one real check per [`CancelToken::CHECK_INTERVAL`] calls, counted on the
+/// caller's `tick`.
+#[inline]
+pub(crate) fn checkpoint(cancel: Option<&CancelToken>, tick: &mut u32) -> BscResult<()> {
+    match cancel {
+        Some(token) if token.checkpoint(tick) => Err(deadline_error(token)),
+        _ => Ok(()),
+    }
+}
+
 /// The error a tripped [`CancelToken`] surfaces as.
 pub fn deadline_error(token: &CancelToken) -> BscError {
     BscError::DeadlineExceeded {
@@ -219,24 +230,29 @@ pub fn deadline_error(token: &CancelToken) -> BscError {
 /// and leaves the rest at their defaults (each solver's `run_with_stats`
 /// documents which ones those are): BFS reports generated paths and
 /// resident-path peaks, DFS reports node-state I/O, prunes and stack depth,
-/// TA reports scanned edges, random seeks and early termination, the
-/// normalized solver reports Theorem-1 prefix drops as `prunes`.
+/// TA reports edges its bound discarded, edges scanned, rows read while
+/// expanding and early termination, the normalized solver reports Theorem-1
+/// prefix drops as `prunes`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolverStats {
-    /// Candidate paths generated / enumerated.
+    /// Candidate paths generated / enumerated (TA: full paths an expansion
+    /// completed and weighed, each able to reach the threshold its edge was
+    /// popped under).
     pub paths_generated: u64,
     /// Graph nodes processed.
     pub nodes_processed: u64,
-    /// Edges traversed or scanned.
+    /// Edges traversed or scanned (TA: popped from the sorted lists).
     pub edges_traversed: u64,
-    /// Times a pruning rule fired (DFS `CanPrune`, Theorem 1 prefix drops,
-    /// TA bound skips).
+    /// Times a pruning rule fired (DFS `CanPrune`, Theorem 1 prefix drops;
+    /// TA: edges whose best full path, read off the look-ahead tables,
+    /// misses the threshold — never listed, or popped and not expanded).
     pub prunes: u64,
     /// Per-node state reads (random I/O for the disk-resident variants).
     pub node_reads: u64,
     /// Per-node state writes.
     pub node_writes: u64,
-    /// Random seeks while expanding prefixes/suffixes (TA).
+    /// Adjacency rows read while expanding a popped edge into the full paths
+    /// through it (TA): one per node a walk steps through.
     pub random_seeks: u64,
     /// Peak number of candidate paths resident in memory.
     pub peak_resident_paths: usize,
@@ -775,7 +791,7 @@ mod tests {
 
     #[test]
     fn every_kind_solves_through_the_trait() {
-        // Seed 23: DFS prunes and TA skips an edge on its bound here.
+        // Seed 23: DFS prunes and TA filters edges on its bound here.
         let graph = graph(23);
         for kind in AlgorithmKind::ALL {
             let spec = match kind {
@@ -809,11 +825,23 @@ mod tests {
                     peak_stack_depth: 5,
                     ..SolverStats::default()
                 },
+                // θ₀ = 2.2183, the third-best start. Seven of the 45 edges
+                // lie on a full path that reaches it — those of the answers
+                // c0,2 c1,3 c2,2 c3,4 (2.4094), c0,5 c1,0 c2,0 c3,1 (2.3728)
+                // and c0,3 c1,3 c2,2 c3,4 (2.2183, θ₀ itself), which share
+                // c1,3 → c2,2 → c3,4 — so 38 are never listed. One round pops
+                // the head of each list: c0,2 → c1,3 walks forth through
+                // c1,3 and c2,2 (2 rows, the first answer); c1,0 → c2,0
+                // walks back through c1,0, forth through c2,0 (2 rows, the
+                // second); c2,2 → c3,4 walks back through c2,2 and c1,3
+                // (2 rows) to c0,2, the first answer again, and c0,3, the
+                // third. `H` is full at 2.2183 and the unseen heads sum to
+                // 0.8011 + 0.5606 + 0.8552 = 2.2169: the scan stops.
                 AlgorithmKind::Ta => SolverStats {
-                    paths_generated: 46,
-                    edges_traversed: 13,
-                    prunes: 2,
-                    random_seeks: 26,
+                    paths_generated: 4,
+                    edges_traversed: 3,
+                    prunes: 38,
+                    random_seeks: 6,
                     early_termination: true,
                     ..SolverStats::default()
                 },

@@ -2,30 +2,61 @@
 //!
 //! The classic TA of Fagin, Lotem and Naor aggregates sorted attribute lists;
 //! here every pair of temporal intervals within the gap bound contributes one
-//! list of cluster-graph edges sorted by descending weight. Edges are
-//! consumed round-robin; for each newly seen edge all **full paths** (length
-//! `m − 1`) containing it are materialized by expanding prefixes back to the
-//! first interval and suffixes forward to the last interval (random seeks in
-//! the edge lists; both come back as [`ClusterPath`]s), and offered to the
-//! top-k heap `H`. Two memo tables,
-//! `startwts` and `endwts`, cache the best suffix / prefix weight per node so
-//! that hopeless edges can be discarded without enumeration. The scan stops
-//! when the k-th best complete path outweighs the *virtual path* assembled
-//! from the highest unseen edge weight of each list.
+//! list of cluster-graph edges sorted by descending weight, and the objects
+//! being ranked are the **full paths** (length `m − 1`) of the view.
 //!
-//! As the paper observes, the number of random seeks grows as `m^(d−1)`, so
-//! the adaptation is only practical for small `m` and is restricted to full
-//! paths (`l = m − 1`).
+//! *Sorted access* is the round-robin scan: one edge is popped from each list
+//! in turn, and the scan stops when the k-th best path found strictly
+//! outweighs the *virtual path* assembled from the highest unseen edge weight
+//! of each list — no path made of unseen edges can weigh more.
+//!
+//! *Random access* is the expansion of a popped edge `(from, to)` into the
+//! full paths through it: a walk back over [`GraphView::parents`] from `from`
+//! to the first interval, and for each prefix that arrives a walk forward
+//! over [`GraphView::children`] from `to` to the last. Each walk is a
+//! depth-first descent that streams: it holds one path, not a set of them,
+//! weighs a candidate once it is complete — left to right over its edges, as
+//! Algorithm 2 does, so the two solvers' answers agree to the bit — and
+//! offers it to the top-k heap `H`. A cancellation checkpoint sits on every
+//! step of both walks.
+//!
+//! The paper discards an edge by `startwts` and `endwts`, the best suffix
+//! after it and the best prefix before it, and learns those by enumerating
+//! every prefix and suffix of the edges it has popped. Here they are the two
+//! look-ahead tables of the crate-private `lookahead` module, each filled in
+//! one pass over the view before the first edge is popped: `startwts[c]` the
+//! heaviest path from `c` to the last interval (`Completions`, the table
+//! Algorithm 2 bounds its subpaths by), `endwts[c]` the heaviest from the
+//! first interval to `c` (`Arrivals`), and with them `θ₀`, the k-th best
+//! `startwts` of the first interval, which the k-th answer is known to reach.
+//! So the bound (`problem::can_still_reach`, the one definition and slack BFS
+//! uses) is exact and stands from the start:
+//!
+//! * a list holds only the edges whose best full path reaches `θ₀`;
+//! * a popped edge is expanded only if its best full path reaches the
+//!   current threshold, `max(θ₀, H's)`, read once per edge so that the work
+//!   done does not depend on the order of a node's parents;
+//! * a walk steps only to a parent (child) through which the best path
+//!   still reaches that threshold.
+//!
+//! What is enumerated is therefore the near-answers, not `d^(m−1)` paths per
+//! edge, and the cost of a solve is the two passes plus the sort of the edges
+//! that survive. With all weights equal nothing is cut and the expansions are
+//! as large as the paper's — which is what the checkpoints are for. The
+//! adaptation remains restricted to full paths (`l = m − 1`); a sharded
+//! subpath query runs it over start windows, each a view it spans in full.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterNodeId, GraphView};
 use crate::error::BscResult;
+use crate::lookahead::{Arrivals, Completions};
 use crate::path::ClusterPath;
+use crate::problem::{can_still_reach, KlStableParams};
 use crate::solver::{
-    check_not_expired, deadline_error, AlgorithmKind, Solution, SolverStats, StableClusterSolver,
+    check_not_expired, checkpoint, AlgorithmKind, Solution, SolverStats, StableClusterSolver,
 };
 use crate::topk::TopKPaths;
 
@@ -36,6 +67,184 @@ pub struct TaStableClusters {
     cancel: Option<CancelToken>,
 }
 
+/// An edge of a sorted list: `(weight, from, to)`.
+type ListedEdge = (f64, ClusterNodeId, ClusterNodeId);
+
+/// The sorted list of one interval pair (counted from the view's first
+/// interval): where its edges not yet popped lie, heaviest first, in the
+/// run's one vector of listed edges.
+struct EdgeList {
+    from: u32,
+    to: u32,
+    unseen: Range<usize>,
+}
+
+/// One TA run over a view: the two look-ahead tables, the top-k heap and the
+/// counters.
+struct Search<'a> {
+    view: GraphView<'a>,
+    /// The length of a full path, `m − 1`.
+    l: u32,
+    startwts: Completions,
+    endwts: Arrivals,
+    global: TopKPaths,
+    stats: SolverStats,
+    cancel: Option<&'a CancelToken>,
+    /// Amortization counter of the cancellation checkpoints.
+    tick: u32,
+    /// The nodes of the path a walk is on, reused from one to the next.
+    path: Vec<ClusterNodeId>,
+}
+
+impl<'a> Search<'a> {
+    /// Look ahead over `view` (at least two intervals) in both directions:
+    /// everything a run knows before it pops its first edge.
+    fn over(view: GraphView<'a>, k: usize, cancel: Option<&'a CancelToken>) -> BscResult<Self> {
+        let l = view.num_intervals() as u32 - 1;
+        let mut tick = 0;
+        Ok(Search {
+            view,
+            l,
+            startwts: Completions::of(view, KlStableParams::new(k, l), cancel, &mut tick)?,
+            endwts: Arrivals::of(view, cancel, &mut tick)?,
+            global: TopKPaths::new(k),
+            stats: SolverStats::default(),
+            cancel,
+            tick,
+            path: Vec::new(),
+        })
+    }
+
+    /// Is there a full path that begins with a prefix of weight `before` at
+    /// best, ends with a suffix of `after` at best, and can still reach
+    /// `threshold`?
+    fn reaches(&self, before: f64, after: f64, threshold: f64) -> bool {
+        before + after > f64::NEG_INFINITY && can_still_reach(self.l, before, after, threshold)
+    }
+
+    /// The edges worth listing — those whose best full path reaches `θ₀` —
+    /// one list per interval pair `(i, j)`, `j − i ≤ g + 1`, in that order,
+    /// each by descending weight.
+    fn sorted_lists(&mut self) -> BscResult<(Vec<ListedEdge>, Vec<EdgeList>)> {
+        let view = self.view;
+        let (first, floor) = (view.first_interval(), self.startwts.floor());
+        let mut listed: Vec<ListedEdge> = Vec::new();
+        let mut lists = Vec::new();
+        for interval in view.intervals() {
+            let begin = listed.len();
+            for from in view.interval_node_ids(interval) {
+                checkpoint(self.cancel, &mut self.tick)?;
+                let before = self.endwts.arriving(from);
+                for edge in view.children(from) {
+                    if self.reaches(
+                        before + edge.weight,
+                        self.startwts.to_the_end(edge.to),
+                        floor,
+                    ) {
+                        listed.push((edge.weight, from, edge.to));
+                    } else {
+                        self.stats.prunes += 1;
+                    }
+                }
+            }
+            let by_target_then_weight = |a: &ListedEdge, b: &ListedEdge| {
+                let target = a.2.interval.cmp(&b.2.interval);
+                target.then(b.0.total_cmp(&a.0))
+            };
+            listed[begin..].sort_by(by_target_then_weight);
+            let mut at = begin;
+            for list in listed[begin..].chunk_by(|a, b| a.2.interval == b.2.interval) {
+                lists.push(EdgeList {
+                    from: interval - first,
+                    to: list[0].2.interval - first,
+                    unseen: at..at + list.len(),
+                });
+                at += list.len();
+            }
+        }
+        Ok((listed, lists))
+    }
+
+    /// Random access: offer `H` every full path through the edge
+    /// `from → to` of weight `weight` that can still reach `threshold`. The
+    /// walk back holds one prefix at a time — per node its parents yet to be
+    /// tried — and hands each that arrives in the first interval to
+    /// [`Search::walk_forth`].
+    fn expand(&mut self, (weight, from, to): ListedEdge, threshold: f64) -> BscResult<()> {
+        let view = self.view;
+        let first = view.first_interval();
+        let after = self.startwts.to_the_end(to);
+        // Per node of the prefix, latest first: the node, the edge that
+        // leaves it, the weight from it to `to` summed right to left (what
+        // the bound reads), and its parents yet to be tried.
+        let mut back = vec![(from, weight, weight, view.parents(from))];
+        while let Some(&mut (node, _, through, ref mut parents)) = back.last_mut() {
+            checkpoint(self.cancel, &mut self.tick)?;
+            if node.interval == first {
+                // Weigh the prefix as Algorithm 2 does, left to right.
+                let edges = back.iter().rev().map(|&(_, edge, ..)| edge);
+                let so_far = edges.fold(0.0, |sum, edge| sum + edge);
+                self.path.clear();
+                self.path.extend(back.iter().rev().map(|&(node, ..)| node));
+                self.walk_forth(to, so_far, threshold)?;
+                back.pop();
+                continue;
+            }
+            let Some(edge) = parents.next() else {
+                self.stats.random_seeks += 1;
+                back.pop();
+                continue;
+            };
+            let through = edge.weight + through;
+            if self.reaches(self.endwts.arriving(edge.to) + through, after, threshold) {
+                back.push((edge.to, edge.weight, through, view.parents(edge.to)));
+            }
+        }
+        Ok(())
+    }
+
+    /// The walk forward from `to`, reached by the prefix in `self.path`, which
+    /// weighs `so_far` with the edge into `to`: one suffix at a time, each
+    /// complete path weighed left to right and offered to `H` under the
+    /// strict `(score, content)` order.
+    fn walk_forth(&mut self, to: ClusterNodeId, so_far: f64, threshold: f64) -> BscResult<()> {
+        let view = self.view;
+        let last = view.intervals().end - 1;
+        let prefix = self.path.len();
+        let mut forth = vec![(to, so_far, view.children(to))];
+        while let Some(&mut (node, so_far, ref mut children)) = forth.last_mut() {
+            checkpoint(self.cancel, &mut self.tick)?;
+            if node.interval == last {
+                self.stats.paths_generated += 1;
+                // Worst-score fast path: materialize the node vector only
+                // when the heap could admit it; a path is found once per
+                // edge of it that is popped.
+                if self.global.would_admit(so_far) {
+                    self.path.truncate(prefix);
+                    self.path.extend(forth.iter().map(|&(node, ..)| node));
+                    let found = self.path.as_slice();
+                    if !self.global.iter().any(|held| held.nodes() == found) {
+                        let found = ClusterPath::new(found.to_vec(), so_far);
+                        self.global.offer_by_weight(found);
+                    }
+                }
+                forth.pop();
+                continue;
+            }
+            let Some(edge) = children.next() else {
+                self.stats.random_seeks += 1;
+                forth.pop();
+                continue;
+            };
+            let so_far = so_far + edge.weight;
+            if self.reaches(so_far, self.startwts.to_the_end(edge.to), threshold) {
+                forth.push((edge.to, so_far, view.children(edge.to)));
+            }
+        }
+        Ok(())
+    }
+}
+
 impl TaStableClusters {
     /// Create a solver returning the top `k` full paths.
     pub fn new(k: usize) -> Self {
@@ -43,8 +252,9 @@ impl TaStableClusters {
     }
 
     /// Attach a cooperative-cancellation token, observed at amortized
-    /// checkpoints (roughly once per [`CancelToken::CHECK_INTERVAL`] edges
-    /// scanned). A tripped token aborts the run with
+    /// checkpoints (roughly once per [`CancelToken::CHECK_INTERVAL`] nodes
+    /// of the two look-ahead passes, edges scanned and steps of an
+    /// expansion). A tripped token aborts the run with
     /// [`crate::error::BscError::DeadlineExceeded`].
     pub fn with_cancel(mut self, cancel: Option<CancelToken>) -> Self {
         self.cancel = cancel;
@@ -58,146 +268,66 @@ impl TaStableClusters {
     }
 
     /// Run the algorithm and report execution statistics. Of
-    /// [`SolverStats`] it fills `edges_traversed` (edges read from the
-    /// sorted lists), `random_seeks` (adjacency-list accesses while
-    /// expanding prefixes and suffixes), `paths_generated` (full paths
-    /// enumerated), `prunes` (edges discarded on the `startwts` / `endwts`
-    /// bound) and `early_termination` (the threshold condition stopped the
-    /// scan).
+    /// [`SolverStats`] it fills `prunes` (edges discarded on the
+    /// `startwts` / `endwts` bound: never listed because their best full
+    /// path misses `θ₀`, or popped and not expanded because it misses the
+    /// threshold by then), `edges_traversed` (edges popped from the sorted
+    /// lists), `random_seeks` (adjacency rows read while expanding: one per
+    /// node a walk steps through, the first and the last interval's
+    /// excepted), `paths_generated` (full paths a walk completed and
+    /// weighed, counted before `H`'s admission test — every one of them can
+    /// reach the threshold its edge was popped under) and
+    /// `early_termination` (the threshold condition stopped the scan).
     pub fn run_with_stats<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
-        let graph = graph.into();
-        let mut stats = SolverStats::default();
-        check_not_expired(self.cancel.as_ref())?;
-        let m = graph.num_intervals() as u32;
-        if self.k == 0 || m < 2 {
-            return Ok((Vec::new(), stats));
-        }
-        let (first, last) = (graph.first_interval(), graph.intervals().end - 1);
-
-        // One sorted edge list per interval pair (i, j), j - i <= g + 1.
-        struct EdgeList {
-            edges: Vec<(f64, ClusterNodeId, ClusterNodeId)>,
-            cursor: usize,
-        }
-        let mut lists: Vec<EdgeList> = Vec::new();
-        // bsc:allow(missing-cancel-checkpoint) -- one-time setup linear in the edge count; the TA round loop checkpoints
-        for i in graph.intervals() {
-            for j in (i + 1)..=i.saturating_add(graph.max_edge_length()).min(last) {
-                let mut edges: Vec<(f64, ClusterNodeId, ClusterNodeId)> = graph
-                    .interval_node_ids(i)
-                    .flat_map(|from| graph.children(from).map(move |e| (e.weight, from, e.to)))
-                    .filter(|&(_, _, to)| to.interval == j)
-                    .collect();
-                edges.sort_by(|a, b| b.0.total_cmp(&a.0));
-                if !edges.is_empty() {
-                    lists.push(EdgeList { edges, cursor: 0 });
-                }
-            }
-        }
-        if lists.is_empty() {
-            return Ok((Vec::new(), stats));
-        }
-
-        let mut global = TopKPaths::new(self.k);
-        // Best known prefix weight (first interval .. node) and suffix weight
-        // (node .. last interval); NEG_INFINITY = no such path exists,
-        // absent = not yet computed.
-        let mut endwts: HashMap<ClusterNodeId, f64> = HashMap::new();
-        let mut startwts: HashMap<ClusterNodeId, f64> = HashMap::new();
-
+        let view = graph.into();
         let cancel = self.cancel.as_ref();
-        let mut tick = 0u32;
-        loop {
+        check_not_expired(cancel)?;
+        let m = view.num_intervals() as u32;
+        if self.k == 0 || m < 2 {
+            return Ok((Vec::new(), SolverStats::default()));
+        }
+        let mut search = Search::over(view, self.k, cancel)?;
+        let (listed, mut lists) = search.sorted_lists()?;
+        let floor = search.startwts.floor();
+        let mut heads = Vec::with_capacity(lists.len());
+        'scan: loop {
             let mut progressed = false;
             for list_index in 0..lists.len() {
-                if let Some(token) = cancel {
-                    if token.checkpoint(&mut tick) {
-                        return Err(deadline_error(token));
-                    }
-                }
-                let (weight, from, to) = {
-                    let list = &mut lists[list_index];
-                    if list.cursor >= list.edges.len() {
-                        continue;
-                    }
-                    let edge = list.edges[list.cursor];
-                    list.cursor += 1;
-                    edge
+                checkpoint(search.cancel, &mut search.tick)?;
+                let Some(popped) = lists[list_index].unseen.next() else {
+                    continue;
                 };
+                let edge = listed[popped];
                 progressed = true;
-                stats.edges_traversed += 1;
+                search.stats.edges_traversed += 1;
 
-                // Upper bound from the memo tables when available.
-                if let (Some(&prefix_bound), Some(&suffix_bound)) =
-                    (endwts.get(&from), startwts.get(&to))
-                {
-                    let bound = prefix_bound + weight + suffix_bound;
-                    if bound < global.admission_threshold() {
-                        stats.prunes += 1;
-                        continue;
-                    }
-                }
-
-                // Enumerate every full path containing this edge.
-                let prefixes = enumerate_prefixes(graph, from, &mut stats);
-                let best_prefix = prefixes
-                    .iter()
-                    .map(|p| p.weight())
-                    .fold(f64::NEG_INFINITY, f64::max);
-                endwts.insert(from, best_prefix);
-                if prefixes.is_empty() {
+                let (weight, from, to) = edge;
+                let threshold = search.global.admission_threshold().max(floor);
+                let before = search.endwts.arriving(from) + weight;
+                if !search.reaches(before, search.startwts.to_the_end(to), threshold) {
+                    search.stats.prunes += 1;
                     continue;
                 }
-                let suffixes = enumerate_suffixes(graph, to, &mut stats);
-                let best_suffix = suffixes
-                    .iter()
-                    .map(|p| p.weight())
-                    .fold(f64::NEG_INFINITY, f64::max);
-                startwts.insert(to, best_suffix);
-                if suffixes.is_empty() {
-                    continue;
-                }
-                for prefix in &prefixes {
-                    for suffix in &suffixes {
-                        let total = prefix.weight() + weight + suffix.weight();
-                        stats.paths_generated += 1;
-                        // Worst-score fast path: materialize the combined
-                        // node vector only when the heap could admit it.
-                        if !global.would_admit(total) {
-                            continue;
-                        }
-                        let nodes = [prefix.nodes(), suffix.nodes()].concat();
-                        if global.iter().any(|p| p.nodes() == nodes.as_slice()) {
-                            continue;
-                        }
-                        global.offer_by_weight(ClusterPath::new(nodes, total));
-                    }
-                }
+                search.expand(edge, threshold)?;
 
                 // Threshold test: the best possible path made of unseen edges.
-                if global.is_full() {
-                    let heads: Vec<(u32, u32, Option<f64>)> = lists
-                        .iter()
-                        .map(|list| {
-                            (
-                                list.edges[0].1.interval - first,
-                                list.edges[0].2.interval - first,
-                                list.edges.get(list.cursor).map(|e| e.0),
-                            )
-                        })
-                        .collect();
-                    let threshold = virtual_path_bound(&heads, m);
+                if search.global.is_full() {
+                    heads.clear();
+                    heads.extend(lists.iter().map(|list| {
+                        let unseen = listed[list.unseen.clone()].first();
+                        (list.from, list.to, unseen.map(|edge| edge.0))
+                    }));
                     // Strictly greater: under the heap's tie-admission
                     // semantics an unseen path weighing exactly the k-th
                     // best score could still displace a held path via the
                     // content tie-break, so stopping at equality could
                     // return a different (equal-weight) top-k than BFS/DFS.
-                    if global.admission_threshold() > threshold {
-                        stats.early_termination = true;
-                        return Ok((global.into_sorted(), stats));
+                    if search.global.admission_threshold() > virtual_path_bound(&heads, m) {
+                        search.stats.early_termination = true;
+                        break 'scan;
                     }
                 }
             }
@@ -205,70 +335,27 @@ impl TaStableClusters {
                 break;
             }
         }
-        Ok((global.into_sorted(), stats))
+        Ok((search.global.into_sorted(), search.stats))
     }
-}
-
-/// All paths from a node of the view's first interval to `node` (exclusive
-/// of `node` itself in the weight, inclusive in the node list).
-fn enumerate_prefixes(
-    graph: GraphView<'_>,
-    node: ClusterNodeId,
-    stats: &mut SolverStats,
-) -> Vec<ClusterPath> {
-    if node.interval == graph.first_interval() {
-        return vec![ClusterPath::singleton(node)];
-    }
-    stats.random_seeks += 1;
-    let mut result = Vec::new();
-    // bsc:allow(missing-cancel-checkpoint) -- bounded by the path multiplicity of one node; the TA round loop checkpoints between seeks
-    for edge in graph.parents(node) {
-        for prefix in enumerate_prefixes(graph, edge.to, stats) {
-            result.push(prefix.extend(node, edge.weight));
-        }
-    }
-    result
-}
-
-/// All paths from `node` to a node of the view's last interval.
-fn enumerate_suffixes(
-    graph: GraphView<'_>,
-    node: ClusterNodeId,
-    stats: &mut SolverStats,
-) -> Vec<ClusterPath> {
-    if node.interval + 1 == graph.intervals().end {
-        return vec![ClusterPath::singleton(node)];
-    }
-    stats.random_seeks += 1;
-    let mut result = Vec::new();
-    // bsc:allow(missing-cancel-checkpoint) -- bounded by the path multiplicity of one node; the TA round loop checkpoints between seeks
-    for edge in graph.children(node) {
-        for suffix in enumerate_suffixes(graph, edge.to, stats) {
-            result.push(suffix.prepend(node, edge.weight));
-        }
-    }
-    result
 }
 
 /// The weight of the "virtual path": an optimistic full path assembled from
 /// the highest *unseen* edge weight of each list, combined over a dynamic
 /// program on intervals. Any path consisting solely of unseen edges weighs at
 /// most this much. `heads` gives each list's `(from interval, to interval,
-/// highest unseen weight)`, intervals counted from the view's first.
+/// highest unseen weight)`, intervals counted from the view's first, lists
+/// ordered by `from`.
 fn virtual_path_bound(heads: &[(u32, u32, Option<f64>)], m: u32) -> f64 {
     // best[i] = best achievable weight of an unseen-edge path from interval i
-    // to interval m-1.
+    // to interval m-1; an edge runs forward, so in reverse list order
+    // best[to] is final before a list from an earlier interval reads it.
     let mut best = vec![f64::NEG_INFINITY; m as usize];
     best[(m - 1) as usize] = 0.0;
-    // bsc:allow(missing-cancel-checkpoint) -- O(m * lists) dynamic program per TA round; the round loop checkpoints
-    for i in (0..m - 1).rev() {
-        for &(from, to, head) in heads {
-            let (Some(head), next) = (head, best[to as usize]) else {
-                continue;
-            };
-            if from == i && next != f64::NEG_INFINITY {
-                best[i as usize] = best[i as usize].max(head + next);
-            }
+    // bsc:allow(missing-cancel-checkpoint) -- O(lists) dynamic program per expanded edge; the round loop checkpoints
+    for &(from, to, head) in heads.iter().rev() {
+        // −∞ onward stays −∞: no unseen path leaves `to`.
+        if let Some(head) = head {
+            best[from as usize] = best[from as usize].max(head + best[to as usize]);
         }
     }
     best[0]
@@ -347,14 +434,8 @@ mod tests {
                         .unwrap();
                 let ta = TaStableClusters::new(k).run(&graph).unwrap();
                 assert_eq!(bfs.len(), ta.len(), "seed={seed} k={k}");
-                for (a, b) in bfs.iter().zip(ta.iter()) {
-                    assert!(
-                        (a.weight() - b.weight()).abs() < 1e-9,
-                        "seed={seed} k={k}: bfs={} ta={}",
-                        a.weight(),
-                        b.weight()
-                    );
-                }
+                // To the bit: both weigh a path left to right.
+                assert_eq!(bfs, ta, "seed={seed} k={k}");
             }
         }
     }
@@ -378,10 +459,7 @@ mod tests {
                 .unwrap();
             let ta = TaStableClusters::new(k).run(&graph).unwrap();
             assert_eq!(bfs.len(), k, "gap={gap}");
-            assert_eq!(bfs.len(), ta.len(), "gap={gap}");
-            for (a, b) in bfs.iter().zip(ta.iter()) {
-                assert!((a.weight() - b.weight()).abs() < 1e-9, "gap={gap}");
-            }
+            assert_eq!(bfs, ta, "gap={gap}");
         }
     }
 
@@ -439,11 +517,87 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_populated() {
+    fn every_edge_of_figure5_is_filtered_pruned_or_expanded_as_derived_by_hand() {
+        // Figure 5 (g = 1, full paths of length 2), its tables by hand:
+        //
+        //   startwts  c00 1.2  c01 1.0  c02 1.7   c10 0.7  c11 0.9  c12 0.4
+        //   endwts    c10 0.5  c11 0.8  c12 0.4   c20 1.5  c21 0.9  c22 1.7
+        //
+        // and the best full path through each edge, `endwts + w + startwts`:
+        //
+        //   c00→c10 1.2   c01→c11 1.0   c02→c11 1.7   c01→c12 0.8
+        //   c10→c20 1.2   c11→c20 1.5   c10→c21 0.9   c11→c22 1.7
+        //   c12→c22 0.8   c00→c21 0.5 (the gap edge)
         let graph = figure5_graph();
-        let (_, stats) = TaStableClusters::new(2).run_with_stats(&graph).unwrap();
-        assert!(stats.edges_traversed > 0);
-        assert!(stats.paths_generated > 0);
-        assert!(stats.random_seeks > 0);
+        let counted = |k| {
+            let (_, stats) = TaStableClusters::new(k).run_with_stats(&graph).unwrap();
+            stats
+        };
+
+        // k = 2: θ₀ = 1.2, the second-best start. Five edges reach it and are
+        // listed, by interval pair and descending weight (the two 0.7s in
+        // node order); the other five are never listed, and the pair (0, 2)
+        // has no list at all.
+        let mut search = Search::over(graph.view(), 2, None).unwrap();
+        assert_eq!(search.startwts.floor(), 1.2);
+        let (listed, lists) = search.sorted_lists().unwrap();
+        let expected = [
+            (0.8, node(0, 2), node(1, 1)),
+            (0.5, node(0, 0), node(1, 0)),
+            (0.9, node(1, 1), node(2, 2)),
+            (0.7, node(1, 0), node(2, 0)),
+            (0.7, node(1, 1), node(2, 0)),
+        ];
+        assert_eq!(listed, expected);
+        let lists: Vec<_> = lists
+            .iter()
+            .map(|list| (list.from, list.to, list.unseen.clone()))
+            .collect();
+        assert_eq!(lists, [(0, 1, 0..2), (1, 2, 2..5)]);
+        assert_eq!(search.stats.prunes, 5);
+        // The first pop, c02→c11, starts in the first interval: no walk
+        // back, one row read (c11's children), both answers (1.7, 1.5). The
+        // unseen heads are then 0.5 and 0.9: 1.4 < 1.5 stops the scan.
+        let expanded_once = SolverStats {
+            paths_generated: 2,
+            edges_traversed: 1,
+            prunes: 5,
+            random_seeks: 1,
+            early_termination: true,
+            ..SolverStats::default()
+        };
+        assert_eq!(counted(2), expanded_once);
+
+        // k = 4: three starts, so θ₀ = −∞ and all ten edges are listed (each
+        // lies on a full path). Popped round-robin over (0,1), (0,2), (1,2):
+        //
+        //   c02→c11  expanded: c11's children → 1.7, 1.5          (1 row)
+        //   c00→c21  expanded: first to last, the path itself 0.5  (0 rows)
+        //   c11→c22  expanded: c11's parents → 1.0, and 1.7 again  (1 row)
+        //            H full at 0.5; unseen 0.5 + 0.7 = 1.2: go on
+        //   c00→c10  expanded under 0.5: c10's children → 1.2, 0.9 (1 row)
+        //            H now 1.7 1.5 1.2 1.0; unseen 0.4 + 0.7: go on
+        //   c10→c20  expanded: c10's parents → 1.2 again           (1 row)
+        //   c01→c12  pruned at the pop: 0.8 misses 1.0
+        //   c11→c20  expanded: c11's parents, c01 cut (0.8) → 1.5 again (1 row)
+        //            unseen 0.1 + 0.4 = 0.5 < 1.0: stop
+        //
+        // c01→c11, c10→c21 and c12→c22 are never popped.
+        let pruned_one = SolverStats {
+            paths_generated: 9,
+            edges_traversed: 7,
+            prunes: 1,
+            random_seeks: 5,
+            early_termination: true,
+            ..SolverStats::default()
+        };
+        assert_eq!(counted(4), pruned_one);
+        let weights: Vec<f64> = TaStableClusters::new(4)
+            .run(&graph)
+            .unwrap()
+            .iter()
+            .map(ClusterPath::weight)
+            .collect();
+        assert_eq!(weights, [0.8 + 0.9, 0.8 + 0.7, 0.5 + 0.7, 0.1 + 0.9]);
     }
 }

@@ -322,6 +322,54 @@ fn tie_heavy_graphs_match_the_oracle_node_for_node() {
     }
 }
 
+/// TA weighs a path once it is complete, left to right over its edges, as
+/// BFS does — not `prefix + edge + suffix`, whose last bit depended on which
+/// of the path's edges was popped first. So wherever TA answers — every
+/// length in `l + 1`-interval windows, the full length unsharded — its reply
+/// is BFS's reply: same nodes, same weight bits, on weights that separate
+/// paths and on weights that tie.
+#[test]
+fn ta_answers_are_bfs_answers_to_the_bit() {
+    let benchmark_shaped = ClusterGraphGenerator::new(SyntheticGraphParams {
+        num_intervals: 12,
+        nodes_per_interval: 300,
+        avg_out_degree: 5,
+        gap: 1,
+        seed: 7,
+    })
+    .generate();
+    let graphs = [
+        ("12 x 300", benchmark_shaped),
+        ("tie-heavy", tie_heavy(12, 40, 1, 15_100)),
+    ];
+    let mut queries = vec![(StableClusterSpec::FullPaths, 1)];
+    for l in [2, 3, 5, 8] {
+        queries.extend([2, 3].map(|shards| (StableClusterSpec::ExactLength(l), shards)));
+    }
+    for (name, graph) in &graphs {
+        for &(spec, shards) in &queries {
+            for k in [1, 5, 10, 50] {
+                let options = SolverOptions::default().shards(shards);
+                let paths = |kind: AlgorithmKind| {
+                    kind.build_with_options(spec, k, graph.num_intervals(), options.clone())
+                        .expect("supported combination")
+                        .solve(graph)
+                        .expect("solver run")
+                        .paths
+                };
+                let (bfs, ta) = (paths(AlgorithmKind::Bfs), paths(AlgorithmKind::Ta));
+                let context = format!("{name} {spec} shards={shards} k={k}");
+                assert_eq!(bfs.len(), k, "{context}");
+                assert_eq!(bfs.len(), ta.len(), "{context}");
+                for (b, t) in bfs.iter().zip(&ta) {
+                    assert_eq!(b.nodes(), t.nodes(), "{context}");
+                    assert_eq!(b.weight().to_bits(), t.weight().to_bits(), "{context}");
+                }
+            }
+        }
+    }
+}
+
 /// Randomized conformance sweep over graph shapes and specs (the successor
 /// of the old proptest block, Claims 1 and 2): draw a random shape, then run
 /// *every* algorithm that supports the drawn spec against the oracle.

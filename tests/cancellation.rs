@@ -164,6 +164,77 @@ fn mid_solve_cancellation_is_prompt() {
     }
 }
 
+/// A TA expansion is a walk over paths, and with all weights equal its bound
+/// cuts none of them: 30 · 8⁷ full paths tie here, each found once per edge.
+/// The checkpoints inside the walks are what ends such a solve at its
+/// deadline — the round loop alone would see the token only between edges.
+#[test]
+fn a_ta_expansion_honours_the_deadline() {
+    let (m, n, d) = (8u32, 30u32, 8u32);
+    let mut builder = ClusterGraphBuilder::new(0);
+    for _ in 0..m {
+        builder.add_interval(n);
+    }
+    for interval in 1..m {
+        for from in 0..n {
+            for step in 0..d {
+                let to = ClusterNodeId::new(interval, (from + step) % n);
+                builder.add_edge(ClusterNodeId::new(interval - 1, from), to, 0.5);
+            }
+        }
+    }
+    let graph = builder.build();
+    let begun = Instant::now();
+    let err = AlgorithmKind::Ta
+        .build_with_options(
+            StableClusterSpec::FullPaths,
+            5,
+            graph.num_intervals(),
+            SolverOptions::default().deadline(Some(Duration::from_millis(50))),
+        )
+        .expect("build")
+        .solve(&graph)
+        .unwrap_err();
+    assert!(is_deadline(&err), "expected DeadlineExceeded, got {err}");
+    assert!(
+        begun.elapsed() < Duration::from_secs(1),
+        "a 50 ms deadline was noticed after {:?}",
+        begun.elapsed()
+    );
+}
+
+/// One TA request line used to pin a worker past its deadline: `ta` `full` on
+/// the benchmark-sized graph enumerated for minutes with no checkpoint in its
+/// expansions. It answers within its deadline now, and what it answers is
+/// what BFS answers, weights to the bit.
+#[test]
+fn ta_full_on_the_benchmark_graph_answers_within_its_deadline() {
+    let mut session = Session::engine(EngineConfig::default().workers(1)).unwrap();
+    let mut drive = |line: &str| -> bsc_util::json::JsonValue {
+        let (response, cont) = session.handle_line(line);
+        assert!(cont, "session ended early on {line}");
+        bsc_util::json::parse(&response.expect("response expected")).unwrap()
+    };
+    let loaded = drive(
+        "{\"op\":\"load\",\"num_intervals\":12,\"nodes_per_interval\":300,\"avg_out_degree\":5,\"gap\":1,\"seed\":7}",
+    );
+    assert_eq!(loaded.get("nodes").unwrap().as_u64(), Some(3600));
+    let begun = Instant::now();
+    let ta = drive(
+        "{\"op\":\"query\",\"algorithm\":\"ta\",\"spec\":\"full\",\"k\":5,\"deadline_ms\":5000}",
+    );
+    assert!(
+        begun.elapsed() < Duration::from_secs(5),
+        "{:?}",
+        begun.elapsed()
+    );
+    let bfs = drive("{\"op\":\"query\",\"algorithm\":\"bfs\",\"spec\":\"full\",\"k\":5}");
+    assert_eq!(ta.get("ok").unwrap().as_bool(), Some(true), "{ta:?}");
+    let paths = ta.get("paths").unwrap();
+    assert_eq!(paths.as_array().map(|paths| paths.len()), Some(5));
+    assert_eq!(Some(paths), bfs.get("paths"));
+}
+
 /// Entry point 3: the serve protocol. Engine and oracle sessions answer an
 /// expired `deadline_ms` with byte-identical error responses, and answer a
 /// far-future `deadline_ms` byte-identically to the no-deadline query.
