@@ -129,7 +129,9 @@ impl GraphShape {
 /// budgeted `auto` choices. Beside the heaps a batch solve holds its
 /// completion table, the one part that grows with the whole view: every node
 /// has a weight for each length it can be asked for, at most
-/// `min(l, m − l)` — one for full paths and inside a start window.
+/// `min(l, m − l)` — one for full paths and inside a start window. The
+/// sweep's marks are under one byte per node of the `g + 1` intervals in
+/// reach and are not priced.
 pub fn bfs_resident_bytes(shape: &GraphShape, k: usize, l: u64) -> u64 {
     let l = l.max(1);
     let window = u64::from(shape.gap) + 2;

@@ -11,8 +11,9 @@
 //!
 //! Which heaps exist and what enters them is one policy of that pass, where
 //! the paper gives every node `l` heaps: **a subpath is held only if it can
-//! still become an answer.** Three rules follow; none can change an answer,
-//! only `paths_generated` (candidates considered) and `peak_resident_paths`.
+//! still become an answer.** Four rules follow; none can change an answer,
+//! only `nodes_processed` (nodes visited), `paths_generated` (candidates
+//! considered at them) and `peak_resident_paths`.
 //!
 //! * *Nobody reads `h^l`.* A child extends a prefix by an edge at least one
 //!   interval long, so a node `depth` intervals into the sweep keeps rows for
@@ -45,9 +46,29 @@
 //!   against `H`'s threshold alone, and holds far more. Either threshold only
 //!   rises, so what it rules out could not have entered later. It is read
 //!   once per node, so the work done does not depend on the order of a node's
-//!   parents. With all weights equal every completion ties the k-th answer,
-//!   nothing is cut, and a batch solve costs the optimistic one plus the
-//!   backward pass.
+//!   parents. With all weights equal every completion ties the k-th answer
+//!   and nothing is cut.
+//! * *Nobody visits a node nothing live reaches.* A subpath is held at a
+//!   node only if a parent offered it: one that holds a prefix of it, or one
+//!   it starts at. So a sweep that holds a completion table visits a node —
+//!   walks its parents, lays its rows out — only if a **live** node marked
+//!   it, and passes over every other node without reading an edge. A node is
+//!   live if its rows hold a slot once it has been visited, or if a
+//!   near-answer can start there: `C[c][l]` is asked of it and reaches `θ₀`
+//!   (`can_still_reach` with an empty prefix, the slack counted twice). Every
+//!   edge out of `c` was relaxed into `C[c][l]` with the very addition
+//!   `reaches` judges the bare edge by, against a threshold that only rises
+//!   from `θ₀`, so a start that fails holds no edge `reaches` would hold —
+//!   the second slack is for the one thing that differs, the order the slack
+//!   itself is added in — and what an unmarked node is passed over with is
+//!   exactly nothing. Once an interval is swept its live nodes mark their
+//!   children ([`GraphView::children`]); an interval more than half of whose
+//!   nodes are live marks every node in reach at once instead, so an input
+//!   that cuts nothing (all weights equal) pays no second walk of its edges.
+//!   Marking may only err towards visiting. A sweep whose table holds no
+//!   weight — the online driver, which has none; `l = 1`; an `l` beyond the
+//!   last interval — knows of no node whether it is live, marks nothing and
+//!   visits every node, through the same loop.
 //!
 //! That pass is written once, as the crate-private `IntervalSweep`: its
 //! state is the heaps of the intervals already swept, the global heap and
@@ -82,12 +103,15 @@
 //! per heap or per node: a node's parents are walked once, the candidates
 //! that pass the rules above wait in one reused buffer, and a row is sized
 //! before it is filled, to `min(k, candidates waiting for it)`; an interval's
-//! table is three vectors, recycled from the table that has just fallen out
-//! of reach. The
+//! table is three vectors and a word per node up to the last that holds
+//! anything, recycled from the table that has just fallen out of reach. The
 //! rows of an interval are kept for `g + 1` further intervals (its possible
 //! children), its link cells for `l + g` (the reach of a chain held by those
 //! children), so what a sweep retains in heaps is bounded by `l` and `g`
-//! however long the online driver keeps it alive. A batch solve holds its
+//! however long the online driver keeps it alive. The marks are a byte per
+//! node of the intervals a child of the interval being swept can lie in — at
+//! most `g + 1` of them, and never more than the view has left — recycled
+//! the same way. A batch solve holds its
 //! completion table beside them, and that is sized by the view: a node has a
 //! weight for each length it can be asked for, at most `min(l, last − l + 1)`
 //! of them — one for full paths and inside a start window, 86 KB for
@@ -115,9 +139,9 @@ use crate::cluster_graph::{ClusterGraph, ClusterNodeId, GraphView};
 use crate::error::{BscError, BscResult};
 use crate::lookahead::Completions;
 use crate::path::ClusterPath;
-use crate::problem::{can_still_reach, shortest_feasible, KlStableParams};
+use crate::problem::{can_still_reach, shortest_feasible, summation_slack, KlStableParams};
 use crate::solver::{
-    check_not_expired, deadline_error, AlgorithmKind, Solution, SolverStats, StableClusterSolver,
+    check_not_expired, checkpoint, AlgorithmKind, Solution, SolverStats, StableClusterSolver,
 };
 use crate::topk::TopKPaths;
 
@@ -188,6 +212,10 @@ pub(crate) struct Table {
     /// Slots in use per row while the rows are being filled (only in the
     /// sweep's table of the node in progress; a finished row is full).
     filled: Vec<u32>,
+    /// Per node of the interval, by index, the row its rows start at:
+    /// [`NO_LINK`], or no entry, for a node that holds nothing (only in a
+    /// [`Ring`]'s tables).
+    first_row: Vec<u32>,
 }
 
 /// More held subpaths than a `u32` cell index can address.
@@ -204,6 +232,7 @@ impl Table {
             slots: Vec::new(),
             links: Vec::new(),
             filled: Vec::new(),
+            first_row: Vec::new(),
         }
     }
 
@@ -214,6 +243,7 @@ impl Table {
         self.slots.clear();
         self.links.clear();
         self.filled.clear();
+        self.first_row.clear();
     }
 
     /// Start over with one empty row per entry of `room`, each with that
@@ -384,9 +414,9 @@ fn chain_nodes<W: HeapWindow>(window: &W, link: Link, last: ClusterNodeId) -> Ve
 /// [`IntervalSweep::advance`]. Either way a held subpath reads as a [`Slot`]
 /// of a [`Table`] and a chain of [`Link`]s.
 pub(crate) trait HeapWindow {
-    /// Make room for `interval`, about to be swept with `num_nodes` nodes,
-    /// and let go of what no later interval can reach.
-    fn open(&mut self, interval: u32, num_nodes: u32);
+    /// Make room for `interval`, about to be swept, and let go of what no
+    /// later interval can reach.
+    fn open(&mut self, interval: u32);
     /// Make the rows of `parent` readable: their row numbers in
     /// `self.table(parent.interval)`, by length − 1 (empty when nothing is
     /// held for it). They stay readable until `parent`'s child is kept.
@@ -394,21 +424,24 @@ pub(crate) trait HeapWindow {
     /// The table holding the rows and the link cells of `interval`'s nodes.
     fn table(&self, interval: u32) -> &Table;
     /// Take over a swept node's rows (the pseudocode's "save `c_ij` along
-    /// with `h^x_ij`"); `rows` is reused for the next node.
+    /// with `h^x_ij`"); `rows` is reused for the next node. The nodes of an
+    /// interval are kept in index order; one the sweep passes over is never
+    /// kept, and [`HeapWindow::load`] reads it as holding nothing.
     fn keep(&mut self, node: ClusterNodeId, rows: &Table) -> BscResult<()>;
     /// Paths currently held in memory.
     fn resident_paths(&self) -> usize;
 }
 
 /// The rows of a node `depth` intervals into a sweep for length `l`. The sweep
-/// lays rows out by it and [`Ring`] finds them by it, or neighbours' rows alias.
+/// lays rows out by it and [`Ring`] counts them by it, or neighbours' rows alias.
 fn rows_per_node(l: u32, depth: u32) -> usize {
     l.saturating_sub(1).min(depth) as usize
 }
 
 /// The in-memory window: one [`Table`] per swept interval, consecutive
 /// intervals from `oldest` on; a node `i` intervals past the `first` swept
-/// has [`rows_per_node`]`(l, i)` rows.
+/// that holds anything has [`rows_per_node`]`(l, i)` rows from its
+/// `first_row` on, and one that holds nothing (most do) is that one word.
 /// A parent of interval `i` lies in `[i − g − 1, i − 1]`, so only the last
 /// `g + 2` tables keep their rows; a subpath held there is shorter than
 /// `l`, so its chain reaches back fewer than `l` intervals further, and a
@@ -436,7 +469,7 @@ impl Ring {
 }
 
 impl HeapWindow for Ring {
-    fn open(&mut self, interval: u32, num_nodes: u32) {
+    fn open(&mut self, interval: u32) {
         // The table `age` intervals back sits `age` places from the end.
         let reach = (self.gap as usize).saturating_add(1);
         if self.tables.is_empty() {
@@ -455,12 +488,14 @@ impl HeapWindow for Ring {
         if let Some(childless) = childless.and_then(|at| self.tables.get_mut(at)) {
             table.starts = std::mem::take(&mut childless.starts);
             table.slots = std::mem::take(&mut childless.slots);
+            table.first_row = std::mem::take(&mut childless.first_row);
         }
         table.reset();
-        let likely = self.tables.back().map_or(0, |t| t.links.len());
-        table
-            .starts
-            .reserve(num_nodes as usize * rows_per_node(self.l, interval - self.first));
+        let (rows, likely) = self
+            .tables
+            .back()
+            .map_or((0, 0), |t| (t.starts.len(), t.links.len()));
+        table.starts.reserve(rows);
         table.slots.reserve(likely);
         table.links.reserve(likely);
         self.tables.push_back(table);
@@ -471,13 +506,13 @@ impl HeapWindow for Ring {
         let Some(table) = held.and_then(|at| self.tables.get(at as usize)) else {
             return Ok(0..0);
         };
-        let rows = rows_per_node(self.l, parent.interval - self.first);
-        let first = parent.index as usize * rows;
-        let end = first + rows;
-        // Rows that hold no slot read as no rows: the sweep then tests the
-        // parent's bare edge and visits none of its empty rows.
-        Ok(match table.starts.get(end) {
-            Some(&stop) if stop > table.starts[first] => first..end,
+        // A node that holds no slot has no rows: the sweep then tests the
+        // parent's bare edge alone. Nor has one out of a child's reach.
+        Ok(match table.first_row.get(parent.index as usize) {
+            Some(&first) if first != NO_LINK => {
+                let first = first as usize;
+                first..first + rows_per_node(self.l, parent.interval - self.first)
+            }
             _ => 0..0,
         })
     }
@@ -486,7 +521,11 @@ impl HeapWindow for Ring {
         &self.tables[(interval - self.oldest) as usize]
     }
 
-    fn keep(&mut self, _node: ClusterNodeId, rows: &Table) -> BscResult<()> {
+    fn keep(&mut self, node: ClusterNodeId, rows: &Table) -> BscResult<()> {
+        // Nothing held: no rows, which `load` reads as the same nothing.
+        if rows.slots.is_empty() {
+            return Ok(());
+        }
         let Some(table) = self.tables.back_mut() else {
             return Ok(());
         };
@@ -496,6 +535,10 @@ impl HeapWindow for Ring {
             Ok(end) if end != NO_LINK => base as u32,
             _ => return Err(table_overflow()),
         };
+        // Nobody between the last node kept and this one holds anything.
+        let first_row = u32::try_from(table.starts.len() - 1).map_err(|_| table_overflow())?;
+        table.first_row.resize(node.index as usize, NO_LINK);
+        table.first_row.push(first_row);
         table
             .starts
             .extend(rows.starts[1..].iter().map(|&s| s + shift));
@@ -525,7 +568,7 @@ struct Stored {
 }
 
 impl HeapWindow for Stored {
-    fn open(&mut self, _interval: u32, _num_nodes: u32) {}
+    fn open(&mut self, _interval: u32) {}
 
     fn load(&mut self, parent: ClusterNodeId) -> BscResult<Range<usize>> {
         let Some(record) = self.store.get(&parent.to_u64())? else {
@@ -610,6 +653,19 @@ pub(crate) struct IntervalSweep<W = Ring> {
     room: Vec<usize>,
     /// Materialized, so the answer never points into a table.
     global: TopKPaths,
+    /// The live nodes of the interval being swept, by index: who marks
+    /// their children once it is swept. A field like every buffer of the
+    /// step: a vector local to `advance` gives each call in its loop an
+    /// unwind edge, and an all-equal-weights solve read 5–17 % slower for it.
+    live: Vec<u32>,
+    /// Whom a live node has marked, by node index: at the front the interval
+    /// being swept, behind it the intervals a child of one of its nodes can
+    /// lie in. A vector is sized when it is first marked into and goes to
+    /// the back, emptied, once its interval is swept.
+    marks: VecDeque<Vec<bool>>,
+    /// Every node of an interval before this one is marked, whatever
+    /// `marks` says: what an interval crowded with live nodes leaves behind.
+    all_marked_before: u32,
     stats: SolverStats,
     /// Amortization counter of the cancellation checkpoints.
     tick: u32,
@@ -617,6 +673,13 @@ pub(crate) struct IntervalSweep<W = Ring> {
 
 #[cfg(test)]
 impl IntervalSweep<Ring> {
+    /// Mark every node of every interval to come, as if every node were
+    /// live: what the sweep then visits and holds is what it held before it
+    /// passed over anyone.
+    fn mark_everyone(&mut self) {
+        self.all_marked_before = u32::MAX;
+    }
+
     /// Slots and link cells the window retains.
     pub(crate) fn retained(&self) -> (usize, usize) {
         let tables = &self.window.tables;
@@ -710,13 +773,16 @@ const STEP: f64 = 1.0 / (1u64 << 40) as f64;
 ///
 /// With `offset > 0` the earlier intervals hold a chain of weight-1 edges
 /// into `a` at v0 that beats everything — unless the view starts at
-/// `offset`. Swept as a whole by the batch driver, the candidates considered
-/// are: v1 1 (the edge; it ends at 2.75 at best); v2 1 (the edge, which ends
-/// nowhere — no a-a-a, its parent holds nothing); v3 `a` 1, `b` 1 (held),
-/// `c` 1; v4 `b` 1 (length 2; the bare edge can no longer fit), `c` 0 (its
-/// parent holds nothing); v5 `b` 1 (into `H`), `c` 0: 7 in all. Charging 1
-/// per interval to come considered 10: a-a-a at v2, lengths 2 and 3 at `a`
-/// of v3. Returned with the answer, lane `b`.
+/// `offset`. Swept as a whole by the batch driver, the only live start is `b`
+/// at v2 (`C[b][3] = θ₀`; `a` at v0 starts 2.75 at best, `c` misses by two
+/// steps, and nothing of length 3 leaves v1 or `a` at v2), so nobody is
+/// visited before v3 and three nodes are in all, one candidate each: v3 `b`
+/// 1 (the edge, held), which marks v4 `b` 1 (length 2, held; the bare edge
+/// can no longer fit), which marks v5 `b` 1 (into `H`): 3. Visiting every
+/// node considered 7: the edges into `a` at v1, v2 and v3 and into `c` at v3
+/// as well, none of them held. Charging 1 per interval to come considered 10:
+/// a-a-a at v2, lengths 2 and 3 at `a` of v3. Returned with the answer, lane
+/// `b`.
 #[cfg(test)]
 pub(crate) fn threshold_scenario(offset: u32) -> (ClusterGraph, ClusterPath) {
     use crate::cluster_graph::ClusterGraphBuilder;
@@ -757,19 +823,23 @@ impl<W: HeapWindow> IntervalSweep<W> {
             pending: Vec::new(),
             room: Vec::new(),
             global: TopKPaths::new(params.k),
+            live: Vec::new(),
+            marks: VecDeque::new(),
+            all_marked_before: 0,
             stats: SolverStats::default(),
             tick: 0,
         }
     }
 
     /// Sweep `interval` of `view`: compute the heaps `h^x` of each of its
-    /// nodes from its parents' heaps and offer every length-`l` path to the
-    /// global heap. A shorter subpath is held only if it can still become an
-    /// answer (module docs): it fits before the last interval, and its best
-    /// completion — the best that exists, for a driver that has seen the
-    /// edges ahead — reaches the k-th answer. Intervals must be swept in
-    /// order, each once; a failed sweep (`cancel` tripped, storage error) is
-    /// not resumable.
+    /// nodes a live node has marked from its parents' heaps and offer every
+    /// length-`l` path to the global heap. A shorter subpath is held only if
+    /// it can still become an answer (module docs): it fits before the last
+    /// interval, and its best completion — the best that exists, for a driver
+    /// that has seen the edges ahead — reaches the k-th answer. A sweep
+    /// without a completion table visits every node. Intervals must be swept
+    /// in order, each once; a failed sweep (`cancel` tripped, storage error)
+    /// is not resumable.
     pub(crate) fn advance(
         &mut self,
         view: GraphView<'_>,
@@ -778,9 +848,8 @@ impl<W: HeapWindow> IntervalSweep<W> {
     ) -> BscResult<()> {
         let (k, l) = (self.k, self.l);
         let num_nodes = view.nodes_in_interval(interval);
-        self.stats.nodes_processed += u64::from(num_nodes);
         let depth = interval - view.first_interval();
-        self.window.open(interval, num_nodes);
+        self.window.open(interval);
         // The lengths `total` a parent `len` intervals back extends its
         // held lengths `x` to (`x = 0`: the edge itself), as `(x, total)`:
         // up to `l`, and from the shortest that still fits before `last`.
@@ -792,13 +861,34 @@ impl<W: HeapWindow> IntervalSweep<W> {
                 .map(move |x| (x, x as u32 + len))
                 .take_while(move |&(_, total)| total <= l)
         };
+        // Who is visited: whoever a live node marked, or for want of a table
+        // that says who is live, everyone.
+        let sparse = ahead.is_some_and(Completions::holds_weights);
+        let everyone = !sparse || interval < self.all_marked_before;
+        let slack = summation_slack(l);
+        self.live.clear();
         for index in 0..num_nodes {
-            if let Some(token) = cancel {
-                if token.checkpoint(&mut self.tick) {
-                    return Err(deadline_error(token));
-                }
-            }
+            checkpoint(cancel, &mut self.tick)?;
             let node = ClusterNodeId::new(interval, index);
+            let leaving = ahead.map(|ahead| ahead.leaving(node));
+            // Can a near-answer start here? Every edge out of this node was
+            // relaxed into `C[node][l]`, so an edge `reaches` would hold
+            // passes this too — the slack once more, for the order it is
+            // added in there.
+            let starts = sparse
+                && leaving.is_some_and(|(shortest, best)| {
+                    let whole = best.get((l - shortest) as usize);
+                    whole.is_some_and(|&whole| can_still_reach(l, slack, whole, known))
+                });
+            let marks = self.marks.front();
+            let marked = marks.and_then(|marks| marks.get(index as usize));
+            if !(everyone || marked.is_some_and(|&marked| marked)) {
+                if starts {
+                    self.live.push(index);
+                }
+                continue;
+            }
+            self.stats.nodes_processed += 1;
             let parents = view.parents(node);
             // Read once per node: every parent is judged by the same
             // threshold whatever this node adds to `H` meanwhile, so the
@@ -807,7 +897,6 @@ impl<W: HeapWindow> IntervalSweep<W> {
             let min_k = self.global.admission_threshold().max(known);
             // The rest of a subpath `total` long: the best that leaves this
             // node, or for want of a table 1.0 per interval still to span.
-            let leaving = ahead.map(|ahead| ahead.leaving(node));
             let reaches = move |total: u32, weight: f64| {
                 let rest = l - total;
                 let completion = leaving.map_or(f64::from(rest), |(shortest, best)| {
@@ -869,6 +958,37 @@ impl<W: HeapWindow> IntervalSweep<W> {
             let filled = self.rows.filled.iter().map(|&filled| filled as usize);
             debug_assert!(filled.eq(self.room.iter().copied()));
             self.window.keep(node, &self.rows)?;
+            if starts || (sparse && !self.rows.slots.is_empty()) {
+                self.live.push(index);
+            }
+        }
+        // A live node marks its children. An interval more than half of
+        // whose nodes are live reaches most of what lies in reach: marking
+        // all of it costs nothing, child by child the edges a second time.
+        if 2 * self.live.len() > num_nodes as usize {
+            let reach = interval.saturating_add(view.max_edge_length());
+            self.all_marked_before = self.all_marked_before.max(reach.saturating_add(1));
+        } else {
+            for &index in &self.live {
+                checkpoint(cancel, &mut self.tick)?;
+                for child in view.children(ClusterNodeId::new(interval, index)) {
+                    let beyond = (child.to.interval - interval) as usize;
+                    if self.marks.len() <= beyond {
+                        self.marks.resize_with(beyond + 1, Vec::new);
+                    }
+                    let theirs = &mut self.marks[beyond];
+                    if theirs.is_empty() {
+                        theirs.resize(view.nodes_in_interval(child.to.interval) as usize, false);
+                    }
+                    theirs[child.to.index as usize] = true;
+                }
+            }
+        }
+        // The interval's own marks are spent: its vector goes to the back,
+        // for an interval nobody has marked yet.
+        if let Some(mut spent) = self.marks.pop_front() {
+            spent.clear();
+            self.marks.push_back(spent);
         }
         let resident = self.window.resident_paths();
         self.stats.peak_resident_paths = self.stats.peak_resident_paths.max(resident);
@@ -952,11 +1072,13 @@ impl BfsStableClusters {
     }
 
     /// Run the algorithm and also report execution statistics. Of
-    /// [`SolverStats`] it fills `nodes_processed`, `paths_generated`
-    /// (candidates considered: every extension that still fits before the
-    /// last interval, counted *before* the bound and the worst-score
-    /// admission fast path, so it depends only on the graph and the query —
-    /// not on where the heaps live) and `peak_resident_paths` (paths held
+    /// [`SolverStats`] it fills `nodes_processed` (nodes visited: those a
+    /// live node marked, module docs; every node for `l = 1`),
+    /// `paths_generated` (candidates considered at visited nodes: every
+    /// extension that still fits before the last interval, counted *before*
+    /// the bound and the worst-score admission fast path, so it depends only
+    /// on the graph and the query — not on where the heaps live) and
+    /// `peak_resident_paths` (paths held
     /// across all node heaps simultaneously, a proxy for the memory
     /// footprint; 0 store-backed, where no heap outlives its node's step in
     /// memory).
@@ -1135,11 +1257,7 @@ mod tests {
                 // One step, two windows: the same candidates are considered.
                 assert_eq!(stats.paths_generated, stored_stats.paths_generated);
                 assert_eq!(stats.nodes_processed, stored_stats.nodes_processed);
-                assert_eq!(in_memory.len(), stored.len(), "l = {l} {spec}");
-                for (a, b) in in_memory.iter().zip(stored.iter()) {
-                    assert_eq!(a.nodes(), b.nodes(), "l = {l} {spec}");
-                    assert_eq!(a.weight().to_bits(), b.weight().to_bits(), "l = {l} {spec}");
-                }
+                assert_same_paths(&stored, &in_memory, &format!("l = {l} {spec}"));
             }
         }
     }
@@ -1243,8 +1361,8 @@ mod tests {
                 .unwrap();
             assert_eq!(paths, std::slice::from_ref(answer), "{config:?}");
             // Hand-counted in `threshold_scenario`'s docs.
-            assert_eq!(stats.paths_generated, 7, "{config:?}");
-            assert_eq!(stats.nodes_processed, 12, "{config:?}");
+            assert_eq!(stats.paths_generated, 3, "{config:?}");
+            assert_eq!(stats.nodes_processed, 3, "{config:?}");
         }
         // The whole shifted graph sees the chain its window does not.
         let whole = BfsStableClusters::new(params).run(&shifted).unwrap();
@@ -1266,6 +1384,241 @@ mod tests {
             }
         }
         assert_eq!(sweep.top_k(), [answer]);
+    }
+
+    /// The top `k` paths of length `l` among `paths`, the view's every path.
+    fn brute_force(paths: &[ClusterPath], k: usize, l: u32) -> Vec<ClusterPath> {
+        let mut top = TopKPaths::new(k);
+        for path in paths.iter().filter(|path| path.length() == l) {
+            top.offer_by_weight(path.clone());
+        }
+        top.into_sorted()
+    }
+
+    fn random_graph(m: usize, n: u32, d: u32, gap: u32, seed: u64) -> ClusterGraph {
+        ClusterGraphGenerator::new(SyntheticGraphParams {
+            num_intervals: m,
+            nodes_per_interval: n,
+            avg_out_degree: d,
+            gap,
+            seed,
+        })
+        .generate()
+    }
+
+    /// `graph` with every weight `w` replaced by `weight(w)`.
+    fn reweighted(graph: &ClusterGraph, weight: impl Fn(f64) -> f64) -> ClusterGraph {
+        let mut builder = ClusterGraphBuilder::new(graph.gap());
+        for interval in 0..graph.num_intervals() as u32 {
+            builder.add_interval(graph.nodes_in_interval(interval));
+        }
+        for (from, to, w) in graph.edges() {
+            builder.add_edge(from, to, weight(w));
+        }
+        builder.build()
+    }
+
+    fn assert_same_paths(found: &[ClusterPath], expected: &[ClusterPath], case: &str) {
+        assert_eq!(found.len(), expected.len(), "{case}");
+        for (found, expected) in found.iter().zip(expected) {
+            assert_eq!(found.nodes(), expected.nodes(), "{case}");
+            assert_eq!(
+                found.weight().to_bits(),
+                expected.weight().to_bits(),
+                "{case}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_sweep_whose_table_holds_no_weight_visits_every_node() {
+        // Who is live is read off the completion table, and a table holds no
+        // weight for `l = 1` (no prefix is ever held) or an `l` the view
+        // cannot hold: "no start passes" must then read "nobody knows", not
+        // "nobody is live" — the first cut of the marks answered `exact:1`
+        // with nothing. Beside it the edges of the rule: full paths, a view
+        // of two intervals, and a `k` no graph can fill (θ₀ = −∞, every start
+        // is live). Each against every path of the view, enumerated.
+        let configs = || {
+            std::iter::once(BfsConfig::default())
+                .chain(StorageSpec::ALL.map(BfsConfig::store_backed))
+        };
+        for gap in [0, 1, u32::MAX] {
+            let graph = random_graph(5, 6, 2, gap, 640 + u64::from(gap.min(2)));
+            for view in [graph.view(), graph.window(1, 4), graph.window(2, 3)] {
+                let paths = every_path(view);
+                let last = view.num_intervals() as u32 - 1;
+                for l in [1, 2, last, last + 1] {
+                    for k in [1, 4, usize::MAX] {
+                        let params = KlStableParams::new(k, l);
+                        let first = view.first_interval();
+                        let case = format!("gap={gap} first={first} last={last} l={l} k={k}");
+                        let expected = brute_force(&paths, k, l);
+                        assert_eq!(expected.is_empty(), l > last, "{case}");
+                        let sparse = ahead_of(view, params).holds_weights();
+                        assert_eq!(sparse, (2..=last).contains(&l), "{case}");
+                        for config in configs() {
+                            let (found, stats) = BfsStableClusters::with_config(params, config)
+                                .run_with_stats(view)
+                                .unwrap();
+                            assert_same_paths(&found, &expected, &format!("{case} {config:?}"));
+                            let everyone = stats.nodes_processed == view.num_nodes() as u64;
+                            assert!(sparse || everyone, "{case} {config:?}: {stats:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_the_sweep_passes_over_would_have_held_nothing() {
+        // Every sweep twice: as shipped, and with every node marked (test
+        // code's only way in; no request can ask for it). After each interval
+        // every node holds the same subpaths either way — so what was passed
+        // over holds nothing when it is visited — and the peaks and the
+        // answers agree to the bit. Weights that separate completions
+        // (uniform), that tie in heaps (the three values of
+        // `tests/algorithm_equivalence.rs::tie_heavy`), that cut nothing (all
+        // equal) and that nearly do (two values); edges of one interval, two,
+        // and any length; whole graphs and windows that edges cross into.
+        type Reweight = fn(f64) -> f64;
+        let weights: [(&str, Reweight); 4] = [
+            ("uniform", |w| w),
+            ("tie-heavy", |w| {
+                [0.25, 0.5, 1.0][(w * 3.0).min(2.0) as usize]
+            }),
+            ("all-equal", |_| 1.0),
+            ("two-valued", |w| if w < 0.5 { 0.5 } else { 1.0 }),
+        ];
+        let mut graphs = Vec::new();
+        for seed in 0..17 {
+            for gap in [0, 1, u32::MAX] {
+                let base = random_graph(6, 10, 2, gap, 4_100 + seed);
+                for (name, weight) in weights {
+                    let graph = reweighted(&base, weight);
+                    graphs.push((format!("{name} gap={gap} seed={seed}"), graph, 1, 4));
+                }
+            }
+        }
+        graphs.push((
+            "threshold scenario".to_string(),
+            threshold_scenario(2).0,
+            2,
+            7,
+        ));
+        assert!(graphs.len() > 200);
+        let (mut passed_over, mut visited) = (0, 0);
+        for (name, graph, start, end) in &graphs {
+            for view in [graph.view(), graph.window(*start, *end)] {
+                let first = view.first_interval();
+                for l in 1..view.num_intervals() as u32 {
+                    for k in [1, 5, 50] {
+                        let params = KlStableParams::new(k, l);
+                        let case = format!("{name} first={first} l={l} k={k}");
+                        let sweep = || {
+                            let mut sweep = IntervalSweep::new(params, Ring::new(view.gap(), l));
+                            sweep.ahead = Some(ahead_of(view, params));
+                            sweep
+                        };
+                        let (mut shipped, mut everyone) = (sweep(), sweep());
+                        everyone.mark_everyone();
+                        for interval in view.intervals() {
+                            shipped.advance(view, interval, None).unwrap();
+                            everyone.advance(view, interval, None).unwrap();
+                            for node in view.interval_node_ids(interval) {
+                                let held = everyone.held(node);
+                                assert_eq!(shipped.held(node), held, "{case}: {node}");
+                            }
+                            assert_eq!(shipped.retained(), everyone.retained(), "{case}");
+                        }
+                        let (shipped_stats, stats) = (shipped.stats(), everyone.stats());
+                        assert_eq!(stats.nodes_processed, view.num_nodes() as u64, "{case}");
+                        assert_eq!(
+                            shipped_stats.peak_resident_paths, stats.peak_resident_paths,
+                            "{case}"
+                        );
+                        assert!(
+                            shipped_stats.paths_generated <= stats.paths_generated,
+                            "{case}"
+                        );
+                        assert_same_paths(&shipped.top_k(), &everyone.top_k(), &case);
+                        passed_over += stats.nodes_processed - shipped_stats.nodes_processed;
+                        visited += shipped_stats.nodes_processed;
+                    }
+                }
+            }
+        }
+        // Both happen often: passing over, and visiting whom somebody marked.
+        assert!(
+            passed_over > 50_000 && visited > 50_000,
+            "{passed_over} {visited}"
+        );
+    }
+
+    #[test]
+    fn the_marks_grow_with_the_gap_and_the_widest_interval_not_with_the_stream() {
+        // 2 000 intervals of three nodes, gap 2. Lane 0 is a chain of weight-1
+        // edges, so for `k = 1` its nodes alone are live — one node in three,
+        // marked child by child — and each reaches `g + 1` intervals ahead.
+        let (m, gap, l) = (2_000u32, 2u32, 10u32);
+        let mut builder = ClusterGraphBuilder::new(gap);
+        for _ in 0..m {
+            builder.add_interval(3);
+        }
+        for i in 1..m {
+            builder.add_edge(node(i - 1, 0), node(i, 0), 1.0);
+            builder.add_edge(node(i - 1, 1), node(i, 2), 0.25);
+            if i > gap {
+                builder.add_edge(node(i - gap - 1, 0), node(i, 1), 0.25);
+            }
+        }
+        let graph = builder.build();
+        let view = graph.view();
+        let params = KlStableParams::new(1, l);
+        let mut batch = IntervalSweep::new(params, Ring::new(gap, l));
+        batch.ahead = Some(ahead_of(view, params));
+        let mut online = IntervalSweep::new(params, Ring::new(gap, l));
+        let mut widest_ring = 0;
+        for interval in view.intervals() {
+            batch.advance(view, interval, None).unwrap();
+            online.advance(view, interval, None).unwrap();
+            // The intervals a child can lie in, and the vector just spent.
+            assert!(batch.marks.len() <= gap as usize + 2, "{interval}");
+            assert!(
+                batch.marks.iter().all(|marks| marks.len() <= 3),
+                "{interval}"
+            );
+            assert!(batch.live.len() <= 3, "{interval}");
+            widest_ring = widest_ring.max(batch.marks.len());
+            // A sweep with no table marks nothing at all.
+            assert!(online.marks.iter().all(Vec::is_empty) && online.live.is_empty());
+        }
+        assert_eq!(widest_ring, gap as usize + 2);
+        // Lane 0 and whom it marks: two nodes of three, no more.
+        assert_eq!(batch.stats().nodes_processed, u64::from(2 * (m - 1) - gap));
+        assert_eq!(online.stats().nodes_processed, u64::from(3 * m));
+        assert_eq!(batch.top_k(), online.top_k());
+        assert_eq!(batch.top_k()[0].weight(), f64::from(l));
+
+        // A gap of `u32::MAX` sizes nothing: a child lies inside the view,
+        // and a vector is made for an interval only when a node of it is
+        // marked. (Nothing here is sized by a request: a mark vector is as
+        // long as an interval of the graph has nodes, and there are no more
+        // of them than the view has intervals.)
+        let graph = random_graph(4, 6, 1, u32::MAX, 77);
+        let params = KlStableParams::new(1, 2);
+        let mut sweep = IntervalSweep::new(params, Ring::new(u32::MAX, 2));
+        sweep.ahead = Some(ahead_of(graph.view(), params));
+        for interval in graph.view().intervals() {
+            sweep.advance(graph.view(), interval, None).unwrap();
+            assert!(
+                sweep.marks.len() <= 4 && sweep.all_marked_before <= 4,
+                "{interval}"
+            );
+        }
+        let expected = brute_force(&every_path(graph.view()), 1, 2);
+        assert_same_paths(&sweep.top_k(), &expected, "gap=u32::MAX");
     }
 
     #[test]
@@ -1304,7 +1657,9 @@ mod tests {
         let (_, stats) = BfsStableClusters::new(KlStableParams::new(2, 2))
             .run_with_stats(&graph)
             .unwrap();
-        assert_eq!(stats.nodes_processed, 9);
+        // Nobody marks the first interval; c11 and c13 start the two answers
+        // and crowd it, so the other two are visited whole.
+        assert_eq!(stats.nodes_processed, 6);
         assert!(stats.paths_generated > 0);
         assert!(stats.peak_resident_paths > 0);
     }

@@ -203,6 +203,14 @@ impl Completions {
     pub(crate) fn last(&self) -> u32 {
         self.last
     }
+
+    /// Does the table hold a weight at all? Not for `l = 1` or an `l` beyond
+    /// the last interval ([`Completions::lengths`]): such a table bounds
+    /// nothing and says of no node whether an answer can start there.
+    #[inline]
+    pub(crate) fn holds_weights(&self) -> bool {
+        !self.best.is_empty()
+    }
 }
 
 impl Asked {

@@ -235,11 +235,12 @@ pub fn deadline_error(token: &CancelToken) -> BscError {
 /// prefix drops as `prunes`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolverStats {
-    /// Candidate paths generated / enumerated (TA: full paths an expansion
-    /// completed and weighed, each able to reach the threshold its edge was
-    /// popped under).
+    /// Candidate paths generated / enumerated (BFS: candidates considered at
+    /// the nodes it visited; TA: full paths an expansion completed and
+    /// weighed, each able to reach the threshold its edge was popped under).
     pub paths_generated: u64,
-    /// Graph nodes processed.
+    /// Graph nodes processed (BFS: nodes visited — a batch sweep passes over
+    /// a node no prefix of a near-answer can reach and does not count it).
     pub nodes_processed: u64,
     /// Edges traversed or scanned (TA: popped from the sorted lists).
     pub edges_traversed: u64,
@@ -806,13 +807,20 @@ mod tests {
             // Every deterministic counter, so a solver that counts into the
             // wrong `SolverStats` field fails here (no reply carries them).
             let expected = match kind {
-                // The 16 edges into the second interval, then the 7 + 7
-                // edges that extend a prefix of one of the three answers:
-                // knowing how every subpath can end, the sweep holds those
-                // prefixes (3 + 3 over two intervals) and nothing else.
+                // θ₀ = 2.2183, and three nodes of the first interval start a
+                // path that reaches it: c0,2 (2.4094), c0,5 (2.3728) and c0,3
+                // (θ₀ itself). Nobody marks the first interval; the three mark
+                // five nodes of the second (15 of its 16 in-edges: c1,5 has
+                // c0,0 → c1,5 alone and is passed over), where c1,0 and c1,3
+                // hold the answers' first edges (1 + 2). Those two mark four
+                // nodes of the third — 7 extensions of the three prefixes,
+                // held at c2,0 and c2,2 — which mark four of the last, 7
+                // more: 15 + 7 + 7 candidates at 0 + 5 + 4 + 4 nodes, and
+                // the prefixes of the answers (3 + 3 over two intervals) are
+                // all the sweep holds.
                 AlgorithmKind::Bfs => SolverStats {
-                    paths_generated: 30,
-                    nodes_processed: 24,
+                    paths_generated: 29,
+                    nodes_processed: 13,
                     peak_resident_paths: 6,
                     ..SolverStats::default()
                 },

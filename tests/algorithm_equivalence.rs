@@ -328,6 +328,50 @@ fn tie_heavy_graphs_match_the_oracle_node_for_node() {
 /// length in `l + 1`-interval windows, the full length unsharded — its reply
 /// is BFS's reply: same nodes, same weight bits, on weights that separate
 /// paths and on weights that tie.
+/// BFS visits only nodes a prefix of a near-answer can reach, and reads who
+/// can start one off its completion table — which holds no weight for
+/// `l = 1` or an `l` the graph cannot hold, and whose floor is −∞ for a `k`
+/// beyond the number of starts. At each of those edges (and for full paths,
+/// and on a graph of two intervals) the answer is the oracle's, node for
+/// node and bit for bit, in memory, sharded and store-backed.
+#[test]
+fn bfs_matches_the_oracle_where_its_table_says_nothing() {
+    let configurations = [
+        SolverOptions::default(),
+        SolverOptions::default().shards(2),
+        SolverOptions::default()
+            .storage(StorageSpec::Memory)
+            .bfs_store_backed(true),
+    ];
+    for gap in [0, 1] {
+        for (m, seed) in [(2, 31), (5, 32), (5, 33)] {
+            let graph = generate(m, 6, gap, 9_000 + seed);
+            let last = m as u32 - 1;
+            for l in [1, 2, last, last + 1] {
+                let spec = StableClusterSpec::ExactLength(l);
+                for k in [1, 3, 1_000] {
+                    let expected = oracle(spec, k, &graph);
+                    assert_eq!(expected.is_empty(), l > last);
+                    for options in &configurations {
+                        let got = AlgorithmKind::Bfs
+                            .build_with_options(spec, k, m, options.clone())
+                            .expect("supported combination")
+                            .solve(&graph)
+                            .expect("solver run")
+                            .paths;
+                        let context = format!("gap={gap} m={m} seed={seed} l={l} k={k}");
+                        assert_eq!(expected.len(), got.len(), "{context}");
+                        for (e, g) in expected.iter().zip(&got) {
+                            assert_eq!(e.nodes(), g.nodes(), "{context}");
+                            assert_eq!(e.weight().to_bits(), g.weight().to_bits(), "{context}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn ta_answers_are_bfs_answers_to_the_bit() {
     let benchmark_shaped = ClusterGraphGenerator::new(SyntheticGraphParams {
