@@ -39,7 +39,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 use bsc_core::distributed::FanoutSpec;
 use bsc_service::engine::{EngineConfig, TenantQuota};
@@ -187,29 +187,8 @@ fn main() {
         _ => usage_error("expected a subcommand: serve or oracle"),
     };
 
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(e) => {
-                eprintln!("stdin read failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        let (response, keep_going) = session.handle_line(&line);
-        if let Some(response) = response {
-            if writeln!(out, "{response}")
-                .and_then(|()| out.flush())
-                .is_err()
-            {
-                // Reader went away (e.g. `head`); exit quietly.
-                std::process::exit(0);
-            }
-        }
-        if !keep_going {
-            break;
-        }
+    if let Err(e) = session.serve(std::io::stdin().lock(), std::io::stdout().lock()) {
+        eprintln!("stdin read failed: {e}");
+        std::process::exit(1);
     }
 }

@@ -142,10 +142,112 @@ fn field_str<'a>(obj: &'a JsonValue, key: &str, default: &'a str) -> Result<&'a 
     }
 }
 
+/// One `push_interval` edge: `(parent, node_index, weight)`.
+type Edge = (ClusterNodeId, u32, f64);
+
 /// Parse one request line. Errors are human-readable strings the session
 /// wraps into an error response.
+///
+/// The line is read once, through [`json::Reader`]: `edges` straight into
+/// edge tuples, every other field into a map. A shape error in `edges` is held
+/// until the whole line has been read and the op is known, so a syntax error
+/// anywhere on the line is reported first, a later duplicate key still wins,
+/// and an op other than `push_interval` ignores the field.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let doc = json::parse(line)?;
+    let mut reader = json::Reader::new(line);
+    let mut fields = std::collections::BTreeMap::new();
+    let mut edges = Ok(Vec::new());
+    if reader.peek() == Some(b'{') {
+        reader.object(|reader, key| {
+            if key == "edges" {
+                edges = read_edges(reader)?;
+            } else {
+                fields.insert(key, reader.value()?);
+            }
+            Ok(())
+        })?;
+    } else {
+        // Not an object: no field can be read, so the `op` check below
+        // answers for it once the syntax is known to be sound.
+        reader.value()?;
+    }
+    reader.finish()?;
+    request_from(JsonValue::Object(fields), edges)
+}
+
+/// Read the `edges` value. The outer `Err` is a syntax error; the inner one
+/// is the first shape error in the order the quads are checked (not an
+/// array; edge `i` not a 4-element array; its parent interval, parent index,
+/// node index, weight).
+fn read_edges(reader: &mut json::Reader) -> Result<Result<Vec<Edge>, String>, String> {
+    if reader.peek() != Some(b'[') {
+        reader.value()?;
+        return Ok(Err("field 'edges' must be an array".to_string()));
+    }
+    let mut edges = Ok(Vec::new());
+    let mut i = 0usize;
+    reader.array(|reader| {
+        let edge = read_edge(reader, i)?;
+        if let Ok(list) = &mut edges {
+            match edge {
+                Ok(edge) => list.push(edge),
+                Err(shape) => edges = Err(shape),
+            }
+        }
+        i += 1;
+        Ok(())
+    })?;
+    Ok(edges)
+}
+
+/// Read edge `i` of the list, as [`read_edges`] does the list.
+fn read_edge(reader: &mut json::Reader, i: usize) -> Result<Result<Edge, String>, String> {
+    let not_a_quad =
+        || format!("edge {i} must be [parent_interval, parent_index, node_index, weight]");
+    if reader.peek() != Some(b'[') {
+        reader.value()?;
+        return Ok(Err(not_a_quad()));
+    }
+    let mut quad = [None; 4];
+    let mut len = 0usize;
+    reader.array(|reader| {
+        let number = reader.number()?;
+        if let Some(slot) = quad.get_mut(len) {
+            *slot = number;
+        }
+        len += 1;
+        Ok(())
+    })?;
+    if len != 4 {
+        return Ok(Err(not_a_quad()));
+    }
+    Ok(edge_from(i, quad))
+}
+
+/// Convert a 4-element edge whose numbers have been read (`None` for an
+/// element that is not a number). Indices are range-checked: a silently
+/// truncated id would attach the edge to the wrong node instead of failing.
+fn edge_from(i: usize, quad: [Option<f64>; 4]) -> Result<Edge, String> {
+    let index = |j: usize, what: &str| {
+        quad[j]
+            .and_then(|n| JsonValue::Number(n).as_u64())
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or_else(|| format!("edge {i}: bad {what}"))
+    };
+    let parent_interval = index(0, "parent interval")?;
+    let parent_index = index(1, "parent index")?;
+    let node_index = index(2, "node index")?;
+    let weight = quad[3].ok_or_else(|| format!("edge {i}: bad weight"))?;
+    Ok((
+        ClusterNodeId::new(parent_interval, parent_index),
+        node_index,
+        weight,
+    ))
+}
+
+/// Build the request from the line's fields and its `edges`, as read (or
+/// as the first shape error found in them).
+fn request_from(doc: JsonValue, edges: Result<Vec<Edge>, String>) -> Result<Request, String> {
     let op = doc
         .get("op")
         .and_then(JsonValue::as_str)
@@ -244,40 +346,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                      interval"
                 ));
             }
-            let mut edges = Vec::new();
-            if let Some(list) = doc.get("edges") {
-                let list = list
-                    .as_array()
-                    .ok_or_else(|| "field 'edges' must be an array".to_string())?;
-                for (i, edge) in list.iter().enumerate() {
-                    let quad = edge.as_array().filter(|a| a.len() == 4).ok_or_else(|| {
-                        format!(
-                            "edge {i} must be [parent_interval, parent_index, node_index, \
-                                 weight]"
-                        )
-                    })?;
-                    // Range-checked: a silently truncated id would attach
-                    // the edge to the wrong node instead of failing.
-                    let component = |j: usize, what: &str| {
-                        quad[j]
-                            .as_u64()
-                            .and_then(|v| u32::try_from(v).ok())
-                            .ok_or_else(|| format!("edge {i}: bad {what}"))
-                    };
-                    let parent_interval = component(0, "parent interval")?;
-                    let parent_index = component(1, "parent index")?;
-                    let node_index = component(2, "node index")?;
-                    let weight = quad[3]
-                        .as_f64()
-                        .ok_or_else(|| format!("edge {i}: bad weight"))?;
-                    edges.push((
-                        ClusterNodeId::new(parent_interval, parent_index),
-                        node_index,
-                        weight,
-                    ));
-                }
-            }
-            Ok(Request::PushInterval { nodes, edges })
+            Ok(Request::PushInterval {
+                nodes,
+                edges: edges?,
+            })
         }
         "stream_top_k" => Ok(Request::StreamTopK),
         "epoch" => Ok(Request::Epoch),
@@ -513,6 +585,210 @@ mod tests {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
         }
+    }
+
+    /// The tree-based reading `parse_request` replaced: the whole line
+    /// built as a [`JsonValue`], `edges` converted from it. The reference
+    /// the reader is held to.
+    fn tree_parse_request(line: &str) -> Result<Request, String> {
+        let doc = json::parse(line)?;
+        let edges = doc.get("edges").map_or(Ok(Vec::new()), tree_edges);
+        request_from(doc, edges)
+    }
+
+    fn tree_edges(list: &JsonValue) -> Result<Vec<Edge>, String> {
+        let list = list
+            .as_array()
+            .ok_or_else(|| "field 'edges' must be an array".to_string())?;
+        let mut edges = Vec::new();
+        for (i, edge) in list.iter().enumerate() {
+            let quad = edge.as_array().filter(|a| a.len() == 4).ok_or_else(|| {
+                format!("edge {i} must be [parent_interval, parent_index, node_index, weight]")
+            })?;
+            let component = |j: usize, what: &str| {
+                quad[j]
+                    .as_u64()
+                    .and_then(|v| u32::try_from(v).ok())
+                    .ok_or_else(|| format!("edge {i}: bad {what}"))
+            };
+            let parent_interval = component(0, "parent interval")?;
+            let parent_index = component(1, "parent index")?;
+            let node_index = component(2, "node index")?;
+            let weight = quad[3]
+                .as_f64()
+                .ok_or_else(|| format!("edge {i}: bad weight"))?;
+            edges.push((
+                ClusterNodeId::new(parent_interval, parent_index),
+                node_index,
+                weight,
+            ));
+        }
+        Ok(edges)
+    }
+
+    /// `parse_request` answers what the tree-based reading answers: the
+    /// same request, or the same error text.
+    fn reads_like_the_tree(line: &str) -> bool {
+        let read = parse_request(line);
+        assert_eq!(read, tree_parse_request(line), "{line:?}");
+        read.is_ok()
+    }
+
+    /// A push line into a 1 000-node interval, `edges` quads of
+    /// `stream-delta`'s shape.
+    fn push_line(edges: u32) -> String {
+        let mut rng = bsc_util::DetRng::seed_from_u64(11);
+        let quads: Vec<String> = (0..edges)
+            .map(|e| {
+                let weight = (1 + rng.below(9999)) as f64 / 10_000.0;
+                let (interval, parent) = (rng.below(2), rng.below(1000));
+                format!("[{interval},{parent},{},{weight}]", e * 1000 / edges)
+            })
+            .collect();
+        format!(
+            "{{\"op\":\"push_interval\",\"nodes\":1000,\"edges\":[{}]}}",
+            quads.join(",")
+        )
+    }
+
+    #[test]
+    fn every_single_byte_mutation_reads_like_the_tree() {
+        let lines = [
+            "{\"op\":\"push_interval\",\"nodes\":2,\"edges\":[[0,1,0,0.5],[0,0,1,0.25]]}",
+            "{\"edges\":[[1,2,0,1e-1],[0,0,2,1]],\"op\":\"push_interval\",\"nodes\":3}",
+            "{\"op\":\"query\",\"algorithm\":\"bfs\",\"spec\":\"exact:2\",\"k\":4,\"shards\":2}",
+            "{\"op\":\"open_stream\",\"k\":3,\"l\":1,\"gap\":0,\"x\":[true,null]}",
+        ];
+        let bytes = b"{}[],:\"019-.eE+ \\tnux";
+        let (mut cases, mut accepted) = (0usize, 0usize);
+        for line in lines {
+            let mut check = |mutated: String| {
+                cases += 1;
+                accepted += usize::from(reads_like_the_tree(&mutated));
+            };
+            check(line.to_string());
+            for at in 0..line.len() {
+                check(format!("{}{}", &line[..at], &line[at + 1..]));
+                for &b in bytes {
+                    let b = char::from(b);
+                    check(format!("{}{b}{}", &line[..at], &line[at + 1..]));
+                    check(format!("{}{b}{}", &line[..at], &line[at..]));
+                }
+                check(format!("{line}{}", char::from(bytes[at % bytes.len()])));
+            }
+        }
+        assert!(cases >= 10_000, "{cases} cases");
+        // Both sides of the comparison are exercised.
+        assert!(
+            accepted > cases / 20 && accepted < cases / 2,
+            "{accepted} of {cases}"
+        );
+    }
+
+    /// 200 edges (4 KB): every truncation is a parse of its prefix on both
+    /// sides, so the cost is quadratic in the line — `stream-delta`'s
+    /// 6 000-edge line would take minutes.
+    #[test]
+    fn every_truncation_of_a_push_line_reads_like_the_tree() {
+        let line = push_line(200);
+        assert!(reads_like_the_tree(&line));
+        for cut in 0..line.len() {
+            assert!(!reads_like_the_tree(&line[..cut]), "{cut}");
+        }
+    }
+
+    /// Where a shape error in `edges` meets everything else on the line:
+    /// duplicates, order, other ops, other errors, nesting, non-objects.
+    #[test]
+    fn edge_cases_read_like_the_tree() {
+        let push =
+            |edges: &str| format!("{{\"op\":\"push_interval\",\"nodes\":4,\"edges\":{edges}}}");
+        let mut lines = vec![
+            // Duplicate keys: the later one wins, whatever the first held.
+            format!(
+                "{},\"edges\":[[0,0,9]]}}",
+                push("[[0,0,0,0.5]]").trim_end_matches('}')
+            ),
+            format!(
+                "{},\"edges\":[[0,0,0,0.5]]}}",
+                push("[[0,0,9]]").trim_end_matches('}')
+            ),
+            "{\"op\":\"query\",\"op\":\"push_interval\",\"nodes\":1,\"edges\":[[0,0,0,0.5]]}"
+                .to_string(),
+            "{\"op\":\"push_interval\",\"op\":\"query\",\"edges\":\"x\"}".to_string(),
+            // `edges` before `op`; `edges` on ops that ignore it.
+            "{\"edges\":[[0,0,0,0.5]],\"nodes\":1,\"op\":\"push_interval\"}".to_string(),
+            "{\"edges\":[[0,0]],\"op\":\"push_interval\"}".to_string(),
+            "{\"op\":\"query\",\"edges\":[[1,2],\"x\"]}".to_string(),
+            "{\"op\":\"epoch\",\"edges\":7}".to_string(),
+            "{\"edges\":{\"a\":[1]},\"op\":\"stats\"}".to_string(),
+            // A shape error beside a syntax error, and beside a bad `nodes`.
+            format!("{} x", push("[[1,2]]")),
+            push("[[1,2]],").trim_end_matches('}').to_string(),
+            "{\"op\":\"push_interval\",\"nodes\":4294967295,\"edges\":[[1]]}".to_string(),
+            "{\"op\":\"push_interval\",\"nodes\":-1,\"edges\":[[1]]}".to_string(),
+            // Not an object at the top.
+            "[1,2]".to_string(),
+            "\"op\"".to_string(),
+            "7".to_string(),
+            "null".to_string(),
+            "[{\"op\":\"epoch\"}]".to_string(),
+            " ".to_string(),
+            "{\"op\":\"epoch\"} {".to_string(),
+        ];
+        for edges in [
+            // Not an array, not a quad, the wrong length.
+            "{}",
+            "\"edges\"",
+            "null",
+            "[]",
+            "[7]",
+            "[[]]",
+            "[[0,0,0]]",
+            "[[0,0,0,0.5,1]]",
+            "[[0,0,0,0.5],[0,0,0]]",
+            "[[0,0,0,0.5],\"x\",[0,0,0]]",
+            // Nested values inside a quad.
+            "[[[0],0,0,0.5]]",
+            "[[0,{\"i\":0},0,0.5]]",
+            "[[0,0,0,[0.5]]]",
+            "[[0,0,0,\"0.5\"]]",
+            "[[true,null,false,0.5]]",
+            // Indices: the 32-bit edge, fractions, exponents, signs.
+            "[[4294967295,0,0,0.5]]",
+            "[[4294967296,0,0,0.5]]",
+            "[[0,4294967296,0,0.5]]",
+            "[[0,0,4294967296,0.5]]",
+            "[[1.0,1e0,10E-1,0.5]]",
+            "[[1.5,0,0,0.5]]",
+            "[[-0,0,0,0.5]]",
+            "[[-1,0,0,0.5]]",
+            "[[9007199254740993,0,0,0.5]]",
+            // Weights in every form a number takes.
+            "[[0,0,0,5e-1]]",
+            "[[0,0,0,-0.0]]",
+            "[[0,0,0,1e400]]",
+            "[[0,0,0,0.30000000000000004]]",
+            // The first shape error wins.
+            "[[0,0,0,\"w\"],[\"i\",0,0,0.5]]",
+            "[[0,0,\"n\",\"w\"]]",
+        ] {
+            lines.push(push(edges));
+        }
+        // The depth limit, inside a quad: the same error at the same byte.
+        for depth in [124usize, 125, 126, 130, 200] {
+            let nested = format!("{}0{}", "[".repeat(depth), "]".repeat(depth));
+            lines.push(push(&format!("[[0,0,0,0.5],[0,{nested},0,0.5]]")));
+        }
+        for line in &lines {
+            reads_like_the_tree(line);
+        }
+        assert!(parse_request(&lines[1]).is_ok());
+        assert!(parse_request(&lines[0])
+            .unwrap_err()
+            .contains("edge 0 must be"));
+        let depth_error = parse_request(lines.last().unwrap()).unwrap_err();
+        assert!(depth_error.contains("nesting"), "{depth_error}");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! pooling, caching, epoch pinning) conformance-tested against the
 //! one-shot solver from the outside.
 
+use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
 use bsc_core::cluster_graph::ClusterNodeId;
@@ -82,6 +83,48 @@ impl Session {
     pub fn default_fanout(mut self, fanout: Option<FanoutSpec>) -> Session {
         self.default_fanout = fanout;
         self
+    }
+
+    /// Answer `input` line by line on `output` until `shutdown` or the end
+    /// of the input — the `bsc serve` / `bsc oracle` loop. Each line is read
+    /// into one reused buffer; a line that is not UTF-8 is answered with an
+    /// error line like any other bad request, and the session goes on. A
+    /// read error is returned; a write error means the reader went away
+    /// (e.g. `head`) and ends the session quietly.
+    pub fn serve(&mut self, mut input: impl BufRead, mut output: impl Write) -> io::Result<()> {
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            if input.read_until(b'\n', &mut buf)? == 0 {
+                return Ok(());
+            }
+            // What `BufRead::lines` strips: the newline, and a carriage
+            // return just before it.
+            if buf.last() == Some(&b'\n') {
+                buf.pop();
+                if buf.last() == Some(&b'\r') {
+                    buf.pop();
+                }
+            }
+            let (response, keep_going) = match std::str::from_utf8(&buf) {
+                Ok(line) => self.handle_line(line),
+                Err(_) => (
+                    Some(error_response("request line is not valid UTF-8")),
+                    true,
+                ),
+            };
+            if let Some(response) = response {
+                if writeln!(output, "{response}")
+                    .and_then(|()| output.flush())
+                    .is_err()
+                {
+                    return Ok(());
+                }
+            }
+            if !keep_going {
+                return Ok(());
+            }
+        }
     }
 
     /// Handle one input line. Returns the response line and whether the
@@ -531,6 +574,53 @@ mod tests {
             assert_eq!(bfs, paths(drive(&mut session, &query("ta"))));
             assert_eq!(bfs, paths(drive(&mut session, &query("dfs"))));
         }
+    }
+
+    /// What a line holds is the session's to answer, bytes included: a line
+    /// that is not UTF-8 gets an error line and the session goes on (it used
+    /// to end the process), and both executors answer the same bytes.
+    #[test]
+    fn the_line_loop_answers_every_line_whatever_its_bytes() {
+        let input: &[u8] = b"\xff\n\
+            {\"op\":\"epoch\"}\n\
+            \r\n\
+            \r\
+            {\"op\":\"epoch\"}\r\n\
+            {\"op\":\"epoch\"}\r{\"op\":\"epoch\"}\n\
+            # \xfe\n\
+            {\"op\":\"epoch\"}";
+        let transcript = |mut session: Session| {
+            let mut output = Vec::new();
+            session.serve(input, &mut output).unwrap();
+            String::from_utf8(output).unwrap()
+        };
+        let from_engine = transcript(Session::engine(EngineConfig::default().workers(1)).unwrap());
+        assert_eq!(from_engine, transcript(Session::oracle()));
+        let epoch = "{\"epoch\":0,\"ok\":true,\"op\":\"epoch\"}";
+        let not_utf8 = error_response("request line is not valid UTF-8");
+        let lines: Vec<&str> = from_engine.lines().collect();
+        assert_eq!(lines.len(), 6, "{from_engine}");
+        assert_eq!(lines[0], not_utf8);
+        assert_eq!(lines[1], epoch);
+        // The lone `\r` line is blank and a `\r` before a line's text is
+        // trimmed, but a `\r` does not end a line: two documents around one
+        // are one line with trailing characters.
+        assert_eq!(lines[2], epoch);
+        assert!(lines[3].contains("trailing characters"), "{}", lines[3]);
+        // Even a comment must be UTF-8.
+        assert_eq!(lines[4], not_utf8);
+        // The last line needs no newline.
+        assert_eq!(lines[5], epoch);
+
+        // `shutdown` ends the loop: nothing after it is read.
+        let mut output = Vec::new();
+        Session::oracle()
+            .serve(
+                &b"{\"op\":\"shutdown\"}\n{\"op\":\"epoch\"}\n"[..],
+                &mut output,
+            )
+            .unwrap();
+        assert_eq!(output, b"{\"ok\":true,\"op\":\"shutdown\"}\n");
     }
 
     #[test]

@@ -4,12 +4,19 @@
 //! the structured formats it speaks — the bench documents of `repro --json`,
 //! the checked-in `BENCH_table3.json` baseline the CI gate reads, and the
 //! line-delimited protocol of `bsc serve` — share this one hand-rolled
-//! implementation instead of each growing their own. The parser is a small
-//! recursive-descent reader for the full JSON grammar (objects, arrays,
-//! strings with escapes, numbers, booleans, null) that favours clear error
-//! messages over speed; the serializer renders compact single-line documents
-//! suitable for a line-delimited protocol. Both are ample for the
-//! kilobyte-sized documents this workspace exchanges.
+//! implementation instead of each growing their own. The serializer renders
+//! compact single-line documents suitable for a line-delimited protocol.
+//!
+//! The parser is a pull [`Reader`] over the full JSON grammar (objects,
+//! arrays, strings with escapes, numbers, booleans, null). [`parse`] builds a
+//! [`JsonValue`] tree with it; a caller that knows a document's shape walks
+//! the same reader and types the values it wants as they are read — the
+//! `edges` of a 118 KB `push_interval` line go straight into edge tuples, with
+//! no tree built and freed per request. Either way there is one lexer, one
+//! nesting limit and one set of error texts (`JSON parse error at byte N: …`).
+//! Numbers have one routine: a plain decimal of at most 15 significant digits
+//! and 15 after the point is read exactly (Clinger's fast path), every other
+//! token by `str::parse`; both give the correctly rounded `f64`.
 //!
 //! Round-trip caveat: numbers are carried as `f64` (which covers bench
 //! timings and every protocol field), and keys are kept sorted — serialized
@@ -55,9 +62,13 @@ impl JsonValue {
 
     /// The numeric payload as a non-negative integer, if this is a number
     /// holding one exactly (no fraction, no overflow past 2^53).
+    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        if n >= 0.0 && n.fract() == 0.0 && n <= 9_007_199_254_740_992.0 {
+        // On `[0, 2^53]` the cast truncates and its way back is exact, so the
+        // round trip holds exactly for integers (`-0.0` included) — without
+        // the libm `trunc` call `fract` is on baseline x86-64.
+        if (0.0..=9_007_199_254_740_992.0).contains(&n) && n as u64 as f64 == n {
             Some(n as u64)
         } else {
             None
@@ -227,17 +238,9 @@ pub fn escape_string(s: &str) -> String {
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    parser.skip_whitespace();
-    let value = parser.value()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing characters after the JSON document"));
-    }
+    let mut reader = Reader::new(text);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
@@ -246,29 +249,162 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
 /// could overflow the stack instead of returning an error.
 const MAX_PARSE_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON document — the lexer behind [`parse`], for a
+/// caller that wants some values typed as they are read instead of built
+/// into a [`JsonValue`] tree first.
+///
+/// Every method skips the whitespace in front of what it reads. An `Err` is
+/// a syntax error in [`parse`]'s words (`JSON parse error at byte N: …`, the
+/// same byte `parse` would name); the reader is spent after one.
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// The next byte that is not whitespace, without consuming it (`None` at
+    /// the end of the input).
+    #[inline]
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_whitespace();
+        self.byte()
+    }
+
+    /// Read the next value as a tree.
+    pub fn value(&mut self) -> Result<JsonValue, String> {
+        match self.peek() {
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(|reader, key| {
+                    map.insert(key, reader.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Object(map))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|reader| {
+                    items.push(reader.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Array(items))
+            }
+            Some(b'"') => Ok(JsonValue::String(self.string()?)),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => self.scan_number().map(JsonValue::Number),
+            Some(other) => Err(self.error(&format!("unexpected character '{}'", other as char))),
+            None => Err(self.error("unexpected end of input")),
+        }
+    }
+
+    /// Read the next value: `Some` if it is a number, `None` if it is any
+    /// other well-formed value (which is read past).
+    #[inline]
+    pub fn number(&mut self) -> Result<Option<f64>, String> {
+        if matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            self.scan_number().map(Some)
+        } else {
+            self.value().map(|_| None)
+        }
+    }
+
+    /// Walk the next value, which must be an object: `each` is called with
+    /// every key in document order (duplicates included) and must read
+    /// exactly one value, the key's.
+    pub fn object(
+        &mut self,
+        mut each: impl FnMut(&mut Self, String) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.enter(b'{')?;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+        } else {
+            loop {
+                self.skip_whitespace();
+                let key = self.string()?;
+                self.skip_whitespace();
+                self.expect(b':')?;
+                each(self, key)?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.error("expected ',' or '}' in object")),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Walk the next value, which must be an array: `each` is called once per
+    /// element and must read exactly one value.
+    pub fn array(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.enter(b'[')?;
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+        } else {
+            loop {
+                each(self)?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.error("expected ',' or ']' in array")),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// End the document: only whitespace may follow what has been read.
+    pub fn finish(mut self) -> Result<(), String> {
+        if self.peek().is_some() {
+            return Err(self.error("trailing characters after the JSON document"));
+        }
+        Ok(())
+    }
+
+    #[cold]
     fn error(&self, message: &str) -> String {
         format!("JSON parse error at byte {}: {message}", self.pos)
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    #[inline]
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
+        if self.byte() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
@@ -276,37 +412,22 @@ impl Parser<'_> {
         }
     }
 
-    fn nested(
-        &mut self,
-        inner: fn(&mut Self) -> Result<JsonValue, String>,
-    ) -> Result<JsonValue, String> {
+    /// Open a container, counting it against [`MAX_PARSE_DEPTH`] at its
+    /// opening byte.
+    #[inline]
+    fn enter(&mut self, open: u8) -> Result<(), String> {
+        self.skip_whitespace();
         if self.depth >= MAX_PARSE_DEPTH {
             return Err(self.error(&format!(
                 "nesting exceeds the {MAX_PARSE_DEPTH}-level limit"
             )));
         }
         self.depth += 1;
-        let value = inner(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.error(&format!("unexpected character '{}'", other as char))),
-            None => Err(self.error("unexpected end of input")),
-        }
+        self.expect(open)
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -314,29 +435,23 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    #[inline]
+    fn scan_number(&mut self) -> Result<f64, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        // bsc:allow(panic-in-lib) -- the scanned range matched [0-9.eE+-] bytes only, which is valid UTF-8
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.error(&format!("invalid number '{text}'")))
+        let (len, value) = number_at(&self.text.as_bytes()[start..]);
+        self.pos += len;
+        value.ok_or_else(|| {
+            // ASCII bytes only, so both ends are char boundaries.
+            let token = &self.text[start..self.pos];
+            self.error(&format!("invalid number '{token}'"))
+        })
     }
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
+            match self.byte() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
@@ -344,7 +459,7 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
+                    match self.byte() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -355,7 +470,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.error("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
@@ -376,70 +492,99 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     // Copy the whole run up to the next quote or escape in
-                    // one go — validating per character would make large
-                    // strings quadratic.
+                    // one go. Both ends sit next to an ASCII byte (or at the
+                    // end of the text), so they are char boundaries.
                     let start = self.pos;
-                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                    while !matches!(self.byte(), None | Some(b'"' | b'\\')) {
                         self.pos += 1;
                     }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    out.push_str(run);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
     }
+}
 
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']' in array")),
-            }
-        }
-    }
+/// Powers of ten an `f64` holds exactly, up to the fast path's limit.
+const EXACT_POWERS_OF_TEN: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
 
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(map));
+/// The most significant digits, and the most digits after the point, a token
+/// may have to take [`exact_decimal`]'s path.
+const FAST_PATH_DIGITS: u32 = 15;
+
+/// The number token at the front of `bytes` — a sign, then any run of
+/// `[0-9.eE+-]` — as its length and its value (`None` if it is not a
+/// number). A token that is all [`exact_decimal`] prefix takes its value
+/// from there, read in the same pass as the scan; every other token is read
+/// by `str::parse`.
+#[inline]
+fn number_at(bytes: &[u8]) -> (usize, Option<f64>) {
+    match exact_decimal(bytes) {
+        (plain, Some(value)) if !bytes.get(plain).is_some_and(is_number_byte) => {
+            (plain, Some(value))
         }
-        loop {
-            self.skip_whitespace();
-            let key = self.string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(map));
-                }
-                _ => return Err(self.error("expected ',' or '}' in object")),
-            }
-        }
+        (plain, _) => parsed_number(bytes, plain),
     }
+}
+
+/// [`number_at`] for a token that is more than its exact prefix `plain`.
+#[cold]
+fn parsed_number(bytes: &[u8], plain: usize) -> (usize, Option<f64>) {
+    let len = plain
+        + bytes[plain..]
+            .iter()
+            .take_while(|&b| is_number_byte(b))
+            .count();
+    let token = std::str::from_utf8(&bytes[..len]).ok();
+    (len, token.and_then(|token| token.parse().ok()))
+}
+
+fn is_number_byte(b: &u8) -> bool {
+    matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+}
+
+/// Clinger's fast path over the `-?[0-9]+(\.[0-9]+)?` prefix of `bytes`: its
+/// length, and — if it has at most [`FAST_PATH_DIGITS`] significant digits
+/// and as many after the point — its value `mantissa / 10^fraction`. Both
+/// operands are exact in an `f64` (`mantissa < 10^15 < 2^53`), so the one
+/// division is correctly rounded: the same bits `str::parse` gives.
+#[inline]
+fn exact_decimal(bytes: &[u8]) -> (usize, Option<f64>) {
+    let negative = bytes.first() == Some(&b'-');
+    let start = usize::from(negative);
+    let mut pos = start;
+    let mut point = None;
+    let mut mantissa = 0u64;
+    let mut significant = 0u32;
+    while let Some(&b) = bytes.get(pos) {
+        if b.is_ascii_digit() {
+            // Wraps only past 19 digits, long after `significant` ruled the
+            // value out.
+            mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            significant += u32::from(mantissa != 0);
+        } else if b == b'.' && point.is_none() && pos > start {
+            point = Some(pos);
+        } else {
+            break;
+        }
+        pos += 1;
+    }
+    let fraction = match point {
+        // A point with no digit after it is not part of the prefix.
+        Some(point) if point + 1 == pos => {
+            pos = point;
+            0
+        }
+        Some(point) => pos - point - 1,
+        None => 0,
+    };
+    if pos == start || significant > FAST_PATH_DIGITS || fraction > FAST_PATH_DIGITS as usize {
+        return (pos, None);
+    }
+    let value = mantissa as f64 / EXACT_POWERS_OF_TEN[fraction];
+    (pos, Some(if negative { -value } else { value }))
 }
 
 #[cfg(test)]
@@ -520,6 +665,20 @@ mod tests {
         assert_eq!(parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(parse("7.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
+        // The cast round trip answers what `fract() == 0.0` answered.
+        for (n, expected) in [
+            (-0.0, Some(0)),
+            (1e0, Some(1)),
+            (4294967296.0, Some(1 << 32)),
+            (9_007_199_254_740_992.0, Some(1 << 53)),
+            (9_007_199_254_740_994.0, None),
+            (0.5, None),
+            (4294967295.5, None),
+            (f64::NAN, None),
+            (f64::INFINITY, None),
+        ] {
+            assert_eq!(JsonValue::Number(n).as_u64(), expected, "{n}");
+        }
         assert_eq!(parse("true").unwrap().as_bool(), Some(true));
         assert_eq!(parse("{}").unwrap().as_object().map(|m| m.len()), Some(0));
         assert_eq!(parse("1").unwrap().as_object(), None);
@@ -630,5 +789,200 @@ mod tests {
         // and reports a clean error instead.
         let nested = format!("{}1{}", "[".repeat(10_000), "]".repeat(10_000));
         assert!(parse(&nested).unwrap_err().contains("nesting"));
+    }
+
+    /// A `push_interval` line shaped like `stream-delta`'s: `nodes` nodes of
+    /// `parents` edges each, weights of at most four decimals.
+    fn push_line(nodes: u32, parents: u32, seed: u64) -> String {
+        let mut rng = crate::DetRng::seed_from_u64(seed);
+        let mut line = format!("{{\"op\":\"push_interval\",\"nodes\":{nodes},\"edges\":[");
+        for node in 0..nodes {
+            for e in 0..parents {
+                let weight = (1 + rng.below(9999)) as f64 / 10_000.0;
+                if node > 0 || e > 0 {
+                    line.push(',');
+                }
+                let parent = rng.below(u64::from(nodes));
+                line.push_str(&format!("[{},{parent},{node},{weight}]", rng.below(2)));
+            }
+        }
+        line.push_str("]}");
+        line
+    }
+
+    /// Every token goes through `number_at`, and whichever path it takes the
+    /// bits are `str::parse`'s. The limits are the ones Clinger's argument
+    /// needs: one more significant digit or one more digit after the point
+    /// must leave the fast path (`must_fall_back`), so loosening either
+    /// fails here, not on some rare input.
+    #[test]
+    fn the_number_fast_path_is_bit_identical_to_str_parse() {
+        // What the reader makes of `token`, one whole number token.
+        let read = |token: &str| {
+            let (len, value) = number_at(token.as_bytes());
+            assert_eq!(len, token.len(), "{token}");
+            value
+        };
+        // The fast path's value, if it reads the whole token.
+        let fast = |token: &[u8]| {
+            let (len, value) = exact_decimal(token);
+            value.filter(|_| len == token.len())
+        };
+        let check = |token: &str| {
+            let expected = token.parse::<f64>().unwrap().to_bits();
+            assert_eq!(read(token).unwrap().to_bits(), expected, "{token}");
+            if let Some(value) = fast(token.as_bytes()) {
+                assert_eq!(value.to_bits(), expected, "{token}");
+            }
+        };
+        // Every number of a generated 1 000-node push line — all of them on
+        // the fast path.
+        let line = push_line(1000, 6, 7);
+        let tokens: Vec<&str> = line
+            .split(|c: char| !(c.is_ascii_digit() || c == '.'))
+            .filter(|t| !t.is_empty())
+            .collect();
+        assert!(tokens.len() > 24_000, "{}", tokens.len());
+        for token in &tokens {
+            check(token);
+            assert!(fast(token.as_bytes()).is_some(), "{token}");
+        }
+        // Seeded tokens: 1–15 digits before the point, 0–15 after it, signs,
+        // leading zeros.
+        let mut rng = crate::DetRng::seed_from_u64(0x5eed);
+        let mut token = String::new();
+        for _ in 0..1_000_000 {
+            token.clear();
+            if rng.chance(0.5) {
+                token.push('-');
+            }
+            let whole = 1 + rng.below(15);
+            let leading_zeros = if rng.chance(0.2) { rng.below(whole) } else { 0 };
+            for d in 0..whole {
+                let digit = if d < leading_zeros { 0 } else { rng.below(10) };
+                token.push(char::from(b'0' + digit as u8));
+            }
+            let fraction = rng.below(16);
+            if fraction > 0 {
+                token.push('.');
+                for _ in 0..fraction {
+                    token.push(char::from(b'0' + rng.below(10) as u8));
+                }
+            }
+            check(&token);
+        }
+        let on_the_fast_path = [
+            "0",
+            "-0",
+            "0.0",
+            "-0.0",
+            "007",
+            "999999999999999",
+            "-999999999999999",
+            "0.000000000000001",
+            "99999999999999.9",
+            "0.999999999999999",
+            "0000000000000000000000123.5",
+        ];
+        for token in on_the_fast_path {
+            check(token);
+            assert!(fast(token.as_bytes()).is_some(), "{token}");
+        }
+        let must_fall_back = [
+            "9007199254740993",
+            "9999999999999999",
+            "1234567890123456",
+            "12345678901234567",
+            "-9007199254740993",
+            "0.0000000000000001",
+            "0.1234567890123456",
+            "1.0000000000000001",
+            "123456789012345.6",
+            "1e5",
+            "1E-5",
+            "1.5e+3",
+            "1.",
+            "-.5",
+        ];
+        for token in must_fall_back {
+            check(token);
+            assert!(fast(token.as_bytes()).is_none(), "{token}");
+        }
+        for invalid in ["-", ".", "1.2.3", "1-2", "--1", "1e", "-e5"] {
+            assert!(read(invalid).is_none(), "{invalid}");
+            assert!(fast(invalid.as_bytes()).is_none(), "{invalid}");
+        }
+    }
+
+    /// The walkers read a document the way `value` builds it: typed as it
+    /// goes, with the same errors at the same bytes.
+    #[test]
+    fn a_reader_walks_what_parse_builds() {
+        let line = push_line(20, 3, 1);
+        let mut reader = Reader::new(&line);
+        let mut keys = Vec::new();
+        let mut quads = Vec::new();
+        reader
+            .object(|reader, key| {
+                if key == "edges" {
+                    reader.array(|reader| {
+                        let mut quad = Vec::new();
+                        reader.array(|reader| {
+                            quad.push(reader.number()?.unwrap());
+                            Ok(())
+                        })?;
+                        quads.push(quad);
+                        Ok(())
+                    })?;
+                } else {
+                    reader.value()?;
+                }
+                keys.push(key);
+                Ok(())
+            })
+            .unwrap();
+        reader.finish().unwrap();
+        assert_eq!(keys, ["op", "nodes", "edges"]);
+        let tree = parse(&line).unwrap();
+        let edges: Vec<Vec<f64>> = tree
+            .get("edges")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|quad| {
+                let quad = quad.as_array().unwrap();
+                quad.iter().map(|n| n.as_f64().unwrap()).collect()
+            })
+            .collect();
+        assert_eq!(quads, edges);
+
+        // `number` reads past whatever is not a number; `peek` skips
+        // whitespace and consumes nothing.
+        let mut reader = Reader::new(" [ \"x\", {\"a\":[1]}, -2.5 ] ");
+        assert_eq!(reader.peek(), Some(b'['));
+        let mut read = Vec::new();
+        reader
+            .array(|reader| {
+                read.push(reader.number()?);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(read, [None, None, Some(-2.5)]);
+        assert_eq!(reader.peek(), None);
+        reader.finish().unwrap();
+
+        // The depth limit and trailing garbage, walked or built.
+        for text in [
+            format!("{}1{}", "[".repeat(200), "]".repeat(200)),
+            "[1] x".to_string(),
+            "[1,]".to_string(),
+        ] {
+            let mut reader = Reader::new(&text);
+            let walked = reader
+                .array(|reader| reader.value().map(drop))
+                .and_then(|()| reader.finish());
+            assert_eq!(walked.unwrap_err(), parse(&text).unwrap_err(), "{text}");
+        }
     }
 }
