@@ -1125,7 +1125,7 @@ impl StableClusterSolver for BfsStableClusters {
 mod tests {
     use super::*;
     use crate::cluster_graph::ClusterGraphBuilder;
-    use crate::lookahead::every_path;
+    use crate::lookahead::{every_path, reweighted, WEIGHTINGS};
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 
     fn node(interval: u32, index: u32) -> ClusterNodeId {
@@ -1406,18 +1406,6 @@ mod tests {
         .generate()
     }
 
-    /// `graph` with every weight `w` replaced by `weight(w)`.
-    fn reweighted(graph: &ClusterGraph, weight: impl Fn(f64) -> f64) -> ClusterGraph {
-        let mut builder = ClusterGraphBuilder::new(graph.gap());
-        for interval in 0..graph.num_intervals() as u32 {
-            builder.add_interval(graph.nodes_in_interval(interval));
-        }
-        for (from, to, w) in graph.edges() {
-            builder.add_edge(from, to, weight(w));
-        }
-        builder.build()
-    }
-
     fn assert_same_paths(found: &[ClusterPath], expected: &[ClusterPath], case: &str) {
         assert_eq!(found.len(), expected.len(), "{case}");
         for (found, expected) in found.iter().zip(expected) {
@@ -1482,20 +1470,11 @@ mod tests {
         // `tests/algorithm_equivalence.rs::tie_heavy`), that cut nothing (all
         // equal) and that nearly do (two values); edges of one interval, two,
         // and any length; whole graphs and windows that edges cross into.
-        type Reweight = fn(f64) -> f64;
-        let weights: [(&str, Reweight); 4] = [
-            ("uniform", |w| w),
-            ("tie-heavy", |w| {
-                [0.25, 0.5, 1.0][(w * 3.0).min(2.0) as usize]
-            }),
-            ("all-equal", |_| 1.0),
-            ("two-valued", |w| if w < 0.5 { 0.5 } else { 1.0 }),
-        ];
         let mut graphs = Vec::new();
         for seed in 0..17 {
             for gap in [0, 1, u32::MAX] {
                 let base = random_graph(6, 10, 2, gap, 4_100 + seed);
-                for (name, weight) in weights {
+                for (name, weight) in WEIGHTINGS {
                     let graph = reweighted(&base, weight);
                     graphs.push((format!("{name} gap={gap} seed={seed}"), graph, 1, 4));
                 }

@@ -87,7 +87,7 @@ fn max_edge_length(gap: u32) -> u32 {
 /// share these, so two graphs holding the *same* allocation hold equal
 /// content — the fact [`ClusterGraph::shares_in_edges`] rests on.
 #[derive(Debug)]
-struct Adjacency {
+pub(crate) struct Adjacency {
     /// `offsets[j]..offsets[j + 1]` spans node `j`'s slice of `edges`: one
     /// entry per node plus one, so the interval's node count lives here.
     offsets: Vec<usize>,
@@ -107,7 +107,8 @@ impl Adjacency {
         (self.offsets.len() - 1) as u32
     }
 
-    fn row(&self, index: u32) -> &[ClusterEdge] {
+    /// Node `index`'s edges.
+    pub(crate) fn row(&self, index: u32) -> &[ClusterEdge] {
         let index = index as usize;
         &self.edges[self.offsets[index]..self.offsets[index + 1]]
     }
@@ -578,6 +579,15 @@ impl<'a> GraphView<'a> {
     /// node is outside the graph.
     pub fn parents(self, node: ClusterNodeId) -> impl Iterator<Item = &'a ClusterEdge> + Clone {
         self.edges_within(self.graph.parents(node))
+    }
+
+    /// Interval `interval`'s rows as stored, parents then children, for a
+    /// pass over every node of it: unlike [`GraphView::parents`] and
+    /// [`GraphView::children`] they check no node and keep the edges whose
+    /// other end lies outside the view. Panics outside the graph.
+    pub(crate) fn rows(self, interval: u32) -> (&'a Adjacency, &'a Adjacency) {
+        let segment = &self.graph.segments[interval as usize];
+        (&segment.parents, &segment.children)
     }
 }
 

@@ -23,13 +23,26 @@
 //! abort), and dropped with the solve. What is read through them is judged
 //! by [`can_still_reach`](crate::problem::can_still_reach), whose slack
 //! covers the different orders the two passes and a solver sum a path in.
+//!
+//! Both passes read an interval's rows as stored ([`GraphView::rows`]) and
+//! compare one end of an edge against the view, the end that can lie
+//! outside it. The backward pass splits `best` once per interval into the
+//! rows before it, where every parent of its nodes lies, and its own, and
+//! relaxes by a **plan**: per edge length, which slot of a parent's row takes
+//! the bare edge and which slots take the edge plus the child's weights. That
+//! depends on the two intervals' layouts, never on the nodes, so an edge
+//! costs one compare, one row address and one short run of `max`es — a
+//! single one in a table of full paths or of a start window, which asks one
+//! length of each node. The sums and their right-to-left order are those of
+//! the loop the plan replaced (kept in the tests as the reference the two
+//! passes are held to, bit for bit).
 
 use std::ops::Range;
 
 use bsc_graph::csr::prefix_offsets;
 use bsc_util::cancel::CancelToken;
 
-use crate::cluster_graph::{ClusterGraph, ClusterNodeId, GraphView};
+use crate::cluster_graph::{ClusterNodeId, GraphView};
 use crate::error::{BscError, BscResult};
 use crate::problem::KlStableParams;
 use crate::solver::checkpoint;
@@ -61,7 +74,7 @@ pub(crate) struct Completions {
 struct Asked {
     at: usize,
     shortest: u32,
-    width: u32,
+    width: usize,
 }
 
 /// A look-ahead table the allocator will not give.
@@ -117,7 +130,7 @@ impl Completions {
         let layout = |(interval, &at)| Asked {
             at,
             shortest: lengths(interval).start,
-            width: lengths(interval).len() as u32,
+            width: lengths(interval).len(),
         };
         let total = offsets.last().copied().unwrap_or(0);
         let mut ahead = Completions {
@@ -130,36 +143,49 @@ impl Completions {
         if total == 0 {
             return Ok(ahead);
         }
-        // `C[c][l]` of every node that starts a length-`l` path: one value
-        // per node at most, whatever `k` is.
+        // `C[c][l]` of every node it is asked of — `−∞` where no length-`l`
+        // path starts, which sorts last — one value per node at most,
+        // whatever `k` is.
         let mut whole = Vec::new();
+        // Indexed by edge length; no edge has length 0.
+        let mut plan = vec![Step::default()];
         for interval in view.intervals().rev() {
             let depth = interval - first;
             let mine = ahead.asked[depth as usize];
+            let asks_l = mine.shortest + mine.width as u32 > l;
+            // Parents lie in earlier intervals: their rows are all before ours.
+            let (earlier, ours) = ahead.best.split_at_mut(mine.at);
+            let (parents, _) = view.rows(interval);
+            plan.truncate(1);
             for index in 0..view.nodes_in_interval(interval) {
                 checkpoint(cancel, tick)?;
-                // Every edge leaving `child` has been relaxed: its weights
+                // Every edge leaving this node has been relaxed: its weights
                 // are final, `C[child][l]` the last of them if it is asked.
-                let child = ClusterNodeId::new(interval, index);
-                let child_row = mine.row(index);
-                if mine.shortest + mine.width > l {
-                    let weight = ahead.best[child_row + mine.width as usize - 1];
-                    if weight > f64::NEG_INFINITY {
-                        whole.push(weight);
+                let child = &ours[index as usize * mine.width..][..mine.width];
+                whole.extend(child.last().copied().filter(|_| asks_l));
+                for edge in parents.row(index) {
+                    let len = interval - edge.to.interval;
+                    if len as usize >= plan.len() {
+                        if len > depth {
+                            continue; // the parent lies before the view
+                        }
+                        grow(&mut plan, &ahead.asked, depth, len);
                     }
-                }
-                for edge in view.parents(child) {
-                    let len = ClusterGraph::edge_length(edge.to, child);
-                    let theirs = ahead.asked[(depth - len) as usize];
-                    let parent_row = theirs.row(edge.to.index);
-                    for r in theirs.shortest.max(len)..theirs.shortest + theirs.width {
-                        // `r − len ≥ l − depth` and fits behind `child`: asked.
-                        let rest = match r - len {
-                            0 => 0.0,
-                            rest => ahead.best[child_row + (rest - mine.shortest) as usize],
-                        };
-                        let through = &mut ahead.best[parent_row + (r - theirs.shortest) as usize];
-                        *through = through.max(edge.weight + rest);
+                    let (step, weight) = (plan[len as usize], edge.weight);
+                    let row = edge.to.index as usize * step.width;
+                    if step.bare {
+                        raise(&mut earlier[row + step.to - 1], weight);
+                    }
+                    // Every row of a full-path or start-window table is one
+                    // slot: one `raise`, where the loop's set-up cost those
+                    // passes 6–11 % of their time.
+                    match &mut earlier[row + step.to..row + step.end] {
+                        [through] => raise(through, weight + child[0]),
+                        through => {
+                            for (through, rest) in through.iter_mut().zip(child) {
+                                raise(through, weight + rest);
+                            }
+                        }
                     }
                 }
             }
@@ -175,7 +201,7 @@ impl Completions {
     pub(crate) fn leaving(&self, node: ClusterNodeId) -> (u32, &[f64]) {
         let asked = self.asked[(node.interval - self.first) as usize];
         let row = asked.row(node.index);
-        (asked.shortest, &self.best[row..row + asked.width as usize])
+        (asked.shortest, &self.best[row..row + asked.width])
     }
 
     /// Of a full-path table (`l` the view's whole length), which asks one
@@ -217,8 +243,46 @@ impl Asked {
     /// Where the weights of the interval's node `index` start.
     #[inline]
     fn row(self, index: u32) -> usize {
-        self.at + index as usize * self.width as usize
+        self.at + index as usize * self.width
     }
+}
+
+/// How an edge of one length into one interval relaxes its parent, whatever
+/// the two nodes. Offsets count in [`Completions::best`] from
+/// `index · width`, `index` the parent's: if `bare`, slot `to − 1`
+/// (`r = len`) takes the edge alone, and slots `to..end` take the edge plus
+/// the child's weights from its first on, pairwise. From its first: the
+/// lengths `r > len` the parent asks, less `len`, are those the child asks
+/// from its shortest on ([`Completions::lengths`] at depths `len` apart).
+#[derive(Clone, Copy, Default)]
+struct Step {
+    width: usize,
+    bare: bool,
+    to: usize,
+    end: usize,
+}
+
+/// Extend the plan of the interval `depth` into the view to edges of length
+/// `len`: once per length its edges have, so a gap sizes nothing up front.
+#[cold]
+fn grow(plan: &mut Vec<Step>, asked: &[Asked], depth: u32, len: u32) {
+    let lengths = plan.len() as u32..=len;
+    plan.extend(lengths.map(|len| {
+        let theirs = asked[(depth - len) as usize];
+        let (shortest, end) = (theirs.shortest, theirs.shortest + theirs.width as u32);
+        Step {
+            width: theirs.width,
+            bare: (shortest..end).contains(&len),
+            to: theirs.at + (shortest.max(len + 1).min(end) - shortest) as usize,
+            end: theirs.at + theirs.width,
+        }
+    }));
+}
+
+/// `*slot = slot.max(weight)` for a table's weights, which are never NaN: one
+/// compare and select, where `f64::max` also orders NaN.
+fn raise(slot: &mut f64, weight: f64) {
+    *slot = if weight > *slot { weight } else { *slot };
 }
 
 /// How every full path of a view can begin — the forward mirror of a
@@ -251,29 +315,32 @@ impl Arrivals {
             at,
         };
         behind.best[..nodes(first)].fill(0.0);
-        for parent in view.intervals().flat_map(|i| view.interval_node_ids(i)) {
-            checkpoint(cancel, tick)?;
-            // Every edge into `parent` has been relaxed: its weight is final.
-            let so_far = behind.arriving(parent);
-            if so_far > f64::NEG_INFINITY {
-                for edge in view.children(parent) {
-                    let child = behind.slot(edge.to);
-                    behind.best[child] = behind.best[child].max(so_far + edge.weight);
+        for (depth, interval) in view.intervals().enumerate() {
+            let (_, children) = view.rows(interval);
+            // Where each later interval's weights start, by edge length; none
+            // past the view's last interval.
+            let later = &behind.at[depth..view.num_intervals()];
+            for index in 0..view.nodes_in_interval(interval) {
+                checkpoint(cancel, tick)?;
+                // Every edge into this node has been relaxed: its weight is final.
+                let so_far = behind.best[later[0] + index as usize];
+                if so_far > f64::NEG_INFINITY {
+                    for edge in children.row(index) {
+                        if let Some(&at) = later.get((edge.to.interval - interval) as usize) {
+                            let slot = &mut behind.best[at + edge.to.index as usize];
+                            raise(slot, so_far + edge.weight);
+                        }
+                    }
                 }
             }
         }
         Ok(behind)
     }
 
-    #[inline]
-    fn slot(&self, node: ClusterNodeId) -> usize {
-        self.at[(node.interval - self.first) as usize] + node.index as usize
-    }
-
     /// The heaviest path from the view's first interval to `node`.
     #[inline]
     pub(crate) fn arriving(&self, node: ClusterNodeId) -> f64 {
-        self.best[self.slot(node)]
+        self.best[self.at[(node.interval - self.first) as usize] + node.index as usize]
     }
 }
 
@@ -293,15 +360,149 @@ pub(crate) fn every_path(view: GraphView<'_>) -> Vec<crate::path::ClusterPath> {
     paths
 }
 
+/// `graph` with every weight `w` replaced by `weight(w)`.
+#[cfg(test)]
+pub(crate) fn reweighted(
+    graph: &crate::cluster_graph::ClusterGraph,
+    weight: impl Fn(f64) -> f64,
+) -> crate::cluster_graph::ClusterGraph {
+    let mut builder = crate::cluster_graph::ClusterGraphBuilder::new(graph.gap());
+    for interval in 0..graph.num_intervals() as u32 {
+        builder.add_interval(graph.nodes_in_interval(interval));
+    }
+    for (from, to, w) in graph.edges() {
+        builder.add_edge(from, to, weight(w));
+    }
+    builder.build()
+}
+
+#[cfg(test)]
+pub(crate) type Reweight = fn(f64) -> f64;
+
+/// Weights that separate completions (uniform), that tie in heaps (the three
+/// values of `tests/algorithm_equivalence.rs::tie_heavy`), that cut nothing
+/// (all equal) and that nearly do (two values), for [`reweighted`].
+#[cfg(test)]
+pub(crate) const WEIGHTINGS: [(&str, Reweight); 4] = [
+    ("uniform", |w| w),
+    ("tie-heavy", |w| {
+        [0.25, 0.5, 1.0][(w * 3.0).min(2.0) as usize]
+    }),
+    ("all-equal", |_| 1.0),
+    ("two-valued", |w| if w < 0.5 { 0.5 } else { 1.0 }),
+];
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
 
+    use bsc_util::rng::DetRng;
+
     use super::*;
+    use crate::auto::{bfs_resident_bytes, dfs_resident_bytes, GraphShape};
     use crate::bfs::{threshold_scenario, BfsStableClusters};
-    use crate::cluster_graph::ClusterGraphBuilder;
-    use crate::problem::summation_slack;
+    use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder};
+    use crate::path::ClusterPath;
+    use crate::problem::{summation_slack, StableClusterSpec};
+    use crate::sharded::ShardedSolver;
+    use crate::solver::{AlgorithmKind, SolverOptions, StableClusterSolver};
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
+    use crate::ta::TaStableClusters;
+    use crate::topk::TopKPaths;
+
+    /// The backward relaxation as written before the plan, into the layout
+    /// `of` lays out: each parent through [`GraphView::parents`], each length
+    /// it asks through a `match` on what is left for the child. The
+    /// reference the kernel is held to.
+    fn completions_by_reference(view: GraphView<'_>, params: KlStableParams) -> Completions {
+        let KlStableParams { k, l } = params;
+        let first = view.first_interval();
+        let mut ahead = ahead_of(view, params);
+        ahead.best.fill(f64::NEG_INFINITY);
+        ahead.floor = f64::NEG_INFINITY;
+        let mut whole = Vec::new();
+        for interval in view.intervals().rev() {
+            let depth = interval - first;
+            let mine = ahead.asked[depth as usize];
+            for index in 0..view.nodes_in_interval(interval) {
+                let child = ClusterNodeId::new(interval, index);
+                let child_row = mine.row(index);
+                if mine.shortest + mine.width as u32 > l {
+                    let weight = ahead.best[child_row + mine.width - 1];
+                    if weight > f64::NEG_INFINITY {
+                        whole.push(weight);
+                    }
+                }
+                for edge in view.parents(child) {
+                    let len = ClusterGraph::edge_length(edge.to, child);
+                    let theirs = ahead.asked[(depth - len) as usize];
+                    let parent_row = theirs.row(edge.to.index);
+                    for r in theirs.shortest.max(len)..theirs.shortest + theirs.width as u32 {
+                        let rest = match r - len {
+                            0 => 0.0,
+                            rest => ahead.best[child_row + (rest - mine.shortest) as usize],
+                        };
+                        let through = &mut ahead.best[parent_row + (r - theirs.shortest) as usize];
+                        *through = through.max(edge.weight + rest);
+                    }
+                }
+            }
+        }
+        if let Some(kth) = k.checked_sub(1).filter(|&kth| kth < whole.len()) {
+            ahead.floor = *whole.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1;
+        }
+        ahead
+    }
+
+    /// The forward relaxation as written before the plan: each child through
+    /// [`GraphView::children`].
+    fn arrivals_by_reference(view: GraphView<'_>) -> Vec<f64> {
+        let mut behind = Arrivals::of(view, None, &mut 0).unwrap();
+        behind.best.fill(f64::NEG_INFINITY);
+        behind.best[..view.nodes_in_interval(view.first_interval()) as usize].fill(0.0);
+        for parent in view.intervals().flat_map(|i| view.interval_node_ids(i)) {
+            let so_far = behind.arriving(parent);
+            if so_far > f64::NEG_INFINITY {
+                for edge in view.children(parent) {
+                    let child = behind.at[(edge.to.interval - behind.first) as usize]
+                        + edge.to.index as usize;
+                    behind.best[child] = behind.best[child].max(so_far + edge.weight);
+                }
+            }
+        }
+        behind.best
+    }
+
+    /// Both passes over `view`, against the references, bit for bit: every
+    /// weight of the table, `θ₀` for each `k`, and the arrivals.
+    fn assert_kernel_is_reference(view: GraphView<'_>, ls: impl Iterator<Item = u32>, case: &str) {
+        let bits = |table: &[f64]| table.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        let arrivals = Arrivals::of(view, None, &mut 0).unwrap();
+        assert_eq!(
+            bits(&arrivals.best),
+            bits(&arrivals_by_reference(view)),
+            "{case}"
+        );
+        for l in ls {
+            for k in [1, 5] {
+                let params = KlStableParams::new(k, l);
+                let (kernel, reference) = (
+                    ahead_of(view, params),
+                    completions_by_reference(view, params),
+                );
+                assert_eq!(
+                    bits(&kernel.best),
+                    bits(&reference.best),
+                    "{case} l={l} k={k}"
+                );
+                assert_eq!(
+                    kernel.floor.to_bits(),
+                    reference.floor.to_bits(),
+                    "{case} l={l} k={k}"
+                );
+            }
+        }
+    }
 
     fn node(interval: u32, index: u32) -> ClusterNodeId {
         ClusterNodeId::new(interval, index)
@@ -485,5 +686,162 @@ mod tests {
         }
         let whole = Arrivals::of(graph.view(), None, &mut 0).unwrap();
         assert_eq!(whole.arriving(node(offset + 3, 0)), 4.75);
+    }
+
+    #[test]
+    fn the_kernel_fills_the_tables_the_reference_loops_fill() {
+        // Same additions, same right-to-left order, and `max` takes them in
+        // any order: the plan changes how an edge finds its slots, never what
+        // lands there. Edges of one interval up to four; the four weightings;
+        // whole graphs, views that start mid-graph (edges cross into them)
+        // and every window of every width (every start window of every `l`);
+        // every `l` from 1 to one past the view.
+        let mut views = 0;
+        for gap in 0..=3 {
+            for seed in 0..3 {
+                let base = random_graph(7, 8, 3, gap, 7_300 + seed);
+                for (name, weight) in WEIGHTINGS {
+                    let graph = reweighted(&base, weight);
+                    let (g, m) = (&graph, graph.num_intervals() as u32);
+                    let mut cut = vec![g.view(), g.window(2, m - 1), g.window(3, m - 2)];
+                    cut.extend((1..m).flat_map(|w| (0..m - w).map(move |s| g.window(s, s + w))));
+                    for view in cut {
+                        let case = format!("{name} gap={gap} seed={seed} {:?}", view.intervals());
+                        assert_kernel_is_reference(view, 1..=m, &case);
+                        views += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(views, 4 * 3 * 4 * 24);
+    }
+
+    /// 2 000 intervals of two nodes, gap 1: two lanes of seeded weights,
+    /// crossed by three edges and jumped by two, so that a full path is one
+    /// of a few dozen and every path of a length can be listed.
+    fn long_thin_graph() -> ClusterGraph {
+        let m = 2_000;
+        let mut rng = DetRng::seed_from_u64(2_000);
+        let mut weight = || (1 + rng.below(1_000)) as f64 / 1_000.0;
+        let mut builder = ClusterGraphBuilder::new(1);
+        for _ in 0..m {
+            builder.add_interval(2);
+        }
+        for i in 1..m {
+            for lane in 0..2 {
+                builder.add_edge(node(i - 1, lane), node(i, lane), weight());
+            }
+        }
+        for i in [300, 990, 1_650] {
+            builder.add_edge(node(i, 0), node(i + 1, 1), weight());
+        }
+        for i in [700, 1_200] {
+            builder.add_edge(node(i, 1), node(i + 2, 0), weight());
+        }
+        builder.build()
+    }
+
+    /// The top `k` of every path of exactly `l` edges, each summed left to
+    /// right: the oracle where [`every_path`] would hold every prefix of a
+    /// 2 000-interval path. One walk per start that can reach `l`, on an
+    /// explicit stack of (node, weight so far, next child to take).
+    fn enumerated(graph: &ClusterGraph, k: usize, l: u32) -> Vec<ClusterPath> {
+        let mut best = TopKPaths::new(k);
+        let m = graph.num_intervals() as u32;
+        for start in graph.node_ids().filter(|start| start.interval + l < m) {
+            let mut walk = vec![(start, 0.0, 0)];
+            while let Some(frame) = walk.last_mut() {
+                let (at, weight) = (frame.0, frame.1);
+                let length = at.interval - start.interval;
+                let next = graph.children(at).get(frame.2).filter(|_| length < l);
+                let Some(edge) = next else {
+                    if length == l && best.would_admit(weight) {
+                        let nodes = walk.iter().map(|frame| frame.0).collect();
+                        best.offer_by_weight(ClusterPath::new(nodes, weight));
+                    }
+                    walk.pop();
+                    continue;
+                };
+                frame.2 += 1;
+                if edge.to.interval - start.interval <= l {
+                    walk.push((edge.to, weight + edge.weight, 0));
+                }
+            }
+        }
+        best.into_sorted()
+    }
+
+    fn assert_same(found: &[ClusterPath], expected: &[ClusterPath], case: &str) {
+        let key = |path: &ClusterPath| (path.nodes().to_vec(), path.weight().to_bits());
+        let found: Vec<_> = found.iter().map(key).collect();
+        assert_eq!(
+            found,
+            expected.iter().map(key).collect::<Vec<_>>(),
+            "{case}"
+        );
+        assert!(!found.is_empty(), "{case}");
+    }
+
+    #[test]
+    fn a_long_thin_graph_solves_like_its_enumeration() {
+        // Every graph above has at most a dozen intervals. Here the last lies
+        // 1 999 in, and `l` runs from 2 — a table a thousand times longer
+        // than it is wide — through the widest table the view can ask for
+        // (`l` = 1 000, a thousand weights per node) to full paths, whole
+        // graph and a view that starts 1 500 in. Each answer is the
+        // enumeration's, or a clean error: never an abort.
+        let graph = long_thin_graph();
+        let last = graph.num_intervals() as u32 - 1;
+        assert_kernel_is_reference(graph.view(), [2, 3, 1_000, last].into_iter(), "long");
+        assert_kernel_is_reference(
+            graph.window(1_500, last),
+            [2, 499].into_iter(),
+            "from 1 500",
+        );
+        let widest = ahead_of(graph.view(), KlStableParams::new(5, 1_000));
+        assert_eq!(widest.leaving(node(999, 0)).1.len(), 1_000);
+
+        let k = 5;
+        let full = enumerated(&graph, k, last);
+        assert_same(
+            &BfsStableClusters::full_paths(k, &graph).unwrap(),
+            &full,
+            "bfs full",
+        );
+        assert_same(
+            &TaStableClusters::new(k).run(&graph).unwrap(),
+            &full,
+            "ta full",
+        );
+        for l in [10, 1_000] {
+            let found = BfsStableClusters::new(KlStableParams::new(k, l))
+                .run(&graph)
+                .unwrap();
+            assert_same(&found, &enumerated(&graph, k, l), &format!("bfs exact:{l}"));
+        }
+        // 1 990 start windows of eleven intervals, in two ranges.
+        let spec = StableClusterSpec::ExactLength(10);
+        let options = SolverOptions::default().shards(2);
+        let mut sharded = ShardedSolver::new(AlgorithmKind::Bfs, spec, k, options).unwrap();
+        let found = sharded.solve(&graph).unwrap().paths;
+        assert_same(&found, &enumerated(&graph, k, 10), "shards(2) exact:10");
+
+        // `auto` prices the widest table: a byte short of BFS's estimate, with
+        // DFS's stack beyond it too, the query is refused as a configuration.
+        let shape = GraphShape::of(&graph);
+        let budget = bfs_resident_bytes(&shape, k, 1_000) - 1;
+        assert!(dfs_resident_bytes(&shape, k, 1_000) > budget);
+        let auto = AlgorithmKind::Auto {
+            budget_bytes: Some(budget),
+        };
+        let spec = StableClusterSpec::ExactLength(1_000);
+        let refused = auto
+            .build(spec, k, graph.num_intervals())
+            .unwrap()
+            .solve(&graph);
+        assert!(
+            matches!(refused, Err(BscError::InvalidConfig(_))),
+            "{refused:?}"
+        );
     }
 }
