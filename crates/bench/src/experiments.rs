@@ -21,7 +21,7 @@ use bsc_baselines::{
     cc_pivot, cut_clustering, kway_partition, CutClusteringParams, KwayParams, SignedGraph,
 };
 use bsc_cluster::{WorkerConfig, WorkerServer};
-use bsc_core::bfs::{BfsConfig, BfsStableClusters};
+use bsc_core::bfs::BfsStableClusters;
 use bsc_core::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
 use bsc_core::distributed::FanoutSpec;
 use bsc_core::path::ClusterPath;
@@ -568,12 +568,12 @@ fn assert_paths_identical(a: &[ClusterPath], b: &[ClusterPath], context: &str) {
     }
 }
 
-/// Table 2-style I/O report: logical I/O of the disk-resident solvers (the
-/// store-backed BFS variant and DFS), one row per algorithm × storage
-/// backend, all constructed through the unified
-/// [`AlgorithmKind::build_with_options`] seam. The same-algorithm results
-/// are verified byte-identical across backends before the table is emitted —
-/// the backend choice only moves I/O around, it never changes the answer.
+/// Table 2-style I/O report: logical I/O of DFS, the disk-resident solver,
+/// one row per storage backend, constructed through the unified
+/// [`AlgorithmKind::build_with_options`] seam. The results are verified
+/// byte-identical across backends before the table is emitted — the backend
+/// choice only moves I/O around, it never changes the answer. BFS keeps no
+/// per-node state in storage, so it has no row.
 pub fn table2_io(scale: Scale, backends: &[StorageSpec]) -> Table {
     let m = scale.pick(6, 9);
     let n = scale.pick(60, 150);
@@ -593,42 +593,39 @@ pub fn table2_io(scale: Scale, backends: &[StorageSpec]) -> Table {
             "paths",
         ],
     );
-    let mut reference: [Option<Vec<ClusterPath>>; 2] = [None, None];
+    let kind = AlgorithmKind::Dfs;
+    let mut reference: Option<Vec<ClusterPath>> = None;
     for &spec in backends {
-        for (which, kind) in [AlgorithmKind::Bfs, AlgorithmKind::Dfs]
-            .into_iter()
-            .enumerate()
-        {
-            let options = SolverOptions::default()
-                .storage(spec)
-                .bfs_store_backed(true);
-            let mut solver = kind
-                .build_with_options(StableClusterSpec::FullPaths, k, m, options)
-                .expect("supported combination");
-            let (solution, duration) = timed(|| solver.solve(&graph).expect("solver run"));
-            let io = solution.io;
-            match &reference[which] {
-                None => reference[which] = Some(solution.paths.clone()),
-                Some(expected) => {
-                    assert_paths_identical(expected, &solution.paths, &format!("{kind}/{spec}"));
-                }
+        let options = SolverOptions::default().storage(spec);
+        let mut solver = kind
+            .build_with_options(StableClusterSpec::FullPaths, k, m, options)
+            .expect("supported combination");
+        let (solution, duration) = timed(|| solver.solve(&graph).expect("solver run"));
+        let io = solution.io;
+        match &reference {
+            None => reference = Some(solution.paths.clone()),
+            Some(expected) => {
+                assert_paths_identical(expected, &solution.paths, &format!("{kind}/{spec}"));
             }
-            table.push_row(vec![
-                kind.name().to_string(),
-                spec.to_string(),
-                io.read_ops.to_string(),
-                io.write_ops.to_string(),
-                io.seek_ops.to_string(),
-                io.evictions.to_string(),
-                mib(io.total_bytes()),
-                seconds(duration),
-                solution.paths.len().to_string(),
-            ]);
         }
+        table.push_row(vec![
+            kind.name().to_string(),
+            spec.to_string(),
+            io.read_ops.to_string(),
+            io.write_ops.to_string(),
+            io.seek_ops.to_string(),
+            io.evictions.to_string(),
+            mib(io.total_bytes()),
+            seconds(duration),
+            solution.paths.len().to_string(),
+        ]);
     }
     table.push_note(format!(
-        "m = {m}, n = {n}, d = {d}, g = {g}, top-{k} full paths; identical results verified across backends per algorithm"
+        "m = {m}, n = {n}, d = {d}, g = {g}, top-{k} full paths; identical results verified across backends"
     ));
+    table.push_note(
+        "BFS keeps no per-node state in storage: its rows are the prefixes of near-answers, held in memory, so it has no row here",
+    );
     table.push_note(
         "memory does no real I/O; logfile pays one seek+read per get; blockcache trades budgeted cache bytes for fewer reads (evictions show the pressure)",
     );
@@ -1000,10 +997,9 @@ fn probe_stable_path(
     // Search all lengths, not only the configured spec, using the BFS solver
     // over the already-built cluster graph.
     for l in (min_length..=(outcome.cluster_graph.num_intervals() as u32 - 1)).rev() {
-        let paths =
-            BfsStableClusters::with_config(KlStableParams::new(200, l), BfsConfig::default())
-                .run(&outcome.cluster_graph)
-                .ok()?;
+        let paths = BfsStableClusters::new(KlStableParams::new(200, l))
+            .run(&outcome.cluster_graph)
+            .ok()?;
         for path in paths {
             let all_match = path.nodes().iter().all(|node| {
                 let cluster = outcome.cluster_at(*node);
@@ -1497,15 +1493,15 @@ mod tests {
     }
 
     #[test]
-    fn table2_io_covers_every_backend_and_algorithm() {
+    fn table2_io_covers_every_backend() {
         let table = table2_io(Scale::Quick, &StorageSpec::ALL);
-        assert_eq!(table.num_rows(), StorageSpec::ALL.len() * 2);
+        assert_eq!(table.num_rows(), StorageSpec::ALL.len());
         assert_eq!(table.cell(0, "backend"), Some("memory"));
-        assert_eq!(table.cell(4, "backend"), Some("blockcache:262144"));
-        // The log file pays one seek + read per parent-heap get. (No upper
-        // bound asserted for the memory rows: the I/O scope is process-wide
-        // and other tests run concurrently in this binary.)
-        let logfile_reads: u64 = table.cell(2, "reads").unwrap().parse().unwrap();
+        assert_eq!(table.cell(2, "backend"), Some("blockcache:262144"));
+        // The log file pays one seek + read per node get. (No upper bound
+        // asserted for the memory row: the I/O scope is process-wide and
+        // other tests run concurrently in this binary.)
+        let logfile_reads: u64 = table.cell(1, "reads").unwrap().parse().unwrap();
         assert!(logfile_reads > 0, "logfile gets must be counted");
     }
 

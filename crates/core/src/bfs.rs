@@ -81,15 +81,13 @@
 //!   from its first;
 //! * the online solver of Section 4.6
 //!   ([`OnlineStableClusters`](crate::streaming::OnlineStableClusters))
-//!   appends an interval to its graph and advances over it;
-//! * the secondary-storage variant ([`BfsConfig::on_disk`]) is the same
-//!   step behind the `HeapWindow` seam, which answers "where do the rows of
-//!   a parent live". In memory that is one flat table per swept interval;
-//!   store-backed it is a [`bsc_storage::NodeStore`] over the
-//!   [`StorageSpec`] backend picked by [`BfsConfig::store_backed`], holding
-//!   `(weight, node ids)` records — the pseudocode's "save `c_ij` along with
-//!   `h^x_ij` to disk", read back with random I/O and decoded into the same
-//!   table form.
+//!   appends an interval to its graph and advances over it.
+//!
+//! The rows of the intervals already swept live in memory, one flat table
+//! per interval (`Ring`). The paper saves `c_ij` along with `h^x_ij` to
+//! disk because its rows outgrew memory; these hold the prefixes of
+//! near-answers and do not, so no BFS state is ever in storage — DFS is the
+//! storage-resident solver.
 //!
 //! A heap `h^x_ij` is a row of a table: a binary min-heap over a slice of
 //! 16-byte `(weight, link)` slots, addressed by node index and length — no
@@ -131,8 +129,6 @@ use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use bsc_storage::backend::StorageSpec;
-use bsc_storage::node_store::NodeStore;
 use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterGraph, ClusterNodeId, GraphView};
@@ -145,36 +141,13 @@ use crate::solver::{
 };
 use crate::topk::TopKPaths;
 
-/// Configuration of the BFS algorithm.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BfsConfig {
-    /// `Some(spec)` persists every node's heaps to a [`NodeStore`] over the
-    /// selected backend instead of keeping the sliding window in memory;
-    /// `None` (the default) is the paper's in-memory configuration.
-    pub storage: Option<StorageSpec>,
-}
-
-impl BfsConfig {
-    /// The secondary-storage variant over the paper's log-file backend.
-    pub fn on_disk() -> Self {
-        BfsConfig::store_backed(StorageSpec::LogFile)
-    }
-
-    /// The secondary-storage variant over an explicit backend.
-    pub fn store_backed(spec: StorageSpec) -> Self {
-        BfsConfig {
-            storage: Some(spec),
-        }
-    }
-}
-
 /// "No cell": a [`Link`] with this `prev` starts its subpath at its own node.
 const NO_LINK: u32 = u32::MAX;
 
 /// One subpath held in a row: its weight and the cell of the table's link
 /// arena that says how it reaches the row's node.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Slot {
+struct Slot {
     weight: f64,
     link: u32,
 }
@@ -185,7 +158,7 @@ pub(crate) struct Slot {
 /// its links, latest edge first; subpaths extending one prefix share the
 /// prefix's cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Link {
+struct Link {
     node: ClusterNodeId,
     prev: u32,
 }
@@ -205,7 +178,7 @@ static BARE_EDGE: [Slot; 1] = [Slot {
 /// row's root takes over the root's cell, so the arena never holds a link no
 /// slot owns.
 #[derive(Debug)]
-pub(crate) struct Table {
+struct Table {
     starts: Vec<u32>,
     slots: Vec<Slot>,
     links: Vec<Link>,
@@ -294,7 +267,7 @@ impl Table {
     /// Offer row `row` the subpath `link` of weight `weight`; the row keeps
     /// the unique top subpaths under the `(weight, content)` order, whatever
     /// the order of offers.
-    fn offer<W: HeapWindow>(&mut self, window: &W, row: usize, weight: f64, link: Link) {
+    fn offer(&mut self, window: &Ring, row: usize, weight: f64, link: Link) {
         let start = self.starts[row] as usize;
         let end = self.starts[row + 1] as usize;
         let cell = start + self.filled[row] as usize;
@@ -331,7 +304,7 @@ impl Table {
 }
 
 /// The link before `link` on its chain, `None` at the chain's first node.
-fn prev_link<W: HeapWindow>(window: &W, link: Link) -> Option<Link> {
+fn prev_link(window: &Ring, link: Link) -> Option<Link> {
     (link.prev != NO_LINK).then(|| window.table(link.node.interval).links[link.prev as usize])
 }
 
@@ -343,7 +316,7 @@ fn prev_link<W: HeapWindow>(window: &W, link: Link) -> Option<Link> {
 /// other path skips sorts its path first (the other's node at that position
 /// is later), a shared cell ends the walk. Depth is bounded by the two
 /// paths' node counts.
-fn chain_cmp<W: HeapWindow>(window: &W, a: Option<Link>, b: Option<Link>) -> Ordering {
+fn chain_cmp(window: &Ring, a: Option<Link>, b: Option<Link>) -> Ordering {
     match (a, b) {
         (None, None) => Ordering::Equal,
         (Some(a), None) => chain_cmp(window, prev_link(window, a), None).then(Ordering::Less),
@@ -360,7 +333,7 @@ fn chain_cmp<W: HeapWindow>(window: &W, a: Option<Link>, b: Option<Link>) -> Ord
 
 /// Is `a` evicted before `b`: lower weight, or equal weight and later
 /// content? `links` is the arena both slots point into.
-fn evicted_first<W: HeapWindow>(window: &W, links: &[Link], a: Slot, b: Slot) -> bool {
+fn evicted_first(window: &Ring, links: &[Link], a: Slot, b: Slot) -> bool {
     let order = a.weight.total_cmp(&b.weight).then_with(|| {
         let (a, b) = (links[a.link as usize], links[b.link as usize]);
         chain_cmp(window, Some(b), Some(a))
@@ -370,7 +343,7 @@ fn evicted_first<W: HeapWindow>(window: &W, links: &[Link], a: Slot, b: Slot) ->
 
 /// Restore the heap order of `row` after its slot `at` was appended.
 /// Recursion depth is `log2` of the row.
-fn sift_up<W: HeapWindow>(window: &W, links: &[Link], row: &mut [Slot], at: usize) {
+fn sift_up(window: &Ring, links: &[Link], row: &mut [Slot], at: usize) {
     if at == 0 {
         return;
     }
@@ -382,7 +355,7 @@ fn sift_up<W: HeapWindow>(window: &W, links: &[Link], row: &mut [Slot], at: usiz
 }
 
 /// Restore the heap order of `row` after its slot `at` was replaced.
-fn sift_down<W: HeapWindow>(window: &W, links: &[Link], row: &mut [Slot], at: usize) {
+fn sift_down(window: &Ring, links: &[Link], row: &mut [Slot], at: usize) {
     let left = 2 * at + 1;
     if left >= row.len() {
         return;
@@ -400,36 +373,13 @@ fn sift_down<W: HeapWindow>(window: &W, links: &[Link], row: &mut [Slot], at: us
 }
 
 /// The nodes of the subpath `link` extended to `last`, in temporal order.
-fn chain_nodes<W: HeapWindow>(window: &W, link: Link, last: ClusterNodeId) -> Vec<ClusterNodeId> {
+fn chain_nodes(window: &Ring, link: Link, last: ClusterNodeId) -> Vec<ClusterNodeId> {
     let chain = std::iter::successors(Some(link), |&at| prev_link(window, at));
     let mut nodes: Vec<ClusterNodeId> = std::iter::once(last)
         .chain(chain.map(|at| at.node))
         .collect();
     nodes.reverse();
     nodes
-}
-
-/// Where the rows of already-swept nodes live — the one seam between the
-/// in-memory and the store-backed sweep, monomorphised into
-/// [`IntervalSweep::advance`]. Either way a held subpath reads as a [`Slot`]
-/// of a [`Table`] and a chain of [`Link`]s.
-pub(crate) trait HeapWindow {
-    /// Make room for `interval`, about to be swept, and let go of what no
-    /// later interval can reach.
-    fn open(&mut self, interval: u32);
-    /// Make the rows of `parent` readable: their row numbers in
-    /// `self.table(parent.interval)`, by length − 1 (empty when nothing is
-    /// held for it). They stay readable until `parent`'s child is kept.
-    fn load(&mut self, parent: ClusterNodeId) -> BscResult<Range<usize>>;
-    /// The table holding the rows and the link cells of `interval`'s nodes.
-    fn table(&self, interval: u32) -> &Table;
-    /// Take over a swept node's rows (the pseudocode's "save `c_ij` along
-    /// with `h^x_ij`"); `rows` is reused for the next node. The nodes of an
-    /// interval are kept in index order; one the sweep passes over is never
-    /// kept, and [`HeapWindow::load`] reads it as holding nothing.
-    fn keep(&mut self, node: ClusterNodeId, rows: &Table) -> BscResult<()>;
-    /// Paths currently held in memory.
-    fn resident_paths(&self) -> usize;
 }
 
 /// The rows of a node `depth` intervals into a sweep for length `l`. The sweep
@@ -448,7 +398,7 @@ fn rows_per_node(l: u32, depth: u32) -> usize {
 /// table is dropped whole once the sweep is `l + g + 1` intervals past it.
 /// What a sweep retains is therefore bounded by `l` and `g`, not by how long
 /// it has run.
-pub(crate) struct Ring {
+struct Ring {
     gap: u32,
     l: u32,
     first: u32,
@@ -457,7 +407,7 @@ pub(crate) struct Ring {
 }
 
 impl Ring {
-    pub(crate) fn new(gap: u32, l: u32) -> Self {
+    fn new(gap: u32, l: u32) -> Self {
         Ring {
             gap,
             l,
@@ -466,9 +416,9 @@ impl Ring {
             tables: VecDeque::new(),
         }
     }
-}
 
-impl HeapWindow for Ring {
+    /// Make room for `interval`, about to be swept, and let go of what no
+    /// later interval can reach.
     fn open(&mut self, interval: u32) {
         // The table `age` intervals back sits `age` places from the end.
         let reach = (self.gap as usize).saturating_add(1);
@@ -501,26 +451,33 @@ impl HeapWindow for Ring {
         self.tables.push_back(table);
     }
 
-    fn load(&mut self, parent: ClusterNodeId) -> BscResult<Range<usize>> {
+    /// The rows of `parent`: their row numbers in `self.table(parent.interval)`,
+    /// by length − 1 (empty when nothing is held for it).
+    fn load(&self, parent: ClusterNodeId) -> Range<usize> {
         let held = parent.interval.checked_sub(self.oldest);
         let Some(table) = held.and_then(|at| self.tables.get(at as usize)) else {
-            return Ok(0..0);
+            return 0..0;
         };
         // A node that holds no slot has no rows: the sweep then tests the
         // parent's bare edge alone. Nor has one out of a child's reach.
-        Ok(match table.first_row.get(parent.index as usize) {
+        match table.first_row.get(parent.index as usize) {
             Some(&first) if first != NO_LINK => {
                 let first = first as usize;
                 first..first + rows_per_node(self.l, parent.interval - self.first)
             }
             _ => 0..0,
-        })
+        }
     }
 
+    /// The table holding the rows and the link cells of `interval`'s nodes.
     fn table(&self, interval: u32) -> &Table {
         &self.tables[(interval - self.oldest) as usize]
     }
 
+    /// Take over a swept node's rows; `rows` is reused for the next node.
+    /// The nodes of an interval are kept in index order; one the sweep
+    /// passes over is never kept, and [`Ring::load`] reads it as holding
+    /// nothing.
     fn keep(&mut self, node: ClusterNodeId, rows: &Table) -> BscResult<()> {
         // Nothing held: no rows, which `load` reads as the same nothing.
         if rows.slots.is_empty() {
@@ -550,100 +507,24 @@ impl HeapWindow for Ring {
         Ok(())
     }
 
+    /// Paths currently held.
     fn resident_paths(&self) -> usize {
         self.tables.iter().map(|t| t.slots.len()).sum()
     }
 }
 
-/// Serialized form of one held subpath: `(weight, node ids)`.
-type StoredPrefix = (f64, Vec<u64>);
-
-/// The secondary-storage window: every node's rows in a [`NodeStore`], for
-/// each length `x` (1-based) the subpaths as [`StoredPrefix`] records.
-/// `parents` holds the records of the node in progress's parents, decoded
-/// into slots and link chains; whatever the interval, it is the one table.
-struct Stored {
-    store: NodeStore<u64, Vec<Vec<StoredPrefix>>>,
-    parents: Table,
-}
-
-impl HeapWindow for Stored {
-    fn open(&mut self, _interval: u32) {}
-
-    fn load(&mut self, parent: ClusterNodeId) -> BscResult<Range<usize>> {
-        let Some(record) = self.store.get(&parent.to_u64())? else {
-            return Ok(0..0);
-        };
-        let Table {
-            starts,
-            slots,
-            links,
-            ..
-        } = &mut self.parents;
-        let first = starts.len() - 1;
-        record.iter().try_for_each(|row| {
-            slots.extend(row.iter().map(|(weight, ids)| {
-                // The record spells the subpath out, `parent` last; the
-                // sweep wants the chain of the nodes before it.
-                let before = &ids[..ids.len().saturating_sub(1)];
-                let link = before.iter().fold(NO_LINK, |prev, &id| {
-                    links.push(Link {
-                        node: ClusterNodeId::from_u64(id),
-                        prev,
-                    });
-                    (links.len() - 1) as u32
-                });
-                Slot {
-                    weight: *weight,
-                    link,
-                }
-            }));
-            starts.push(u32::try_from(slots.len()).map_err(|_| table_overflow())?);
-            Ok::<(), BscError>(())
-        })?;
-        Ok(first..first + record.len())
-    }
-
-    fn table(&self, _interval: u32) -> &Table {
-        &self.parents
-    }
-
-    fn keep(&mut self, node: ClusterNodeId, rows: &Table) -> BscResult<()> {
-        // Nothing held: no record, which `load` reads as the same nothing.
-        if rows.slots.is_empty() {
-            self.parents.reset();
-            return Ok(());
-        }
-        let record: Vec<Vec<StoredPrefix>> = (0..rows.filled.len())
-            .map(|row| {
-                let encode = |slot: &Slot| {
-                    let nodes = chain_nodes(self, rows.links[slot.link as usize], node);
-                    (slot.weight, nodes.iter().map(|n| n.to_u64()).collect())
-                };
-                rows.row(row).iter().map(encode).collect()
-            })
-            .collect();
-        self.parents.reset();
-        Ok(self.store.put(&node.to_u64(), &record)?)
-    }
-
-    fn resident_paths(&self) -> usize {
-        0
-    }
-}
-
 /// Algorithm 2 as a resumable pass: the rows of the intervals swept so far
-/// (in `W`), the global top-k of length-`l` paths, and the counters.
+/// (a [`Ring`]), the global top-k of length-`l` paths, and the counters.
 /// [`IntervalSweep::advance`] is the only place the algorithm's inner loop
 /// exists; see the module docs for its drivers.
-pub(crate) struct IntervalSweep<W = Ring> {
+pub(crate) struct IntervalSweep {
     k: usize,
     l: u32,
     /// What the driver knows of the intervals to come; `None` when nobody
     /// does (a stream has no last interval, and no edge ahead). It decides
     /// the work done, never the answer.
     ahead: Option<Completions>,
-    window: W,
+    window: Ring,
     /// The rows of the node in progress.
     rows: Table,
     /// The candidates of the node in progress that its rows will be
@@ -672,7 +553,7 @@ pub(crate) struct IntervalSweep<W = Ring> {
 }
 
 #[cfg(test)]
-impl IntervalSweep<Ring> {
+impl IntervalSweep {
     /// Mark every node of every interval to come, as if every node were
     /// live: what the sweep then visits and holds is what it held before it
     /// passed over anyone.
@@ -690,8 +571,8 @@ impl IntervalSweep<Ring> {
 
     /// The subpaths held for `node` as paths, by length − 1 (no rows once
     /// they are out of a child's reach).
-    pub(crate) fn held(&mut self, node: ClusterNodeId) -> Vec<Vec<ClusterPath>> {
-        let rows = self.window.load(node).expect("the ring cannot fail");
+    pub(crate) fn held(&self, node: ClusterNodeId) -> Vec<Vec<ClusterPath>> {
+        let rows = self.window.load(node);
         if rows.is_empty() {
             return Vec::new();
         }
@@ -810,15 +691,16 @@ pub(crate) fn threshold_scenario(offset: u32) -> (ClusterGraph, ClusterPath) {
     (builder.build(), ClusterPath::new(answer, 2.75 + STEP))
 }
 
-impl<W: HeapWindow> IntervalSweep<W> {
-    /// A sweep that knows nothing of the intervals to come; a driver that
-    /// does says so before it advances ([`IntervalSweep::run`]).
-    pub(crate) fn new(params: KlStableParams, window: W) -> Self {
+impl IntervalSweep {
+    /// A sweep of a graph whose gap is `gap` that knows nothing of the
+    /// intervals to come; a driver that does says so before it advances
+    /// ([`IntervalSweep::run`]).
+    pub(crate) fn new(params: KlStableParams, gap: u32) -> Self {
         IntervalSweep {
             k: params.k,
             l: params.l,
             ahead: None,
-            window,
+            window: Ring::new(gap, params.l),
             rows: Table::new(),
             pending: Vec::new(),
             room: Vec::new(),
@@ -838,8 +720,8 @@ impl<W: HeapWindow> IntervalSweep<W> {
     /// interval, and its best completion — the best that exists, for a driver
     /// that has seen the edges ahead — reaches the k-th answer. A sweep
     /// without a completion table visits every node. Intervals must be swept
-    /// in order, each once; a failed sweep (`cancel` tripped, storage error)
-    /// is not resumable.
+    /// in order, each once; a failed sweep (`cancel` tripped, a table
+    /// too large to address) is not resumable.
     pub(crate) fn advance(
         &mut self,
         view: GraphView<'_>,
@@ -919,7 +801,7 @@ impl<W: HeapWindow> IntervalSweep<W> {
                 let rows = if len > l {
                     0..0
                 } else {
-                    self.window.load(parent)?
+                    self.window.load(parent)
                 };
                 let held = self.window.table(parent.interval);
                 for (x, total) in extended_lengths(len, &rows) {
@@ -1011,10 +893,9 @@ impl<W: HeapWindow> IntervalSweep<W> {
     fn run(
         params: KlStableParams,
         view: GraphView<'_>,
-        window: W,
         cancel: Option<&CancelToken>,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
-        let mut sweep = IntervalSweep::new(params, window);
+        let mut sweep = IntervalSweep::new(params, view.gap());
         sweep.ahead = Some(Completions::of(view, params, cancel, &mut sweep.tick)?);
         for interval in view.intervals() {
             sweep.advance(view, interval, cancel)?;
@@ -1027,21 +908,14 @@ impl<W: HeapWindow> IntervalSweep<W> {
 #[derive(Debug, Clone)]
 pub struct BfsStableClusters {
     params: KlStableParams,
-    config: BfsConfig,
     cancel: Option<CancelToken>,
 }
 
 impl BfsStableClusters {
     /// Create a solver for the given parameters.
     pub fn new(params: KlStableParams) -> Self {
-        BfsStableClusters::with_config(params, BfsConfig::default())
-    }
-
-    /// Create a solver with an explicit storage configuration.
-    pub fn with_config(params: KlStableParams, config: BfsConfig) -> Self {
         BfsStableClusters {
             params,
-            config,
             cancel: None,
         }
     }
@@ -1077,11 +951,9 @@ impl BfsStableClusters {
     /// `paths_generated` (candidates considered at visited nodes: every
     /// extension that still fits before the last interval, counted *before*
     /// the bound and the worst-score admission fast path, so it depends only
-    /// on the graph and the query — not on where the heaps live) and
-    /// `peak_resident_paths` (paths held
+    /// on the graph and the query) and `peak_resident_paths` (paths held
     /// across all node heaps simultaneously, a proxy for the memory
-    /// footprint; 0 store-backed, where no heap outlives its node's step in
-    /// memory).
+    /// footprint).
     pub fn run_with_stats<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
@@ -1094,16 +966,7 @@ impl BfsStableClusters {
         if k == 0 || l == 0 || m < 2 {
             return Ok((Vec::new(), SolverStats::default()));
         }
-        match self.config.storage {
-            Some(spec) => {
-                let window = Stored {
-                    store: NodeStore::temp(spec, "bsc-bfs")?,
-                    parents: Table::new(),
-                };
-                IntervalSweep::run(self.params, graph, window, cancel)
-            }
-            None => IntervalSweep::run(self.params, graph, Ring::new(graph.gap(), l), cancel),
-        }
+        IntervalSweep::run(self.params, graph, cancel)
     }
 }
 
@@ -1125,7 +988,7 @@ impl StableClusterSolver for BfsStableClusters {
 mod tests {
     use super::*;
     use crate::cluster_graph::ClusterGraphBuilder;
-    use crate::lookahead::{every_path, reweighted, WEIGHTINGS};
+    use crate::lookahead::{every_path, long_thin_graph, reweighted, WEIGHTINGS};
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 
     fn node(interval: u32, index: u32) -> ClusterNodeId {
@@ -1234,34 +1097,6 @@ mod tests {
             .is_empty());
     }
 
-    #[test]
-    fn store_backed_matches_in_memory_for_every_backend() {
-        let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
-            num_intervals: 5,
-            nodes_per_interval: 15,
-            avg_out_degree: 3,
-            gap: 1,
-            seed: 11,
-        })
-        .generate();
-        for l in [1, 2, 3, 4] {
-            let params = KlStableParams::new(4, l);
-            let (in_memory, stats) = BfsStableClusters::new(params)
-                .run_with_stats(&graph)
-                .unwrap();
-            for spec in StorageSpec::ALL {
-                let (stored, stored_stats) =
-                    BfsStableClusters::with_config(params, BfsConfig::store_backed(spec))
-                        .run_with_stats(&graph)
-                        .unwrap();
-                // One step, two windows: the same candidates are considered.
-                assert_eq!(stats.paths_generated, stored_stats.paths_generated);
-                assert_eq!(stats.nodes_processed, stored_stats.nodes_processed);
-                assert_same_paths(&stored, &in_memory, &format!("l = {l} {spec}"));
-            }
-        }
-    }
-
     /// What a batch driver learns before it sweeps.
     fn ahead_of(view: GraphView<'_>, params: KlStableParams) -> Completions {
         Completions::of(view, params, None, &mut 0).unwrap()
@@ -1307,7 +1142,7 @@ mod tests {
                         let ahead = ahead_of(view, params);
                         for ahead in [Some(ahead), None] {
                             let batch = ahead.is_some();
-                            let mut sweep = IntervalSweep::new(params, Ring::new(gap, l));
+                            let mut sweep = IntervalSweep::new(params, gap);
                             sweep.ahead = ahead;
                             let mut held = 0;
                             for interval in view.intervals() {
@@ -1347,22 +1182,16 @@ mod tests {
         let params = KlStableParams::new(1, 3);
         let (graph, answer) = threshold_scenario(0);
         let (shifted, shifted_answer) = threshold_scenario(2);
-        let solves = [
-            (graph.view(), BfsConfig::default(), &answer),
-            (shifted.window(2, 7), BfsConfig::default(), &shifted_answer),
-        ];
-        let stored = StorageSpec::ALL.map(|spec| {
-            let config = BfsConfig::store_backed(spec);
-            (graph.view(), config, &answer)
-        });
-        for (view, config, answer) in solves.into_iter().chain(stored) {
-            let (paths, stats) = BfsStableClusters::with_config(params, config)
-                .run_with_stats(view)
-                .unwrap();
-            assert_eq!(paths, std::slice::from_ref(answer), "{config:?}");
+        for (view, answer) in [
+            (graph.view(), &answer),
+            (shifted.window(2, 7), &shifted_answer),
+        ] {
+            let first = view.first_interval();
+            let (paths, stats) = BfsStableClusters::new(params).run_with_stats(view).unwrap();
+            assert_eq!(paths, std::slice::from_ref(answer), "first={first}");
             // Hand-counted in `threshold_scenario`'s docs.
-            assert_eq!(stats.paths_generated, 3, "{config:?}");
-            assert_eq!(stats.nodes_processed, 3, "{config:?}");
+            assert_eq!(stats.paths_generated, 3, "first={first}");
+            assert_eq!(stats.nodes_processed, 3, "first={first}");
         }
         // The whole shifted graph sees the chain its window does not.
         let whole = BfsStableClusters::new(params).run(&shifted).unwrap();
@@ -1371,7 +1200,7 @@ mod tests {
         // Lane `a`, one step short of θ₀, and the twin are never held.
         let ahead = ahead_of(graph.view(), params);
         assert_eq!(ahead.floor(), 2.75 + STEP);
-        let mut sweep = IntervalSweep::new(params, Ring::new(0, 3));
+        let mut sweep = IntervalSweep::new(params, 0);
         sweep.ahead = Some(ahead);
         for interval in graph.view().intervals() {
             sweep.advance(graph.view(), interval, None).unwrap();
@@ -1427,10 +1256,6 @@ mod tests {
         // with nothing. Beside it the edges of the rule: full paths, a view
         // of two intervals, and a `k` no graph can fill (θ₀ = −∞, every start
         // is live). Each against every path of the view, enumerated.
-        let configs = || {
-            std::iter::once(BfsConfig::default())
-                .chain(StorageSpec::ALL.map(BfsConfig::store_backed))
-        };
         for gap in [0, 1, u32::MAX] {
             let graph = random_graph(5, 6, 2, gap, 640 + u64::from(gap.min(2)));
             for view in [graph.view(), graph.window(1, 4), graph.window(2, 3)] {
@@ -1445,14 +1270,11 @@ mod tests {
                         assert_eq!(expected.is_empty(), l > last, "{case}");
                         let sparse = ahead_of(view, params).holds_weights();
                         assert_eq!(sparse, (2..=last).contains(&l), "{case}");
-                        for config in configs() {
-                            let (found, stats) = BfsStableClusters::with_config(params, config)
-                                .run_with_stats(view)
-                                .unwrap();
-                            assert_same_paths(&found, &expected, &format!("{case} {config:?}"));
-                            let everyone = stats.nodes_processed == view.num_nodes() as u64;
-                            assert!(sparse || everyone, "{case} {config:?}: {stats:?}");
-                        }
+                        let (found, stats) =
+                            BfsStableClusters::new(params).run_with_stats(view).unwrap();
+                        assert_same_paths(&found, &expected, &case);
+                        let everyone = stats.nodes_processed == view.num_nodes() as u64;
+                        assert!(sparse || everyone, "{case}: {stats:?}");
                     }
                 }
             }
@@ -1496,7 +1318,7 @@ mod tests {
                         let params = KlStableParams::new(k, l);
                         let case = format!("{name} first={first} l={l} k={k}");
                         let sweep = || {
-                            let mut sweep = IntervalSweep::new(params, Ring::new(view.gap(), l));
+                            let mut sweep = IntervalSweep::new(params, view.gap());
                             sweep.ahead = Some(ahead_of(view, params));
                             sweep
                         };
@@ -1555,9 +1377,9 @@ mod tests {
         let graph = builder.build();
         let view = graph.view();
         let params = KlStableParams::new(1, l);
-        let mut batch = IntervalSweep::new(params, Ring::new(gap, l));
+        let mut batch = IntervalSweep::new(params, gap);
         batch.ahead = Some(ahead_of(view, params));
-        let mut online = IntervalSweep::new(params, Ring::new(gap, l));
+        let mut online = IntervalSweep::new(params, gap);
         let mut widest_ring = 0;
         for interval in view.intervals() {
             batch.advance(view, interval, None).unwrap();
@@ -1587,7 +1409,7 @@ mod tests {
         // of them than the view has intervals.)
         let graph = random_graph(4, 6, 1, u32::MAX, 77);
         let params = KlStableParams::new(1, 2);
-        let mut sweep = IntervalSweep::new(params, Ring::new(u32::MAX, 2));
+        let mut sweep = IntervalSweep::new(params, u32::MAX);
         sweep.ahead = Some(ahead_of(graph.view(), params));
         for interval in graph.view().intervals() {
             sweep.advance(graph.view(), interval, None).unwrap();
@@ -1601,6 +1423,61 @@ mod tests {
     }
 
     #[test]
+    fn what_a_batch_sweep_retains_at_its_peak_is_bounded_by_k_l_g_and_the_widest_interval() {
+        // Why BFS keeps its rows in memory, where the paper puts them on disk:
+        // at its peak a batch sweep retains a slot (16 B) per held subpath in
+        // the `g + 2` tables a child can read, and a link cell (12 B) per slot
+        // in the `l + g + 1` tables a held chain can reach — each table at most
+        // `k · rows_per_node` slots per node of the widest interval, however
+        // many intervals the view has. Measured on the benchmark's 12 × 300
+        // topology under every weighting (all equal cuts nothing), and on a
+        // 2 000-interval graph; docs/performance.md, "What a batch sweep
+        // retains", records the peaks.
+        assert_eq!(
+            (std::mem::size_of::<Slot>(), std::mem::size_of::<Link>()),
+            (16, 12)
+        );
+        let k = 10;
+        let benchmark = random_graph(12, 300, 5, 1, 20_240_607);
+        let mut cases = Vec::new();
+        for (name, weight) in WEIGHTINGS {
+            let graph = reweighted(&benchmark, weight);
+            cases.push((format!("{name} exact:6"), graph.clone(), 6));
+            cases.push((format!("{name} full"), graph, 11));
+        }
+        let thin = long_thin_graph();
+        cases.push(("long thin exact:6".to_string(), thin.clone(), 6));
+        cases.push(("long thin full".to_string(), thin, 1_999));
+        for (case, graph, l) in cases {
+            let view = graph.view();
+            let params = KlStableParams::new(k, l);
+            let mut sweep = IntervalSweep::new(params, view.gap());
+            sweep.ahead = Some(ahead_of(view, params));
+            let (mut peak_slots, mut peak_links, mut peak_bytes) = (0, 0, 0);
+            for interval in view.intervals() {
+                sweep.advance(view, interval, None).unwrap();
+                let (slots, links) = sweep.retained();
+                peak_slots = peak_slots.max(slots);
+                peak_links = peak_links.max(links);
+                peak_bytes = peak_bytes.max(16 * slots + 12 * links);
+            }
+            assert_eq!(sweep.stats().peak_resident_paths, peak_slots, "{case}");
+            let widest = view.intervals().map(|i| view.nodes_in_interval(i));
+            let per_table = k * rows_per_node(l, u32::MAX) * widest.max().unwrap() as usize;
+            let g = view.gap() as usize;
+            assert!(
+                peak_slots <= per_table * (g + 2),
+                "{case}: {peak_slots} slots"
+            );
+            assert!(
+                peak_links <= per_table * (l as usize + g + 1),
+                "{case}: {peak_links} links"
+            );
+            assert!(peak_bytes < 16 << 20, "{case}: {peak_bytes} B");
+        }
+    }
+
+    #[test]
     fn a_k_beyond_every_count_sizes_nothing() {
         // θ₀ is selected among at most one weight per node: a `k` no graph
         // can fill answers −∞ (and every path there is), whatever it is.
@@ -1611,22 +1488,16 @@ mod tests {
         builder.add_edge(node(0, 0), node(1, 0), 0.5);
         builder.add_edge(node(1, 0), node(2, 0), 0.25);
         let graph = builder.build();
-        let configs = std::iter::once(BfsConfig::default())
-            .chain(StorageSpec::ALL.map(BfsConfig::store_backed));
-        for config in configs {
-            for (view, l, weights) in [
-                (graph.view(), 1, vec![0.5, 0.25]),
-                (graph.view(), 2, vec![0.75]),
-                (graph.window(1, 2), 1, vec![0.25]),
-            ] {
-                let params = KlStableParams::new(usize::MAX, l);
-                assert_eq!(ahead_of(view, params).floor(), f64::NEG_INFINITY);
-                let paths = BfsStableClusters::with_config(params, config)
-                    .run(view)
-                    .unwrap();
-                let found: Vec<f64> = paths.iter().map(ClusterPath::weight).collect();
-                assert_eq!(found, weights, "{config:?} l={l}");
-            }
+        for (view, l, weights) in [
+            (graph.view(), 1, vec![0.5, 0.25]),
+            (graph.view(), 2, vec![0.75]),
+            (graph.window(1, 2), 1, vec![0.25]),
+        ] {
+            let params = KlStableParams::new(usize::MAX, l);
+            assert_eq!(ahead_of(view, params).floor(), f64::NEG_INFINITY);
+            let paths = BfsStableClusters::new(params).run(view).unwrap();
+            let found: Vec<f64> = paths.iter().map(ClusterPath::weight).collect();
+            assert_eq!(found, weights, "l={l}");
         }
     }
 

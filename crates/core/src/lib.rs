@@ -84,7 +84,7 @@ mod windowed;
 
 pub use affinity::{Affinity, AffinityKind, JaccardAffinity};
 pub use auto::{choose_algorithm, AutoSolver, GraphShape};
-pub use bfs::{BfsConfig, BfsStableClusters};
+pub use bfs::BfsStableClusters;
 pub use bsc_storage::backend::StorageSpec;
 pub use cluster_graph::{ClusterEdge, ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
 pub use delta::{solve_windows, DeltaSolveOutcome, GraphDelta, WindowSet};

@@ -392,11 +392,37 @@ pub(crate) const WEIGHTINGS: [(&str, Reweight); 4] = [
     ("two-valued", |w| if w < 0.5 { 0.5 } else { 1.0 }),
 ];
 
+/// 2 000 intervals of two nodes, gap 1: two lanes of seeded weights,
+/// crossed by three edges and jumped by two, so that a full path is one
+/// of a few dozen and every path of a length can be listed.
+#[cfg(test)]
+pub(crate) fn long_thin_graph() -> crate::cluster_graph::ClusterGraph {
+    use crate::cluster_graph::{ClusterGraphBuilder, ClusterNodeId};
+    let node = ClusterNodeId::new;
+    let m = 2_000;
+    let mut rng = bsc_util::rng::DetRng::seed_from_u64(2_000);
+    let mut weight = || (1 + rng.below(1_000)) as f64 / 1_000.0;
+    let mut builder = ClusterGraphBuilder::new(1);
+    for _ in 0..m {
+        builder.add_interval(2);
+    }
+    for i in 1..m {
+        for lane in 0..2 {
+            builder.add_edge(node(i - 1, lane), node(i, lane), weight());
+        }
+    }
+    for i in [300, 990, 1_650] {
+        builder.add_edge(node(i, 0), node(i + 1, 1), weight());
+    }
+    for i in [700, 1_200] {
+        builder.add_edge(node(i, 1), node(i + 2, 0), weight());
+    }
+    builder.build()
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
-
-    use bsc_util::rng::DetRng;
 
     use super::*;
     use crate::auto::{bfs_resident_bytes, dfs_resident_bytes, GraphShape};
@@ -714,31 +740,6 @@ mod tests {
             }
         }
         assert_eq!(views, 4 * 3 * 4 * 24);
-    }
-
-    /// 2 000 intervals of two nodes, gap 1: two lanes of seeded weights,
-    /// crossed by three edges and jumped by two, so that a full path is one
-    /// of a few dozen and every path of a length can be listed.
-    fn long_thin_graph() -> ClusterGraph {
-        let m = 2_000;
-        let mut rng = DetRng::seed_from_u64(2_000);
-        let mut weight = || (1 + rng.below(1_000)) as f64 / 1_000.0;
-        let mut builder = ClusterGraphBuilder::new(1);
-        for _ in 0..m {
-            builder.add_interval(2);
-        }
-        for i in 1..m {
-            for lane in 0..2 {
-                builder.add_edge(node(i - 1, lane), node(i, lane), weight());
-            }
-        }
-        for i in [300, 990, 1_650] {
-            builder.add_edge(node(i, 0), node(i + 1, 1), weight());
-        }
-        for i in [700, 1_200] {
-            builder.add_edge(node(i, 1), node(i + 2, 0), weight());
-        }
-        builder.build()
     }
 
     /// The top `k` of every path of exactly `l` edges, each summed left to

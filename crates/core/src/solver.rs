@@ -72,23 +72,17 @@ impl std::fmt::Display for QueryPriority {
 }
 
 /// Deployment-level knobs shared by every [`AlgorithmKind::build_with_options`]
-/// construction: which [`StorageSpec`] backend the disk-resident solvers
-/// keep their per-node state in, how the solve is split across cores
+/// construction: which [`StorageSpec`] backend DFS, the disk-resident
+/// solver, keeps its per-node state in, how the solve is split across cores
 /// (`shards`) or processes (`fanout`), its deadline, and who it is billed
 /// to. Problem-level parameters (spec, `k`) stay separate — these options
 /// never change *what* is computed, only how.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolverOptions {
-    /// Storage backend for solvers that keep per-node state in secondary
-    /// storage: DFS always, BFS when [`SolverOptions::bfs_store_backed`] is
-    /// set. Every backend produces the identical `Solution`.
+    /// Storage backend DFS keeps its per-node state in. DFS is the one
+    /// solver that reads it, whether asked for by name or picked by `auto`.
+    /// Every backend produces the identical `Solution`.
     pub storage: StorageSpec,
-    /// Run BFS in its secondary-storage variant (every node's heaps
-    /// persisted to [`SolverOptions::storage`], the pseudocode's "save
-    /// `c_ij` along with `h^x_ij` to disk") instead of the default
-    /// sliding-window in-memory configuration. Other algorithms are
-    /// unaffected.
-    pub bfs_store_backed: bool,
     /// Number of interval shards (`> 1` wraps the solver in a
     /// [`ShardedSolver`](crate::sharded::ShardedSolver); `1`, the default,
     /// solves unsharded). Shard ranges are the one way a single solve uses
@@ -132,7 +126,6 @@ impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
             storage: StorageSpec::LogFile,
-            bfs_store_backed: false,
             shards: 1,
             fanout: None,
             cancel: None,
@@ -143,15 +136,9 @@ impl Default for SolverOptions {
 }
 
 impl SolverOptions {
-    /// Set the storage backend for disk-resident solvers.
+    /// Set the storage backend DFS keeps its per-node state in.
     pub fn storage(mut self, storage: StorageSpec) -> Self {
         self.storage = storage;
-        self
-    }
-
-    /// Select BFS's secondary-storage variant over the configured backend.
-    pub fn bfs_store_backed(mut self, on: bool) -> Self {
-        self.bfs_store_backed = on;
         self
     }
 
@@ -492,10 +479,9 @@ impl AlgorithmKind {
     }
 
     /// Like [`AlgorithmKind::build`], with deployment-level
-    /// [`SolverOptions`]: the [`StorageSpec`] backend the disk-resident
-    /// solvers keep their per-node state in (DFS always; BFS with
-    /// [`SolverOptions::bfs_store_backed`]), sharding and fan-out. No option
-    /// changes the computed `Solution`.
+    /// [`SolverOptions`]: the [`StorageSpec`] backend DFS keeps its per-node
+    /// state in, sharding and fan-out. No option changes the computed
+    /// `Solution`.
     pub fn build_with_options(
         self,
         spec: StableClusterSpec,
@@ -556,13 +542,9 @@ impl AlgorithmKind {
         let length = length.map(|length| length.over(num_intervals as u32));
         match (self, length, spec) {
             (AlgorithmKind::Bfs, Some(l), _) => {
-                let config = match options.bfs_store_backed {
-                    true => crate::bfs::BfsConfig::store_backed(options.storage),
-                    false => crate::bfs::BfsConfig::default(),
-                };
                 let params = KlStableParams::new(k, l);
                 Ok(Box::new(
-                    crate::bfs::BfsStableClusters::with_config(params, config).with_cancel(cancel),
+                    crate::bfs::BfsStableClusters::new(params).with_cancel(cancel),
                 ))
             }
             (AlgorithmKind::Dfs, Some(l), _) => {
@@ -758,34 +740,6 @@ mod tests {
                     kind.build(spec, 3, 4).is_ok(),
                     "{kind} {spec:?}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn store_backed_bfs_is_reachable_through_the_unified_seam() {
-        let graph = graph(99);
-        let spec = StableClusterSpec::FullPaths;
-        let mut in_memory = AlgorithmKind::Bfs
-            .build(spec, 3, graph.num_intervals())
-            .unwrap();
-        let expected = in_memory.solve(&graph).unwrap().paths;
-        for storage in bsc_storage::backend::StorageSpec::ALL {
-            let mut solver = AlgorithmKind::Bfs
-                .build_with_options(
-                    spec,
-                    3,
-                    graph.num_intervals(),
-                    SolverOptions::default()
-                        .storage(storage)
-                        .bfs_store_backed(true),
-                )
-                .unwrap();
-            let got = solver.solve(&graph).unwrap().paths;
-            assert_eq!(expected.len(), got.len(), "{storage}");
-            for (a, b) in expected.iter().zip(got.iter()) {
-                assert_eq!(a.nodes(), b.nodes(), "{storage}");
-                assert_eq!(a.weight().to_bits(), b.weight().to_bits(), "{storage}");
             }
         }
     }

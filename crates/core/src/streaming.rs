@@ -32,7 +32,7 @@ use std::sync::Arc;
 use bsc_graph::cluster::KeywordCluster;
 
 use crate::affinity::Affinity;
-use crate::bfs::{IntervalSweep, Ring};
+use crate::bfs::IntervalSweep;
 use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
 use crate::path::ClusterPath;
 use crate::problem::KlStableParams;
@@ -75,7 +75,7 @@ impl OnlineStableClusters {
             graph: Arc::new(ClusterGraphBuilder::new(gap).build()),
             // A stream has no last interval and no edge ahead: the sweep is
             // told nothing of what is to come, and every length may yet fit.
-            sweep: IntervalSweep::new(params, Ring::new(gap, params.l)),
+            sweep: IntervalSweep::new(params, gap),
             cached_top_k: None,
         }
     }
@@ -113,7 +113,8 @@ impl OnlineStableClusters {
     pub fn push_interval(&mut self, parent_edges: Vec<Vec<(ClusterNodeId, f64)>>) {
         let interval = self.graph.num_intervals() as u32;
         self.graph = Arc::new(self.graph.append(&parent_edges));
-        // Neither way a sweep can fail exists here: no token, no storage.
+        // No token: the one failure left is an interval whose heaps outgrow
+        // a `u32` cell index.
         let swept = self.sweep.advance(self.graph.view(), interval, None);
         assert!(swept.is_ok(), "in-memory sweep failed: {swept:?}");
         self.cached_top_k = None;

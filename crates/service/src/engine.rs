@@ -213,7 +213,6 @@ impl QueryRequest {
         // what the answer is — so such queries share cache entries.
         let SolverOptions {
             storage,
-            bfs_store_backed,
             shards,
             fanout,
             cancel: _,
@@ -224,7 +223,7 @@ impl QueryRequest {
             .as_ref()
             .map_or_else(|| "none".to_string(), |f| f.to_string());
         format!(
-            "alg={}|spec={}|k={}|storage={storage}|store_backed={bfs_store_backed}|shards={shards}|fanout={fanout}",
+            "alg={}|spec={}|k={}|storage={storage}|shards={shards}|fanout={fanout}",
             self.algorithm, self.spec, self.k
         )
     }

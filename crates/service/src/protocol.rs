@@ -11,7 +11,7 @@
 //! | op | fields | effect |
 //! |----|--------|--------|
 //! | `hello` | `version` | protocol handshake: echoes the server version and current epoch; a version mismatch fails fast (error response, session ends) |
-//! | `query` | `algorithm`, `spec`, `k`, `storage`, `shards`, `workers`, `store_backed`, `deadline_ms`, `tenant`, `priority` | solve against the current epoch |
+//! | `query` | `algorithm`, `spec`, `k`, `storage`, `shards`, `workers`, `deadline_ms`, `tenant`, `priority` | solve against the current epoch |
 //! | `load` | `num_intervals`, `nodes_per_interval`, `avg_out_degree`, `gap`, `seed` | install a synthetic graph as a new epoch |
 //! | `open_stream` | `k`, `l`, `gap` | start online ingest |
 //! | `push_interval` | `nodes`, `edges` | ingest one interval, publish a new epoch |
@@ -122,15 +122,6 @@ fn field_u32(obj: &JsonValue, key: &str, default: u32) -> Result<u32, String> {
 fn field_usize(obj: &JsonValue, key: &str, default: usize) -> Result<usize, String> {
     let value = field_u64(obj, key, default as u64)?;
     usize::try_from(value).map_err(|_| format!("field '{key}' exceeds the platform's range"))
-}
-
-fn field_bool(obj: &JsonValue, key: &str, default: bool) -> Result<bool, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(value) => value
-            .as_bool()
-            .ok_or_else(|| format!("field '{key}' must be a boolean")),
-    }
 }
 
 fn field_str<'a>(obj: &'a JsonValue, key: &str, default: &'a str) -> Result<&'a str, String> {
@@ -314,7 +305,6 @@ fn request_from(doc: JsonValue, edges: Result<Vec<Edge>, String>) -> Result<Requ
                 .ok_or_else(|| format!("unknown priority '{priority_name}' (high|normal)"))?;
             let options = SolverOptions::default()
                 .storage(storage)
-                .bfs_store_backed(field_bool(&doc, "store_backed", false)?)
                 .shards(field_usize(&doc, "shards", 1)?)
                 .fanout(fanout)
                 .deadline(deadline)
@@ -417,12 +407,15 @@ mod tests {
     #[test]
     fn parses_a_full_query_request() {
         let line = "{\"op\":\"query\",\"algorithm\":\"auto:4096\",\"spec\":\"exact:3\",\"k\":5,\
-                    \"storage\":\"blockcache:8192\",\"shards\":3,\"store_backed\":true}";
+                    \"storage\":\"blockcache:8192\",\"shards\":3}";
         let request = parse_request(line).unwrap();
-        // Unknown fields are ignored, so a client still sending the retired
-        // per-query `threads` knob gets the same request.
-        let with_threads = line.replace("\"k\":5,", "\"k\":5,\"threads\":2,");
-        assert_eq!(parse_request(&with_threads).unwrap(), request);
+        // Unknown fields are ignored, so a client still sending a retired
+        // field — the per-query `threads` knob, or the flag that once put
+        // BFS's rows in storage — gets the same request.
+        for retired in ["\"threads\":2,", "\"store_backed\":true,"] {
+            let with_retired = line.replace("\"k\":5,", &format!("\"k\":5,{retired}"));
+            assert_eq!(parse_request(&with_retired).unwrap(), request, "{retired}");
+        }
         let Request::Query(query) = request else {
             panic!("expected a query");
         };
@@ -439,7 +432,6 @@ mod tests {
             StorageSpec::BlockCache { budget_bytes: 8192 }
         );
         assert_eq!(query.options.shards, 3);
-        assert!(query.options.bfs_store_backed);
     }
 
     #[test]

@@ -97,9 +97,9 @@ pub trait StorageBackend: fmt::Debug + Send {
     fn io_snapshot(&self) -> IoSnapshot;
 }
 
-/// Which [`StorageBackend`] a disk-resident solver should use — the
+/// Which [`StorageBackend`] the disk-resident solver (DFS) should use — the
 /// deployment-level storage choice, threaded through `PipelineParams`,
-/// `AlgorithmKind::build`, `BfsConfig` and `DfsConfig`.
+/// `AlgorithmKind::build` and `DfsConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageSpec {
     /// [`InMemoryBackend`]: no real I/O. For tests and small-`m` runs.

@@ -265,8 +265,8 @@ fn tie_ladder(m: u32, gap: u32) -> ClusterGraph {
 }
 
 /// Where weights tie, the heaps fall back on the content order for every
-/// admission and every sift: in-memory BFS, store-backed BFS over every
-/// backend and the sharded solve must still report the oracle's paths —
+/// admission and every sift: in-memory BFS and the sharded solve must still
+/// report the oracle's paths —
 /// same nodes in the same order, same weight bits — for every length and a
 /// `k` below, at and above the size of a tie group. DFS (whose `bestpaths`
 /// buckets sort by the same order, over every backend) and TA (wherever it
@@ -274,17 +274,24 @@ fn tie_ladder(m: u32, gap: u32) -> ClusterGraph {
 /// windows) take the same table.
 #[test]
 fn tie_heavy_graphs_match_the_oracle_node_for_node() {
+    // Only DFS reads the storage backend; BFS and TA run once in memory.
+    let every_kind = [AlgorithmKind::Bfs, AlgorithmKind::Dfs, AlgorithmKind::Ta];
     let mut configurations = vec![
-        ("in memory".to_string(), SolverOptions::default()),
-        ("sharded".to_string(), SolverOptions::default().shards(2)),
+        (
+            "in memory".to_string(),
+            SolverOptions::default(),
+            &every_kind[..],
+        ),
+        (
+            "sharded".to_string(),
+            SolverOptions::default().shards(2),
+            &every_kind[..],
+        ),
     ];
     for backend in StorageSpec::ALL {
-        let options = SolverOptions::default()
-            .storage(backend)
-            .bfs_store_backed(true);
-        configurations.push((format!("over {backend}"), options));
+        let options = SolverOptions::default().storage(backend);
+        configurations.push((format!("over {backend}"), options, &[AlgorithmKind::Dfs]));
     }
-    let kinds = [AlgorithmKind::Bfs, AlgorithmKind::Dfs, AlgorithmKind::Ta];
     let m = 6;
     for gap in [0, 1, 2] {
         let mut graphs = vec![("ladder".to_string(), tie_ladder(m, gap))];
@@ -296,8 +303,8 @@ fn tie_heavy_graphs_match_the_oracle_node_for_node() {
                 let spec = StableClusterSpec::ExactLength(l);
                 for k in [1, 2, 5, 10] {
                     let expected = oracle(spec, k, graph);
-                    for (name, options) in &configurations {
-                        for kind in kinds {
+                    for (name, options, kinds) in &configurations {
+                        for &kind in *kinds {
                             if options.shards == 1 && !kind.supports(spec, graph.num_intervals()) {
                                 continue;
                             }
@@ -333,16 +340,10 @@ fn tie_heavy_graphs_match_the_oracle_node_for_node() {
 /// `l = 1` or an `l` the graph cannot hold, and whose floor is −∞ for a `k`
 /// beyond the number of starts. At each of those edges (and for full paths,
 /// and on a graph of two intervals) the answer is the oracle's, node for
-/// node and bit for bit, in memory, sharded and store-backed.
+/// node and bit for bit, in memory and sharded.
 #[test]
 fn bfs_matches_the_oracle_where_its_table_says_nothing() {
-    let configurations = [
-        SolverOptions::default(),
-        SolverOptions::default().shards(2),
-        SolverOptions::default()
-            .storage(StorageSpec::Memory)
-            .bfs_store_backed(true),
-    ];
+    let configurations = [SolverOptions::default(), SolverOptions::default().shards(2)];
     for gap in [0, 1] {
         for (m, seed) in [(2, 31), (5, 32), (5, 33)] {
             let graph = generate(m, 6, gap, 9_000 + seed);

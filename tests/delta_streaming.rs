@@ -435,11 +435,8 @@ fn fault_injected_backends_answer_identically_or_fail_cleanly() {
             inner: FaultInner::LogFile,
         };
         let outcome = engine.query(
-            QueryRequest::new(AlgorithmKind::Dfs, StableClusterSpec::ExactLength(2), 5).options(
-                SolverOptions::default()
-                    .storage(storage)
-                    .bfs_store_backed(true),
-            ),
+            QueryRequest::new(AlgorithmKind::Dfs, StableClusterSpec::ExactLength(2), 5)
+                .options(SolverOptions::default().storage(storage)),
         );
         match outcome {
             Ok(response) => {

@@ -278,21 +278,15 @@ fn assert_view_reads_as(view: GraphView<'_>, oracle: &ClusterGraph, context: &st
     assert_eq!(view.nodes_in_interval(view.intervals().end), 0, "{context}");
 }
 
-/// `SOLVERS`, each once per way it can be told to keep its state: BFS in
-/// memory and store-backed over every backend, DFS over every backend, the
-/// rest as they are.
+/// `SOLVERS`, each once per way it can be told to keep its state: DFS over
+/// every backend, the rest as they are.
 fn solver_configurations() -> Vec<(AlgorithmKind, StableClusterSpec, SolverOptions)> {
     let mut configurations = Vec::new();
     for (kind, spec) in SOLVERS {
         configurations.push((kind, spec, SolverOptions::default()));
-        for storage in StorageSpec::ALL {
-            let options = SolverOptions::default().storage(storage);
-            match kind {
-                AlgorithmKind::Bfs => {
-                    configurations.push((kind, spec, options.bfs_store_backed(true)))
-                }
-                AlgorithmKind::Dfs => configurations.push((kind, spec, options)),
-                _ => {}
+        if kind == AlgorithmKind::Dfs {
+            for storage in StorageSpec::ALL {
+                configurations.push((kind, spec, SolverOptions::default().storage(storage)));
             }
         }
     }

@@ -1,6 +1,6 @@
-//! Integration tests for the secondary-storage paths: the disk-based
-//! variants of every algorithm must produce exactly the same answers as their
-//! in-memory counterparts — under *every* storage backend — and the
+//! Integration tests for the secondary-storage paths: DFS, the one solver
+//! that keeps per-node state in storage, must produce exactly the same
+//! answers as in memory — under *every* storage backend — and the
 //! external-sort pair counter must agree with the hash-map counter on a
 //! realistic corpus.
 //!
@@ -9,7 +9,7 @@
 //! env-pinned tests; CI runs this binary once per backend so a regression in
 //! one backend cannot hide behind the default.
 
-use blogstable::core::bfs::{BfsConfig, BfsStableClusters};
+use blogstable::core::bfs::BfsStableClusters;
 use blogstable::core::dfs::{DfsConfig, DfsStableClusters};
 use blogstable::core::problem::KlStableParams;
 use blogstable::core::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
@@ -89,8 +89,10 @@ fn spillable_biconnected_components_match_in_memory_on_pruned_graph() {
     assert_eq!(normalize(&in_memory), normalize(&spilled));
 }
 
+/// DFS over a file-backed store performs real I/O and answers as it does
+/// in memory — and as BFS, which keeps nothing in storage, does.
 #[test]
-fn store_backed_bfs_and_dfs_match_in_memory_and_perform_io() {
+fn dfs_over_storage_matches_in_memory_and_performs_io() {
     let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
         num_intervals: 5,
         nodes_per_interval: 20,
@@ -103,9 +105,6 @@ fn store_backed_bfs_and_dfs_match_in_memory_and_perform_io() {
     let spec = spec_from_env();
 
     let before = io_stats::global().snapshot();
-    let bfs_stored = BfsStableClusters::with_config(params, BfsConfig::store_backed(spec))
-        .run(&graph)
-        .unwrap();
     let dfs_stored =
         DfsStableClusters::with_config(params, DfsConfig::default().with_storage(spec))
             .run(&graph)
@@ -122,18 +121,16 @@ fn store_backed_bfs_and_dfs_match_in_memory_and_perform_io() {
     let dfs_memory = DfsStableClusters::with_config(params, DfsConfig::in_memory())
         .run(&graph)
         .unwrap();
-    assert_eq!(bfs_stored.len(), bfs_memory.len());
     assert_eq!(dfs_stored.len(), dfs_memory.len());
-    for (a, b) in bfs_stored.iter().zip(bfs_memory.iter()) {
+    assert_eq!(dfs_stored.len(), bfs_memory.len());
+    for ((a, b), c) in dfs_stored.iter().zip(&dfs_memory).zip(&bfs_memory) {
         assert!((a.weight() - b.weight()).abs() < 1e-9);
-    }
-    for (a, b) in dfs_stored.iter().zip(dfs_memory.iter()) {
-        assert!((a.weight() - b.weight()).abs() < 1e-9);
+        assert!((a.weight() - c.weight()).abs() < 1e-9);
     }
 }
 
-/// The acceptance bar of the storage redesign: BFS(store-backed) and DFS
-/// return *byte-identical* `Solution` paths under every shipped backend.
+/// The acceptance bar of the storage redesign: DFS returns *byte-identical*
+/// `Solution` paths under every shipped backend.
 #[test]
 fn all_backends_produce_byte_identical_solutions() {
     let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
@@ -152,32 +149,23 @@ fn all_backends_produce_byte_identical_solutions() {
     ];
     for l in [2, 4] {
         let params = KlStableParams::new(5, l);
-        let mut bfs_reference: Option<Vec<ClusterPath>> = None;
-        let mut dfs_reference: Option<Vec<ClusterPath>> = None;
+        let mut reference: Option<Vec<ClusterPath>> = None;
         for spec in backends {
-            let bfs = BfsStableClusters::with_config(params, BfsConfig::store_backed(spec))
-                .run(&graph)
-                .unwrap();
-            let dfs =
+            let got =
                 DfsStableClusters::with_config(params, DfsConfig::default().with_storage(spec))
                     .run(&graph)
                     .unwrap();
-            for (reference, got, algo) in [
-                (&mut bfs_reference, bfs, "bfs"),
-                (&mut dfs_reference, dfs, "dfs"),
-            ] {
-                match reference {
-                    None => *reference = Some(got),
-                    Some(expected) => {
-                        assert_eq!(expected.len(), got.len(), "{algo} l={l} {spec}");
-                        for (a, b) in expected.iter().zip(got.iter()) {
-                            assert_eq!(a.nodes(), b.nodes(), "{algo} l={l} {spec}");
-                            assert_eq!(
-                                a.weight().to_bits(),
-                                b.weight().to_bits(),
-                                "{algo} l={l} {spec}: weights must be byte-identical"
-                            );
-                        }
+            match &reference {
+                None => reference = Some(got),
+                Some(expected) => {
+                    assert_eq!(expected.len(), got.len(), "l={l} {spec}");
+                    for (a, b) in expected.iter().zip(got.iter()) {
+                        assert_eq!(a.nodes(), b.nodes(), "l={l} {spec}");
+                        assert_eq!(
+                            a.weight().to_bits(),
+                            b.weight().to_bits(),
+                            "l={l} {spec}: weights must be byte-identical"
+                        );
                     }
                 }
             }
