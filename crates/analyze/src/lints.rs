@@ -31,7 +31,7 @@ const PANIC_EXEMPT_CRATES: [&str; 1] = ["bsc-bench"];
 
 /// Solver hot-path files: every loop nest here must be able to observe a
 /// tripped [`CancelToken`](bsc_util::cancel::CancelToken). `bfs.rs` holds the
-/// one BFS interval sweep (its batch, store-backed and online drivers all run
+/// one BFS interval sweep (every BFS solve, whole view or start window, runs
 /// that loop), `lookahead.rs` the two passes a batch solve makes over its
 /// view before it searches. `batch.rs` is
 /// the engine's coalesced fan-out loop — not a solver, but it replays a

@@ -27,5 +27,7 @@ fn main() {
     let graph = cluster_graph(12, 200, 5, 1, 7);
     bench.case("replay_12_intervals", || {
         OnlineStableClusters::replay(KlStableParams::new(5, 3), black_box(&graph))
+            .current_top_k()
+            .unwrap()
     });
 }

@@ -19,69 +19,61 @@
 //!   interval long, so a node `depth` intervals into the sweep keeps rows for
 //!   lengths `1..=min(l − 1, depth)` (`rows_per_node`; none for `l = 1`) and
 //!   a length-`l` path is offered to `H` alone.
-//! * *The suffix must fit.* A driver that knows how deep the last interval
-//!   lies says so, and a subpath too short to reach length `l` by then
+//! * *The suffix must fit.* The sweep knows how deep the last interval of
+//!   its view lies, and a subpath too short to reach length `l` by then
 //!   (`problem::shortest_feasible`) is not considered: a full-path query
-//!   keeps only subpaths from the view's first interval. A stream has no
-//!   last interval, so the online driver keeps every length.
+//!   keeps only subpaths from the view's first interval.
 //! * *The best completion must reach `H`.* A subpath of length `x` and
 //!   weight `w` that ends at `c` grows into nothing heavier than `w` plus the
 //!   best path of length `l − x` leaving `c`; below the k-th answer it is
-//!   considered but not held (`problem::can_still_reach`). Who knows that
-//!   best path depends on who has seen the edges ahead. A batch driver has
-//!   them all: before it sweeps, one backward relaxation over
-//!   [`GraphView::parents`] (`Completions`, in the crate-private `lookahead`
-//!   module, where the TA adaptation reads it too) gives
-//!   every node `c` of the view `C[c][r]`, the heaviest path of length
-//!   exactly `r` leaving `c` inside the view, for each `r` a prefix ending at
-//!   `c` can ask for — the `startwts` of the paper's TA adaptation, per
-//!   length — and `θ₀`, the k-th largest `C[c][l]`: `k` distinct starts are
-//!   `k` distinct paths, so the k-th answer weighs at least `θ₀` and the
-//!   threshold `max(θ₀, H's)` stands before the first interval is swept —
-//!   in a start window as in a whole graph. What such a
+//!   considered but not held (`problem::can_still_reach`). Before it sweeps,
+//!   one backward relaxation over [`GraphView::parents`] (`Completions`, in
+//!   the crate-private `lookahead` module, where the TA adaptation reads it
+//!   too) gives every node `c` of the view `C[c][r]`, the heaviest path of
+//!   length exactly `r` leaving `c` inside the view, for each `r` a prefix
+//!   ending at `c` can ask for — the `startwts` of the paper's TA
+//!   adaptation, per length — and `θ₀`, the k-th largest `C[c][l]`: `k`
+//!   distinct starts are `k` distinct paths, so the k-th answer weighs at
+//!   least `θ₀` and the threshold `max(θ₀, H's)` stands before the first
+//!   interval is swept — in a start window as in a whole graph. What the
 //!   sweep holds is the prefixes of near-answers: a handful of slots where
-//!   the paper's heaps hold `k` per node and length. A stream has no edge
-//!   ahead, so the online driver charges 1.0 per interval still to span
-//!   (weights lie in `(0, 1]`; the `CanPrune` bound of the paper's DFS)
-//!   against `H`'s threshold alone, and holds far more. Either threshold only
+//!   the paper's heaps hold `k` per node and length. The threshold only
 //!   rises, so what it rules out could not have entered later. It is read
 //!   once per node, so the work done does not depend on the order of a node's
 //!   parents. With all weights equal every completion ties the k-th answer
 //!   and nothing is cut.
 //! * *Nobody visits a node nothing live reaches.* A subpath is held at a
 //!   node only if a parent offered it: one that holds a prefix of it, or one
-//!   it starts at. So a sweep that holds a completion table visits a node —
-//!   walks its parents, lays its rows out — only if a **live** node marked
-//!   it, and passes over every other node without reading an edge. A node is
-//!   live if its rows hold a slot once it has been visited, or if a
-//!   near-answer can start there: `C[c][l]` is asked of it and reaches `θ₀`
-//!   (`can_still_reach` with an empty prefix, the slack counted twice). Every
-//!   edge out of `c` was relaxed into `C[c][l]` with the very addition
-//!   `reaches` judges the bare edge by, against a threshold that only rises
-//!   from `θ₀`, so a start that fails holds no edge `reaches` would hold —
-//!   the second slack is for the one thing that differs, the order the slack
-//!   itself is added in — and what an unmarked node is passed over with is
-//!   exactly nothing. Once an interval is swept its live nodes mark their
-//!   children ([`GraphView::children`]); an interval more than half of whose
-//!   nodes are live marks every node in reach at once instead, so an input
-//!   that cuts nothing (all weights equal) pays no second walk of its edges.
-//!   Marking may only err towards visiting. A sweep whose table holds no
-//!   weight — the online driver, which has none; `l = 1`; an `l` beyond the
-//!   last interval — knows of no node whether it is live, marks nothing and
-//!   visits every node, through the same loop.
+//!   it starts at. So the sweep visits a node — walks its parents, lays its
+//!   rows out — only if a **live** node marked it, and passes over every
+//!   other node without reading an edge. A node is live if its rows hold a
+//!   slot once it has been visited, or if a near-answer can start there:
+//!   `C[c][l]` is asked of it and reaches `θ₀` (`can_still_reach` with an
+//!   empty prefix, the slack counted twice). Every edge out of `c` was
+//!   relaxed into `C[c][l]` with the very addition `reaches` judges the bare
+//!   edge by, against a threshold that only rises from `θ₀`, so a start that
+//!   fails holds no edge `reaches` would hold — the second slack is for the
+//!   one thing that differs, the order the slack itself is added in — and
+//!   what an unmarked node is passed over with is exactly nothing. Once an
+//!   interval is swept its live nodes mark their children
+//!   ([`GraphView::children`]); an interval more than half of whose nodes are
+//!   live marks every node in reach at once instead, so an input that cuts
+//!   nothing (all weights equal) pays no second walk of its edges. Marking
+//!   may only err towards visiting. A sweep whose table holds no weight —
+//!   `l = 1`, or an `l` beyond the last interval — knows of no node whether
+//!   it is live, marks nothing and visits every node, through the same loop.
 //!
-//! That pass is written once, as the crate-private `IntervalSweep`: its
-//! state is the heaps of the intervals already swept, the global heap and
-//! the counters, and its one step, `advance`, computes the next interval's
-//! heaps from [`GraphView::parents`]. Everything that runs Algorithm 2
-//! is a driver of that step:
-//!
-//! * batch BFS ([`BfsStableClusters`]) looks ahead, then advances over the
-//!   intervals of its view — a window is swept in place, lengths counted
-//!   from its first;
-//! * the online solver of Section 4.6
-//!   ([`OnlineStableClusters`](crate::streaming::OnlineStableClusters))
-//!   appends an interval to its graph and advances over it.
+//! That pass is written once, as the private `IntervalSweep`: it looks ahead
+//! over its view when it is made, its state is the heaps of the intervals
+//! already swept, the global heap and the counters, and its one step,
+//! `advance`, computes the next interval's heaps from
+//! [`GraphView::parents`]. [`BfsStableClusters`] is its one driver: it
+//! advances over the intervals of its view — a window is swept in place,
+//! lengths counted from its first. The online solver of Section 4.6
+//! ([`OnlineStableClusters`](crate::streaming::OnlineStableClusters)) is not
+//! a second one: it answers through the windowed executor, one solve of each
+//! start window an arrival touched, the rest spliced
+//! ([`solve_windows`](crate::delta::solve_windows)).
 //!
 //! The rows of the intervals already swept live in memory, one flat table
 //! per interval (`Ring`). The paper saves `c_ij` along with `h^x_ij` to
@@ -106,10 +98,10 @@
 //! rows of an interval are kept for `g + 1` further intervals (its possible
 //! children), its link cells for `l + g` (the reach of a chain held by those
 //! children), so what a sweep retains in heaps is bounded by `l` and `g`
-//! however long the online driver keeps it alive. The marks are a byte per
+//! however many intervals its view has. The marks are a byte per
 //! node of the intervals a child of the interval being swept can lie in — at
 //! most `g + 1` of them, and never more than the view has left — recycled
-//! the same way. A batch solve holds its
+//! the same way. The sweep holds its
 //! completion table beside them, and that is sized by the view: a node has a
 //! weight for each length it can be asked for, at most `min(l, last − l + 1)`
 //! of them — one for full paths and inside a start window, 86 KB for
@@ -513,17 +505,17 @@ impl Ring {
     }
 }
 
-/// Algorithm 2 as a resumable pass: the rows of the intervals swept so far
-/// (a [`Ring`]), the global top-k of length-`l` paths, and the counters.
+/// Algorithm 2 as a pass over one view: what it knows of the view before it
+/// sweeps it, the rows of the intervals swept so far (a [`Ring`]), the
+/// global top-k of length-`l` paths, and the counters.
 /// [`IntervalSweep::advance`] is the only place the algorithm's inner loop
-/// exists; see the module docs for its drivers.
-pub(crate) struct IntervalSweep {
+/// exists.
+struct IntervalSweep {
     k: usize,
     l: u32,
-    /// What the driver knows of the intervals to come; `None` when nobody
-    /// does (a stream has no last interval, and no edge ahead). It decides
-    /// the work done, never the answer.
-    ahead: Option<Completions>,
+    /// How every subpath of the view can end, and how deep its last interval
+    /// lies. It decides the work done, never the answer.
+    ahead: Completions,
     window: Ring,
     /// The rows of the node in progress.
     rows: Table,
@@ -562,7 +554,7 @@ impl IntervalSweep {
     }
 
     /// Slots and link cells the window retains.
-    pub(crate) fn retained(&self) -> (usize, usize) {
+    fn retained(&self) -> (usize, usize) {
         let tables = &self.window.tables;
         let slots = tables.iter().map(|t| t.slots.len()).sum();
         let links = tables.iter().map(|t| t.links.len()).sum();
@@ -571,7 +563,7 @@ impl IntervalSweep {
 
     /// The subpaths held for `node` as paths, by length − 1 (no rows once
     /// they are out of a child's reach).
-    pub(crate) fn held(&self, node: ClusterNodeId) -> Vec<Vec<ClusterPath>> {
+    fn held(&self, node: ClusterNodeId) -> Vec<Vec<ClusterPath>> {
         let rows = self.window.load(node);
         if rows.is_empty() {
             return Vec::new();
@@ -593,13 +585,12 @@ impl IntervalSweep {
     /// row's length and weighs, summed left to right, exactly what the slot
     /// says; no row below the feasibility floor holds anything. Returns
     /// every held path.
-    pub(crate) fn audit(&mut self, view: GraphView<'_>, swept: u32) -> Vec<ClusterPath> {
+    fn audit(&self, view: GraphView<'_>, swept: u32) -> Vec<ClusterPath> {
         let (l, first) = (self.l, view.first_interval());
-        let last = self.ahead.as_ref().map(Completions::last);
         let mut held = Vec::new();
         for interval in first..=swept {
             let depth = interval - first;
-            let floor = last.map_or(0, |last| shortest_feasible(l, depth, last));
+            let floor = shortest_feasible(l, depth, self.ahead.last());
             for node in view.interval_node_ids(interval) {
                 let rows = self.held(node);
                 assert!(
@@ -629,6 +620,17 @@ impl IntervalSweep {
         }
         held
     }
+
+    /// The top-k paths of length exactly `l` over the intervals swept so
+    /// far, in descending weight order.
+    fn top_k(&self) -> Vec<ClusterPath> {
+        self.global.clone().into_sorted()
+    }
+
+    /// What the sweep has counted so far.
+    fn stats(&self) -> SolverStats {
+        self.stats
+    }
 }
 
 /// One representable step of [`threshold_scenario`]'s weights.
@@ -645,25 +647,21 @@ const STEP: f64 = 1.0 / (1u64 << 40) as f64;
 ///             c ─¾−STEP─ c ─1─ c ─1─ c   2.75 − STEP
 /// ```
 ///
-/// A driver that cannot see ahead (`streaming.rs`) fills `H` with lane `a` at
-/// v3, θ = 2.75, and charges 1 per interval to come: `b`'s edge at v3 may
-/// reach θ + STEP and is held, `c`'s θ − STEP and is not. A batch driver
-/// knows θ₀ = 2.75 + STEP before v0 and how every lane ends: `b` meets θ₀
-/// exactly and is held all the way, `a` misses it by one step, `c` by two,
-/// and neither is ever held.
+/// The sweep knows θ₀ = 2.75 + STEP before v0 and how every lane ends: `b`
+/// meets θ₀ exactly and is held all the way, `a` misses it by one step, `c`
+/// by two, and neither is ever held. Lane `a` is the answer while the graph
+/// ends at v3 or v4 (`streaming.rs` answers after every arrival).
 ///
 /// With `offset > 0` the earlier intervals hold a chain of weight-1 edges
 /// into `a` at v0 that beats everything — unless the view starts at
-/// `offset`. Swept as a whole by the batch driver, the only live start is `b`
+/// `offset`. Swept as a whole, the only live start is `b`
 /// at v2 (`C[b][3] = θ₀`; `a` at v0 starts 2.75 at best, `c` misses by two
 /// steps, and nothing of length 3 leaves v1 or `a` at v2), so nobody is
 /// visited before v3 and three nodes are in all, one candidate each: v3 `b`
 /// 1 (the edge, held), which marks v4 `b` 1 (length 2, held; the bare edge
 /// can no longer fit), which marks v5 `b` 1 (into `H`): 3. Visiting every
 /// node considered 7: the edges into `a` at v1, v2 and v3 and into `c` at v3
-/// as well, none of them held. Charging 1 per interval to come considered 10:
-/// a-a-a at v2, lengths 2 and 3 at `a` of v3. Returned with the answer, lane
-/// `b`.
+/// as well, none of them held. Returned with the answer, lane `b`.
 #[cfg(test)]
 pub(crate) fn threshold_scenario(offset: u32) -> (ClusterGraph, ClusterPath) {
     use crate::cluster_graph::ClusterGraphBuilder;
@@ -692,15 +690,21 @@ pub(crate) fn threshold_scenario(offset: u32) -> (ClusterGraph, ClusterPath) {
 }
 
 impl IntervalSweep {
-    /// A sweep of a graph whose gap is `gap` that knows nothing of the
-    /// intervals to come; a driver that does says so before it advances
-    /// ([`IntervalSweep::run`]).
-    pub(crate) fn new(params: KlStableParams, gap: u32) -> Self {
-        IntervalSweep {
+    /// A sweep of `view` that has learnt how every subpath of it can end:
+    /// one backward pass over its edges, before any interval is swept (a
+    /// table the allocator refuses, or a tripped `cancel`, is the error).
+    fn new(
+        params: KlStableParams,
+        view: GraphView<'_>,
+        cancel: Option<&CancelToken>,
+    ) -> BscResult<Self> {
+        let mut tick = 0;
+        let ahead = Completions::of(view, params, cancel, &mut tick)?;
+        Ok(IntervalSweep {
             k: params.k,
             l: params.l,
-            ahead: None,
-            window: Ring::new(gap, params.l),
+            ahead,
+            window: Ring::new(view.gap(), params.l),
             rows: Table::new(),
             pending: Vec::new(),
             room: Vec::new(),
@@ -709,20 +713,19 @@ impl IntervalSweep {
             marks: VecDeque::new(),
             all_marked_before: 0,
             stats: SolverStats::default(),
-            tick: 0,
-        }
+            tick,
+        })
     }
 
     /// Sweep `interval` of `view`: compute the heaps `h^x` of each of its
     /// nodes a live node has marked from its parents' heaps and offer every
     /// length-`l` path to the global heap. A shorter subpath is held only if
     /// it can still become an answer (module docs): it fits before the last
-    /// interval, and its best completion — the best that exists, for a driver
-    /// that has seen the edges ahead — reaches the k-th answer. A sweep
-    /// without a completion table visits every node. Intervals must be swept
+    /// interval, and its best completion reaches the k-th answer. A sweep
+    /// whose table holds no weight visits every node. Intervals must be swept
     /// in order, each once; a failed sweep (`cancel` tripped, a table
     /// too large to address) is not resumable.
-    pub(crate) fn advance(
+    fn advance(
         &mut self,
         view: GraphView<'_>,
         interval: u32,
@@ -735,33 +738,31 @@ impl IntervalSweep {
         // The lengths `total` a parent `len` intervals back extends its
         // held lengths `x` to (`x = 0`: the edge itself), as `(x, total)`:
         // up to `l`, and from the shortest that still fits before `last`.
-        let ahead = self.ahead.as_ref();
-        let floor = ahead.map_or(0, |ahead| shortest_feasible(l, depth, ahead.last()));
-        let known = ahead.map_or(f64::NEG_INFINITY, Completions::floor);
+        let ahead = &self.ahead;
+        let floor = shortest_feasible(l, depth, ahead.last());
+        let known = ahead.floor();
         let extended_lengths = move |len: u32, rows: &Range<usize>| {
             (floor.saturating_sub(len) as usize..=rows.len())
                 .map(move |x| (x, x as u32 + len))
                 .take_while(move |&(_, total)| total <= l)
         };
-        // Who is visited: whoever a live node marked, or for want of a table
-        // that says who is live, everyone.
-        let sparse = ahead.is_some_and(Completions::holds_weights);
+        // Who is visited: whoever a live node marked, or for want of a
+        // weight that says who is live, everyone.
+        let sparse = ahead.holds_weights();
         let everyone = !sparse || interval < self.all_marked_before;
         let slack = summation_slack(l);
         self.live.clear();
         for index in 0..num_nodes {
             checkpoint(cancel, &mut self.tick)?;
             let node = ClusterNodeId::new(interval, index);
-            let leaving = ahead.map(|ahead| ahead.leaving(node));
+            let (shortest, best) = ahead.leaving(node);
             // Can a near-answer start here? Every edge out of this node was
             // relaxed into `C[node][l]`, so an edge `reaches` would hold
             // passes this too — the slack once more, for the order it is
             // added in there.
-            let starts = sparse
-                && leaving.is_some_and(|(shortest, best)| {
-                    let whole = best.get((l - shortest) as usize);
-                    whole.is_some_and(|&whole| can_still_reach(l, slack, whole, known))
-                });
+            let whole = best.get((l - shortest) as usize);
+            let starts =
+                sparse && whole.is_some_and(|&whole| can_still_reach(l, slack, whole, known));
             let marks = self.marks.front();
             let marked = marks.and_then(|marks| marks.get(index as usize));
             if !(everyone || marked.is_some_and(|&marked| marked)) {
@@ -778,12 +779,9 @@ impl IntervalSweep {
             // rises, so what it rules out stays out.
             let min_k = self.global.admission_threshold().max(known);
             // The rest of a subpath `total` long: the best that leaves this
-            // node, or for want of a table 1.0 per interval still to span.
+            // node.
             let reaches = move |total: u32, weight: f64| {
-                let rest = l - total;
-                let completion = leaving.map_or(f64::from(rest), |(shortest, best)| {
-                    best[(rest - shortest) as usize]
-                });
+                let completion = best[(l - total - shortest) as usize];
                 can_still_reach(l, weight, completion, min_k)
             };
 
@@ -877,17 +875,6 @@ impl IntervalSweep {
         Ok(())
     }
 
-    /// The top-k paths of length exactly `l` over the intervals swept so
-    /// far, in descending weight order.
-    pub(crate) fn top_k(&self) -> Vec<ClusterPath> {
-        self.global.clone().into_sorted()
-    }
-
-    /// What the sweep has counted so far (as [`BfsStableClusters::run_with_stats`]).
-    pub(crate) fn stats(&self) -> SolverStats {
-        self.stats
-    }
-
     /// Batch BFS: learn how every subpath of `view` can end, then sweep its
     /// intervals.
     fn run(
@@ -895,8 +882,7 @@ impl IntervalSweep {
         view: GraphView<'_>,
         cancel: Option<&CancelToken>,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
-        let mut sweep = IntervalSweep::new(params, view.gap());
-        sweep.ahead = Some(Completions::of(view, params, cancel, &mut sweep.tick)?);
+        let mut sweep = IntervalSweep::new(params, view, cancel)?;
         for interval in view.intervals() {
             sweep.advance(view, interval, cancel)?;
         }
@@ -1097,7 +1083,7 @@ mod tests {
             .is_empty());
     }
 
-    /// What a batch driver learns before it sweeps.
+    /// What a sweep learns before it sweeps.
     fn ahead_of(view: GraphView<'_>, params: KlStableParams) -> Completions {
         Completions::of(view, params, None, &mut 0).unwrap()
     }
@@ -1110,9 +1096,8 @@ mod tests {
 
     #[test]
     fn every_held_subpath_is_a_path_that_can_still_become_an_answer() {
-        // The audit runs after every interval, with the intervals ahead known
-        // (batch) and unknown (online), over whole graphs and a window that
-        // has edges crossing both of its ends; every path of the view,
+        // The audit runs after every interval, over whole graphs and a window
+        // that has edges crossing both of its ends; every path of the view,
         // enumerated, is what the answers are held against (and, in
         // `lookahead.rs`, the table and θ₀).
         for gap in [0, 1, 2] {
@@ -1139,38 +1124,28 @@ mod tests {
                         let exhaustive = exhaustive.into_sorted();
                         assert!(!exhaustive.is_empty(), "{case}");
 
-                        let ahead = ahead_of(view, params);
-                        for ahead in [Some(ahead), None] {
-                            let batch = ahead.is_some();
-                            let mut sweep = IntervalSweep::new(params, gap);
-                            sweep.ahead = ahead;
-                            let mut held = 0;
-                            for interval in view.intervals() {
-                                let before = sweep.global.admission_threshold();
-                                sweep.advance(view, interval, None).unwrap();
-                                held += sweep.audit(view, interval).len();
-                                // What the interval holds passed the rule as
-                                // it stood when the interval was opened.
-                                for node in view.interval_node_ids(interval) {
-                                    for path in sweep.held(node).into_iter().flatten() {
-                                        let rest = l - path.length();
-                                        let (completion, min_k) = match &sweep.ahead {
-                                            Some(ahead) => (
-                                                completion(ahead, node, rest),
-                                                before.max(ahead.floor()),
-                                            ),
-                                            None => (f64::from(rest), before),
-                                        };
-                                        assert!(
-                                            can_still_reach(l, path.weight(), completion, min_k),
-                                            "{case} batch={batch}: {path:?} is held"
-                                        );
-                                    }
+                        let mut sweep = IntervalSweep::new(params, view, None).unwrap();
+                        let mut held = 0;
+                        for interval in view.intervals() {
+                            let before = sweep.global.admission_threshold();
+                            sweep.advance(view, interval, None).unwrap();
+                            held += sweep.audit(view, interval).len();
+                            // What the interval holds passed the rule as it
+                            // stood when the interval was opened.
+                            let min_k = before.max(sweep.ahead.floor());
+                            for node in view.interval_node_ids(interval) {
+                                for path in sweep.held(node).into_iter().flatten() {
+                                    let rest = l - path.length();
+                                    let completion = completion(&sweep.ahead, node, rest);
+                                    assert!(
+                                        can_still_reach(l, path.weight(), completion, min_k),
+                                        "{case}: {path:?} is held"
+                                    );
                                 }
                             }
-                            assert_eq!(held == 0, l == 1, "{case} batch={batch}");
-                            assert_eq!(sweep.top_k(), exhaustive, "{case} batch={batch}");
                         }
+                        assert_eq!(held == 0, l == 1, "{case}");
+                        assert_eq!(sweep.top_k(), exhaustive, "{case}");
                     }
                 }
             }
@@ -1198,10 +1173,8 @@ mod tests {
         assert_eq!(whole[0].weight(), 3.0);
 
         // Lane `a`, one step short of θ₀, and the twin are never held.
-        let ahead = ahead_of(graph.view(), params);
-        assert_eq!(ahead.floor(), 2.75 + STEP);
-        let mut sweep = IntervalSweep::new(params, 0);
-        sweep.ahead = Some(ahead);
+        let mut sweep = IntervalSweep::new(params, graph.view(), None).unwrap();
+        assert_eq!(sweep.ahead.floor(), 2.75 + STEP);
         for interval in graph.view().intervals() {
             sweep.advance(graph.view(), interval, None).unwrap();
             let held = sweep.audit(graph.view(), interval);
@@ -1317,11 +1290,7 @@ mod tests {
                     for k in [1, 5, 50] {
                         let params = KlStableParams::new(k, l);
                         let case = format!("{name} first={first} l={l} k={k}");
-                        let sweep = || {
-                            let mut sweep = IntervalSweep::new(params, view.gap());
-                            sweep.ahead = Some(ahead_of(view, params));
-                            sweep
-                        };
+                        let sweep = || IntervalSweep::new(params, view, None).unwrap();
                         let (mut shipped, mut everyone) = (sweep(), sweep());
                         everyone.mark_everyone();
                         for interval in view.intervals() {
@@ -1377,30 +1346,23 @@ mod tests {
         let graph = builder.build();
         let view = graph.view();
         let params = KlStableParams::new(1, l);
-        let mut batch = IntervalSweep::new(params, gap);
-        batch.ahead = Some(ahead_of(view, params));
-        let mut online = IntervalSweep::new(params, gap);
+        let mut sweep = IntervalSweep::new(params, view, None).unwrap();
         let mut widest_ring = 0;
         for interval in view.intervals() {
-            batch.advance(view, interval, None).unwrap();
-            online.advance(view, interval, None).unwrap();
+            sweep.advance(view, interval, None).unwrap();
             // The intervals a child can lie in, and the vector just spent.
-            assert!(batch.marks.len() <= gap as usize + 2, "{interval}");
+            assert!(sweep.marks.len() <= gap as usize + 2, "{interval}");
             assert!(
-                batch.marks.iter().all(|marks| marks.len() <= 3),
+                sweep.marks.iter().all(|marks| marks.len() <= 3),
                 "{interval}"
             );
-            assert!(batch.live.len() <= 3, "{interval}");
-            widest_ring = widest_ring.max(batch.marks.len());
-            // A sweep with no table marks nothing at all.
-            assert!(online.marks.iter().all(Vec::is_empty) && online.live.is_empty());
+            assert!(sweep.live.len() <= 3, "{interval}");
+            widest_ring = widest_ring.max(sweep.marks.len());
         }
         assert_eq!(widest_ring, gap as usize + 2);
         // Lane 0 and whom it marks: two nodes of three, no more.
-        assert_eq!(batch.stats().nodes_processed, u64::from(2 * (m - 1) - gap));
-        assert_eq!(online.stats().nodes_processed, u64::from(3 * m));
-        assert_eq!(batch.top_k(), online.top_k());
-        assert_eq!(batch.top_k()[0].weight(), f64::from(l));
+        assert_eq!(sweep.stats().nodes_processed, u64::from(2 * (m - 1) - gap));
+        assert_eq!(sweep.top_k()[0].weight(), f64::from(l));
 
         // A gap of `u32::MAX` sizes nothing: a child lies inside the view,
         // and a vector is made for an interval only when a node of it is
@@ -1409,8 +1371,7 @@ mod tests {
         // of them than the view has intervals.)
         let graph = random_graph(4, 6, 1, u32::MAX, 77);
         let params = KlStableParams::new(1, 2);
-        let mut sweep = IntervalSweep::new(params, u32::MAX);
-        sweep.ahead = Some(ahead_of(graph.view(), params));
+        let mut sweep = IntervalSweep::new(params, graph.view(), None).unwrap();
         for interval in graph.view().intervals() {
             sweep.advance(graph.view(), interval, None).unwrap();
             assert!(
@@ -1451,8 +1412,7 @@ mod tests {
         for (case, graph, l) in cases {
             let view = graph.view();
             let params = KlStableParams::new(k, l);
-            let mut sweep = IntervalSweep::new(params, view.gap());
-            sweep.ahead = Some(ahead_of(view, params));
+            let mut sweep = IntervalSweep::new(params, view, None).unwrap();
             let (mut peak_slots, mut peak_links, mut peak_bytes) = (0, 0, 0);
             for interval in view.intervals() {
                 sweep.advance(view, interval, None).unwrap();

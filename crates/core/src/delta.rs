@@ -50,6 +50,8 @@
 //! the whole graph, so any change re-solves it — correct, just never
 //! faster.
 
+use std::sync::Arc;
+
 use crate::cluster_graph::ClusterGraph;
 use crate::distributed::{transport_for, WindowResult};
 use crate::error::BscResult;
@@ -171,15 +173,17 @@ impl GraphDelta {
 
 /// The per-start-window results of one windowed solve, kept so the next
 /// epoch can splice untouched windows forward. `windows[a]` is the top-k of
-/// the window starting at interval `a` (in global coordinates).
-#[derive(Debug, Clone)]
+/// the window starting at interval `a` (in global coordinates), shared: a
+/// splice hands the next set the same result, not a copy of its paths. The
+/// default set holds no window, so it splices nothing.
+#[derive(Debug, Clone, Default)]
 pub struct WindowSet {
     /// Exact path length the windows were solved for.
     pub l: u32,
     /// Top-k size the windows were solved for.
     pub k: usize,
     /// One result per valid start interval, index = start.
-    pub windows: Vec<WindowResult>,
+    pub windows: Vec<Arc<WindowResult>>,
 }
 
 /// What a windowed solve produces: the merged solution plus the per-window
@@ -200,7 +204,7 @@ pub struct DeltaSolveOutcome {
 /// cold windowed solve: `stats.windows_resolved` counts every window, and
 /// the outcome seeds future splices. With a matching prior — a [`WindowSet`]
 /// solved on some other graph and the [`GraphDelta`] from that graph to this
-/// one — untouched windows are cloned forward (`stats.windows_spliced`) and
+/// one — untouched windows are shared forward (`stats.windows_spliced`) and
 /// only touched ones re-solve: post-ingest latency proportional to the
 /// delta, result byte-identical by the argument in the module docs. A
 /// spliced window contributes its paths but not its historical counters; the

@@ -87,14 +87,14 @@ pub(crate) fn shortest_feasible(l: u32, depth: u32, last: u32) -> u32 {
 /// "What can this subpath still gain" (Sections 4.3 and 4.4): can a subpath
 /// of weight `weight` whose remaining edges weigh at most `completion` still
 /// grow into a length-`l` path that a top-k heap with admission threshold
-/// `min_k` would take? The caller says how it can end. Who has seen the edges
-/// ahead passes the best suffix that exists (the `lookahead` module's
+/// `min_k` would take? The caller says how it can end. BFS and the TA
+/// adaptation pass the best suffix that exists (the `lookahead` module's
 /// completion table, which BFS reads per length and the TA adaptation as its
-/// `startwts`, the prefix before an edge read off `endwts` the same way); who
-/// has not passes the remaining length `(l − held) as f64`, edge weights
-/// lying in `(0, 1]` (`ClusterGraphBuilder::build`, `ClusterGraph::append`) —
-/// the `CanPrune` bound of the paper's DFS. `min_k` may be any weight the final k-th answer
-/// is known to reach, as some solver sums it.
+/// `startwts`, the prefix before an edge read off `endwts` the same way); DFS
+/// alone passes the remaining length `(l − held) as f64`, edge weights lying
+/// in `(0, 1]` (`ClusterGraphBuilder::build`, `ClusterGraph::append`) — the
+/// `CanPrune` bound of the paper's DFS. `min_k` may be any weight the final
+/// k-th answer is known to reach, as some solver sums it.
 ///
 /// Over the reals a path that reaches `min_k` passes with no slack: its
 /// prefix weighs `weight`, its suffix at most `completion`. The three are

@@ -1,21 +1,21 @@
 //! Online (streaming) stable-cluster maintenance (Section 4.6).
 //!
 //! New blog posts arrive continuously, so the cluster graph grows by one
-//! interval at a time. The BFS algorithm is naturally incremental: the heaps
-//! of an interval only depend on the heaps of the preceding `g + 1`
-//! intervals, so when the clusters of interval `m + 1` arrive their heaps —
-//! and any new top-k paths — can be computed without touching older state.
-//! [`OnlineStableClusters`] is therefore the batch sweep of [`crate::bfs`]
-//! fed one interval at a time: [`OnlineStableClusters::push_interval`]
-//! appends the interval to the graph-so-far and advances the same sweep —
-//! same window, same global heap, same inner loop — over it, so after every
-//! push the answer is bit-identical to batch BFS on the graph-so-far. The
-//! sweep holds a subpath only while its optimistic completion — 1.0 per
-//! interval still to span — can reach the current k-th answer (see
-//! [`crate::bfs`]); that threshold never falls, so a push holds fewer
-//! subpaths the longer the stream has run. What batch solves prune by it
-//! cannot use: "the suffix must fit before the last interval" (a stream has
-//! none) and the best completion that exists (its edges have not arrived).
+//! interval at a time. A path of length `l` lies inside one start window
+//! `[a, a + l]`, and an arriving interval changes only the windows that
+//! reach it: every older window holds the same edges as before, and so the
+//! same top-k. [`OnlineStableClusters`] keeps the answer current that way.
+//! [`OnlineStableClusters::push_interval`] appends the interval to the
+//! graph-so-far and does nothing else;
+//! [`OnlineStableClusters::current_top_k`] answers through the crate's one
+//! windowed executor ([`solve_windows`]), handing it the start windows of the
+//! last answer and the [`GraphDelta`] from that answer's graph to this one:
+//! after one push it solves the one window the push touched with batch BFS
+//! and splices every other window forward, so the answer is byte-identical
+//! to batch BFS on the graph-so-far (the argument is in [`crate::delta`]).
+//! A consumer that polls after every push pays one window solve per
+//! interval; one that polls after many pays one per window those pushes
+//! touched.
 //!
 //! For the long-lived query engine the stream is also the **graph source**:
 //! every push extends the graph-so-far by one interval through the
@@ -32,12 +32,13 @@ use std::sync::Arc;
 use bsc_graph::cluster::KeywordCluster;
 
 use crate::affinity::Affinity;
-use crate::bfs::IntervalSweep;
 use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
+use crate::delta::{solve_windows, GraphDelta, WindowSet};
+use crate::error::BscResult;
 use crate::path::ClusterPath;
-use crate::problem::KlStableParams;
+use crate::problem::{KlStableParams, StableClusterSpec};
 use crate::snapshot::{GraphSnapshot, SnapshotCell};
-use crate::solver::SolverStats;
+use crate::solver::{AlgorithmKind, SolverOptions, SolverStats};
 
 /// Incremental solver for kl-stable clusters over a growing timeline.
 pub struct OnlineStableClusters {
@@ -46,13 +47,16 @@ pub struct OnlineStableClusters {
     /// gap, the interval count and each interval's node count that the next
     /// push is validated against.
     graph: Arc<ClusterGraph>,
-    /// Algorithm 2 paused after the last ingested interval: the sliding
-    /// window of per-node heaps and the global top-k of length-`l` paths.
-    sweep: IntervalSweep,
-    /// Memoized [`OnlineStableClusters::current_top_k`] answer (invalidated
-    /// by ingest): between ingests nothing structural changes, so the
-    /// global heap need not be re-cloned and re-sorted per call.
-    cached_top_k: Option<Vec<ClusterPath>>,
+    /// The graph the last answer was solved on (at first the empty graph,
+    /// whose answer is empty).
+    answered: Arc<ClusterGraph>,
+    /// The start windows of `answered`: what the next answer splices from
+    /// (none at first).
+    windows: WindowSet,
+    /// The last answer.
+    top_k: Vec<ClusterPath>,
+    /// Every answer's solve, merged.
+    stats: SolverStats,
 }
 
 impl std::fmt::Debug for OnlineStableClusters {
@@ -70,13 +74,14 @@ impl OnlineStableClusters {
     /// Create an empty online solver for paths of length exactly `params.l`
     /// with the given maximum gap.
     pub fn new(params: KlStableParams, gap: u32) -> Self {
+        let graph = Arc::new(ClusterGraphBuilder::new(gap).build());
         OnlineStableClusters {
             params,
-            graph: Arc::new(ClusterGraphBuilder::new(gap).build()),
-            // A stream has no last interval and no edge ahead: the sweep is
-            // told nothing of what is to come, and every length may yet fit.
-            sweep: IntervalSweep::new(params, gap),
-            cached_top_k: None,
+            answered: Arc::clone(&graph),
+            graph,
+            windows: WindowSet::default(),
+            top_k: Vec::new(),
+            stats: SolverStats::default(),
         }
     }
 
@@ -96,60 +101,67 @@ impl OnlineStableClusters {
         &self.graph
     }
 
-    /// Ingest the next temporal interval.
+    /// Ingest the next temporal interval: append it to the graph-so-far
+    /// ([`ClusterGraph::append`]). Nothing is solved until
+    /// [`OnlineStableClusters::current_top_k`] is asked.
     ///
     /// `parent_edges[j]` lists the incoming edges of the interval's `j`-th
     /// cluster node as `(earlier node, weight)` pairs. Edges pointing to
     /// intervals earlier than `current − g − 1` or with weight outside
     /// `(0, 1]` are rejected — cluster-graph affinities are normalized into
-    /// `(0, 1]`, and the graph takes the weights exactly as the online heaps
-    /// score them. The interval is appended to the graph first
-    /// ([`ClusterGraph::append`], which does the rejecting), so a rejected
-    /// interval leaves the solver as it was.
+    /// `(0, 1]`, and the graph takes the weights exactly as the solvers
+    /// score them.
     ///
     /// # Panics
     /// Panics if an edge references a node that does not exist or violates
-    /// the gap or weight constraints.
+    /// the gap or weight constraints; the solver is then as it was.
     pub fn push_interval(&mut self, parent_edges: Vec<Vec<(ClusterNodeId, f64)>>) {
-        let interval = self.graph.num_intervals() as u32;
         self.graph = Arc::new(self.graph.append(&parent_edges));
-        // No token: the one failure left is an interval whose heaps outgrow
-        // a `u32` cell index.
-        let swept = self.sweep.advance(self.graph.view(), interval, None);
-        assert!(swept.is_ok(), "in-memory sweep failed: {swept:?}");
-        self.cached_top_k = None;
     }
 
     /// The current top-k paths of length exactly `l`, in descending weight
     /// order, reflecting every interval ingested so far.
     ///
-    /// Answered from the incrementally maintained global heap; the sorted
-    /// materialization is memoized, so repeated polls between ingests (the
-    /// `stream_top_k` serve op) cost a clone of the answer, not a re-sort.
-    pub fn current_top_k(&mut self) -> Vec<ClusterPath> {
-        if let Some(cached) = &self.cached_top_k {
-            return cached.clone();
+    /// Repeated calls between ingests return the memoized answer. After an
+    /// ingest the start windows the new intervals touched are solved with
+    /// batch BFS and the rest are spliced from the last answer
+    /// ([`solve_windows`] with the [`GraphDelta`] between the two graphs).
+    /// The error is a window solve's: a table the allocator refuses.
+    pub fn current_top_k(&mut self) -> BscResult<Vec<ClusterPath>> {
+        if !Arc::ptr_eq(&self.answered, &self.graph) {
+            let KlStableParams { k, l } = self.params;
+            let delta = GraphDelta::between(&self.answered, &self.graph);
+            let outcome = solve_windows(
+                &self.graph,
+                StableClusterSpec::ExactLength(l),
+                k,
+                AlgorithmKind::Bfs,
+                &SolverOptions::default(),
+                Some((&self.windows, &delta)),
+            )?;
+            self.stats.merge(&outcome.solution.stats);
+            self.answered = Arc::clone(&self.graph);
+            self.windows = outcome.windows;
+            self.top_k = outcome.solution.paths;
         }
-        let top = self.sweep.top_k();
-        self.cached_top_k = Some(top.clone());
-        top
+        Ok(self.top_k.clone())
     }
 
-    /// What the sweep has counted since the stream opened — the fields
-    /// [`BfsStableClusters::run_with_stats`](crate::bfs::BfsStableClusters::run_with_stats)
-    /// fills for a batch solve. A batch solve of the same graph considers and
-    /// holds far less: it has seen the edges a stream has yet to receive.
+    /// What the answers' window solves have counted since the stream opened,
+    /// merged ([`SolverStats::merge`]): `windows_resolved` and
+    /// `windows_spliced` say how many windows were solved and how many were
+    /// reused.
     pub fn stats(&self) -> SolverStats {
-        self.sweep.stats()
+        self.stats
     }
 
     /// The graph-so-far as an epoch-tagged [`GraphSnapshot`] (epoch =
     /// intervals ingested so far). Every accepted edge is present with its
     /// exact weight, so any path inside the snapshot scores bit-identically
-    /// to the online heaps. Nothing is built here: `push_interval` already
-    /// appended the interval, and this hands out another handle to that
-    /// graph — O(1) whatever the length of the stream, so publishing after
-    /// every interval costs no more than publishing in batches.
+    /// to the stream's answers. Nothing is built here: `push_interval`
+    /// already appended the interval, and this hands out another handle to
+    /// that graph — O(1) whatever the length of the stream, so publishing
+    /// after every interval costs no more than publishing in batches.
     pub fn snapshot(&mut self) -> GraphSnapshot {
         GraphSnapshot::from_arc(Arc::clone(&self.graph), self.graph.num_intervals() as u64)
     }
@@ -233,8 +245,9 @@ impl OnlineClusterFeed {
         self.recent.retain(|(i, _)| *i >= keep_from);
     }
 
-    /// The current top-k stable clusters.
-    pub fn current_top_k(&mut self) -> Vec<ClusterPath> {
+    /// The current top-k stable clusters
+    /// ([`OnlineStableClusters::current_top_k`]).
+    pub fn current_top_k(&mut self) -> BscResult<Vec<ClusterPath>> {
         self.solver.current_top_k()
     }
 
@@ -269,7 +282,9 @@ mod tests {
                 for l in [2, 3, 5] {
                     let params = KlStableParams::new(4, l);
                     let batch = BfsStableClusters::new(params).run(&graph).unwrap();
-                    let online = OnlineStableClusters::replay(params, &graph).current_top_k();
+                    let online = OnlineStableClusters::replay(params, &graph)
+                        .current_top_k()
+                        .unwrap();
                     assert_eq!(batch.len(), online.len(), "seed={seed} gap={gap} l={l}");
                     for (a, b) in batch.iter().zip(online.iter()) {
                         assert!(
@@ -348,6 +363,7 @@ mod tests {
             online.push_interval(graph.interval_parent_edges(interval));
             let best = online
                 .current_top_k()
+                .unwrap()
                 .first()
                 .map(|p| p.weight())
                 .unwrap_or(f64::NEG_INFINITY);
@@ -358,17 +374,13 @@ mod tests {
         assert!(online.edges_ingested() > 0);
     }
 
-    #[test]
-    fn what_the_sweep_retains_does_not_grow_with_the_stream() {
-        // One sweep lives as long as the stream: it may keep the rows of the
-        // last g + 2 intervals and the links of the last l + g + 1, never
-        // the stream's.
-        let (l, gap, nodes, parents) = (3u32, 1u32, 50u32, 4u32);
-        let mut online = OnlineStableClusters::new(KlStableParams::new(5, l), gap);
+    /// A stream of `pushes` intervals of `nodes` nodes, each node with up to
+    /// `parents` random parents within the gap.
+    fn random_stream(pushes: u32, nodes: u32, parents: u32, gap: u32) -> ClusterGraph {
+        let mut graph = ClusterGraphBuilder::new(gap).build();
         let mut rng = DetRng::seed_from_u64(77);
-        let mut steady = None;
-        for interval in 0..300u32 {
-            let edges = (0..nodes)
+        for interval in 0..pushes {
+            let edges: Vec<Vec<(ClusterNodeId, f64)>> = (0..nodes)
                 .map(|_| {
                     let mut edges: Vec<(ClusterNodeId, f64)> = Vec::new();
                     while edges.len() < parents.min(interval * nodes) as usize {
@@ -382,46 +394,82 @@ mod tests {
                     edges
                 })
                 .collect();
-            online.push_interval(edges);
-            let retained = online.sweep.retained();
-            let pushes = interval + 1;
-            if pushes == l + gap + 2 {
-                steady = Some(retained);
-            }
-            if let Some((slots, links)) = steady {
-                // One interval holds at most nodes * l * k subpaths.
-                let one_interval = (nodes * l * 5) as usize;
-                assert!(
-                    retained.0 <= slots + one_interval && retained.1 <= links + one_interval,
-                    "push {pushes}: retains {retained:?}, was {:?} at push {}",
-                    (slots, links),
-                    l + gap + 2
-                );
-            }
+            graph = graph.append(&edges);
         }
-        assert!(steady.is_some_and(|(slots, links)| slots > 0 && links > slots));
+        graph
     }
 
     #[test]
-    fn the_online_sweep_prunes_by_the_threshold_and_audits_clean_after_every_push() {
-        // `bfs::threshold_scenario`: H fills at the fourth push; of the two
-        // prefixes that arrive with it, the one whose optimistic completion
-        // beats the threshold by one step is the answer two pushes later,
-        // its twin one step below is never held.
+    fn an_answer_after_a_push_solves_one_window_and_splices_the_rest() {
+        // After each push the window that ends at the new interval is solved
+        // and every older one is the very result the last answer held; a
+        // second answer without a push solves nothing. Each answer is batch
+        // BFS's on the graph-so-far.
+        let (l, gap) = (3u32, 1u32);
+        let params = KlStableParams::new(5, l);
+        let stream = random_stream(40, 20, 4, gap);
+        let mut online = OnlineStableClusters::new(params, gap);
+        for interval in 0..stream.num_intervals() as u32 {
+            online.push_interval(stream.interval_parent_edges(interval));
+            let before = online.stats();
+            let prior = online.windows.windows.clone();
+            let answer = online.current_top_k().unwrap();
+            let batch = BfsStableClusters::new(params).run(online.graph()).unwrap();
+            assert_eq!(answer, batch, "push {interval}");
+            let stats = online.stats();
+            let starts = (interval + 1).saturating_sub(l) as usize;
+            assert_eq!(online.windows.windows.len(), starts, "push {interval}");
+            let resolved = stats.windows_resolved - before.windows_resolved;
+            let spliced = stats.windows_spliced - before.windows_spliced;
+            assert_eq!(resolved, u64::from(starts > 0), "push {interval}");
+            assert_eq!(spliced, starts.saturating_sub(1) as u64, "push {interval}");
+            for (start, window) in prior.iter().enumerate() {
+                assert!(
+                    Arc::ptr_eq(window, &online.windows.windows[start]),
+                    "push {interval}: window {start} was not spliced"
+                );
+            }
+
+            assert_eq!(online.current_top_k().unwrap(), answer, "push {interval}");
+            assert_eq!(online.stats(), stats, "push {interval}");
+        }
+        assert!(online.stats().windows_spliced > 0);
+    }
+
+    #[test]
+    fn the_stream_retains_one_shared_window_per_start() {
+        // Between answers the stream holds its graph and one `Arc` per start
+        // window of it, each owned by nobody else: the splice moved them
+        // forward, it did not copy them.
+        let (l, gap) = (3u32, 1u32);
+        let stream = random_stream(60, 10, 3, gap);
+        let mut online = OnlineStableClusters::new(KlStableParams::new(5, l), gap);
+        for interval in 0..stream.num_intervals() as u32 {
+            online.push_interval(stream.interval_parent_edges(interval));
+            online.current_top_k().unwrap();
+            let windows = &online.windows.windows;
+            assert_eq!(windows.len() as u32, (interval + 1).saturating_sub(l));
+            assert!(windows.iter().all(|window| Arc::strong_count(window) == 1));
+            assert!(Arc::ptr_eq(&online.answered, &online.graph));
+        }
+    }
+
+    #[test]
+    fn the_stream_answers_the_threshold_scenario_after_every_push() {
+        // `bfs::threshold_scenario`: lane `a` is the answer once four
+        // intervals have arrived, lane `b`, one step heavier, once all six
+        // have.
         let (graph, late) = threshold_scenario(0);
         let early = ClusterPath::new((0..4).map(|v| ClusterNodeId::new(v, 0)).collect(), 2.75);
         let mut online = OnlineStableClusters::new(KlStableParams::new(1, 3), 0);
         for interval in 0..6 {
             online.push_interval(graph.interval_parent_edges(interval));
-            let held = online.sweep.audit(online.graph.view(), interval);
-            let twin = ClusterNodeId::new(2, 2);
-            assert!(held.iter().all(|path| path.first() != twin), "{held:?}");
             let expected = match interval {
                 0..=2 => vec![],
                 3 | 4 => vec![early.clone()],
                 _ => vec![late.clone()],
             };
-            assert_eq!(online.current_top_k(), expected, "push {interval}");
+            assert_eq!(online.current_top_k().unwrap(), expected, "push {interval}");
         }
     }
 
@@ -469,7 +517,7 @@ mod tests {
         feed.push_clusters(vec![cluster(0, 0, &[1, 2, 3]), cluster(0, 1, &[50, 51])]);
         feed.push_clusters(vec![cluster(1, 0, &[1, 2, 3, 4])]);
         feed.push_clusters(vec![cluster(2, 0, &[1, 2, 3, 4, 5])]);
-        let top = feed.current_top_k();
+        let top = feed.current_top_k().unwrap();
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].length(), 2);
         assert_eq!(top[0].nodes()[0], ClusterNodeId::new(0, 0));
@@ -485,7 +533,7 @@ mod tests {
         feed.push_clusters(vec![cluster(0, 0, &[1, 2, 3])]);
         feed.push_clusters(vec![cluster(1, 0, &[70, 71])]);
         feed.push_clusters(vec![cluster(2, 0, &[1, 2, 3, 4])]);
-        let top = feed.current_top_k();
+        let top = feed.current_top_k().unwrap();
         assert_eq!(top.len(), 1);
         assert_eq!(
             top[0].nodes(),
@@ -500,6 +548,6 @@ mod tests {
         feed.push_clusters(vec![cluster(0, 0, &[1, 2, 3])]);
         feed.push_clusters(vec![cluster(1, 0, &[1, 2, 9, 10])]);
         // Jaccard = 2/5 = 0.4 < 0.9 -> no edge, no paths.
-        assert!(feed.current_top_k().is_empty());
+        assert!(feed.current_top_k().unwrap().is_empty());
     }
 }

@@ -60,6 +60,7 @@
 //! and a spliced window's historical counters are not re-counted.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use bsc_graph::partition::balanced_ranges;
 use bsc_storage::io_stats::IoScope;
@@ -138,7 +139,7 @@ pub(crate) struct Windowed<'a> {
 struct Partial {
     top: TopKPaths,
     stats: SolverStats,
-    kept: Vec<WindowResult>,
+    kept: Vec<Arc<WindowResult>>,
 }
 
 impl<'a> Windowed<'a> {
@@ -309,14 +310,13 @@ impl<'a> Windowed<'a> {
                 let result = match (spliced, &self.placement) {
                     (Some(previous), _) => {
                         part.stats.windows_spliced += 1;
-                        Ok(previous.clone())
+                        Ok(Arc::clone(previous))
                     }
                     (None, Placement::Local) => {
-                        solve_window_locally(graph, start, l, k, algorithm, leaf)
+                        solve_window_locally(graph, start, l, k, algorithm, leaf).map(Arc::new)
                     }
-                    (None, Placement::Transport { transport, epoch }) => transport.solve_window(
-                        graph,
-                        &WindowRequest {
+                    (None, Placement::Transport { transport, epoch }) => {
+                        let request = WindowRequest {
                             epoch: *epoch,
                             start,
                             l,
@@ -327,8 +327,9 @@ impl<'a> Windowed<'a> {
                             // The budget remaining *now*, so the worker's
                             // local token expires in step with ours.
                             deadline_ms: cancel.remaining().map(|left| left.as_millis() as u64),
-                        },
-                    ),
+                        };
+                        transport.solve_window(graph, &request).map(Arc::new)
+                    }
                 };
                 let result = result.inspect_err(|_| cancel.cancel())?;
                 if spliced.is_none() {

@@ -943,12 +943,11 @@ fn delta_eligible(request: &QueryRequest, num_intervals: usize) -> bool {
 
 fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<QueryResponse> {
     let epoch = job.snapshot.epoch();
-    let key = job.request.cache_key();
     if let Some(mut solution) = shared
         .cache
         .lock()
         .unwrap_or_else(|p| p.into_inner())
-        .get(epoch, &key)
+        .get(epoch, &job.key)
     {
         solution.stats.queue_wait_micros = duration_micros(queue_wait);
         solution.stats.solve_micros = 0;
@@ -970,7 +969,7 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
             .cache
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .spliceable(&key),
+            .spliceable(&job.key),
         false => None,
     };
     let prior = memo.map(|(solved_on, set)| (GraphDelta::between(&solved_on, &job.snapshot), set));
@@ -1025,7 +1024,7 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
     // when the solve was windowed, so a later epoch can splice from it.
     shared.cache.lock().unwrap_or_else(|p| p.into_inner()).put(
         epoch,
-        key,
+        job.key.clone(),
         solution.clone(),
         windows,
     );

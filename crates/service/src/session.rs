@@ -282,8 +282,12 @@ impl Session {
                 let Some(stream) = &mut self.stream else {
                     return error_response("no open stream (send open_stream first)");
                 };
-                let paths = stream.current_top_k();
-                ok_response("stream_top_k", vec![("paths", paths_to_json(&paths))])
+                match stream.current_top_k() {
+                    Ok(paths) => {
+                        ok_response("stream_top_k", vec![("paths", paths_to_json(&paths))])
+                    }
+                    Err(e) => error_response(&e.to_string()),
+                }
             }
             Request::Query(mut query) => {
                 // Coordinator default: fan out queries that decompose and

@@ -45,7 +45,8 @@ fn main() {
         // ... streamed into the online stable-cluster tracker (Section 4.6).
         feed.push_clusters(clusters);
 
-        match feed.current_top_k().first() {
+        let top = feed.current_top_k().expect("stream answer");
+        match top.first() {
             Some(best) => {
                 let first = best.first();
                 let last = best.last();

@@ -195,7 +195,9 @@ fn streaming_agrees_with_oracle() {
         let graph = generate(6, 8, 1, 3000 + seed);
         let params = KlStableParams::new(4, 3);
         let expected = oracle(StableClusterSpec::ExactLength(3), 4, &graph);
-        let online = OnlineStableClusters::replay(params, &graph).current_top_k();
+        let online = OnlineStableClusters::replay(params, &graph)
+            .current_top_k()
+            .expect("stream answer");
         assert_eq!(expected.len(), online.len(), "seed={seed} streaming");
         for (e, g) in expected.iter().zip(online.iter()) {
             assert!(

@@ -171,9 +171,10 @@ fn a_chain_of_appends_equals_one_build_over_the_same_edges() {
         for seed in [1u64, 2, 3] {
             let mut rng = DetRng::seed_from_u64(seed * 100 + u64::from(gap));
             let mut epochs = vec![empty_graph(gap)];
-            // The online solver is the batch sweep fed one interval at a
-            // time, so it must agree with batch BFS after *every* push —
-            // short paths, and an `l` no epoch here is long enough for.
+            // The online solver answers by splicing the start windows of its
+            // last answer, so it must agree with batch BFS after *every*
+            // push — short paths, and an `l` no epoch here is long enough
+            // for.
             let mut streams: Vec<(KlStableParams, OnlineStableClusters)> = [1, 2, 3, 12]
                 .map(|l| KlStableParams::new(4, l))
                 .map(|params| (params, OnlineStableClusters::new(params, gap)))
@@ -191,7 +192,8 @@ fn a_chain_of_appends_equals_one_build_over_the_same_edges() {
                         .run(stream.graph())
                         .expect("batch bfs");
                     let context = format!("{context} online l={}", params.l);
-                    assert_identical(&batch, &stream.current_top_k(), &context);
+                    let online = stream.current_top_k().expect("stream answer");
+                    assert_identical(&batch, &online, &context);
                 }
             }
             // Appending never touched an epoch it started from.

@@ -261,11 +261,11 @@ fn block_cache_budget_controls_evictions_not_answers() {
 fn dfs_memory_footprint_is_bounded_by_the_stack() {
     // The motivation for DFS: it only keeps the stack in memory, where
     // Algorithm 2 keeps the heaps of every node of `g + 2` intervals. Verify
-    // the reported peak stack depth is bounded by the number of intervals
-    // while a sweep that has not seen the edges ahead — the online driver,
-    // which holds what the paper's Algorithm 2 holds — keeps many more paths
-    // resident. The batch sweep is no longer that sweep: it knows how every
-    // subpath can end and holds the prefixes of near-answers alone.
+    // the reported peak stack depth is bounded by the number of intervals,
+    // and that the batch sweep — which knows how every subpath can end and
+    // holds the prefixes of near-answers alone — stays within its own bound:
+    // at most `k` slots per row, `l − 1` rows per node, for the nodes of the
+    // `g + 2` intervals a child can read.
     let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
         num_intervals: 8,
         nodes_per_interval: 40,
@@ -281,16 +281,16 @@ fn dfs_memory_footprint_is_bounded_by_the_stack() {
     let (_, bfs_stats) = BfsStableClusters::new(params)
         .run_with_stats(&graph)
         .unwrap();
-    let online_stats = OnlineStableClusters::replay(params, &graph).stats();
     assert!(dfs_stats.peak_stack_depth <= graph.num_intervals() + 1);
+    let widest = (0..graph.num_intervals() as u32)
+        .map(|interval| graph.nodes_in_interval(interval) as usize)
+        .max()
+        .unwrap();
+    let rows = params.l as usize - 1;
+    let bound = params.k * rows * widest * (graph.gap() as usize + 2);
     assert!(
-        online_stats.peak_resident_paths > 10 * dfs_stats.peak_stack_depth,
-        "a sweep that cannot see ahead should hold far more state than the DFS stack: {} paths",
-        online_stats.peak_resident_paths
-    );
-    assert!(
-        (1..online_stats.peak_resident_paths / 10).contains(&bfs_stats.peak_resident_paths),
-        "the batch sweep should hold a fraction of that: {} paths",
+        (1..=bound).contains(&bfs_stats.peak_resident_paths),
+        "the batch sweep holds {} paths at its peak, bound {bound}",
         bfs_stats.peak_resident_paths
     );
 }

@@ -49,7 +49,9 @@ fn replay_top_k_equals_the_batch_bfs_solve() {
                     )
                     .expect("batch solver");
                 let expected = batch.solve(&graph).expect("batch solve").paths;
-                let online = OnlineStableClusters::replay(params, &graph).current_top_k();
+                let online = OnlineStableClusters::replay(params, &graph)
+                    .current_top_k()
+                    .expect("stream answer");
                 assert_identical(&expected, &online, &context);
             }
         }
@@ -62,7 +64,9 @@ fn replay_agrees_with_every_problem_one_solver() {
     // not just BFS: DFS and the exhaustive oracle agree too.
     let graph = generate(5, 10, 3, 1, 77);
     let params = KlStableParams::new(5, 3);
-    let online = OnlineStableClusters::replay(params, &graph).current_top_k();
+    let online = OnlineStableClusters::replay(params, &graph)
+        .current_top_k()
+        .expect("stream answer");
     for kind in [AlgorithmKind::Bfs, AlgorithmKind::Dfs] {
         let mut solver = kind
             .build(StableClusterSpec::ExactLength(3), 5, graph.num_intervals())
@@ -83,7 +87,7 @@ fn batch_solving_the_streams_snapshot_reproduces_the_streams_answer() {
         let graph = generate(m, n, d, g, seed);
         let params = KlStableParams::new(4, 2);
         let mut online = OnlineStableClusters::replay(params, &graph);
-        let streamed = online.current_top_k();
+        let streamed = online.current_top_k().expect("stream answer");
         let snapshot = online.snapshot();
         assert_eq!(snapshot.epoch(), m as u64);
         let mut batch = AlgorithmKind::Bfs
