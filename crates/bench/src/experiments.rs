@@ -301,8 +301,11 @@ pub fn table3_ablation(scale: Scale) -> Table {
 /// "Completions known in advance") a window prunes from its first interval
 /// like the whole graph does, and since it visits only the nodes a prefix of
 /// a near-answer can reach ("Nodes nothing live reaches") that ratio reads
-/// what is left: the backward pass, paid once per window a node appears in,
-/// `l + 1` times in all. The `visited(=)` columns are the nodes each side's
+/// what is left. The backward pass is no longer paid once per window a node
+/// appears in: a range's run of windows shares one completion table ("One
+/// look-ahead table per run of windows"), so each edge is relaxed once per
+/// run and what remains is the windows' own sweeps, one per start, and the
+/// per-window set-up around them. The `visited(=)` columns are the nodes each side's
 /// forward sweeps visited (`nodes_processed`), the `generated(=)` columns the
 /// candidates considered at them (`paths_generated`), the `held(=)` columns
 /// the subpaths held at the peak (`peak_resident_paths`; a handful, where
@@ -393,7 +396,7 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
         "m = {m}, n = {n}, d = {d}, g = {g}, k = {k}; byte-identical top-k verified before timing"
     ));
     table.push_note(format!(
-        "sharded@1/BFS(x) reads the backward pass paid per window: every batch sweep, whole graph or window, knows the best completion of each subpath and its k-th answer's floor before its first interval, visits only the nodes a prefix of a near-answer can reach (visited(=), generated(=): {}) and holds those prefixes (held(=), peak_resident_paths: the largest window's); a window's floor is its own k-th best start, lower than the graph's, so the windows visit more; what the ratio has left is the completion table of each of the l + 1 windows a node appears in, l + 1 passes over its edges that fill one weight per node where the whole graph's one pass fills up to l, so a cheaper step per edge shrinks the one wide pass more than the many narrow ones; sharding buys independent shards (own threads, own storage backends), not single-core speed",
+        "sharded@1/BFS(x) reads the backward pass paid per window: every batch sweep, whole graph or window, knows the best completion of each subpath and its k-th answer's floor before its first interval, visits only the nodes a prefix of a near-answer can reach (visited(=), generated(=): {}) and holds those prefixes (held(=), peak_resident_paths: the largest window's); a window's floor is its own k-th best start, lower than the graph's, so the windows visit more; a range's windows share one completion table, one pass over the range's edges (each edge once, with the lengths of every window it lies in), where each of the l + 1 windows a node appears in used to build its own; what the ratio has left is the windows' own sweeps, one per start, each reading its table through a lens with its own floor; sharding buys independent shards (own threads, own storage backends), not single-core speed",
         counted.join("; ")
     ));
     table

@@ -29,7 +29,8 @@
 //!   considered but not held (`problem::can_still_reach`). Before it sweeps,
 //!   one backward relaxation over [`GraphView::parents`] (`Completions`, in
 //!   the crate-private `lookahead` module, where the TA adaptation reads it
-//!   too) gives every node `c` of the view `C[c][r]`, the heaviest path of
+//!   too; a start window reads its run's table through a `Lens`, as its own)
+//!   gives every node `c` of the view `C[c][r]`, the heaviest path of
 //!   length exactly `r` leaving `c` inside the view, for each `r` a prefix
 //!   ending at `c` can ask for — the `startwts` of the paper's TA
 //!   adaptation, per length — and `θ₀`, the k-th largest `C[c][l]`: `k`
@@ -107,7 +108,10 @@
 //! of them — one for full paths and inside a start window, 86 KB for
 //! 12 × 300 nodes at `l = 6`, a fraction of the view's own adjacency — and
 //! none is sized by `k`. It is allocated once (a table the allocator refuses
-//! is the query's error, not an abort) and dropped with the sweep. Only the
+//! is the query's error, not an abort) and dropped with the sweep — or, for
+//! a start window of a shard range, built once for the run of windows the
+//! range solves and dropped with the run (at most 1 MiB, or the window's own
+//! table where that is larger). Only the
 //! global heap `H` holds materialized [`ClusterPath`]s — built behind its
 //! `would_admit` check — so an answer never points into a table.
 //!
@@ -125,7 +129,7 @@ use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterGraph, ClusterNodeId, GraphView};
 use crate::error::{BscError, BscResult};
-use crate::lookahead::Completions;
+use crate::lookahead::{Completions, Lens};
 use crate::path::ClusterPath;
 use crate::problem::{can_still_reach, shortest_feasible, summation_slack, KlStableParams};
 use crate::solver::{
@@ -510,12 +514,13 @@ impl Ring {
 /// global top-k of length-`l` paths, and the counters.
 /// [`IntervalSweep::advance`] is the only place the algorithm's inner loop
 /// exists.
-struct IntervalSweep {
+struct IntervalSweep<'t> {
     k: usize,
     l: u32,
     /// How every subpath of the view can end, and how deep its last interval
-    /// lies. It decides the work done, never the answer.
-    ahead: Completions,
+    /// lies: the view's own table, or its run's read as its own. It decides
+    /// the work done, never the answer.
+    ahead: Lens<'t>,
     window: Ring,
     /// The rows of the node in progress.
     rows: Table,
@@ -545,7 +550,7 @@ struct IntervalSweep {
 }
 
 #[cfg(test)]
-impl IntervalSweep {
+impl IntervalSweep<'_> {
     /// Mark every node of every interval to come, as if every node were
     /// live: what the sweep then visits and holds is what it held before it
     /// passed over anyone.
@@ -689,18 +694,12 @@ pub(crate) fn threshold_scenario(offset: u32) -> (ClusterGraph, ClusterPath) {
     (builder.build(), ClusterPath::new(answer, 2.75 + STEP))
 }
 
-impl IntervalSweep {
+impl<'t> IntervalSweep<'t> {
     /// A sweep of `view` that has learnt how every subpath of it can end:
-    /// one backward pass over its edges, before any interval is swept (a
-    /// table the allocator refuses, or a tripped `cancel`, is the error).
-    fn new(
-        params: KlStableParams,
-        view: GraphView<'_>,
-        cancel: Option<&CancelToken>,
-    ) -> BscResult<Self> {
-        let mut tick = 0;
-        let ahead = Completions::of(view, params, cancel, &mut tick)?;
-        Ok(IntervalSweep {
+    /// `ahead`, a lens over `view` of a table built before any interval is
+    /// swept. `tick` carries on the amortization of the table's checkpoints.
+    fn new(params: KlStableParams, view: GraphView<'_>, ahead: Lens<'t>, tick: u32) -> Self {
+        IntervalSweep {
             k: params.k,
             l: params.l,
             ahead,
@@ -714,7 +713,7 @@ impl IntervalSweep {
             all_marked_before: 0,
             stats: SolverStats::default(),
             tick,
-        })
+        }
     }
 
     /// Sweep `interval` of `view`: compute the heaps `h^x` of each of its
@@ -875,14 +874,17 @@ impl IntervalSweep {
         Ok(())
     }
 
-    /// Batch BFS: learn how every subpath of `view` can end, then sweep its
-    /// intervals.
+    /// Batch BFS: read how every subpath of `view` can end off `table` (a
+    /// table of `view`'s own, or of a run of windows that holds it), then
+    /// sweep its intervals.
     fn run(
         params: KlStableParams,
         view: GraphView<'_>,
+        table: &Completions,
         cancel: Option<&CancelToken>,
+        tick: u32,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
-        let mut sweep = IntervalSweep::new(params, view, cancel)?;
+        let mut sweep = IntervalSweep::new(params, view, table.lens(view, params.k), tick);
         for interval in view.intervals() {
             sweep.advance(view, interval, cancel)?;
         }
@@ -944,15 +946,36 @@ impl BfsStableClusters {
         &self,
         graph: impl Into<GraphView<'a>>,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
-        let graph = graph.into();
+        self.run_in(graph.into(), None)
+    }
+
+    /// [`BfsStableClusters::run_with_stats`] over `view`, reading its
+    /// look-ahead off `shared` — a table for this `l` over a view that holds
+    /// `view` — or, for `None`, off a table of its own, built first (one the
+    /// allocator refuses, or a tripped token, is the error). Either way the
+    /// same answer and the same counters.
+    pub(crate) fn run_in(
+        &self,
+        view: GraphView<'_>,
+        shared: Option<&Completions>,
+    ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
         let KlStableParams { k, l } = self.params;
         let cancel = self.cancel.as_ref();
         check_not_expired(cancel)?;
-        let m = graph.num_intervals() as u32;
+        let m = view.num_intervals() as u32;
         if k == 0 || l == 0 || m < 2 {
             return Ok((Vec::new(), SolverStats::default()));
         }
-        IntervalSweep::run(self.params, graph, cancel)
+        let mut tick = 0;
+        let own;
+        let table = match shared {
+            Some(table) => table,
+            None => {
+                own = Completions::of(view, l, cancel, &mut tick)?;
+                &own
+            }
+        };
+        IntervalSweep::run(self.params, view, table, cancel, tick)
     }
 }
 
@@ -1085,11 +1108,20 @@ mod tests {
 
     /// What a sweep learns before it sweeps.
     fn ahead_of(view: GraphView<'_>, params: KlStableParams) -> Completions {
-        Completions::of(view, params, None, &mut 0).unwrap()
+        Completions::of(view, params.l, None, &mut 0).unwrap()
+    }
+
+    /// A sweep of `view` over `table`, as `run` makes one.
+    fn sweep_of<'t>(
+        table: &'t Completions,
+        params: KlStableParams,
+        view: GraphView<'_>,
+    ) -> IntervalSweep<'t> {
+        IntervalSweep::new(params, view, table.lens(view, params.k), 0)
     }
 
     /// `C[node][r]`, for an `r` asked of `node`.
-    fn completion(ahead: &Completions, node: ClusterNodeId, r: u32) -> f64 {
+    fn completion(ahead: &Lens<'_>, node: ClusterNodeId, r: u32) -> f64 {
         let (shortest, best) = ahead.leaving(node);
         best[(r - shortest) as usize]
     }
@@ -1124,7 +1156,8 @@ mod tests {
                         let exhaustive = exhaustive.into_sorted();
                         assert!(!exhaustive.is_empty(), "{case}");
 
-                        let mut sweep = IntervalSweep::new(params, view, None).unwrap();
+                        let table = ahead_of(view, params);
+                        let mut sweep = sweep_of(&table, params, view);
                         let mut held = 0;
                         for interval in view.intervals() {
                             let before = sweep.global.admission_threshold();
@@ -1173,7 +1206,8 @@ mod tests {
         assert_eq!(whole[0].weight(), 3.0);
 
         // Lane `a`, one step short of θ₀, and the twin are never held.
-        let mut sweep = IntervalSweep::new(params, graph.view(), None).unwrap();
+        let table = ahead_of(graph.view(), params);
+        let mut sweep = sweep_of(&table, params, graph.view());
         assert_eq!(sweep.ahead.floor(), 2.75 + STEP);
         for interval in graph.view().intervals() {
             sweep.advance(graph.view(), interval, None).unwrap();
@@ -1241,7 +1275,7 @@ mod tests {
                         let case = format!("gap={gap} first={first} last={last} l={l} k={k}");
                         let expected = brute_force(&paths, k, l);
                         assert_eq!(expected.is_empty(), l > last, "{case}");
-                        let sparse = ahead_of(view, params).holds_weights();
+                        let sparse = ahead_of(view, params).lens(view, k).holds_weights();
                         assert_eq!(sparse, (2..=last).contains(&l), "{case}");
                         let (found, stats) =
                             BfsStableClusters::new(params).run_with_stats(view).unwrap();
@@ -1290,7 +1324,8 @@ mod tests {
                     for k in [1, 5, 50] {
                         let params = KlStableParams::new(k, l);
                         let case = format!("{name} first={first} l={l} k={k}");
-                        let sweep = || IntervalSweep::new(params, view, None).unwrap();
+                        let table = ahead_of(view, params);
+                        let sweep = || sweep_of(&table, params, view);
                         let (mut shipped, mut everyone) = (sweep(), sweep());
                         everyone.mark_everyone();
                         for interval in view.intervals() {
@@ -1346,7 +1381,8 @@ mod tests {
         let graph = builder.build();
         let view = graph.view();
         let params = KlStableParams::new(1, l);
-        let mut sweep = IntervalSweep::new(params, view, None).unwrap();
+        let table = ahead_of(view, params);
+        let mut sweep = sweep_of(&table, params, view);
         let mut widest_ring = 0;
         for interval in view.intervals() {
             sweep.advance(view, interval, None).unwrap();
@@ -1371,7 +1407,8 @@ mod tests {
         // of them than the view has intervals.)
         let graph = random_graph(4, 6, 1, u32::MAX, 77);
         let params = KlStableParams::new(1, 2);
-        let mut sweep = IntervalSweep::new(params, graph.view(), None).unwrap();
+        let table = ahead_of(graph.view(), params);
+        let mut sweep = sweep_of(&table, params, graph.view());
         for interval in graph.view().intervals() {
             sweep.advance(graph.view(), interval, None).unwrap();
             assert!(
@@ -1412,7 +1449,8 @@ mod tests {
         for (case, graph, l) in cases {
             let view = graph.view();
             let params = KlStableParams::new(k, l);
-            let mut sweep = IntervalSweep::new(params, view, None).unwrap();
+            let table = ahead_of(view, params);
+            let mut sweep = sweep_of(&table, params, view);
             let (mut peak_slots, mut peak_links, mut peak_bytes) = (0, 0, 0);
             for interval in view.intervals() {
                 sweep.advance(view, interval, None).unwrap();
@@ -1454,7 +1492,8 @@ mod tests {
             (graph.window(1, 2), 1, vec![0.25]),
         ] {
             let params = KlStableParams::new(usize::MAX, l);
-            assert_eq!(ahead_of(view, params).floor(), f64::NEG_INFINITY);
+            let ahead = ahead_of(view, params);
+            assert_eq!(ahead.lens(view, params.k).floor(), f64::NEG_INFINITY);
             let paths = BfsStableClusters::new(params).run(view).unwrap();
             let found: Vec<f64> = paths.iter().map(ClusterPath::weight).collect();
             assert_eq!(found, weights, "l={l}");

@@ -34,12 +34,15 @@ use std::sync::{Arc, OnceLock};
 
 use bsc_storage::backend::StorageSpec;
 
+use crate::bfs::BfsStableClusters;
 use crate::cluster_graph::{ClusterGraph, GraphView};
 use crate::error::{BscError, BscResult};
+use crate::lookahead::Completions;
 use crate::path::ClusterPath;
-use crate::problem::StableClusterSpec;
+use crate::problem::{KlStableParams, StableClusterSpec};
 use crate::snapshot::GraphSnapshot;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions, SolverStats, StableClusterSolver};
+use crate::ta::TaStableClusters;
 use crate::windowed::{PathLength, Windowed};
 
 /// The worker set of a distributed fan-out: a non-empty list of
@@ -190,6 +193,34 @@ pub fn solve_window_locally(
     algorithm: AlgorithmKind,
     options: &SolverOptions,
 ) -> BscResult<WindowResult> {
+    solve_window(graph, start, l, k, algorithm, options, None)
+}
+
+/// Does a window solved by `algorithm` read its look-ahead through a lens,
+/// so that a run of windows may share one table? BFS does — and so does
+/// `auto` without a budget, which is BFS for every Problem 1 query — and TA
+/// does for `startwts`. A budgeted `auto` priced one window's table and
+/// keeps its own; DFS reads none.
+pub(crate) fn reads_a_shared_table(algorithm: AlgorithmKind) -> bool {
+    matches!(
+        algorithm,
+        AlgorithmKind::Bfs | AlgorithmKind::Ta | AlgorithmKind::Auto { budget_bytes: None }
+    )
+}
+
+/// [`solve_window_locally`], reading the window's look-ahead off `shared`
+/// where its leaf can ([`reads_a_shared_table`]): a table for this `l` over
+/// a run of windows that holds this one. The answer and every counter are
+/// those of the window solved alone.
+pub(crate) fn solve_window(
+    graph: &ClusterGraph,
+    start: u32,
+    l: u32,
+    k: usize,
+    algorithm: AlgorithmKind,
+    options: &SolverOptions,
+    shared: Option<&Completions>,
+) -> BscResult<WindowResult> {
     let m = graph.num_intervals();
     let end = start.checked_add(l).filter(|&end| (end as usize) < m);
     let end = end.ok_or_else(|| {
@@ -197,17 +228,31 @@ pub fn solve_window_locally(
             "window of length {l} at interval {start} is outside the graph ({m} intervals)"
         ))
     })?;
-    // Window solves are the leaves of any fan-out: `build_leaf` never
-    // shards or re-distributes, whatever the caller's options said.
-    let mut solver = algorithm.build_leaf(
-        StableClusterSpec::ExactLength(l),
-        k,
-        l as usize + 1,
-        options,
-    )?;
+    let view = graph.window(start, end);
+    let cancel = options.cancel.clone();
+    let solution = match shared.filter(|_| reads_a_shared_table(algorithm)) {
+        Some(table) if algorithm == AlgorithmKind::Ta => {
+            let ta = TaStableClusters::new(k).with_cancel(cancel);
+            Solution::of(|| ta.run_in(view, Some(table)))
+        }
+        Some(table) => {
+            let bfs = BfsStableClusters::new(KlStableParams::new(k, l)).with_cancel(cancel);
+            Solution::of(|| bfs.run_in(view, Some(table)))
+        }
+        // Window solves are the leaves of any fan-out: `build_leaf` never
+        // shards or re-distributes, whatever the caller's options said.
+        None => algorithm
+            .build_leaf(
+                StableClusterSpec::ExactLength(l),
+                k,
+                l as usize + 1,
+                options,
+            )?
+            .solve_view(view),
+    };
     let Solution {
         paths, mut stats, ..
-    } = solver.solve_view(graph.window(start, end))?;
+    } = solution?;
     // One window actually solved: sharded, distributed and delta solves all
     // merge these, so the aggregate's `windows_resolved` counts the windows
     // that ran regardless of how they were partitioned.

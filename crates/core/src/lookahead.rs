@@ -9,11 +9,13 @@
 //!
 //! * [`Completions`] is the backward pass (over [`GraphView::parents`], last
 //!   interval first): `C[c][r]`, the heaviest path of length exactly `r`
-//!   leaving `c`, for each `r` a prefix ending at `c` can ask for, and `θ₀`,
-//!   the k-th largest `C[c][l]`. It is `startwts`, per length. Algorithm 2
-//!   ([`crate::bfs`], rule 3 of its module docs) bounds every subpath it
-//!   might hold by it; the TA adaptation ([`crate::ta`]) reads the one length
-//!   a full-path query asks of each node.
+//!   leaving `c`, for each `r` a prefix ending at `c` can ask for. It is
+//!   `startwts`, per length. A solver reads it through a [`Lens`] over its
+//!   own view, which also holds that view's `θ₀`, the k-th largest `C[c][l]`
+//!   over its starts. Algorithm 2 ([`crate::bfs`], rule 3 of its module docs)
+//!   bounds every subpath it might hold by it; the TA adaptation
+//!   ([`crate::ta`]) reads the one length a full-path query asks of each
+//!   node.
 //! * [`Arrivals`] is its forward mirror for full paths (over
 //!   [`GraphView::children`], first interval first): the heaviest path from
 //!   the view's first interval to `c`. It is `endwts`; only TA reads it.
@@ -23,6 +25,25 @@
 //! abort), and dropped with the solve. What is read through them is judged
 //! by [`can_still_reach`](crate::problem::can_still_reach), whose slack
 //! covers the different orders the two passes and a solver sum a path in.
+//!
+//! **One table per run of windows.** A start window `[s, s + l]` asks one
+//! length of each node, `l − d` of a node `d` intervals in. A run of
+//! consecutive windows `[a, b]` — the windows a shard range solves — asks
+//! of a node `D` intervals into `[a, b + l]` every length from
+//! `max(l − D, 1)` to `min(l, b + l − a − D)`: exactly the lengths its
+//! windows ask of it, one each. So one table over `[a, b + l]` holds every
+//! weight of every window's own table, and nothing else: each edge is
+//! relaxed once for the run, with the run of `max`es the plan already
+//! makes, instead of once per window it lies in. What a window reads there
+//! is the same weight, bit for bit — a path of length `l − d` from a node of
+//! the window ends at `s + l`, inside the window, so the run's slot is the
+//! max over the very paths, summed in the very order, of the window's own.
+//! A [`Lens`] ([`Completions::lens`]) reads a view's rows off a wider table
+//! and takes the view's own `θ₀` over the view's own starts: the run's would
+//! be higher, and unsound for a window. Every solve reads through one; an
+//! unsharded solve's lens is over a table of its own view. A run's table is
+//! capped at [`RUN_TABLE_WEIGHTS`] (1 MiB) and built by the windowed
+//! executor ([`crate::windowed`]).
 //!
 //! Both passes read an interval's rows as stored ([`GraphView::rows`]) and
 //! compare one end of an edge against the view, the end that can lie
@@ -44,28 +65,30 @@ use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterNodeId, GraphView};
 use crate::error::{BscError, BscResult};
-use crate::problem::KlStableParams;
 use crate::solver::checkpoint;
 
-/// What a batch driver knows of the intervals its search has yet to reach:
-/// how deep the last one lies, and how every subpath can end. `best` is the
-/// table `C[c][r]` — the largest weight of a path of length exactly `r` that
-/// leaves `c` inside the view, `−∞` where there is none — filled by one
-/// backward relaxation over [`GraphView::parents`], each sum built right to
-/// left. A node has a weight only for the `r` it can be asked for
-/// ([`Completions::lengths`]): at most `min(l, last − l + 1)` of them, one
-/// for full paths and inside a start window. Dropped with the solve.
+/// How every subpath of a view can end: the table `C[c][r]` — the largest
+/// weight of a path of length exactly `r` that leaves `c` inside the view,
+/// `−∞` where there is none — filled by one backward relaxation over
+/// [`GraphView::parents`], each sum built right to left. A node has a weight
+/// only for the `r` it can be asked for ([`Completions::lengths`]): at most
+/// `min(l, last − l + 1)` of them, one for full paths and inside a start
+/// window. A solver reads it through a [`Lens`] over its own view, which may
+/// be the table's view or any view inside it (a run of start windows shares
+/// one table). Dropped with the solve, or with the run.
 pub(crate) struct Completions {
+    l: u32,
     first: u32,
-    /// How many intervals into the view its last one lies.
-    last: u32,
     /// Per interval of the view, where its nodes' weights lie in `best`.
     asked: Vec<Asked>,
     /// `C[c][r]`, a node's weights adjacent, by `r − shortest`.
     best: Vec<f64>,
-    /// `θ₀`, see [`Completions::floor`].
-    floor: f64,
 }
+
+/// The most weights a run of start windows shares in one table (1 MiB). A
+/// window whose own table is larger gets a table of its own, as it would
+/// solved alone; past that, [`table_overflow`]'s advice holds.
+pub(crate) const RUN_TABLE_WEIGHTS: usize = (1 << 20) / std::mem::size_of::<f64>();
 
 /// The weights of one interval's nodes in [`Completions::best`]: node
 /// `index` has `width` of them from `at + index · width` on, for the lengths
@@ -75,6 +98,27 @@ struct Asked {
     at: usize,
     shortest: u32,
     width: usize,
+}
+
+/// The weights one interval's nodes are asked for, in a table laid out for
+/// a view that may be wider: node `index` has `width` of them from
+/// `at + index · stride` on, for the lengths `shortest..shortest + width`.
+/// Not [`Asked`] with a stride: the kernel reads `Asked`, and a fourth field
+/// there read 4 % slower on a cold solve.
+#[derive(Clone, Copy)]
+struct Rows {
+    at: usize,
+    stride: usize,
+    shortest: u32,
+    width: usize,
+}
+
+impl Rows {
+    /// Where the weights of the interval's node `index` start.
+    #[inline]
+    fn row(self, index: usize) -> usize {
+        self.at + index * self.stride
+    }
 }
 
 /// A look-ahead table the allocator will not give.
@@ -110,19 +154,31 @@ impl Completions {
         shortest..(l.min(last - depth) + 1).max(shortest)
     }
 
+    /// How many weights `view`'s own table holds for length `l`: one per
+    /// node and length asked of it. A run of start windows holds exactly the
+    /// sum of its windows' counts. (`of` spells the same layout out inline:
+    /// routed through one shared iterator, the kernel's code read 2–3 %
+    /// slower on a cold solve, in-process.)
+    pub(crate) fn weights(view: GraphView<'_>, l: u32) -> usize {
+        let (first, last) = (view.first_interval(), last_of(view));
+        let lengths = |interval: u32| Completions::lengths(l, interval - first, last);
+        let weights =
+            |interval| view.nodes_in_interval(interval) as usize * lengths(interval).len();
+        view.intervals().map(weights).sum()
+    }
+
     /// Relax every edge of `view` once, last interval first, for the lengths
     /// asked of its parent that it can be the first edge of: one `r` per
     /// edge for full paths and start windows, at most `l` otherwise. The
-    /// checkpoints count on `tick`, the caller's own.
+    /// checkpoints count on `tick`, the caller's own. `k` plays no part:
+    /// the table is every window's, and `θ₀` is each [`Lens`]'s own.
     pub(crate) fn of(
         view: GraphView<'_>,
-        params: KlStableParams,
+        l: u32,
         cancel: Option<&CancelToken>,
         tick: &mut u32,
     ) -> BscResult<Completions> {
-        let KlStableParams { k, l } = params;
-        let first = view.first_interval();
-        let last = (view.num_intervals() as u32).saturating_sub(1);
+        let (first, last) = (view.first_interval(), last_of(view));
         let lengths = |interval: u32| Completions::lengths(l, interval - first, last);
         let weights =
             |interval| view.nodes_in_interval(interval) as usize * lengths(interval).len();
@@ -134,25 +190,19 @@ impl Completions {
         };
         let total = offsets.last().copied().unwrap_or(0);
         let mut ahead = Completions {
+            l,
             first,
-            last,
             asked: view.intervals().zip(&offsets).map(layout).collect(),
             best: blank(total)?,
-            floor: f64::NEG_INFINITY,
         };
         if total == 0 {
             return Ok(ahead);
         }
-        // `C[c][l]` of every node it is asked of — `−∞` where no length-`l`
-        // path starts, which sorts last — one value per node at most,
-        // whatever `k` is.
-        let mut whole = Vec::new();
         // Indexed by edge length; no edge has length 0.
         let mut plan = vec![Step::default()];
         for interval in view.intervals().rev() {
             let depth = interval - first;
             let mine = ahead.asked[depth as usize];
-            let asks_l = mine.shortest + mine.width as u32 > l;
             // Parents lie in earlier intervals: their rows are all before ours.
             let (earlier, ours) = ahead.best.split_at_mut(mine.at);
             let (parents, _) = view.rows(interval);
@@ -160,9 +210,8 @@ impl Completions {
             for index in 0..view.nodes_in_interval(interval) {
                 checkpoint(cancel, tick)?;
                 // Every edge leaving this node has been relaxed: its weights
-                // are final, `C[child][l]` the last of them if it is asked.
+                // are final.
                 let child = &ours[index as usize * mine.width..][..mine.width];
-                whole.extend(child.last().copied().filter(|_| asks_l));
                 for edge in parents.row(index) {
                     let len = interval - edge.to.interval;
                     if len as usize >= plan.len() {
@@ -190,25 +239,105 @@ impl Completions {
                 }
             }
         }
-        if let Some(kth) = k.checked_sub(1).filter(|&kth| kth < whole.len()) {
-            ahead.floor = *whole.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1;
-        }
         Ok(ahead)
     }
 
+    /// What `view` — the table's own view or one inside it — would read in
+    /// a table of its own, and its `θ₀` for `k`. The lengths a view asks of
+    /// a node are among those its table asks (a node `D` intervals into the
+    /// table's view and `d ≤ D` into `view` is asked `r ≥ l − d ≥ l − D`,
+    /// and `r` no longer than `view` leaves room for), and every path of
+    /// such a length ends inside `view`: the weight the lens reads is the
+    /// max over the very paths, summed in the very order, that `view`'s own
+    /// table would hold — the same bits.
+    pub(crate) fn lens(&self, view: GraphView<'_>, k: usize) -> Lens<'_> {
+        let (l, first, last) = (self.l, view.first_interval(), last_of(view));
+        let past = view.intervals().end.checked_sub(self.first);
+        debug_assert!(first >= self.first && past.is_some_and(|p| p as usize <= self.asked.len()));
+        let layout = |interval: u32| {
+            let table = self.asked[(interval - self.first) as usize];
+            let asked = Completions::lengths(l, interval - first, last);
+            debug_assert!(asked.is_empty() || table.shortest <= asked.start);
+            debug_assert!(asked.end <= table.shortest + table.width as u32);
+            let skip = match asked.is_empty() {
+                true => 0,
+                false => (asked.start - table.shortest) as usize,
+            };
+            Rows {
+                at: table.at + skip,
+                stride: table.width,
+                shortest: asked.start,
+                width: asked.len(),
+            }
+        };
+        let rows: Vec<Rows> = view.intervals().map(layout).collect();
+        let nodes = |interval| view.nodes_in_interval(interval) as usize;
+        let mut own = view.intervals().zip(&rows);
+        let holds_weights = own.any(|(interval, rows)| nodes(interval) * rows.width > 0);
+        // `C[c][l]` of every node `view` asks it of — `−∞` where no length-`l`
+        // path starts, which sorts last — one value per node at most,
+        // whatever `k` is.
+        let asks_l = |(_, rows): &(u32, &Rows)| rows.shortest + rows.width as u32 > l;
+        let starts = view.intervals().zip(&rows).filter(asks_l);
+        let mut whole: Vec<f64> = Vec::with_capacity(starts.clone().map(|(i, _)| nodes(i)).sum());
+        starts.for_each(|(interval, rows)| {
+            // An interval without nodes may have no row to start from.
+            let from = self
+                .best
+                .get(rows.at + rows.width - 1..)
+                .unwrap_or_default();
+            let ends = from.iter().step_by(rows.stride);
+            whole.extend(ends.take(nodes(interval)).copied());
+        });
+        let mut floor = f64::NEG_INFINITY;
+        if let Some(kth) = k.checked_sub(1).filter(|&kth| kth < whole.len()) {
+            floor = *whole.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1;
+        }
+        Lens {
+            best: &self.best,
+            first,
+            last,
+            rows,
+            floor,
+            holds_weights,
+        }
+    }
+}
+
+/// How many intervals into `view` its last one lies.
+fn last_of(view: GraphView<'_>) -> u32 {
+    (view.num_intervals() as u32).saturating_sub(1)
+}
+
+/// One view's reading of a [`Completions`] built over it or over a view
+/// that holds it ([`Completions::lens`]): what its own table would answer,
+/// and its own `θ₀`. Every solve reads its table through one — the whole
+/// view's over its own table, a start window's over its run's.
+pub(crate) struct Lens<'t> {
+    best: &'t [f64],
+    first: u32,
+    /// How many intervals into the view its last one lies.
+    last: u32,
+    /// Per interval of the view, where its nodes' weights lie in `best`.
+    rows: Vec<Rows>,
+    floor: f64,
+    holds_weights: bool,
+}
+
+impl Lens<'_> {
     /// The shortest length asked of `node`, and `C[node][r]` from it on.
     #[inline]
     pub(crate) fn leaving(&self, node: ClusterNodeId) -> (u32, &[f64]) {
-        let asked = self.asked[(node.interval - self.first) as usize];
-        let row = asked.row(node.index);
-        (asked.shortest, &self.best[row..row + asked.width])
+        let rows = self.rows[(node.interval - self.first) as usize];
+        let row = rows.row(node.index as usize);
+        (rows.shortest, &self.best[row..row + rows.width])
     }
 
-    /// Of a full-path table (`l` the view's whole length), which asks one
-    /// length of every node before the last interval and none of a node in
-    /// it: the heaviest path from `node` to the last interval, `0` there —
-    /// the `startwts` of the TA adaptation. (A two-interval view holds no
-    /// table; every edge of it ends in the last interval.)
+    /// Of a full-path view (`l` its whole length), which is asked one length
+    /// of every node before the last interval and none of a node in it: the
+    /// heaviest path from `node` to the last interval, `0` there — the
+    /// `startwts` of the TA adaptation. (A two-interval view holds no
+    /// weight; every edge of it ends in the last interval.)
     #[inline]
     pub(crate) fn to_the_end(&self, node: ClusterNodeId) -> f64 {
         self.leaving(node).1.first().copied().unwrap_or(0.0)
@@ -218,7 +347,8 @@ impl Completions {
     /// fewer than `k` of them start a length-`l` path. `k` distinct starts
     /// are `k` distinct paths, so the final k-th answer weighs at least this
     /// (within [`can_still_reach`](crate::problem::can_still_reach)'s slack)
-    /// before anything is searched.
+    /// before anything is searched. Taken over the view's own starts only:
+    /// a run's starts would set a floor one window cannot reach.
     #[inline]
     pub(crate) fn floor(&self) -> f64 {
         self.floor
@@ -230,20 +360,12 @@ impl Completions {
         self.last
     }
 
-    /// Does the table hold a weight at all? Not for `l = 1` or an `l` beyond
-    /// the last interval ([`Completions::lengths`]): such a table bounds
+    /// Does the view read a weight at all? Not for `l = 1` or an `l` beyond
+    /// its last interval ([`Completions::lengths`]): such a lens bounds
     /// nothing and says of no node whether an answer can start there.
     #[inline]
     pub(crate) fn holds_weights(&self) -> bool {
-        !self.best.is_empty()
-    }
-}
-
-impl Asked {
-    /// Where the weights of the interval's node `index` start.
-    #[inline]
-    fn row(self, index: u32) -> usize {
-        self.at + index as usize * self.width
+        self.holds_weights
     }
 }
 
@@ -429,7 +551,7 @@ mod tests {
     use crate::bfs::{threshold_scenario, BfsStableClusters};
     use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder};
     use crate::path::ClusterPath;
-    use crate::problem::{summation_slack, StableClusterSpec};
+    use crate::problem::{summation_slack, KlStableParams, StableClusterSpec};
     use crate::sharded::ShardedSolver;
     use crate::solver::{AlgorithmKind, SolverOptions, StableClusterSolver};
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
@@ -437,22 +559,23 @@ mod tests {
     use crate::topk::TopKPaths;
 
     /// The backward relaxation as written before the plan, into the layout
-    /// `of` lays out: each parent through [`GraphView::parents`], each length
-    /// it asks through a `match` on what is left for the child. The
-    /// reference the kernel is held to.
-    fn completions_by_reference(view: GraphView<'_>, params: KlStableParams) -> Completions {
+    /// `of` lays out, and `θ₀` as the pass took it: each parent through
+    /// [`GraphView::parents`], each length it asks through a `match` on what
+    /// is left for the child. The reference the kernel and the lens are held
+    /// to.
+    fn completions_by_reference(view: GraphView<'_>, params: KlStableParams) -> (Vec<f64>, f64) {
         let KlStableParams { k, l } = params;
         let first = view.first_interval();
-        let mut ahead = ahead_of(view, params);
+        let mut ahead = ahead_of(view, l);
         ahead.best.fill(f64::NEG_INFINITY);
-        ahead.floor = f64::NEG_INFINITY;
+        let mut floor = f64::NEG_INFINITY;
         let mut whole = Vec::new();
         for interval in view.intervals().rev() {
             let depth = interval - first;
             let mine = ahead.asked[depth as usize];
             for index in 0..view.nodes_in_interval(interval) {
                 let child = ClusterNodeId::new(interval, index);
-                let child_row = mine.row(index);
+                let child_row = mine.at + index as usize * mine.width;
                 if mine.shortest + mine.width as u32 > l {
                     let weight = ahead.best[child_row + mine.width - 1];
                     if weight > f64::NEG_INFINITY {
@@ -462,7 +585,7 @@ mod tests {
                 for edge in view.parents(child) {
                     let len = ClusterGraph::edge_length(edge.to, child);
                     let theirs = ahead.asked[(depth - len) as usize];
-                    let parent_row = theirs.row(edge.to.index);
+                    let parent_row = theirs.at + edge.to.index as usize * theirs.width;
                     for r in theirs.shortest.max(len)..theirs.shortest + theirs.width as u32 {
                         let rest = match r - len {
                             0 => 0.0,
@@ -475,9 +598,9 @@ mod tests {
             }
         }
         if let Some(kth) = k.checked_sub(1).filter(|&kth| kth < whole.len()) {
-            ahead.floor = *whole.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1;
+            floor = *whole.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1;
         }
-        ahead
+        (ahead.best, floor)
     }
 
     /// The forward relaxation as written before the plan: each child through
@@ -510,20 +633,13 @@ mod tests {
             "{case}"
         );
         for l in ls {
+            let kernel = ahead_of(view, l);
             for k in [1, 5] {
-                let params = KlStableParams::new(k, l);
-                let (kernel, reference) = (
-                    ahead_of(view, params),
-                    completions_by_reference(view, params),
-                );
+                let (best, floor) = completions_by_reference(view, KlStableParams::new(k, l));
+                assert_eq!(bits(&kernel.best), bits(&best), "{case} l={l} k={k}");
                 assert_eq!(
-                    bits(&kernel.best),
-                    bits(&reference.best),
-                    "{case} l={l} k={k}"
-                );
-                assert_eq!(
-                    kernel.floor.to_bits(),
-                    reference.floor.to_bits(),
+                    kernel.lens(view, k).floor().to_bits(),
+                    floor.to_bits(),
                     "{case} l={l} k={k}"
                 );
             }
@@ -534,8 +650,8 @@ mod tests {
         ClusterNodeId::new(interval, index)
     }
 
-    fn ahead_of(view: GraphView<'_>, params: KlStableParams) -> Completions {
-        Completions::of(view, params, None, &mut 0).unwrap()
+    fn ahead_of(view: GraphView<'_>, l: u32) -> Completions {
+        Completions::of(view, l, None, &mut 0).unwrap()
     }
 
     fn random_graph(m: usize, n: u32, d: u32, gap: u32, seed: u64) -> ClusterGraph {
@@ -580,7 +696,8 @@ mod tests {
                     whole.sort_by(|a, b| b.total_cmp(a));
                     for k in [1, 3] {
                         let case = format!("gap={gap} first={first} l={l} k={k}");
-                        let ahead = ahead_of(view, KlStableParams::new(k, l));
+                        let table = ahead_of(view, l);
+                        let ahead = table.lens(view, k);
                         assert_eq!(ahead.last(), last, "{case}");
                         for node in view.intervals().flat_map(|i| view.interval_node_ids(i)) {
                             let depth = node.interval - first;
@@ -631,13 +748,16 @@ mod tests {
         let graph = builder.build();
         let last = m - 1;
         for l in [last, last - 9, 10, 2] {
-            let ahead = ahead_of(graph.view(), KlStableParams::new(1, l));
+            let ahead = ahead_of(graph.view(), l);
             let per_node = l.min(last - l + 1) as usize;
             assert!(ahead.best.len() <= graph.num_nodes() * per_node, "l={l}");
-            assert_eq!(ahead.floor(), f64::from(l) * 0.5, "l={l}");
+            assert_eq!(ahead.best.len(), Completions::weights(graph.view(), l));
+            let floor = ahead.lens(graph.view(), 1).floor();
+            assert_eq!(floor, f64::from(l) * 0.5, "l={l}");
         }
-        let full = ahead_of(graph.view(), KlStableParams::new(1, last));
-        assert_eq!(full.best.len(), graph.num_nodes() - 1);
+        let table = ahead_of(graph.view(), last);
+        assert_eq!(table.best.len(), graph.num_nodes() - 1);
+        let full = table.lens(graph.view(), 1);
         assert_eq!(full.to_the_end(node(0, 0)), f64::from(last) * 0.5);
         assert_eq!(full.to_the_end(node(last - 1, 0)), 0.5);
         assert_eq!(full.to_the_end(node(last, 0)), 0.0);
@@ -742,6 +862,78 @@ mod tests {
         assert_eq!(views, 4 * 3 * 4 * 24);
     }
 
+    /// `lens` reads `window` exactly as `alone`, the window's own table,
+    /// does: the same lengths and weights of every node, the same bits.
+    fn assert_reads_alike(lens: &Lens<'_>, alone: &Lens<'_>, window: GraphView<'_>, case: &str) {
+        let bits = |(shortest, weights): (u32, &[f64])| {
+            (
+                shortest,
+                weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(lens.last(), alone.last(), "{case}");
+        assert_eq!(lens.holds_weights(), alone.holds_weights(), "{case}");
+        assert_eq!(lens.floor().to_bits(), alone.floor().to_bits(), "{case}");
+        for node in window.intervals().flat_map(|i| window.interval_node_ids(i)) {
+            assert_eq!(
+                bits(lens.leaving(node)),
+                bits(alone.leaving(node)),
+                "{case}: {node}"
+            );
+            let (end, own_end) = (lens.to_the_end(node), alone.to_the_end(node));
+            assert_eq!(end.to_bits(), own_end.to_bits(), "{case}: {node}");
+        }
+    }
+
+    #[test]
+    fn a_run_of_windows_reads_each_window_as_its_own_table() {
+        // The kernel's battery: edges of one interval up to four, the four
+        // weightings, the whole graph and views that start mid-graph, `k` ∈
+        // {1, 5}. For every `l`, every run `[a, b]` of start windows inside
+        // the view and every window `[s, s + l]` of the run, the lens over
+        // the run's table reads what `Completions::of(window)` reads —
+        // weights, the lengths they are for, `to_the_end`, θ₀ (the window's
+        // own starts, never the run's), `last` and `holds_weights` — to the
+        // bit; and the run's table holds exactly its windows' weights.
+        let mut windows = 0;
+        for gap in 0..=3 {
+            let base = random_graph(7, 8, 3, gap, 7_300 + u64::from(gap));
+            for (name, weight) in WEIGHTINGS {
+                let graph = reweighted(&base, weight);
+                let m = graph.num_intervals() as u32;
+                for view in [graph.view(), graph.window(1, m - 1), graph.window(2, m - 2)] {
+                    let (first, end) = (view.first_interval(), view.intervals().end);
+                    for l in 1..end - first {
+                        for (a, b) in
+                            (first..end - l).flat_map(|a| (a..end - l).map(move |b| (a, b)))
+                        {
+                            let run = ahead_of(graph.window(a, b + l), l);
+                            let mut alone = 0;
+                            for s in a..=b {
+                                let window = graph.window(s, s + l);
+                                let own = ahead_of(window, l);
+                                alone += own.best.len();
+                                for k in [1, 5] {
+                                    let case =
+                                        format!("{name} gap={gap} l={l} run {a}..={b} s={s} k={k}");
+                                    let (lens, own) = (run.lens(window, k), own.lens(window, k));
+                                    assert_reads_alike(&lens, &own, window, &case);
+                                }
+                                windows += 1;
+                            }
+                            assert_eq!(
+                                run.best.len(),
+                                alone,
+                                "{name} gap={gap} l={l} run {a}..={b}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(windows, 4 * 4 * 211);
+    }
+
     /// The top `k` of every path of exactly `l` edges, each summed left to
     /// right: the oracle where [`every_path`] would hold every prefix of a
     /// 2 000-interval path. One walk per start that can reach `l`, on an
@@ -799,8 +991,9 @@ mod tests {
             [2, 499].into_iter(),
             "from 1 500",
         );
-        let widest = ahead_of(graph.view(), KlStableParams::new(5, 1_000));
-        assert_eq!(widest.leaving(node(999, 0)).1.len(), 1_000);
+        let widest = ahead_of(graph.view(), 1_000);
+        let lens = widest.lens(graph.view(), 5);
+        assert_eq!(lens.leaving(node(999, 0)).1.len(), 1_000);
 
         let k = 5;
         let full = enumerated(&graph, k, last);
@@ -814,18 +1007,21 @@ mod tests {
             &full,
             "ta full",
         );
+        // And in two ranges: 1 990 start windows of eleven intervals, whose
+        // runs share a table each, and 999 of 1 001 intervals, sixteen runs.
+        let options = SolverOptions::default().shards(2);
         for l in [10, 1_000] {
+            let expected = enumerated(&graph, k, l);
             let found = BfsStableClusters::new(KlStableParams::new(k, l))
                 .run(&graph)
                 .unwrap();
-            assert_same(&found, &enumerated(&graph, k, l), &format!("bfs exact:{l}"));
+            assert_same(&found, &expected, &format!("bfs exact:{l}"));
+            let spec = StableClusterSpec::ExactLength(l);
+            let mut sharded =
+                ShardedSolver::new(AlgorithmKind::Bfs, spec, k, options.clone()).unwrap();
+            let found = sharded.solve(&graph).unwrap().paths;
+            assert_same(&found, &expected, &format!("shards(2) exact:{l}"));
         }
-        // 1 990 start windows of eleven intervals, in two ranges.
-        let spec = StableClusterSpec::ExactLength(10);
-        let options = SolverOptions::default().shards(2);
-        let mut sharded = ShardedSolver::new(AlgorithmKind::Bfs, spec, k, options).unwrap();
-        let found = sharded.solve(&graph).unwrap().paths;
-        assert_same(&found, &enumerated(&graph, k, 10), "shards(2) exact:10");
 
         // `auto` prices the widest table: a byte short of BFS's estimate, with
         // DFS's stack beyond it too, the query is refused as a configuration.

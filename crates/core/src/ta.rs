@@ -52,9 +52,9 @@ use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterNodeId, GraphView};
 use crate::error::BscResult;
-use crate::lookahead::{Arrivals, Completions};
+use crate::lookahead::{Arrivals, Completions, Lens};
 use crate::path::ClusterPath;
-use crate::problem::{can_still_reach, KlStableParams};
+use crate::problem::can_still_reach;
 use crate::solver::{
     check_not_expired, checkpoint, AlgorithmKind, Solution, SolverStats, StableClusterSolver,
 };
@@ -85,7 +85,8 @@ struct Search<'a> {
     view: GraphView<'a>,
     /// The length of a full path, `m − 1`.
     l: u32,
-    startwts: Completions,
+    /// The view's own full-path table, or its run's read as its own.
+    startwts: Lens<'a>,
     endwts: Arrivals,
     global: TopKPaths,
     stats: SolverStats,
@@ -98,14 +99,22 @@ struct Search<'a> {
 
 impl<'a> Search<'a> {
     /// Look ahead over `view` (at least two intervals) in both directions:
-    /// everything a run knows before it pops its first edge.
-    fn over(view: GraphView<'a>, k: usize, cancel: Option<&'a CancelToken>) -> BscResult<Self> {
+    /// everything a run knows before it pops its first edge. `startwts` is
+    /// read off `table`, built for full paths of `view` over it or over a
+    /// view that holds it; `endwts` is filled here. `tick` carries on the
+    /// amortization of the table's checkpoints.
+    fn over(
+        view: GraphView<'a>,
+        k: usize,
+        table: &'a Completions,
+        cancel: Option<&'a CancelToken>,
+        mut tick: u32,
+    ) -> BscResult<Self> {
         let l = view.num_intervals() as u32 - 1;
-        let mut tick = 0;
         Ok(Search {
             view,
             l,
-            startwts: Completions::of(view, KlStableParams::new(k, l), cancel, &mut tick)?,
+            startwts: table.lens(view, k),
             endwts: Arrivals::of(view, cancel, &mut tick)?,
             global: TopKPaths::new(k),
             stats: SolverStats::default(),
@@ -282,14 +291,34 @@ impl TaStableClusters {
         &self,
         graph: impl Into<GraphView<'a>>,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
-        let view = graph.into();
+        self.run_in(graph.into(), None)
+    }
+
+    /// [`TaStableClusters::run_with_stats`] over `view`, reading `startwts`
+    /// off `shared` — a table for `view`'s full length over a view that
+    /// holds `view` — or, for `None`, off a table of its own, built first.
+    /// Either way the same answer and the same counters.
+    pub(crate) fn run_in(
+        &self,
+        view: GraphView<'_>,
+        shared: Option<&Completions>,
+    ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
         let cancel = self.cancel.as_ref();
         check_not_expired(cancel)?;
         let m = view.num_intervals() as u32;
         if self.k == 0 || m < 2 {
             return Ok((Vec::new(), SolverStats::default()));
         }
-        let mut search = Search::over(view, self.k, cancel)?;
+        let mut tick = 0;
+        let own;
+        let table = match shared {
+            Some(table) => table,
+            None => {
+                own = Completions::of(view, m - 1, cancel, &mut tick)?;
+                &own
+            }
+        };
+        let mut search = Search::over(view, self.k, table, cancel, tick)?;
         let (listed, mut lists) = search.sorted_lists()?;
         let floor = search.startwts.floor();
         let mut heads = Vec::with_capacity(lists.len());
@@ -538,7 +567,8 @@ mod tests {
         // listed, by interval pair and descending weight (the two 0.7s in
         // node order); the other five are never listed, and the pair (0, 2)
         // has no list at all.
-        let mut search = Search::over(graph.view(), 2, None).unwrap();
+        let table = Completions::of(graph.view(), 2, None, &mut 0).unwrap();
+        let mut search = Search::over(graph.view(), 2, &table, None, 0).unwrap();
         assert_eq!(search.startwts.floor(), 1.2);
         let (listed, lists) = search.sorted_lists().unwrap();
         let expected = [

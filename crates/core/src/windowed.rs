@@ -36,6 +36,26 @@
 //!   leaves untouched, and whether this solve's per-window results are kept
 //!   for the next epoch.
 //!
+//! ## One look-ahead table per run of windows
+//!
+//! Every BFS and TA window solve starts with the backward pass of
+//! `lookahead::Completions` over its view, and a node lies in up to `l + 1`
+//! windows. A local range worker therefore groups the starts it solves —
+//! consecutive, and not spliced — into **runs** `[a, b]`, and builds one
+//! table over `[a, b + l]` per run, the first time a window of the run is
+//! solved by a leaf that reads one (BFS, unbudgeted `auto`, TA; see
+//! `distributed::reads_a_shared_table`). Each window reads it through a
+//! `Lens`, which answers exactly what the window's own table would, its
+//! `θ₀` included (the `lookahead` module docs carry the argument), so paths
+//! and every counter are those of the window solved alone: sharing changes
+//! time only. The run's table holds exactly its windows' tables; a run is
+//! as long as keeps that within `lookahead::RUN_TABLE_WEIGHTS` (1 MiB), and
+//! a window whose own table is larger is a run of one. A budgeted `auto`
+//! priced one window's table and keeps its own, DFS reads none, and a
+//! transport placement sends one window per request, so a worker's
+//! [`solve_window_locally`](crate::distributed::solve_window_locally) is a
+//! run of one — as is the one window a streamed answer re-solves.
+//!
 //! ## What every configuration shares
 //!
 //! Starts are weighted by the edges in their window's leading intervals and
@@ -70,9 +90,11 @@ use crate::auto::{choose_algorithm, GraphShape};
 use crate::cluster_graph::GraphView;
 use crate::delta::{DeltaSolveOutcome, GraphDelta, WindowSet};
 use crate::distributed::{
-    anonymous_epoch, solve_window_locally, ShardTransport, WindowRequest, WindowResult,
+    anonymous_epoch, reads_a_shared_table, solve_window, ShardTransport, WindowRequest,
+    WindowResult,
 };
 use crate::error::{BscError, BscResult};
+use crate::lookahead::{Completions, RUN_TABLE_WEIGHTS};
 use crate::problem::StableClusterSpec;
 use crate::solver::{
     check_not_expired, deadline_error, AlgorithmKind, Solution, SolverOptions, SolverStats,
@@ -108,7 +130,8 @@ impl PathLength {
 
 /// Where a window runs.
 enum Placement<'a> {
-    /// On this machine, through [`solve_window_locally`].
+    /// On this machine, through `distributed::solve_window`, a range's runs
+    /// of windows sharing a look-ahead table each.
     Local,
     /// On a remote worker; `epoch` identifies the graph to the transport.
     Transport {
@@ -296,24 +319,33 @@ impl<'a> Windowed<'a> {
             stats: SolverStats::default(),
             kept: Vec::with_capacity(kept),
         };
+        let first_start = self.view.first_interval();
+        // The look-ahead table the run of windows being solved here shares,
+        // and the last start it holds.
+        let mut run: Option<(u32, Completions)> = None;
         // bsc:allow(missing-cancel-checkpoint) -- every window is preceded by the full (unamortized) token check, and window solves checkpoint internally
         for (index, range) in owned.iter().enumerate() {
             for start in range.clone() {
                 if cancel.expired() {
                     return Err(deadline_error(cancel));
                 }
-                let start = self.view.first_interval() + start as u32;
-                let spliced = self
-                    .prior
-                    .filter(|(_, delta)| !delta.touches_window(start, l))
-                    .and_then(|(set, _)| set.windows.get(start as usize));
+                let start = first_start + start as u32;
+                let spliced = self.spliced(start, l);
                 let result = match (spliced, &self.placement) {
                     (Some(previous), _) => {
                         part.stats.windows_spliced += 1;
                         Ok(Arc::clone(previous))
                     }
                     (None, Placement::Local) => {
-                        solve_window_locally(graph, start, l, k, algorithm, leaf).map(Arc::new)
+                        let past = run.as_ref().map_or(true, |&(last, _)| start > last);
+                        if past && reads_a_shared_table(algorithm) {
+                            drop(run.take());
+                            let stop = first_start + range.end as u32;
+                            let table = self.run_from(start, stop, l, cancel);
+                            run = Some(table.inspect_err(|_| cancel.cancel())?);
+                        }
+                        let shared = run.as_ref().map(|(_, table)| table);
+                        solve_window(graph, start, l, k, algorithm, leaf, shared).map(Arc::new)
                     }
                     (None, Placement::Transport { transport, epoch }) => {
                         let request = WindowRequest {
@@ -346,5 +378,169 @@ impl<'a> Windowed<'a> {
             }
         }
         Ok(part)
+    }
+
+    /// The prior epoch's result for the window at `start`, if its delta
+    /// leaves the window untouched.
+    fn spliced(&self, start: u32, l: u32) -> Option<&'a Arc<WindowResult>> {
+        self.prior
+            .filter(|(_, delta)| !delta.touches_window(start, l))
+            .and_then(|(set, _)| set.windows.get(start as usize))
+    }
+
+    /// The look-ahead table a run of windows from `start` on shares, and the
+    /// run's last start: consecutive starts before `stop` that are solved,
+    /// not spliced, as many as keep the table within [`RUN_TABLE_WEIGHTS`]
+    /// — at least `start`'s, whatever its size. A run's table holds exactly
+    /// its windows' tables.
+    fn run_from(
+        &self,
+        start: u32,
+        stop: u32,
+        l: u32,
+        cancel: &CancelToken,
+    ) -> BscResult<(u32, Completions)> {
+        let graph = self.view.graph();
+        let weights = |start: u32| Completions::weights(graph.window(start, start + l), l);
+        let mut held = weights(start);
+        let fits = |&next: &u32| {
+            held += weights(next);
+            held <= RUN_TABLE_WEIGHTS
+        };
+        let more = (start + 1..stop).take_while(|&next| self.spliced(next, l).is_none());
+        let last = more.take_while(fits).last().unwrap_or(start);
+        let table = Completions::of(graph.window(start, last + l), l, Some(cancel), &mut 0)?;
+        Ok((last, table))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::auto::{bfs_resident_bytes, GraphShape};
+    use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder};
+    use crate::lookahead::long_thin_graph;
+    use crate::sharded::ShardedSolver;
+    use crate::solver::StableClusterSolver;
+    use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
+
+    fn random_graph(m: usize, n: u32, d: u32, gap: u32, seed: u64) -> ClusterGraph {
+        ClusterGraphGenerator::new(SyntheticGraphParams {
+            num_intervals: m,
+            nodes_per_interval: n,
+            avg_out_degree: d,
+            gap,
+            seed,
+        })
+        .generate()
+    }
+
+    #[test]
+    fn a_run_s_table_holds_no_more_than_the_cap_or_its_first_window_s_own() {
+        // Walked as a range worker walks them: every run is as long as the
+        // cap allows, its table within the cap — or, where one window's own
+        // table is larger (14 intervals of 15 000 nodes at `l = 10`: 150 000
+        // weights), exactly that window's, a run of one.
+        let mut wide = ClusterGraphBuilder::new(0);
+        for _ in 0..14 {
+            wide.add_interval(15_000);
+        }
+        let cases = [
+            (random_graph(12, 300, 5, 1, 20_240_607), 3, 1),
+            (random_graph(12, 300, 5, 1, 20_240_607), 6, 1),
+            (long_thin_graph(), 1_000, 16),
+            (random_graph(60, 1_000, 2, 0, 61), 4, 2),
+            (wide.build(), 10, 4),
+        ];
+        for (graph, l, runs) in cases {
+            let options = SolverOptions::default();
+            let view = graph.view();
+            let length = PathLength(Some(l));
+            let windowed = Windowed::new(view, length, 5, AlgorithmKind::Bfs, &options, None);
+            let cancel = CancelToken::default();
+            let own = |start: u32| Completions::weights(graph.window(start, start + l), l);
+            let stop = graph.num_intervals() as u32 - l;
+            let (mut start, mut formed) = (0, 0);
+            while start < stop {
+                let (last, _) = windowed.run_from(start, stop, l, &cancel).unwrap();
+                let held = Completions::weights(graph.window(start, last + l), l);
+                let case = format!("l={l} run {start}..={last}");
+                assert!(held <= RUN_TABLE_WEIGHTS.max(own(start)), "{case}: {held}");
+                assert_eq!(held, (start..=last).map(own).sum::<usize>(), "{case}");
+                if last + 1 < stop {
+                    assert!(held + own(last + 1) > RUN_TABLE_WEIGHTS, "{case}");
+                }
+                (start, formed) = (last + 1, formed + 1);
+            }
+            assert_eq!(formed, runs, "l={l}");
+        }
+    }
+
+    #[test]
+    fn windows_too_long_to_share_a_table_still_answer() {
+        // The cap keeps a run to what one window would have held: long
+        // windows on long graphs answer as before, never `InvalidConfig`.
+        let shards = SolverOptions::default().shards(2);
+        let thin = long_thin_graph();
+        let stream = random_graph(1_000, 200, 2, 0, 1_000);
+        for (graph, l) in [(&thin, 1_000), (&stream, 500)] {
+            let spec = StableClusterSpec::ExactLength(l);
+            let mut solver =
+                ShardedSolver::new(AlgorithmKind::Bfs, spec, 5, shards.clone()).unwrap();
+            let solution = solver.solve(graph).unwrap_or_else(|e| panic!("l={l}: {e}"));
+            let starts = graph.num_intervals() as u64 - u64::from(l);
+            assert_eq!(solution.stats.windows_resolved, starts, "l={l}");
+            assert_eq!(solution.paths.len(), 5, "l={l}");
+            assert!(
+                solution.paths.iter().all(|path| path.length() == l),
+                "l={l}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_budget_that_priced_one_window_still_holds_each_window() {
+        // A budgeted `auto` resolves per window and keeps a table of its own:
+        // a budget exactly BFS's price of one window still picks BFS in every
+        // window, counters and all; a byte less picks the next solver.
+        let graph = random_graph(12, 300, 5, 1, 20_240_607);
+        let (k, l) = (5, 3);
+        let spec = StableClusterSpec::ExactLength(l);
+        let options = SolverOptions::default().shards(2);
+        let solve = |algorithm| {
+            let mut solver = ShardedSolver::new(algorithm, spec, k, options.clone()).unwrap();
+            solver.solve(&graph).unwrap()
+        };
+        let bfs = solve(AlgorithmKind::Bfs);
+        let price = bfs_resident_bytes(&GraphShape::of(graph.window(0, l)), k, u64::from(l));
+        let auto = |budget| AlgorithmKind::Auto {
+            budget_bytes: Some(budget),
+        };
+        let fits = solve(auto(price));
+        assert_eq!(fits.paths, bfs.paths);
+        assert_eq!(fits.stats.paths_generated, bfs.stats.paths_generated);
+        assert_eq!(fits.stats.nodes_processed, bfs.stats.nodes_processed);
+        let short = solve(auto(price - 1));
+        assert_eq!(short.paths, bfs.paths);
+        assert_ne!(short.stats.paths_generated, bfs.stats.paths_generated);
+    }
+
+    #[test]
+    fn a_cold_stream_solve_answers_as_the_unsharded_one() {
+        // The shape of the benchmark's cold delta solve: 70 intervals of
+        // 1 000 nodes, about 6 000 in-edges each, `exact:3`: 67 windows in
+        // two runs of shared tables, the answer the unsharded solve's.
+        let graph = random_graph(70, 1_000, 6, 0, 70);
+        let spec = StableClusterSpec::ExactLength(3);
+        let options = SolverOptions::default();
+        let windowed =
+            crate::delta::solve_windows(&graph, spec, 5, AlgorithmKind::Bfs, &options, None);
+        let mut unsharded = AlgorithmKind::Bfs
+            .build(spec, 5, graph.num_intervals())
+            .unwrap();
+        assert_eq!(
+            windowed.unwrap().solution.paths,
+            unsharded.solve(&graph).unwrap().paths
+        );
     }
 }

@@ -481,6 +481,86 @@ fn cancellation_and_root_cause_errors_behave_the_same_in_every_configuration() {
     }
 }
 
+/// A run of windows shares one look-ahead table, and that changes time
+/// only: whatever the partition, the merged deterministic counters of BFS,
+/// TA and unbudgeted Auto windows are the sum over the windows solved one by
+/// one through [`solve_window_locally`] (each with a table of its own), and
+/// the distributed configuration — one RPC, so one table, per window —
+/// counts what the sharded one does. Peaks follow the stats rule: the
+/// widest window's with one range, between it and the windows' sum with
+/// more.
+#[test]
+fn counters_are_the_sum_of_the_windows_solved_alone_whatever_the_partition() {
+    let graph = generate(12, 40, 3, 1, 2929);
+    let m = graph.num_intervals() as u32;
+    let mut shard_counts = vec![1usize, 2, 3, 8];
+    if !shard_counts.contains(&shards_from_env()) {
+        shard_counts.push(shards_from_env());
+    }
+    let counts = |stats: &SolverStats| {
+        [
+            stats.nodes_processed,
+            stats.paths_generated,
+            stats.prunes,
+            stats.random_seeks,
+            stats.edges_traversed,
+            stats.windows_resolved,
+        ]
+    };
+    for (kind, spec) in [
+        (AlgorithmKind::Bfs, StableClusterSpec::ExactLength(3)),
+        (AlgorithmKind::Bfs, StableClusterSpec::ExactLength(6)),
+        (AlgorithmKind::Bfs, StableClusterSpec::FullPaths),
+        (AlgorithmKind::Ta, StableClusterSpec::ExactLength(3)),
+        (AlgorithmKind::Ta, StableClusterSpec::ExactLength(5)),
+        (
+            AlgorithmKind::Auto { budget_bytes: None },
+            StableClusterSpec::ExactLength(2),
+        ),
+    ] {
+        let l = match spec {
+            StableClusterSpec::ExactLength(l) => l,
+            _ => m - 1,
+        };
+        let alone: Vec<SolverStats> = (0..m - l)
+            .map(|start| {
+                let options = SolverOptions::default();
+                solve_window_locally(&graph, start, l, 5, kind, &options)
+                    .expect("window solve")
+                    .stats
+            })
+            .collect();
+        let expected = alone.iter().fold([0; 6], |mut sum, stats| {
+            sum.iter_mut().zip(counts(stats)).for_each(|(s, c)| *s += c);
+            sum
+        });
+        assert!(expected[1] > 0, "{kind} {spec:?}: nothing counted");
+        let widest = alone.iter().map(|s| s.peak_resident_paths).max().unwrap();
+        let summed: usize = alone.iter().map(|s| s.peak_resident_paths).sum();
+        for &shards in &shard_counts {
+            let context = format!("{kind} {spec:?} shards={shards}");
+            let options = SolverOptions::default().shards(shards);
+            let sharded = ShardedSolver::new(kind, spec, 5, options.clone())
+                .and_then(|mut solver| solver.solve(&graph))
+                .unwrap_or_else(|e| panic!("{context} sharded: {e}"))
+                .stats;
+            let transport = Loopback::new(shards, Misbehaviour::None);
+            let distributed = DistributedSolver::new(transport, kind, spec, 5, options)
+                .and_then(|mut solver| solver.solve(&graph))
+                .unwrap_or_else(|e| panic!("{context} distributed: {e}"))
+                .stats;
+            for (name, stats) in [("sharded", &sharded), ("distributed", &distributed)] {
+                assert_eq!(counts(stats), expected, "{context} {name}");
+                let peak = stats.peak_resident_paths;
+                assert!(widest <= peak && peak <= summed, "{context} {name}");
+                if shards == 1 {
+                    assert_eq!(peak, widest, "{context} {name}");
+                }
+            }
+        }
+    }
+}
+
 /// TA only materializes full paths unsharded; per-start windows make every
 /// exact-length query full-length, so sharded TA answers subpath queries —
 /// and agrees with BFS on the result set.
