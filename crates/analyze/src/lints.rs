@@ -36,18 +36,18 @@ const PANIC_EXEMPT_CRATES: [&str; 1] = ["bsc-bench"];
 /// view before it searches. `batch.rs` is
 /// the engine's coalesced fan-out loop — not a solver, but it replays a
 /// solve's result to arbitrarily many followers and must notice shutdown
-/// mid-fan-out just like a solver notices it mid-scan. `windowed.rs` is the
-/// one loop over start windows (sharded, distributed and delta solves are
-/// configurations of it): each solved window checkpoints internally, but
-/// the loop over windows is itself a hot path. `delta.rs` holds the
-/// per-install interval comparison.
+/// mid-fan-out just like a solver notices it mid-scan. `sharded.rs` holds
+/// the one loop over start windows (sharded, distributed and delta solves
+/// all run it): each solved window checkpoints internally, but the loop
+/// over windows is itself a hot path. `delta.rs` holds the per-install
+/// interval comparison.
 const HOT_PATH_FILES: [&str; 9] = [
     "bfs.rs",
     "lookahead.rs",
     "dfs.rs",
     "ta.rs",
     "normalized.rs",
-    "windowed.rs",
+    "sharded.rs",
     "exhaustive.rs",
     "batch.rs",
     "delta.rs",

@@ -1,10 +1,10 @@
 //! Multi-process shard fan-out for the stable-cluster engine.
 //!
 //! [`bsc_core::sharded::ShardedSolver`] decomposes a top-k stable-cluster
-//! query into independent per-start *window* solves and runs them on
-//! threads. This crate runs the same windows on **separate processes**: a
-//! coordinator partitions the path starts exactly as the sharded solver
-//! does and fans the window solves out to TCP workers over the same
+//! query into per-start *window* solves, run on local threads or through a
+//! [`bsc_core::distributed::ShardTransport`]. This crate is that transport:
+//! the coordinator's solver forms one range of starts per worker and fans
+//! the window solves out to TCP worker **processes** over the same
 //! line-delimited canonical-JSON protocol style as `bsc serve`.
 //!
 //! The three modules mirror the three halves of that story:
@@ -15,9 +15,9 @@
 //! - [`worker`] — [`worker::WorkerServer`], the process that owns no graph
 //!   until a coordinator installs one (epoch-keyed, per connection) and
 //!   then answers `solve_window` requests by calling the *same*
-//!   [`bsc_core::distributed::solve_window_locally`] the in-process
-//!   sharded solver uses. Byte-identical output is structural, not tested
-//!   into existence.
+//!   [`bsc_core::distributed::solve_window_locally`] the solver's local
+//!   threads use. Byte-identical output is structural, not tested into
+//!   existence.
 //! - [`client`] — [`client::ClusterClient`], the coordinator-side
 //!   [`bsc_core::distributed::ShardTransport`]: pooled connections, lazy
 //!   epoch-keyed graph distribution, preferred-worker dispatch with
@@ -29,8 +29,8 @@
 //! `bsc-core` cannot depend on this crate, so the transport is injected:
 //! call [`install_transport`] once at startup (the `bsc` binary does) and
 //! every solver built with [`bsc_core::solver::SolverOptions::fanout`]
-//! set — or every
-//! [`bsc_core::pipeline::PipelineParams`] with `fanout` set — dispatches
+//! set (a `ShardedSolver` over the transport; so does every
+//! [`bsc_core::pipeline::PipelineParams`] with `fanout` set) dispatches
 //! through a pooled [`client::ClusterClient`] for that worker set.
 //!
 //! ```no_run

@@ -10,7 +10,7 @@
 //! reconnect-after-restart transparently.
 //!
 //! The actual solve is [`bsc_core::distributed::solve_window_locally`] —
-//! the identical code path the in-process `ShardedSolver` runs, so a
+//! the identical code path a `ShardedSolver`'s local threads run, so a
 //! worker's answer is byte-identical to the shard thread it replaces. The
 //! window is a borrowed view of the installed epoch graph: nothing is
 //! extracted or copied per request.

@@ -194,7 +194,9 @@ pub fn normalized_resident_bytes(shape: &GraphShape, k: usize) -> u64 {
 }
 
 /// Pick the concrete algorithm for `spec` over a graph of this shape under
-/// an optional memory budget (`None` = unlimited).
+/// an optional memory budget. `None` is unlimited and never reads the shape:
+/// BFS for every Problem 1 query, the normalized solver for Problem 2 — the
+/// one place that policy is stated.
 ///
 /// The ranking follows the Table 3 measurements (see the module docs):
 ///
@@ -214,16 +216,23 @@ pub fn choose_algorithm(
     k: usize,
     budget_bytes: Option<u64>,
 ) -> BscResult<AlgorithmKind> {
-    let fits = |estimate: u64| budget_bytes.is_none() || Some(estimate) <= budget_bytes;
-    if let StableClusterSpec::Normalized { .. } = spec {
+    let problem_two = matches!(spec, StableClusterSpec::Normalized { .. });
+    // Without a budget the fastest solver always fits: the shape is not read.
+    let Some(budget) = budget_bytes else {
+        return Ok(match problem_two {
+            true => AlgorithmKind::Normalized,
+            false => AlgorithmKind::Bfs,
+        });
+    };
+    let fits = |estimate: u64| estimate <= budget;
+    if problem_two {
         let needed = normalized_resident_bytes(shape, k);
         return if fits(needed) {
             Ok(AlgorithmKind::Normalized)
         } else {
             Err(BscError::InvalidConfig(format!(
-                "memory budget {} B cannot satisfy Problem 2: the normalized solver needs ~{needed} B \
-                 and has no disk-resident fallback",
-                budget_bytes.unwrap_or(0)
+                "memory budget {budget} B cannot satisfy Problem 2: the normalized solver needs \
+                 ~{needed} B and has no disk-resident fallback"
             )))
         };
     }
@@ -243,11 +252,9 @@ pub fn choose_algorithm(
         return Ok(AlgorithmKind::Dfs);
     }
     Err(BscError::InvalidConfig(format!(
-        "memory budget {} B is unsatisfiable for this graph shape: even the DFS stack needs \
+        "memory budget {budget} B is unsatisfiable for this graph shape: even the DFS stack needs \
          ~{dfs_needed} B (m = {}, n_max = {}, k = {k}, l = {l})",
-        budget_bytes.unwrap_or(0),
-        shape.num_intervals,
-        shape.max_interval_nodes,
+        shape.num_intervals, shape.max_interval_nodes,
     )))
 }
 
@@ -257,12 +264,11 @@ pub fn choose_algorithm(
 /// the graph, so the choice happens at [`StableClusterSolver::solve`] time:
 /// read the [`GraphShape`], run [`choose_algorithm`], build the chosen
 /// solver with the same [`SolverOptions`] and delegate. Inside a sharded
-/// solve each window resolves independently, so a wide window can pick BFS
-/// while a memory-heavy one falls back to DFS; an unsharded windowed solve
-/// (the engine's delta path) resolves once against the whole graph, as
-/// this solver does. The solver only borrows the
-/// graph it resolves against, so under a long-lived engine `Auto` re-reads
-/// the shape of whatever epoch-tagged
+/// solve a budgeted `Auto` resolves per window, so a wide window can pick
+/// BFS while a memory-heavy one falls back to DFS; every other windowed
+/// solve resolves once against the whole graph, as this solver does. The
+/// solver only borrows the graph it resolves against, so under a long-lived
+/// engine `Auto` re-reads the shape of whatever epoch-tagged
 /// [`GraphSnapshot`](crate::snapshot::GraphSnapshot) each query pinned —
 /// the policy adapts per epoch as streamed intervals grow the graph.
 #[derive(Debug)]

@@ -12,10 +12,10 @@
 //! graph it was solved on and the graph being queried hold identical
 //! in-edges over it, checked when it is used.* The check is
 //! [`GraphDelta::between`] on those two graphs — nothing records, caps or
-//! composes per-epoch deltas in between — and [`solve_windows`] is the
-//! "memo on" configuration of the crate's one windowed executor
-//! (`windowed.rs`), placed locally or on a fan-out's workers as the query's
-//! options say.
+//! composes per-epoch deltas in between — and [`solve_windows`] runs the
+//! crate's one windowed solver, [`ShardedSolver`](crate::sharded::ShardedSolver),
+//! with its memo on, on local threads or on a fan-out's workers as the
+//! query's options say.
 //!
 //! ## Why the splice is byte-identical to a cold re-solve
 //!
@@ -53,12 +53,12 @@
 use std::sync::Arc;
 
 use crate::cluster_graph::ClusterGraph;
-use crate::distributed::{transport_for, WindowResult};
+use crate::distributed::WindowResult;
 use crate::error::BscResult;
 use crate::problem::StableClusterSpec;
+use crate::sharded::{PathLength, Windowed};
 use crate::snapshot::GraphSnapshot;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions};
-use crate::windowed::{PathLength, Windowed};
 
 /// The interval-range difference between two [`ClusterGraph`] generations.
 ///
@@ -209,12 +209,12 @@ pub struct DeltaSolveOutcome {
 /// delta, result byte-identical by the argument in the module docs. A
 /// spliced window contributes its paths but not its historical counters; the
 /// returned stats describe the work *this* solve performed. Windows that do
-/// run are placed as the direct solve places them: on `options.shards` shard
-/// threads exactly as in a [`ShardedSolver`](crate::sharded::ShardedSolver),
-/// or, with `options.fanout`, on the registered transport's workers exactly
-/// as in a [`DistributedSolver`](crate::distributed::DistributedSolver) — so
-/// a coordinator dispatches only the windows the delta touches. An unsharded
-/// `Auto` resolves once against `graph`, as the direct solve would.
+/// run are placed by the same [`ShardedSolver`](crate::sharded::ShardedSolver)
+/// [`AlgorithmKind::build_with_options`] would build: on `options.shards`
+/// local threads, or, with `options.fanout`, on the registered transport's
+/// workers — so a coordinator dispatches only the windows the delta
+/// touches. An unbudgeted `Auto` resolves once against `graph`, as the
+/// direct solve would.
 pub fn solve_windows(
     graph: &ClusterGraph,
     spec: StableClusterSpec,
@@ -241,7 +241,7 @@ pub fn solve_snapshot_windows(
     solve_at(snapshot.graph(), epoch, spec, k, algorithm, options, prior)
 }
 
-/// The windowed executor with the memo seam on; `epoch` 0 = never published.
+/// The windowed solver with the memo seam on; `epoch` 0 = never published.
 fn solve_at(
     graph: &ClusterGraph,
     epoch: u64,
@@ -251,10 +251,9 @@ fn solve_at(
     options: &SolverOptions,
     prior: Option<(&WindowSet, &GraphDelta)>,
 ) -> BscResult<DeltaSolveOutcome> {
-    let length = PathLength::of(spec, "delta")?;
-    let transport = options.fanout.as_ref().map(transport_for).transpose()?;
-    let transport = transport.as_deref().map(|transport| (transport, epoch));
-    let mut windowed = Windowed::new(graph.view(), length, k, algorithm, options, transport);
+    PathLength::of(spec, "delta")?;
+    let solver = algorithm.windowed(spec, k, options.clone())?;
+    let mut windowed = Windowed::new(&solver, graph.view(), epoch);
     windowed.prior = prior;
     windowed.keep_windows = true;
     windowed.run()

@@ -1,14 +1,15 @@
 //! Distributed shard fan-out: the coordinator half of multi-process solving.
 //!
-//! A [`DistributedSolver`] is the "transport placement, one range per
-//! worker, no memo" configuration of the crate's one windowed executor
-//! (`windowed.rs`; `docs/sharding.md` states the start-interval
-//! decomposition and its byte-identity argument): it fans per-window solve
-//! requests — a start interval and a length, never a subgraph — out to
-//! remote workers through an object-safe [`ShardTransport`] and merges the
-//! results, so the merged [`Solution`] is **byte-identical** to the
-//! in-process [`ShardedSolver`](crate::sharded::ShardedSolver) (and hence to
-//! the unsharded solve) for every worker count.
+//! A [`ShardedSolver`](crate::sharded::ShardedSolver) built with a transport
+//! ([`ShardedSolver::with_transport`](crate::sharded::ShardedSolver::with_transport);
+//! `docs/sharding.md` states the start-interval decomposition and its
+//! byte-identity argument) fans per-window solve requests — a start interval
+//! and a length, never a subgraph — out to remote workers through an
+//! object-safe [`ShardTransport`] and merges the results, so the merged
+//! [`Solution`] is **byte-identical** to the same solver on local threads
+//! (and hence to the unsharded solve) for every worker count. This module
+//! holds what that fan-out speaks: the request and result of one window,
+//! the transport trait, epochs, and the window solve both sides run.
 //!
 //! The networking itself lives outside this crate: `bsc-cluster` implements
 //! [`ShardTransport`] over a line-delimited JSON TCP protocol and registers
@@ -17,10 +18,9 @@
 //! distributed solving like any other backend — through
 //! [`AlgorithmKind::build_with_options`] — without `bsc-core` linking a
 //! transport. Worker processes call [`solve_window_locally`], the same code
-//! path the in-process placement uses — a [`ClusterGraph::window`] view of
-//! the epoch graph the worker already holds, solved in place — which is
-//! what makes the byte-identity guarantee structural rather than
-//! coincidental.
+//! path local threads use — a [`ClusterGraph::window`] view of the epoch
+//! graph the worker already holds, solved in place — which is what makes
+//! the byte-identity guarantee structural rather than coincidental.
 //!
 //! Failure semantics are the transport's contract: a
 //! [`ShardTransport::solve_window`] call either returns the window's full
@@ -35,15 +35,13 @@ use std::sync::{Arc, OnceLock};
 use bsc_storage::backend::StorageSpec;
 
 use crate::bfs::BfsStableClusters;
-use crate::cluster_graph::{ClusterGraph, GraphView};
+use crate::cluster_graph::ClusterGraph;
 use crate::error::{BscError, BscResult};
 use crate::lookahead::Completions;
 use crate::path::ClusterPath;
 use crate::problem::{KlStableParams, StableClusterSpec};
-use crate::snapshot::GraphSnapshot;
-use crate::solver::{AlgorithmKind, Solution, SolverOptions, SolverStats, StableClusterSolver};
+use crate::solver::{AlgorithmKind, Solution, SolverOptions, SolverStats};
 use crate::ta::TaStableClusters;
-use crate::windowed::{PathLength, Windowed};
 
 /// The worker set of a distributed fan-out: a non-empty list of
 /// `host:port` addresses, in dispatch-affinity order (shard range `i` is
@@ -166,10 +164,10 @@ pub const ANONYMOUS_EPOCH_BIT: u64 = 1 << 63;
 static ANONYMOUS_EPOCHS: AtomicU64 = AtomicU64::new(0);
 
 /// Mint a process-unique epoch for a graph that has none (a bare
-/// [`StableClusterSolver::solve`] call outside the snapshot path). Workers
-/// cache graphs by epoch per connection, so a fresh identity per solve is
-/// correct — merely one graph shipment less efficient than the snapshot
-/// path, which reuses the real epoch across queries.
+/// [`solve`](crate::solver::StableClusterSolver::solve) call outside the
+/// snapshot path). Workers cache graphs by epoch per connection, so a fresh
+/// identity per solve is correct — merely one graph shipment less efficient
+/// than the snapshot path, which reuses the real epoch across queries.
 pub fn anonymous_epoch() -> u64 {
     ANONYMOUS_EPOCH_BIT | ANONYMOUS_EPOCHS.fetch_add(1, Ordering::Relaxed)
 }
@@ -197,15 +195,11 @@ pub fn solve_window_locally(
 }
 
 /// Does a window solved by `algorithm` read its look-ahead through a lens,
-/// so that a run of windows may share one table? BFS does — and so does
-/// `auto` without a budget, which is BFS for every Problem 1 query — and TA
-/// does for `startwts`. A budgeted `auto` priced one window's table and
-/// keeps its own; DFS reads none.
+/// so that a run of windows may share one table? BFS does, and TA does for
+/// `startwts`. An `auto` that reaches a window carries a budget: it priced
+/// one window's table and keeps its own. DFS reads none.
 pub(crate) fn reads_a_shared_table(algorithm: AlgorithmKind) -> bool {
-    matches!(
-        algorithm,
-        AlgorithmKind::Bfs | AlgorithmKind::Ta | AlgorithmKind::Auto { budget_bytes: None }
-    )
+    matches!(algorithm, AlgorithmKind::Bfs | AlgorithmKind::Ta)
 }
 
 /// [`solve_window_locally`], reading the window's look-ahead off `shared`
@@ -260,95 +254,6 @@ pub(crate) fn solve_window(
     Ok(WindowResult { paths, stats })
 }
 
-/// A solver that fans window solves out to remote workers through a
-/// [`ShardTransport`] and merges the results via the strict
-/// `(score, content)` top-k order.
-///
-/// Selected like any other backend: set
-/// [`SolverOptions::fanout`](crate::solver::SolverOptions::fanout) (or
-/// `PipelineParams::fanout`) and [`AlgorithmKind::build_with_options`]
-/// wraps the inner algorithm in a `DistributedSolver` over the registered
-/// transport; or construct one directly with [`DistributedSolver::new`]
-/// for a hand-built transport (tests use this for fault injection).
-#[derive(Debug)]
-pub struct DistributedSolver {
-    transport: Arc<dyn ShardTransport>,
-    inner: AlgorithmKind,
-    length: PathLength,
-    k: usize,
-    options: SolverOptions,
-}
-
-impl DistributedSolver {
-    /// Create a distributed solver fanning out through `transport`.
-    ///
-    /// Problem 2 ([`StableClusterSpec::Normalized`]) does not decompose by
-    /// start interval, so it is rejected as [`BscError::Unsupported`], as
-    /// are inner algorithm/spec pairings the algorithm itself rejects.
-    pub fn new(
-        transport: Arc<dyn ShardTransport>,
-        inner: AlgorithmKind,
-        spec: StableClusterSpec,
-        k: usize,
-        options: SolverOptions,
-    ) -> BscResult<DistributedSolver> {
-        let length = PathLength::of(spec, "distributed")?;
-        if transport.worker_count() == 0 {
-            return Err(BscError::Cluster(
-                "distributed fan-out requires at least one worker".to_string(),
-            ));
-        }
-        inner.check_spec(spec)?;
-        Ok(DistributedSolver {
-            transport,
-            inner,
-            length,
-            k,
-            options,
-        })
-    }
-
-    /// The transport's worker count.
-    pub fn worker_count(&self) -> usize {
-        self.transport.worker_count()
-    }
-
-    /// One dispatcher per worker: worker `i` preferentially answers range
-    /// `i`, and the transport reroutes individual windows when it fails.
-    /// `epoch` 0 means the graph was never published.
-    fn solve_with_epoch(&mut self, view: GraphView<'_>, epoch: u64) -> BscResult<Solution> {
-        let transport = Some((self.transport.as_ref(), epoch));
-        let windowed = Windowed::new(
-            view,
-            self.length,
-            self.k,
-            self.inner,
-            &self.options,
-            transport,
-        );
-        Ok(windowed.run()?.solution)
-    }
-}
-
-impl StableClusterSolver for DistributedSolver {
-    fn name(&self) -> &'static str {
-        "distributed"
-    }
-
-    fn algorithm(&self) -> AlgorithmKind {
-        self.inner
-    }
-
-    fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
-        self.solve_with_epoch(view, 0)
-    }
-
-    fn solve_snapshot(&mut self, snapshot: &GraphSnapshot) -> BscResult<Solution> {
-        // Real epochs let workers cache the shipped graph across queries.
-        self.solve_with_epoch(snapshot.graph().view(), snapshot.epoch())
-    }
-}
-
 /// A factory turning a [`FanoutSpec`] into a live transport (expected to
 /// pool connections so per-query solver builds are cheap).
 pub type TransportFactory =
@@ -396,21 +301,6 @@ mod tests {
         .generate()
     }
 
-    /// A transport whose every worker is down, exercising the error path
-    /// without any networking.
-    #[derive(Debug)]
-    struct FailingTransport;
-
-    impl ShardTransport for FailingTransport {
-        fn worker_count(&self) -> usize {
-            2
-        }
-
-        fn solve_window(&self, _: &ClusterGraph, _: &WindowRequest) -> BscResult<WindowResult> {
-            Err(BscError::Cluster("every worker is down".to_string()))
-        }
-    }
-
     #[test]
     fn fanout_spec_parses_and_displays() {
         let spec = FanoutSpec::parse("127.0.0.1:7001, 127.0.0.1:7002").unwrap();
@@ -420,21 +310,6 @@ mod tests {
         assert_eq!(FanoutSpec::parse(""), None);
         assert_eq!(FanoutSpec::parse("a:1,,b:2"), None);
         assert_eq!(FanoutSpec::new(vec![]), None);
-    }
-
-    #[test]
-    fn transport_errors_surface_not_hang() {
-        let graph = graph(6, 10, 2, 0, 3);
-        let mut distributed = DistributedSolver::new(
-            Arc::new(FailingTransport),
-            AlgorithmKind::Bfs,
-            StableClusterSpec::ExactLength(2),
-            3,
-            SolverOptions::default(),
-        )
-        .unwrap();
-        let err = distributed.solve(&graph).unwrap_err();
-        assert!(matches!(err, BscError::Cluster(_)), "{err}");
     }
 
     #[test]
@@ -479,21 +354,5 @@ mod tests {
         assert_eq!(last.stats.windows_resolved, 1);
         assert!(last.paths.iter().all(|p| p.nodes()[0].interval == 3));
         assert!(!last.paths.is_empty());
-    }
-
-    #[test]
-    fn degenerate_graphs_yield_empty_solutions() {
-        // No valid start, so nothing is dispatched: even a transport whose
-        // every worker is down answers.
-        let empty = crate::cluster_graph::ClusterGraphBuilder::new(0).build();
-        let mut solver = DistributedSolver::new(
-            Arc::new(FailingTransport),
-            AlgorithmKind::Bfs,
-            StableClusterSpec::ExactLength(2),
-            5,
-            SolverOptions::default(),
-        )
-        .unwrap();
-        assert!(solver.solve(&empty).unwrap().paths.is_empty());
     }
 }

@@ -80,7 +80,6 @@ pub mod streaming;
 pub mod synthetic;
 pub mod ta;
 pub mod topk;
-mod windowed;
 
 pub use affinity::{Affinity, AffinityKind, JaccardAffinity};
 pub use auto::{choose_algorithm, AutoSolver, GraphShape};
@@ -90,8 +89,8 @@ pub use cluster_graph::{ClusterEdge, ClusterGraph, ClusterGraphBuilder, ClusterN
 pub use delta::{solve_windows, DeltaSolveOutcome, GraphDelta, WindowSet};
 pub use dfs::{DfsConfig, DfsStableClusters};
 pub use distributed::{
-    register_transport_factory, solve_window_locally, transport_for, DistributedSolver, FanoutSpec,
-    ShardTransport, WindowRequest, WindowResult,
+    register_transport_factory, solve_window_locally, transport_for, FanoutSpec, ShardTransport,
+    WindowRequest, WindowResult,
 };
 pub use error::{BscError, BscResult};
 pub use normalized::NormalizedStableClusters;

@@ -43,7 +43,7 @@
 //! be higher, and unsound for a window. Every solve reads through one; an
 //! unsharded solve's lens is over a table of its own view. A run's table is
 //! capped at [`RUN_TABLE_WEIGHTS`] (1 MiB) and built by the windowed
-//! executor ([`crate::windowed`]).
+//! solver ([`crate::sharded`]).
 //!
 //! Both passes read an interval's rows as stored ([`GraphView::rows`]) and
 //! compare one end of an edge against the view, the end that can lie

@@ -34,9 +34,9 @@ use crate::affinity::AffinityKind;
 use crate::cluster_graph::ClusterGraphBuilder;
 use crate::error::{BscError, BscResult};
 use crate::path::ClusterPath;
+use crate::sharded::PathLength;
 use crate::snapshot::GraphSnapshot;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions, SolverStats};
-use crate::windowed::PathLength;
 
 pub use crate::problem::StableClusterSpec;
 
@@ -85,29 +85,14 @@ pub struct PipelineParams {
     /// order. An explicit choice is never overridden; an explicit mismatch
     /// (e.g. the normalized solver for a Problem 1 spec) fails validation.
     pub algorithm: Option<AlgorithmKind>,
-    /// Storage backend for the solver stage's disk-resident per-node state
-    /// (used by DFS; the in-memory solvers ignore it). Every backend
-    /// produces the identical result — the choice trades memory footprint
-    /// against I/O, see `docs/storage.md`.
-    pub storage: StorageSpec,
-    /// Interval shards for the solver stage (`> 1` partitions path start
-    /// intervals across shards and merges the per-shard solutions; see
-    /// `docs/sharding.md`). Must be ≥ 1, and requires a Problem 1 spec —
-    /// Problem 2 does not decompose. Every shard count produces the
-    /// identical result.
-    pub shards: usize,
-    /// Distributed fan-out worker set for the solver stage (`Some` runs
-    /// the per-window solves on remote worker processes through the
-    /// registered cluster transport; see `docs/distributed.md`). Takes
-    /// precedence over [`PipelineParams::shards`], requires a Problem 1
-    /// spec, and every worker set produces the identical result. `None`
-    /// (the default) solves in-process.
-    pub fanout: Option<crate::distributed::FanoutSpec>,
-    /// Cooperative-cancellation token for the solver stage. `None` (the
-    /// default) runs to completion. A token never changes *what* is
-    /// computed — only whether the solve is abandoned early with
-    /// [`BscError::DeadlineExceeded`]; see `docs/robustness.md`.
-    pub cancel: Option<bsc_util::cancel::CancelToken>,
+    /// How the solver stage runs: the storage backend of DFS's per-node
+    /// state (`docs/storage.md`), interval shards and distributed fan-out
+    /// (`docs/sharding.md`, `docs/distributed.md`; Problem 1 specs only) and
+    /// a cancellation token (`docs/robustness.md`). Set through the builder
+    /// methods below and handed to
+    /// [`AlgorithmKind::build_with_options`] as is; no option changes the
+    /// result.
+    pub options: SolverOptions,
 }
 
 impl Default for PipelineParams {
@@ -122,10 +107,7 @@ impl Default for PipelineParams {
             k: 10,
             spec: StableClusterSpec::ExactLength(3),
             algorithm: None,
-            storage: StorageSpec::LogFile,
-            shards: 1,
-            fanout: None,
-            cancel: None,
+            options: SolverOptions::default(),
         }
     }
 }
@@ -188,26 +170,26 @@ impl PipelineParams {
 
     /// Set the storage backend for the solver stage's disk-resident state.
     pub fn storage(mut self, storage: StorageSpec) -> Self {
-        self.storage = storage;
+        self.options.storage = storage;
         self
     }
 
     /// Set the solver-stage interval shard count (1 = unsharded).
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+        self.options.shards = shards;
         self
     }
 
     /// Set (or clear) the solver-stage distributed fan-out worker set.
     pub fn fanout(mut self, fanout: Option<crate::distributed::FanoutSpec>) -> Self {
-        self.fanout = fanout;
+        self.options.fanout = fanout;
         self
     }
 
     /// Attach (or clear) a cooperative-cancellation token for the solver
     /// stage.
     pub fn cancel_token(mut self, cancel: Option<bsc_util::cancel::CancelToken>) -> Self {
-        self.cancel = cancel;
+        self.options.cancel = cancel;
         self
     }
 
@@ -232,33 +214,21 @@ impl PipelineParams {
                 "k must be positive: a top-0 query returns nothing".into(),
             ));
         }
-        if self.shards == 0 {
+        if self.options.shards == 0 {
             return Err(BscError::InvalidConfig(
                 "shards must be >= 1 (1 = unsharded)".into(),
             ));
         }
-        if self.shards > 1 {
+        if self.options.shards > 1 {
             PathLength::of(self.spec, "sharded")?;
         }
-        if self.fanout.is_some() {
+        if self.options.fanout.is_some() {
             PathLength::of(self.spec, "distributed")?;
         }
-        match self.spec {
-            StableClusterSpec::ExactLength(0) => {
-                return Err(BscError::InvalidConfig(
-                    "ExactLength(l) requires l >= 1: a path has at least one edge".into(),
-                ));
-            }
-            StableClusterSpec::Normalized { l_min: 0 } => {
-                return Err(BscError::InvalidConfig(
-                    "Normalized requires l_min >= 1".into(),
-                ));
-            }
-            _ => {}
-        }
-        // Algorithm/spec pairing rules live in one place; TA's full-paths-
-        // only restriction depends on the graph's interval count, which is
-        // unknown until the run, and is checked there by `build`.
+        // The spec's own rules and the algorithm/spec pairing live in one
+        // place; TA's full-paths-only restriction depends on the graph's
+        // interval count, which is unknown until the run, and is checked
+        // there by `build`.
         self.resolved_algorithm().check_spec(self.spec)
     }
 }
@@ -404,16 +374,12 @@ impl Pipeline {
     /// the measured solve wall-clock.
     pub fn solve_snapshot(&self, snapshot: &GraphSnapshot) -> BscResult<Solution> {
         let params = &self.params;
-        crate::solver::check_not_expired(params.cancel.as_ref())?;
+        crate::solver::check_not_expired(params.options.cancel.as_ref())?;
         let mut solver = params.resolved_algorithm().build_with_options(
             params.spec,
             params.k,
             snapshot.num_intervals(),
-            SolverOptions::default()
-                .storage(params.storage)
-                .shards(params.shards)
-                .fanout(params.fanout.clone())
-                .cancel_token(params.cancel.clone()),
+            params.options.clone(),
         )?;
         let start = Instant::now();
         let mut solution = solver.solve_snapshot(snapshot)?;

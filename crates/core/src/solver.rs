@@ -23,11 +23,12 @@ use bsc_storage::io_stats::{IoScope, IoSnapshot};
 pub use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterGraph, GraphView};
+use crate::distributed::transport_for;
 use crate::error::{BscError, BscResult};
 use crate::path::ClusterPath;
 use crate::problem::{KlStableParams, NormalizedParams, StableClusterSpec};
+use crate::sharded::{PathLength, ShardedSolver};
 use crate::snapshot::GraphSnapshot;
-use crate::windowed::PathLength;
 
 /// The admission lane a query rides in a multi-tenant query engine.
 ///
@@ -84,21 +85,21 @@ pub struct SolverOptions {
     /// Every backend produces the identical `Solution`.
     pub storage: StorageSpec,
     /// Number of interval shards (`> 1` wraps the solver in a
-    /// [`ShardedSolver`](crate::sharded::ShardedSolver); `1`, the default,
-    /// solves unsharded). Shard ranges are the one way a single solve uses
-    /// more than one core — every solver is sequential inside its window.
-    /// Every shard count produces the identical `Solution`; see
+    /// [`ShardedSolver`] on local threads; `1`, the default, solves
+    /// unsharded). Shard ranges are the one way a single solve uses more
+    /// than one core — every solver is sequential inside its window. Every
+    /// shard count produces the identical `Solution`; see
     /// `docs/sharding.md`.
     pub shards: usize,
     /// Fan the per-window solves out to remote worker processes instead of
-    /// local shard threads (`Some` wraps the solver in a
-    /// [`DistributedSolver`](crate::distributed::DistributedSolver) over
-    /// the transport registered via
-    /// [`register_transport_factory`](crate::distributed::register_transport_factory)).
-    /// Takes precedence over [`SolverOptions::shards`] — the two are the
-    /// same decomposition, executed by processes instead of threads, and
-    /// every worker set produces the identical `Solution`. `None` (the
-    /// default) solves in-process.
+    /// local shard threads (`Some` wraps the solver in a [`ShardedSolver`]
+    /// over the transport registered via
+    /// [`register_transport_factory`](crate::distributed::register_transport_factory),
+    /// one range per worker). Takes precedence over
+    /// [`SolverOptions::shards`] for placement — the two are the same
+    /// decomposition, executed by processes instead of threads, and every
+    /// worker set produces the identical `Solution`. `None` (the default)
+    /// solves in-process.
     pub fanout: Option<crate::distributed::FanoutSpec>,
     /// Cooperative cancellation for the solve: every solver's hot loop
     /// polls this token at amortized checkpoints and aborts with
@@ -386,8 +387,8 @@ pub enum AlgorithmKind {
     /// The selection policy: pick BFS, DFS or TA per graph from its shape
     /// (m, n, d, g) and an optional memory budget in bytes, using the
     /// Table 3 crossovers (see [`crate::auto`]). Resolution happens at
-    /// solve time, when the graph is known; inside a sharded solve each
-    /// window resolves independently.
+    /// solve time, when the graph is known; inside a sharded solve a
+    /// budgeted `Auto` resolves per window.
     Auto {
         /// Resident-memory budget in bytes; `None` means unlimited (the
         /// fastest algorithm, BFS, is always picked).
@@ -434,16 +435,25 @@ impl AlgorithmKind {
             .find(|kind| kind.name() == name)
     }
 
-    /// The graph-independent algorithm/spec pairing rules: the normalized
-    /// solver answers Problem 2 only, and Problem 2 requires the normalized
-    /// solver. TA's full-paths-only restriction depends on the graph's
-    /// interval count and is checked by [`AlgorithmKind::build`] instead.
+    /// The graph-independent rules for a spec: a path has at least one edge
+    /// (`ExactLength(0)` and `Normalized { l_min: 0 }` are
+    /// [`BscError::InvalidConfig`]), the normalized solver answers Problem 2
+    /// only, and Problem 2 requires the normalized solver. TA's
+    /// full-paths-only restriction depends on the graph's interval count and
+    /// is checked by [`AlgorithmKind::build`] instead.
     ///
     /// This is the single source of those rules — [`AlgorithmKind::build`],
-    /// [`AlgorithmKind::supports`] and pipeline-parameter validation all
-    /// delegate here so they cannot drift apart.
+    /// [`AlgorithmKind::supports`], the windowed solvers and
+    /// pipeline-parameter validation all delegate here so they cannot drift
+    /// apart.
     pub fn check_spec(self, spec: StableClusterSpec) -> BscResult<()> {
         match (self, spec) {
+            (_, StableClusterSpec::ExactLength(0)) => Err(BscError::InvalidConfig(
+                "ExactLength(l) requires l >= 1: a path has at least one edge".into(),
+            )),
+            (_, StableClusterSpec::Normalized { l_min: 0 }) => Err(BscError::InvalidConfig(
+                "Normalized requires l_min >= 1".into(),
+            )),
             // Auto resolves to a compatible algorithm for any spec (the
             // normalized solver for Problem 2, BFS/DFS/TA otherwise).
             (AlgorithmKind::Auto { .. }, _) => Ok(()),
@@ -490,28 +500,33 @@ impl AlgorithmKind {
         options: SolverOptions,
     ) -> BscResult<Box<dyn StableClusterSolver>> {
         self.check_spec(spec)?;
-        // A fan-out worker set takes precedence over local sharding: both
-        // run the identical per-start-window decomposition (so the Solution
-        // is the same either way), distributed just executes the windows on
-        // remote processes through the registered transport.
-        if let Some(fanout) = options.fanout.clone() {
-            let transport = crate::distributed::transport_for(&fanout)?;
-            return Ok(Box::new(crate::distributed::DistributedSolver::new(
-                transport, self, spec, k, options,
-            )?));
-        }
-        // Sharding wraps first, so each shard builds (and, for Auto,
-        // resolves) its own inner solver over its own windows. Note the
-        // per-algorithm graph-dependent checks below deliberately do NOT run
-        // here in that case: inside an (l + 1)-interval window every exact-
-        // length query is full-length, so e.g. TA accepts subpath queries
-        // when sharded.
-        if options.shards > 1 {
-            return Ok(Box::new(crate::sharded::ShardedSolver::new(
-                self, spec, k, options,
-            )?));
+        // Windowed solving wraps first, so each window builds (and, for a
+        // budgeted Auto, resolves) its own inner solver. Note the
+        // per-algorithm graph-dependent checks of `build_leaf` deliberately
+        // do NOT run here in that case: inside an (l + 1)-interval window
+        // every exact-length query is full-length, so e.g. TA accepts
+        // subpath queries when sharded.
+        if options.shards > 1 || options.fanout.is_some() {
+            return Ok(Box::new(self.windowed(spec, k, options)?));
         }
         self.build_leaf(spec, k, num_intervals, &options)
+    }
+
+    /// The windowed solver `options` ask for: on the fan-out's workers when
+    /// [`SolverOptions::fanout`] names a worker set (it takes precedence
+    /// over local sharding: the same windows, run by processes instead of
+    /// threads), else on [`SolverOptions::shards`] local ranges. The one
+    /// place a fan-out becomes a transport.
+    pub(crate) fn windowed(
+        self,
+        spec: StableClusterSpec,
+        k: usize,
+        options: SolverOptions,
+    ) -> BscResult<ShardedSolver> {
+        match options.fanout.as_ref().map(transport_for).transpose()? {
+            Some(transport) => ShardedSolver::with_transport(transport, self, spec, k, options),
+            None => ShardedSolver::new(self, spec, k, options),
+        }
     }
 
     /// The solver itself, below the sharding and fan-out layers:

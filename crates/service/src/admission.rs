@@ -7,8 +7,8 @@
 //!
 //! * **Two priority lanes** ([`QueryPriority::High`] and
 //!   [`QueryPriority::Normal`]), FIFO within each lane, sharing one bounded
-//!   capacity (so back-pressure semantics — block, shed, or poll — are
-//!   unchanged from the flat queue).
+//!   capacity. A push waits on the condvar for a slot until a deadline
+//!   ([`AdmissionQueue::push_until`]) or sheds at once (`try_push`).
 //! * **A deterministic starvation bound**: the high lane is preferred, but
 //!   after [`HIGH_LANE_BURST`] consecutive high-lane pops one normal-lane
 //!   item is served (when present). A normal-lane item with `w` items ahead
@@ -26,6 +26,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
+use std::time::Instant;
 
 use bsc_core::solver::QueryPriority;
 
@@ -95,31 +96,33 @@ impl<T> AdmissionQueue<T> {
     /// [`PushError::Full`] (back-pressure), a closed one
     /// [`PushError::Closed`] — both hand the item back.
     pub fn try_push(&self, item: T, priority: QueryPriority) -> Result<(), PushError<T>> {
-        let mut lanes = self.locked();
-        if lanes.closed {
-            return Err(PushError::Closed(item));
-        }
-        if lanes.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        match priority {
-            QueryPriority::High => lanes.high.push_back(item),
-            QueryPriority::Normal => lanes.normal.push_back(item),
-        }
-        drop(lanes);
-        self.cond.notify_all();
-        Ok(())
+        self.push_until(item, priority, Some(Instant::now()))
     }
 
-    /// Enqueue, blocking while the queue is full. Returns the item when the
-    /// queue is (or becomes) closed.
-    pub fn push_blocking(&self, item: T, priority: QueryPriority) -> Result<(), T> {
+    /// Enqueue, waiting while the queue is full until `deadline` (`None`:
+    /// for as long as it takes). A queue still full at the deadline returns
+    /// [`PushError::Full`]; a queue that is (or becomes) closed
+    /// [`PushError::Closed`] — both hand the item back.
+    pub fn push_until(
+        &self,
+        item: T,
+        priority: QueryPriority,
+        deadline: Option<Instant>,
+    ) -> Result<(), PushError<T>> {
         let mut lanes = self.locked();
         while !lanes.closed && lanes.len() >= self.capacity {
-            lanes = self.cond.wait(lanes).unwrap_or_else(|p| p.into_inner());
+            let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            lanes = match left {
+                None => self.cond.wait(lanes).unwrap_or_else(|p| p.into_inner()),
+                Some(left) if left.is_zero() => return Err(PushError::Full(item)),
+                Some(left) => match self.cond.wait_timeout(lanes, left) {
+                    Ok((lanes, _)) => lanes,
+                    Err(poisoned) => poisoned.into_inner().0,
+                },
+            };
         }
         if lanes.closed {
-            return Err(item);
+            return Err(PushError::Closed(item));
         }
         match priority {
             QueryPriority::High => lanes.high.push_back(item),
@@ -319,7 +322,10 @@ mod tests {
             queue.try_push(8, QueryPriority::Normal),
             Err(PushError::Closed(8))
         ));
-        assert_eq!(queue.push_blocking(9, QueryPriority::High), Err(9));
+        assert!(matches!(
+            queue.push_until(9, QueryPriority::High, None),
+            Err(PushError::Closed(9))
+        ));
         assert_eq!(queue.pop(), Some(7));
         assert_eq!(queue.pop(), None);
     }
@@ -351,16 +357,42 @@ mod tests {
     }
 
     #[test]
-    fn push_blocking_waits_for_a_slot() {
-        let queue = std::sync::Arc::new(AdmissionQueue::new(1));
-        push(&queue, 1, QueryPriority::Normal);
-        let pusher = {
-            let queue = std::sync::Arc::clone(&queue);
-            std::thread::spawn(move || queue.push_blocking(2, QueryPriority::Normal))
+    fn push_until_waits_for_a_slot_until_its_deadline() {
+        use std::sync::Arc;
+        use std::time::Duration;
+        let full = || {
+            let queue = Arc::new(AdmissionQueue::new(1));
+            push(&queue, 1, QueryPriority::Normal);
+            queue
         };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(pusher.join().unwrap(), Ok(()));
-        assert_eq!(queue.pop(), Some(2));
+        let waiting = |queue: &Arc<AdmissionQueue<u32>>, deadline: Option<Instant>| {
+            let queue = Arc::clone(queue);
+            std::thread::spawn(move || queue.push_until(2, QueryPriority::Normal, deadline))
+        };
+        // Nothing frees a slot: `Full` at the deadline, not before.
+        let queue = full();
+        let begun = Instant::now();
+        let deadline = begun + Duration::from_millis(20);
+        let outcome = queue.push_until(2, QueryPriority::Normal, Some(deadline));
+        assert!(matches!(outcome, Err(PushError::Full(2))));
+        assert!(Instant::now() >= deadline);
+        assert_eq!(queue.len(), 1);
+        // A pop before the deadline frees the slot the waiter takes.
+        for deadline in [None, Some(Instant::now() + Duration::from_secs(60))] {
+            let queue = full();
+            let pusher = waiting(&queue, deadline);
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(queue.pop(), Some(1));
+            assert!(matches!(pusher.join().unwrap(), Ok(())));
+            assert_eq!(queue.pop(), Some(2));
+        }
+        // Closing the queue ends the wait with the item handed back.
+        for deadline in [None, Some(Instant::now() + Duration::from_secs(60))] {
+            let queue = full();
+            let pusher = waiting(&queue, deadline);
+            std::thread::sleep(Duration::from_millis(20));
+            queue.close();
+            assert!(matches!(pusher.join().unwrap(), Err(PushError::Closed(2))));
+        }
     }
 }

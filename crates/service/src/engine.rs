@@ -17,7 +17,9 @@
 //!   [`BscError::Saturated`] *before* they can crowd the queue.
 //! * [`SolverOptions::priority`] picks the admission lane; the high lane is
 //!   served first subject to the starvation bound documented in
-//!   [`crate::admission`].
+//!   [`crate::admission`]. On a full queue [`QueryEngine::submit`] waits on
+//!   the queue's condvar for a slot, until the request's own deadline;
+//!   [`QueryEngine::try_submit`] sheds at once.
 //! * Workers coalesce queued queries that share a `(epoch, cache key)` with
 //!   the solve that just finished ([`crate::batch`]), answering all of them
 //!   from one window scan. Coalesced answers are clones of the leader's
@@ -95,8 +97,9 @@ pub struct EngineConfig {
     /// should not exceed the machine's cores).
     pub workers: usize,
     /// Capacity of the bounded two-lane admission queue (shared across both
-    /// priority lanes). A full queue blocks [`QueryEngine::submit`] and
-    /// rejects [`QueryEngine::try_submit`] with [`BscError::Saturated`].
+    /// priority lanes). A full queue makes [`QueryEngine::submit`] wait
+    /// (until the request's deadline) and rejects
+    /// [`QueryEngine::try_submit`] with [`BscError::Saturated`].
     /// Must be ≥ 1.
     pub queue_capacity: usize,
     /// Capacity of the epoch-tagged LRU solution cache (0 disables it).
@@ -518,35 +521,25 @@ impl QueryEngine {
         installed
     }
 
-    /// Admit a query, **blocking** while the bounded queue is full. The
-    /// snapshot is pinned now, not when a worker picks the job up.
+    /// Admit a query, waiting while the bounded queue is full: until the
+    /// request's own deadline ([`CancelToken::deadline`]) when its token has
+    /// one, so the same budget covers queueing and solving, and as long as
+    /// it takes otherwise. The snapshot is pinned now, not when a worker
+    /// picks the job up.
     ///
-    /// # Blocking hazard
-    ///
-    /// This wait is **unbounded**: if every worker is stuck on long solves
-    /// and the queue stays full, the calling thread blocks indefinitely —
-    /// in a server loop that means one saturated engine wedges the
-    /// connection handler. Latency-sensitive callers should use
-    /// [`QueryEngine::submit_deadline`] (bounded wait, and the same budget
-    /// then covers queueing and solving) or [`QueryEngine::try_submit`]
-    /// (fail fast with [`BscError::Saturated`]). A tenant over its quota is
-    /// shed with [`BscError::Saturated`] immediately — quota exhaustion
-    /// never blocks.
+    /// The wait sleeps on the queue's condvar and ends when a worker frees a
+    /// slot. A request still outside the queue at its deadline counts as a
+    /// deadline hit that expired in the queue and is reported as
+    /// [`BscError::DeadlineExceeded`]. A request *without* a deadline may
+    /// wait indefinitely if every worker is stuck on a long solve — in a
+    /// server loop that wedges the connection handler, so latency-sensitive
+    /// callers give their queries a deadline or use
+    /// [`QueryEngine::try_submit`] (fail fast with [`BscError::Saturated`]).
+    /// A tenant over its quota is shed with [`BscError::Saturated`]
+    /// immediately — quota exhaustion never waits.
     pub fn submit(&self, request: QueryRequest) -> BscResult<QueryTicket> {
         self.charge_quota(&request, self.now_micros())?;
-        let (job, ticket) = self.admit(request)?;
-        let priority = job.request.options.priority;
-        let tenant = job.request.options.tenant.clone();
-        // Count the job before it becomes visible to workers — a worker
-        // could otherwise dequeue, solve and decrement first, wrapping the
-        // gauge below zero.
-        self.shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        if self.queue.push_blocking(job, priority).is_err() {
-            self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-            return Err(BscError::Shutdown);
-        }
-        self.record_admitted(tenant.as_deref());
-        Ok(ticket)
+        self.enqueue(request, true)
     }
 
     /// Admit a query without blocking: a full queue — or an exhausted
@@ -565,81 +558,48 @@ impl QueryEngine {
     /// (no refill, no regression of the bucket clock).
     pub fn try_submit_at(&self, request: QueryRequest, now_micros: u64) -> BscResult<QueryTicket> {
         self.charge_quota(&request, now_micros)?;
-        let (job, ticket) = self.admit(request)?;
-        let priority = job.request.options.priority;
-        let tenant = job.request.options.tenant.clone();
-        // Pre-count for the same reason as `submit`; undo on rejection.
-        self.shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        match self.queue.try_push(job, priority) {
-            Ok(()) => {
-                self.record_admitted(tenant.as_deref());
-                Ok(ticket)
-            }
-            Err(error) => {
-                self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                match error {
-                    PushError::Full(_) => Err(BscError::Saturated {
-                        capacity: self.config.queue_capacity,
-                    }),
-                    PushError::Closed(_) => Err(BscError::Shutdown),
-                }
-            }
-        }
+        self.enqueue(request, false)
     }
 
-    /// Admit a query under a total time budget covering **everything**:
-    /// waiting for a queue slot, waiting in the queue, and the solve
-    /// itself. If the request has no cancel token one is installed with
-    /// `budget` as its deadline; an existing token is kept (the explicit
-    /// deadline wins) and `budget` only bounds the admission wait.
-    ///
-    /// Admission polls the queue instead of blocking, so a saturated
-    /// engine costs at most the budget, never a wedge. An expired budget
-    /// is reported as [`BscError::DeadlineExceeded`]; an exhausted tenant
-    /// quota as [`BscError::Saturated`], immediately.
-    pub fn submit_deadline(
-        &self,
-        mut request: QueryRequest,
-        budget: Duration,
-    ) -> BscResult<QueryTicket> {
-        self.charge_quota(&request, self.now_micros())?;
-        let token = request
-            .options
-            .cancel
-            .get_or_insert_with(|| CancelToken::after(budget))
-            .clone();
-        let admission_deadline = Instant::now() + budget;
-        let (mut job, ticket) = self.admit(request)?;
-        let priority = job.request.options.priority;
-        let tenant = job.request.options.tenant.clone();
+    /// Validate and pin `request`, then push it: waiting for a slot until
+    /// the request's deadline when `wait`, else not at all.
+    fn enqueue(&self, request: QueryRequest, wait: bool) -> BscResult<QueryTicket> {
+        let (job, ticket) = self.admit(request)?;
+        let options = &job.request.options;
+        let (priority, tenant) = (options.priority, options.tenant.clone());
+        let deadline = match wait {
+            true => options.cancel.as_ref().and_then(CancelToken::deadline),
+            false => Some(Instant::now()),
+        };
+        // Count the job before it becomes visible to workers — a worker
+        // could otherwise dequeue, solve and decrement first, wrapping the
+        // gauge below zero.
         self.shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        loop {
-            match self.queue.try_push(job, priority) {
-                Ok(()) => {
-                    self.record_admitted(tenant.as_deref());
-                    return Ok(ticket);
-                }
-                Err(PushError::Full(returned)) => {
-                    if token.expired() || Instant::now() >= admission_deadline {
-                        self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                        let mut metrics = self
-                            .shared
-                            .metrics
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner());
-                        metrics.deadline_hits += 1;
-                        metrics.queue_expired += 1;
-                        return Err(deadline_error(&token));
-                    }
-                    job = returned;
-                    std::thread::sleep(ADMISSION_POLL);
-                }
-                Err(PushError::Closed(_)) => {
-                    self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    return Err(BscError::Shutdown);
-                }
+        let error = match self.queue.push_until(job, priority, deadline) {
+            Ok(()) => {
+                self.record_admitted(tenant.as_deref());
+                return Ok(ticket);
             }
-        }
+            Err(PushError::Closed(_)) => BscError::Shutdown,
+            // A wait ends full only at the request's deadline.
+            Err(PushError::Full(job)) => match job.request.options.cancel.filter(|_| wait) {
+                Some(token) => {
+                    let mut metrics = self
+                        .shared
+                        .metrics
+                        .lock()
+                        .unwrap_or_else(|p| p.into_inner());
+                    metrics.deadline_hits += 1;
+                    metrics.queue_expired += 1;
+                    deadline_error(&token)
+                }
+                None => BscError::Saturated {
+                    capacity: self.config.queue_capacity,
+                },
+            },
+        };
+        self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        Err(error)
     }
 
     /// Submit and wait — the blocking convenience path.
@@ -831,11 +791,6 @@ pub(crate) fn duration_micros(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-/// Poll period of [`QueryEngine::submit_deadline`]'s bounded admission
-/// wait. Coarse enough to stay cheap, fine enough that admission latency
-/// under churn stays in the single-digit milliseconds.
-const ADMISSION_POLL: Duration = Duration::from_millis(2);
-
 /// Token-bucket resolution: one admission costs this many micro-tokens, and
 /// a bucket refills `rate_per_sec` micro-tokens per elapsed microsecond —
 /// exact integer accounting with no floating point in the admission path.
@@ -928,10 +883,9 @@ pub(crate) fn process_job(mut job: Job, shared: &Shared) -> JobOutcome {
 
 /// Whether a query can run through the windowed (delta) solve path with an
 /// answer — including errors — indistinguishable from the direct solve.
-/// Exact-length queries qualify, wherever their windows run: sharded ones
-/// form the partition and shard threads the direct `ShardedSolver` would,
-/// fanned-out ones the ranges and dispatchers of the direct
-/// `DistributedSolver`, plus the splice; unsharded ones must pass the
+/// Exact-length queries qualify, wherever their windows run: they form the
+/// ranges, shard threads or dispatchers of the `ShardedSolver` the direct
+/// build would, plus the splice; unsharded ones must pass the
 /// support check the direct build would apply (TA's full-paths-only rule),
 /// so an unsupported combination still surfaces the identical error from the
 /// direct path, and `Auto` resolves against the whole snapshot.
@@ -1194,7 +1148,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_deadline_bounds_the_admission_wait() {
+    fn a_deadline_bounds_the_admission_wait() {
         // One worker, one queue slot: saturate the pipeline, then ask for
         // admission under a small budget and observe the bounded failure.
         let engine = QueryEngine::new(
@@ -1215,7 +1169,8 @@ mod tests {
             }
         }
         let begun = Instant::now();
-        let outcome = engine.submit_deadline(request.clone(), Duration::from_millis(20));
+        let budget = SolverOptions::default().deadline(Some(Duration::from_millis(20)));
+        let outcome = engine.submit(request.clone().options(budget));
         // Either a slot freed inside the budget (ticket) or the wait was
         // bounded and reported as a deadline hit — never an unbounded block.
         match outcome {

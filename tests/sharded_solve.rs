@@ -6,8 +6,8 @@
 //! *and* `f64` weight bits) for shards ∈ {1, 2, 3, 8, `BSC_SHARDS`} × every
 //! storage backend × every inner algorithm that supports the query, compared
 //! against the unsharded solve of the same algorithm, through all three
-//! configurations: [`ShardedSolver`], [`DistributedSolver`] over an
-//! in-process loopback transport, and [`solve_windows`] cold and warm — with
+//! configurations: [`ShardedSolver`] on local threads, the same solver over
+//! an in-process loopback transport, and [`solve_windows`] cold and warm — with
 //! identical deterministic counters and one stats rule. The same holds when
 //! the graph handed over is a proper sub-view of a larger one: the executor
 //! decomposes the view, and equals the unsharded leaf on that view.
@@ -24,8 +24,10 @@ use std::sync::Arc;
 
 use blogstable::core::cluster_graph::GraphView;
 use blogstable::core::delta::{solve_windows, GraphDelta};
+use std::sync::Mutex;
+
 use blogstable::core::distributed::{
-    solve_window_locally, DistributedSolver, ShardTransport, WindowRequest, WindowResult,
+    solve_window_locally, ShardTransport, WindowRequest, WindowResult,
 };
 use blogstable::prelude::*;
 
@@ -99,6 +101,8 @@ enum Misbehaviour {
 struct Loopback {
     workers: usize,
     calls: AtomicUsize,
+    /// The algorithm of every request, in arrival order.
+    algorithms: Mutex<Vec<AlgorithmKind>>,
     misbehaviour: Misbehaviour,
 }
 
@@ -107,6 +111,7 @@ impl Loopback {
         Arc::new(Loopback {
             workers,
             calls: AtomicUsize::new(0),
+            algorithms: Mutex::new(Vec::new()),
             misbehaviour,
         })
     }
@@ -123,6 +128,7 @@ impl ShardTransport for Loopback {
         request: &WindowRequest,
     ) -> BscResult<WindowResult> {
         let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+        self.algorithms.lock().unwrap().push(request.algorithm);
         match &self.misbehaviour {
             Misbehaviour::None => {}
             Misbehaviour::CancelDuring { on_call, token } => {
@@ -176,7 +182,7 @@ fn assert_configurations_conform(
         .and_then(|mut solver| solver.solve(graph))
         .unwrap_or_else(|e| panic!("{context} sharded: {e}"));
     let transport = Loopback::new(shards, Misbehaviour::None);
-    let distributed = DistributedSolver::new(
+    let distributed = ShardedSolver::with_transport(
         Arc::clone(&transport) as Arc<dyn ShardTransport>,
         kind,
         spec,
@@ -270,7 +276,7 @@ fn assert_sub_view_conforms(
         .and_then(|mut solver| solver.solve_view(view))
         .unwrap_or_else(|e| panic!("{context} sharded: {e}"));
     let transport = Loopback::new(options.shards, Misbehaviour::None);
-    let distributed = DistributedSolver::new(
+    let distributed = ShardedSolver::with_transport(
         Arc::clone(&transport) as Arc<dyn ShardTransport>,
         kind,
         spec,
@@ -355,6 +361,36 @@ fn sharded_solutions_are_byte_identical_across_shards_and_backends() {
     }
 }
 
+/// Unbudgeted `auto` is BFS for every Problem 1 query, and it is resolved
+/// once, before the windows, whatever the shard count: a fanned-out query
+/// with `shards = 3` sends only `bfs` windows and answers with the paths
+/// and counters of `bfs`.
+#[test]
+fn unbudgeted_auto_sends_bfs_windows() {
+    let graph = generate(9, 14, 3, 1, 4242);
+    let spec = StableClusterSpec::ExactLength(2); // 7 start windows
+    let options = SolverOptions::default().shards(3);
+    let solve = |kind: AlgorithmKind| {
+        let transport = Loopback::new(3, Misbehaviour::None);
+        let solution = ShardedSolver::with_transport(
+            Arc::clone(&transport) as Arc<dyn ShardTransport>,
+            kind,
+            spec,
+            5,
+            options.clone(),
+        )
+        .and_then(|mut solver| solver.solve(&graph))
+        .unwrap_or_else(|e| panic!("{kind}: {e}"));
+        let sent = transport.algorithms.lock().unwrap().clone();
+        (solution, sent)
+    };
+    let (bfs, _) = solve(AlgorithmKind::Bfs);
+    let (auto, sent) = solve(AlgorithmKind::Auto { budget_bytes: None });
+    assert_eq!(sent, vec![AlgorithmKind::Bfs; 7], "windows sent");
+    assert_identical(&bfs.paths, &auto.paths, "auto over a transport");
+    assert_eq!(auto.stats, bfs.stats, "auto over a transport");
+}
+
 /// Problem 2 does not decompose by start interval: one rejection, reported
 /// under the name of whichever configuration was asked.
 #[test]
@@ -368,7 +404,7 @@ fn every_configuration_rejects_the_normalized_spec() {
     let sharded = ShardedSolver::new(AlgorithmKind::Bfs, spec, 5, options.clone()).map(|_| ());
     assert_eq!(rejected_as(sharded), "sharded");
     let transport = Loopback::new(2, Misbehaviour::None) as Arc<dyn ShardTransport>;
-    let distributed = DistributedSolver::new(
+    let distributed = ShardedSolver::with_transport(
         transport,
         AlgorithmKind::Normalized,
         spec,
@@ -406,7 +442,7 @@ fn cancellation_and_root_cause_errors_behave_the_same_in_every_configuration() {
             token: token.clone(),
         },
     );
-    let result = DistributedSolver::new(
+    let result = ShardedSolver::with_transport(
         Arc::clone(&transport) as Arc<dyn ShardTransport>,
         AlgorithmKind::Bfs,
         spec,
@@ -442,7 +478,7 @@ fn cancellation_and_root_cause_errors_behave_the_same_in_every_configuration() {
             token: token.clone(),
         },
     );
-    let error = DistributedSolver::new(
+    let error = ShardedSolver::with_transport(
         Arc::clone(&transport) as Arc<dyn ShardTransport>,
         AlgorithmKind::Bfs,
         spec,
@@ -545,7 +581,7 @@ fn counters_are_the_sum_of_the_windows_solved_alone_whatever_the_partition() {
                 .unwrap_or_else(|e| panic!("{context} sharded: {e}"))
                 .stats;
             let transport = Loopback::new(shards, Misbehaviour::None);
-            let distributed = DistributedSolver::new(transport, kind, spec, 5, options)
+            let distributed = ShardedSolver::with_transport(transport, kind, spec, 5, options)
                 .and_then(|mut solver| solver.solve(&graph))
                 .unwrap_or_else(|e| panic!("{context} distributed: {e}"))
                 .stats;
