@@ -29,6 +29,19 @@ const OUTPUT_FEEDING_CRATES: [&str; 5] = [
 /// same way it exempts `benches/` targets.
 const PANIC_EXEMPT_CRATES: [&str; 1] = ["bsc-bench"];
 
+/// Tool crates whose job is touching files — the analyzer reads source
+/// trees, the bench harness writes its reports — are exempt from
+/// `raw-file-io`.
+const RAW_IO_EXEMPT_CRATES: [&str; 2] = ["bsc-analyze", "bsc-bench"];
+
+/// The storage backends: the one place library code may open files. Every
+/// other byte a library writes goes through a `StorageBackend`, so it is a
+/// log frame with fault injection and per-backend I/O accounting.
+const RAW_IO_FILES: [&str; 2] = [
+    "crates/storage/src/backend.rs",
+    "crates/storage/src/temp.rs",
+];
+
 /// Solver hot-path files: every loop nest here must be able to observe a
 /// tripped [`CancelToken`](bsc_util::cancel::CancelToken). `bfs.rs` holds the
 /// one BFS interval sweep (every BFS solve, whole view or start window, runs
@@ -74,6 +87,11 @@ pub fn check_file(file: &SourceFile, is_crate_root: bool) -> Vec<Finding> {
         }
         if basename(&file.path) == "wire.rs" {
             wire_f64_epoch(file, &mut findings);
+        }
+        if !RAW_IO_EXEMPT_CRATES.contains(&file.crate_name.as_str())
+            && !RAW_IO_FILES.contains(&file.path.as_str())
+        {
+            raw_file_io(file, &mut findings);
         }
     }
     findings.retain(|f| !file.allowed(f.lint, f.line));
@@ -666,6 +684,49 @@ fn wire_f64_epoch(file: &SourceFile, findings: &mut Vec<Finding>) {
                     .to_string(),
             ));
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// raw-file-io
+// ---------------------------------------------------------------------------
+
+/// `OpenOptions`, `File::open`, `File::create` or a `std::fs` path in
+/// non-test library code. One finding per line.
+fn raw_file_io(file: &SourceFile, findings: &mut Vec<Finding>) {
+    let tokens = &file.tokens;
+    let path_sep = |i: usize| {
+        tokens.get(i).is_some_and(|t| t.is_punct(':'))
+            && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
+    };
+    let mut last_line = 0;
+    for i in 0..tokens.len() {
+        if file.in_test[i] || tokens[i].line == last_line {
+            continue;
+        }
+        let raw = tokens[i].is_ident("OpenOptions")
+            || (tokens[i].is_ident("File")
+                && path_sep(i + 1)
+                && tokens
+                    .get(i + 3)
+                    .is_some_and(|t| t.is_ident("open") || t.is_ident("create")))
+            || (tokens[i].is_ident("std")
+                && path_sep(i + 1)
+                && tokens.get(i + 3).is_some_and(|t| t.is_ident("fs")));
+        if !raw {
+            continue;
+        }
+        last_line = tokens[i].line;
+        findings.push(finding(
+            file,
+            tokens[i].line,
+            Lint::RawFileIo,
+            "raw file I/O in library code: spill through a `NodeStore` over a \
+             `StorageBackend` (`StorageSpec::open_temp`) so the bytes are log frames with \
+             fault injection and I/O accounting, or annotate \
+             `// bsc:allow(raw-file-io) -- <justification>`"
+                .to_string(),
+        ));
     }
 }
 

@@ -29,6 +29,10 @@ pub enum Lint {
     /// An epoch or weight crossing the cluster wire as a JSON `f64` number
     /// instead of a 16-hex-digit bit string.
     WireF64Epoch,
+    /// File I/O (`OpenOptions`, `File::open`, `File::create`, `std::fs`) in
+    /// library code outside the storage backends, which every byte the
+    /// libraries write must go through.
+    RawFileIo,
     /// A `Cargo.toml` dependency that is not a workspace-internal path
     /// dependency (the zero-external-dependency policy).
     DependencyPolicy,
@@ -38,12 +42,13 @@ pub enum Lint {
 
 impl Lint {
     /// Every lint, in reporting order.
-    pub const ALL: [Lint; 7] = [
+    pub const ALL: [Lint; 8] = [
         Lint::NondeterministicIteration,
         Lint::PanicInLib,
         Lint::MissingCancelCheckpoint,
         Lint::NonstaticErrorDisplay,
         Lint::WireF64Epoch,
+        Lint::RawFileIo,
         Lint::DependencyPolicy,
         Lint::UnsafeForbid,
     ];
@@ -56,6 +61,7 @@ impl Lint {
             Lint::MissingCancelCheckpoint => "missing-cancel-checkpoint",
             Lint::NonstaticErrorDisplay => "nonstatic-error-display",
             Lint::WireF64Epoch => "wire-f64-epoch",
+            Lint::RawFileIo => "raw-file-io",
             Lint::DependencyPolicy => "dependency-policy",
             Lint::UnsafeForbid => "unsafe-forbid",
         }

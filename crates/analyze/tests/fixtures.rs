@@ -196,6 +196,38 @@ fn wire_f64_epoch_only_guards_wire_files() {
 }
 
 #[test]
+fn raw_file_io_fires_and_allows_quiet() {
+    let src = fixture("raw_file_io.rs");
+    let path = "crates/storage/src/fixture.rs";
+    let findings = lint_source(&src, path, "bsc-storage", false);
+    assert_eq!(
+        lines_of(&findings, Lint::RawFileIo),
+        vec![4, 9, 15, 20],
+        "use std::fs, File::create, std::fs::OpenOptions (once per line), std::fs::remove_file"
+    );
+    assert_eq!(findings.len(), 4, "no other lint should fire: {findings:?}");
+    assert_allows_quiet(&src, &findings, path, "bsc-storage", false);
+}
+
+#[test]
+fn raw_file_io_exempts_the_backends_and_tool_crates() {
+    let src = fixture("raw_file_io.rs");
+    for (path, crate_name) in [
+        ("crates/storage/src/backend.rs", "bsc-storage"),
+        ("crates/storage/src/temp.rs", "bsc-storage"),
+        ("crates/analyze/src/engine.rs", "bsc-analyze"),
+        ("crates/bench/src/fixture.rs", "bsc-bench"),
+    ] {
+        let findings = lint_source(&src, path, crate_name, false);
+        assert_eq!(
+            lines_of(&findings, Lint::RawFileIo),
+            Vec::<u32>::new(),
+            "{path}"
+        );
+    }
+}
+
+#[test]
 fn unsafe_forbid_fires_and_allows_quiet() {
     let src = fixture("unsafe_forbid.rs");
     let findings = lint_source(&src, "crates/demo/src/lib.rs", "bsc-demo", true);

@@ -9,15 +9,17 @@
 //! * [`PairCounter::in_memory`] — a hash-map counter, used when the interval's
 //!   pair multiset fits in memory.
 //! * [`PairCounter::external`] — the paper's approach verbatim: emit every
-//!   pair occurrence to a spill file, sort it with the external merge sort of
-//!   [`bsc_storage::external_sort`] so identical pairs become adjacent, and
-//!   count them in one pass over the sorted output.
+//!   pair occurrence to the external merge sort of
+//!   [`bsc_storage::external_sort`], whose runs spill to a temporary log file
+//!   (`StorageSpec::LogFile`), so identical pairs become adjacent, and count
+//!   them in one pass over the sorted output.
 //!
 //! Both produce the same [`PairCounts`]; a property test asserts this.
 
 use std::collections::HashMap;
 
 use bsc_storage::external_sort::{sort_and_count, ExternalSorter, SortConfig};
+use bsc_storage::StorageSpec;
 
 use crate::document::Document;
 use crate::vocabulary::KeywordId;
@@ -149,7 +151,10 @@ impl PairCounter {
     }
 
     fn count_external(&self, documents: &[Document]) -> std::io::Result<PairCounts> {
-        let mut sorter: ExternalSorter<(u32, u32)> = ExternalSorter::new(self.config.sort.clone())?;
+        let mut sorter: ExternalSorter<(u32, u32)> = ExternalSorter::new(
+            self.config.sort.clone(),
+            StorageSpec::LogFile.open_temp("bsc-extsort")?,
+        );
         for doc in documents {
             let keywords = doc.keywords();
             for (i, &u) in keywords.iter().enumerate() {

@@ -10,14 +10,15 @@
 //!
 //! This implementation is **iterative** (the recursion of Algorithm 1 would
 //! overflow the call stack on the multi-million-edge graphs of Table 1) and
-//! keeps the edge stack in a [`bsc_storage::PagedStack`], which spills to
-//! disk when it outgrows a configurable memory budget — mirroring the
-//! paper's observation that the in-memory state is "a stack with well
-//! defined access patterns" that "can be efficiently paged to secondary
-//! storage".
+//! keeps the edge stack in a [`bsc_storage::PagedStack`]. With
+//! [`BiconnectedComponents::max_edges_in_memory`] set, the stack spills its
+//! cold pages to a temporary log file (`StorageSpec::LogFile`) once it
+//! outgrows that many entries — mirroring the paper's observation that the
+//! in-memory state is "a stack with well defined access patterns" that "can
+//! be efficiently paged to secondary storage".
 
 use bsc_storage::paged_stack::PagedStack;
-use bsc_storage::Result as StorageResult;
+use bsc_storage::{Result as StorageResult, StorageSpec};
 
 use crate::csr::{CsrGraph, EdgeIndex, NodeIndex};
 
@@ -85,7 +86,9 @@ impl BiconnectedComponents {
         let mut time = 0u32;
         let mut components: Vec<Vec<EdgeIndex>> = Vec::new();
         let mut edge_stack: PagedStack<EdgeIndex> = match self.max_edges_in_memory {
-            Some(limit) => PagedStack::new(limit)?,
+            Some(limit) => {
+                PagedStack::new(limit, StorageSpec::LogFile.open_temp("bsc-pagedstack")?)
+            }
             None => PagedStack::unbounded(),
         };
 

@@ -1035,7 +1035,11 @@ mod tests {
     fn repeated_queries_hit_the_cache_until_the_epoch_swaps() {
         let engine = engine();
         engine.install_graph(graph(7));
-        let request = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 4);
+        // A query with a cancel token never coalesces, so the second query
+        // cannot be drained as a follower of the first (whose worker drains
+        // after replying) and must be answered by the cache.
+        let request = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 4)
+            .options(SolverOptions::default().cancel_token(Some(CancelToken::new())));
         let first = engine.query(request.clone()).unwrap();
         let second = engine.query(request.clone()).unwrap();
         assert!(!first.cached);

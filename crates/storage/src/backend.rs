@@ -20,7 +20,7 @@
 //!   [`io_stats`] counters; its [`StorageBackend::io_snapshot`] still counts
 //!   logical record accesses.
 //! * [`BlockCacheBackend`] — the log file behind a fixed-page LRU cache
-//!   honoring a [`MemoryBudget`]: reads hit the cache when the page is
+//!   honoring a byte budget: reads hit the cache when the page is
 //!   resident and fall through to the disk (recorded as real I/O) when it is
 //!   not. Evictions are visible in [`IoSnapshot::evictions`]. Shrinking the
 //!   budget reproduces the paper's memory-limited experiments; growing it
@@ -40,7 +40,6 @@ use std::sync::Arc;
 
 use crate::codec::write_varint;
 use crate::io_stats::{self, IoSnapshot, IoStats};
-use crate::memory::MemoryBudget;
 use crate::temp::TempDir;
 use crate::{Result, StorageError};
 
@@ -107,7 +106,7 @@ pub enum StorageSpec {
     /// [`LogFileBackend`]: the paper's append-only log + offset index.
     LogFile,
     /// [`BlockCacheBackend`]: the log file behind an LRU page cache bounded
-    /// by a [`MemoryBudget`] of `budget_bytes` — the paper's limited-memory
+    /// by `budget_bytes` of resident pages — the paper's limited-memory
     /// regime, tunable.
     BlockCache {
         /// Page-cache budget in bytes (advisory, enforced by eviction).
@@ -740,8 +739,8 @@ struct CachedPage {
     last_used: u64,
 }
 
-/// The log file behind a fixed-size-page LRU cache bounded by a
-/// [`MemoryBudget`] — the paper's "limited main memory" regime made tunable.
+/// The log file behind a fixed-size-page LRU cache bounded by a byte budget
+/// — the paper's "limited main memory" regime made tunable.
 ///
 /// Reads are served from resident pages when possible; a miss fetches the
 /// page with one real seek + read (mirrored into the global counters) and
@@ -754,7 +753,10 @@ struct CachedPage {
 pub struct BlockCacheBackend {
     core: LogFileCore,
     page_size: usize,
-    budget: Arc<MemoryBudget>,
+    /// Bytes of resident pages the cache may hold.
+    budget_bytes: usize,
+    /// Bytes of resident pages it holds now (`<= budget_bytes`).
+    cached_bytes: usize,
     cache: HashMap<u64, CachedPage>,
     /// Recency index: `last_used` tick → page number. Ticks are unique
     /// (monotone counter), so the first entry is always the LRU page and
@@ -794,7 +796,8 @@ impl BlockCacheBackend {
         BlockCacheBackend {
             core,
             page_size: DEFAULT_PAGE_SIZE,
-            budget: MemoryBudget::new(budget_bytes),
+            budget_bytes,
+            cached_bytes: 0,
             cache: HashMap::new(),
             lru: BTreeMap::new(),
             tick: 0,
@@ -813,14 +816,9 @@ impl BlockCacheBackend {
         self
     }
 
-    /// The cache's memory budget.
-    pub fn budget(&self) -> &MemoryBudget {
-        &self.budget
-    }
-
     /// Bytes currently resident in the page cache.
     pub fn cached_bytes(&self) -> usize {
-        self.budget.used()
+        self.cached_bytes
     }
 
     /// Evict the least-recently-used page, returning false when the cache is
@@ -834,7 +832,7 @@ impl BlockCacheBackend {
             // LRU and cache are updated together; nothing to release.
             return false;
         };
-        self.budget.release(page.data.len());
+        self.cached_bytes -= page.data.len();
         self.core.stats.record_eviction();
         io_stats::global().record_eviction();
         true
@@ -847,7 +845,7 @@ impl BlockCacheBackend {
         let page_no = offset / self.page_size as u64;
         if let Some(page) = self.cache.remove(&page_no) {
             self.lru.remove(&page.last_used);
-            self.budget.release(page.data.len());
+            self.cached_bytes -= page.data.len();
         }
     }
 
@@ -891,12 +889,12 @@ impl BlockCacheBackend {
     /// it; if the budget cannot hold the page even with an empty cache, the
     /// page is simply not cached.
     fn maybe_cache(&mut self, page_no: u64, data: Vec<u8>, tick: u64) {
-        while self.budget.would_exceed(data.len()) {
+        while self.cached_bytes + data.len() > self.budget_bytes {
             if !self.evict_one() {
                 return;
             }
         }
-        self.budget.charge(data.len());
+        self.cached_bytes += data.len();
         self.lru.insert(tick, page_no);
         self.cache.insert(
             page_no,
@@ -910,10 +908,8 @@ impl BlockCacheBackend {
     /// Drop every cached page (after a compaction rewrote the log).
     fn clear_cache(&mut self) {
         self.lru.clear();
-        // bsc:allow(nondeterministic-iteration) -- releasing budget is commutative; order never escapes
-        for (_, page) in self.cache.drain() {
-            self.budget.release(page.data.len());
-        }
+        self.cache.clear();
+        self.cached_bytes = 0;
     }
 }
 

@@ -9,7 +9,9 @@
 //! component algorithm keeps only a **stack** in memory (paged to disk if it
 //! grows too large), and the DFS stable-cluster algorithm keeps per-node state
 //! (heaps of best paths, `maxweight` entries) **on disk**, touching it with
-//! random reads and writes.
+//! random reads and writes. All three reach disk the same way: as keyed
+//! records in a [`NodeStore`] over a [`StorageBackend`], so every byte this
+//! workspace's libraries write is a `tag | key | value` log frame.
 //!
 //! This crate provides those primitives:
 //!
@@ -18,18 +20,17 @@
 //!   I/O; we count explicit operations instead).
 //! * [`codec`] — a compact, dependency-free binary encoding used by every
 //!   on-disk record.
-//! * [`record_file`] — buffered sequential record files with I/O accounting.
-//! * [`external_sort`] — bounded-memory external merge sort.
 //! * [`backend`] — the pluggable [`StorageBackend`] trait with its shipped
 //!   implementations (append-only log file, plain memory, budget-bounded
 //!   block cache) and the [`StorageSpec`] deployment selector.
 //! * [`fault`] — a deterministic fault-injecting decorator over any backend
 //!   (seeded I/O errors and torn writes), for robustness conformance tests.
 //! * [`node_store`] — the typed keyed record store over any backend, used for
-//!   the disk-resident algorithms' per-node state.
-//! * [`paged_stack`] — a stack that spills to disk beyond a memory budget.
-//! * [`memory`] — a simple memory budget tracker shared by the above.
-//! * [`temp`] — scoped temporary directories for spill files.
+//!   the disk-resident algorithms' per-node state and for both spills below.
+//! * [`external_sort`] — bounded-memory external merge sort whose runs are
+//!   pages in a [`NodeStore`].
+//! * [`paged_stack`] — a stack whose cold bottom spills to a [`NodeStore`].
+//! * [`temp`] — scoped temporary directories for the file-backed backends.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,10 +40,8 @@ pub mod codec;
 pub mod external_sort;
 pub mod fault;
 pub mod io_stats;
-pub mod memory;
 pub mod node_store;
 pub mod paged_stack;
-pub mod record_file;
 pub mod temp;
 
 pub use backend::{
@@ -52,10 +51,8 @@ pub use codec::{Decode, Encode};
 pub use external_sort::{ExternalSorter, SortConfig};
 pub use fault::FaultInjectingBackend;
 pub use io_stats::{IoScope, IoSnapshot, IoStats};
-pub use memory::MemoryBudget;
 pub use node_store::NodeStore;
 pub use paged_stack::PagedStack;
-pub use record_file::{RecordReader, RecordWriter};
 pub use temp::TempDir;
 
 /// Errors produced by the storage substrate.

@@ -1,4 +1,4 @@
-//! A stack that spills to disk beyond a memory budget.
+//! A stack that spills to secondary storage beyond a memory budget.
 //!
 //! The biconnected-component algorithm (Algorithm 1) keeps edges on a stack;
 //! the paper notes that "since the data structure in memory is a stack with
@@ -6,76 +6,58 @@
 //! storage if its size exceeds available resources". [`PagedStack`] does
 //! exactly that: the hot top of the stack lives in memory, and when the
 //! in-memory portion exceeds a configurable number of entries the cold bottom
-//! half is flushed to an on-disk page file in LIFO page order.
+//! half is written out as one page. Page `i` is key `i` of a
+//! [`NodeStore`] over whichever [`StorageBackend`] the caller passes, so a
+//! spill is one `put`, an unspill one `get` and one `delete`, and the pages
+//! share the log format, fault injection and I/O accounting of every other
+//! store.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::marker::PhantomData;
-
+use crate::backend::{InMemoryBackend, StorageBackend};
 use crate::codec::{Decode, Encode};
-use crate::temp::TempDir;
-use crate::{io_stats, Result, StorageError};
+use crate::node_store::NodeStore;
+use crate::Result;
 
-/// A LIFO stack whose cold bottom spills to disk.
+/// A LIFO stack whose cold bottom spills to a [`StorageBackend`].
 #[derive(Debug)]
 pub struct PagedStack<T> {
     /// In-memory (hot) suffix of the stack; the logical top is at the back.
     hot: Vec<T>,
-    /// Byte offsets (start, end) of spilled pages in the page file, in push
-    /// order. The most recently spilled page is at the back.
-    pages: Vec<(u64, u64)>,
-    /// Number of elements per spilled page, aligned with `pages`.
-    page_lens: Vec<usize>,
-    file: Option<File>,
-    spill_dir: Option<TempDir>,
-    tail: u64,
+    /// Spilled pages, keyed by page number; the newest page has the highest.
+    store: NodeStore<u64, Vec<T>>,
+    /// Number of pages currently spilled (keys `0..pages`).
+    pages: u64,
     max_hot: usize,
     spill_batch: usize,
     total_len: usize,
     spills: u64,
     unspills: u64,
-    _marker: PhantomData<T>,
 }
 
 impl<T: Encode + Decode> PagedStack<T> {
-    /// Create a stack that keeps at most `max_hot` entries in memory.
+    /// Create a stack that keeps at most `max_hot` entries in memory and
+    /// spills to `backend`.
     ///
     /// When the hot portion exceeds `max_hot`, the oldest half of the hot
     /// entries is written out as one page.
-    pub fn new(max_hot: usize) -> Result<Self> {
+    pub fn new(max_hot: usize, backend: Box<dyn StorageBackend>) -> Self {
         let max_hot = max_hot.max(2);
-        Ok(PagedStack {
+        PagedStack {
             hot: Vec::new(),
-            pages: Vec::new(),
-            page_lens: Vec::new(),
-            file: None,
-            spill_dir: None,
-            tail: 0,
+            store: NodeStore::with_backend(backend),
+            pages: 0,
             max_hot,
-            spill_batch: (max_hot / 2).max(1),
+            spill_batch: max_hot / 2,
             total_len: 0,
             spills: 0,
             unspills: 0,
-            _marker: PhantomData,
-        })
+        }
     }
 
     /// A stack that never spills (purely in-memory).
     pub fn unbounded() -> Self {
-        PagedStack {
-            hot: Vec::new(),
-            pages: Vec::new(),
-            page_lens: Vec::new(),
-            file: None,
-            spill_dir: None,
-            tail: 0,
-            max_hot: usize::MAX,
-            spill_batch: 1,
-            total_len: 0,
-            spills: 0,
-            unspills: 0,
-            _marker: PhantomData,
-        }
+        let mut stack = Self::new(0, Box::new(InMemoryBackend::new()));
+        stack.max_hot = usize::MAX;
+        stack
     }
 
     /// Number of elements on the stack.
@@ -88,14 +70,19 @@ impl<T: Encode + Decode> PagedStack<T> {
         self.total_len == 0
     }
 
-    /// Number of pages spilled to disk over the lifetime of the stack.
+    /// Number of pages spilled over the lifetime of the stack.
     pub fn spill_count(&self) -> u64 {
         self.spills
     }
 
-    /// Number of pages read back from disk over the lifetime of the stack.
+    /// Number of pages read back over the lifetime of the stack.
     pub fn unspill_count(&self) -> u64 {
         self.unspills
+    }
+
+    /// The backend the pages spill to (for I/O accounting).
+    pub fn backend(&self) -> &dyn StorageBackend {
+        self.store.backend()
     }
 
     /// Push a value on the stack.
@@ -113,13 +100,11 @@ impl<T: Encode + Decode> PagedStack<T> {
         if self.hot.is_empty() {
             self.unspill()?;
         }
-        match self.hot.pop() {
-            Some(value) => {
-                self.total_len -= 1;
-                Ok(Some(value))
-            }
-            None => Ok(None),
+        let value = self.hot.pop();
+        if value.is_some() {
+            self.total_len -= 1;
         }
+        Ok(value)
     }
 
     /// Peek at the top value without removing it.
@@ -130,81 +115,27 @@ impl<T: Encode + Decode> PagedStack<T> {
         Ok(self.hot.last())
     }
 
-    fn ensure_file(&mut self) -> Result<()> {
-        if self.file.is_none() {
-            let dir = TempDir::new("bsc-pagedstack")?;
-            let path = dir.file("stack.pages");
-            let file = OpenOptions::new()
-                .create(true)
-                .read(true)
-                .write(true)
-                .truncate(true)
-                .open(path)?;
-            self.file = Some(file);
-            self.spill_dir = Some(dir);
-        }
-        Ok(())
-    }
-
+    /// Write the *bottom* (oldest) part of the hot vector out as the next
+    /// page, preserving order so that unspilling restores LIFO semantics.
     fn spill(&mut self) -> Result<()> {
-        self.ensure_file()?;
-        let spill_count = self.spill_batch.min(self.hot.len());
-        if spill_count == 0 {
-            return Ok(());
-        }
-        // Spill the *bottom* (oldest) part of the hot vector as one page,
-        // preserving order so that unspilling restores LIFO semantics.
-        let cold: Vec<T> = self.hot.drain(..spill_count).collect();
-        let mut payload = Vec::with_capacity(64 * cold.len());
-        for item in &cold {
-            item.encode(&mut payload);
-        }
-        let file = match self.file.as_mut() {
-            Some(file) => file,
-            // ensure_file ran before any spill; a missing handle here means
-            // a logic error upstream — surface it as an I/O error.
-            None => return Err(StorageError::Corrupt("spill file not open".into())),
-        };
-        file.seek(SeekFrom::Start(self.tail))?;
-        file.write_all(&payload)?;
-        io_stats::global().record_write(payload.len() as u64);
-        let start = self.tail;
-        self.tail += payload.len() as u64;
-        self.pages.push((start, self.tail));
-        self.page_lens.push(cold.len());
+        let cold: Vec<T> = self.hot.drain(..self.spill_batch).collect();
+        self.store.put(&self.pages, &cold)?;
+        self.pages += 1;
         self.spills += 1;
         Ok(())
     }
 
+    /// Read the newest page back underneath the hot elements (it is older
+    /// than anything currently hot) and delete it from the store.
     fn unspill(&mut self) -> Result<()> {
-        let (range, count) = match (self.pages.pop(), self.page_lens.pop()) {
-            (Some(range), Some(count)) => (range, count),
-            _ => return Ok(()),
+        let Some(page) = self.pages.checked_sub(1) else {
+            return Ok(());
         };
-        let file = self.file.as_mut().ok_or_else(|| {
-            StorageError::Corrupt("paged stack has pages but no spill file".into())
-        })?;
-        let len = (range.1 - range.0) as usize;
-        file.seek(SeekFrom::Start(range.0))?;
-        io_stats::global().record_seek();
-        let mut payload = vec![0u8; len];
-        file.read_exact(&mut payload)?;
-        io_stats::global().record_read(len as u64);
-        let mut slice = payload.as_slice();
-        let mut restored = Vec::with_capacity(count);
-        for _ in 0..count {
-            restored.push(T::decode(&mut slice)?);
-        }
-        if !slice.is_empty() {
-            return Err(StorageError::Corrupt(
-                "trailing bytes in paged stack page".into(),
-            ));
-        }
-        // The restored page is older than anything currently hot, so it goes
-        // underneath the current hot elements.
+        let mut restored = self.store.get_required(&page)?;
+        self.store.delete(&page)?;
+        self.pages = page;
         restored.append(&mut self.hot);
         self.hot = restored;
-        self.tail = range.0;
         self.unspills += 1;
         Ok(())
     }
@@ -213,7 +144,15 @@ impl<T: Encode + Decode> PagedStack<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::StorageSpec;
     use bsc_util::DetRng;
+
+    fn spilling<T: Encode + Decode>(max_hot: usize) -> PagedStack<T> {
+        PagedStack::new(
+            max_hot,
+            StorageSpec::LogFile.open_temp("pagedstack").unwrap(),
+        )
+    }
 
     #[test]
     fn lifo_order_without_spilling() {
@@ -225,11 +164,12 @@ mod tests {
             assert_eq!(stack.pop().unwrap(), Some(i));
         }
         assert!(stack.pop().unwrap().is_none());
+        assert_eq!(stack.spill_count(), 0);
     }
 
     #[test]
     fn lifo_order_with_spilling() {
-        let mut stack: PagedStack<u64> = PagedStack::new(8).unwrap();
+        let mut stack: PagedStack<u64> = spilling(8);
         for i in 0..1000u64 {
             stack.push(i).unwrap();
         }
@@ -239,11 +179,15 @@ mod tests {
         }
         assert!(stack.pop().unwrap().is_none());
         assert!(stack.unspill_count() > 0);
+        // Every page read back was deleted: the store holds nothing live.
+        assert!(stack.backend().is_empty());
+        let io = stack.backend().io_snapshot();
+        assert!(io.read_ops > 0 && io.write_ops > 0, "{io:?}");
     }
 
     #[test]
     fn interleaved_push_pop_with_spilling() {
-        let mut stack: PagedStack<u32> = PagedStack::new(4).unwrap();
+        let mut stack: PagedStack<u32> = spilling(4);
         let mut model: Vec<u32> = Vec::new();
         for round in 0..50u32 {
             for i in 0..5 {
@@ -263,7 +207,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
-        let mut stack: PagedStack<u32> = PagedStack::new(2).unwrap();
+        let mut stack: PagedStack<u32> = spilling(2);
         for i in 0..20 {
             stack.push(i).unwrap();
         }
@@ -274,7 +218,7 @@ mod tests {
 
     #[test]
     fn tuple_payloads() {
-        let mut stack: PagedStack<(u32, u32, f64)> = PagedStack::new(3).unwrap();
+        let mut stack: PagedStack<(u32, u32, f64)> = spilling(3);
         for i in 0..100u32 {
             stack.push((i, i + 1, i as f64 * 0.5)).unwrap();
         }
@@ -286,8 +230,9 @@ mod tests {
     #[test]
     fn randomized_behaves_like_vec() {
         let mut rng = DetRng::seed_from_u64(300);
-        for _ in 0..8 {
-            let mut stack: PagedStack<u16> = PagedStack::new(5).unwrap();
+        for round in 0..8 {
+            let spec = StorageSpec::ALL[round % StorageSpec::ALL.len()];
+            let mut stack: PagedStack<u16> = PagedStack::new(5, spec.open_temp("ps").unwrap());
             let mut model: Vec<u16> = Vec::new();
             for _ in 0..rng.index(400) {
                 if rng.chance(0.6) {
@@ -295,14 +240,14 @@ mod tests {
                     stack.push(v).unwrap();
                     model.push(v);
                 } else {
-                    assert_eq!(stack.pop().unwrap(), model.pop());
+                    assert_eq!(stack.pop().unwrap(), model.pop(), "{spec}");
                 }
-                assert_eq!(stack.len(), model.len());
+                assert_eq!(stack.len(), model.len(), "{spec}");
             }
             while let Some(expected) = model.pop() {
-                assert_eq!(stack.pop().unwrap(), Some(expected));
+                assert_eq!(stack.pop().unwrap(), Some(expected), "{spec}");
             }
-            assert!(stack.pop().unwrap().is_none());
+            assert!(stack.pop().unwrap().is_none(), "{spec}");
         }
     }
 }

@@ -1,7 +1,8 @@
-//! Scoped temporary directories for spill files.
+//! Scoped temporary directories for scratch logs.
 //!
-//! The external sorter, paged stack and node store all need scratch space on
-//! disk. We avoid an external `tempfile` dependency with a small utility that
+//! A file-backed backend opened with `StorageSpec::open_temp` keeps its log
+//! in one of these, so the external sorter's runs, the paged stack's pages
+//! and DFS's node store all vanish with their backend. We avoid an external `tempfile` dependency with a small utility that
 //! creates a uniquely named directory under the system temp dir (or a caller
 //! supplied parent) and removes it on drop.
 

@@ -16,8 +16,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use blogstable::core::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 use blogstable::core::ClusterGraph;
 use blogstable::prelude::*;
+use blogstable::storage::external_sort::{ExternalSorter, SortConfig};
 use blogstable::storage::temp::TempDir;
-use blogstable::storage::LogFileBackend;
+use blogstable::storage::{LogFileBackend, PagedStack, Result as StorageResult};
 
 /// Base seed of the deterministic fault schedules: `BSC_FAULT_SEED` when
 /// set (CI pins it; reuse the value to reproduce a CI failure), 42
@@ -163,6 +164,86 @@ fn sharded_solves_surface_injected_faults_cleanly() {
         }
     }
     assert!(saw_error, "no shard ever tripped the fault schedule");
+}
+
+/// The two spills under injected faults: the pair sort's runs and the
+/// biconnected edge stack's pages reach storage through the same backend
+/// seam as DFS, so the same fault schedules reach them. Every run over
+/// every inner backend either returns the fault-free answer or fails with
+/// the injected fault — never a panic, never a wrong order.
+#[test]
+fn spills_survive_injected_storage_faults() {
+    let base = fault_seed();
+    let inners = [
+        FaultInner::Memory,
+        FaultInner::LogFile,
+        FaultInner::BlockCache { budget_bytes: 4096 },
+    ];
+    let values: Vec<u32> = (0..600u32)
+        .map(|i| i.wrapping_mul(2_654_435_761) % 1_000)
+        .collect();
+    // 600 records at 64 per buffer spill 10 runs: an intermediate merge
+    // pass runs at fan-in 4.
+    let sort = |backend: Box<dyn StorageBackend>| -> StorageResult<Vec<u32>> {
+        let config = SortConfig {
+            max_records_in_memory: 64,
+            merge_fan_in: 4,
+        };
+        let mut sorter = ExternalSorter::new(config, backend);
+        for value in &values {
+            sorter.push(*value)?;
+        }
+        sorter.finish()?.collect()
+    };
+    // Two pushes per pop, then drain: pages spill and come back all along.
+    let stack = |backend: Box<dyn StorageBackend>| -> StorageResult<Vec<u32>> {
+        let mut stack = PagedStack::new(4, backend);
+        let mut popped = Vec::new();
+        for (i, value) in values.iter().enumerate() {
+            stack.push(*value)?;
+            if i % 3 == 2 {
+                popped.extend(stack.pop()?);
+            }
+        }
+        while let Some(value) = stack.pop()? {
+            popped.push(value);
+        }
+        Ok(popped)
+    };
+    type Spill<'a> = &'a dyn Fn(Box<dyn StorageBackend>) -> StorageResult<Vec<u32>>;
+    let spills: [(&str, Spill); 2] = [("sort", &sort), ("stack", &stack)];
+    let mut injected_errors = 0u64;
+    for (what, spill) in spills {
+        let expected = spill(StorageSpec::Memory.open_temp("spill-ref").unwrap()).unwrap();
+        for inner in inners {
+            for round in 0..4u64 {
+                let storage = StorageSpec::Fault {
+                    seed: base.wrapping_add(round),
+                    every: 3,
+                    inner,
+                };
+                let context = format!("{what} {storage}");
+                let backend = storage.open_temp("fault-spill").unwrap();
+                let outcome = catch_unwind(AssertUnwindSafe(|| spill(backend)))
+                    .unwrap_or_else(|_| panic!("{context}: spill panicked under injected faults"));
+                match outcome {
+                    Ok(output) => assert_eq!(output, expected, "{context}"),
+                    Err(error) => {
+                        let rendered = error.to_string();
+                        assert!(
+                            rendered.contains("injected storage fault"),
+                            "{context}: expected the injected fault, got: {rendered}"
+                        );
+                        injected_errors += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        injected_errors > 0,
+        "the fault schedule never fired — the spill matrix is vacuous"
+    );
 }
 
 /// Crash-recovery sweep: truncate a log file at *every* byte position in

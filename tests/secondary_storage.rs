@@ -2,7 +2,8 @@
 //! that keeps per-node state in storage, must produce exactly the same
 //! answers as in memory — under *every* storage backend — and the
 //! external-sort pair counter must agree with the hash-map counter on a
-//! realistic corpus.
+//! realistic corpus. The two spills (the sort's runs, the biconnected
+//! edge stack's pages) run over every backend too.
 //!
 //! The `BSC_STORAGE_BACKEND` environment variable (a
 //! [`StorageSpec`]-`parse`able string) selects the backend exercised by the
@@ -19,10 +20,11 @@ use blogstable::graph::csr::CsrGraph;
 use blogstable::graph::keyword_graph::KeywordGraphBuilder;
 use blogstable::graph::prune::PruneConfig;
 use blogstable::prelude::*;
-use blogstable::storage::external_sort::SortConfig;
+use blogstable::storage::external_sort::{ExternalSorter, SortConfig};
 use blogstable::storage::io_stats;
 use blogstable::storage::io_stats::IoSnapshot;
-use blogstable::storage::NodeStore;
+use blogstable::storage::{NodeStore, PagedStack};
+use bsc_util::DetRng;
 
 /// The backend under test: `BSC_STORAGE_BACKEND` when set (CI runs the
 /// matrix), the paper's log file otherwise.
@@ -293,4 +295,62 @@ fn dfs_memory_footprint_is_bounded_by_the_stack() {
         "the batch sweep holds {} paths at its peak, bound {bound}",
         bfs_stats.peak_resident_paths
     );
+}
+
+/// Both spills run on the env-pinned backend: the pair sort's runs and the
+/// biconnected edge stack's pages are `NodeStore` pages like DFS's node
+/// state. The sort must agree with `Vec::sort` after an intermediate merge
+/// pass, the stack with a `Vec` model, and a file-backed backend must
+/// account the spills' reads and writes in its own `io_snapshot`.
+#[test]
+fn spills_run_on_the_env_pinned_backend() {
+    let spec = spec_from_env();
+    let mut rng = DetRng::seed_from_u64(31);
+
+    // 2 000 records at 256 per buffer spill 8 runs; at fan-in 4 one
+    // intermediate pass merges four of them before the final merge.
+    let values: Vec<(u32, u32)> = (0..2_000)
+        .map(|_| (rng.next_u32() % 500, rng.next_u32()))
+        .collect();
+    let config = SortConfig {
+        max_records_in_memory: 256,
+        merge_fan_in: 4,
+    };
+    let mut sorter = ExternalSorter::new(config, spec.open_temp("spill-sort").unwrap());
+    for value in &values {
+        sorter.push(*value).unwrap();
+    }
+    assert!(sorter.spilled_runs() > 4, "{spec}: must force a merge pass");
+    let mut sorted = sorter.finish().unwrap();
+    let output: Vec<(u32, u32)> = sorted.by_ref().collect::<Result<_, _>>().unwrap();
+    let mut expected = values;
+    expected.sort();
+    assert_eq!(output, expected, "{spec}");
+    let sort_io = sorted.backend().expect("spilled runs").io_snapshot();
+
+    let mut stack = PagedStack::new(4, spec.open_temp("spill-stack").unwrap());
+    let mut model: Vec<u32> = Vec::new();
+    for _ in 0..2_000 {
+        if rng.chance(0.6) {
+            let value = rng.next_u32();
+            stack.push(value).unwrap();
+            model.push(value);
+        } else {
+            assert_eq!(stack.pop().unwrap(), model.pop(), "{spec}");
+        }
+        assert_eq!(stack.len(), model.len(), "{spec}");
+    }
+    while let Some(expected) = model.pop() {
+        assert_eq!(stack.pop().unwrap(), Some(expected), "{spec}");
+    }
+    assert!(stack.pop().unwrap().is_none(), "{spec}");
+    assert!(stack.spill_count() > 0, "{spec}: the stack must spill");
+    let stack_io = stack.backend().io_snapshot();
+
+    if spec != StorageSpec::Memory {
+        for (what, io) in [("sort", sort_io), ("stack", stack_io)] {
+            assert!(io.write_ops > 0, "{spec}: {what} writes unaccounted");
+            assert!(io.read_ops > 0, "{spec}: {what} reads unaccounted");
+        }
+    }
 }
