@@ -64,7 +64,9 @@ const SEED: u64 = 2007;
 /// Build the solver for `kind`/`spec` through the unified trait, run it on
 /// `graph` and report the wall-clock time. One dispatch point backs every
 /// per-algorithm experiment below — the paper's comparisons are literally
-/// "same graph, different `AlgorithmKind`".
+/// "same graph, different `AlgorithmKind`". The solve reads a clone of
+/// `graph`, which keeps none of the look-ahead tables earlier solves of
+/// `graph` built: every cell times a cold solve, table included.
 fn timed_solve(
     kind: AlgorithmKind,
     spec: StableClusterSpec,
@@ -74,7 +76,8 @@ fn timed_solve(
     let mut solver = kind
         .build(spec, k, graph.num_intervals())
         .expect("supported algorithm/spec combination");
-    let (solution, duration) = timed(|| solver.solve(graph).expect("solver run"));
+    let cold = graph.clone();
+    let (solution, duration) = timed(|| solver.solve(&cold).expect("solver run"));
     (solution, duration)
 }
 
@@ -252,13 +255,17 @@ pub fn table3_ablation(scale: Scale) -> Table {
     for (label, l) in specs {
         let params = KlStableParams::new(k, l);
         let (seed_paths, seed_time) = timed(|| crate::reference::seed_style_bfs(params, &graph));
-        let solve = || BfsStableClusters::new(params).run(&graph).expect("bfs");
-        let (paths, time) = timed(solve);
+        // On a clone each time: a cold solve, its look-ahead table built.
+        let solve = || {
+            let cold = graph.clone();
+            timed(|| BfsStableClusters::new(params).run(&cold).expect("bfs"))
+        };
+        let (paths, time) = solve();
         assert_paths_equal(&seed_paths, &paths, "seed vs flat-table");
         // Five solve / pass pairs back to back; the median pair's ratio.
         let mut passes: Vec<f64> = (0..5)
             .map(|_| {
-                let (_, solved) = timed(solve);
+                let (_, solved) = solve();
                 let (_, passed) = timed(|| black_box(edge_pass(black_box(&graph))));
                 solved.as_secs_f64() / passed.as_secs_f64().max(1e-9)
             })
@@ -302,10 +309,10 @@ pub fn table3_ablation(scale: Scale) -> Table {
 /// like the whole graph does, and since it visits only the nodes a prefix of
 /// a near-answer can reach ("Nodes nothing live reaches") that ratio reads
 /// what is left. The backward pass is no longer paid once per window a node
-/// appears in: a range's run of windows shares one completion table ("One
-/// look-ahead table per run of windows"), so each edge is relaxed once per
-/// run and what remains is the windows' own sweeps, one per start, and the
-/// per-window set-up around them. The `visited(=)` columns are the nodes each side's
+/// appears in: every window reads the graph's completion table ("The graph
+/// keeps its look-ahead"), built once before the windows — each solve here
+/// reads a clone, so both sides build theirs — and what remains is the
+/// windows' own sweeps, one per start, and the per-window set-up around them. The `visited(=)` columns are the nodes each side's
 /// forward sweeps visited (`nodes_processed`), the `generated(=)` columns the
 /// candidates considered at them (`paths_generated`), the `held(=)` columns
 /// the subpaths held at the peak (`peak_resident_paths`; a handful, where
@@ -343,13 +350,16 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
         let mut unsharded = AlgorithmKind::Bfs
             .build(spec, k, graph.num_intervals())
             .expect("bfs supports exact lengths");
-        let (base, base_time) = timed(|| unsharded.solve(&graph).expect("unsharded solve"));
+        // Every solve reads a clone: cold, its look-ahead table built.
+        let cold = graph.clone();
+        let (base, base_time) = timed(|| unsharded.solve(&cold).expect("unsharded solve"));
         // Built directly: `build_with_options` only wraps for shards > 1.
         let sharded = |shards: usize| {
             let options = SolverOptions::default().shards(shards);
             let mut solver =
                 ShardedSolver::new(AlgorithmKind::Bfs, spec, k, options).expect("sharded build");
-            let (merged, time) = timed(|| solver.solve(&graph).expect("sharded solve"));
+            let cold = graph.clone();
+            let (merged, time) = timed(|| solver.solve(&cold).expect("sharded solve"));
             assert_paths_identical(
                 &base.paths,
                 &merged.paths,
@@ -396,7 +406,7 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
         "m = {m}, n = {n}, d = {d}, g = {g}, k = {k}; byte-identical top-k verified before timing"
     ));
     table.push_note(format!(
-        "sharded@1/BFS(x) reads the backward pass paid per window: every batch sweep, whole graph or window, knows the best completion of each subpath and its k-th answer's floor before its first interval, visits only the nodes a prefix of a near-answer can reach (visited(=), generated(=): {}) and holds those prefixes (held(=), peak_resident_paths: the largest window's); a window's floor is its own k-th best start, lower than the graph's, so the windows visit more; a range's windows share one completion table, one pass over the range's edges (each edge once, with the lengths of every window it lies in), where each of the l + 1 windows a node appears in used to build its own; what the ratio has left is the windows' own sweeps, one per start, each reading its table through a lens with its own floor; sharding buys independent shards (own threads, own storage backends), not single-core speed",
+        "sharded@1/BFS(x) reads the backward pass paid per window: every batch sweep, whole graph or window, knows the best completion of each subpath and its k-th answer's floor before its first interval, visits only the nodes a prefix of a near-answer can reach (visited(=), generated(=): {}) and holds those prefixes (held(=), peak_resident_paths: the largest window's); a window's floor is its own k-th best start, lower than the graph's, so the windows visit more; the windows read the graph's completion table, one pass over its edges built before them (each edge once, with the lengths of every window it lies in; both sides solve a clone and build theirs), where each of the l + 1 windows a node appears in used to build its own; what the ratio has left is the windows' own sweeps, one per start, each reading its table through a lens with its own floor; sharding buys independent shards (own threads, own storage backends), not single-core speed",
         counted.join("; ")
     ));
     table
@@ -514,7 +524,8 @@ pub fn table3_deadline(scale: Scale) -> Table {
             let mut solver = AlgorithmKind::Bfs
                 .build_with_options(spec, k, graph.num_intervals(), options)
                 .expect("bfs build");
-            timed(|| solver.solve(&graph).expect("bfs solve"))
+            let cold = graph.clone();
+            timed(|| solver.solve(&cold).expect("bfs solve"))
         };
         let mut plain_best = Duration::MAX;
         let mut deadline_best = Duration::MAX;
@@ -1368,16 +1379,13 @@ pub fn streaming_delta(scale: Scale) -> Vec<Table> {
     let new_snapshot = online.snapshot();
     let delta = GraphDelta::between(prior_snapshot.graph(), new_snapshot.graph());
 
+    // On a clone, so the spliced solve below finds no table kept for the new
+    // graph and re-solves its windows with tables of their own, as a stream's
+    // answer does.
+    let unkept = new_snapshot.graph().as_ref().clone();
     let (cold, cold_time) = timed(|| {
-        solve_windows(
-            new_snapshot.graph(),
-            spec,
-            params.k,
-            AlgorithmKind::Bfs,
-            &options,
-            None,
-        )
-        .expect("cold windowed solve")
+        solve_windows(&unkept, spec, params.k, AlgorithmKind::Bfs, &options, None)
+            .expect("cold windowed solve")
     });
     let (spliced, delta_time) = timed(|| {
         solve_windows(

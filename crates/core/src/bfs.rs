@@ -29,7 +29,7 @@
 //!   considered but not held (`problem::can_still_reach`). Before it sweeps,
 //!   one backward relaxation over [`GraphView::parents`] (`Completions`, in
 //!   the crate-private `lookahead` module, where the TA adaptation reads it
-//!   too; a start window reads its run's table through a `Lens`, as its own)
+//!   too; a view reads its graph's table through a `Lens`, as its own)
 //!   gives every node `c` of the view `C[c][r]`, the heaviest path of
 //!   length exactly `r` leaving `c` inside the view, for each `r` a prefix
 //!   ending at `c` can ask for — the `startwts` of the paper's TA
@@ -108,10 +108,9 @@
 //! of them — one for full paths and inside a start window, 86 KB for
 //! 12 × 300 nodes at `l = 6`, a fraction of the view's own adjacency — and
 //! none is sized by `k`. It is allocated once (a table the allocator refuses
-//! is the query's error, not an abort) and dropped with the sweep — or, for
-//! a start window of a shard range, built once for the run of windows the
-//! range solves and dropped with the run (at most 1 MiB, or the window's own
-//! table where that is larger). Only the
+//! is the query's error, not an abort) and dropped with the sweep — or,
+//! built for the whole graph, kept by the graph for every later solve at
+//! that length, a start window's included (at most 4 MiB per graph). Only the
 //! global heap `H` holds materialized [`ClusterPath`]s — built behind its
 //! `would_admit` check — so an answer never points into a table.
 //!
@@ -518,7 +517,7 @@ struct IntervalSweep<'t> {
     k: usize,
     l: u32,
     /// How every subpath of the view can end, and how deep its last interval
-    /// lies: the view's own table, or its run's read as its own. It decides
+    /// lies: the view's own table, or its graph's read as its own. It decides
     /// the work done, never the answer.
     ahead: Lens<'t>,
     window: Ring,
@@ -875,8 +874,8 @@ impl<'t> IntervalSweep<'t> {
     }
 
     /// Batch BFS: read how every subpath of `view` can end off `table` (a
-    /// table of `view`'s own, or of a run of windows that holds it), then
-    /// sweep its intervals.
+    /// table of `view`'s own, or of the graph that holds it), then sweep its
+    /// intervals.
     fn run(
         params: KlStableParams,
         view: GraphView<'_>,
@@ -942,23 +941,16 @@ impl BfsStableClusters {
     /// on the graph and the query) and `peak_resident_paths` (paths held
     /// across all node heaps simultaneously, a proxy for the memory
     /// footprint).
+    ///
+    /// The look-ahead is `GraphView::completions`: the table the graph
+    /// keeps for `l`, or one built first (one the allocator refuses, or a
+    /// tripped token, is the error). Either way the same answer and the same
+    /// counters.
     pub fn run_with_stats<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
-        self.run_in(graph.into(), None)
-    }
-
-    /// [`BfsStableClusters::run_with_stats`] over `view`, reading its
-    /// look-ahead off `shared` — a table for this `l` over a view that holds
-    /// `view` — or, for `None`, off a table of its own, built first (one the
-    /// allocator refuses, or a tripped token, is the error). Either way the
-    /// same answer and the same counters.
-    pub(crate) fn run_in(
-        &self,
-        view: GraphView<'_>,
-        shared: Option<&Completions>,
-    ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
+        let view = graph.into();
         let KlStableParams { k, l } = self.params;
         let cancel = self.cancel.as_ref();
         check_not_expired(cancel)?;
@@ -967,15 +959,8 @@ impl BfsStableClusters {
             return Ok((Vec::new(), SolverStats::default()));
         }
         let mut tick = 0;
-        let own;
-        let table = match shared {
-            Some(table) => table,
-            None => {
-                own = Completions::of(view, l, cancel, &mut tick)?;
-                &own
-            }
-        };
-        IntervalSweep::run(self.params, view, table, cancel, tick)
+        let table = view.completions(l, cancel, &mut tick)?;
+        IntervalSweep::run(self.params, view, &table, cancel, tick)
     }
 }
 
@@ -1473,6 +1458,31 @@ mod tests {
             );
             assert!(peak_bytes < 16 << 20, "{case}: {peak_bytes} B");
         }
+    }
+
+    #[test]
+    fn a_cancelled_solve_keeps_no_table_and_the_next_one_does() {
+        let graph = ClusterGraphGenerator::new(SyntheticGraphParams {
+            num_intervals: 12,
+            nodes_per_interval: 300,
+            avg_out_degree: 5,
+            gap: 1,
+            seed: 20_240_607,
+        })
+        .generate();
+        let expired = CancelToken::new();
+        expired.cancel();
+        let bfs = BfsStableClusters::new(KlStableParams::new(5, 3));
+        let cancelled = bfs.clone().with_cancel(Some(expired.clone())).run(&graph);
+        assert!(matches!(cancelled, Err(BscError::DeadlineExceeded { .. })));
+        // A build the token trips part-way through (3 600 nodes, a check
+        // every 1 024) keeps nothing either.
+        let tripped = graph.view().completions(3, Some(&expired), &mut 0);
+        assert!(matches!(tripped, Err(BscError::DeadlineExceeded { .. })));
+        assert!(graph.memoized().is_empty());
+        let answer = bfs.run(&graph).unwrap();
+        assert_eq!(graph.memoized(), [3]);
+        assert_eq!(answer, bfs.run(&graph.clone()).unwrap());
     }
 
     #[test]

@@ -24,6 +24,7 @@ use bsc_graph::cluster::KeywordCluster;
 use bsc_graph::csr::prefix_offsets;
 
 use crate::affinity::Affinity;
+use crate::lookahead::Memo;
 
 /// Identifier of a cluster-graph node: the temporal interval and the cluster
 /// index within that interval.
@@ -185,12 +186,19 @@ struct IntervalSegment {
 /// on the solver hot paths. Cloning a graph copies `2m` pointers, and
 /// [`ClusterGraph::append`] yields the next epoch's graph sharing every
 /// segment the new interval does not touch.
+///
+/// A graph also keeps the look-ahead tables its solves built, one per path
+/// length (`GraphView::completions`): no method changes a graph, so one
+/// built for it is never stale. A clone, an append and a fresh build start
+/// with none.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterGraph {
     gap: u32,
     segments: Vec<IntervalSegment>,
     num_nodes: usize,
     num_edges: usize,
+    /// The look-ahead tables solves of this graph built, by `l`.
+    pub(crate) memo: Memo,
 }
 
 impl ClusterGraph {
@@ -425,6 +433,7 @@ impl ClusterGraph {
             segments,
             num_nodes: self.num_nodes + parent_edges.len(),
             num_edges: self.num_edges + in_degrees.iter().sum::<usize>(),
+            memo: Memo::default(),
         }
     }
 
@@ -705,6 +714,7 @@ impl ClusterGraphBuilder {
             gap: self.gap,
             num_nodes,
             num_edges,
+            memo: Memo::default(),
             segments: parents
                 .into_iter()
                 .zip(children)
@@ -781,6 +791,14 @@ impl ClusterGraphBuilder {
         // `build` normalizes unbounded affinities into (0, 1] by the maximum
         // observed value (paper, footnote 1).
         builder.build()
+    }
+}
+
+#[cfg(test)]
+impl ClusterGraph {
+    /// The lengths the graph keeps a look-ahead table for, in the order kept.
+    pub(crate) fn memoized(&self) -> Vec<u32> {
+        self.memo.lengths()
     }
 }
 
@@ -1076,5 +1094,35 @@ mod tests {
         assert_eq!(ids, vec![node(0, 0), node(0, 1), node(1, 0)]);
         let interval1: Vec<ClusterNodeId> = graph.interval_node_ids(1).collect();
         assert_eq!(interval1, vec![node(1, 0)]);
+    }
+
+    #[test]
+    fn a_clone_an_append_and_a_build_keep_no_look_ahead() {
+        let mut builder = ClusterGraphBuilder::new(0);
+        for _ in 0..5 {
+            builder.add_interval(2);
+        }
+        for i in 1..5 {
+            builder.add_edge(node(i - 1, 0), node(i, 0), 0.5);
+            builder.add_edge(node(i - 1, 1), node(i, 1), 0.25);
+        }
+        let graph = builder.build();
+        assert!(graph.memoized().is_empty());
+        // A part of the graph builds a table of its own and keeps nothing.
+        graph.window(1, 4).completions(2, None, &mut 0).unwrap();
+        assert!(graph.memoized().is_empty());
+        let kept = graph.view().completions(2, None, &mut 0).unwrap();
+        graph.view().completions(3, None, &mut 0).unwrap();
+        assert_eq!(graph.memoized(), [2, 3]);
+        assert!(format!("{graph:?}").contains("memo: Memo(24 weights)"));
+        // Once kept, the whole graph and every part of it read that table.
+        for view in [graph.view(), graph.window(1, 4)] {
+            let read = view.completions(2, None, &mut 0).unwrap();
+            assert!(Arc::ptr_eq(&read, &kept));
+        }
+        assert!(graph.clone().memoized().is_empty());
+        let next = graph.append(&[vec![(node(4, 0), 0.5)]]);
+        assert!(next.memoized().is_empty());
+        assert_eq!(graph.memoized(), [2, 3]);
     }
 }

@@ -34,14 +34,11 @@ use std::sync::{Arc, OnceLock};
 
 use bsc_storage::backend::StorageSpec;
 
-use crate::bfs::BfsStableClusters;
 use crate::cluster_graph::ClusterGraph;
 use crate::error::{BscError, BscResult};
-use crate::lookahead::Completions;
 use crate::path::ClusterPath;
-use crate::problem::{KlStableParams, StableClusterSpec};
+use crate::problem::StableClusterSpec;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions, SolverStats};
-use crate::ta::TaStableClusters;
 
 /// The worker set of a distributed fan-out: a non-empty list of
 /// `host:port` addresses, in dispatch-affinity order (shard range `i` is
@@ -182,7 +179,10 @@ pub fn anonymous_epoch() -> u64 {
 /// window's full-path query (`ExactLength(l)` *is* full-length inside the
 /// window, so every algorithm — TA included — accepts it) and solves
 /// sequentially, in place, with its own `storage`-provisioned backend. A
-/// window the graph does not contain is a [`BscError::InvalidConfig`].
+/// BFS or TA window reads the look-ahead table its graph keeps for `l`, if
+/// it keeps one (`GraphView::completions`), and otherwise builds its own:
+/// the same answer and counters either way. A window the graph does not
+/// contain is a [`BscError::InvalidConfig`].
 pub fn solve_window_locally(
     graph: &ClusterGraph,
     start: u32,
@@ -191,30 +191,6 @@ pub fn solve_window_locally(
     algorithm: AlgorithmKind,
     options: &SolverOptions,
 ) -> BscResult<WindowResult> {
-    solve_window(graph, start, l, k, algorithm, options, None)
-}
-
-/// Does a window solved by `algorithm` read its look-ahead through a lens,
-/// so that a run of windows may share one table? BFS does, and TA does for
-/// `startwts`. An `auto` that reaches a window carries a budget: it priced
-/// one window's table and keeps its own. DFS reads none.
-pub(crate) fn reads_a_shared_table(algorithm: AlgorithmKind) -> bool {
-    matches!(algorithm, AlgorithmKind::Bfs | AlgorithmKind::Ta)
-}
-
-/// [`solve_window_locally`], reading the window's look-ahead off `shared`
-/// where its leaf can ([`reads_a_shared_table`]): a table for this `l` over
-/// a run of windows that holds this one. The answer and every counter are
-/// those of the window solved alone.
-pub(crate) fn solve_window(
-    graph: &ClusterGraph,
-    start: u32,
-    l: u32,
-    k: usize,
-    algorithm: AlgorithmKind,
-    options: &SolverOptions,
-    shared: Option<&Completions>,
-) -> BscResult<WindowResult> {
     let m = graph.num_intervals();
     let end = start.checked_add(l).filter(|&end| (end as usize) < m);
     let end = end.ok_or_else(|| {
@@ -222,31 +198,17 @@ pub(crate) fn solve_window(
             "window of length {l} at interval {start} is outside the graph ({m} intervals)"
         ))
     })?;
-    let view = graph.window(start, end);
-    let cancel = options.cancel.clone();
-    let solution = match shared.filter(|_| reads_a_shared_table(algorithm)) {
-        Some(table) if algorithm == AlgorithmKind::Ta => {
-            let ta = TaStableClusters::new(k).with_cancel(cancel);
-            Solution::of(|| ta.run_in(view, Some(table)))
-        }
-        Some(table) => {
-            let bfs = BfsStableClusters::new(KlStableParams::new(k, l)).with_cancel(cancel);
-            Solution::of(|| bfs.run_in(view, Some(table)))
-        }
-        // Window solves are the leaves of any fan-out: `build_leaf` never
-        // shards or re-distributes, whatever the caller's options said.
-        None => algorithm
-            .build_leaf(
-                StableClusterSpec::ExactLength(l),
-                k,
-                l as usize + 1,
-                options,
-            )?
-            .solve_view(view),
-    };
+    // Window solves are the leaves of any fan-out: `build_leaf` never shards
+    // or re-distributes, whatever the caller's options said.
+    let leaf = algorithm.build_leaf(
+        StableClusterSpec::ExactLength(l),
+        k,
+        l as usize + 1,
+        options,
+    );
     let Solution {
         paths, mut stats, ..
-    } = solution?;
+    } = leaf?.solve_view(graph.window(start, end))?;
     // One window actually solved: sharded, distributed and delta solves all
     // merge these, so the aggregate's `windows_resolved` counts the windows
     // that ran regardless of how they were partitioned.

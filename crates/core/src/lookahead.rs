@@ -22,28 +22,30 @@
 //!
 //! Either is sized by the view — never by `k` — allocated once, fallibly
 //! ([`blank`]: a table the allocator refuses is the query's error, not an
-//! abort), and dropped with the solve. What is read through them is judged
+//! abort), and dropped with the solve — or kept by its graph (below). What
+//! is read through them is judged
 //! by [`can_still_reach`](crate::problem::can_still_reach), whose slack
 //! covers the different orders the two passes and a solver sum a path in.
 //!
-//! **One table per run of windows.** A start window `[s, s + l]` asks one
-//! length of each node, `l − d` of a node `d` intervals in. A run of
-//! consecutive windows `[a, b]` — the windows a shard range solves — asks
-//! of a node `D` intervals into `[a, b + l]` every length from
-//! `max(l − D, 1)` to `min(l, b + l − a − D)`: exactly the lengths its
-//! windows ask of it, one each. So one table over `[a, b + l]` holds every
-//! weight of every window's own table, and nothing else: each edge is
-//! relaxed once for the run, with the run of `max`es the plan already
-//! makes, instead of once per window it lies in. What a window reads there
-//! is the same weight, bit for bit — a path of length `l − d` from a node of
-//! the window ends at `s + l`, inside the window, so the run's slot is the
-//! max over the very paths, summed in the very order, of the window's own.
-//! A [`Lens`] ([`Completions::lens`]) reads a view's rows off a wider table
-//! and takes the view's own `θ₀` over the view's own starts: the run's would
-//! be higher, and unsound for a window. Every solve reads through one; an
-//! unsharded solve's lens is over a table of its own view. A run's table is
-//! capped at [`RUN_TABLE_WEIGHTS`] (1 MiB) and built by the windowed
-//! solver ([`crate::sharded`]).
+//! **One table per graph and length.** A start window `[s, s + l]` asks one
+//! length of each node, `l − d` of a node `d` intervals in. The whole
+//! graph's table for `l` asks of a node `D` intervals in every length from
+//! `max(l − D, 1)` to `min(l, last − D)`: exactly the lengths the windows
+//! that hold it ask, one each. So it holds every weight of every window's
+//! own table, and nothing else, and what a window reads there is the same
+//! weight, bit for bit — a path of length `l − d` from a node of the window
+//! ends at `s + l`, inside the window, so the graph's slot is the max over
+//! the very paths, summed in the very order, of the window's own. A
+//! [`Lens`] ([`Completions::lens`]) reads a view's rows off a wider table
+//! and takes the view's own `θ₀` over the view's own starts: the graph's
+//! would be higher, and unsound for a window. `k` plays no part in a table,
+//! so a graph keeps the tables its solves built ([`Memo`], read through
+//! [`GraphView::completions`]): the first solve of the whole graph at `l`
+//! builds one, and every later solve of that graph at `l` — unsharded, each
+//! start window of a sharded one, TA's `startwts` — reads it. A graph never
+//! changes once built, so a kept table is never stale. What a graph keeps is
+//! capped at [`MEMO_WEIGHTS`] (4 MiB); past that a solve builds its table
+//! and drops it, as every solve did before.
 //!
 //! Both passes read an interval's rows as stored ([`GraphView::rows`]) and
 //! compare one end of an edge against the view, the end that can lie
@@ -58,7 +60,10 @@
 //! the loop the plan replaced (kept in the tests as the reference the two
 //! passes are held to, bit for bit).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 use bsc_graph::csr::prefix_offsets;
 use bsc_util::cancel::CancelToken;
@@ -74,8 +79,8 @@ use crate::solver::checkpoint;
 /// only for the `r` it can be asked for ([`Completions::lengths`]): at most
 /// `min(l, last − l + 1)` of them, one for full paths and inside a start
 /// window. A solver reads it through a [`Lens`] over its own view, which may
-/// be the table's view or any view inside it (a run of start windows shares
-/// one table). Dropped with the solve, or with the run.
+/// be the table's view or any view inside it (every start window reads the
+/// whole graph's). Dropped with the solve, or kept by the graph ([`Memo`]).
 pub(crate) struct Completions {
     l: u32,
     first: u32,
@@ -85,10 +90,73 @@ pub(crate) struct Completions {
     best: Vec<f64>,
 }
 
-/// The most weights a run of start windows shares in one table (1 MiB). A
-/// window whose own table is larger gets a table of its own, as it would
-/// solved alone; past that, [`table_overflow`]'s advice holds.
-pub(crate) const RUN_TABLE_WEIGHTS: usize = (1 << 20) / std::mem::size_of::<f64>();
+/// The most weights one graph keeps in its [`Memo`] (4 MiB): `stream-delta`'s
+/// 70 × 1 000 graph at `l = 3` (about 204 k) fits, as do `serve-cold`'s six
+/// lengths of 12 × 300 together. A sharded solve whose whole table is larger
+/// reads a table of each window's own, as it would solved alone; past that,
+/// [`table_overflow`]'s advice holds. No option sets it.
+pub(crate) const MEMO_WEIGHTS: usize = (4 << 20) / std::mem::size_of::<f64>();
+
+/// The look-ahead tables one graph keeps, one per `l`, at most
+/// [`MEMO_WEIGHTS`] of them together and none evicted: filled by the first
+/// solve of the whole graph at each `l`, read by every later solve of the
+/// graph ([`GraphView::completions`]). A clone of the graph, and every graph
+/// an append makes, starts empty; a poisoned lock reads as empty and keeps
+/// nothing.
+#[derive(Default)]
+pub(crate) struct Memo(Mutex<Vec<Arc<Completions>>>);
+
+impl Memo {
+    /// The weights `held` keeps, over every `l`.
+    fn weights(held: &[Arc<Completions>]) -> usize {
+        held.iter().map(|table| table.best.len()).sum()
+    }
+}
+
+impl GraphView<'_> {
+    /// The look-ahead table the view reads for paths of length `l`: the one
+    /// its graph keeps for `l`, if a solve of the whole graph built one;
+    /// else, for the whole graph, one built now and kept for the solves that
+    /// follow — unless a racing build, the same bits, was kept first, or the
+    /// memo would outgrow [`MEMO_WEIGHTS`]; for a part of it, one of its own,
+    /// kept by nobody. Its checkpoints count on `tick`; a cancelled or
+    /// refused build keeps nothing.
+    pub(crate) fn completions(
+        self,
+        l: u32,
+        cancel: Option<&CancelToken>,
+        tick: &mut u32,
+    ) -> BscResult<Arc<Completions>> {
+        let memo = &self.graph().memo.0;
+        let kept = |held: &[Arc<Completions>]| held.iter().find(|table| table.l == l).cloned();
+        if let Some(table) = memo.lock().ok().and_then(|held| kept(&held)) {
+            return Ok(table);
+        }
+        let table = Arc::new(Completions::of(self, l, cancel, tick)?);
+        let whole = self.num_intervals() == self.graph().num_intervals();
+        if let (true, Ok(mut held)) = (whole, memo.lock()) {
+            let fits = Memo::weights(&held) + table.best.len() <= MEMO_WEIGHTS;
+            if fits && kept(&held).is_none() {
+                held.push(Arc::clone(&table));
+            }
+        }
+        Ok(table)
+    }
+}
+
+impl Clone for Memo {
+    /// An empty memo: a clone is a cold graph.
+    fn clone(&self) -> Memo {
+        Memo::default()
+    }
+}
+
+impl std::fmt::Debug for Memo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let weights = self.0.lock().map_or(0, |held| Memo::weights(&held));
+        write!(f, "Memo({weights} weights)")
+    }
+}
 
 /// The weights of one interval's nodes in [`Completions::best`]: node
 /// `index` has `width` of them from `at + index · width` on, for the lengths
@@ -155,8 +223,8 @@ impl Completions {
     }
 
     /// How many weights `view`'s own table holds for length `l`: one per
-    /// node and length asked of it. A run of start windows holds exactly the
-    /// sum of its windows' counts. (`of` spells the same layout out inline:
+    /// node and length asked of it. The whole graph's holds exactly the sum
+    /// of its start windows' counts. (`of` spells the same layout out inline:
     /// routed through one shared iterator, the kernel's code read 2–3 %
     /// slower on a cold solve, in-process.)
     pub(crate) fn weights(view: GraphView<'_>, l: u32) -> usize {
@@ -275,24 +343,32 @@ impl Completions {
         let mut own = view.intervals().zip(&rows);
         let holds_weights = own.any(|(interval, rows)| nodes(interval) * rows.width > 0);
         // `C[c][l]` of every node `view` asks it of — `−∞` where no length-`l`
-        // path starts, which sorts last — one value per node at most,
-        // whatever `k` is.
+        // path starts, which sorts last — read once into a min-heap of the
+        // `min(k, starts)` largest, whatever `k` is: a weight costs one
+        // compare unless it displaces the least. Its least is the k-th
+        // largest `select_nth_unstable_by` would pick, to the bit.
         let asks_l = |(_, rows): &(u32, &Rows)| rows.shortest + rows.width as u32 > l;
         let starts = view.intervals().zip(&rows).filter(asks_l);
-        let mut whole: Vec<f64> = Vec::with_capacity(starts.clone().map(|(i, _)| nodes(i)).sum());
+        let mut top = BinaryHeap::with_capacity(k.min(starts.clone().map(|(i, _)| nodes(i)).sum()));
         starts.for_each(|(interval, rows)| {
             // An interval without nodes may have no row to start from.
             let from = self
                 .best
                 .get(rows.at + rows.width - 1..)
                 .unwrap_or_default();
-            let ends = from.iter().step_by(rows.stride);
-            whole.extend(ends.take(nodes(interval)).copied());
+            let ends = from.iter().step_by(rows.stride).take(nodes(interval));
+            ends.for_each(|end| {
+                let end = Reverse(ranked(end.to_bits() as i64));
+                if top.len() < k {
+                    top.push(end);
+                } else if let Some(mut least) = top.peek_mut().filter(|least| end < **least) {
+                    *least = end;
+                }
+            });
         });
-        let mut floor = f64::NEG_INFINITY;
-        if let Some(kth) = k.checked_sub(1).filter(|&kth| kth < whole.len()) {
-            floor = *whole.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1;
-        }
+        let least = top.peek().filter(|_| top.len() == k);
+        let kth = least.map(|least| ranked(least.0) as u64);
+        let floor = kth.map_or(f64::NEG_INFINITY, f64::from_bits);
         Lens {
             best: &self.best,
             first,
@@ -304,6 +380,12 @@ impl Completions {
     }
 }
 
+/// A table weight's place in [`f64::total_cmp`]'s order, as the integer that
+/// method compares; given that integer, the weight's bits again.
+fn ranked(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// How many intervals into `view` its last one lies.
 fn last_of(view: GraphView<'_>) -> u32 {
     (view.num_intervals() as u32).saturating_sub(1)
@@ -312,7 +394,8 @@ fn last_of(view: GraphView<'_>) -> u32 {
 /// One view's reading of a [`Completions`] built over it or over a view
 /// that holds it ([`Completions::lens`]): what its own table would answer,
 /// and its own `θ₀`. Every solve reads its table through one — the whole
-/// view's over its own table, a start window's over its run's.
+/// view's over its own table or its graph's, a start window's over its
+/// graph's where the graph keeps one.
 pub(crate) struct Lens<'t> {
     best: &'t [f64],
     first: u32,
@@ -466,6 +549,15 @@ impl Arrivals {
     }
 }
 
+#[cfg(test)]
+impl Memo {
+    /// The lengths a table is kept for, in the order kept.
+    pub(crate) fn lengths(&self) -> Vec<u32> {
+        let held = self.0.lock().unwrap();
+        held.iter().map(|table| table.l).collect()
+    }
+}
+
 /// Every path of `view`, each summed left to right as a sweep sums it.
 #[cfg(test)]
 pub(crate) fn every_path(view: GraphView<'_>) -> Vec<crate::path::ClusterPath> {
@@ -550,25 +642,24 @@ mod tests {
     use crate::auto::{bfs_resident_bytes, dfs_resident_bytes, GraphShape};
     use crate::bfs::{threshold_scenario, BfsStableClusters};
     use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder};
+    use crate::distributed::solve_window_locally;
     use crate::path::ClusterPath;
     use crate::problem::{summation_slack, KlStableParams, StableClusterSpec};
-    use crate::sharded::ShardedSolver;
-    use crate::solver::{AlgorithmKind, SolverOptions, StableClusterSolver};
+    use crate::sharded::{ShardedSolver, Windowed};
+    use crate::solver::{AlgorithmKind, SolverOptions, SolverStats, StableClusterSolver};
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
     use crate::ta::TaStableClusters;
     use crate::topk::TopKPaths;
 
     /// The backward relaxation as written before the plan, into the layout
-    /// `of` lays out, and `θ₀` as the pass took it: each parent through
-    /// [`GraphView::parents`], each length it asks through a `match` on what
-    /// is left for the child. The reference the kernel and the lens are held
-    /// to.
-    fn completions_by_reference(view: GraphView<'_>, params: KlStableParams) -> (Vec<f64>, f64) {
-        let KlStableParams { k, l } = params;
+    /// `of` lays out, and `C[c][l]` of every node asked it, `−∞` included:
+    /// each parent through [`GraphView::parents`], each length it asks
+    /// through a `match` on what is left for the child. The reference the
+    /// kernel is held to, and, through [`floor_by_reference`], the lens.
+    fn completions_by_reference(view: GraphView<'_>, l: u32) -> (Vec<f64>, Vec<f64>) {
         let first = view.first_interval();
         let mut ahead = ahead_of(view, l);
         ahead.best.fill(f64::NEG_INFINITY);
-        let mut floor = f64::NEG_INFINITY;
         let mut whole = Vec::new();
         for interval in view.intervals().rev() {
             let depth = interval - first;
@@ -577,10 +668,7 @@ mod tests {
                 let child = ClusterNodeId::new(interval, index);
                 let child_row = mine.at + index as usize * mine.width;
                 if mine.shortest + mine.width as u32 > l {
-                    let weight = ahead.best[child_row + mine.width - 1];
-                    if weight > f64::NEG_INFINITY {
-                        whole.push(weight);
-                    }
+                    whole.push(ahead.best[child_row + mine.width - 1]);
                 }
                 for edge in view.parents(child) {
                     let len = ClusterGraph::edge_length(edge.to, child);
@@ -597,10 +685,17 @@ mod tests {
                 }
             }
         }
-        if let Some(kth) = k.checked_sub(1).filter(|&kth| kth < whole.len()) {
-            floor = *whole.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1;
+        (ahead.best, whole)
+    }
+
+    /// `θ₀` as the pass took it before the lens kept the `k` largest: the
+    /// k-th largest of `whole` by `select_nth_unstable_by`, `−∞` for `k = 0`
+    /// or past `whole`.
+    fn floor_by_reference(mut whole: Vec<f64>, k: usize) -> f64 {
+        match k.checked_sub(1).filter(|&kth| kth < whole.len()) {
+            Some(kth) => *whole.select_nth_unstable_by(kth, |a, b| b.total_cmp(a)).1,
+            None => f64::NEG_INFINITY,
         }
-        (ahead.best, floor)
     }
 
     /// The forward relaxation as written before the plan: each child through
@@ -623,7 +718,8 @@ mod tests {
     }
 
     /// Both passes over `view`, against the references, bit for bit: every
-    /// weight of the table, `θ₀` for each `k`, and the arrivals.
+    /// weight of the table, the arrivals, and `θ₀` for `k` from 0 to past
+    /// the view's starts — one short of them, all of them, one more.
     fn assert_kernel_is_reference(view: GraphView<'_>, ls: impl Iterator<Item = u32>, case: &str) {
         let bits = |table: &[f64]| table.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
         let arrivals = Arrivals::of(view, None, &mut 0).unwrap();
@@ -634,12 +730,23 @@ mod tests {
         );
         for l in ls {
             let kernel = ahead_of(view, l);
-            for k in [1, 5] {
-                let (best, floor) = completions_by_reference(view, KlStableParams::new(k, l));
-                assert_eq!(bits(&kernel.best), bits(&best), "{case} l={l} k={k}");
+            let (best, whole) = completions_by_reference(view, l);
+            assert_eq!(bits(&kernel.best), bits(&best), "{case} l={l}");
+            let starts = whole.len();
+            let ks = [
+                0,
+                1,
+                2,
+                5,
+                starts.saturating_sub(1),
+                starts,
+                starts + 1,
+                usize::MAX,
+            ];
+            for k in ks {
                 assert_eq!(
                     kernel.lens(view, k).floor().to_bits(),
-                    floor.to_bits(),
+                    floor_by_reference(whole.clone(), k).to_bits(),
                     "{case} l={l} k={k}"
                 );
             }
@@ -886,15 +993,16 @@ mod tests {
     }
 
     #[test]
-    fn a_run_of_windows_reads_each_window_as_its_own_table() {
+    fn a_wider_table_reads_each_window_as_its_own() {
         // The kernel's battery: edges of one interval up to four, the four
         // weightings, the whole graph and views that start mid-graph, `k` ∈
         // {1, 5}. For every `l`, every run `[a, b]` of start windows inside
-        // the view and every window `[s, s + l]` of the run, the lens over
-        // the run's table reads what `Completions::of(window)` reads —
-        // weights, the lengths they are for, `to_the_end`, θ₀ (the window's
-        // own starts, never the run's), `last` and `holds_weights` — to the
-        // bit; and the run's table holds exactly its windows' weights.
+        // the view — the whole graph's among them, the table a graph keeps
+        // — and every window `[s, s + l]` of the run, the lens over the
+        // run's table reads what `Completions::of(window)` reads — weights,
+        // the lengths they are for, `to_the_end`, θ₀ (the window's own
+        // starts, never the run's), `last` and `holds_weights` — to the bit;
+        // and the run's table holds exactly its windows' weights.
         let mut windows = 0;
         for gap in 0..=3 {
             let base = random_graph(7, 8, 3, gap, 7_300 + u64::from(gap));
@@ -1007,8 +1115,9 @@ mod tests {
             &full,
             "ta full",
         );
-        // And in two ranges: 1 990 start windows of eleven intervals, whose
-        // runs share a table each, and 999 of 1 001 intervals, sixteen runs.
+        // And in two ranges: 1 990 start windows of eleven intervals, which
+        // read the graph's table, and 999 of 1 001 intervals, each reading
+        // its own.
         let options = SolverOptions::default().shards(2);
         for l in [10, 1_000] {
             let expected = enumerated(&graph, k, l);
@@ -1022,6 +1131,10 @@ mod tests {
             let found = sharded.solve(&graph).unwrap().paths;
             assert_same(&found, &expected, &format!("shards(2) exact:{l}"));
         }
+        // The graph kept the tables of full paths and `l` = 10; the widest,
+        // two million weights, answered both solves and was dropped.
+        assert!(Completions::weights(graph.view(), 1_000) > MEMO_WEIGHTS);
+        assert_eq!(graph.memoized(), [last, 10]);
 
         // `auto` prices the widest table: a byte short of BFS's estimate, with
         // DFS's stack beyond it too, the query is refused as a configuration.
@@ -1040,5 +1153,104 @@ mod tests {
             matches!(refused, Err(BscError::InvalidConfig(_))),
             "{refused:?}"
         );
+    }
+
+    /// Paths with their weight bits, and the counters: what a solve reading
+    /// the graph's table and one reading its own must agree on.
+    type Keyed = (Vec<(Vec<ClusterNodeId>, u64)>, SolverStats);
+
+    fn keyed((paths, stats): (Vec<ClusterPath>, SolverStats)) -> Keyed {
+        let key = |path: &ClusterPath| (path.nodes().to_vec(), path.weight().to_bits());
+        (paths.iter().map(key).collect(), stats)
+    }
+
+    #[test]
+    fn the_graph_s_table_answers_and_counts_as_a_table_of_the_solve_s_own() {
+        // Each solve below reads the table its graph keeps, built by a first
+        // solve of the whole graph; the reference is the same solve on a
+        // clone, which keeps none: a whole-graph solve builds its table, a
+        // window solved alone its own. Paths, weight bits and every counter
+        // (`visited`, `generated`, `held` among them) agree, for BFS
+        // `exact:l` and full paths, TA full paths, and every window of a
+        // `shards(2)` BFS or TA solve — over the four weightings and the
+        // long thin graph.
+        let mut graphs = vec![("long-thin".to_string(), long_thin_graph())];
+        for gap in 0..=2 {
+            let base = random_graph(7, 8, 3, gap, 7_300 + u64::from(gap));
+            for (name, weight) in WEIGHTINGS {
+                graphs.push((format!("{name} gap={gap}"), reweighted(&base, weight)));
+            }
+        }
+        let k = 5;
+        for (name, graph) in &graphs {
+            let last = graph.num_intervals() as u32 - 1;
+            for l in [2, 3, last] {
+                let case = format!("{name} l={l}");
+                let bfs = BfsStableClusters::new(KlStableParams::new(k, l));
+                let cold = keyed(bfs.run_with_stats(&graph.clone()).unwrap());
+                bfs.run_with_stats(graph).unwrap();
+                assert!(graph.memoized().contains(&l), "{case}");
+                assert_eq!(keyed(bfs.run_with_stats(graph).unwrap()), cold, "{case}");
+            }
+            let ta = TaStableClusters::new(k);
+            let cold = keyed(ta.run_with_stats(&graph.clone()).unwrap());
+            assert_eq!(keyed(ta.run_with_stats(graph).unwrap()), cold, "{name} ta");
+
+            let options = SolverOptions::default().shards(2);
+            for (algorithm, l) in [AlgorithmKind::Bfs, AlgorithmKind::Ta]
+                .into_iter()
+                .zip([2, 3])
+            {
+                let case = format!("{name} {algorithm:?} shards(2) exact:{l}");
+                let spec = StableClusterSpec::ExactLength(l);
+                let solver = ShardedSolver::new(algorithm, spec, k, options.clone()).unwrap();
+                let mut windowed = Windowed::new(&solver, graph.view(), 0);
+                windowed.keep_windows = true;
+                let windows = windowed.run().unwrap().windows.windows;
+                let cold = graph.clone();
+                for (start, window) in windows.iter().enumerate() {
+                    let alone =
+                        solve_window_locally(&cold, start as u32, l, k, algorithm, &options);
+                    let alone = alone.unwrap();
+                    let (window, alone) = (
+                        (window.paths.clone(), window.stats),
+                        (alone.paths, alone.stats),
+                    );
+                    assert_eq!(keyed(window), keyed(alone), "{case} start={start}");
+                }
+                assert_eq!(windows.len() as u32, last - l + 1, "{case}");
+                assert!(cold.memoized().is_empty(), "{case}");
+            }
+            assert_eq!(graph.memoized(), [2, 3, last], "{name}");
+        }
+    }
+
+    #[test]
+    fn two_threads_solving_one_graph_agree_and_keep_one_table_per_length() {
+        // Both threads miss, build and offer the same table; the first offer
+        // is kept and the other dropped, bit-identical anyway.
+        let graph = random_graph(12, 60, 4, 1, 2_024);
+        let ls = [2, 3, 5, 11];
+        let solve = |l| {
+            let bfs = BfsStableClusters::new(KlStableParams::new(5, l));
+            keyed(bfs.run_with_stats(&graph).unwrap())
+        };
+        let (here, there) = std::thread::scope(|scope| {
+            let there = scope.spawn(|| ls.map(solve));
+            (ls.map(solve), there.join().unwrap())
+        });
+        let cold = graph.clone();
+        for (l, (here, there)) in ls.iter().zip(here.into_iter().zip(there)) {
+            assert_eq!(here, there, "l={l}");
+            let bfs = BfsStableClusters::new(KlStableParams::new(5, *l));
+            assert_eq!(
+                here,
+                keyed(bfs.run_with_stats(&cold.clone()).unwrap()),
+                "l={l}"
+            );
+        }
+        let mut kept = graph.memoized();
+        kept.sort_unstable();
+        assert_eq!(kept, ls);
     }
 }

@@ -41,25 +41,25 @@
 //!   leaves untouched, and whether this solve's per-window results are kept
 //!   for the next epoch.
 //!
-//! ## One look-ahead table per run of windows
+//! ## One look-ahead table per graph and length
 //!
-//! Every BFS and TA window solve starts with the backward pass of
-//! `lookahead::Completions` over its view, and a node lies in up to `l + 1`
-//! windows. A local range worker therefore groups the starts it solves —
-//! consecutive, and not spliced — into **runs** `[a, b]`, and builds one
-//! table over `[a, b + l]` per run, the first time a window of the run is
-//! solved by a leaf that reads one (BFS and TA; see
-//! `distributed::reads_a_shared_table`). Each window reads it through a
-//! `Lens`, which answers exactly what the window's own table would, its
-//! `θ₀` included (the `lookahead` module docs carry the argument), so paths
-//! and every counter are those of the window solved alone: sharing changes
-//! time only. The run's table holds exactly its windows' tables; a run is
-//! as long as keeps that within `lookahead::RUN_TABLE_WEIGHTS` (1 MiB), and
-//! a window whose own table is larger is a run of one. A budgeted `auto`
-//! priced one window's table and keeps its own, DFS reads none, and a
-//! transport sends one window per request, so a worker's
-//! [`solve_window_locally`](crate::distributed::solve_window_locally) is a
-//! run of one — as is the one window a streamed answer re-solves.
+//! Every BFS and TA window solve reads the backward pass of
+//! `lookahead::Completions`, and a node lies in up to `l + 1` windows. The
+//! whole graph's table for `l` holds exactly every window's own table, and
+//! a graph keeps the tables its solves build (`GraphView::completions`,
+//! within `lookahead::MEMO_WEIGHTS`, 4 MiB). So a solve of the whole graph
+//! whose windows are BFS or TA solved here, none spliced, has the graph
+//! keep its table for `l` before the windows — the one the unsharded solve
+//! of that length reads too — and each window ([`solve_window_locally`])
+//! reads it through a `Lens`, which answers exactly what the window's own
+//! table would, its `θ₀` included (the `lookahead` module docs carry the
+//! argument): paths and every counter are those of the window solved
+//! alone, and sharing changes time only. Any other window — of a solve that
+//! splices (the windows a streamed answer re-solves), of a per-window
+//! budgeted `auto`, of a graph whose table would pass the bound, or on a
+//! transport's worker (one window per request) — reads the table its graph
+//! keeps for `l` if there is one, and otherwise builds its own and keeps
+//! nothing. DFS reads none.
 //!
 //! ## What every solve shares
 //!
@@ -96,11 +96,10 @@ use crate::auto::{choose_algorithm, GraphShape};
 use crate::cluster_graph::GraphView;
 use crate::delta::{DeltaSolveOutcome, GraphDelta, WindowSet};
 use crate::distributed::{
-    anonymous_epoch, reads_a_shared_table, solve_window, ShardTransport, WindowRequest,
-    WindowResult,
+    anonymous_epoch, solve_window_locally, ShardTransport, WindowRequest, WindowResult,
 };
 use crate::error::{BscError, BscResult};
-use crate::lookahead::{Completions, RUN_TABLE_WEIGHTS};
+use crate::lookahead::{Completions, MEMO_WEIGHTS};
 use crate::problem::StableClusterSpec;
 use crate::snapshot::GraphSnapshot;
 use crate::solver::{
@@ -320,6 +319,7 @@ impl<'a> Windowed<'a> {
             let chunk = ranges.len().div_ceil(workers.min(ranges.len()).max(1));
             let cancel = options.cancel.clone().unwrap_or_default();
             let leaf = options.clone().cancel_token(Some(cancel.clone()));
+            self.keep_the_graph_s_table(l, &cancel)?;
             let (this, leaf, cancel) = (&self, &leaf, &cancel);
             let work = move |(i, owned)| this.run_ranges(l, i * chunk, owned, leaf, cancel);
             // One worker per chunk: the last on this thread, the others each
@@ -367,6 +367,26 @@ impl<'a> Windowed<'a> {
         })
     }
 
+    /// Before the windows, have the graph keep its look-ahead table for `l`
+    /// ([`GraphView::completions`]), which every window of BFS or TA then
+    /// reads as its own: where the view is the whole graph, no window is
+    /// spliced, the windows are solved here by BFS or TA (DFS reads no
+    /// table, a budgeted `auto` priced one window's) and the table fits the
+    /// graph's memo ([`MEMO_WEIGHTS`]). Otherwise each window reads the
+    /// table its graph keeps, if any, or builds its own.
+    fn keep_the_graph_s_table(&self, l: u32, cancel: &CancelToken) -> BscResult<()> {
+        let view = self.view;
+        let whole = view.num_intervals() == view.graph().num_intervals();
+        let reads = matches!(self.algorithm, AlgorithmKind::Bfs | AlgorithmKind::Ta);
+        let mut starts = view.first_interval()..view.intervals().end - l;
+        let fresh = starts.all(|start| self.spliced(start, l).is_none());
+        let fits = Completions::weights(view, l) <= MEMO_WEIGHTS;
+        if whole && reads && fresh && fits && self.solver.transport.is_none() {
+            view.completions(l, Some(cancel), &mut 0)?;
+        }
+        Ok(())
+    }
+
     /// One worker: obtain every window of `owned` (range indices start at
     /// `first`, starts at the view's first interval) in start order, merging
     /// into a local top-k.
@@ -392,9 +412,6 @@ impl<'a> Windowed<'a> {
             kept: Vec::with_capacity(kept),
         };
         let first_start = self.view.first_interval();
-        // The look-ahead table the run of windows being solved here shares,
-        // and the last start it holds.
-        let mut run: Option<(u32, Completions)> = None;
         // bsc:allow(missing-cancel-checkpoint) -- every window is preceded by the full (unamortized) token check, and window solves checkpoint internally
         for (index, range) in owned.iter().enumerate() {
             for start in range.clone() {
@@ -409,15 +426,7 @@ impl<'a> Windowed<'a> {
                         Ok(Arc::clone(previous))
                     }
                     (None, None) => {
-                        let past = run.as_ref().map_or(true, |&(last, _)| start > last);
-                        if past && reads_a_shared_table(algorithm) {
-                            drop(run.take());
-                            let stop = first_start + range.end as u32;
-                            let table = self.run_from(start, stop, l, cancel);
-                            run = Some(table.inspect_err(|_| cancel.cancel())?);
-                        }
-                        let shared = run.as_ref().map(|(_, table)| table);
-                        solve_window(graph, start, l, k, algorithm, leaf, shared).map(Arc::new)
+                        solve_window_locally(graph, start, l, k, algorithm, leaf).map(Arc::new)
                     }
                     (None, Some(transport)) => {
                         let request = WindowRequest {
@@ -459,38 +468,13 @@ impl<'a> Windowed<'a> {
             .filter(|(_, delta)| !delta.touches_window(start, l))
             .and_then(|(set, _)| set.windows.get(start as usize))
     }
-
-    /// The look-ahead table a run of windows from `start` on shares, and the
-    /// run's last start: consecutive starts before `stop` that are solved,
-    /// not spliced, as many as keep the table within [`RUN_TABLE_WEIGHTS`]
-    /// — at least `start`'s, whatever its size. A run's table holds exactly
-    /// its windows' tables.
-    fn run_from(
-        &self,
-        start: u32,
-        stop: u32,
-        l: u32,
-        cancel: &CancelToken,
-    ) -> BscResult<(u32, Completions)> {
-        let graph = self.view.graph();
-        let weights = |start: u32| Completions::weights(graph.window(start, start + l), l);
-        let mut held = weights(start);
-        let fits = |&next: &u32| {
-            held += weights(next);
-            held <= RUN_TABLE_WEIGHTS
-        };
-        let more = (start + 1..stop).take_while(|&next| self.spliced(next, l).is_none());
-        let last = more.take_while(fits).last().unwrap_or(start);
-        let table = Completions::of(graph.window(start, last + l), l, Some(cancel), &mut 0)?;
-        Ok((last, table))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::auto::bfs_resident_bytes;
-    use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder};
+    use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
     use crate::lookahead::long_thin_graph;
     use crate::path::ClusterPath;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
@@ -678,50 +662,99 @@ mod tests {
     }
 
     #[test]
-    fn a_run_s_table_holds_no_more_than_the_cap_or_its_first_window_s_own() {
-        // Walked as a range worker walks them: every run is as long as the
-        // cap allows, its table within the cap — or, where one window's own
-        // table is larger (14 intervals of 15 000 nodes at `l = 10`: 150 000
-        // weights), exactly that window's, a run of one.
+    fn only_a_fresh_local_solve_of_the_whole_graph_keeps_the_graph_s_table() {
+        let graph = graph(12, 300, 5, 1, 20_240_607);
+        let cancel = CancelToken::default();
+        let options = SolverOptions::default().shards(2);
+        let solver = |algorithm, l| {
+            let spec = StableClusterSpec::ExactLength(l);
+            ShardedSolver::new(algorithm, spec, 5, options.clone()).unwrap()
+        };
+        let keep = |solver: &ShardedSolver, graph: &ClusterGraph, view, l| {
+            let windowed = Windowed::new(solver, view, 0);
+            windowed.keep_the_graph_s_table(l, &cancel).unwrap();
+            graph.memoized()
+        };
+        // A part of the graph, a leaf that reads no table (DFS) or prices
+        // one window's (a budgeted `auto`), and a transport's workers have
+        // the graph keep nothing.
+        let bfs = solver(AlgorithmKind::Bfs, 3);
+        assert!(keep(&bfs, &graph, graph.window(1, 11), 3).is_empty());
+        let dfs = solver(AlgorithmKind::Dfs, 3);
+        assert!(keep(&dfs, &graph, graph.view(), 3).is_empty());
+        let budgeted = AlgorithmKind::Auto {
+            budget_bytes: Some(1 << 20),
+        };
+        assert!(keep(&solver(budgeted, 3), &graph, graph.view(), 3).is_empty());
+        let spec = StableClusterSpec::ExactLength(3);
+        let (transport, bfs_kind) = (Arc::new(FailingTransport), AlgorithmKind::Bfs);
+        let fanned = ShardedSolver::with_transport(transport, bfs_kind, spec, 5, options.clone());
+        assert!(keep(&fanned.unwrap(), &graph, graph.view(), 3).is_empty());
+        // BFS and TA windows of the whole graph have it keep one table per
+        // length, the one the unsharded solve of that length reads.
+        assert_eq!(keep(&bfs, &graph, graph.view(), 3), [3]);
+        let ta = |l| solver(AlgorithmKind::Ta, l);
+        assert_eq!(keep(&ta(2), &graph, graph.view(), 2), [3, 2]);
+        assert_eq!(keep(&ta(3), &graph, graph.view(), 3), [3, 2]);
+        // A whole table over the memo's bound is not built: 14 intervals of
+        // 15 000 nodes at `l = 10` ask 600 000 weights, where each window
+        // asks 150 000.
         let mut wide = ClusterGraphBuilder::new(0);
         for _ in 0..14 {
             wide.add_interval(15_000);
         }
-        let cases = [
-            (graph(12, 300, 5, 1, 20_240_607), 3, 1),
-            (graph(12, 300, 5, 1, 20_240_607), 6, 1),
-            (long_thin_graph(), 1_000, 16),
-            (graph(60, 1_000, 2, 0, 61), 4, 2),
-            (wide.build(), 10, 4),
-        ];
-        for (graph, l, runs) in cases {
-            let spec = StableClusterSpec::ExactLength(l);
-            let options = SolverOptions::default();
-            let solver = ShardedSolver::new(AlgorithmKind::Bfs, spec, 5, options).unwrap();
-            let windowed = Windowed::new(&solver, graph.view(), 0);
-            let cancel = CancelToken::default();
-            let own = |start: u32| Completions::weights(graph.window(start, start + l), l);
-            let stop = graph.num_intervals() as u32 - l;
-            let (mut start, mut formed) = (0, 0);
-            while start < stop {
-                let (last, _) = windowed.run_from(start, stop, l, &cancel).unwrap();
-                let held = Completions::weights(graph.window(start, last + l), l);
-                let case = format!("l={l} run {start}..={last}");
-                assert!(held <= RUN_TABLE_WEIGHTS.max(own(start)), "{case}: {held}");
-                assert_eq!(held, (start..=last).map(own).sum::<usize>(), "{case}");
-                if last + 1 < stop {
-                    assert!(held + own(last + 1) > RUN_TABLE_WEIGHTS, "{case}");
-                }
-                (start, formed) = (last + 1, formed + 1);
-            }
-            assert_eq!(formed, runs, "l={l}");
-        }
+        let wide = wide.build();
+        assert!(Completions::weights(wide.view(), 10) > MEMO_WEIGHTS);
+        let bfs = solver(AlgorithmKind::Bfs, 10);
+        assert!(keep(&bfs, &wide, wide.view(), 10).is_empty());
+    }
+
+    #[test]
+    fn a_re_solve_that_splices_keeps_no_table_of_the_new_graph() {
+        // The stream's next epoch: one interval appended, its parents those
+        // of the last interval moved one on. The windows it leaves untouched
+        // are spliced; the ones re-solved read tables of their own, and the
+        // new graph keeps none — the answer is still the cold one.
+        let old = graph(12, 300, 5, 1, 20_240_607);
+        let spec = StableClusterSpec::ExactLength(3);
+        let options = SolverOptions::default();
+        let solve = |graph, prior| {
+            crate::delta::solve_windows(graph, spec, 5, AlgorithmKind::Bfs, &options, prior)
+        };
+        let first = solve(&old, None).unwrap();
+        assert_eq!(old.memoized(), [3]);
+        let moved = |(parent, weight): &(ClusterNodeId, f64)| {
+            (
+                ClusterNodeId::new(parent.interval + 1, parent.index),
+                *weight,
+            )
+        };
+        let edges = old.interval_parent_edges(11);
+        let edges: Vec<Vec<_>> = edges
+            .iter()
+            .map(|row| row.iter().map(moved).collect())
+            .collect();
+        let new = old.append(&edges);
+        let delta = GraphDelta::between(&old, &new);
+        let second = solve(&new, Some((&first.windows, &delta))).unwrap();
+        assert_eq!(second.solution.stats.windows_spliced, 9);
+        assert_eq!(second.solution.stats.windows_resolved, 1);
+        assert!(new.memoized().is_empty());
+        let mut cold = AlgorithmKind::Bfs
+            .build(spec, 5, new.num_intervals())
+            .unwrap();
+        assert_eq!(
+            second.solution.paths,
+            cold.solve(&new.clone()).unwrap().paths
+        );
     }
 
     #[test]
     fn windows_too_long_to_share_a_table_still_answer() {
-        // The cap keeps a run to what one window would have held: long
-        // windows on long graphs answer as before, never `InvalidConfig`.
+        // The graph's table is over the memo's bound here, so it is not
+        // built: each long window on a long graph reads a table of its own,
+        // as it would solved alone, and answers — never `InvalidConfig` —
+        // and the graph keeps nothing.
         let shards = SolverOptions::default().shards(2);
         let thin = long_thin_graph();
         let stream = graph(1_000, 200, 2, 0, 1_000);
@@ -737,6 +770,7 @@ mod tests {
                 solution.paths.iter().all(|path| path.length() == l),
                 "l={l}"
             );
+            assert!(graph.memoized().is_empty(), "l={l}");
         }
     }
 
@@ -770,8 +804,9 @@ mod tests {
     #[test]
     fn a_cold_stream_solve_answers_as_the_unsharded_one() {
         // The shape of the benchmark's cold delta solve: 70 intervals of
-        // 1 000 nodes, about 6 000 in-edges each, `exact:3`: 67 windows in
-        // two runs of shared tables, the answer the unsharded solve's.
+        // 1 000 nodes, about 6 000 in-edges each, `exact:3`: 67 windows read
+        // the graph's table, which it keeps (within the memo's bound), and
+        // answer as the unsharded solve of a clone, which builds its own.
         let graph = graph(70, 1_000, 6, 0, 70);
         let spec = StableClusterSpec::ExactLength(3);
         let options = SolverOptions::default();
@@ -782,7 +817,8 @@ mod tests {
             .unwrap();
         assert_eq!(
             windowed.unwrap().solution.paths,
-            unsharded.solve(&graph).unwrap().paths
+            unsharded.solve(&graph.clone()).unwrap().paths
         );
+        assert_eq!(graph.memoized(), [3]);
     }
 }

@@ -85,7 +85,7 @@ struct Search<'a> {
     view: GraphView<'a>,
     /// The length of a full path, `m − 1`.
     l: u32,
-    /// The view's own full-path table, or its run's read as its own.
+    /// The view's own full-path table, or its graph's read as its own.
     startwts: Lens<'a>,
     endwts: Arrivals,
     global: TopKPaths,
@@ -287,22 +287,15 @@ impl TaStableClusters {
     /// weighed, counted before `H`'s admission test — every one of them can
     /// reach the threshold its edge was popped under) and
     /// `early_termination` (the threshold condition stopped the scan).
+    ///
+    /// `startwts` is `GraphView::completions`: the table the graph keeps
+    /// for the view's full length, or one built first. Either way the same
+    /// answer and the same counters.
     pub fn run_with_stats<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
-        self.run_in(graph.into(), None)
-    }
-
-    /// [`TaStableClusters::run_with_stats`] over `view`, reading `startwts`
-    /// off `shared` — a table for `view`'s full length over a view that
-    /// holds `view` — or, for `None`, off a table of its own, built first.
-    /// Either way the same answer and the same counters.
-    pub(crate) fn run_in(
-        &self,
-        view: GraphView<'_>,
-        shared: Option<&Completions>,
-    ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
+        let view = graph.into();
         let cancel = self.cancel.as_ref();
         check_not_expired(cancel)?;
         let m = view.num_intervals() as u32;
@@ -310,15 +303,8 @@ impl TaStableClusters {
             return Ok((Vec::new(), SolverStats::default()));
         }
         let mut tick = 0;
-        let own;
-        let table = match shared {
-            Some(table) => table,
-            None => {
-                own = Completions::of(view, m - 1, cancel, &mut tick)?;
-                &own
-            }
-        };
-        let mut search = Search::over(view, self.k, table, cancel, tick)?;
+        let table = view.completions(m - 1, cancel, &mut tick)?;
+        let mut search = Search::over(view, self.k, &table, cancel, tick)?;
         let (listed, mut lists) = search.sorted_lists()?;
         let floor = search.startwts.floor();
         let mut heads = Vec::with_capacity(lists.len());

@@ -8,7 +8,9 @@
 //!   with its bounded admission queue and epoch-tagged solution cache;
 //! * **oracle** — a reference executor that answers every query with a
 //!   direct one-shot `build_with_options(..).solve_snapshot(..)` (the
-//!   `Pipeline::run` code path), no pool, no queue, no cache.
+//!   `Pipeline::run` code path), no pool, no queue, no cache — and on a
+//!   clone of the graph, which keeps none of the look-ahead tables earlier
+//!   solves built, so every oracle solve is cold.
 //!
 //! Both maintain graph state identically (same generator seeds, same epoch
 //! assignment through a [`SnapshotCell`]), and responses to deterministic
@@ -24,7 +26,7 @@ use std::sync::Arc;
 use bsc_core::cluster_graph::ClusterNodeId;
 use bsc_core::error::BscResult;
 use bsc_core::problem::KlStableParams;
-use bsc_core::snapshot::SnapshotCell;
+use bsc_core::snapshot::{GraphSnapshot, SnapshotCell};
 use bsc_core::streaming::OnlineStableClusters;
 use bsc_core::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 use bsc_util::json::JsonValue;
@@ -190,7 +192,7 @@ impl Session {
                 .generate();
                 let (nodes, edges, intervals) =
                     (graph.num_nodes(), graph.num_edges(), graph.num_intervals());
-                let snapshot = bsc_core::snapshot::GraphSnapshot::new(graph);
+                let snapshot = GraphSnapshot::new(graph);
                 let installed = match &self.engine {
                     Some(engine) => engine.install(snapshot),
                     None => self.cell.install(snapshot),
@@ -338,7 +340,10 @@ impl Session {
                     snapshot.num_intervals(),
                     query.options,
                 )?;
-                let solution = solver.solve_snapshot(&snapshot)?;
+                // A clone keeps no look-ahead table: every solve is cold.
+                let cold = Arc::new(snapshot.graph().as_ref().clone());
+                let solution =
+                    solver.solve_snapshot(&GraphSnapshot::from_arc(cold, snapshot.epoch()))?;
                 Ok((solution.paths, snapshot.epoch()))
             }
         }

@@ -517,11 +517,11 @@ fn cancellation_and_root_cause_errors_behave_the_same_in_every_configuration() {
     }
 }
 
-/// A run of windows shares one look-ahead table, and that changes time
-/// only: whatever the partition, the merged deterministic counters of BFS,
-/// TA and unbudgeted Auto windows are the sum over the windows solved one by
-/// one through [`solve_window_locally`] (each with a table of its own), and
-/// the distributed configuration — one RPC, so one table, per window —
+/// Windows share the graph's look-ahead table, and that changes time only:
+/// whatever the partition, the merged deterministic counters of BFS, TA and
+/// unbudgeted Auto windows are the sum over the windows solved one by one
+/// through [`solve_window_locally`] on a clone of the graph (which keeps no
+/// table, so each window builds its own), and the distributed configuration
 /// counts what the sharded one does. Peaks follow the stats rule: the
 /// widest window's with one range, between it and the windows' sum with
 /// more.
@@ -558,10 +558,11 @@ fn counters_are_the_sum_of_the_windows_solved_alone_whatever_the_partition() {
             StableClusterSpec::ExactLength(l) => l,
             _ => m - 1,
         };
+        let cold = graph.clone();
         let alone: Vec<SolverStats> = (0..m - l)
             .map(|start| {
                 let options = SolverOptions::default();
-                solve_window_locally(&graph, start, l, 5, kind, &options)
+                solve_window_locally(&cold, start, l, 5, kind, &options)
                     .expect("window solve")
                     .stats
             })
@@ -652,6 +653,45 @@ fn env_pinned_threads_and_shards_match_the_default_pipeline() {
     );
     if shards > 1 {
         assert!(pinned.solver_stats.shards > 0, "sharded stats not reported");
+    }
+}
+
+/// A graph keeps the look-ahead table the first solve of a length built, and
+/// every later solve of that graph reads it. At the env-pinned shard count,
+/// a graph solved twice at each `l` — the first solve builds the table, the
+/// second reads it — answers both times as the unsharded BFS solve of a
+/// clone, which keeps nothing, with the same counters both times: BFS and
+/// TA windows, and the solve the build picks for that shard count.
+#[test]
+fn a_graph_solved_twice_answers_as_a_cold_clone_at_the_env_pinned_shard_count() {
+    let shards = shards_from_env();
+    let options = SolverOptions::default().shards(shards);
+    for (m, seed) in [(12, 4_242), (9, 4_243)] {
+        let graph = generate(m, 60, 4, 1, seed);
+        let last = m as u32 - 1;
+        for l in [1, 2, 3, 6, last] {
+            let spec = StableClusterSpec::ExactLength(l);
+            let mut unsharded = AlgorithmKind::Bfs.build(spec, 5, m).unwrap();
+            let cold = unsharded.solve(&graph.clone()).unwrap().paths;
+            let mut solvers: Vec<(&str, Box<dyn StableClusterSolver>)> = vec![(
+                "built",
+                AlgorithmKind::Bfs
+                    .build_with_options(spec, 5, m, options.clone())
+                    .unwrap(),
+            )];
+            for algorithm in [AlgorithmKind::Bfs, AlgorithmKind::Ta] {
+                let windows = ShardedSolver::new(algorithm, spec, 5, options.clone()).unwrap();
+                solvers.push((algorithm.name(), Box::new(windows)));
+            }
+            for (name, solver) in &mut solvers {
+                let case = format!("m={m} l={l} {name} shards={shards}");
+                let first = solver.solve(&graph).unwrap();
+                let second = solver.solve(&graph).unwrap();
+                assert_identical(&cold, &first.paths, &format!("{case}, table built"));
+                assert_identical(&cold, &second.paths, &format!("{case}, table read"));
+                assert_eq!(first.stats, second.stats, "{case}");
+            }
+        }
     }
 }
 
