@@ -46,15 +46,12 @@ const RAW_IO_FILES: [&str; 2] = [
 /// tripped [`CancelToken`](bsc_util::cancel::CancelToken). `bfs.rs` holds the
 /// one BFS interval sweep (every BFS solve, whole view or start window, runs
 /// that loop), `lookahead.rs` the two passes a batch solve makes over its
-/// view before it searches. `batch.rs` is
-/// the engine's coalesced fan-out loop — not a solver, but it replays a
-/// solve's result to arbitrarily many followers and must notice shutdown
-/// mid-fan-out just like a solver notices it mid-scan. `sharded.rs` holds
+/// view before it searches. `sharded.rs` holds
 /// the one loop over start windows (sharded, distributed and delta solves
 /// all run it): each solved window checkpoints internally, but the loop
 /// over windows is itself a hot path. `delta.rs` holds the per-install
 /// interval comparison.
-const HOT_PATH_FILES: [&str; 9] = [
+const HOT_PATH_FILES: [&str; 8] = [
     "bfs.rs",
     "lookahead.rs",
     "dfs.rs",
@@ -62,7 +59,6 @@ const HOT_PATH_FILES: [&str; 9] = [
     "normalized.rs",
     "sharded.rs",
     "exhaustive.rs",
-    "batch.rs",
     "delta.rs",
 ];
 

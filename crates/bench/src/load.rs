@@ -54,7 +54,7 @@ pub struct LoadConfig {
     /// Probability that an offered query rides the high-priority lane.
     pub high_priority_share: f64,
     /// Zipf exponent for template selection (higher = more skew, more
-    /// coalescing opportunity).
+    /// repeats for the solution cache to answer).
     pub zipf_exponent: f64,
     /// Engine worker threads.
     pub workers: usize,
@@ -146,9 +146,9 @@ pub struct LoadSchedule {
 }
 
 /// The template pool: a skew-friendly mix of algorithms and specs. Kept
-/// deliberately small so Zipf skew produces concurrent duplicates (the
-/// coalescing path) while still exercising BFS, DFS, TA, normalized and
-/// the auto policy.
+/// deliberately small so Zipf skew produces repeats (the solution cache's
+/// hits) while still exercising BFS, DFS, TA, normalized and the auto
+/// policy.
 fn template_pool() -> Vec<(AlgorithmKind, StableClusterSpec, usize)> {
     vec![
         (AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 5),
@@ -323,7 +323,6 @@ impl LoadReport {
                 "admitted",
                 "queue_shed",
                 "shed_rate(%)",
-                "coalesced",
                 "errors",
             ],
         );
@@ -335,12 +334,11 @@ impl LoadReport {
             self.admitted.to_string(),
             self.queue_shed.to_string(),
             format!("{:.2}", self.shed_rate_percent()),
-            self.stats.coalesced.to_string(),
             self.errors.to_string(),
         ]);
         admission.push_note(
             "(=) columns are seed-deterministic and gated byte-exactly; \
-             queue_shed and coalesced depend on real worker speed",
+             queue_shed depends on real worker speed",
         );
 
         let mut tenants = Table::new(

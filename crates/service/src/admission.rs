@@ -15,9 +15,6 @@
 //!   of it in its lane is therefore dequeued within
 //!   `(w + 1) * (HIGH_LANE_BURST + 1)` pops no matter how much high-priority
 //!   traffic arrives.
-//! * **Same-key draining** ([`AdmissionQueue::drain_matching`]): the seam
-//!   the batched-execution path uses to coalesce queued queries that share a
-//!   `(epoch, cache key)` with the one a worker just dequeued.
 //!
 //! The queue is a plain `Mutex` + `Condvar` over two `VecDeque`s — no
 //! lock-free cleverness. Admission is never the hot path (solves dominate by
@@ -171,32 +168,6 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// Remove and return every queued item matching `pred`, FIFO within each
-    /// lane, high lane first. This is the coalescing seam: the batch
-    /// executor drains queued queries that share the dequeued leader's
-    /// `(epoch, cache key)` and answers them from the leader's solve.
-    pub fn drain_matching(&self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        let mut lanes = self.locked();
-        let mut drained = Vec::new();
-        let lanes_mut = &mut *lanes;
-        for lane in [&mut lanes_mut.high, &mut lanes_mut.normal] {
-            let mut kept = VecDeque::with_capacity(lane.len());
-            while let Some(item) = lane.pop_front() {
-                if pred(&item) {
-                    drained.push(item);
-                } else {
-                    kept.push_back(item);
-                }
-            }
-            *lane = kept;
-        }
-        drop(lanes);
-        if !drained.is_empty() {
-            self.cond.notify_all();
-        }
-        drained
-    }
-
     /// Close the queue: pushes start failing, poppers drain what is left
     /// and then read `None`. Idempotent.
     pub fn close(&self) {
@@ -328,20 +299,6 @@ mod tests {
         ));
         assert_eq!(queue.pop(), Some(7));
         assert_eq!(queue.pop(), None);
-    }
-
-    #[test]
-    fn drain_matching_removes_across_lanes_high_first() {
-        let queue = AdmissionQueue::new(16);
-        push(&queue, 10, QueryPriority::Normal);
-        push(&queue, 11, QueryPriority::Normal);
-        push(&queue, 10, QueryPriority::High);
-        push(&queue, 12, QueryPriority::High);
-        let drained = queue.drain_matching(|&i| i == 10);
-        assert_eq!(drained, vec![10, 10]);
-        assert_eq!(queue.len(), 2);
-        assert_eq!(queue.pop(), Some(12));
-        assert_eq!(queue.pop(), Some(11));
     }
 
     #[test]

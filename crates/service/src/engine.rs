@@ -20,11 +20,12 @@
 //!   [`crate::admission`]. On a full queue [`QueryEngine::submit`] waits on
 //!   the queue's condvar for a slot, until the request's own deadline;
 //!   [`QueryEngine::try_submit`] sheds at once.
-//! * Workers coalesce queued queries that share a `(epoch, cache key)` with
-//!   the solve that just finished ([`crate::batch`]), answering all of them
-//!   from one window scan. Coalesced answers are clones of the leader's
-//!   solution, so they are byte-identical to what a serial execution of each
-//!   query would produce.
+//!
+//! A query is a pure function of `(epoch, query)`, so the solution cache is
+//! the one memo for repeats: a worker that reaches a repeat after its first
+//! solve was cached — queued behind it or asked later, with or without a
+//! cancel token — answers it from the cache (`cached: true`, `solve_micros`
+//! 0). With the cache disabled every query solves.
 //!
 //! While the engine is fed incrementally ([`QueryEngine::install_incremental`]
 //! — one flag, cleared by a plain [`QueryEngine::install`]) exact-length
@@ -287,14 +288,14 @@ impl QueryTicket {
     }
 }
 
-pub(crate) struct Job {
-    pub(crate) request: QueryRequest,
-    pub(crate) snapshot: GraphSnapshot,
-    /// The request's cache key, computed once at admission — the batch
-    /// executor compares it against queued jobs to find coalescable ones.
-    pub(crate) key: String,
-    pub(crate) enqueued: Instant,
-    pub(crate) reply: mpsc::Sender<BscResult<QueryResponse>>,
+struct Job {
+    request: QueryRequest,
+    snapshot: GraphSnapshot,
+    /// The request's cache key, computed once at admission and read by the
+    /// worker's cache lookup and put.
+    key: String,
+    enqueued: Instant,
+    reply: mpsc::Sender<BscResult<QueryResponse>>,
 }
 
 /// One tenant's admission counters, as reported by [`EngineStats::tenants`].
@@ -333,7 +334,8 @@ pub struct EngineStats {
     pub queue_capacity: usize,
     /// Current snapshot epoch.
     pub epoch: u64,
-    /// Queries answered (including cache hits and errors).
+    /// Queries answered: every one is a cache hit, a solve or an error, so
+    /// `queries == cache.hits + solve.count() + errors`.
     pub queries: u64,
     /// Queries that returned an error.
     pub errors: u64,
@@ -347,11 +349,6 @@ pub struct EngineStats {
     pub queue_expired: u64,
     /// In-flight queries cancelled by [`QueryEngine::shutdown`].
     pub cancelled: u64,
-    /// Queries answered by coalescing onto another query's solve of the
-    /// same `(epoch, cache key)` instead of scanning the windows again
-    /// (the coalesced queries themselves — the leader solve is not
-    /// counted).
-    pub coalesced: u64,
     /// Queries shed by a tenant token-bucket quota (summed over tenants).
     /// A subset of neither `queries` nor `errors` — shed queries never
     /// reach a worker.
@@ -362,43 +359,42 @@ pub struct EngineStats {
     pub tenants: Vec<TenantStats>,
     /// Distribution of admission-queue waits.
     pub queue_wait: LatencyHistogram,
-    /// Distribution of solve times (cache hits and coalesced answers
-    /// excluded — only actual window scans).
+    /// Distribution of solve times (cache hits excluded — only actual
+    /// window scans).
     pub solve: LatencyHistogram,
 }
 
 #[derive(Default)]
-pub(crate) struct Metrics {
-    pub(crate) queries: u64,
-    pub(crate) errors: u64,
-    pub(crate) deadline_hits: u64,
-    pub(crate) queue_expired: u64,
-    pub(crate) cancelled: u64,
-    pub(crate) coalesced: u64,
-    pub(crate) quota_shed: u64,
-    pub(crate) queue_wait: LatencyHistogram,
-    pub(crate) solve: LatencyHistogram,
+struct Metrics {
+    queries: u64,
+    errors: u64,
+    deadline_hits: u64,
+    queue_expired: u64,
+    cancelled: u64,
+    quota_shed: u64,
+    queue_wait: LatencyHistogram,
+    solve: LatencyHistogram,
 }
 
-pub(crate) struct Shared {
+struct Shared {
     /// Whether the newest snapshot was installed incrementally: while it
     /// is, windowed solves seed and splice the cache's window memos. A
     /// batch-loaded engine keeps the direct path. It picks between two
     /// paths that answer identically and publishes nothing, so `Relaxed`.
     incremental: AtomicBool,
-    pub(crate) cache: Mutex<SolutionCache>,
-    pub(crate) metrics: Mutex<Metrics>,
+    cache: Mutex<SolutionCache>,
+    metrics: Mutex<Metrics>,
     /// Per-tenant counters and token buckets, keyed by tenant name.
     tenants: Mutex<HashMap<String, TenantState>>,
     /// Queries admitted but not yet answered (gauge).
-    pub(crate) in_flight: AtomicU64,
+    in_flight: AtomicU64,
     /// Cancel tokens of the queries being solved *right now*, so shutdown
     /// can trip every one of them. Tokens register on solve start and
     /// deregister (by identity) when the solve settles.
-    pub(crate) solving: Mutex<Vec<CancelToken>>,
+    solving: Mutex<Vec<CancelToken>>,
     /// Set by shutdown: workers fail queued-but-unstarted jobs fast with
     /// [`BscError::Shutdown`] instead of solving into the void.
-    pub(crate) shutting_down: AtomicBool,
+    shutting_down: AtomicBool,
 }
 
 /// The long-lived query executor. See the module docs.
@@ -644,7 +640,6 @@ impl QueryEngine {
             deadline_hits: metrics.deadline_hits,
             queue_expired: metrics.queue_expired,
             cancelled: metrics.cancelled,
-            coalesced: metrics.coalesced,
             quota_shed: metrics.quota_shed,
             tenants,
             queue_wait: metrics.queue_wait.clone(),
@@ -787,7 +782,7 @@ impl Drop for QueryEngine {
     }
 }
 
-pub(crate) fn duration_micros(d: Duration) -> u64 {
+fn duration_micros(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
@@ -796,41 +791,16 @@ pub(crate) fn duration_micros(d: Duration) -> u64 {
 /// exact integer accounting with no floating point in the admission path.
 const MICRO_TOKENS_PER_QUERY: u64 = 1_000_000;
 
-/// What a worker learned from settling one job, kept so the batch executor
-/// can answer coalesced followers without re-solving (the response) and
-/// keep its fan-out loop cancellable (the token).
-pub(crate) struct JobOutcome {
-    /// The successful response, clonable for followers (`None` when the
-    /// job errored — errors are not `Clone`, so followers re-execute).
-    pub(crate) response: Option<QueryResponse>,
-    /// The cancel token the solve ran under, if it got that far.
-    pub(crate) token: Option<CancelToken>,
-}
-
 fn worker_loop(queue: &AdmissionQueue<Job>, shared: &Shared) {
     while let Some(job) = queue.pop() {
-        let epoch = job.snapshot.epoch();
-        let key = job.key.clone();
-        // Only token-less queries coalesce: a follower answered from a
-        // leader's solve would otherwise inherit the wrong deadline
-        // behaviour (its own budget could be gone, or the leader's not).
-        // Eligibility is decided *before* processing — execute() installs
-        // a token on every solve.
-        let eligible = crate::batch::coalescable(&job);
-        let outcome = process_job(job, shared);
-        if eligible {
-            // Drain *after* the solve: every matching query that arrived
-            // while the windows were being scanned shares the answer.
-            let followers = crate::batch::drain_followers(queue, epoch, &key);
-            crate::batch::settle_followers(followers, &outcome, shared);
-        }
+        process_job(job, shared);
     }
 }
 
 /// Settle one dequeued job end to end: fail fast if its budget died in the
 /// queue or the engine is shutting down, otherwise execute it; record
-/// metrics; reply. Returns the outcome the batch executor needs.
-pub(crate) fn process_job(mut job: Job, shared: &Shared) -> JobOutcome {
+/// metrics; reply.
+fn process_job(mut job: Job, shared: &Shared) {
     let queue_wait = job.enqueued.elapsed();
     // Queued-but-expired queries fail fast: the budget is gone, so
     // solving would only delay the error (and every query behind it).
@@ -872,13 +842,8 @@ pub(crate) fn process_job(mut job: Job, shared: &Shared) -> JobOutcome {
         }
     }
     shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-    let outcome = JobOutcome {
-        response: result.as_ref().ok().cloned(),
-        token: job.request.options.cancel.clone(),
-    };
     // A dropped ticket just means nobody is waiting for the answer.
     let _ = job.reply.send(result);
-    outcome
 }
 
 /// Whether a query can run through the windowed (delta) solve path with an
@@ -1035,24 +1000,19 @@ mod tests {
     fn repeated_queries_hit_the_cache_until_the_epoch_swaps() {
         let engine = engine();
         engine.install_graph(graph(7));
-        // A query with a cancel token never coalesces, so the second query
-        // cannot be drained as a follower of the first (whose worker drains
-        // after replying) and must be answered by the cache.
-        let request = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 4)
+        // A repeat is a cache hit whether or not it carries a cancel token:
+        // the token is no part of the cache key.
+        let request = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 4);
+        let with_token = request
+            .clone()
             .options(SolverOptions::default().cancel_token(Some(CancelToken::new())));
         let first = engine.query(request.clone()).unwrap();
-        let second = engine.query(request.clone()).unwrap();
         assert!(!first.cached);
-        assert!(second.cached);
-        assert_eq!(second.solution.stats.solve_micros, 0);
-        for (a, b) in first
-            .solution
-            .paths
-            .iter()
-            .zip(second.solution.paths.iter())
-        {
-            assert_eq!(a.nodes(), b.nodes());
-            assert_eq!(a.weight().to_bits(), b.weight().to_bits());
+        for repeat in [request.clone(), with_token] {
+            let repeat = engine.query(repeat).unwrap();
+            assert!(repeat.cached);
+            assert_eq!(repeat.solution.stats.solve_micros, 0);
+            assert_eq!(first.solution.paths, repeat.solution.paths);
         }
         // Swap the graph: the cache must not serve the old answer.
         engine.install_graph(graph(8));
@@ -1060,8 +1020,8 @@ mod tests {
         assert!(!third.cached);
         assert_eq!(third.epoch, 2);
         let stats = engine.stats();
-        assert_eq!(stats.queries, 3);
-        assert_eq!(stats.cache.hits, 1);
+        assert_eq!(stats.queries, 4);
+        assert_eq!(stats.cache.hits, 2);
         assert!(stats.cache.invalidations >= 1);
     }
 

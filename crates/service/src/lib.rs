@@ -10,14 +10,14 @@
 //! * [`engine::QueryEngine`] — a fixed thread-pool executor over
 //!   [`GraphSnapshot`](bsc_core::snapshot::GraphSnapshot)s: bounded
 //!   two-lane admission ([`admission::AdmissionQueue`]; back-pressure via
-//!   [`BscError::Saturated`], per-tenant token-bucket quotas, priority
-//!   lanes with a starvation bound, and coalescing of concurrent same-key
-//!   queries via [`batch`]), per-query
+//!   [`BscError::Saturated`], per-tenant token-bucket quotas and priority
+//!   lanes with a starvation bound), per-query
 //!   [`SolverOptions`](bsc_core::solver::SolverOptions), any
 //!   [`AlgorithmKind`](bsc_core::solver::AlgorithmKind) (including `Auto`
 //!   and sharded), and an epoch-tagged LRU [`cache::SolutionCache`]
-//!   invalidated on snapshot swap. Every answer is byte-identical to the
-//!   one-shot `Pipeline::run` on the same graph.
+//!   invalidated on snapshot swap — the one memo for repeated queries
+//!   (`--cache 0` solves every query). Every answer is byte-identical to
+//!   the one-shot `Pipeline::run` on the same graph.
 //! * [`protocol`] — the std-only line-delimited JSON protocol (shared JSON
 //!   implementation: [`bsc_util::json`]).
 //! * [`session::Session`] — the stateful loop behind the `bsc serve`
@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod batch;
 pub mod cache;
 pub mod engine;
 pub mod protocol;

@@ -372,7 +372,6 @@ impl Session {
                     ("deadline_hits", JsonValue::from(stats.deadline_hits)),
                     ("queue_expired", JsonValue::from(stats.queue_expired)),
                     ("cancelled", JsonValue::from(stats.cancelled)),
-                    ("coalesced", JsonValue::from(stats.coalesced)),
                     ("quota_shed", JsonValue::from(stats.quota_shed)),
                     (
                         "tenants",

@@ -6,10 +6,11 @@
 //!   ([`QueryEngine::try_submit_at`]);
 //! * the high-priority lane wins the queue without starving the normal
 //!   lane (the `(w + 1) * (HIGH_LANE_BURST + 1)`-pop bound);
-//! * **batched execution is byte-identical to serial**: coalesced
-//!   followers of a same-epoch, same-key solve return the same node
-//!   sequences and `f64` weight bits as an uncontended engine, for every
-//!   algorithm × backend × shard count;
+//! * **a queued repeat is a cache hit, byte-identical to serial**: copies
+//!   of a query queued behind its first solve are answered by the solution
+//!   cache (`cached: true`, `solve_micros` 0) with the same node sequences
+//!   and `f64` weight bits as an uncontended engine, for every algorithm ×
+//!   backend × shard count, and the counters conserve;
 //! * per-tenant counters surface in [`QueryEngine::stats`].
 
 use blogstable::core::solver::QueryPriority;
@@ -226,7 +227,7 @@ fn the_high_priority_lane_overtakes_queued_normal_queries() {
     engine.shutdown();
 }
 
-/// Every (algorithm, spec, backend, shards) combination whose coalesced
+/// Every (algorithm, spec, backend, shards) combination whose cached
 /// answers must match serial execution. Mirrors `tests/query_service.rs`.
 fn combos() -> Vec<(AlgorithmKind, StableClusterSpec, StorageSpec, usize)> {
     let kinds = [
@@ -257,16 +258,18 @@ fn combos() -> Vec<(AlgorithmKind, StableClusterSpec, StorageSpec, usize)> {
     combos
 }
 
-/// Batched (coalesced) execution must be byte-identical to serial
-/// execution for every algorithm × backend × shard count — and the
-/// coalescing path must actually fire.
+/// Copies of a query queued behind its first solve are answered by the
+/// solution cache, byte-identical to serial execution, for every algorithm
+/// × backend × shard count. One worker pops the queue in order, so which
+/// copy solves and which hit is deterministic: the first copy solves, the
+/// rest are cache hits.
 #[test]
-fn batched_execution_is_byte_identical_to_serial_for_every_combo() {
+fn queued_repeats_are_cache_hits_byte_identical_to_serial_for_every_combo() {
     let graph = graph();
 
     // The serial reference: an uncontended engine answering one query at a
     // time. (The engine itself is conformance-tested against the one-shot
-    // pipeline in tests/query_service.rs; here the subject is batching.)
+    // pipeline in tests/query_service.rs; here the subject is the repeats.)
     let mut serial = QueryEngine::new(EngineConfig::default().workers(1)).expect("engine starts");
     serial.install_graph(graph.clone());
     let mut expected = Vec::new();
@@ -281,61 +284,53 @@ fn batched_execution_is_byte_identical_to_serial_for_every_combo() {
     }
     serial.shutdown();
 
-    // The batched run: one worker, no cache, so copies of a query pile up
-    // behind a slow blocker and the leader's solve answers its followers.
-    // Coalescing needs the copies queued before the leader finishes; the
-    // blocker makes that overwhelmingly likely, and the outer retry
-    // absorbs the rare miss (byte-identity is asserted unconditionally —
-    // only the `coalesced > 0` proof retries).
+    // One worker, cache on: token-less copies of a query pile up behind a
+    // slow blocker (a `k` of its own per combo, so no blocker is a hit).
     let copies = 3usize;
-    let mut coalesced_total = 0u64;
-    for attempt in 0..10 {
-        let mut engine = QueryEngine::new(
-            EngineConfig::default()
-                .workers(1)
-                .queue_capacity(256)
-                .cache_capacity(0),
-        )
+    let mut engine = QueryEngine::new(EngineConfig::default().workers(1).queue_capacity(256))
         .expect("engine starts");
-        engine.install_graph(graph.clone());
-        for ((kind, spec, backend, shards), serial_solution) in &expected {
-            let context = format!("{kind} {spec} {backend} shards={shards}");
-            let blocker = engine
-                .submit(request(AlgorithmKind::Dfs, StableClusterSpec::FullPaths, 9))
-                .expect("blocker admitted");
-            let tickets: Vec<QueryTicket> =
-                (0..copies)
-                    .map(|_| {
-                        engine
-                            .submit(request(*kind, *spec, 10).options(
-                                SolverOptions::default().storage(*backend).shards(*shards),
-                            ))
-                            .expect("copy admitted")
-                    })
-                    .collect();
-            blocker.wait().expect("blocker completes");
-            for (copy, ticket) in tickets.into_iter().enumerate() {
-                let response = ticket
-                    .wait()
-                    .unwrap_or_else(|e| panic!("{context} copy {copy}: {e}"));
-                assert_identical(
-                    serial_solution,
-                    &response.solution,
-                    &format!("{context} copy {copy}"),
-                );
+    engine.install_graph(graph);
+    for (i, ((kind, spec, backend, shards), serial_solution)) in expected.iter().enumerate() {
+        let context = format!("{kind} {spec} {backend} shards={shards}");
+        let blocker = engine
+            .submit(request(
+                AlgorithmKind::Dfs,
+                StableClusterSpec::FullPaths,
+                100 + i,
+            ))
+            .expect("blocker admitted");
+        let tickets: Vec<QueryTicket> = (0..copies)
+            .map(|_| {
+                engine
+                    .submit(
+                        request(*kind, *spec, 10)
+                            .options(SolverOptions::default().storage(*backend).shards(*shards)),
+                    )
+                    .expect("copy admitted")
+            })
+            .collect();
+        blocker.wait().expect("blocker completes");
+        for (copy, ticket) in tickets.into_iter().enumerate() {
+            let context = format!("{context} copy {}", copy + 1);
+            let response = ticket.wait().unwrap_or_else(|e| panic!("{context}: {e}"));
+            assert_identical(serial_solution, &response.solution, &context);
+            assert_eq!(
+                response.cached,
+                copy > 0,
+                "{context}: only the first copy solves"
+            );
+            if response.cached {
+                assert_eq!(response.solution.stats.solve_micros, 0, "{context}");
             }
         }
-        let stats = engine.stats();
-        assert_eq!(stats.errors, 0);
-        coalesced_total = stats.coalesced;
-        engine.shutdown();
-        if coalesced_total > 0 {
-            break;
-        }
-        eprintln!("attempt {attempt}: no coalescing observed, retrying");
     }
-    assert!(
-        coalesced_total > 0,
-        "the coalescing path never fired across 10 attempts"
+    let stats = engine.stats();
+    assert_eq!(stats.errors, 0);
+    assert_eq!(stats.cache.hits, (expected.len() * (copies - 1)) as u64);
+    assert_eq!(
+        stats.queries,
+        stats.cache.hits + stats.solve.count() + stats.errors,
+        "every query is a cache hit, a solve or an error"
     );
+    engine.shutdown();
 }
