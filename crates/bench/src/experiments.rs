@@ -23,6 +23,7 @@ use bsc_baselines::{
 use bsc_cluster::{WorkerConfig, WorkerServer};
 use bsc_core::bfs::BfsStableClusters;
 use bsc_core::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
+use bsc_core::delta::solve_windows;
 use bsc_core::distributed::FanoutSpec;
 use bsc_core::path::ClusterPath;
 use bsc_core::pipeline::{Pipeline, PipelineParams, StableClusterSpec};
@@ -369,12 +370,23 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
         };
         let (serial, serial_time) = sharded(1);
         let (merged, sharded_time) = sharded(shards);
+        // Untimed: the same windows each by its own floor, as a delta solve
+        // runs them. The graph's floor only takes work away.
+        let options = SolverOptions::default();
+        let alone = solve_windows(&graph.clone(), spec, k, AlgorithmKind::Bfs, &options, None)
+            .expect("windows solved alone")
+            .solution
+            .stats;
+        let visited = (serial.stats.nodes_processed, alone.nodes_processed);
         let generated = (base.stats.paths_generated, serial.stats.paths_generated);
         assert!(
-            generated.0 <= generated.1,
-            "l={l}: the whole-graph sweep considered {} candidates, its windows {}",
-            generated.0,
-            generated.1
+            visited.0 <= visited.1 && generated.1 <= alone.paths_generated,
+            "l={l}: the windows by the graph's floor visited {} nodes and considered {} \
+             candidates, solved alone {} and {}",
+            visited.0,
+            generated.1,
+            visited.1,
+            alone.paths_generated
         );
         table.push_row(vec![
             format!("subpaths l={l}"),
@@ -392,7 +404,7 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
             serial.stats.peak_resident_paths.to_string(),
         ]);
         counted.push(format!(
-            "l = {l}: the whole-graph sweep visited {} of {} nodes and considered {} candidates, its {} windows {} of {} and {}",
+            "l = {l}: the whole-graph sweep visited {} of {} nodes and considered {} candidates, its {} windows {} of {} and {} (solved alone, each by its own floor: {} and {})",
             base.stats.nodes_processed,
             graph.num_nodes(),
             generated.0,
@@ -400,13 +412,15 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
             serial.stats.nodes_processed,
             (u64::from(l) + 1) * serial.stats.windows_resolved * u64::from(n),
             generated.1,
+            alone.nodes_processed,
+            alone.paths_generated,
         ));
     }
     table.push_note(format!(
         "m = {m}, n = {n}, d = {d}, g = {g}, k = {k}; byte-identical top-k verified before timing"
     ));
     table.push_note(format!(
-        "sharded@1/BFS(x) reads the backward pass paid per window: every batch sweep, whole graph or window, knows the best completion of each subpath and its k-th answer's floor before its first interval, visits only the nodes a prefix of a near-answer can reach (visited(=), generated(=): {}) and holds those prefixes (held(=), peak_resident_paths: the largest window's); a window's floor is its own k-th best start, lower than the graph's, so the windows visit more; the windows read the graph's completion table, one pass over its edges built before them (each edge once, with the lengths of every window it lies in; both sides solve a clone and build theirs), where each of the l + 1 windows a node appears in used to build its own; what the ratio has left is the windows' own sweeps, one per start, each reading its table through a lens with its own floor; sharding buys independent shards (own threads, own storage backends), not single-core speed",
+        "sharded@1/BFS(x) reads the backward pass paid per window: every batch sweep, whole graph or window, knows the best completion of each subpath and its k-th answer's floor before its first interval, visits only the nodes a prefix of a near-answer can reach (visited(=), generated(=): {}) and holds those prefixes (held(=), peak_resident_paths: the largest window's); every window prunes by the graph's floor, the k-th best start of the whole graph — sound for the merged top-k, which is all a sharded solve answers — and a window none of whose starts reaches it is never swept, so the windows visit no more than windows solved alone, each by its own lower floor, would (the counts in brackets); the windows read the graph's completion table, one pass over its edges built before them (each edge once, with the lengths of every window it lies in; both sides solve a clone and build theirs), where each of the l + 1 windows a node appears in used to build its own; what the ratio has left is the swept windows' own sweeps and the per-window set-up; sharding buys independent shards (own threads, own storage backends), not single-core speed",
         counted.join("; ")
     ));
     table
@@ -1350,7 +1364,7 @@ fn streaming_publish(scale: Scale) -> Vec<Table> {
 /// the determinism tripwire (windows resolved/spliced and the result digest
 /// are pure functions of the scale).
 pub fn streaming_delta(scale: Scale) -> Vec<Table> {
-    use bsc_core::delta::{solve_windows, GraphDelta};
+    use bsc_core::delta::GraphDelta;
     use bsc_core::streaming::OnlineStableClusters;
     let n = scale.pick(200, 1_000);
     let m = scale.pick(12, 25);
@@ -1550,11 +1564,12 @@ mod tests {
         assert!(table.cell(0, "sharded@1(s)").is_some());
         assert!(table.cell(0, "sharded@1/BFS(x)").unwrap().ends_with('x'));
         assert_eq!(table.cell(0, "shard ranges"), Some("2"));
-        // Exact cells (the experiment asserts unsharded <= windows itself):
-        // a window's floor is lower than the graph's, so more of it is live.
+        // Exact cells (the experiment asserts itself that the windows visit
+        // and consider no more than windows solved alone): every window
+        // prunes by the graph's floor, and only the whole-graph sweep
+        // considers a bare edge at every node it visits.
         let count = |column| table.cell(0, column).and_then(|c| c.parse::<u64>().ok());
-        assert!(count("BFS generated(=)") < count("windows generated(=)"));
-        assert!(count("BFS visited(=)") < count("windows visited(=)"));
+        assert!(count("windows generated(=)") < count("BFS generated(=)"));
         // Both pass over most of the 12 x 800 nodes (a node lies in up to
         // l + 1 = 4 windows).
         assert!(count("BFS visited(=)") < Some(12 * 800 / 5));

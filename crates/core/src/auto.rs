@@ -322,8 +322,13 @@ impl StableClusterSolver for AutoSolver {
         let shape = GraphShape::of(view);
         let choice = choose_algorithm(&shape, self.spec, self.k, self.budget_bytes)?;
         self.last_choice = Some(choice);
-        let mut inner =
-            choice.build_leaf(self.spec, self.k, view.num_intervals(), &self.options)?;
+        let mut inner = choice.build_leaf(
+            self.spec,
+            self.k,
+            view.num_intervals(),
+            &self.options,
+            f64::NEG_INFINITY,
+        )?;
         inner.solve_view(view)
     }
 }

@@ -36,7 +36,9 @@
 //!   adaptation, per length — and `θ₀`, the k-th largest `C[c][l]`: `k`
 //!   distinct starts are `k` distinct paths, so the k-th answer weighs at
 //!   least `θ₀` and the threshold `max(θ₀, H's)` stands before the first
-//!   interval is swept — in a start window as in a whole graph. What the
+//!   interval is swept — in a start window as in a whole graph; a window of
+//!   a local sharded solve is handed the whole view's `θ₀`, higher than its
+//!   own and sound for the merged answer (`sharded.rs`). What the
 //!   sweep holds is the prefixes of near-answers: a handful of slots where
 //!   the paper's heaps hold `k` per node and length. The threshold only
 //!   rises, so what it rules out could not have entered later. It is read
@@ -49,20 +51,22 @@
 //!   rows out — only if a **live** node marked it, and passes over every
 //!   other node without reading an edge. A node is live if its rows hold a
 //!   slot once it has been visited, or if a near-answer can start there:
-//!   `C[c][l]` is asked of it and reaches `θ₀` (`can_still_reach` with an
-//!   empty prefix, the slack counted twice). Every edge out of `c` was
-//!   relaxed into `C[c][l]` with the very addition `reaches` judges the bare
-//!   edge by, against a threshold that only rises from `θ₀`, so a start that
-//!   fails holds no edge `reaches` would hold — the second slack is for the
-//!   one thing that differs, the order the slack itself is added in — and
-//!   what an unmarked node is passed over with is exactly nothing. Once an
-//!   interval is swept its live nodes mark their children
-//!   ([`GraphView::children`]); an interval more than half of whose nodes are
-//!   live marks every node in reach at once instead, so an input that cuts
-//!   nothing (all weights equal) pays no second walk of its edges. Marking
-//!   may only err towards visiting. A sweep whose table holds no weight —
-//!   `l = 1`, or an `l` beyond the last interval — knows of no node whether
-//!   it is live, marks nothing and visits every node, through the same loop.
+//!   `C[c][l]` is asked of it and reaches `θ₀` (`Lens::can_start`:
+//!   `can_still_reach` with an empty prefix, the slack counted twice — the
+//!   predicate a sharded solve rules a whole window out by). Every edge out
+//!   of `c` was relaxed into `C[c][l]` with the very addition `reaches`
+//!   judges the bare edge by, against a threshold that only rises from
+//!   `θ₀`, so a start that fails holds no edge `reaches` would hold — the
+//!   second slack is for the one thing that differs, the order the slack
+//!   itself is added in — and what an unmarked node is passed over with is
+//!   exactly nothing. Once an interval is swept its live nodes mark their
+//!   children ([`GraphView::children`]); an interval more than half of whose
+//!   nodes are live marks every node in reach at once instead, so an input
+//!   that cuts nothing (all weights equal) pays no second walk of its edges.
+//!   Marking may only err towards visiting. A sweep whose table holds no
+//!   weight — `l = 1`, or an `l` beyond the last interval — knows of no node
+//!   whether it is live, takes every node for live and visits every node,
+//!   through the same loop.
 //!
 //! That pass is written once, as the private `IntervalSweep`: it looks ahead
 //! over its view when it is made, its state is the heaps of the intervals
@@ -130,7 +134,7 @@ use crate::cluster_graph::{ClusterGraph, ClusterNodeId, GraphView};
 use crate::error::{BscError, BscResult};
 use crate::lookahead::{Completions, Lens};
 use crate::path::ClusterPath;
-use crate::problem::{can_still_reach, shortest_feasible, summation_slack, KlStableParams};
+use crate::problem::{can_still_reach, shortest_feasible, KlStableParams};
 use crate::solver::{
     check_not_expired, checkpoint, AlgorithmKind, Solution, SolverStats, StableClusterSolver,
 };
@@ -748,19 +752,13 @@ impl<'t> IntervalSweep<'t> {
         // weight that says who is live, everyone.
         let sparse = ahead.holds_weights();
         let everyone = !sparse || interval < self.all_marked_before;
-        let slack = summation_slack(l);
         self.live.clear();
         for index in 0..num_nodes {
             checkpoint(cancel, &mut self.tick)?;
             let node = ClusterNodeId::new(interval, index);
-            let (shortest, best) = ahead.leaving(node);
-            // Can a near-answer start here? Every edge out of this node was
-            // relaxed into `C[node][l]`, so an edge `reaches` would hold
-            // passes this too — the slack once more, for the order it is
-            // added in there.
-            let whole = best.get((l - shortest) as usize);
-            let starts =
-                sparse && whole.is_some_and(|&whole| can_still_reach(l, slack, whole, known));
+            // Can a near-answer start here? (Everyone, where the table holds
+            // no weight to say; they are all visited anyway.)
+            let starts = ahead.can_start(node);
             let marks = self.marks.front();
             let marked = marks.and_then(|marks| marks.get(index as usize));
             if !(everyone || marked.is_some_and(|&marked| marked)) {
@@ -770,6 +768,7 @@ impl<'t> IntervalSweep<'t> {
                 continue;
             }
             self.stats.nodes_processed += 1;
+            let (shortest, best) = ahead.leaving(node);
             let parents = view.parents(node);
             // Read once per node: every parent is judged by the same
             // threshold whatever this node adds to `H` meanwhile, so the
@@ -874,16 +873,18 @@ impl<'t> IntervalSweep<'t> {
     }
 
     /// Batch BFS: read how every subpath of `view` can end off `table` (a
-    /// table of `view`'s own, or of the graph that holds it), then sweep its
-    /// intervals.
+    /// table of `view`'s own, or of the graph that holds it), with `θ₀`
+    /// raised to `floor`, then sweep its intervals.
     fn run(
         params: KlStableParams,
         view: GraphView<'_>,
         table: &Completions,
+        floor: f64,
         cancel: Option<&CancelToken>,
         tick: u32,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
-        let mut sweep = IntervalSweep::new(params, view, table.lens(view, params.k), tick);
+        let ahead = table.lens(view, params.k).raised(floor);
+        let mut sweep = IntervalSweep::new(params, view, ahead, tick);
         for interval in view.intervals() {
             sweep.advance(view, interval, cancel)?;
         }
@@ -896,6 +897,10 @@ impl<'t> IntervalSweep<'t> {
 pub struct BfsStableClusters {
     params: KlStableParams,
     cancel: Option<CancelToken>,
+    /// A weight the caller's k-th answer is known to reach, pruned by beside
+    /// the view's own `θ₀`: a sharded solve's windows are handed the whole
+    /// view's. `−∞` unless a window solve sets it.
+    floor: f64,
 }
 
 impl BfsStableClusters {
@@ -904,7 +909,17 @@ impl BfsStableClusters {
         BfsStableClusters {
             params,
             cancel: None,
+            floor: f64::NEG_INFINITY,
         }
+    }
+
+    /// Prune by `floor` too, a weight the merged k-th answer of the solve
+    /// this one is a window of is known to reach (`sharded.rs`). The paths
+    /// are then those of the window that can enter that answer, not the
+    /// window's own top-k.
+    pub(crate) fn with_floor(mut self, floor: f64) -> Self {
+        self.floor = floor;
+        self
     }
 
     /// Attach a cooperative-cancellation token. The sweep observes it at
@@ -960,7 +975,7 @@ impl BfsStableClusters {
         }
         let mut tick = 0;
         let table = view.completions(l, cancel, &mut tick)?;
-        IntervalSweep::run(self.params, view, &table, cancel, tick)
+        IntervalSweep::run(self.params, view, &table, self.floor, cancel, tick)
     }
 }
 

@@ -191,6 +191,22 @@ pub fn solve_window_locally(
     algorithm: AlgorithmKind,
     options: &SolverOptions,
 ) -> BscResult<WindowResult> {
+    solve_window(graph, start, l, k, algorithm, options, f64::NEG_INFINITY)
+}
+
+/// [`solve_window_locally`], a BFS or TA window pruning by `floor` beside its
+/// own `θ₀`: a weight the merged k-th answer is known to reach, so the paths
+/// are those of the window that can enter the merged top-k (a local sharded
+/// solve of the whole view hands every window the view's `θ₀`).
+pub(crate) fn solve_window(
+    graph: &ClusterGraph,
+    start: u32,
+    l: u32,
+    k: usize,
+    algorithm: AlgorithmKind,
+    options: &SolverOptions,
+    floor: f64,
+) -> BscResult<WindowResult> {
     let m = graph.num_intervals();
     let end = start.checked_add(l).filter(|&end| (end as usize) < m);
     let end = end.ok_or_else(|| {
@@ -205,6 +221,7 @@ pub fn solve_window_locally(
         k,
         l as usize + 1,
         options,
+        floor,
     );
     let Solution {
         paths, mut stats, ..

@@ -38,7 +38,11 @@
 //! the very paths, summed in the very order, of the window's own. A
 //! [`Lens`] ([`Completions::lens`]) reads a view's rows off a wider table
 //! and takes the view's own `θ₀` over the view's own starts: the graph's
-//! would be higher, and unsound for a window. `k` plays no part in a table,
+//! would be higher, and unsound for a window's own top-k. It is sound for
+//! the merged top-k of all the windows, which is all a local sharded solve
+//! of the whole graph answers, so such a solve raises each window's lens to
+//! the graph's `θ₀` ([`Lens::raised`]) and sweeps no window none of whose
+//! starts [`Lens::can_start`] (`sharded.rs`). `k` plays no part in a table,
 //! so a graph keeps the tables its solves built ([`Memo`], read through
 //! [`GraphView::completions`]): the first solve of the whole graph at `l`
 //! builds one, and every later solve of that graph at `l` — unsharded, each
@@ -70,6 +74,7 @@ use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterNodeId, GraphView};
 use crate::error::{BscError, BscResult};
+use crate::problem::{can_still_reach, summation_slack};
 use crate::solver::checkpoint;
 
 /// How every subpath of a view can end: the table `C[c][r]` — the largest
@@ -372,6 +377,7 @@ impl Completions {
         let floor = kth.map_or(f64::NEG_INFINITY, f64::from_bits);
         Lens {
             best: &self.best,
+            l,
             first,
             last,
             rows,
@@ -399,6 +405,7 @@ fn last_of(view: GraphView<'_>) -> u32 {
 /// graph's where the graph keeps one.
 pub(crate) struct Lens<'t> {
     best: &'t [f64],
+    l: u32,
     first: u32,
     /// How many intervals into the view its last one lies.
     last: u32,
@@ -408,7 +415,7 @@ pub(crate) struct Lens<'t> {
     holds_weights: bool,
 }
 
-impl Lens<'_> {
+impl<'t> Lens<'t> {
     /// The shortest length asked of `node`, and `C[node][r]` from it on.
     #[inline]
     pub(crate) fn leaving(&self, node: ClusterNodeId) -> (u32, &[f64]) {
@@ -428,14 +435,42 @@ impl Lens<'_> {
     }
 
     /// `θ₀`: the k-th largest `C[c][l]` over the view's nodes, `−∞` when
-    /// fewer than `k` of them start a length-`l` path. `k` distinct starts
-    /// are `k` distinct paths, so the final k-th answer weighs at least this
-    /// (within [`can_still_reach`](crate::problem::can_still_reach)'s slack)
-    /// before anything is searched. Taken over the view's own starts only:
-    /// a run's starts would set a floor one window cannot reach.
+    /// fewer than `k` of them start a length-`l` path — or a higher weight
+    /// the lens was [`raised`](Lens::raised) to. `k` distinct starts are `k`
+    /// distinct paths, so the final k-th answer weighs at least this (within
+    /// [`can_still_reach`]'s slack) before anything is searched. Taken over
+    /// the view's own starts only: a run's starts would set a floor one
+    /// window's own top-k cannot reach.
     #[inline]
     pub(crate) fn floor(&self) -> f64 {
         self.floor
+    }
+
+    /// This lens with its floor raised to `floor`, a weight the answer its
+    /// reader contributes to is known to reach: a sharded solve's windows
+    /// read the whole view's `θ₀`, which holds for the merged top-k though
+    /// not for a window's own.
+    pub(crate) fn raised(mut self, floor: f64) -> Lens<'t> {
+        self.floor = self.floor.max(floor);
+        self
+    }
+
+    /// Can a near-answer start at `node`? It can if `C[node][l]` is asked of
+    /// it and reaches the floor — [`can_still_reach`] with an empty prefix,
+    /// the slack counted twice: every edge out of `node` was relaxed into
+    /// `C[node][l]` with the very addition a sweep judges the bare edge by,
+    /// so a start that fails holds no edge the sweep would hold, to the last
+    /// bit. A lens that holds no weight knows nothing of any node and rules
+    /// none out. The one test of who is live at a sweep's first visit
+    /// (`bfs.rs`) and of which start windows a sharded solve sweeps at all.
+    #[inline]
+    pub(crate) fn can_start(&self, node: ClusterNodeId) -> bool {
+        if !self.holds_weights {
+            return true;
+        }
+        let (l, (shortest, best)) = (self.l, self.leaving(node));
+        let whole = best.get((l - shortest) as usize);
+        whole.is_some_and(|&whole| can_still_reach(l, summation_slack(l), whole, self.floor))
     }
 
     /// How many intervals into the view its last one lies.

@@ -50,16 +50,31 @@
 //! within `lookahead::MEMO_WEIGHTS`, 4 MiB). So a solve of the whole graph
 //! whose windows are BFS or TA solved here, none spliced, has the graph
 //! keep its table for `l` before the windows — the one the unsharded solve
-//! of that length reads too — and each window ([`solve_window_locally`])
+//! of that length reads too — and each window (`distributed::solve_window`)
 //! reads it through a `Lens`, which answers exactly what the window's own
 //! table would, its `θ₀` included (the `lookahead` module docs carry the
-//! argument): paths and every counter are those of the window solved
-//! alone, and sharing changes time only. Any other window — of a solve that
-//! splices (the windows a streamed answer re-solves), of a per-window
-//! budgeted `auto`, of a graph whose table would pass the bound, or on a
-//! transport's worker (one window per request) — reads the table its graph
-//! keeps for `l` if there is one, and otherwise builds its own and keeps
-//! nothing. DFS reads none.
+//! argument). Any other window — of a solve that splices (the windows a
+//! streamed answer re-solves), of a per-window budgeted `auto`, of a graph
+//! whose table would pass the bound, or on a transport's worker (one window
+//! per request) — reads the table its graph keeps for `l` if there is one,
+//! and otherwise builds its own and keeps nothing. DFS reads none.
+//!
+//! ## The graph's floor
+//!
+//! A window's own `θ₀` is the k-th best start of one interval, far below the
+//! whole view's. What is merged is the top-k of every window, and `k`
+//! distinct starts of the view are `k` distinct paths: no path below the
+//! view's `θ₀` (judged with `can_still_reach`'s slack) can enter it, whichever
+//! window it lies in. So where the graph's table is kept as above and no
+//! window's result is (`Windowed::keep_windows`), every window prunes by the
+//! view's `θ₀`, and a window none of whose starts can reach it
+//! (`Lens::can_start`, the predicate a BFS sweep marks its live starts by)
+//! is never swept: it would have answered nothing. The floor is unsound for
+//! a window's *own* top-k, so a solve that keeps or ships window results (a
+//! delta solve, a transport's workers) and a per-window budgeted `auto`
+//! sweep every window by its own floor: paths and every counter are those
+//! of the window solved alone. Otherwise the counters are those of the
+//! swept windows solved alone with the view's floor.
 //!
 //! ## What every solve shares
 //!
@@ -78,12 +93,16 @@
 //! `auto` is BFS for every Problem 1 query (`auto.rs`), so its windows share
 //! tables like BFS's.
 //!
+//! A window ruled out by the view's floor weighs 1 in the partition, so the
+//! windows that are swept split across the ranges.
+//!
 //! **Stats.** `shards` is the number of ranges formed; `threads` the range
 //! workers that ran concurrently — the one writer of that field, since
 //! every solver is sequential inside its window; peaks are max-merged
 //! within a worker and summed across concurrent workers;
-//! `windows_resolved` / `windows_spliced` count windows solved / reused,
-//! and a spliced window's historical counters are not re-counted.
+//! `windows_resolved` / `windows_spliced` count windows decided at this
+//! epoch (solved, or ruled out with no sweep) / reused, so they sum to the
+//! starts, and a spliced window's historical counters are not re-counted.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -96,7 +115,7 @@ use crate::auto::{choose_algorithm, GraphShape};
 use crate::cluster_graph::GraphView;
 use crate::delta::{DeltaSolveOutcome, GraphDelta, WindowSet};
 use crate::distributed::{
-    anonymous_epoch, solve_window_locally, ShardTransport, WindowRequest, WindowResult,
+    anonymous_epoch, solve_window, ShardTransport, WindowRequest, WindowResult,
 };
 use crate::error::{BscError, BscResult};
 use crate::lookahead::{Completions, MEMO_WEIGHTS};
@@ -242,6 +261,14 @@ pub(crate) struct Windowed<'a> {
     pub(crate) prior: Option<(&'a WindowSet, &'a GraphDelta)>,
     /// Keep every window's result in the outcome, for the next epoch.
     pub(crate) keep_windows: bool,
+    /// The floor every window prunes by beside its own `θ₀`: the view's
+    /// `θ₀` where `run` reads the graph's table and keeps no window, else
+    /// `−∞`.
+    floor: f64,
+    /// Per start, counted from the view's first interval: can a near-answer
+    /// start there (`Lens::can_start` under `floor`)? A window that
+    /// cannot is decided without a sweep.
+    live: Vec<bool>,
 }
 
 /// What one range worker hands back.
@@ -270,6 +297,8 @@ impl<'a> Windowed<'a> {
             algorithm: solver.inner,
             prior: None,
             keep_windows: false,
+            floor: f64::NEG_INFINITY,
+            live: Vec::new(),
         }
     }
 
@@ -301,11 +330,17 @@ impl<'a> Windowed<'a> {
         // A path of length l starting `a` intervals into the view spans
         // [a, a + l]: a <= m - 1 - l.
         if k > 0 && l >= 1 && l < m {
+            let cancel = options.cancel.clone().unwrap_or_default();
+            self.rule_out_windows(l, &cancel)?;
+            // A window ruled out costs nothing: the live ones split across
+            // the ranges.
             let edge_counts = view.graph().interval_out_edge_counts();
             let edge_counts = &edge_counts[view.first_interval() as usize..];
-            let weights: Vec<u64> = (0..(m - l) as usize)
-                .map(|a| edge_counts[a..a + l as usize].iter().sum::<u64>().max(1))
-                .collect();
+            let weight = |(a, &live): (usize, &bool)| match live {
+                true => edge_counts[a..a + l as usize].iter().sum::<u64>().max(1),
+                false => 1,
+            };
+            let weights: Vec<u64> = self.live.iter().enumerate().map(weight).collect();
             let transport = self.solver.transport.as_deref();
             let ranges = transport.map_or(options.shards, |t| t.worker_count());
             let partition = balanced_ranges(&weights, ranges.max(1));
@@ -317,9 +352,7 @@ impl<'a> Windowed<'a> {
             // Each worker owns a contiguous run of ranges, so concatenating
             // the workers' kept windows in order yields start order.
             let chunk = ranges.len().div_ceil(workers.min(ranges.len()).max(1));
-            let cancel = options.cancel.clone().unwrap_or_default();
             let leaf = options.clone().cancel_token(Some(cancel.clone()));
-            self.keep_the_graph_s_table(l, &cancel)?;
             let (this, leaf, cancel) = (&self, &leaf, &cancel);
             let work = move |(i, owned)| this.run_ranges(l, i * chunk, owned, leaf, cancel);
             // One worker per chunk: the last on this thread, the others each
@@ -373,8 +406,12 @@ impl<'a> Windowed<'a> {
     /// spliced, the windows are solved here by BFS or TA (DFS reads no
     /// table, a budgeted `auto` priced one window's) and the table fits the
     /// graph's memo ([`MEMO_WEIGHTS`]). Otherwise each window reads the
-    /// table its graph keeps, if any, or builds its own.
-    fn keep_the_graph_s_table(&self, l: u32, cancel: &CancelToken) -> BscResult<()> {
+    /// table its graph keeps, if any, or builds its own, and `None`.
+    fn keep_the_graph_s_table(
+        &self,
+        l: u32,
+        cancel: &CancelToken,
+    ) -> BscResult<Option<Arc<Completions>>> {
         let view = self.view;
         let whole = view.num_intervals() == view.graph().num_intervals();
         let reads = matches!(self.algorithm, AlgorithmKind::Bfs | AlgorithmKind::Ta);
@@ -382,7 +419,30 @@ impl<'a> Windowed<'a> {
         let fresh = starts.all(|start| self.spliced(start, l).is_none());
         let fits = Completions::weights(view, l) <= MEMO_WEIGHTS;
         if whole && reads && fresh && fits && self.solver.transport.is_none() {
-            view.completions(l, Some(cancel), &mut 0)?;
+            return view.completions(l, Some(cancel), &mut 0).map(Some);
+        }
+        Ok(None)
+    }
+
+    /// Keep the graph's table (`keep_the_graph_s_table`) and, where it is
+    /// kept and no window's own top-k is, set the floor every window prunes
+    /// by to the view's `θ₀` — `k` distinct starts are `k` distinct paths,
+    /// so nothing below it can enter the merged top-k — and rule out each
+    /// window none of whose starts can reach it. Every other solve sweeps
+    /// every window by its own floor.
+    fn rule_out_windows(&mut self, l: u32, cancel: &CancelToken) -> BscResult<()> {
+        let view = self.view;
+        let starts = view.first_interval()..view.intervals().end - l;
+        self.live = vec![true; starts.len()];
+        let table = self.keep_the_graph_s_table(l, cancel)?;
+        if let Some(table) = table.filter(|_| !self.keep_windows) {
+            let lens = table.lens(view, self.solver.k);
+            let live = |start| {
+                view.interval_node_ids(start)
+                    .any(|node| lens.can_start(node))
+            };
+            self.live = starts.map(live).collect();
+            self.floor = lens.floor();
         }
         Ok(())
     }
@@ -418,6 +478,11 @@ impl<'a> Windowed<'a> {
                 if cancel.expired() {
                     return Err(deadline_error(cancel));
                 }
+                if !self.live[start] {
+                    // Decided at this epoch, with no sweep.
+                    part.stats.windows_resolved += 1;
+                    continue;
+                }
                 let start = first_start + start as u32;
                 let spliced = self.spliced(start, l);
                 let result = match (spliced, &self.solver.transport) {
@@ -426,7 +491,8 @@ impl<'a> Windowed<'a> {
                         Ok(Arc::clone(previous))
                     }
                     (None, None) => {
-                        solve_window_locally(graph, start, l, k, algorithm, leaf).map(Arc::new)
+                        let floor = self.floor;
+                        solve_window(graph, start, l, k, algorithm, leaf, floor).map(Arc::new)
                     }
                     (None, Some(transport)) => {
                         let request = WindowRequest {
@@ -474,9 +540,12 @@ impl<'a> Windowed<'a> {
 mod tests {
     use super::*;
     use crate::auto::bfs_resident_bytes;
+    use crate::bfs::BfsStableClusters;
     use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
-    use crate::lookahead::long_thin_graph;
+    use crate::distributed::solve_window_locally;
+    use crate::lookahead::{long_thin_graph, reweighted, WEIGHTINGS};
     use crate::path::ClusterPath;
+    use crate::problem::KlStableParams;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 
     fn graph(m: usize, n: u32, d: u32, g: u32, seed: u64) -> ClusterGraph {
@@ -776,9 +845,10 @@ mod tests {
 
     #[test]
     fn a_budget_that_priced_one_window_still_holds_each_window() {
-        // A budgeted `auto` resolves per window and keeps a table of its own:
-        // a budget exactly BFS's price of one window still picks BFS in every
-        // window, counters and all; a byte less picks the next solver.
+        // A budgeted `auto` resolves per window and keeps a table and a
+        // floor of its own: a budget exactly BFS's price of one window still
+        // picks BFS in every window, counters and all — those of the BFS
+        // windows solved alone; a byte less picks the next solver.
         let graph = graph(12, 300, 5, 1, 20_240_607);
         let (k, l) = (5, 3);
         let spec = StableClusterSpec::ExactLength(l);
@@ -788,17 +858,22 @@ mod tests {
             solver.solve(&graph).unwrap()
         };
         let bfs = solve(AlgorithmKind::Bfs);
+        let mut alone = SolverStats::default();
+        for start in 0..graph.num_intervals() as u32 - l {
+            let window = solve_window_locally(&graph, start, l, k, AlgorithmKind::Bfs, &options);
+            alone.merge(&window.unwrap().stats);
+        }
         let price = bfs_resident_bytes(&GraphShape::of(graph.window(0, l)), k, u64::from(l));
         let auto = |budget| AlgorithmKind::Auto {
             budget_bytes: Some(budget),
         };
         let fits = solve(auto(price));
         assert_eq!(fits.paths, bfs.paths);
-        assert_eq!(fits.stats.paths_generated, bfs.stats.paths_generated);
-        assert_eq!(fits.stats.nodes_processed, bfs.stats.nodes_processed);
+        assert_eq!(fits.stats.paths_generated, alone.paths_generated);
+        assert_eq!(fits.stats.nodes_processed, alone.nodes_processed);
         let short = solve(auto(price - 1));
         assert_eq!(short.paths, bfs.paths);
-        assert_ne!(short.stats.paths_generated, bfs.stats.paths_generated);
+        assert_ne!(short.stats.paths_generated, alone.paths_generated);
     }
 
     #[test]
@@ -820,5 +895,145 @@ mod tests {
             unsharded.solve(&graph.clone()).unwrap().paths
         );
         assert_eq!(graph.memoized(), [3]);
+    }
+
+    /// The counters a merge of windows adds up, peaks aside.
+    fn counted(stats: &SolverStats) -> [u64; 6] {
+        [
+            stats.nodes_processed,
+            stats.paths_generated,
+            stats.prunes,
+            stats.random_seeks,
+            stats.edges_traversed,
+            stats.windows_resolved,
+        ]
+    }
+
+    #[test]
+    fn windows_pruned_by_the_view_s_floor_answer_as_the_unsharded_solve() {
+        // The look-ahead battery: edges of one interval up to four, the four
+        // weightings, every `l` (`l = 1` holds no weight and rules out
+        // nothing), `k` ∈ {1, 5, past the starts}. BFS and TA windows of a
+        // local sharded solve prune by the view's `θ₀` and skip the windows
+        // none of whose starts reaches it: paths and weight bits are the
+        // unsharded BFS solve's and the merge of the windows solved alone;
+        // the counters are the sum over the windows solved with the view's
+        // floor, a ruled-out window adding nothing but its
+        // `windows_resolved` — and it would have answered nothing. With all
+        // weights equal nothing is ruled out.
+        let key = |paths: &[ClusterPath]| {
+            let key = |path: &ClusterPath| (path.nodes().to_vec(), path.weight().to_bits());
+            paths.iter().map(key).collect::<Vec<_>>()
+        };
+        let (mut ruled_out, mut solves) = (0, 0);
+        for gap in 0..=3 {
+            let base = graph(7, 8, 3, gap, 7_300 + u64::from(gap));
+            for (name, weight) in WEIGHTINGS {
+                let graph = reweighted(&base, weight);
+                let m = graph.num_intervals() as u32;
+                for l in 1..m {
+                    let starts = 8 * (m - l) as usize;
+                    for k in [1, 5, starts + 1] {
+                        let case = format!("{name} gap={gap} l={l} k={k}");
+                        let cold = graph.clone();
+                        let bfs = BfsStableClusters::new(KlStableParams::new(k, l));
+                        let expected = key(&bfs.run(&cold).unwrap());
+                        let mut merged = TopKPaths::new(k);
+                        for start in 0..m - l {
+                            let options = SolverOptions::default();
+                            let alone = solve_window_locally(
+                                &cold,
+                                start,
+                                l,
+                                k,
+                                AlgorithmKind::Bfs,
+                                &options,
+                            );
+                            alone.unwrap().paths.into_iter().for_each(|p| {
+                                merged.offer_by_weight(p);
+                            });
+                        }
+                        assert_eq!(key(&merged.into_sorted()), expected, "{case}");
+                        let floor = Completions::of(graph.view(), l, None, &mut 0).unwrap();
+                        let floor = floor.lens(graph.view(), k).floor();
+                        for algorithm in [AlgorithmKind::Bfs, AlgorithmKind::Ta] {
+                            let case = format!("{case} {algorithm}");
+                            let spec = StableClusterSpec::ExactLength(l);
+                            let options = SolverOptions::default().shards(2);
+                            let mut solver =
+                                ShardedSolver::new(algorithm, spec, k, options.clone()).unwrap();
+                            let solution = solver.solve(&graph).unwrap();
+                            assert_eq!(key(&solution.paths), expected, "{case}");
+                            let mut windowed = Windowed::new(&solver, graph.view(), 0);
+                            windowed
+                                .rule_out_windows(l, &CancelToken::default())
+                                .unwrap();
+                            assert_eq!(windowed.floor.to_bits(), floor.to_bits(), "{case}");
+                            let mut sum = SolverStats::default();
+                            for (start, &live) in (0..m - l).zip(&windowed.live) {
+                                let window =
+                                    solve_window(&graph, start, l, k, algorithm, &options, floor);
+                                let window = window.unwrap();
+                                if live {
+                                    sum.merge(&window.stats);
+                                } else {
+                                    assert!(window.paths.is_empty(), "{case} start={start}");
+                                    sum.windows_resolved += 1;
+                                    ruled_out += 1;
+                                }
+                            }
+                            assert_eq!(counted(&solution.stats), counted(&sum), "{case}");
+                            let none_out = l == 1 || name == "all-equal";
+                            assert!(
+                                !none_out || windowed.live.iter().all(|&live| live),
+                                "{case}"
+                            );
+                            solves += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(solves, 4 * 4 * 6 * 3 * 2);
+        assert!(ruled_out > 0, "no window ruled out in {solves} solves");
+    }
+
+    #[test]
+    fn a_start_that_reaches_the_floor_only_summed_the_sweep_s_way_is_swept() {
+        // Two candidate answers in two windows, weighed by the table right to
+        // left and by the sweep left to right (`e` = 2^-53, half an ulp of 1):
+        // `p` = e, e, 1 from interval 0 is 1 to the table and 1 + 2e to the
+        // sweep; `q` = 1, e, e from interval 1 is 1 + 2e to the table and 1 to
+        // the sweep. The view's `θ₀` for k = 1 is `q`'s start, 1 + 2e; `p`'s
+        // start misses it by one ulp, and reaches it only with the slack —
+        // yet `p` is the answer.
+        let e = f64::EPSILON / 2.0;
+        let node = ClusterNodeId::new;
+        let mut builder = ClusterGraphBuilder::new(0);
+        for _ in 0..5 {
+            builder.add_interval(2);
+        }
+        for (from, lane, weights) in [(0, 0, [e, e, 1.0]), (1, 1, [1.0, e, e])] {
+            for (step, weight) in (from..).zip(weights) {
+                builder.add_edge(node(step, lane), node(step + 1, lane), weight);
+            }
+        }
+        let graph = builder.build();
+        let p = [node(0, 0), node(1, 0), node(2, 0), node(3, 0)];
+        let spec = StableClusterSpec::ExactLength(3);
+        for algorithm in [AlgorithmKind::Bfs, AlgorithmKind::Ta] {
+            let options = SolverOptions::default().shards(2);
+            let mut solver = ShardedSolver::new(algorithm, spec, 1, options).unwrap();
+            let solution = solver.solve(&graph).unwrap();
+            assert_eq!(solution.paths.len(), 1, "{algorithm}");
+            assert_eq!(solution.paths[0].nodes(), p, "{algorithm}");
+            assert_eq!(solution.paths[0].weight(), 1.0 + 2.0 * e, "{algorithm}");
+            assert_eq!(solution.stats.windows_resolved, 2, "{algorithm}");
+        }
+        let table = Completions::of(graph.view(), 3, None, &mut 0).unwrap();
+        assert_eq!(table.lens(graph.view(), 1).floor(), 1.0 + 2.0 * e);
+        // The unsharded sweep marks its live starts by the same predicate.
+        let unsharded = BfsStableClusters::new(KlStableParams::new(1, 3));
+        assert_eq!(unsharded.run(&graph).unwrap()[0].nodes(), p);
     }
 }

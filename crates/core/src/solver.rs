@@ -509,7 +509,7 @@ impl AlgorithmKind {
         if options.shards > 1 || options.fanout.is_some() {
             return Ok(Box::new(self.windowed(spec, k, options)?));
         }
-        self.build_leaf(spec, k, num_intervals, &options)
+        self.build_leaf(spec, k, num_intervals, &options, f64::NEG_INFINITY)
     }
 
     /// The windowed solver `options` ask for: on the fan-out's workers when
@@ -532,13 +532,17 @@ impl AlgorithmKind {
     /// The solver itself, below the sharding and fan-out layers:
     /// [`SolverOptions::shards`] and [`SolverOptions::fanout`] are not
     /// consulted, so a window solve can hand its caller's options straight
-    /// down without recursing into another decomposition.
+    /// down without recursing into another decomposition. BFS and TA also
+    /// prune by `floor`, a weight the k-th answer of the solve they are a
+    /// window of is known to reach (`−∞`: none; every other solver ignores
+    /// it).
     pub(crate) fn build_leaf(
         self,
         spec: StableClusterSpec,
         k: usize,
         num_intervals: usize,
         options: &SolverOptions,
+        floor: f64,
     ) -> BscResult<Box<dyn StableClusterSolver>> {
         self.check_spec(spec)?;
         if let AlgorithmKind::Auto { budget_bytes } = self {
@@ -559,7 +563,9 @@ impl AlgorithmKind {
             (AlgorithmKind::Bfs, Some(l), _) => {
                 let params = KlStableParams::new(k, l);
                 Ok(Box::new(
-                    crate::bfs::BfsStableClusters::new(params).with_cancel(cancel),
+                    crate::bfs::BfsStableClusters::new(params)
+                        .with_cancel(cancel)
+                        .with_floor(floor),
                 ))
             }
             (AlgorithmKind::Dfs, Some(l), _) => {
@@ -570,7 +576,9 @@ impl AlgorithmKind {
                 ))
             }
             (AlgorithmKind::Ta, Some(l), _) if l == full_l => Ok(Box::new(
-                crate::ta::TaStableClusters::new(k).with_cancel(cancel),
+                crate::ta::TaStableClusters::new(k)
+                    .with_cancel(cancel)
+                    .with_floor(floor),
             )),
             (AlgorithmKind::Ta, _, other) => Err(BscError::Unsupported {
                 algorithm: "ta",

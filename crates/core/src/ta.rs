@@ -65,6 +65,11 @@ use crate::topk::TopKPaths;
 pub struct TaStableClusters {
     k: usize,
     cancel: Option<CancelToken>,
+    /// A weight the caller's k-th answer is known to reach, listed and
+    /// expanded against beside the view's own `θ₀`: a sharded solve's
+    /// windows are handed the whole view's. `−∞` unless a window solve sets
+    /// it.
+    floor: f64,
 }
 
 /// An edge of a sorted list: `(weight, from, to)`.
@@ -101,12 +106,13 @@ impl<'a> Search<'a> {
     /// Look ahead over `view` (at least two intervals) in both directions:
     /// everything a run knows before it pops its first edge. `startwts` is
     /// read off `table`, built for full paths of `view` over it or over a
-    /// view that holds it; `endwts` is filled here. `tick` carries on the
-    /// amortization of the table's checkpoints.
+    /// view that holds it, its `θ₀` raised to `floor`; `endwts` is filled
+    /// here. `tick` carries on the amortization of the table's checkpoints.
     fn over(
         view: GraphView<'a>,
         k: usize,
         table: &'a Completions,
+        floor: f64,
         cancel: Option<&'a CancelToken>,
         mut tick: u32,
     ) -> BscResult<Self> {
@@ -114,7 +120,7 @@ impl<'a> Search<'a> {
         Ok(Search {
             view,
             l,
-            startwts: table.lens(view, k),
+            startwts: table.lens(view, k).raised(floor),
             endwts: Arrivals::of(view, cancel, &mut tick)?,
             global: TopKPaths::new(k),
             stats: SolverStats::default(),
@@ -257,7 +263,20 @@ impl<'a> Search<'a> {
 impl TaStableClusters {
     /// Create a solver returning the top `k` full paths.
     pub fn new(k: usize) -> Self {
-        TaStableClusters { k, cancel: None }
+        TaStableClusters {
+            k,
+            cancel: None,
+            floor: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Judge edges by `floor` too, a weight the merged k-th answer of the
+    /// solve this one is a window of is known to reach (`sharded.rs`). The
+    /// paths are then those of the window that can enter that answer, not
+    /// the window's own top-k.
+    pub(crate) fn with_floor(mut self, floor: f64) -> Self {
+        self.floor = floor;
+        self
     }
 
     /// Attach a cooperative-cancellation token, observed at amortized
@@ -304,7 +323,7 @@ impl TaStableClusters {
         }
         let mut tick = 0;
         let table = view.completions(m - 1, cancel, &mut tick)?;
-        let mut search = Search::over(view, self.k, &table, cancel, tick)?;
+        let mut search = Search::over(view, self.k, &table, self.floor, cancel, tick)?;
         let (listed, mut lists) = search.sorted_lists()?;
         let floor = search.startwts.floor();
         let mut heads = Vec::with_capacity(lists.len());
@@ -554,7 +573,7 @@ mod tests {
         // node order); the other five are never listed, and the pair (0, 2)
         // has no list at all.
         let table = Completions::of(graph.view(), 2, None, &mut 0).unwrap();
-        let mut search = Search::over(graph.view(), 2, &table, None, 0).unwrap();
+        let mut search = Search::over(graph.view(), 2, &table, f64::NEG_INFINITY, None, 0).unwrap();
         assert_eq!(search.startwts.floor(), 1.2);
         let (listed, lists) = search.sorted_lists().unwrap();
         let expected = [

@@ -219,12 +219,23 @@ fn assert_configurations_conform(
             "{context} {name}: shards = ranges formed"
         );
     }
-    for (name, solution) in [("distributed", &distributed), ("cold", &cold.solution)] {
-        let (a, b) = (&sharded.stats, &solution.stats);
-        assert_eq!(a.paths_generated, b.paths_generated, "{context} {name}");
-        assert_eq!(a.nodes_processed, b.nodes_processed, "{context} {name}");
-        assert_eq!(b.windows_spliced, 0, "{context} {name}");
-    }
+    // The distributed and cold configurations solve every window by its own
+    // floor and count alike; a local sharded solve of the whole graph prunes
+    // BFS and TA windows by the graph's `θ₀` and visits and considers no
+    // more.
+    let (a, b) = (&distributed.stats, &cold.solution.stats);
+    assert_eq!(
+        a.paths_generated, b.paths_generated,
+        "{context} distributed"
+    );
+    assert_eq!(
+        a.nodes_processed, b.nodes_processed,
+        "{context} distributed"
+    );
+    assert_eq!(a.windows_spliced + b.windows_spliced, 0, "{context}");
+    let a = &sharded.stats;
+    assert!(a.paths_generated <= b.paths_generated, "{context} sharded");
+    assert!(a.nodes_processed <= b.nodes_processed, "{context} sharded");
     assert_eq!(
         transport.calls.load(Ordering::SeqCst) as u64,
         starts,
@@ -517,14 +528,19 @@ fn cancellation_and_root_cause_errors_behave_the_same_in_every_configuration() {
     }
 }
 
-/// Windows share the graph's look-ahead table, and that changes time only:
-/// whatever the partition, the merged deterministic counters of BFS, TA and
-/// unbudgeted Auto windows are the sum over the windows solved one by one
+/// Whatever the partition, the merged deterministic counters of BFS, TA and
+/// unbudgeted Auto windows are the sum over the windows solved one by one —
 /// through [`solve_window_locally`] on a clone of the graph (which keeps no
-/// table, so each window builds its own), and the distributed configuration
-/// counts what the sharded one does. Peaks follow the stats rule: the
-/// widest window's with one range, between it and the windows' sum with
-/// more.
+/// table, so each window builds its own) for the distributed configuration
+/// and a cold delta solve, which keep each window's own floor. A local
+/// sharded solve of the whole graph prunes every window by the graph's
+/// `θ₀` and sweeps only the windows a near-answer can start in (the unit
+/// test `windows_pruned_by_the_view_s_floor_answer_as_the_unsharded_solve`
+/// in `sharded.rs` holds its counters to the windows solved with that
+/// floor): its counters are the same for every partition, it decides every
+/// window, and it visits and considers no more than the windows solved
+/// alone. Peaks follow the stats rule: the widest window's with one range,
+/// at most the windows' sum with more.
 #[test]
 fn counters_are_the_sum_of_the_windows_solved_alone_whatever_the_partition() {
     let graph = generate(12, 40, 3, 1, 2929);
@@ -574,6 +590,7 @@ fn counters_are_the_sum_of_the_windows_solved_alone_whatever_the_partition() {
         assert!(expected[1] > 0, "{kind} {spec:?}: nothing counted");
         let widest = alone.iter().map(|s| s.peak_resident_paths).max().unwrap();
         let summed: usize = alone.iter().map(|s| s.peak_resident_paths).sum();
+        let mut local = None;
         for &shards in &shard_counts {
             let context = format!("{kind} {spec:?} shards={shards}");
             let options = SolverOptions::default().shards(shards);
@@ -582,17 +599,42 @@ fn counters_are_the_sum_of_the_windows_solved_alone_whatever_the_partition() {
                 .unwrap_or_else(|e| panic!("{context} sharded: {e}"))
                 .stats;
             let transport = Loopback::new(shards, Misbehaviour::None);
-            let distributed = ShardedSolver::with_transport(transport, kind, spec, 5, options)
-                .and_then(|mut solver| solver.solve(&graph))
-                .unwrap_or_else(|e| panic!("{context} distributed: {e}"))
+            let distributed =
+                ShardedSolver::with_transport(transport, kind, spec, 5, options.clone())
+                    .and_then(|mut solver| solver.solve(&graph))
+                    .unwrap_or_else(|e| panic!("{context} distributed: {e}"))
+                    .stats;
+            let cold = solve_windows(&graph, spec, 5, kind, &options, None)
+                .unwrap_or_else(|e| panic!("{context} cold: {e}"))
+                .solution
                 .stats;
-            for (name, stats) in [("sharded", &sharded), ("distributed", &distributed)] {
+            for (name, stats) in [("distributed", &distributed), ("cold", &cold)] {
                 assert_eq!(counts(stats), expected, "{context} {name}");
                 let peak = stats.peak_resident_paths;
                 assert!(widest <= peak && peak <= summed, "{context} {name}");
                 if shards == 1 {
                     assert_eq!(peak, widest, "{context} {name}");
                 }
+            }
+            let found = counts(&sharded);
+            assert_eq!(
+                *local.get_or_insert(found),
+                found,
+                "{context}: the partition counted"
+            );
+            assert_eq!(found[5], expected[5], "{context}: every window decided");
+            assert!(
+                found[0] <= expected[0],
+                "{context}: visited more than alone"
+            );
+            assert!(
+                found[1] <= expected[1],
+                "{context}: considered more than alone"
+            );
+            let peak = sharded.peak_resident_paths;
+            assert!(peak <= summed, "{context}");
+            if shards == 1 {
+                assert!(peak <= widest, "{context}");
             }
         }
     }
