@@ -93,9 +93,6 @@
 //! `auto` is BFS for every Problem 1 query (`auto.rs`), so its windows share
 //! tables like BFS's.
 //!
-//! A window ruled out by the view's floor weighs 1 in the partition, so the
-//! windows that are swept split across the ranges.
-//!
 //! **Stats.** `shards` is the number of ranges formed; `threads` the range
 //! workers that ran concurrently — the one writer of that field, since
 //! every solver is sequential inside its window; peaks are max-merged
@@ -261,14 +258,6 @@ pub(crate) struct Windowed<'a> {
     pub(crate) prior: Option<(&'a WindowSet, &'a GraphDelta)>,
     /// Keep every window's result in the outcome, for the next epoch.
     pub(crate) keep_windows: bool,
-    /// The floor every window prunes by beside its own `θ₀`: the view's
-    /// `θ₀` where `run` reads the graph's table and keeps no window, else
-    /// `−∞`.
-    floor: f64,
-    /// Per start, counted from the view's first interval: can a near-answer
-    /// start there (`Lens::can_start` under `floor`)? A window that
-    /// cannot is decided without a sweep.
-    live: Vec<bool>,
 }
 
 /// What one range worker hands back.
@@ -297,8 +286,6 @@ impl<'a> Windowed<'a> {
             algorithm: solver.inner,
             prior: None,
             keep_windows: false,
-            floor: f64::NEG_INFINITY,
-            live: Vec::new(),
         }
     }
 
@@ -331,16 +318,12 @@ impl<'a> Windowed<'a> {
         // [a, a + l]: a <= m - 1 - l.
         if k > 0 && l >= 1 && l < m {
             let cancel = options.cancel.clone().unwrap_or_default();
-            self.rule_out_windows(l, &cancel)?;
-            // A window ruled out costs nothing: the live ones split across
-            // the ranges.
+            let (floor, live) = self.floor_and_live_windows(l, &cancel)?;
             let edge_counts = view.graph().interval_out_edge_counts();
             let edge_counts = &edge_counts[view.first_interval() as usize..];
-            let weight = |(a, &live): (usize, &bool)| match live {
-                true => edge_counts[a..a + l as usize].iter().sum::<u64>().max(1),
-                false => 1,
-            };
-            let weights: Vec<u64> = self.live.iter().enumerate().map(weight).collect();
+            let weights: Vec<u64> = (0..(m - l) as usize)
+                .map(|a| edge_counts[a..a + l as usize].iter().sum::<u64>().max(1))
+                .collect();
             let transport = self.solver.transport.as_deref();
             let ranges = transport.map_or(options.shards, |t| t.worker_count());
             let partition = balanced_ranges(&weights, ranges.max(1));
@@ -353,8 +336,9 @@ impl<'a> Windowed<'a> {
             // the workers' kept windows in order yields start order.
             let chunk = ranges.len().div_ceil(workers.min(ranges.len()).max(1));
             let leaf = options.clone().cancel_token(Some(cancel.clone()));
-            let (this, leaf, cancel) = (&self, &leaf, &cancel);
-            let work = move |(i, owned)| this.run_ranges(l, i * chunk, owned, leaf, cancel);
+            let (this, leaf, cancel, live) = (&self, &leaf, &cancel, &live[..]);
+            let work =
+                move |(i, owned)| this.run_ranges((l, floor, live), i * chunk, owned, leaf, cancel);
             // One worker per chunk: the last on this thread, the others each
             // on a scoped thread of their own.
             let results: Vec<BscResult<Partial>> = std::thread::scope(|scope| {
@@ -406,53 +390,46 @@ impl<'a> Windowed<'a> {
     /// spliced, the windows are solved here by BFS or TA (DFS reads no
     /// table, a budgeted `auto` priced one window's) and the table fits the
     /// graph's memo ([`MEMO_WEIGHTS`]). Otherwise each window reads the
-    /// table its graph keeps, if any, or builds its own, and `None`.
-    fn keep_the_graph_s_table(
-        &self,
-        l: u32,
-        cancel: &CancelToken,
-    ) -> BscResult<Option<Arc<Completions>>> {
-        let view = self.view;
-        let whole = view.num_intervals() == view.graph().num_intervals();
-        let reads = matches!(self.algorithm, AlgorithmKind::Bfs | AlgorithmKind::Ta);
-        let mut starts = view.first_interval()..view.intervals().end - l;
-        let fresh = starts.all(|start| self.spliced(start, l).is_none());
-        let fits = Completions::weights(view, l) <= MEMO_WEIGHTS;
-        if whole && reads && fresh && fits && self.solver.transport.is_none() {
-            return view.completions(l, Some(cancel), &mut 0).map(Some);
-        }
-        Ok(None)
-    }
-
-    /// Keep the graph's table (`keep_the_graph_s_table`) and, where it is
-    /// kept and no window's own top-k is, set the floor every window prunes
-    /// by to the view's `θ₀` — `k` distinct starts are `k` distinct paths,
-    /// so nothing below it can enter the merged top-k — and rule out each
-    /// window none of whose starts can reach it. Every other solve sweeps
-    /// every window by its own floor.
-    fn rule_out_windows(&mut self, l: u32, cancel: &CancelToken) -> BscResult<()> {
+    /// table its graph keeps, if any, or builds its own.
+    ///
+    /// Returns the floor every window prunes by beside its own `θ₀` and,
+    /// per start counted from the view's first interval, whether its window
+    /// is swept at all. Where the table is kept and no window's own top-k
+    /// is, the floor is the view's `θ₀` — `k` distinct starts are `k`
+    /// distinct paths, so nothing below it can enter the merged top-k — and
+    /// a window none of whose starts can reach it (`Lens::can_start`) is
+    /// ruled out. Every other solve sweeps every window by its own floor:
+    /// `−∞` here, every window live.
+    fn floor_and_live_windows(&self, l: u32, cancel: &CancelToken) -> BscResult<(f64, Vec<bool>)> {
         let view = self.view;
         let starts = view.first_interval()..view.intervals().end - l;
-        self.live = vec![true; starts.len()];
-        let table = self.keep_the_graph_s_table(l, cancel)?;
-        if let Some(table) = table.filter(|_| !self.keep_windows) {
-            let lens = table.lens(view, self.solver.k);
-            let live = |start| {
-                view.interval_node_ids(start)
-                    .any(|node| lens.can_start(node))
-            };
-            self.live = starts.map(live).collect();
-            self.floor = lens.floor();
+        let whole = view.num_intervals() == view.graph().num_intervals();
+        let reads = matches!(self.algorithm, AlgorithmKind::Bfs | AlgorithmKind::Ta);
+        let fresh = starts.clone().all(|start| self.spliced(start, l).is_none());
+        let fits = Completions::weights(view, l) <= MEMO_WEIGHTS;
+        let own = (f64::NEG_INFINITY, vec![true; starts.len()]);
+        if !(whole && reads && fresh && fits && self.solver.transport.is_none()) {
+            return Ok(own);
         }
-        Ok(())
+        let table = view.completions(l, Some(cancel), &mut 0)?;
+        if self.keep_windows {
+            return Ok(own);
+        }
+        let lens = table.lens(view, self.solver.k);
+        let live = |start| {
+            view.interval_node_ids(start)
+                .any(|node| lens.can_start(node))
+        };
+        Ok((lens.floor(), starts.map(live).collect()))
     }
 
     /// One worker: obtain every window of `owned` (range indices start at
     /// `first`, starts at the view's first interval) in start order, merging
-    /// into a local top-k.
+    /// into a local top-k; each swept by `floor` if `live`, else decided
+    /// with no sweep.
     fn run_ranges(
         &self,
-        l: u32,
+        (l, floor, live): (u32, f64, &[bool]),
         first: usize,
         owned: &[Range<usize>],
         leaf: &SolverOptions,
@@ -478,7 +455,7 @@ impl<'a> Windowed<'a> {
                 if cancel.expired() {
                     return Err(deadline_error(cancel));
                 }
-                if !self.live[start] {
+                if !live[start] {
                     // Decided at this epoch, with no sweep.
                     part.stats.windows_resolved += 1;
                     continue;
@@ -491,7 +468,6 @@ impl<'a> Windowed<'a> {
                         Ok(Arc::clone(previous))
                     }
                     (None, None) => {
-                        let floor = self.floor;
                         solve_window(graph, start, l, k, algorithm, leaf, floor).map(Arc::new)
                     }
                     (None, Some(transport)) => {
@@ -741,7 +717,7 @@ mod tests {
         };
         let keep = |solver: &ShardedSolver, graph: &ClusterGraph, view, l| {
             let windowed = Windowed::new(solver, view, 0);
-            windowed.keep_the_graph_s_table(l, &cancel).unwrap();
+            windowed.floor_and_live_windows(l, &cancel).unwrap();
             graph.memoized()
         };
         // A part of the graph, a leaf that reads no table (DFS) or prices
@@ -909,6 +885,64 @@ mod tests {
         ]
     }
 
+    /// Hold a local sharded solve of the whole of `graph` (`kind`, whose
+    /// windows `leaf` solves; `l`, `k`) at shards ∈ {1, 2, 3, 8} to the
+    /// windows solved one by one with the view's `θ₀`: a window ruled out
+    /// would have answered nothing and adds only its `windows_resolved`; a
+    /// swept one adds its counters, and peaks follow the stats rule over
+    /// the swept windows — the widest with one range, between it and their
+    /// sum with more. Returns the paths, equal at every shard count, and
+    /// how many windows were ruled out.
+    fn assert_windows_by_the_view_s_floor(
+        graph: &ClusterGraph,
+        (kind, leaf): (AlgorithmKind, AlgorithmKind),
+        (l, k): (u32, usize),
+        case: &str,
+    ) -> (Vec<ClusterPath>, usize) {
+        let m = graph.num_intervals() as u32;
+        let spec = StableClusterSpec::ExactLength(l);
+        let options = SolverOptions::default();
+        let solver = ShardedSolver::new(kind, spec, k, options.clone()).unwrap();
+        let mut windowed = Windowed::new(&solver, graph.view(), 0);
+        windowed.algorithm = leaf;
+        let (floor, live) = windowed
+            .floor_and_live_windows(l, &CancelToken::default())
+            .unwrap();
+        let table = Completions::of(graph.view(), l, None, &mut 0).unwrap();
+        let view_s = table.lens(graph.view(), k).floor();
+        assert_eq!(floor.to_bits(), view_s.to_bits(), "{case}");
+        let mut sum = SolverStats::default();
+        let (mut widest, mut summed) = (0, 0);
+        for (start, &live) in (0..m - l).zip(&live) {
+            let window = solve_window(graph, start, l, k, leaf, &options, floor).unwrap();
+            if live {
+                sum.merge(&window.stats);
+                widest = widest.max(window.stats.peak_resident_paths);
+                summed += window.stats.peak_resident_paths;
+            } else {
+                assert!(window.paths.is_empty(), "{case} start={start}");
+                sum.windows_resolved += 1;
+            }
+        }
+        let mut answers = None;
+        for shards in [1, 2, 3, 8] {
+            let case = format!("{case} shards={shards}");
+            let options = options.clone().shards(shards);
+            let mut solver = ShardedSolver::new(kind, spec, k, options).unwrap();
+            let solution = solver.solve(graph).unwrap();
+            assert_eq!(counted(&solution.stats), counted(&sum), "{case}");
+            let peak = solution.stats.peak_resident_paths;
+            assert!(widest <= peak && peak <= summed, "{case}");
+            if shards == 1 {
+                assert_eq!(peak, widest, "{case}");
+            }
+            let answers = answers.get_or_insert_with(|| solution.paths.clone());
+            assert_identical(answers, &solution.paths, &case);
+        }
+        let ruled_out = live.iter().filter(|&&live| !live).count();
+        (answers.unwrap_or_default(), ruled_out)
+    }
+
     #[test]
     fn windows_pruned_by_the_view_s_floor_answer_as_the_unsharded_solve() {
         // The look-ahead battery: edges of one interval up to four, the four
@@ -916,11 +950,10 @@ mod tests {
         // nothing), `k` ∈ {1, 5, past the starts}. BFS and TA windows of a
         // local sharded solve prune by the view's `θ₀` and skip the windows
         // none of whose starts reaches it: paths and weight bits are the
-        // unsharded BFS solve's and the merge of the windows solved alone;
-        // the counters are the sum over the windows solved with the view's
-        // floor, a ruled-out window adding nothing but its
-        // `windows_resolved` — and it would have answered nothing. With all
-        // weights equal nothing is ruled out.
+        // unsharded BFS solve's and the merge of the windows solved alone,
+        // and the counters those of the windows solved with the view's floor
+        // (`assert_windows_by_the_view_s_floor`). With all weights equal
+        // nothing is ruled out.
         let key = |paths: &[ClusterPath]| {
             let key = |path: &ClusterPath| (path.nodes().to_vec(), path.weight().to_bits());
             paths.iter().map(key).collect::<Vec<_>>()
@@ -954,40 +987,18 @@ mod tests {
                             });
                         }
                         assert_eq!(key(&merged.into_sorted()), expected, "{case}");
-                        let floor = Completions::of(graph.view(), l, None, &mut 0).unwrap();
-                        let floor = floor.lens(graph.view(), k).floor();
                         for algorithm in [AlgorithmKind::Bfs, AlgorithmKind::Ta] {
                             let case = format!("{case} {algorithm}");
-                            let spec = StableClusterSpec::ExactLength(l);
-                            let options = SolverOptions::default().shards(2);
-                            let mut solver =
-                                ShardedSolver::new(algorithm, spec, k, options.clone()).unwrap();
-                            let solution = solver.solve(&graph).unwrap();
-                            assert_eq!(key(&solution.paths), expected, "{case}");
-                            let mut windowed = Windowed::new(&solver, graph.view(), 0);
-                            windowed
-                                .rule_out_windows(l, &CancelToken::default())
-                                .unwrap();
-                            assert_eq!(windowed.floor.to_bits(), floor.to_bits(), "{case}");
-                            let mut sum = SolverStats::default();
-                            for (start, &live) in (0..m - l).zip(&windowed.live) {
-                                let window =
-                                    solve_window(&graph, start, l, k, algorithm, &options, floor);
-                                let window = window.unwrap();
-                                if live {
-                                    sum.merge(&window.stats);
-                                } else {
-                                    assert!(window.paths.is_empty(), "{case} start={start}");
-                                    sum.windows_resolved += 1;
-                                    ruled_out += 1;
-                                }
-                            }
-                            assert_eq!(counted(&solution.stats), counted(&sum), "{case}");
-                            let none_out = l == 1 || name == "all-equal";
-                            assert!(
-                                !none_out || windowed.live.iter().all(|&live| live),
-                                "{case}"
+                            let (paths, out) = assert_windows_by_the_view_s_floor(
+                                &graph,
+                                (algorithm, algorithm),
+                                (l, k),
+                                &case,
                             );
+                            assert_eq!(key(&paths), expected, "{case}");
+                            let none_out = l == 1 || name == "all-equal";
+                            assert!(!none_out || out == 0, "{case}");
+                            ruled_out += out;
                             solves += 1;
                         }
                     }
@@ -996,6 +1007,36 @@ mod tests {
         }
         assert_eq!(solves, 4 * 4 * 6 * 3 * 2);
         assert!(ruled_out > 0, "no window ruled out in {solves} solves");
+    }
+
+    #[test]
+    fn the_integration_rows_count_the_windows_by_the_view_s_floor() {
+        // The graph and rows of `tests/sharded_solve.rs`'s counter test
+        // (unbudgeted `auto` is BFS in every window; full paths are one
+        // window, whose own floor is the view's): there the local sharded
+        // counters are only held equal across partitions, here to the
+        // windows solved with the view's floor.
+        let graph = graph(12, 40, 3, 1, 2929);
+        let m = graph.num_intervals() as u32;
+        let (bfs, ta) = (AlgorithmKind::Bfs, AlgorithmKind::Ta);
+        let auto = AlgorithmKind::Auto { budget_bytes: None };
+        let rows = [
+            (bfs, bfs, 3),
+            (bfs, bfs, 6),
+            (bfs, bfs, m - 1),
+            (ta, ta, 3),
+            (ta, ta, 5),
+            (auto, bfs, 2),
+        ];
+        for (kind, leaf, l) in rows {
+            let spec = StableClusterSpec::ExactLength(l);
+            let chosen = choose_algorithm(&GraphShape::of(graph.view()), spec, 5, None);
+            assert!(kind != auto || chosen.unwrap() == leaf, "{kind} l={l}");
+            let case = format!("{kind} l={l}");
+            let (paths, _) =
+                assert_windows_by_the_view_s_floor(&graph, (kind, leaf), (l, 5), &case);
+            assert!(!paths.is_empty(), "{case}");
+        }
     }
 
     #[test]
