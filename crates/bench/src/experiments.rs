@@ -431,7 +431,8 @@ pub fn table3_sharded(scale: Scale, shards: usize) -> Table {
 /// in-process [`WorkerServer`] threads on 127.0.0.1 ephemeral ports — same
 /// host, same cores — so the column measures the *wire overhead* of the
 /// coordinator (framing, codecs, graph install, per-window RPCs), not a
-/// multi-machine speedup. Byte-identical top-k is verified before any
+/// multi-machine speedup: each row solves a clone of the graph, which the
+/// workers have not been shipped. Byte-identical top-k is verified before any
 /// timing is reported. `workers` comes from `repro --distributed <n>`
 /// (default 2).
 pub fn table3_distributed(scale: Scale, workers: usize) -> Table {
@@ -479,7 +480,9 @@ pub fn table3_distributed(scale: Scale, workers: usize) -> Table {
                 SolverOptions::default().fanout(Some(fanout.clone())),
             )
             .expect("distributed build");
-        let (merged, dist_time) = timed(|| distributed.solve(&graph).expect("distributed solve"));
+        // A clone is a graph value of its own, so every row ships it.
+        let shipped = graph.clone();
+        let (merged, dist_time) = timed(|| distributed.solve(&shipped).expect("distributed solve"));
         assert_paths_identical(
             &base.paths,
             &merged.paths,

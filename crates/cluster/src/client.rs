@@ -9,13 +9,16 @@
 //! dead one produces a clean [`BscError::Cluster`], never a hang (every
 //! socket operation runs under a timeout).
 //!
-//! Graph distribution is lazy and epoch-keyed: before the first solve of an
-//! epoch on a connection the client ships the graph with `install_graph`;
-//! when a worker answers `unknown epoch` (fresh connection, restarted
-//! worker) the client re-installs and retries once on the spot. Failed
-//! workers enter a cooldown so subsequent windows don't pay the connect
-//! timeout again; a worker past its cooldown is probed anew, which is how a
-//! restarted worker rejoins the fan-out.
+//! Graph distribution is lazy and keyed by the request's `epoch`, which the
+//! windowed solver fills with its graph value's process-unique id: before
+//! the first solve of a graph on a connection the client ships it with
+//! `install_graph`, and every later window of the same graph value reuses
+//! that copy, whichever engine or solver asked; a clone or an append has an
+//! id of its own and is shipped afresh. When a worker answers `unknown
+//! epoch` (fresh connection, restarted worker) the client re-installs and
+//! retries once on the spot. Failed workers enter a cooldown so subsequent
+//! windows don't pay the connect timeout again; a worker past its cooldown
+//! is probed anew, which is how a restarted worker rejoins the fan-out.
 //!
 //! Every RPC's wall-clock is recorded in a per-worker
 //! [`LatencyHistogram`], surfaced by [`ClusterClient::stats_json`] into the
@@ -89,8 +92,8 @@ impl Default for ClientConfig {
     }
 }
 
-/// A live connection to one worker, with the epoch its per-connection
-/// graph cache holds.
+/// A live connection to one worker, with the id of the graph its
+/// per-connection graph cache holds.
 #[derive(Debug)]
 struct Connection {
     stream: TcpStream,
@@ -322,8 +325,8 @@ impl ClusterClient {
         result
     }
 
-    /// Solve one window on one specific worker: ensure the epoch's graph is
-    /// installed on the connection, send the solve, decode the result. An
+    /// Solve one window on one specific worker: ensure the request's graph
+    /// is installed on the connection, send the solve, decode the result. An
     /// `unknown epoch` answer (restarted worker behind the same pooled
     /// slot) triggers one in-place install-and-retry.
     fn solve_on(
@@ -467,7 +470,7 @@ impl ShardTransport for ClusterClient {
             }
         }
         Err(BscError::Cluster(format!(
-            "window start={} epoch={}: all {n} workers exhausted after {} passes; last error: \
+            "window start={} graph={}: all {n} workers exhausted after {} passes; last error: \
              {last_error}",
             request.start, request.epoch, self.config.max_passes
         )))

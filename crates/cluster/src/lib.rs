@@ -13,16 +13,18 @@
 //!   graphs and paths round-tripped bit-exactly (`f64::to_bits` hex),
 //!   protocol versioning.
 //! - [`worker`] — [`worker::WorkerServer`], the process that owns no graph
-//!   until a coordinator installs one (epoch-keyed, per connection) and
-//!   then answers `solve_window` requests by calling the *same*
-//!   [`bsc_core::distributed::solve_window_locally`] the solver's local
-//!   threads use. Byte-identical output is structural, not tested into
-//!   existence.
+//!   until a coordinator installs one (per connection, keyed by the
+//!   coordinator's graph id) and then answers `solve_window` requests by
+//!   calling the *same* [`bsc_core::distributed::solve_window_locally`] the
+//!   solver's local threads use. Byte-identical output is structural, not
+//!   tested into existence.
 //! - [`client`] — [`client::ClusterClient`], the coordinator-side
 //!   [`bsc_core::distributed::ShardTransport`]: pooled connections, lazy
-//!   epoch-keyed graph distribution, preferred-worker dispatch with
-//!   round-robin failover, bounded retry passes with deterministic
-//!   backoff, per-worker RPC latency histograms.
+//!   graph distribution keyed by each graph value's process-unique id (the
+//!   `epoch` of a [`bsc_core::distributed::WindowRequest`], so two graphs
+//!   never share a worker's copy, whichever engines asked),
+//!   preferred-worker dispatch with round-robin failover, bounded retry
+//!   passes with deterministic backoff, per-worker RPC latency histograms.
 //!
 //! # Wiring it up
 //!

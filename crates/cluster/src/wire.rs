@@ -8,7 +8,7 @@
 //! |----|-----------|--------|--------|
 //! | `hello` | C → W | `version` | version handshake; mismatched builds fail fast |
 //! | `install_graph` | C → W | `epoch`, `graph` | ship a graph; the worker caches it per connection under `epoch` |
-//! | `solve_window` | C → W | `epoch`, `start`, `l`, `k`, `algorithm`, `storage`, `deadline_ms?` | solve one start-interval window against the installed epoch |
+//! | `solve_window` | C → W | `epoch`, `start`, `l`, `k`, `algorithm`, `storage`, `deadline_ms?` | solve one start-interval window of the graph installed under `epoch` |
 //! | `cancel` | C → W | — | trip the cancel token of the solve in flight on this connection (no-op when idle) |
 //! | `ping` | C → W | — | health check |
 //! | `stats` | C → W | — | worker counters |
@@ -359,9 +359,10 @@ pub fn stats_from_json(value: &JsonValue) -> Result<SolverStats, String> {
     })
 }
 
-/// Render an epoch for the wire. Epochs are 16-hex-digit strings, not
-/// JSON numbers: the JSON layer stores numbers as `f64`, and anonymous
-/// epochs set bit 63 — beyond `f64`'s exact-integer range.
+/// Render an epoch for the wire: the coordinator's process-unique id of the
+/// graph value ([`WindowRequest::epoch`]), not a snapshot epoch. Epochs are
+/// 16-hex-digit strings, not JSON numbers: the JSON layer stores numbers as
+/// `f64`, which cannot hold every `u64` exactly.
 pub fn epoch_to_json(epoch: u64) -> JsonValue {
     JsonValue::from(format!("{epoch:016x}"))
 }
@@ -433,6 +434,26 @@ pub fn ping_request() -> String {
     JsonValue::object([("op".to_string(), JsonValue::from("ping"))]).render()
 }
 
+/// Render a success response for `op` with extra fields — the envelope of
+/// every reply on the wire and on `bsc serve`'s stdout.
+pub fn ok_response(op: &str, fields: Vec<(&str, JsonValue)>) -> String {
+    let mut pairs = vec![
+        ("ok".to_string(), JsonValue::Bool(true)),
+        ("op".to_string(), JsonValue::from(op)),
+    ];
+    pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    JsonValue::object(pairs).render()
+}
+
+/// Render an error response.
+pub fn error_response(message: &str) -> String {
+    JsonValue::object([
+        ("ok".to_string(), JsonValue::Bool(false)),
+        ("error".to_string(), JsonValue::from(message)),
+    ])
+    .render()
+}
+
 /// A worker's response, parsed to the ok/error envelope.
 #[derive(Debug)]
 pub struct Response {
@@ -466,13 +487,9 @@ pub fn window_result_from_response(response: &Response) -> Result<WindowResult, 
 
 /// Encode a successful `solve_window` response.
 pub fn window_result_response(result: &WindowResult) -> String {
-    JsonValue::object([
-        ("ok".to_string(), JsonValue::Bool(true)),
-        ("op".to_string(), JsonValue::from("solve_window")),
-        ("paths".to_string(), paths_to_json(&result.paths)),
-        ("stats".to_string(), stats_to_json(&result.stats)),
-    ])
-    .render()
+    let paths = paths_to_json(&result.paths);
+    let stats = stats_to_json(&result.stats);
+    ok_response("solve_window", vec![("paths", paths), ("stats", stats)])
 }
 
 /// Parse an `AlgorithmKind` + `StorageSpec` pair off a solve request.

@@ -2,18 +2,19 @@
 //!
 //! A [`WorkerServer`] accepts any number of coordinator connections; each
 //! connection is served by its own thread and carries its own graph cache
-//! (the last `install_graph`-shipped graph, keyed by epoch), so concurrent
+//! (the last `install_graph`-shipped graph, keyed by the frame's `epoch`:
+//! the coordinator's process-unique id of that graph value), so concurrent
 //! coordinators — or concurrent dispatcher threads of one coordinator —
-//! never share mutable state. A `solve_window` against an epoch the
-//! connection has not seen is answered with an `unknown epoch` error; the
-//! client reacts by installing the graph and retrying, which also covers
-//! reconnect-after-restart transparently.
+//! never share mutable state. A `solve_window` naming a graph the
+//! connection has not been shipped is answered with an `unknown epoch`
+//! error; the client reacts by installing the graph and retrying, which
+//! also covers reconnect-after-restart transparently.
 //!
 //! The actual solve is [`bsc_core::distributed::solve_window_locally`] —
 //! the identical code path a `ShardedSolver`'s local threads run, so a
 //! worker's answer is byte-identical to the shard thread it replaces. The
-//! window is a borrowed view of the installed epoch graph: nothing is
-//! extracted or copied per request.
+//! window is a borrowed view of the installed graph: nothing is extracted
+//! or copied per request.
 //!
 //! Solves are *supervised*: each `solve_window` runs on a scoped thread
 //! under a per-request [`CancelToken`] (seeded from the request's
@@ -43,8 +44,8 @@ use bsc_util::cancel::CancelToken;
 use bsc_util::json::{self, JsonValue};
 
 use crate::wire::{
-    graph_from_json, parse_deadline_ms, parse_solve_fields, read_frame, window_result_response,
-    PROTOCOL_VERSION,
+    error_response, graph_from_json, ok_response, parse_deadline_ms, parse_solve_fields,
+    read_frame, window_result_response, PROTOCOL_VERSION,
 };
 
 /// Read-timeout (and thus supervision poll period) while a solve is in
@@ -205,7 +206,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<WorkerShared>) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    // The per-connection graph cache: the last installed (epoch, graph).
+    // The per-connection graph cache: the last installed (graph id, graph).
     let mut graph: Option<(u64, ClusterGraph)> = None;
     loop {
         if shared.dead.load(Ordering::Relaxed) {
@@ -221,7 +222,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<WorkerShared>) {
                 // Oversized / truncated / non-UTF-8 frame: report once if
                 // the socket still works, then drop the connection — the
                 // framing is out of sync, recovery is a reconnect.
-                let _ = writeln!(writer, "{}", wire_error(&format!("bad frame: {e}")));
+                let _ = writeln!(writer, "{}", error_response(&format!("bad frame: {e}")));
                 return;
             }
         };
@@ -231,7 +232,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<WorkerShared>) {
         let doc = match json::parse(&line) {
             Ok(doc) => doc,
             Err(e) => {
-                if writeln!(writer, "{}", wire_error(&e))
+                if writeln!(writer, "{}", error_response(&e))
                     .and_then(|_| writer.flush())
                     .is_err()
                 {
@@ -269,23 +270,6 @@ enum ConnectionFate {
     Close,
 }
 
-fn wire_error(message: &str) -> String {
-    JsonValue::object([
-        ("ok".to_string(), JsonValue::Bool(false)),
-        ("error".to_string(), JsonValue::from(message)),
-    ])
-    .render()
-}
-
-fn ok_fields(op: &str, fields: Vec<(&str, JsonValue)>) -> String {
-    let mut pairs = vec![
-        ("ok".to_string(), JsonValue::Bool(true)),
-        ("op".to_string(), JsonValue::from(op)),
-    ];
-    pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    JsonValue::object(pairs).render()
-}
-
 fn handle_request(
     doc: &JsonValue,
     graph: &mut Option<(u64, ClusterGraph)>,
@@ -293,28 +277,28 @@ fn handle_request(
 ) -> String {
     let op = match doc.get("op").and_then(JsonValue::as_str) {
         Some(op) => op,
-        None => return wire_error("request missing 'op'"),
+        None => return error_response("request missing 'op'"),
     };
     match op {
         "hello" => {
             let version = doc.get("version").and_then(JsonValue::as_u64);
             match version {
-                Some(v) if v == PROTOCOL_VERSION => ok_fields(
+                Some(v) if v == PROTOCOL_VERSION => ok_response(
                     "hello",
                     vec![("version", JsonValue::from(PROTOCOL_VERSION))],
                 ),
-                Some(v) => wire_error(&format!(
+                Some(v) => error_response(&format!(
                     "protocol version mismatch: coordinator speaks v{v}, worker speaks \
                      v{PROTOCOL_VERSION}; run matching builds"
                 )),
-                None => wire_error("hello missing 'version'"),
+                None => error_response("hello missing 'version'"),
             }
         }
         "install_graph" => {
             let epoch = match doc.get("epoch").map(crate::wire::epoch_from_json) {
                 Some(Ok(epoch)) => epoch,
-                Some(Err(e)) => return wire_error(&e),
-                None => return wire_error("install_graph missing 'epoch'"),
+                Some(Err(e)) => return error_response(&e),
+                None => return error_response("install_graph missing 'epoch'"),
             };
             let parsed = doc
                 .get("graph")
@@ -324,26 +308,26 @@ fn handle_request(
                 Ok(g) => {
                     *graph = Some((epoch, g));
                     shared.installs.fetch_add(1, Ordering::Relaxed);
-                    ok_fields(
+                    ok_response(
                         "install_graph",
                         vec![("epoch", crate::wire::epoch_to_json(epoch))],
                     )
                 }
-                Err(e) => wire_error(&e),
+                Err(e) => error_response(&e),
             }
         }
         // A cancel with no solve in flight: nothing to trip, acked anyway
         // so the coordinator's abandon path is race-free.
-        "cancel" => ok_fields("cancel", vec![("cancelled", JsonValue::Bool(false))]),
+        "cancel" => ok_response("cancel", vec![("cancelled", JsonValue::Bool(false))]),
         "ping" => {
             let epoch = graph.as_ref().map(|(epoch, _)| *epoch);
             let mut fields = vec![("version", JsonValue::from(PROTOCOL_VERSION))];
             if let Some(epoch) = epoch {
                 fields.push(("epoch", crate::wire::epoch_to_json(epoch)));
             }
-            ok_fields("ping", fields)
+            ok_response("ping", fields)
         }
-        "stats" => ok_fields(
+        "stats" => ok_response(
             "stats",
             vec![
                 (
@@ -364,7 +348,7 @@ fn handle_request(
                 ),
             ],
         ),
-        other => wire_error(&format!("unknown op '{other}'")),
+        other => error_response(&format!("unknown op '{other}'")),
     }
 }
 
@@ -447,7 +431,9 @@ fn solve_supervised(
     let prepared = match prepare_solve(doc, graph) {
         Ok(prepared) => prepared,
         Err(message) => {
-            return match writeln!(writer, "{}", wire_error(&message)).and_then(|_| writer.flush()) {
+            return match writeln!(writer, "{}", error_response(&message))
+                .and_then(|_| writer.flush())
+            {
                 Ok(()) => ConnectionFate::Continue,
                 Err(_) => ConnectionFate::Close,
             };
@@ -503,7 +489,7 @@ fn solve_supervised(
                     if is_cancel {
                         token.cancel();
                         shared.cancels.fetch_add(1, Ordering::Relaxed);
-                        let ack = ok_fields("cancel", vec![("cancelled", JsonValue::Bool(true))]);
+                        let ack = ok_response("cancel", vec![("cancelled", JsonValue::Bool(true))]);
                         if writeln!(writer, "{ack}")
                             .and_then(|_| writer.flush())
                             .is_err()
@@ -519,7 +505,7 @@ fn solve_supervised(
                         let _ = writeln!(
                             writer,
                             "{}",
-                            wire_error(
+                            error_response(
                                 "request while a solve is in flight; only 'cancel' is accepted"
                             )
                         );
@@ -548,8 +534,8 @@ fn solve_supervised(
         // solver unwinds within one checkpoint interval.
         match solver.join() {
             Ok(Ok(result)) => window_result_response(&result),
-            Ok(Err(e)) => wire_error(&e.to_string()),
-            Err(_) => wire_error("solver thread panicked"),
+            Ok(Err(e)) => error_response(&e.to_string()),
+            Err(_) => error_response("solver thread panicked"),
         }
     });
     let _ = reader

@@ -18,6 +18,7 @@
 //! bit what it weighs in the graph.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bsc_graph::cluster::KeywordCluster;
@@ -190,7 +191,7 @@ struct IntervalSegment {
 /// A graph also keeps the look-ahead tables its solves built, one per path
 /// length (`GraphView::completions`): no method changes a graph, so one
 /// built for it is never stale. A clone, an append and a fresh build start
-/// with none.
+/// with none, and each is a new graph value with an id of its own.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterGraph {
     gap: u32,
@@ -199,9 +200,36 @@ pub struct ClusterGraph {
     num_edges: usize,
     /// The look-ahead tables solves of this graph built, by `l`.
     pub(crate) memo: Memo,
+    id: GraphId,
+}
+
+/// A graph value's process-unique name, which a fan-out's workers key the
+/// graphs they were shipped by. A graph never changes once built, so one id
+/// names one content; only an `Arc`-shared graph is seen under one id twice.
+#[derive(Debug)]
+struct GraphId(u64);
+
+impl Default for GraphId {
+    /// A fresh id: every build, append and clone mints one.
+    fn default() -> GraphId {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        GraphId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for GraphId {
+    /// A fresh id: a clone is a new graph, as its empty memo already says.
+    fn clone(&self) -> GraphId {
+        GraphId::default()
+    }
 }
 
 impl ClusterGraph {
+    /// The graph value's process-unique id (see [`GraphId`]).
+    pub(crate) fn id(&self) -> u64 {
+        self.id.0
+    }
+
     /// Number of temporal intervals `m`.
     pub fn num_intervals(&self) -> usize {
         self.segments.len()
@@ -433,7 +461,7 @@ impl ClusterGraph {
             segments,
             num_nodes: self.num_nodes + parent_edges.len(),
             num_edges: self.num_edges + in_degrees.iter().sum::<usize>(),
-            memo: Memo::default(),
+            ..ClusterGraph::default()
         }
     }
 
@@ -714,7 +742,6 @@ impl ClusterGraphBuilder {
             gap: self.gap,
             num_nodes,
             num_edges,
-            memo: Memo::default(),
             segments: parents
                 .into_iter()
                 .zip(children)
@@ -723,6 +750,7 @@ impl ClusterGraphBuilder {
                     children: children.finish_sorted(),
                 })
                 .collect(),
+            ..ClusterGraph::default()
         }
     }
 
@@ -1124,5 +1152,29 @@ mod tests {
         let next = graph.append(&[vec![(node(4, 0), 0.5)]]);
         assert!(next.memoized().is_empty());
         assert_eq!(graph.memoized(), [2, 3]);
+    }
+
+    #[test]
+    fn a_build_an_append_and_a_clone_are_each_a_graph_of_their_own() {
+        let mut builder = ClusterGraphBuilder::new(0);
+        builder.add_interval(1);
+        builder.add_interval(1);
+        builder.add_edge(node(0, 0), node(1, 0), 0.5);
+        let built = builder.clone().build();
+        let rebuilt = builder.build();
+        let appended = built.append(&[vec![(node(1, 0), 0.5)]]);
+        let cloned = built.clone();
+        let mut ids = vec![built.id(), rebuilt.id(), appended.id(), cloned.id()];
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 4, "a build, a rebuild, an append and a clone");
+        // A snapshot shares its graph: its clones name the same graph.
+        let snapshot = crate::snapshot::GraphSnapshot::new(built);
+        let pinned = snapshot.clone().with_epoch(7);
+        assert_eq!(pinned.graph().id(), snapshot.graph().id());
+        assert_ne!(
+            snapshot.graph().as_ref().clone().id(),
+            snapshot.graph().id()
+        );
     }
 }

@@ -57,7 +57,6 @@ use crate::distributed::WindowResult;
 use crate::error::BscResult;
 use crate::problem::StableClusterSpec;
 use crate::sharded::{PathLength, Windowed};
-use crate::snapshot::GraphSnapshot;
 use crate::solver::{AlgorithmKind, Solution, SolverOptions};
 
 /// The interval-range difference between two [`ClusterGraph`] generations.
@@ -122,16 +121,6 @@ impl GraphDelta {
             old_intervals,
             new_intervals,
             dirty,
-        }
-    }
-
-    /// A delta that marks every interval dirty — the "no information"
-    /// fallback that forces a full re-solve.
-    pub fn full(old_intervals: u32, new_intervals: u32) -> GraphDelta {
-        GraphDelta {
-            old_intervals,
-            new_intervals,
-            dirty: vec![true; new_intervals as usize],
         }
     }
 
@@ -213,8 +202,10 @@ pub struct DeltaSolveOutcome {
 /// [`AlgorithmKind::build_with_options`] would build: on `options.shards`
 /// local threads, or, with `options.fanout`, on the registered transport's
 /// workers — so a coordinator dispatches only the windows the delta
-/// touches. An unbudgeted `Auto` resolves once against `graph`, as the
-/// direct solve would.
+/// touches, and the workers key the graph they are shipped by `graph`'s own
+/// id: an engine's pinned snapshot is shipped once, not once per query. An
+/// unbudgeted `Auto` resolves once against `graph`, as the direct solve
+/// would.
 pub fn solve_windows(
     graph: &ClusterGraph,
     spec: StableClusterSpec,
@@ -223,37 +214,9 @@ pub fn solve_windows(
     options: &SolverOptions,
     prior: Option<(&WindowSet, &GraphDelta)>,
 ) -> BscResult<DeltaSolveOutcome> {
-    solve_at(graph, 0, spec, k, algorithm, options, prior)
-}
-
-/// [`solve_windows`] over a published snapshot: a fan-out names the graph to
-/// its workers by the snapshot's epoch, so they keep the graph they
-/// installed from one query of the epoch to the next.
-pub fn solve_snapshot_windows(
-    snapshot: &GraphSnapshot,
-    spec: StableClusterSpec,
-    k: usize,
-    algorithm: AlgorithmKind,
-    options: &SolverOptions,
-    prior: Option<(&WindowSet, &GraphDelta)>,
-) -> BscResult<DeltaSolveOutcome> {
-    let epoch = snapshot.epoch();
-    solve_at(snapshot.graph(), epoch, spec, k, algorithm, options, prior)
-}
-
-/// The windowed solver with the memo seam on; `epoch` 0 = never published.
-fn solve_at(
-    graph: &ClusterGraph,
-    epoch: u64,
-    spec: StableClusterSpec,
-    k: usize,
-    algorithm: AlgorithmKind,
-    options: &SolverOptions,
-    prior: Option<(&WindowSet, &GraphDelta)>,
-) -> BscResult<DeltaSolveOutcome> {
     PathLength::of(spec, "delta")?;
     let solver = algorithm.windowed(spec, k, options.clone())?;
-    let mut windowed = Windowed::new(&solver, graph.view(), epoch);
+    let mut windowed = Windowed::new(&solver, graph.view());
     windowed.prior = prior;
     windowed.keep_windows = true;
     windowed.run()
@@ -448,19 +411,22 @@ mod tests {
     }
 
     #[test]
-    fn full_delta_forces_every_window_to_resolve() {
+    fn an_all_dirty_delta_forces_every_window_to_resolve() {
         let graph = gen_graph(6, 8);
         let spec = StableClusterSpec::ExactLength(2);
         let options = SolverOptions::default();
         let cold = solve_windows(&graph, spec, 3, AlgorithmKind::Bfs, &options, None).unwrap();
-        let full = GraphDelta::full(6, 6);
+        // An unrelated graph of the same shape differs in every interval
+        // that has in-edges, and every window holds one.
+        let all_dirty = GraphDelta::between(&gen_graph(6, 9), &graph);
+        assert!((1..6).all(|i| all_dirty.is_dirty(i)));
         let warm = solve_windows(
             &graph,
             spec,
             3,
             AlgorithmKind::Bfs,
             &options,
-            Some((&cold.windows, &full)),
+            Some((&cold.windows, &all_dirty)),
         )
         .unwrap();
         assert_eq!(warm.solution.stats.windows_spliced, 0);

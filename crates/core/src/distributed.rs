@@ -9,7 +9,7 @@
 //! [`Solution`] is **byte-identical** to the same solver on local threads
 //! (and hence to the unsharded solve) for every worker count. This module
 //! holds what that fan-out speaks: the request and result of one window,
-//! the transport trait, epochs, and the window solve both sides run.
+//! the transport trait, and the window solve both sides run.
 //!
 //! The networking itself lives outside this crate: `bsc-cluster` implements
 //! [`ShardTransport`] over a line-delimited JSON TCP protocol and registers
@@ -18,8 +18,8 @@
 //! distributed solving like any other backend — through
 //! [`AlgorithmKind::build_with_options`] — without `bsc-core` linking a
 //! transport. Worker processes call [`solve_window_locally`], the same code
-//! path local threads use — a [`ClusterGraph::window`] view of the epoch
-//! graph the worker already holds, solved in place — which is what makes
+//! path local threads use — a [`ClusterGraph::window`] view of the graph
+//! the worker already holds, solved in place — which is what makes
 //! the byte-identity guarantee structural rather than coincidental.
 //!
 //! Failure semantics are the transport's contract: a
@@ -29,7 +29,6 @@
 //! identical paths, so failover never changes the answer). When no worker
 //! can be reached the error is [`BscError::Cluster`], never a hang.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bsc_storage::backend::StorageSpec;
@@ -91,11 +90,12 @@ impl std::fmt::Display for FanoutSpec {
 }
 
 /// One window solve request: everything a worker needs to answer
-/// independently, given the epoch's graph.
+/// independently, given the graph it names.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowRequest {
-    /// Epoch identifying the graph the window belongs to (see
-    /// [`anonymous_epoch`] for solves outside the snapshot path).
+    /// The process-unique id of the graph value the window belongs to (the
+    /// windowed solver puts its graph's own id here): a clone or an append
+    /// is a new graph with a new id, an `Arc`-shared one keeps its id.
     pub epoch: u64,
     /// Start interval of the window (the window spans `[start, start + l]`).
     pub start: u32,
@@ -140,8 +140,8 @@ pub struct WindowResult {
 ///   re-dispatch the window to any other worker; when every worker is
 ///   exhausted it returns [`BscError::Cluster`] instead of hanging.
 /// * **Graph distribution** — the transport ships `graph` to a worker that
-///   has not seen `epoch` yet (an epoch identifies graph content; see
-///   [`anonymous_epoch`]).
+///   has not seen the request's `epoch` yet: the id of `graph`, which
+///   names one content for the life of the process.
 pub trait ShardTransport: Send + Sync + std::fmt::Debug {
     /// Number of workers in the fan-out set.
     fn worker_count(&self) -> usize;
@@ -152,21 +152,6 @@ pub trait ShardTransport: Send + Sync + std::fmt::Debug {
         graph: &ClusterGraph,
         request: &WindowRequest,
     ) -> BscResult<WindowResult>;
-}
-
-/// Epochs with this bit set are coordinator-local graph identities minted
-/// by [`anonymous_epoch`], disjoint from `SnapshotCell` epochs.
-pub const ANONYMOUS_EPOCH_BIT: u64 = 1 << 63;
-
-static ANONYMOUS_EPOCHS: AtomicU64 = AtomicU64::new(0);
-
-/// Mint a process-unique epoch for a graph that has none (a bare
-/// [`solve`](crate::solver::StableClusterSolver::solve) call outside the
-/// snapshot path). Workers cache graphs by epoch per connection, so a fresh
-/// identity per solve is correct — merely one graph shipment less efficient
-/// than the snapshot path, which reuses the real epoch across queries.
-pub fn anonymous_epoch() -> u64 {
-    ANONYMOUS_EPOCH_BIT | ANONYMOUS_EPOCHS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Solve one start interval's window on the local machine — the shared
@@ -289,15 +274,6 @@ mod tests {
         assert_eq!(FanoutSpec::parse(""), None);
         assert_eq!(FanoutSpec::parse("a:1,,b:2"), None);
         assert_eq!(FanoutSpec::new(vec![]), None);
-    }
-
-    #[test]
-    fn anonymous_epochs_are_unique_and_flagged() {
-        let a = anonymous_epoch();
-        let b = anonymous_epoch();
-        assert_ne!(a, b);
-        assert!(a & ANONYMOUS_EPOCH_BIT != 0);
-        assert!(b & ANONYMOUS_EPOCH_BIT != 0);
     }
 
     #[test]

@@ -1240,7 +1240,7 @@ mod tests {
                 let case = format!("{name} {algorithm:?} shards(2) exact:{l}");
                 let spec = StableClusterSpec::ExactLength(l);
                 let solver = ShardedSolver::new(algorithm, spec, k, options.clone()).unwrap();
-                let mut windowed = Windowed::new(&solver, graph.view(), 0);
+                let mut windowed = Windowed::new(&solver, graph.view());
                 windowed.keep_windows = true;
                 let windows = windowed.run().unwrap().windows.windows;
                 let cold = graph.clone();

@@ -382,7 +382,7 @@ impl Pipeline {
             params.options.clone(),
         )?;
         let start = Instant::now();
-        let mut solution = solver.solve_snapshot(snapshot)?;
+        let mut solution = solver.solve(snapshot.graph())?;
         solution.stats.solve_micros = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         Ok(solution)
     }

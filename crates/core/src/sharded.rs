@@ -33,9 +33,12 @@
 //!   [`SolverOptions::shards`] ranges, workers capped at the machine's
 //!   parallelism; a [`ShardTransport`] gets one range per worker, each
 //!   dispatched by a thread of its own, because they block on sockets, not
-//!   cores. Each inner solver provisions its own
-//!   [`StorageSpec`](bsc_storage::backend::StorageSpec)-selected backend, so
-//!   windows never share mutable storage.
+//!   cores. A window request names the graph by the graph value's own id,
+//!   so each worker connection is shipped a graph once and solves every
+//!   later window of it on that copy; a clone or an append ships afresh.
+//!   Each inner solver provisions its own
+//!   [`StorageSpec`](bsc_storage::backend::StorageSpec)-selected backend,
+//!   so windows never share mutable storage.
 //! * **Memo** (`Windowed::prior`, `Windowed::keep_windows`) — whether a
 //!   prior epoch's [`WindowSet`] may stand in for windows its [`GraphDelta`]
 //!   leaves untouched, and whether this solve's per-window results are kept
@@ -111,13 +114,10 @@ use bsc_util::cancel::CancelToken;
 use crate::auto::{choose_algorithm, GraphShape};
 use crate::cluster_graph::GraphView;
 use crate::delta::{DeltaSolveOutcome, GraphDelta, WindowSet};
-use crate::distributed::{
-    anonymous_epoch, solve_window, ShardTransport, WindowRequest, WindowResult,
-};
+use crate::distributed::{solve_window, ShardTransport, WindowRequest, WindowResult};
 use crate::error::{BscError, BscResult};
 use crate::lookahead::{Completions, MEMO_WEIGHTS};
 use crate::problem::StableClusterSpec;
-use crate::snapshot::GraphSnapshot;
 use crate::solver::{
     check_not_expired, deadline_error, AlgorithmKind, Solution, SolverOptions, SolverStats,
     StableClusterSolver,
@@ -233,13 +233,7 @@ impl StableClusterSolver for ShardedSolver {
     }
 
     fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
-        Ok(Windowed::new(self, view, 0).run()?.solution)
-    }
-
-    fn solve_snapshot(&mut self, snapshot: &GraphSnapshot) -> BscResult<Solution> {
-        // Real epochs let workers keep the shipped graph across queries.
-        let view = snapshot.graph().view();
-        Ok(Windowed::new(self, view, snapshot.epoch()).run()?.solution)
+        Ok(Windowed::new(self, view).run()?.solution)
     }
 }
 
@@ -247,8 +241,6 @@ impl StableClusterSolver for ShardedSolver {
 pub(crate) struct Windowed<'a> {
     solver: &'a ShardedSolver,
     view: GraphView<'a>,
-    /// Names `view`'s graph to the transport's workers.
-    epoch: u64,
     /// The inner algorithm, `Auto` resolved once where it does not resolve
     /// per window.
     algorithm: AlgorithmKind,
@@ -268,21 +260,11 @@ struct Partial {
 }
 
 impl<'a> Windowed<'a> {
-    /// A cold solve of `view` by `solver` that keeps nothing. `epoch` names
-    /// the graph to a transport's workers: a published snapshot's own, so a
-    /// worker keeps the graph it installed from one query of the epoch to
-    /// the next; 0 stands for a graph that was never published and becomes
-    /// a fresh [`anonymous_epoch`], so workers neither collide on unrelated
-    /// graphs nor reuse a stale one.
-    pub(crate) fn new(solver: &'a ShardedSolver, view: GraphView<'a>, epoch: u64) -> Windowed<'a> {
-        let epoch = match (&solver.transport, epoch) {
-            (Some(_), 0) => anonymous_epoch(),
-            _ => epoch,
-        };
+    /// A cold solve of `view` by `solver` that keeps nothing.
+    pub(crate) fn new(solver: &'a ShardedSolver, view: GraphView<'a>) -> Windowed<'a> {
         Windowed {
             solver,
             view,
-            epoch,
             algorithm: solver.inner,
             prior: None,
             keep_windows: false,
@@ -472,7 +454,9 @@ impl<'a> Windowed<'a> {
                     }
                     (None, Some(transport)) => {
                         let request = WindowRequest {
-                            epoch: self.epoch,
+                            // The graph names itself: no other graph value
+                            // in the process carries its id.
+                            epoch: graph.id(),
                             start,
                             l,
                             k,
@@ -716,7 +700,7 @@ mod tests {
             ShardedSolver::new(algorithm, spec, 5, options.clone()).unwrap()
         };
         let keep = |solver: &ShardedSolver, graph: &ClusterGraph, view, l| {
-            let windowed = Windowed::new(solver, view, 0);
+            let windowed = Windowed::new(solver, view);
             windowed.floor_and_live_windows(l, &cancel).unwrap();
             graph.memoized()
         };
@@ -903,7 +887,7 @@ mod tests {
         let spec = StableClusterSpec::ExactLength(l);
         let options = SolverOptions::default();
         let solver = ShardedSolver::new(kind, spec, k, options.clone()).unwrap();
-        let mut windowed = Windowed::new(&solver, graph.view(), 0);
+        let mut windowed = Windowed::new(&solver, graph.view());
         windowed.algorithm = leaf;
         let (floor, live) = windowed
             .floor_and_live_windows(l, &CancelToken::default())

@@ -28,7 +28,6 @@ use crate::error::{BscError, BscResult};
 use crate::path::ClusterPath;
 use crate::problem::{KlStableParams, NormalizedParams, StableClusterSpec};
 use crate::sharded::{PathLength, ShardedSolver};
-use crate::snapshot::GraphSnapshot;
 
 /// The admission lane a query rides in a multi-tenant query engine.
 ///
@@ -361,15 +360,6 @@ pub trait StableClusterSolver: std::fmt::Debug {
     /// Solve the configured problem over the whole of `graph`.
     fn solve(&mut self, graph: &ClusterGraph) -> BscResult<Solution> {
         self.solve_view(graph.view())
-    }
-
-    /// Solve against a shared [`GraphSnapshot`] — the long-lived-engine
-    /// entry point. Solvers *borrow* the snapshot's graph (they never own
-    /// graphs), so any number of queries can run against the same epoch
-    /// concurrently while newer epochs are published. The default simply
-    /// dereferences; solvers have no reason to override it.
-    fn solve_snapshot(&mut self, snapshot: &GraphSnapshot) -> BscResult<Solution> {
-        self.solve(snapshot.graph())
     }
 }
 

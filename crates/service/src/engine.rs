@@ -55,7 +55,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bsc_core::cluster_graph::ClusterGraph;
-use bsc_core::delta::{solve_snapshot_windows, GraphDelta};
+use bsc_core::delta::{solve_windows, GraphDelta};
 use bsc_core::error::{BscError, BscResult};
 use bsc_core::problem::StableClusterSpec;
 use bsc_core::snapshot::{GraphSnapshot, SnapshotCell};
@@ -910,8 +910,8 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
     let request = &job.request;
     let start = Instant::now();
     let result = if delta_mode {
-        solve_snapshot_windows(
-            &job.snapshot,
+        solve_windows(
+            job.snapshot.graph(),
             request.spec,
             request.k,
             request.algorithm,
@@ -927,7 +927,7 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
         request
             .algorithm
             .build_with_options(request.spec, request.k, m, request.options.clone())
-            .and_then(|mut solver| solver.solve_snapshot(&job.snapshot))
+            .and_then(|mut solver| solver.solve(job.snapshot.graph()))
             .map(|solution| (solution, None))
     };
     let solve_micros = duration_micros(start.elapsed());

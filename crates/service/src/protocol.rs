@@ -39,6 +39,9 @@ use bsc_core::solver::{AlgorithmKind, QueryPriority, SolverOptions};
 use bsc_storage::backend::StorageSpec;
 use bsc_util::json::{self, JsonValue};
 
+/// Replies are rendered as the fan-out's wire renders them: one envelope.
+pub use bsc_cluster::wire::{error_response, ok_response};
+
 use crate::engine::QueryRequest;
 
 /// The protocol version this build speaks — the same constant the
@@ -347,25 +350,6 @@ fn request_from(doc: JsonValue, edges: Result<Vec<Edge>, String>) -> Result<Requ
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown op '{other}'")),
     }
-}
-
-/// Render a success response for `op` with extra fields.
-pub fn ok_response(op: &str, fields: Vec<(&str, JsonValue)>) -> String {
-    let mut pairs = vec![
-        ("ok".to_string(), JsonValue::Bool(true)),
-        ("op".to_string(), JsonValue::from(op)),
-    ];
-    pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    JsonValue::object(pairs).render()
-}
-
-/// Render an error response.
-pub fn error_response(message: &str) -> String {
-    JsonValue::object([
-        ("ok".to_string(), JsonValue::Bool(false)),
-        ("error".to_string(), JsonValue::from(message)),
-    ])
-    .render()
 }
 
 /// Render result paths: each as `{"nodes": [[interval, index], …],

@@ -7,10 +7,11 @@
 //! * **engine** — the real thing: the fixed thread-pool [`QueryEngine`]
 //!   with its bounded admission queue and epoch-tagged solution cache;
 //! * **oracle** — a reference executor that answers every query with a
-//!   direct one-shot `build_with_options(..).solve_snapshot(..)` (the
+//!   direct one-shot `build_with_options(..).solve(..)` (the
 //!   `Pipeline::run` code path), no pool, no queue, no cache — and on a
 //!   clone of the graph, which keeps none of the look-ahead tables earlier
-//!   solves built, so every oracle solve is cold.
+//!   solves built and is a graph value of its own, so every oracle solve is
+//!   cold and a fan-out ships it afresh.
 //!
 //! Both maintain graph state identically (same generator seeds, same epoch
 //! assignment through a [`SnapshotCell`]), and responses to deterministic
@@ -341,9 +342,7 @@ impl Session {
                     query.options,
                 )?;
                 // A clone keeps no look-ahead table: every solve is cold.
-                let cold = Arc::new(snapshot.graph().as_ref().clone());
-                let solution =
-                    solver.solve_snapshot(&GraphSnapshot::from_arc(cold, snapshot.epoch()))?;
+                let solution = solver.solve(&snapshot.graph().as_ref().clone())?;
                 Ok((solution.paths, snapshot.epoch()))
             }
         }

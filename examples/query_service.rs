@@ -93,7 +93,7 @@ fn main() {
                 request.options,
             )
             .expect("reference solver");
-        let expected = reference.solve_snapshot(&build.snapshot).expect("solve");
+        let expected = reference.solve(build.snapshot.graph()).expect("solve");
         check(&expected.paths, &response.solution.paths, label);
         println!(
             "{label}\n  -> {} paths, epoch {}, cached: {}, queue wait {} us, solve {} us",
@@ -156,7 +156,7 @@ fn main() {
                 snapshot.num_intervals(),
             )
             .expect("reference solver");
-        let expected = reference.solve_snapshot(&snapshot).expect("solve");
+        let expected = reference.solve(snapshot.graph()).expect("solve");
         check(&expected.paths, &response.solution.paths, "post-swap query");
         println!(
             "  day +{}: epoch {} ({} intervals), fresh top path weight {:.3}",

@@ -183,6 +183,65 @@ fn worker_killed_mid_solve_is_redispatched_byte_identically() {
     drop(dying);
 }
 
+/// Two engines in one process each publish a different graph as epoch 1 and
+/// query it through the same worker set, so through one pooled client: each
+/// is answered from its own graph. A fan-out names a graph by the graph
+/// value; an epoch is unique only within one engine's snapshot cell.
+#[test]
+fn two_engines_at_one_epoch_are_each_answered_from_their_own_graph() {
+    blogstable::cluster::install_transport();
+    let (handles, fanout) = spawn_workers(2, WorkerConfig::default());
+    let spec = StableClusterSpec::ExactLength(2);
+    let graphs = [generate(6, 12, 3, 0, 11), generate(6, 12, 3, 0, 12)];
+    let local: Vec<Vec<ClusterPath>> = graphs
+        .iter()
+        .map(|graph| {
+            let mut bfs = AlgorithmKind::Bfs.build(spec, 4, 6).expect("bfs");
+            bfs.solve(graph).expect("local solve").paths
+        })
+        .collect();
+    assert_ne!(local[0], local[1], "the graphs must answer differently");
+    let engines: Vec<QueryEngine> = graphs
+        .iter()
+        .map(|graph| {
+            let engine = QueryEngine::new(EngineConfig::default()).expect("engine starts");
+            assert_eq!(engine.install_graph(graph.clone()).epoch(), 1);
+            engine
+        })
+        .collect();
+    let query = QueryRequest::new(AlgorithmKind::Bfs, spec, 4)
+        .options(SolverOptions::default().fanout(Some(fanout)));
+    for (i, (engine, expected)) in engines.iter().zip(&local).enumerate() {
+        let response = engine.query(query.clone()).expect("fanned-out query");
+        assert_eq!(response.epoch, 1);
+        assert_identical(expected, &response.solution.paths, &format!("engine {i}"));
+    }
+    drop(handles);
+}
+
+/// A worker connection is shipped a graph once however often the graph is
+/// solved, and a clone of it — a new graph value — is shipped again.
+#[test]
+fn a_graph_is_shipped_once_per_connection_and_its_clone_again() {
+    blogstable::cluster::install_transport();
+    let (handles, fanout) = spawn_workers(2, WorkerConfig::default());
+    let graph = generate(6, 12, 3, 0, 21);
+    let mut solver = AlgorithmKind::Bfs
+        .build_with_options(
+            StableClusterSpec::ExactLength(2),
+            4,
+            graph.num_intervals(),
+            SolverOptions::default().fanout(Some(fanout)),
+        )
+        .expect("distributed build");
+    let mut installs = Vec::new();
+    for graph in [&graph, &graph, &graph.clone()] {
+        solver.solve(graph).expect("distributed solve");
+        installs.push(handles.iter().map(WorkerHandle::installs).sum::<u64>());
+    }
+    assert_eq!(installs, [2, 2, 4], "summed installs after each solve");
+}
+
 /// Every worker down: a clean `BscError::Cluster` naming the exhaustion,
 /// never a hang or a panic.
 #[test]

@@ -98,7 +98,7 @@ fn batch_solving_the_streams_snapshot_reproduces_the_streams_answer() {
             )
             .expect("batch solver");
         let from_snapshot = batch
-            .solve_snapshot(&snapshot)
+            .solve(snapshot.graph())
             .expect("solve over snapshot")
             .paths;
         assert_identical(&streamed, &from_snapshot, &format!("seed={seed}"));
