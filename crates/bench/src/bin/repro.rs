@@ -386,8 +386,9 @@ fn run_load(args: &[String]) {
 
 /// The `repro streaming` subcommand: the streaming ablation, the publish
 /// cost of a long stream (ingest-latency quantiles, and step costs at a
-/// short vs a long stream length) and the incremental delta ablation
-/// (splice-vs-cold head-to-head), optionally gated against the checked-in
+/// short vs a long stream length), a fed engine's push + query at the same
+/// two lengths, and the incremental delta ablation (merge-vs-cold
+/// head-to-head), optionally gated against the checked-in
 /// `BENCH_streaming.json` with the suffix-typed columns: `(us)` ingest and
 /// solve latencies under the SLO band, `(=)` shared-interval and
 /// windows-resolved/spliced counts and the result digest byte-exact (the

@@ -1149,10 +1149,11 @@ pub fn baselines(scale: Scale) -> Table {
 
 /// Streaming ablation (Section 4.6): batch BFS recomputation from scratch at
 /// every new interval vs the online solver, both answering after every
-/// interval. The online side re-solves only the start windows an arrival
-/// touched and splices the rest from its last answer (`streaming.rs` module
-/// docs); its `windows_resolved(=)` / `windows_spliced(=)` cells count both
-/// over the whole stream.
+/// interval. The online side solves only the start window an arrival added
+/// and merges it with its last answer (`streaming.rs` module docs); its
+/// `windows_resolved(=)` / `windows_spliced(=)` cells count, over the whole
+/// stream, the windows solved and the older starts the last answer stood
+/// for.
 pub fn streaming_ablation(scale: Scale) -> Table {
     use bsc_core::streaming::OnlineStableClusters;
     let n = scale.pick(200, 1_000);
@@ -1227,7 +1228,7 @@ pub fn streaming_ablation(scale: Scale) -> Table {
     ]);
     table.push_note(format!("m = {m}, n = {n}, d = 5, g = 1, k = 5, l = 3; identical results, incremental avoids re-processing old intervals"));
     table.push_note(format!(
-        "both sides answer after every interval: the batch side re-reads its whole prefix graph, the online side solves the one start window an arrival touches and splices every older one ({} solved, {} spliced over the {m} intervals); batch / online = {:.1}x here, more the longer the stream",
+        "both sides answer after every interval: the batch side re-reads its whole prefix graph, the online side solves the one start window an arrival adds and merges it with its last answer, which stands for every older one ({} solved, {} carried over the {m} intervals); batch / online = {:.1}x here, more the longer the stream",
         online_stats.windows_resolved,
         online_stats.windows_spliced,
         batch_time.as_secs_f64() / online_time.as_secs_f64().max(1e-9),
@@ -1261,6 +1262,21 @@ fn paths_digest(paths: &[ClusterPath]) -> String {
     format!("{hash:016x}")
 }
 
+/// The median of the `PUBLISH_BAND` samples ending at `end`.
+fn band_median(samples: impl Iterator<Item = u64>, end: usize) -> u64 {
+    let mut band: Vec<u64> = samples
+        .skip(end - PUBLISH_BAND)
+        .take(PUBLISH_BAND)
+        .collect();
+    band.sort_unstable();
+    band[band.len() / 2]
+}
+
+/// How many intervals `streaming_publish` streams.
+const PUBLISH_STREAM_INTERVALS: usize = 1_000;
+/// How many pushes ending at a stream length its cells take the median of.
+const PUBLISH_BAND: usize = 10;
+
 /// What publishing one streamed interval costs, and whether that depends
 /// on how long the stream already is (ISSUE 12). One stream of
 /// `PUBLISH_STREAM_INTERVALS` intervals goes through the three steps a
@@ -1272,12 +1288,11 @@ fn paths_digest(paths: &[ClusterPath]) -> String {
 /// costs of the `PUBLISH_BAND` pushes ending at a short and at the full
 /// stream length. `shared_intervals(=)` counts the intervals whose in-edge
 /// segment the published graph shares with the epoch it displaced: all but
-/// the pushed one, or the publish was not O(delta).
+/// the pushed one, or the publish was not O(delta). A third table,
+/// `streaming_push_and_query`, streams the same graph into an engine.
 fn streaming_publish(scale: Scale) -> Vec<Table> {
     use bsc_core::snapshot::SnapshotCell;
     use bsc_core::streaming::OnlineStableClusters;
-    const PUBLISH_STREAM_INTERVALS: usize = 1_000;
-    const PUBLISH_BAND: usize = 10;
     let n = scale.pick(200, 1_000);
     let short_m = scale.pick(12, 25);
     let graph = cluster_graph(PUBLISH_STREAM_INTERVALS, n, 5, 1, SEED);
@@ -1323,14 +1338,7 @@ fn streaming_publish(scale: Scale) -> Vec<Table> {
         publish.len() - (0.99 * publish.len() as f64).ceil() as usize
     ));
 
-    let band_median = |end: usize, step: usize| -> u64 {
-        let mut band: Vec<u64> = steps[end - PUBLISH_BAND..end]
-            .iter()
-            .map(|s| s[step])
-            .collect();
-        band.sort_unstable();
-        band[band.len() / 2]
-    };
+    let step_median = |end: usize, step: usize| band_median(steps.iter().map(|s| s[step]), end);
     let mut cost = Table::new(
         "Publish cost vs stream length",
         &[
@@ -1344,7 +1352,7 @@ fn streaming_publish(scale: Scale) -> Vec<Table> {
     );
     for m in [short_m, PUBLISH_STREAM_INTERVALS] {
         let mut row = vec![format!("{m} intervals"), shared[m - 1].to_string()];
-        row.extend((0..4).map(|step| band_median(m, step).to_string()));
+        row.extend((0..4).map(|step| step_median(m, step).to_string()));
         cost.push_row(row);
     }
     cost.push_note(format!(
@@ -1352,20 +1360,102 @@ fn streaming_publish(scale: Scale) -> Vec<Table> {
          stream length; publish at {PUBLISH_STREAM_INTERVALS} intervals costs {:.2}x publish at \
          {short_m} — the appended graph shares every older interval with the epoch it displaces \
          (shared_intervals = m - 1), so snapshot and install do not grow with the stream",
-        band_median(PUBLISH_STREAM_INTERVALS, 3) as f64 / band_median(short_m, 3).max(1) as f64
+        step_median(PUBLISH_STREAM_INTERVALS, 3) as f64 / step_median(short_m, 3).max(1) as f64
     ));
-    vec![latency, cost]
+    let query = streaming_push_and_query(&graph, short_m, &shape);
+    vec![latency, cost, query]
+}
+
+/// What a fed engine pays per streamed interval, and whether that depends on
+/// how long the stream already is: one push (append, snapshot,
+/// `install_incremental`) and the first-touch `bfs exact:3 k=5` query after
+/// it, which merges the last epoch's cached answer with the one start window
+/// the push added. `graph`'s intervals are streamed into one
+/// engine `STREAMS` times over; the `(us)` cells are the median over the
+/// streams of the `PUBLISH_BAND` pushes ending at `short_m` and at
+/// `PUBLISH_STREAM_INTERVALS` intervals, the `(x)` cell the median over the
+/// streams of the ratio of the two (so a machine that drifts over the run
+/// moves both sides of each), and the `(=)` cells the query's counters at
+/// that length: one window solved, every older start carried.
+fn streaming_push_and_query(graph: &ClusterGraph, short_m: usize, shape: &str) -> Table {
+    use bsc_core::streaming::OnlineStableClusters;
+    use bsc_service::engine::{EngineConfig, QueryEngine, QueryRequest};
+    const STREAMS: usize = 7;
+    let params = KlStableParams::new(5, 3);
+    let spec = StableClusterSpec::ExactLength(params.l);
+    let request = QueryRequest::new(AlgorithmKind::Bfs, spec, params.k);
+    let engine = QueryEngine::new(EngineConfig::default().workers(1)).expect("engine starts");
+    let lengths = [short_m, PUBLISH_STREAM_INTERVALS];
+    let mut samples = [Vec::new(), Vec::new()];
+    let mut counted = [(0, 0); 2];
+    let mut ratios = Vec::with_capacity(STREAMS);
+    for _ in 0..STREAMS {
+        let mut online = OnlineStableClusters::new(params, graph.gap());
+        let mut micros = Vec::with_capacity(PUBLISH_STREAM_INTERVALS);
+        for interval in 0..PUBLISH_STREAM_INTERVALS as u32 {
+            let parent_edges = graph.interval_parent_edges(interval);
+            let (response, took) = timed(|| {
+                online.push_interval(parent_edges);
+                engine.install_incremental(online.snapshot());
+                engine.query(request.clone()).expect("fed query")
+            });
+            micros.push(took.as_micros() as u64);
+            let stats = response.solution.stats;
+            if let Some(side) = lengths.iter().position(|&m| m == interval as usize + 1) {
+                counted[side] = (stats.windows_resolved, stats.windows_spliced);
+            }
+        }
+        let [short, long] = lengths.map(|m| band_median(micros.iter().copied(), m));
+        ratios.push(long as f64 / short.max(1) as f64);
+        for (side, &m) in lengths.iter().enumerate() {
+            samples[side].extend_from_slice(&micros[m - PUBLISH_BAND..m]);
+        }
+    }
+    let medians = samples.map(|mut side| {
+        side.sort_unstable();
+        side[side.len() / 2]
+    });
+    ratios.sort_unstable_by(f64::total_cmp);
+    let mut table = Table::new(
+        "Push + query cost vs stream length",
+        &[
+            "stream length",
+            "windows_resolved(=)",
+            "windows_spliced(=)",
+            "push + query(us)",
+            "vs short stream(x)",
+        ],
+    );
+    for side in 0..2 {
+        table.push_row(vec![
+            format!("{} intervals", lengths[side]),
+            counted[side].0.to_string(),
+            counted[side].1.to_string(),
+            medians[side].to_string(),
+            format!("{:.2}x", [1.0, ratios[STREAMS / 2]][side]),
+        ]);
+    }
+    table.push_note(format!(
+        "{shape}; one push (append + snapshot + install_incremental) and the bfs exact:{} \
+         query after it, timed together; each (us) cell is the median of the {PUBLISH_BAND} \
+         pushes ending at that stream length over {STREAMS} streams, the (x) cell the median \
+         of the {STREAMS} streams' ratios. The query merges the \
+         cached answer of the last epoch with the one window the push added, so neither step \
+         grows with the stream",
+        params.l
+    ));
+    table
 }
 
 /// Incremental epoch-delta ablation (ISSUE 10), after the publish-cost
 /// tables of `streaming_publish`: a head-to-head of a cold windowed
-/// re-solve against the delta solve that re-solves only the windows the
-/// newest interval touches and splices the rest forward from the prior
-/// epoch's window results (`bsc_core::delta`). Self-verifying: the spliced
-/// solution must be byte-identical to the cold one before any timing is
-/// reported. The `(us)` cells are latency-SLO gated, the `(=)` cells are
-/// the determinism tripwire (windows resolved/spliced and the result digest
-/// are pure functions of the scale).
+/// re-solve against the delta solve that solves only the window the newest
+/// interval adds and merges it with the prior epoch's answer
+/// (`bsc_core::delta`). Self-verifying: the merged solution must be
+/// byte-identical to the cold one before any timing is reported. The `(us)`
+/// cells are latency-SLO gated, the `(=)` cells are the determinism
+/// tripwire (windows resolved/spliced and the result digest are pure
+/// functions of the scale).
 pub fn streaming_delta(scale: Scale) -> Vec<Table> {
     use bsc_core::delta::GraphDelta;
     use bsc_core::streaming::OnlineStableClusters;
@@ -1396,15 +1486,15 @@ pub fn streaming_delta(scale: Scale) -> Vec<Table> {
     let new_snapshot = online.snapshot();
     let delta = GraphDelta::between(prior_snapshot.graph(), new_snapshot.graph());
 
-    // On a clone, so the spliced solve below finds no table kept for the new
-    // graph and re-solves its windows with tables of their own, as a stream's
-    // answer does.
+    // On a clone, so the merge below finds no table kept for the new graph
+    // and solves its window with a table of its own, as a stream's answer
+    // does.
     let unkept = new_snapshot.graph().as_ref().clone();
     let (cold, cold_time) = timed(|| {
         solve_windows(&unkept, spec, params.k, AlgorithmKind::Bfs, &options, None)
             .expect("cold windowed solve")
     });
-    let (spliced, delta_time) = timed(|| {
+    let (merged, delta_time) = timed(|| {
         solve_windows(
             new_snapshot.graph(),
             spec,
@@ -1417,15 +1507,10 @@ pub fn streaming_delta(scale: Scale) -> Vec<Table> {
     });
     assert_eq!(
         cold.solution.paths.len(),
-        spliced.solution.paths.len(),
+        merged.solution.paths.len(),
         "delta solve diverged from the cold re-solve"
     );
-    for (a, b) in cold
-        .solution
-        .paths
-        .iter()
-        .zip(spliced.solution.paths.iter())
-    {
+    for (a, b) in cold.solution.paths.iter().zip(merged.solution.paths.iter()) {
         assert_eq!(a.nodes(), b.nodes(), "delta solve diverged from cold");
         assert_eq!(
             a.weight().to_bits(),
@@ -1434,8 +1519,8 @@ pub fn streaming_delta(scale: Scale) -> Vec<Table> {
         );
     }
     assert!(
-        spliced.solution.stats.windows_resolved < cold.solution.stats.windows_resolved,
-        "the delta solve re-solved every window — the splice never engaged"
+        merged.solution.stats.windows_resolved < cold.solution.stats.windows_resolved,
+        "the delta solve re-solved every window — the merge never engaged"
     );
 
     let mut table = Table::new(
@@ -1456,17 +1541,17 @@ pub fn streaming_delta(scale: Scale) -> Vec<Table> {
         paths_digest(&cold.solution.paths),
     ]);
     table.push_row(vec![
-        "delta splice forward".into(),
+        "merge from the last answer".into(),
         delta_time.as_micros().to_string(),
-        spliced.solution.stats.windows_resolved.to_string(),
-        spliced.solution.stats.windows_spliced.to_string(),
-        paths_digest(&spliced.solution.paths),
+        merged.solution.stats.windows_resolved.to_string(),
+        merged.solution.stats.windows_spliced.to_string(),
+        paths_digest(&merged.solution.paths),
     ]);
     table.push_note(format!(
-        "one appended interval dirties {} of {} start windows; the rest splice \
-         forward byte-identically (verified before timing)",
-        spliced.solution.stats.windows_resolved,
-        spliced.solution.stats.windows_resolved + spliced.solution.stats.windows_spliced,
+        "one appended interval adds {} of {} start windows; the last answer stands for \
+         the rest, byte-identically (verified before timing)",
+        merged.solution.stats.windows_resolved,
+        merged.solution.stats.windows_resolved + merged.solution.stats.windows_spliced,
     ));
     let mut tables = streaming_publish(scale);
     tables.push(table);

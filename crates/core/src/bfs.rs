@@ -77,7 +77,7 @@
 //! lengths counted from its first. The online solver of Section 4.6
 //! ([`OnlineStableClusters`](crate::streaming::OnlineStableClusters)) is not
 //! a second one: it answers through the windowed executor, one solve of each
-//! start window an arrival touched, the rest spliced
+//! start window an arrival added, merged with its last answer
 //! ([`solve_windows`](crate::delta::solve_windows)).
 //!
 //! The rows of the intervals already swept live in memory, one flat table

@@ -1,63 +1,83 @@
-//! Incremental epoch-delta solving: re-solve only the windows a new
-//! interval touches, splice the rest forward.
+//! Incremental epoch-delta solving: answer a grown graph from the answer of
+//! the graph it grew from, solving only the start windows the growth added.
 //!
 //! The start-window decomposition (`docs/sharding.md`) makes the global
 //! top-k the strict `(score, content)` merge of per-start-window top-k's.
-//! This module adds the *temporal* consequence: when one epoch's graph
-//! differs from an earlier one only in some intervals — the streamed-ingest
-//! case, where every pushed interval appends one column — any window whose
-//! intervals are all unchanged holds the same subgraph, so its per-window
-//! top-k from the earlier epoch can be **spliced forward** without
-//! re-solving. The whole rule, in one sentence: *a window is reused iff the
-//! graph it was solved on and the graph being queried hold identical
-//! in-edges over it, checked when it is used.* The check is
-//! [`GraphDelta::between`] on those two graphs — nothing records, caps or
-//! composes per-epoch deltas in between — and [`solve_windows`] runs the
-//! crate's one windowed solver, [`ShardedSolver`](crate::sharded::ShardedSolver),
-//! with its memo on, on local threads or on a fan-out's workers as the
-//! query's options say.
+//! This module adds the *temporal* consequence, the one the paper's online
+//! algorithm (Section 4.6) rests on: when a graph extends an earlier one by
+//! appends only — the streamed-ingest case, where every pushed interval
+//! appends one column — every path of the earlier graph is still a path,
+//! with the same weight, and the new paths are exactly those of the start
+//! windows that reach an appended interval (the *tail* windows). So the new
+//! top-k is the merge of the earlier [`Answer`] with the tail windows' paths,
+//! and each tail window may prune by the earlier k-th weight. The whole rule,
+//! in one sentence: *an answer is carried iff [`GraphDelta::between`] the
+//! graph it was solved on and the graph being queried marks no interval of
+//! the former dirty, checked when it is used* — nothing records, caps or
+//! composes per-epoch deltas in between. [`solve_windows`] runs the crate's
+//! one windowed solver, [`ShardedSolver`](crate::sharded::ShardedSolver),
+//! over the whole graph or over its tail, on local threads or on a fan-out's
+//! workers as the query's options say.
 //!
-//! ## Why the splice is byte-identical to a cold re-solve
+//! ## Why the merge is byte-identical to a cold solve
 //!
 //! [`GraphDelta::between`] marks an interval *dirty* unless its node count
 //! and its full in-edge multiset (source node, target node, exact weight
-//! bits) are equal across the two graphs. For a window `[a, a + l]` whose
-//! intervals are all clean:
+//! bits) are equal across the two graphs; an interval the new graph lacks
+//! reads dirty. Say the old graph has `o` intervals, none of them dirty, and
+//! the new one `m ≥ o`. For paths of length `l`:
 //!
-//! 1. every in-window edge targets an interval in `[a + 1, a + l]`, so the
-//!    window's edge multiset is covered by the compared in-edge sets;
-//! 2. equal node counts and equal edge multisets mean the two epochs'
-//!    [`ClusterGraph::window`] views hold the same nodes and the same edges,
-//!    weight bits included (weights are compared by bit pattern, never by
-//!    float tolerance) — at most a node's parents are listed in a different
-//!    order;
-//! 3. a deterministic solver on the same window content produces the
-//!    identical per-window top-k — the top-k set is unique under the total
-//!    `(score desc, content asc)` order, whatever order candidates are
-//!    offered in;
-//! 4. the merge of per-window top-k's is order-independent, so replacing a
-//!    re-solve by the prior result cannot change a byte of the merged
-//!    [`Solution`].
+//! 1. **Every old path keeps its weight bits.** Each of its edges targets one
+//!    of the old intervals, whose in-edges are equal to the bit, so the path
+//!    exists in the new graph and sums the same weights in the same order.
+//!    Conversely a new-graph path that ends before interval `o` lies wholly
+//!    in clean intervals: it is an old path.
+//! 2. **The new paths are exactly those of the tail windows.** A path
+//!    starting at `a` lies in the window `[a, a + l]`; it is new iff it
+//!    reaches interval `o`, i.e. iff `a ≥ o − l`. Those are the starts
+//!    `o − l .. m − l` (from 0 when `o ≤ l`), and the old starts `0 .. o − l`
+//!    are exactly those of the old graph.
+//! 3. **Nothing below the old k-th weight can enter the answer.** The old
+//!    answer is the top-k of every old path, so no other old path can enter;
+//!    if it holds `k` paths, all of them stay, and a candidate below the
+//!    k-th of them loses to `k` of them. So each tail window is solved with
+//!    that weight as its floor (`Lens::raised`, the floor a local sharded
+//!    solve hands its windows, judged with `can_still_reach`'s slack): its
+//!    result keeps every path of it that can enter the merge. With fewer
+//!    than `k` carried paths the floor is `−∞`.
+//! 4. **On an exact tie, a carried path sorts first.** Content order compares
+//!    node sequences front to back, and a carried path starts before
+//!    interval `o − l`, every tail path at or after it. So a tail path tied
+//!    with the old k-th weight never displaces a carried one, and the floor
+//!    may keep or drop it.
 //!
-//! The two graphs need not be consecutive epochs, nor related at all: a
+//! The top-k under the total `(score desc, content asc)` order is unique,
+//! so merging the carried paths with the tail windows' results is the cold
+//! answer, byte for byte. The two graphs need not be consecutive epochs: a
 //! stream's epochs share every segment an append left alone, so across any
 //! number of ingests the comparison is `O(m)` pointer tests, and for
 //! segments the two graphs do not share (a `load` replaced the graph
 //! mid-stream) it falls back to comparing content — slower, never wrong.
+//! Anything else — a changed interval, a shorter graph, an answer to
+//! another `l` or `k` — solves cold.
+//!
+//! **Counters.** On every windowed answer `windows_resolved +
+//! windows_spliced` is the graph's number of starts: `windows_resolved`
+//! counts the windows decided now (swept or ruled out), `windows_spliced`
+//! the old graph's starts, which the carried answer stands for.
 //!
 //! Problem 2 (normalized) does **not** decompose across start windows and
-//! is rejected. `FullPaths` degrades gracefully: its single window spans
-//! the whole graph, so any change re-solves it — correct, just never
-//! faster.
-
-use std::sync::Arc;
+//! is rejected. `FullPaths` degrades gracefully: its length grows with the
+//! graph, so an answer to a shorter graph never carries — correct, just
+//! never faster.
 
 use crate::cluster_graph::ClusterGraph;
-use crate::distributed::WindowResult;
 use crate::error::BscResult;
+use crate::path::ClusterPath;
 use crate::problem::StableClusterSpec;
 use crate::sharded::{PathLength, Windowed};
 use crate::solver::{AlgorithmKind, Solution, SolverOptions};
+use crate::topk::TopKPaths;
 
 /// The interval-range difference between two [`ClusterGraph`] generations.
 ///
@@ -145,81 +165,107 @@ impl GraphDelta {
         self.dirty.iter().filter(|d| **d).count()
     }
 
-    /// Whether the start window `[start, start + l]` contains any dirty
-    /// interval. Windows reaching outside the new generation count as
-    /// touched.
-    pub fn touches_window(&self, start: u32, l: u32) -> bool {
-        let end = match start.checked_add(l) {
-            Some(end) => end,
-            None => return true,
-        };
-        if (end as usize) >= self.dirty.len() {
-            return true;
-        }
-        (start..=end).any(|i| self.dirty[i as usize])
+    /// Whether the new generation extends the old one by appends only: no
+    /// interval of the old generation is dirty (one the new generation lacks
+    /// reads dirty, so a shorter graph never does).
+    pub fn only_appends(&self) -> bool {
+        (0..self.old_intervals).all(|interval| !self.is_dirty(interval))
     }
 }
 
-/// The per-start-window results of one windowed solve, kept so the next
-/// epoch can splice untouched windows forward. `windows[a]` is the top-k of
-/// the window starting at interval `a` (in global coordinates), shared: a
-/// splice hands the next set the same result, not a copy of its paths. The
-/// default set holds no window, so it splices nothing.
-#[derive(Debug, Clone, Default)]
-pub struct WindowSet {
-    /// Exact path length the windows were solved for.
+/// The answer a later solve merges from: the top-k paths of length `l` of
+/// the graph it was solved on, best first, as a solve returns them.
+#[derive(Debug, Clone)]
+pub struct Answer {
+    /// Exact path length the answer was solved for.
     pub l: u32,
-    /// Top-k size the windows were solved for.
+    /// Top-k size the answer was solved for.
     pub k: usize,
-    /// One result per valid start interval, index = start.
-    pub windows: Vec<Arc<WindowResult>>,
+    /// The answer's paths (at most `k`), in descending `(score, content)`
+    /// order.
+    pub paths: Vec<ClusterPath>,
 }
 
-/// What a windowed solve produces: the merged solution plus the per-window
-/// results a future epoch can splice from.
+impl Answer {
+    /// The weight nothing below which can enter a later merge: the k-th
+    /// path's, or `−∞` while the answer holds fewer than `k` paths.
+    fn floor(&self) -> f64 {
+        let full = self.paths.len() == self.k;
+        let kth = self.paths.last().filter(|_| full);
+        kth.map_or(f64::NEG_INFINITY, ClusterPath::weight)
+    }
+}
+
+/// What a windowed solve produces: the top-k, and the same paths as the
+/// [`Answer`] a later solve of a grown graph merges from.
 #[derive(Debug)]
 pub struct DeltaSolveOutcome {
-    /// The merged top-k — byte-identical to a cold unsharded solve.
+    /// The top-k — byte-identical to a cold unsharded solve.
     pub solution: Solution,
-    /// Per-window results for the *current* graph, splice source for the
-    /// next epoch.
-    pub windows: WindowSet,
+    /// The answer the next epoch merges from.
+    pub windows: Answer,
 }
 
-/// Solve a kl-stable-cluster query window by window, splicing forward any
-/// earlier window the delta proves untouched.
+/// Solve a kl-stable-cluster query window by window, carrying an earlier
+/// answer forward when this graph extends the graph it was solved on.
 ///
-/// With `prior == None` (or a prior whose shape does not match) this is a
-/// cold windowed solve: `stats.windows_resolved` counts every window, and
-/// the outcome seeds future splices. With a matching prior — a [`WindowSet`]
-/// solved on some other graph and the [`GraphDelta`] from that graph to this
-/// one — untouched windows are shared forward (`stats.windows_spliced`) and
-/// only touched ones re-solve: post-ingest latency proportional to the
-/// delta, result byte-identical by the argument in the module docs. A
-/// spliced window contributes its paths but not its historical counters; the
-/// returned stats describe the work *this* solve performed. Windows that do
-/// run are placed by the same [`ShardedSolver`](crate::sharded::ShardedSolver)
+/// With `prior == None`, or a prior that does not carry — solved for
+/// another `l` or `k`, or whose [`GraphDelta`] does not land on this graph
+/// or marks an interval of the older graph dirty — this is a cold windowed
+/// solve of the whole graph, and `stats.windows_resolved` counts every
+/// window. With a prior that carries, only the tail windows — those that
+/// reach an interval the older graph lacks — are solved, each pruned by the
+/// prior's k-th weight, and merged with the prior's paths:
+/// `stats.windows_spliced` counts the older graph's starts, and the result is
+/// byte-identical by the argument in the module docs. The returned stats
+/// describe the work *this* solve performed. Windows are placed by the same
+/// [`ShardedSolver`](crate::sharded::ShardedSolver)
 /// [`AlgorithmKind::build_with_options`] would build: on `options.shards`
 /// local threads, or, with `options.fanout`, on the registered transport's
-/// workers — so a coordinator dispatches only the windows the delta
-/// touches, and the workers key the graph they are shipped by `graph`'s own
-/// id: an engine's pinned snapshot is shipped once, not once per query. An
-/// unbudgeted `Auto` resolves once against `graph`, as the direct solve
-/// would.
+/// workers (unfloored) — so a coordinator dispatches only the tail windows,
+/// and the workers key the graph they are shipped by `graph`'s own id: an
+/// engine's pinned snapshot is shipped once, not once per query. An
+/// unbudgeted `Auto` resolves once against the whole of `graph`, as the
+/// direct solve would.
 pub fn solve_windows(
     graph: &ClusterGraph,
     spec: StableClusterSpec,
     k: usize,
     algorithm: AlgorithmKind,
     options: &SolverOptions,
-    prior: Option<(&WindowSet, &GraphDelta)>,
+    prior: Option<(&Answer, &GraphDelta)>,
 ) -> BscResult<DeltaSolveOutcome> {
-    PathLength::of(spec, "delta")?;
+    let length = PathLength::of(spec, "delta")?;
     let solver = algorithm.windowed(spec, k, options.clone())?;
+    let m = graph.num_intervals() as u32;
+    let l = length.over(m);
+    let carried = prior.filter(|(answer, delta)| {
+        let question = answer.l == l && answer.k == k;
+        question && delta.new_intervals() == m && delta.only_appends()
+    });
     let mut windowed = Windowed::new(&solver, graph.view());
-    windowed.prior = prior;
-    windowed.keep_windows = true;
-    windowed.run()
+    if let Some((answer, delta)) = carried {
+        // The starts the answer stands for; the tail starts after them.
+        windowed.from = delta.old_intervals().saturating_sub(l);
+        windowed.floor = answer.floor();
+    }
+    let spliced = windowed.from;
+    let mut solution = windowed.run()?;
+    if let Some((answer, _)) = carried {
+        let mut merged = TopKPaths::new(k);
+        // bsc:allow(missing-cancel-checkpoint) -- at most 2k paths: the carried answer and the tail's merged top-k
+        for path in answer.paths.iter().cloned().chain(solution.paths) {
+            merged.offer_by_weight(path);
+        }
+        solution.paths = merged.into_sorted();
+        solution.stats.windows_spliced = u64::from(spliced);
+    }
+    let windows = Answer {
+        l,
+        k,
+        paths: solution.paths.clone(),
+    };
+    Ok(DeltaSolveOutcome { solution, windows })
 }
 
 #[cfg(test)]
@@ -291,8 +337,7 @@ mod tests {
         let graph = gen_graph(6, 7);
         let delta = GraphDelta::between(&graph, &graph);
         assert_eq!(delta.dirty_count(), 0);
-        assert!(!delta.touches_window(0, 3));
-        assert!(delta.touches_window(3, 3), "window past the end is touched");
+        assert!(delta.only_appends());
     }
 
     #[test]
@@ -303,8 +348,12 @@ mod tests {
         let delta = GraphDelta::between(&graph, &extended);
         assert_eq!(delta.dirty_count(), 1);
         assert!(delta.is_dirty(6));
-        assert!(!delta.touches_window(0, 2)); // [0,2] untouched
-        assert!(delta.touches_window(4, 2)); // [4,6] includes the new column
+        assert!(delta.only_appends());
+        // Backwards, the interval the shorter graph lacks reads dirty.
+        let shorter = GraphDelta::between(&extended, &graph);
+        assert_eq!(shorter.dirty_count(), 0);
+        assert!(!shorter.is_dirty(5) && shorter.is_dirty(6));
+        assert!(!shorter.only_appends());
     }
 
     #[test]
@@ -324,50 +373,96 @@ mod tests {
         let delta = GraphDelta::between(&old, &new);
         assert!(!delta.is_dirty(0));
         assert!(delta.is_dirty(1));
+        assert!(!delta.only_appends());
     }
 
     #[test]
-    fn spliced_solve_is_byte_identical_to_cold_across_random_appends() {
+    fn merged_solve_is_byte_identical_to_cold_across_random_appends() {
         for seed in [11u64, 12, 13] {
             let mut rng = DetRng::seed_from_u64(seed);
             let mut graph = gen_graph(5, seed);
             let spec = StableClusterSpec::ExactLength(2);
             let options = SolverOptions::default();
-            let mut prior: Option<(WindowSet, u64)> = None; // (windows, epoch tag unused)
+            let mut prior: Option<Answer> = None;
             for _round in 0..4 {
                 let next = extend_graph(&graph, 1, 6, &mut rng);
                 let delta = GraphDelta::between(&graph, &next);
                 let cold = solve_windows(&next, spec, 4, AlgorithmKind::Bfs, &options, None)
                     .expect("cold solve");
-                let warm = match &prior {
-                    Some((set, _)) => solve_windows(
-                        &next,
-                        spec,
-                        4,
-                        AlgorithmKind::Bfs,
-                        &options,
-                        Some((set, &delta)),
-                    )
-                    .expect("warm solve"),
-                    None => solve_windows(&next, spec, 4, AlgorithmKind::Bfs, &options, None)
-                        .expect("first solve"),
-                };
+                let prior_and_delta = prior.as_ref().map(|answer| (answer, &delta));
+                let warm = solve_windows(
+                    &next,
+                    spec,
+                    4,
+                    AlgorithmKind::Bfs,
+                    &options,
+                    prior_and_delta,
+                )
+                .expect("warm solve");
                 assert_eq!(cold.solution.paths, warm.solution.paths);
+                let starts = next.num_intervals() as u64 - 2;
+                let stats = warm.solution.stats;
+                assert_eq!(stats.windows_resolved + stats.windows_spliced, starts);
                 if prior.is_some() {
-                    assert!(
-                        warm.solution.stats.windows_spliced > 0,
-                        "an append must leave early windows spliceable"
-                    );
-                    assert!(
-                        warm.solution.stats.windows_resolved < cold.solution.stats.windows_resolved
+                    assert_eq!(
+                        (stats.windows_resolved, stats.windows_spliced),
+                        (1, starts - 1)
                     );
                 }
-                assert_eq!(
-                    cold.solution.stats.windows_resolved,
-                    (next.num_intervals() as u64) - 2
-                );
-                prior = Some((warm.windows, 0));
+                assert_eq!(cold.solution.stats.windows_resolved, starts);
+                assert!(warm.windows.paths.len() <= 4);
+                prior = Some(warm.windows);
                 graph = next;
+            }
+        }
+    }
+
+    #[test]
+    fn merges_on_tied_weights_answer_as_batch_bfs() {
+        // Ties are where the floor is tight: a tail path that ties the
+        // carried k-th weight must lose to it, whatever the floor keeps. Over
+        // every weighting of the look-ahead battery, each `l` and `k` below,
+        // at and above the number of tied paths, every answer of a stream
+        // merged push by push is batch BFS's, bit for bit.
+        use crate::bfs::BfsStableClusters;
+        use crate::lookahead::{reweighted, WEIGHTINGS};
+        use crate::problem::KlStableParams;
+        let base = gen_graph(9, 31);
+        let options = SolverOptions::default();
+        for (name, weight) in WEIGHTINGS {
+            let whole = reweighted(&base, weight);
+            for l in [1, 2, 3] {
+                for k in [1, 3, 6, 40] {
+                    let spec = StableClusterSpec::ExactLength(l);
+                    let mut graph = ClusterGraphBuilder::new(whole.gap()).build();
+                    let mut answer = Answer {
+                        l,
+                        k,
+                        paths: Vec::new(),
+                    };
+                    for interval in 0..whole.num_intervals() as u32 {
+                        let next = graph.append(&whole.interval_parent_edges(interval));
+                        let delta = GraphDelta::between(&graph, &next);
+                        let kind = AlgorithmKind::Bfs;
+                        let prior = Some((&answer, &delta));
+                        let merged = solve_windows(&next, spec, k, kind, &options, prior);
+                        let merged = merged.unwrap();
+                        let batch = BfsStableClusters::new(KlStableParams::new(k, l));
+                        let expected = batch.run(&next.clone()).unwrap();
+                        let case = format!("{name} l={l} k={k} interval={interval}");
+                        assert_eq!(merged.solution.paths, expected, "{case}");
+                        let starts = (interval + 1).saturating_sub(l);
+                        let stats = merged.solution.stats;
+                        assert_eq!(stats.windows_resolved, u64::from(starts > 0), "{case}");
+                        assert_eq!(
+                            stats.windows_spliced,
+                            u64::from(starts.max(1) - 1),
+                            "{case}"
+                        );
+                        answer = merged.windows;
+                        graph = next;
+                    }
+                }
             }
         }
     }

@@ -86,7 +86,7 @@ pub use auto::{choose_algorithm, AutoSolver, GraphShape};
 pub use bfs::BfsStableClusters;
 pub use bsc_storage::backend::StorageSpec;
 pub use cluster_graph::{ClusterEdge, ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
-pub use delta::{solve_windows, DeltaSolveOutcome, GraphDelta, WindowSet};
+pub use delta::{solve_windows, Answer, DeltaSolveOutcome, GraphDelta};
 pub use dfs::{DfsConfig, DfsStableClusters};
 pub use distributed::{
     register_transport_factory, solve_window_locally, transport_for, FanoutSpec, ShardTransport,

@@ -681,7 +681,7 @@ mod tests {
     use crate::distributed::solve_window_locally;
     use crate::path::ClusterPath;
     use crate::problem::{summation_slack, KlStableParams, StableClusterSpec};
-    use crate::sharded::{ShardedSolver, Windowed};
+    use crate::sharded::ShardedSolver;
     use crate::solver::{AlgorithmKind, SolverOptions, SolverStats, StableClusterSolver};
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
     use crate::ta::TaStableClusters;
@@ -1207,9 +1207,9 @@ mod tests {
         // clone, which keeps none: a whole-graph solve builds its table, a
         // window solved alone its own. Paths, weight bits and every counter
         // (`visited`, `generated`, `held` among them) agree, for BFS
-        // `exact:l` and full paths, TA full paths, and every window of a
-        // `shards(2)` BFS or TA solve — over the four weightings and the
-        // long thin graph.
+        // `exact:l` and full paths, TA full paths, and every BFS or TA start
+        // window solved alone — over the four weightings and the long thin
+        // graph.
         let mut graphs = vec![("long-thin".to_string(), long_thin_graph())];
         for gap in 0..=2 {
             let base = random_graph(7, 8, 3, gap, 7_300 + u64::from(gap));
@@ -1237,24 +1237,16 @@ mod tests {
                 .into_iter()
                 .zip([2, 3])
             {
-                let case = format!("{name} {algorithm:?} shards(2) exact:{l}");
-                let spec = StableClusterSpec::ExactLength(l);
-                let solver = ShardedSolver::new(algorithm, spec, k, options.clone()).unwrap();
-                let mut windowed = Windowed::new(&solver, graph.view());
-                windowed.keep_windows = true;
-                let windows = windowed.run().unwrap().windows.windows;
+                let case = format!("{name} {algorithm:?} exact:{l}");
                 let cold = graph.clone();
-                for (start, window) in windows.iter().enumerate() {
-                    let alone =
-                        solve_window_locally(&cold, start as u32, l, k, algorithm, &options);
-                    let alone = alone.unwrap();
-                    let (window, alone) = (
-                        (window.paths.clone(), window.stats),
-                        (alone.paths, alone.stats),
-                    );
-                    assert_eq!(keyed(window), keyed(alone), "{case} start={start}");
+                for start in 0..=last - l {
+                    let solve = |graph| {
+                        let window = solve_window_locally(graph, start, l, k, algorithm, &options);
+                        let window = window.unwrap();
+                        keyed((window.paths, window.stats))
+                    };
+                    assert_eq!(solve(graph), solve(&cold), "{case} start={start}");
                 }
-                assert_eq!(windows.len() as u32, last - l + 1, "{case}");
                 assert!(cold.memoized().is_empty(), "{case}");
             }
             assert_eq!(graph.memoized(), [2, 3, last], "{name}");

@@ -1,7 +1,8 @@
 //! The one windowed solver: [`ShardedSolver`] answers a Problem 1 query
 //! start window by start window, on local threads or on a fan-out's workers,
 //! and [`solve_windows`](crate::delta::solve_windows) runs the same solver
-//! with its memo on. `docs/sharding.md` carries the same statement for
+//! over a whole graph, or over the tail windows an append added to a graph
+//! whose answer it carries. `docs/sharding.md` carries the same statement for
 //! readers of the rendered docs.
 //!
 //! ## The decomposition and why it is byte-identical
@@ -18,9 +19,10 @@
 //! total order is unique, so none of the following can change a byte of the
 //! merged [`Solution`]: how the starts are partitioned into ranges, which
 //! thread or process solved a window, the order results arrive in or a
-//! node's parents are listed in, or whether a window's result was computed
-//! now or spliced from an earlier epoch at which [`GraphDelta`] proves the
-//! window held the same edges (see [`crate::delta`] for that proof). Problem
+//! node's parents are listed in, or whether the windows of an earlier epoch
+//! are stood for by that epoch's answer, at which
+//! [`GraphDelta`](crate::delta::GraphDelta) proves they held the same edges
+//! (see [`crate::delta`] for that proof). Problem
 //! 2 (normalized stability) has unbounded windows and does not decompose;
 //! `PathLength::of` is the one place it is rejected. The graph solved is
 //! itself a view: handed a proper sub-view, the solver decomposes that.
@@ -28,8 +30,9 @@
 //! ## The two seams, each crossed once per window
 //!
 //! * **Transport** (the solver's `transport`) — how one `(range index,
-//!   start)` becomes a [`WindowResult`], and how many ranges there are and
-//!   run at once. `None` solves windows on this machine over
+//!   start)` becomes a [`WindowResult`](crate::distributed::WindowResult),
+//!   and how many ranges there are and run at once. `None` solves windows
+//!   on this machine over
 //!   [`SolverOptions::shards`] ranges, workers capped at the machine's
 //!   parallelism; a [`ShardTransport`] gets one range per worker, each
 //!   dispatched by a thread of its own, because they block on sockets, not
@@ -39,10 +42,12 @@
 //!   Each inner solver provisions its own
 //!   [`StorageSpec`](bsc_storage::backend::StorageSpec)-selected backend,
 //!   so windows never share mutable storage.
-//! * **Memo** (`Windowed::prior`, `Windowed::keep_windows`) — whether a
-//!   prior epoch's [`WindowSet`] may stand in for windows its [`GraphDelta`]
-//!   leaves untouched, and whether this solve's per-window results are kept
-//!   for the next epoch.
+//! * **Floor** (`Windowed::floor`) — a weight the merged k-th answer is
+//!   known to reach before any window runs: `−∞` for a solve of its own, the
+//!   carried answer's k-th weight for the tail windows
+//!   [`solve_windows`](crate::delta::solve_windows) merges with it. Nothing
+//!   of a window outlives the solve: what a later epoch reuses is the
+//!   merged answer, never a window's own top-k.
 //!
 //! ## One look-ahead table per graph and length
 //!
@@ -51,13 +56,14 @@
 //! whole graph's table for `l` holds exactly every window's own table, and
 //! a graph keeps the tables its solves build (`GraphView::completions`,
 //! within `lookahead::MEMO_WEIGHTS`, 4 MiB). So a solve of the whole graph
-//! whose windows are BFS or TA solved here, none spliced, has the graph
-//! keep its table for `l` before the windows — the one the unsharded solve
+//! whose windows are BFS or TA solved here has the graph keep its table for
+//! `l` before the windows — the one the unsharded solve
 //! of that length reads too — and each window (`distributed::solve_window`)
 //! reads it through a `Lens`, which answers exactly what the window's own
 //! table would, its `θ₀` included (the `lookahead` module docs carry the
-//! argument). Any other window — of a solve that splices (the windows a
-//! streamed answer re-solves), of a per-window budgeted `auto`, of a graph
+//! argument). Any other window — of a part of the graph, of a solve of only
+//! some starts (the tail windows a streamed answer solves), of a per-window
+//! budgeted `auto`, of a graph
 //! whose table would pass the bound, or on a transport's worker (one window
 //! per request) — reads the table its graph keeps for `l` if there is one,
 //! and otherwise builds its own and keeps nothing. DFS reads none.
@@ -68,16 +74,17 @@
 //! whole view's. What is merged is the top-k of every window, and `k`
 //! distinct starts of the view are `k` distinct paths: no path below the
 //! view's `θ₀` (judged with `can_still_reach`'s slack) can enter it, whichever
-//! window it lies in. So where the graph's table is kept as above and no
-//! window's result is (`Windowed::keep_windows`), every window prunes by the
-//! view's `θ₀`, and a window none of whose starts can reach it
-//! (`Lens::can_start`, the predicate a BFS sweep marks its live starts by)
-//! is never swept: it would have answered nothing. The floor is unsound for
-//! a window's *own* top-k, so a solve that keeps or ships window results (a
-//! delta solve, a transport's workers) and a per-window budgeted `auto`
-//! sweep every window by its own floor: paths and every counter are those
-//! of the window solved alone. Otherwise the counters are those of the
-//! swept windows solved alone with the view's floor.
+//! window it lies in. So where the graph's table is kept as above, every
+//! window prunes by the view's `θ₀` (or the solve's `floor`, if higher), and
+//! a window none of whose starts can reach it (`Lens::can_start`, the
+//! predicate a BFS sweep marks its live starts by) is never swept: it would
+//! have answered nothing. The floor is unsound for a window's *own* top-k,
+//! so a transport's workers, whose results are windows' own, sweep every
+//! window by its own floor alone: paths and every counter are those of the
+//! window solved alone, as they are for a per-window budgeted `auto`, which
+//! reads no floor. The tail windows of a merge (`Windowed::from` > 0) sweep
+//! by the solve's `floor` beside their own. Otherwise the counters are those
+//! of the swept windows solved alone with the view's floor.
 //!
 //! ## What every solve shares
 //!
@@ -100,12 +107,13 @@
 //! workers that ran concurrently — the one writer of that field, since
 //! every solver is sequential inside its window; peaks are max-merged
 //! within a worker and summed across concurrent workers;
-//! `windows_resolved` / `windows_spliced` count windows decided at this
-//! epoch (solved, or ruled out with no sweep) / reused, so they sum to the
-//! starts, and a spliced window's historical counters are not re-counted.
+//! `windows_resolved` counts the windows decided (solved, or ruled out with
+//! no sweep), so it is the view's starts; a merge in
+//! [`solve_windows`](crate::delta::solve_windows) adds `windows_spliced`, the
+//! starts its carried answer stands for.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bsc_graph::partition::balanced_ranges;
 use bsc_storage::io_stats::IoScope;
@@ -113,8 +121,7 @@ use bsc_util::cancel::CancelToken;
 
 use crate::auto::{choose_algorithm, GraphShape};
 use crate::cluster_graph::GraphView;
-use crate::delta::{DeltaSolveOutcome, GraphDelta, WindowSet};
-use crate::distributed::{solve_window, ShardTransport, WindowRequest, WindowResult};
+use crate::distributed::{solve_window, ShardTransport, WindowRequest};
 use crate::error::{BscError, BscResult};
 use crate::lookahead::{Completions, MEMO_WEIGHTS};
 use crate::problem::StableClusterSpec;
@@ -233,8 +240,16 @@ impl StableClusterSolver for ShardedSolver {
     }
 
     fn solve_view(&mut self, view: GraphView<'_>) -> BscResult<Solution> {
-        Ok(Windowed::new(self, view).run()?.solution)
+        Windowed::new(self, view).run()
     }
+}
+
+/// The machine's parallelism, read once: the standard library asks the
+/// scheduler and reads the cgroup's files on every call, some 20 µs on
+/// Linux — a third of a streamed query's one-window solve.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// One solve of a [`ShardedSolver`].
@@ -244,39 +259,38 @@ pub(crate) struct Windowed<'a> {
     /// The inner algorithm, `Auto` resolved once where it does not resolve
     /// per window.
     algorithm: AlgorithmKind,
-    /// A prior epoch's per-window results and the delta from that epoch to
-    /// `view`'s graph: windows the delta proves untouched are spliced, not
-    /// solved (whole-graph views only).
-    pub(crate) prior: Option<(&'a WindowSet, &'a GraphDelta)>,
-    /// Keep every window's result in the outcome, for the next epoch.
-    pub(crate) keep_windows: bool,
+    /// How many of the view's first starts are not solved: a carried answer
+    /// stands for them (`0`: none).
+    pub(crate) from: u32,
+    /// A weight the merged k-th answer is known to reach, which every
+    /// window solved here prunes by (`−∞`: none known).
+    pub(crate) floor: f64,
 }
 
 /// What one range worker hands back.
 struct Partial {
     top: TopKPaths,
     stats: SolverStats,
-    kept: Vec<Arc<WindowResult>>,
 }
 
 impl<'a> Windowed<'a> {
-    /// A cold solve of `view` by `solver` that keeps nothing.
+    /// A solve of `view` by `solver`, with no floor known beforehand.
     pub(crate) fn new(solver: &'a ShardedSolver, view: GraphView<'a>) -> Windowed<'a> {
         Windowed {
             solver,
             view,
             algorithm: solver.inner,
-            prior: None,
-            keep_windows: false,
+            from: 0,
+            floor: f64::NEG_INFINITY,
         }
     }
 
     /// Run the solve.
-    pub(crate) fn run(mut self) -> BscResult<DeltaSolveOutcome> {
+    pub(crate) fn run(mut self) -> BscResult<Solution> {
         let options = &self.solver.options;
         check_not_expired(options.cancel.as_ref())?;
         let scope = IoScope::start();
-        let (view, k) = (self.view, self.solver.k);
+        let (view, k, from) = (self.view, self.solver.k, self.from as usize);
         let m = view.num_intervals() as u32;
         let l = self.solver.length.over(m);
         self.algorithm = match self.algorithm {
@@ -288,22 +302,16 @@ impl<'a> Windowed<'a> {
             }
             concrete_or_per_window => concrete_or_per_window,
         };
-        // A prior only splices when it answers the same question (same l
-        // and k) and its delta lands on this graph generation.
-        self.prior = self
-            .prior
-            .filter(|(set, delta)| set.l == l && set.k == k && delta.new_intervals() == m);
         let mut merged = TopKPaths::new(k);
         let mut stats = SolverStats::default();
-        let mut windows = Vec::new();
         // A path of length l starting `a` intervals into the view spans
-        // [a, a + l]: a <= m - 1 - l.
-        if k > 0 && l >= 1 && l < m {
+        // [a, a + l]: a <= m - 1 - l; the first `from` are not solved.
+        if k > 0 && l >= 1 && l < m.saturating_sub(self.from) {
             let cancel = options.cancel.clone().unwrap_or_default();
             let (floor, live) = self.floor_and_live_windows(l, &cancel)?;
             let edge_counts = view.graph().interval_out_edge_counts();
             let edge_counts = &edge_counts[view.first_interval() as usize..];
-            let weights: Vec<u64> = (0..(m - l) as usize)
+            let weights: Vec<u64> = (from..(m - l) as usize)
                 .map(|a| edge_counts[a..a + l as usize].iter().sum::<u64>().max(1))
                 .collect();
             let transport = self.solver.transport.as_deref();
@@ -311,11 +319,10 @@ impl<'a> Windowed<'a> {
             let partition = balanced_ranges(&weights, ranges.max(1));
             let ranges: Vec<Range<usize>> = partition.iter().collect();
             let workers = match transport {
-                None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                None => cores(),
                 Some(_) => ranges.len(),
             };
-            // Each worker owns a contiguous run of ranges, so concatenating
-            // the workers' kept windows in order yields start order.
+            // Each worker owns a contiguous run of ranges.
             let chunk = ranges.len().div_ceil(workers.min(ranges.len()).max(1));
             let leaf = options.clone().cancel_token(Some(cancel.clone()));
             let (this, leaf, cancel, live) = (&self, &leaf, &cancel, &live[..]);
@@ -351,53 +358,44 @@ impl<'a> Windowed<'a> {
                 peak_paths += part.stats.peak_resident_paths;
                 peak_depth += part.stats.peak_stack_depth;
                 stats.merge(&part.stats);
-                windows.extend(part.kept);
             });
             stats.peak_resident_paths = peak_paths;
             stats.peak_stack_depth = peak_depth;
         }
-        Ok(DeltaSolveOutcome {
-            solution: Solution {
-                paths: merged.into_sorted(),
-                stats,
-                io: scope.finish(),
-            },
-            windows: WindowSet { l, k, windows },
+        Ok(Solution {
+            paths: merged.into_sorted(),
+            stats,
+            io: scope.finish(),
         })
     }
 
     /// Before the windows, have the graph keep its look-ahead table for `l`
     /// ([`GraphView::completions`]), which every window of BFS or TA then
-    /// reads as its own: where the view is the whole graph, no window is
-    /// spliced, the windows are solved here by BFS or TA (DFS reads no
-    /// table, a budgeted `auto` priced one window's) and the table fits the
-    /// graph's memo ([`MEMO_WEIGHTS`]). Otherwise each window reads the
-    /// table its graph keeps, if any, or builds its own.
+    /// reads as its own: where the view is the whole graph, the windows are
+    /// solved here by BFS or TA (DFS reads no table, a budgeted `auto`
+    /// priced one window's) and the table fits the graph's memo
+    /// ([`MEMO_WEIGHTS`]). Otherwise each window reads the table its graph
+    /// keeps, if any, or builds its own.
     ///
     /// Returns the floor every window prunes by beside its own `θ₀` and,
-    /// per start counted from the view's first interval, whether its window
-    /// is swept at all. Where the table is kept and no window's own top-k
-    /// is, the floor is the view's `θ₀` — `k` distinct starts are `k`
-    /// distinct paths, so nothing below it can enter the merged top-k — and
-    /// a window none of whose starts can reach it (`Lens::can_start`) is
-    /// ruled out. Every other solve sweeps every window by its own floor:
-    /// `−∞` here, every window live.
+    /// per start solved counted from the first, whether its window is swept
+    /// at all. Where the table is kept, the floor is the view's `θ₀` (or
+    /// `self.floor`, if higher) — `k` distinct starts are `k` distinct
+    /// paths, so nothing below it can enter the merged top-k — and a window
+    /// none of whose starts can reach it (`Lens::can_start`) is ruled out.
+    /// Every other solve (among them one that solves only the starts from
+    /// `self.from` on) sweeps every window by `self.floor` beside its own.
     fn floor_and_live_windows(&self, l: u32, cancel: &CancelToken) -> BscResult<(f64, Vec<bool>)> {
         let view = self.view;
-        let starts = view.first_interval()..view.intervals().end - l;
-        let whole = view.num_intervals() == view.graph().num_intervals();
+        let starts = view.first_interval() + self.from..view.intervals().end - l;
+        let whole = self.from == 0 && view.num_intervals() == view.graph().num_intervals();
         let reads = matches!(self.algorithm, AlgorithmKind::Bfs | AlgorithmKind::Ta);
-        let fresh = starts.clone().all(|start| self.spliced(start, l).is_none());
         let fits = Completions::weights(view, l) <= MEMO_WEIGHTS;
-        let own = (f64::NEG_INFINITY, vec![true; starts.len()]);
-        if !(whole && reads && fresh && fits && self.solver.transport.is_none()) {
-            return Ok(own);
+        if !(whole && reads && fits && self.solver.transport.is_none()) {
+            return Ok((self.floor, vec![true; starts.len()]));
         }
         let table = view.completions(l, Some(cancel), &mut 0)?;
-        if self.keep_windows {
-            return Ok(own);
-        }
-        let lens = table.lens(view, self.solver.k);
+        let lens = table.lens(view, self.solver.k).raised(self.floor);
         let live = |start| {
             view.interval_node_ids(start)
                 .any(|node| lens.can_start(node))
@@ -405,10 +403,10 @@ impl<'a> Windowed<'a> {
         Ok((lens.floor(), starts.map(live).collect()))
     }
 
-    /// One worker: obtain every window of `owned` (range indices start at
-    /// `first`, starts at the view's first interval) in start order, merging
-    /// into a local top-k; each swept by `floor` if `live`, else decided
-    /// with no sweep.
+    /// One worker: solve every window of `owned` (range indices start at
+    /// `first`, starts at the first solved) in start order, merging
+    /// into a local top-k; each swept by `floor` if `live` (a transport's
+    /// workers by their own floor alone), else decided with no sweep.
     fn run_ranges(
         &self,
         (l, floor, live): (u32, f64, &[bool]),
@@ -418,19 +416,11 @@ impl<'a> Windowed<'a> {
         cancel: &CancelToken,
     ) -> BscResult<Partial> {
         let (graph, k, algorithm) = (self.view.graph(), self.solver.k, self.algorithm);
-        // Sized once: a kept set regrown window by window churns the
-        // allocator enough to slow the *next* ingest (measured on
-        // `stream-delta`).
-        let kept = match self.keep_windows {
-            true => owned.iter().map(Range::len).sum(),
-            false => 0,
-        };
         let mut part = Partial {
             top: TopKPaths::new(k),
             stats: SolverStats::default(),
-            kept: Vec::with_capacity(kept),
         };
-        let first_start = self.view.first_interval();
+        let first_start = self.view.first_interval() + self.from;
         // bsc:allow(missing-cancel-checkpoint) -- every window is preceded by the full (unamortized) token check, and window solves checkpoint internally
         for (index, range) in owned.iter().enumerate() {
             for start in range.clone() {
@@ -443,16 +433,9 @@ impl<'a> Windowed<'a> {
                     continue;
                 }
                 let start = first_start + start as u32;
-                let spliced = self.spliced(start, l);
-                let result = match (spliced, &self.solver.transport) {
-                    (Some(previous), _) => {
-                        part.stats.windows_spliced += 1;
-                        Ok(Arc::clone(previous))
-                    }
-                    (None, None) => {
-                        solve_window(graph, start, l, k, algorithm, leaf, floor).map(Arc::new)
-                    }
-                    (None, Some(transport)) => {
+                let result = match &self.solver.transport {
+                    None => solve_window(graph, start, l, k, algorithm, leaf, floor),
+                    Some(transport) => {
                         let request = WindowRequest {
                             // The graph names itself: no other graph value
                             // in the process carries its id.
@@ -467,32 +450,19 @@ impl<'a> Windowed<'a> {
                             // local token expires in step with ours.
                             deadline_ms: cancel.remaining().map(|left| left.as_millis() as u64),
                         };
-                        transport.solve_window(graph, &request).map(Arc::new)
+                        transport.solve_window(graph, &request)
                     }
                 };
                 let result = result.inspect_err(|_| cancel.cancel())?;
-                if spliced.is_none() {
-                    part.stats.merge(&result.stats);
-                }
-                for path in &result.paths {
+                part.stats.merge(&result.stats);
+                for path in result.paths {
                     if part.top.would_admit(path.weight()) {
-                        part.top.offer_by_weight(path.clone());
+                        part.top.offer_by_weight(path);
                     }
-                }
-                if self.keep_windows {
-                    part.kept.push(result);
                 }
             }
         }
         Ok(part)
-    }
-
-    /// The prior epoch's result for the window at `start`, if its delta
-    /// leaves the window untouched.
-    fn spliced(&self, start: u32, l: u32) -> Option<&'a Arc<WindowResult>> {
-        self.prior
-            .filter(|(_, delta)| !delta.touches_window(start, l))
-            .and_then(|(set, _)| set.windows.get(start as usize))
     }
 }
 
@@ -502,7 +472,8 @@ mod tests {
     use crate::auto::bfs_resident_bytes;
     use crate::bfs::BfsStableClusters;
     use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
-    use crate::distributed::solve_window_locally;
+    use crate::delta::GraphDelta;
+    use crate::distributed::{solve_window_locally, WindowResult};
     use crate::lookahead::{long_thin_graph, reweighted, WEIGHTINGS};
     use crate::path::ClusterPath;
     use crate::problem::KlStableParams;
@@ -739,11 +710,12 @@ mod tests {
     }
 
     #[test]
-    fn a_re_solve_that_splices_keeps_no_table_of_the_new_graph() {
+    fn a_merge_keeps_no_table_of_the_new_graph() {
         // The stream's next epoch: one interval appended, its parents those
-        // of the last interval moved one on. The windows it leaves untouched
-        // are spliced; the ones re-solved read tables of their own, and the
-        // new graph keeps none — the answer is still the cold one.
+        // of the last interval moved one on. The earlier answer stands for
+        // the windows it leaves alone; the one it adds reads a table of its
+        // own, and the new graph keeps none — the answer is still the cold
+        // one.
         let old = graph(12, 300, 5, 1, 20_240_607);
         let spec = StableClusterSpec::ExactLength(3);
         let options = SolverOptions::default();

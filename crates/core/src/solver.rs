@@ -266,14 +266,15 @@ pub struct SolverStats {
     /// every other field this one is nondeterministic by nature, so
     /// byte-identical-result comparisons must ignore it.
     pub solve_micros: u64,
-    /// Start windows actually solved by a windowed solve (0 = not a
-    /// windowed solve). `solve_window_locally` reports 1 per window, so a
-    /// sharded, distributed or delta solve accumulates the count through
-    /// `merge` regardless of how the windows were partitioned.
+    /// Start windows a windowed solve decided — solved, or ruled out with
+    /// no sweep (0 = not a windowed solve). `solve_window_locally` reports
+    /// 1 per window, so a sharded, distributed or delta solve accumulates
+    /// the count through `merge` regardless of how the windows were
+    /// partitioned.
     pub windows_resolved: u64,
-    /// Start windows answered by splicing a prior epoch's per-window
-    /// result forward instead of re-solving (delta solves only; see
-    /// `bsc_core::delta`).
+    /// Start windows a delta solve did not solve because the earlier answer
+    /// it merged from stands for them: the older graph's starts (see
+    /// `bsc_core::delta`). With `windows_resolved`, the graph's starts.
     pub windows_spliced: u64,
 }
 

@@ -2,20 +2,20 @@
 //!
 //! New blog posts arrive continuously, so the cluster graph grows by one
 //! interval at a time. A path of length `l` lies inside one start window
-//! `[a, a + l]`, and an arriving interval changes only the windows that
-//! reach it: every older window holds the same edges as before, and so the
-//! same top-k. [`OnlineStableClusters`] keeps the answer current that way.
-//! [`OnlineStableClusters::push_interval`] appends the interval to the
-//! graph-so-far and does nothing else;
+//! `[a, a + l]`, and an arriving interval adds only the paths of the windows
+//! that reach it: every older path keeps its weight. So, as the paper's
+//! online algorithm does, [`OnlineStableClusters`] keeps only its last
+//! answer. [`OnlineStableClusters::push_interval`] appends the interval to
+//! the graph-so-far and does nothing else;
 //! [`OnlineStableClusters::current_top_k`] answers through the crate's one
-//! windowed executor ([`solve_windows`]), handing it the start windows of the
-//! last answer and the [`GraphDelta`] from that answer's graph to this one:
-//! after one push it solves the one window the push touched with batch BFS
-//! and splices every other window forward, so the answer is byte-identical
-//! to batch BFS on the graph-so-far (the argument is in [`crate::delta`]).
-//! A consumer that polls after every push pays one window solve per
-//! interval; one that polls after many pays one per window those pushes
-//! touched.
+//! windowed executor ([`solve_windows`]), handing it the last answer and the
+//! [`GraphDelta`] from that answer's graph to this one: after one push it
+//! solves the one window the push added with batch BFS, pruned by the last
+//! answer's k-th weight, and merges its paths with the last answer, so the
+//! answer is byte-identical to batch BFS on the graph-so-far (the argument
+//! is in [`crate::delta`]). A consumer that polls after every push pays one
+//! window solve per interval; one that polls after many pays one per window
+//! those pushes added.
 //!
 //! For the long-lived query engine the stream is also the **graph source**:
 //! every push extends the graph-so-far by one interval through the
@@ -33,7 +33,7 @@ use bsc_graph::cluster::KeywordCluster;
 
 use crate::affinity::Affinity;
 use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
-use crate::delta::{solve_windows, GraphDelta, WindowSet};
+use crate::delta::{solve_windows, Answer, GraphDelta};
 use crate::error::BscResult;
 use crate::path::ClusterPath;
 use crate::problem::{KlStableParams, StableClusterSpec};
@@ -50,11 +50,8 @@ pub struct OnlineStableClusters {
     /// The graph the last answer was solved on (at first the empty graph,
     /// whose answer is empty).
     answered: Arc<ClusterGraph>,
-    /// The start windows of `answered`: what the next answer splices from
-    /// (none at first).
-    windows: WindowSet,
-    /// The last answer.
-    top_k: Vec<ClusterPath>,
+    /// The last answer: what the next one merges from.
+    answer: Answer,
     /// Every answer's solve, merged.
     stats: SolverStats,
 }
@@ -75,12 +72,16 @@ impl OnlineStableClusters {
     /// with the given maximum gap.
     pub fn new(params: KlStableParams, gap: u32) -> Self {
         let graph = Arc::new(ClusterGraphBuilder::new(gap).build());
+        let KlStableParams { k, l } = params;
         OnlineStableClusters {
             params,
             answered: Arc::clone(&graph),
             graph,
-            windows: WindowSet::default(),
-            top_k: Vec::new(),
+            answer: Answer {
+                l,
+                k,
+                paths: Vec::new(),
+            },
             stats: SolverStats::default(),
         }
     }
@@ -123,10 +124,10 @@ impl OnlineStableClusters {
     /// order, reflecting every interval ingested so far.
     ///
     /// Repeated calls between ingests return the memoized answer. After an
-    /// ingest the start windows the new intervals touched are solved with
-    /// batch BFS and the rest are spliced from the last answer
-    /// ([`solve_windows`] with the [`GraphDelta`] between the two graphs).
-    /// The error is a window solve's: a table the allocator refuses.
+    /// ingest the start windows the new intervals added are solved with
+    /// batch BFS and merged with the last answer ([`solve_windows`] with the
+    /// [`GraphDelta`] between the two graphs). The error is a window
+    /// solve's: a table the allocator refuses.
     pub fn current_top_k(&mut self) -> BscResult<Vec<ClusterPath>> {
         if !Arc::ptr_eq(&self.answered, &self.graph) {
             let KlStableParams { k, l } = self.params;
@@ -137,20 +138,19 @@ impl OnlineStableClusters {
                 k,
                 AlgorithmKind::Bfs,
                 &SolverOptions::default(),
-                Some((&self.windows, &delta)),
+                Some((&self.answer, &delta)),
             )?;
             self.stats.merge(&outcome.solution.stats);
             self.answered = Arc::clone(&self.graph);
-            self.windows = outcome.windows;
-            self.top_k = outcome.solution.paths;
+            self.answer = outcome.windows;
         }
-        Ok(self.top_k.clone())
+        Ok(self.answer.paths.clone())
     }
 
     /// What the answers' window solves have counted since the stream opened,
-    /// merged ([`SolverStats::merge`]): `windows_resolved` and
-    /// `windows_spliced` say how many windows were solved and how many were
-    /// reused.
+    /// merged ([`SolverStats::merge`]): per answer, `windows_resolved` counts
+    /// the windows solved and `windows_spliced` the older starts the last
+    /// answer stood for.
     pub fn stats(&self) -> SolverStats {
         self.stats
     }
@@ -400,11 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn an_answer_after_a_push_solves_one_window_and_splices_the_rest() {
+    fn an_answer_after_a_push_solves_one_window_and_carries_the_rest() {
         // After each push the window that ends at the new interval is solved
-        // and every older one is the very result the last answer held; a
-        // second answer without a push solves nothing. Each answer is batch
-        // BFS's on the graph-so-far.
+        // and the last answer stands for every older one; a second answer
+        // without a push solves nothing. Each answer is batch BFS's on the
+        // graph-so-far, and all the stream keeps of it is its k paths.
         let (l, gap) = (3u32, 1u32);
         let params = KlStableParams::new(5, l);
         let stream = random_stream(40, 20, 4, gap);
@@ -412,46 +412,22 @@ mod tests {
         for interval in 0..stream.num_intervals() as u32 {
             online.push_interval(stream.interval_parent_edges(interval));
             let before = online.stats();
-            let prior = online.windows.windows.clone();
             let answer = online.current_top_k().unwrap();
             let batch = BfsStableClusters::new(params).run(online.graph()).unwrap();
             assert_eq!(answer, batch, "push {interval}");
+            assert_eq!(online.answer.paths, answer, "push {interval}");
+            assert!(Arc::ptr_eq(&online.answered, &online.graph));
             let stats = online.stats();
-            let starts = (interval + 1).saturating_sub(l) as usize;
-            assert_eq!(online.windows.windows.len(), starts, "push {interval}");
+            let starts = (interval + 1).saturating_sub(l) as u64;
             let resolved = stats.windows_resolved - before.windows_resolved;
             let spliced = stats.windows_spliced - before.windows_spliced;
             assert_eq!(resolved, u64::from(starts > 0), "push {interval}");
-            assert_eq!(spliced, starts.saturating_sub(1) as u64, "push {interval}");
-            for (start, window) in prior.iter().enumerate() {
-                assert!(
-                    Arc::ptr_eq(window, &online.windows.windows[start]),
-                    "push {interval}: window {start} was not spliced"
-                );
-            }
+            assert_eq!(spliced, starts.saturating_sub(1), "push {interval}");
 
             assert_eq!(online.current_top_k().unwrap(), answer, "push {interval}");
             assert_eq!(online.stats(), stats, "push {interval}");
         }
         assert!(online.stats().windows_spliced > 0);
-    }
-
-    #[test]
-    fn the_stream_retains_one_shared_window_per_start() {
-        // Between answers the stream holds its graph and one `Arc` per start
-        // window of it, each owned by nobody else: the splice moved them
-        // forward, it did not copy them.
-        let (l, gap) = (3u32, 1u32);
-        let stream = random_stream(60, 10, 3, gap);
-        let mut online = OnlineStableClusters::new(KlStableParams::new(5, l), gap);
-        for interval in 0..stream.num_intervals() as u32 {
-            online.push_interval(stream.interval_parent_edges(interval));
-            online.current_top_k().unwrap();
-            let windows = &online.windows.windows;
-            assert_eq!(windows.len() as u32, (interval + 1).saturating_sub(l));
-            assert!(windows.iter().all(|window| Arc::strong_count(window) == 1));
-            assert!(Arc::ptr_eq(&online.answered, &online.graph));
-        }
     }
 
     #[test]

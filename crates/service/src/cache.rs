@@ -1,5 +1,5 @@
-//! The epoch-tagged LRU solution cache, and the one memo of per-window
-//! results.
+//! The epoch-tagged LRU solution cache, and the one memo a fed query
+//! answers from.
 //!
 //! Stable-cluster queries are pure functions of `(snapshot epoch, query
 //! parameters)`: the same algorithm, spec, `k` and options against the same
@@ -10,27 +10,25 @@
 //! for an exact epoch match, so a stale answer can never be served.
 //!
 //! Entries produced by a windowed solve (see [`bsc_core::delta`]) also hold
-//! a window memo: the per-start [`WindowSet`] **and the [`GraphSnapshot`] it
-//! was solved on**. This is the only place a per-window result outlives the
-//! solve that produced it, and an entry proves its own reuse: the engine
-//! compares the memo's graph with the graph a later query pinned
-//! (`GraphDelta::between`, at the point of use) and splices exactly the
-//! windows over which the two hold identical in-edges. Nothing here — or
-//! anywhere else — has to vouch for what happened between the two epochs,
-//! so an entry stays useful however many ingests it sleeps through. On an
-//! *incremental* advance ([`SolutionCache::advance_epoch_incremental`]) such
-//! entries are therefore **carried forward**, found by the next solve of the
-//! same key via [`SolutionCache::spliceable`]; solution-only entries are
-//! dropped as before (every global answer depends on the whole graph, so any
-//! delta invalidates them), and the `carried_forward` / `delta_dropped`
-//! counters report the split. A plain (non-incremental) advance drops
-//! everything: the new graph shares nothing with the old, so a carried memo
-//! would cost a content comparison to learn it cannot splice.
+//! **the [`GraphSnapshot`] they were solved on**, and an entry proves its
+//! own reuse: the engine compares that graph with the graph a later query
+//! pinned (`GraphDelta::between`, at the point of use) and, if the pinned
+//! graph extends it by appends only, merges the entry's paths with the
+//! windows the appends added. An entry holds its `k` paths and a handle on a
+//! graph, never a window's own result. Nothing here — or anywhere else — has
+//! to vouch for what happened between the two epochs, so an entry stays
+//! useful however many ingests it sleeps through. On an *incremental*
+//! advance ([`SolutionCache::advance_epoch_incremental`]) such entries are
+//! therefore **carried forward**, found by the next solve of the same key
+//! via [`SolutionCache::carried`]; solution-only entries are dropped as
+//! before, and the `carried_forward` / `delta_dropped` counters report the
+//! split. A plain (non-incremental) advance drops everything: the new graph
+//! shares nothing with the old, so a carried answer would cost a content
+//! comparison to learn it cannot be merged from.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use bsc_core::delta::WindowSet;
+use bsc_core::path::ClusterPath;
 use bsc_core::snapshot::GraphSnapshot;
 use bsc_core::solver::Solution;
 
@@ -50,8 +48,8 @@ pub struct CacheStats {
     /// Entries dropped by epoch advances (snapshot swaps), including
     /// `delta_dropped`.
     pub invalidations: u64,
-    /// Window-set entries carried across incremental epoch advances
-    /// instead of being dropped — each is a future splice source.
+    /// Windowed entries carried across incremental epoch advances instead
+    /// of being dropped — each is an answer a later solve may merge from.
     pub carried_forward: u64,
     /// Solution-only entries an incremental advance still had to drop.
     pub delta_dropped: u64,
@@ -63,10 +61,9 @@ struct Entry {
     epoch: u64,
     solution: Solution,
     /// The snapshot a windowed solve ran on (an `Arc` handle; a stream's
-    /// epochs share their segments, so holding one pins little) and its
-    /// per-start-window results: the splice source for later solves, and
-    /// the graph a later solve proves the splice against.
-    windows: Option<(GraphSnapshot, Arc<WindowSet>)>,
+    /// epochs share their segments, so holding one pins little): the graph
+    /// a later solve proves a merge from `solution` against.
+    solved_on: Option<GraphSnapshot>,
     last_used: u64,
 }
 
@@ -115,18 +112,17 @@ impl SolutionCache {
         }
     }
 
-    /// Advance to `epoch` keeping every window-set entry as a splice
-    /// source (`carried_forward`); solution-only entries are dropped
-    /// (`delta_dropped`) — a global answer depends on the whole graph, so
-    /// any delta invalidates it, while a window set's untouched windows
-    /// survive by construction. Called on an incremental snapshot install.
+    /// Advance to `epoch` keeping every windowed entry as an answer to merge
+    /// from (`carried_forward`); solution-only entries are dropped
+    /// (`delta_dropped`) — nothing proves what they were solved on. Called
+    /// on an incremental snapshot install.
     pub fn advance_epoch_incremental(&mut self, epoch: u64) {
         if epoch <= self.epoch {
             return;
         }
         let before = self.map.len();
         // bsc:allow(nondeterministic-iteration) -- retain order only affects counter arithmetic, never output
-        self.map.retain(|_, entry| entry.windows.is_some());
+        self.map.retain(|_, entry| entry.solved_on.is_some());
         let dropped = (before - self.map.len()) as u64;
         self.carried_forward += self.map.len() as u64;
         self.delta_dropped += dropped;
@@ -136,7 +132,7 @@ impl SolutionCache {
 
     /// Look up the solution for `key` computed at `epoch`. Counts a miss
     /// when absent or when the entry belongs to a different epoch (a
-    /// carried-forward entry is a splice source, never a direct answer).
+    /// carried-forward entry is merged from, never a direct answer).
     pub fn get(&mut self, epoch: u64, key: &str) -> Option<Solution> {
         self.tick += 1;
         match self.map.get_mut(key) {
@@ -152,30 +148,30 @@ impl SolutionCache {
         }
     }
 
-    /// The memo a windowed solve of `key` could splice from — the snapshot
-    /// the entry was solved on and its window set — whatever epoch that
-    /// was. The caller derives the proof from that graph and the one it is
-    /// solving. Does not touch the
-    /// hit/miss counters (the subsequent put records the outcome).
-    pub fn spliceable(&mut self, key: &str) -> Option<(GraphSnapshot, Arc<WindowSet>)> {
+    /// The answer a windowed solve of `key` could merge from — the snapshot
+    /// the entry was solved on and its paths — whatever epoch that was. The
+    /// caller derives the proof from that graph and the one it is solving.
+    /// Does not touch the hit/miss counters (the subsequent put records the
+    /// outcome).
+    pub fn carried(&mut self, key: &str) -> Option<(GraphSnapshot, Vec<ClusterPath>)> {
         self.tick += 1;
         let entry = self.map.get_mut(key)?;
-        let memo = entry.windows.clone()?;
+        let solved_on = entry.solved_on.clone()?;
         entry.last_used = self.tick;
-        Some(memo)
+        Some((solved_on, entry.solution.paths.clone()))
     }
 
-    /// Store a solution computed at `epoch`, with the snapshot it ran on and
-    /// its window set when the solve was windowed. A put for a newer epoch first advances the cache
-    /// (incrementally — a carried memo is checked against the graph of
-    /// whichever solve uses it); a put for an *older* epoch (a query that
-    /// pinned its snapshot before a swap) is dropped.
+    /// Store a solution computed at `epoch`, with the snapshot it ran on
+    /// when the solve was windowed. A put for a newer epoch first advances
+    /// the cache (incrementally — a carried answer is checked against the
+    /// graph of whichever solve uses it); a put for an *older* epoch (a
+    /// query that pinned its snapshot before a swap) is dropped.
     pub fn put(
         &mut self,
         epoch: u64,
         key: String,
         solution: Solution,
-        windows: Option<(GraphSnapshot, Arc<WindowSet>)>,
+        solved_on: Option<GraphSnapshot>,
     ) {
         if self.capacity == 0 {
             return;
@@ -191,7 +187,7 @@ impl SolutionCache {
             Entry {
                 epoch,
                 solution,
-                windows,
+                solved_on,
                 last_used: tick,
             },
         );
@@ -227,7 +223,6 @@ impl SolutionCache {
 mod tests {
     use super::*;
     use bsc_core::cluster_graph::ClusterNodeId;
-    use bsc_core::path::ClusterPath;
     use bsc_core::solver::SolverStats;
     use bsc_storage::io_stats::IoSnapshot;
 
@@ -242,13 +237,8 @@ mod tests {
         }
     }
 
-    fn window_set() -> (GraphSnapshot, Arc<WindowSet>) {
-        let set = WindowSet {
-            l: 1,
-            k: 1,
-            windows: Vec::new(),
-        };
-        (GraphSnapshot::new(Default::default()), Arc::new(set))
+    fn solved_on() -> Option<GraphSnapshot> {
+        Some(GraphSnapshot::new(Default::default()))
     }
 
     #[test]
@@ -266,38 +256,38 @@ mod tests {
     fn plain_epoch_advance_invalidates_everything() {
         let mut cache = SolutionCache::new(4);
         cache.put(1, "a".into(), solution(0.1), None);
-        cache.put(1, "b".into(), solution(0.2), Some(window_set()));
+        cache.put(1, "b".into(), solution(0.2), solved_on());
         cache.advance_epoch(2);
         assert!(cache.get(2, "a").is_none());
         assert_eq!(cache.stats().invalidations, 2);
         assert_eq!(cache.stats().entries, 0);
-        assert!(cache.spliceable("b").is_none());
+        assert!(cache.carried("b").is_none());
     }
 
     #[test]
-    fn incremental_advance_carries_window_entries_and_drops_the_rest() {
+    fn incremental_advance_carries_windowed_entries_and_drops_the_rest() {
         let mut cache = SolutionCache::new(4);
         cache.put(1, "solution-only".into(), solution(0.1), None);
-        cache.put(1, "windowed".into(), solution(0.2), Some(window_set()));
+        cache.put(1, "windowed".into(), solution(0.2), solved_on());
         cache.advance_epoch_incremental(2);
         let stats = cache.stats();
         assert_eq!(stats.carried_forward, 1);
         assert_eq!(stats.delta_dropped, 1);
         assert_eq!(stats.invalidations, 1);
         assert_eq!(stats.entries, 1);
-        // The carried entry is a splice source, never a direct answer.
+        // The carried entry is merged from, never a direct answer.
         assert!(cache.get(2, "windowed").is_none());
-        let (_, windows) = cache.spliceable("windowed").expect("carried");
-        assert_eq!(windows.k, 1);
-        assert!(cache.spliceable("solution-only").is_none());
+        let (_, paths) = cache.carried("windowed").expect("carried");
+        assert_eq!(paths[0].weight(), 0.2);
+        assert!(cache.carried("solution-only").is_none());
     }
 
     #[test]
     fn put_replaces_a_carried_entry_with_the_fresh_epoch() {
         let mut cache = SolutionCache::new(4);
-        cache.put(1, "q".into(), solution(0.2), Some(window_set()));
+        cache.put(1, "q".into(), solution(0.2), solved_on());
         cache.advance_epoch_incremental(2);
-        cache.put(2, "q".into(), solution(0.3), Some(window_set()));
+        cache.put(2, "q".into(), solution(0.3), solved_on());
         let hit = cache.get(2, "q").expect("fresh entry answers");
         assert_eq!(hit.paths[0].weight(), 0.3);
         assert_eq!(cache.stats().entries, 1);

@@ -30,12 +30,14 @@
 //! While the engine is fed incrementally ([`QueryEngine::install_incremental`]
 //! — one flag, cleared by a plain [`QueryEngine::install`]) exact-length
 //! queries, local and fanned-out alike, run through the windowed solve of
-//! [`bsc_core::delta`] and leave their per-window results in the solution
-//! cache, beside the snapshot they were solved on. A later miss on the same
-//! key compares that snapshot's graph with the one it pinned and re-solves —
-//! or, on a coordinator, dispatches — only the windows the two disagree
-//! over. That comparison, in `execute`, is the only place a splice is
-//! decided; `docs/streaming.md` has the rule and the byte-identity argument.
+//! [`bsc_core::delta`] and leave their answer in the solution cache, beside
+//! the snapshot it was solved on. A later miss on the same key compares that
+//! snapshot's graph with the one it pinned: if the pinned graph extends it
+//! by appends only, the query solves — or, on a coordinator, dispatches —
+//! only the windows the appends added, each pruned by the cached k-th
+//! weight, and merges them with the cached paths; otherwise it solves cold.
+//! That comparison, in `execute`, is the only place a merge is decided;
+//! `docs/streaming.md` has the rule and the byte-identity argument.
 //!
 //! Otherwise execution goes through the same object-safe
 //! [`StableClusterSolver`](bsc_core::solver::StableClusterSolver) seam as
@@ -55,7 +57,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bsc_core::cluster_graph::ClusterGraph;
-use bsc_core::delta::{solve_windows, GraphDelta};
+use bsc_core::delta::{solve_windows, Answer, GraphDelta};
 use bsc_core::error::{BscError, BscResult};
 use bsc_core::problem::StableClusterSpec;
 use bsc_core::snapshot::{GraphSnapshot, SnapshotCell};
@@ -378,9 +380,10 @@ struct Metrics {
 
 struct Shared {
     /// Whether the newest snapshot was installed incrementally: while it
-    /// is, windowed solves seed and splice the cache's window memos. A
-    /// batch-loaded engine keeps the direct path. It picks between two
-    /// paths that answer identically and publishes nothing, so `Relaxed`.
+    /// is, windowed solves leave their answers in the cache and merge from
+    /// them. A batch-loaded engine keeps the direct path. It picks between
+    /// two paths that answer identically and publishes nothing, so
+    /// `Relaxed`.
     incremental: AtomicBool,
     cache: Mutex<SolutionCache>,
     metrics: Mutex<Metrics>,
@@ -493,13 +496,13 @@ impl QueryEngine {
 
     /// Install a snapshot produced incrementally from the previous one (the
     /// streamed-ingest path): the same swap, but the solution cache advances
-    /// *selectively* — entries holding per-window results are carried
-    /// forward as splice sources instead of dropped, so the next solve of a
-    /// cached key re-solves only the windows over which the graph it was
-    /// solved on and the graph now pinned differ. Nothing is compared here:
-    /// each carried entry holds its own graph, and the solve that uses it
-    /// checks it then. Byte-identical answers either way; see
-    /// [`bsc_core::delta`]. Returns the installed snapshot.
+    /// *selectively* — windowed entries are carried forward as answers to
+    /// merge from instead of dropped, so the next solve of a cached key
+    /// solves only the windows the graph now pinned appended to the graph
+    /// the entry was solved on. Nothing is compared here: each carried entry
+    /// holds its own graph, and the solve that uses it checks it then.
+    /// Byte-identical answers either way; see [`bsc_core::delta`]. Returns
+    /// the installed snapshot.
     pub fn install_incremental(&self, snapshot: GraphSnapshot) -> GraphSnapshot {
         self.swap_in(snapshot, true)
     }
@@ -846,18 +849,24 @@ fn process_job(mut job: Job, shared: &Shared) {
     let _ = job.reply.send(result);
 }
 
-/// Whether a query can run through the windowed (delta) solve path with an
-/// answer — including errors — indistinguishable from the direct solve.
-/// Exact-length queries qualify, wherever their windows run: they form the
-/// ranges, shard threads or dispatchers of the `ShardedSolver` the direct
-/// build would, plus the splice; unsharded ones must pass the
-/// support check the direct build would apply (TA's full-paths-only rule),
-/// so an unsupported combination still surfaces the identical error from the
-/// direct path, and `Auto` resolves against the whole snapshot.
-fn delta_eligible(request: &QueryRequest, num_intervals: usize) -> bool {
-    matches!(request.spec, StableClusterSpec::ExactLength(_))
-        && request.k > 0
-        && request.passes_the_direct_build(num_intervals)
+/// The path length of a query that can run through the windowed (delta)
+/// solve path with an answer — including errors — indistinguishable from
+/// the direct solve. Exact-length queries qualify, wherever their windows
+/// run: they form the ranges, shard threads or dispatchers of the
+/// `ShardedSolver` the direct build would, plus the merge; unsharded ones
+/// must pass the support check the direct build would apply (TA's
+/// full-paths-only rule), so an unsupported combination still surfaces the
+/// identical error from the direct path, and `Auto` resolves against the
+/// whole snapshot.
+fn delta_length(request: &QueryRequest, num_intervals: usize) -> Option<u32> {
+    match request.spec {
+        StableClusterSpec::ExactLength(l)
+            if request.k > 0 && request.passes_the_direct_build(num_intervals) =>
+        {
+            Some(l)
+        }
+        _ => None,
+    }
 }
 
 fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<QueryResponse> {
@@ -878,20 +887,18 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
     }
     // Windowed (delta) solving engages only while the engine is being fed
     // incrementally — a batch-loaded engine keeps the direct path. When the
-    // cache holds this key's windows from another epoch, the proof of what
-    // may be spliced is derived here, from the two graphs actually involved:
-    // the one those windows were solved on and the one this query pinned.
-    let delta_mode = delta_eligible(&job.request, job.snapshot.num_intervals())
-        && shared.incremental.load(Ordering::Relaxed);
-    let memo = match delta_mode {
-        true => shared
-            .cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .spliceable(&job.key),
-        false => None,
-    };
-    let prior = memo.map(|(solved_on, set)| (GraphDelta::between(&solved_on, &job.snapshot), set));
+    // cache holds this key's answer from another epoch, whether it may be
+    // merged from is derived here, from the two graphs actually involved:
+    // the one it was solved on and the one this query pinned.
+    let delta_length = delta_length(&job.request, job.snapshot.num_intervals())
+        .filter(|_| shared.incremental.load(Ordering::Relaxed));
+    let carried = delta_length.and_then(|l| {
+        let mut cache = shared.cache.lock().unwrap_or_else(|p| p.into_inner());
+        let (solved_on, paths) = cache.carried(&job.key)?;
+        let delta = GraphDelta::between(&solved_on, &job.snapshot);
+        let k = job.request.k;
+        Some((Answer { l, k, paths }, delta))
+    });
     // Every solve runs under a cancel token — installing one on demand is
     // what lets shutdown reach queries submitted without a deadline. The
     // token is registered for the duration of the solve and deregistered
@@ -909,19 +916,16 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
         .push(token.clone());
     let request = &job.request;
     let start = Instant::now();
-    let result = if delta_mode {
+    let result = if delta_length.is_some() {
         solve_windows(
             job.snapshot.graph(),
             request.spec,
             request.k,
             request.algorithm,
             &request.options,
-            prior.as_ref().map(|(delta, set)| (set.as_ref(), delta)),
+            carried.as_ref().map(|(answer, delta)| (answer, delta)),
         )
-        .map(|outcome| {
-            let memo = (job.snapshot.clone(), Arc::new(outcome.windows));
-            (outcome.solution, Some(memo))
-        })
+        .map(|outcome| (outcome.solution, Some(job.snapshot.clone())))
     } else {
         let m = job.snapshot.num_intervals();
         request
@@ -936,16 +940,16 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .retain(|t| t != &token);
-    let (mut solution, windows) = result?;
+    let (mut solution, solved_on) = result?;
     solution.stats.solve_micros = solve_micros;
     // Cache the canonical form (no queue wait — that belongs to one query,
-    // not to the answer), with the window set and the snapshot it holds for
-    // when the solve was windowed, so a later epoch can splice from it.
+    // not to the answer), with the snapshot it was solved on when the solve
+    // was windowed, so a later epoch can merge from it.
     shared.cache.lock().unwrap_or_else(|p| p.into_inner()).put(
         epoch,
         job.key.clone(),
         solution.clone(),
-        windows,
+        solved_on,
     );
     solution.stats.queue_wait_micros = duration_micros(queue_wait);
     Ok(QueryResponse {
@@ -1230,9 +1234,108 @@ mod tests {
         let expected = direct.solve(&pinned).unwrap();
         assert_eq!(expected.paths, response.solution.paths);
         // The late answer does not displace what the cache holds for newer
-        // epochs, and the newest epoch still splices from the old entry.
+        // epochs, and the newest epoch still merges from the old entry.
         let newest = engine.query(request).unwrap().solution.stats;
         assert_eq!((newest.windows_resolved, newest.windows_spliced), (2, 1));
+    }
+
+    #[test]
+    fn a_resident_answer_from_a_later_epoch_is_not_merged_from() {
+        // The entry was solved on all five intervals; the query pinned four.
+        // The graph it pinned is no extension of the entry's, so it solves
+        // cold: every start decided now, none carried, the direct answer.
+        use bsc_core::problem::KlStableParams;
+        use bsc_core::streaming::OnlineStableClusters;
+        let source = graph(5);
+        let engine = engine();
+        let mut online = OnlineStableClusters::new(KlStableParams::new(4, 2), source.gap());
+        let mut pinned = None;
+        for t in 0..source.num_intervals() as u32 {
+            online.push_interval(source.interval_parent_edges(t));
+            let installed = engine.install_incremental(online.snapshot());
+            pinned = pinned.or((t == 3).then_some(installed));
+        }
+        let pinned = pinned.unwrap();
+        let request = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 4);
+        let newest = engine.query(request.clone()).unwrap().solution.stats;
+        assert_eq!((newest.windows_resolved, newest.windows_spliced), (3, 0));
+        let (reply, receiver) = mpsc::channel();
+        engine.shared.in_flight.fetch_add(1, Ordering::Relaxed);
+        process_job(
+            Job {
+                key: request.cache_key(),
+                request: request.clone(),
+                snapshot: pinned.clone(),
+                enqueued: Instant::now(),
+                reply,
+            },
+            &engine.shared,
+        );
+        let response = receiver.recv().unwrap().unwrap();
+        assert_eq!(response.epoch, pinned.epoch());
+        let stats = response.solution.stats;
+        assert_eq!((stats.windows_resolved, stats.windows_spliced), (2, 0));
+        let mut direct = AlgorithmKind::Bfs
+            .build(StableClusterSpec::ExactLength(2), 4, 4)
+            .unwrap();
+        assert_eq!(
+            direct.solve(&pinned).unwrap().paths,
+            response.solution.paths
+        );
+    }
+
+    #[test]
+    fn every_fed_answer_counts_each_start_once_and_its_entry_holds_k_paths() {
+        // The counter law: on every windowed answer `windows_resolved +
+        // windows_spliced` is the graph's number of starts — the windows
+        // decided now, and the older starts the carried answer stands for.
+        // After a push that is one window decided and every other start
+        // carried. What the cache keeps for the next epoch is the answer's
+        // k paths at most, not a result per start.
+        use bsc_core::problem::KlStableParams;
+        use bsc_core::streaming::OnlineStableClusters;
+        let source = ClusterGraphGenerator::new(SyntheticGraphParams {
+            num_intervals: 14,
+            nodes_per_interval: 10,
+            avg_out_degree: 3,
+            gap: 1,
+            seed: 14,
+        })
+        .generate();
+        let engine = engine();
+        let mut online = OnlineStableClusters::new(KlStableParams::new(4, 2), source.gap());
+        let requests = [(2, 4, 1), (3, 3, 2), (1, 50, 1)].map(|(l, k, shards)| {
+            let spec = StableClusterSpec::ExactLength(l);
+            let options = SolverOptions::default().shards(shards);
+            (
+                l,
+                QueryRequest::new(AlgorithmKind::Bfs, spec, k).options(options),
+            )
+        });
+        for t in 0..source.num_intervals() as u32 {
+            online.push_interval(source.interval_parent_edges(t));
+            let snapshot = engine.install_incremental(online.snapshot());
+            for (l, request) in &requests {
+                let case = format!("interval {t} exact:{l} k={}", request.k);
+                let response = engine.query(request.clone()).unwrap();
+                let stats = response.solution.stats;
+                let starts = u64::from((t + 1).saturating_sub(*l));
+                assert_eq!(
+                    stats.windows_resolved + stats.windows_spliced,
+                    starts,
+                    "{case}"
+                );
+                assert_eq!(stats.windows_resolved, u64::from(starts > 0), "{case}");
+                let m = t as usize + 1;
+                let direct = request.algorithm.build(request.spec, request.k, m);
+                let expected = direct.unwrap().solve(&snapshot).unwrap().paths;
+                assert_eq!(response.solution.paths, expected, "{case}");
+                let mut cache = engine.shared.cache.lock().unwrap();
+                let (_, kept) = cache.carried(&request.cache_key()).unwrap();
+                assert!(kept.len() <= request.k, "{case}");
+                assert_eq!(kept, expected, "{case}");
+            }
+        }
     }
 
     #[test]

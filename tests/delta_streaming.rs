@@ -1,25 +1,26 @@
 //! Incremental-solve conformance (ISSUE 10): an engine fed by incremental
 //! snapshot installs must answer every query **byte-identically** to a
 //! cold one-shot solve of the same materialized graph — the delta path
-//! (re-solve touched windows, splice the rest forward from the previous
-//! epoch's window results) is an optimization, never a semantic.
+//! (solve the windows the appends added, merge them with the previous
+//! epoch's answer) is an optimization, never a semantic.
 //!
 //! The matrix: randomized ingest schedules (4 `DetRng` seeds) × all five
 //! algorithms × {memory, logfile, blockcache} backends × shard counts
 //! {1, 3}, with checkpoints mid-ingest so later queries actually have a
-//! prior epoch's windows to splice from. Also covered: queries whose
+//! prior epoch's answer to merge from. Also covered: queries whose
 //! deadline expires mid-ingest (clean `DeadlineExceeded`, no poisoned
 //! state), and fault-injected backends (byte-identical when the fault
 //! schedule is dodged, the injected error otherwise).
 //!
-//! Since ISSUE 17 a resident window result carries the graph it was solved
-//! on and the splice is proven from that graph and the queried one, when it
-//! is used. Three rows hold what follows from that: a fanned-out query
-//! splices on the coordinator and dispatches only the windows it re-solves;
-//! a result sleeps through any number of ingests and still splices; and a
+//! A resident answer carries the graph it was solved on, and whether a
+//! later query may merge from it is proven from that graph and the queried
+//! one, when it is used: the queried graph must extend it by appends only.
+//! Three rows hold what follows from that: a fanned-out query merges on the
+//! coordinator and dispatches only the windows the appends added; an answer
+//! sleeps through any number of ingests and is still merged from; and a
 //! graph installed incrementally that shares no segment with its
-//! predecessor is compared by content — equal windows splice, changed ones
-//! do not.
+//! predecessor is compared by content — an equal prefix is merged from, a
+//! changed interval solves cold.
 
 use std::time::Duration;
 
@@ -151,7 +152,7 @@ fn incremental_engine_matches_cold_solves_across_random_ingest() {
             push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
             let snapshot = engine.install_incremental(online.snapshot());
             // Query checkpoints: early (few windows), mid, and final — the
-            // later ones have resident window sets to splice from.
+            // later ones have resident answers to merge from.
             if !matches!(round, 3 | 6 | 8) {
                 continue;
             }
@@ -168,7 +169,7 @@ fn incremental_engine_matches_cold_solves_across_random_ingest() {
                 let stats = response.solution.stats;
                 if stats.windows_spliced > 0 {
                     spliced_anywhere = true;
-                    // A spliced solve did strictly less than a full
+                    // A merged solve did strictly less than a full
                     // windowed re-solve.
                     let total = graph.num_intervals() as u64 - 2;
                     assert!(
@@ -225,8 +226,8 @@ fn a_fanned_out_query_splices_on_the_coordinator_and_dispatches_only_what_it_res
             &format!("round {round}"),
         );
         let stats = response.solution.stats;
-        // Every window the query did not splice went over the wire, and no
-        // other did.
+        // Every window the carried answer did not stand for went over the
+        // wire, and no other did.
         assert_eq!(
             window_rpcs() - before,
             stats.windows_resolved,
@@ -239,7 +240,7 @@ fn a_fanned_out_query_splices_on_the_coordinator_and_dispatches_only_what_it_res
             "round {round}"
         );
         // With l = 2 the pushed interval ends exactly one window; once an
-        // earlier answer is resident, every other window splices.
+        // earlier answer is resident, it stands for every other window.
         if round >= 3 {
             assert_eq!(stats.windows_resolved, 1, "round {round}");
         }
@@ -284,9 +285,9 @@ fn a_resident_window_result_still_splices_after_twenty_unqueried_ingests() {
         1,
     );
     assert_identical(&expected, &response.solution.paths, "20 ingests later");
-    // The four windows solved 20 epochs ago are still the graph's windows:
-    // what the entry was solved on and what is queried share their
-    // segments, however many installs lie between.
+    // The answer solved 20 epochs ago still stands for its four windows:
+    // what the entry was solved on is a prefix of what is queried, sharing
+    // its segments however many installs lie between.
     let stats = response.solution.stats;
     assert_eq!((stats.windows_resolved, stats.windows_spliced), (20, 4));
 }
@@ -340,10 +341,11 @@ fn a_graph_that_shares_no_segment_is_compared_by_content() {
     assert!((0..6).all(|i| !first.shares_in_edges(&longer, i)));
     engine.install_incremental(GraphSnapshot::new(longer.clone()));
     assert_eq!(query(&longer, "longer"), (1, 4));
-    // Interval 5's weights changed: the two windows over it run again.
+    // Interval 5's weights changed: the resident graph is not a prefix of
+    // this one, so nothing is carried and all five windows run.
     let changed = graph(0.625, 7);
     engine.install_incremental(GraphSnapshot::new(changed.clone()));
-    assert_eq!(query(&changed, "changed"), (2, 3));
+    assert_eq!(query(&changed, "changed"), (5, 0));
 }
 
 #[test]
@@ -357,7 +359,7 @@ fn mid_ingest_deadline_expiry_is_clean_and_state_survives() {
         push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
         engine.install_incremental(online.snapshot());
     }
-    // Warm the window sets, then expire a query mid-ingest.
+    // Warm the cached answer, then expire a query mid-ingest.
     let warm = request(
         AlgorithmKind::Bfs,
         StableClusterSpec::ExactLength(2),

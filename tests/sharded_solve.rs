@@ -217,15 +217,20 @@ fn assert_configurations_conform(
         );
         assert_eq!(
             stats.shards as u64,
-            starts.min(shards as u64),
-            "{context} {name}: shards = ranges formed"
+            stats.windows_resolved.min(shards as u64),
+            "{context} {name}: shards = ranges formed over the windows solved"
         );
     }
-    // The distributed and cold configurations solve every window by its own
-    // floor and count alike.
+    // The distributed configuration solves every window by its own floor:
+    // its counters are the windows solved alone. The cold delta solve is the
+    // local sharded solve of the whole graph, counters included.
     let counted = |stats: &SolverStats| (stats.paths_generated, stats.nodes_processed);
-    let alone = counted(&cold.solution.stats);
-    assert_eq!(counted(&distributed.stats), alone, "{context} distributed");
+    let alone = counted(&distributed.stats);
+    assert_eq!(
+        counted(&cold.solution.stats),
+        counted(&sharded.stats),
+        "{context} cold"
+    );
     assert_eq!(
         distributed.stats.windows_spliced, 0,
         "{context} distributed"
@@ -248,11 +253,6 @@ fn assert_configurations_conform(
     } else {
         assert_eq!(found, alone, "{context} sharded");
     }
-    assert_eq!(
-        transport.calls.load(Ordering::SeqCst) as u64,
-        starts,
-        "{context}: one dispatch per start"
-    );
     // One stats rule: the two local configurations report the same worker
     // count; transport dispatchers run one per range.
     assert_eq!(
@@ -263,16 +263,27 @@ fn assert_configurations_conform(
         distributed.stats.threads, distributed.stats.shards,
         "{context}"
     );
-    // An append dirties only the new interval, so with an exact length
-    // every window but the last is spliced and its counters not re-counted.
-    if let StableClusterSpec::ExactLength(_) = spec {
-        assert_eq!(warm.solution.stats.windows_resolved, 1, "{context} warm");
+    // With an exact length an append adds one start window: the earlier
+    // answer stands for every other start, and the added window is solved
+    // under the earlier k-th weight, so it does at most what it does alone.
+    // Full paths grow with the graph, so their earlier answer never carries.
+    if let StableClusterSpec::ExactLength(l) = spec {
+        let last = solve_window_locally(graph, starts as u32 - 1, l, k, kind, options)
+            .unwrap_or_else(|e| panic!("{context} last window: {e}"));
+        let stats = &warm.solution.stats;
+        assert_eq!(stats.windows_resolved, 1, "{context} warm");
+        assert_eq!(stats.windows_spliced, starts - 1, "{context} warm");
         assert!(
-            warm.solution.stats.paths_generated <= cold.solution.stats.paths_generated,
-            "{context} warm re-counted spliced windows"
+            stats.paths_generated <= last.stats.paths_generated,
+            "{context} warm generated more than the added window alone"
         );
+    } else {
+        assert_eq!(warm.solution.stats.windows_spliced, 0, "{context} warm");
     }
-    assert_eq!(warm.windows.windows.len() as u64, starts, "{context} warm");
+    // What the next epoch merges from is the answer itself: k paths at most,
+    // not one result per start.
+    assert_eq!(warm.windows.paths, warm.solution.paths, "{context} warm");
+    assert_eq!(warm.windows.k, k, "{context} warm");
 }
 
 /// The sub-view rows of the table: the two configurations that take a view
@@ -545,18 +556,18 @@ fn cancellation_and_root_cause_errors_behave_the_same_in_every_configuration() {
 /// Whatever the partition, the merged deterministic counters of BFS, TA and
 /// unbudgeted Auto windows are the sum over the windows solved one by one —
 /// through [`solve_window_locally`] on a clone of the graph (which keeps no
-/// table, so each window builds its own) for the distributed configuration
-/// and a cold delta solve, which keep each window's own floor. A local
-/// sharded solve of the whole graph prunes every window by the graph's
-/// `θ₀` and sweeps only the windows a near-answer can start in: its
-/// counters are the same for every partition, it decides every window, and
-/// it visits and considers no more than the windows solved alone. (The unit
+/// table, so each window builds its own) for the distributed configuration,
+/// which keeps each window's own floor. A local sharded solve of the whole
+/// graph — and a cold delta solve, which is one — prunes every window by
+/// the graph's `θ₀` and sweeps only the windows a near-answer can start in:
+/// its counters are the same for every partition, it decides every window,
+/// and it visits and considers no more than the windows solved alone. (The unit
 /// test `the_integration_rows_count_the_windows_by_the_view_s_floor` in
 /// `sharded.rs` holds them, on this graph and these rows at shards ∈ {1, 2,
 /// 3, 8}, to the sum over the windows solved with that floor, and its peaks
 /// to the stats rule over them; an integration test cannot reach the
-/// crate-private floor.) The distributed and cold peaks follow the stats
-/// rule over the windows solved alone: the widest window's with one range,
+/// crate-private floor.) The distributed peaks follow the stats rule over
+/// the windows solved alone: the widest window's with one range,
 /// between it and the windows' sum with more; the local sharded peak is at
 /// most the widest with one range and at most the sum with more.
 #[test]
@@ -626,14 +637,18 @@ fn counters_are_the_sum_of_the_windows_solved_alone_whatever_the_partition() {
                 .unwrap_or_else(|e| panic!("{context} cold: {e}"))
                 .solution
                 .stats;
-            for (name, stats) in [("distributed", &distributed), ("cold", &cold)] {
-                assert_eq!(counts(stats), expected, "{context} {name}");
-                let peak = stats.peak_resident_paths;
-                assert!(widest <= peak && peak <= summed, "{context} {name}");
-                if shards == 1 {
-                    assert_eq!(peak, widest, "{context} {name}");
-                }
+            assert_eq!(counts(&distributed), expected, "{context} distributed");
+            let peak = distributed.peak_resident_paths;
+            assert!(widest <= peak && peak <= summed, "{context} distributed");
+            if shards == 1 {
+                assert_eq!(peak, widest, "{context} distributed");
             }
+            // The cold delta solve is the local sharded solve of the graph.
+            assert_eq!(counts(&cold), counts(&sharded), "{context} cold");
+            assert_eq!(
+                cold.peak_resident_paths, sharded.peak_resident_paths,
+                "{context} cold"
+            );
             let found = counts(&sharded);
             assert_eq!(
                 *local.get_or_insert(found),
