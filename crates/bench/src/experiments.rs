@@ -1506,11 +1506,11 @@ pub fn streaming_delta(scale: Scale) -> Vec<Table> {
         .expect("delta solve")
     });
     assert_eq!(
-        cold.solution.paths.len(),
-        merged.solution.paths.len(),
+        cold.windows.paths.len(),
+        merged.windows.paths.len(),
         "delta solve diverged from the cold re-solve"
     );
-    for (a, b) in cold.solution.paths.iter().zip(merged.solution.paths.iter()) {
+    for (a, b) in cold.windows.paths.iter().zip(merged.windows.paths.iter()) {
         assert_eq!(a.nodes(), b.nodes(), "delta solve diverged from cold");
         assert_eq!(
             a.weight().to_bits(),
@@ -1538,14 +1538,14 @@ pub fn streaming_delta(scale: Scale) -> Vec<Table> {
         cold_time.as_micros().to_string(),
         cold.solution.stats.windows_resolved.to_string(),
         cold.solution.stats.windows_spliced.to_string(),
-        paths_digest(&cold.solution.paths),
+        paths_digest(&cold.windows.paths),
     ]);
     table.push_row(vec![
         "merge from the last answer".into(),
         delta_time.as_micros().to_string(),
         merged.solution.stats.windows_resolved.to_string(),
         merged.solution.stats.windows_spliced.to_string(),
-        paths_digest(&merged.solution.paths),
+        paths_digest(&merged.windows.paths),
     ]);
     table.push_note(format!(
         "one appended interval adds {} of {} start windows; the last answer stands for \

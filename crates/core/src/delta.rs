@@ -12,26 +12,28 @@
 //! top-k is the merge of the earlier [`Answer`] with the tail windows' paths,
 //! and each tail window may prune by the earlier k-th weight. The whole rule,
 //! in one sentence: *an answer is carried iff [`GraphDelta::between`] the
-//! graph it was solved on and the graph being queried marks no interval of
-//! the former dirty, checked when it is used* — nothing records, caps or
-//! composes per-epoch deltas in between. [`solve_windows`] runs the crate's
-//! one windowed solver, [`ShardedSolver`](crate::sharded::ShardedSolver),
-//! over the whole graph or over its tail, on local threads or on a fan-out's
-//! workers as the query's options say.
+//! graph it was solved on and the graph being queried finds that the latter
+//! extends the former by appends only, checked when it is used* — nothing
+//! records, caps or composes per-epoch deltas in between. [`solve_windows`]
+//! runs the crate's one windowed solver,
+//! [`ShardedSolver`](crate::sharded::ShardedSolver), over the whole graph or
+//! over its tail, on local threads or on a fan-out's workers as the query's
+//! options say.
 //!
 //! ## Why the merge is byte-identical to a cold solve
 //!
-//! [`GraphDelta::between`] marks an interval *dirty* unless its node count
+//! [`GraphDelta::between`] holds an interval unchanged when its node count
 //! and its full in-edge multiset (source node, target node, exact weight
-//! bits) are equal across the two graphs; an interval the new graph lacks
-//! reads dirty. Say the old graph has `o` intervals, none of them dirty, and
-//! the new one `m ≥ o`. For paths of length `l`:
+//! bits) are equal across the two graphs, and finds appends only when the
+//! new graph has at least as many intervals and every old one is unchanged.
+//! Say the old graph has `o` intervals and the new one `m ≥ o`, appends
+//! only. For paths of length `l`:
 //!
 //! 1. **Every old path keeps its weight bits.** Each of its edges targets one
 //!    of the old intervals, whose in-edges are equal to the bit, so the path
 //!    exists in the new graph and sums the same weights in the same order.
 //!    Conversely a new-graph path that ends before interval `o` lies wholly
-//!    in clean intervals: it is an old path.
+//!    in unchanged intervals: it is an old path.
 //! 2. **The new paths are exactly those of the tail windows.** A path
 //!    starting at `a` lies in the window `[a, a + l]`; it is new iff it
 //!    reaches interval `o`, i.e. iff `a ≥ o − l`. Those are the starts
@@ -79,18 +81,18 @@ use crate::sharded::{PathLength, Windowed};
 use crate::solver::{AlgorithmKind, Solution, SolverOptions};
 use crate::topk::TopKPaths;
 
-/// The interval-range difference between two [`ClusterGraph`] generations.
+/// Whether one [`ClusterGraph`] generation extends another by appends only.
 ///
 /// Interval indices are stable identifiers across epochs (the streaming
 /// layer appends new intervals and may drop edges of evicted ones, but
-/// never renumbers), so the delta is a per-interval dirty bitmap over the
-/// *new* graph: interval `i` is dirty when it did not exist before, its
-/// node count changed, or its in-edge multiset changed in any way.
+/// never renumbers), so the newer generation extends the older one when it
+/// has at least as many intervals and each of the older one's intervals
+/// holds the same node count and the same in-edge multiset in both.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphDelta {
     old_intervals: u32,
     new_intervals: u32,
-    dirty: Vec<bool>,
+    appends_only: bool,
 }
 
 /// Per-node in-edges of one interval, flattened to exact-comparison tuples
@@ -113,10 +115,11 @@ fn interval_in_edge_signature(graph: &ClusterGraph, interval: u32) -> Vec<(u32, 
 }
 
 impl GraphDelta {
-    /// Compare two graph generations interval by interval.
+    /// Compare two graph generations over the older one's intervals,
+    /// stopping at the first that differs.
     ///
     /// An interval whose in-edge segment both graphs *share*
-    /// ([`ClusterGraph::shares_in_edges`]) is clean in O(1): a segment is
+    /// ([`ClusterGraph::shares_in_edges`]) is equal in O(1): a segment is
     /// immutable, so one allocation reachable from both graphs is a proof
     /// of equal node count and equal in-edges, not a hint. Consecutive
     /// epochs of a stream ([`ClusterGraph::append`]) share every interval
@@ -127,20 +130,16 @@ impl GraphDelta {
     pub fn between(old: &ClusterGraph, new: &ClusterGraph) -> GraphDelta {
         let old_intervals = old.num_intervals() as u32;
         let new_intervals = new.num_intervals() as u32;
-        let mut dirty = Vec::with_capacity(new_intervals as usize);
-        // bsc:allow(missing-cancel-checkpoint) -- one bounded comparison pass per install: O(1) per shared interval, O(V + E log deg) over unshared ones; no token in scope
-        for i in 0..new_intervals {
-            let is_dirty = i >= old_intervals
-                || !old.shares_in_edges(new, i)
-                    && (old.nodes_in_interval(i) != new.nodes_in_interval(i)
-                        || interval_in_edge_signature(old, i)
-                            != interval_in_edge_signature(new, i));
-            dirty.push(is_dirty);
-        }
+        let appends_only = old_intervals <= new_intervals
+            && (0..old_intervals).all(|i| {
+                old.shares_in_edges(new, i)
+                    || old.nodes_in_interval(i) == new.nodes_in_interval(i)
+                        && interval_in_edge_signature(old, i) == interval_in_edge_signature(new, i)
+            });
         GraphDelta {
             old_intervals,
             new_intervals,
-            dirty,
+            appends_only,
         }
     }
 
@@ -154,22 +153,11 @@ impl GraphDelta {
         self.new_intervals
     }
 
-    /// Whether interval `i` of the new generation changed (out-of-range
-    /// intervals count as dirty — conservative).
-    pub fn is_dirty(&self, interval: u32) -> bool {
-        self.dirty.get(interval as usize).copied().unwrap_or(true)
-    }
-
-    /// Number of dirty intervals.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.iter().filter(|d| **d).count()
-    }
-
-    /// Whether the new generation extends the old one by appends only: no
-    /// interval of the old generation is dirty (one the new generation lacks
-    /// reads dirty, so a shorter graph never does).
+    /// Whether the new generation extends the old one by appends only: it
+    /// has at least as many intervals, and every interval of the old
+    /// generation is unchanged in it.
     pub fn only_appends(&self) -> bool {
-        (0..self.old_intervals).all(|interval| !self.is_dirty(interval))
+        self.appends_only
     }
 }
 
@@ -196,14 +184,27 @@ impl Answer {
     }
 }
 
-/// What a windowed solve produces: the top-k, and the same paths as the
-/// [`Answer`] a later solve of a grown graph merges from.
+/// What a windowed solve produces: its counters, and the top-k as the
+/// [`Answer`] a later solve of a grown graph merges from. The paths are held
+/// once, in `windows`.
 #[derive(Debug)]
 pub struct DeltaSolveOutcome {
-    /// The top-k — byte-identical to a cold unsharded solve.
+    /// The solve's stats and I/O; its `paths` are empty (see
+    /// [`DeltaSolveOutcome::into_solution`]).
     pub solution: Solution,
-    /// The answer the next epoch merges from.
+    /// The top-k — byte-identical to a cold unsharded solve — and the
+    /// answer the next epoch merges from.
     pub windows: Answer,
+}
+
+impl DeltaSolveOutcome {
+    /// The top-k as a [`Solution`]: `windows`' paths with `solution`'s stats.
+    pub fn into_solution(self) -> Solution {
+        Solution {
+            paths: self.windows.paths,
+            ..self.solution
+        }
+    }
 }
 
 /// Solve a kl-stable-cluster query window by window, carrying an earlier
@@ -211,7 +212,7 @@ pub struct DeltaSolveOutcome {
 ///
 /// With `prior == None`, or a prior that does not carry — solved for
 /// another `l` or `k`, or whose [`GraphDelta`] does not land on this graph
-/// or marks an interval of the older graph dirty — this is a cold windowed
+/// by appends only — this is a cold windowed
 /// solve of the whole graph, and `stats.windows_resolved` counts every
 /// window. With a prior that carries, only the tail windows — those that
 /// reach an interval the older graph lacks — are solved, each pruned by the
@@ -251,20 +252,17 @@ pub fn solve_windows(
     }
     let spliced = windowed.from;
     let mut solution = windowed.run()?;
+    let mut paths = std::mem::take(&mut solution.paths);
     if let Some((answer, _)) = carried {
         let mut merged = TopKPaths::new(k);
         // bsc:allow(missing-cancel-checkpoint) -- at most 2k paths: the carried answer and the tail's merged top-k
-        for path in answer.paths.iter().cloned().chain(solution.paths) {
+        for path in answer.paths.iter().cloned().chain(paths) {
             merged.offer_by_weight(path);
         }
-        solution.paths = merged.into_sorted();
+        paths = merged.into_sorted();
         solution.stats.windows_spliced = u64::from(spliced);
     }
-    let windows = Answer {
-        l,
-        k,
-        paths: solution.paths.clone(),
-    };
+    let windows = Answer { l, k, paths };
     Ok(DeltaSolveOutcome { solution, windows })
 }
 
@@ -336,28 +334,26 @@ mod tests {
     fn identical_graphs_have_clean_delta() {
         let graph = gen_graph(6, 7);
         let delta = GraphDelta::between(&graph, &graph);
-        assert_eq!(delta.dirty_count(), 0);
         assert!(delta.only_appends());
+        assert_eq!((delta.old_intervals(), delta.new_intervals()), (6, 6));
     }
 
     #[test]
-    fn appended_interval_marks_only_itself_dirty() {
+    fn an_appended_interval_is_an_append_and_its_removal_is_not() {
         let graph = gen_graph(6, 7);
         let mut rng = DetRng::seed_from_u64(1);
         let extended = extend_graph(&graph, 1, 6, &mut rng);
         let delta = GraphDelta::between(&graph, &extended);
-        assert_eq!(delta.dirty_count(), 1);
-        assert!(delta.is_dirty(6));
         assert!(delta.only_appends());
-        // Backwards, the interval the shorter graph lacks reads dirty.
+        assert_eq!((delta.old_intervals(), delta.new_intervals()), (6, 7));
+        // Backwards, the shorter graph lacks an interval: not an append.
         let shorter = GraphDelta::between(&extended, &graph);
-        assert_eq!(shorter.dirty_count(), 0);
-        assert!(!shorter.is_dirty(5) && shorter.is_dirty(6));
         assert!(!shorter.only_appends());
+        assert_eq!((shorter.old_intervals(), shorter.new_intervals()), (7, 6));
     }
 
     #[test]
-    fn changed_weight_bits_mark_the_target_interval_dirty() {
+    fn a_changed_weight_is_not_an_append() {
         let mut builder = ClusterGraphBuilder::new(0);
         builder.add_interval(1);
         builder.add_interval(1);
@@ -370,10 +366,14 @@ mod tests {
         builder.add_interval(1);
         builder.add_edge(a, b, 0.6);
         let new = builder.build();
-        let delta = GraphDelta::between(&old, &new);
-        assert!(!delta.is_dirty(0));
-        assert!(delta.is_dirty(1));
-        assert!(!delta.only_appends());
+        assert!(!GraphDelta::between(&old, &new).only_appends());
+        // The interval before the changed one still compares equal.
+        let first = |graph: &ClusterGraph| {
+            let mut builder = ClusterGraphBuilder::new(0);
+            builder.add_interval(graph.nodes_in_interval(0));
+            builder.build()
+        };
+        assert!(GraphDelta::between(&first(&old), &new).only_appends());
     }
 
     #[test]
@@ -399,7 +399,7 @@ mod tests {
                     prior_and_delta,
                 )
                 .expect("warm solve");
-                assert_eq!(cold.solution.paths, warm.solution.paths);
+                assert_eq!(cold.windows.paths, warm.windows.paths);
                 let starts = next.num_intervals() as u64 - 2;
                 let stats = warm.solution.stats;
                 assert_eq!(stats.windows_resolved + stats.windows_spliced, starts);
@@ -450,7 +450,7 @@ mod tests {
                         let batch = BfsStableClusters::new(KlStableParams::new(k, l));
                         let expected = batch.run(&next.clone()).unwrap();
                         let case = format!("{name} l={l} k={k} interval={interval}");
-                        assert_eq!(merged.solution.paths, expected, "{case}");
+                        assert_eq!(merged.windows.paths, expected, "{case}");
                         let starts = (interval + 1).saturating_sub(l);
                         let stats = merged.solution.stats;
                         assert_eq!(stats.windows_resolved, u64::from(starts > 0), "{case}");
@@ -486,7 +486,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(warm.solution.stats.windows_spliced, 0);
-        assert_eq!(cold.solution.paths, warm.solution.paths);
+        assert_eq!(cold.windows.paths, warm.windows.paths);
     }
 
     #[test]
@@ -506,26 +506,25 @@ mod tests {
     }
 
     #[test]
-    fn an_all_dirty_delta_forces_every_window_to_resolve() {
+    fn a_delta_that_is_not_an_append_forces_every_window_to_resolve() {
         let graph = gen_graph(6, 8);
         let spec = StableClusterSpec::ExactLength(2);
         let options = SolverOptions::default();
         let cold = solve_windows(&graph, spec, 3, AlgorithmKind::Bfs, &options, None).unwrap();
-        // An unrelated graph of the same shape differs in every interval
-        // that has in-edges, and every window holds one.
-        let all_dirty = GraphDelta::between(&gen_graph(6, 9), &graph);
-        assert!((1..6).all(|i| all_dirty.is_dirty(i)));
+        // An unrelated graph of the same shape differs in its in-edges.
+        let unrelated = GraphDelta::between(&gen_graph(6, 9), &graph);
+        assert!(!unrelated.only_appends());
         let warm = solve_windows(
             &graph,
             spec,
             3,
             AlgorithmKind::Bfs,
             &options,
-            Some((&cold.windows, &all_dirty)),
+            Some((&cold.windows, &unrelated)),
         )
         .unwrap();
         assert_eq!(warm.solution.stats.windows_spliced, 0);
         assert_eq!(warm.solution.stats.windows_resolved, 4);
-        assert_eq!(cold.solution.paths, warm.solution.paths);
+        assert_eq!(cold.windows.paths, warm.windows.paths);
     }
 }

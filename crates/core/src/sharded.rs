@@ -113,7 +113,7 @@
 //! starts its carried answer stands for.
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bsc_graph::partition::balanced_ranges;
 use bsc_storage::io_stats::IoScope;
@@ -244,14 +244,6 @@ impl StableClusterSolver for ShardedSolver {
     }
 }
 
-/// The machine's parallelism, read once: the standard library asks the
-/// scheduler and reads the cgroup's files on every call, some 20 µs on
-/// Linux — a third of a streamed query's one-window solve.
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 /// One solve of a [`ShardedSolver`].
 pub(crate) struct Windowed<'a> {
     solver: &'a ShardedSolver,
@@ -319,7 +311,7 @@ impl<'a> Windowed<'a> {
             let partition = balanced_ranges(&weights, ranges.max(1));
             let ranges: Vec<Range<usize>> = partition.iter().collect();
             let workers = match transport {
-                None => cores(),
+                None => std::thread::available_parallelism().map_or(1, |n| n.get()),
                 Some(_) => ranges.len(),
             };
             // Each worker owns a contiguous run of ranges.
@@ -745,7 +737,7 @@ mod tests {
             .build(spec, 5, new.num_intervals())
             .unwrap();
         assert_eq!(
-            second.solution.paths,
+            second.windows.paths,
             cold.solve(&new.clone()).unwrap().paths
         );
     }
@@ -823,7 +815,7 @@ mod tests {
             .build(spec, 5, graph.num_intervals())
             .unwrap();
         assert_eq!(
-            windowed.unwrap().solution.paths,
+            windowed.unwrap().windows.paths,
             unsharded.solve(&graph.clone()).unwrap().paths
         );
         assert_eq!(graph.memoized(), [3]);

@@ -925,7 +925,7 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
             &request.options,
             carried.as_ref().map(|(answer, delta)| (answer, delta)),
         )
-        .map(|outcome| (outcome.solution, Some(job.snapshot.clone())))
+        .map(|outcome| (outcome.into_solution(), Some(job.snapshot.clone())))
     } else {
         let m = job.snapshot.num_intervals();
         request

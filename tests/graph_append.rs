@@ -373,7 +373,12 @@ fn a_delta_proven_by_identity_equals_the_delta_computed_from_content() {
                 let shared = GraphDelta::between(old, new);
                 assert_eq!(shared, GraphDelta::between(old, &rebuilt(new)));
                 assert_eq!(shared, GraphDelta::between(&rebuilt(old), new));
-                assert_eq!(shared.dirty_count(), to - from, "{from}->{to}");
+                assert!(shared.only_appends(), "{from}->{to}");
+                let added = shared.new_intervals() - shared.old_intervals();
+                assert_eq!(added as usize, to - from, "{from}->{to}");
+                // Backwards, the older epoch lacks the newer one's intervals.
+                let back = GraphDelta::between(new, &rebuilt(old));
+                assert_eq!(back.only_appends(), from == to, "{to}->{from}");
             }
         }
     }
@@ -394,17 +399,22 @@ fn same_shape_graphs_with_different_weight_bits_are_still_dirty() {
     let b = prefix
         .append(&[vec![(node(1, 0), next_up), (node(1, 1), 0.5)]])
         .append(&tail);
-    let delta = GraphDelta::between(&a, &b);
-    // Intervals 0 and 1 are one segment in both graphs; interval 2 differs
-    // in the last bit of one weight; interval 3 was appended twice from
-    // equal input — separate segments, equal content.
+    let c = prefix
+        .append(&[vec![(node(1, 0), half), (node(1, 1), 0.5)]])
+        .append(&tail);
+    // Intervals 0 and 1 are one segment in all three graphs; in `b`
+    // interval 2 differs from `a`'s in the last bit of one weight; `c`
+    // appended intervals 2 and 3 from `a`'s input — separate segments,
+    // equal content.
     assert!(a.shares_in_edges(&b, 0) && a.shares_in_edges(&b, 1));
     assert!(!a.shares_in_edges(&b, 2) && !a.shares_in_edges(&b, 3));
-    assert_eq!(
-        (0..4).map(|i| delta.is_dirty(i)).collect::<Vec<_>>(),
-        [false, false, true, false]
-    );
+    assert!(!a.shares_in_edges(&c, 2) && !a.shares_in_edges(&c, 3));
+    let delta = GraphDelta::between(&a, &b);
+    assert!(!delta.only_appends());
     assert_eq!(delta, GraphDelta::between(&rebuilt(&a), &rebuilt(&b)));
+    assert!(GraphDelta::between(&a, &c).only_appends());
+    // Up to the interval before the changed one, `b` extends `a`.
+    assert!(GraphDelta::between(&prefix, &b).only_appends());
 }
 
 #[test]

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use blogstable::core::cluster_graph::GraphView;
-use blogstable::core::delta::{solve_windows, GraphDelta};
+use blogstable::core::delta::{solve_windows, DeltaSolveOutcome, GraphDelta};
 use std::sync::Mutex;
 
 use blogstable::core::distributed::{
@@ -194,6 +194,7 @@ fn assert_configurations_conform(
     .and_then(|mut solver| solver.solve(graph))
     .unwrap_or_else(|e| panic!("{context} distributed: {e}"));
     let cold = solve_windows(graph, spec, k, kind, options, None)
+        .map(DeltaSolveOutcome::into_solution)
         .unwrap_or_else(|e| panic!("{context} cold: {e}"));
     let prior = solve_windows(previous, spec, k, kind, options, None)
         .unwrap_or_else(|e| panic!("{context} prior epoch: {e}"))
@@ -201,12 +202,17 @@ fn assert_configurations_conform(
     let delta = GraphDelta::between(previous, graph);
     let warm = solve_windows(graph, spec, k, kind, options, Some((&prior, &delta)))
         .unwrap_or_else(|e| panic!("{context} warm: {e}"));
+    // What the next epoch merges from is the answer itself: k paths at most,
+    // not one result per start.
+    assert_eq!(warm.windows.k, k, "{context} warm");
+    assert!(warm.windows.paths.len() <= k, "{context} warm");
+    let warm = warm.into_solution();
 
     for (name, solution) in [
         ("sharded", &sharded),
         ("distributed", &distributed),
-        ("cold", &cold.solution),
-        ("warm", &warm.solution),
+        ("cold", &cold),
+        ("warm", &warm),
     ] {
         assert_identical(expected, &solution.paths, &format!("{context} {name}"));
         let stats = &solution.stats;
@@ -227,7 +233,7 @@ fn assert_configurations_conform(
     let counted = |stats: &SolverStats| (stats.paths_generated, stats.nodes_processed);
     let alone = counted(&distributed.stats);
     assert_eq!(
-        counted(&cold.solution.stats),
+        counted(&cold.stats),
         counted(&sharded.stats),
         "{context} cold"
     );
@@ -235,7 +241,7 @@ fn assert_configurations_conform(
         distributed.stats.windows_spliced, 0,
         "{context} distributed"
     );
-    assert_eq!(cold.solution.stats.windows_spliced, 0, "{context} cold");
+    assert_eq!(cold.stats.windows_spliced, 0, "{context} cold");
     // A local sharded solve of the whole graph prunes BFS and TA windows
     // (unbudgeted `auto` is BFS) by the graph's `θ₀`: its counters are the
     // same in every cell of the row, and on this graph fewer than the
@@ -253,12 +259,14 @@ fn assert_configurations_conform(
     } else {
         assert_eq!(found, alone, "{context} sharded");
     }
+    assert_eq!(
+        transport.calls.load(Ordering::SeqCst) as u64,
+        starts,
+        "{context}: one dispatch per start"
+    );
     // One stats rule: the two local configurations report the same worker
     // count; transport dispatchers run one per range.
-    assert_eq!(
-        sharded.stats.threads, cold.solution.stats.threads,
-        "{context}"
-    );
+    assert_eq!(sharded.stats.threads, cold.stats.threads, "{context}");
     assert_eq!(
         distributed.stats.threads, distributed.stats.shards,
         "{context}"
@@ -270,7 +278,7 @@ fn assert_configurations_conform(
     if let StableClusterSpec::ExactLength(l) = spec {
         let last = solve_window_locally(graph, starts as u32 - 1, l, k, kind, options)
             .unwrap_or_else(|e| panic!("{context} last window: {e}"));
-        let stats = &warm.solution.stats;
+        let stats = &warm.stats;
         assert_eq!(stats.windows_resolved, 1, "{context} warm");
         assert_eq!(stats.windows_spliced, starts - 1, "{context} warm");
         assert!(
@@ -278,12 +286,8 @@ fn assert_configurations_conform(
             "{context} warm generated more than the added window alone"
         );
     } else {
-        assert_eq!(warm.solution.stats.windows_spliced, 0, "{context} warm");
+        assert_eq!(warm.stats.windows_spliced, 0, "{context} warm");
     }
-    // What the next epoch merges from is the answer itself: k paths at most,
-    // not one result per start.
-    assert_eq!(warm.windows.paths, warm.solution.paths, "{context} warm");
-    assert_eq!(warm.windows.k, k, "{context} warm");
 }
 
 /// The sub-view rows of the table: the two configurations that take a view
@@ -500,7 +504,7 @@ fn cancellation_and_root_cause_errors_behave_the_same_in_every_configuration() {
             .and_then(|mut solver| solver.solve(&graph));
         deadline_exceeded(sharded, "sharded");
         let windows = solve_windows(&graph, spec, 5, AlgorithmKind::Bfs, &options, None)
-            .map(|outcome| outcome.solution);
+            .map(DeltaSolveOutcome::into_solution);
         deadline_exceeded(windows, "solve_windows");
     }
 
