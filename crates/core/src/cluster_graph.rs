@@ -588,10 +588,12 @@ impl<'a> GraphView<'a> {
     pub fn num_edges(self) -> usize {
         let inside = |i: u32| {
             let parents = &self.graph.segments[i as usize].parents.edges;
-            // Past the view's first g + 1 intervals no parent is outside.
-            match i - self.first > self.graph.gap {
-                true => parents.len(),
-                false => self.edges_within(parents).count(),
+            // Every parent of the first interval lies before the view; past
+            // its first g + 1 intervals none does.
+            match i - self.first {
+                0 => 0,
+                depth if depth > self.graph.gap => parents.len(),
+                _ => self.edges_within(parents).count(),
             }
         };
         self.intervals().map(inside).sum()

@@ -17,8 +17,9 @@
 //!   ([`crate::ta`]) reads the one length a full-path query asks of each
 //!   node.
 //! * [`Arrivals`] is its forward mirror for full paths (over
-//!   [`GraphView::children`], first interval first): the heaviest path from
-//!   the view's first interval to `c`. It is `endwts`; only TA reads it.
+//!   [`GraphView::children`], first interval first): the heaviest path to
+//!   `c` from a start of the view's first interval that the full-path lens
+//!   admits ([`Lens::can_start`]). It is `endwts`; only TA reads it.
 //!
 //! Either is sized by the view — never by `k` — allocated once, fallibly
 //! ([`blank`]: a table the allocator refuses is the query's error, not an
@@ -526,12 +527,15 @@ fn raise(slot: &mut f64, weight: f64) {
     *slot = if weight > *slot { weight } else { *slot };
 }
 
-/// How every full path of a view can begin — the forward mirror of a
-/// full-path [`Completions`]: for each node `c`, the largest weight of a path
-/// from a node of the view's first interval to `c` (`0` in the first interval
-/// itself, `−∞` where none arrives), filled by one forward relaxation over
-/// [`GraphView::children`], each sum built left to right. One weight per node
-/// of the view. Dropped with the solve.
+/// How every full path of a view that can be an answer begins — the forward
+/// mirror of a full-path [`Completions`]: for each node `c`, the largest
+/// weight of a path to `c` from a node of the view's first interval that its
+/// full-path [`Lens`] admits ([`Lens::can_start`]; `0` at such a start, `−∞`
+/// at every other start and wherever no admitted start arrives), filled by
+/// one forward relaxation over [`GraphView::children`], each sum built left
+/// to right. A start the lens rejects begins no path that can reach its
+/// floor (`ta.rs` module docs), so what it would arrive with is never asked.
+/// One weight per node of the view. Dropped with the solve.
 pub(crate) struct Arrivals {
     first: u32,
     /// Per interval of the view, where its nodes' weights lie in `best`.
@@ -540,10 +544,14 @@ pub(crate) struct Arrivals {
 }
 
 impl Arrivals {
-    /// Relax every edge of `view` once, first interval first. The
-    /// checkpoints count on `tick`, the caller's own.
+    /// Seed the starts `starts` admits — a full-path lens over `view`; one
+    /// that holds no weight, or whose floor is `−∞`, admits every start —
+    /// and relax, once, every edge leaving a node they reach, first interval
+    /// first. A node none reaches costs one compare. The checkpoints count
+    /// on `tick`, the caller's own.
     pub(crate) fn of(
         view: GraphView<'_>,
+        starts: &Lens<'_>,
         cancel: Option<&CancelToken>,
         tick: &mut u32,
     ) -> BscResult<Arrivals> {
@@ -555,7 +563,13 @@ impl Arrivals {
             best: blank(at.last().copied().unwrap_or(0))?,
             at,
         };
-        behind.best[..nodes(first)].fill(0.0);
+        let seeds = behind.best[..nodes(first)].iter_mut();
+        // bsc:allow(missing-cancel-checkpoint) -- one read per start; the relaxation below checkpoints every node
+        for (seed, start) in seeds.zip(view.interval_node_ids(first)) {
+            if starts.can_start(start) {
+                *seed = 0.0;
+            }
+        }
         for (depth, interval) in view.intervals().enumerate() {
             let (_, children) = view.rows(interval);
             // Where each later interval's weights start, by edge length; none
@@ -578,7 +592,7 @@ impl Arrivals {
         Ok(behind)
     }
 
-    /// The heaviest path from the view's first interval to `node`.
+    /// The heaviest path to `node` from a start the lens admitted.
     #[inline]
     pub(crate) fn arriving(&self, node: ClusterNodeId) -> f64 {
         self.best[self.at[(node.interval - self.first) as usize] + node.index as usize]
@@ -737,7 +751,7 @@ mod tests {
     /// The forward relaxation as written before the plan: each child through
     /// [`GraphView::children`].
     fn arrivals_by_reference(view: GraphView<'_>) -> Vec<f64> {
-        let mut behind = Arrivals::of(view, None, &mut 0).unwrap();
+        let mut behind = from_every_start(view);
         behind.best.fill(f64::NEG_INFINITY);
         behind.best[..view.nodes_in_interval(view.first_interval()) as usize].fill(0.0);
         for parent in view.intervals().flat_map(|i| view.interval_node_ids(i)) {
@@ -758,7 +772,7 @@ mod tests {
     /// the view's starts — one short of them, all of them, one more.
     fn assert_kernel_is_reference(view: GraphView<'_>, ls: impl Iterator<Item = u32>, case: &str) {
         let bits = |table: &[f64]| table.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-        let arrivals = Arrivals::of(view, None, &mut 0).unwrap();
+        let arrivals = from_every_start(view);
         assert_eq!(
             bits(&arrivals.best),
             bits(&arrivals_by_reference(view)),
@@ -795,6 +809,13 @@ mod tests {
 
     fn ahead_of(view: GraphView<'_>, l: u32) -> Completions {
         Completions::of(view, l, None, &mut 0).unwrap()
+    }
+
+    /// `view`'s arrivals seeded by every start of its first interval: a
+    /// full-path lens taken for `k = 0` has floor `−∞` and admits them all.
+    fn from_every_start(view: GraphView<'_>) -> Arrivals {
+        let table = ahead_of(view, last_of(view));
+        Arrivals::of(view, &table.lens(view, 0), None, &mut 0).unwrap()
     }
 
     fn random_graph(m: usize, n: u32, d: u32, gap: u32, seed: u64) -> ClusterGraph {
@@ -908,7 +929,7 @@ mod tests {
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].weight(), f64::from(last) * 0.5);
         // Its mirror holds one weight per node, whatever the length.
-        let behind = Arrivals::of(graph.view(), None, &mut 0).unwrap();
+        let behind = from_every_start(graph.view());
         assert_eq!(behind.best.len(), graph.num_nodes());
         assert_eq!(behind.arriving(node(last, 0)), f64::from(last) * 0.5);
 
@@ -920,40 +941,67 @@ mod tests {
 
     #[test]
     fn arrivals_are_the_best_path_from_the_first_interval() {
-        // Against an enumeration of every path: the heaviest path from the
-        // view's first interval to each node, bit for bit (both sum left to
-        // right), `0` in the first interval and −∞ exactly where no path
-        // from it arrives — whatever the gap, and in a window that edges
-        // cross into from intervals before it.
-        let mut unreached = 0;
+        // Against an enumeration of every path, for the full-path lens of
+        // `k` ∈ {0, 1, 3} and that lens raised past its own floor (`k = 0`
+        // admits every start): `0` at a start the lens admits and −∞ at one
+        // it rejects; elsewhere the heaviest path from an admitted start to
+        // each node, bit for bit (both sum left to right), and −∞ exactly
+        // where none arrives — whatever the gap, on the four weightings, and
+        // in a window that edges cross into from intervals before it.
+        let mut graphs = Vec::new();
         for gap in [0, 1, u32::MAX] {
             for seed in 0..4 {
-                let graph = random_graph(5, 8, 1 + seed as u32 % 2, gap, 900 + seed);
-                for view in [graph.view(), graph.window(1, 4), graph.window(2, 2)] {
-                    let case = format!("gap={gap} seed={seed} from {}", view.first_interval());
+                let base = random_graph(5, 8, 1 + seed as u32 % 2, gap, 900 + seed);
+                for (name, weight) in WEIGHTINGS {
+                    let case = format!("{name} gap={gap} seed={seed}");
+                    graphs.push((case, reweighted(&base, weight)));
+                }
+            }
+        }
+        let lenses = [(0, None), (1, None), (3, None), (3, Some(0.4))];
+        let (mut unreached, mut rejected, mut cut_off) = (0, 0, 0);
+        for (name, graph) in &graphs {
+            for view in [graph.view(), graph.window(1, 4), graph.window(2, 2)] {
+                let first = view.first_interval();
+                let table = ahead_of(view, last_of(view));
+                let paths = every_path(view);
+                let every = from_every_start(view);
+                for (k, raise) in lenses {
+                    let case = format!("{name} from {first} k={k} raised {raise:?}");
+                    let own = table.lens(view, k);
+                    let floor = own.floor();
+                    let lens = own.raised(raise.map_or(f64::NEG_INFINITY, |by| floor + by));
                     let mut heaviest = HashMap::new();
-                    for path in every_path(view) {
-                        if path.first().interval == view.first_interval() {
+                    for path in &paths {
+                        if path.first().interval == first && lens.can_start(path.first()) {
                             let best = heaviest.entry(path.last()).or_insert(f64::NEG_INFINITY);
                             *best = path.weight().max(*best);
                         }
                     }
-                    let behind = Arrivals::of(view, None, &mut 0).unwrap();
+                    let behind = Arrivals::of(view, &lens, None, &mut 0).unwrap();
                     for node in view.intervals().flat_map(|i| view.interval_node_ids(i)) {
                         let expected = heaviest.get(&node).copied();
-                        unreached += usize::from(expected.is_none());
+                        unreached += usize::from(k == 0 && expected.is_none());
                         let expected = expected.unwrap_or(f64::NEG_INFINITY);
-                        let table = behind.arriving(node);
-                        assert_eq!(table.to_bits(), expected.to_bits(), "{case}: {node}");
-                        if node.interval == view.first_interval() {
-                            assert_eq!(table, 0.0, "{case}: {node}");
+                        let arriving = behind.arriving(node);
+                        assert_eq!(arriving.to_bits(), expected.to_bits(), "{case}: {node}");
+                        if node.interval == first {
+                            let admitted = lens.can_start(node);
+                            assert_eq!(arriving == 0.0, admitted, "{case}: {node}");
+                            rejected += usize::from(!admitted);
                         }
+                        let everyone = every.arriving(node) > f64::NEG_INFINITY;
+                        cut_off += usize::from(everyone && arriving == f64::NEG_INFINITY);
                     }
                 }
             }
         }
-        // The generator leaves nodes no path from the first interval reaches.
+        // The generator leaves nodes no path from the first interval
+        // reaches; the lenses reject starts, and nodes every start would
+        // reach go unseeded.
         assert!(unreached > 20, "{unreached}");
+        assert!(rejected > 100, "{rejected}");
+        assert!(cut_off > 100, "{cut_off}");
     }
 
     #[test]
@@ -962,7 +1010,7 @@ mod tests {
         // a table that counted from interval 0 would arrive at `a` with 2.
         let offset = 2;
         let (graph, answer) = threshold_scenario(offset);
-        let behind = Arrivals::of(graph.window(offset, offset + 5), None, &mut 0).unwrap();
+        let behind = from_every_start(graph.window(offset, offset + 5));
         let at = |v: u32, index: u32| behind.arriving(node(offset + v, index));
         assert_eq!(at(0, 0), 0.0);
         assert_eq!(at(1, 0), 1.0);
@@ -973,7 +1021,7 @@ mod tests {
         for &node in answer.nodes() {
             assert_eq!(behind.arriving(node), f64::NEG_INFINITY, "{node}");
         }
-        let whole = Arrivals::of(graph.view(), None, &mut 0).unwrap();
+        let whole = from_every_start(graph.view());
         assert_eq!(whole.arriving(node(offset + 3, 0)), 4.75);
     }
 

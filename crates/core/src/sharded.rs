@@ -310,9 +310,13 @@ impl<'a> Windowed<'a> {
             let ranges = transport.map_or(options.shards, |t| t.worker_count());
             let partition = balanced_ranges(&weights, ranges.max(1));
             let ranges: Vec<Range<usize>> = partition.iter().collect();
+            // One range is one chunk whatever the core count: the call, which
+            // reads the cgroup files each time, is skipped.
             let workers = match transport {
-                None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-                Some(_) => ranges.len(),
+                None if ranges.len() > 1 => {
+                    std::thread::available_parallelism().map_or(1, |n| n.get())
+                }
+                _ => ranges.len(),
             };
             // Each worker owns a contiguous run of ranges.
             let chunk = ranges.len().div_ceil(workers.min(ranges.len()).max(1));

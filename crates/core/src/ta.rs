@@ -26,18 +26,40 @@
 //! look-ahead tables of the crate-private `lookahead` module, each filled in
 //! one pass over the view before the first edge is popped: `startwts[c]` the
 //! heaviest path from `c` to the last interval (`Completions`, the table
-//! Algorithm 2 bounds its subpaths by), `endwts[c]` the heaviest from the
-//! first interval to `c` (`Arrivals`), and with them `θ₀`, the k-th best
-//! `startwts` of the first interval, which the k-th answer is known to reach.
-//! So the bound (`problem::can_still_reach`, the one definition and slack BFS
-//! uses) is exact and stands from the start:
+//! Algorithm 2 bounds its subpaths by), and with it `θ₀`, the k-th best
+//! `startwts` of the first interval, which the k-th answer is known to reach
+//! (in a window of a sharded solve, raised to the floor the merged answer
+//! reaches); then `endwts[c]`, the heaviest path to `c` from an *admitted*
+//! start (`Arrivals`) — a node `s` of the first interval whose `startwts[s]`
+//! reaches the floor by `Lens::can_start`, the slack counted twice. So the
+//! bound (`problem::can_still_reach`, the one definition and slack BFS uses)
+//! is exact and stands from the start:
 //!
-//! * a list holds only the edges whose best full path reaches `θ₀`;
-//! * a popped edge is expanded only if its best full path reaches the
-//!   current threshold, `max(θ₀, H's)`, read once per edge so that the work
-//!   done does not depend on the order of a node's parents;
+//! * a list holds only the edges whose best full path from an admitted start
+//!   reaches `θ₀`;
+//! * a popped edge is expanded only if that path reaches the current
+//!   threshold, `max(θ₀, H's)`, read once per edge so that the work done
+//!   does not depend on the order of a node's parents;
 //! * a walk steps only to a parent (child) through which the best path
 //!   still reaches that threshold.
+//!
+//! **Why seeding only the admitted starts is exact.** A path from a start `s`
+//! the lens rejects weighs at most `C[s][l]`, its best full path, to within
+//! `can_still_reach`'s slack however it is summed — a prefix left to right
+//! joined to the best suffix after an edge included. `can_start` counts that
+//! slack twice, so no such path can reach the floor, and every threshold a
+//! TA test uses is at least the floor. So every prefix the seeding drops
+//! could never pass `Search::reaches`: an edge whose heaviest arrival comes
+//! from a rejected start is pruned whether `endwts` counts that start or
+//! not, and an edge only rejected starts reach lies on no answer. An answer
+//! starts at an admitted start, so each of its edges is listed and each of
+//! its prefixes survives the walk back, and the virtual-path bound over the
+//! lists that remain still bounds every path not yet found. Lists,
+//! expansions, answers and counters are those of arrivals seeded by every
+//! start; what changes is what is read. The forward pass relaxes only the
+//! edges leaving a node an admitted start reaches, and the listing pass
+//! skips every other node in O(1) — its edges count as pruned, read or not
+//! (`prunes` is the view's edges less those listed).
 //!
 //! What is enumerated is therefore the near-answers, not `d^(m−1)` paths per
 //! edge, and the cost of a solve is the two passes plus the sort of the edges
@@ -107,7 +129,8 @@ impl<'a> Search<'a> {
     /// everything a run knows before it pops its first edge. `startwts` is
     /// read off `table`, built for full paths of `view` over it or over a
     /// view that holds it, its `θ₀` raised to `floor`; `endwts` is filled
-    /// here. `tick` carries on the amortization of the table's checkpoints.
+    /// here, from the starts `startwts` admits. `tick` carries on the
+    /// amortization of the table's checkpoints.
     fn over(
         view: GraphView<'a>,
         k: usize,
@@ -117,11 +140,13 @@ impl<'a> Search<'a> {
         mut tick: u32,
     ) -> BscResult<Self> {
         let l = view.num_intervals() as u32 - 1;
+        let startwts = table.lens(view, k).raised(floor);
+        let endwts = Arrivals::of(view, &startwts, cancel, &mut tick)?;
         Ok(Search {
             view,
             l,
-            startwts: table.lens(view, k).raised(floor),
-            endwts: Arrivals::of(view, cancel, &mut tick)?,
+            startwts,
+            endwts,
             global: TopKPaths::new(k),
             stats: SolverStats::default(),
             cancel,
@@ -137,9 +162,11 @@ impl<'a> Search<'a> {
         before + after > f64::NEG_INFINITY && can_still_reach(self.l, before, after, threshold)
     }
 
-    /// The edges worth listing — those whose best full path reaches `θ₀` —
-    /// one list per interval pair `(i, j)`, `j − i ≤ g + 1`, in that order,
-    /// each by descending weight.
+    /// The edges worth listing — those whose best full path from an
+    /// admitted start reaches `θ₀` — one list per interval pair `(i, j)`,
+    /// `j − i ≤ g + 1`, in that order, each by descending weight. The edges
+    /// of a node no admitted start reaches are not read; every edge of the
+    /// view not listed counts as pruned.
     fn sorted_lists(&mut self) -> BscResult<(Vec<ListedEdge>, Vec<EdgeList>)> {
         let view = self.view;
         let (first, floor) = (view.first_interval(), self.startwts.floor());
@@ -150,15 +177,13 @@ impl<'a> Search<'a> {
             for from in view.interval_node_ids(interval) {
                 checkpoint(self.cancel, &mut self.tick)?;
                 let before = self.endwts.arriving(from);
+                if before == f64::NEG_INFINITY {
+                    continue;
+                }
                 for edge in view.children(from) {
-                    if self.reaches(
-                        before + edge.weight,
-                        self.startwts.to_the_end(edge.to),
-                        floor,
-                    ) {
+                    let after = self.startwts.to_the_end(edge.to);
+                    if self.reaches(before + edge.weight, after, floor) {
                         listed.push((edge.weight, from, edge.to));
-                    } else {
-                        self.stats.prunes += 1;
                     }
                 }
             }
@@ -177,6 +202,7 @@ impl<'a> Search<'a> {
                 at += list.len();
             }
         }
+        self.stats.prunes += (view.num_edges() - listed.len()) as u64;
         Ok((listed, lists))
     }
 
@@ -298,11 +324,12 @@ impl TaStableClusters {
     /// Run the algorithm and report execution statistics. Of
     /// [`SolverStats`] it fills `prunes` (edges discarded on the
     /// `startwts` / `endwts` bound: never listed because their best full
-    /// path misses `θ₀`, or popped and not expanded because it misses the
-    /// threshold by then), `edges_traversed` (edges popped from the sorted
-    /// lists), `random_seeks` (adjacency rows read while expanding: one per
-    /// node a walk steps through, the first and the last interval's
-    /// excepted), `paths_generated` (full paths a walk completed and
+    /// path from an admitted start misses `θ₀`, read or not, or popped and
+    /// not expanded because it misses the threshold by then),
+    /// `edges_traversed` (edges popped from the sorted lists),
+    /// `random_seeks` (adjacency rows read while expanding: one per node a
+    /// walk steps through, the first and the last interval's excepted),
+    /// `paths_generated` (full paths a walk completed and
     /// weighed, counted before `H`'s admission test — every one of them can
     /// reach the threshold its edge was popped under) and
     /// `early_termination` (the threshold condition stopped the scan).
@@ -634,5 +661,94 @@ mod tests {
             .map(ClusterPath::weight)
             .collect();
         assert_eq!(weights, [0.8 + 0.9, 0.8 + 0.7, 0.5 + 0.7, 0.1 + 0.9]);
+    }
+
+    #[test]
+    fn a_start_below_the_floor_seeds_no_arrival_and_the_counters_are_derived_by_hand() {
+        // g = 0, full paths of length 2. Starts a (0,0), r (0,1), s (0,2);
+        // then y (1,0), x (1,1), w (1,2); then z (2,0):
+        //
+        //   a→y 0.9  a→x 0.1  r→x 0.8  s→w 0.5  y→z 0.9  x→z 0.1  w→z 0.5
+        //
+        // startwts: a 1.8, r 0.9, s 1.0; y 0.9, x 0.1, w 0.5. The heaviest
+        // arrival into x, and so into the edge x→z, comes from r (0.8); a
+        // arrives with 0.1.
+        let mut builder = ClusterGraphBuilder::new(0);
+        for nodes in [3, 3, 1] {
+            builder.add_interval(nodes);
+        }
+        let (a, r, s) = (node(0, 0), node(0, 1), node(0, 2));
+        let (y, x, w, z) = (node(1, 0), node(1, 1), node(1, 2), node(2, 0));
+        for (from, to, weight) in [
+            (a, y, 0.9),
+            (a, x, 0.1),
+            (r, x, 0.8),
+            (s, w, 0.5),
+            (y, z, 0.9),
+            (x, z, 0.1),
+            (w, z, 0.5),
+        ] {
+            builder.add_edge(from, to, weight);
+        }
+        let graph = builder.build();
+        let view = graph.view();
+        let table = Completions::of(view, 2, None, &mut 0).unwrap();
+        let every_start = Arrivals::of(view, &table.lens(view, 0), None, &mut 0).unwrap();
+        let none = f64::NEG_INFINITY;
+
+        // k = 1: θ₀ = 1.8 admits a alone. r and s seed nothing, so x arrives
+        // with a's 0.1 and w with nothing, where every start would give
+        // 0.8 and 0.5. The two lists hold a→y and y→z; the other five edges
+        // are pruned either way — an edge whose heaviest arrival comes from
+        // a start the floor rejects lies on no path that reaches the floor —
+        // but r's, s's and w's are never read. The first pop, a→y, expands
+        // through y's children to a y z 1.8 (1 row) and fills H; (0,1) has
+        // nothing unseen: stop.
+        let mut search = Search::over(view, 1, &table, none, None, 0).unwrap();
+        assert_eq!(search.startwts.floor(), 1.8);
+        let arriving = |arrivals: &Arrivals| [r, s, x, w, z].map(|n| arrivals.arriving(n));
+        assert_eq!(arriving(&search.endwts), [none, none, 0.1, none, 1.8]);
+        assert_eq!(arriving(&every_start), [0.0, 0.0, 0.8, 0.5, 1.8]);
+        let (listed, _) = search.sorted_lists().unwrap();
+        assert_eq!(listed, [(0.9, a, y), (0.9, y, z)]);
+        assert_eq!(search.stats.prunes, 5);
+        let mut seeded_by_all = Search::over(view, 1, &table, none, None, 0).unwrap();
+        seeded_by_all.endwts = every_start;
+        assert_eq!(seeded_by_all.sorted_lists().unwrap().0, listed);
+        assert_eq!(seeded_by_all.stats.prunes, 5);
+
+        // k = 2: θ₀ = 1.0 admits a and s; r (0.9) is still below it and x
+        // still arrives with 0.1. Listed: a→y 0.9, s→w 0.5 | y→z 0.9,
+        // w→z 0.5; pruned: a→x, r→x, x→z. Popped round-robin:
+        //
+        //   a→y  expanded: y's children → a y z 1.8             (1 row)
+        //   y→z  expanded: y's parents → a y z again            (1 row)
+        //   s→w  expanded: w's children → s w z 1.0, H full     (1 row)
+        //        unseen: (0,1) none, (1,2) 0.5 — no unseen full path: stop
+        let mut search = Search::over(view, 2, &table, none, None, 0).unwrap();
+        assert_eq!(search.startwts.floor(), 1.0);
+        assert_eq!(arriving(&search.endwts), [none, 0.0, 0.1, 0.5, 1.8]);
+        let (listed, _) = search.sorted_lists().unwrap();
+        let expected = [(0.9, a, y), (0.5, s, w), (0.9, y, z), (0.5, w, z)];
+        assert_eq!(listed, expected);
+        assert_eq!(search.stats.prunes, 3);
+
+        let derived = [(1, 1, 1, 5, 1), (2, 3, 3, 3, 3)];
+        for (k, generated, traversed, prunes, seeks) in derived {
+            let (paths, stats) = TaStableClusters::new(k).run_with_stats(&graph).unwrap();
+            let expected = SolverStats {
+                paths_generated: generated,
+                edges_traversed: traversed,
+                prunes,
+                random_seeks: seeks,
+                early_termination: true,
+                ..SolverStats::default()
+            };
+            assert_eq!(stats, expected, "k={k}");
+            let bfs = BfsStableClusters::full_paths(k, &graph).unwrap();
+            assert_eq!(paths, bfs, "k={k}");
+            let weights: Vec<f64> = paths.iter().map(ClusterPath::weight).collect();
+            assert_eq!(weights, [0.9 + 0.9, 0.5 + 0.5][..k], "k={k}");
+        }
     }
 }

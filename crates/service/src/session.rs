@@ -262,8 +262,9 @@ impl Session {
                 }
                 stream.push_interval(parent_edges);
                 let snapshot = stream.snapshot();
-                // Incremental install: the engine keeps resident window
-                // results as splice sources instead of dropping them
+                // Incremental install: the engine carries its cached
+                // windowed answers forward, each to be merged with the
+                // windows a push appended, instead of dropping them
                 // (byte-identical answers — the response and all later
                 // query responses render the same either way).
                 let intervals = stream.num_intervals();

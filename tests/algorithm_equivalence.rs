@@ -375,6 +375,22 @@ fn bfs_matches_the_oracle_where_its_table_says_nothing() {
     }
 }
 
+/// `graph` with every weight `w` replaced by `weight(w)`.
+fn reweighted(graph: &ClusterGraph, weight: impl Fn(f64) -> f64) -> ClusterGraph {
+    let mut builder = ClusterGraphBuilder::new(graph.gap());
+    for interval in 0..graph.num_intervals() as u32 {
+        builder.add_interval(graph.nodes_in_interval(interval));
+    }
+    for (from, to, w) in graph.edges() {
+        builder.add_edge(from, to, weight(w));
+    }
+    builder.build()
+}
+
+/// TA and BFS agree node for node and bit for bit, full paths and every
+/// sharded `exact:l`. On all-equal and two-valued weights the floor a TA
+/// window seeds its arrivals by is tight: most starts reach it exactly, and
+/// a start the lens rejected wrongly would lose a tied answer.
 #[test]
 fn ta_answers_are_bfs_answers_to_the_bit() {
     let benchmark_shaped = ClusterGraphGenerator::new(SyntheticGraphParams {
@@ -385,13 +401,23 @@ fn ta_answers_are_bfs_answers_to_the_bit() {
         seed: 7,
     })
     .generate();
+    let small = generate(10, 12, 1, 15_200);
     let graphs = [
         ("12 x 300", benchmark_shaped),
         ("tie-heavy", tie_heavy(12, 40, 1, 15_100)),
+        ("all-equal", reweighted(&small, |_| 1.0)),
+        (
+            "two-valued",
+            reweighted(&small, |w| if w < 0.5 { 0.5 } else { 1.0 }),
+        ),
     ];
-    let mut queries = vec![(StableClusterSpec::FullPaths, 1)];
+    // Unsharded, TA answers full paths only; sharded, a full-path query is
+    // one window, on one range.
+    let mut queries: Vec<_> = [1, 2, 3, 8]
+        .map(|shards| (StableClusterSpec::FullPaths, shards))
+        .into();
     for l in [2, 3, 5, 8] {
-        queries.extend([2, 3].map(|shards| (StableClusterSpec::ExactLength(l), shards)));
+        queries.extend([2, 3, 8].map(|shards| (StableClusterSpec::ExactLength(l), shards)));
     }
     for (name, graph) in &graphs {
         for &(spec, shards) in &queries {
