@@ -73,6 +73,20 @@ pub struct ClusterEdge {
     pub weight: f64,
 }
 
+/// One in-edge of an interval [`ClusterGraph::append`] adds, as a
+/// `push_interval` line lists it: `(parent, node index, weight)`.
+pub type InEdge = (ClusterNodeId, u32, f64);
+
+/// The per-node shape — `parent_edges[j]` lists node `j`'s `(earlier node,
+/// weight)` pairs — as the flat list [`ClusterGraph::append`] takes, node by
+/// node.
+pub fn in_edges(parent_edges: &[Vec<(ClusterNodeId, f64)>]) -> Vec<InEdge> {
+    (0..)
+        .zip(parent_edges)
+        .flat_map(|(node, parents)| parents.iter().map(move |&(parent, w)| (parent, node, w)))
+        .collect()
+}
+
 /// The longest edge a gap of `g` admits: `g + 1` intervals, saturating — a
 /// gap of `u32::MAX` admits every edge the interval numbering can express.
 /// Everything that bounds an edge's span reads it here (through
@@ -168,6 +182,17 @@ impl AdjacencyFill {
     }
 }
 
+/// An [`IntervalSegment`]'s `reach` from its in-edges counted by span,
+/// `(span, in-edges spanning it)` by ascending span.
+fn reach(counts: impl Iterator<Item = (u32, usize)>) -> Arc<[(u32, usize)]> {
+    let mut total = 0;
+    let spanned = |(span, count)| {
+        total += count;
+        (count > 0).then_some((span, total))
+    };
+    counts.filter_map(spanned).collect()
+}
+
 /// One interval of a [`ClusterGraph`]: its nodes' incoming and outgoing
 /// edges, shareable separately — appending an interval gives up to `g + 1`
 /// earlier intervals new children but never a new parent.
@@ -175,6 +200,9 @@ impl AdjacencyFill {
 struct IntervalSegment {
     /// Edges to earlier intervals, in edge insertion order.
     parents: Arc<Adjacency>,
+    /// `(s, the in-edges spanning at most s intervals)` for every span `s`
+    /// an in-edge has, by `s`: what [`GraphView::num_edges`] reads.
+    reach: Arc<[(u32, usize)]>,
     /// Edges to later intervals, each node's slice sorted by descending
     /// weight.
     children: Arc<Adjacency>,
@@ -354,10 +382,10 @@ impl ClusterGraph {
             .collect()
     }
 
-    /// The graph with one more interval: `parent_edges[j]` lists the
-    /// incoming edges of the new interval's `j`-th node as
-    /// `(earlier node, weight)` pairs — the shape
-    /// [`ClusterGraph::interval_parent_edges`] returns.
+    /// The graph with one more interval of `nodes` nodes, whose in-edges
+    /// `edges` lists as `(earlier node, node index, weight)` in any order:
+    /// the flat list a `push_interval` line carries ([`in_edges`] flattens
+    /// the per-node shape [`ClusterGraph::interval_parent_edges`] returns).
     ///
     /// The result shares every segment of `self` the new interval leaves
     /// alone. Built fresh are only the new interval's in-edges and the
@@ -366,58 +394,65 @@ impl ClusterGraph {
     /// `g + 2` intervals, whatever the length of the graph. `self` is not
     /// changed; whoever holds it keeps seeing its old out-edge lists.
     ///
-    /// A chain of appends equals one [`ClusterGraphBuilder::build`] over
-    /// the same edges in append order (interval by interval, node by node,
-    /// each node's parents as listed) in every accessor, child order
-    /// included. Weights are taken as they are and never renormalized:
-    /// only `(0, 1]` is admitted.
+    /// One pass checks and counts the list, a second sorts it by node into
+    /// the in-edge rows (each node's parents in list order), and the new
+    /// children are added from those rows node by node. So a chain of
+    /// appends equals one [`ClusterGraphBuilder::build`] over the same
+    /// edges in append order (interval by interval, node by node, each
+    /// node's parents as listed) in every accessor, child order included.
+    /// Weights are taken as they are and never renormalized: only `(0, 1]`
+    /// is admitted.
     ///
-    /// # Panics
-    /// Panics if an edge names a parent that does not exist, that is not in
-    /// one of the `g + 1` preceding intervals, or a weight outside `(0, 1]`
-    /// — before anything is built, so a rejected interval costs nothing.
-    pub fn append(&self, parent_edges: &[Vec<(ClusterNodeId, f64)>]) -> ClusterGraph {
-        assert!(
-            u32::try_from(parent_edges.len()).is_ok(),
-            "an interval holds at most u32::MAX nodes"
-        );
+    /// # Errors
+    /// The first edge in list order that names a target past `nodes`, a
+    /// parent outside the earlier intervals, one beyond the gap's `g + 1`
+    /// preceding intervals, a parent that does not exist, or a weight
+    /// outside `(0, 1]` — checked in that order — is answered in those
+    /// words, and nothing is built. (This used to panic.)
+    pub fn append(&self, nodes: u32, edges: &[InEdge]) -> Result<ClusterGraph, String> {
         let interval = self.num_intervals() as u32;
         // Only these earlier intervals can gain children.
         let first_parent = interval.saturating_sub(self.max_edge_length());
         let mut gained: Vec<Vec<usize>> = (first_parent..interval)
             .map(|p| vec![0; self.nodes_in_interval(p) as usize])
             .collect();
-        for (index, parents) in parent_edges.iter().enumerate() {
-            let node = ClusterNodeId::new(interval, index as u32);
-            for &(parent, weight) in parents {
-                assert!(
-                    parent.interval < interval,
-                    "parent {parent} must belong to an earlier interval"
-                );
-                assert!(
-                    parent.interval >= first_parent,
-                    "edge from {parent} to {node} exceeds the gap {}",
-                    self.gap
-                );
-                assert!(
-                    parent.index < self.nodes_in_interval(parent.interval),
-                    "parent {parent} does not exist"
-                );
-                assert!(
-                    weight > 0.0 && weight <= 1.0,
-                    "edge weights must lie in (0, 1] (cluster-graph affinities are normalized)"
-                );
-                gained[(parent.interval - first_parent) as usize][parent.index as usize] += 1;
-            }
+        let mut in_degrees = vec![0; nodes as usize];
+        for &(parent, node, weight) in edges {
+            // Read only once the parent is known to lie in `first_parent..interval`.
+            let row = parent.interval.wrapping_sub(first_parent) as usize;
+            let fault = if node >= nodes {
+                format!("edge target {node} out of range (interval has {nodes} nodes)")
+            } else if parent.interval >= interval {
+                format!("parent {parent} must belong to an earlier interval")
+            } else if parent.interval < first_parent {
+                format!("edge from {parent} exceeds the gap {}", self.gap)
+            } else if parent.index as usize >= gained[row].len() {
+                format!("parent {parent} does not exist")
+            } else if !(weight > 0.0 && weight <= 1.0) {
+                "edge weights must lie in (0, 1]".to_string()
+            } else {
+                in_degrees[node as usize] += 1;
+                gained[row][parent.index as usize] += 1;
+                continue;
+            };
+            return Err(fault);
         }
+        let mut incoming = AdjacencyFill::new(&in_degrees);
+        for &(parent, node, weight) in edges {
+            incoming.push(node, ClusterEdge { to: parent, weight });
+        }
+        let incoming = incoming.finish();
 
         // An earlier interval that gained children gets a new out-edge
-        // table: its old rows first, the new interval's edges behind them.
+        // table: its old rows first, the new interval's edges behind them,
+        // node by node. Its gain is the new interval's in-edges of one span.
+        let mut gains = Vec::with_capacity(gained.len());
         let mut regrown: Vec<Option<AdjacencyFill>> = gained
             .iter_mut()
             .zip(&self.segments[first_parent as usize..])
             .map(|(degrees, segment)| {
-                if degrees.iter().all(|&gain| gain == 0) {
+                gains.push(degrees.iter().sum());
+                if gains.last() == Some(&0) {
                     return None;
                 }
                 let old = &segment.children;
@@ -433,14 +468,11 @@ impl ClusterGraph {
                 Some(fill)
             })
             .collect();
-        let in_degrees: Vec<usize> = parent_edges.iter().map(Vec::len).collect();
-        let mut incoming = AdjacencyFill::new(&in_degrees);
-        for (index, parents) in parent_edges.iter().enumerate() {
-            let node = ClusterNodeId::new(interval, index as u32);
-            for &(parent, weight) in parents {
-                incoming.push(node.index, ClusterEdge { to: parent, weight });
+        for index in 0..nodes {
+            let to = ClusterNodeId::new(interval, index);
+            for &ClusterEdge { to: parent, weight } in incoming.row(index) {
                 if let Some(fill) = &mut regrown[(parent.interval - first_parent) as usize] {
-                    fill.push(parent.index, ClusterEdge { to: node, weight });
+                    fill.push(parent.index, ClusterEdge { to, weight });
                 }
             }
         }
@@ -453,16 +485,17 @@ impl ClusterGraph {
             }
         }
         segments.push(IntervalSegment {
-            parents: incoming.finish(),
-            children: Arc::new(Adjacency::empty(parent_edges.len())),
+            parents: incoming,
+            reach: reach((1..).zip(gains.into_iter().rev())),
+            children: Arc::new(Adjacency::empty(nodes as usize)),
         });
-        ClusterGraph {
+        Ok(ClusterGraph {
             gap: self.gap,
             segments,
-            num_nodes: self.num_nodes + parent_edges.len(),
-            num_edges: self.num_edges + in_degrees.iter().sum::<usize>(),
+            num_nodes: self.num_nodes + nodes as usize,
+            num_edges: self.num_edges + edges.len(),
             ..ClusterGraph::default()
-        }
+        })
     }
 
     /// Whether `self` and `other` hold the *same* in-edge segment for
@@ -584,16 +617,16 @@ impl<'a> GraphView<'a> {
         self.intervals().map(nodes).sum()
     }
 
-    /// Number of edges with both endpoints inside the view.
+    /// Number of edges with both endpoints inside the view, read off each
+    /// interval's in-edges counted by span: no edge is visited.
     pub fn num_edges(self) -> usize {
         let inside = |i: u32| {
-            let parents = &self.graph.segments[i as usize].parents.edges;
-            // Every parent of the first interval lies before the view; past
-            // its first g + 1 intervals none does.
-            match i - self.first {
+            // An in-edge of the interval `depth` into the view starts inside
+            // it if it spans at most `depth` intervals.
+            let reach = &self.graph.segments[i as usize].reach;
+            match reach.partition_point(|&(span, _)| span <= i - self.first) {
                 0 => 0,
-                depth if depth > self.graph.gap => parents.len(),
-                _ => self.edges_within(parents).count(),
+                kept => reach[kept - 1].1,
             }
         };
         self.intervals().map(inside).sum()
@@ -740,18 +773,29 @@ impl ClusterGraphBuilder {
             children[from.interval as usize].push(from.index, ClusterEdge { to, weight });
             parents[to.interval as usize].push(to.index, ClusterEdge { to: from, weight });
         }
+        // `by_span[s - 1]`: the interval's in-edges spanning `s` intervals.
+        let mut by_span = Vec::new();
+        let segments = (0..)
+            .zip(parents.into_iter().zip(children))
+            .map(|(interval, (parents, children))| {
+                let parents = parents.finish();
+                by_span.clear();
+                by_span.resize(interval.min(max_edge_length(self.gap)) as usize, 0);
+                for edge in &parents.edges {
+                    by_span[(interval - edge.to.interval - 1) as usize] += 1;
+                }
+                IntervalSegment {
+                    reach: reach((1..).zip(by_span.iter().copied())),
+                    parents,
+                    children: children.finish_sorted(),
+                }
+            })
+            .collect();
         ClusterGraph {
             gap: self.gap,
             num_nodes,
             num_edges,
-            segments: parents
-                .into_iter()
-                .zip(children)
-                .map(|(parents, children)| IntervalSegment {
-                    parents: parents.finish(),
-                    children: children.finish_sorted(),
-                })
-                .collect(),
+            segments,
             ..ClusterGraph::default()
         }
     }
@@ -836,11 +880,18 @@ impl ClusterGraph {
 mod tests {
     use super::*;
     use crate::affinity::{IntersectionAffinity, JaccardAffinity};
+    use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
     use bsc_corpus::timeline::IntervalId;
     use bsc_corpus::vocabulary::KeywordId;
 
     fn node(interval: u32, index: u32) -> ClusterNodeId {
         ClusterNodeId::new(interval, index)
+    }
+
+    /// `graph.append` of an interval given node by node.
+    fn append(graph: &ClusterGraph, parent_edges: &[Vec<(ClusterNodeId, f64)>]) -> ClusterGraph {
+        let nodes = parent_edges.len() as u32;
+        graph.append(nodes, &in_edges(parent_edges)).unwrap()
     }
 
     #[test]
@@ -907,7 +958,7 @@ mod tests {
         }
         assert_eq!(builder.max_edge_length(), u32::MAX);
         builder.add_edge(node(0, 0), node(2, 0), 0.5);
-        let graph = builder.build().append(&[vec![(node(0, 0), 0.25)]]);
+        let graph = append(&builder.build(), &[vec![(node(0, 0), 0.25)]]);
         assert_eq!(graph.max_edge_length(), u32::MAX);
         assert_eq!(graph.view().max_edge_length(), u32::MAX);
         assert_eq!(graph.children(node(0, 0)).len(), 2);
@@ -1085,6 +1136,56 @@ mod tests {
     }
 
     #[test]
+    fn every_window_counts_its_edges_as_a_brute_force_count_does() {
+        // Both places that count in-edges by span: a build, and appends of
+        // flat lists in no particular order, with spans anywhere in the gap.
+        let mut rng = bsc_util::DetRng::seed_from_u64(38);
+        for gap in [0, 1, 2, 3, u32::MAX] {
+            for seed in 0..3 {
+                let built = ClusterGraphGenerator::new(SyntheticGraphParams {
+                    num_intervals: 8,
+                    nodes_per_interval: 4,
+                    avg_out_degree: 2,
+                    gap,
+                    seed,
+                })
+                .generate();
+                let mut appended = ClusterGraphBuilder::new(gap).build();
+                for _ in 0..9 {
+                    let interval = appended.num_intervals() as u32;
+                    let nodes = rng.below(4) as u32;
+                    let mut edges = Vec::new();
+                    for parent in appended.node_ids() {
+                        let span = interval - parent.interval;
+                        if span <= appended.max_edge_length() && rng.chance(0.4) && nodes > 0 {
+                            let node = rng.below(u64::from(nodes)) as u32;
+                            edges.push((parent, node, 0.25 + rng.next_f64() / 2.0));
+                        }
+                    }
+                    rng.shuffle(&mut edges);
+                    appended = appended.append(nodes, &edges).unwrap();
+                }
+                for graph in [&built, &appended] {
+                    let m = graph.num_intervals() as u32;
+                    for start in 0..m {
+                        for end in start..m {
+                            let inside = graph
+                                .edges()
+                                .filter(|(from, to, _)| {
+                                    from.interval >= start && to.interval <= end
+                                })
+                                .count();
+                            let context = format!("gap={gap} seed={seed} [{start}, {end}]");
+                            assert_eq!(graph.window(start, end).num_edges(), inside, "{context}");
+                        }
+                    }
+                    assert!(graph.num_edges() > 0, "gap={gap} seed={seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "outside the graph")]
     fn window_end_out_of_range_panics() {
         let mut builder = ClusterGraphBuilder::new(0);
@@ -1094,10 +1195,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must belong to an earlier interval")]
     fn append_rejects_a_parent_in_the_appended_interval() {
-        let graph = ClusterGraphBuilder::new(0).build().append(&[vec![]]);
-        graph.append(&[vec![], vec![(node(1, 0), 0.5)]]);
+        let graph = append(&ClusterGraphBuilder::new(0).build(), &[vec![]]);
+        let edges = [(node(1, 0), 1, 0.5)];
+        let rejected = graph.append(2, &edges).unwrap_err();
+        assert_eq!(rejected, "parent c1,0 must belong to an earlier interval");
     }
 
     #[test]
@@ -1151,7 +1253,7 @@ mod tests {
             assert!(Arc::ptr_eq(&read, &kept));
         }
         assert!(graph.clone().memoized().is_empty());
-        let next = graph.append(&[vec![(node(4, 0), 0.5)]]);
+        let next = append(&graph, &[vec![(node(4, 0), 0.5)]]);
         assert!(next.memoized().is_empty());
         assert_eq!(graph.memoized(), [2, 3]);
     }
@@ -1164,7 +1266,7 @@ mod tests {
         builder.add_edge(node(0, 0), node(1, 0), 0.5);
         let built = builder.clone().build();
         let rebuilt = builder.build();
-        let appended = built.append(&[vec![(node(1, 0), 0.5)]]);
+        let appended = append(&built, &[vec![(node(1, 0), 0.5)]]);
         let cloned = built.clone();
         let mut ids = vec![built.id(), rebuilt.id(), appended.id(), cloned.id()];
         ids.sort_unstable();

@@ -269,7 +269,7 @@ pub fn solve_windows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster_graph::ClusterGraphBuilder;
+    use crate::cluster_graph::{in_edges, ClusterGraphBuilder};
     use crate::error::BscError;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
     use bsc_util::rng::DetRng;
@@ -441,7 +441,9 @@ mod tests {
                         paths: Vec::new(),
                     };
                     for interval in 0..whole.num_intervals() as u32 {
-                        let next = graph.append(&whole.interval_parent_edges(interval));
+                        let nodes = whole.nodes_in_interval(interval);
+                        let edges = in_edges(&whole.interval_parent_edges(interval));
+                        let next = graph.append(nodes, &edges).unwrap();
                         let delta = GraphDelta::between(&graph, &next);
                         let kind = AlgorithmKind::Bfs;
                         let prior = Some((&answer, &delta));

@@ -731,7 +731,10 @@ mod tests {
             .iter()
             .map(|row| row.iter().map(moved).collect())
             .collect();
-        let new = old.append(&edges);
+        let nodes = edges.len() as u32;
+        let new = old
+            .append(nodes, &crate::cluster_graph::in_edges(&edges))
+            .unwrap();
         let delta = GraphDelta::between(&old, &new);
         let second = solve(&new, Some((&first.windows, &delta))).unwrap();
         assert_eq!(second.solution.stats.windows_spliced, 9);

@@ -5,8 +5,8 @@
 //! `[a, a + l]`, and an arriving interval adds only the paths of the windows
 //! that reach it: every older path keeps its weight. So, as the paper's
 //! online algorithm does, [`OnlineStableClusters`] keeps only its last
-//! answer. [`OnlineStableClusters::push_interval`] appends the interval to
-//! the graph-so-far and does nothing else;
+//! answer. [`OnlineStableClusters::push`] appends the interval to the
+//! graph-so-far and does nothing else;
 //! [`OnlineStableClusters::current_top_k`] answers through the crate's one
 //! windowed executor ([`solve_windows`]), handing it the last answer and the
 //! [`GraphDelta`] from that answer's graph to this one: after one push it
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use bsc_graph::cluster::KeywordCluster;
 
 use crate::affinity::Affinity;
-use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
+use crate::cluster_graph::{in_edges, ClusterGraph, ClusterGraphBuilder, ClusterNodeId, InEdge};
 use crate::delta::{solve_windows, Answer, GraphDelta};
 use crate::error::BscResult;
 use crate::path::ClusterPath;
@@ -102,22 +102,36 @@ impl OnlineStableClusters {
         &self.graph
     }
 
-    /// Ingest the next temporal interval: append it to the graph-so-far
-    /// ([`ClusterGraph::append`]). Nothing is solved until
-    /// [`OnlineStableClusters::current_top_k`] is asked.
+    /// Ingest the next temporal interval of `nodes` cluster nodes, whose
+    /// in-edges `edges` lists as `(earlier node, node index, weight)`:
+    /// append it to the graph-so-far ([`ClusterGraph::append`], the one
+    /// check of a pushed interval). Nothing is solved until
+    /// [`OnlineStableClusters::current_top_k`] is asked. Weights must lie in
+    /// `(0, 1]`: cluster-graph affinities are normalized into it, and the
+    /// graph takes the weights exactly as the solvers score them.
     ///
+    /// # Errors
+    /// The first edge that names a node that does not exist or violates the
+    /// gap or weight constraints, in [`ClusterGraph::append`]'s words; the
+    /// solver is then as it was.
+    pub fn push(&mut self, nodes: u32, edges: &[InEdge]) -> Result<(), String> {
+        self.graph = Arc::new(self.graph.append(nodes, edges)?);
+        Ok(())
+    }
+
+    /// [`OnlineStableClusters::push`] of an interval given node by node:
     /// `parent_edges[j]` lists the incoming edges of the interval's `j`-th
-    /// cluster node as `(earlier node, weight)` pairs. Edges pointing to
-    /// intervals earlier than `current − g − 1` or with weight outside
-    /// `(0, 1]` are rejected — cluster-graph affinities are normalized into
-    /// `(0, 1]`, and the graph takes the weights exactly as the solvers
-    /// score them.
+    /// cluster node as `(earlier node, weight)` pairs.
     ///
     /// # Panics
-    /// Panics if an edge references a node that does not exist or violates
-    /// the gap or weight constraints; the solver is then as it was.
+    /// Panics where `push` answers an error; the solver is then as it was.
     pub fn push_interval(&mut self, parent_edges: Vec<Vec<(ClusterNodeId, f64)>>) {
-        self.graph = Arc::new(self.graph.append(&parent_edges));
+        let pushed = u32::try_from(parent_edges.len())
+            .map_err(|_| "an interval holds at most u32::MAX nodes".to_string())
+            .and_then(|nodes| self.push(nodes, &in_edges(&parent_edges)));
+        if let Err(rejected) = pushed {
+            panic!("{rejected}"); // bsc:allow(panic-in-lib) -- documented contract of the per-node adapter; `push` is the fallible form
+        }
     }
 
     /// The current top-k paths of length exactly `l`, in descending weight
@@ -158,7 +172,7 @@ impl OnlineStableClusters {
     /// The graph-so-far as an epoch-tagged [`GraphSnapshot`] (epoch =
     /// intervals ingested so far). Every accepted edge is present with its
     /// exact weight, so any path inside the snapshot scores bit-identically
-    /// to the stream's answers. Nothing is built here: `push_interval`
+    /// to the stream's answers. Nothing is built here: `push`
     /// already appended the interval, and this hands out another handle to
     /// that graph — O(1) whatever the length of the stream, so publishing
     /// after every interval costs no more than publishing in batches.
@@ -394,7 +408,7 @@ mod tests {
                     edges
                 })
                 .collect();
-            graph = graph.append(&edges);
+            graph = graph.append(nodes, &in_edges(&edges)).unwrap();
         }
         graph
     }

@@ -24,7 +24,6 @@
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
-use bsc_core::cluster_graph::ClusterNodeId;
 use bsc_core::error::BscResult;
 use bsc_core::problem::KlStableParams;
 use bsc_core::snapshot::{GraphSnapshot, SnapshotCell};
@@ -226,41 +225,11 @@ impl Session {
                 let Some(stream) = &mut self.stream else {
                     return error_response("no open stream (send open_stream first)");
                 };
-                let graph = stream.graph();
-                let interval = graph.num_intervals() as u32;
-                // Validate up front: push_interval treats violations as
-                // panics (programming errors), but over the wire they are
-                // just bad requests.
-                for &(parent, node, weight) in &edges {
-                    if node >= nodes {
-                        return error_response(&format!(
-                            "edge target {node} out of range (interval has {nodes} nodes)"
-                        ));
-                    }
-                    if parent.interval >= interval {
-                        return error_response(&format!(
-                            "parent {parent} must belong to an earlier interval"
-                        ));
-                    }
-                    if interval - parent.interval > graph.max_edge_length() {
-                        return error_response(&format!(
-                            "edge from {parent} exceeds the gap {}",
-                            graph.gap()
-                        ));
-                    }
-                    if parent.index >= graph.nodes_in_interval(parent.interval) {
-                        return error_response(&format!("parent {parent} does not exist"));
-                    }
-                    if !(weight > 0.0 && weight <= 1.0) {
-                        return error_response("edge weights must lie in (0, 1]");
-                    }
+                // The append checks every edge, once: a rejected push is an
+                // error line and leaves the stream as it was.
+                if let Err(rejected) = stream.push(nodes, &edges) {
+                    return error_response(&rejected);
                 }
-                let mut parent_edges: Vec<Vec<(ClusterNodeId, f64)>> =
-                    vec![Vec::new(); nodes as usize];
-                for (parent, node, weight) in edges {
-                    parent_edges[node as usize].push((parent, weight));
-                }
-                stream.push_interval(parent_edges);
                 let snapshot = stream.snapshot();
                 // Incremental install: the engine carries its cached
                 // windowed answers forward, each to be merged with the
@@ -513,37 +482,79 @@ mod tests {
         assert!(ok(&response.unwrap()));
     }
 
+    /// Every rejected push is answered with its exact error line, by both
+    /// executors, and leaves the epoch and the stream's graph as they were.
+    /// A line with several faults reports the first edge's, and an edge's
+    /// faults are checked in a fixed order: target, earlier interval, gap,
+    /// parent, weight.
     #[test]
     fn stream_errors_are_responses_not_panics() {
-        let mut session = Session::oracle();
-        assert!(!ok(&drive(
-            &mut session,
-            "{\"op\":\"push_interval\",\"nodes\":1}"
-        )));
-        drive(
-            &mut session,
-            "{\"op\":\"open_stream\",\"k\":2,\"l\":1,\"gap\":0}",
-        );
-        drive(&mut session, "{\"op\":\"push_interval\",\"nodes\":1}");
-        for bad in [
-            // target out of range
-            "{\"op\":\"push_interval\",\"nodes\":1,\"edges\":[[0,0,5,0.5]]}",
-            // nonexistent parent
-            "{\"op\":\"push_interval\",\"nodes\":1,\"edges\":[[0,9,0,0.5]]}",
-            // weight out of range
-            "{\"op\":\"push_interval\",\"nodes\":1,\"edges\":[[0,0,0,1.5]]}",
-            // more nodes than the protocol admits: an error line, not a
-            // 100 GB allocation
-            "{\"op\":\"push_interval\",\"nodes\":4294967295}",
+        let push = |nodes: u32, edges: &str| {
+            format!("{{\"op\":\"push_interval\",\"nodes\":{nodes},\"edges\":{edges}}}")
+        };
+        let target = "edge target 5 out of range (interval has 1 nodes)";
+        let later = "parent c2,0 must belong to an earlier interval";
+        let gap = "edge from c0,0 exceeds the gap 0";
+        let missing = "parent c1,9 does not exist";
+        let weight = "edge weights must lie in (0, 1]";
+        let rejected = [
+            (push(1, "[[1,0,5,0.5]]"), target),
+            (push(1, "[[2,0,0,0.5]]"), later),
+            (
+                push(1, "[[7,3,0,0.5]]"),
+                "parent c7,3 must belong to an earlier interval",
+            ),
+            (push(1, "[[0,0,0,0.5]]"), gap),
+            (push(1, "[[1,9,0,0.5]]"), missing),
+            (push(1, "[[1,0,0,1.5]]"), weight),
+            (push(1, "[[1,0,0,0]]"), weight),
+            (push(1, "[[1,0,0,-0.25]]"), weight),
+            // More nodes than the protocol admits: an error line, not a
+            // 100 GB allocation.
+            (
+                "{\"op\":\"push_interval\",\"nodes\":1048577}".to_string(),
+                "field 'nodes' exceeds the protocol maximum of 1048576 nodes per interval",
+            ),
+            // Edge 0's fault is the one reported, whichever comes first in
+            // the check order.
+            (push(1, "[[1,0,0,1.5],[0,0,0,0.5]]"), weight),
+            (push(1, "[[0,0,0,0.5],[1,0,0,1.5]]"), gap),
+            (push(1, "[[1,0,0,0.5],[1,9,5,0.5]]"), target),
+            (push(1, "[[1,9,0,0.5],[2,0,0,0.5]]"), missing),
+            // One edge, every fault: the check order decides.
+            (push(1, "[[2,9,5,1.5]]"), target),
+            (push(1, "[[2,0,0,1.5]]"), later),
+            (push(1, "[[0,0,0,1.5]]"), gap),
+            (push(1, "[[1,9,0,1.5]]"), missing),
+        ];
+        for mut session in [
+            Session::engine(EngineConfig::default().workers(1)).unwrap(),
+            Session::oracle(),
         ] {
-            let response = drive(&mut session, bad);
-            assert!(!ok(&response), "{bad} should fail: {response}");
+            assert_eq!(
+                drive(&mut session, &push(1, "[]")),
+                error_response("no open stream (send open_stream first)")
+            );
+            drive(
+                &mut session,
+                "{\"op\":\"open_stream\",\"k\":2,\"l\":1,\"gap\":0}",
+            );
+            drive(&mut session, &push(2, "[]"));
+            drive(&mut session, &push(1, "[[0,1,0,0.5]]"));
+            let epoch = drive(&mut session, "{\"op\":\"epoch\"}");
+            let graph: *const _ = session.stream.as_ref().unwrap().graph();
+            for (line, text) in &rejected {
+                assert_eq!(drive(&mut session, line), error_response(text), "{line}");
+                assert_eq!(drive(&mut session, "{\"op\":\"epoch\"}"), epoch, "{line}");
+                let stream = session.stream.as_ref().unwrap();
+                assert!(std::ptr::eq(stream.graph(), graph), "{line}");
+                assert_eq!(stream.num_intervals(), 2, "{line}");
+                assert_eq!(stream.edges_ingested(), 1, "{line}");
+            }
+            // The stream is still usable after rejected pushes.
+            assert!(ok(&drive(&mut session, &push(1, "[[1,0,0,0.5]]"))));
+            assert_eq!(session.stream.as_ref().unwrap().num_intervals(), 3);
         }
-        // The stream is still usable after rejected pushes.
-        assert!(ok(&drive(
-            &mut session,
-            "{\"op\":\"push_interval\",\"nodes\":1,\"edges\":[[0,0,0,0.5]]}"
-        )));
     }
 
     #[test]

@@ -320,6 +320,41 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Read the next value if it is an array of exactly `N` numbers with no
+    /// whitespace inside, such as `[0,1,2,0.5]`: a list of tuples' common
+    /// shape, in one call. Anything else — whitespace inside, another
+    /// length, a value that is not a number, a syntax error, the nesting
+    /// limit — is left unread (`None`) for [`Reader::array`] to walk and to
+    /// report on. A number reads as [`Reader::number`] reads it.
+    #[inline]
+    pub fn numbers<const N: usize>(&mut self) -> Option<[f64; N]> {
+        if self.peek() != Some(b'[') || self.depth >= MAX_PARSE_DEPTH {
+            return None;
+        }
+        let bytes = self.text.as_bytes();
+        let mut pos = self.pos + 1;
+        let mut out = [0.0; N];
+        for (i, slot) in out.iter_mut().enumerate() {
+            if i > 0 {
+                if bytes.get(pos) != Some(&b',') {
+                    return None;
+                }
+                pos += 1;
+            }
+            if !matches!(bytes.get(pos), Some(b'-' | b'0'..=b'9')) {
+                return None;
+            }
+            let (len, value) = number_at(&bytes[pos..]);
+            *slot = value?;
+            pos += len;
+        }
+        if bytes.get(pos) != Some(&b']') {
+            return None;
+        }
+        self.pos = pos + 1;
+        Some(out)
+    }
+
     /// Walk the next value, which must be an object: `each` is called with
     /// every key in document order (duplicates included) and must read
     /// exactly one value, the key's.

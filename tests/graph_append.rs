@@ -9,7 +9,7 @@
 //! snapshot pinned before an append never sees the append, and a plain
 //! `load` in the middle of a stream leaves serve and oracle in step.
 
-use blogstable::core::cluster_graph::{ClusterEdge, GraphView};
+use blogstable::core::cluster_graph::{in_edges, ClusterEdge, GraphView};
 use blogstable::core::delta::GraphDelta;
 use blogstable::core::problem::StableClusterSpec;
 use blogstable::core::solver::AlgorithmKind;
@@ -42,6 +42,14 @@ fn random_interval(graph: &ClusterGraph, rng: &mut DetRng) -> ParentEdges {
         }
     }
     parent_edges
+}
+
+/// `graph` with one more interval, given node by node.
+fn append(graph: &ClusterGraph, interval: &[Vec<(ClusterNodeId, f64)>]) -> ClusterGraph {
+    let nodes = interval.len() as u32;
+    graph
+        .append(nodes, &in_edges(interval))
+        .expect("an admissible interval")
 }
 
 fn empty_graph(gap: u32) -> ClusterGraph {
@@ -183,7 +191,7 @@ fn a_chain_of_appends_equals_one_build_over_the_same_edges() {
                 let context = format!("gap={gap} seed={seed} step={step}");
                 let last = epochs.last().expect("an epoch");
                 let interval = random_interval(last, &mut rng);
-                let next = last.append(&interval);
+                let next = append(last, &interval);
                 assert_same_graph(&next, &rebuilt(&next), &context);
                 epochs.push(next);
                 for (params, stream) in &mut streams {
@@ -211,6 +219,68 @@ fn a_chain_of_appends_equals_one_build_over_the_same_edges() {
                 );
             }
         }
+    }
+}
+
+/// A chain of flat appends, each of a `push_interval` line read by the
+/// protocol, equals one build over the same edges in append order
+/// (interval by interval, node by node, each node's parents in line order)
+/// in every accessor. The lines list their edges in shuffled order, not
+/// grouped by node, and their weights take two values: a parent's tied
+/// children must sit in node order, the order the build adds them in, not
+/// in line order.
+#[test]
+fn flat_appends_of_shuffled_push_lines_with_tied_weights_equal_one_build() {
+    use blogstable::service::protocol::{parse_request, Request};
+    for gap in 0..=2u32 {
+        let mut rng = DetRng::seed_from_u64(3800 + u64::from(gap));
+        let mut graph = empty_graph(gap);
+        let mut builder = ClusterGraphBuilder::new(gap);
+        let mut ties = 0;
+        for step in 0..10 {
+            let context = format!("gap={gap} step={step}");
+            let interval = graph.num_intervals() as u32;
+            let nodes = 1 + rng.below(5) as u32;
+            let mut quads = Vec::new();
+            for node in 0..nodes {
+                let first = interval.saturating_sub(gap + 1);
+                for parent in (first..interval).flat_map(|p| graph.interval_node_ids(p)) {
+                    if rng.chance(0.6) {
+                        let weight = [0.5, 0.25][rng.index(2)];
+                        let (p, i) = (parent.interval, parent.index);
+                        quads.push(format!("[{p},{i},{node},{weight}]"));
+                    }
+                }
+            }
+            rng.shuffle(&mut quads);
+            let line = format!(
+                "{{\"op\":\"push_interval\",\"nodes\":{nodes},\"edges\":[{}]}}",
+                quads.join(",")
+            );
+            let Ok(Request::PushInterval { nodes, edges }) = parse_request(&line) else {
+                panic!("{context}: {line} is not a push");
+            };
+            graph = graph.append(nodes, &edges).expect("an admissible interval");
+            builder.add_interval(nodes);
+            for node in 0..nodes {
+                for &(parent, _, weight) in edges.iter().filter(|edge| edge.1 == node) {
+                    builder.add_edge(parent, ClusterNodeId::new(interval, node), weight);
+                }
+            }
+            let built = builder.clone().build();
+            assert_same_graph(&graph, &built, &context);
+            for start in 0..=interval {
+                for end in start..=interval {
+                    let (a, b) = (graph.window(start, end), built.window(start, end));
+                    assert_eq!(a.num_edges(), b.num_edges(), "{context} [{start}, {end}]");
+                }
+            }
+            for node in graph.node_ids() {
+                let weights: Vec<f64> = graph.children(node).iter().map(|e| e.weight).collect();
+                ties += weights.windows(2).filter(|w| w[0] == w[1]).count();
+            }
+        }
+        assert!(ties > 20, "gap={gap}: {ties} tied neighbours");
     }
 }
 
@@ -311,7 +381,7 @@ fn a_window_view_reads_and_solves_as_the_rebuilt_window() {
         let mut rng = DetRng::seed_from_u64(1600 + u64::from(gap));
         let mut appended = empty_graph(gap);
         for _ in 0..8 {
-            appended = appended.append(&random_interval(&appended, &mut rng));
+            appended = append(&appended, &random_interval(&appended, &mut rng));
         }
         let built = rebuilt(&appended);
         let m = appended.num_intervals() as u32;
@@ -358,7 +428,7 @@ fn a_delta_proven_by_identity_equals_the_delta_computed_from_content() {
         let mut epochs = vec![empty_graph(1)];
         for _ in 0..8 {
             let last = epochs.last().expect("an epoch");
-            let next = last.append(&random_interval(last, &mut rng));
+            let next = append(last, &random_interval(last, &mut rng));
             epochs.push(next);
         }
         for from in 0..epochs.len() {
@@ -387,21 +457,20 @@ fn a_delta_proven_by_identity_equals_the_delta_computed_from_content() {
 #[test]
 fn same_shape_graphs_with_different_weight_bits_are_still_dirty() {
     let node = ClusterNodeId::new;
-    let prefix = empty_graph(0)
-        .append(&[vec![], vec![]])
-        .append(&[vec![(node(0, 0), 0.5)], vec![(node(0, 1), 0.25)]]);
+    let prefix = append(&empty_graph(0), &[vec![], vec![]]);
+    let prefix = append(
+        &prefix,
+        &[vec![(node(0, 0), 0.5)], vec![(node(0, 1), 0.25)]],
+    );
     let tail: ParentEdges = vec![vec![(node(2, 0), 0.75)]];
     let half = 0.5f64;
     let next_up = f64::from_bits(half.to_bits() + 1);
-    let a = prefix
-        .append(&[vec![(node(1, 0), half), (node(1, 1), 0.5)]])
-        .append(&tail);
-    let b = prefix
-        .append(&[vec![(node(1, 0), next_up), (node(1, 1), 0.5)]])
-        .append(&tail);
-    let c = prefix
-        .append(&[vec![(node(1, 0), half), (node(1, 1), 0.5)]])
-        .append(&tail);
+    let a = append(&prefix, &[vec![(node(1, 0), half), (node(1, 1), 0.5)]]);
+    let a = append(&a, &tail);
+    let b = append(&prefix, &[vec![(node(1, 0), next_up), (node(1, 1), 0.5)]]);
+    let b = append(&b, &tail);
+    let c = append(&prefix, &[vec![(node(1, 0), half), (node(1, 1), 0.5)]]);
+    let c = append(&c, &tail);
     // Intervals 0 and 1 are one segment in all three graphs; in `b`
     // interval 2 differs from `a`'s in the last bit of one weight; `c`
     // appended intervals 2 and 3 from `a`'s input — separate segments,

@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use blogstable::core::cluster_graph::GraphView;
+use blogstable::core::cluster_graph::{in_edges, GraphView};
 use blogstable::core::delta::{solve_windows, DeltaSolveOutcome, GraphDelta};
 use std::sync::Mutex;
 
@@ -73,7 +73,10 @@ fn append_chain(graph: &ClusterGraph) -> (ClusterGraph, ClusterGraph) {
     let mut last = previous.clone();
     for interval in 0..graph.num_intervals() as u32 {
         previous = last;
-        last = previous.append(&graph.interval_parent_edges(interval));
+        let edges = in_edges(&graph.interval_parent_edges(interval));
+        last = previous
+            .append(graph.nodes_in_interval(interval), &edges)
+            .unwrap();
     }
     (previous, last)
 }
