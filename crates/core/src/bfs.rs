@@ -883,7 +883,7 @@ impl<'t> IntervalSweep<'t> {
         cancel: Option<&CancelToken>,
         tick: u32,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
-        let ahead = table.lens(view, params.k).raised(floor);
+        let ahead = table.lens(view, params.l, params.k).raised(floor);
         let mut sweep = IntervalSweep::new(params, view, ahead, tick);
         for interval in view.intervals() {
             sweep.advance(view, interval, cancel)?;
@@ -957,8 +957,8 @@ impl BfsStableClusters {
     /// across all node heaps simultaneously, a proxy for the memory
     /// footprint).
     ///
-    /// The look-ahead is `GraphView::completions`: the table the graph
-    /// keeps for `l`, or one built first (one the allocator refuses, or a
+    /// The look-ahead is `GraphView::completions`: a table the graph keeps
+    /// that holds the view's weights at `l`, or one built first (one the allocator refuses, or a
     /// tripped token, is the error). Either way the same answer and the same
     /// counters.
     pub fn run_with_stats<'a>(
@@ -1117,7 +1117,7 @@ mod tests {
         params: KlStableParams,
         view: GraphView<'_>,
     ) -> IntervalSweep<'t> {
-        IntervalSweep::new(params, view, table.lens(view, params.k), 0)
+        IntervalSweep::new(params, view, table.lens(view, params.l, params.k), 0)
     }
 
     /// `C[node][r]`, for an `r` asked of `node`.
@@ -1275,7 +1275,7 @@ mod tests {
                         let case = format!("gap={gap} first={first} last={last} l={l} k={k}");
                         let expected = brute_force(&paths, k, l);
                         assert_eq!(expected.is_empty(), l > last, "{case}");
-                        let sparse = ahead_of(view, params).lens(view, k).holds_weights();
+                        let sparse = ahead_of(view, params).lens(view, l, k).holds_weights();
                         assert_eq!(sparse, (2..=last).contains(&l), "{case}");
                         let (found, stats) =
                             BfsStableClusters::new(params).run_with_stats(view).unwrap();
@@ -1518,7 +1518,7 @@ mod tests {
         ] {
             let params = KlStableParams::new(usize::MAX, l);
             let ahead = ahead_of(view, params);
-            assert_eq!(ahead.lens(view, params.k).floor(), f64::NEG_INFINITY);
+            assert_eq!(ahead.lens(view, l, params.k).floor(), f64::NEG_INFINITY);
             let paths = BfsStableClusters::new(params).run(view).unwrap();
             let found: Vec<f64> = paths.iter().map(ClusterPath::weight).collect();
             assert_eq!(found, weights, "l={l}");

@@ -216,9 +216,10 @@ struct IntervalSegment {
 /// [`ClusterGraph::append`] yields the next epoch's graph sharing every
 /// segment the new interval does not touch.
 ///
-/// A graph also keeps the look-ahead tables its solves built, one per path
-/// length (`GraphView::completions`): no method changes a graph, so one
-/// built for it is never stale. A clone, an append and a fresh build start
+/// A graph also keeps look-ahead tables its solves built, one per path
+/// length of the whole graph and one of its last start window
+/// (`GraphView::completions`): no method changes a graph, so one built for
+/// it is never stale. A clone, an append and a fresh build start
 /// with none, and each is a new graph value with an id of its own.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterGraph {
@@ -226,7 +227,7 @@ pub struct ClusterGraph {
     segments: Vec<IntervalSegment>,
     num_nodes: usize,
     num_edges: usize,
-    /// The look-ahead tables solves of this graph built, by `l`.
+    /// The look-ahead tables solves of this graph built.
     pub(crate) memo: Memo,
     id: GraphId,
 }
@@ -870,7 +871,8 @@ impl ClusterGraphBuilder {
 
 #[cfg(test)]
 impl ClusterGraph {
-    /// The lengths the graph keeps a look-ahead table for, in the order kept.
+    /// The lengths the graph keeps a look-ahead table for: the whole
+    /// graph's in the order kept, then its last start window's.
     pub(crate) fn memoized(&self) -> Vec<u32> {
         self.memo.lengths()
     }

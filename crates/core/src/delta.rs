@@ -470,6 +470,99 @@ mod tests {
     }
 
     #[test]
+    fn fed_queries_in_any_order_answer_cold_and_keep_one_last_window_table() {
+        // An epoch's fed queries each solve the one tail window the push
+        // added, and the graph keeps the deepest last window's table asked:
+        // a shallower query reads it, a deeper one deepens it. After each
+        // push of a gap-1 stream, on the four weightings (uniform,
+        // tie-heavy, all-equal and two-valued), every order of
+        // `l` ∈ {1, 2, 3, 4}, each at `k` ∈ {1, 3, 7}, by BFS and by TA over
+        // two shards, merges the last epoch's answer into batch BFS's answer
+        // on a clone, bit for bit; once every `l` merges one tail window, the
+        // graph keeps exactly one table, at `l = 4`.
+        use crate::bfs::BfsStableClusters;
+        use crate::lookahead::{reweighted, WEIGHTINGS};
+        use crate::problem::KlStableParams;
+        let base = ClusterGraphGenerator::new(SyntheticGraphParams {
+            num_intervals: 9,
+            nodes_per_interval: 6,
+            avg_out_degree: 3,
+            gap: 1,
+            seed: 4_321,
+        })
+        .generate();
+        let lengths = [1, 2, 3, 4];
+        let orders: Vec<[u32; 4]> = (0..4 * 4 * 4 * 4)
+            .map(|code: u32| lengths.map(|l| lengths[(code >> (2 * (l - 1)) & 3) as usize]))
+            .filter(|order| (1..=4).all(|l| order.contains(&l)))
+            .collect();
+        assert_eq!(orders.len(), 24);
+        let algorithms = [
+            (AlgorithmKind::Bfs, SolverOptions::default()),
+            (AlgorithmKind::Ta, SolverOptions::default().shards(2)),
+        ];
+        let ks = [1, 3, 7];
+        let mut merged_one_window = 0;
+        for (name, weight) in WEIGHTINGS {
+            let whole = reweighted(&base, weight);
+            let mut graph = ClusterGraphBuilder::new(whole.gap()).build();
+            let mut answers: Vec<Answer> = lengths
+                .iter()
+                .flat_map(|&l| {
+                    ks.map(|k| Answer {
+                        l,
+                        k,
+                        paths: Vec::new(),
+                    })
+                })
+                .collect();
+            for interval in 0..whole.num_intervals() as u32 {
+                let nodes = whole.nodes_in_interval(interval);
+                let next = graph.append(nodes, &in_edges(&whole.interval_parent_edges(interval)));
+                let next = next.unwrap();
+                let cold: Vec<Answer> = answers
+                    .iter()
+                    .map(|&Answer { l, k, .. }| {
+                        let batch = BfsStableClusters::new(KlStableParams::new(k, l));
+                        let paths = batch.run(&next.clone()).unwrap();
+                        Answer { l, k, paths }
+                    })
+                    .collect();
+                for order in &orders {
+                    let fed = next.clone();
+                    let delta = GraphDelta::between(&graph, &fed);
+                    for &l in order {
+                        let asked = answers
+                            .iter()
+                            .zip(&cold)
+                            .filter(|(answer, _)| answer.l == l);
+                        for (prior, cold) in asked {
+                            for (kind, options) in &algorithms {
+                                let spec = StableClusterSpec::ExactLength(l);
+                                let carried = Some((prior, &delta));
+                                let merged =
+                                    solve_windows(&fed, spec, prior.k, *kind, options, carried);
+                                let k = prior.k;
+                                let case = format!(
+                                    "{name} {kind} interval={interval} {order:?} l={l} k={k}"
+                                );
+                                assert_eq!(merged.unwrap().windows.paths, cold.paths, "{case}");
+                            }
+                        }
+                    }
+                    if interval > 4 {
+                        assert_eq!(fed.memoized(), [4], "{name} interval={interval} {order:?}");
+                        merged_one_window += 1;
+                    }
+                }
+                answers = cold;
+                graph = next;
+            }
+        }
+        assert_eq!(merged_one_window, 4 * 4 * 24);
+    }
+
+    #[test]
     fn mismatched_prior_shape_is_ignored_not_misused() {
         let graph = gen_graph(6, 9);
         let spec = StableClusterSpec::ExactLength(2);

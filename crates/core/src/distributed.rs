@@ -164,9 +164,9 @@ pub trait ShardTransport: Send + Sync + std::fmt::Debug {
 /// window's full-path query (`ExactLength(l)` *is* full-length inside the
 /// window, so every algorithm — TA included — accepts it) and solves
 /// sequentially, in place, with its own `storage`-provisioned backend. A
-/// BFS or TA window reads the look-ahead table its graph keeps for `l`, if
-/// it keeps one (`GraphView::completions`), and otherwise builds its own:
-/// the same answer and counters either way. A window the graph does not
+/// BFS or TA window reads a look-ahead table its graph keeps that holds the
+/// window's weights, if it keeps one (`GraphView::completions`), and
+/// otherwise builds its own: the same answer and counters either way. A window the graph does not
 /// contain is a [`BscError::InvalidConfig`].
 pub fn solve_window_locally(
     graph: &ClusterGraph,

@@ -28,29 +28,49 @@
 //! by [`can_still_reach`](crate::problem::can_still_reach), whose slack
 //! covers the different orders the two passes and a solver sum a path in.
 //!
-//! **One table per graph and length.** A start window `[s, s + l]` asks one
-//! length of each node, `l − d` of a node `d` intervals in. The whole
-//! graph's table for `l` asks of a node `D` intervals in every length from
-//! `max(l − D, 1)` to `min(l, last − D)`: exactly the lengths the windows
-//! that hold it ask, one each. So it holds every weight of every window's
-//! own table, and nothing else, and what a window reads there is the same
-//! weight, bit for bit — a path of length `l − d` from a node of the window
-//! ends at `s + l`, inside the window, so the graph's slot is the max over
-//! the very paths, summed in the very order, of the window's own. A
-//! [`Lens`] ([`Completions::lens`]) reads a view's rows off a wider table
-//! and takes the view's own `θ₀` over the view's own starts: the graph's
-//! would be higher, and unsound for a window's own top-k. It is sound for
-//! the merged top-k of all the windows, which is all a local sharded solve
-//! of the whole graph answers, so such a solve raises each window's lens to
-//! the graph's `θ₀` ([`Lens::raised`]) and sweeps no window none of whose
-//! starts [`Lens::can_start`] (`sharded.rs`). `k` plays no part in a table,
-//! so a graph keeps the tables its solves built ([`Memo`], read through
-//! [`GraphView::completions`]): the first solve of the whole graph at `l`
-//! builds one, and every later solve of that graph at `l` — unsharded, each
-//! start window of a sharded one, TA's `startwts` — reads it. A graph never
-//! changes once built, so a kept table is never stale. What a graph keeps is
-//! capped at [`MEMO_WEIGHTS`] (4 MiB); past that a solve builds its table
-//! and drops it, as every solve did before.
+//! **A table answers every view whose weights it holds.** `C[c][r]` is the
+//! best of the paths of length `r` leaving `c`, and all of them end at
+//! `c`'s interval plus `r`: no view that holds those intervals sees another
+//! path, and the pass sums each the same way (right to left, from the
+//! child's slot for `r − len`). So a table's slot is the same bits whatever
+//! view or `l` it was built for, and a table answers a view at `l` wherever
+//! it asks every length the view asks of each node
+//! ([`Completions::covers`]); a [`Lens`] ([`Completions::lens`]) then reads
+//! the view's rows at the view's own `l` and takes the view's own `θ₀` over
+//! the view's own starts. Two such containments carry the reuse:
+//!
+//! * *The whole graph's table for `l` holds every start window's.* A start
+//!   window `[s, s + l]` asks one length of each node, `l − d` of a node `d`
+//!   intervals in; the whole graph's table asks of a node `D` intervals in
+//!   every length from `max(l − D, 1)` to `min(l, last − D)`: exactly the
+//!   lengths the windows that hold it ask, one each. The graph's `θ₀` would
+//!   be higher than a window's own, and unsound for a window's own top-k. It
+//!   is sound for the merged top-k of all the windows, which is all a local
+//!   sharded solve of the whole graph answers, so such a solve raises each
+//!   window's lens to the graph's `θ₀` ([`Lens::raised`]) and sweeps no
+//!   window none of whose starts [`Lens::can_start`] (`sharded.rs`).
+//! * *The last start window's table for `l` holds every shorter last
+//!   window's.* Every window `[t − l, t]` that ends at the graph's last
+//!   interval `t` asks a node of interval `i` the one length `t − i`,
+//!   whatever `l` is: the tables of an epoch's last windows are nested, the
+//!   deeper holding the shallower. Deepening is as cheap: a kept row is
+//!   final, since a completion reads only later intervals, all of them in
+//!   both windows. So the deeper window's table is new rows ahead of the
+//!   kept ones, and only the new intervals and the `g + 1` kept ones their
+//!   edges reach are relaxed; a kept row relaxed again keeps its bits,
+//!   because [`raise`] moves a slot only on a strictly greater weight.
+//!
+//! `k` plays no part in a table, and a graph never changes once built, so a
+//! graph keeps the tables its solves built ([`Memo`], read and filled only
+//! through [`GraphView::completions`]): the first solve of the whole graph
+//! at `l` builds one, and every later solve of that graph it covers —
+//! unsharded, each start window of a sharded one, TA's `startwts` — reads
+//! it; and it keeps its last start window's table, as deep as the deepest
+//! `l` asked, which every tail window a fed query solves at the graph's end
+//! reads or deepens (`delta.rs`). Per epoch, the table work of the fed
+//! queries is one backward pass as deep as the deepest `l` asked. What a
+//! graph keeps is capped at [`MEMO_WEIGHTS`] (4 MiB); past that a solve
+//! builds its table and drops it, as every solve did before.
 //!
 //! Both passes read an interval's rows as stored ([`GraphView::rows`]) and
 //! compare one end of an edge against the view, the end that can lie
@@ -84,9 +104,10 @@ use crate::solver::checkpoint;
 /// [`GraphView::parents`], each sum built right to left. A node has a weight
 /// only for the `r` it can be asked for ([`Completions::lengths`]): at most
 /// `min(l, last − l + 1)` of them, one for full paths and inside a start
-/// window. A solver reads it through a [`Lens`] over its own view, which may
-/// be the table's view or any view inside it (every start window reads the
-/// whole graph's). Dropped with the solve, or kept by the graph ([`Memo`]).
+/// window. A solver reads it through a [`Lens`] over its own view at its own
+/// `l`, which may be the table's or any the table [covers](Completions::covers)
+/// (every start window reads the whole graph's). Dropped with the solve, or
+/// kept by the graph ([`Memo`]).
 pub(crate) struct Completions {
     l: u32,
     first: u32,
@@ -103,30 +124,58 @@ pub(crate) struct Completions {
 /// [`table_overflow`]'s advice holds. No option sets it.
 pub(crate) const MEMO_WEIGHTS: usize = (4 << 20) / std::mem::size_of::<f64>();
 
-/// The look-ahead tables one graph keeps, one per `l`, at most
-/// [`MEMO_WEIGHTS`] of them together and none evicted: filled by the first
-/// solve of the whole graph at each `l`, read by every later solve of the
-/// graph ([`GraphView::completions`]). A clone of the graph, and every graph
-/// an append makes, starts empty; a poisoned lock reads as empty and keeps
-/// nothing.
+/// The look-ahead tables one graph keeps, at most [`MEMO_WEIGHTS`] of them
+/// together and none evicted: one per `l` of the whole graph, filled by the
+/// first solve of the whole graph at that `l`, and one of its last start
+/// window `[t − l, t]`, as deep as the deepest `l` a solve asked of it —
+/// deepened, not rebuilt, when a longer one is asked. Every later solve of
+/// the graph reads whichever [covers](Completions::covers) its view
+/// ([`GraphView::completions`], the one place that decides what is kept). A
+/// clone of the graph, and every graph an append makes, starts empty; a
+/// poisoned lock reads as empty and keeps nothing.
 #[derive(Default)]
-pub(crate) struct Memo(Mutex<Vec<Arc<Completions>>>);
+pub(crate) struct Memo(Mutex<Kept>);
 
-impl Memo {
-    /// The weights `held` keeps, over every `l`.
-    fn weights(held: &[Arc<Completions>]) -> usize {
-        held.iter().map(|table| table.best.len()).sum()
+/// What a [`Memo`] holds.
+#[derive(Default)]
+struct Kept {
+    /// The whole graph's tables, in the order kept.
+    whole: Vec<Arc<Completions>>,
+    /// The table of the graph's last start window.
+    last: Option<Arc<Completions>>,
+}
+
+impl Kept {
+    /// The weights kept, over every table.
+    fn weights(&self) -> usize {
+        self.tables().map(|table| table.best.len()).sum()
+    }
+
+    fn tables(&self) -> impl Iterator<Item = &Arc<Completions>> {
+        self.whole.iter().chain(&self.last)
+    }
+
+    /// A kept table that holds every weight `view` reads at `l`: the whole
+    /// graph's for `l`, which covers every view at `l` and is found without
+    /// a walk over the view, else any that covers it.
+    fn covering(&self, view: GraphView<'_>, l: u32) -> Option<Arc<Completions>> {
+        let own = self.whole.iter().find(|table| table.l == l);
+        own.or_else(|| self.tables().find(|table| table.covers(view, l)))
+            .cloned()
     }
 }
 
 impl GraphView<'_> {
-    /// The look-ahead table the view reads for paths of length `l`: the one
-    /// its graph keeps for `l`, if a solve of the whole graph built one;
-    /// else, for the whole graph, one built now and kept for the solves that
-    /// follow — unless a racing build, the same bits, was kept first, or the
-    /// memo would outgrow [`MEMO_WEIGHTS`]; for a part of it, one of its own,
-    /// kept by nobody. Its checkpoints count on `tick`; a cancelled or
-    /// refused build keeps nothing.
+    /// The look-ahead table the view reads for paths of length `l`: a table
+    /// its graph keeps that [covers](Completions::covers) it, if any; else
+    /// one built now — for the graph's last start window `[t − l, t]`, the
+    /// kept table of a shorter last window deepened — and kept for the
+    /// solves that follow if it is the whole graph's, or the last window's
+    /// and deeper than the one kept, unless the memo would outgrow
+    /// [`MEMO_WEIGHTS`] or a racing build, the same bits, was kept first.
+    /// The table of any other view is its own, kept by nobody. Its
+    /// checkpoints count on `tick`; a cancelled or refused build keeps
+    /// nothing.
     pub(crate) fn completions(
         self,
         l: u32,
@@ -134,16 +183,36 @@ impl GraphView<'_> {
         tick: &mut u32,
     ) -> BscResult<Arc<Completions>> {
         let memo = &self.graph().memo.0;
-        let kept = |held: &[Arc<Completions>]| held.iter().find(|table| table.l == l).cloned();
-        if let Some(table) = memo.lock().ok().and_then(|held| kept(&held)) {
+        let (found, last) = match memo.lock() {
+            Ok(held) => (held.covering(self, l), held.last.clone()),
+            Err(_) => (None, None),
+        };
+        if let Some(table) = found {
             return Ok(table);
         }
-        let table = Arc::new(Completions::of(self, l, cancel, tick)?);
-        let whole = self.num_intervals() == self.graph().num_intervals();
-        if let (true, Ok(mut held)) = (whole, memo.lock()) {
-            let fits = Memo::weights(&held) + table.best.len() <= MEMO_WEIGHTS;
-            if fits && kept(&held).is_none() {
-                held.push(Arc::clone(&table));
+        let end = self.graph().num_intervals();
+        let whole = self.num_intervals() == end;
+        // A start window that ends at the graph's last interval, asking
+        // weights: a kept table of a shorter one holds its deepest rows.
+        let window = !whole && self.intervals().end as usize == end && last_of(self) == l && l >= 2;
+        let table = Arc::new(match last.filter(|_| window) {
+            Some(shorter) => shorter.deepened(self, l, cancel, tick)?,
+            None => Completions::of(self, l, cancel, tick)?,
+        });
+        if let (true, Ok(mut held)) = (whole || window, memo.lock()) {
+            // A last window's table replaces the shallower one kept.
+            let freed = held
+                .last
+                .as_ref()
+                .filter(|_| window)
+                .map_or(0, |kept| kept.best.len());
+            let fits = held.weights() - freed + table.best.len() <= MEMO_WEIGHTS;
+            if fits && held.covering(self, l).is_none() {
+                let kept = Some(Arc::clone(&table));
+                match window {
+                    true => held.last = kept,
+                    false => held.whole.extend(kept),
+                }
             }
         }
         Ok(table)
@@ -159,7 +228,7 @@ impl Clone for Memo {
 
 impl std::fmt::Debug for Memo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let weights = self.0.lock().map_or(0, |held| Memo::weights(&held));
+        let weights = self.0.lock().map_or(0, |held| held.weights());
         write!(f, "Memo({weights} weights)")
     }
 }
@@ -252,6 +321,13 @@ impl Completions {
         cancel: Option<&CancelToken>,
         tick: &mut u32,
     ) -> BscResult<Completions> {
+        let mut ahead = Completions::laid_out(view, l)?;
+        ahead.relax(view, view.intervals(), cancel, tick)?;
+        Ok(ahead)
+    }
+
+    /// `view`'s table for `l`, every weight `−∞`.
+    fn laid_out(view: GraphView<'_>, l: u32) -> BscResult<Completions> {
         let (first, last) = (view.first_interval(), last_of(view));
         let lengths = |interval: u32| Completions::lengths(l, interval - first, last);
         let weights =
@@ -263,22 +339,36 @@ impl Completions {
             width: lengths(interval).len(),
         };
         let total = offsets.last().copied().unwrap_or(0);
-        let mut ahead = Completions {
+        Ok(Completions {
             l,
             first,
             asked: view.intervals().zip(&offsets).map(layout).collect(),
             best: blank(total)?,
-        };
-        if total == 0 {
-            return Ok(ahead);
+        })
+    }
+
+    /// Relax every edge into `intervals`, a run of the intervals of `view`
+    /// (the table's own), last interval first: each into the rows of its
+    /// parent, from the child's row, which every edge leaving the child has
+    /// been relaxed into by then — or was final before.
+    fn relax(
+        &mut self,
+        view: GraphView<'_>,
+        intervals: Range<u32>,
+        cancel: Option<&CancelToken>,
+        tick: &mut u32,
+    ) -> BscResult<()> {
+        if self.best.is_empty() {
+            return Ok(());
         }
+        let first = self.first;
         // Indexed by edge length; no edge has length 0.
         let mut plan = vec![Step::default()];
-        for interval in view.intervals().rev() {
+        for interval in intervals.rev() {
             let depth = interval - first;
-            let mine = ahead.asked[depth as usize];
+            let mine = self.asked[depth as usize];
             // Parents lie in earlier intervals: their rows are all before ours.
-            let (earlier, ours) = ahead.best.split_at_mut(mine.at);
+            let (earlier, ours) = self.best.split_at_mut(mine.at);
             let (parents, _) = view.rows(interval);
             plan.truncate(1);
             for index in 0..view.nodes_in_interval(interval) {
@@ -292,7 +382,7 @@ impl Completions {
                         if len > depth {
                             continue; // the parent lies before the view
                         }
-                        grow(&mut plan, &ahead.asked, depth, len);
+                        grow(&mut plan, &self.asked, depth, len);
                     }
                     let (step, weight) = (plan[len as usize], edge.weight);
                     let row = edge.to.index as usize * step.width;
@@ -313,27 +403,75 @@ impl Completions {
                 }
             }
         }
-        Ok(ahead)
+        Ok(())
     }
 
-    /// What `view` — the table's own view or one inside it — would read in
-    /// a table of its own, and its `θ₀` for `k`. The lengths a view asks of
-    /// a node are among those its table asks (a node `D` intervals into the
-    /// table's view and `d ≤ D` into `view` is asked `r ≥ l − d ≥ l − D`,
-    /// and `r` no longer than `view` leaves room for), and every path of
-    /// such a length ends inside `view`: the weight the lens reads is the
-    /// max over the very paths, summed in the very order, that `view`'s own
-    /// table would hold — the same bits.
-    pub(crate) fn lens(&self, view: GraphView<'_>, k: usize) -> Lens<'_> {
-        let (l, first, last) = (self.l, view.first_interval(), last_of(view));
-        let past = view.intervals().end.checked_sub(self.first);
-        debug_assert!(first >= self.first && past.is_some_and(|p| p as usize <= self.asked.len()));
+    /// The table of `view`, the graph's last start window `[t − l, t]`, from
+    /// this one, the table of a shorter last window. Both ask a node `t − i`
+    /// of its interval `i`, one length each, and a weight is final once the
+    /// intervals after its node are relaxed — all of them in both windows —
+    /// so the deeper table is new rows ahead of the kept ones. Two runs of
+    /// intervals are relaxed: the new ones, and the kept ones an edge from a
+    /// new one reaches (the first `gap + 1`). A kept row relaxed again by an
+    /// edge of the kept window keeps its bits: [`raise`] moves a slot only
+    /// on a strictly greater weight, and the slot holds that very sum.
+    fn deepened(
+        &self,
+        view: GraphView<'_>,
+        l: u32,
+        cancel: Option<&CancelToken>,
+        tick: &mut u32,
+    ) -> BscResult<Completions> {
+        let mut deeper = Completions::laid_out(view, l)?;
+        let new = deeper.best.len() - self.best.len();
+        let skipped = (self.first - deeper.first) as usize;
+        debug_assert!(self
+            .asked
+            .iter()
+            .zip(&deeper.asked[skipped..])
+            .all(|(kept, ours)| {
+                (kept.at + new, kept.shortest, kept.width) == (ours.at, ours.shortest, ours.width)
+            }));
+        deeper.best[new..].copy_from_slice(&self.best);
+        let reached = self.first.saturating_add(view.max_edge_length());
+        let relaxed = view.first_interval()..reached.min(view.intervals().end);
+        deeper.relax(view, relaxed, cancel, tick)?;
+        Ok(deeper)
+    }
+
+    /// Does this table hold every weight `view` reads at `l`? It does when
+    /// the view lies inside the table's and every length the view asks of a
+    /// node is among those the table asks of it. Then what a [`Lens`] reads
+    /// there is what `view`'s own table would hold, bit for bit: a path of
+    /// length `r` from a node of interval `i` ends at `i + r`, inside both
+    /// views, so either slot is the max over the very paths, each summed in
+    /// the very order (right to left, from the child's slot for `r − len`,
+    /// itself asked in both). A view that asks nothing (`l = 1`, or `l`
+    /// beyond it) is covered by any table that spans it.
+    pub(crate) fn covers(&self, view: GraphView<'_>, l: u32) -> bool {
+        let (first, last) = (view.first_interval(), last_of(view));
+        let end = view.intervals().end;
+        let within = first >= self.first && (end - self.first) as usize <= self.asked.len();
+        within
+            && view.intervals().all(|interval| {
+                let table = self.asked[(interval - self.first) as usize];
+                let asked = Completions::lengths(l, interval - first, last);
+                let held = table.shortest..table.shortest + table.width as u32;
+                asked.is_empty() || held.start <= asked.start && asked.end <= held.end
+            })
+    }
+
+    /// What `view` would read at `l` in a table of its own, and its `θ₀`
+    /// for `k`: the same bits, off any table that [covers](Completions::covers)
+    /// the view at `l` — its own, a wider view's for the same `l` (the whole
+    /// graph's for each of its start windows), or a deeper last window's.
+    pub(crate) fn lens(&self, view: GraphView<'_>, l: u32, k: usize) -> Lens<'_> {
+        let (first, last) = (view.first_interval(), last_of(view));
+        debug_assert!(self.covers(view, l));
         let layout = |interval: u32| {
             let table = self.asked[(interval - self.first) as usize];
             let asked = Completions::lengths(l, interval - first, last);
-            debug_assert!(asked.is_empty() || table.shortest <= asked.start);
             // An empty range may start past the table's: no length is asked.
-            debug_assert!(asked.is_empty() || asked.end <= table.shortest + table.width as u32);
             let skip = match asked.is_empty() {
                 true => 0,
                 false => (asked.start - table.shortest) as usize,
@@ -601,10 +739,11 @@ impl Arrivals {
 
 #[cfg(test)]
 impl Memo {
-    /// The lengths a table is kept for, in the order kept.
+    /// The lengths a table is kept for: the whole graph's in the order
+    /// kept, then the last start window's.
     pub(crate) fn lengths(&self) -> Vec<u32> {
         let held = self.0.lock().unwrap();
-        held.iter().map(|table| table.l).collect()
+        held.tables().map(|table| table.l).collect()
     }
 }
 
@@ -795,7 +934,7 @@ mod tests {
             ];
             for k in ks {
                 assert_eq!(
-                    kernel.lens(view, k).floor().to_bits(),
+                    kernel.lens(view, l, k).floor().to_bits(),
                     floor_by_reference(whole.clone(), k).to_bits(),
                     "{case} l={l} k={k}"
                 );
@@ -815,7 +954,7 @@ mod tests {
     /// full-path lens taken for `k = 0` has floor `−∞` and admits them all.
     fn from_every_start(view: GraphView<'_>) -> Arrivals {
         let table = ahead_of(view, last_of(view));
-        Arrivals::of(view, &table.lens(view, 0), None, &mut 0).unwrap()
+        Arrivals::of(view, &table.lens(view, table.l, 0), None, &mut 0).unwrap()
     }
 
     fn random_graph(m: usize, n: u32, d: u32, gap: u32, seed: u64) -> ClusterGraph {
@@ -861,7 +1000,7 @@ mod tests {
                     for k in [1, 3] {
                         let case = format!("gap={gap} first={first} l={l} k={k}");
                         let table = ahead_of(view, l);
-                        let ahead = table.lens(view, k);
+                        let ahead = table.lens(view, l, k);
                         assert_eq!(ahead.last(), last, "{case}");
                         for node in view.intervals().flat_map(|i| view.interval_node_ids(i)) {
                             let depth = node.interval - first;
@@ -916,12 +1055,12 @@ mod tests {
             let per_node = l.min(last - l + 1) as usize;
             assert!(ahead.best.len() <= graph.num_nodes() * per_node, "l={l}");
             assert_eq!(ahead.best.len(), Completions::weights(graph.view(), l));
-            let floor = ahead.lens(graph.view(), 1).floor();
+            let floor = ahead.lens(graph.view(), l, 1).floor();
             assert_eq!(floor, f64::from(l) * 0.5, "l={l}");
         }
         let table = ahead_of(graph.view(), last);
         assert_eq!(table.best.len(), graph.num_nodes() - 1);
-        let full = table.lens(graph.view(), 1);
+        let full = table.lens(graph.view(), last, 1);
         assert_eq!(full.to_the_end(node(0, 0)), f64::from(last) * 0.5);
         assert_eq!(full.to_the_end(node(last - 1, 0)), 0.5);
         assert_eq!(full.to_the_end(node(last, 0)), 0.0);
@@ -968,7 +1107,7 @@ mod tests {
                 let every = from_every_start(view);
                 for (k, raise) in lenses {
                     let case = format!("{name} from {first} k={k} raised {raise:?}");
-                    let own = table.lens(view, k);
+                    let own = table.lens(view, table.l, k);
                     let floor = own.floor();
                     let lens = own.raised(raise.map_or(f64::NEG_INFINITY, |by| floor + by));
                     let mut heaviest = HashMap::new();
@@ -1108,7 +1247,8 @@ mod tests {
                                 for k in [1, 5] {
                                     let case =
                                         format!("{name} gap={gap} l={l} run {a}..={b} s={s} k={k}");
-                                    let (lens, own) = (run.lens(window, k), own.lens(window, k));
+                                    let (lens, own) =
+                                        (run.lens(window, l, k), own.lens(window, l, k));
                                     assert_reads_alike(&lens, &own, window, &case);
                                 }
                                 windows += 1;
@@ -1124,6 +1264,94 @@ mod tests {
             }
         }
         assert_eq!(windows, 4 * 4 * 211);
+    }
+
+    /// Nine intervals of up to four nodes, every fourth one (from `seed`'s
+    /// offset on) empty, each node the child of up to three parents drawn
+    /// at every length up to `gap + 1`, or eight for a wider gap.
+    fn graph_with_empty_intervals(gap: u32, seed: u64) -> ClusterGraph {
+        let mut rng = bsc_util::rng::DetRng::seed_from_u64(seed);
+        let mut builder = ClusterGraphBuilder::new(gap);
+        let sizes: Vec<u32> = (0..9)
+            .map(|i| match (i + seed) % 4 {
+                2 => 0,
+                _ => 1 + rng.below(4) as u32,
+            })
+            .collect();
+        for &nodes in &sizes {
+            builder.add_interval(nodes);
+        }
+        for to in 1..sizes.len() as u32 {
+            for index in 0..sizes[to as usize] {
+                for _ in 0..3 {
+                    let len = 1 + rng.below(u64::from(gap.min(7)) + 1) as u32;
+                    let Some(from) = to.checked_sub(len) else {
+                        continue;
+                    };
+                    let parents = u64::from(sizes[from as usize]);
+                    if parents > 0 {
+                        let parent = node(from, rng.below(parents) as u32);
+                        let weight = (1 + rng.below(1_000)) as f64 / 1_000.0;
+                        builder.add_edge(parent, node(to, index), weight);
+                    }
+                }
+            }
+        }
+        builder.build()
+    }
+
+    /// The start window `[t − l, t]` of `graph`, `t` its last interval.
+    fn last(graph: &ClusterGraph, l: u32) -> GraphView<'_> {
+        let t = graph.num_intervals() as u32 - 1;
+        graph.window(t - l, t)
+    }
+
+    #[test]
+    fn a_last_window_s_table_answers_every_shorter_one_and_deepens_to_a_longer_one() {
+        // The graph's last start windows `[t − l, t]`: for every
+        // `1 ≤ d < l ≤ 6`, the table of the last window at `l` covers the
+        // last window at `d` and reads it as that window's own table does
+        // (weights, lengths, `θ₀`, to the bit); the table at `d` deepened to
+        // `l` is `Completions::of` of the last window at `l`, bit for bit;
+        // and a graph asked for both, `d` first, keeps the one at `l`,
+        // deepened where `d` asks weights. Over gaps 0 to 3 and `u32::MAX`,
+        // the four weightings and graphs whose first, last or inner
+        // intervals hold no node.
+        let bits = |table: &Completions| table.best.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        let mut deepened = 0;
+        for gap in [0, 1, 2, 3, u32::MAX] {
+            for seed in 0..4 {
+                let base = graph_with_empty_intervals(gap, 4_000 + seed);
+                for (name, weight) in WEIGHTINGS {
+                    let graph = reweighted(&base, weight);
+                    for l in 2..=6 {
+                        let deep = ahead_of(last(&graph, l), l);
+                        for d in 1..l {
+                            let case = format!("{name} gap={gap} seed={seed} d={d} l={l}");
+                            let window = last(&graph, d);
+                            let own = ahead_of(window, d);
+                            assert!(deep.covers(window, d), "{case}");
+                            for k in [1, 3] {
+                                let (lens, alone) =
+                                    (deep.lens(window, d, k), own.lens(window, d, k));
+                                assert_reads_alike(&lens, &alone, window, &format!("{case} k={k}"));
+                            }
+                            if d >= 2 {
+                                let grown = own.deepened(last(&graph, l), l, None, &mut 0).unwrap();
+                                assert_eq!(bits(&grown), bits(&deep), "{case}");
+                                deepened += 1;
+                            }
+                            let fresh = graph.clone();
+                            last(&fresh, d).completions(d, None, &mut 0).unwrap();
+                            let kept = last(&fresh, l).completions(l, None, &mut 0).unwrap();
+                            assert_eq!(bits(&kept), bits(&deep), "{case}");
+                            assert_eq!(fresh.memoized(), [l], "{case}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(deepened, 5 * 4 * 4 * 10);
     }
 
     /// The top `k` of every path of exactly `l` edges, each summed left to
@@ -1184,7 +1412,7 @@ mod tests {
             "from 1 500",
         );
         let widest = ahead_of(graph.view(), 1_000);
-        let lens = widest.lens(graph.view(), 5);
+        let lens = widest.lens(graph.view(), 1_000, 5);
         assert_eq!(lens.leaving(node(999, 0)).1.len(), 1_000);
 
         let k = 5;
@@ -1253,7 +1481,8 @@ mod tests {
         // Each solve below reads the table its graph keeps, built by a first
         // solve of the whole graph; the reference is the same solve on a
         // clone, which keeps none: a whole-graph solve builds its table, a
-        // window solved alone its own. Paths, weight bits and every counter
+        // window solved alone its own, and the clone keeps only its last
+        // window's, which no earlier window reads. Paths, weight bits and every counter
         // (`visited`, `generated`, `held` among them) agree, for BFS
         // `exact:l` and full paths, TA full paths, and every BFS or TA start
         // window solved alone — over the four weightings and the long thin
@@ -1295,7 +1524,7 @@ mod tests {
                     };
                     assert_eq!(solve(graph), solve(&cold), "{case} start={start}");
                 }
-                assert!(cold.memoized().is_empty(), "{case}");
+                assert_eq!(cold.memoized(), [l], "{case}");
             }
             assert_eq!(graph.memoized(), [2, 3, last], "{name}");
         }

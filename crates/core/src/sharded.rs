@@ -49,24 +49,30 @@
 //!   of a window outlives the solve: what a later epoch reuses is the
 //!   merged answer, never a window's own top-k.
 //!
-//! ## One look-ahead table per graph and length
+//! ## The look-ahead tables a graph keeps
 //!
 //! Every BFS and TA window solve reads the backward pass of
-//! `lookahead::Completions`, and a node lies in up to `l + 1` windows. The
-//! whole graph's table for `l` holds exactly every window's own table, and
-//! a graph keeps the tables its solves build (`GraphView::completions`,
-//! within `lookahead::MEMO_WEIGHTS`, 4 MiB). So a solve of the whole graph
-//! whose windows are BFS or TA solved here has the graph keep its table for
-//! `l` before the windows — the one the unsharded solve
-//! of that length reads too — and each window (`distributed::solve_window`)
-//! reads it through a `Lens`, which answers exactly what the window's own
-//! table would, its `θ₀` included (the `lookahead` module docs carry the
-//! argument). Any other window — of a part of the graph, of a solve of only
-//! some starts (the tail windows a streamed answer solves), of a per-window
-//! budgeted `auto`, of a graph
-//! whose table would pass the bound, or on a transport's worker (one window
-//! per request) — reads the table its graph keeps for `l` if there is one,
-//! and otherwise builds its own and keeps nothing. DFS reads none.
+//! `lookahead::Completions`, and a node lies in up to `l + 1` windows. A
+//! table answers every view whose weights it holds (`Completions::covers`;
+//! the `lookahead` module docs carry the argument), and a graph keeps the
+//! tables its solves build (`GraphView::completions`, within
+//! `lookahead::MEMO_WEIGHTS`, 4 MiB) — the whole graph's, one per `l`, and
+//! its last start window's. So a solve of the whole graph whose windows are
+//! BFS or TA solved here has the graph keep its table for `l` before the
+//! windows — the one the unsharded solve of that length reads too — and each
+//! window (`distributed::solve_window`) reads it through a `Lens`, which
+//! answers exactly what the window's own table would, its `θ₀` included.
+//! The tail windows a fed query solves (`Windowed::from` > 0) read the same
+//! way: the last of them, the window `[t − l, t]` at the graph's end, reads
+//! the last window's table the graph keeps if it is as deep as `l`, and
+//! otherwise deepens it to `l` and has the graph keep the deeper one, so an
+//! epoch's fed queries build one backward pass between them, as deep as the
+//! deepest `l` asked. Any other window — an earlier tail window of a merge
+//! over several appends, a window of a part of the graph, of a per-window
+//! budgeted `auto`, of a graph whose table would pass the bound, or on a
+//! transport's worker (one window per request) — reads a kept table that
+//! covers it if there is one, and otherwise builds its own and keeps
+//! nothing. DFS reads none.
 //!
 //! ## The graph's floor
 //!
@@ -391,7 +397,7 @@ impl<'a> Windowed<'a> {
             return Ok((self.floor, vec![true; starts.len()]));
         }
         let table = view.completions(l, Some(cancel), &mut 0)?;
-        let lens = table.lens(view, self.solver.k).raised(self.floor);
+        let lens = table.lens(view, l, self.solver.k).raised(self.floor);
         let live = |start| {
             view.interval_node_ids(start)
                 .any(|node| lens.can_start(node))
@@ -706,20 +712,21 @@ mod tests {
     }
 
     #[test]
-    fn a_merge_keeps_no_table_of_the_new_graph() {
+    fn a_merge_keeps_the_table_of_the_new_graph_s_last_window() {
         // The stream's next epoch: one interval appended, its parents those
         // of the last interval moved one on. The earlier answer stands for
-        // the windows it leaves alone; the one it adds reads a table of its
-        // own, and the new graph keeps none — the answer is still the cold
-        // one.
+        // the windows it leaves alone; the one it adds, the new graph's last
+        // start window, builds its table and the graph keeps it. A shorter
+        // last window reads it, a longer one deepens it, and the graph then
+        // keeps the deeper one alone — every answer still the cold one.
         let old = graph(12, 300, 5, 1, 20_240_607);
-        let spec = StableClusterSpec::ExactLength(3);
         let options = SolverOptions::default();
-        let solve = |graph, prior| {
+        let solve = |graph, l, prior| {
+            let spec = StableClusterSpec::ExactLength(l);
             crate::delta::solve_windows(graph, spec, 5, AlgorithmKind::Bfs, &options, prior)
         };
-        let first = solve(&old, None).unwrap();
-        assert_eq!(old.memoized(), [3]);
+        let first: Vec<_> = [3, 2, 4].map(|l| solve(&old, l, None).unwrap()).into();
+        assert_eq!(old.memoized(), [3, 2, 4]);
         let moved = |(parent, weight): &(ClusterNodeId, f64)| {
             (
                 ClusterNodeId::new(parent.interval + 1, parent.index),
@@ -736,17 +743,20 @@ mod tests {
             .append(nodes, &crate::cluster_graph::in_edges(&edges))
             .unwrap();
         let delta = GraphDelta::between(&old, &new);
-        let second = solve(&new, Some((&first.windows, &delta))).unwrap();
-        assert_eq!(second.solution.stats.windows_spliced, 9);
-        assert_eq!(second.solution.stats.windows_resolved, 1);
-        assert!(new.memoized().is_empty());
-        let mut cold = AlgorithmKind::Bfs
-            .build(spec, 5, new.num_intervals())
-            .unwrap();
-        assert_eq!(
-            second.windows.paths,
-            cold.solve(&new.clone()).unwrap().paths
-        );
+        for (prior, (l, kept)) in first.iter().zip([(3, [3]), (2, [3]), (4, [4])]) {
+            let second = solve(&new, l, Some((&prior.windows, &delta))).unwrap();
+            assert_eq!(second.solution.stats.windows_spliced, u64::from(12 - l));
+            assert_eq!(second.solution.stats.windows_resolved, 1);
+            assert_eq!(new.memoized(), kept, "l={l}");
+            let mut cold = AlgorithmKind::Bfs
+                .build(StableClusterSpec::ExactLength(l), 5, new.num_intervals())
+                .unwrap();
+            assert_eq!(
+                second.windows.paths,
+                cold.solve(&new.clone()).unwrap().paths,
+                "l={l}"
+            );
+        }
     }
 
     #[test]
@@ -754,7 +764,7 @@ mod tests {
         // The graph's table is over the memo's bound here, so it is not
         // built: each long window on a long graph reads a table of its own,
         // as it would solved alone, and answers — never `InvalidConfig` —
-        // and the graph keeps nothing.
+        // and the graph keeps only its last window's, one weight per node.
         let shards = SolverOptions::default().shards(2);
         let thin = long_thin_graph();
         let stream = graph(1_000, 200, 2, 0, 1_000);
@@ -770,7 +780,7 @@ mod tests {
                 solution.paths.iter().all(|path| path.length() == l),
                 "l={l}"
             );
-            assert!(graph.memoized().is_empty(), "l={l}");
+            assert_eq!(graph.memoized(), [l], "l={l}");
         }
     }
 
@@ -864,7 +874,7 @@ mod tests {
             .floor_and_live_windows(l, &CancelToken::default())
             .unwrap();
         let table = Completions::of(graph.view(), l, None, &mut 0).unwrap();
-        let view_s = table.lens(graph.view(), k).floor();
+        let view_s = table.lens(graph.view(), l, k).floor();
         assert_eq!(floor.to_bits(), view_s.to_bits(), "{case}");
         let mut sum = SolverStats::default();
         let (mut widest, mut summed) = (0, 0);
@@ -1027,7 +1037,7 @@ mod tests {
             assert_eq!(solution.stats.windows_resolved, 2, "{algorithm}");
         }
         let table = Completions::of(graph.view(), 3, None, &mut 0).unwrap();
-        assert_eq!(table.lens(graph.view(), 1).floor(), 1.0 + 2.0 * e);
+        assert_eq!(table.lens(graph.view(), 3, 1).floor(), 1.0 + 2.0 * e);
         // The unsharded sweep marks its live starts by the same predicate.
         let unsharded = BfsStableClusters::new(KlStableParams::new(1, 3));
         assert_eq!(unsharded.run(&graph).unwrap()[0].nodes(), p);

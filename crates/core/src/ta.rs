@@ -140,7 +140,7 @@ impl<'a> Search<'a> {
         mut tick: u32,
     ) -> BscResult<Self> {
         let l = view.num_intervals() as u32 - 1;
-        let startwts = table.lens(view, k).raised(floor);
+        let startwts = table.lens(view, l, k).raised(floor);
         let endwts = Arrivals::of(view, &startwts, cancel, &mut tick)?;
         Ok(Search {
             view,
@@ -334,8 +334,8 @@ impl TaStableClusters {
     /// reach the threshold its edge was popped under) and
     /// `early_termination` (the threshold condition stopped the scan).
     ///
-    /// `startwts` is `GraphView::completions`: the table the graph keeps
-    /// for the view's full length, or one built first. Either way the same
+    /// `startwts` is `GraphView::completions`: a table the graph keeps that
+    /// holds the view's weights at its full length, or one built first. Either way the same
     /// answer and the same counters.
     pub fn run_with_stats<'a>(
         &self,
@@ -693,7 +693,7 @@ mod tests {
         let graph = builder.build();
         let view = graph.view();
         let table = Completions::of(view, 2, None, &mut 0).unwrap();
-        let every_start = Arrivals::of(view, &table.lens(view, 0), None, &mut 0).unwrap();
+        let every_start = Arrivals::of(view, &table.lens(view, 2, 0), None, &mut 0).unwrap();
         let none = f64::NEG_INFINITY;
 
         // k = 1: θ₀ = 1.8 admits a alone. r and s seed nothing, so x arrives
