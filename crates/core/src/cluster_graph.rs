@@ -495,6 +495,7 @@ impl ClusterGraph {
             segments,
             num_nodes: self.num_nodes + nodes as usize,
             num_edges: self.num_edges + edges.len(),
+            memo: self.memo.appended(),
             ..ClusterGraph::default()
         })
     }

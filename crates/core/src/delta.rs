@@ -479,7 +479,11 @@ mod tests {
         // `l` ∈ {1, 2, 3, 4}, each at `k` ∈ {1, 3, 7}, by BFS and by TA over
         // two shards, merges the last epoch's answer into batch BFS's answer
         // on a clone, bit for bit; once every `l` merges one tail window, the
-        // graph keeps exactly one table, at `l = 4`.
+        // graph keeps exactly one table, at `l = 4`. Every other order runs
+        // on a clone, which deepens its table as the order asks deeper, and
+        // the rest on a fresh append of a graph the last epoch asked every
+        // `l` of, whose first query, whichever `l`, builds the table at
+        // `l = 4` once the graph holds that window.
         use crate::bfs::BfsStableClusters;
         use crate::lookahead::{reweighted, WEIGHTINGS};
         use crate::problem::KlStableParams;
@@ -518,8 +522,8 @@ mod tests {
                 .collect();
             for interval in 0..whole.num_intervals() as u32 {
                 let nodes = whole.nodes_in_interval(interval);
-                let next = graph.append(nodes, &in_edges(&whole.interval_parent_edges(interval)));
-                let next = next.unwrap();
+                let edges = in_edges(&whole.interval_parent_edges(interval));
+                let next = graph.append(nodes, &edges).unwrap();
                 let cold: Vec<Answer> = answers
                     .iter()
                     .map(|&Answer { l, k, .. }| {
@@ -528,8 +532,16 @@ mod tests {
                         Answer { l, k, paths }
                     })
                     .collect();
-                for order in &orders {
-                    let fed = next.clone();
+                let mut asked_all = None;
+                for (index, order) in orders.iter().enumerate() {
+                    // A clone starts cold and deepens its table as the
+                    // order asks deeper; a fresh append of the last epoch's
+                    // fed graph builds its first one as deep as that graph
+                    // was asked.
+                    let fed = match index % 2 {
+                        0 => next.clone(),
+                        _ => graph.append(nodes, &edges).unwrap(),
+                    };
                     let delta = GraphDelta::between(&graph, &fed);
                     for &l in order {
                         let asked = answers
@@ -554,9 +566,10 @@ mod tests {
                         assert_eq!(fed.memoized(), [4], "{name} interval={interval} {order:?}");
                         merged_one_window += 1;
                     }
+                    asked_all = Some(fed);
                 }
                 answers = cold;
-                graph = next;
+                graph = asked_all.unwrap();
             }
         }
         assert_eq!(merged_one_window, 4 * 4 * 24);

@@ -67,10 +67,14 @@
 //! unsharded, each start window of a sharded one, TA's `startwts` — reads
 //! it; and it keeps its last start window's table, as deep as the deepest
 //! `l` asked, which every tail window a fed query solves at the graph's end
-//! reads or deepens (`delta.rs`). Per epoch, the table work of the fed
-//! queries is one backward pass as deep as the deepest `l` asked. What a
-//! graph keeps is capped at [`MEMO_WEIGHTS`] (4 MiB); past that a solve
-//! builds its table and drops it, as every solve did before.
+//! reads or deepens (`delta.rs`). A graph an append makes builds its first
+//! last-window table as deep as its parent's last window was asked, so an
+//! epoch whose queries ask the lengths the last one asked builds one table,
+//! at its first query, whatever order the others come in; a deeper ask
+//! still deepens it. Per epoch, the table work of the fed queries is one
+//! backward pass as deep as the deepest `l` asked. What a graph keeps is
+//! capped at [`MEMO_WEIGHTS`] (4 MiB); past that a solve builds its table
+//! and drops it, as every solve did before.
 //!
 //! Both passes read an interval's rows as stored ([`GraphView::rows`]) and
 //! compare one end of an edge against the view, the end that can lie
@@ -131,7 +135,9 @@ pub(crate) const MEMO_WEIGHTS: usize = (4 << 20) / std::mem::size_of::<f64>();
 /// deepened, not rebuilt, when a longer one is asked. Every later solve of
 /// the graph reads whichever [covers](Completions::covers) its view
 /// ([`GraphView::completions`], the one place that decides what is kept). A
-/// clone of the graph, and every graph an append makes, starts empty; a
+/// clone of the graph starts empty; every graph an append makes starts
+/// with no table and builds its first last-window table as deep as the
+/// deepest `l` its parent's last window was asked ([`Memo::appended`]). A
 /// poisoned lock reads as empty and keeps nothing.
 #[derive(Default)]
 pub(crate) struct Memo(Mutex<Kept>);
@@ -143,6 +149,11 @@ struct Kept {
     whole: Vec<Arc<Completions>>,
     /// The table of the graph's last start window.
     last: Option<Arc<Completions>>,
+    /// The deepest `l` a solve asked of the graph's last start window.
+    deepest: u32,
+    /// How deep the first last-window table is built: the `deepest` of the
+    /// graph this one was appended to.
+    ahead: u32,
 }
 
 impl Kept {
@@ -169,7 +180,9 @@ impl GraphView<'_> {
     /// The look-ahead table the view reads for paths of length `l`: a table
     /// its graph keeps that [covers](Completions::covers) it, if any; else
     /// one built now — for the graph's last start window `[t − l, t]`, the
-    /// kept table of a shorter last window deepened — and kept for the
+    /// kept table of a shorter last window deepened, and as deep as the
+    /// graph this one was appended to was asked, where that is deeper and
+    /// fits [`MEMO_WEIGHTS`] — and kept for the
     /// solves that follow if it is the whole graph's, or the last window's
     /// and deeper than the one kept, unless the memo would outgrow
     /// [`MEMO_WEIGHTS`] or a racing build, the same bits, was kept first.
@@ -182,22 +195,35 @@ impl GraphView<'_> {
         cancel: Option<&CancelToken>,
         tick: &mut u32,
     ) -> BscResult<Arc<Completions>> {
-        let memo = &self.graph().memo.0;
-        let (found, last) = match memo.lock() {
-            Ok(held) => (held.covering(self, l), held.last.clone()),
-            Err(_) => (None, None),
+        let graph = self.graph();
+        let end = graph.num_intervals() as u32;
+        let whole = self.num_intervals() == end as usize;
+        // A start window that ends at the graph's last interval, asking
+        // weights: a kept table of a shorter one holds its deepest rows.
+        let window = !whole && self.intervals().end == end && last_of(self) == l && l >= 2;
+        let memo = &graph.memo.0;
+        let (found, last, ahead) = match memo.lock() {
+            Ok(mut held) => {
+                if window {
+                    held.deepest = held.deepest.max(l);
+                }
+                (held.covering(self, l), held.last.clone(), held.ahead)
+            }
+            Err(_) => (None, None, 0),
         };
         if let Some(table) = found {
             return Ok(table);
         }
-        let end = self.graph().num_intervals();
-        let whole = self.num_intervals() == end;
-        // A start window that ends at the graph's last interval, asking
-        // weights: a kept table of a shorter one holds its deepest rows.
-        let window = !whole && self.intervals().end as usize == end && last_of(self) == l && l >= 2;
+        // The last window as deep as the graph appended to was asked, where
+        // that fits: its table holds this one's and the epoch's deeper asks.
+        let depth = ahead.min(end.saturating_sub(2));
+        let deeper = (window && depth > l)
+            .then(|| graph.window(end - 1 - depth, end - 1))
+            .filter(|&deeper| Completions::weights(deeper, depth) <= MEMO_WEIGHTS);
+        let (view, l) = deeper.map_or((self, l), |deeper| (deeper, depth));
         let table = Arc::new(match last.filter(|_| window) {
-            Some(shorter) => shorter.deepened(self, l, cancel, tick)?,
-            None => Completions::of(self, l, cancel, tick)?,
+            Some(shorter) => shorter.deepened(view, l, cancel, tick)?,
+            None => Completions::of(view, l, cancel, tick)?,
         });
         if let (true, Ok(mut held)) = (whole || window, memo.lock()) {
             // A last window's table replaces the shallower one kept.
@@ -207,7 +233,7 @@ impl GraphView<'_> {
                 .filter(|_| window)
                 .map_or(0, |kept| kept.best.len());
             let fits = held.weights() - freed + table.best.len() <= MEMO_WEIGHTS;
-            if fits && held.covering(self, l).is_none() {
+            if fits && held.covering(view, l).is_none() {
                 let kept = Some(Arc::clone(&table));
                 match window {
                     true => held.last = kept,
@@ -216,6 +242,19 @@ impl GraphView<'_> {
             }
         }
         Ok(table)
+    }
+}
+
+impl Memo {
+    /// The memo of a graph appended to this one's: no table, and the first
+    /// table of its last start window is built as deep as this graph's was
+    /// asked, so the next epoch's fed queries build one table in any order.
+    pub(crate) fn appended(&self) -> Memo {
+        let deepest = self.0.lock().map_or(0, |held| held.deepest);
+        Memo(Mutex::new(Kept {
+            ahead: deepest,
+            ..Kept::default()
+        }))
     }
 }
 
@@ -1352,6 +1391,79 @@ mod tests {
             }
         }
         assert_eq!(deepened, 5 * 4 * 4 * 10);
+    }
+
+    #[test]
+    fn an_appended_graph_builds_its_last_window_s_table_as_deep_as_its_parent_s_was_asked() {
+        // A stream's epochs: the graph of seven intervals is asked its last
+        // window at `D`, the one appended to it at `d`. The appended graph's
+        // first table is its last window's at `max(d, D)`, `Completions::of`
+        // of that window bit for bit, it reads the window at `d` as that
+        // window's own table does, and it is the one table kept. What it
+        // hands on is what it was asked, not what it built: the next graph
+        // builds at `max(d, 2)`. A clone builds at `d`; `l = 1` asks
+        // nothing and keeps nothing. Over gaps 0 to 3 and `u32::MAX`, the
+        // four weightings and graphs with empty intervals.
+        use crate::cluster_graph::in_edges;
+        let bits = |table: &Completions| table.best.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        let mut cases = 0;
+        for gap in [0, 1, 2, 3, u32::MAX] {
+            for seed in 0..4 {
+                let base = graph_with_empty_intervals(gap, 5_000 + seed);
+                for (name, weight) in WEIGHTINGS {
+                    let whole = reweighted(&base, weight);
+                    let append = |graph: &ClusterGraph, interval: u32| {
+                        let edges = in_edges(&whole.interval_parent_edges(interval));
+                        let nodes = whole.nodes_in_interval(interval);
+                        graph.append(nodes, &edges).unwrap()
+                    };
+                    let mut parent = ClusterGraphBuilder::new(gap).build();
+                    for interval in 0..7 {
+                        parent = append(&parent, interval);
+                    }
+                    for asked in 2..=5 {
+                        let parent = parent.clone();
+                        last(&parent, asked)
+                            .completions(asked, None, &mut 0)
+                            .unwrap();
+                        for d in 1..=5 {
+                            let case = format!("{name} gap={gap} seed={seed} D={asked} d={d}");
+                            let child = append(&parent, 7);
+                            let window = last(&child, d);
+                            let table = window.completions(d, None, &mut 0).unwrap();
+                            if d == 1 {
+                                assert!(child.memoized().is_empty(), "{case}");
+                            } else {
+                                let depth = d.max(asked);
+                                let deep = ahead_of(last(&child, depth), depth);
+                                assert_eq!(bits(&table), bits(&deep), "{case}");
+                                assert_eq!(child.memoized(), [depth], "{case}");
+                                let own = ahead_of(window, d);
+                                for k in [1, 3] {
+                                    let (lens, alone) =
+                                        (table.lens(window, d, k), own.lens(window, d, k));
+                                    assert_reads_alike(
+                                        &lens,
+                                        &alone,
+                                        window,
+                                        &format!("{case} k={k}"),
+                                    );
+                                }
+                            }
+                            let next = append(&child, 8);
+                            last(&next, 2).completions(2, None, &mut 0).unwrap();
+                            assert_eq!(next.memoized(), [d.max(2)], "{case}");
+                            let cold = child.clone();
+                            last(&cold, d).completions(d, None, &mut 0).unwrap();
+                            let built = if d == 1 { vec![] } else { vec![d] };
+                            assert_eq!(cold.memoized(), built, "{case}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 5 * 4 * 4 * 4 * 5);
     }
 
     /// The top `k` of every path of exactly `l` edges, each summed left to

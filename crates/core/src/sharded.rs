@@ -67,7 +67,8 @@
 //! the last window's table the graph keeps if it is as deep as `l`, and
 //! otherwise deepens it to `l` and has the graph keep the deeper one, so an
 //! epoch's fed queries build one backward pass between them, as deep as the
-//! deepest `l` asked. Any other window — an earlier tail window of a merge
+//! deepest `l` asked; an appended graph builds its first one as deep as its
+//! parent's was asked, so that pass is its first query's. Any other window — an earlier tail window of a merge
 //! over several appends, a window of a part of the graph, of a per-window
 //! budgeted `auto`, of a graph whose table would pass the bound, or on a
 //! transport's worker (one window per request) — reads a kept table that
