@@ -177,14 +177,23 @@ fn read_edges(reader: &mut json::Reader) -> Result<Result<Vec<InEdge>, String>, 
     }
     let (mut edges, mut shape) = (Vec::new(), None);
     reader.array(|reader| {
-        // `[n,n,n,n]` in one read; any other element the general way.
-        let quad = match reader.numbers::<4>() {
-            Some(quad) => Some(quad.map(Some)),
-            None => read_quad(reader)?,
+        // Until the first shape error every edge is kept: this is edge
+        // `edges.len()`. `[u,u,u,n]` is one typed read, its indices read as
+        // integers; any other element is read as numbers and converted by
+        // `edge_from`, `[n,n,n,n]` in one read and the rest the general way.
+        let quad = match reader.edge() {
+            Some(([interval, index, node], weight)) => {
+                if shape.is_none() {
+                    edges.push((ClusterNodeId::new(interval, index), node, weight));
+                }
+                return Ok(());
+            }
+            None => match reader.numbers::<4>() {
+                Some(quad) => Some(quad.map(Some)),
+                None => read_quad(reader)?,
+            },
         };
         if shape.is_none() {
-            // Until the first shape error every edge is kept: this is edge
-            // `edges.len()`.
             match edge_from(edges.len(), quad) {
                 Ok(edge) => edges.push(edge),
                 Err(error) => shape = Some(error),
@@ -768,9 +777,9 @@ mod tests {
 
     /// A generated matrix of `edges` arrays: every pair of the elements
     /// below, in both orders, beside a well-formed quad, spaced and not, and
-    /// under a duplicated `edges` key. The read takes `[n,n,n,n]` in one
-    /// call and every other element the general way; both must answer what
-    /// the tree answers.
+    /// under a duplicated `edges` key. The read takes `[u,u,u,n]` in one
+    /// typed read, `[n,n,n,n]` in one call and every other element the
+    /// general way; each must answer what the tree answers.
     #[test]
     fn a_matrix_of_edge_lists_reads_like_the_tree() {
         let elements = [
@@ -797,6 +806,26 @@ mod tests {
             "[0000000000000001,0,0,0.5]",
             "[4294967295.0000001,0,0,0.5]",
             "[0,0,0,12345678901234567890123]",
+            // Indices the typed read takes as integers, and the ones it must
+            // leave to the number routine: leading zeros, 2^32, ten 9s, and
+            // eleven digits whose first ten are `u32::MAX`, in each position.
+            "[007,0,0,0.5]",
+            "[4294967296,0,0,0.5]",
+            "[0,4294967296,0,0.5]",
+            "[0,0,4294967296,0.5]",
+            "[9999999999,0,0,0.5]",
+            "[0,9999999999,0,0.5]",
+            "[0,0,9999999999,0.5]",
+            "[42949672950,0,0,0.5]",
+            "[0,42949672950,0,0.5]",
+            "[0,0,42949672950,0.5]",
+            "[0,0,1.5,0.5]",
+            "[0,0,0,1]",
+            // Weights the line reads (`append` refuses the last three).
+            "[0,0,0,0.5e0]",
+            "[0,0,0,-0.5]",
+            "[0,0,0,2]",
+            "[0,0,0,0]",
             // Strings, null, nested arrays and objects.
             "[\"0\",0,0,0.5]",
             "[0,null,0,0.5]",

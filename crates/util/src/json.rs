@@ -14,9 +14,13 @@
 //! `edges` of a 118 KB `push_interval` line go straight into edge tuples, with
 //! no tree built and freed per request. Either way there is one lexer, one
 //! nesting limit and one set of error texts (`JSON parse error at byte N: …`).
-//! Numbers have one routine: a plain decimal of at most 15 significant digits
-//! and 15 after the point is read exactly (Clinger's fast path), every other
-//! token by `str::parse`; both give the correctly rounded `f64`.
+//! A number is read as an `f64` by one routine: a plain decimal of at most 15
+//! significant digits and 15 after the point is read exactly (Clinger's fast
+//! path), every other token by `str::parse`; both give the correctly rounded
+//! `f64`. The one exception is [`Reader::edge`], which reads the three
+//! indices of an edge `[u,u,u,n]` as integer digit runs (at most 10 digits,
+//! below 2^32) straight into `u32`s, and its weight by that routine; an
+//! index in any other form leaves the whole edge to the `f64` reads.
 //!
 //! Round-trip caveat: numbers are carried as `f64` (which covers bench
 //! timings and every protocol field), and keys are kept sorted — serialized
@@ -355,6 +359,46 @@ impl<'a> Reader<'a> {
         Some(out)
     }
 
+    /// Read the value at the reader's position if it is an edge `[u,u,u,n]`
+    /// with no whitespace inside: three indices, each a run of at most 10
+    /// digits below 2^32 read as an integer, then a number read as
+    /// [`Reader::number`] reads it. Anything else — `1.0`, `1e0`, `-0`, 11
+    /// digits or more, 2^32 and above, whitespace in front or inside, another
+    /// shape, a syntax error, the nesting limit — is left unread (`None`, the
+    /// position unchanged), for [`Reader::numbers`] or [`Reader::array`] to
+    /// read. It is the one read that does not skip whitespace first: inside
+    /// [`Reader::array`], whose element sits right after a `,` on a compact
+    /// line, the skip cost about 13 % of a push line's parse.
+    #[inline]
+    pub fn edge(&mut self) -> Option<([u32; 3], f64)> {
+        if self.byte() != Some(b'[') || self.depth >= MAX_PARSE_DEPTH {
+            return None;
+        }
+        let bytes = self.text.as_bytes();
+        let mut pos = self.pos + 1;
+        let mut indices = [0; 3];
+        for index in &mut indices {
+            let (len, value) = index_at(&bytes[pos..])?;
+            *index = value;
+            pos += len;
+            if bytes.get(pos) != Some(&b',') {
+                return None;
+            }
+            pos += 1;
+        }
+        if !matches!(bytes.get(pos), Some(b'-' | b'0'..=b'9')) {
+            return None;
+        }
+        let (len, weight) = number_at(&bytes[pos..]);
+        let weight = weight?;
+        pos += len;
+        if bytes.get(pos) != Some(&b']') {
+            return None;
+        }
+        self.pos = pos + 1;
+        Some((indices, weight))
+    }
+
     /// Walk the next value, which must be an object: `each` is called with
     /// every key in document order (duplicates included) and must read
     /// exactly one value, the key's.
@@ -548,6 +592,30 @@ const EXACT_POWERS_OF_TEN: [f64; 16] = [
 /// The most significant digits, and the most digits after the point, a token
 /// may have to take [`exact_decimal`]'s path.
 const FAST_PATH_DIGITS: u32 = 15;
+
+/// The most digits an index [`Reader::edge`] reads may have: every `u32`
+/// has at most 10, and 10 digits sum in a `u64` without wrapping. A longer
+/// run (leading zeros, or 2^32 and above) is left to the number routine.
+const INDEX_DIGITS: usize = 10;
+
+/// The index at the front of `bytes`, a run of 1 to [`INDEX_DIGITS`] digits
+/// below 2^32 with no digit after it, as its length and its value.
+#[inline]
+fn index_at(bytes: &[u8]) -> Option<(usize, u32)> {
+    let mut value = 0u64;
+    let mut len = 0;
+    while let Some(&digit @ b'0'..=b'9') = bytes.get(len) {
+        if len == INDEX_DIGITS {
+            return None;
+        }
+        value = value * 10 + u64::from(digit - b'0');
+        len += 1;
+    }
+    if len == 0 {
+        return None;
+    }
+    Some((len, u32::try_from(value).ok()?))
+}
 
 /// The number token at the front of `bytes` — a sign, then any run of
 /// `[0-9.eE+-]` — as its length and its value (`None` if it is not a
@@ -947,6 +1015,127 @@ mod tests {
             assert!(read(invalid).is_none(), "{invalid}");
             assert!(fast(invalid.as_bytes()).is_none(), "{invalid}");
         }
+    }
+
+    /// `edge` reads what `numbers::<4>` reads followed by the indices' `u32`
+    /// conversion (`as_u64`, then `u32::try_from`: what `protocol::as_u32`
+    /// and the tree accept), to the bit, wherever it takes an element; it
+    /// takes one exactly when its indices are plain runs of at most 10
+    /// digits below 2^32 and `numbers::<4>` reads it, and where it does not,
+    /// the reader has not moved.
+    #[test]
+    fn the_typed_edge_read_is_numbers_then_the_u32_conversion() {
+        let as_u32 = |n: f64| {
+            JsonValue::Number(n)
+                .as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+        };
+        let plain = |token: &str| {
+            (1..=10).contains(&token.len())
+                && token.bytes().all(|b| b.is_ascii_digit())
+                && token.parse::<u64>().unwrap() <= u64::from(u32::MAX)
+        };
+        let mut indices: Vec<String> = [
+            "0",
+            "7",
+            "007",
+            "10",
+            "0000000000",
+            "4294967295",
+            "04294967295",
+            "4294967296",
+            "9999999999",
+            "42949672950",
+            "18446744073709551616",
+            "1.0",
+            "1e0",
+            "-0",
+            "-1",
+            "1.5",
+            "",
+            " 1",
+            "1 ",
+            "\"1\"",
+            "null",
+            "[1]",
+        ]
+        .map(String::from)
+        .to_vec();
+        // Seeded digit runs of 1–12 digits, leading zeros among them.
+        let mut rng = crate::DetRng::seed_from_u64(0xed9e);
+        for _ in 0..12 {
+            let digits = 1 + rng.below(12);
+            indices.push(
+                (0..digits)
+                    .map(|_| char::from(b'0' + rng.below(10) as u8))
+                    .collect(),
+            );
+        }
+        // Each weight, and whether `numbers` reads it as a number.
+        let weights = [
+            "0.5", "0.5e0", "-0.5", "2", "0", "-0", "1e400", "0.1234", ".5", "1.", "-", "x", "",
+        ]
+        .map(|w| {
+            (
+                w,
+                Reader::new(&format!("[0,0,0,{w}]"))
+                    .numbers::<4>()
+                    .is_some(),
+            )
+        });
+        let (mut taken, mut left) = (0usize, 0usize);
+        let mut check = |element: &str, expected: bool| {
+            let mut typed = Reader::new(element);
+            let mut numbers = Reader::new(element);
+            match (typed.edge(), numbers.numbers::<4>()) {
+                (Some((read, weight)), Some([a, b, c, w])) => {
+                    assert!(expected, "{element}");
+                    assert_eq!(read.map(Some), [a, b, c].map(as_u32), "{element}");
+                    assert_eq!(weight.to_bits(), w.to_bits(), "{element}");
+                    assert_eq!(typed.pos, numbers.pos, "{element}");
+                    taken += 1;
+                }
+                (Some(_), None) => panic!("{element} read as an edge only"),
+                (None, _) => {
+                    assert!(!expected, "{element} left unread");
+                    assert_eq!(typed.pos, 0, "{element}");
+                    left += 1;
+                }
+            }
+        };
+        for a in &indices {
+            for b in &indices {
+                for c in &indices {
+                    for (w, reads) in &weights {
+                        let expected = plain(a) && plain(b) && plain(c) && *reads;
+                        check(&format!("[{a},{b},{c},{w}]"), expected);
+                    }
+                }
+            }
+        }
+        for element in [
+            " [0,1,2,0.5]",
+            "[ 0,1,2,0.5]",
+            "[0,1,2,0.5 ]",
+            "[0,1,2]",
+            "[0,1,2,0.5,1]",
+            "[0,1,2,0.5",
+            "",
+        ] {
+            check(element, false);
+        }
+        assert!(
+            taken > 10_000 && left > 100_000,
+            "{taken} taken, {left} left"
+        );
+        // The nesting limit: at the limit the reader takes nothing.
+        let nested = format!("{}[0,1,2,0.5]", "[".repeat(MAX_PARSE_DEPTH));
+        let mut reader = Reader::new(&nested);
+        reader.pos = MAX_PARSE_DEPTH;
+        reader.depth = MAX_PARSE_DEPTH;
+        assert_eq!(reader.edge(), None);
+        reader.depth -= 1;
+        assert_eq!(reader.edge(), Some(([0, 1, 2], 0.5)));
     }
 
     /// The walkers read a document the way `value` builds it: typed as it
