@@ -179,8 +179,8 @@ fn read_edges(reader: &mut json::Reader) -> Result<Result<Vec<InEdge>, String>, 
     reader.array(|reader| {
         // Until the first shape error every edge is kept: this is edge
         // `edges.len()`. `[u,u,u,n]` is one typed read, its indices read as
-        // integers; any other element is read as numbers and converted by
-        // `edge_from`, `[n,n,n,n]` in one read and the rest the general way.
+        // integers; any other element is read the general way and converted
+        // by `edge_from`.
         let quad = match reader.edge() {
             Some(([interval, index, node], weight)) => {
                 if shape.is_none() {
@@ -188,10 +188,7 @@ fn read_edges(reader: &mut json::Reader) -> Result<Result<Vec<InEdge>, String>, 
                 }
                 return Ok(());
             }
-            None => match reader.numbers::<4>() {
-                Some(quad) => Some(quad.map(Some)),
-                None => read_quad(reader)?,
-            },
+            None => read_quad(reader)?,
         };
         if shape.is_none() {
             match edge_from(edges.len(), quad) {
@@ -204,7 +201,7 @@ fn read_edges(reader: &mut json::Reader) -> Result<Result<Vec<InEdge>, String>, 
     Ok(shape.map_or(Ok(edges), Err))
 }
 
-/// Read an element of `edges` that is not `[n,n,n,n]`: its four values
+/// Read an element of `edges` that is not `[u,u,u,n]`: its four values
 /// (`None` for one that is not a number) if it is a 4-element array.
 #[cold]
 fn read_quad(reader: &mut json::Reader) -> Result<Option<[Option<f64>; 4]>, String> {
@@ -778,8 +775,8 @@ mod tests {
     /// A generated matrix of `edges` arrays: every pair of the elements
     /// below, in both orders, beside a well-formed quad, spaced and not, and
     /// under a duplicated `edges` key. The read takes `[u,u,u,n]` in one
-    /// typed read, `[n,n,n,n]` in one call and every other element the
-    /// general way; each must answer what the tree answers.
+    /// typed read and every other element the general way; each must answer
+    /// what the tree answers.
     #[test]
     fn a_matrix_of_edge_lists_reads_like_the_tree() {
         let elements = [

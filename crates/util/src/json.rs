@@ -324,49 +324,14 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Read the next value if it is an array of exactly `N` numbers with no
-    /// whitespace inside, such as `[0,1,2,0.5]`: a list of tuples' common
-    /// shape, in one call. Anything else — whitespace inside, another
-    /// length, a value that is not a number, a syntax error, the nesting
-    /// limit — is left unread (`None`) for [`Reader::array`] to walk and to
-    /// report on. A number reads as [`Reader::number`] reads it.
-    #[inline]
-    pub fn numbers<const N: usize>(&mut self) -> Option<[f64; N]> {
-        if self.peek() != Some(b'[') || self.depth >= MAX_PARSE_DEPTH {
-            return None;
-        }
-        let bytes = self.text.as_bytes();
-        let mut pos = self.pos + 1;
-        let mut out = [0.0; N];
-        for (i, slot) in out.iter_mut().enumerate() {
-            if i > 0 {
-                if bytes.get(pos) != Some(&b',') {
-                    return None;
-                }
-                pos += 1;
-            }
-            if !matches!(bytes.get(pos), Some(b'-' | b'0'..=b'9')) {
-                return None;
-            }
-            let (len, value) = number_at(&bytes[pos..]);
-            *slot = value?;
-            pos += len;
-        }
-        if bytes.get(pos) != Some(&b']') {
-            return None;
-        }
-        self.pos = pos + 1;
-        Some(out)
-    }
-
     /// Read the value at the reader's position if it is an edge `[u,u,u,n]`
     /// with no whitespace inside: three indices, each a run of at most 10
     /// digits below 2^32 read as an integer, then a number read as
     /// [`Reader::number`] reads it. Anything else — `1.0`, `1e0`, `-0`, 11
     /// digits or more, 2^32 and above, whitespace in front or inside, another
     /// shape, a syntax error, the nesting limit — is left unread (`None`, the
-    /// position unchanged), for [`Reader::numbers`] or [`Reader::array`] to
-    /// read. It is the one read that does not skip whitespace first: inside
+    /// position unchanged), for [`Reader::array`] or [`Reader::value`] to
+    /// read and to report on. It is the one read that does not skip whitespace first: inside
     /// [`Reader::array`], whose element sits right after a `,` on a compact
     /// line, the skip cost about 13 % of a push line's parse.
     #[inline]
@@ -1017,18 +982,27 @@ mod tests {
         }
     }
 
-    /// `edge` reads what `numbers::<4>` reads followed by the indices' `u32`
+    /// `edge` reads what `value` builds followed by the indices' `u32`
     /// conversion (`as_u64`, then `u32::try_from`: what `protocol::as_u32`
     /// and the tree accept), to the bit, wherever it takes an element; it
     /// takes one exactly when its indices are plain runs of at most 10
-    /// digits below 2^32 and `numbers::<4>` reads it, and where it does not,
-    /// the reader has not moved.
+    /// digits below 2^32 and its weight reads as a number, and where it does
+    /// not, the reader has not moved.
     #[test]
-    fn the_typed_edge_read_is_numbers_then_the_u32_conversion() {
-        let as_u32 = |n: f64| {
-            JsonValue::Number(n)
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
+    fn the_typed_edge_read_is_the_tree_then_the_u32_conversion() {
+        // The element as `value` builds it, if it is four values whose last
+        // is a number: the indices converted, the weight, and where the
+        // reader stopped.
+        let tree = |element: &str| {
+            let mut reader = Reader::new(element);
+            let Ok(JsonValue::Array(items)) = reader.value() else {
+                return None;
+            };
+            let [a, b, c, JsonValue::Number(weight)] = items.as_slice() else {
+                return None;
+            };
+            let as_u32 = |n: &JsonValue| n.as_u64().and_then(|n| u32::try_from(n).ok());
+            Some(([a, b, c].map(as_u32), *weight, reader.pos))
         };
         let plain = |token: &str| {
             (1..=10).contains(&token.len())
@@ -1071,28 +1045,20 @@ mod tests {
                     .collect(),
             );
         }
-        // Each weight, and whether `numbers` reads it as a number.
+        // Each weight, and whether `value` reads it as a number.
         let weights = [
             "0.5", "0.5e0", "-0.5", "2", "0", "-0", "1e400", "0.1234", ".5", "1.", "-", "x", "",
         ]
-        .map(|w| {
-            (
-                w,
-                Reader::new(&format!("[0,0,0,{w}]"))
-                    .numbers::<4>()
-                    .is_some(),
-            )
-        });
+        .map(|w| (w, tree(&format!("[0,0,0,{w}]")).is_some()));
         let (mut taken, mut left) = (0usize, 0usize);
         let mut check = |element: &str, expected: bool| {
             let mut typed = Reader::new(element);
-            let mut numbers = Reader::new(element);
-            match (typed.edge(), numbers.numbers::<4>()) {
-                (Some((read, weight)), Some([a, b, c, w])) => {
+            match (typed.edge(), tree(element)) {
+                (Some((read, weight)), Some((indices, w, pos))) => {
                     assert!(expected, "{element}");
-                    assert_eq!(read.map(Some), [a, b, c].map(as_u32), "{element}");
+                    assert_eq!(read.map(Some), indices, "{element}");
                     assert_eq!(weight.to_bits(), w.to_bits(), "{element}");
-                    assert_eq!(typed.pos, numbers.pos, "{element}");
+                    assert_eq!(typed.pos, pos, "{element}");
                     taken += 1;
                 }
                 (Some(_), None) => panic!("{element} read as an edge only"),
