@@ -161,23 +161,9 @@ impl AdjacencyFill {
         *slot += 1;
     }
 
-    /// Rows in arrival order (the parent direction).
+    /// The table, each row in the order its edges arrived (both
+    /// directions: whoever wants another order sorts what it reads).
     fn finish(self) -> Arc<Adjacency> {
-        Arc::new(self.adjacency)
-    }
-
-    /// Rows sorted by descending weight (the child direction): the DFS
-    /// algorithm's heuristic "children connected with edges of high weight
-    /// are considered first". The sort is stable, so equal-weight children
-    /// keep their arrival order. That also makes it incremental: a sorted
-    /// row with later arrivals behind it sorts to exactly the row that
-    /// sorting all its arrivals at once gives, which is what lets
-    /// [`ClusterGraph::append`] match a from-scratch build.
-    fn finish_sorted(mut self) -> Arc<Adjacency> {
-        let Adjacency { offsets, edges } = &mut self.adjacency;
-        for row in offsets.windows(2) {
-            edges[row[0]..row[1]].sort_by(|a, b| b.weight.total_cmp(&a.weight));
-        }
         Arc::new(self.adjacency)
     }
 }
@@ -203,8 +189,7 @@ struct IntervalSegment {
     /// `(s, the in-edges spanning at most s intervals)` for every span `s`
     /// an in-edge has, by `s`: what [`GraphView::num_edges`] reads.
     reach: Arc<[(u32, usize)]>,
-    /// Edges to later intervals, each node's slice sorted by descending
-    /// weight.
+    /// Edges to later intervals, each node's slice in arrival order.
     children: Arc<Adjacency>,
 }
 
@@ -303,8 +288,9 @@ impl ClusterGraph {
         &self.segments[node.interval as usize]
     }
 
-    /// Children (edges to later intervals) of `node`, sorted by descending
-    /// weight.
+    /// Children (edges to later intervals) of `node`, in arrival order: a
+    /// build's in `add_edge` order, a chain of appends' interval by
+    /// interval, node by node, each node's parents as listed.
     ///
     /// # Panics
     /// Panics if the node is out of range.
@@ -345,7 +331,8 @@ impl ClusterGraph {
         })
     }
 
-    /// The weight of the edge between two nodes, if it exists.
+    /// The weight of the edge between two nodes, if it exists: the first to
+    /// arrive of parallel edges.
     pub fn edge_weight(&self, from: ClusterNodeId, to: ClusterNodeId) -> Option<f64> {
         self.children(from)
             .iter()
@@ -397,9 +384,10 @@ impl ClusterGraph {
     ///
     /// One pass checks and counts the list, a second sorts it by node into
     /// the in-edge rows (each node's parents in list order), and the new
-    /// children are added from those rows node by node. So a chain of
-    /// appends equals one [`ClusterGraphBuilder::build`] over the same
-    /// edges in append order (interval by interval, node by node, each
+    /// children are added from those rows node by node, behind the old
+    /// ones: every row stays in arrival order, and nothing is sorted. So a
+    /// chain of appends equals one [`ClusterGraphBuilder::build`] over the
+    /// same edges in append order (interval by interval, node by node, each
     /// node's parents as listed) in every accessor, child order included.
     /// Weights are taken as they are and never renormalized: only `(0, 1]`
     /// is admitted.
@@ -482,7 +470,7 @@ impl ClusterGraph {
         segments.extend_from_slice(&self.segments);
         for (segment, fill) in segments[first_parent as usize..].iter_mut().zip(regrown) {
             if let Some(fill) = fill {
-                segment.children = fill.finish_sorted();
+                segment.children = fill.finish();
             }
         }
         segments.push(IntervalSegment {
@@ -643,8 +631,8 @@ impl<'a> GraphView<'a> {
         row.iter().filter(move |e| within.contains(&e.to.interval))
     }
 
-    /// Children of `node` inside the view, by descending weight. Panics if
-    /// the node is outside the graph.
+    /// Children of `node` inside the view, in arrival order. Panics if the
+    /// node is outside the graph.
     pub fn children(self, node: ClusterNodeId) -> impl Iterator<Item = &'a ClusterEdge> + Clone {
         self.edges_within(self.graph.children(node))
     }
@@ -789,7 +777,7 @@ impl ClusterGraphBuilder {
                 IntervalSegment {
                     reach: reach((1..).zip(by_span.iter().copied())),
                     parents,
-                    children: children.finish_sorted(),
+                    children: children.finish(),
                 }
             })
             .collect();
@@ -926,20 +914,29 @@ mod tests {
     }
 
     #[test]
-    fn children_are_sorted_by_descending_weight() {
+    fn children_keep_arrival_order() {
         let mut builder = ClusterGraphBuilder::new(0);
         builder.add_interval(1);
         builder.add_interval(3);
         builder.add_edge(node(0, 0), node(1, 0), 0.2);
         builder.add_edge(node(0, 0), node(1, 1), 0.9);
         builder.add_edge(node(0, 0), node(1, 2), 0.5);
-        let graph = builder.build();
-        let weights: Vec<f64> = graph
-            .children(node(0, 0))
-            .iter()
-            .map(|e| e.weight)
-            .collect();
-        assert_eq!(weights, vec![0.9, 0.5, 0.2]);
+        let weights = |graph: &ClusterGraph| -> Vec<f64> {
+            let row = graph.children(node(0, 0));
+            row.iter().map(|e| e.weight).collect()
+        };
+        assert_eq!(weights(&builder.build()), vec![0.2, 0.9, 0.5]);
+        // The same edges as a chain of appends: one in-edge per new node.
+        let one = append(&ClusterGraphBuilder::new(0).build(), &[vec![]]);
+        let appended = append(
+            &one,
+            &[
+                vec![(node(0, 0), 0.2)],
+                vec![(node(0, 0), 0.9)],
+                vec![(node(0, 0), 0.5)],
+            ],
+        );
+        assert_eq!(weights(&appended), vec![0.2, 0.9, 0.5]);
     }
 
     #[test]

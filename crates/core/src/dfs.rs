@@ -5,10 +5,11 @@
 //! [`StorageSpec`] backend the configuration names — and is touched with
 //! random I/O: one read when a node is pushed on the stack, one write when it
 //! is popped — only the stack (at most one frame per temporal interval on any
-//! root-to-leaf path) stays in memory, which is why the paper recommends DFS
-//! for memory-constrained environments even though it is much slower than
-//! BFS. The paths of a node's state are plain [`ClusterPath`]s, in memory as
-//! on disk: the stored form is their node list and weight.
+//! root-to-leaf path, each with the order of its node's children) stays in
+//! memory, which is why the paper recommends DFS for memory-constrained
+//! environments even though it is much slower than BFS. The paths of a
+//! node's state are plain [`ClusterPath`]s, in memory as on disk: the stored
+//! form is their node list and weight.
 //!
 //! Per node `c` the algorithm maintains:
 //!
@@ -26,6 +27,8 @@
 //! exploring `c`'s subtree now cannot improve the answer, so `c` is popped
 //! and every node on the stack has its visited flag cleared (their subtrees
 //! are no longer guaranteed to have been fully considered).
+
+use std::ops::Range;
 
 use bsc_storage::backend::StorageSpec;
 use bsc_storage::node_store::NodeStore;
@@ -147,12 +150,44 @@ fn from_stored(stored: StoredNodeState) -> NodeState {
 }
 
 /// A stack frame: a node (or the virtual source) with its in-memory state and
-/// the children not yet considered.
-struct Frame<I> {
+/// how far it has read its children, whose order is the stack's row for the
+/// frame's depth (see [`order_children`]).
+struct Frame<'r> {
     /// `None` for the virtual source.
     node: Option<ClusterNodeId>,
-    children: I,
+    /// The weight of the edge the frame was pushed through: the graph may
+    /// join two nodes by parallel edges, and only this one is the tree's.
+    weight: f64,
+    /// The node's children as stored, in arrival order.
+    row: &'r [ClusterEdge],
+    /// The children considered so far.
+    next: usize,
     state: NodeState,
+}
+
+/// Fill `orders[depth]` with the positions in `row` of the children inside
+/// `within`, by descending weight and, among equal weights, in row order —
+/// the paper's "children connected with edges of high weight are considered
+/// first". With the position as the last key the in-place unstable sort
+/// gives exactly a stable sort's order and needs no scratch, and the row of
+/// each depth is reused, so a push in steady state allocates nothing.
+fn order_children(
+    orders: &mut Vec<Vec<usize>>,
+    depth: usize,
+    row: &[ClusterEdge],
+    within: Range<u32>,
+) {
+    if orders.len() <= depth {
+        orders.resize_with(depth + 1, Vec::new);
+    }
+    let order = &mut orders[depth];
+    order.clear();
+    let inside = |&(_, edge): &(usize, &ClusterEdge)| within.contains(&edge.to.interval);
+    order.extend(row.iter().enumerate().filter(inside).map(|(at, _)| at));
+    order.sort_unstable_by(|&a, &b| {
+        let heavier = row[b].weight.total_cmp(&row[a].weight);
+        heavier.then(a.cmp(&b))
+    });
 }
 
 /// The DFS-based kl-stable-clusters solver.
@@ -243,9 +278,13 @@ impl DfsStableClusters {
             .map(|to| ClusterEdge { to, weight: 0.0 })
             .collect();
 
+        let mut orders = Vec::new();
+        order_children(&mut orders, 0, &source_children, graph.intervals());
         let mut stack = vec![Frame {
             node: None,
-            children: graph.edges_within(&source_children),
+            weight: 0.0,
+            row: &source_children,
+            next: 0,
             state: NodeState::empty(l),
         }];
 
@@ -259,7 +298,9 @@ impl DfsStableClusters {
             }
             stats.peak_stack_depth = stats.peak_stack_depth.max(stack.len());
             let frame = &mut stack[top_index];
-            let (child_edge, parent_node) = (frame.children.next().copied(), frame.node);
+            let child_edge = orders[top_index].get(frame.next).map(|&at| frame.row[at]);
+            let parent_node = frame.node;
+            frame.next += 1;
 
             match child_edge {
                 Some(edge) => {
@@ -324,9 +365,13 @@ impl DfsStableClusters {
                         continue;
                     }
 
+                    let row = graph.graph().children(child);
+                    order_children(&mut orders, stack.len(), row, graph.intervals());
                     stack.push(Frame {
                         node: Some(child),
-                        children: graph.edges_within(graph.graph().children(child)),
+                        weight: edge.weight,
+                        row,
+                        next: 0,
                         state: child_state,
                     });
                 }
@@ -338,16 +383,11 @@ impl DfsStableClusters {
                         stats.node_writes += 1;
                         if let Some(parent_frame) = stack.last_mut() {
                             if let Some(parent) = parent_frame.node {
-                                let weight = graph
-                                    .graph()
-                                    .edge_weight(parent, node)
-                                    // bsc:allow(panic-in-lib) -- (parent, node) came off the DFS stack, which only holds graph edges
-                                    .expect("tree edge exists in the graph");
                                 update_parent_bestpaths(
                                     &mut parent_frame.state,
                                     parent,
                                     node,
-                                    weight,
+                                    finished.weight,
                                     &finished.state,
                                     l,
                                     k,
@@ -705,6 +745,56 @@ mod tests {
             .run(&empty)
             .unwrap()
             .is_empty());
+    }
+
+    /// `c0,0` and `c1,0` are joined by two parallel edges, the lighter
+    /// arriving first. DFS reaches `c1,0` through the heavier one (children
+    /// by descending weight), and the paths it builds through `c1,0` must
+    /// weigh that edge, not the first the row lists.
+    #[test]
+    fn a_parallel_edge_weighs_what_dfs_traversed() {
+        let mut builder = ClusterGraphBuilder::new(0);
+        for _ in 0..3 {
+            builder.add_interval(2);
+        }
+        builder.add_edge(node(0, 0), node(1, 0), 0.3);
+        builder.add_edge(node(0, 0), node(1, 0), 0.9);
+        builder.add_edge(node(1, 0), node(2, 0), 0.8);
+        builder.add_edge(node(0, 0), node(1, 1), 0.6);
+        builder.add_edge(node(1, 1), node(2, 1), 0.7);
+        builder.add_edge(node(0, 1), node(1, 1), 0.4);
+        builder.add_edge(node(1, 0), node(2, 1), 0.2);
+        let graph = builder.build();
+        let (k, l) = (2, 2);
+        let mut exhaustive = TopKPaths::new(k);
+        for path in crate::lookahead::every_path(graph.view()) {
+            if path.length() == l {
+                exhaustive.offer_by_weight(path);
+            }
+        }
+        let expected = exhaustive.into_sorted();
+        assert_eq!(expected[0].nodes(), &[node(0, 0), node(1, 0), node(2, 0)]);
+        assert_eq!(expected[0].weight().to_bits(), (0.9f64 + 0.8).to_bits());
+        let (found, stats) =
+            DfsStableClusters::with_config(KlStableParams::new(k, l), DfsConfig::in_memory())
+                .run_with_stats(&graph)
+                .unwrap();
+        let key = |paths: &[ClusterPath]| -> Vec<(Vec<ClusterNodeId>, u64)> {
+            let key = |path: &ClusterPath| (path.nodes().to_vec(), path.weight().to_bits());
+            paths.iter().map(key).collect()
+        };
+        assert_eq!(key(&found), key(&expected));
+        // Pinned from the same solve over child rows stored by descending
+        // weight: DFS reads the rows it orders itself in that order.
+        let pinned = SolverStats {
+            paths_generated: 13,
+            edges_traversed: 9,
+            node_reads: 3,
+            node_writes: 6,
+            peak_stack_depth: 4,
+            ..SolverStats::default()
+        };
+        assert_eq!(stats, pinned);
     }
 
     #[test]

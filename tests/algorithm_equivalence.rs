@@ -10,7 +10,9 @@ use blogstable::core::problem::{KlStableParams, StableClusterSpec};
 use blogstable::core::solver::{AlgorithmKind, SolverOptions, StableClusterSolver};
 use blogstable::core::streaming::OnlineStableClusters;
 use blogstable::core::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
-use blogstable::core::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
+use blogstable::core::{
+    ClusterGraph, ClusterGraphBuilder, ClusterNodeId, DfsConfig, DfsStableClusters,
+};
 use blogstable::storage::StorageSpec;
 
 use bsc_util::DetRng;
@@ -138,13 +140,11 @@ fn normalized_solver_matches_oracle() {
     }
 }
 
-/// The disk-resident solver must match the oracle under every storage
-/// backend, driven through the same `build_with_options` dispatch the
-/// pipeline uses. `BSC_STORAGE_BACKEND` (when set, as in the CI matrix)
-/// additionally pins one backend so a per-backend regression fails the suite
-/// run dedicated to that backend.
-#[test]
-fn disk_resident_solvers_match_oracle_under_every_backend() {
+/// Every storage backend, and a block cache small enough to evict.
+/// `BSC_STORAGE_BACKEND` (when set, as in the CI matrix) additionally pins
+/// one backend so a per-backend regression fails the suite run dedicated to
+/// that backend.
+fn backends() -> Vec<StorageSpec> {
     let mut backends: Vec<StorageSpec> = StorageSpec::ALL.to_vec();
     backends.push(StorageSpec::BlockCache { budget_bytes: 2048 });
     if let Ok(name) = std::env::var("BSC_STORAGE_BACKEND") {
@@ -154,6 +154,15 @@ fn disk_resident_solvers_match_oracle_under_every_backend() {
             backends.push(pinned);
         }
     }
+    backends
+}
+
+/// The disk-resident solver must match the oracle under every storage
+/// backend, driven through the same `build_with_options` dispatch the
+/// pipeline uses.
+#[test]
+fn disk_resident_solvers_match_oracle_under_every_backend() {
+    let backends = backends();
     for seed in 0..3 {
         let graph = generate(5, 6, 1, 5000 + seed);
         for spec in [
@@ -184,6 +193,58 @@ fn disk_resident_solvers_match_oracle_under_every_backend() {
                         g.weight()
                     );
                 }
+            }
+        }
+    }
+}
+
+/// A graph keeps each row of children in the order its edges arrived, and
+/// DFS orders what it reads itself (descending weight, ties in row order).
+/// On distinct weights what DFS reads does not depend on arrival: one graph
+/// built under several shuffles of its `add_edge` calls, the reversed one
+/// among them, answers and counts the same on every backend.
+#[test]
+fn dfs_counters_do_not_depend_on_the_order_edges_arrive_in() {
+    let graph = generate(6, 8, 1, 4242);
+    let mut edges: Vec<(ClusterNodeId, ClusterNodeId, f64)> = graph.edges().collect();
+    let mut distinct: Vec<u64> = edges.iter().map(|edge| edge.2.to_bits()).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), edges.len(), "the weights are distinct");
+    let mut arrivals = vec![edges.clone()];
+    edges.reverse();
+    arrivals.push(edges.clone());
+    let mut rng = DetRng::seed_from_u64(41);
+    for _ in 0..4 {
+        rng.shuffle(&mut edges);
+        arrivals.push(edges.clone());
+    }
+    let build = |edges: &[(ClusterNodeId, ClusterNodeId, f64)]| {
+        let mut builder = ClusterGraphBuilder::new(graph.gap());
+        for interval in 0..graph.num_intervals() as u32 {
+            builder.add_interval(graph.nodes_in_interval(interval));
+        }
+        for &(from, to, weight) in edges {
+            builder.add_edge(from, to, weight);
+        }
+        builder.build()
+    };
+    let graphs: Vec<ClusterGraph> = arrivals.iter().map(|edges| build(edges)).collect();
+    let m = graph.num_intervals();
+    for backend in backends() {
+        for params in [KlStableParams::new(3, 2), KlStableParams::full_paths(3, m)] {
+            let config = DfsConfig::default().with_storage(backend);
+            let solve = |graph: &ClusterGraph| {
+                let dfs = DfsStableClusters::with_config(params, config);
+                let (paths, stats) = dfs.run_with_stats(graph).expect("dfs run");
+                let key = |path: &ClusterPath| (path.nodes().to_vec(), path.weight().to_bits());
+                (paths.iter().map(key).collect::<Vec<_>>(), stats)
+            };
+            let first = solve(&graphs[0]);
+            assert!(first.1.prunes > 0, "{backend} {params:?}: {:?}", first.1);
+            for (shuffle, graph) in graphs.iter().enumerate().skip(1) {
+                let case = format!("{backend} {params:?} arrival order {shuffle}");
+                assert_eq!(solve(graph), first, "{case}");
             }
         }
     }
