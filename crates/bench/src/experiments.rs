@@ -1368,7 +1368,7 @@ fn streaming_publish(scale: Scale) -> Vec<Table> {
 
 /// What a fed engine pays per streamed interval, and whether that depends on
 /// how long the stream already is: one push (append, snapshot,
-/// `install_incremental`) and the first-touch `bfs exact:3 k=5` query after
+/// `install`) and the first-touch `bfs exact:3 k=5` query after
 /// it, which merges the last epoch's cached answer with the one start window
 /// the push added. `graph`'s intervals are streamed into one
 /// engine `STREAMS` times over; the `(us)` cells are the median over the
@@ -1396,7 +1396,7 @@ fn streaming_push_and_query(graph: &ClusterGraph, short_m: usize, shape: &str) -
             let parent_edges = graph.interval_parent_edges(interval);
             let (response, took) = timed(|| {
                 online.push_interval(parent_edges);
-                engine.install_incremental(online.snapshot());
+                engine.install(online.snapshot());
                 engine.query(request.clone()).expect("fed query")
             });
             micros.push(took.as_micros() as u64);
@@ -1436,7 +1436,7 @@ fn streaming_push_and_query(graph: &ClusterGraph, short_m: usize, shape: &str) -
         ]);
     }
     table.push_note(format!(
-        "{shape}; one push (append + snapshot + install_incremental) and the bfs exact:{} \
+        "{shape}; one push (append + snapshot + install) and the bfs exact:{} \
          query after it, timed together; each (us) cell is the median of the {PUBLISH_BAND} \
          pushes ending at that stream length over {STREAMS} streams, the (x) cell the median \
          of the {STREAMS} streams' ratios. The query merges the \

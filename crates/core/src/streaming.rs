@@ -22,10 +22,10 @@
 //! persistent [`ClusterGraph::append`] — the new graph shares all but the
 //! last `g + 2` intervals' segments with the one before — and
 //! [`OnlineStableClusters::snapshot`] hands it out as an epoch-tagged
-//! [`GraphSnapshot`] (epoch = intervals ingested).
-//! [`OnlineStableClusters::publish_to`] swaps it into a [`SnapshotCell`]
-//! atomically, so in-flight queries keep solving against the epoch they
-//! pinned while new intervals arrive.
+//! [`GraphSnapshot`] (epoch = intervals ingested). Installing it into a
+//! [`SnapshotCell`](crate::snapshot::SnapshotCell) swaps it in atomically,
+//! so in-flight queries keep solving against the epoch they pinned while
+//! new intervals arrive.
 
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ use crate::delta::{solve_windows, Answer, GraphDelta};
 use crate::error::BscResult;
 use crate::path::ClusterPath;
 use crate::problem::{KlStableParams, StableClusterSpec};
-use crate::snapshot::{GraphSnapshot, SnapshotCell};
+use crate::snapshot::GraphSnapshot;
 use crate::solver::{AlgorithmKind, SolverOptions, SolverStats};
 
 /// Incremental solver for kl-stable clusters over a growing timeline.
@@ -180,15 +180,6 @@ impl OnlineStableClusters {
         GraphSnapshot::from_arc(Arc::clone(&self.graph), self.graph.num_intervals() as u64)
     }
 
-    /// Publish the graph-so-far into `cell` — the streamed-ingest half of
-    /// the long-lived engine: new intervals become new epochs via an atomic
-    /// swap, and queries already running against an older epoch are never
-    /// blocked or retargeted. Returns the installed snapshot (re-tagged
-    /// with the cell's next epoch).
-    pub fn publish_to(&mut self, cell: &SnapshotCell) -> GraphSnapshot {
-        cell.install(self.snapshot())
-    }
-
     /// Replay an existing cluster graph interval by interval (mainly for
     /// testing the equivalence with the batch algorithm).
     pub fn replay(params: KlStableParams, graph: &ClusterGraph) -> Self {
@@ -276,6 +267,7 @@ mod tests {
     use super::*;
     use crate::affinity::JaccardAffinity;
     use crate::bfs::{threshold_scenario, BfsStableClusters};
+    use crate::snapshot::SnapshotCell;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
     use bsc_corpus::timeline::IntervalId;
     use bsc_corpus::vocabulary::KeywordId;
@@ -341,17 +333,17 @@ mod tests {
     }
 
     #[test]
-    fn publish_to_swaps_epochs_as_intervals_arrive() {
+    fn installed_snapshots_swap_epochs_as_intervals_arrive() {
         let cell = SnapshotCell::empty();
         let mut online = OnlineStableClusters::new(KlStableParams::new(2, 1), 0);
         online.push_interval(vec![Vec::new(), Vec::new()]);
-        let first = online.publish_to(&cell);
+        let first = cell.install(online.snapshot());
         assert_eq!(first.epoch(), 1);
         assert_eq!(cell.load().num_intervals(), 1);
 
         let pinned = cell.load();
         online.push_interval(vec![vec![(ClusterNodeId::new(0, 0), 0.75)]]);
-        let second = online.publish_to(&cell);
+        let second = cell.install(online.snapshot());
         assert_eq!(second.epoch(), 2);
         assert_eq!(cell.load().num_intervals(), 2);
         assert_eq!(cell.load().num_edges(), 1);

@@ -1,5 +1,5 @@
-//! The epoch-tagged LRU solution cache, and the one memo a fed query
-//! answers from.
+//! The epoch-tagged LRU solution cache, and the one memo a query merges
+//! from.
 //!
 //! Stable-cluster queries are pure functions of `(snapshot epoch, query
 //! parameters)`: the same algorithm, spec, `k` and options against the same
@@ -9,22 +9,24 @@
 //! epoch it was computed at, and [`SolutionCache::get`] only ever answers
 //! for an exact epoch match, so a stale answer can never be served.
 //!
-//! Entries produced by a windowed solve (see [`bsc_core::delta`]) also hold
-//! **the [`GraphSnapshot`] they were solved on**, and an entry proves its
-//! own reuse: the engine compares that graph with the graph a later query
-//! pinned (`GraphDelta::between`, at the point of use) and, if the pinned
-//! graph extends it by appends only, merges the entry's paths with the
-//! windows the appends added. An entry holds its `k` paths and a handle on a
-//! graph, never a window's own result. Nothing here — or anywhere else — has
-//! to vouch for what happened between the two epochs, so an entry stays
-//! useful however many ingests it sleeps through. On an *incremental*
-//! advance ([`SolutionCache::advance_epoch_incremental`]) such entries are
-//! therefore **carried forward**, found by the next solve of the same key
-//! via [`SolutionCache::carried`]; solution-only entries are dropped as
-//! before, and the `carried_forward` / `delta_dropped` counters report the
-//! split. A plain (non-incremental) advance drops everything: the new graph
-//! shares nothing with the old, so a carried answer would cost a content
-//! comparison to learn it cannot be merged from.
+//! An entry for an exact-length query also holds **the [`GraphSnapshot`] it
+//! was solved on**, and proves its own reuse: the engine compares that graph
+//! with the graph a later query pinned (`GraphDelta::between`, at the point
+//! of use) and, if the pinned graph extends it by appends only, merges the
+//! entry's paths with the windows the appends added (see
+//! [`bsc_core::delta`]). An entry holds its `k` paths and a handle on a
+//! graph, never a window's own result, so it stays useful however many
+//! ingests it sleeps through.
+//!
+//! [`SolutionCache::advance_epoch`] is told whether the new graph extends
+//! the one it replaces by appends only — the engine derives that from the
+//! two graphs when it installs one. If it does (a push on a stream), the
+//! entries that hold a snapshot are **carried forward**, found by the next
+//! solve of the same key via [`SolutionCache::carried`], and the others are
+//! dropped; the `carried_forward` / `delta_dropped` counters report the
+//! split. Otherwise (a `load`) every entry is dropped: a carried answer
+//! would only cost a comparison at its use to learn it cannot be merged
+//! from.
 
 use std::collections::HashMap;
 
@@ -48,10 +50,11 @@ pub struct CacheStats {
     /// Entries dropped by epoch advances (snapshot swaps), including
     /// `delta_dropped`.
     pub invalidations: u64,
-    /// Windowed entries carried across incremental epoch advances instead
-    /// of being dropped — each is an answer a later solve may merge from.
+    /// Entries that hold a snapshot, carried across epoch advances to a
+    /// graph that extends the replaced one by appends only — each is an
+    /// answer a later solve may merge from.
     pub carried_forward: u64,
-    /// Solution-only entries an incremental advance still had to drop.
+    /// Solution-only entries such an advance still had to drop.
     pub delta_dropped: u64,
 }
 
@@ -60,9 +63,9 @@ struct Entry {
     /// The epoch the solution was computed at.
     epoch: u64,
     solution: Solution,
-    /// The snapshot a windowed solve ran on (an `Arc` handle; a stream's
-    /// epochs share their segments, so holding one pins little): the graph
-    /// a later solve proves a merge from `solution` against.
+    /// The snapshot an exact-length query was solved on (an `Arc` handle; a
+    /// stream's epochs share their segments, so holding one pins little):
+    /// the graph a later solve proves a merge from `solution` against.
     solved_on: Option<GraphSnapshot>,
     last_used: u64,
 }
@@ -102,32 +105,26 @@ impl SolutionCache {
         }
     }
 
-    /// Drop every entry. Called on a plain snapshot swap: the generations
-    /// share no segment, so nothing resident is worth comparing against.
-    pub fn advance_epoch(&mut self, epoch: u64) {
-        if epoch > self.epoch {
-            self.invalidations += self.map.len() as u64;
-            self.map.clear();
-            self.epoch = epoch;
-        }
-    }
-
-    /// Advance to `epoch` keeping every windowed entry as an answer to merge
-    /// from (`carried_forward`); solution-only entries are dropped
-    /// (`delta_dropped`) — nothing proves what they were solved on. Called
-    /// on an incremental snapshot install.
-    pub fn advance_epoch_incremental(&mut self, epoch: u64) {
+    /// Advance to `epoch`. If `appends()` finds that the new graph extends
+    /// the replaced one by appends only, every entry that holds a snapshot
+    /// is kept as an answer to merge from (`carried_forward`) and the
+    /// solution-only ones are dropped (`delta_dropped`); otherwise every
+    /// entry is dropped. `appends` runs only when there is an entry to keep.
+    pub fn advance_epoch(&mut self, epoch: u64, appends: impl FnOnce() -> bool) {
         if epoch <= self.epoch {
             return;
         }
-        let before = self.map.len();
-        // bsc:allow(nondeterministic-iteration) -- retain order only affects counter arithmetic, never output
-        self.map.retain(|_, entry| entry.solved_on.is_some());
-        let dropped = (before - self.map.len()) as u64;
-        self.carried_forward += self.map.len() as u64;
-        self.delta_dropped += dropped;
-        self.invalidations += dropped;
         self.epoch = epoch;
+        let before = self.map.len();
+        if before > 0 && appends() {
+            // bsc:allow(nondeterministic-iteration) -- retain order only affects counter arithmetic, never output
+            self.map.retain(|_, entry| entry.solved_on.is_some());
+            self.carried_forward += self.map.len() as u64;
+            self.delta_dropped += (before - self.map.len()) as u64;
+        } else {
+            self.map.clear();
+        }
+        self.invalidations += (before - self.map.len()) as u64;
     }
 
     /// Look up the solution for `key` computed at `epoch`. Counts a miss
@@ -148,7 +145,7 @@ impl SolutionCache {
         }
     }
 
-    /// The answer a windowed solve of `key` could merge from — the snapshot
+    /// The answer a solve of `key` could merge from — the snapshot
     /// the entry was solved on and its paths — whatever epoch that was. The
     /// caller derives the proof from that graph and the one it is solving.
     /// Does not touch the hit/miss counters (the subsequent put records the
@@ -162,10 +159,11 @@ impl SolutionCache {
     }
 
     /// Store a solution computed at `epoch`, with the snapshot it ran on
-    /// when the solve was windowed. A put for a newer epoch first advances
-    /// the cache (incrementally — a carried answer is checked against the
-    /// graph of whichever solve uses it); a put for an *older* epoch (a
-    /// query that pinned its snapshot before a swap) is dropped.
+    /// when a later epoch may merge from it. A put for an *older* epoch (a
+    /// query that pinned its snapshot before a swap) is dropped. A put for
+    /// a newer epoch first advances the cache, dropping every entry: a put
+    /// cannot tell how the two graphs relate. (The engine advances under
+    /// the lock it installs under, so its puts never do.)
     pub fn put(
         &mut self,
         epoch: u64,
@@ -176,7 +174,7 @@ impl SolutionCache {
         if self.capacity == 0 {
             return;
         }
-        self.advance_epoch_incremental(epoch);
+        self.advance_epoch(epoch, || false);
         if epoch < self.epoch {
             return;
         }
@@ -253,11 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn plain_epoch_advance_invalidates_everything() {
+    fn an_advance_past_anything_but_appends_invalidates_everything() {
         let mut cache = SolutionCache::new(4);
         cache.put(1, "a".into(), solution(0.1), None);
         cache.put(1, "b".into(), solution(0.2), solved_on());
-        cache.advance_epoch(2);
+        cache.advance_epoch(2, || false);
         assert!(cache.get(2, "a").is_none());
         assert_eq!(cache.stats().invalidations, 2);
         assert_eq!(cache.stats().entries, 0);
@@ -265,11 +263,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_advance_carries_windowed_entries_and_drops_the_rest() {
+    fn an_advance_by_appends_carries_entries_with_a_snapshot_and_drops_the_rest() {
         let mut cache = SolutionCache::new(4);
         cache.put(1, "solution-only".into(), solution(0.1), None);
         cache.put(1, "windowed".into(), solution(0.2), solved_on());
-        cache.advance_epoch_incremental(2);
+        cache.advance_epoch(2, || true);
         let stats = cache.stats();
         assert_eq!(stats.carried_forward, 1);
         assert_eq!(stats.delta_dropped, 1);
@@ -283,10 +281,21 @@ mod tests {
     }
 
     #[test]
+    fn a_put_for_a_newer_epoch_carries_nothing_and_an_empty_cache_compares_nothing() {
+        let mut cache = SolutionCache::new(4);
+        cache.advance_epoch(1, || panic!("no entry to keep, no graphs to compare"));
+        cache.put(1, "q".into(), solution(0.2), solved_on());
+        cache.put(2, "r".into(), solution(0.3), solved_on());
+        assert!(cache.carried("q").is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.carried_forward, stats.invalidations), (0, 1));
+    }
+
+    #[test]
     fn put_replaces_a_carried_entry_with_the_fresh_epoch() {
         let mut cache = SolutionCache::new(4);
         cache.put(1, "q".into(), solution(0.2), solved_on());
-        cache.advance_epoch_incremental(2);
+        cache.advance_epoch(2, || true);
         cache.put(2, "q".into(), solution(0.3), solved_on());
         let hit = cache.get(2, "q").expect("fresh entry answers");
         assert_eq!(hit.paths[0].weight(), 0.3);
@@ -296,7 +305,7 @@ mod tests {
     #[test]
     fn stale_epoch_lookups_and_puts_bypass_the_cache() {
         let mut cache = SolutionCache::new(4);
-        cache.advance_epoch(5);
+        cache.advance_epoch(5, || true);
         // A query pinned at epoch 3 finishes after the swap to 5.
         cache.put(3, "old".into(), solution(0.9), None);
         assert!(cache.get(3, "old").is_none());

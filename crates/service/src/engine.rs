@@ -27,19 +27,21 @@
 //! cancel token — answers it from the cache (`cached: true`, `solve_micros`
 //! 0). With the cache disabled every query solves.
 //!
-//! While the engine is fed incrementally ([`QueryEngine::install_incremental`]
-//! — one flag, cleared by a plain [`QueryEngine::install`]) exact-length
-//! queries, local and fanned-out alike, run through the windowed solve of
-//! [`bsc_core::delta`] and leave their answer in the solution cache, beside
-//! the snapshot it was solved on. A later miss on the same key compares that
-//! snapshot's graph with the one it pinned: if the pinned graph extends it
-//! by appends only, the query solves — or, on a coordinator, dispatches —
-//! only the windows the appends added, each pruned by the cached k-th
-//! weight, and merges them with the cached paths; otherwise it solves cold.
-//! That comparison, in `execute`, is the only place a merge is decided;
-//! `docs/streaming.md` has the rule and the byte-identity argument.
+//! The cache is also what a query on a grown graph merges from, and nobody
+//! has to say when that may happen: the graphs prove it. Every exact-length
+//! answer is cached beside the snapshot it was solved on.
+//! [`QueryEngine::install`] keeps those entries when the new graph extends
+//! the one it replaces by appends only (a push on a stream) and drops every
+//! entry otherwise (a `load`). A later miss on the same key compares the
+//! entry's graph with the one it pinned: if the pinned graph extends it by
+//! appends only, the query solves — or, on a coordinator, dispatches — only
+//! the windows the appends added, each pruned by the cached k-th weight,
+//! and merges them with the cached paths ([`bsc_core::delta`]). Every other
+//! query builds its solver and solves directly. That comparison, in
+//! `execute`, is the only place a merge is decided; `docs/streaming.md` has
+//! the rule and the byte-identity argument.
 //!
-//! Otherwise execution goes through the same object-safe
+//! Either way execution goes through the same object-safe
 //! [`StableClusterSolver`](bsc_core::solver::StableClusterSolver) seam as
 //! everything else: any [`AlgorithmKind`] (including `Auto` resolution and
 //! sharded solving via [`SolverOptions::shards`]) with per-query
@@ -379,12 +381,7 @@ struct Metrics {
 }
 
 struct Shared {
-    /// Whether the newest snapshot was installed incrementally: while it
-    /// is, windowed solves leave their answers in the cache and merge from
-    /// them. A batch-loaded engine keeps the direct path. It picks between
-    /// two paths that answer identically and publishes nothing, so
-    /// `Relaxed`.
-    incremental: AtomicBool,
+    /// Also the lock [`QueryEngine::install`] swaps a snapshot in under.
     cache: Mutex<SolutionCache>,
     metrics: Mutex<Metrics>,
     /// Per-tenant counters and token buckets, keyed by tenant name.
@@ -427,18 +424,9 @@ impl std::fmt::Debug for QueryEngine {
 impl QueryEngine {
     /// Start an engine over an empty epoch-0 graph.
     pub fn new(config: EngineConfig) -> BscResult<QueryEngine> {
-        Self::with_cell(config, Arc::new(SnapshotCell::empty()))
-    }
-
-    /// Start an engine reading snapshots from an existing cell (so an
-    /// external ingest path can publish epochs directly; prefer
-    /// [`QueryEngine::install`] where possible — it also invalidates the
-    /// solution cache, which a bare `cell.install` cannot).
-    pub fn with_cell(config: EngineConfig, cell: Arc<SnapshotCell>) -> BscResult<QueryEngine> {
         config.validate()?;
         let queue = Arc::new(AdmissionQueue::new(config.queue_capacity));
         let shared = Arc::new(Shared {
-            incremental: AtomicBool::new(false),
             cache: Mutex::new(SolutionCache::new(config.cache_capacity)),
             metrics: Mutex::new(Metrics::default()),
             tenants: Mutex::new(HashMap::new()),
@@ -457,7 +445,7 @@ impl QueryEngine {
             })
             .collect();
         Ok(QueryEngine {
-            cell,
+            cell: Arc::new(SnapshotCell::empty()),
             shared,
             queue,
             workers,
@@ -471,7 +459,8 @@ impl QueryEngine {
         self.config
     }
 
-    /// The snapshot publication point (shared with ingest paths).
+    /// The cell queries pin their snapshot from. Publish through
+    /// [`QueryEngine::install`], which also advances the solution cache.
     pub fn snapshot_cell(&self) -> &Arc<SnapshotCell> {
         &self.cell
     }
@@ -481,12 +470,23 @@ impl QueryEngine {
         self.cell.epoch()
     }
 
-    /// Install a new snapshot: atomically swap it into the cell (assigning
-    /// the next epoch) and invalidate the solution cache. In-flight queries
-    /// keep the snapshot they pinned at admission. Returns the installed
-    /// snapshot.
+    /// Install a new snapshot: swap it into the cell (assigning the next
+    /// epoch) and advance the solution cache. If the new graph extends the
+    /// one it replaces by appends only (`GraphDelta::between`: `O(m)`
+    /// pointer tests on a stream; after a `load`, content up to the first
+    /// interval that differs), the entries that hold a snapshot are carried
+    /// forward as answers to merge from; otherwise every entry is dropped.
+    /// The swap and the advance happen under the cache lock, so no answer
+    /// is cached between them. In-flight queries keep the snapshot they
+    /// pinned at admission. Returns the installed snapshot.
     pub fn install(&self, snapshot: GraphSnapshot) -> GraphSnapshot {
-        self.swap_in(snapshot, false)
+        let mut cache = self.shared.cache.lock().unwrap_or_else(|p| p.into_inner());
+        let replaced = self.cell.load();
+        let installed = self.cell.install(snapshot);
+        cache.advance_epoch(installed.epoch(), || {
+            GraphDelta::between(&replaced, &installed).only_appends()
+        });
+        installed
     }
 
     /// Convenience wrapper over [`QueryEngine::install`] for a bare graph.
@@ -494,30 +494,10 @@ impl QueryEngine {
         self.install(GraphSnapshot::new(graph))
     }
 
-    /// Install a snapshot produced incrementally from the previous one (the
-    /// streamed-ingest path): the same swap, but the solution cache advances
-    /// *selectively* — windowed entries are carried forward as answers to
-    /// merge from instead of dropped, so the next solve of a cached key
-    /// solves only the windows the graph now pinned appended to the graph
-    /// the entry was solved on. Nothing is compared here: each carried entry
-    /// holds its own graph, and the solve that uses it checks it then.
-    /// Byte-identical answers either way; see [`bsc_core::delta`]. Returns
-    /// the installed snapshot.
+    /// The same as [`QueryEngine::install`], which finds out for itself
+    /// whether a snapshot appends; kept so that existing callers compile.
     pub fn install_incremental(&self, snapshot: GraphSnapshot) -> GraphSnapshot {
-        self.swap_in(snapshot, true)
-    }
-
-    fn swap_in(&self, snapshot: GraphSnapshot, incremental: bool) -> GraphSnapshot {
-        let installed = self.cell.install(snapshot);
-        self.shared
-            .incremental
-            .store(incremental, Ordering::Relaxed);
-        let mut cache = self.shared.cache.lock().unwrap_or_else(|p| p.into_inner());
-        match incremental {
-            true => cache.advance_epoch_incremental(installed.epoch()),
-            false => cache.advance_epoch(installed.epoch()),
-        }
-        installed
+        self.install(snapshot)
     }
 
     /// Admit a query, waiting while the bounded queue is full: until the
@@ -849,20 +829,15 @@ fn process_job(mut job: Job, shared: &Shared) {
     let _ = job.reply.send(result);
 }
 
-/// The path length of a query that can run through the windowed (delta)
-/// solve path with an answer — including errors — indistinguishable from
-/// the direct solve. Exact-length queries qualify, wherever their windows
-/// run: they form the ranges, shard threads or dispatchers of the
-/// `ShardedSolver` the direct build would, plus the merge; unsharded ones
-/// must pass the support check the direct build would apply (TA's
-/// full-paths-only rule), so an unsupported combination still surfaces the
-/// identical error from the direct path, and `Auto` resolves against the
-/// whole snapshot.
-fn delta_length(request: &QueryRequest, num_intervals: usize) -> Option<u32> {
+/// The path length of a query whose answer a later epoch may merge from:
+/// exact-length queries the direct build accepts. The merge places its
+/// windows as the direct build's `ShardedSolver` would (shard threads or
+/// dispatchers), and a query the direct build rejects (TA's
+/// full-paths-only rule) never reaches it, so the direct build stays the
+/// one author of that error.
+fn mergeable_length(request: &QueryRequest, num_intervals: usize) -> Option<u32> {
     match request.spec {
-        StableClusterSpec::ExactLength(l)
-            if request.k > 0 && request.passes_the_direct_build(num_intervals) =>
-        {
+        StableClusterSpec::ExactLength(l) if request.passes_the_direct_build(num_intervals) => {
             Some(l)
         }
         _ => None,
@@ -871,33 +846,31 @@ fn delta_length(request: &QueryRequest, num_intervals: usize) -> Option<u32> {
 
 fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<QueryResponse> {
     let epoch = job.snapshot.epoch();
-    if let Some(mut solution) = shared
-        .cache
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .get(epoch, &job.key)
-    {
-        solution.stats.queue_wait_micros = duration_micros(queue_wait);
-        solution.stats.solve_micros = 0;
-        return Ok(QueryResponse {
-            solution,
-            epoch,
-            cached: true,
-        });
-    }
-    // Windowed (delta) solving engages only while the engine is being fed
-    // incrementally — a batch-loaded engine keeps the direct path. When the
-    // cache holds this key's answer from another epoch, whether it may be
-    // merged from is derived here, from the two graphs actually involved:
-    // the one it was solved on and the one this query pinned.
-    let delta_length = delta_length(&job.request, job.snapshot.num_intervals())
-        .filter(|_| shared.incremental.load(Ordering::Relaxed));
-    let carried = delta_length.and_then(|l| {
+    let (length, carried) = {
         let mut cache = shared.cache.lock().unwrap_or_else(|p| p.into_inner());
-        let (solved_on, paths) = cache.carried(&job.key)?;
-        let delta = GraphDelta::between(&solved_on, &job.snapshot);
+        if let Some(mut solution) = cache.get(epoch, &job.key) {
+            solution.stats.queue_wait_micros = duration_micros(queue_wait);
+            solution.stats.solve_micros = 0;
+            return Ok(QueryResponse {
+                solution,
+                epoch,
+                cached: true,
+            });
+        }
+        let length = mergeable_length(&job.request, job.snapshot.num_intervals());
         let k = job.request.k;
-        Some((Answer { l, k, paths }, delta))
+        let carried = length.and_then(|l| {
+            let (solved_on, paths) = cache.carried(&job.key)?;
+            Some((solved_on, Answer { l, k, paths }))
+        });
+        (length, carried)
+    };
+    // Whether the cached answer may be merged from is derived here, from the
+    // two graphs actually involved: the one it was solved on and the one
+    // this query pinned.
+    let carried = carried.and_then(|(solved_on, answer)| {
+        let delta = GraphDelta::between(&solved_on, &job.snapshot);
+        delta.only_appends().then_some((answer, delta))
     });
     // Every solve runs under a cancel token — installing one on demand is
     // what lets shutdown reach queries submitted without a deadline. The
@@ -916,23 +889,23 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
         .push(token.clone());
     let request = &job.request;
     let start = Instant::now();
-    let result = if delta_length.is_some() {
-        solve_windows(
+    let result = match &carried {
+        Some((answer, delta)) => solve_windows(
             job.snapshot.graph(),
             request.spec,
             request.k,
             request.algorithm,
             &request.options,
-            carried.as_ref().map(|(answer, delta)| (answer, delta)),
+            Some((answer, delta)),
         )
-        .map(|outcome| (outcome.into_solution(), Some(job.snapshot.clone())))
-    } else {
-        let m = job.snapshot.num_intervals();
-        request
-            .algorithm
-            .build_with_options(request.spec, request.k, m, request.options.clone())
-            .and_then(|mut solver| solver.solve(job.snapshot.graph()))
-            .map(|solution| (solution, None))
+        .map(|outcome| outcome.into_solution()),
+        None => {
+            let m = job.snapshot.num_intervals();
+            request
+                .algorithm
+                .build_with_options(request.spec, request.k, m, request.options.clone())
+                .and_then(|mut solver| solver.solve(job.snapshot.graph()))
+        }
     };
     let solve_micros = duration_micros(start.elapsed());
     shared
@@ -940,16 +913,16 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .retain(|t| t != &token);
-    let (mut solution, solved_on) = result?;
+    let mut solution = result?;
     solution.stats.solve_micros = solve_micros;
     // Cache the canonical form (no queue wait — that belongs to one query,
-    // not to the answer), with the snapshot it was solved on when the solve
-    // was windowed, so a later epoch can merge from it.
+    // not to the answer), with the snapshot it was solved on when a later
+    // epoch may merge from it.
     shared.cache.lock().unwrap_or_else(|p| p.into_inner()).put(
         epoch,
         job.key.clone(),
         solution.clone(),
-        solved_on,
+        length.map(|_| job.snapshot.clone()),
     );
     solution.stats.queue_wait_micros = duration_micros(queue_wait);
     Ok(QueryResponse {
@@ -1198,7 +1171,7 @@ mod tests {
         let mut push = |upto: u32| {
             for t in online.num_intervals() as u32..upto {
                 online.push_interval(source.interval_parent_edges(t));
-                engine.install_incremental(online.snapshot());
+                engine.install(online.snapshot());
             }
         };
         let request = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 4);
@@ -1243,7 +1216,7 @@ mod tests {
     fn a_resident_answer_from_a_later_epoch_is_not_merged_from() {
         // The entry was solved on all five intervals; the query pinned four.
         // The graph it pinned is no extension of the entry's, so it solves
-        // cold: every start decided now, none carried, the direct answer.
+        // direct: no window decided, none carried, the direct answer.
         use bsc_core::problem::KlStableParams;
         use bsc_core::streaming::OnlineStableClusters;
         let source = graph(5);
@@ -1252,13 +1225,13 @@ mod tests {
         let mut pinned = None;
         for t in 0..source.num_intervals() as u32 {
             online.push_interval(source.interval_parent_edges(t));
-            let installed = engine.install_incremental(online.snapshot());
+            let installed = engine.install(online.snapshot());
             pinned = pinned.or((t == 3).then_some(installed));
         }
         let pinned = pinned.unwrap();
         let request = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 4);
         let newest = engine.query(request.clone()).unwrap().solution.stats;
-        assert_eq!((newest.windows_resolved, newest.windows_spliced), (3, 0));
+        assert_eq!((newest.windows_resolved, newest.windows_spliced), (0, 0));
         let (reply, receiver) = mpsc::channel();
         engine.shared.in_flight.fetch_add(1, Ordering::Relaxed);
         process_job(
@@ -1274,7 +1247,7 @@ mod tests {
         let response = receiver.recv().unwrap().unwrap();
         assert_eq!(response.epoch, pinned.epoch());
         let stats = response.solution.stats;
-        assert_eq!((stats.windows_resolved, stats.windows_spliced), (2, 0));
+        assert_eq!((stats.windows_resolved, stats.windows_spliced), (0, 0));
         let mut direct = AlgorithmKind::Bfs
             .build(StableClusterSpec::ExactLength(2), 4, 4)
             .unwrap();
@@ -1314,7 +1287,7 @@ mod tests {
         });
         for t in 0..source.num_intervals() as u32 {
             online.push_interval(source.interval_parent_edges(t));
-            let snapshot = engine.install_incremental(online.snapshot());
+            let snapshot = engine.install(online.snapshot());
             for (l, request) in &requests {
                 let case = format!("interval {t} exact:{l} k={}", request.k);
                 let response = engine.query(request.clone()).unwrap();
@@ -1336,6 +1309,52 @@ mod tests {
                 assert_eq!(kept, expected, "{case}");
             }
         }
+    }
+
+    #[test]
+    fn a_push_carries_the_cache_and_a_load_drops_it() {
+        use bsc_core::problem::KlStableParams;
+        use bsc_core::streaming::OnlineStableClusters;
+        let source = graph(5);
+        let engine = engine();
+        let mut online = OnlineStableClusters::new(KlStableParams::new(4, 2), source.gap());
+        let request = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 4);
+        let full = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::FullPaths, 4);
+        let windows = |request: &QueryRequest| {
+            let stats = engine.query(request.clone()).unwrap().solution.stats;
+            (stats.windows_resolved, stats.windows_spliced)
+        };
+        for t in 0..3 {
+            online.push_interval(source.interval_parent_edges(t));
+            engine.install(online.snapshot());
+        }
+        assert_eq!(windows(&request), (0, 0));
+        windows(&full);
+        // A push appends: the exact-length entry carries, the full-paths
+        // one (no snapshot) is dropped, and the next query merges.
+        online.push_interval(source.interval_parent_edges(3));
+        engine.install(online.snapshot());
+        let pushed = engine.stats().cache;
+        assert_eq!((pushed.carried_forward, pushed.delta_dropped), (1, 1));
+        assert_eq!(pushed.invalidations, 1);
+        assert_eq!(windows(&request), (1, 1));
+        windows(&full);
+        // A load of an unrelated graph drops both entries, and the next
+        // query solves direct.
+        engine.install_graph(graph(8));
+        let loaded = engine.stats().cache;
+        assert_eq!((loaded.carried_forward, loaded.delta_dropped), (1, 1));
+        assert_eq!(loaded.invalidations, 3);
+        assert_eq!(loaded.entries, 0);
+        assert_eq!(windows(&request), (0, 0));
+        // The stream's next graph appends to its own last one, not to the
+        // loaded graph it replaces: nothing carries.
+        online.push_interval(source.interval_parent_edges(4));
+        engine.install(online.snapshot());
+        let resumed = engine.stats().cache;
+        assert_eq!((resumed.carried_forward, resumed.delta_dropped), (1, 1));
+        assert_eq!((resumed.invalidations, resumed.entries), (4, 0));
+        assert_eq!(windows(&request), (0, 0));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The protocol session: graph state + an executor behind one line loop.
 //!
 //! A [`Session`] owns everything a `bsc serve` process holds between lines:
-//! the snapshot publication cell, the optional online ingest stream and the
-//! executor that answers queries. Two executors exist:
+//! the snapshot cell, the optional online ingest stream and the executor
+//! that answers queries. Two executors exist:
 //!
 //! * **engine** — the real thing: the fixed thread-pool [`QueryEngine`]
 //!   with its bounded admission queue and epoch-tagged solution cache;
@@ -13,12 +13,18 @@
 //!   solves built and is a graph value of its own, so every oracle solve is
 //!   cold and a fan-out ships it afresh.
 //!
-//! Both maintain graph state identically (same generator seeds, same epoch
-//! assignment through a [`SnapshotCell`]), and responses to deterministic
-//! ops carry no timings — so `bsc serve < session` and
+//! A `load` and a `push_interval` publish the same way, through the
+//! session's one `install`: into the engine, which works out from the two
+//! graphs whether the new one appends to the one it replaces (a push does,
+//! a `load` does not) and so whether its cached answers carry, or into the
+//! oracle's cell. Neither op tells the engine which it is.
+//!
+//! Both executors maintain graph state identically (same generator seeds,
+//! same epoch assignment through a [`SnapshotCell`]), and responses to
+//! deterministic ops carry no timings — so `bsc serve < session` and
 //! `bsc oracle < session` must produce **byte-identical transcripts**. CI
 //! diffs exactly that, which makes the whole engine stack (admission,
-//! pooling, caching, epoch pinning) conformance-tested against the
+//! pooling, caching, epoch pinning, merging) conformance-tested against the
 //! one-shot solver from the outside.
 
 use std::io::{self, BufRead, Write};
@@ -192,11 +198,7 @@ impl Session {
                 .generate();
                 let (nodes, edges, intervals) =
                     (graph.num_nodes(), graph.num_edges(), graph.num_intervals());
-                let snapshot = GraphSnapshot::new(graph);
-                let installed = match &self.engine {
-                    Some(engine) => engine.install(snapshot),
-                    None => self.cell.install(snapshot),
-                };
+                let installed = self.install(GraphSnapshot::new(graph));
                 ok_response(
                     "load",
                     vec![
@@ -231,17 +233,9 @@ impl Session {
                     return error_response(&rejected);
                 }
                 let snapshot = stream.snapshot();
-                // Incremental install: the engine carries its cached
-                // windowed answers forward, each to be merged with the
-                // windows a push appended, instead of dropping them
-                // (byte-identical answers — the response and all later
-                // query responses render the same either way).
                 let intervals = stream.num_intervals();
                 let edges_ingested = stream.edges_ingested();
-                let installed = match &self.engine {
-                    Some(engine) => engine.install_incremental(snapshot),
-                    None => self.cell.install(snapshot),
-                };
+                let installed = self.install(snapshot);
                 ok_response(
                     "push_interval",
                     vec![
@@ -290,6 +284,16 @@ impl Session {
                     }
                 }
             }
+        }
+    }
+
+    /// Publish `snapshot`: through the engine, which carries its cached
+    /// answers forward when the snapshot appends to the graph it replaces,
+    /// or straight into the oracle's cell.
+    fn install(&self, snapshot: GraphSnapshot) -> GraphSnapshot {
+        match &self.engine {
+            Some(engine) => engine.install(snapshot),
+            None => self.cell.install(snapshot),
         }
     }
 

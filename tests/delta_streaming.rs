@@ -15,12 +15,13 @@
 //! A resident answer carries the graph it was solved on, and whether a
 //! later query may merge from it is proven from that graph and the queried
 //! one, when it is used: the queried graph must extend it by appends only.
-//! Three rows hold what follows from that: a fanned-out query merges on the
-//! coordinator and dispatches only the windows the appends added; an answer
-//! sleeps through any number of ingests and is still merged from; and a
-//! graph installed incrementally that shares no segment with its
-//! predecessor is compared by content — an equal prefix is merged from, a
-//! changed interval solves cold.
+//! An install keeps the answers only if the new graph extends the one it
+//! replaces, by the same proof. Three rows hold what follows from that: a
+//! fanned-out query merges on the coordinator and dispatches only the
+//! windows the appends added; an answer sleeps through any number of
+//! ingests and is still merged from; and a graph that shares no segment
+//! with its predecessor is compared by content — an equal prefix is merged
+//! from, a changed interval solves direct.
 
 use std::time::Duration;
 
@@ -150,7 +151,7 @@ fn incremental_engine_matches_cold_solves_across_random_ingest() {
         let mut spliced_anywhere = false;
         for round in 0..9 {
             push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
-            let snapshot = engine.install_incremental(online.snapshot());
+            let snapshot = engine.install(online.snapshot());
             // Query checkpoints: early (few windows), mid, and final — the
             // later ones have resident answers to merge from.
             if !matches!(round, 3 | 6 | 8) {
@@ -207,7 +208,7 @@ fn a_fanned_out_query_splices_on_the_coordinator_and_dispatches_only_what_it_res
     let engine = QueryEngine::new(EngineConfig::default().workers(2)).expect("engine starts");
     for round in 0..9 {
         push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
-        let snapshot = engine.install_incremental(online.snapshot());
+        let snapshot = engine.install(online.snapshot());
         let expected = cold_solve(
             snapshot.graph(),
             AlgorithmKind::Bfs,
@@ -266,14 +267,15 @@ fn a_resident_window_result_still_splices_after_twenty_unqueried_ingests() {
     };
     for _ in 0..6 {
         push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
-        engine.install_incremental(online.snapshot());
+        engine.install(online.snapshot());
     }
+    // The first answer solves direct: no window decided, none carried.
     let seeded = query().solution.stats;
-    assert_eq!((seeded.windows_resolved, seeded.windows_spliced), (4, 0));
+    assert_eq!((seeded.windows_resolved, seeded.windows_spliced), (0, 0));
     let mut snapshot = None;
     for _ in 0..20 {
         push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
-        snapshot = Some(engine.install_incremental(online.snapshot()));
+        snapshot = Some(engine.install(online.snapshot()));
     }
     let snapshot = snapshot.expect("installed");
     let response = query();
@@ -334,18 +336,20 @@ fn a_graph_that_shares_no_segment_is_compared_by_content() {
     };
     // Three builds of their own, one allocation never in two of them.
     let first = graph(0.5, 6);
-    engine.install_incremental(GraphSnapshot::new(first.clone()));
-    assert_eq!(query(&first, "first"), (4, 0));
+    engine.install(GraphSnapshot::new(first.clone()));
+    assert_eq!(query(&first, "first"), (0, 0));
     // Equal content, one interval more: only the window ending there runs.
     let longer = graph(0.5, 7);
     assert!((0..6).all(|i| !first.shares_in_edges(&longer, i)));
-    engine.install_incremental(GraphSnapshot::new(longer.clone()));
+    engine.install(GraphSnapshot::new(longer.clone()));
+    assert_eq!(engine.stats().cache.carried_forward, 1);
     assert_eq!(query(&longer, "longer"), (1, 4));
     // Interval 5's weights changed: the resident graph is not a prefix of
-    // this one, so nothing is carried and all five windows run.
+    // this one, so the install carries nothing and the query solves direct.
     let changed = graph(0.625, 7);
-    engine.install_incremental(GraphSnapshot::new(changed.clone()));
-    assert_eq!(query(&changed, "changed"), (5, 0));
+    engine.install(GraphSnapshot::new(changed.clone()));
+    assert_eq!(engine.stats().cache.entries, 0);
+    assert_eq!(query(&changed, "changed"), (0, 0));
 }
 
 #[test]
@@ -357,7 +361,7 @@ fn mid_ingest_deadline_expiry_is_clean_and_state_survives() {
     let engine = QueryEngine::new(EngineConfig::default().workers(2)).expect("engine starts");
     for _ in 0..4 {
         push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
-        engine.install_incremental(online.snapshot());
+        engine.install(online.snapshot());
     }
     // Warm the cached answer, then expire a query mid-ingest.
     let warm = request(
@@ -368,7 +372,7 @@ fn mid_ingest_deadline_expiry_is_clean_and_state_survives() {
     );
     engine.query(warm).expect("warm query");
     push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
-    engine.install_incremental(online.snapshot());
+    engine.install(online.snapshot());
     let expired = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 5)
         .options(SolverOptions::default().deadline(Some(Duration::ZERO)));
     let err = engine.query(expired).expect_err("expired deadline");
@@ -379,7 +383,7 @@ fn mid_ingest_deadline_expiry_is_clean_and_state_survives() {
     // The failure poisoned nothing: further ingest and queries still
     // match cold solves byte-for-byte (and the delta path still engages).
     push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
-    let snapshot = engine.install_incremental(online.snapshot());
+    let snapshot = engine.install(online.snapshot());
     let graph = snapshot.graph();
     let expected = cold_solve(
         graph,
@@ -413,7 +417,7 @@ fn fault_injected_backends_answer_identically_or_fail_cleanly() {
     let mut snapshot = None;
     for _ in 0..6 {
         push_random_interval(&mut online, &mut rng, gap, &mut nodes_per_interval);
-        snapshot = Some(engine.install_incremental(online.snapshot()));
+        snapshot = Some(engine.install(online.snapshot()));
     }
     let snapshot = snapshot.expect("installed");
     let graph = snapshot.graph();

@@ -497,7 +497,7 @@ fn a_snapshot_pinned_before_an_append_never_sees_it() {
     };
     for _ in 0..5 {
         push(&mut online, &mut rng);
-        engine.install_incremental(online.snapshot());
+        engine.install(online.snapshot());
     }
     let pinned = engine.snapshot_cell().load();
     let before = rebuilt(&pinned);
@@ -512,6 +512,7 @@ fn a_snapshot_pinned_before_an_append_never_sees_it() {
     let in_flight = engine.submit(request()).expect("admitted");
     for _ in 0..3 {
         push(&mut online, &mut rng);
+        // `install` under its older name, which still compiles.
         engine.install_incremental(online.snapshot());
     }
     let response = in_flight.wait().expect("in-flight query");
