@@ -219,7 +219,8 @@ pub struct ClusterGraph {
 
 /// A graph value's process-unique name, which a fan-out's workers key the
 /// graphs they were shipped by. A graph never changes once built, so one id
-/// names one content; only an `Arc`-shared graph is seen under one id twice.
+/// names one content; only an `Arc`-shared graph, or a shard thread's
+/// [handle](ClusterGraph::handle) on one, is seen under one id twice.
 #[derive(Debug)]
 struct GraphId(u64);
 
@@ -242,6 +243,21 @@ impl ClusterGraph {
     /// The graph value's process-unique id (see [`GraphId`]).
     pub(crate) fn id(&self) -> u64 {
         self.id.0
+    }
+
+    /// A second handle on this graph value, which a shard thread owns while
+    /// it solves windows of it: the same id and the same kept look-ahead
+    /// tables, where a clone is a new graph with neither. Costs a clone's
+    /// pointer copies.
+    pub(crate) fn handle(&self) -> ClusterGraph {
+        ClusterGraph {
+            gap: self.gap,
+            segments: self.segments.clone(),
+            num_nodes: self.num_nodes,
+            num_edges: self.num_edges,
+            memo: self.memo.shared(),
+            id: GraphId(self.id.0),
+        }
     }
 
     /// Number of temporal intervals `m`.
@@ -340,12 +356,16 @@ impl ClusterGraph {
             .map(|e| e.weight)
     }
 
-    /// Number of child edges leaving each interval (index `i` counts the
-    /// edges whose *from* node lies in interval `i`). The sharded solver
-    /// uses these as partition weights: the work of solving a temporal
-    /// window is roughly proportional to the edges inside it.
-    pub fn interval_out_edge_counts(&self) -> Vec<u64> {
-        self.segments
+    /// Number of child edges leaving each interval of `intervals` (element
+    /// `i` counts the edges whose *from* node lies in interval
+    /// `intervals.start + i`; intervals past the graph are not counted). The
+    /// sharded solver weighs the windows it splits into ranges by these: the
+    /// work of solving a temporal window is roughly proportional to the
+    /// edges inside it.
+    pub fn interval_out_edge_counts(&self, intervals: Range<u32>) -> Vec<u64> {
+        let end = (intervals.end as usize).min(self.segments.len());
+        let start = (intervals.start as usize).min(end);
+        self.segments[start..end]
             .iter()
             .map(|segment| segment.children.edges.len() as u64)
             .collect()
@@ -1213,7 +1233,8 @@ mod tests {
         builder.add_edge(node(0, 0), node(2, 0), 0.5);
         builder.add_edge(node(1, 0), node(2, 1), 0.5);
         let graph = builder.build();
-        assert_eq!(graph.interval_out_edge_counts(), vec![3, 1, 0]);
+        assert_eq!(graph.interval_out_edge_counts(0..3), vec![3, 1, 0]);
+        assert_eq!(graph.interval_out_edge_counts(1..9), vec![1, 0]);
     }
 
     #[test]

@@ -138,9 +138,11 @@ pub(crate) const MEMO_WEIGHTS: usize = (4 << 20) / std::mem::size_of::<f64>();
 /// clone of the graph starts empty; every graph an append makes starts
 /// with no table and builds its first last-window table as deep as the
 /// deepest `l` its parent's last window was asked ([`Memo::appended`]). A
-/// poisoned lock reads as empty and keeps nothing.
+/// shard thread's handle on the graph shares its memo ([`Memo::shared`]),
+/// so the windows it solves read the tables the graph keeps and keep theirs
+/// there. A poisoned lock reads as empty and keeps nothing.
 #[derive(Default)]
-pub(crate) struct Memo(Mutex<Kept>);
+pub(crate) struct Memo(Arc<Mutex<Kept>>);
 
 /// What a [`Memo`] holds.
 #[derive(Default)]
@@ -154,6 +156,10 @@ struct Kept {
     /// How deep the first last-window table is built: the `deepest` of the
     /// graph this one was appended to.
     ahead: u32,
+    /// Look-ups a kept table answered, whichever handle on the graph asked
+    /// (read by the tests of who reads which table).
+    #[cfg_attr(not(test), allow(dead_code))]
+    answered: usize,
 }
 
 impl Kept {
@@ -207,7 +213,9 @@ impl GraphView<'_> {
                 if window {
                     held.deepest = held.deepest.max(l);
                 }
-                (held.covering(self, l), held.last.clone(), held.ahead)
+                let found = held.covering(self, l);
+                held.answered += usize::from(found.is_some());
+                (found, held.last.clone(), held.ahead)
             }
             Err(_) => (None, None, 0),
         };
@@ -251,10 +259,15 @@ impl Memo {
     /// asked, so the next epoch's fed queries build one table in any order.
     pub(crate) fn appended(&self) -> Memo {
         let deepest = self.0.lock().map_or(0, |held| held.deepest);
-        Memo(Mutex::new(Kept {
+        Memo(Arc::new(Mutex::new(Kept {
             ahead: deepest,
             ..Kept::default()
-        }))
+        })))
+    }
+
+    /// This very memo, for a second handle on the same graph value.
+    pub(crate) fn shared(&self) -> Memo {
+        Memo(Arc::clone(&self.0))
     }
 }
 
@@ -783,6 +796,11 @@ impl Memo {
     pub(crate) fn lengths(&self) -> Vec<u32> {
         let held = self.0.lock().unwrap();
         held.tables().map(|table| table.l).collect()
+    }
+
+    /// How many look-ups a kept table answered.
+    pub(crate) fn answered(&self) -> usize {
+        self.0.lock().unwrap().answered
     }
 }
 

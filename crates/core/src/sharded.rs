@@ -33,8 +33,9 @@
 //!   start)` becomes a [`WindowResult`](crate::distributed::WindowResult),
 //!   and how many ranges there are and run at once. `None` solves windows
 //!   on this machine over
-//!   [`SolverOptions::shards`] ranges, workers capped at the machine's
-//!   parallelism; a [`ShardTransport`] gets one range per worker, each
+//!   [`SolverOptions::shards`] ranges, dealt into at most as many chunks as
+//!   the machine has cores, run by the process's shard threads and the
+//!   caller; a [`ShardTransport`] gets one range per worker, each
 //!   dispatched by a thread of its own, because they block on sockets, not
 //!   cores. A window request names the graph by the graph value's own id,
 //!   so each worker connection is shipped a graph once and solves every
@@ -95,12 +96,20 @@
 //!
 //! ## What every solve shares
 //!
-//! Starts are weighted by the edges in their window's leading intervals and
-//! split into contiguous ranges by `balanced_ranges`; the last range worker
-//! is the calling thread, the others scoped threads. All share one
-//! [`CancelToken`], checked in full before every window: the first worker
-//! to fail trips it, its siblings stop at their next window, and the
-//! root-cause error wins over the `DeadlineExceeded` they report.
+//! Where two or more ranges are formed, starts are weighted by the edges in
+//! their window's leading intervals and split into contiguous ranges by
+//! `balanced_ranges` (one range weighs nothing), and the ranges are dealt
+//! into chunks, one worker's share each. A local solve runs its last chunk
+//! on the calling thread and posts the others to the process's shard
+//! threads — `cores − 1` of them, a [`Pool`] started by the first solve that
+//! posts, the core count read once per process — and runs itself any
+//! posted chunk no shard thread has started yet; a posted chunk reads the
+//! graph through a handle that shares its id and its kept tables. A
+//! transport's chunks, one range each, run on scoped threads of their own,
+//! which wait on sockets, not cores. All chunks share one [`CancelToken`],
+//! checked in full before every window: the first to fail trips it, its
+//! siblings stop at their next window, and the root-cause error wins over
+//! the `DeadlineExceeded` they report.
 //!
 //! **`Auto`** resolves once, before the windows, against the whole graph
 //! the unsharded solve would read — unless it carries a budget and the
@@ -110,24 +119,27 @@
 //! `auto` is BFS for every Problem 1 query (`auto.rs`), so its windows share
 //! tables like BFS's.
 //!
-//! **Stats.** `shards` is the number of ranges formed; `threads` the range
-//! workers that ran concurrently — the one writer of that field, since
-//! every solver is sequential inside its window; peaks are max-merged
-//! within a worker and summed across concurrent workers;
+//! **Stats.** `shards` is the number of ranges formed; `threads` the chunks
+//! the ranges were dealt into, each run by a shard thread or by the caller
+//! (a count that depends on the ranges and the core count, never on who ran
+//! what) — the one writer of that field, since every solver is sequential
+//! inside its window; peaks are max-merged within a chunk and summed across
+//! chunks;
 //! `windows_resolved` counts the windows decided (solved, or ruled out with
 //! no sweep), so it is the view's starts; a merge in
 //! [`solve_windows`](crate::delta::solve_windows) adds `windows_spliced`, the
 //! starts its carried answer stands for.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bsc_graph::partition::balanced_ranges;
 use bsc_storage::io_stats::IoScope;
 use bsc_util::cancel::CancelToken;
+use bsc_util::pool::Pool;
 
 use crate::auto::{choose_algorithm, GraphShape};
-use crate::cluster_graph::GraphView;
+use crate::cluster_graph::{ClusterGraph, GraphView};
 use crate::distributed::{solve_window, ShardTransport, WindowRequest};
 use crate::error::{BscError, BscResult};
 use crate::lookahead::{Completions, MEMO_WEIGHTS};
@@ -266,10 +278,100 @@ pub(crate) struct Windowed<'a> {
     pub(crate) floor: f64,
 }
 
-/// What one range worker hands back.
+/// What one chunk of ranges hands back.
 struct Partial {
     top: TopKPaths,
     stats: SolverStats,
+}
+
+/// What every chunk of one solve reads but the graph, owned, so that a
+/// shard thread can run one after the call that posted it has returned by
+/// a panic.
+struct Chunks {
+    /// The first start solved.
+    first: u32,
+    l: u32,
+    k: usize,
+    algorithm: AlgorithmKind,
+    floor: f64,
+    live: Vec<bool>,
+    leaf: SolverOptions,
+    cancel: CancelToken,
+    transport: Option<Arc<dyn ShardTransport>>,
+}
+
+impl Chunks {
+    /// One chunk, the `index`-th: every window of `starts` (counted from
+    /// the first solved) in start order, merged into a local top-k; each
+    /// swept by `floor` if `live` (a transport's workers by their own floor
+    /// alone, the chunk's one range preferred), else decided with no sweep.
+    /// The full token is checked before every window, and a failed window
+    /// trips it for the sibling chunks.
+    fn run(
+        &self,
+        graph: &ClusterGraph,
+        (index, starts): (usize, Range<usize>),
+    ) -> BscResult<Partial> {
+        let (l, k, algorithm, cancel) = (self.l, self.k, self.algorithm, &self.cancel);
+        let mut part = Partial {
+            top: TopKPaths::new(k),
+            stats: SolverStats::default(),
+        };
+        // bsc:allow(missing-cancel-checkpoint) -- every window is preceded by the full (unamortized) token check, and window solves checkpoint internally
+        for start in starts {
+            if cancel.expired() {
+                return Err(deadline_error(cancel));
+            }
+            if !self.live[start] {
+                // Decided at this epoch, with no sweep.
+                part.stats.windows_resolved += 1;
+                continue;
+            }
+            let start = self.first + start as u32;
+            let result = match &self.transport {
+                None => solve_window(graph, start, l, k, algorithm, &self.leaf, self.floor),
+                Some(transport) => {
+                    let request = WindowRequest {
+                        // The graph names itself: no other graph value in
+                        // the process carries its id.
+                        epoch: graph.id(),
+                        start,
+                        l,
+                        k,
+                        algorithm,
+                        storage: self.leaf.storage,
+                        preferred: index,
+                        // The budget remaining *now*, so the worker's local
+                        // token expires in step with ours.
+                        deadline_ms: cancel.remaining().map(|left| left.as_millis() as u64),
+                    };
+                    transport.solve_window(graph, &request)
+                }
+            };
+            let result = result.inspect_err(|_| cancel.cancel())?;
+            part.stats.merge(&result.stats);
+            for path in result.paths {
+                if part.top.would_admit(path.weight()) {
+                    part.top.offer_by_weight(path);
+                }
+            }
+        }
+        Ok(part)
+    }
+}
+
+/// The machine's parallelism, read once per process: the call reads the
+/// cgroup's files each time (12–21 µs on a 2-vCPU container).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The process's shard threads, one fewer than its cores, started by the
+/// first local solve that deals out more than one chunk.
+fn shard_pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| Pool::new(cores() - 1))
 }
 
 impl<'a> Windowed<'a> {
@@ -289,7 +391,7 @@ impl<'a> Windowed<'a> {
         let options = &self.solver.options;
         check_not_expired(options.cancel.as_ref())?;
         let scope = IoScope::start();
-        let (view, k, from) = (self.view, self.solver.k, self.from as usize);
+        let (view, k) = (self.view, self.solver.k);
         let m = view.num_intervals() as u32;
         let l = self.solver.length.over(m);
         self.algorithm = match self.algorithm {
@@ -308,42 +410,31 @@ impl<'a> Windowed<'a> {
         if k > 0 && l >= 1 && l < m.saturating_sub(self.from) {
             let cancel = options.cancel.clone().unwrap_or_default();
             let (floor, live) = self.floor_and_live_windows(l, &cancel)?;
-            let edge_counts = view.graph().interval_out_edge_counts();
-            let edge_counts = &edge_counts[view.first_interval() as usize..];
-            let weights: Vec<u64> = (from..(m - l) as usize)
-                .map(|a| edge_counts[a..a + l as usize].iter().sum::<u64>().max(1))
-                .collect();
             let transport = self.solver.transport.as_deref();
-            let ranges = transport.map_or(options.shards, |t| t.worker_count());
-            let partition = balanced_ranges(&weights, ranges.max(1));
-            let ranges: Vec<Range<usize>> = partition.iter().collect();
-            // One range is one chunk whatever the core count: the call, which
-            // reads the cgroup files each time, is skipped.
+            let ranges = self.ranges(l, transport.map_or(options.shards, |t| t.worker_count()));
+            // Each chunk is a contiguous run of ranges, one worker's share.
+            // One range is one chunk whatever the core count, which is then
+            // not read; a transport's workers take one range each.
             let workers = match transport {
-                None if ranges.len() > 1 => {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
-                }
+                None if ranges.len() > 1 => cores(),
                 _ => ranges.len(),
             };
-            // Each worker owns a contiguous run of ranges.
             let chunk = ranges.len().div_ceil(workers.min(ranges.len()).max(1));
-            let leaf = options.clone().cancel_token(Some(cancel.clone()));
-            let (this, leaf, cancel, live) = (&self, &leaf, &cancel, &live[..]);
-            let work =
-                move |(i, owned)| this.run_ranges((l, floor, live), i * chunk, owned, leaf, cancel);
-            // One worker per chunk: the last on this thread, the others each
-            // on a scoped thread of their own.
-            let results: Vec<BscResult<Partial>> = std::thread::scope(|scope| {
-                let mut chunks = ranges.chunks(chunk).enumerate();
-                let here = chunks.next_back();
-                let spawned: Vec<_> = chunks.map(|c| scope.spawn(move || work(c))).collect();
-                let here = here.map(work);
-                spawned
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .chain(here)
-                    .collect()
-            });
+            let dealt = ranges
+                .chunks(chunk)
+                .map(|run| run[0].start..run[run.len() - 1].end);
+            let chunks = Chunks {
+                first: view.first_interval() + self.from,
+                l,
+                k,
+                algorithm: self.algorithm,
+                floor,
+                live,
+                leaf: options.clone().cancel_token(Some(cancel.clone())),
+                cancel,
+                transport: self.solver.transport.clone(),
+            };
+            let results = self.run_chunks(chunks, dealt.enumerate().collect());
             stats.shards = ranges.len();
             stats.threads = results.len();
             // Root cause first; `min_by_key` keeps the first of equals.
@@ -372,6 +463,29 @@ impl<'a> Windowed<'a> {
         })
     }
 
+    /// The starts solved, counted from the first, split into at most `parts`
+    /// contiguous ranges weighed by the edges in each window's leading
+    /// intervals. One range is weighed by nobody: its edges are counted
+    /// only where two or more ranges are formed, and only from the first
+    /// start solved on.
+    fn ranges(&self, l: u32, parts: usize) -> Vec<Range<usize>> {
+        let view = self.view;
+        let starts = view.num_intervals() - (self.from + l) as usize;
+        if parts <= 1 || starts <= 1 {
+            return std::iter::once(0..starts).collect();
+        }
+        let first = view.first_interval() + self.from;
+        // Start `a`'s window leads with the intervals `a..a + l`.
+        let counts = view
+            .graph()
+            .interval_out_edge_counts(first..view.intervals().end - 1);
+        let weights: Vec<u64> = counts
+            .windows(l as usize)
+            .map(|leading| leading.iter().sum::<u64>().max(1))
+            .collect();
+        balanced_ranges(&weights, parts).iter().collect()
+    }
+
     /// Before the windows, have the graph keep its look-ahead table for `l`
     /// ([`GraphView::completions`]), which every window of BFS or TA then
     /// reads as its own: where the view is the whole graph, the windows are
@@ -393,8 +507,9 @@ impl<'a> Windowed<'a> {
         let starts = view.first_interval() + self.from..view.intervals().end - l;
         let whole = self.from == 0 && view.num_intervals() == view.graph().num_intervals();
         let reads = matches!(self.algorithm, AlgorithmKind::Bfs | AlgorithmKind::Ta);
-        let fits = Completions::weights(view, l) <= MEMO_WEIGHTS;
-        if !(whole && reads && fits && self.solver.transport.is_none()) {
+        // The table's size is walked for last, only where all else holds.
+        let keeps = whole && reads && self.solver.transport.is_none();
+        if !(keeps && Completions::weights(view, l) <= MEMO_WEIGHTS) {
             return Ok((self.floor, vec![true; starts.len()]));
         }
         let table = view.completions(l, Some(cancel), &mut 0)?;
@@ -406,66 +521,43 @@ impl<'a> Windowed<'a> {
         Ok((lens.floor(), starts.map(live).collect()))
     }
 
-    /// One worker: solve every window of `owned` (range indices start at
-    /// `first`, starts at the first solved) in start order, merging
-    /// into a local top-k; each swept by `floor` if `live` (a transport's
-    /// workers by their own floor alone), else decided with no sweep.
-    fn run_ranges(
+    /// Run the chunks, results in chunk order. A local solve runs the last
+    /// on this thread and posts the others to the process's shard threads,
+    /// which the caller helps out ([`Pool::join`]), each reading the graph
+    /// through a [handle](ClusterGraph::handle) on it; one chunk runs here
+    /// with nothing posted. A fan-out runs each chunk but the last on a
+    /// scoped thread of its own: those wait on the transport's sockets, not
+    /// on cores.
+    fn run_chunks(
         &self,
-        (l, floor, live): (u32, f64, &[bool]),
-        first: usize,
-        owned: &[Range<usize>],
-        leaf: &SolverOptions,
-        cancel: &CancelToken,
-    ) -> BscResult<Partial> {
-        let (graph, k, algorithm) = (self.view.graph(), self.solver.k, self.algorithm);
-        let mut part = Partial {
-            top: TopKPaths::new(k),
-            stats: SolverStats::default(),
-        };
-        let first_start = self.view.first_interval() + self.from;
-        // bsc:allow(missing-cancel-checkpoint) -- every window is preceded by the full (unamortized) token check, and window solves checkpoint internally
-        for (index, range) in owned.iter().enumerate() {
-            for start in range.clone() {
-                if cancel.expired() {
-                    return Err(deadline_error(cancel));
-                }
-                if !live[start] {
-                    // Decided at this epoch, with no sweep.
-                    part.stats.windows_resolved += 1;
-                    continue;
-                }
-                let start = first_start + start as u32;
-                let result = match &self.solver.transport {
-                    None => solve_window(graph, start, l, k, algorithm, leaf, floor),
-                    Some(transport) => {
-                        let request = WindowRequest {
-                            // The graph names itself: no other graph value
-                            // in the process carries its id.
-                            epoch: graph.id(),
-                            start,
-                            l,
-                            k,
-                            algorithm,
-                            storage: leaf.storage,
-                            preferred: first + index,
-                            // The budget remaining *now*, so the worker's
-                            // local token expires in step with ours.
-                            deadline_ms: cancel.remaining().map(|left| left.as_millis() as u64),
-                        };
-                        transport.solve_window(graph, &request)
-                    }
-                };
-                let result = result.inspect_err(|_| cancel.cancel())?;
-                part.stats.merge(&result.stats);
-                for path in result.paths {
-                    if part.top.would_admit(path.weight()) {
-                        part.top.offer_by_weight(path);
-                    }
-                }
-            }
+        chunks: Chunks,
+        mut dealt: Vec<(usize, Range<usize>)>,
+    ) -> Vec<BscResult<Partial>> {
+        let (graph, own) = (self.view.graph(), dealt.pop().unwrap_or_default());
+        if dealt.is_empty() {
+            return vec![chunks.run(graph, own)];
         }
-        Ok(part)
+        if chunks.transport.is_some() {
+            let chunks = &chunks;
+            return std::thread::scope(|scope| {
+                let spawned: Vec<_> = dealt
+                    .into_iter()
+                    .map(|chunk| scope.spawn(move || chunks.run(graph, chunk)))
+                    .collect();
+                let own = chunks.run(graph, own);
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .chain([own])
+                    .collect()
+            });
+        }
+        let shared = Arc::new((graph.handle(), chunks));
+        let posted = dealt.into_iter().map(|chunk| {
+            let shared = Arc::clone(&shared);
+            move || shared.1.run(&shared.0, chunk)
+        });
+        shard_pool().join(posted, || shared.1.run(graph, own))
     }
 }
 
@@ -710,6 +802,77 @@ mod tests {
         assert!(Completions::weights(wide.view(), 10) > MEMO_WEIGHTS);
         let bfs = solver(AlgorithmKind::Bfs, 10);
         assert!(keep(&bfs, &wide, wide.view(), 10).is_empty());
+    }
+
+    #[test]
+    fn a_two_shard_solve_s_windows_read_the_graph_s_one_table_on_every_thread() {
+        // Every chunk, posted to a shard thread or run by the caller, reads
+        // the graph through a handle that shares its memo: the graph keeps
+        // its one whole-graph table, and that table answers the look-up of
+        // every swept window — a chunk reading a graph of its own would
+        // build tables the graph never sees. A handle keeps the graph's id
+        // and tables; a clone has neither.
+        let graph = graph(12, 300, 5, 1, 20_240_607);
+        let spec = StableClusterSpec::ExactLength(3);
+        let options = SolverOptions::default().shards(2);
+        let mut solver = ShardedSolver::new(AlgorithmKind::Bfs, spec, 5, options).unwrap();
+        let cold = graph.clone();
+        let windowed = Windowed::new(&solver, cold.view());
+        let (_, live) = windowed
+            .floor_and_live_windows(3, &CancelToken::default())
+            .unwrap();
+        let swept = live.iter().filter(|&&live| live).count();
+        assert!(swept > 1 && swept < live.len(), "{swept} of {}", live.len());
+        let solution = solver.solve(&graph).unwrap();
+        assert_eq!(solution.stats.shards, 2);
+        assert_eq!(solution.stats.threads, cores().min(2));
+        assert_eq!(graph.memoized(), [3]);
+        assert_eq!(graph.memo.answered(), swept);
+        let handle = graph.handle();
+        assert_eq!((handle.id(), handle.memoized()), (graph.id(), vec![3]));
+        let clone = graph.clone();
+        assert!(clone.memoized().is_empty());
+        assert_ne!(clone.id(), graph.id());
+    }
+
+    #[test]
+    fn concurrent_solves_from_more_threads_than_cores_each_answer_as_one_alone() {
+        // More callers than cores, each solving at two, three and eight
+        // ranges over one shared graph: the shard threads are busy with one
+        // another's chunks, and callers run the posted chunks no shard
+        // thread has started. Every solve equals the same solve of a cold
+        // clone run alone first, in paths and in every counter — `threads`
+        // and the summed peaks included.
+        let graph = graph(12, 120, 4, 1, 4_343);
+        let mut queries = Vec::new();
+        for algorithm in [AlgorithmKind::Bfs, AlgorithmKind::Ta] {
+            for l in [2, 3, 5] {
+                for shards in [2, 3, 8] {
+                    queries.push((algorithm, l, shards));
+                }
+            }
+        }
+        let solve = |graph: &ClusterGraph, (algorithm, l, shards)| {
+            let spec = StableClusterSpec::ExactLength(l);
+            let options = SolverOptions::default().shards(shards);
+            let mut solver = ShardedSolver::new(algorithm, spec, 5, options).unwrap();
+            solver.solve(graph).unwrap()
+        };
+        let alone: Vec<Solution> = queries.iter().map(|&q| solve(&graph.clone(), q)).collect();
+        std::thread::scope(|scope| {
+            for caller in 0..cores() + 2 {
+                let (graph, queries, alone) = (&graph, &queries, &alone);
+                scope.spawn(move || {
+                    for turn in 0..3 * queries.len() {
+                        let i = (caller + turn) % queries.len();
+                        let case = format!("caller {caller} {:?}", queries[i]);
+                        let solution = solve(graph, queries[i]);
+                        assert_identical(&alone[i].paths, &solution.paths, &case);
+                        assert_eq!(solution.stats, alone[i].stats, "{case}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -84,11 +84,14 @@ pub struct SolverOptions {
     /// Every backend produces the identical `Solution`.
     pub storage: StorageSpec,
     /// Number of interval shards (`> 1` wraps the solver in a
-    /// [`ShardedSolver`] on local threads; `1`, the default, solves
-    /// unsharded). Shard ranges are the one way a single solve uses more
-    /// than one core — every solver is sequential inside its window. Every
-    /// shard count produces the identical `Solution`; see
-    /// `docs/sharding.md`.
+    /// [`ShardedSolver`]; `1`, the default, solves unsharded). The ranges
+    /// are dealt into at most one chunk per core, which the calling thread
+    /// and the process's shard threads run: `cores − 1` threads that the
+    /// first solve posting a chunk starts and every later solve reuses, the
+    /// core count read once per process. Shard ranges are the one way a
+    /// single solve uses more than one core — every solver is sequential
+    /// inside its window. Every shard count produces the identical
+    /// `Solution`; see `docs/sharding.md`.
     pub shards: usize,
     /// Fan the per-window solves out to remote worker processes instead of
     /// local shard threads (`Some` wraps the solver in a [`ShardedSolver`]
@@ -104,7 +107,7 @@ pub struct SolverOptions {
     /// polls this token at amortized checkpoints and aborts with
     /// [`BscError::DeadlineExceeded`] once it trips — by an explicit
     /// [`CancelToken::cancel`] or by its deadline passing. A windowed solve
-    /// shares the token across its range workers (the first to fail cancels
+    /// shares the token across its chunks of ranges (the first to fail cancels
     /// its siblings) and forwards the remaining budget to remote workers
     /// over the wire. `None` (the default) solves to completion;
     /// the answer is byte-identical either way — a token never changes
@@ -249,9 +252,12 @@ pub struct SolverStats {
     /// True when the solver stopped before exhausting its input (TA's
     /// threshold condition).
     pub early_termination: bool,
-    /// Range workers of a windowed (sharded, distributed or delta) solve
-    /// that ran concurrently (0 = not a windowed solve: every solver is
-    /// sequential on its own). Written only by the windowed executor.
+    /// The chunks a windowed (sharded, distributed or delta) solve dealt
+    /// its ranges into, each one worker's share, run by a shard thread or
+    /// by the calling thread (a fan-out: one per remote worker); 0 = not a
+    /// windowed solve, every solver being sequential on its own. Set by the
+    /// ranges and the core count alone, never by which thread ran a chunk.
+    /// Written only by the windowed executor.
     pub threads: usize,
     /// Interval shards the solve was split across (0 = not a sharded
     /// solve; the sharded solver reports the number of shard ranges

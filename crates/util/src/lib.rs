@@ -15,7 +15,10 @@
 //! * [`histogram`] — a fixed-bucket latency histogram used by the query
 //!   engine's stats endpoint and the `repro` experiment harness;
 //! * [`cancel`] — a shared cooperative-cancellation token with optional
-//!   deadline, polled by every solver's hot loop (see `docs/robustness.md`).
+//!   deadline, polled by every solver's hot loop (see `docs/robustness.md`);
+//! * [`pool`] — helper threads that outlive the call which first needs
+//!   them, onto which a call posts chunks and steals back those not started
+//!   (the sharded solver's shard threads, see `docs/sharding.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,9 +26,11 @@
 pub mod cancel;
 pub mod histogram;
 pub mod json;
+pub mod pool;
 pub mod rng;
 
 pub use cancel::CancelToken;
 pub use histogram::LatencyHistogram;
 pub use json::JsonValue;
+pub use pool::Pool;
 pub use rng::DetRng;

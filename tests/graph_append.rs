@@ -82,8 +82,8 @@ fn assert_same_graph(a: &ClusterGraph, b: &ClusterGraph, context: &str) {
     assert_eq!(a.num_nodes(), b.num_nodes(), "{context}");
     assert_eq!(a.num_edges(), b.num_edges(), "{context}");
     assert_eq!(
-        a.interval_out_edge_counts(),
-        b.interval_out_edge_counts(),
+        a.interval_out_edge_counts(0..a.num_intervals() as u32),
+        b.interval_out_edge_counts(0..b.num_intervals() as u32),
         "{context}"
     );
     assert_eq!(
