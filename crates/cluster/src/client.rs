@@ -42,7 +42,7 @@
 //! a window that reaches [`ShardTransport::solve_window`] is always
 //! dispatched.
 
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -134,9 +134,7 @@ impl Connection {
         self.stream
             .set_read_timeout(Some(timeout))
             .map_err(|e| e.to_string())?;
-        writeln!(self.stream, "{line}")
-            .and_then(|_| self.stream.flush())
-            .map_err(|e| format!("write failed: {e}"))?;
+        wire::write_frame(&mut self.stream, line).map_err(|e| format!("write failed: {e}"))?;
         match read_frame(&mut self.reader) {
             Ok(Some(response)) => Response::parse(&response),
             Ok(None) => Err("worker closed the connection".to_string()),

@@ -27,8 +27,9 @@
 //! Framing is defensive in both directions: [`read_frame`] rejects lines
 //! longer than [`MAX_FRAME_BYTES`] as a protocol error (never unbounded
 //! buffering, never a panic) and treats EOF mid-line as a truncated frame.
+//! [`write_frame`] sends a frame as one buffer.
 
-use std::io::{BufRead, ErrorKind};
+use std::io::{BufRead, ErrorKind, Write};
 
 use bsc_core::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
 use bsc_core::distributed::{WindowRequest, WindowResult};
@@ -98,6 +99,16 @@ pub fn read_frame(reader: &mut impl BufRead) -> std::io::Result<Option<String>> 
             return Err(oversized(buffer.len()));
         }
     }
+}
+
+/// Write `line` and its `\n` as one buffer, then flush: one frame costs
+/// one `send`, not one for the line and one for its newline.
+pub fn write_frame(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
+    writer.flush()
 }
 
 fn oversized(len: usize) -> std::io::Error {
@@ -219,6 +230,12 @@ pub fn graph_from_json(doc: &JsonValue) -> Result<ClusterGraph, String> {
         // NaN must fail too, so compare in the accepting direction.
         if weight <= 0.0 || weight.is_nan() {
             return Err(format!("graph: edge {i}: weight must be positive"));
+        }
+        // Every cluster graph holds its weights in (0, 1]: the builder
+        // rescales by the largest, so a weight above 1 would silently
+        // change every other (+inf turns them all into 0).
+        if weight > 1.0 {
+            return Err(format!("graph: edge {i}: weight must be at most 1"));
         }
         builder.add_edge(from, to, weight);
     }
@@ -591,6 +608,16 @@ mod tests {
                 "{\"num_intervals\":2,\"gap\":0,\"nodes_per_interval\":[1,1],\
                  \"edges\":[[0,0,1,0,\"xyz\"]]}",
                 "weight bits",
+            ),
+            (
+                "{\"num_intervals\":2,\"gap\":0,\"nodes_per_interval\":[1,1],\
+                 \"edges\":[[0,0,1,0,\"4000000000000000\"]]}",
+                "at most 1",
+            ),
+            (
+                "{\"num_intervals\":2,\"gap\":0,\"nodes_per_interval\":[1,1],\
+                 \"edges\":[[0,0,1,0,\"7ff0000000000000\"]]}",
+                "at most 1",
             ),
         ] {
             let err = graph_from_json(&json::parse(mutation).unwrap()).unwrap_err();

@@ -16,23 +16,28 @@
 //! window is a borrowed view of the installed graph: nothing is extracted
 //! or copied per request.
 //!
-//! Solves are *supervised*: each `solve_window` runs on a scoped thread
-//! under a per-request [`CancelToken`] (seeded from the request's
-//! `deadline_ms` remaining budget, when present) while the connection
-//! thread keeps reading frames. A `cancel` op trips the token and is acked
-//! immediately; the peer closing the connection mid-solve cancels too, so
-//! an abandoned solve stops burning the worker within one checkpoint
-//! interval instead of running to completion for nobody. See
-//! `docs/robustness.md`.
+//! A connection is one event channel. A reader thread posts each frame it
+//! reads, and EOF when the peer closes or its idle read timeout finds the
+//! worker dead; each `solve_window` runs on a scoped thread under a
+//! per-request [`CancelToken`] (seeded from the request's `deadline_ms`
+//! remaining budget, when present) and posts its rendered reply to the same
+//! channel. The connection thread blocks on the channel and answers each
+//! event as it arrives: the reply the moment the solve ends, a `cancel` by
+//! tripping the token and acking at once, and the peer closing mid-solve by
+//! cancelling too, so an abandoned solve stops burning the worker within
+//! one checkpoint interval instead of running to completion for nobody.
+//! See `docs/robustness.md`.
 //!
 //! For fault-injection tests a [`WorkerConfig::die_after_solves`] budget
 //! makes the server drop the connection *instead of answering* the fatal
 //! solve and stop accepting — indistinguishable from a `kill -9` mid-solve
 //! from the coordinator's point of view.
 
-use std::io::{BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,14 +50,8 @@ use bsc_util::json::{self, JsonValue};
 
 use crate::wire::{
     error_response, graph_from_json, ok_response, parse_deadline_ms, parse_solve_fields,
-    read_frame, window_result_response, PROTOCOL_VERSION,
+    read_frame, window_result_response, write_frame, PROTOCOL_VERSION,
 };
-
-/// Read-timeout (and thus supervision poll period) while a solve is in
-/// flight, in milliseconds. Short enough that a fast solve's response is
-/// not held hostage by a blocked `read_frame`, long enough that the
-/// supervisor thread stays effectively idle.
-const SUPERVISION_POLL_MS: u64 = 2;
 
 /// Worker server configuration.
 #[derive(Debug, Clone, Default)]
@@ -196,78 +195,111 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// Serve one coordinator connection until EOF, error, or injected death.
+/// What a connection thread waits for, in arrival order: a frame its reader
+/// read, the end of the connection, or the reply of the solve it runs.
+enum Event {
+    /// A frame, or why none can be read (a bad frame, a broken socket).
+    Frame(std::io::Result<String>),
+    /// The peer closed the connection, or the worker died.
+    Eof,
+    /// The rendered reply of the solve in flight.
+    Solved(String),
+}
+
+/// Serve one coordinator connection until EOF, error, or injected death:
+/// a reader thread posts the connection's frames to one channel, a solve
+/// posts its reply to the same one, and this thread answers each event as
+/// it arrives.
 fn serve_connection(stream: TcpStream, shared: Arc<WorkerShared>) {
-    // Short read timeout so the loop re-checks the death flag while idle.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    let (events, inbox) = mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| read_frames(&stream, &events, &shared));
+        serve_events(&stream, &events, &inbox, &shared);
+        // Wakes the reader now, and the peer reads EOF now rather than at
+        // its next timeout.
+        let _ = stream.shutdown(Shutdown::Both);
+    });
+}
+
+/// Post every frame of the connection until EOF, a read error or the
+/// worker's death. The 100 ms read timeout only lets an idle reader notice
+/// the last; nothing waits on it while a solve runs.
+fn read_frames(stream: &TcpStream, events: &Sender<Event>, shared: &WorkerShared) {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut reader = BufReader::new(stream);
-    // The per-connection graph cache: the last installed (graph id, graph).
-    let mut graph: Option<(u64, ClusterGraph)> = None;
     loop {
-        if shared.dead.load(Ordering::Relaxed) {
-            return;
-        }
-        let line = match read_frame(&mut reader) {
-            Ok(Some(line)) => line,
-            Ok(None) => return,
+        let event = match read_frame(&mut reader) {
+            Ok(Some(line)) => Event::Frame(Ok(line)),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue;
-            }
-            Err(e) => {
-                // Oversized / truncated / non-UTF-8 frame: report once if
-                // the socket still works, then drop the connection — the
-                // framing is out of sync, recovery is a reconnect.
-                let _ = writeln!(writer, "{}", error_response(&format!("bad frame: {e}")));
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = match json::parse(&line) {
-            Ok(doc) => doc,
-            Err(e) => {
-                if writeln!(writer, "{}", error_response(&e))
-                    .and_then(|_| writer.flush())
-                    .is_err()
-                {
-                    return;
+                if !shared.dead.load(Ordering::Relaxed) {
+                    continue;
                 }
-                continue;
+                Event::Eof
             }
+            Ok(None) => Event::Eof,
+            Err(e) => Event::Frame(Err(e)),
         };
-        // Solves are supervised (scoped solver thread + frame polling), so
-        // they are dispatched here where the reader and writer are in hand.
-        if doc.get("op").and_then(JsonValue::as_str) == Some("solve_window") {
-            if shared.next_solve_is_fatal() {
-                // Injected death: no response, no further requests.
-                shared.dead.store(true, Ordering::Relaxed);
-                return;
-            }
-            match solve_supervised(&doc, &graph, &shared, &mut reader, &mut writer) {
-                ConnectionFate::Continue => continue,
-                ConnectionFate::Close => return,
-            }
-        }
-        let response = handle_request(&doc, &mut graph, &shared);
-        if writeln!(writer, "{response}")
-            .and_then(|_| writer.flush())
-            .is_err()
-        {
+        let last = !matches!(event, Event::Frame(Ok(_)));
+        if events.send(event).is_err() || last {
             return;
         }
     }
 }
 
-/// Whether a connection keeps serving after a supervised solve.
-enum ConnectionFate {
-    Continue,
-    Close,
+/// Answer the connection's events until it ends.
+fn serve_events(
+    writer: &TcpStream,
+    events: &Sender<Event>,
+    inbox: &Receiver<Event>,
+    shared: &WorkerShared,
+) {
+    // The per-connection graph cache: the last installed (graph id, graph).
+    let mut graph: Option<(u64, ClusterGraph)> = None;
+    while let Ok(event) = inbox.recv() {
+        let line = match event {
+            Event::Frame(Ok(line)) if !shared.dead.load(Ordering::Relaxed) => line,
+            Event::Frame(Err(e)) => {
+                // Oversized / truncated / non-UTF-8 frame: report once if
+                // the socket still works, then drop the connection — the
+                // framing is out of sync, recovery is a reconnect.
+                let bad = error_response(&format!("bad frame: {e}"));
+                reply(writer, shared, &bad);
+                return;
+            }
+            _ => return,
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
+        let response = match json::parse(&line) {
+            Err(e) => error_response(&e),
+            Ok(doc) if doc.get("op").and_then(JsonValue::as_str) == Some("solve_window") => {
+                if shared.next_solve_is_fatal() {
+                    // Injected death: no response, no further requests.
+                    shared.dead.store(true, Ordering::Relaxed);
+                    return;
+                }
+                match prepare_solve(&doc, &graph)
+                    .map(|prepared| solve_supervised(prepared, writer, events, inbox, shared))
+                {
+                    Ok(Some(response)) => response,
+                    Ok(None) => return,
+                    Err(message) => error_response(&message),
+                }
+            }
+            Ok(doc) => handle_request(&doc, &mut graph, shared),
+        };
+        if !reply(writer, shared, &response) {
+            return;
+        }
+    }
+}
+
+/// Write one frame, unless the worker is dead: a dead worker answers
+/// nothing. False when the connection must close.
+fn reply(mut writer: &TcpStream, shared: &WorkerShared, line: &str) -> bool {
+    !shared.dead.load(Ordering::Relaxed) && write_frame(&mut writer, line).is_ok()
 }
 
 fn handle_request(
@@ -417,28 +449,19 @@ fn prepare_solve<'g>(
 }
 
 /// Run one `solve_window` under supervision: the solve runs on a scoped
-/// thread holding a per-request [`CancelToken`] while this thread keeps
-/// polling the connection. A `cancel` frame trips the token (acked
-/// immediately); peer EOF or a broken socket mid-solve trips it too, so an
-/// abandoned solve stops within one checkpoint interval.
+/// thread holding a per-request [`CancelToken`] and posts its rendered reply
+/// to the connection's channel, while this thread answers the frames that
+/// arrive before it. A `cancel` frame trips the token (acked at once); peer
+/// EOF or a broken socket mid-solve trips it too, so an abandoned solve
+/// stops within one checkpoint interval. `None` when the connection must
+/// close.
 fn solve_supervised(
-    doc: &JsonValue,
-    graph: &Option<(u64, ClusterGraph)>,
+    prepared: PreparedSolve<'_>,
+    writer: &TcpStream,
+    events: &Sender<Event>,
+    inbox: &Receiver<Event>,
     shared: &WorkerShared,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-) -> ConnectionFate {
-    let prepared = match prepare_solve(doc, graph) {
-        Ok(prepared) => prepared,
-        Err(message) => {
-            return match writeln!(writer, "{}", error_response(&message))
-                .and_then(|_| writer.flush())
-            {
-                Ok(()) => ConnectionFate::Continue,
-                Err(_) => ConnectionFate::Close,
-            };
-        }
-    };
+) -> Option<String> {
     // The wire budget is "time remaining at dispatch", so the local
     // deadline starts counting now — no clock agreement with the
     // coordinator needed.
@@ -446,111 +469,76 @@ fn solve_supervised(
         Some(ms) => CancelToken::after(Duration::from_millis(ms)),
         None => CancelToken::new(),
     };
-    // Tighten the read timeout for the duration of the solve: it doubles
-    // as the supervision poll period, and at the idle-loop 100 ms every
-    // fast solve would pay up to a full poll of latency before the
-    // supervisor notices it finished.
-    let _ = reader
-        .get_ref()
-        .set_read_timeout(Some(Duration::from_millis(SUPERVISION_POLL_MS)));
-    let mut fate = ConnectionFate::Continue;
-    let response = std::thread::scope(|scope| {
-        let solve_token = token.clone();
-        let solver = scope.spawn(move || {
-            solve_window_locally(
-                prepared.graph,
-                prepared.start,
-                prepared.l,
-                prepared.k,
-                prepared.algorithm,
-                &SolverOptions::default()
-                    .storage(prepared.storage)
-                    .cancel_token(Some(solve_token)),
-            )
+    std::thread::scope(|scope| {
+        let (solve_token, solved) = (token.clone(), events.clone());
+        scope.spawn(move || {
+            let options = SolverOptions::default()
+                .storage(prepared.storage)
+                .cancel_token(Some(solve_token));
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                solve_window_locally(
+                    prepared.graph,
+                    prepared.start,
+                    prepared.l,
+                    prepared.k,
+                    prepared.algorithm,
+                    &options,
+                )
+            }));
+            let response = match outcome {
+                Ok(Ok(result)) => window_result_response(&result),
+                Ok(Err(e)) => error_response(&e.to_string()),
+                Err(_) => error_response("solver thread panicked"),
+            };
+            let _ = solved.send(Event::Solved(response));
         });
-        while !solver.is_finished() {
-            if shared.dead.load(Ordering::Relaxed) {
-                token.cancel();
-                fate = ConnectionFate::Close;
-                break;
-            }
-            // The stream's shortened read timeout doubles as the poll
-            // period.
-            match read_frame(reader) {
-                Ok(Some(line)) => {
-                    let is_cancel = json::parse(&line)
-                        .ok()
-                        .and_then(|d| {
-                            d.get("op")
-                                .and_then(JsonValue::as_str)
-                                .map(|op| op == "cancel")
-                        })
-                        .unwrap_or(false);
-                    if is_cancel {
-                        token.cancel();
-                        shared.cancels.fetch_add(1, Ordering::Relaxed);
-                        let ack = ok_response("cancel", vec![("cancelled", JsonValue::Bool(true))]);
-                        if writeln!(writer, "{ack}")
-                            .and_then(|_| writer.flush())
-                            .is_err()
-                        {
-                            fate = ConnectionFate::Close;
-                            break;
-                        }
-                    } else {
-                        // The protocol is strictly request/response: any
-                        // other frame mid-solve means the peer lost track
-                        // of the framing. Cancel and drop the connection.
-                        token.cancel();
-                        let _ = writeln!(
-                            writer,
-                            "{}",
-                            error_response(
-                                "request while a solve is in flight; only 'cancel' is accepted"
-                            )
-                        );
-                        fate = ConnectionFate::Close;
-                        break;
+        // Every early return trips the token first, so the scope's join
+        // waits at most one checkpoint interval.
+        loop {
+            match inbox.recv() {
+                Ok(Event::Solved(response)) => {
+                    if response.starts_with("{\"ok\":true") {
+                        shared.solves.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Some(response);
+                }
+                // A worker that died answers nothing and cancels nobody's
+                // request.
+                _ if shared.dead.load(Ordering::Relaxed) => {
+                    token.cancel();
+                    return None;
+                }
+                Ok(Event::Frame(Ok(line))) if is_cancel(&line) => {
+                    token.cancel();
+                    shared.cancels.fetch_add(1, Ordering::Relaxed);
+                    let ack = ok_response("cancel", vec![("cancelled", JsonValue::Bool(true))]);
+                    if !reply(writer, shared, &ack) {
+                        return None;
                     }
                 }
-                // Peer gone mid-solve: stop burning CPU on an answer
-                // nobody will read.
-                Ok(None) => {
+                Ok(Event::Frame(Ok(_))) => {
+                    // The protocol is strictly request/response: any other
+                    // frame mid-solve means the peer lost track of the
+                    // framing. Cancel and drop the connection.
                     token.cancel();
-                    shared.cancels.fetch_add(1, Ordering::Relaxed);
-                    fate = ConnectionFate::Close;
-                    break;
+                    let refused = "request while a solve is in flight; only 'cancel' is accepted";
+                    reply(writer, shared, &error_response(refused));
+                    return None;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(_) => {
+                // Peer gone or socket broken mid-solve: stop burning CPU on
+                // an answer nobody will read.
+                _ => {
                     token.cancel();
                     shared.cancels.fetch_add(1, Ordering::Relaxed);
-                    fate = ConnectionFate::Close;
-                    break;
+                    return None;
                 }
             }
         }
-        // Always join: the token is tripped on every early exit, so the
-        // solver unwinds within one checkpoint interval.
-        match solver.join() {
-            Ok(Ok(result)) => window_result_response(&result),
-            Ok(Err(e)) => error_response(&e.to_string()),
-            Err(_) => error_response("solver thread panicked"),
-        }
-    });
-    let _ = reader
-        .get_ref()
-        .set_read_timeout(Some(Duration::from_millis(100)));
-    if matches!(fate, ConnectionFate::Close) {
-        return ConnectionFate::Close;
-    }
-    if response.starts_with("{\"ok\":true") {
-        shared.solves.fetch_add(1, Ordering::Relaxed);
-    }
-    match writeln!(writer, "{response}").and_then(|_| writer.flush()) {
-        Ok(()) => ConnectionFate::Continue,
-        Err(_) => ConnectionFate::Close,
-    }
+    })
+}
+
+fn is_cancel(line: &str) -> bool {
+    json::parse(line).is_ok_and(|doc| doc.get("op").and_then(JsonValue::as_str) == Some("cancel"))
 }
 
 #[cfg(test)]
@@ -572,8 +560,7 @@ mod tests {
     }
 
     fn roundtrip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
-        writeln!(stream, "{line}").unwrap();
-        stream.flush().unwrap();
+        write_frame(stream, line).unwrap();
         loop {
             match read_frame(reader) {
                 Ok(Some(line)) => return line,
@@ -665,6 +652,70 @@ mod tests {
         handle.kill();
     }
 
+    /// A window request is answered when its solve ends: nothing waits
+    /// between the solve and its reply, so each of 40 takes well under the
+    /// 2 ms any poll period would add.
+    #[test]
+    fn sequential_window_solves_are_answered_as_their_solves_end() {
+        let mut handle = WorkerServer::bind("127.0.0.1:0", WorkerConfig::default())
+            .unwrap()
+            .spawn();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let g = graph();
+        let install = roundtrip(
+            &mut stream,
+            &mut reader,
+            &wire::install_graph_request(1, &g),
+        );
+        assert!(install.contains("\"ok\":true"), "{install}");
+        let starts = g.num_intervals() as u32 - 2;
+        let expected: Vec<_> = (0..starts)
+            .map(|start| {
+                solve_window_locally(
+                    &g,
+                    start,
+                    2,
+                    3,
+                    AlgorithmKind::Bfs,
+                    &SolverOptions::default(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let begun = std::time::Instant::now();
+        for i in 0..40 {
+            let start = i % starts;
+            let solved = roundtrip(
+                &mut stream,
+                &mut reader,
+                &format!(
+                    "{{\"op\":\"solve_window\",\"epoch\":\"0000000000000001\",\"start\":{start},\
+                     \"l\":2,\"k\":3,\"algorithm\":\"bfs\",\"storage\":\"memory\"}}"
+                ),
+            );
+            let response = wire::Response::parse(&solved).unwrap();
+            let result = wire::window_result_from_response(&response).unwrap();
+            let expected = &expected[start as usize];
+            assert_eq!(result.paths.len(), expected.paths.len());
+            for (a, b) in result.paths.iter().zip(expected.paths.iter()) {
+                assert_eq!(a.nodes(), b.nodes());
+                assert_eq!(a.weight().to_bits(), b.weight().to_bits());
+            }
+        }
+        let elapsed = begun.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(40 * 2),
+            "40 window requests took {elapsed:?}"
+        );
+        assert_eq!(handle.solves(), 40);
+        handle.kill();
+    }
+
     #[test]
     fn expired_deadline_is_answered_without_solving() {
         let mut handle = WorkerServer::bind("127.0.0.1:0", WorkerConfig::default())
@@ -702,6 +753,72 @@ mod tests {
         );
         assert!(solved.contains("\"ok\":true"), "{solved}");
         assert_eq!(handle.solves(), 1);
+        handle.kill();
+    }
+
+    /// What happens to a solve in flight: a `cancel` is acked before the
+    /// solve's reply, a peer that leaves cancels it, and any other frame is
+    /// refused and closes the connection. The solve is DFS over a whole
+    /// 12 × 300 graph, seconds of work, so each answer here comes from the
+    /// tripped token, not from the solve ending.
+    #[test]
+    fn a_solve_in_flight_answers_a_cancel_a_departed_peer_and_a_stray_frame() {
+        let mut handle = WorkerServer::bind("127.0.0.1:0", WorkerConfig::default())
+            .unwrap()
+            .spawn();
+        let slow = ClusterGraphGenerator::new(SyntheticGraphParams {
+            num_intervals: 12,
+            nodes_per_interval: 300,
+            avg_out_degree: 5,
+            gap: 1,
+            seed: 7,
+        })
+        .generate();
+        let install = wire::install_graph_request(1, &slow);
+        let solve = "{\"op\":\"solve_window\",\"epoch\":\"0000000000000001\",\"start\":0,\
+                     \"l\":11,\"k\":5,\"algorithm\":\"dfs\",\"storage\":\"memory\"}";
+        let connect = || {
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            assert!(roundtrip(&mut stream, &mut reader, &install).contains("\"ok\":true"));
+            write_frame(&mut stream, solve).unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            (stream, reader)
+        };
+        let begun = std::time::Instant::now();
+
+        let (mut stream, mut reader) = connect();
+        let ack = roundtrip(&mut stream, &mut reader, &wire::cancel_request());
+        assert!(ack.contains("\"cancelled\":true"), "{ack}");
+        let cancelled = read_frame(&mut reader).unwrap().unwrap();
+        assert!(cancelled.contains("deadline exceeded"), "{cancelled}");
+        assert_eq!((handle.cancels(), handle.solves()), (1, 0));
+        // The connection goes on serving.
+        assert!(roundtrip(&mut stream, &mut reader, &wire::ping_request()).contains("\"ok\":true"));
+
+        let (stream, _reader) = connect();
+        stream.shutdown(std::net::Shutdown::Both).unwrap();
+        while handle.cancels() < 2 {
+            assert!(
+                begun.elapsed() < Duration::from_secs(3),
+                "the departed peer's solve ran on"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let (mut stream, mut reader) = connect();
+        let refused = roundtrip(&mut stream, &mut reader, &wire::ping_request());
+        assert!(refused.contains("only 'cancel' is accepted"), "{refused}");
+        assert!(read_frame(&mut reader).unwrap().is_none());
+        assert!(
+            begun.elapsed() < Duration::from_secs(3),
+            "{:?}",
+            begun.elapsed()
+        );
+        assert_eq!((handle.cancels(), handle.solves()), (2, 0));
         handle.kill();
     }
 
@@ -744,8 +861,7 @@ mod tests {
         assert!(install.contains("\"ok\":true"));
         let solve =
             "{\"op\":\"solve_window\",\"epoch\":\"0000000000000001\",\"start\":0,\"l\":2,\"k\":3}";
-        writeln!(stream, "{solve}").unwrap();
-        stream.flush().unwrap();
+        write_frame(&mut stream, solve).unwrap();
         // The connection dies with no response: EOF (clean close) or a
         // reset, never a solve_window answer.
         loop {

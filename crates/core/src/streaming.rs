@@ -86,6 +86,11 @@ impl OnlineStableClusters {
         }
     }
 
+    /// The `k` and `l` every answer is asked for.
+    pub fn params(&self) -> KlStableParams {
+        self.params
+    }
+
     /// Number of intervals ingested so far.
     pub fn num_intervals(&self) -> usize {
         self.graph.num_intervals()

@@ -11,7 +11,9 @@
 //!   `Pipeline::run` code path), no pool, no queue, no cache — and on a
 //!   clone of the graph, which keeps none of the look-ahead tables earlier
 //!   solves built and is a graph value of its own, so every oracle solve is
-//!   cold and a fan-out ships it afresh.
+//!   cold and a fan-out ships it afresh. It answers `stream_top_k` the same
+//!   way, with a cold windowed solve of the stream's graph, where the engine
+//!   merges the stream's last answer.
 //!
 //! A `load` and a `push_interval` publish the same way, through the
 //! session's one `install`: into the engine, which works out from the two
@@ -30,9 +32,11 @@
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
+use bsc_core::delta::solve_windows;
 use bsc_core::error::BscResult;
 use bsc_core::problem::KlStableParams;
 use bsc_core::snapshot::{GraphSnapshot, SnapshotCell};
+use bsc_core::solver::{AlgorithmKind, SolverOptions};
 use bsc_core::streaming::OnlineStableClusters;
 use bsc_core::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 use bsc_util::json::JsonValue;
@@ -249,7 +253,25 @@ impl Session {
                 let Some(stream) = &mut self.stream else {
                     return error_response("no open stream (send open_stream first)");
                 };
-                match stream.current_top_k() {
+                let answer = match &self.engine {
+                    Some(_) => stream.current_top_k(),
+                    // The oracle solves the graph-so-far cold, windowed as
+                    // the merge is, so the serve-vs-oracle diff checks the
+                    // merge and never sees a table refused that it answers.
+                    None => {
+                        let KlStableParams { k, l } = stream.params();
+                        solve_windows(
+                            &stream.graph().clone(),
+                            StableClusterSpec::ExactLength(l),
+                            k,
+                            AlgorithmKind::Bfs,
+                            &SolverOptions::default(),
+                            None,
+                        )
+                        .map(|outcome| outcome.windows.paths)
+                    }
+                };
+                match answer {
                     Ok(paths) => {
                         ok_response("stream_top_k", vec![("paths", paths_to_json(&paths))])
                     }
