@@ -63,10 +63,16 @@
 //!   children ([`GraphView::children`]); an interval more than half of whose
 //!   nodes are live marks every node in reach at once instead, so an input
 //!   that cuts nothing (all weights equal) pays no second walk of its edges.
-//!   Marking may only err towards visiting. A sweep whose table holds no
-//!   weight — `l = 1`, or an `l` beyond the last interval — knows of no node
-//!   whether it is live, takes every node for live and visits every node,
-//!   through the same loop.
+//!   Marking may only err towards visiting. So an interval costs what its
+//!   live parents reach, not its width: where a length-`l` path can start
+//!   (`depth + l ≤ last`) the sweep still reads every node's start weight,
+//!   and visits the marked among them in index order; where none can —
+//!   every interval of a start window but its first, the last `l` of a
+//!   whole view — nobody is live but whom a visit leaves holding a slot,
+//!   and the sweep walks the marked nodes alone, never looking at the rest.
+//!   A sweep whose table holds no weight — `l = 1`, or an `l` beyond the
+//!   last interval — knows of no node whether it is live, takes every node
+//!   for live and visits every node, through the same loop.
 //!
 //! That pass is written once, as the private `IntervalSweep`: it looks ahead
 //! over its view when it is made, its state is the heaps of the intervals
@@ -103,10 +109,12 @@
 //! rows of an interval are kept for `g + 1` further intervals (its possible
 //! children), its link cells for `l + g` (the reach of a chain held by those
 //! children), so what a sweep retains in heaps is bounded by `l` and `g`
-//! however many intervals its view has. The marks are a byte per
-//! node of the intervals a child of the interval being swept can lie in — at
-//! most `g + 1` of them, and never more than the view has left — recycled
-//! the same way. The sweep holds its
+//! however many intervals its view has. The marks are a list of node
+//! indices for each interval a child of the interval being swept can lie in
+//! — at most `g + 1` of them, and never more than the view has left — an
+//! entry per edge a live node marks along, sorted and deduplicated when the
+//! list's interval comes up (the ascending order `Ring` keeps rows in),
+//! and recycled the same way. The sweep holds its
 //! completion table beside them, and that is sized by the view: a node has a
 //! weight for each length it can be asked for, at most `min(l, last − l + 1)`
 //! of them — one for full paths and inside a start window, 86 KB for
@@ -132,7 +140,7 @@ use bsc_util::cancel::CancelToken;
 
 use crate::cluster_graph::{ClusterGraph, ClusterNodeId, GraphView};
 use crate::error::{BscError, BscResult};
-use crate::lookahead::{Completions, Lens};
+use crate::lookahead::{give_back, spare_list, Completions, Lens};
 use crate::path::ClusterPath;
 use crate::problem::{can_still_reach, shortest_feasible, KlStableParams};
 use crate::solver::{
@@ -482,9 +490,21 @@ impl Ring {
         if rows.slots.is_empty() {
             return Ok(());
         }
+        // Out of order, the resize below would cut off the rows of the
+        // nodes kept after this one.
+        let back = (self.oldest as usize + self.tables.len()).checked_sub(1);
+        debug_assert_eq!(
+            Some(node.interval as usize),
+            back,
+            "{node} kept in another table"
+        );
         let Some(table) = self.tables.back_mut() else {
             return Ok(());
         };
+        debug_assert!(
+            table.first_row.len() <= node.index as usize,
+            "{node} kept after a node of a higher index, or twice"
+        );
         // The node's cells go behind the interval's: shift what points at them.
         let base = table.links.len();
         let shift = match u32::try_from(base + rows.links.len()) {
@@ -539,11 +559,12 @@ struct IntervalSweep<'t> {
     /// step: a vector local to `advance` gives each call in its loop an
     /// unwind edge, and an all-equal-weights solve read 5–17 % slower for it.
     live: Vec<u32>,
-    /// Whom a live node has marked, by node index: at the front the interval
-    /// being swept, behind it the intervals a child of one of its nodes can
-    /// lie in. A vector is sized when it is first marked into and goes to
+    /// Whom a live node has marked, as node indices in the order marked,
+    /// repeats included: at the front the interval being swept, behind it
+    /// the intervals a child of one of its nodes can lie in. A list is
+    /// sorted and deduplicated when its interval's turn comes, and goes to
     /// the back, emptied, once its interval is swept.
-    marks: VecDeque<Vec<bool>>,
+    marks: VecDeque<Vec<u32>>,
     /// Every node of an interval before this one is marked, whatever
     /// `marks` says: what an interval crowded with live nodes leaves behind.
     all_marked_before: u32,
@@ -723,10 +744,11 @@ impl<'t> IntervalSweep<'t> {
     /// nodes a live node has marked from its parents' heaps and offer every
     /// length-`l` path to the global heap. A shorter subpath is held only if
     /// it can still become an answer (module docs): it fits before the last
-    /// interval, and its best completion reaches the k-th answer. A sweep
-    /// whose table holds no weight visits every node. Intervals must be swept
-    /// in order, each once; a failed sweep (`cancel` tripped, a table
-    /// too large to address) is not resumable.
+    /// interval, and its best completion reaches the k-th answer. Of an
+    /// interval where no length-`l` path can start it walks only the marked
+    /// nodes. A sweep whose table holds no weight visits every node.
+    /// Intervals must be swept in order, each once; a failed sweep
+    /// (`cancel` tripped, a table too large to address) is not resumable.
     fn advance(
         &mut self,
         view: GraphView<'_>,
@@ -749,24 +771,44 @@ impl<'t> IntervalSweep<'t> {
                 .take_while(move |&(_, total)| total <= l)
         };
         // Who is visited: whoever a live node marked, or for want of a
-        // weight that says who is live, everyone.
+        // weight that says who is live, everyone. The marks, sorted and
+        // deduplicated now, are the ascending order `Ring::keep` needs.
         let sparse = ahead.holds_weights();
         let everyone = !sparse || interval < self.all_marked_before;
+        if let Some(marked) = self.marks.front_mut() {
+            marked.sort_unstable();
+            marked.dedup();
+        }
+        let marked = self.marks.front().map_or(&[][..], Vec::as_slice);
+        // Can a length-`l` path start here? Not where it would end past the
+        // last interval: every interval of a start window but its first,
+        // the last `l` of a whole view. There nobody is live but whom a
+        // visit leaves holding a slot, and only the marked are walked.
+        let may_start = !sparse || depth.saturating_add(l) <= ahead.last();
+        let walk_all = everyone || may_start;
+        let walked = match walk_all {
+            true => num_nodes,
+            false => marked.len() as u32,
+        };
         self.live.clear();
-        for index in 0..num_nodes {
-            checkpoint(cancel, &mut self.tick)?;
+        let mut next_marked = marked.iter().copied().peekable();
+        for at in 0..walked {
+            let index = match walk_all {
+                true => at,
+                false => marked[at as usize],
+            };
             let node = ClusterNodeId::new(interval, index);
             // Can a near-answer start here? (Everyone, where the table holds
             // no weight to say; they are all visited anyway.)
-            let starts = ahead.can_start(node);
-            let marks = self.marks.front();
-            let marked = marks.and_then(|marks| marks.get(index as usize));
-            if !(everyone || marked.is_some_and(|&marked| marked)) {
+            let starts = may_start && ahead.can_start(node);
+            let visited = everyone || !walk_all || next_marked.next_if_eq(&index).is_some();
+            if !visited {
                 if starts {
                     self.live.push(index);
                 }
                 continue;
             }
+            checkpoint(cancel, &mut self.tick)?;
             self.stats.nodes_processed += 1;
             let (shortest, best) = ahead.leaving(node);
             let parents = view.parents(node);
@@ -851,17 +893,13 @@ impl<'t> IntervalSweep<'t> {
                 for child in view.children(ClusterNodeId::new(interval, index)) {
                     let beyond = (child.to.interval - interval) as usize;
                     if self.marks.len() <= beyond {
-                        self.marks.resize_with(beyond + 1, Vec::new);
+                        self.marks.resize_with(beyond + 1, spare_list);
                     }
-                    let theirs = &mut self.marks[beyond];
-                    if theirs.is_empty() {
-                        theirs.resize(view.nodes_in_interval(child.to.interval) as usize, false);
-                    }
-                    theirs[child.to.index as usize] = true;
+                    self.marks[beyond].push(child.to.index);
                 }
             }
         }
-        // The interval's own marks are spent: its vector goes to the back,
+        // The interval's own marks are spent: its list goes to the back,
         // for an interval nobody has marked yet.
         if let Some(mut spent) = self.marks.pop_front() {
             spent.clear();
@@ -883,11 +921,13 @@ impl<'t> IntervalSweep<'t> {
         cancel: Option<&CancelToken>,
         tick: u32,
     ) -> BscResult<(Vec<ClusterPath>, SolverStats)> {
-        let ahead = table.lens(view, params.l, params.k).raised(floor);
+        let ahead = table.lens(view, params.l, params.k, floor);
         let mut sweep = IntervalSweep::new(params, view, ahead, tick);
         for interval in view.intervals() {
             sweep.advance(view, interval, cancel)?;
         }
+        // The mark lists go back to the thread, for its next sweep.
+        sweep.marks.into_iter().for_each(give_back);
         Ok((sweep.global.into_sorted(), sweep.stats))
     }
 }
@@ -924,8 +964,13 @@ impl BfsStableClusters {
 
     /// Attach a cooperative-cancellation token. The sweep observes it at
     /// amortized checkpoints (roughly one real check per
-    /// [`CancelToken::CHECK_INTERVAL`] nodes) and aborts with
+    /// [`CancelToken::CHECK_INTERVAL`] of them) and aborts with
     /// [`BscError::DeadlineExceeded`](crate::error::BscError) once it trips.
+    /// A checkpoint counts a node visited, or a live node marking its
+    /// children — not a node scanned: the sweep passes over a node nobody
+    /// marked at no more than a look at its start weight, and walks only the
+    /// marked ones of an interval where nobody can start. Building the
+    /// look-ahead table, where the graph keeps none, counts its nodes.
     pub fn with_cancel(mut self, cancel: Option<CancelToken>) -> Self {
         self.cancel = cancel;
         self
@@ -997,7 +1042,7 @@ impl StableClusterSolver for BfsStableClusters {
 mod tests {
     use super::*;
     use crate::cluster_graph::ClusterGraphBuilder;
-    use crate::lookahead::{every_path, long_thin_graph, reweighted, WEIGHTINGS};
+    use crate::lookahead::{every_path, long_thin_graph, reweighted, NO_FLOOR, WEIGHTINGS};
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 
     fn node(interval: u32, index: u32) -> ClusterNodeId {
@@ -1117,7 +1162,12 @@ mod tests {
         params: KlStableParams,
         view: GraphView<'_>,
     ) -> IntervalSweep<'t> {
-        IntervalSweep::new(params, view, table.lens(view, params.l, params.k), 0)
+        IntervalSweep::new(
+            params,
+            view,
+            table.lens(view, params.l, params.k, NO_FLOOR),
+            0,
+        )
     }
 
     /// `C[node][r]`, for an `r` asked of `node`.
@@ -1275,7 +1325,9 @@ mod tests {
                         let case = format!("gap={gap} first={first} last={last} l={l} k={k}");
                         let expected = brute_force(&paths, k, l);
                         assert_eq!(expected.is_empty(), l > last, "{case}");
-                        let sparse = ahead_of(view, params).lens(view, l, k).holds_weights();
+                        let sparse = ahead_of(view, params)
+                            .lens(view, l, k, NO_FLOOR)
+                            .holds_weights();
                         assert_eq!(sparse, (2..=last).contains(&l), "{case}");
                         let (found, stats) =
                             BfsStableClusters::new(params).run_with_stats(view).unwrap();
@@ -1386,7 +1438,7 @@ mod tests {
         let mut widest_ring = 0;
         for interval in view.intervals() {
             sweep.advance(view, interval, None).unwrap();
-            // The intervals a child can lie in, and the vector just spent.
+            // The intervals a child can lie in, and the list just spent.
             assert!(sweep.marks.len() <= gap as usize + 2, "{interval}");
             assert!(
                 sweep.marks.iter().all(|marks| marks.len() <= 3),
@@ -1401,10 +1453,10 @@ mod tests {
         assert_eq!(sweep.top_k()[0].weight(), f64::from(l));
 
         // A gap of `u32::MAX` sizes nothing: a child lies inside the view,
-        // and a vector is made for an interval only when a node of it is
-        // marked. (Nothing here is sized by a request: a mark vector is as
-        // long as an interval of the graph has nodes, and there are no more
-        // of them than the view has intervals.)
+        // and a list is made for an interval only when a node of it is
+        // marked. (Nothing here is sized by a request: a mark list holds an
+        // entry per edge a live node marked along, and there are no more
+        // lists than the view has intervals.)
         let graph = random_graph(4, 6, 1, u32::MAX, 77);
         let params = KlStableParams::new(1, 2);
         let table = ahead_of(graph.view(), params);
@@ -1501,6 +1553,70 @@ mod tests {
     }
 
     #[test]
+    fn marks_that_reach_an_interval_out_of_order_from_two_intervals_are_walked_in_order() {
+        // Gap 1, four intervals of six nodes, `exact:2`, `k = 2`. Starts
+        // a (0,0) and b (1,0) are live, nobody else is (θ₀ = 1.0, a's
+        // gap edge alone; every other start reaches 0.61 at most):
+        //
+        //   a → (2,4) 1.0 (length 2)   b → (2,1) 0.5 → (3,1) 0.55
+        //                              b → (2,4) 0.5 → (3,4) 0.6
+        //
+        // and weak edges of 0.01 along every other lane. a marks (2,4) once
+        // interval 0 is swept; b marks (2,1) and (2,4) once interval 1 is:
+        // interval 2's list reads [4, 1, 4], from two intervals, out of
+        // order and with a repeat. No length-2 path starts in interval 2,
+        // so that list is all it walks, and both nodes keep a row that
+        // interval 3 extends into the answers. Walked unsorted, the row of
+        // (2,4) is cut off by (2,1)'s and 1.1 is lost; walked with the
+        // repeat, (2,4) is visited twice. The counters are the ones the
+        // sweep that scanned every node of every interval gave.
+        let mut builder = ClusterGraphBuilder::new(1);
+        for _ in 0..4 {
+            builder.add_interval(6);
+        }
+        builder.add_edge(node(0, 0), node(2, 4), 1.0);
+        for (lane, first, second) in [(1, 0.5, 0.55), (4, 0.5, 0.6)] {
+            builder.add_edge(node(1, 0), node(2, lane), first);
+            builder.add_edge(node(2, lane), node(3, lane), second);
+        }
+        for lane in 1..6 {
+            builder.add_edge(node(0, lane), node(1, lane), 0.01);
+            builder.add_edge(node(1, lane), node(2, lane), 0.01);
+            if ![1, 4].contains(&lane) {
+                builder.add_edge(node(2, lane), node(3, lane), 0.01);
+            }
+        }
+        let graph = builder.build();
+        let (view, params) = (graph.view(), KlStableParams::new(2, 2));
+        let table = ahead_of(view, params);
+        let mut sweep = sweep_of(&table, params, view);
+        assert_eq!(sweep.ahead.floor(), 1.0);
+        sweep.advance(view, 0, None).unwrap();
+        sweep.advance(view, 1, None).unwrap();
+        assert_eq!(sweep.marks.front(), Some(&vec![4, 1, 4]));
+        sweep.advance(view, 2, None).unwrap();
+        assert_eq!(sweep.held(node(2, 1)).concat()[0].weight(), 0.5);
+        assert_eq!(sweep.held(node(2, 4)).concat()[0].weight(), 0.5);
+        sweep.advance(view, 3, None).unwrap();
+        let expected = brute_force(&every_path(view), 2, 2);
+        let weights: Vec<f64> = expected.iter().map(ClusterPath::weight).collect();
+        assert_eq!(weights, [0.5 + 0.6, 0.5 + 0.55]);
+        assert_same_paths(&sweep.top_k(), &expected, "stepped");
+        let (found, stats) = BfsStableClusters::new(params)
+            .run_with_stats(&graph)
+            .unwrap();
+        assert_same_paths(&found, &expected, "solved");
+        assert_eq!(stats, sweep.stats());
+        let scanning_every_node = SolverStats {
+            nodes_processed: 4,
+            paths_generated: 7,
+            peak_resident_paths: 2,
+            ..SolverStats::default()
+        };
+        assert_eq!(stats, scanning_every_node);
+    }
+
+    #[test]
     fn a_k_beyond_every_count_sizes_nothing() {
         // θ₀ is selected among at most one weight per node: a `k` no graph
         // can fill answers −∞ (and every path there is), whatever it is.
@@ -1518,7 +1634,8 @@ mod tests {
         ] {
             let params = KlStableParams::new(usize::MAX, l);
             let ahead = ahead_of(view, params);
-            assert_eq!(ahead.lens(view, l, params.k).floor(), f64::NEG_INFINITY);
+            let lens = ahead.lens(view, l, params.k, NO_FLOOR);
+            assert_eq!(lens.floor(), f64::NEG_INFINITY);
             let paths = BfsStableClusters::new(params).run(view).unwrap();
             let found: Vec<f64> = paths.iter().map(ClusterPath::weight).collect();
             assert_eq!(found, weights, "l={l}");

@@ -43,8 +43,9 @@
 //!    answer is the top-k of every old path, so no other old path can enter;
 //!    if it holds `k` paths, all of them stay, and a candidate below the
 //!    k-th of them loses to `k` of them. So each tail window is solved with
-//!    that weight as its floor (`Lens::raised`, the floor a local sharded
-//!    solve hands its windows, judged with `can_still_reach`'s slack): its
+//!    that weight as its floor (the floor of `Completions::lens`, which a
+//!    local sharded solve hands its windows too, judged with
+//!    `can_still_reach`'s slack): its
 //!    result keeps every path of it that can enter the merge. With fewer
 //!    than `k` carried paths the floor is `−∞`.
 //! 4. **On an exact tie, a carried path sorts first.** Content order compares

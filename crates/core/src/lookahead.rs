@@ -19,7 +19,10 @@
 //! * [`Arrivals`] is its forward mirror for full paths (over
 //!   [`GraphView::children`], first interval first): the heaviest path to
 //!   `c` from a start of the view's first interval that the full-path lens
-//!   admits ([`Lens::can_start`]). It is `endwts`; only TA reads it.
+//!   admits ([`Lens::can_start`]), and per interval the nodes it reaches,
+//!   in index order. It is `endwts`; only TA reads it, and lists edges from
+//!   the reached nodes alone. It relaxes from those nodes alone too, so it
+//!   costs what the admitted starts reach, not the view's width.
 //!
 //! Either is sized by the view — never by `k` — allocated once, fallibly
 //! ([`blank`]: a table the allocator refuses is the query's error, not an
@@ -46,9 +49,11 @@
 //!   lengths the windows that hold it ask, one each. The graph's `θ₀` would
 //!   be higher than a window's own, and unsound for a window's own top-k. It
 //!   is sound for the merged top-k of all the windows, which is all a local
-//!   sharded solve of the whole graph answers, so such a solve raises each
-//!   window's lens to the graph's `θ₀` ([`Lens::raised`]) and sweeps no
-//!   window none of whose starts [`Lens::can_start`] (`sharded.rs`).
+//!   sharded solve of the whole graph answers, so such a solve takes each
+//!   window's lens with the graph's `θ₀` as its floor (the `floor` of
+//!   [`Completions::lens`], whose `θ₀` heap then skips every start below it
+//!   at one compare) and sweeps no window none of whose starts
+//!   [`Lens::can_start`] (`sharded.rs`).
 //! * *The last start window's table for `l` holds every shorter last
 //!   window's.* Every window `[t − l, t]` that ends at the graph's last
 //!   interval `t` asks a node of interval `i` the one length `t − i`,
@@ -89,8 +94,9 @@
 //! the loop the plan replaced (kept in the tests as the reference the two
 //! passes are held to, bit for bit).
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -324,6 +330,40 @@ fn table_overflow(weights: usize) -> BscError {
     ))
 }
 
+/// How many node-index lists a thread keeps for its next pass, and the most
+/// entries one it keeps may hold: a list let go past either is freed.
+const SPARE_LISTS: usize = 16;
+const SPARE_ENTRIES: usize = 1 << 16;
+
+thread_local! {
+    /// The node-index lists this thread's passes let go of ([`give_back`]).
+    static SPARE: RefCell<Vec<Vec<u32>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// An empty list of node indices — a BFS sweep's marks, the forward pass's
+/// reached nodes — reusing one this thread's last pass let go of. Each
+/// window of a sharded solve is a pass of its own, and lists made afresh
+/// for every window raised a serving process's peak resident memory
+/// (docs/performance.md, "A window costs what its live starts reach").
+pub(crate) fn spare_list() -> Vec<u32> {
+    let spare = SPARE.try_with(|spare| spare.borrow_mut().pop());
+    spare.ok().flatten().unwrap_or_default()
+}
+
+/// Let `list` go, for this thread's next pass to [reuse](spare_list).
+pub(crate) fn give_back(mut list: Vec<u32>) {
+    if list.capacity() == 0 || list.capacity() > SPARE_ENTRIES {
+        return;
+    }
+    list.clear();
+    let _ = SPARE.try_with(|spare| {
+        let mut spare = spare.borrow_mut();
+        if spare.len() < SPARE_LISTS {
+            spare.push(list);
+        }
+    });
+}
+
 /// `total` weights of `−∞`, or an error — not an abort — where the
 /// allocator will not give them.
 fn blank(total: usize) -> BscResult<Vec<f64>> {
@@ -514,10 +554,15 @@ impl Completions {
     }
 
     /// What `view` would read at `l` in a table of its own, and its `θ₀`
-    /// for `k`: the same bits, off any table that [covers](Completions::covers)
-    /// the view at `l` — its own, a wider view's for the same `l` (the whole
-    /// graph's for each of its start windows), or a deeper last window's.
-    pub(crate) fn lens(&self, view: GraphView<'_>, l: u32, k: usize) -> Lens<'_> {
+    /// for `k` raised to `floor` (a weight the answer its reader contributes
+    /// to is known to reach; `−∞` for none): the same bits, off any table
+    /// that [covers](Completions::covers) the view at `l` — its own, a wider
+    /// view's for the same `l` (the whole graph's for each of its start
+    /// windows), or a deeper last window's. A start below `floor` cannot
+    /// move that θ₀, so the heap that selects it skips it at one compare: a
+    /// window of a sharded solve, handed the whole view's `θ₀`, heaps
+    /// almost nothing.
+    pub(crate) fn lens(&self, view: GraphView<'_>, l: u32, k: usize, floor: f64) -> Lens<'_> {
         let (first, last) = (view.first_interval(), last_of(view));
         debug_assert!(self.covers(view, l));
         let layout = |interval: u32| {
@@ -541,12 +586,15 @@ impl Completions {
         let holds_weights = own.any(|(interval, rows)| nodes(interval) * rows.width > 0);
         // `C[c][l]` of every node `view` asks it of — `−∞` where no length-`l`
         // path starts, which sorts last — read once into a min-heap of the
-        // `min(k, starts)` largest, whatever `k` is: a weight costs one
-        // compare unless it displaces the least. Its least is the k-th
-        // largest `select_nth_unstable_by` would pick, to the bit.
+        // `min(k, starts)` largest at or above `floor`, whatever `k` is: a
+        // weight costs one compare unless it displaces the least. Its least
+        // is the k-th largest `select_nth_unstable_by` would pick, to the
+        // bit, where at least `k` starts reach `floor`; where fewer do, the
+        // k-th largest lies below `floor`, and `floor` is the answer.
+        let floor_rank = ranked(floor.to_bits() as i64);
         let asks_l = |(_, rows): &(u32, &Rows)| rows.shortest + rows.width as u32 > l;
         let starts = view.intervals().zip(&rows).filter(asks_l);
-        let mut top = BinaryHeap::with_capacity(k.min(starts.clone().map(|(i, _)| nodes(i)).sum()));
+        let mut top = BinaryHeap::new();
         starts.for_each(|(interval, rows)| {
             // An interval without nodes may have no row to start from.
             let from = self
@@ -556,8 +604,12 @@ impl Completions {
             let ends = from.iter().step_by(rows.stride).take(nodes(interval));
             ends.for_each(|end| {
                 let end = Reverse(ranked(end.to_bits() as i64));
+                // Once the heap is full its least reaches `floor`, and so
+                // does whatever displaces it.
                 if top.len() < k {
-                    top.push(end);
+                    if end.0 >= floor_rank {
+                        top.push(end);
+                    }
                 } else if let Some(mut least) = top.peek_mut().filter(|least| end < **least) {
                     *least = end;
                 }
@@ -565,14 +617,13 @@ impl Completions {
         });
         let least = top.peek().filter(|_| top.len() == k);
         let kth = least.map(|least| ranked(least.0) as u64);
-        let floor = kth.map_or(f64::NEG_INFINITY, f64::from_bits);
         Lens {
             best: &self.best,
             l,
             first,
             last,
             rows,
-            floor,
+            floor: kth.map_or(floor, f64::from_bits),
             holds_weights,
         }
     }
@@ -626,24 +677,17 @@ impl<'t> Lens<'t> {
     }
 
     /// `θ₀`: the k-th largest `C[c][l]` over the view's nodes, `−∞` when
-    /// fewer than `k` of them start a length-`l` path — or a higher weight
-    /// the lens was [`raised`](Lens::raised) to. `k` distinct starts are `k`
-    /// distinct paths, so the final k-th answer weighs at least this (within
+    /// fewer than `k` of them start a length-`l` path — or the higher floor
+    /// the lens was taken with ([`Completions::lens`]): a sharded solve's
+    /// windows read the whole view's `θ₀`, which holds for the merged top-k
+    /// though not for a window's own. `k` distinct starts are `k` distinct
+    /// paths, so the final k-th answer weighs at least this (within
     /// [`can_still_reach`]'s slack) before anything is searched. Taken over
     /// the view's own starts only: a run's starts would set a floor one
     /// window's own top-k cannot reach.
     #[inline]
     pub(crate) fn floor(&self) -> f64 {
         self.floor
-    }
-
-    /// This lens with its floor raised to `floor`, a weight the answer its
-    /// reader contributes to is known to reach: a sharded solve's windows
-    /// read the whole view's `θ₀`, which holds for the merged top-k though
-    /// not for a window's own.
-    pub(crate) fn raised(mut self, floor: f64) -> Lens<'t> {
-        self.floor = self.floor.max(floor);
-        self
     }
 
     /// Can a near-answer start at `node`? It can if `C[node][l]` is asked of
@@ -723,22 +767,34 @@ fn raise(slot: &mut f64, weight: f64) {
 /// full-path [`Lens`] admits ([`Lens::can_start`]; `0` at such a start, `−∞`
 /// at every other start and wherever no admitted start arrives), filled by
 /// one forward relaxation over [`GraphView::children`], each sum built left
-/// to right. A start the lens rejects begins no path that can reach its
-/// floor (`ta.rs` module docs), so what it would arrive with is never asked.
-/// One weight per node of the view. Dropped with the solve.
+/// to right — and, per interval, the nodes it reached (a weight above `−∞`),
+/// in ascending index order. A start the lens rejects begins no path that
+/// can reach its floor (`ta.rs` module docs), so what it would arrive with
+/// is never asked, and no node only such starts reach is ever walked: the
+/// pass relaxes the edges of the reached nodes alone, and TA lists from
+/// them alone. One weight per node of the view, one index per node reached.
+/// Dropped with the solve.
 pub(crate) struct Arrivals {
     first: u32,
     /// Per interval of the view, where its nodes' weights lie in `best`.
     at: Vec<usize>,
     best: Vec<f64>,
+    /// The indices of the nodes reached, interval after interval, each
+    /// interval's ascending.
+    reached: Vec<u32>,
+    /// Per interval of the view, where its reached nodes start in
+    /// `reached`; one entry more, the end of the last.
+    reached_at: Vec<usize>,
 }
 
 impl Arrivals {
     /// Seed the starts `starts` admits — a full-path lens over `view`; one
     /// that holds no weight, or whose floor is `−∞`, admits every start —
     /// and relax, once, every edge leaving a node they reach, first interval
-    /// first. A node none reaches costs one compare. The checkpoints count
-    /// on `tick`, the caller's own.
+    /// first. A node is listed in its interval's reached list when an edge
+    /// first arrives at it, and an interval's list is sorted when its turn
+    /// comes, so a node none reaches costs nothing at all. The checkpoints
+    /// count the nodes reached on `tick`, the caller's own.
     pub(crate) fn of(
         view: GraphView<'_>,
         starts: &Lens<'_>,
@@ -752,12 +808,19 @@ impl Arrivals {
             first,
             best: blank(at.last().copied().unwrap_or(0))?,
             at,
+            reached: spare_list(),
+            reached_at: Vec::with_capacity(view.num_intervals() + 1),
         };
+        // Whom an edge has reached, by interval: at the front the interval
+        // being relaxed, behind it those an edge of it can end in. A list
+        // goes to the back, emptied, once its interval is relaxed.
+        let mut arriving = VecDeque::from([spare_list()]);
         let seeds = behind.best[..nodes(first)].iter_mut();
-        // bsc:allow(missing-cancel-checkpoint) -- one read per start; the relaxation below checkpoints every node
+        // bsc:allow(missing-cancel-checkpoint) -- one read per start; the relaxation below checkpoints every node reached
         for (seed, start) in seeds.zip(view.interval_node_ids(first)) {
             if starts.can_start(start) {
                 *seed = 0.0;
+                arriving[0].push(start.index);
             }
         }
         for (depth, interval) in view.intervals().enumerate() {
@@ -765,20 +828,35 @@ impl Arrivals {
             // Where each later interval's weights start, by edge length; none
             // past the view's last interval.
             let later = &behind.at[depth..view.num_intervals()];
-            for index in 0..view.nodes_in_interval(interval) {
+            let mut mine = arriving.pop_front().unwrap_or_else(spare_list);
+            mine.sort_unstable();
+            behind.reached_at.push(behind.reached.len());
+            for &index in &mine {
                 checkpoint(cancel, tick)?;
                 // Every edge into this node has been relaxed: its weight is final.
                 let so_far = behind.best[later[0] + index as usize];
-                if so_far > f64::NEG_INFINITY {
-                    for edge in children.row(index) {
-                        if let Some(&at) = later.get((edge.to.interval - interval) as usize) {
-                            let slot = &mut behind.best[at + edge.to.index as usize];
-                            raise(slot, so_far + edge.weight);
+                for edge in children.row(index) {
+                    let len = (edge.to.interval - interval) as usize;
+                    let Some(&at) = later.get(len) else {
+                        continue;
+                    };
+                    let slot = &mut behind.best[at + edge.to.index as usize];
+                    // A first arrival: `so_far` and the weight are finite.
+                    if *slot == f64::NEG_INFINITY {
+                        if arriving.len() < len {
+                            arriving.resize_with(len, spare_list);
                         }
+                        arriving[len - 1].push(edge.to.index);
                     }
+                    raise(slot, so_far + edge.weight);
                 }
             }
+            behind.reached.extend_from_slice(&mine);
+            mine.clear();
+            arriving.push_back(mine);
         }
+        behind.reached_at.push(behind.reached.len());
+        arriving.into_iter().for_each(give_back);
         Ok(behind)
     }
 
@@ -786,6 +864,21 @@ impl Arrivals {
     #[inline]
     pub(crate) fn arriving(&self, node: ClusterNodeId) -> f64 {
         self.best[self.at[(node.interval - self.first) as usize] + node.index as usize]
+    }
+
+    /// The indices of `interval`'s nodes an admitted start reaches, in
+    /// ascending order: exactly those whose [`arriving`](Arrivals::arriving)
+    /// weight is above `−∞`.
+    #[inline]
+    pub(crate) fn reached(&self, interval: u32) -> &[u32] {
+        let depth = (interval - self.first) as usize;
+        &self.reached[self.reached_at[depth]..self.reached_at[depth + 1]]
+    }
+}
+
+impl Drop for Arrivals {
+    fn drop(&mut self) {
+        give_back(std::mem::take(&mut self.reached));
     }
 }
 
@@ -803,6 +896,11 @@ impl Memo {
         self.0.lock().unwrap().answered
     }
 }
+
+/// The floor of a lens taken for nobody's merged answer: `θ₀` is the
+/// view's own.
+#[cfg(test)]
+pub(crate) const NO_FLOOR: f64 = f64::NEG_INFINITY;
 
 /// Every path of `view`, each summed left to right as a sweep sums it.
 #[cfg(test)]
@@ -944,12 +1042,18 @@ mod tests {
         }
     }
 
-    /// The forward relaxation as written before the plan: each child through
-    /// [`GraphView::children`].
-    fn arrivals_by_reference(view: GraphView<'_>) -> Vec<f64> {
+    /// The forward relaxation as written before it walked only the nodes
+    /// reached: every node of every interval in index order, the edges of
+    /// each an admitted start reaches through [`GraphView::children`], from
+    /// the starts `starts` admits.
+    fn arrivals_by_reference(view: GraphView<'_>, starts: &Lens<'_>) -> Vec<f64> {
         let mut behind = from_every_start(view);
         behind.best.fill(f64::NEG_INFINITY);
-        behind.best[..view.nodes_in_interval(view.first_interval()) as usize].fill(0.0);
+        for start in view.interval_node_ids(view.first_interval()) {
+            if starts.can_start(start) {
+                behind.best[start.index as usize] = 0.0;
+            }
+        }
         for parent in view.intervals().flat_map(|i| view.interval_node_ids(i)) {
             let so_far = behind.arriving(parent);
             if so_far > f64::NEG_INFINITY {
@@ -960,20 +1064,42 @@ mod tests {
                 }
             }
         }
-        behind.best
+        std::mem::take(&mut behind.best)
+    }
+
+    /// `Arrivals::of` over `starts` against the reference, bit for bit, and
+    /// each interval's reached list: exactly the nodes some admitted start
+    /// arrives at, in ascending index order.
+    fn assert_arrivals_are_reference(view: GraphView<'_>, starts: &Lens<'_>, case: &str) {
+        let bits = |table: &[f64]| table.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        let behind = Arrivals::of(view, starts, None, &mut 0).unwrap();
+        let reference = arrivals_by_reference(view, starts);
+        assert_eq!(bits(&behind.best), bits(&reference), "{case}");
+        for interval in view.intervals() {
+            let nodes = view.interval_node_ids(interval);
+            let reached = nodes.filter(|&node| behind.arriving(node) > f64::NEG_INFINITY);
+            let reached: Vec<u32> = reached.map(|node| node.index).collect();
+            assert_eq!(behind.reached(interval), reached, "{case}: {interval}");
+        }
+    }
+
+    /// The floors a lens is taken with: none, a mid-range start's `C[s][l]`
+    /// (of `whole`, every node's), and one above every start.
+    fn floors(whole: &[f64]) -> [f64; 3] {
+        let mut starts: Vec<f64> = whole.iter().copied().filter(|w| w.is_finite()).collect();
+        starts.sort_by(f64::total_cmp);
+        let mid = starts.get(starts.len() / 2).copied().unwrap_or(NO_FLOOR);
+        let above = starts.last().map_or(1.0, |top| top + 1.0);
+        [NO_FLOOR, mid, above]
     }
 
     /// Both passes over `view`, against the references, bit for bit: every
-    /// weight of the table, the arrivals, and `θ₀` for `k` from 0 to past
-    /// the view's starts — one short of them, all of them, one more.
+    /// weight of the table and `θ₀` for `k` from 0 to past the view's starts
+    /// — one short of them, all of them, one more — as the heap over every
+    /// start took it, raised to each of [`floors`]; and, for full paths,
+    /// the arrivals from the starts each of those lenses admits.
     fn assert_kernel_is_reference(view: GraphView<'_>, ls: impl Iterator<Item = u32>, case: &str) {
         let bits = |table: &[f64]| table.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-        let arrivals = from_every_start(view);
-        assert_eq!(
-            bits(&arrivals.best),
-            bits(&arrivals_by_reference(view)),
-            "{case}"
-        );
         for l in ls {
             let kernel = ahead_of(view, l);
             let (best, whole) = completions_by_reference(view, l);
@@ -989,12 +1115,16 @@ mod tests {
                 starts + 1,
                 usize::MAX,
             ];
-            for k in ks {
-                assert_eq!(
-                    kernel.lens(view, l, k).floor().to_bits(),
-                    floor_by_reference(whole.clone(), k).to_bits(),
-                    "{case} l={l} k={k}"
-                );
+            for floor in floors(&whole) {
+                for k in ks {
+                    let case = format!("{case} l={l} k={k} floor={floor}");
+                    let lens = kernel.lens(view, l, k, floor);
+                    let raised = floor_by_reference(whole.clone(), k).max(floor);
+                    assert_eq!(lens.floor().to_bits(), raised.to_bits(), "{case}");
+                    if l == last_of(view) {
+                        assert_arrivals_are_reference(view, &lens, &case);
+                    }
+                }
             }
         }
     }
@@ -1011,7 +1141,7 @@ mod tests {
     /// full-path lens taken for `k = 0` has floor `−∞` and admits them all.
     fn from_every_start(view: GraphView<'_>) -> Arrivals {
         let table = ahead_of(view, last_of(view));
-        Arrivals::of(view, &table.lens(view, table.l, 0), None, &mut 0).unwrap()
+        Arrivals::of(view, &table.lens(view, table.l, 0, NO_FLOOR), None, &mut 0).unwrap()
     }
 
     fn random_graph(m: usize, n: u32, d: u32, gap: u32, seed: u64) -> ClusterGraph {
@@ -1057,7 +1187,7 @@ mod tests {
                     for k in [1, 3] {
                         let case = format!("gap={gap} first={first} l={l} k={k}");
                         let table = ahead_of(view, l);
-                        let ahead = table.lens(view, l, k);
+                        let ahead = table.lens(view, l, k, NO_FLOOR);
                         assert_eq!(ahead.last(), last, "{case}");
                         for node in view.intervals().flat_map(|i| view.interval_node_ids(i)) {
                             let depth = node.interval - first;
@@ -1112,12 +1242,12 @@ mod tests {
             let per_node = l.min(last - l + 1) as usize;
             assert!(ahead.best.len() <= graph.num_nodes() * per_node, "l={l}");
             assert_eq!(ahead.best.len(), Completions::weights(graph.view(), l));
-            let floor = ahead.lens(graph.view(), l, 1).floor();
+            let floor = ahead.lens(graph.view(), l, 1, NO_FLOOR).floor();
             assert_eq!(floor, f64::from(l) * 0.5, "l={l}");
         }
         let table = ahead_of(graph.view(), last);
         assert_eq!(table.best.len(), graph.num_nodes() - 1);
-        let full = table.lens(graph.view(), last, 1);
+        let full = table.lens(graph.view(), last, 1, NO_FLOOR);
         assert_eq!(full.to_the_end(node(0, 0)), f64::from(last) * 0.5);
         assert_eq!(full.to_the_end(node(last - 1, 0)), 0.5);
         assert_eq!(full.to_the_end(node(last, 0)), 0.0);
@@ -1164,9 +1294,9 @@ mod tests {
                 let every = from_every_start(view);
                 for (k, raise) in lenses {
                     let case = format!("{name} from {first} k={k} raised {raise:?}");
-                    let own = table.lens(view, table.l, k);
-                    let floor = own.floor();
-                    let lens = own.raised(raise.map_or(f64::NEG_INFINITY, |by| floor + by));
+                    let floor = table.lens(view, table.l, k, NO_FLOOR).floor();
+                    let raised = raise.map_or(NO_FLOOR, |by| floor + by);
+                    let lens = table.lens(view, table.l, k, raised);
                     let mut heaviest = HashMap::new();
                     for path in &paths {
                         if path.first().interval == first && lens.can_start(path.first()) {
@@ -1304,8 +1434,10 @@ mod tests {
                                 for k in [1, 5] {
                                     let case =
                                         format!("{name} gap={gap} l={l} run {a}..={b} s={s} k={k}");
-                                    let (lens, own) =
-                                        (run.lens(window, l, k), own.lens(window, l, k));
+                                    let (lens, own) = (
+                                        run.lens(window, l, k, NO_FLOOR),
+                                        own.lens(window, l, k, NO_FLOOR),
+                                    );
                                     assert_reads_alike(&lens, &own, window, &case);
                                 }
                                 windows += 1;
@@ -1389,8 +1521,10 @@ mod tests {
                             let own = ahead_of(window, d);
                             assert!(deep.covers(window, d), "{case}");
                             for k in [1, 3] {
-                                let (lens, alone) =
-                                    (deep.lens(window, d, k), own.lens(window, d, k));
+                                let (lens, alone) = (
+                                    deep.lens(window, d, k, NO_FLOOR),
+                                    own.lens(window, d, k, NO_FLOOR),
+                                );
                                 assert_reads_alike(&lens, &alone, window, &format!("{case} k={k}"));
                             }
                             if d >= 2 {
@@ -1458,8 +1592,10 @@ mod tests {
                                 assert_eq!(child.memoized(), [depth], "{case}");
                                 let own = ahead_of(window, d);
                                 for k in [1, 3] {
-                                    let (lens, alone) =
-                                        (table.lens(window, d, k), own.lens(window, d, k));
+                                    let (lens, alone) = (
+                                        table.lens(window, d, k, NO_FLOOR),
+                                        own.lens(window, d, k, NO_FLOOR),
+                                    );
                                     assert_reads_alike(
                                         &lens,
                                         &alone,
@@ -1542,7 +1678,7 @@ mod tests {
             "from 1 500",
         );
         let widest = ahead_of(graph.view(), 1_000);
-        let lens = widest.lens(graph.view(), 1_000, 5);
+        let lens = widest.lens(graph.view(), 1_000, 5, NO_FLOOR);
         assert_eq!(lens.leaving(node(999, 0)).1.len(), 1_000);
 
         let k = 5;

@@ -111,6 +111,16 @@
 //! siblings stop at their next window, and the root-cause error wins over
 //! the `DeadlineExceeded` they report.
 //!
+//! **What a window costs.** Past the graph's table, which every window reads
+//! and none builds, a swept window costs what its live starts reach, not
+//! its width: its lens heaps only the starts at or above the floor it is
+//! handed (`Completions::lens`); a BFS window reads the start weight of
+//! each node of its first interval, the only one a length-`l` path of the
+//! window starts in, and past it walks only the nodes a live node marked;
+//! a TA window relaxes and lists edges only from the nodes its admitted
+//! starts reach. A ruled-out window costs a look at its first interval's
+//! start weights.
+//!
 //! **`Auto`** resolves once, before the windows, against the whole graph
 //! the unsharded solve would read — unless it carries a budget and the
 //! *query* asked for `shards > 1`, in which case each window resolves its
@@ -513,7 +523,7 @@ impl<'a> Windowed<'a> {
             return Ok((self.floor, vec![true; starts.len()]));
         }
         let table = view.completions(l, Some(cancel), &mut 0)?;
-        let lens = table.lens(view, l, self.solver.k).raised(self.floor);
+        let lens = table.lens(view, l, self.solver.k, self.floor);
         let live = |start| {
             view.interval_node_ids(start)
                 .any(|node| lens.can_start(node))
@@ -569,7 +579,7 @@ mod tests {
     use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
     use crate::delta::GraphDelta;
     use crate::distributed::{solve_window_locally, WindowResult};
-    use crate::lookahead::{long_thin_graph, reweighted, WEIGHTINGS};
+    use crate::lookahead::{long_thin_graph, reweighted, NO_FLOOR, WEIGHTINGS};
     use crate::path::ClusterPath;
     use crate::problem::KlStableParams;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
@@ -1038,7 +1048,7 @@ mod tests {
             .floor_and_live_windows(l, &CancelToken::default())
             .unwrap();
         let table = Completions::of(graph.view(), l, None, &mut 0).unwrap();
-        let view_s = table.lens(graph.view(), l, k).floor();
+        let view_s = table.lens(graph.view(), l, k, NO_FLOOR).floor();
         assert_eq!(floor.to_bits(), view_s.to_bits(), "{case}");
         let mut sum = SolverStats::default();
         let (mut widest, mut summed) = (0, 0);
@@ -1201,7 +1211,10 @@ mod tests {
             assert_eq!(solution.stats.windows_resolved, 2, "{algorithm}");
         }
         let table = Completions::of(graph.view(), 3, None, &mut 0).unwrap();
-        assert_eq!(table.lens(graph.view(), 3, 1).floor(), 1.0 + 2.0 * e);
+        assert_eq!(
+            table.lens(graph.view(), 3, 1, NO_FLOOR).floor(),
+            1.0 + 2.0 * e
+        );
         // The unsharded sweep marks its live starts by the same predicate.
         let unsharded = BfsStableClusters::new(KlStableParams::new(1, 3));
         assert_eq!(unsharded.run(&graph).unwrap()[0].nodes(), p);

@@ -56,10 +56,15 @@
 //! its prefixes survives the walk back, and the virtual-path bound over the
 //! lists that remain still bounds every path not yet found. Lists,
 //! expansions, answers and counters are those of arrivals seeded by every
-//! start; what changes is what is read. The forward pass relaxes only the
-//! edges leaving a node an admitted start reaches, and the listing pass
-//! skips every other node in O(1) — its edges count as pruned, read or not
-//! (`prunes` is the view's edges less those listed).
+//! start; what changes is what is read. The forward pass walks only the
+//! nodes an admitted start reaches, and keeps them per interval in index
+//! order (`Arrivals::reached`); the listing pass walks those lists alone, in
+//! the same order the scan of every node listed in. A node no admitted
+//! start reaches is never looked at, and its edges count as pruned, unread
+//! (`prunes` is the view's edges less those listed). So past the two tables'
+//! set-up a run costs what its admitted starts reach, not the view's width:
+//! in a window of a sharded solve, handed the whole view's `θ₀`, a handful
+//! of nodes.
 //!
 //! What is enumerated is therefore the near-answers, not `d^(m−1)` paths per
 //! edge, and the cost of a solve is the two passes plus the sort of the edges
@@ -128,9 +133,9 @@ impl<'a> Search<'a> {
     /// Look ahead over `view` (at least two intervals) in both directions:
     /// everything a run knows before it pops its first edge. `startwts` is
     /// read off `table`, built for full paths of `view` over it or over a
-    /// view that holds it, its `θ₀` raised to `floor`; `endwts` is filled
-    /// here, from the starts `startwts` admits. `tick` carries on the
-    /// amortization of the table's checkpoints.
+    /// view that holds it, its `θ₀` raised to `floor` (the lens's own);
+    /// `endwts` is filled here, from the starts `startwts` admits. `tick`
+    /// carries on the amortization of the table's checkpoints.
     fn over(
         view: GraphView<'a>,
         k: usize,
@@ -140,7 +145,7 @@ impl<'a> Search<'a> {
         mut tick: u32,
     ) -> BscResult<Self> {
         let l = view.num_intervals() as u32 - 1;
-        let startwts = table.lens(view, l, k).raised(floor);
+        let startwts = table.lens(view, l, k, floor);
         let endwts = Arrivals::of(view, &startwts, cancel, &mut tick)?;
         Ok(Search {
             view,
@@ -164,9 +169,9 @@ impl<'a> Search<'a> {
 
     /// The edges worth listing — those whose best full path from an
     /// admitted start reaches `θ₀` — one list per interval pair `(i, j)`,
-    /// `j − i ≤ g + 1`, in that order, each by descending weight. The edges
-    /// of a node no admitted start reaches are not read; every edge of the
-    /// view not listed counts as pruned.
+    /// `j − i ≤ g + 1`, in that order, each by descending weight. Only the
+    /// nodes an admitted start reaches are walked, in index order, interval
+    /// by interval; every edge of the view not listed counts as pruned.
     fn sorted_lists(&mut self) -> BscResult<(Vec<ListedEdge>, Vec<EdgeList>)> {
         let view = self.view;
         let (first, floor) = (view.first_interval(), self.startwts.floor());
@@ -174,12 +179,10 @@ impl<'a> Search<'a> {
         let mut lists = Vec::new();
         for interval in view.intervals() {
             let begin = listed.len();
-            for from in view.interval_node_ids(interval) {
+            for &index in self.endwts.reached(interval) {
                 checkpoint(self.cancel, &mut self.tick)?;
+                let from = ClusterNodeId::new(interval, index);
                 let before = self.endwts.arriving(from);
-                if before == f64::NEG_INFINITY {
-                    continue;
-                }
                 for edge in view.children(from) {
                     let after = self.startwts.to_the_end(edge.to);
                     if self.reaches(before + edge.weight, after, floor) {
@@ -306,10 +309,13 @@ impl TaStableClusters {
     }
 
     /// Attach a cooperative-cancellation token, observed at amortized
-    /// checkpoints (roughly once per [`CancelToken::CHECK_INTERVAL`] nodes
-    /// of the two look-ahead passes, edges scanned and steps of an
-    /// expansion). A tripped token aborts the run with
-    /// [`crate::error::BscError::DeadlineExceeded`].
+    /// checkpoints (roughly once per [`CancelToken::CHECK_INTERVAL`] of
+    /// them). A checkpoint counts a node the backward pass relaxes, where
+    /// the graph keeps no table; a node an admitted start reaches, in the
+    /// forward pass and again as its edges are listed — not a node scanned,
+    /// since neither walks a node no admitted start reaches; a list a round
+    /// of the scan pops from; and a step of an expansion. A tripped token
+    /// aborts the run with [`crate::error::BscError::DeadlineExceeded`].
     pub fn with_cancel(mut self, cancel: Option<CancelToken>) -> Self {
         self.cancel = cancel;
         self
@@ -441,6 +447,7 @@ mod tests {
     use super::*;
     use crate::bfs::BfsStableClusters;
     use crate::cluster_graph::{ClusterGraph, ClusterGraphBuilder};
+    use crate::lookahead::NO_FLOOR;
     use crate::problem::KlStableParams;
     use crate::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
 
@@ -693,7 +700,8 @@ mod tests {
         let graph = builder.build();
         let view = graph.view();
         let table = Completions::of(view, 2, None, &mut 0).unwrap();
-        let every_start = Arrivals::of(view, &table.lens(view, 2, 0), None, &mut 0).unwrap();
+        let all = table.lens(view, 2, 0, NO_FLOOR);
+        let every_start = Arrivals::of(view, &all, None, &mut 0).unwrap();
         let none = f64::NEG_INFINITY;
 
         // k = 1: θ₀ = 1.8 admits a alone. r and s seed nothing, so x arrives

@@ -125,6 +125,35 @@ fn every_solver_fails_fast_on_an_expired_deadline() {
     assert!(is_deadline(&err), "sharded: got {err}");
 }
 
+/// A sharded solve of a graph the benchmark's width and more: its windows
+/// read the graph's kept look-ahead table and visit only what their live
+/// starts reach, so its checkpoints count few nodes. An expired deadline
+/// still stops it, BFS and TA alike, on a cold graph and on one that keeps
+/// its table from an earlier solve.
+#[test]
+fn an_expired_deadline_stops_a_sharded_solve_of_a_wide_graph() {
+    let graph = generate(12, 2_000, 5, 1, 7);
+    for algorithm in [AlgorithmKind::Bfs, AlgorithmKind::Ta] {
+        let spec = StableClusterSpec::ExactLength(3);
+        let solver = |deadline| {
+            let options = SolverOptions::default().shards(2).deadline(deadline);
+            ShardedSolver::new(algorithm, spec, 5, options).expect("sharded build")
+        };
+        let cold = solver(Some(Duration::ZERO)).solve(&graph.clone());
+        assert!(
+            matches!(&cold, Err(err) if is_deadline(err)),
+            "{algorithm} cold: {cold:?}"
+        );
+        let answered = solver(None).solve(&graph).expect("no deadline");
+        assert_eq!(answered.paths.len(), 5, "{algorithm}");
+        let warm = solver(Some(Duration::ZERO)).solve(&graph);
+        assert!(
+            matches!(&warm, Err(err) if is_deadline(err)),
+            "{algorithm} warm: {warm:?}"
+        );
+    }
+}
+
 /// Mid-solve cancellation: cancel from another thread while the solver is
 /// deep in its inner loops; it must return `DeadlineExceeded` within one
 /// checkpoint interval — promptly, not after finishing the solve.
