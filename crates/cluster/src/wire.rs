@@ -34,7 +34,7 @@ use std::io::{BufRead, ErrorKind, Write};
 use bsc_core::cluster_graph::{ClusterGraph, ClusterGraphBuilder, ClusterNodeId};
 use bsc_core::distributed::{WindowRequest, WindowResult};
 use bsc_core::path::ClusterPath;
-use bsc_core::solver::{AlgorithmKind, SolverStats};
+use bsc_core::solver::{AlgorithmKind, Counter, SolverStats};
 use bsc_storage::backend::StorageSpec;
 use bsc_util::json::{self, JsonValue};
 
@@ -299,80 +299,29 @@ pub fn paths_from_json(value: &JsonValue) -> Result<Vec<ClusterPath>, String> {
     Ok(paths)
 }
 
-/// Serialize the deterministic solver counters a window solve reports.
+/// Serialize the deterministic solver counters a window solve reports: the
+/// fields [`SolverStats::carried`] lists, each under its declared key.
 pub fn stats_to_json(stats: &SolverStats) -> JsonValue {
-    JsonValue::object([
-        (
-            "paths_generated".to_string(),
-            JsonValue::from(stats.paths_generated),
-        ),
-        (
-            "nodes_processed".to_string(),
-            JsonValue::from(stats.nodes_processed),
-        ),
-        (
-            "edges_traversed".to_string(),
-            JsonValue::from(stats.edges_traversed),
-        ),
-        ("prunes".to_string(), JsonValue::from(stats.prunes)),
-        ("node_reads".to_string(), JsonValue::from(stats.node_reads)),
-        (
-            "node_writes".to_string(),
-            JsonValue::from(stats.node_writes),
-        ),
-        (
-            "random_seeks".to_string(),
-            JsonValue::from(stats.random_seeks),
-        ),
-        (
-            "peak_resident_paths".to_string(),
-            JsonValue::from(stats.peak_resident_paths as u64),
-        ),
-        (
-            "peak_stack_depth".to_string(),
-            JsonValue::from(stats.peak_stack_depth as u64),
-        ),
-        (
-            "early_termination".to_string(),
-            JsonValue::Bool(stats.early_termination),
-        ),
-        (
-            "windows_resolved".to_string(),
-            JsonValue::from(stats.windows_resolved),
-        ),
-        (
-            "windows_spliced".to_string(),
-            JsonValue::from(stats.windows_spliced),
-        ),
-    ])
+    JsonValue::object(stats.carried().map(|(key, counter)| {
+        let value = match counter {
+            Counter::Count(n) => JsonValue::from(n),
+            Counter::Flag(flag) => JsonValue::Bool(flag),
+        };
+        (key.to_string(), value)
+    }))
 }
 
 /// Parse solver counters from their wire form (absent fields default to 0).
 pub fn stats_from_json(value: &JsonValue) -> Result<SolverStats, String> {
-    let counter = |key: &str| -> Result<u64, String> {
-        match value.get(key) {
-            None => Ok(0),
-            Some(v) => v.as_u64().ok_or_else(|| format!("stats: bad {key}")),
-        }
-    };
-    Ok(SolverStats {
-        paths_generated: counter("paths_generated")?,
-        nodes_processed: counter("nodes_processed")?,
-        edges_traversed: counter("edges_traversed")?,
-        prunes: counter("prunes")?,
-        node_reads: counter("node_reads")?,
-        node_writes: counter("node_writes")?,
-        random_seeks: counter("random_seeks")?,
-        windows_resolved: counter("windows_resolved")?,
-        windows_spliced: counter("windows_spliced")?,
-        peak_resident_paths: counter("peak_resident_paths")? as usize,
-        peak_stack_depth: counter("peak_stack_depth")? as usize,
-        early_termination: value
-            .get("early_termination")
-            .map(|v| v.as_bool().ok_or("stats: bad early_termination"))
-            .transpose()?
-            .unwrap_or(false),
-        ..SolverStats::default()
+    SolverStats::from_carried(|key, zero| {
+        let Some(v) = value.get(key) else {
+            return Ok(zero);
+        };
+        let counter = match zero {
+            Counter::Count(_) => v.as_u64().map(Counter::Count),
+            Counter::Flag(_) => v.as_bool().map(Counter::Flag),
+        };
+        counter.ok_or_else(|| format!("stats: bad {key}"))
     })
 }
 
@@ -638,13 +587,24 @@ mod tests {
                 1.0 / 3.0,
             ),
         ];
+        // Every carried counter, each a distinct value off its default, so
+        // a counter the codec forgets or swaps fails the whole-value check.
         let stats = SolverStats {
             paths_generated: 42,
             nodes_processed: 17,
-            early_termination: true,
+            edges_traversed: 23,
+            prunes: 5,
+            node_reads: 31,
+            node_writes: 29,
+            random_seeks: 11,
             peak_resident_paths: 9,
+            peak_stack_depth: 7,
+            early_termination: true,
+            windows_resolved: 3,
+            windows_spliced: 2,
             ..SolverStats::default()
         };
+        assert_eq!(stats.carried().count(), 12);
         let result = WindowResult {
             paths: paths.clone(),
             stats,
@@ -657,10 +617,7 @@ mod tests {
             assert_eq!(a.nodes(), b.nodes());
             assert_eq!(a.weight().to_bits(), b.weight().to_bits());
         }
-        assert_eq!(decoded.stats.paths_generated, 42);
-        assert_eq!(decoded.stats.nodes_processed, 17);
-        assert_eq!(decoded.stats.peak_resident_paths, 9);
-        assert!(decoded.stats.early_termination);
+        assert_eq!(decoded.stats, stats);
     }
 
     #[test]

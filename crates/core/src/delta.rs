@@ -65,9 +65,11 @@
 //! another `l` or `k` — solves cold.
 //!
 //! **Counters.** On every windowed answer `windows_resolved +
-//! windows_spliced` is the graph's number of starts: `windows_resolved`
-//! counts the windows decided now (swept or ruled out), `windows_spliced`
-//! the old graph's starts, which the carried answer stands for.
+//! windows_spliced` is the graph's number of starts, which a debug build
+//! checks: `windows_resolved` counts the windows decided now (swept or
+//! ruled out), `windows_spliced` the old graph's starts, which the carried
+//! answer stands for. A top-0 query, and a full path of a one-interval
+//! graph (no edge, so no window), decide no window.
 //!
 //! Problem 2 (normalized) does **not** decompose across start windows and
 //! is rejected. `FullPaths` degrades gracefully: its length grows with the
@@ -80,7 +82,7 @@ use crate::path::ClusterPath;
 use crate::problem::StableClusterSpec;
 use crate::sharded::{PathLength, Windowed};
 use crate::solver::{AlgorithmKind, Solution, SolverOptions};
-use crate::topk::TopKPaths;
+use crate::topk::{is_answer, TopKPaths};
 
 /// Whether one [`ClusterGraph`] generation extends another by appends only.
 ///
@@ -262,6 +264,7 @@ pub fn solve_windows(
         }
         paths = merged.into_sorted();
         solution.stats.windows_spliced = u64::from(spliced);
+        debug_assert!(is_answer(&paths, k), "a merged answer out of order");
     }
     let windows = Answer { l, k, paths };
     Ok(DeltaSolveOutcome { solution, windows })

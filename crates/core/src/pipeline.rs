@@ -28,8 +28,6 @@ use bsc_graph::prune::{PruneConfig, PruneStats};
 use bsc_storage::backend::StorageSpec;
 use bsc_storage::io_stats::IoSnapshot;
 
-use std::time::Instant;
-
 use crate::affinity::AffinityKind;
 use crate::cluster_graph::ClusterGraphBuilder;
 use crate::error::{BscError, BscResult};
@@ -370,8 +368,7 @@ impl Pipeline {
     /// snapshot, borrowing its graph. The returned [`Solution`] is
     /// byte-identical to what a full [`Pipeline::run_timeline`] over the
     /// same documents would report — the split changes where the graph
-    /// lives, never the answer. Fills [`SolverStats::solve_micros`] with
-    /// the measured solve wall-clock.
+    /// lives, never the answer.
     pub fn solve_snapshot(&self, snapshot: &GraphSnapshot) -> BscResult<Solution> {
         let params = &self.params;
         crate::solver::check_not_expired(params.options.cancel.as_ref())?;
@@ -381,10 +378,7 @@ impl Pipeline {
             snapshot.num_intervals(),
             params.options.clone(),
         )?;
-        let start = Instant::now();
-        let mut solution = solver.solve(snapshot.graph())?;
-        solution.stats.solve_micros = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        Ok(solution)
+        solver.solve(snapshot.graph())
     }
 
     /// Assemble an outcome from a finished build plus a solve against it.

@@ -129,16 +129,14 @@
 //! `auto` is BFS for every Problem 1 query (`auto.rs`), so its windows share
 //! tables like BFS's.
 //!
-//! **Stats.** `shards` is the number of ranges formed; `threads` the chunks
-//! the ranges were dealt into, each run by a shard thread or by the caller
-//! (a count that depends on the ranges and the core count, never on who ran
-//! what) — the one writer of that field, since every solver is sequential
-//! inside its window; peaks are max-merged within a chunk and summed across
-//! chunks;
-//! `windows_resolved` counts the windows decided (solved, or ruled out with
-//! no sweep), so it is the view's starts; a merge in
-//! [`solve_windows`](crate::delta::solve_windows) adds `windows_spliced`, the
-//! starts its carried answer stands for.
+//! **Stats.** Each field merges by the rule [`SolverStats`] declares for it:
+//! a chunk merges its windows in sequence ([`SolverStats::merge`]), the
+//! solve its chunks side by side ([`SolverStats::merge_concurrent`]). A
+//! chunk states its share of the solve's shape, its ranges as `shards` and
+//! itself as one of `threads`, and counts a window ruled out with no sweep
+//! as decided: `windows_resolved` is the view's starts from `from` on, which
+//! a debug build checks, with the order of the merged answer. A top-0
+//! query decides no window.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -158,7 +156,7 @@ use crate::solver::{
     check_not_expired, deadline_error, AlgorithmKind, Solution, SolverOptions, SolverStats,
     StableClusterSolver,
 };
-use crate::topk::TopKPaths;
+use crate::topk::{is_answer, TopKPaths};
 
 /// The path length of a Problem 1 query (`None` = full paths): proof that
 /// the query decomposes by start interval.
@@ -311,21 +309,28 @@ struct Chunks {
 }
 
 impl Chunks {
-    /// One chunk, the `index`-th: every window of `starts` (counted from
-    /// the first solved) in start order, merged into a local top-k; each
-    /// swept by `floor` if `live` (a transport's workers by their own floor
-    /// alone, the chunk's one range preferred), else decided with no sweep.
-    /// The full token is checked before every window, and a failed window
-    /// trips it for the sibling chunks.
+    /// One chunk, the `index`-th, of `ranges` ranges: every window of
+    /// `starts` (counted from the first solved) in start order, merged into
+    /// a local top-k; each swept by `floor` if `live` (a transport's workers
+    /// by their own floor alone, the chunk's one range preferred), else
+    /// decided with no sweep. The full token is checked before every
+    /// window, and a failed window trips it for the sibling chunks. The
+    /// chunk's stats state its share of the solve's shape: its ranges, and
+    /// the one thread that runs it.
     fn run(
         &self,
         graph: &ClusterGraph,
-        (index, starts): (usize, Range<usize>),
+        (index, (ranges, starts)): (usize, (usize, Range<usize>)),
     ) -> BscResult<Partial> {
         let (l, k, algorithm, cancel) = (self.l, self.k, self.algorithm, &self.cancel);
+        let shape = SolverStats {
+            shards: ranges,
+            threads: 1,
+            ..SolverStats::default()
+        };
         let mut part = Partial {
             top: TopKPaths::new(k),
-            stats: SolverStats::default(),
+            stats: shape,
         };
         // bsc:allow(missing-cancel-checkpoint) -- every window is preceded by the full (unamortized) token check, and window solves checkpoint internally
         for start in starts {
@@ -432,7 +437,7 @@ impl<'a> Windowed<'a> {
             let chunk = ranges.len().div_ceil(workers.min(ranges.len()).max(1));
             let dealt = ranges
                 .chunks(chunk)
-                .map(|run| run[0].start..run[run.len() - 1].end);
+                .map(|run| (run.len(), run[0].start..run[run.len() - 1].end));
             let chunks = Chunks {
                 first: view.first_interval() + self.from,
                 l,
@@ -445,8 +450,6 @@ impl<'a> Windowed<'a> {
                 transport: self.solver.transport.clone(),
             };
             let results = self.run_chunks(chunks, dealt.enumerate().collect());
-            stats.shards = ranges.len();
-            stats.threads = results.len();
             // Root cause first; `min_by_key` keeps the first of equals.
             let (parts, errors): (Vec<_>, Vec<_>) = results.into_iter().partition(Result::is_ok);
             let root_cause = errors
@@ -456,18 +459,27 @@ impl<'a> Windowed<'a> {
             if let Some(error) = root_cause {
                 return Err(error);
             }
-            let (mut peak_paths, mut peak_depth) = (0, 0);
             parts.into_iter().filter_map(Result::ok).for_each(|part| {
                 merged.absorb(part.top);
-                peak_paths += part.stats.peak_resident_paths;
-                peak_depth += part.stats.peak_stack_depth;
-                stats.merge(&part.stats);
+                stats.merge_concurrent(&part.stats);
             });
-            stats.peak_resident_paths = peak_paths;
-            stats.peak_stack_depth = peak_depth;
         }
+        // The laws of every windowed answer. The windows decided here and
+        // the `from` starts a carried answer stands for (what
+        // `delta::solve_windows` reports as `windows_spliced`) are the
+        // view's starts; a top-0 query decides none, and a full path of a
+        // one-interval view (`l = 0`) has no window. The merged answer is at
+        // most `k` paths in strict order.
+        let starts = u64::from(m.saturating_sub(l));
+        let decided = stats.windows_resolved + u64::from(self.from);
+        debug_assert!(
+            k == 0 || l == 0 || decided == starts,
+            "{decided} of {starts} starts"
+        );
+        let paths = merged.into_sorted();
+        debug_assert!(is_answer(&paths, k), "a merged answer out of order");
         Ok(Solution {
-            paths: merged.into_sorted(),
+            paths,
             stats,
             io: scope.finish(),
         })
@@ -541,7 +553,7 @@ impl<'a> Windowed<'a> {
     fn run_chunks(
         &self,
         chunks: Chunks,
-        mut dealt: Vec<(usize, Range<usize>)>,
+        mut dealt: Vec<(usize, (usize, Range<usize>))>,
     ) -> Vec<BscResult<Partial>> {
         let (graph, own) = (self.view.graph(), dealt.pop().unwrap_or_default());
         if dealt.is_empty() {

@@ -214,100 +214,202 @@ pub fn deadline_error(token: &CancelToken) -> BscError {
     }
 }
 
-/// Unified execution statistics across all solver implementations.
+/// How one [`SolverStats`] field combines with the same field of another
+/// run, and what kind of value it is. Each field declares its rule once,
+/// where `SolverStats` is declared, and every merge —
+/// [`SolverStats::merge`] for runs one after another,
+/// [`SolverStats::merge_concurrent`] for runs side by side — and the wire
+/// codec ([`SolverStats::carried`], [`SolverStats::from_carried`]) expand
+/// from that declaration:
 ///
-/// Each algorithm counts straight into the fields that are meaningful for it
-/// and leaves the rest at their defaults (each solver's `run_with_stats`
-/// documents which ones those are): BFS reports generated paths and
-/// resident-path peaks, DFS reports node-state I/O, prunes and stack depth,
-/// TA reports edges its bound discarded, edges scanned, rows read while
-/// expanding and early termination, the normalized solver reports Theorem-1
-/// prefix drops as `prunes`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SolverStats {
-    /// Candidate paths generated / enumerated (BFS: candidates considered at
-    /// the nodes it visited; TA: full paths an expansion completed and
-    /// weighed, each able to reach the threshold its edge was popped under).
-    pub paths_generated: u64,
-    /// Graph nodes processed (BFS: nodes visited — a batch sweep passes over
-    /// a node no prefix of a near-answer can reach and does not count it).
-    pub nodes_processed: u64,
-    /// Edges traversed or scanned (TA: popped from the sorted lists).
-    pub edges_traversed: u64,
-    /// Times a pruning rule fired (DFS `CanPrune`, Theorem 1 prefix drops;
-    /// TA: edges whose best full path, read off the look-ahead tables,
-    /// misses the threshold — never listed, or popped and not expanded).
-    pub prunes: u64,
-    /// Per-node state reads (random I/O for the disk-resident variants).
-    pub node_reads: u64,
-    /// Per-node state writes.
-    pub node_writes: u64,
-    /// Adjacency rows read while expanding a popped edge into the full paths
-    /// through it (TA): one per node a walk steps through.
-    pub random_seeks: u64,
-    /// Peak number of candidate paths resident in memory.
-    pub peak_resident_paths: usize,
-    /// Peak traversal stack depth (DFS).
-    pub peak_stack_depth: usize,
-    /// True when the solver stopped before exhausting its input (TA's
-    /// threshold condition).
-    pub early_termination: bool,
-    /// The chunks a windowed (sharded, distributed or delta) solve dealt
-    /// its ranges into, each one worker's share, run by a shard thread or
-    /// by the calling thread (a fan-out: one per remote worker); 0 = not a
-    /// windowed solve, every solver being sequential on its own. Set by the
-    /// ranges and the core count alone, never by which thread ran a chunk.
-    /// Written only by the windowed executor.
-    pub threads: usize,
-    /// Interval shards the solve was split across (0 = not a sharded
-    /// solve; the sharded solver reports the number of shard ranges
-    /// actually formed).
-    pub shards: usize,
-    /// Wall-clock microseconds the query waited for a worker before its
-    /// solve began (0 outside the query engine — only an admission queue
-    /// has a wait to report).
-    pub queue_wait_micros: u64,
-    /// Wall-clock microseconds of the solve itself (0 = not measured; the
-    /// pipeline's solver stage and the query engine fill it in). Unlike
-    /// every other field this one is nondeterministic by nature, so
-    /// byte-identical-result comparisons must ignore it.
-    pub solve_micros: u64,
-    /// Start windows a windowed solve decided — solved, or ruled out with
-    /// no sweep (0 = not a windowed solve). `solve_window_locally` reports
-    /// 1 per window, so a sharded, distributed or delta solve accumulates
-    /// the count through `merge` regardless of how the windows were
-    /// partitioned.
-    pub windows_resolved: u64,
-    /// Start windows a delta solve did not solve because the earlier answer
-    /// it merged from stands for them: the older graph's starts (see
-    /// `bsc_core::delta`). With `windows_resolved`, the graph's starts.
-    pub windows_spliced: u64,
+/// * `sum` — a count: runs in sequence and side by side both add.
+/// * `peak` — a count of what a run holds at one time (resident paths,
+///   stack depth) or of the solve's shape (shard ranges, chunks of
+///   ranges): runs in sequence take the larger, runs side by side add, each
+///   holding its own at once.
+/// * `any` — a flag: set if any run set it.
+macro_rules! rule {
+    (merge sum, $mine:expr, $theirs:expr, $concurrent:expr) => {
+        $mine += $theirs
+    };
+    (merge peak, $mine:expr, $theirs:expr, $concurrent:expr) => {
+        $mine = match $concurrent {
+            true => $mine + $theirs,
+            false => $mine.max($theirs),
+        }
+    };
+    (merge any, $mine:expr, $theirs:expr, $concurrent:expr) => {
+        $mine |= $theirs
+    };
+    (counter any, $value:expr) => {
+        Counter::Flag($value)
+    };
+    (counter $count:ident, $value:expr) => {
+        Counter::Count($value as u64)
+    };
+    (field any, $counter:expr) => {
+        $counter.count() != 0
+    };
+    (field $count:ident, $counter:expr) => {
+        $counter.count() as _
+    };
+}
+
+/// Declare [`SolverStats`]: each field with its type, its [`rule!`] and, if
+/// a window result carries it across a process boundary, its wire key.
+macro_rules! solver_stats {
+    (
+        $(#[$outer:meta])*
+        pub struct SolverStats {
+            $(
+                $(#[$inner:meta])*
+                $field:ident: $ty:ty = $rule:ident $(, $key:literal)?;
+            )*
+        }
+    ) => {
+        $(#[$outer])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct SolverStats {
+            $($(#[$inner])* pub $field: $ty,)*
+        }
+
+        impl SolverStats {
+            fn combine(&mut self, other: &SolverStats, concurrent: bool) {
+                $(rule!(merge $rule, self.$field, other.$field, concurrent);)*
+            }
+
+            /// The counters a window result carries across a process
+            /// boundary, by wire key, in declaration order: every field but
+            /// the solve's shape (`threads`, `shards`), which the executor
+            /// that merges the windows states for itself.
+            pub fn carried(&self) -> impl Iterator<Item = (&'static str, Counter)> {
+                [$($(($key, rule!(counter $rule, self.$field)),)?)*].into_iter()
+            }
+
+            /// The statistics whose carried counters `read` answers: it is
+            /// asked for each by wire key, with the field's zero value (which
+            /// also names its kind), and answers in that kind.
+            pub fn from_carried<E>(
+                mut read: impl FnMut(&'static str, Counter) -> Result<Counter, E>,
+            ) -> Result<SolverStats, E> {
+                let mut stats = SolverStats::default();
+                $($(
+                    let zero = rule!(counter $rule, stats.$field);
+                    stats.$field = rule!(field $rule, read($key, zero)?);
+                )?)*
+                Ok(stats)
+            }
+        }
+    };
+}
+
+/// One carried [`SolverStats`] field's value: a count, or a flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// A count or a peak.
+    Count(u64),
+    /// A flag.
+    Flag(bool),
+}
+
+impl Counter {
+    /// The value as a count: a flag counts 0 or 1.
+    fn count(self) -> u64 {
+        match self {
+            Counter::Count(n) => n,
+            Counter::Flag(flag) => u64::from(flag),
+        }
+    }
+}
+
+solver_stats! {
+    /// Unified execution statistics across all solver implementations: the
+    /// deterministic counters the paper compares its algorithms by, each
+    /// equal however the work was split across windows, threads or
+    /// processes. Wall-clock times are not kept here; the query engine
+    /// reports them on its responses.
+    ///
+    /// Each algorithm counts straight into the fields that are meaningful for
+    /// it and leaves the rest at their defaults (each solver's
+    /// `run_with_stats` documents which ones those are): BFS reports
+    /// generated paths and resident-path peaks, DFS reports node-state I/O,
+    /// prunes and stack depth, TA reports edges its bound discarded, edges
+    /// scanned, rows read while expanding and early termination, the
+    /// normalized solver reports Theorem-1 prefix drops as `prunes`.
+    ///
+    /// Each field is declared once, with its merge rule and, where a window
+    /// result carries it, its wire key (see [`Counter`] and the `rule!`
+    /// macro in this module's source).
+    pub struct SolverStats {
+        /// Candidate paths generated / enumerated (BFS: candidates considered
+        /// at the nodes it visited; TA: full paths an expansion completed and
+        /// weighed, each able to reach the threshold its edge was popped
+        /// under).
+        paths_generated: u64 = sum, "paths_generated";
+        /// Graph nodes processed (BFS: nodes visited — a batch sweep passes
+        /// over a node no prefix of a near-answer can reach and does not
+        /// count it).
+        nodes_processed: u64 = sum, "nodes_processed";
+        /// Edges traversed or scanned (TA: popped from the sorted lists).
+        edges_traversed: u64 = sum, "edges_traversed";
+        /// Times a pruning rule fired (DFS `CanPrune`, Theorem 1 prefix
+        /// drops; TA: edges whose best full path, read off the look-ahead
+        /// tables, misses the threshold — never listed, or popped and not
+        /// expanded).
+        prunes: u64 = sum, "prunes";
+        /// Per-node state reads (random I/O for the disk-resident variants).
+        node_reads: u64 = sum, "node_reads";
+        /// Per-node state writes.
+        node_writes: u64 = sum, "node_writes";
+        /// Adjacency rows read while expanding a popped edge into the full
+        /// paths through it (TA): one per node a walk steps through.
+        random_seeks: u64 = sum, "random_seeks";
+        /// Peak number of candidate paths resident in memory.
+        peak_resident_paths: usize = peak, "peak_resident_paths";
+        /// Peak traversal stack depth (DFS).
+        peak_stack_depth: usize = peak, "peak_stack_depth";
+        /// True when the solver stopped before exhausting its input (TA's
+        /// threshold condition).
+        early_termination: bool = any, "early_termination";
+        /// The chunks a windowed (sharded, distributed or delta) solve dealt
+        /// its ranges into, each one worker's share, run by a shard thread or
+        /// by the calling thread (a fan-out: one per remote worker); 0 = not
+        /// a windowed solve, every solver being sequential on its own. Set by
+        /// the ranges and the core count alone, never by which thread ran a
+        /// chunk: each chunk counts itself once.
+        threads: usize = peak;
+        /// Interval shards the solve was split across (0 = not a windowed
+        /// solve; a windowed solve reports the number of shard ranges
+        /// actually formed, each chunk counting its own).
+        shards: usize = peak;
+        /// Start windows a windowed solve decided — solved, or ruled out with
+        /// no sweep (0 = not a windowed solve). `solve_window_locally`
+        /// reports 1 per window, so a sharded, distributed or delta solve
+        /// accumulates the count through `merge` regardless of how the
+        /// windows were partitioned.
+        windows_resolved: u64 = sum, "windows_resolved";
+        /// Start windows a delta solve did not solve because the earlier
+        /// answer it merged from stands for them: the older graph's starts
+        /// (see `bsc_core::delta`). With `windows_resolved`, the graph's
+        /// starts.
+        windows_spliced: u64 = sum, "windows_spliced";
+    }
 }
 
 impl SolverStats {
-    /// Componentwise aggregation for *sequentially* composed runs: counters
-    /// sum, peaks take the maximum, `early_termination` ORs. The windowed
-    /// executor combines per-window statistics with it; for runs that
-    /// executed concurrently the caller must adjust the peak fields itself
-    /// (the simultaneous peak is bounded by the sum of the parts, not their
-    /// max — see the stats rule in `docs/sharding.md`). `threads` is left
-    /// alone: it describes the executor doing the merging, not its parts.
+    /// Merge the statistics of a run that came after this one — the next
+    /// window of a chunk, the next answer of a stream — by each field's
+    /// rule: counts add, peaks take the larger, flags OR.
     pub fn merge(&mut self, other: &SolverStats) {
-        self.paths_generated += other.paths_generated;
-        self.nodes_processed += other.nodes_processed;
-        self.edges_traversed += other.edges_traversed;
-        self.prunes += other.prunes;
-        self.node_reads += other.node_reads;
-        self.node_writes += other.node_writes;
-        self.random_seeks += other.random_seeks;
-        self.peak_resident_paths = self.peak_resident_paths.max(other.peak_resident_paths);
-        self.peak_stack_depth = self.peak_stack_depth.max(other.peak_stack_depth);
-        self.early_termination |= other.early_termination;
-        self.shards = self.shards.max(other.shards);
-        self.queue_wait_micros += other.queue_wait_micros;
-        self.solve_micros += other.solve_micros;
-        self.windows_resolved += other.windows_resolved;
-        self.windows_spliced += other.windows_spliced;
+        self.combine(other, false);
+    }
+
+    /// Merge the statistics of a run that ran at the same time as this one
+    /// — another chunk of the same windowed solve — by each field's rule:
+    /// counts and peaks add (the simultaneous peak is bounded by the sum of
+    /// the parts, not their max), flags OR.
+    pub fn merge_concurrent(&mut self, other: &SolverStats) {
+        self.combine(other, true);
     }
 }
 
@@ -834,12 +936,7 @@ mod tests {
                     ..SolverStats::default()
                 },
             };
-            let deterministic = SolverStats {
-                queue_wait_micros: 0,
-                solve_micros: 0,
-                ..solution.stats
-            };
-            assert_eq!(deterministic, expected, "{kind}");
+            assert_eq!(solution.stats, expected, "{kind}");
         }
     }
 }

@@ -169,7 +169,8 @@ impl OnlineStableClusters {
     /// What the answers' window solves have counted since the stream opened,
     /// merged ([`SolverStats::merge`]): per answer, `windows_resolved` counts
     /// the windows solved and `windows_spliced` the older starts the last
-    /// answer stood for.
+    /// answer stood for; `shards` and `threads` are 1 once an answer has
+    /// solved a window (one range, run on one chunk), and 0 before.
     pub fn stats(&self) -> SolverStats {
         self.stats
     }
@@ -434,6 +435,10 @@ mod tests {
             let spliced = stats.windows_spliced - before.windows_spliced;
             assert_eq!(resolved, u64::from(starts > 0), "push {interval}");
             assert_eq!(spliced, starts.saturating_sub(1), "push {interval}");
+            // Each answer that solves a window is one range on one chunk, and
+            // answers in sequence merge the solve's shape by its larger value.
+            let shape = usize::from(starts > 0);
+            assert_eq!((stats.shards, stats.threads), (shape, shape));
 
             assert_eq!(online.current_top_k().unwrap(), answer, "push {interval}");
             assert_eq!(online.stats(), stats, "push {interval}");

@@ -30,6 +30,17 @@ pub(crate) fn tie_cmp(a: &ClusterPath, b: &ClusterPath) -> Ordering {
     a.nodes().cmp(b.nodes())
 }
 
+/// The law of a merged answer to a top-`k` query by weight: at most `k`
+/// paths, in strict `(score desc, content asc)` order — no two equal, so
+/// no path twice. Checked by `debug_assert!` where answers are merged.
+pub(crate) fn is_answer(paths: &[ClusterPath], k: usize) -> bool {
+    let before = |a: &ClusterPath, b: &ClusterPath| {
+        let order = b.weight().total_cmp(&a.weight());
+        order.then_with(|| tie_cmp(a, b)) == Ordering::Less
+    };
+    paths.len() <= k && paths.windows(2).all(|pair| before(&pair[0], &pair[1]))
+}
+
 /// A path together with the score the heap orders by.
 #[derive(Debug, Clone)]
 struct Scored {
@@ -187,12 +198,9 @@ impl TopKPaths {
 
     /// The held paths in descending score order.
     pub fn into_sorted(self) -> Vec<ClusterPath> {
+        // `Scored`'s order, read forwards, is the output order.
         let mut entries: Vec<Scored> = self.heap.into_vec();
-        entries.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| tie_cmp(&a.path, &b.path))
-        });
+        entries.sort();
         entries.into_iter().map(|s| s.path).collect()
     }
 

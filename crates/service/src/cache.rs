@@ -73,35 +73,27 @@ struct Entry {
 /// A bounded LRU cache of query solutions with per-entry epoch tags.
 #[derive(Debug)]
 pub struct SolutionCache {
-    capacity: usize,
+    /// The counters and the capacity; `entries` is read off `map`.
+    counts: CacheStats,
     /// The newest epoch the cache has been advanced to; puts for older
     /// epochs are dropped.
     epoch: u64,
     /// Monotone recency clock for the LRU policy.
     tick: u64,
     map: HashMap<String, Entry>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    invalidations: u64,
-    carried_forward: u64,
-    delta_dropped: u64,
 }
 
 impl SolutionCache {
     /// An empty cache holding at most `capacity` solutions (0 disables it).
     pub fn new(capacity: usize) -> Self {
         SolutionCache {
-            capacity,
+            counts: CacheStats {
+                capacity,
+                ..CacheStats::default()
+            },
             epoch: 0,
             tick: 0,
             map: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            invalidations: 0,
-            carried_forward: 0,
-            delta_dropped: 0,
         }
     }
 
@@ -119,12 +111,12 @@ impl SolutionCache {
         if before > 0 && appends() {
             // bsc:allow(nondeterministic-iteration) -- retain order only affects counter arithmetic, never output
             self.map.retain(|_, entry| entry.solved_on.is_some());
-            self.carried_forward += self.map.len() as u64;
-            self.delta_dropped += (before - self.map.len()) as u64;
+            self.counts.carried_forward += self.map.len() as u64;
+            self.counts.delta_dropped += (before - self.map.len()) as u64;
         } else {
             self.map.clear();
         }
-        self.invalidations += (before - self.map.len()) as u64;
+        self.counts.invalidations += (before - self.map.len()) as u64;
     }
 
     /// Look up the solution for `key` computed at `epoch`. Counts a miss
@@ -135,11 +127,11 @@ impl SolutionCache {
         match self.map.get_mut(key) {
             Some(entry) if entry.epoch == epoch => {
                 entry.last_used = self.tick;
-                self.hits += 1;
+                self.counts.hits += 1;
                 Some(entry.solution.clone())
             }
             _ => {
-                self.misses += 1;
+                self.counts.misses += 1;
                 None
             }
         }
@@ -171,7 +163,7 @@ impl SolutionCache {
         solution: Solution,
         solved_on: Option<GraphSnapshot>,
     ) {
-        if self.capacity == 0 {
+        if self.counts.capacity == 0 {
             return;
         }
         self.advance_epoch(epoch, || false);
@@ -189,7 +181,7 @@ impl SolutionCache {
                 last_used: tick,
             },
         );
-        if self.map.len() > self.capacity {
+        if self.map.len() > self.counts.capacity {
             if let Some(oldest) = self
                 .map // bsc:allow(nondeterministic-iteration) -- ticks are unique, the min has one winner
                 .iter()
@@ -197,7 +189,7 @@ impl SolutionCache {
                 .map(|(k, _)| k.clone())
             {
                 self.map.remove(&oldest);
-                self.evictions += 1;
+                self.counts.evictions += 1;
             }
         }
     }
@@ -206,13 +198,7 @@ impl SolutionCache {
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             entries: self.map.len(),
-            capacity: self.capacity,
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            invalidations: self.invalidations,
-            carried_forward: self.carried_forward,
-            delta_dropped: self.delta_dropped,
+            ..self.counts
         }
     }
 }

@@ -24,8 +24,11 @@
 //! A query is a pure function of `(epoch, query)`, so the solution cache is
 //! the one memo for repeats: a worker that reaches a repeat after its first
 //! solve was cached — queued behind it or asked later, with or without a
-//! cancel token — answers it from the cache (`cached: true`, `solve_micros`
-//! 0). With the cache disabled every query solves.
+//! cancel token — answers it from the cache (`cached: true`,
+//! [`QueryResponse::solve_micros`] 0). With the cache disabled every query
+//! solves. The cache holds what a solve computed, counters included, and no
+//! wall-clock time: the engine measures a query's queue wait and solve and
+//! reports both on its [`QueryResponse`], beside `cached`.
 //!
 //! The cache is also what a query on a grown graph merges from, and nobody
 //! has to say when that may happen: the graphs prove it. Every exact-length
@@ -262,11 +265,10 @@ impl QueryRequest {
     }
 }
 
-/// A finished query: the [`Solution`] plus where and how it was computed.
-///
-/// `solution.stats.queue_wait_micros` carries the admission-queue wait and
-/// `solution.stats.solve_micros` the solve wall-clock (0 for cache hits —
-/// nothing was solved).
+/// A finished query: the [`Solution`] plus where, how and how long it was
+/// computed. The solution's stats are the deterministic counters of the
+/// solve that produced it (a cache hit's: those of the solve it repeats);
+/// the two wall-clock fields are this query's own.
 #[derive(Debug, Clone)]
 pub struct QueryResponse {
     /// The solver output; `paths` are byte-identical to the one-shot solve
@@ -277,6 +279,12 @@ pub struct QueryResponse {
     pub epoch: u64,
     /// Whether the answer came from the solution cache.
     pub cached: bool,
+    /// Wall-clock microseconds the query waited in the admission queue for
+    /// a worker (the engine's `queue_wait` histogram).
+    pub queue_wait_micros: u64,
+    /// Wall-clock microseconds of the solve (the engine's `solve`
+    /// histogram); 0 for a cache hit — nothing was solved.
+    pub solve_micros: u64,
 }
 
 /// Handle to a submitted query; redeem it with [`QueryTicket::wait`].
@@ -330,7 +338,7 @@ struct TenantState {
 
 /// Aggregate engine counters and latency distributions, as returned by
 /// [`QueryEngine::stats`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Worker threads in the pool.
     pub workers: usize,
@@ -339,17 +347,23 @@ pub struct EngineStats {
     /// Current snapshot epoch.
     pub epoch: u64,
     /// Queries answered: every one is a cache hit, a solve or an error, so
-    /// `queries == cache.hits + solve.count() + errors`.
+    /// `queries == cache.hits + solve.count() + errors` (a debug build
+    /// checks it at [`QueryEngine::shutdown`]). A blocking
+    /// [`QueryEngine::submit`] whose deadline passes while it waits for a
+    /// queue slot is answered with an error too; a shed query is not
+    /// answered (see `quota_shed`).
     pub queries: u64,
     /// Queries that returned an error.
     pub errors: u64,
     /// Cache counters.
     pub cache: CacheStats,
-    /// Queries that ended in [`BscError::DeadlineExceeded`] — at admission,
-    /// in the queue, or mid-solve. A subset of `errors`.
+    /// Queries that ended in [`BscError::DeadlineExceeded`] — waiting for a
+    /// queue slot at admission, in the queue, or mid-solve. A subset of
+    /// `errors`.
     pub deadline_hits: u64,
     /// Queries whose budget was already gone when a worker dequeued them:
-    /// failed fast without solving. A subset of `deadline_hits`.
+    /// failed fast without solving. A subset of `deadline_hits`; a query
+    /// whose deadline passed before it was admitted is not among them.
     pub queue_expired: u64,
     /// In-flight queries cancelled by [`QueryEngine::shutdown`].
     pub cancelled: u64,
@@ -368,22 +382,12 @@ pub struct EngineStats {
     pub solve: LatencyHistogram,
 }
 
-#[derive(Default)]
-struct Metrics {
-    queries: u64,
-    errors: u64,
-    deadline_hits: u64,
-    queue_expired: u64,
-    cancelled: u64,
-    quota_shed: u64,
-    queue_wait: LatencyHistogram,
-    solve: LatencyHistogram,
-}
-
 struct Shared {
     /// Also the lock [`QueryEngine::install`] swaps a snapshot in under.
     cache: Mutex<SolutionCache>,
-    metrics: Mutex<Metrics>,
+    /// The counters and histograms of [`EngineStats`]; its other fields are
+    /// read where they are kept when [`QueryEngine::stats`] is asked.
+    metrics: Mutex<EngineStats>,
     /// Per-tenant counters and token buckets, keyed by tenant name.
     tenants: Mutex<HashMap<String, TenantState>>,
     /// Queries admitted but not yet answered (gauge).
@@ -428,7 +432,7 @@ impl QueryEngine {
         let queue = Arc::new(AdmissionQueue::new(config.queue_capacity));
         let shared = Arc::new(Shared {
             cache: Mutex::new(SolutionCache::new(config.cache_capacity)),
-            metrics: Mutex::new(Metrics::default()),
+            metrics: Mutex::new(EngineStats::default()),
             tenants: Mutex::new(HashMap::new()),
             in_flight: AtomicU64::new(0),
             solving: Mutex::new(Vec::new()),
@@ -561,6 +565,7 @@ impl QueryEngine {
             }
             Err(PushError::Closed(_)) => BscError::Shutdown,
             // A wait ends full only at the request's deadline.
+            // It is answered, with the deadline error, but never dequeued.
             Err(PushError::Full(job)) => match job.request.options.cancel.filter(|_| wait) {
                 Some(token) => {
                     let mut metrics = self
@@ -568,8 +573,9 @@ impl QueryEngine {
                         .metrics
                         .lock()
                         .unwrap_or_else(|p| p.into_inner());
+                    metrics.queries += 1;
+                    metrics.errors += 1;
                     metrics.deadline_hits += 1;
-                    metrics.queue_expired += 1;
                     deadline_error(&token)
                 }
                 None => BscError::Saturated {
@@ -617,16 +623,9 @@ impl QueryEngine {
             workers: self.config.workers,
             queue_capacity: self.config.queue_capacity,
             epoch: self.cell.epoch(),
-            queries: metrics.queries,
-            errors: metrics.errors,
             cache,
-            deadline_hits: metrics.deadline_hits,
-            queue_expired: metrics.queue_expired,
-            cancelled: metrics.cancelled,
-            quota_shed: metrics.quota_shed,
             tenants,
-            queue_wait: metrics.queue_wait.clone(),
-            solve: metrics.solve.clone(),
+            ..metrics.clone()
         }
     }
 
@@ -641,6 +640,11 @@ impl QueryEngine {
     /// [`BscError::DeadlineExceeded`]); queued-but-unstarted jobs are
     /// failed fast with [`BscError::Shutdown`] instead of being solved
     /// into the void. Idempotent; also runs on drop.
+    ///
+    /// With the workers joined the engine is quiescent, and a debug build
+    /// checks `queries == cache.hits + solve.count() + errors` here — not
+    /// sooner, because the hit and query counts sit under different locks,
+    /// and not while a panic unwinds or after a worker panicked.
     pub fn shutdown(&mut self) {
         // Workers drain what is queued (failing it fast via the flag
         // below), then read `None` from the closed queue and exit.
@@ -664,9 +668,18 @@ impl QueryEngine {
                 }
             }
         }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        let joined = self.workers.drain(..).all(|handle| handle.join().is_ok());
+        debug_assert!(
+            !joined || std::thread::panicking() || self.conserves_queries(),
+            "queries != cache hits + solves + errors: {:?}",
+            self.stats()
+        );
+    }
+
+    /// Whether every query counted is a cache hit, a solve or an error.
+    fn conserves_queries(&self) -> bool {
+        let stats = self.stats();
+        stats.queries == stats.cache.hits + stats.solve.count() + stats.errors
     }
 
     fn admit(&self, request: QueryRequest) -> BscResult<(Job, QueryTicket)> {
@@ -808,9 +821,7 @@ fn process_job(mut job: Job, shared: &Shared) {
         metrics.queue_wait.record(queue_wait);
         match &result {
             Ok(response) if !response.cached => {
-                metrics
-                    .solve
-                    .record_micros(response.solution.stats.solve_micros);
+                metrics.solve.record_micros(response.solve_micros);
             }
             Ok(_) => {}
             Err(e) => {
@@ -848,13 +859,13 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
     let epoch = job.snapshot.epoch();
     let (length, carried) = {
         let mut cache = shared.cache.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(mut solution) = cache.get(epoch, &job.key) {
-            solution.stats.queue_wait_micros = duration_micros(queue_wait);
-            solution.stats.solve_micros = 0;
+        if let Some(solution) = cache.get(epoch, &job.key) {
             return Ok(QueryResponse {
                 solution,
                 epoch,
                 cached: true,
+                queue_wait_micros: duration_micros(queue_wait),
+                solve_micros: 0,
             });
         }
         let length = mergeable_length(&job.request, job.snapshot.num_intervals());
@@ -913,22 +924,21 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .retain(|t| t != &token);
-    let mut solution = result?;
-    solution.stats.solve_micros = solve_micros;
-    // Cache the canonical form (no queue wait — that belongs to one query,
-    // not to the answer), with the snapshot it was solved on when a later
-    // epoch may merge from it.
+    let solution = result?;
+    // Cached with the snapshot it was solved on when a later epoch may merge
+    // from it.
     shared.cache.lock().unwrap_or_else(|p| p.into_inner()).put(
         epoch,
         job.key.clone(),
         solution.clone(),
         length.map(|_| job.snapshot.clone()),
     );
-    solution.stats.queue_wait_micros = duration_micros(queue_wait);
     Ok(QueryResponse {
         solution,
         epoch,
         cached: false,
+        queue_wait_micros: duration_micros(queue_wait),
+        solve_micros,
     })
 }
 
@@ -936,6 +946,7 @@ fn execute(job: &mut Job, queue_wait: Duration, shared: &Shared) -> BscResult<Qu
 mod tests {
     use super::*;
     use bsc_core::synthetic::{ClusterGraphGenerator, SyntheticGraphParams};
+    use bsc_storage::backend::StorageSpec;
 
     fn graph(seed: u64) -> ClusterGraph {
         ClusterGraphGenerator::new(SyntheticGraphParams {
@@ -960,7 +971,7 @@ mod tests {
         let response = engine.query(request).unwrap();
         assert_eq!(response.epoch, 1);
         assert!(!response.cached);
-        assert!(response.solution.stats.solve_micros > 0);
+        assert!(response.solve_micros > 0);
 
         let mut direct = AlgorithmKind::Bfs
             .build(StableClusterSpec::ExactLength(2), 4, 5)
@@ -988,7 +999,8 @@ mod tests {
         for repeat in [request.clone(), with_token] {
             let repeat = engine.query(repeat).unwrap();
             assert!(repeat.cached);
-            assert_eq!(repeat.solution.stats.solve_micros, 0);
+            assert_eq!(repeat.solve_micros, 0);
+            assert_eq!(first.solution.stats, repeat.solution.stats);
             assert_eq!(first.solution.paths, repeat.solution.paths);
         }
         // Swap the graph: the cache must not serve the old answer.
@@ -1118,7 +1130,7 @@ mod tests {
             Ok(ticket) => drop(ticket),
             Err(BscError::DeadlineExceeded { .. }) => {
                 assert!(begun.elapsed() >= Duration::from_millis(20));
-                assert!(engine.stats().queue_expired >= 1);
+                assert!(engine.stats().deadline_hits >= 1);
             }
             Err(other) => panic!("unexpected error: {other}"),
         }
@@ -1129,6 +1141,62 @@ mod tests {
         for ticket in tickets {
             let _ = ticket.wait();
         }
+    }
+
+    #[test]
+    fn an_admission_wait_past_its_deadline_is_an_answered_deadline_hit() {
+        // One worker held by a DFS full-path solve that runs for seconds
+        // (tens of them unsharded in a release build) and one queue slot:
+        // the filler's blocking submit returns only once the holder has left
+        // the queue, so the deadline of the query after it can only run out
+        // while it waits for the slot the filler holds.
+        let mut engine = QueryEngine::new(
+            EngineConfig::default()
+                .workers(1)
+                .queue_capacity(1)
+                .cache_capacity(0),
+        )
+        .unwrap();
+        engine.install_graph(
+            ClusterGraphGenerator::new(SyntheticGraphParams {
+                num_intervals: 12,
+                nodes_per_interval: 300,
+                avg_out_degree: 5,
+                gap: 1,
+                seed: 7,
+            })
+            .generate(),
+        );
+        let memory = SolverOptions::default().storage(StorageSpec::Memory);
+        let holder = engine
+            .submit(
+                QueryRequest::new(AlgorithmKind::Dfs, StableClusterSpec::FullPaths, 5)
+                    .options(memory),
+            )
+            .unwrap();
+        let request = QueryRequest::new(AlgorithmKind::Bfs, StableClusterSpec::ExactLength(2), 4);
+        let filler = engine.submit(request.clone()).unwrap();
+        let budget = SolverOptions::default().deadline(Some(Duration::from_millis(50)));
+        assert!(matches!(
+            engine.submit(request.options(budget)).unwrap_err(),
+            BscError::DeadlineExceeded { .. }
+        ));
+        // Answered with an error, never dequeued: the laws of the docs hold.
+        let stats = engine.stats();
+        let counted = (stats.queries, stats.errors, stats.deadline_hits);
+        assert_eq!(counted, (1, 1, 1));
+        assert_eq!(stats.queue_expired, 0);
+        engine.shutdown();
+        assert!(matches!(
+            holder.wait().unwrap_err(),
+            BscError::DeadlineExceeded { .. }
+        ));
+        assert!(matches!(filler.wait().unwrap_err(), BscError::Shutdown));
+        let stats = engine.stats();
+        let counted = (stats.queries, stats.errors, stats.deadline_hits);
+        assert_eq!(counted, (3, 3, 2));
+        assert_eq!((stats.queue_expired, stats.cancelled), (0, 1));
+        assert_eq!(stats.cache.hits + stats.solve.count(), 0);
     }
 
     #[test]

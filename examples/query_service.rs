@@ -100,8 +100,8 @@ fn main() {
             response.solution.paths.len(),
             response.epoch,
             response.cached,
-            response.solution.stats.queue_wait_micros,
-            response.solution.stats.solve_micros,
+            response.queue_wait_micros,
+            response.solve_micros,
         );
         if let Some(best) = response.solution.paths.first() {
             let described: Vec<String> = best

@@ -8,7 +8,7 @@
 //!   lane (the `(w + 1) * (HIGH_LANE_BURST + 1)`-pop bound);
 //! * **a queued repeat is a cache hit, byte-identical to serial**: copies
 //!   of a query queued behind its first solve are answered by the solution
-//!   cache (`cached: true`, `solve_micros` 0) with the same node sequences
+//!   cache (`cached: true`, the response's `solve_micros` 0) with the same node sequences
 //!   and `f64` weight bits as an uncontended engine, for every algorithm ×
 //!   backend × shard count, and the counters conserve;
 //! * per-tenant counters surface in [`QueryEngine::stats`].
@@ -205,19 +205,9 @@ fn the_high_priority_lane_overtakes_queued_normal_queries() {
         .expect("high admitted");
 
     blocker.wait().expect("blocker completes");
-    let high_wait = high
-        .wait()
-        .expect("high completes")
-        .solution
-        .stats
-        .queue_wait_micros;
+    let high_wait = high.wait().expect("high completes").queue_wait_micros;
     for (i, normal) in normals.into_iter().enumerate() {
-        let wait = normal
-            .wait()
-            .expect("normal completes")
-            .solution
-            .stats
-            .queue_wait_micros;
+        let wait = normal.wait().expect("normal completes").queue_wait_micros;
         assert!(
             high_wait < wait,
             "high-priority wait {high_wait}us must undercut normal #{i}'s {wait}us \
@@ -320,7 +310,7 @@ fn queued_repeats_are_cache_hits_byte_identical_to_serial_for_every_combo() {
                 "{context}: only the first copy solves"
             );
             if response.cached {
-                assert_eq!(response.solution.stats.solve_micros, 0, "{context}");
+                assert_eq!(response.solve_micros, 0, "{context}");
             }
         }
     }
